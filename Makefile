@@ -2,7 +2,7 @@ GO ?= go
 FUZZTIME ?= 3s
 COV_FLOOR ?= 70
 
-.PHONY: all build vet test cover race fuzz perf bench bench-stability bench-wire verify clean
+.PHONY: all build vet test cover race fuzz perf bench bench-stability verify clean
 
 all: verify
 
@@ -35,8 +35,9 @@ fuzz:
 	CI_FUZZTIME=$(FUZZTIME) ./scripts/ci.sh fuzz
 
 # perf runs the perf smokes: the commit-pipeline msgs/commit bound, the
-# wire-codec zero-allocation gate, the open-loop stability smoke, the
-# gated wire experiment, and a 3-process dstmnode cluster smoke.
+# wire-codec zero-allocation gate, the open-loop stability smoke, the repo
+# benchmark in smoke mode (`go run ./bench -quick`, output checks and trace
+# oracle gated), and a 3-process dstmnode cluster smoke.
 perf:
 	./scripts/ci.sh perf
 
@@ -60,15 +61,6 @@ bench:
 bench-stability:
 	$(GO) run ./cmd/rtsbench -experiment stability -bench bank,ll,dht \
 		-nodes 4 -duration 150ms -stabilityjson results/BENCH_stability.json
-
-# bench-wire measures the hand-rolled binary wire codec against gob:
-# per-payload alloc/op and bytes, a raw loopback-TCP message pump, and
-# end-to-end bank cells on memnet vs TCP with both codecs. Writes
-# results/BENCH_wire.json and fails unless the binary codec is
-# allocation-free and at least 2x gob's pump throughput.
-bench-wire:
-	$(GO) run ./cmd/rtsbench -experiment wire -duration 1s \
-		-wirejson results/BENCH_wire.json -wiregate
 
 clean:
 	$(GO) clean ./...

@@ -62,7 +62,6 @@ type options struct {
 	threshold  int
 	spawn      int
 	exitAfter  time.Duration
-	codec      string
 	openLoop   bool
 	rate       float64
 	arrival    string
@@ -82,7 +81,6 @@ func main() {
 	flag.IntVar(&o.threshold, "clthreshold", 3, "RTS contention-level threshold")
 	flag.IntVar(&o.spawn, "spawn", 0, "spawn an N-process cluster on loopback and drive from node 0")
 	flag.DurationVar(&o.exitAfter, "exitafter", 0, "serve nodes exit after this long (0 = forever)")
-	flag.StringVar(&o.codec, "codec", "binary", "wire codec: binary | gob")
 	flag.BoolVar(&o.openLoop, "openloop", false, "drive an open-loop arrival process instead of the closed loop")
 	flag.Float64Var(&o.rate, "rate", 200, "open-loop offered rate (tx/sec)")
 	flag.StringVar(&o.arrival, "arrival", "poisson", "open-loop arrival process: poisson | constant")
@@ -100,16 +98,6 @@ func main() {
 	if err := runNode(o); err != nil {
 		fatal(err)
 	}
-}
-
-func parseCodec(s string) (transport.Codec, error) {
-	switch s {
-	case "binary":
-		return transport.CodecBinary, nil
-	case "gob":
-		return transport.CodecGob, nil
-	}
-	return 0, fmt.Errorf("unknown codec %q (want binary or gob)", s)
 }
 
 // runSpawn is the -spawn N coordinator: it reserves N loopback ports,
@@ -149,7 +137,6 @@ func runSpawn(o options) error {
 			"-peers", peers,
 			"-scheduler", o.policy,
 			"-clthreshold", strconv.Itoa(o.threshold),
-			"-codec", o.codec,
 			"-exitafter", fuse.String(),
 		)
 		cmd.Stdout, cmd.Stderr = os.Stdout, os.Stderr
@@ -197,13 +184,8 @@ func runNode(o options) error {
 	if !ok {
 		return fmt.Errorf("node %d not present in -peers", o.id)
 	}
-	codec, err := parseCodec(o.codec)
-	if err != nil {
-		return err
-	}
 
-	tn, err := transport.NewTCPNodeOpts(transport.NodeID(o.id), listen, peers,
-		transport.TCPOptions{Codec: codec})
+	tn, err := transport.NewTCPNode(transport.NodeID(o.id), listen, peers)
 	if err != nil {
 		return err
 	}
@@ -224,8 +206,8 @@ func runNode(o options) error {
 
 	ep := cluster.NewEndpoint(tn, &vclock.Clock{})
 	rt := stm.NewRuntime(ep, len(peers), pol, st)
-	fmt.Printf("dstmnode: node %d listening on %s (%s scheduler, %s codec, %d peers)\n",
-		o.id, tn.Addr(), pol.Name(), codec, len(peers))
+	fmt.Printf("dstmnode: node %d listening on %s (%s scheduler, %d peers)\n",
+		o.id, tn.Addr(), pol.Name(), len(peers))
 
 	if !o.drive {
 		if o.exitAfter > 0 {

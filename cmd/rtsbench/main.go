@@ -8,8 +8,6 @@
 //	rtsbench -experiment fig5                   # Fig. 5 (high contention)
 //	rtsbench -experiment speedup                # Fig. 6 summary
 //	rtsbench -experiment stability              # open-loop queue-stability sweep
-//	rtsbench -experiment readscale              # MVCC snapshot reads vs ownership baseline
-//	rtsbench -experiment wire                   # binary codec vs gob wire sweep
 //	rtsbench -experiment all
 //
 // Flags tune scale: -nodes, -maxnodes, -duration, -workers, -objects,
@@ -34,7 +32,7 @@ import (
 
 func main() {
 	var (
-		experiment = flag.String("experiment", "all", "table1 | fig4 | fig5 | speedup | cell | stability | wire | readscale | all")
+		experiment = flag.String("experiment", "all", "table1 | fig4 | fig5 | speedup | cell | stability | all")
 		nodes      = flag.Int("nodes", 8, "node count for table1/speedup")
 		maxNodes   = flag.Int("maxnodes", 16, "largest node count in fig4/fig5 sweeps")
 		duration   = flag.Duration("duration", 250*time.Millisecond, "measurement window per cell")
@@ -56,14 +54,6 @@ func main() {
 		scheduler  = flag.String("scheduler", "RTS", "scheduler for -experiment cell (RTS | TFA | TFA+Backoff)")
 		readRatio  = flag.Float64("readratio", 0.9, "read fraction for -experiment cell")
 		benchJSON  = flag.String("benchjson", "", "run the commit-pipeline benchmark and write its JSON report (throughput, msgs/commit, commit-latency p50/p99 per scheduler) to this file, then exit")
-
-		wireJSON = flag.String("wirejson", "results/BENCH_wire.json", "output path for -experiment wire")
-		wireGate = flag.Bool("wiregate", false, "exit non-zero unless the binary codec is alloc-free and >= 2x gob pump throughput")
-
-		readJSON       = flag.String("readjson", "results/BENCH_read.json", "output path for -experiment readscale")
-		readGate       = flag.Bool("readgate", false, "exit non-zero unless the MVCC snapshot path cuts read msgs/ro-commit vs the ownership baseline at the 90%-read mix")
-		readTransports = flag.String("readtransports", "memnet", "comma-separated transports for -experiment readscale (memnet|tcp|tcpgob)")
-		readRatios     = flag.String("readratios", "0.5,0.9", "comma-separated read ratios for -experiment readscale")
 
 		stabilityJSON = flag.String("stabilityjson", "results/BENCH_stability.json", "output path for -experiment stability")
 		rates         = flag.String("rates", "300,900", "comma-separated offered arrival rates (tx/s) for -experiment stability")
@@ -119,13 +109,6 @@ func main() {
 	case "stability":
 		err = runStability(ctx, base, benches, *readRatio, *skews, *arrivals, *rates,
 			*stabilityJSON, *failDiverging)
-	case "readscale":
-		var ratios []float64
-		if ratios, err = parseRates(*readRatios); err == nil {
-			err = runReadScale(ctx, base, *readTransports, ratios, *readJSON, *readGate)
-		}
-	case "wire":
-		err = runWire(ctx, base, *wireJSON, *wireGate)
 	case "table1":
 		err = runTable1(ctx, base, benches)
 	case "fig4":

@@ -7,7 +7,7 @@
 // The stack, bottom to top:
 //
 //   - internal/transport — message passing: an in-memory latency-modelled
-//     network and a TCP transport (encoding/gob);
+//     network and a TCP transport (the binary codec of internal/wire);
 //   - internal/cluster — RPC with correlation and TFA clock piggybacking;
 //   - internal/cc — the cache-coherence directory (home nodes, single
 //     writable copy, ownership migration);

@@ -26,11 +26,11 @@ import (
 	"dstm/internal/transport"
 )
 
-// Message kinds 1–9 are reserved for the directory protocol.
+// Message kinds 1–9 are reserved for the directory protocol. Kind 3 (the
+// retired single-object update) is reserved: never reuse it.
 const (
 	KindLookup   transport.Kind = 1
 	KindRegister transport.Kind = 2
-	KindUpdate   transport.Kind = 3
 	// Batch variants: one message carries every object of a commit that is
 	// homed at the same directory node (owner-grouped commit pipeline).
 	KindLookupBatch   transport.Kind = 4
@@ -55,12 +55,6 @@ type registerReq struct {
 	Oid   object.ID
 	Owner transport.NodeID
 	Tx    uint64
-}
-
-// updateReq moves ownership to a new node (commit-time migration).
-type updateReq struct {
-	Oid   object.ID
-	Owner transport.NodeID
 }
 
 // lookupBatchReq asks a home node for the owners of several objects.
@@ -94,7 +88,6 @@ func init() {
 	transport.RegisterPayload(lookupReq{})
 	transport.RegisterPayload(lookupResp{})
 	transport.RegisterPayload(registerReq{})
-	transport.RegisterPayload(updateReq{})
 	transport.RegisterPayload(lookupBatchReq{})
 	transport.RegisterPayload(lookupBatchResp{})
 	transport.RegisterPayload(registerBatchReq{})
@@ -139,7 +132,6 @@ func NewService(ep *cluster.Endpoint, size int) *Service {
 	}
 	ep.Handle(KindLookup, s.handleLookup)
 	ep.Handle(KindRegister, s.handleRegister)
-	ep.Handle(KindUpdate, s.handleUpdate)
 	ep.Handle(KindLookupBatch, s.handleLookupBatch)
 	ep.Handle(KindRegisterBatch, s.handleRegisterBatch)
 	ep.Handle(KindUpdateBatch, s.handleUpdateBatch)
@@ -176,23 +168,6 @@ func (s *Service) handleRegister(_ transport.NodeID, payload any) (any, error) {
 	if req.Tx != 0 {
 		s.regTx[req.Oid] = req.Tx
 	}
-	return lookupResp{Owner: req.Owner, Known: true}, nil
-}
-
-func (s *Service) handleUpdate(_ transport.NodeID, payload any) (any, error) {
-	req, ok := payload.(updateReq)
-	if !ok {
-		return nil, fmt.Errorf("cc: bad update payload %T", payload)
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if _, known := s.owners[req.Oid]; !known {
-		return nil, fmt.Errorf("cc: update for unregistered object %q", req.Oid)
-	}
-	s.owners[req.Oid] = req.Owner
-	// Ownership migrating means the creating transaction committed long ago;
-	// its re-register window is over.
-	delete(s.regTx, req.Oid)
 	return lookupResp{Owner: req.Owner, Known: true}, nil
 }
 
@@ -320,16 +295,6 @@ func (s *Service) Register(ctx context.Context, id object.ID, owner transport.No
 // lost) can re-register idempotently. tx 0 means strict one-shot semantics.
 func (s *Service) RegisterTx(ctx context.Context, id object.ID, owner transport.NodeID, tx uint64) error {
 	_, err := s.ep.Call(ctx, s.Home(id), KindRegister, registerReq{Oid: id, Owner: owner, Tx: tx})
-	if err != nil {
-		return err
-	}
-	s.NoteOwner(id, owner)
-	return nil
-}
-
-// UpdateOwner records commit-time ownership migration at the home.
-func (s *Service) UpdateOwner(ctx context.Context, id object.ID, owner transport.NodeID) error {
-	_, err := s.ep.Call(ctx, s.Home(id), KindUpdate, updateReq{Oid: id, Owner: owner})
 	if err != nil {
 		return err
 	}

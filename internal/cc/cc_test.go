@@ -125,7 +125,7 @@ func TestUpdateOwnerAndHints(t *testing.T) {
 		t.Fatalf("locate: %d, %v", owner, err)
 	}
 	// Ownership migrates to node 3.
-	if err := svcs[3].UpdateOwner(ctx, "obj/m", 3); err != nil {
+	if _, err := svcs[3].UpdateOwnerBatch(ctx, []object.ID{"obj/m"}, 3); err != nil {
 		t.Fatal(err)
 	}
 	// Node 0 still has the stale hint...
@@ -145,8 +145,8 @@ func TestUpdateOwnerAndHints(t *testing.T) {
 
 func TestUpdateUnregistered(t *testing.T) {
 	svcs := newCluster(t, 3)
-	if err := svcs[0].UpdateOwner(context.Background(), "ghost", 1); err == nil {
-		t.Fatal("UpdateOwner on unregistered object succeeded")
+	if _, err := svcs[0].UpdateOwnerBatch(context.Background(), []object.ID{"ghost"}, 1); err == nil {
+		t.Fatal("UpdateOwnerBatch on unregistered object succeeded")
 	}
 }
 

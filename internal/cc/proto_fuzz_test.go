@@ -64,10 +64,6 @@ func FuzzDirectoryBatchRoundTrip(f *testing.F) {
 		if got := roundTrip(t, srreq).(registerReq); got != srreq {
 			t.Fatalf("registerReq changed: %+v -> %+v", srreq, got)
 		}
-		sureq := updateReq{Oid: object.ID(oidA), Owner: transport.NodeID(owner)}
-		if got := roundTrip(t, sureq).(updateReq); got != sureq {
-			t.Fatalf("updateReq changed: %+v -> %+v", sureq, got)
-		}
 
 		lreq := lookupBatchReq{Oids: oids}
 		if got := roundTrip(t, lreq).(lookupBatchReq); !reflect.DeepEqual(got, lreq) {

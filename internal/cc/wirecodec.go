@@ -9,12 +9,12 @@ import (
 	"dstm/internal/wire"
 )
 
-// Wire type IDs 40–49 are reserved for directory payloads.
+// Wire type IDs 40–49 are reserved for directory payloads. ID 43 (payload of
+// the retired single-object update) is reserved: never reuse it.
 const (
 	wireIDLookupReq        wire.ID = 40
 	wireIDLookupResp       wire.ID = 41
 	wireIDRegisterReq      wire.ID = 42
-	wireIDUpdateReq        wire.ID = 43
 	wireIDLookupBatchReq   wire.ID = 44
 	wireIDLookupBatchResp  wire.ID = 45
 	wireIDRegisterBatchReq wire.ID = 46
@@ -76,15 +76,6 @@ func init() {
 				Owner: transport.NodeID(r.Varint()),
 				Tx:    r.Uvarint(),
 			}
-		})
-	wire.Register(wireIDUpdateReq, updateReq{},
-		func(b []byte, v any) ([]byte, error) {
-			q := v.(updateReq)
-			b = wire.AppendString(b, string(q.Oid))
-			return wire.AppendVarint(b, int64(q.Owner)), nil
-		},
-		func(r *wire.Reader, _ any) any {
-			return updateReq{Oid: object.ID(r.String()), Owner: transport.NodeID(r.Varint())}
 		})
 	wire.Register(wireIDLookupBatchReq, lookupBatchReq{},
 		func(b []byte, v any) ([]byte, error) {

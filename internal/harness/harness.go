@@ -119,7 +119,7 @@ type Config struct {
 	// onto the MVCC snapshot path: no locks, no validation round, no
 	// scheduler entry, one snapshot-read RPC per remote owner. Off keeps
 	// the pre-MVCC behaviour where AtomicRead is a plain ownership-protocol
-	// transaction — the readscale experiment's baseline arm.
+	// transaction.
 	ROReads bool
 
 	// ReplicaLease, when positive, enables the requester-side replica cache
@@ -133,10 +133,8 @@ type Config struct {
 	KeySampler workload.KeySampler
 
 	// Transport selects the message fabric: "memnet" (default, the
-	// in-process latency-model network), "tcp" (real loopback sockets with
-	// the binary wire codec), or "tcpgob" (loopback sockets with the legacy
-	// gob codec — the wire benchmark's measured baseline). Fault injection
-	// and the latency model require memnet.
+	// in-process latency-model network) or "tcp" (real loopback sockets).
+	// Fault injection and the latency model require memnet.
 	Transport string
 
 	Seed int64
@@ -331,18 +329,13 @@ func newCell(cfg Config) (*cell, error) {
 			Scale: cfg.DelayScale,
 			Seed:  uint64(cfg.Seed),
 		})
-	case "tcp", "tcpgob":
+	case "tcp":
 		if cfg.faulty() {
 			return nil, fmt.Errorf("harness: fault injection requires the memnet transport")
 		}
-		codec := transport.CodecBinary
-		if cfg.Transport == "tcpgob" {
-			codec = transport.CodecGob
-		}
 		peers := make(map[transport.NodeID]string, cfg.Nodes)
 		for i := 0; i < cfg.Nodes; i++ {
-			tn, err := transport.NewTCPNodeOpts(transport.NodeID(i), "127.0.0.1:0", nil,
-				transport.TCPOptions{Codec: codec})
+			tn, err := transport.NewTCPNode(transport.NodeID(i), "127.0.0.1:0", nil)
 			if err != nil {
 				c.close()
 				return nil, fmt.Errorf("harness: tcp node %d: %w", i, err)
@@ -418,21 +411,6 @@ func (c *cell) healFaults() {
 	}
 }
 
-// wireStats sums the TCP wire counters across all nodes (zero for memnet).
-func (c *cell) wireStats() transport.WireStats {
-	var total transport.WireStats
-	for _, tn := range c.tcps {
-		s := tn.Stats()
-		total.MsgsSent += s.MsgsSent
-		total.BytesSent += s.BytesSent
-		total.MsgsRecv += s.MsgsRecv
-		total.BytesRecv += s.BytesRecv
-		total.Writes += s.Writes
-		total.Dials += s.Dials
-	}
-	return total
-}
-
 // enableFaults installs the seeded fault model when any rate is set.
 func (c *cell) enableFaults() {
 	if c.cfg.faulty() {
@@ -495,28 +473,21 @@ func (c *cell) finishTrace(events *int, dropped *uint64, protocolErr *error) err
 
 // Run executes one experiment cell and returns its aggregated result.
 func Run(ctx context.Context, cfg Config) (Result, error) {
-	res, _, err := RunWithWireStats(ctx, cfg)
-	return res, err
-}
-
-// RunWithWireStats is Run plus the cluster-wide TCP wire counters (zero
-// for the memnet transport), for the wire experiment's fabric comparison.
-func RunWithWireStats(ctx context.Context, cfg Config) (Result, transport.WireStats, error) {
 	cfg = cfg.withDefaults()
 
 	c, err := newCell(cfg)
 	if err != nil {
-		return Result{}, transport.WireStats{}, err
+		return Result{}, err
 	}
 	defer c.close()
 	rts := c.rts
 
 	bench, err := newBenchmark(cfg)
 	if err != nil {
-		return Result{}, transport.WireStats{}, err
+		return Result{}, err
 	}
 	if err := bench.Setup(ctx, rts); err != nil {
-		return Result{}, transport.WireStats{}, fmt.Errorf("harness: setup: %w", err)
+		return Result{}, fmt.Errorf("harness: setup: %w", err)
 	}
 
 	// Drop setup noise from the counters by sampling a baseline after
@@ -559,7 +530,7 @@ func RunWithWireStats(ctx context.Context, cfg Config) (Result, transport.WireSt
 	wg.Wait()
 	elapsed := time.Since(start)
 	if firstErr != nil {
-		return Result{}, transport.WireStats{}, fmt.Errorf("harness: worker failed: %w", firstErr)
+		return Result{}, fmt.Errorf("harness: worker failed: %w", firstErr)
 	}
 
 	// Heal before checking invariants: the check verifies what committed,
@@ -576,13 +547,12 @@ func RunWithWireStats(ctx context.Context, cfg Config) (Result, transport.WireSt
 	defer checkCancel()
 	res.CheckErr = bench.Check(checkCtx, rts[0])
 
-	ws := c.wireStats()
 	if cfg.Trace {
 		if err := c.finishTrace(&res.TraceEvents, &res.TraceDropped, &res.ProtocolErr); err != nil {
-			return res, ws, err
+			return res, err
 		}
 	}
-	return res, ws, nil
+	return res, nil
 }
 
 func isShutdownErr(err error) bool {

@@ -6,34 +6,29 @@ import (
 	"time"
 )
 
-// TestRunOverTCP runs a small bank cell over real loopback sockets with
-// both wire codecs: the harness must produce commits and a clean
-// conservation check on either, since the TCP transports are drop-in
-// replacements for memnet.
+// TestRunOverTCP runs a small bank cell over real loopback sockets: the
+// harness must produce commits and a clean conservation check, since the TCP
+// transport is a drop-in replacement for memnet.
 func TestRunOverTCP(t *testing.T) {
-	for _, tr := range []string{"tcp", "tcpgob"} {
-		tr := tr
-		t.Run(tr, func(t *testing.T) {
-			t.Parallel()
-			res, err := Run(context.Background(), Config{
-				Nodes:          3,
-				Benchmark:      BenchBank,
-				Scheduler:      SchedTFA,
-				WorkersPerNode: 2,
-				Duration:       150 * time.Millisecond,
-				Transport:      tr,
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if res.CheckErr != nil {
-				t.Fatalf("conservation check: %v", res.CheckErr)
-			}
-			if res.Metrics.Commits == 0 {
-				t.Fatal("no commits over TCP")
-			}
+	t.Run("tcp", func(t *testing.T) {
+		res, err := Run(context.Background(), Config{
+			Nodes:          3,
+			Benchmark:      BenchBank,
+			Scheduler:      SchedTFA,
+			WorkersPerNode: 2,
+			Duration:       150 * time.Millisecond,
+			Transport:      "tcp",
 		})
-	}
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.CheckErr != nil {
+			t.Fatalf("conservation check: %v", res.CheckErr)
+		}
+		if res.Metrics.Commits == 0 {
+			t.Fatal("no commits over TCP")
+		}
+	})
 }
 
 // TestTCPRejectsFaults: fault injection is a memnet feature; a TCP config

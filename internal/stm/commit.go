@@ -3,7 +3,6 @@ package stm
 import (
 	"context"
 	"fmt"
-	"os"
 	"sort"
 	"time"
 
@@ -11,30 +10,6 @@ import (
 	"dstm/internal/object"
 	"dstm/internal/transport"
 )
-
-// commit drives the top-level (root) commit protocol:
-//
-//  1. commit-lock every written object at its owner (version CAS) — from
-//     this moment retrieve requests for those objects conflict and flow
-//     through the transactional scheduler;
-//  2. validate the read-only set (early validation);
-//  3. install created objects (locked) and register them with their homes;
-//  4. commit point: tick the local TFA clock, producing the new version;
-//  5. publish every written object: update in place when this node already
-//     owns it, otherwise migrate ownership here (adopting the old owner's
-//     requester queue) and update the home directory;
-//  6. hand freshly committed objects to queued requesters (RTS hand-off).
-//
-// Every phase is owner-grouped: the write and read sets are partitioned by
-// owner (IDs kept in global sortIDs order within and across groups) and each
-// phase sends ONE batch message per owner, fanned out in parallel through
-// cluster.Endpoint.Broadcast. A commit touching k objects spread over m
-// owners therefore costs O(m) message rounds instead of O(k) — the
-// messages and rounds are counted into Metrics (CommitMsgs/CommitRounds).
-//
-// Like the paper's model we assume reliable message delivery: a transport
-// failure between steps 4 and 5 is surfaced but cannot be rolled back.
-var debugCommit = os.Getenv("DSTM_DEBUG_COMMIT") != ""
 
 // ownerGroup is one owner's slice of an owner-partitioned ID set, in
 // deterministic order: IDs sorted within the group, groups sorted by owner.
@@ -76,6 +51,28 @@ func (cm *commitMeter) wave(n int) {
 	cm.rounds++
 }
 
+// commit drives the top-level (root) commit protocol:
+//
+//  1. commit-lock every written object at its owner (version CAS) — from
+//     this moment retrieve requests for those objects conflict and flow
+//     through the transactional scheduler;
+//  2. validate the read-only set (early validation);
+//  3. install created objects (locked) and register them with their homes;
+//  4. commit point: tick the local TFA clock, producing the new version;
+//  5. publish every written object: update in place when this node already
+//     owns it, otherwise migrate ownership here (adopting the old owner's
+//     requester queue) and update the home directory;
+//  6. hand freshly committed objects to queued requesters (RTS hand-off).
+//
+// Every phase is owner-grouped: the write and read sets are partitioned by
+// owner (IDs kept in global sortIDs order within and across groups) and each
+// phase sends ONE batch message per owner, fanned out in parallel through
+// cluster.Endpoint.Broadcast. A commit touching k objects spread over m
+// owners therefore costs O(m) message rounds instead of O(k) — the
+// messages and rounds are counted into Metrics (CommitMsgs/CommitRounds).
+//
+// Like the paper's model we assume reliable message delivery: a transport
+// failure between steps 4 and 5 is surfaced but cannot be rolled back.
 func (tx *Txn) commit(ctx context.Context) error {
 	if tx.parent != nil {
 		panic("stm: commit called on a nested transaction")
@@ -98,7 +95,7 @@ func (tx *Txn) commit(ctx context.Context) error {
 	// AtomicRO chain that stayed read-only was served consistent at its
 	// pinned snapshot clock. Either way the commit costs zero messages;
 	// the attempt's data-path read RPCs are charged to the read-path
-	// counters the readscale experiment compares.
+	// counters (Metrics.ReadMsgs).
 	if len(writes) == 0 && len(creates) == 0 {
 		rt.metrics.readOnlyCommits.Add(1)
 		rt.metrics.readMsgs.Add(tx.readRPCs)
@@ -227,9 +224,6 @@ func (tx *Txn) acquireAll(ctx context.Context, writes []object.ID, locked map[ob
 				for _, oid := range g.oids {
 					locked[oid] = g.owner
 				}
-				if debugCommit {
-					fmt.Printf("DBG acquire-batch-err tx=%x owner=%d oids=%v err=%v\n", tx.lockID, g.owner, g.oids, res.Err)
-				}
 				if firstErr == nil {
 					firstErr = res.Err
 				}
@@ -304,12 +298,7 @@ func (tx *Txn) releaseLocks(ctx context.Context, locked map[object.ID]transport.
 		calls = append(calls, cluster.Outcall{To: owner, Kind: KindRelease, Payload: releaseReq{Oids: oids, TxID: tx.lockID}})
 	}
 	// Best effort; the locks die with the runtime if the peer is gone.
-	results := tx.rt.ep.Broadcast(ctx, calls)
-	if debugCommit {
-		for i, res := range results {
-			fmt.Printf("DBG release tx=%x call=%+v err=%v\n", tx.lockID, calls[i], res.Err)
-		}
-	}
+	tx.rt.ep.Broadcast(ctx, calls)
 }
 
 // publishAll installs the committed write set at its new home (this node),
@@ -351,9 +340,6 @@ func (tx *Txn) publishAll(ctx context.Context, writes []object.ID, locked map[ob
 	for gi, res := range results {
 		g := remote[gi]
 		if res.Err != nil {
-			if debugCommit {
-				fmt.Printf("DBG publish-batch-err tx=%x owner=%d err=%v\n", tx.lockID, g.owner, res.Err)
-			}
 			tx.releaseGroup(ctx, g.owner, g.oids)
 			if pubErr == nil {
 				pubErr = fmt.Errorf("stm: commit migration at node %d: %w", g.owner, res.Err)

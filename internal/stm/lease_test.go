@@ -138,29 +138,41 @@ func TestCommitMigrationIdempotent(t *testing.T) {
 		t.Fatalf("lock: %v", got)
 	}
 
-	req := commitObjReq{
-		Oid:      "mig",
+	req := commitObjBatchReq{
 		TxID:     txid,
 		NewVer:   object.Version{Clock: 9, Node: 1},
-		NewValue: &box{N: 2},
 		NewOwner: 1,
+		Entries:  []commitObjBatchEntry{{Oid: "mig", NewValue: &box{N: 2}}},
+	}
+	// migrate sends the one-entry batch and returns that entry's error text.
+	migrate := func(req commitObjBatchReq) string {
+		t.Helper()
+		body, err := rt1.ep.Call(ctx, 0, KindCommitObjectBatch, req)
+		if err != nil {
+			t.Fatalf("migration call: %v", err)
+		}
+		results := body.(commitObjBatchResp).Results
+		if len(results) != 1 {
+			t.Fatalf("results = %+v, want one entry", results)
+		}
+		return results[0].Err
 	}
 	// First migration removes the object from node 0.
-	if _, err := rt1.ep.Call(ctx, 0, KindCommitObject, req); err != nil {
-		t.Fatalf("migration: %v", err)
+	if e := migrate(req); e != "" {
+		t.Fatalf("migration: %s", e)
 	}
 	if rt0.Store().Owns("mig") {
 		t.Fatal("object still owned by old owner after migration")
 	}
 	// A re-executed retransmission (fresh correlation ID, so the RPC dedup
 	// cannot absorb it) must succeed idempotently.
-	if _, err := rt1.ep.Call(ctx, 0, KindCommitObject, req); err != nil {
-		t.Fatalf("retransmitted migration not idempotent: %v", err)
+	if e := migrate(req); e != "" {
+		t.Fatalf("retransmitted migration not idempotent: %s", e)
 	}
 	// A different transaction claiming the same migration is still an error.
 	bad := req
 	bad.TxID = 78
-	if _, err := rt1.ep.Call(ctx, 0, KindCommitObject, bad); err == nil {
+	if e := migrate(bad); e == "" {
 		t.Fatal("foreign-tx migration of a gone object succeeded")
 	}
 }

@@ -131,8 +131,8 @@ type MetricsSnapshot struct {
 	// stayed read-only. ReadMsgs counts the data-path read RPCs those
 	// commits issued (retrieves on the ownership path, snapshot reads on
 	// the MVCC path); ReadMsgs/ReadOnlyCommits is the read-path cost the
-	// readscale experiment gates on. SnapReads counts owner-side
-	// snapshot-read requests served; ReplicaHits / ReplicaInvals count
+	// benchmark reports as stm.read_msgs_per_ro_commit. SnapReads counts
+	// owner-side snapshot-read requests served; ReplicaHits / ReplicaInvals count
 	// requester replica-cache activity; ROUpgrades counts read-only
 	// attempts that hit a write and fell back to the ownership protocol.
 	ReadOnlyCommits uint64
@@ -207,7 +207,7 @@ func (s MetricsSnapshot) RoundsPerCommit() float64 {
 }
 
 // ReadMsgsPerROCommit is the average number of data-path read RPCs per
-// read-only commit — the readscale experiment's gate metric. Comparable
+// read-only commit (bench's stm.read_msgs_per_ro_commit). Comparable
 // across the ownership and MVCC read paths because both charge their read
 // RPCs (retrieves vs snapshot reads) to the same counter. Returns 0 when
 // nothing committed read-only.

@@ -99,7 +99,7 @@ func TestPureROPhaseTakesNoLocksNoSchedulerEntries(t *testing.T) {
 	const nodes = 3
 	policies := make([]*countingPolicy, 0, nodes)
 	mk := func() sched.Policy {
-		p := &countingPolicy{Policy: sched.NewBiInterval(nil, 0)}
+		p := &countingPolicy{Policy: sched.NewTFA()}
 		policies = append(policies, p)
 		return p
 	}

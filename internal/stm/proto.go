@@ -11,18 +11,14 @@ import (
 	"dstm/internal/transport"
 )
 
-// Message kinds 10–29 are reserved for the STM protocol.
+// Message kinds 10–29 are reserved for the STM protocol. Kinds 11, 12 and
+// 14 (the retired per-object check/acquire/commit RPCs) are reserved: never
+// reuse them, an old peer may still send them.
 const (
 	// KindRetrieve is Open_Object's request to an object owner.
 	KindRetrieve transport.Kind = 10
-	// KindCheckVersion validates one read-set entry at its owner.
-	KindCheckVersion transport.Kind = 11
-	// KindAcquire commit-locks one write-set object at its owner.
-	KindAcquire transport.Kind = 12
 	// KindRelease drops commit locks after a failed commit.
 	KindRelease transport.Kind = 13
-	// KindCommitObject installs the new version and migrates ownership.
-	KindCommitObject transport.Kind = 14
 	// KindPush hands an object to an enqueued requester (one-way).
 	KindPush transport.Kind = 15
 	// KindDecline tells an owner the pushed requester is gone (one-way).
@@ -82,53 +78,10 @@ const (
 	retrieveNotOwner
 )
 
-// checkReq validates that oid still has version Ver and is not being
-// committed by another transaction (TxID identifies the validator, whose
-// own locks do not invalidate it).
-type checkReq struct {
-	Oid  object.ID
-	Ver  object.Version
-	TxID uint64
-}
-
-// checkResp reports validation outcome.
-type checkResp struct {
-	OK       bool
-	NotOwner bool
-}
-
-// acquireReq commit-locks oid for TxID if its version is still Ver.
-type acquireReq struct {
-	Oid  object.ID
-	TxID uint64
-	Ver  object.Version
-}
-
-// acquireResp reports the lock outcome (object.LockResult semantics).
-type acquireResp struct {
-	Result uint8
-}
-
 // releaseReq unlocks objects after a failed commit.
 type releaseReq struct {
 	Oids []object.ID
 	TxID uint64
-}
-
-// commitObjReq installs a new committed version at the old owner and
-// migrates ownership to the committer. The old owner responds with its
-// requester queue so scheduling state travels with the object.
-type commitObjReq struct {
-	Oid      object.ID
-	TxID     uint64
-	NewVer   object.Version
-	NewValue object.Value
-	NewOwner transport.NodeID
-}
-
-// commitObjResp acknowledges the migration and hands over the queue.
-type commitObjResp struct {
-	Queue []sched.Request
 }
 
 // ---------------------------------------------------------------------------
@@ -281,13 +234,7 @@ type declineMsg struct {
 func init() {
 	transport.RegisterPayload(retrieveReq{})
 	transport.RegisterPayload(retrieveResp{})
-	transport.RegisterPayload(checkReq{})
-	transport.RegisterPayload(checkResp{})
-	transport.RegisterPayload(acquireReq{})
-	transport.RegisterPayload(acquireResp{})
 	transport.RegisterPayload(releaseReq{})
-	transport.RegisterPayload(commitObjReq{})
-	transport.RegisterPayload(commitObjResp{})
 	transport.RegisterPayload(pushMsg{})
 	transport.RegisterPayload(declineMsg{})
 	transport.RegisterPayload(acquireBatchReq{})

@@ -80,34 +80,15 @@ func FuzzRetrieveRoundTrip(f *testing.F) {
 	})
 }
 
-// FuzzCommitPushRoundTrip round-trips the ownership-migration pair: the
-// commit request that moves an object (and, in its reply, the requester
-// queue) and the push that hands it to a parked transaction.
+// FuzzCommitPushRoundTrip round-trips the push that hands a migrated object
+// to a parked transaction. The trailing arguments are unused: the signature
+// is fixed by the checked-in corpus. FuzzCommitObjBatchRoundTrip covers the
+// migration request and its queue-carrying reply.
 func FuzzCommitPushRoundTrip(f *testing.F) {
 	f.Add("obj/x", uint64(3), uint64(17), int32(2), int64(-4), uint64(23), int32(0), uint8(1), int64(6e6), int64(8e6))
 	f.Add("", uint64(0), uint64(0), int32(-1), int64(0), ^uint64(0), int32(5), uint8(0), int64(0), int64(-1))
 	f.Fuzz(func(t *testing.T, oid string, tx, verClock uint64, newOwner int32, val int64,
-		pushClock uint64, qnode int32, qmode uint8, qElapsed, qRemain int64) {
-		commit := commitObjReq{
-			Oid: object.ID(oid), TxID: tx,
-			NewVer:   object.Version{Clock: verClock, Node: newOwner},
-			NewValue: fuzzVal{X: val}, NewOwner: transport.NodeID(newOwner),
-		}
-		if got := roundTrip(t, commit).(commitObjReq); got != commit {
-			t.Fatalf("commitObjReq changed: %+v -> %+v", commit, got)
-		}
-
-		qreq := sched.Request{
-			Oid: object.ID(oid), TxID: tx, Node: transport.NodeID(qnode),
-			Mode: sched.Mode(qmode), MyCL: int(qnode),
-			Elapsed: time.Duration(qElapsed), ExpectedRemaining: time.Duration(qRemain),
-		}
-		cr := commitObjResp{Queue: []sched.Request{qreq}}
-		gotCR := roundTrip(t, cr).(commitObjResp)
-		if len(gotCR.Queue) != 1 || gotCR.Queue[0] != qreq {
-			t.Fatalf("commitObjResp queue changed: %+v -> %+v", cr, gotCR)
-		}
-
+		pushClock uint64, qnode int32, _ uint8, _, _ int64) {
 		push := pushMsg{
 			Oid: object.ID(oid), TxID: tx, Value: fuzzVal{X: val},
 			Version: object.Version{Clock: verClock, Node: newOwner},

@@ -1,0 +1,49 @@
+package stm
+
+import (
+	"context"
+	"errors"
+	"fmt"
+	"strings"
+	"testing"
+	"time"
+
+	"dstm/internal/cluster"
+	"dstm/internal/transport"
+	"dstm/internal/wire"
+)
+
+// TestRetiredKindsAreRefused: a request with a retired message kind (the
+// per-object check/acquire/commit RPCs of stm, the single-object update of
+// cc — what a peer built before their removal would still send) is answered
+// with the endpoint's "no handler" error at once, not left to time out.
+func TestRetiredKindsAreRefused(t *testing.T) {
+	tc := newTestCluster(t, 2, nil, nil)
+	for _, kind := range []transport.Kind{3, 11, 12, 14} {
+		t.Run(fmt.Sprintf("kind%d", kind), func(t *testing.T) {
+			ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
+			defer cancel()
+			_, err := tc.rts[1].ep.Call(ctx, 0, kind, releaseReq{})
+			var remote *cluster.RemoteError
+			if !errors.As(err, &remote) || !strings.Contains(remote.Msg, "no handler for") {
+				t.Fatalf("call with retired kind %d: %v, want the remote no-handler error", kind, err)
+			}
+		})
+	}
+}
+
+// TestRetiredWireIDsAreUnregistered: the wire type IDs of the retired
+// payloads decode as unknown, so a frame from an old peer is rejected
+// instead of being read as whatever type took the number over.
+func TestRetiredWireIDsAreUnregistered(t *testing.T) {
+	for _, id := range []wire.ID{12, 13, 14, 15, 17, 18, 43} {
+		t.Run(fmt.Sprintf("id%d", id), func(t *testing.T) {
+			r := wire.NewReader(wire.AppendUvarint(nil, uint64(id)))
+			v := r.Any(nil)
+			err := r.Err()
+			if v != nil || !errors.Is(err, wire.ErrMalformed) || !strings.Contains(err.Error(), "unknown wire type ID") {
+				t.Fatalf("wire ID %d decoded to %T, err %v; want unknown wire type ID", id, v, err)
+			}
+		})
+	}
+}

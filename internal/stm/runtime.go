@@ -41,7 +41,7 @@ type Runtime struct {
 	// migrated remembers, per object, the transaction whose commit last
 	// migrated it away from this node. A retransmitted commit-migration
 	// request (its reply was lost and the RPC dedup entry has aged out)
-	// must read as success, not "not owned" — see handleCommitObject.
+	// must read as success, not "not owned" — see migrateOut.
 	migrMu   sync.Mutex
 	migrated map[object.ID]uint64
 
@@ -103,10 +103,7 @@ func NewRuntime(ep *cluster.Endpoint, size int, policy sched.Policy, st *stats.T
 		migrated: make(map[object.ID]uint64),
 	}
 	ep.Handle(KindRetrieve, rt.handleRetrieve)
-	ep.Handle(KindCheckVersion, rt.handleCheckVersion)
-	ep.Handle(KindAcquire, rt.handleAcquire)
 	ep.Handle(KindRelease, rt.handleRelease)
-	ep.Handle(KindCommitObject, rt.handleCommitObject)
 	ep.Handle(KindAcquireBatch, rt.handleAcquireBatch)
 	ep.Handle(KindCheckVersionBatch, rt.handleCheckVersionBatch)
 	ep.Handle(KindCommitObjectBatch, rt.handleCommitObjectBatch)
@@ -274,30 +271,6 @@ func (rt *Runtime) handleRetrieve(from transport.NodeID, payload any) (any, erro
 	return retrieveResp{Status: retrieveDenied, RemoteCL: localCL}, nil
 }
 
-func (rt *Runtime) handleCheckVersion(_ transport.NodeID, payload any) (any, error) {
-	req, ok := payload.(checkReq)
-	if !ok {
-		return nil, fmt.Errorf("stm: bad check payload %T", payload)
-	}
-	ver, lockedBy, owned := rt.store.State(req.Oid)
-	if !owned {
-		return checkResp{NotOwner: true}, nil
-	}
-	// A version is valid only if unchanged AND not mid-commit by another
-	// transaction (whose new version would be installed momentarily).
-	ok = ver.Equal(req.Ver) && (lockedBy == 0 || lockedBy == req.TxID)
-	return checkResp{OK: ok}, nil
-}
-
-func (rt *Runtime) handleAcquire(_ transport.NodeID, payload any) (any, error) {
-	req, ok := payload.(acquireReq)
-	if !ok {
-		return nil, fmt.Errorf("stm: bad acquire payload %T", payload)
-	}
-	res := rt.store.Lock(req.Oid, req.TxID, req.Ver)
-	return acquireResp{Result: uint8(res)}, nil
-}
-
 func (rt *Runtime) handleRelease(_ transport.NodeID, payload any) (any, error) {
 	req, ok := payload.(releaseReq)
 	if !ok {
@@ -314,18 +287,6 @@ func (rt *Runtime) handleRelease(_ transport.NodeID, payload any) (any, error) {
 		}
 	}
 	return releaseReq{}, nil
-}
-
-func (rt *Runtime) handleCommitObject(from transport.NodeID, payload any) (any, error) {
-	req, ok := payload.(commitObjReq)
-	if !ok {
-		return nil, fmt.Errorf("stm: bad commit payload %T", payload)
-	}
-	queue, err := rt.migrateOut(req.Oid, req.TxID)
-	if err != nil {
-		return nil, err
-	}
-	return commitObjResp{Queue: queue}, nil
 }
 
 // migrateOut surrenders one object to the committing transaction tx:
@@ -387,8 +348,8 @@ func (rt *Runtime) handleCheckVersionBatch(_ transport.NodeID, payload any) (any
 			resp.Results[i] = checkBatchResult{NotOwner: true}
 			continue
 		}
-		// Same validity rule as handleCheckVersion: unchanged version AND not
-		// mid-commit by another transaction.
+		// A version is valid only if unchanged AND not mid-commit by another
+		// transaction (whose new version would be installed momentarily).
 		valid := ver.Equal(e.Ver) && (lockedBy == 0 || lockedBy == req.TxID)
 		resp.Results[i] = checkBatchResult{OK: valid}
 	}

@@ -320,19 +320,20 @@ func TestQueueMigratesWithOwnership(t *testing.T) {
 	// Simulate node 1's commit of x: migrate ownership + queue to node 1
 	// exactly as Txn.publish does.
 	newVer := object.Version{Clock: tc.rts[1].ep.Clock().Tick(), Node: 1}
-	body, err := tc.rts[1].ep.Call(ctx, 0, KindCommitObject, commitObjReq{
-		Oid: "x", TxID: committerTx, NewVer: newVer,
-		NewValue: &box{N: 50}, NewOwner: 1,
+	body, err := tc.rts[1].ep.Call(ctx, 0, KindCommitObjectBatch, commitObjBatchReq{
+		TxID: committerTx, NewVer: newVer, NewOwner: 1,
+		Entries: []commitObjBatchEntry{{Oid: "x", NewValue: &box{N: 50}}},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	queue := body.(commitObjResp).Queue
-	if len(queue) != 1 {
-		t.Fatalf("migrated queue = %+v", queue)
+	results := body.(commitObjBatchResp).Results
+	if len(results) != 1 || results[0].Err != "" || len(results[0].Queue) != 1 {
+		t.Fatalf("migration results = %+v, want one entry carrying C's request", results)
 	}
+	queue := results[0].Queue
 	tc.rts[1].Store().Install("x", &box{N: 50}, newVer)
-	if err := tc.rts[1].Locator().UpdateOwner(ctx, "x", 1); err != nil {
+	if _, err := tc.rts[1].Locator().UpdateOwnerBatch(ctx, []object.ID{"x"}, 1); err != nil {
 		t.Fatal(err)
 	}
 	tc.rts[1].Policy().AdoptQueue("x", queue)

@@ -17,17 +17,13 @@ import (
 
 // Wire type IDs 10–39 are reserved for STM payloads (the band was 10–29
 // until the snapshot-read payloads consumed its tail). They are a static
-// protocol: never renumber, only append.
+// protocol: never renumber, only append. IDs 12–15, 17 and 18 (payloads of
+// the retired per-object check/acquire/commit RPCs) are reserved: never
+// reuse them, or a frame from an old peer would mis-decode into a live type.
 const (
 	wireIDRetrieveReq        wire.ID = 10
 	wireIDRetrieveResp       wire.ID = 11
-	wireIDCheckReq           wire.ID = 12
-	wireIDCheckResp          wire.ID = 13
-	wireIDAcquireReq         wire.ID = 14
-	wireIDAcquireResp        wire.ID = 15
 	wireIDReleaseReq         wire.ID = 16
-	wireIDCommitObjReq       wire.ID = 17
-	wireIDCommitObjResp      wire.ID = 18
 	wireIDPushMsg            wire.ID = 19
 	wireIDDeclineMsg         wire.ID = 20
 	wireIDAcquireBatchReq    wire.ID = 21
@@ -158,48 +154,6 @@ func (q *retrieveResp) decodeWire(r *wire.Reader) {
 	q.OwnerClock = r.Uvarint()
 }
 
-func (q checkReq) appendWire(b []byte) []byte {
-	b = wire.AppendString(b, string(q.Oid))
-	b = appendVersion(b, q.Ver)
-	return wire.AppendUvarint(b, q.TxID)
-}
-
-func (q *checkReq) decodeWire(r *wire.Reader) {
-	q.Oid = object.ID(r.String())
-	q.Ver = readVersion(r)
-	q.TxID = r.Uvarint()
-}
-
-func (q checkResp) appendWire(b []byte) []byte {
-	b = wire.AppendBool(b, q.OK)
-	return wire.AppendBool(b, q.NotOwner)
-}
-
-func (q *checkResp) decodeWire(r *wire.Reader) {
-	q.OK = r.Bool()
-	q.NotOwner = r.Bool()
-}
-
-func (q acquireReq) appendWire(b []byte) []byte {
-	b = wire.AppendString(b, string(q.Oid))
-	b = wire.AppendUvarint(b, q.TxID)
-	return appendVersion(b, q.Ver)
-}
-
-func (q *acquireReq) decodeWire(r *wire.Reader) {
-	q.Oid = object.ID(r.String())
-	q.TxID = r.Uvarint()
-	q.Ver = readVersion(r)
-}
-
-func (q acquireResp) appendWire(b []byte) []byte {
-	return wire.AppendUvarint(b, uint64(q.Result))
-}
-
-func (q *acquireResp) decodeWire(r *wire.Reader) {
-	q.Result = uint8(r.Uvarint())
-}
-
 func (q releaseReq) appendWire(b []byte) []byte {
 	b = wire.AppendUvarint(b, uint64(len(q.Oids)))
 	for _, oid := range q.Oids {
@@ -215,33 +169,6 @@ func (q *releaseReq) decodeWire(r *wire.Reader) {
 		q.Oids[i] = object.ID(r.String())
 	}
 	q.TxID = r.Uvarint()
-}
-
-func (q commitObjReq) appendWire(b []byte) ([]byte, error) {
-	b = wire.AppendString(b, string(q.Oid))
-	b = wire.AppendUvarint(b, q.TxID)
-	b = appendVersion(b, q.NewVer)
-	b, err := wire.AppendAny(b, q.NewValue)
-	if err != nil {
-		return b, err
-	}
-	return wire.AppendVarint(b, int64(q.NewOwner)), nil
-}
-
-func (q *commitObjReq) decodeWire(r *wire.Reader) {
-	q.Oid = object.ID(r.String())
-	q.TxID = r.Uvarint()
-	q.NewVer = readVersion(r)
-	q.NewValue = readValue(r, q.NewValue)
-	q.NewOwner = transport.NodeID(r.Varint())
-}
-
-func (q commitObjResp) appendWire(b []byte) []byte {
-	return appendSchedQueue(b, q.Queue)
-}
-
-func (q *commitObjResp) decodeWire(r *wire.Reader) {
-	q.Queue = readSchedQueue(r, q.Queue)
 }
 
 func (q pushMsg) appendWire(b []byte) ([]byte, error) {
@@ -499,65 +426,11 @@ func init() {
 			q.decodeWire(r)
 			return q
 		})
-	wire.Register(wireIDCheckReq, checkReq{},
-		func(b []byte, v any) ([]byte, error) { return v.(checkReq).appendWire(b), nil },
-		func(r *wire.Reader, prev any) any {
-			var q checkReq
-			if p, ok := prev.(checkReq); ok {
-				q = p
-			}
-			q.decodeWire(r)
-			return q
-		})
-	wire.Register(wireIDCheckResp, checkResp{},
-		func(b []byte, v any) ([]byte, error) { return v.(checkResp).appendWire(b), nil },
-		func(r *wire.Reader, prev any) any {
-			var q checkResp
-			q.decodeWire(r)
-			return q
-		})
-	wire.Register(wireIDAcquireReq, acquireReq{},
-		func(b []byte, v any) ([]byte, error) { return v.(acquireReq).appendWire(b), nil },
-		func(r *wire.Reader, prev any) any {
-			var q acquireReq
-			if p, ok := prev.(acquireReq); ok {
-				q = p
-			}
-			q.decodeWire(r)
-			return q
-		})
-	wire.Register(wireIDAcquireResp, acquireResp{},
-		func(b []byte, v any) ([]byte, error) { return v.(acquireResp).appendWire(b), nil },
-		func(r *wire.Reader, prev any) any {
-			var q acquireResp
-			q.decodeWire(r)
-			return q
-		})
 	wire.Register(wireIDReleaseReq, releaseReq{},
 		func(b []byte, v any) ([]byte, error) { return v.(releaseReq).appendWire(b), nil },
 		func(r *wire.Reader, prev any) any {
 			var q releaseReq
 			if p, ok := prev.(releaseReq); ok {
-				q = p
-			}
-			q.decodeWire(r)
-			return q
-		})
-	wire.Register(wireIDCommitObjReq, commitObjReq{},
-		func(b []byte, v any) ([]byte, error) { return v.(commitObjReq).appendWire(b) },
-		func(r *wire.Reader, prev any) any {
-			var q commitObjReq
-			if p, ok := prev.(commitObjReq); ok {
-				q = p
-			}
-			q.decodeWire(r)
-			return q
-		})
-	wire.Register(wireIDCommitObjResp, commitObjResp{},
-		func(b []byte, v any) ([]byte, error) { return v.(commitObjResp).appendWire(b), nil },
-		func(r *wire.Reader, prev any) any {
-			var q commitObjResp
-			if p, ok := prev.(commitObjResp); ok {
 				q = p
 			}
 			q.decodeWire(r)
@@ -680,4 +553,25 @@ func init() {
 			q.decodeWire(r)
 			return q
 		})
+}
+
+// benchOids returns n recurring object IDs shaped like real ones.
+func benchOids(n int) []object.ID {
+	oids := make([]object.ID, n)
+	for i := range oids {
+		oids[i] = object.ID(fmt.Sprintf("bank/acct/n3/%d", i))
+	}
+	return oids
+}
+
+// WirePumpPayload returns a representative commit-pipeline payload (an
+// 8-entry acquire batch) for transport-level pump benchmarks
+// (bench/micro.go sizes wire.msg_bytes from it, so its value is fixed).
+func WirePumpPayload() any {
+	oids := benchOids(8)
+	q := acquireBatchReq{TxID: 77}
+	for _, oid := range oids {
+		q.Entries = append(q.Entries, verEntry{Oid: oid, Ver: object.Version{Clock: 41, Node: 3}})
+	}
+	return q
 }

@@ -3,9 +3,101 @@ package stm
 import (
 	"strings"
 	"testing"
+	"time"
 
+	"dstm/internal/object"
+	"dstm/internal/sched"
 	"dstm/internal/wire"
 )
+
+// benchVal is a minimal object value with a registered codec, used by the
+// codec tests: the real application values live above stm in the
+// import graph and would cycle.
+type benchVal struct{ N int64 }
+
+// Copy implements object.Value.
+func (v *benchVal) Copy() object.Value { c := *v; return &c }
+
+// wireIDBenchVal sits just below the application-value range.
+const wireIDBenchVal wire.ID = 99
+
+func init() {
+	object.Register(&benchVal{})
+	wire.Register(wireIDBenchVal, &benchVal{},
+		func(b []byte, v any) ([]byte, error) {
+			return wire.AppendVarint(b, v.(*benchVal).N), nil
+		},
+		func(r *wire.Reader, prev any) any {
+			v, _ := prev.(*benchVal)
+			if v == nil {
+				v = new(benchVal)
+			}
+			v.N = r.Varint()
+			return v
+		})
+}
+
+// wireBenchCases returns the hot commit-pipeline payloads with encode and
+// decode-in-place closures over the registered codec methods.
+func wireBenchCases() []struct {
+	name string
+	enc  func(b []byte) ([]byte, error)
+	dec  func(r *wire.Reader)
+} {
+	oids := benchOids(8)
+	ver := object.Version{Clock: 41, Node: 3}
+
+	retReq := retrieveReq{Oid: oids[0], TxID: 77, Mode: sched.Write, MyCL: 2,
+		Elapsed: 120 * time.Microsecond, Remain: 340 * time.Microsecond}
+	retResp := retrieveResp{Status: retrieveOK, Value: &benchVal{N: 1000},
+		Version: ver, RemoteCL: 3, OwnerClock: 42}
+
+	acq := acquireBatchReq{TxID: 77}
+	chk := checkBatchReq{TxID: 77}
+	for _, oid := range oids {
+		acq.Entries = append(acq.Entries, verEntry{Oid: oid, Ver: ver})
+		chk.Entries = append(chk.Entries, verEntry{Oid: oid, Ver: ver})
+	}
+	com := commitObjBatchReq{TxID: 77, NewVer: object.Version{Clock: 42, Node: 3}, NewOwner: 3}
+	for _, oid := range oids[:4] {
+		com.Entries = append(com.Entries, commitObjBatchEntry{Oid: oid, NewValue: &benchVal{N: 900}})
+	}
+	comResp := commitObjBatchResp{Results: make([]commitObjBatchResult, 4)}
+	comResp.Results[1].Queue = []sched.Request{{Oid: oids[1], TxID: 78, Node: 5, Mode: sched.Write,
+		MyCL: 1, Elapsed: time.Millisecond, ExpectedRemaining: 2 * time.Millisecond}}
+
+	var decRetReq retrieveReq
+	var decRetResp retrieveResp
+	var decAcq acquireBatchReq
+	var decChk checkBatchReq
+	var decCom commitObjBatchReq
+	var decComResp commitObjBatchResp
+
+	return []struct {
+		name string
+		enc  func(b []byte) ([]byte, error)
+		dec  func(r *wire.Reader)
+	}{
+		{"retrieveReq",
+			func(b []byte) ([]byte, error) { return retReq.appendWire(b), nil },
+			func(r *wire.Reader) { decRetReq.decodeWire(r) }},
+		{"retrieveResp",
+			func(b []byte) ([]byte, error) { return retResp.appendWire(b) },
+			func(r *wire.Reader) { decRetResp.decodeWire(r) }},
+		{"acquireBatchReq8",
+			func(b []byte) ([]byte, error) { return acq.appendWire(b), nil },
+			func(r *wire.Reader) { decAcq.decodeWire(r) }},
+		{"checkBatchReq8",
+			func(b []byte) ([]byte, error) { return chk.appendWire(b), nil },
+			func(r *wire.Reader) { decChk.decodeWire(r) }},
+		{"commitObjBatchReq4",
+			func(b []byte) ([]byte, error) { return com.appendWire(b) },
+			func(r *wire.Reader) { decCom.decodeWire(r) }},
+		{"commitObjBatchResp4",
+			func(b []byte) ([]byte, error) { return comResp.appendWire(b), nil },
+			func(r *wire.Reader) { decComResp.decodeWire(r) }},
+	}
+}
 
 // TestWireCodecZeroAlloc is the codec perf gate run by scripts/ci.sh: the
 // binary encode AND the decode-in-place of every hot commit-pipeline
@@ -50,33 +142,6 @@ func TestWireCodecZeroAlloc(t *testing.T) {
 				t.Errorf("decode %s allocates %.1f/op; want 0", c.name, allocs)
 			}
 		})
-	}
-}
-
-// TestWireCodecBenchRuns sanity-checks the rtsbench helper: every row must
-// measure a non-empty encoding and the binary format must not be larger
-// than gob's steady-state stream for these payloads.
-func TestWireCodecBenchRuns(t *testing.T) {
-	if testing.Short() {
-		t.Skip("bench helper loop is slow under -short")
-	}
-	rows := WireCodecBench(2000)
-	if len(rows) == 0 {
-		t.Fatal("no rows")
-	}
-	for _, row := range rows {
-		if row.BinaryBytes <= 0 || row.GobBytes <= 0 {
-			t.Errorf("%s: sizes binary=%d gob=%d", row.Payload, row.BinaryBytes, row.GobBytes)
-		}
-		if row.BinaryBytes > row.GobBytes {
-			t.Errorf("%s: binary (%dB) larger than gob (%dB)", row.Payload, row.BinaryBytes, row.GobBytes)
-		}
-		// ReadMemStats-based counting picks up stray runtime allocations, so
-		// allow a small residue here; TestWireCodecZeroAlloc is the strict
-		// gate (AllocsPerRun isolates the measured function).
-		if row.DecAllocsPerOp > 0.01 || row.EncAllocsPerOp > 0.01 {
-			t.Errorf("%s: allocs enc=%.4f dec=%.4f; want ~0", row.Payload, row.EncAllocsPerOp, row.DecAllocsPerOp)
-		}
 	}
 }
 

@@ -19,10 +19,12 @@ type fuzzPayload struct {
 
 func init() { RegisterPayload(fuzzPayload{}) }
 
-// FuzzMessageGobRoundTrip encodes a Message the way the TCP transport does
-// and checks every header field and the payload survive unchanged: the
-// in-memory and TCP transports must be interchangeable, so the wire format
-// must be lossless.
+// FuzzMessageGobRoundTrip encodes a Message with gob — the reference
+// encoding, and the binary codec's fallback for payloads without a wire
+// codec — checks every header field and the payload survive unchanged, and
+// uses the result as the differential oracle for the binary frame codec:
+// the in-memory and TCP transports must be interchangeable, so the wire
+// format must be lossless.
 func FuzzMessageGobRoundTrip(f *testing.F) {
 	f.Add(int32(0), int32(1), uint64(7), uint16(10), uint64(3), false, "hello", []byte{1, 2}, uint64(9))
 	f.Add(int32(-5), int32(1<<30), ^uint64(0), uint16(0), uint64(0), true, "", []byte(nil), uint64(0))
@@ -99,9 +101,10 @@ func FuzzMessageBinaryDecode(f *testing.F) {
 	})
 }
 
-// FuzzMessageGobDecode feeds arbitrary bytes to the decoder the TCP
-// transport runs on every inbound frame: it must reject garbage with an
-// error, never a panic — a malformed peer must not take the node down.
+// FuzzMessageGobDecode feeds arbitrary bytes to the gob decoder, which the
+// TCP transport still runs on the fallback blob of a payload without a wire
+// codec: it must reject garbage with an error, never a panic — a malformed
+// peer must not take the node down.
 func FuzzMessageGobDecode(f *testing.F) {
 	// A valid frame as one seed, plus mutilation fodder.
 	var buf bytes.Buffer

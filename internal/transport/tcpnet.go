@@ -3,7 +3,6 @@ package transport
 import (
 	"bufio"
 	"encoding/binary"
-	"encoding/gob"
 	"fmt"
 	"io"
 	"net"
@@ -14,33 +13,20 @@ import (
 	"dstm/internal/wire"
 )
 
-// Codec selects the TCP wire format.
+// Codec names the TCP wire format. It has one value: the type, its constant
+// and TCPOptions.Codec survive only because bench/cluster.go (frozen for
+// non-benchmark changes) names them; a benchmark change removes all three.
 type Codec uint8
 
-// The two TCP codecs.
-const (
-	// CodecBinary is the hand-rolled zero-allocation wire codec with
-	// connection multiplexing and write coalescing — the default.
-	CodecBinary Codec = iota
-	// CodecGob is the legacy encoding/gob framing (one stream encoder per
-	// dialled connection, one write per message). Kept as the measured
-	// baseline for the wire benchmark and for comparison in tests.
-	CodecGob
-)
-
-func (c Codec) String() string {
-	if c == CodecGob {
-		return "gob"
-	}
-	return "binary"
-}
+// CodecBinary is the hand-rolled zero-allocation wire codec with connection
+// multiplexing and write coalescing — the only TCP codec.
+const CodecBinary Codec = 0
 
 // TCPOptions tunes a TCPNode beyond the defaults.
 type TCPOptions struct {
-	// Codec selects the wire format (default CodecBinary). All nodes of a
-	// cluster must agree.
+	// Codec is always CodecBinary; see the Codec type.
 	Codec Codec
-	// FlushDelay (binary codec only): after a frame lands in an empty
+	// FlushDelay: after a frame lands in an empty
 	// write buffer, the writer waits up to this long for more frames
 	// before issuing the write — trading a bounded latency bump for fewer,
 	// larger syscalls. 0 writes immediately; frames arriving while a write
@@ -76,15 +62,13 @@ var helloMagic = [4]byte{'D', 'S', 'T', 'M'}
 // TCPNode is a Transport over real TCP sockets. It lets the same D-STM
 // stack run as one OS process per node (see cmd/dstmnode).
 //
-// With the default binary codec each peer pair shares one multiplexed
-// connection (replies and pushes reuse the connection the requester
-// dialled; correlation IDs at the cluster layer demultiplex), frames are
-// encoded with the zero-allocation wire codec straight into a per-
-// connection coalescing buffer, and a writer goroutine batches queued
-// frames into single write syscalls. CodecGob preserves the legacy
-// gob-per-message framing as a baseline. Payload types outside the core
-// protocol must be registered with RegisterPayload (both codecs; the
-// binary codec falls back to an embedded gob blob for them).
+// Each peer pair shares one multiplexed connection (replies and pushes
+// reuse the connection the requester dialled; correlation IDs at the
+// cluster layer demultiplex), frames are encoded with the zero-allocation
+// wire codec straight into a per-connection coalescing buffer, and a writer
+// goroutine batches queued frames into single write syscalls. Payload types
+// without a registered wire codec must be registered with RegisterPayload
+// (they cross as an embedded gob blob).
 type TCPNode struct {
 	id    NodeID
 	ln    net.Listener
@@ -108,24 +92,19 @@ type TCPNode struct {
 	wg sync.WaitGroup
 }
 
-// tcpConn is one established connection used for sending. In binary mode
-// writes go through the coalescing buffer and writer goroutine; in gob
-// mode enc writes synchronously under mu.
+// tcpConn is one established connection used for sending: writes go
+// through the coalescing buffer and the writer goroutine.
 type tcpConn struct {
 	c net.Conn
 
 	mu   sync.Mutex
 	cond *sync.Cond
 
-	// Binary mode state.
 	pending []byte // frames encoded, awaiting the writer
 	spare   []byte // recycled buffer for the next batch
 	queued  int    // frames in pending
 	werr    error  // first write error; conn is dead once set
 	closed  bool
-
-	// Gob mode state.
-	enc *gob.Encoder
 }
 
 // NewTCPNode starts listening on listenAddr with default options and
@@ -135,7 +114,7 @@ func NewTCPNode(id NodeID, listenAddr string, peers map[NodeID]string) (*TCPNode
 	return NewTCPNodeOpts(id, listenAddr, peers, TCPOptions{})
 }
 
-// NewTCPNodeOpts is NewTCPNode with explicit codec/coalescing options.
+// NewTCPNodeOpts is NewTCPNode with explicit coalescing options.
 func NewTCPNodeOpts(id NodeID, listenAddr string, peers map[NodeID]string, opts TCPOptions) (*TCPNode, error) {
 	ln, err := net.Listen("tcp", listenAddr)
 	if err != nil {
@@ -208,10 +187,9 @@ func (n *TCPNode) acceptLoop() {
 	}
 }
 
-// serveConn handles one accepted connection: in binary mode it reads the
-// hello, registers the connection for outbound traffic to that peer (the
-// multiplexing half), then enters the frame read loop; in gob mode it
-// decodes messages directly (the legacy one-conn-per-direction shape).
+// serveConn handles one accepted connection: it reads the hello, registers
+// the connection for outbound traffic to that peer (the multiplexing
+// half), then enters the frame read loop.
 func (n *TCPNode) serveConn(c net.Conn) {
 	defer n.wg.Done()
 	defer func() {
@@ -220,11 +198,6 @@ func (n *TCPNode) serveConn(c net.Conn) {
 		n.mu.Unlock()
 		c.Close()
 	}()
-
-	if n.opts.Codec == CodecGob {
-		n.readLoopGob(c)
-		return
-	}
 
 	br := bufio.NewReaderSize(c, 64<<10)
 	peer, err := readHello(br)
@@ -317,53 +290,11 @@ func (n *TCPNode) readLoopBinary(br *bufio.Reader) {
 	}
 }
 
-func (n *TCPNode) readLoopGob(c net.Conn) {
-	cr := &countingReader{r: c, n: &n.bytesRecv}
-	dec := gob.NewDecoder(cr)
-	for {
-		var m Message
-		if err := dec.Decode(&m); err != nil {
-			return
-		}
-		n.msgsRecv.Add(1)
-		if h, _ := n.handler.Load().(Handler); h != nil {
-			h(&m)
-		}
-	}
-}
-
-// countingReader counts bytes read through it.
-type countingReader struct {
-	r io.Reader
-	n *atomic.Uint64
-}
-
-func (cr *countingReader) Read(p []byte) (int, error) {
-	k, err := cr.r.Read(p)
-	cr.n.Add(uint64(k))
-	return k, err
-}
-
-// countingWriter counts bytes written through it.
-type countingWriter struct {
-	w io.Writer
-	n *atomic.Uint64
-}
-
-func (cw *countingWriter) Write(p []byte) (int, error) {
-	k, err := cw.w.Write(p)
-	cw.n.Add(uint64(k))
-	return k, err
-}
-
 // Send implements Transport.
 func (n *TCPNode) Send(m *Message) error {
 	tc, err := n.conn(m.To)
 	if err != nil {
 		return err
-	}
-	if n.opts.Codec == CodecGob {
-		return n.sendGob(m, tc)
 	}
 	return n.sendBinary(m, tc)
 }
@@ -410,19 +341,6 @@ func (n *TCPNode) sendBinary(m *Message, tc *tcpConn) error {
 	return nil
 }
 
-func (n *TCPNode) sendGob(m *Message, tc *tcpConn) error {
-	tc.mu.Lock()
-	defer tc.mu.Unlock()
-	if err := tc.enc.Encode(m); err != nil {
-		// Drop the broken connection; a later Send re-dials.
-		n.dropConn(m.To, tc)
-		return fmt.Errorf("tcpnet: send to node %d: %w", m.To, err)
-	}
-	n.msgsSent.Add(1)
-	n.writes.Add(1)
-	return nil
-}
-
 // writeLoop drains tc.pending into write syscalls. While a write is in
 // flight new frames accumulate, so bursts coalesce naturally; FlushDelay
 // adds an explicit wait after the first frame of a batch to trade a
@@ -449,9 +367,11 @@ func (n *TCPNode) writeLoop(to NodeID, tc *tcpConn) {
 		tc.queued = 0
 		tc.mu.Unlock()
 
-		_, err := tc.c.Write(buf)
+		// Count before the write: the receiver can deliver (and a caller can
+		// read Stats) before Write returns here.
 		n.writes.Add(1)
 		n.bytesSent.Add(uint64(len(buf)))
+		_, err := tc.c.Write(buf)
 
 		tc.mu.Lock()
 		tc.spare = buf[:0]
@@ -495,14 +415,8 @@ func (n *TCPNode) conn(to NodeID) (*tcpConn, error) {
 	}
 	n.dials.Add(1)
 
-	var tc *tcpConn
-	if n.opts.Codec == CodecGob {
-		tc = &tcpConn{c: c, enc: gob.NewEncoder(&countingWriter{w: c, n: &n.bytesSent})}
-		tc.cond = sync.NewCond(&tc.mu)
-	} else {
-		tc = n.newBinaryConn(c)
-		tc.pending = n.appendHello(tc.pending)
-	}
+	tc := n.newBinaryConn(c)
+	tc.pending = n.appendHello(tc.pending)
 
 	n.mu.Lock()
 	if n.closed {
@@ -519,20 +433,18 @@ func (n *TCPNode) conn(to NodeID) (*tcpConn, error) {
 	n.conns[to] = tc
 	n.mu.Unlock()
 
-	if n.opts.Codec == CodecBinary {
-		// The dialled connection is bidirectional: the peer replies over
-		// it, so read it too, and drain our writes to it.
-		n.wg.Add(2)
-		go func() {
-			defer n.wg.Done()
-			n.writeLoop(to, tc)
-		}()
-		go func() {
-			defer n.wg.Done()
-			defer func() { n.dropConn(to, tc); c.Close() }()
-			n.readLoopBinary(bufio.NewReaderSize(c, 64<<10))
-		}()
-	}
+	// The dialled connection is bidirectional: the peer replies over it, so
+	// read it too, and drain our writes to it.
+	n.wg.Add(2)
+	go func() {
+		defer n.wg.Done()
+		n.writeLoop(to, tc)
+	}()
+	go func() {
+		defer n.wg.Done()
+		defer func() { n.dropConn(to, tc); c.Close() }()
+		n.readLoopBinary(bufio.NewReaderSize(c, 64<<10))
+	}()
 	return tc, nil
 }
 

@@ -102,51 +102,30 @@ func TestTCPWriteCoalescing(t *testing.T) {
 
 // TestTCPStatsCounters: both directions count messages and bytes.
 func TestTCPStatsCounters(t *testing.T) {
-	for _, codec := range []Codec{CodecBinary, CodecGob} {
-		t.Run(codec.String(), func(t *testing.T) {
-			a, b := newTCPPairOpts(t, TCPOptions{Codec: codec})
-			got := make(chan struct{}, 4)
-			b.SetHandler(func(m *Message) { got <- struct{}{} })
-			for i := 0; i < 4; i++ {
-				if err := a.Send(&Message{From: 0, To: 1, Kind: 5, Payload: tcpPayload{N: i, S: "abc"}}); err != nil {
-					t.Fatal(err)
-				}
+	t.Run("binary", func(t *testing.T) {
+		a, b := newTCPPairOpts(t, TCPOptions{})
+		got := make(chan struct{}, 4)
+		b.SetHandler(func(m *Message) { got <- struct{}{} })
+		for i := 0; i < 4; i++ {
+			if err := a.Send(&Message{From: 0, To: 1, Kind: 5, Payload: tcpPayload{N: i, S: "abc"}}); err != nil {
+				t.Fatal(err)
 			}
-			for i := 0; i < 4; i++ {
-				select {
-				case <-got:
-				case <-time.After(2 * time.Second):
-					t.Fatal("delivery timeout")
-				}
-			}
-			as, bs := a.Stats(), b.Stats()
-			if as.MsgsSent != 4 || bs.MsgsRecv != 4 {
-				t.Fatalf("msgs: sent=%d recv=%d, want 4/4", as.MsgsSent, bs.MsgsRecv)
-			}
-			if as.BytesSent == 0 || bs.BytesRecv == 0 {
-				t.Fatalf("bytes not counted: sent=%d recv=%d", as.BytesSent, bs.BytesRecv)
-			}
-		})
-	}
-}
-
-// TestTCPGobModeRoundTrip: the legacy gob framing still works end to end
-// (it is the measured baseline of the wire benchmark).
-func TestTCPGobModeRoundTrip(t *testing.T) {
-	a, b := newTCPPairOpts(t, TCPOptions{Codec: CodecGob})
-	got := make(chan *Message, 1)
-	b.SetHandler(func(m *Message) { got <- m })
-	if err := a.Send(&Message{From: 0, To: 1, Kind: 3, Clock: 9, Payload: tcpPayload{N: 7, S: "gob"}}); err != nil {
-		t.Fatal(err)
-	}
-	select {
-	case m := <-got:
-		if p, ok := m.Payload.(tcpPayload); !ok || p.N != 7 || p.S != "gob" || m.Clock != 9 {
-			t.Fatalf("bad message %+v", m)
 		}
-	case <-time.After(2 * time.Second):
-		t.Fatal("no delivery in gob mode")
-	}
+		for i := 0; i < 4; i++ {
+			select {
+			case <-got:
+			case <-time.After(2 * time.Second):
+				t.Fatal("delivery timeout")
+			}
+		}
+		as, bs := a.Stats(), b.Stats()
+		if as.MsgsSent != 4 || bs.MsgsRecv != 4 {
+			t.Fatalf("msgs: sent=%d recv=%d, want 4/4", as.MsgsSent, bs.MsgsRecv)
+		}
+		if as.BytesSent == 0 || bs.BytesRecv == 0 {
+			t.Fatalf("bytes not counted: sent=%d recv=%d", as.BytesSent, bs.BytesRecv)
+		}
+	})
 }
 
 // TestTCPConcurrentSendersManyMessages: hammer one connection from many

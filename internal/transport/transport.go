@@ -3,8 +3,7 @@
 // implementations — an in-memory network with a configurable per-link
 // latency model (memnet.go), and a TCP transport (tcpnet.go) for real
 // multi-process deployments, framing messages with the zero-allocation
-// binary codec of internal/wire (with a legacy encoding/gob mode kept as
-// the measured baseline).
+// binary codec of internal/wire.
 //
 // The paper's testbed is 80 physical nodes joined by message-passing links
 // with 1–50 ms delays; the in-memory network reproduces that topology with
@@ -65,13 +64,8 @@ var ErrClosed = errors.New("transport: endpoint closed")
 var ErrUnknownNode = errors.New("transport: unknown destination node")
 
 // RegisterPayload registers a payload type with encoding/gob for use with
-// the TCP transport: gob is both the CodecGob wire format and the binary
-// codec's fallback for types without a wire.Register codec. The in-memory
-// transport does not need registration.
+// the TCP transport: gob is the binary codec's fallback for types without a
+// wire.Register codec. The in-memory transport does not need registration.
 func RegisterPayload(v any) { gob.Register(v) }
-
-func init() {
-	gob.Register(Message{})
-}
 
 func (k Kind) String() string { return fmt.Sprintf("kind(%d)", uint16(k)) }

@@ -9,12 +9,11 @@
 #   race   full suite under the race detector
 #   perf   perf smokes: commit-pipeline msgs/commit bound, the
 #          zero-allocation wire-codec gate, the open-loop stability
-#          smoke, the wire experiment (writes results/BENCH_wire.json,
-#          gated on 0 allocs/op and >= 2x gob pump throughput), the
-#          readscale experiment (writes results/BENCH_read.json, gated
-#          on the MVCC snapshot path beating the ownership baseline's
-#          read msgs per read-only commit at the 90%-read mix), and a
-#          3-process dstmnode open-loop bank smoke over real TCP
+#          smoke, the repo benchmark in smoke mode (`go run ./bench
+#          -quick`, JSON to $TMPDIR/ci_bench_quick.json: fails unless its
+#          output checks pass and the trace oracle is clean on every
+#          workload), and a 3-process dstmnode open-loop bank smoke over
+#          real TCP. Writes nothing under results/.
 #   fuzz   every fuzz target for CI_FUZZTIME each (differential
 #          gob <-> binary oracles included)
 #   all    all of the above, in that order (default)
@@ -82,19 +81,21 @@ stage_perf() {
         -arrivals poisson -rates 250 -nodes 3 -workers 2 -duration 100ms \
         -delayscale 0.002 -stabilityjson /tmp/ci_stability.json -faildiverging
 
-    # Wire experiment: codec micro-benchmarks, the gob-vs-binary message
-    # pump, and memnet-vs-TCP bank cells. The gate fails the run unless
-    # the binary codec is allocation-free and >= 2x gob's pump throughput.
-    echo "== wire experiment (results/BENCH_wire.json)"
-    go run ./cmd/rtsbench -experiment wire -duration 500ms \
-        -wirejson results/BENCH_wire.json -wiregate
-
-    # MVCC read-path gate: at the 90%-read mix the snapshot read path must
-    # spend strictly fewer read RPCs per read-only commit than the ownership
-    # baseline, for every scheduler (results/BENCH_read.json).
-    echo "== readscale experiment (results/BENCH_read.json)"
-    go run ./cmd/rtsbench -experiment readscale -nodes 4 -workers 4 \
-        -duration 150ms -readjson results/BENCH_read.json -readgate
+    # Repo benchmark, smoke mode: all five open-loop workloads with 3 s
+    # windows (about a minute on two cores). Exit 0 means every workload's
+    # output check held (conservation, no orphaned or multiply-owned
+    # object); the oracle verdict is only reported in the JSON, so check it.
+    quick="${TMPDIR:-/tmp}/ci_bench_quick.json"
+    echo "== bench -quick ($quick)"
+    go run ./bench -quick -out "$quick"
+    awk '
+        /"fabric":/ { workloads++ }
+        /"trace.oracle_ok":/ { oracle = 1; next }
+        oracle && /"value":/ { oracle = 0; if ($2 + 0 == 1) clean++ }
+        END {
+            printf "== trace.oracle_ok = 1 on %d of %d workloads\n", clean, workloads
+            exit !(workloads > 0 && clean == workloads)
+        }' "$quick"
 
     # Multi-process smoke: a real 3-process cluster over loopback TCP,
     # driven open-loop, must complete with a clean conservation check.
