@@ -36,8 +36,9 @@ fuzz:
 
 # perf runs the perf smokes: the commit-pipeline msgs/commit bound, the
 # wire-codec zero-allocation gate, the open-loop stability smoke, the repo
-# benchmark in smoke mode (`go run ./bench -quick`, output checks and trace
-# oracle gated), and a 3-process dstmnode cluster smoke.
+# benchmark in smoke mode (`go run ./bench -quick`; output checks, trace
+# oracle and "no message outside the per-kind table" gated), and a
+# 3-process dstmnode cluster smoke.
 perf:
 	./scripts/ci.sh perf
 

@@ -156,16 +156,20 @@ func (b *Bank) audit(ctx context.Context, rt *stm.Runtime, rng *rand.Rand) error
 	})
 }
 
-// TotalBalance sums every account in one transaction.
+// TotalBalance sums every account in one transaction, with one bulk read.
 func (b *Bank) TotalBalance(ctx context.Context, rt *stm.Runtime) (int64, error) {
+	oids := make([]object.ID, b.accounts)
+	for i := range oids {
+		oids[i] = AccountID(i)
+	}
 	var total int64
 	err := rt.AtomicRead(ctx, "bank/total", func(tx *stm.Txn) error {
+		vals, err := tx.ReadMany(ctx, oids)
+		if err != nil {
+			return err
+		}
 		total = 0
-		for i := 0; i < b.accounts; i++ {
-			v, err := tx.Read(ctx, AccountID(i))
-			if err != nil {
-				return err
-			}
+		for _, v := range vals {
 			total += v.(*Account).Balance
 		}
 		return nil

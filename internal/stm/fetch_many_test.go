@@ -1,0 +1,441 @@
+package stm
+
+import (
+	"context"
+	"errors"
+	"sync"
+	"testing"
+	"time"
+
+	"dstm/internal/cc"
+	"dstm/internal/core"
+	"dstm/internal/object"
+	"dstm/internal/sched"
+	"dstm/internal/transport"
+)
+
+// These tests pin the per-owner retrieve (fetchMany): one parallel wave per
+// hop, the scheduler's decision per entry, the moved-to hop and its
+// fallback, and the single forwarding step per wave.
+
+// kindCounter is a memnet interceptor counting request and one-way messages
+// by kind (replies are not counted).
+type kindCounter struct {
+	mu sync.Mutex
+	n  map[transport.Kind]int
+}
+
+func (c *kindCounter) intercept(m *transport.Message) bool {
+	if !m.IsReply {
+		c.mu.Lock()
+		if c.n == nil {
+			c.n = make(map[transport.Kind]int)
+		}
+		c.n[m.Kind]++
+		c.mu.Unlock()
+	}
+	return true
+}
+
+func (c *kindCounter) count(kinds ...transport.Kind) int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	sum := 0
+	for _, k := range kinds {
+		sum += c.n[k]
+	}
+	return sum
+}
+
+// holdRetrieves returns a memnet interceptor that holds every retrieve
+// request inside Send until owners distinct nodes have one pending, and
+// hands everything else (and the released requests) to next. A request is
+// stamped with its sender's clock before Send, so the requests of one wave
+// all carry the clock the wave started with, and an implementation that
+// waits for one reply before sending the next request never gets past the
+// first.
+func holdRetrieves(t *testing.T, owners int, next func(*transport.Message) bool) func(*transport.Message) bool {
+	var (
+		mu      sync.Mutex
+		pending = map[transport.NodeID]bool{}
+		all     = make(chan struct{})
+	)
+	return func(m *transport.Message) bool {
+		if m.Kind == KindRetrieve && !m.IsReply {
+			mu.Lock()
+			if !pending[m.To] {
+				pending[m.To] = true
+				if len(pending) == owners {
+					close(all)
+				}
+			}
+			mu.Unlock()
+			select {
+			case <-all:
+			case <-time.After(2 * time.Second):
+				t.Errorf("retrieve to node %d sent alone: the wave is not parallel", m.To)
+			}
+		}
+		return next(m)
+	}
+}
+
+// seed creates each object, holding box{N: 10*owner}, at its owner.
+func seed(t *testing.T, tc *testCluster, place map[object.ID]int) {
+	t.Helper()
+	for oid, node := range place {
+		if err := tc.rts[node].CreateRoot(context.Background(), oid, &box{N: int64(10 * node)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// abortCause unwraps the abort a fetch returned.
+func abortCause(t *testing.T, err error) AbortCause {
+	t.Helper()
+	var ae *abortError
+	if !errors.As(err, &ae) {
+		t.Fatalf("err = %v, want a transaction abort", err)
+	}
+	return ae.cause
+}
+
+// TestReadManyIsOneWave: four objects on three remote owners are fetched
+// with three retrieves that are all in flight together — proved without a
+// clock, by holdRetrieves.
+func TestReadManyIsOneWave(t *testing.T) {
+	tc := newTestCluster(t, 4, nil, nil)
+	ctx := context.Background()
+	seed(t, tc, map[object.ID]int{"a": 1, "b": 1, "c": 2, "d": 3})
+	var msgs kindCounter
+	tc.net.SetInterceptor(holdRetrieves(t, 3, msgs.intercept))
+
+	var vals []object.Value
+	err := tc.rts[0].Atomic(ctx, "audit", func(tx *Txn) (err error) {
+		vals, err = tx.ReadMany(ctx, []object.ID{"d", "a", "c", "b", "a"})
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, want := range []int64{30, 10, 20, 10, 10} {
+		if got := vals[i].(*box).N; got != want {
+			t.Fatalf("vals[%d] = %d, want %d", i, got, want)
+		}
+	}
+	if got := msgs.count(KindRetrieve); got != 3 {
+		t.Fatalf("%d retrieve requests, want 3 (one per owner)", got)
+	}
+	m := tc.rts[0].Metrics().Snapshot()
+	if m.ReadOnlyCommits != 1 || m.ReadMsgs != 3 || m.Retrieves != 3 {
+		t.Fatalf("read-only commits %d, read msgs %d, retrieves %d; want 1, 3, 3",
+			m.ReadOnlyCommits, m.ReadMsgs, m.Retrieves)
+	}
+}
+
+// TestWaveDecidesPerEntry: the entries of one wave meet different fates at
+// their owners. x lives on node 1, y on node 2, z on node 3; node 0 fetches
+// all three while some are commit-locked.
+func TestWaveDecidesPerEntry(t *testing.T) {
+	commits := AbortCause(numAbortCauses) // sentinel: the fetch succeeds
+	cases := []struct {
+		name     string
+		locked   []object.ID
+		tfaOwner bool          // y's owner runs plain TFA, which denies every conflict
+		backoff  time.Duration // the backoff RTS assigns (the reader's expected remaining time)
+		release  bool          // free y once the reader is queued on it
+		want     AbortCause
+	}{
+		{name: "enqueued and handed off", locked: []object.ID{"y"}, backoff: time.Hour, release: true, want: commits},
+		{name: "denied", locked: []object.ID{"x", "y"}, tfaOwner: true, backoff: time.Hour, want: AbortDenied},
+		{name: "park times out", locked: []object.ID{"y"}, backoff: 5 * time.Millisecond, want: AbortQueueTimeout},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			node := 0
+			tc := newTestCluster(t, 4, nil, func() sched.Policy {
+				node++
+				if c.tfaOwner && node-1 == 2 {
+					return sched.NewTFA()
+				}
+				return core.New(core.Options{CLThreshold: 5})
+			})
+			ctx := context.Background()
+			seed(t, tc, map[object.ID]int{"x": 1, "y": 2, "z": 3})
+			owner := map[object.ID]*Runtime{"x": tc.rts[1], "y": tc.rts[2], "z": tc.rts[3]}
+			for _, oid := range c.locked {
+				lockObject(t, owner[oid], oid)
+			}
+			var msgs kindCounter
+			tc.net.SetInterceptor(msgs.intercept)
+
+			reader := tc.rts[0]
+			tx := manualTxn(reader, time.Hour, time.Hour+c.backoff)
+			done := make(chan error, 1)
+			go func() { done <- tx.fetchMany(ctx, []object.ID{"x", "y", "z"}, sched.Read) }()
+			if c.release {
+				rts := owner["y"].Policy().(*core.RTS)
+				waitFor(t, func() bool { return rts.QueueLen("y") == 1 })
+				unlockAndServe(owner["y"], "y")
+			}
+			err := <-done
+
+			if c.want == commits {
+				if err != nil {
+					t.Fatal(err)
+				}
+				for oid, want := range map[object.ID]int64{"x": 10, "y": 20, "z": 30} {
+					if e := tx.entries[oid]; e == nil || e.val.(*box).N != want {
+						t.Fatalf("entry %s = %+v, want %d", oid, e, want)
+					}
+				}
+				if p := reader.Metrics().Snapshot().Pushes; p != 1 {
+					t.Fatalf("pushes = %d, want 1", p)
+				}
+			} else {
+				if got := abortCause(t, err); got != c.want {
+					t.Fatalf("abort cause %v, want %v", got, c.want)
+				}
+				if len(tx.entries) != 0 {
+					t.Fatalf("an aborted wave adopted %d entries", len(tx.entries))
+				}
+			}
+			if got := msgs.count(KindRetrieve); got != 3 {
+				t.Fatalf("%d retrieve requests, want 3", got)
+			}
+			reader.waitMu.Lock()
+			left := len(reader.waiters)
+			reader.waitMu.Unlock()
+			if left != 0 {
+				t.Fatalf("%d waiters still registered after the wave", left)
+			}
+
+			// A hand-off that comes for the abandoned wave finds no waiter
+			// and is declined, so the owner can serve its next requester.
+			if c.want != commits {
+				late := c.locked[0]
+				unlockAndServe(owner[late], late)
+				waitFor(t, func() bool { return msgs.count(KindDecline) == 1 })
+				if msgs.count(KindPush) != 1 {
+					t.Fatalf("pushes sent = %d, want 1", msgs.count(KindPush))
+				}
+			}
+		})
+	}
+}
+
+// TestStaleHintFollowsMovedTo: node 2 holds a hint that x is on node 0, but
+// node 1 has since committed a write and taken x. Node 0's reply names node
+// 1, and the retry goes there directly — no directory message. When node
+// 0's record is wrong or gone, the home directory settles it one hop later.
+func TestStaleHintFollowsMovedTo(t *testing.T) {
+	cases := []struct {
+		name          string
+		record        func(owner0 *Runtime) // tamper with node 0's departure record
+		wantLookups   int
+		wantRetrieves int
+	}{
+		{name: "moved-to followed", record: func(*Runtime) {}, wantLookups: 0, wantRetrieves: 2},
+		{name: "lying", record: func(rt *Runtime) { rt.migrated["x"] = migration{to: 2} }, wantLookups: 1, wantRetrieves: 3},
+		{name: "absent", record: func(rt *Runtime) { delete(rt.migrated, "x") }, wantLookups: 1, wantRetrieves: 2},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			tc := newTestCluster(t, 3, nil, nil)
+			ctx := context.Background()
+			seed(t, tc, map[object.ID]int{"x": 0})
+			read := func() (n int64) {
+				t.Helper()
+				if err := tc.rts[2].Atomic(ctx, "r", func(tx *Txn) error {
+					v, err := tx.Read(ctx, "x")
+					if err == nil {
+						n = v.(*box).N
+					}
+					return err
+				}); err != nil {
+					t.Fatal(err)
+				}
+				return n
+			}
+			read() // node 2 learns: x is on node 0
+			if err := tc.rts[1].Atomic(ctx, "w", func(tx *Txn) error {
+				return tx.Write(ctx, "x", &box{N: 7})
+			}); err != nil {
+				t.Fatal(err)
+			}
+			tc.rts[0].migrMu.Lock()
+			c.record(tc.rts[0])
+			tc.rts[0].migrMu.Unlock()
+
+			var msgs kindCounter
+			tc.net.SetInterceptor(msgs.intercept)
+			if got := read(); got != 7 {
+				t.Fatalf("read %d, want 7", got)
+			}
+			if got := msgs.count(cc.KindLookup, cc.KindLookupBatch); got != c.wantLookups {
+				t.Fatalf("%d directory lookups, want %d", got, c.wantLookups)
+			}
+			if got := msgs.count(KindRetrieve); got != c.wantRetrieves || got > maxOwnerHops {
+				t.Fatalf("%d retrieves, want %d", got, c.wantRetrieves)
+			}
+			if a := tc.rts[2].Metrics().Snapshot().TotalAborts(); a != 0 {
+				t.Fatalf("chasing the hint cost %d aborts", a)
+			}
+		})
+	}
+}
+
+// observer records which objects a node's scheduler was asked to observe.
+type observer struct {
+	sched.Policy
+	mu   sync.Mutex
+	seen map[object.ID]int
+}
+
+func (o *observer) ObserveRequest(oid object.ID, txid uint64) int {
+	o.mu.Lock()
+	o.seen[oid]++
+	o.mu.Unlock()
+	return o.Policy.ObserveRequest(oid, txid)
+}
+
+// TestRetrieveObservesOnlyOwnedObjects: a retrieve that chased a stale hint
+// to a node that no longer owns the object must not count towards that
+// object's contention level there.
+func TestRetrieveObservesOnlyOwnedObjects(t *testing.T) {
+	var observers []*observer
+	tc := newTestCluster(t, 2, nil, func() sched.Policy {
+		o := &observer{Policy: sched.NewTFA(), seen: map[object.ID]int{}}
+		observers = append(observers, o)
+		return o
+	})
+	seed(t, tc, map[object.ID]int{"here": 0})
+	body, err := tc.rts[1].ep.Call(context.Background(), 0, KindRetrieve,
+		retrieveReq{TxID: 9, Mode: sched.Read, Oids: []object.ID{"gone", "here"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res := body.(retrieveResp).Results
+	if len(res) != 2 || res[0].Status != retrieveNotOwner || res[1].Status != retrieveOK {
+		t.Fatalf("results = %+v, want [not-owner, ok]", res)
+	}
+	o := observers[0]
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	if o.seen["gone"] != 0 || o.seen["here"] != 1 {
+		t.Fatalf("observed %v, want only the owned object, once", o.seen)
+	}
+}
+
+// TestWaveForwardsOnce: a transaction that holds e (from node 1) fetches c
+// and d from nodes 2 and 3, whose clocks are both ahead of its start. The
+// wave takes one forwarding step, to the larger clock: one validation wave
+// covering e and the copy from the owner that reported the smaller clock.
+func TestWaveForwardsOnce(t *testing.T) {
+	tc := newTestCluster(t, 4, nil, nil)
+	ctx := context.Background()
+	seed(t, tc, map[object.ID]int{"e": 1, "c": 2, "d": 3})
+
+	// With the owners already known the wave sends no directory lookup, so
+	// each owner's clock reaches node 0 only in its own retrieve reply.
+	tc.rts[0].Locator().NoteOwner("c", 2)
+	tc.rts[0].Locator().NoteOwner("d", 3)
+
+	var msgs kindCounter
+	var start, forwarded uint64
+	err := tc.rts[0].Atomic(ctx, "reader", func(tx *Txn) error {
+		if _, err := tx.Read(ctx, "e"); err != nil {
+			return err
+		}
+		start = tx.start
+		for i := 0; i < 5; i++ {
+			tc.rts[2].ep.Clock().Tick()
+		}
+		var ahead uint64
+		for i := 0; i < 9; i++ {
+			ahead = tc.rts[3].ep.Clock().Tick()
+		}
+		tc.net.SetInterceptor(holdRetrieves(t, 2, msgs.intercept))
+		_, err := tx.ReadMany(ctx, []object.ID{"c", "d"})
+		forwarded = tx.start
+		if err == nil && forwarded != ahead {
+			t.Errorf("start forwarded %d -> %d, want node 3's clock %d", start, forwarded, ahead)
+		}
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if forwarded <= start {
+		t.Fatalf("start %d did not advance (was %d)", forwarded, start)
+	}
+	if got := msgs.count(KindCheckVersionBatch); got != 2 {
+		t.Fatalf("%d validation messages, want 2 (e's owner and c's, one wave)", got)
+	}
+	if m := tc.rts[0].Metrics().Snapshot(); m.TotalAborts() != 0 {
+		t.Fatalf("aborts = %d, want 0", m.TotalAborts())
+	}
+}
+
+// TestWaveForwardingAbortsInnermostHolder is TestForwardingAbortsStaleRead
+// with the second read a ReadMany inside a closed-nested transaction: x is
+// overwritten after it was read, the wave for y and z meets a clock ahead
+// of the start, and the forwarding validation aborts the innermost level
+// that holds the stale x — the inner transaction alone when it read x
+// itself, the root when the root did.
+func TestWaveForwardingAbortsInnermostHolder(t *testing.T) {
+	cases := []struct {
+		name               string
+		parentReadsX       bool
+		wantRoot, wantNest int // attempts of the root and of the inner transaction
+	}{
+		{name: "inner holds the stale read", parentReadsX: false, wantRoot: 1, wantNest: 2},
+		{name: "root holds the stale read", parentReadsX: true, wantRoot: 2, wantNest: 2},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			tc := newTestCluster(t, 3, nil, nil)
+			ctx := context.Background()
+			seed(t, tc, map[object.ID]int{"x": 0, "y": 0, "z": 1})
+
+			rootRuns, nestRuns := 0, 0
+			var sawX int64
+			err := tc.rts[2].Atomic(ctx, "reader", func(tx *Txn) error {
+				rootRuns++
+				if c.parentReadsX {
+					if _, err := tx.Read(ctx, "x"); err != nil {
+						return err
+					}
+				}
+				return tx.Atomic(ctx, "inner", func(in *Txn) error {
+					nestRuns++
+					vx, err := in.Read(ctx, "x")
+					if err != nil {
+						return err
+					}
+					sawX = vx.(*box).N
+					if nestRuns == 1 {
+						// Node 0 commits a new x between the reads; its clock
+						// ticks past the reader's start.
+						if err := tc.rts[0].Atomic(ctx, "writer", func(w *Txn) error {
+							return w.Write(ctx, "x", &box{N: 2})
+						}); err != nil {
+							return err
+						}
+					}
+					_, err = in.ReadMany(ctx, []object.ID{"y", "z"})
+					return err
+				})
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rootRuns != c.wantRoot || nestRuns != c.wantNest {
+				t.Fatalf("root ran %d times, inner %d; want %d, %d", rootRuns, nestRuns, c.wantRoot, c.wantNest)
+			}
+			if sawX != 2 {
+				t.Fatalf("final x = %d, want 2", sawX)
+			}
+		})
+	}
+}

@@ -15,7 +15,8 @@ import (
 // 14 (the retired per-object check/acquire/commit RPCs) are reserved: never
 // reuse them, an old peer may still send them.
 const (
-	// KindRetrieve is Open_Object's request to an object owner.
+	// KindRetrieve is Open_Object's request to an object owner: every
+	// object one transaction wants from that node, in one round trip.
 	KindRetrieve transport.Kind = 10
 	// KindRelease drops commit locks after a failed commit.
 	KindRelease transport.Kind = 13
@@ -41,20 +42,23 @@ const (
 	KindSnapshotReadBatch transport.Kind = 21
 )
 
-// retrieveReq is Open_Object's wire request: object ID, transaction ID, the
-// requester's contention level (myCL), and its ETS execution-time stamps
-// carried as durations (elapsed = ETS.r−ETS.s, remaining = ETS.c−ETS.r).
+// retrieveReq is Open_Object's wire request to one owner: the transaction
+// ID, the requester's contention level (myCL), its ETS execution-time
+// stamps carried as durations (elapsed = ETS.r−ETS.s, remaining =
+// ETS.c−ETS.r), and every object the transaction wants from that node (a
+// Read or Write asks for one). The owner takes the scheduling decision per
+// object.
 type retrieveReq struct {
-	Oid     object.ID
 	TxID    uint64
 	Mode    sched.Mode
 	MyCL    int
 	Elapsed time.Duration
 	Remain  time.Duration
+	Oids    []object.ID
 }
 
-// retrieveResp answers a retrieve.
-type retrieveResp struct {
+// retrieveResult is one object's disposition, parallel to the request Oids.
+type retrieveResult struct {
 	// Status disposition; see retrieve* constants.
 	Status retrieveStatus
 	// Value and Version are set when Status == retrieveOK.
@@ -65,7 +69,15 @@ type retrieveResp struct {
 	RemoteCL int
 	// Backoff is the enqueue wait budget when Status == retrieveEnqueued.
 	Backoff time.Duration
-	// OwnerClock is the owner's TFA clock, used for forwarding checks.
+	// MovedTo is the node this one surrendered the object to, set when
+	// Status == retrieveMoved.
+	MovedTo transport.NodeID
+}
+
+// retrieveResp answers a retrieve. OwnerClock is the owner's TFA clock,
+// read after every entry was served, for the forwarding check.
+type retrieveResp struct {
+	Results    []retrieveResult
 	OwnerClock uint64
 }
 
@@ -75,7 +87,11 @@ const (
 	retrieveOK retrieveStatus = iota
 	retrieveDenied
 	retrieveEnqueued
+	// retrieveNotOwner: this node does not hold the object and has no
+	// record of where it went; the requester asks the home directory.
 	retrieveNotOwner
+	// retrieveMoved: this node gave the object away, to MovedTo.
+	retrieveMoved
 )
 
 // releaseReq unlocks objects after a failed commit.

@@ -53,28 +53,35 @@ func roundTrip(t *testing.T, payload any) any {
 	return out.Payload
 }
 
-// FuzzRetrieveRoundTrip round-trips the retrieve request/response pair —
-// the protocol's hottest messages — through the gob wire format. Every
-// field must survive: a corrupted Elapsed or Backoff would silently skew
-// the RTS scheduling decision at the owner.
+// FuzzRetrieveRoundTrip round-trips the per-owner retrieve — the protocol's
+// hottest message pair — through both wire formats. Every field must
+// survive: a corrupted Elapsed or Backoff would silently skew the RTS
+// scheduling decision at the owner, a shifted Results slice would hand the
+// requester the wrong object under the right key, and a corrupted MovedTo
+// would send the next hop to the wrong node.
 func FuzzRetrieveRoundTrip(f *testing.F) {
-	f.Add("obj/a", uint64(1), uint8(1), 3, int64(5e6), int64(2e6), uint8(2), int64(7e6), uint64(9), int32(1), int64(11))
-	f.Add("", uint64(0), uint8(0), -1, int64(-1), int64(0), uint8(3), int64(1)<<62, ^uint64(0), int32(-2), int64(0))
-	f.Fuzz(func(t *testing.T, oid string, tx uint64, mode uint8, myCL int,
-		elapsed, remain int64, status uint8, backoff int64, ownClock uint64, vnode int32, val int64) {
+	f.Add("obj/a", "obj/b", uint64(1), uint8(1), 3, int64(5e6), int64(2e6), uint8(0), uint8(2), int64(7e6), uint64(9), int32(1), int64(11), int32(2))
+	f.Add("", "x", uint64(0), uint8(0), -1, int64(-1), int64(0), uint8(4), uint8(3), int64(1)<<62, ^uint64(0), int32(-2), int64(0), int32(-1))
+	f.Fuzz(func(t *testing.T, oidA, oidB string, tx uint64, mode uint8, myCL int, elapsed, remain int64,
+		statusA, statusB uint8, backoff int64, ownClock uint64, vnode int32, val int64, movedTo int32) {
 		req := retrieveReq{
-			Oid: object.ID(oid), TxID: tx, Mode: sched.Mode(mode), MyCL: myCL,
+			TxID: tx, Mode: sched.Mode(mode), MyCL: myCL,
 			Elapsed: time.Duration(elapsed), Remain: time.Duration(remain),
+			Oids: []object.ID{object.ID(oidA), object.ID(oidB)},
 		}
-		if got := roundTrip(t, req).(retrieveReq); got != req {
+		if got := roundTrip(t, req).(retrieveReq); !reflect.DeepEqual(got, req) {
 			t.Fatalf("retrieveReq changed: %+v -> %+v", req, got)
 		}
 		resp := retrieveResp{
-			Status: retrieveStatus(status), Value: fuzzVal{X: val},
-			Version:  object.Version{Clock: ownClock, Node: vnode},
-			RemoteCL: myCL, Backoff: time.Duration(backoff), OwnerClock: ownClock,
+			Results: []retrieveResult{
+				{Status: retrieveStatus(statusA), Value: fuzzVal{X: val},
+					Version: object.Version{Clock: ownClock, Node: vnode}, RemoteCL: myCL},
+				{Status: retrieveStatus(statusB), RemoteCL: -myCL,
+					Backoff: time.Duration(backoff), MovedTo: transport.NodeID(movedTo)},
+			},
+			OwnerClock: ownClock,
 		}
-		if got := roundTrip(t, resp).(retrieveResp); got != resp {
+		if got := roundTrip(t, resp).(retrieveResp); !reflect.DeepEqual(got, resp) {
 			t.Fatalf("retrieveResp changed: %+v -> %+v", resp, got)
 		}
 	})

@@ -33,10 +33,10 @@ func TestRetiredKindsAreRefused(t *testing.T) {
 }
 
 // TestRetiredWireIDsAreUnregistered: the wire type IDs of the retired
-// payloads decode as unknown, so a frame from an old peer is rejected
+// payloads (10 and 11 were the single-object retrieve pair) decode as unknown, so a frame from an old peer is rejected
 // instead of being read as whatever type took the number over.
 func TestRetiredWireIDsAreUnregistered(t *testing.T) {
-	for _, id := range []wire.ID{12, 13, 14, 15, 17, 18, 43} {
+	for _, id := range []wire.ID{10, 11, 12, 13, 14, 15, 17, 18, 43} {
 		t.Run(fmt.Sprintf("id%d", id), func(t *testing.T) {
 			r := wire.NewReader(wire.AppendUvarint(nil, uint64(id)))
 			v := r.Any(nil)

@@ -38,12 +38,13 @@ type Runtime struct {
 	waitMu  sync.Mutex
 	waiters map[waitKey]chan pushMsg
 
-	// migrated remembers, per object, the transaction whose commit last
-	// migrated it away from this node. A retransmitted commit-migration
+	// migrated remembers, per object, the commit that last migrated it away
+	// from this node: the transaction, so a retransmitted commit-migration
 	// request (its reply was lost and the RPC dedup entry has aged out)
-	// must read as success, not "not owned" — see migrateOut.
+	// reads as success, not "not owned" — see migrateOut — and the node it
+	// went to, which a retrieve for the departed object is answered with.
 	migrMu   sync.Mutex
-	migrated map[object.ID]uint64
+	migrated map[object.ID]migration
 
 	nesting NestingMode
 	tracer  *trace.Recorder
@@ -59,6 +60,12 @@ type Runtime struct {
 type waitKey struct {
 	tx  uint64
 	oid object.ID
+}
+
+// migration is one object's last departure from this node.
+type migration struct {
+	tx uint64
+	to transport.NodeID
 }
 
 // NestingMode selects how Txn.Atomic treats inner atomic blocks.
@@ -100,7 +107,7 @@ func NewRuntime(ep *cluster.Endpoint, size int, policy sched.Policy, st *stats.T
 		stats:    st,
 		metrics:  &Metrics{},
 		waiters:  make(map[waitKey]chan pushMsg),
-		migrated: make(map[object.ID]uint64),
+		migrated: make(map[object.ID]migration),
 	}
 	ep.Handle(KindRetrieve, rt.handleRetrieve)
 	ep.Handle(KindRelease, rt.handleRelease)
@@ -233,26 +240,40 @@ func (rt *Runtime) handleRetrieve(from transport.NodeID, payload any) (any, erro
 	if !ok {
 		return nil, fmt.Errorf("stm: bad retrieve payload %T", payload)
 	}
-	localCL := rt.policy.ObserveRequest(req.Oid, req.TxID)
+	resp := retrieveResp{Results: make([]retrieveResult, len(req.Oids))}
+	for i, oid := range req.Oids {
+		resp.Results[i] = rt.retrieveOne(from, &req, oid)
+	}
+	// Read after every entry was served, so the clock the requester
+	// forwards to is at or above each version handed out.
+	resp.OwnerClock = rt.clock.Now()
+	return resp, nil
+}
 
-	val, ver, locked, owned := rt.store.Snapshot(req.Oid)
+// retrieveOne serves one object of a retrieve: the current copy, or — when
+// the object is being validated by a committing transaction — the
+// transactional scheduler's decision for this requester.
+func (rt *Runtime) retrieveOne(from transport.NodeID, req *retrieveReq, oid object.ID) retrieveResult {
+	val, ver, locked, owned := rt.store.Snapshot(oid)
 	if !owned {
-		return retrieveResp{Status: retrieveNotOwner}, nil
+		rt.migrMu.Lock()
+		m, moved := rt.migrated[oid]
+		rt.migrMu.Unlock()
+		if moved {
+			return retrieveResult{Status: retrieveMoved, MovedTo: m.to}
+		}
+		return retrieveResult{Status: retrieveNotOwner}
 	}
+	// Only now: a request that chased a stale hint here must not count
+	// towards the contention level of an object this node does not own.
+	localCL := rt.policy.ObserveRequest(oid, req.TxID)
 	if !locked {
-		return retrieveResp{
-			Status:     retrieveOK,
-			Value:      val,
-			Version:    ver,
-			RemoteCL:   localCL,
-			OwnerClock: rt.clock.Now(),
-		}, nil
+		return retrieveResult{Status: retrieveOK, Value: val, Version: ver, RemoteCL: localCL}
 	}
 
-	// The object is being validated by a committing transaction: a
-	// conflict. The transactional scheduler decides (RTS Algorithm 3).
+	// A conflict: the scheduler decides (RTS Algorithm 3).
 	dec := rt.policy.OnConflict(sched.Request{
-		Oid:               req.Oid,
+		Oid:               oid,
 		TxID:              req.TxID,
 		Node:              from,
 		Mode:              req.Mode,
@@ -262,13 +283,9 @@ func (rt *Runtime) handleRetrieve(from transport.NodeID, payload any) (any, erro
 	})
 	if dec.Enqueue {
 		rt.metrics.enqueues.Add(1)
-		return retrieveResp{
-			Status:   retrieveEnqueued,
-			RemoteCL: localCL,
-			Backoff:  dec.Backoff,
-		}, nil
+		return retrieveResult{Status: retrieveEnqueued, RemoteCL: localCL, Backoff: dec.Backoff}
 	}
-	return retrieveResp{Status: retrieveDenied, RemoteCL: localCL}, nil
+	return retrieveResult{Status: retrieveDenied, RemoteCL: localCL}
 }
 
 func (rt *Runtime) handleRelease(_ transport.NodeID, payload any) (any, error) {
@@ -289,28 +306,28 @@ func (rt *Runtime) handleRelease(_ transport.NodeID, payload any) (any, error) {
 	return releaseReq{}, nil
 }
 
-// migrateOut surrenders one object to the committing transaction tx:
-// ownership migrates to the committer, so drop the local copy (requires the
-// committer to hold the commit lock) and hand back the requester queue so
-// scheduling state travels with the object.
+// migrateOut surrenders one object to the committing transaction tx, which
+// runs on node to: ownership migrates to the committer, so drop the local
+// copy (requires the committer to hold the commit lock) and hand back the
+// requester queue so scheduling state travels with the object.
 //
 // At-least-once delivery: if tx already migrated the object away (the reply
 // was lost and the retransmission outlived the RPC dedup window), the
 // removal is done — report success. The requester queue went with the first
 // execution; an empty queue here only costs the parked requesters a backoff
 // timeout.
-func (rt *Runtime) migrateOut(oid object.ID, tx uint64) ([]sched.Request, error) {
+func (rt *Runtime) migrateOut(oid object.ID, tx uint64, to transport.NodeID) ([]sched.Request, error) {
 	if err := rt.store.Remove(oid, tx); err != nil {
 		rt.migrMu.Lock()
 		prior := rt.migrated[oid]
 		rt.migrMu.Unlock()
-		if prior == tx {
+		if prior.tx == tx {
 			return nil, nil
 		}
 		return nil, err
 	}
 	rt.migrMu.Lock()
-	rt.migrated[oid] = tx
+	rt.migrated[oid] = migration{tx: tx, to: to}
 	rt.migrMu.Unlock()
 	return rt.policy.ExtractQueue(oid), nil
 }
@@ -363,7 +380,7 @@ func (rt *Runtime) handleCommitObjectBatch(_ transport.NodeID, payload any) (any
 	}
 	resp := commitObjBatchResp{Results: make([]commitObjBatchResult, len(req.Entries))}
 	for i, e := range req.Entries {
-		queue, err := rt.migrateOut(e.Oid, req.TxID)
+		queue, err := rt.migrateOut(e.Oid, req.TxID, req.NewOwner)
 		if err != nil {
 			resp.Results[i].Err = err.Error()
 			continue

@@ -192,7 +192,7 @@ func TestRTSDeclineForwardsToNext(t *testing.T) {
 	ctxA, cancelA := context.WithCancel(ctx)
 	doneA := make(chan error, 1)
 	go func() {
-		_, err := txA.fetch(ctxA, "x", sched.Write)
+		err := txA.fetchMany(ctxA, []object.ID{"x"}, sched.Write)
 		doneA <- err
 	}()
 	waitFor(t, func() bool { return rts.QueueLen("x") == 1 })
@@ -202,7 +202,7 @@ func TestRTSDeclineForwardsToNext(t *testing.T) {
 	txB := manualTxn(tc.rts[2], 3*time.Hour, 4*time.Hour)
 	doneB := make(chan error, 1)
 	go func() {
-		_, err := txB.fetch(ctx, "x", sched.Write)
+		err := txB.fetchMany(ctx, []object.ID{"x"}, sched.Write)
 		doneB <- err
 	}()
 	waitFor(t, func() bool { return rts.QueueLen("x") == 2 })
@@ -247,7 +247,7 @@ func TestRTSReadersReleasedTogether(t *testing.T) {
 		go func(tx *Txn, i int) {
 			defer wg.Done()
 			// Park the reads one after another to keep queue order stable.
-			_, err := tx.fetch(ctx, "x", sched.Read)
+			err := tx.fetchMany(ctx, []object.ID{"x"}, sched.Read)
 			results <- err
 		}(tx, i)
 		waitFor(t, func() bool { return rts.QueueLen("x") == i+1 })

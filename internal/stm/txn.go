@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
@@ -334,11 +335,10 @@ func (tx *Txn) Read(ctx context.Context, oid object.ID) (object.Value, error) {
 	if e := tx.replicaProbe(oid); e != nil {
 		return e.val, nil
 	}
-	e, err := tx.fetch(ctx, oid, sched.Read)
-	if err != nil {
+	if err := tx.fetchMany(ctx, []object.ID{oid}, sched.Read); err != nil {
 		return nil, err
 	}
-	return e.val, nil
+	return tx.entries[oid].val, nil
 }
 
 // replicaProbe serves a read-write transaction's read from the runtime's
@@ -360,107 +360,107 @@ func (tx *Txn) replicaProbe(oid object.ID) *objEntry {
 	return e
 }
 
-// ReadMany returns the transaction's view of every oid, resolving cache
-// misses in bulk: on the MVCC snapshot path all misses are grouped by
-// owner and fetched with one KindSnapshotReadBatch round trip per owner.
-// On the ownership path it degrades to sequential Reads. Results are
-// parallel to oids.
+// ReadMany returns the transaction's view of every oid, resolving the
+// objects the chain has not accessed yet in bulk: grouped by owner and
+// fetched with one round trip per owner, all owners in parallel — a
+// KindRetrieve on the ownership path (fetchMany), a KindSnapshotReadBatch
+// on the MVCC snapshot path (snapFetchMany). Results are parallel to oids.
 func (tx *Txn) ReadMany(ctx context.Context, oids []object.ID) ([]object.Value, error) {
-	out := make([]object.Value, len(oids))
-	if !tx.readOnly() {
-		for i, oid := range oids {
-			v, err := tx.Read(ctx, oid)
-			if err != nil {
-				return nil, err
-			}
-			out[i] = v
+	ro := tx.readOnly()
+	var miss []object.ID
+	for _, oid := range oids {
+		if e, _ := tx.lookup(oid); e == nil && (ro || tx.replicaProbe(oid) == nil) {
+			miss = append(miss, oid)
 		}
-		return out, nil
 	}
+	// One request per object: sorted (the order groupByOwner keeps within
+	// each owner's batch) and without repeats.
+	sortIDs(miss)
+	miss = slices.Compact(miss)
+	var err error
+	if ro {
+		err = tx.snapFetchMany(ctx, miss)
+	} else {
+		err = tx.fetchMany(ctx, miss, sched.Read)
+	}
+	if err != nil {
+		return nil, err
+	}
+	out := make([]object.Value, len(oids))
+	for i, oid := range oids {
+		e, _ := tx.lookup(oid)
+		out[i] = e.val
+	}
+	return out, nil
+}
+
+// snapFetchMany serves a read-only transaction's bulk read at the chain's
+// pinned snapshot clock: from the local store where this node owns the
+// object, else with one KindSnapshotReadBatch per owner.
+func (tx *Txn) snapFetchMany(ctx context.Context, oids []object.ID) error {
 	rt := tx.rt
 	root := tx.root
-	// Serve what the chain and the local store already have.
-	var missIdx []int
-	for i, oid := range oids {
-		if e, _ := tx.lookup(oid); e != nil {
-			out[i] = e.val
-			continue
-		}
+	var miss []object.ID
+	for _, oid := range oids {
 		if rt.store.Owns(oid) {
 			val, ver, st := rt.store.SnapshotAt(oid, root.snap, tx.id)
 			switch st {
 			case object.SnapOK:
-				out[i] = tx.adoptSnapshot(oid, val, ver).val
+				tx.adoptSnapshot(oid, val, ver)
 				continue
 			case object.SnapRetry, object.SnapTooOld:
-				return nil, &abortError{target: root, cause: AbortSnapshot}
+				return &abortError{target: root, cause: AbortSnapshot}
 			}
 			// SnapNotOwner: ownership raced away; fall through to the RPC.
 		}
-		missIdx = append(missIdx, i)
+		miss = append(miss, oid)
 	}
-	for hop := 0; hop < maxOwnerHops && len(missIdx) > 0; hop++ {
-		missOids := make([]object.ID, len(missIdx))
-		for i, idx := range missIdx {
-			missOids[i] = oids[idx]
-		}
-		owners, _, err := rt.locator.LocateBatch(ctx, missOids)
+	for hop := 0; hop < maxOwnerHops && len(miss) > 0; hop++ {
+		owners, _, err := rt.locator.LocateBatch(ctx, miss)
 		if err != nil {
 			if errors.Is(err, cc.ErrUnknownObject) {
-				return nil, err
+				return err
 			}
-			return nil, tx.convertErr(ctx, err, AbortSnapshot)
+			return tx.convertErr(ctx, err, AbortSnapshot)
 		}
-		byOwner := make(map[transport.NodeID][]int)
-		for _, idx := range missIdx {
-			byOwner[owners[oids[idx]]] = append(byOwner[owners[oids[idx]]], idx)
-		}
-		ownerList := make([]transport.NodeID, 0, len(byOwner))
-		for o := range byOwner {
-			ownerList = append(ownerList, o)
-		}
-		sort.Slice(ownerList, func(i, j int) bool { return ownerList[i] < ownerList[j] })
-		calls := make([]cluster.Outcall, len(ownerList))
-		for i, o := range ownerList {
-			req := snapReadBatchReq{TxID: tx.id, At: root.snap, Oids: make([]object.ID, len(byOwner[o]))}
-			for j, idx := range byOwner[o] {
-				req.Oids[j] = oids[idx]
-			}
-			calls[i] = cluster.Outcall{To: o, Kind: KindSnapshotReadBatch, Payload: req}
+		groups := groupByOwner(miss, owners)
+		calls := make([]cluster.Outcall, len(groups))
+		for i, g := range groups {
+			calls[i] = cluster.Outcall{To: g.owner, Kind: KindSnapshotReadBatch,
+				Payload: snapReadBatchReq{TxID: tx.id, At: root.snap, Oids: g.oids}}
 		}
 		root.readRPCs += uint64(len(calls))
 		results := rt.ep.Broadcast(ctx, calls)
 
-		var next []int
+		var next []object.ID
 		for gi, res := range results {
-			group := byOwner[ownerList[gi]]
+			g := groups[gi]
 			if res.Err != nil {
-				return nil, tx.convertErr(ctx, res.Err, AbortSnapshot)
+				return tx.convertErr(ctx, res.Err, AbortSnapshot)
 			}
 			resp, ok := res.Body.(snapReadBatchResp)
-			if !ok || len(resp.Results) != len(group) {
-				return nil, fmt.Errorf("stm: bad snapshot read batch reply %T", res.Body)
+			if !ok || len(resp.Results) != len(g.oids) {
+				return fmt.Errorf("stm: bad snapshot read batch reply %T", res.Body)
 			}
 			for i, r := range resp.Results {
-				idx := group[i]
 				switch r.Status {
 				case snapReadOK:
-					out[idx] = tx.adoptSnapshot(oids[idx], r.Value, r.Version).val
+					tx.adoptSnapshot(g.oids[i], r.Value, r.Version)
 				case snapReadNotOwner:
-					rt.locator.InvalidateHint(oids[idx])
-					next = append(next, idx)
+					rt.locator.InvalidateHint(g.oids[i])
+					next = append(next, g.oids[i])
 				default: // retry / too-old: re-pin on the next attempt
-					return nil, &abortError{target: root, cause: AbortSnapshot}
+					return &abortError{target: root, cause: AbortSnapshot}
 				}
 			}
 		}
-		sort.Ints(next)
-		missIdx = next
+		sortIDs(next)
+		miss = next
 	}
-	if len(missIdx) > 0 {
-		return nil, &abortError{target: root, cause: AbortSnapshot}
+	if len(miss) > 0 {
+		return &abortError{target: root, cause: AbortSnapshot}
 	}
-	return out, nil
+	return nil
 }
 
 // Write buffers a new value for oid, fetching the object first if this
@@ -480,10 +480,10 @@ func (tx *Txn) Write(ctx context.Context, oid object.ID, val object.Value) error
 		tx.entries[oid] = &objEntry{val: val, ver: e.ver, dirty: true, created: e.created, inherited: true}
 		return nil
 	}
-	e, err := tx.fetch(ctx, oid, sched.Write)
-	if err != nil {
+	if err := tx.fetchMany(ctx, []object.ID{oid}, sched.Write); err != nil {
 		return err
 	}
+	e := tx.entries[oid]
 	e.val = val
 	e.dirty = true
 	return nil
@@ -533,24 +533,63 @@ func (tx *Txn) convertErr(ctx context.Context, err error, cause AbortCause) erro
 	return &abortError{target: tx.root, cause: cause}
 }
 
-// fetch implements Open_Object (Algorithm 2): locate the owner, request
-// the object with myCL and ETS attached, and either receive it, abort, or
-// park for the scheduler-assigned backoff waiting for a hand-off push.
-func (tx *Txn) fetch(ctx context.Context, oid object.ID, mode sched.Mode) (*objEntry, error) {
+// fetched is one object copy received by fetchMany, in a retrieve reply or
+// a hand-off push, with the clock its owner reported alongside.
+type fetched struct {
+	oid        object.ID
+	val        object.Value
+	ver        object.Version
+	remoteCL   int
+	ownerClock uint64
+}
+
+// fetchMany implements Open_Object (Algorithm 2) for every oid at once
+// (sorted, distinct, not yet accessed by this chain; a Read or Write passes
+// one). Each wave locates the owners and sends every owner ONE retrieve for
+// all it holds, with myCL and ETS attached, all owners in parallel. The
+// owner decides per object: a copy is kept; a denial aborts the root; an
+// enqueued object is parked — once the waves are done — for its
+// scheduler-assigned backoff, waiting for a hand-off push; an object the
+// node no longer owns re-enters the next wave, hop-bounded. All copies are
+// then adopted under one transactional-forwarding step (adoptFetched).
+func (tx *Txn) fetchMany(ctx context.Context, oids []object.ID, mode sched.Mode) error {
+	if len(oids) == 0 {
+		return nil
+	}
 	rt := tx.rt
 	root := tx.root
-	rt.metrics.retrieves.Add(1)
-	rt.tracer.Emit(trace.Event{Type: trace.EvRetrieve, Tx: tx.id, Oid: oid, Detail: mode.String()})
+	for _, oid := range oids {
+		rt.tracer.Emit(trace.Event{Type: trace.EvRetrieve, Tx: tx.id, Oid: oid, Detail: mode.String()})
+	}
+	// A waiter still registered when the call returns is abandoned: the
+	// push that comes for it later is declined.
+	defer func() {
+		for _, oid := range oids {
+			rt.deregisterWaiter(tx.id, oid)
+		}
+	}()
 
-	for hop := 0; hop < maxOwnerHops; hop++ {
-		owner, err := rt.locator.Locate(ctx, oid)
+	type park struct {
+		oid     object.ID
+		ch      chan pushMsg
+		backoff time.Duration
+		until   time.Time
+	}
+	var (
+		got    []fetched
+		parked []park
+	)
+	myCL := tx.myCL()
+	pending := oids
+	for hop := 0; hop < maxOwnerHops && len(pending) > 0; hop++ {
+		owners, _, err := rt.locator.LocateBatch(ctx, pending)
 		if err != nil {
 			if errors.Is(err, cc.ErrUnknownObject) {
-				return nil, err // application-level error, not retryable
+				return err // application-level error, not retryable
 			}
 			// A lookup lost to the network is transient: abort and retry
 			// rather than failing the whole Atomic call.
-			return nil, tx.convertErr(ctx, err, AbortDenied)
+			return tx.convertErr(ctx, err, AbortDenied)
 		}
 
 		elapsed := time.Since(root.began)
@@ -561,100 +600,134 @@ func (tx *Txn) fetch(ctx context.Context, oid object.ID, mode sched.Mode) (*objE
 				remain = 50 * time.Microsecond
 			}
 		}
-
-		// Register the waiter before the request so a hand-off push can
+		// Register the waiters before the requests so a hand-off push can
 		// never race past us.
+		chans := make([]chan pushMsg, len(pending))
+		for i, oid := range pending {
+			chans[i] = rt.registerWaiter(tx.id, oid)
+		}
+		groups := groupByOwner(pending, owners)
+		calls := make([]cluster.Outcall, len(groups))
+		for i, g := range groups {
+			calls[i] = cluster.Outcall{To: g.owner, Kind: KindRetrieve, Payload: retrieveReq{
+				TxID: tx.id, Mode: mode, MyCL: myCL, Elapsed: elapsed, Remain: remain, Oids: g.oids,
+			}}
+		}
+		rt.metrics.retrieves.Add(uint64(len(calls)))
 		if mode == sched.Read {
-			root.readRPCs++
+			root.readRPCs += uint64(len(calls))
 		}
-		ch := rt.registerWaiter(tx.id, oid)
-		body, err := rt.ep.Call(ctx, owner, KindRetrieve, retrieveReq{
-			Oid:     oid,
-			TxID:    tx.id,
-			Mode:    mode,
-			MyCL:    tx.myCL(),
-			Elapsed: elapsed,
-			Remain:  remain,
-		})
-		if err != nil {
-			rt.deregisterWaiter(tx.id, oid)
-			return nil, tx.convertErr(ctx, err, AbortDenied)
+		results := rt.ep.Broadcast(ctx, calls)
+
+		var next []object.ID
+		for gi, res := range results {
+			g := groups[gi]
+			if res.Err != nil {
+				return tx.convertErr(ctx, res.Err, AbortDenied)
+			}
+			resp, ok := res.Body.(retrieveResp)
+			if !ok || len(resp.Results) != len(g.oids) {
+				return fmt.Errorf("stm: bad retrieve reply %T", res.Body)
+			}
+			for i := range resp.Results {
+				r, oid := &resp.Results[i], g.oids[i]
+				switch r.Status {
+				case retrieveOK:
+					rt.deregisterWaiter(tx.id, oid)
+					got = append(got, fetched{oid, r.Value, r.Version, r.RemoteCL, resp.OwnerClock})
+				case retrieveDenied:
+					return &abortError{target: root, cause: AbortDenied}
+				case retrieveEnqueued:
+					if r.Backoff <= 0 {
+						return &abortError{target: root, cause: AbortDenied}
+					}
+					ch := chans[slices.Index(pending, oid)]
+					parked = append(parked, park{oid, ch, r.Backoff, time.Now().Add(r.Backoff)})
+				case retrieveMoved:
+					// A stale owner hint, and the node knows where the object
+					// went: try there next, without a directory round trip.
+					rt.deregisterWaiter(tx.id, oid)
+					rt.locator.NoteOwner(oid, r.MovedTo)
+					next = append(next, oid)
+				case retrieveNotOwner:
+					rt.deregisterWaiter(tx.id, oid)
+					rt.locator.InvalidateHint(oid)
+					next = append(next, oid)
+				default:
+					return fmt.Errorf("stm: unknown retrieve status %d", r.Status)
+				}
+			}
 		}
-		resp, ok := body.(retrieveResp)
-		if !ok {
-			rt.deregisterWaiter(tx.id, oid)
-			return nil, fmt.Errorf("stm: bad retrieve reply %T", body)
-		}
+		sortIDs(next)
+		pending = next
+	}
+	if len(pending) > 0 {
+		// The objects moved more times than we are willing to chase.
+		return &abortError{target: root, cause: AbortDenied}
+	}
 
-		switch resp.Status {
-		case retrieveOK:
-			rt.deregisterWaiter(tx.id, oid)
-			return tx.adoptFetched(ctx, oid, resp.Value, resp.Version, resp.RemoteCL, resp.OwnerClock, owner)
-
-		case retrieveNotOwner:
-			rt.deregisterWaiter(tx.id, oid)
-			if _, err := rt.locator.Relocate(ctx, oid); err != nil {
-				return nil, tx.convertErr(ctx, err, AbortDenied)
-			}
-			continue
-
-		case retrieveDenied:
-			rt.deregisterWaiter(tx.id, oid)
-			return nil, &abortError{target: root, cause: AbortDenied}
-
-		case retrieveEnqueued:
-			if resp.Backoff <= 0 {
-				rt.deregisterWaiter(tx.id, oid)
-				return nil, &abortError{target: root, cause: AbortDenied}
-			}
-			// Park events are emitted here, at consumption, so they are
-			// strictly ordered within the transaction's goroutine (a push
-			// can never appear to resolve a park that has not begun).
-			rt.tracer.Emit(trace.Event{Type: trace.EvPark, Tx: tx.id, Oid: oid, A: uint64(resp.Backoff)})
-			timer := time.NewTimer(resp.Backoff)
-			select {
-			case msg := <-ch:
-				timer.Stop()
-				rt.deregisterWaiter(tx.id, oid)
-				rt.tracer.Emit(trace.Event{Type: trace.EvPushRecv, Tx: tx.id, Oid: oid})
-				rt.locator.NoteOwner(oid, msg.Owner)
-				return tx.adoptFetched(ctx, oid, msg.Value, msg.Version, msg.RemoteCL, msg.OwnerClock, msg.Owner)
-			case <-timer.C:
-				// Backoff expired before the object arrived: the parent
-				// aborts, losing its committed children (paper §IV-B).
-				rt.deregisterWaiter(tx.id, oid)
-				rt.tracer.Emit(trace.Event{Type: trace.EvParkTimeout, Tx: tx.id, Oid: oid})
-				return nil, &abortError{target: root, cause: AbortQueueTimeout}
-			case <-ctx.Done():
-				timer.Stop()
-				rt.deregisterWaiter(tx.id, oid)
-				rt.tracer.Emit(trace.Event{Type: trace.EvParkCancel, Tx: tx.id, Oid: oid})
-				return nil, ctx.Err()
-			}
-
-		default:
-			rt.deregisterWaiter(tx.id, oid)
-			return nil, fmt.Errorf("stm: unknown retrieve status %d", resp.Status)
+	// Park events are emitted here, at consumption, so they are strictly
+	// ordered within the transaction's goroutine (a push can never appear
+	// to resolve a park that has not begun).
+	for _, p := range parked {
+		rt.tracer.Emit(trace.Event{Type: trace.EvPark, Tx: tx.id, Oid: p.oid, A: uint64(p.backoff)})
+		timer := time.NewTimer(time.Until(p.until))
+		select {
+		case msg := <-p.ch:
+			timer.Stop()
+			rt.deregisterWaiter(tx.id, p.oid)
+			rt.tracer.Emit(trace.Event{Type: trace.EvPushRecv, Tx: tx.id, Oid: p.oid})
+			rt.locator.NoteOwner(p.oid, msg.Owner)
+			got = append(got, fetched{p.oid, msg.Value, msg.Version, msg.RemoteCL, msg.OwnerClock})
+		case <-timer.C:
+			// Backoff expired before the object arrived: the parent
+			// aborts, losing its committed children (paper §IV-B).
+			rt.tracer.Emit(trace.Event{Type: trace.EvParkTimeout, Tx: tx.id, Oid: p.oid})
+			return &abortError{target: root, cause: AbortQueueTimeout}
+		case <-ctx.Done():
+			timer.Stop()
+			rt.tracer.Emit(trace.Event{Type: trace.EvParkCancel, Tx: tx.id, Oid: p.oid})
+			return ctx.Err()
 		}
 	}
-	return nil, &abortError{target: root, cause: AbortDenied}
+	return tx.adoptFetched(ctx, got)
 }
 
-// adoptFetched records a received object copy at this nesting level after
-// the transactional-forwarding check.
-func (tx *Txn) adoptFetched(ctx context.Context, oid object.ID, val object.Value, ver object.Version,
-	remoteCL int, ownerClock uint64, _ any) (*objEntry, error) {
-	if err := tx.forward(ctx, ownerClock); err != nil {
-		return nil, err
+// adoptFetched records the copies one fetchMany received at this nesting
+// level, under a single transactional-forwarding step to the largest owner
+// clock among them. A copy whose owner reported that clock is current as of
+// it and joins after the step; a copy from an owner that reported less
+// joins before, so the step revalidates it together with the chain — which
+// also carries this node's (merged) clock to that owner, keeping every
+// owner the transaction has read from at or above its start clock.
+func (tx *Txn) adoptFetched(ctx context.Context, got []fetched) error {
+	var maxClock uint64
+	for i := range got {
+		maxClock = max(maxClock, got[i].ownerClock)
 	}
-	tx.rt.tracer.Emit(trace.Event{Type: trace.EvRetrieveOK, Tx: tx.id, Oid: oid, A: ver.Clock})
-	if rc := tx.rt.replica; rc != nil {
-		rc.put(oid, val.Copy(), ver)
+	record := func(f *fetched) {
+		tx.rt.tracer.Emit(trace.Event{Type: trace.EvRetrieveOK, Tx: tx.id, Oid: f.oid, A: f.ver.Clock})
+		if rc := tx.rt.replica; rc != nil {
+			rc.put(f.oid, f.val.Copy(), f.ver)
+		}
+		tx.entries[f.oid] = &objEntry{val: f.val, ver: f.ver}
+		tx.clSum += f.remoteCL
 	}
-	e := &objEntry{val: val, ver: ver}
-	tx.entries[oid] = e
-	tx.clSum += remoteCL
-	return e, nil
+	current := got[:0]
+	for i := range got {
+		if got[i].ownerClock < maxClock {
+			record(&got[i])
+		} else {
+			current = append(current, got[i])
+		}
+	}
+	if err := tx.forward(ctx, maxClock); err != nil {
+		return err
+	}
+	for i := range current {
+		record(&current[i])
+	}
+	return nil
 }
 
 // snapFetch serves a read-only transaction's read at the chain's pinned

@@ -17,12 +17,11 @@ import (
 
 // Wire type IDs 10–39 are reserved for STM payloads (the band was 10–29
 // until the snapshot-read payloads consumed its tail). They are a static
-// protocol: never renumber, only append. IDs 12–15, 17 and 18 (payloads of
-// the retired per-object check/acquire/commit RPCs) are reserved: never
-// reuse them, or a frame from an old peer would mis-decode into a live type.
+// protocol: never renumber, only append. IDs 10–15, 17 and 18 (payloads of
+// the retired per-object retrieve/check/acquire/commit RPCs) are reserved:
+// never reuse them, or a frame from an old peer would mis-decode into a
+// live type.
 const (
-	wireIDRetrieveReq        wire.ID = 10
-	wireIDRetrieveResp       wire.ID = 11
 	wireIDReleaseReq         wire.ID = 16
 	wireIDPushMsg            wire.ID = 19
 	wireIDDeclineMsg         wire.ID = 20
@@ -36,6 +35,8 @@ const (
 	wireIDSnapReadResp       wire.ID = 28
 	wireIDSnapReadBatchReq   wire.ID = 29
 	wireIDSnapReadBatchResp  wire.ID = 30
+	wireIDRetrieveReq        wire.ID = 31
+	wireIDRetrieveResp       wire.ID = 32
 )
 
 // grow returns s resized to n elements, reusing its backing array when
@@ -54,6 +55,22 @@ func appendVersion(b []byte, v object.Version) []byte {
 
 func readVersion(r *wire.Reader) object.Version {
 	return object.Version{Clock: r.Uvarint(), Node: int32(r.Varint())}
+}
+
+func appendOids(b []byte, oids []object.ID) []byte {
+	b = wire.AppendUvarint(b, uint64(len(oids)))
+	for _, oid := range oids {
+		b = wire.AppendString(b, string(oid))
+	}
+	return b
+}
+
+func readOids(r *wire.Reader, prev []object.ID) []object.ID {
+	oids := grow(prev, r.SliceLen(1))
+	for i := range oids {
+		oids[i] = object.ID(r.String())
+	}
+	return oids
 }
 
 // readValue decodes an object value, reusing prev when the concrete type
@@ -116,58 +133,62 @@ func readSchedQueue(r *wire.Reader, prev []sched.Request) []sched.Request {
 // decoders are pointer-receiver and overwrite in place.
 
 func (q retrieveReq) appendWire(b []byte) []byte {
-	b = wire.AppendString(b, string(q.Oid))
 	b = wire.AppendUvarint(b, q.TxID)
 	b = wire.AppendUvarint(b, uint64(q.Mode))
 	b = wire.AppendVarint(b, int64(q.MyCL))
 	b = wire.AppendVarint(b, int64(q.Elapsed))
-	return wire.AppendVarint(b, int64(q.Remain))
+	b = wire.AppendVarint(b, int64(q.Remain))
+	return appendOids(b, q.Oids)
 }
 
 func (q *retrieveReq) decodeWire(r *wire.Reader) {
-	q.Oid = object.ID(r.String())
 	q.TxID = r.Uvarint()
 	q.Mode = sched.Mode(r.Uvarint())
 	q.MyCL = int(r.Varint())
 	q.Elapsed = time.Duration(r.Varint())
 	q.Remain = time.Duration(r.Varint())
+	q.Oids = readOids(r, q.Oids)
 }
 
 func (q retrieveResp) appendWire(b []byte) ([]byte, error) {
-	b = wire.AppendUvarint(b, uint64(q.Status))
-	b, err := wire.AppendAny(b, q.Value)
-	if err != nil {
-		return b, err
+	b = wire.AppendUvarint(b, uint64(len(q.Results)))
+	for i := range q.Results {
+		res := &q.Results[i]
+		b = wire.AppendUvarint(b, uint64(res.Status))
+		var err error
+		b, err = wire.AppendAny(b, res.Value)
+		if err != nil {
+			return b, err
+		}
+		b = appendVersion(b, res.Version)
+		b = wire.AppendVarint(b, int64(res.RemoteCL))
+		b = wire.AppendVarint(b, int64(res.Backoff))
+		b = wire.AppendVarint(b, int64(res.MovedTo))
 	}
-	b = appendVersion(b, q.Version)
-	b = wire.AppendVarint(b, int64(q.RemoteCL))
-	b = wire.AppendVarint(b, int64(q.Backoff))
 	return wire.AppendUvarint(b, q.OwnerClock), nil
 }
 
 func (q *retrieveResp) decodeWire(r *wire.Reader) {
-	q.Status = retrieveStatus(r.Uvarint())
-	q.Value = readValue(r, q.Value)
-	q.Version = readVersion(r)
-	q.RemoteCL = int(r.Varint())
-	q.Backoff = time.Duration(r.Varint())
+	q.Results = grow(q.Results, r.SliceLen(7))
+	for i := range q.Results {
+		res := &q.Results[i]
+		res.Status = retrieveStatus(r.Uvarint())
+		res.Value = readValue(r, res.Value)
+		res.Version = readVersion(r)
+		res.RemoteCL = int(r.Varint())
+		res.Backoff = time.Duration(r.Varint())
+		res.MovedTo = transport.NodeID(r.Varint())
+	}
 	q.OwnerClock = r.Uvarint()
 }
 
 func (q releaseReq) appendWire(b []byte) []byte {
-	b = wire.AppendUvarint(b, uint64(len(q.Oids)))
-	for _, oid := range q.Oids {
-		b = wire.AppendString(b, string(oid))
-	}
+	b = appendOids(b, q.Oids)
 	return wire.AppendUvarint(b, q.TxID)
 }
 
 func (q *releaseReq) decodeWire(r *wire.Reader) {
-	n := r.SliceLen(1)
-	q.Oids = grow(q.Oids, n)
-	for i := range q.Oids {
-		q.Oids[i] = object.ID(r.String())
-	}
+	q.Oids = readOids(r, q.Oids)
 	q.TxID = r.Uvarint()
 }
 
@@ -357,21 +378,13 @@ func (q *snapReadResp) decodeWire(r *wire.Reader) {
 func (q snapReadBatchReq) appendWire(b []byte) []byte {
 	b = wire.AppendUvarint(b, q.TxID)
 	b = wire.AppendUvarint(b, q.At)
-	b = wire.AppendUvarint(b, uint64(len(q.Oids)))
-	for _, oid := range q.Oids {
-		b = wire.AppendString(b, string(oid))
-	}
-	return b
+	return appendOids(b, q.Oids)
 }
 
 func (q *snapReadBatchReq) decodeWire(r *wire.Reader) {
 	q.TxID = r.Uvarint()
 	q.At = r.Uvarint()
-	n := r.SliceLen(1)
-	q.Oids = grow(q.Oids, n)
-	for i := range q.Oids {
-		q.Oids[i] = object.ID(r.String())
-	}
+	q.Oids = readOids(r, q.Oids)
 }
 
 func (q snapReadBatchResp) appendWire(b []byte) ([]byte, error) {

@@ -47,10 +47,16 @@ func wireBenchCases() []struct {
 	oids := benchOids(8)
 	ver := object.Version{Clock: 41, Node: 3}
 
-	retReq := retrieveReq{Oid: oids[0], TxID: 77, Mode: sched.Write, MyCL: 2,
-		Elapsed: 120 * time.Microsecond, Remain: 340 * time.Microsecond}
-	retResp := retrieveResp{Status: retrieveOK, Value: &benchVal{N: 1000},
-		Version: ver, RemoteCL: 3, OwnerClock: 42}
+	// A four-account audit's retrieve to one owner, and its reply: three
+	// copies and one object that has moved on.
+	retReq := retrieveReq{TxID: 77, Mode: sched.Read, MyCL: 2,
+		Elapsed: 120 * time.Microsecond, Remain: 340 * time.Microsecond, Oids: oids[:4]}
+	retResp := retrieveResp{OwnerClock: 42, Results: []retrieveResult{
+		{Status: retrieveOK, Value: &benchVal{N: 1000}, Version: ver, RemoteCL: 3},
+		{Status: retrieveOK, Value: &benchVal{N: 993}, Version: ver, RemoteCL: 1},
+		{Status: retrieveMoved, MovedTo: 2},
+		{Status: retrieveOK, Value: &benchVal{N: 1007}, Version: ver},
+	}}
 
 	acq := acquireBatchReq{TxID: 77}
 	chk := checkBatchReq{TxID: 77}

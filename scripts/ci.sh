@@ -11,9 +11,10 @@
 #          zero-allocation wire-codec gate, the open-loop stability
 #          smoke, the repo benchmark in smoke mode (`go run ./bench
 #          -quick`, JSON to $TMPDIR/ci_bench_quick.json: fails unless its
-#          output checks pass and the trace oracle is clean on every
-#          workload), and a 3-process dstmnode open-loop bank smoke over
-#          real TCP. Writes nothing under results/.
+#          output checks pass, the trace oracle is clean and
+#          cluster.other_msgs_per_op is 0 on every workload), and a
+#          3-process dstmnode open-loop bank smoke over real TCP. Writes
+#          nothing under results/.
 #   fuzz   every fuzz target for CI_FUZZTIME each (differential
 #          gob <-> binary oracles included)
 #   all    all of the above, in that order (default)
@@ -84,17 +85,26 @@ stage_perf() {
     # Repo benchmark, smoke mode: all five open-loop workloads with 3 s
     # windows (about a minute on two cores). Exit 0 means every workload's
     # output check held (conservation, no orphaned or multiply-owned
-    # object); the oracle verdict is only reported in the JSON, so check it.
+    # object); the oracle verdict and the per-kind message budget are only
+    # reported in the JSON, so check them: the trace oracle must be clean,
+    # and no message may fall outside the benchmark's per-kind table
+    # (cluster.other_msgs_per_op = 0) — the guard that a protocol change
+    # did not introduce a kind the budget cannot attribute.
     quick="${TMPDIR:-/tmp}/ci_bench_quick.json"
     echo "== bench -quick ($quick)"
     go run ./bench -quick -out "$quick"
     awk '
         /"fabric":/ { workloads++ }
-        /"trace.oracle_ok":/ { oracle = 1; next }
-        oracle && /"value":/ { oracle = 0; if ($2 + 0 == 1) clean++ }
+        /"trace.oracle_ok":/ { want = "oracle"; next }
+        /"cluster.other_msgs_per_op":/ { want = "other"; next }
+        want != "" && /"value":/ {
+            if (want == "oracle" && $2 + 0 == 1) clean++
+            if (want == "other" && $2 + 0 == 0) known++
+            want = ""
+        }
         END {
-            printf "== trace.oracle_ok = 1 on %d of %d workloads\n", clean, workloads
-            exit !(workloads > 0 && clean == workloads)
+            printf "== trace.oracle_ok = 1 on %d, cluster.other_msgs_per_op = 0 on %d of %d workloads\n", clean, known, workloads
+            exit !(workloads > 0 && clean == workloads && known == workloads)
         }' "$quick"
 
     # Multi-process smoke: a real 3-process cluster over loopback TCP,
