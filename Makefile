@@ -2,7 +2,7 @@ GO ?= go
 FUZZTIME ?= 3s
 COV_FLOOR ?= 70
 
-.PHONY: all build vet test cover race fuzz perf bench bench-stability verify clean
+.PHONY: all build vet loc test cover race fuzz perf bench bench-stability verify clean
 
 all: verify
 
@@ -11,6 +11,11 @@ build:
 
 vet:
 	$(GO) vet ./...
+
+# loc prints the ROADMAP aim-2 figure: lines of non-test Go outside bench/.
+# The command lives in scripts/ci.sh, whose vet stage prints it too.
+loc:
+	@./scripts/ci.sh loc
 
 test:
 	$(GO) test ./...

@@ -132,9 +132,6 @@ func (b *Bank) batchTransfer(ctx context.Context, rt *stm.Runtime, rng *rand.Ran
 }
 
 // audit is the read transaction: sum a window of accounts in one bulk read.
-// AtomicRead routes it onto the MVCC snapshot path when the runtime's
-// read-only-reads knob is on (one snapshot-read batch per owner, no locks)
-// and onto the ownership protocol otherwise.
 func (b *Bank) audit(ctx context.Context, rt *stm.Runtime, rng *rand.Rand) error {
 	start := b.pick(rng, b.accounts)
 	span := b.opts.AuditSpan
@@ -142,7 +139,7 @@ func (b *Bank) audit(ctx context.Context, rt *stm.Runtime, rng *rand.Rand) error
 	for i := range oids {
 		oids[i] = AccountID((start + i) % b.accounts)
 	}
-	return rt.AtomicRead(ctx, "bank/audit", func(tx *stm.Txn) error {
+	return rt.Atomic(ctx, "bank/audit", func(tx *stm.Txn) error {
 		vals, err := tx.ReadMany(ctx, oids)
 		if err != nil {
 			return err
@@ -163,7 +160,7 @@ func (b *Bank) TotalBalance(ctx context.Context, rt *stm.Runtime) (int64, error)
 		oids[i] = AccountID(i)
 	}
 	var total int64
-	err := rt.AtomicRead(ctx, "bank/total", func(tx *stm.Txn) error {
+	err := rt.Atomic(ctx, "bank/total", func(tx *stm.Txn) error {
 		vals, err := tx.ReadMany(ctx, oids)
 		if err != nil {
 			return err

@@ -117,7 +117,7 @@ func (b *BST) Op(ctx context.Context, rt *stm.Runtime, rng *rand.Rand, read bool
 		vals[i] = int64(b.pick(rng, b.opts.KeyRange))
 	}
 	if read {
-		return rt.AtomicRead(ctx, "bst/contains", func(tx *stm.Txn) error {
+		return rt.Atomic(ctx, "bst/contains", func(tx *stm.Txn) error {
 			for _, v := range vals {
 				val := v
 				if err := tx.Atomic(ctx, "bst/contains/one", func(c *stm.Txn) error {
@@ -262,7 +262,7 @@ func (b *BST) Remove(ctx context.Context, rt *stm.Runtime, v int64) (bool, error
 // Contains reports membership of v.
 func (b *BST) Contains(ctx context.Context, rt *stm.Runtime, v int64) (bool, error) {
 	var found bool
-	err := rt.AtomicRead(ctx, "bst/contains", func(tx *stm.Txn) error {
+	err := rt.Atomic(ctx, "bst/contains", func(tx *stm.Txn) error {
 		var err error
 		found, err = b.containsIn(ctx, tx, v)
 		return err
@@ -273,7 +273,7 @@ func (b *BST) Contains(ctx context.Context, rt *stm.Runtime, v int64) (bool, err
 // Snapshot returns the live (non-tombstoned) elements in sorted order.
 func (b *BST) Snapshot(ctx context.Context, rt *stm.Runtime) ([]int64, error) {
 	var out []int64
-	err := rt.AtomicRead(ctx, "bst/snapshot", func(tx *stm.Txn) error {
+	err := rt.Atomic(ctx, "bst/snapshot", func(tx *stm.Txn) error {
 		out = out[:0]
 		rv, err := tx.Read(ctx, b.root)
 		if err != nil {

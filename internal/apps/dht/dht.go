@@ -128,7 +128,7 @@ func (d *DHT) puts(ctx context.Context, rt *stm.Runtime, keys []string, val stri
 
 // gets looks each key up inside its own nested transaction.
 func (d *DHT) gets(ctx context.Context, rt *stm.Runtime, keys []string) error {
-	return rt.AtomicRead(ctx, "dht/get", func(tx *stm.Txn) error {
+	return rt.Atomic(ctx, "dht/get", func(tx *stm.Txn) error {
 		for _, k := range keys {
 			oid := d.bucketOf(k)
 			key := k
@@ -156,7 +156,7 @@ func (d *DHT) Put(ctx context.Context, rt *stm.Runtime, key, val string) error {
 func (d *DHT) Get(ctx context.Context, rt *stm.Runtime, key string) (string, bool, error) {
 	var out string
 	var ok bool
-	err := rt.AtomicRead(ctx, "dht/get", func(tx *stm.Txn) error {
+	err := rt.Atomic(ctx, "dht/get", func(tx *stm.Txn) error {
 		v, err := tx.Read(ctx, d.bucketOf(key))
 		if err != nil {
 			return err
@@ -170,7 +170,7 @@ func (d *DHT) Get(ctx context.Context, rt *stm.Runtime, key string) (string, boo
 // Len counts stored keys across all buckets in one transaction.
 func (d *DHT) Len(ctx context.Context, rt *stm.Runtime) (int, error) {
 	total := 0
-	err := rt.AtomicRead(ctx, "dht/len", func(tx *stm.Txn) error {
+	err := rt.Atomic(ctx, "dht/len", func(tx *stm.Txn) error {
 		total = 0
 		for i := 0; i < d.buckets; i++ {
 			v, err := tx.Read(ctx, BucketID(i))
@@ -187,7 +187,7 @@ func (d *DHT) Len(ctx context.Context, rt *stm.Runtime) (int, error) {
 // Check implements apps.Benchmark: every stored key hashes to the bucket
 // holding it.
 func (d *DHT) Check(ctx context.Context, rt *stm.Runtime) error {
-	return rt.AtomicRead(ctx, "dht/check", func(tx *stm.Txn) error {
+	return rt.Atomic(ctx, "dht/check", func(tx *stm.Txn) error {
 		for i := 0; i < d.buckets; i++ {
 			v, err := tx.Read(ctx, BucketID(i))
 			if err != nil {

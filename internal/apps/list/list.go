@@ -109,7 +109,7 @@ func (l *List) Op(ctx context.Context, rt *stm.Runtime, rng *rand.Rand, read boo
 		vals[i] = int64(l.pick(rng, l.opts.KeyRange))
 	}
 	if read {
-		return rt.AtomicRead(ctx, "ll/contains", func(tx *stm.Txn) error {
+		return rt.Atomic(ctx, "ll/contains", func(tx *stm.Txn) error {
 			for _, v := range vals {
 				val := v
 				if err := tx.Atomic(ctx, "ll/contains/one", func(c *stm.Txn) error {
@@ -237,7 +237,7 @@ func (l *List) Remove(ctx context.Context, rt *stm.Runtime, v int64) (bool, erro
 // Contains reports membership of v.
 func (l *List) Contains(ctx context.Context, rt *stm.Runtime, v int64) (bool, error) {
 	var found bool
-	err := rt.AtomicRead(ctx, "ll/contains", func(tx *stm.Txn) error {
+	err := rt.Atomic(ctx, "ll/contains", func(tx *stm.Txn) error {
 		var err error
 		found, err = l.containsIn(ctx, tx, v)
 		return err
@@ -248,7 +248,7 @@ func (l *List) Contains(ctx context.Context, rt *stm.Runtime, v int64) (bool, er
 // Snapshot returns the list's elements in order, in one transaction.
 func (l *List) Snapshot(ctx context.Context, rt *stm.Runtime) ([]int64, error) {
 	var out []int64
-	err := rt.AtomicRead(ctx, "ll/snapshot", func(tx *stm.Txn) error {
+	err := rt.Atomic(ctx, "ll/snapshot", func(tx *stm.Txn) error {
 		out = out[:0]
 		hv, err := tx.Read(ctx, l.head)
 		if err != nil {

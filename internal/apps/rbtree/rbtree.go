@@ -121,7 +121,7 @@ func (t *RBTree) Op(ctx context.Context, rt *stm.Runtime, rng *rand.Rand, read b
 		vals[i] = int64(t.pick(rng, t.opts.KeyRange))
 	}
 	if read {
-		return rt.AtomicRead(ctx, "rb/contains", func(tx *stm.Txn) error {
+		return rt.Atomic(ctx, "rb/contains", func(tx *stm.Txn) error {
 			for _, v := range vals {
 				val := v
 				if err := tx.Atomic(ctx, "rb/contains/one", func(c *stm.Txn) error {
@@ -524,7 +524,7 @@ func (t *RBTree) Remove(ctx context.Context, rt *stm.Runtime, v int64) (bool, er
 // Contains reports membership of v.
 func (t *RBTree) Contains(ctx context.Context, rt *stm.Runtime, v int64) (bool, error) {
 	var found bool
-	err := rt.AtomicRead(ctx, "rb/contains", func(tx *stm.Txn) error {
+	err := rt.Atomic(ctx, "rb/contains", func(tx *stm.Txn) error {
 		var err error
 		found, err = t.containsIn(ctx, tx, v)
 		return err
@@ -535,7 +535,7 @@ func (t *RBTree) Contains(ctx context.Context, rt *stm.Runtime, v int64) (bool, 
 // Snapshot returns the live elements in sorted order.
 func (t *RBTree) Snapshot(ctx context.Context, rt *stm.Runtime) ([]int64, error) {
 	var out []int64
-	err := rt.AtomicRead(ctx, "rb/snapshot", func(tx *stm.Txn) error {
+	err := rt.Atomic(ctx, "rb/snapshot", func(tx *stm.Txn) error {
 		out = out[:0]
 		rv, err := tx.Read(ctx, t.root)
 		if err != nil {
@@ -568,7 +568,7 @@ func (t *RBTree) inorder(ctx context.Context, tx *stm.Txn, id object.ID, out *[]
 // invariants — the root is black, no red node has a red child, and every
 // root-to-leaf path crosses the same number of black nodes.
 func (t *RBTree) Check(ctx context.Context, rt *stm.Runtime) error {
-	return rt.AtomicRead(ctx, "rb/check", func(tx *stm.Txn) error {
+	return rt.Atomic(ctx, "rb/check", func(tx *stm.Txn) error {
 		rv, err := tx.Read(ctx, t.root)
 		if err != nil {
 			return err

@@ -313,13 +313,12 @@ func (v *Vacation) updateTables(ctx context.Context, rt *stm.Runtime, rng *rand.
 
 // query reads a customer's itinerary and a window of inventory entries.
 // The kind is drawn through the key picker so skewed cells query the same
-// (kind, index) hot set the writers mutate (see updateTables), and the whole
-// transaction rides the MVCC snapshot path when read-only reads are on.
+// (kind, index) hot set the writers mutate (see updateTables).
 func (v *Vacation) query(ctx context.Context, rt *stm.Runtime, rng *rand.Rand) error {
 	cust := v.pick(rng, v.customers)
 	kind := Kind(v.pick(rng, int(numKinds)))
 	off := v.pick(rng, v.resources)
-	return rt.AtomicRead(ctx, "vac/query", func(tx *stm.Txn) error {
+	return rt.Atomic(ctx, "vac/query", func(tx *stm.Txn) error {
 		if err := tx.Atomic(ctx, "vac/query/cust", func(c *stm.Txn) error {
 			_, err := c.Read(ctx, CustomerID(cust))
 			return err

@@ -115,18 +115,6 @@ type Config struct {
 	// PerTryTimeout so retransmissions track the (scaled) link delays.
 	CallRetry cluster.RetryPolicy
 
-	// ROReads routes the benchmarks' read-only transactions (AtomicRead)
-	// onto the MVCC snapshot path: no locks, no validation round, no
-	// scheduler entry, one snapshot-read RPC per remote owner. Off keeps
-	// the pre-MVCC behaviour where AtomicRead is a plain ownership-protocol
-	// transaction.
-	ROReads bool
-
-	// ReplicaLease, when positive, enables the requester-side replica cache
-	// for read-write transactions with the given lease: remote reads serve
-	// from the cache and are version-validated at commit.
-	ReplicaLease time.Duration
-
 	// KeySampler replaces the benchmark's uniform key draws (Zipfian skew,
 	// hot-key storms — see internal/workload). nil keeps the benchmark's
 	// default uniform distribution.
@@ -376,12 +364,6 @@ func newCell(cfg Config) (*cell, error) {
 		}
 		if cfg.FlatNesting {
 			c.rts[i].SetNesting(stm.FlatNesting)
-		}
-		if cfg.ROReads {
-			c.rts[i].SetReadOnlyReads(true)
-		}
-		if cfg.ReplicaLease > 0 {
-			c.rts[i].EnableReplicaCache(cfg.ReplicaLease)
 		}
 		if cfg.LockLease > 0 {
 			c.reaperStops = append(c.reaperStops, c.rts[i].StartLeaseExpiry(cfg.LockLease))

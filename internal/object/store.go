@@ -15,11 +15,9 @@ import (
 // keep flowing on other shards.
 const storeShards = 16
 
-// TraceFn is the store's debug callback type; see Store.SetTrace. a and b
-// carry op-specific payloads: the installed version clock for "install" and
-// "commit", and the (requested, served) snapshot clocks for "snap-read" /
-// "snap-advance". All other ops pass zeros.
-type TraceFn func(op string, id ID, tx, a, b uint64)
+// TraceFn is the store's debug callback type; see Store.SetTrace. a carries
+// the installed version clock for "install" and "commit", zero otherwise.
+type TraceFn func(op string, id ID, tx, a uint64)
 
 // Store holds the authoritative copies of the objects currently owned by
 // one node, together with per-object commit-lock state. All methods are
@@ -36,9 +34,8 @@ type TraceFn func(op string, id ID, tx, a, b uint64)
 // concurrent batches cannot deadlock — to apply a whole batch as one
 // atomic step.
 type Store struct {
-	shards     [storeShards]shard
-	trace      atomic.Pointer[TraceFn]
-	chainLimit atomic.Int32
+	shards [storeShards]shard
+	trace  atomic.Pointer[TraceFn]
 }
 
 type shard struct {
@@ -53,8 +50,7 @@ func (s *Store) shardOf(id ID) *shard {
 // SetTrace installs a debug callback invoked (under the owning shard's
 // lock) for every lock-state transition: "lock-ok", "lock-busy",
 // "lock-stale", "lock-refused", "lock-expired", "unlock", "unlock-miss",
-// "remove", "commit", "install", "install-locked" — and for every served
-// snapshot read: "snap-read", "snap-advance". Pass nil to disable.
+// "remove", "commit", "install", "install-locked". Pass nil to disable.
 // Intended for tests and debugging.
 func (s *Store) SetTrace(f TraceFn) {
 	if f == nil {
@@ -64,9 +60,9 @@ func (s *Store) SetTrace(f TraceFn) {
 	s.trace.Store(&f)
 }
 
-func (s *Store) emit(op string, id ID, tx, a, b uint64) {
+func (s *Store) emit(op string, id ID, tx, a uint64) {
 	if f := s.trace.Load(); f != nil {
-		(*f)(op, id, tx, a, b)
+		(*f)(op, id, tx, a)
 	}
 }
 
@@ -75,11 +71,6 @@ type record struct {
 	ver    Version
 	lockTx uint64    // transaction ID holding the commit lock; 0 = unlocked
 	lockAt time.Time // when the commit lock was taken (lease accounting)
-	// chain holds recently superseded (value, version) pairs, newest
-	// first, bounded by the store's chain limit. Snapshot readers whose
-	// pinned clock predates the current version are served from here
-	// without touching the commit lock.
-	chain []verVal
 	// refused is a small ring of one-shot tombstones: Unlock by a
 	// transaction that does not hold the lock records its ID here, so a
 	// stale Lock request from that transaction arriving *after* its
@@ -117,70 +108,24 @@ func (r *record) refusedFor(tx uint64) bool {
 	return false
 }
 
-// verVal is one retained historical version of an object.
-type verVal struct {
-	val Value
-	ver Version
-}
-
-// DefaultChainLimit is how many superseded versions a record retains when
-// SetChainLimit has not been called.
-const DefaultChainLimit = 3
-
 // NewStore returns an empty store.
 func NewStore() *Store {
 	s := &Store{}
-	s.chainLimit.Store(DefaultChainLimit)
 	for i := range s.shards {
 		s.shards[i].objs = make(map[ID]*record)
 	}
 	return s
 }
 
-// SetChainLimit bounds how many superseded versions each record retains
-// for snapshot readers. 0 disables version retention (every snapshot read
-// must hit the current version); negative values are clamped to 0. The
-// limit applies to future installs — existing chains shrink lazily on the
-// next supersession.
-func (s *Store) SetChainLimit(n int) {
-	if n < 0 {
-		n = 0
-	}
-	s.chainLimit.Store(int32(n))
-}
-
-// ChainLimit returns the current version-chain retention bound.
-func (s *Store) ChainLimit() int { return int(s.chainLimit.Load()) }
-
-// retain pushes (val, ver) onto the front of chain, bounded by limit.
-func retain(chain []verVal, val Value, ver Version, limit int) []verVal {
-	if limit == 0 {
-		return nil
-	}
-	chain = append(chain, verVal{})
-	copy(chain[1:], chain)
-	chain[0] = verVal{val: val, ver: ver}
-	if len(chain) > limit {
-		chain = chain[:limit]
-	}
-	return chain
-}
-
 // Install inserts or replaces the authoritative copy of an object,
 // unlocked. Used at object creation and when ownership migrates to this
-// node after a commit. If a prior copy exists here its (value, version)
-// pair is retained on the new record's version chain so concurrent
-// snapshot readers pinned below the new version stay servable.
+// node after a commit.
 func (s *Store) Install(id ID, val Value, ver Version) {
 	sh := s.shardOf(id)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	s.emit("install", id, 0, ver.Clock, 0)
-	nr := &record{val: val, ver: ver}
-	if old, ok := sh.objs[id]; ok && old.ver.Less(ver) {
-		nr.chain = retain(old.chain, old.val, old.ver, int(s.chainLimit.Load()))
-	}
-	sh.objs[id] = nr
+	s.emit("install", id, 0, ver.Clock)
+	sh.objs[id] = &record{val: val, ver: ver}
 }
 
 // Snapshot returns a deep copy of the object's value plus its version and
@@ -246,20 +191,20 @@ func (s *Store) lockLocked(sh *shard, id ID, tx uint64, expect Version) LockResu
 	if tx != 0 && r.consumeRefusal(tx) {
 		// The transaction already released (or abandoned) this lock; its
 		// stale acquire must not resurrect it.
-		s.emit("lock-refused", id, tx, 0, 0)
+		s.emit("lock-refused", id, tx, 0)
 		return LockBusy
 	}
 	if r.lockTx != 0 && r.lockTx != tx {
-		s.emit("lock-busy", id, tx, 0, 0)
+		s.emit("lock-busy", id, tx, 0)
 		return LockBusy
 	}
 	if !r.ver.Equal(expect) {
-		s.emit("lock-stale", id, tx, 0, 0)
+		s.emit("lock-stale", id, tx, 0)
 		return LockStale
 	}
 	r.lockTx = tx
 	r.lockAt = time.Now()
-	s.emit("lock-ok", id, tx, 0, 0)
+	s.emit("lock-ok", id, tx, 0)
 	return LockOK
 }
 
@@ -316,9 +261,9 @@ func (s *Store) LockBatch(tx uint64, entries []LockEntry) (results []LockResult,
 		for i, e := range entries {
 			switch results[i] {
 			case LockBusy:
-				s.emit("lock-busy", e.ID, tx, 0, 0)
+				s.emit("lock-busy", e.ID, tx, 0)
 			case LockStale:
-				s.emit("lock-stale", e.ID, tx, 0, 0)
+				s.emit("lock-stale", e.ID, tx, 0)
 			}
 		}
 		return results, false
@@ -333,7 +278,7 @@ func (s *Store) LockBatch(tx uint64, entries []LockEntry) (results []LockResult,
 		}
 		r.lockTx = tx
 		r.lockAt = now
-		s.emit("lock-ok", e.ID, tx, 0, 0)
+		s.emit("lock-ok", e.ID, tx, 0)
 	}
 	return results, true
 }
@@ -382,7 +327,7 @@ func (s *Store) ExpireLocks(lease time.Duration) []ID {
 		sh.mu.Lock()
 		for id, r := range sh.objs {
 			if r.lockTx != 0 && now.Sub(r.lockAt) >= lease {
-				s.emit("lock-expired", id, r.lockTx, 0, 0)
+				s.emit("lock-expired", id, r.lockTx, 0)
 				r.refuse(r.lockTx)
 				r.lockTx = 0
 				expired = append(expired, id)
@@ -403,15 +348,15 @@ func (s *Store) Unlock(id ID, tx uint64) {
 	defer sh.mu.Unlock()
 	r, ok := sh.objs[id]
 	if !ok {
-		s.emit("unlock-noobj", id, tx, 0, 0)
+		s.emit("unlock-noobj", id, tx, 0)
 		return
 	}
 	if r.lockTx == tx {
 		r.lockTx = 0
-		s.emit("unlock", id, tx, 0, 0)
+		s.emit("unlock", id, tx, 0)
 		return
 	}
-	s.emit("unlock-miss", id, tx, 0, 0)
+	s.emit("unlock-miss", id, tx, 0)
 	r.refuse(tx)
 }
 
@@ -422,7 +367,7 @@ func (s *Store) InstallLocked(id ID, val Value, ver Version, tx uint64) {
 	sh := s.shardOf(id)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	s.emit("install-locked", id, tx, 0, 0)
+	s.emit("install-locked", id, tx, 0)
 	sh.objs[id] = &record{val: val, ver: ver, lockTx: tx, lockAt: time.Now()}
 }
 
@@ -440,109 +385,16 @@ func (s *Store) UpdateCommitted(id ID, val Value, ver Version, tx uint64) error 
 	if r.lockTx != tx {
 		return fmt.Errorf("store: update %q: lock held by tx %d, not %d", id, r.lockTx, tx)
 	}
-	if r.ver.Less(ver) {
-		r.chain = retain(r.chain, r.val, r.ver, int(s.chainLimit.Load()))
-	}
 	r.val = val
 	r.ver = ver
 	r.lockTx = 0
-	s.emit("commit", id, tx, ver.Clock, 0)
+	s.emit("commit", id, tx, ver.Clock)
 	return nil
 }
 
-// SnapStatus is the outcome of a snapshot read; see SnapshotAt.
-type SnapStatus uint8
-
-// Snapshot-read outcomes.
-const (
-	// SnapOK: the returned value is the newest version at or below the
-	// requested clock (or, via ReadAtOrLatest's advance path, the current
-	// version with a clock above it).
-	SnapOK SnapStatus = iota
-	// SnapNotOwner: this node does not own the object.
-	SnapNotOwner
-	// SnapRetry: the current version qualifies but the object is
-	// commit-locked — a pending install could still slide a newer version
-	// under the requested clock, so serving now could violate the
-	// newest-at-or-below rule. The reader should retry with a fresh
-	// snapshot.
-	SnapRetry
-	// SnapTooOld: no retained version sits at or below the requested
-	// clock; the reader's snapshot predates the chain's tail.
-	SnapTooOld
-)
-
-func (st SnapStatus) String() string {
-	switch st {
-	case SnapOK:
-		return "ok"
-	case SnapNotOwner:
-		return "not-owner"
-	case SnapRetry:
-		return "retry"
-	case SnapTooOld:
-		return "too-old"
-	default:
-		return fmt.Sprintf("SnapStatus(%d)", uint8(st))
-	}
-}
-
-// SnapshotAt returns a deep copy of the newest version of id whose clock
-// is at or below at, searching the current version and the retained
-// chain. tx identifies the reading transaction (trace only). The commit
-// lock is never taken and never blocks the caller; the only interaction
-// with a pending commit is the SnapRetry refusal described on SnapStatus.
-func (s *Store) SnapshotAt(id ID, at, tx uint64) (Value, Version, SnapStatus) {
-	sh := s.shardOf(id)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	return s.snapshotLocked(sh, id, at, tx, false)
-}
-
-// ReadAtOrLatest is SnapshotAt with a first-read escape hatch: when no
-// retained version sits at or below at and the object is unlocked, the
-// current version is served instead (status SnapOK) and the caller must
-// advance its snapshot to the returned version's clock. Only sound when
-// the reading transaction has observed nothing else yet.
-func (s *Store) ReadAtOrLatest(id ID, at, tx uint64) (Value, Version, SnapStatus) {
-	sh := s.shardOf(id)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	return s.snapshotLocked(sh, id, at, tx, true)
-}
-
-// snapshotLocked is the shared body of SnapshotAt/ReadAtOrLatest; the
-// caller holds sh.mu.
-func (s *Store) snapshotLocked(sh *shard, id ID, at, tx uint64, advanceOK bool) (Value, Version, SnapStatus) {
-	r, ok := sh.objs[id]
-	if !ok {
-		return nil, Version{}, SnapNotOwner
-	}
-	if r.ver.Clock <= at {
-		if r.lockTx != 0 {
-			// A commit in flight may install a version that is still at
-			// or below at; serving the current tip now could retroactively
-			// break the newest-at-or-below rule.
-			return nil, Version{}, SnapRetry
-		}
-		s.emit("snap-read", id, tx, at, r.ver.Clock)
-		return r.val.Copy(), r.ver, SnapOK
-	}
-	// The tip is above the snapshot. Any in-flight install lands above the
-	// tip, so chain entries are stable history and safe to serve even
-	// while the object is commit-locked.
-	for _, e := range r.chain {
-		if e.ver.Clock <= at {
-			s.emit("snap-read", id, tx, at, e.ver.Clock)
-			return e.val.Copy(), e.ver, SnapOK
-		}
-	}
-	if advanceOK && r.lockTx == 0 {
-		s.emit("snap-advance", id, tx, at, r.ver.Clock)
-		return r.val.Copy(), r.ver, SnapOK
-	}
-	return nil, Version{}, SnapTooOld
-}
+// SnapshotAt is Snapshot. Only the frozen bench/micro.go names it; a
+// benchmark PR removes it.
+func (s *Store) SnapshotAt(id ID, _, _ uint64) (Value, Version, bool, bool) { return s.Snapshot(id) }
 
 // Remove deletes the object if the caller transaction holds its commit lock
 // (ownership is migrating away as part of tx's commit). It returns an error
@@ -558,7 +410,7 @@ func (s *Store) Remove(id ID, tx uint64) error {
 	if r.lockTx != tx {
 		return fmt.Errorf("store: remove %q: lock held by tx %d, not %d", id, r.lockTx, tx)
 	}
-	s.emit("remove", id, tx, 0, 0)
+	s.emit("remove", id, tx, 0)
 	delete(sh.objs, id)
 	return nil
 }

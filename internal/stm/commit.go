@@ -12,14 +12,16 @@ import (
 )
 
 // ownerGroup is one owner's slice of an owner-partitioned ID set, in
-// deterministic order: IDs sorted within the group, groups sorted by owner.
+// deterministic order: IDs in input order within the group, groups sorted by
+// owner.
 type ownerGroup struct {
 	owner transport.NodeID
 	oids  []object.ID
 }
 
-// groupByOwner partitions oids (already in sortIDs order) by their owner,
-// returning groups sorted by owner ID so batch fan-outs are deterministic.
+// groupByOwner partitions oids by their owner, returning groups sorted by
+// owner ID so batch fan-outs are deterministic. Every batched protocol step
+// (retrieve, validate, acquire, publish) orders its messages through here.
 func groupByOwner(oids []object.ID, owners map[object.ID]transport.NodeID) []ownerGroup {
 	byOwner := make(map[transport.NodeID][]object.ID)
 	for _, oid := range oids {
@@ -91,11 +93,10 @@ func (tx *Txn) commit(ctx context.Context) error {
 		}
 	}
 	// Read-only transactions commit without further validation: TFA's
-	// forwarding kept their snapshot consistent as of tx.start, and an
-	// AtomicRO chain that stayed read-only was served consistent at its
-	// pinned snapshot clock. Either way the commit costs zero messages;
-	// the attempt's data-path read RPCs are charged to the read-path
-	// counters (Metrics.ReadMsgs).
+	// forwarding kept their snapshot consistent as of tx.start (every
+	// retrieve reply is a clock-consistent cut, see handleRetrieve). The
+	// commit costs zero messages; the attempt's data-path read RPCs are
+	// charged to the read-path counters (Metrics.ReadMsgs).
 	if len(writes) == 0 && len(creates) == 0 {
 		rt.metrics.readOnlyCommits.Add(1)
 		rt.metrics.readMsgs.Add(tx.readRPCs)
@@ -250,13 +251,8 @@ func (tx *Txn) acquireAll(ctx context.Context, writes []object.ID, locked map[ob
 				case object.LockOK:
 				case object.LockStale:
 					stale, notOwnerOnly = true, false
-					// A stale write-set version may have come from the replica
-					// cache: evict it or every retry re-reads the same stale
-					// copy and aborts again.
-					rt.replica.invalidate(g.oids[i], rt.metrics)
 				case object.LockNotOwner:
 					rt.locator.InvalidateHint(g.oids[i])
-					rt.replica.invalidate(g.oids[i], rt.metrics)
 				default: // LockBusy
 					busy, notOwnerOnly = true, false
 				}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -16,7 +17,8 @@ import (
 
 // These tests pin the per-owner retrieve (fetchMany): one parallel wave per
 // hop, the scheduler's decision per entry, the moved-to hop and its
-// fallback, and the single forwarding step per wave.
+// fallback, the single forwarding step per wave, and the reply being a
+// consistent cut as of its owner clock.
 
 // kindCounter is a memnet interceptor counting request and one-way messages
 // by kind (replies are not counted).
@@ -437,5 +439,141 @@ func TestWaveForwardingAbortsInnermostHolder(t *testing.T) {
 				t.Fatalf("final x = %d, want 2", sawX)
 			}
 		})
+	}
+}
+
+// commitMidRetrieve is a scheduler policy that, the first time its node
+// serves object on, runs commit from inside the retrieve handler: after the
+// copy of on was taken and before the batch's next entry is.
+type commitMidRetrieve struct {
+	sched.Policy
+	on     object.ID
+	fired  atomic.Bool
+	commit func()
+}
+
+func (p *commitMidRetrieve) ObserveRequest(oid object.ID, txid uint64) int {
+	if oid == p.on && p.fired.CompareAndSwap(false, true) {
+		p.commit()
+	}
+	return p.Policy.ObserveRequest(oid, txid)
+}
+
+// move is the transfer both consistency tests commit: one unit from a to b.
+func move(ctx context.Context, rt *Runtime, a, b object.ID) error {
+	return rt.Atomic(ctx, "move", func(tx *Txn) error {
+		if err := tx.Update(ctx, a, func(v object.Value) object.Value { v.(*box).N--; return v }); err != nil {
+			return err
+		}
+		return tx.Update(ctx, b, func(v object.Value) object.Value { v.(*box).N++; return v })
+	})
+}
+
+// audit reads a and b in one read-only transaction and returns the view it
+// committed.
+func audit(ctx context.Context, rt *Runtime, a, b object.ID) (na, nb int64, err error) {
+	err = rt.Atomic(ctx, "audit", func(tx *Txn) error {
+		vals, err := tx.ReadMany(ctx, []object.ID{a, b})
+		if err == nil {
+			na, nb = vals[0].(*box).N, vals[1].(*box).N
+		}
+		return err
+	})
+	return na, nb, err
+}
+
+// TestRetrieveReplyIsAConsistentCut: node 0 owns a (100) and b (0); while it
+// serves node 2's retrieve for both, a transfer a→b commits between the two
+// entries — by a local transaction, or by node 1, which takes both objects
+// away. A reply carrying the old a beside the new b (or beside a pointer to
+// it) at a clock that covers the commit would be adopted unvalidated, and
+// the read-only audit would commit a sum of 101.
+func TestRetrieveReplyIsAConsistentCut(t *testing.T) {
+	cases := []struct {
+		name      string
+		committer int
+	}{
+		{name: "local committer", committer: 0},
+		{name: "remote committer", committer: 1},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			ctx := context.Background()
+			var tc *testCluster
+			var commitErr error
+			node := 0
+			tc = newTestCluster(t, 3, nil, func() sched.Policy {
+				node++
+				if node-1 != 0 {
+					return sched.NewTFA()
+				}
+				return &commitMidRetrieve{Policy: sched.NewTFA(), on: "t/a", commit: func() {
+					commitErr = move(ctx, tc.rts[c.committer], "t/a", "t/b")
+				}}
+			})
+			for oid, n := range map[object.ID]int64{"t/a": 100, "t/b": 0} {
+				if err := tc.rts[0].CreateRoot(ctx, oid, &box{N: n}); err != nil {
+					t.Fatal(err)
+				}
+			}
+
+			a, b, err := audit(ctx, tc.rts[2], "t/a", "t/b")
+			if err != nil || commitErr != nil {
+				t.Fatalf("audit: %v; transfer: %v", err, commitErr)
+			}
+			if a != 99 || b != 1 {
+				t.Fatalf("audit committed a=%d b=%d (sum %d), want a=99 b=1", a, b, a+b)
+			}
+		})
+	}
+}
+
+// TestROSnapshotConsistencyUnderWriters is the end-to-end guard for the
+// same property: writers on two nodes keep moving value between two objects
+// (conserving the sum, and dragging both objects back and forth) while a
+// third node's read-only audits assert every view they commit is consistent.
+func TestROSnapshotConsistencyUnderWriters(t *testing.T) {
+	const total = 100
+	tc := newTestCluster(t, 3, transport.UniformLatency(50*time.Microsecond), nil)
+	ctx := context.Background()
+	for oid, n := range map[object.ID]int64{"sc/a": total, "sc/b": 0} {
+		if err := tc.rts[0].CreateRoot(ctx, oid, &box{N: n}); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	stop := make(chan struct{})
+	werrs := make(chan error, 2)
+	for w := 0; w < 2; w++ {
+		go func() {
+			for {
+				select {
+				case <-stop:
+					werrs <- nil
+					return
+				default:
+				}
+				if err := move(ctx, tc.rts[w], "sc/a", "sc/b"); err != nil {
+					werrs <- err
+					return
+				}
+			}
+		}()
+	}
+
+	for i := 0; i < 60; i++ {
+		a, b, err := audit(ctx, tc.rts[2], "sc/a", "sc/b")
+		if err != nil {
+			t.Fatalf("audit %d: %v", i, err)
+		}
+		if a+b != total {
+			t.Fatalf("audit %d committed a torn view: a=%d b=%d sum=%d, want %d", i, a, b, a+b, total)
+		}
+	}
+	close(stop)
+	for w := 0; w < 2; w++ {
+		if err := <-werrs; err != nil {
+			t.Fatalf("writer: %v", err)
+		}
 	}
 }

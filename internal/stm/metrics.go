@@ -28,10 +28,8 @@ const (
 	// AbortParent: a closed-nested transaction was rolled back because an
 	// enclosing transaction aborted after the child had committed into it.
 	AbortParent
-	// AbortSnapshot: a read-only (MVCC) attempt could not be served at its
-	// pinned snapshot clock — the owner's retained version chain no longer
-	// reaches that far back, or a commit-locked tip forced a refusal. The
-	// retry pins a fresh snapshot.
+	// AbortSnapshot is never raised (the MVCC read path is gone). Only the
+	// frozen bench/layers.go names it; a benchmark PR removes it.
 	AbortSnapshot
 	numAbortCauses
 )
@@ -79,13 +77,8 @@ type Metrics struct {
 	commitMsgs    atomic.Uint64 // messages sent by successful commit pipelines
 	commitRounds  atomic.Uint64 // parallel batch rounds those messages formed
 
-	// MVCC read path.
-	readOnlyCommits atomic.Uint64 // commits that wrote nothing (incl. AtomicRO)
+	readOnlyCommits atomic.Uint64 // commits that wrote nothing
 	readMsgs        atomic.Uint64 // data-path read RPCs charged to those commits
-	snapReads       atomic.Uint64 // owner-side snapshot-read requests served
-	replicaHits     atomic.Uint64 // reads served from the requester replica cache
-	replicaInvals   atomic.Uint64 // replica entries dropped (expiry or proven stale)
-	roUpgrades      atomic.Uint64 // read-only attempts upgraded to read-write
 
 	// Per-outcome attempt latency: how long one top-level attempt ran
 	// before committing, or before aborting with each cause. The split
@@ -126,21 +119,12 @@ type MetricsSnapshot struct {
 	CommitMsgs   uint64
 	CommitRounds uint64
 
-	// ReadOnlyCommits counts commits whose transaction wrote nothing —
-	// plain Atomic roots with empty write sets and AtomicRO roots that
-	// stayed read-only. ReadMsgs counts the data-path read RPCs those
-	// commits issued (retrieves on the ownership path, snapshot reads on
-	// the MVCC path); ReadMsgs/ReadOnlyCommits is the read-path cost the
-	// benchmark reports as stm.read_msgs_per_ro_commit. SnapReads counts
-	// owner-side snapshot-read requests served; ReplicaHits / ReplicaInvals count
-	// requester replica-cache activity; ROUpgrades counts read-only
-	// attempts that hit a write and fell back to the ownership protocol.
+	// ReadOnlyCommits counts commits whose transaction wrote nothing.
+	// ReadMsgs counts the retrieves those commits issued;
+	// ReadMsgs/ReadOnlyCommits is the read-path cost the benchmark reports
+	// as stm.read_msgs_per_ro_commit.
 	ReadOnlyCommits uint64
 	ReadMsgs        uint64
-	SnapReads       uint64
-	ReplicaHits     uint64
-	ReplicaInvals   uint64
-	ROUpgrades      uint64
 
 	// Latency maps outcome (LatencyCommitKey or an AbortCause string) to
 	// that outcome's attempt-latency histogram.
@@ -164,10 +148,6 @@ func (m *Metrics) Snapshot() MetricsSnapshot {
 
 		ReadOnlyCommits: m.readOnlyCommits.Load(),
 		ReadMsgs:        m.readMsgs.Load(),
-		SnapReads:       m.snapReads.Load(),
-		ReplicaHits:     m.replicaHits.Load(),
-		ReplicaInvals:   m.replicaInvals.Load(),
-		ROUpgrades:      m.roUpgrades.Load(),
 	}
 	s.Latency = make(map[string]stats.HistSnapshot, int(numAbortCauses)+1)
 	s.Latency[LatencyCommitKey] = m.commitLatency.Snapshot()
@@ -207,9 +187,7 @@ func (s MetricsSnapshot) RoundsPerCommit() float64 {
 }
 
 // ReadMsgsPerROCommit is the average number of data-path read RPCs per
-// read-only commit (bench's stm.read_msgs_per_ro_commit). Comparable
-// across the ownership and MVCC read paths because both charge their read
-// RPCs (retrieves vs snapshot reads) to the same counter. Returns 0 when
+// read-only commit (bench's stm.read_msgs_per_ro_commit). Returns 0 when
 // nothing committed read-only.
 func (s MetricsSnapshot) ReadMsgsPerROCommit() float64 {
 	if s.ReadOnlyCommits == 0 {
@@ -243,10 +221,6 @@ func (s *MetricsSnapshot) Merge(other MetricsSnapshot) {
 	s.CommitRounds += other.CommitRounds
 	s.ReadOnlyCommits += other.ReadOnlyCommits
 	s.ReadMsgs += other.ReadMsgs
-	s.SnapReads += other.SnapReads
-	s.ReplicaHits += other.ReplicaHits
-	s.ReplicaInvals += other.ReplicaInvals
-	s.ROUpgrades += other.ROUpgrades
 	if s.Aborts == nil {
 		s.Aborts = make(map[AbortCause]uint64, int(numAbortCauses))
 	}
@@ -279,10 +253,6 @@ func (s *MetricsSnapshot) Sub(base MetricsSnapshot) {
 	s.CommitRounds -= base.CommitRounds
 	s.ReadOnlyCommits -= base.ReadOnlyCommits
 	s.ReadMsgs -= base.ReadMsgs
-	s.SnapReads -= base.SnapReads
-	s.ReplicaHits -= base.ReplicaHits
-	s.ReplicaInvals -= base.ReplicaInvals
-	s.ROUpgrades -= base.ROUpgrades
 	for c, v := range base.Aborts {
 		if s.Aborts != nil {
 			s.Aborts[c] -= v

@@ -70,10 +70,6 @@ func fullyPopulated() MetricsSnapshot {
 	m.commitRounds.Add(12)
 	m.readOnlyCommits.Add(11)
 	m.readMsgs.Add(13)
-	m.snapReads.Add(14)
-	m.replicaHits.Add(16)
-	m.replicaInvals.Add(17)
-	m.roUpgrades.Add(18)
 	m.observeOutcome(true, 0, 3*time.Millisecond)
 	for c := AbortCause(0); c < numAbortCauses; c++ {
 		m.aborts[c].Add(uint64(c) + 1)

@@ -12,8 +12,9 @@ import (
 )
 
 // Message kinds 10–29 are reserved for the STM protocol. Kinds 11, 12 and
-// 14 (the retired per-object check/acquire/commit RPCs) are reserved: never
-// reuse them, an old peer may still send them.
+// 14 (the retired per-object check/acquire/commit RPCs) and 20 and 21 (the
+// retired MVCC snapshot reads) are reserved: never reuse them, an old peer
+// may still send them, and bench/layers.go classifies by number.
 const (
 	// KindRetrieve is Open_Object's request to an object owner: every
 	// object one transaction wants from that node, in one round trip.
@@ -33,13 +34,6 @@ const (
 	// KindCommitObjectBatch installs the new versions of a per-owner slice
 	// of the write set and migrates their ownership in one round trip.
 	KindCommitObjectBatch transport.Kind = 19
-	// KindSnapshotRead serves one MVCC snapshot read from an owner's
-	// versioned store: a single one-round RPC, no lock, no scheduler
-	// entry, no ownership transfer.
-	KindSnapshotRead transport.Kind = 20
-	// KindSnapshotReadBatch serves a per-owner slice of snapshot reads,
-	// all pinned to one snapshot clock, in one round trip.
-	KindSnapshotReadBatch transport.Kind = 21
 )
 
 // retrieveReq is Open_Object's wire request to one owner: the transaction
@@ -74,8 +68,9 @@ type retrieveResult struct {
 	MovedTo transport.NodeID
 }
 
-// retrieveResp answers a retrieve. OwnerClock is the owner's TFA clock,
-// read after every entry was served, for the forwarding check.
+// retrieveResp answers a retrieve. OwnerClock is the owner's TFA clock for
+// the forwarding check; every retrieveOK copy is current as of it (see
+// handleRetrieve).
 type retrieveResp struct {
 	Results    []retrieveResult
 	OwnerClock uint64
@@ -178,56 +173,6 @@ type commitObjBatchResp struct {
 	Results []commitObjBatchResult
 }
 
-// snapReadReq asks oid's owner for the newest version at or below the
-// reader's pinned snapshot clock At. AdvanceOK marks a read-only
-// transaction's first read: the owner may then serve the current version
-// even when its clock exceeds At, and the reader re-pins to it.
-type snapReadReq struct {
-	Oid       object.ID
-	TxID      uint64
-	At        uint64
-	AdvanceOK bool
-}
-
-// Snapshot-read wire statuses (object.SnapStatus semantics).
-const (
-	snapReadOK uint8 = iota
-	snapReadNotOwner
-	snapReadRetry
-	snapReadTooOld
-)
-
-// snapReadResp answers a snapshot read. Value and Version are set when
-// Status == snapReadOK; OwnerClock lets the requester's next attempt pin a
-// snapshot the owner can serve.
-type snapReadResp struct {
-	Status     uint8
-	Value      object.Value
-	Version    object.Version
-	OwnerClock uint64
-}
-
-// snapReadBatchReq asks one owner for a slice of snapshot reads, all
-// pinned to the same snapshot clock At.
-type snapReadBatchReq struct {
-	TxID uint64
-	At   uint64
-	Oids []object.ID
-}
-
-// snapReadResult is one entry's outcome, parallel to the request Oids.
-type snapReadResult struct {
-	Status  uint8
-	Value   object.Value
-	Version object.Version
-}
-
-// snapReadBatchResp carries per-entry outcomes, parallel to the request.
-type snapReadBatchResp struct {
-	Results    []snapReadResult
-	OwnerClock uint64
-}
-
 // pushMsg hands a committed object to an enqueued requester. Owner is the
 // node now owning the object (where its commit lock will be taken next).
 type pushMsg struct {
@@ -259,8 +204,4 @@ func init() {
 	transport.RegisterPayload(checkBatchResp{})
 	transport.RegisterPayload(commitObjBatchReq{})
 	transport.RegisterPayload(commitObjBatchResp{})
-	transport.RegisterPayload(snapReadReq{})
-	transport.RegisterPayload(snapReadResp{})
-	transport.RegisterPayload(snapReadBatchReq{})
-	transport.RegisterPayload(snapReadBatchResp{})
 }

@@ -145,57 +145,6 @@ func FuzzAcquireCheckBatchRoundTrip(f *testing.F) {
 	})
 }
 
-// FuzzSnapshotReadRoundTrip round-trips the MVCC snapshot-read pair. The
-// Version and OwnerClock fields must survive exactly: the served version is
-// what a later upgrade validates against, and the owner clock is what makes
-// a snapshot-abort retry self-correcting (the merged clock pins the next
-// attempt's snapshot at or above the owner's tip).
-func FuzzSnapshotReadRoundTrip(f *testing.F) {
-	f.Add("obj/a", uint64(7), uint64(12), true, uint8(0), uint64(9), int32(1), int64(5), uint64(13))
-	f.Add("", uint64(0), ^uint64(0), false, uint8(3), uint64(0), int32(-2), int64(0), uint64(0))
-	f.Fuzz(func(t *testing.T, oid string, tx, at uint64, advanceOK bool,
-		status uint8, verClock uint64, vnode int32, val int64, ownClock uint64) {
-		req := snapReadReq{Oid: object.ID(oid), TxID: tx, At: at, AdvanceOK: advanceOK}
-		if got := roundTrip(t, req).(snapReadReq); got != req {
-			t.Fatalf("snapReadReq changed: %+v -> %+v", req, got)
-		}
-		resp := snapReadResp{
-			Status: status, Value: fuzzVal{X: val},
-			Version:    object.Version{Clock: verClock, Node: vnode},
-			OwnerClock: ownClock,
-		}
-		if got := roundTrip(t, resp).(snapReadResp); got != resp {
-			t.Fatalf("snapReadResp changed: %+v -> %+v", resp, got)
-		}
-	})
-}
-
-// FuzzSnapshotReadBatchRoundTrip round-trips the batched snapshot read. The
-// Results slice must stay parallel to the request's Oids: a shifted entry
-// would hand the reader the wrong object's value under the right key.
-func FuzzSnapshotReadBatchRoundTrip(f *testing.F) {
-	f.Add("obj/a", "obj/b", uint64(7), uint64(12), uint8(0), uint8(2), uint64(9), int32(1), int64(5), uint64(13))
-	f.Add("", "x", uint64(0), ^uint64(0), uint8(3), uint8(1), uint64(0), int32(-2), int64(0), uint64(0))
-	f.Fuzz(func(t *testing.T, oidA, oidB string, tx, at uint64, statusA, statusB uint8,
-		verClock uint64, vnode int32, val int64, ownClock uint64) {
-		req := snapReadBatchReq{TxID: tx, At: at, Oids: []object.ID{object.ID(oidA), object.ID(oidB)}}
-		if got := roundTrip(t, req).(snapReadBatchReq); !reflect.DeepEqual(got, req) {
-			t.Fatalf("snapReadBatchReq changed: %+v -> %+v", req, got)
-		}
-		resp := snapReadBatchResp{
-			Results: []snapReadResult{
-				{Status: statusA, Value: fuzzVal{X: val}, Version: object.Version{Clock: verClock, Node: vnode}},
-				{Status: statusB, Value: fuzzVal{X: -val}, Version: object.Version{Clock: ^verClock, Node: -vnode}},
-			},
-			OwnerClock: ownClock,
-		}
-		got := roundTrip(t, resp).(snapReadBatchResp)
-		if !reflect.DeepEqual(got, resp) {
-			t.Fatalf("snapReadBatchResp changed: %+v -> %+v", resp, got)
-		}
-	})
-}
-
 // FuzzCommitObjBatchRoundTrip round-trips the migration batch: the request
 // carrying every new value for one owner, and the reply whose per-entry
 // results mix surrendered requester queues with per-entry error strings.

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"dstm/internal/cc"
@@ -48,13 +47,6 @@ type Runtime struct {
 
 	nesting NestingMode
 	tracer  *trace.Recorder
-
-	// roReads routes AtomicRead through the MVCC snapshot path (AtomicRO)
-	// instead of the ownership protocol. Off by default.
-	roReads atomic.Bool
-	// replica is the requester-side read cache for read-write
-	// transactions; nil (default) disables it. See EnableReplicaCache.
-	replica *replicaCache
 }
 
 type waitKey struct {
@@ -114,35 +106,9 @@ func NewRuntime(ep *cluster.Endpoint, size int, policy sched.Policy, st *stats.T
 	ep.Handle(KindAcquireBatch, rt.handleAcquireBatch)
 	ep.Handle(KindCheckVersionBatch, rt.handleCheckVersionBatch)
 	ep.Handle(KindCommitObjectBatch, rt.handleCommitObjectBatch)
-	ep.Handle(KindSnapshotRead, rt.handleSnapshotRead)
-	ep.Handle(KindSnapshotReadBatch, rt.handleSnapshotReadBatch)
 	ep.HandleNotify(KindPush, rt.handlePush)
 	ep.HandleNotify(KindDecline, rt.handleDecline)
 	return rt
-}
-
-// SetReadOnlyReads makes AtomicRead dispatch to AtomicRO (MVCC snapshot
-// reads) instead of Atomic. Off by default so existing workloads keep
-// exercising the ownership protocol unchanged.
-func (rt *Runtime) SetReadOnlyReads(on bool) { rt.roReads.Store(on) }
-
-// ReadOnlyReads reports whether AtomicRead dispatches to AtomicRO.
-func (rt *Runtime) ReadOnlyReads() bool { return rt.roReads.Load() }
-
-// EnableReplicaCache turns on the requester-side replica cache for
-// read-write transactions: fetched object copies are retained for up to
-// lease and served to later transactions' reads without a retrieve RPC.
-// Cached reads are speculative — they are validated by version at commit
-// through the existing checkVersions machinery and invalidated on lease
-// expiry, on any failed or not-owner validation, and on ownership-change
-// hints. A non-positive lease disables the cache. Call before running
-// transactions.
-func (rt *Runtime) EnableReplicaCache(lease time.Duration) {
-	if lease <= 0 {
-		rt.replica = nil
-		return
-	}
-	rt.replica = newReplicaCache(lease)
 }
 
 // Self returns this node's ID.
@@ -174,7 +140,7 @@ func (rt *Runtime) SetTracer(tr *trace.Recorder) {
 	// The store already narrates its lock transitions through a debug hook
 	// (emitted under the store mutex, so transitions are totally ordered per
 	// object); adapt the ops the checker models onto trace events.
-	rt.store.SetTrace(func(op string, id object.ID, tx, a, b uint64) {
+	rt.store.SetTrace(func(op string, id object.ID, tx, a uint64) {
 		switch op {
 		case "lock-ok":
 			tr.Emit(trace.Event{Type: trace.EvLockAcquire, Tx: tx, Oid: id})
@@ -190,10 +156,6 @@ func (rt *Runtime) SetTracer(tr *trace.Recorder) {
 			tr.Emit(trace.Event{Type: trace.EvLeaseExpire, Tx: tx, Oid: id})
 		case "install":
 			tr.Emit(trace.Event{Type: trace.EvInstall, Oid: id, A: a})
-		case "snap-read":
-			tr.Emit(trace.Event{Type: trace.EvSnapRead, Tx: tx, Oid: id, A: a, B: b})
-		case "snap-advance":
-			tr.Emit(trace.Event{Type: trace.EvSnapRead, Tx: tx, Oid: id, A: a, B: b, Detail: "advance"})
 		}
 	})
 }
@@ -244,10 +206,29 @@ func (rt *Runtime) handleRetrieve(from transport.NodeID, payload any) (any, erro
 	for i, oid := range req.Oids {
 		resp.Results[i] = rt.retrieveOne(from, &req, oid)
 	}
-	// Read after every entry was served, so the clock the requester
-	// forwards to is at or above each version handed out.
-	resp.OwnerClock = rt.clock.Now()
-	return resp, nil
+	// The reply is a cut as of OwnerClock: the clock is read after every copy
+	// was served (so it covers each version handed out), and every copy is
+	// then confirmed still current and unlocked. A commit that touches one of
+	// them later takes its lock after this check, hence ticks past OwnerClock
+	// — the requester may treat the copies as unchanged up to that clock. A
+	// copy a commit got to in between is served again, and the clock re-read.
+	for {
+		resp.OwnerClock = rt.clock.Now()
+		intact := true
+		for i, oid := range req.Oids {
+			r := &resp.Results[i]
+			if r.Status != retrieveOK {
+				continue
+			}
+			if ver, lockedBy, owned := rt.store.State(oid); !owned || lockedBy != 0 || !ver.Equal(r.Version) {
+				*r = rt.retrieveOne(from, &req, oid)
+				intact = false
+			}
+		}
+		if intact {
+			return resp, nil
+		}
+	}
 }
 
 // retrieveOne serves one object of a retrieve: the current copy, or — when
@@ -386,70 +367,6 @@ func (rt *Runtime) handleCommitObjectBatch(_ transport.NodeID, payload any) (any
 			continue
 		}
 		resp.Results[i].Queue = queue
-	}
-	return resp, nil
-}
-
-// ---------------------------------------------------------------------------
-// Snapshot-read handlers (MVCC read path). These never touch the commit
-// lock, never consult the scheduler, and never migrate ownership: one
-// request, one reply, served from the current version or the record's
-// retained version chain.
-
-// snapStatusOf maps a store snapshot outcome onto the wire status.
-func snapStatusOf(st object.SnapStatus) uint8 {
-	switch st {
-	case object.SnapOK:
-		return snapReadOK
-	case object.SnapNotOwner:
-		return snapReadNotOwner
-	case object.SnapRetry:
-		return snapReadRetry
-	default:
-		return snapReadTooOld
-	}
-}
-
-func (rt *Runtime) handleSnapshotRead(_ transport.NodeID, payload any) (any, error) {
-	req, ok := payload.(snapReadReq)
-	if !ok {
-		return nil, fmt.Errorf("stm: bad snapshot read payload %T", payload)
-	}
-	rt.metrics.snapReads.Add(1)
-	var (
-		val object.Value
-		ver object.Version
-		st  object.SnapStatus
-	)
-	if req.AdvanceOK {
-		val, ver, st = rt.store.ReadAtOrLatest(req.Oid, req.At, req.TxID)
-	} else {
-		val, ver, st = rt.store.SnapshotAt(req.Oid, req.At, req.TxID)
-	}
-	return snapReadResp{
-		Status:     snapStatusOf(st),
-		Value:      val,
-		Version:    ver,
-		OwnerClock: rt.clock.Now(),
-	}, nil
-}
-
-func (rt *Runtime) handleSnapshotReadBatch(_ transport.NodeID, payload any) (any, error) {
-	req, ok := payload.(snapReadBatchReq)
-	if !ok {
-		return nil, fmt.Errorf("stm: bad snapshot read batch payload %T", payload)
-	}
-	rt.metrics.snapReads.Add(1)
-	resp := snapReadBatchResp{
-		Results:    make([]snapReadResult, len(req.Oids)),
-		OwnerClock: rt.clock.Now(),
-	}
-	for i, oid := range req.Oids {
-		// Batches never use the advance escape hatch: advancing the
-		// snapshot per-entry could serve two entries of one batch at
-		// incompatible clocks.
-		val, ver, st := rt.store.SnapshotAt(oid, req.At, req.TxID)
-		resp.Results[i] = snapReadResult{Status: snapStatusOf(st), Value: val, Version: ver}
 	}
 	return resp, nil
 }

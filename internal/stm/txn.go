@@ -13,7 +13,6 @@ import (
 	"dstm/internal/object"
 	"dstm/internal/sched"
 	"dstm/internal/trace"
-	"dstm/internal/transport"
 )
 
 // abortError unwinds an aborting transaction to the level that must retry.
@@ -47,18 +46,7 @@ type Txn struct {
 	began    time.Time
 	expected time.Duration
 	start    uint64 // TFA start clock; advanced by forwarding
-
-	// Root-only MVCC state. ro marks a read-only (snapshot) attempt: reads
-	// are served at the pinned snapshot clock snap, no locks or scheduler
-	// entries are taken, and commit is a no-op. The first Write flips the
-	// chain back to the ownership protocol (see upgrade). roObserved
-	// counts adopted snapshot reads (the advance escape hatch is only
-	// legal before the first); readRPCs counts the attempt's data-path
-	// read messages for the read-path cost metric.
-	ro         bool
-	snap       uint64
-	roObserved int
-	readRPCs   uint64
+	readRPCs uint64 // the attempt's data-path read messages (Metrics.ReadMsgs)
 
 	entries        map[object.ID]*objEntry
 	clSum          int // Σ remote CLs of objects fetched at this level
@@ -82,30 +70,6 @@ type objEntry struct {
 // commits, the context is cancelled, or fn returns a non-transactional
 // error (which aborts the transaction and is returned as-is).
 func (rt *Runtime) Atomic(ctx context.Context, name string, fn func(tx *Txn) error) error {
-	return rt.runRoot(ctx, name, fn, false)
-}
-
-// AtomicRO runs fn as a read-only top-level transaction on the MVCC
-// snapshot path: every read is served at one pinned snapshot clock via a
-// single one-round RPC to the owner (or directly from the local store),
-// taking no locks, entering no scheduler queue, and committing without a
-// validation round. If fn writes, the attempt transparently upgrades to
-// the ordinary ownership protocol: the snapshot reads become ordinary
-// read-set entries validated by version at commit.
-func (rt *Runtime) AtomicRO(ctx context.Context, name string, fn func(tx *Txn) error) error {
-	return rt.runRoot(ctx, name, fn, true)
-}
-
-// AtomicRead dispatches to AtomicRO when the runtime's read-only-reads
-// switch is on (SetReadOnlyReads) and to Atomic otherwise. Benchmarks call
-// it for their pure-read operations so one knob flips a workload between
-// the ownership and MVCC read paths.
-func (rt *Runtime) AtomicRead(ctx context.Context, name string, fn func(tx *Txn) error) error {
-	return rt.runRoot(ctx, name, fn, rt.roReads.Load())
-}
-
-// runRoot is the shared retry driver behind Atomic and AtomicRO.
-func (rt *Runtime) runRoot(ctx context.Context, name string, fn func(tx *Txn) error, ro bool) error {
 	id := rt.nextTxID()
 	// ETS.s is the transaction's original start time: it persists across
 	// retry attempts, so the "execution time" the scheduler weighs keeps
@@ -129,19 +93,11 @@ func (rt *Runtime) runRoot(ctx context.Context, name string, fn func(tx *Txn) er
 			expected: rt.stats.Expect(name),
 			start:    rt.clock.Now(),
 			entries:  make(map[object.ID]*objEntry),
-			ro:       ro,
 		}
 		tx.root = tx
-		if ro {
-			// The snapshot is pinned per attempt; a snapshot abort retries
-			// with a fresh (necessarily newer) clock.
-			tx.snap = tx.start
-			rt.tracer.Emit(trace.Event{Type: trace.EvTxBeginRO, Tx: id, A: uint64(attempt), B: tx.snap})
-		} else {
-			// B carries the attempt's lock identity so trace checkers can match
-			// owner-side lock events (keyed by lockID) to this attempt's fate.
-			rt.tracer.Emit(trace.Event{Type: trace.EvTxBegin, Tx: id, A: uint64(attempt), B: tx.lockID})
-		}
+		// B carries the attempt's lock identity so trace checkers can match
+		// owner-side lock events (keyed by lockID) to this attempt's fate.
+		rt.tracer.Emit(trace.Event{Type: trace.EvTxBegin, Tx: id, A: uint64(attempt), B: tx.lockID})
 
 		err := fn(tx)
 		if err == nil {
@@ -172,17 +128,7 @@ func (rt *Runtime) runRoot(ctx context.Context, name string, fn func(tx *Txn) er
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		d := rt.policy.RetryDelay(attempt, name)
-		if d == 0 && ae.cause == AbortSnapshot {
-			// Snapshot aborts sit outside the scheduler (RO transactions
-			// never enter its queues, so policies that pace retries by
-			// conflict state leave them at zero delay) — and a locked tip on
-			// a LOCAL object costs no RPC, so an unpaced retry loop spins
-			// hot for the whole lock hold. Pace it ourselves: exponential
-			// from 50µs, capped near one commit round.
-			d = 50 * time.Microsecond << uint(min(attempt-1, 6))
-		}
-		if d > 0 {
+		if d := rt.policy.RetryDelay(attempt, name); d > 0 {
 			if !sleepCtx(ctx, d) {
 				return ctx.Err()
 			}
@@ -220,14 +166,11 @@ func (tx *Txn) Atomic(ctx context.Context, name string, fn func(child *Txn) erro
 		}
 		rt.tracer.Emit(trace.Event{Type: trace.EvNestBegin, Tx: tx.id, A: uint64(attempt)})
 		err := fn(child)
-		if err == nil && !child.readOnly() {
+		if err == nil {
 			// Early validation (N-TFA): an inner commit validates the
 			// inner transaction's own read set immediately, so a stale
 			// inner read aborts (and retries) just the inner transaction
 			// now instead of killing the whole parent at top-level commit.
-			// A still-read-only chain skips it: every entry was served
-			// consistent at one snapshot clock by construction, and a
-			// validation round is exactly what the MVCC path removes.
 			err = child.validateOwn(ctx)
 		}
 		if err == nil {
@@ -291,48 +234,11 @@ func (tx *Txn) myCL() int {
 	return sum
 }
 
-// readOnly reports whether the nesting chain is (still) on the MVCC
-// snapshot path. The flag lives on the root: an upgrade anywhere in the
-// chain flips every level at once.
-func (tx *Txn) readOnly() bool { return tx.root.ro }
-
-// upgrade flips a read-only chain onto the ownership protocol after its
-// first write. The snapshot reads already adopted stay in the read set
-// with their observed versions — commit validates them by version exactly
-// like ordinary reads — and the TFA start clock catches up to the pinned
-// snapshot so forwarding semantics hold.
-func (tx *Txn) upgrade() {
-	root := tx.root
-	if !root.ro {
-		return
-	}
-	root.ro = false
-	if root.snap > root.start {
-		root.start = root.snap
-	}
-	tx.rt.metrics.roUpgrades.Add(1)
-	// Announce the attempt's lock identity (EvTxBeginRO carried the snapshot
-	// clock instead): the trace checker's batch-atomicity invariant keys
-	// owner-side lock events by EvTxBegin.B, and an upgraded attempt is about
-	// to take commit locks under root.lockID.
-	tx.rt.tracer.Emit(trace.Event{Type: trace.EvTxBegin, Tx: root.id, B: root.lockID, Detail: "upgrade"})
-}
-
 // Read returns the transaction's view of oid, fetching it from its owner
 // on first access. The returned value is the transaction's working copy:
 // do not mutate it — use Write or Update to change the object.
 func (tx *Txn) Read(ctx context.Context, oid object.ID) (object.Value, error) {
 	if e, _ := tx.lookup(oid); e != nil {
-		return e.val, nil
-	}
-	if tx.readOnly() {
-		e, err := tx.snapFetch(ctx, oid)
-		if err != nil {
-			return nil, err
-		}
-		return e.val, nil
-	}
-	if e := tx.replicaProbe(oid); e != nil {
 		return e.val, nil
 	}
 	if err := tx.fetchMany(ctx, []object.ID{oid}, sched.Read); err != nil {
@@ -341,35 +247,14 @@ func (tx *Txn) Read(ctx context.Context, oid object.ID) (object.Value, error) {
 	return tx.entries[oid].val, nil
 }
 
-// replicaProbe serves a read-write transaction's read from the runtime's
-// replica cache when enabled and fresh. The cached version is speculative:
-// it joins the read set like an ordinary fetch and is validated by version
-// at commit (checkVersions), which also evicts it if proven stale.
-func (tx *Txn) replicaProbe(oid object.ID) *objEntry {
-	rc := tx.rt.replica
-	if rc == nil {
-		return nil
-	}
-	val, ver, ok := rc.get(oid, tx.rt.metrics)
-	if !ok {
-		return nil
-	}
-	tx.rt.metrics.replicaHits.Add(1)
-	e := &objEntry{val: val, ver: ver}
-	tx.entries[oid] = e
-	return e
-}
-
 // ReadMany returns the transaction's view of every oid, resolving the
 // objects the chain has not accessed yet in bulk: grouped by owner and
-// fetched with one round trip per owner, all owners in parallel — a
-// KindRetrieve on the ownership path (fetchMany), a KindSnapshotReadBatch
-// on the MVCC snapshot path (snapFetchMany). Results are parallel to oids.
+// fetched with one KindRetrieve round trip per owner, all owners in parallel
+// (fetchMany). Results are parallel to oids.
 func (tx *Txn) ReadMany(ctx context.Context, oids []object.ID) ([]object.Value, error) {
-	ro := tx.readOnly()
 	var miss []object.ID
 	for _, oid := range oids {
-		if e, _ := tx.lookup(oid); e == nil && (ro || tx.replicaProbe(oid) == nil) {
+		if e, _ := tx.lookup(oid); e == nil {
 			miss = append(miss, oid)
 		}
 	}
@@ -377,13 +262,7 @@ func (tx *Txn) ReadMany(ctx context.Context, oids []object.ID) ([]object.Value, 
 	// each owner's batch) and without repeats.
 	sortIDs(miss)
 	miss = slices.Compact(miss)
-	var err error
-	if ro {
-		err = tx.snapFetchMany(ctx, miss)
-	} else {
-		err = tx.fetchMany(ctx, miss, sched.Read)
-	}
-	if err != nil {
+	if err := tx.fetchMany(ctx, miss, sched.Read); err != nil {
 		return nil, err
 	}
 	out := make([]object.Value, len(oids))
@@ -394,81 +273,10 @@ func (tx *Txn) ReadMany(ctx context.Context, oids []object.ID) ([]object.Value, 
 	return out, nil
 }
 
-// snapFetchMany serves a read-only transaction's bulk read at the chain's
-// pinned snapshot clock: from the local store where this node owns the
-// object, else with one KindSnapshotReadBatch per owner.
-func (tx *Txn) snapFetchMany(ctx context.Context, oids []object.ID) error {
-	rt := tx.rt
-	root := tx.root
-	var miss []object.ID
-	for _, oid := range oids {
-		if rt.store.Owns(oid) {
-			val, ver, st := rt.store.SnapshotAt(oid, root.snap, tx.id)
-			switch st {
-			case object.SnapOK:
-				tx.adoptSnapshot(oid, val, ver)
-				continue
-			case object.SnapRetry, object.SnapTooOld:
-				return &abortError{target: root, cause: AbortSnapshot}
-			}
-			// SnapNotOwner: ownership raced away; fall through to the RPC.
-		}
-		miss = append(miss, oid)
-	}
-	for hop := 0; hop < maxOwnerHops && len(miss) > 0; hop++ {
-		owners, _, err := rt.locator.LocateBatch(ctx, miss)
-		if err != nil {
-			if errors.Is(err, cc.ErrUnknownObject) {
-				return err
-			}
-			return tx.convertErr(ctx, err, AbortSnapshot)
-		}
-		groups := groupByOwner(miss, owners)
-		calls := make([]cluster.Outcall, len(groups))
-		for i, g := range groups {
-			calls[i] = cluster.Outcall{To: g.owner, Kind: KindSnapshotReadBatch,
-				Payload: snapReadBatchReq{TxID: tx.id, At: root.snap, Oids: g.oids}}
-		}
-		root.readRPCs += uint64(len(calls))
-		results := rt.ep.Broadcast(ctx, calls)
-
-		var next []object.ID
-		for gi, res := range results {
-			g := groups[gi]
-			if res.Err != nil {
-				return tx.convertErr(ctx, res.Err, AbortSnapshot)
-			}
-			resp, ok := res.Body.(snapReadBatchResp)
-			if !ok || len(resp.Results) != len(g.oids) {
-				return fmt.Errorf("stm: bad snapshot read batch reply %T", res.Body)
-			}
-			for i, r := range resp.Results {
-				switch r.Status {
-				case snapReadOK:
-					tx.adoptSnapshot(g.oids[i], r.Value, r.Version)
-				case snapReadNotOwner:
-					rt.locator.InvalidateHint(g.oids[i])
-					next = append(next, g.oids[i])
-				default: // retry / too-old: re-pin on the next attempt
-					return &abortError{target: root, cause: AbortSnapshot}
-				}
-			}
-		}
-		sortIDs(next)
-		miss = next
-	}
-	if len(miss) > 0 {
-		return &abortError{target: root, cause: AbortSnapshot}
-	}
-	return nil
-}
-
 // Write buffers a new value for oid, fetching the object first if this
 // transaction chain has not accessed it yet (the dataflow model moves the
-// object to the writer). On a read-only chain the first Write upgrades the
-// whole chain to the ownership protocol (see upgrade).
+// object to the writer).
 func (tx *Txn) Write(ctx context.Context, oid object.ID, val object.Value) error {
-	tx.upgrade()
 	if e, holder := tx.lookup(oid); e != nil {
 		if holder == tx {
 			e.val = val
@@ -503,7 +311,6 @@ func (tx *Txn) Update(ctx context.Context, oid object.ID, fn func(object.Value) 
 // transactions when the top-level transaction commits. Object IDs must be
 // unique cluster-wide; colliding creates surface as a commit error.
 func (tx *Txn) Create(oid object.ID, val object.Value) error {
-	tx.upgrade()
 	if e, _ := tx.lookup(oid); e != nil {
 		return fmt.Errorf("stm: create %q: already accessed in this transaction", oid)
 	}
@@ -696,7 +503,7 @@ func (tx *Txn) fetchMany(ctx context.Context, oids []object.ID, mode sched.Mode)
 // adoptFetched records the copies one fetchMany received at this nesting
 // level, under a single transactional-forwarding step to the largest owner
 // clock among them. A copy whose owner reported that clock is current as of
-// it and joins after the step; a copy from an owner that reported less
+// it (handleRetrieve's cut) and joins after the step; a copy from an owner that reported less
 // joins before, so the step revalidates it together with the chain — which
 // also carries this node's (merged) clock to that owner, keeping every
 // owner the transaction has read from at or above its start clock.
@@ -707,9 +514,6 @@ func (tx *Txn) adoptFetched(ctx context.Context, got []fetched) error {
 	}
 	record := func(f *fetched) {
 		tx.rt.tracer.Emit(trace.Event{Type: trace.EvRetrieveOK, Tx: tx.id, Oid: f.oid, A: f.ver.Clock})
-		if rc := tx.rt.replica; rc != nil {
-			rc.put(f.oid, f.val.Copy(), f.ver)
-		}
 		tx.entries[f.oid] = &objEntry{val: f.val, ver: f.ver}
 		tx.clSum += f.remoteCL
 	}
@@ -728,92 +532,6 @@ func (tx *Txn) adoptFetched(ctx context.Context, got []fetched) error {
 		record(&current[i])
 	}
 	return nil
-}
-
-// snapFetch serves a read-only transaction's read at the chain's pinned
-// snapshot clock: directly from the local store when this node owns the
-// object, else with one KindSnapshotRead round trip to the owner. No lock
-// is taken, no scheduler queue is entered, and an unservable snapshot
-// (chain too short, or a commit racing the tip) aborts the attempt with
-// AbortSnapshot so the retry pins a fresh clock.
-func (tx *Txn) snapFetch(ctx context.Context, oid object.ID) (*objEntry, error) {
-	rt := tx.rt
-	root := tx.root
-	for hop := 0; hop < maxOwnerHops; hop++ {
-		// advanceOK: before anything is observed, the snapshot may still
-		// slide forward to whatever version the owner serves first.
-		advanceOK := root.roObserved == 0
-		if rt.store.Owns(oid) {
-			var (
-				val object.Value
-				ver object.Version
-				st  object.SnapStatus
-			)
-			if advanceOK {
-				val, ver, st = rt.store.ReadAtOrLatest(oid, root.snap, tx.id)
-			} else {
-				val, ver, st = rt.store.SnapshotAt(oid, root.snap, tx.id)
-			}
-			switch st {
-			case object.SnapOK:
-				if ver.Clock > root.snap {
-					root.snap = ver.Clock
-				}
-				return tx.adoptSnapshot(oid, val, ver), nil
-			case object.SnapRetry, object.SnapTooOld:
-				return nil, &abortError{target: root, cause: AbortSnapshot}
-			}
-			// SnapNotOwner: ownership raced away; ask the directory.
-		}
-		owner, err := rt.locator.Locate(ctx, oid)
-		if err != nil {
-			if errors.Is(err, cc.ErrUnknownObject) {
-				return nil, err
-			}
-			return nil, tx.convertErr(ctx, err, AbortSnapshot)
-		}
-		root.readRPCs++
-		body, err := rt.ep.Call(ctx, owner, KindSnapshotRead, snapReadReq{
-			Oid:       oid,
-			TxID:      tx.id,
-			At:        root.snap,
-			AdvanceOK: advanceOK,
-		})
-		if err != nil {
-			return nil, tx.convertErr(ctx, err, AbortSnapshot)
-		}
-		resp, ok := body.(snapReadResp)
-		if !ok {
-			return nil, fmt.Errorf("stm: bad snapshot read reply %T", body)
-		}
-		switch resp.Status {
-		case snapReadOK:
-			if resp.Version.Clock > root.snap {
-				root.snap = resp.Version.Clock
-			}
-			return tx.adoptSnapshot(oid, resp.Value, resp.Version), nil
-		case snapReadNotOwner:
-			if _, err := rt.locator.Relocate(ctx, oid); err != nil {
-				return nil, tx.convertErr(ctx, err, AbortSnapshot)
-			}
-			continue
-		case snapReadRetry, snapReadTooOld:
-			return nil, &abortError{target: root, cause: AbortSnapshot}
-		default:
-			return nil, fmt.Errorf("stm: unknown snapshot read status %d", resp.Status)
-		}
-	}
-	return nil, &abortError{target: root, cause: AbortSnapshot}
-}
-
-// adoptSnapshot records a snapshot-served copy at this nesting level. The
-// entry carries its served version so a later upgrade can validate it
-// through the ordinary commit machinery.
-func (tx *Txn) adoptSnapshot(oid object.ID, val object.Value, ver object.Version) *objEntry {
-	tx.root.roObserved++
-	e := &objEntry{val: val, ver: ver}
-	tx.entries[oid] = e
-	return e
 }
 
 // forward implements TFA's transactional forwarding: when the transaction
@@ -975,52 +693,45 @@ func (tx *Txn) checkVersions(ctx context.Context, entries []verEntry, meter *com
 			return nil, err
 		}
 
-		// Group the pending indices by owner, deterministically ordered.
-		byOwner := make(map[transport.NodeID][]int)
-		for _, idx := range pending {
-			o := owners[entries[idx].Oid]
-			byOwner[o] = append(byOwner[o], idx)
-		}
-		ownerList := make([]transport.NodeID, 0, len(byOwner))
-		for o := range byOwner {
-			ownerList = append(ownerList, o)
-		}
-		sort.Slice(ownerList, func(i, j int) bool { return ownerList[i] < ownerList[j] })
-		calls := make([]cluster.Outcall, len(ownerList))
-		for i, o := range ownerList {
-			req := checkBatchReq{TxID: tx.root.lockID, Entries: make([]verEntry, len(byOwner[o]))}
-			for j, idx := range byOwner[o] {
-				req.Entries[j] = entries[idx]
+		// An ID can sit at several nesting levels, so a group's request is
+		// the pending entries that owner holds, in pending order.
+		groups := groupByOwner(oids, owners)
+		calls := make([]cluster.Outcall, len(groups))
+		for i, g := range groups {
+			req := checkBatchReq{TxID: tx.root.lockID, Entries: make([]verEntry, 0, len(g.oids))}
+			for _, idx := range pending {
+				if owners[entries[idx].Oid] == g.owner {
+					req.Entries = append(req.Entries, entries[idx])
+				}
 			}
-			calls[i] = cluster.Outcall{To: o, Kind: KindCheckVersionBatch, Payload: req}
+			calls[i] = cluster.Outcall{To: g.owner, Kind: KindCheckVersionBatch, Payload: req}
 		}
 		results := rt.ep.Broadcast(ctx, calls)
 		meter.wave(len(calls))
 
 		var next []int
 		for gi, res := range results {
-			group := byOwner[ownerList[gi]]
+			g := groups[gi]
 			if res.Err != nil {
 				return nil, res.Err
 			}
 			resp, ok := res.Body.(checkBatchResp)
-			if !ok || len(resp.Results) != len(group) {
+			if !ok || len(resp.Results) != len(g.oids) {
 				return nil, fmt.Errorf("stm: bad check batch reply %T", res.Body)
 			}
-			for i, r := range resp.Results {
-				idx := group[i]
+			i := 0
+			for _, idx := range pending {
+				if owners[entries[idx].Oid] != g.owner {
+					continue
+				}
+				r := resp.Results[i]
+				i++
 				if r.NotOwner {
-					// Ownership moved: the directory hint and any cached
-					// replica of this object are both stale.
 					rt.locator.InvalidateHint(entries[idx].Oid)
-					rt.replica.invalidate(entries[idx].Oid, rt.metrics)
 					next = append(next, idx)
 					continue
 				}
 				oks[idx] = r.OK
-				if !r.OK {
-					rt.replica.invalidate(entries[idx].Oid, rt.metrics)
-				}
 			}
 		}
 		sort.Ints(next)

@@ -15,12 +15,11 @@ import (
 	"dstm/internal/wire"
 )
 
-// Wire type IDs 10–39 are reserved for STM payloads (the band was 10–29
-// until the snapshot-read payloads consumed its tail). They are a static
+// Wire type IDs 10–39 are reserved for STM payloads. They are a static
 // protocol: never renumber, only append. IDs 10–15, 17 and 18 (payloads of
-// the retired per-object retrieve/check/acquire/commit RPCs) are reserved:
-// never reuse them, or a frame from an old peer would mis-decode into a
-// live type.
+// the retired per-object retrieve/check/acquire/commit RPCs) and 27–30 (the
+// retired MVCC snapshot-read payloads) are reserved: never reuse them, or a
+// frame from an old peer would mis-decode into a live type.
 const (
 	wireIDReleaseReq         wire.ID = 16
 	wireIDPushMsg            wire.ID = 19
@@ -31,10 +30,6 @@ const (
 	wireIDCheckBatchResp     wire.ID = 24
 	wireIDCommitObjBatchReq  wire.ID = 25
 	wireIDCommitObjBatchResp wire.ID = 26
-	wireIDSnapReadReq        wire.ID = 27
-	wireIDSnapReadResp       wire.ID = 28
-	wireIDSnapReadBatchReq   wire.ID = 29
-	wireIDSnapReadBatchResp  wire.ID = 30
 	wireIDRetrieveReq        wire.ID = 31
 	wireIDRetrieveResp       wire.ID = 32
 )
@@ -344,75 +339,6 @@ func (q *commitObjBatchResp) decodeWire(r *wire.Reader) {
 	}
 }
 
-func (q snapReadReq) appendWire(b []byte) []byte {
-	b = wire.AppendString(b, string(q.Oid))
-	b = wire.AppendUvarint(b, q.TxID)
-	b = wire.AppendUvarint(b, q.At)
-	return wire.AppendBool(b, q.AdvanceOK)
-}
-
-func (q *snapReadReq) decodeWire(r *wire.Reader) {
-	q.Oid = object.ID(r.String())
-	q.TxID = r.Uvarint()
-	q.At = r.Uvarint()
-	q.AdvanceOK = r.Bool()
-}
-
-func (q snapReadResp) appendWire(b []byte) ([]byte, error) {
-	b = wire.AppendUvarint(b, uint64(q.Status))
-	b, err := wire.AppendAny(b, q.Value)
-	if err != nil {
-		return b, err
-	}
-	b = appendVersion(b, q.Version)
-	return wire.AppendUvarint(b, q.OwnerClock), nil
-}
-
-func (q *snapReadResp) decodeWire(r *wire.Reader) {
-	q.Status = uint8(r.Uvarint())
-	q.Value = readValue(r, q.Value)
-	q.Version = readVersion(r)
-	q.OwnerClock = r.Uvarint()
-}
-
-func (q snapReadBatchReq) appendWire(b []byte) []byte {
-	b = wire.AppendUvarint(b, q.TxID)
-	b = wire.AppendUvarint(b, q.At)
-	return appendOids(b, q.Oids)
-}
-
-func (q *snapReadBatchReq) decodeWire(r *wire.Reader) {
-	q.TxID = r.Uvarint()
-	q.At = r.Uvarint()
-	q.Oids = readOids(r, q.Oids)
-}
-
-func (q snapReadBatchResp) appendWire(b []byte) ([]byte, error) {
-	b = wire.AppendUvarint(b, uint64(len(q.Results)))
-	for i := range q.Results {
-		b = wire.AppendUvarint(b, uint64(q.Results[i].Status))
-		var err error
-		b, err = wire.AppendAny(b, q.Results[i].Value)
-		if err != nil {
-			return b, err
-		}
-		b = appendVersion(b, q.Results[i].Version)
-	}
-	return wire.AppendUvarint(b, q.OwnerClock), nil
-}
-
-func (q *snapReadBatchResp) decodeWire(r *wire.Reader) {
-	n := r.SliceLen(4)
-	q.Results = grow(q.Results, n)
-	for i := range q.Results {
-		res := &q.Results[i]
-		res.Status = uint8(r.Uvarint())
-		res.Value = readValue(r, res.Value)
-		res.Version = readVersion(r)
-	}
-	q.OwnerClock = r.Uvarint()
-}
-
 // ---------------------------------------------------------------------------
 // Registration. The encode closures call value-receiver methods directly so
 // the registered encode path stays allocation-free; the decode closures
@@ -521,46 +447,6 @@ func init() {
 		func(r *wire.Reader, prev any) any {
 			var q commitObjBatchResp
 			if p, ok := prev.(commitObjBatchResp); ok {
-				q = p
-			}
-			q.decodeWire(r)
-			return q
-		})
-	wire.Register(wireIDSnapReadReq, snapReadReq{},
-		func(b []byte, v any) ([]byte, error) { return v.(snapReadReq).appendWire(b), nil },
-		func(r *wire.Reader, prev any) any {
-			var q snapReadReq
-			if p, ok := prev.(snapReadReq); ok {
-				q = p
-			}
-			q.decodeWire(r)
-			return q
-		})
-	wire.Register(wireIDSnapReadResp, snapReadResp{},
-		func(b []byte, v any) ([]byte, error) { return v.(snapReadResp).appendWire(b) },
-		func(r *wire.Reader, prev any) any {
-			var q snapReadResp
-			if p, ok := prev.(snapReadResp); ok {
-				q = p
-			}
-			q.decodeWire(r)
-			return q
-		})
-	wire.Register(wireIDSnapReadBatchReq, snapReadBatchReq{},
-		func(b []byte, v any) ([]byte, error) { return v.(snapReadBatchReq).appendWire(b), nil },
-		func(r *wire.Reader, prev any) any {
-			var q snapReadBatchReq
-			if p, ok := prev.(snapReadBatchReq); ok {
-				q = p
-			}
-			q.decodeWire(r)
-			return q
-		})
-	wire.Register(wireIDSnapReadBatchResp, snapReadBatchResp{},
-		func(b []byte, v any) ([]byte, error) { return v.(snapReadBatchResp).appendWire(b) },
-		func(r *wire.Reader, prev any) any {
-			var q snapReadBatchResp
-			if p, ok := prev.(snapReadBatchResp); ok {
 				q = p
 			}
 			q.decodeWire(r)

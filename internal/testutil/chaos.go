@@ -64,15 +64,6 @@ type ChaosOptions struct {
 	Duration  time.Duration // fault window; 0 means 2s
 	ReadRatio float64       // fraction of read ops; 0 means 0.5
 
-	// ROReads routes the benchmark's read-only transactions onto the MVCC
-	// snapshot path (stm.Runtime.SetReadOnlyReads) so chaos runs exercise
-	// snapshot reads, upgrades, and I8 under loss and crashes.
-	ROReads bool
-
-	// ReplicaLease, when positive, enables the requester-side replica cache
-	// on every node with the given lease.
-	ReplicaLease time.Duration
-
 	// KeySampler skews the benchmark's key choices (nil = the benchmark's
 	// uniform default). Applied via apps.Skewable before Setup; ignored
 	// for benchmarks that do not support it.
@@ -170,12 +161,6 @@ func NewChaosCluster(t testing.TB, opts ChaosOptions) *ChaosCluster {
 		ep := cluster.NewEndpoint(net.Endpoint(transport.NodeID(i)), clk)
 		ep.SetRetryPolicy(opts.Retry)
 		rt := stm.NewRuntime(ep, opts.Nodes, mkPolicy(), nil)
-		if opts.ROReads {
-			rt.SetReadOnlyReads(true)
-		}
-		if opts.ReplicaLease > 0 {
-			rt.EnableReplicaCache(opts.ReplicaLease)
-		}
 		if opts.Trace {
 			rec := trace.NewRecorder(transport.NodeID(i), opts.TraceCap, clk.Now)
 			rt.SetTracer(rec)

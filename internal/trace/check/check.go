@@ -24,22 +24,16 @@
 //     attempt that aborted — an owner-grouped acquire batch is applied
 //     all-or-nothing, so a failed commit must leave NO subset of its batch
 //     locked once its releases have drained (checked at end-of-trace
-//     because an abort and its owner-side release can carry tied clocks);
-//   - I8 snapshot consistency: every MVCC snapshot read serves the newest
-//     version installed at the owner at or below the requested snapshot
-//     clock — never a version above the snapshot and never a stale one
-//     when a newer qualifying version existed. (The owner's bounded chain
-//     may EVICT the qualifying version, but eviction drops oldest-first, so
-//     the store then refuses or advances instead of mis-serving; an
-//     "advance" serve must be the owner's newest version, above the
-//     requested clock.) Snap-read events are emitted under the owner's
-//     store mutex, so they are totally ordered with that object's installs.
+//     because an abort and its owner-side release can carry tied clocks).
 //
-// I1, I3, I4, I5, I6, I7 and I8 are stateful: they reconstruct queues,
-// locks, parked waiters and version histories from the trace, so they are
-// only sound over a complete trace. When any recorder dropped events (ring
-// wrap), run with Options.Truncated — the stateful invariants are skipped
-// and only I2 is checked.
+// I8 (MVCC snapshot consistency) is retired with the read path it checked;
+// the number is not reused — I9 and I10 keep their planned names.
+//
+// I1, I3, I4, I5, I6 and I7 are stateful: they reconstruct queues, locks
+// and parked waiters from the trace, so they are only sound over a complete
+// trace. When any recorder dropped events (ring wrap), run with
+// Options.Truncated — the stateful invariants are skipped and only I2 is
+// checked.
 package check
 
 import (
@@ -147,15 +141,10 @@ type checker struct {
 
 	// Batch atomicity: lock events are keyed by the attempt's lock identity
 	// (fresh per retry), which EvTxBegin carries in B; an abort dooms the
-	// current attempt's identity. (An upgraded read-only attempt announces
-	// its identity late, via EvTxBegin with Detail "upgrade".)
-	curLock     map[uint64]uint64      // root tx → current attempt's lock identity
-	abortedLock map[uint64]bool        // lock identities whose attempt aborted
+	// current attempt's identity.
+	curLock     map[uint64]uint64       // root tx → current attempt's lock identity
+	abortedLock map[uint64]bool         // lock identities whose attempt aborted
 	lastAcquire map[lockKey]trace.Event // latest grant per lock, for reporting
-
-	// Snapshot consistency: version clocks installed at each owner, in
-	// store order (installs and commit-releases both advance the version).
-	verHist map[lockKey][]uint64
 }
 
 // Run replays a merged trace (see trace.Merge) and reports violations.
@@ -164,25 +153,24 @@ func Run(events []trace.Event, opts Options) *Report {
 		opts.MaxViolations = 64
 	}
 	c := &checker{
-		opts:      opts,
-		locks:     make(map[lockKey]uint64),
-		queues:    make(map[lockKey][]queueEntry),
-		adopting:  make(map[lockKey]int),
-		group:     make(map[lockKey]uint64),
-		groupEvs:  make(map[lockKey][]trace.Event),
-		groupPre:  make(map[lockKey][]queueEntry),
-		parked:    make(map[parkKey]trace.Event),
-		timedOut:  make(map[uint64]trace.Event),
+		opts:        opts,
+		locks:       make(map[lockKey]uint64),
+		queues:      make(map[lockKey][]queueEntry),
+		adopting:    make(map[lockKey]int),
+		group:       make(map[lockKey]uint64),
+		groupEvs:    make(map[lockKey][]trace.Event),
+		groupPre:    make(map[lockKey][]queueEntry),
+		parked:      make(map[parkKey]trace.Event),
+		timedOut:    make(map[uint64]trace.Event),
 		sent:        make(map[corrKey]bool),
 		forwarded:   make(map[uint64]uint64),
 		curLock:     make(map[uint64]uint64),
 		abortedLock: make(map[uint64]bool),
 		lastAcquire: make(map[lockKey]trace.Event),
-		verHist:     make(map[lockKey][]uint64),
 	}
 	c.rep.Events = len(events)
 	if opts.Truncated {
-		c.rep.Skipped = []string{"lock-exclusion", "handoff-head", "park-closure", "lease-expiry", "reply-correlation", "batch-atomicity", "snapshot-consistency"}
+		c.rep.Skipped = []string{"lock-exclusion", "handoff-head", "park-closure", "lease-expiry", "reply-correlation", "batch-atomicity"}
 	}
 	for _, e := range events {
 		c.step(e)
@@ -229,20 +217,11 @@ func (c *checker) step(e trace.Event) {
 		c.lockAcquire(e)
 	case trace.EvLockRelease:
 		c.lockRelease(e)
-		if e.Detail == "commit" {
-			// A commit-release publishes the new version (A) at this owner.
-			k := lockKey{node: e.Node, oid: e.Oid}
-			c.verHist[k] = append(c.verHist[k], e.A)
-		}
 	case trace.EvLeaseExpire:
 		c.leaseExpire(e)
 	case trace.EvInstall:
 		// Unlocked (re-)install: creation seeding or migration in.
-		k := lockKey{node: e.Node, oid: e.Oid}
-		c.locks[k] = 0
-		c.verHist[k] = append(c.verHist[k], e.A)
-	case trace.EvSnapRead:
-		c.snapRead(e)
+		c.locks[lockKey{node: e.Node, oid: e.Oid}] = 0
 
 	case trace.EvEnqueue:
 		c.enqueue(e)
@@ -512,59 +491,6 @@ func groupTxs(evs []trace.Event) string {
 	}
 	b.WriteByte(']')
 	return b.String()
-}
-
-// ---------------------------------------------------------------------------
-// I8 — snapshot consistency.
-
-// snapRead validates one owner-side snapshot serve (EvSnapRead: A is the
-// requested snapshot clock, B the served version clock) against the version
-// history replayed from installs and commit-releases at that owner. A
-// normal serve must be the newest installed version at or below the
-// snapshot; an "advance" serve (first-read escape hatch when the chain no
-// longer reaches the snapshot) must be the owner's newest version, above
-// the requested clock. Chain eviction cannot mis-serve: the chain drops
-// oldest-first, so a version it still holds at or below the snapshot is
-// the newest such version in the full history.
-func (c *checker) snapRead(e trace.Event) {
-	k := lockKey{node: e.Node, oid: e.Oid}
-	hist := c.verHist[k]
-	if e.Detail == "advance" {
-		if e.B <= e.A {
-			c.violate("snapshot-consistency", e,
-				"tx %x advance-served %s version %d at or below its snapshot %d — should have been a normal serve",
-				e.Tx, e.Oid, e.B, e.A)
-			return
-		}
-		if len(hist) == 0 || hist[len(hist)-1] != e.B {
-			c.violate("snapshot-consistency", e,
-				"tx %x advance-served %s version %d which is not the owner's newest (history %v)",
-				e.Tx, e.Oid, e.B, hist)
-		}
-		return
-	}
-	if e.B > e.A {
-		c.violate("snapshot-consistency", e,
-			"tx %x read %s version %d above its snapshot %d", e.Tx, e.Oid, e.B, e.A)
-		return
-	}
-	var want uint64
-	found := false
-	for _, v := range hist {
-		if v <= e.A && (!found || v > want) {
-			want, found = v, true
-		}
-	}
-	switch {
-	case !found:
-		c.violate("snapshot-consistency", e,
-			"tx %x read %s version %d but no version at or below snapshot %d was ever installed here",
-			e.Tx, e.Oid, e.B, e.A)
-	case e.B != want:
-		c.violate("snapshot-consistency", e,
-			"tx %x read %s version %d at snapshot %d, want newest-at-or-below %d",
-			e.Tx, e.Oid, e.B, e.A, want)
-	}
 }
 
 // ---------------------------------------------------------------------------

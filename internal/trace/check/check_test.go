@@ -69,23 +69,6 @@ func golden() []trace.Event {
 		ev(0, 10, trace.EvLockRelease, func(e *trace.Event) { e.Tx = 0x2A1; e.Oid = "obj/p"; e.Detail = "unlock" }),
 		ev(0, 10, trace.EvLockRelease, func(e *trace.Event) { e.Tx = 0x2A1; e.Oid = "obj/q"; e.Detail = "unlock" }),
 		ev(2, 10, trace.EvTxAbort, func(e *trace.Event) { e.Tx = 0x2A; e.Detail = "lock-failed" }),
-
-		// Node 3: MVCC snapshot reads over obj/s. Version 5 installed, then
-		// version 9 committed; reads at snapshots 12, 7 and 12 must serve the
-		// newest version at or below each snapshot, and a first-read
-		// "advance" (snapshot 2 predates the chain) serves the newest
-		// version. Tx 0x5A is a read-only attempt that upgraded: its lock
-		// identity 0x5A1 arrives late via an EvTxBegin with Detail "upgrade".
-		ev(3, 11, trace.EvInstall, func(e *trace.Event) { e.Oid = "obj/s"; e.A = 5 }),
-		ev(3, 12, trace.EvTxBeginRO, func(e *trace.Event) { e.Tx = 0x4A; e.A = 1; e.B = 12 }),
-		ev(3, 12, trace.EvSnapRead, func(e *trace.Event) { e.Tx = 0x4A; e.Oid = "obj/s"; e.A = 12; e.B = 5 }),
-		ev(3, 13, trace.EvTxBegin, func(e *trace.Event) { e.Tx = 0x5A; e.B = 0x5A1; e.Detail = "upgrade" }),
-		ev(3, 13, trace.EvLockAcquire, func(e *trace.Event) { e.Tx = 0x5A1; e.Oid = "obj/s" }),
-		ev(3, 14, trace.EvLockRelease, func(e *trace.Event) { e.Tx = 0x5A1; e.Oid = "obj/s"; e.Detail = "commit"; e.A = 9 }),
-		ev(3, 14, trace.EvTxCommit, func(e *trace.Event) { e.Tx = 0x5A }),
-		ev(3, 15, trace.EvSnapRead, func(e *trace.Event) { e.Tx = 0x4A; e.Oid = "obj/s"; e.A = 7; e.B = 5 }),
-		ev(3, 15, trace.EvSnapRead, func(e *trace.Event) { e.Tx = 0x4A; e.Oid = "obj/s"; e.A = 12; e.B = 9 }),
-		ev(3, 16, trace.EvSnapRead, func(e *trace.Event) { e.Tx = 0x4B; e.Oid = "obj/s"; e.A = 2; e.B = 9; e.Detail = "advance" }),
 	}
 }
 
@@ -305,82 +288,6 @@ func TestOracleAcceptsLockHeldByLiveAttempt(t *testing.T) {
 	if err := Run(evs, Options{}).Err(); err != nil {
 		t.Fatalf("mid-commit lock at trace end must pass: %v", err)
 	}
-}
-
-func TestOracleFlagsSnapReadAboveSnapshot(t *testing.T) {
-	evs := mutate(t, func(evs []trace.Event) []trace.Event {
-		// The snapshot-7 read serves version 9 — above the reader's pinned
-		// snapshot clock.
-		for i, e := range evs {
-			if e.Type == trace.EvSnapRead && e.A == 7 {
-				evs[i].B = 9
-			}
-		}
-		return evs
-	})
-	expectViolation(t, evs, "snapshot-consistency")
-}
-
-func TestOracleFlagsStaleSnapRead(t *testing.T) {
-	evs := mutate(t, func(evs []trace.Event) []trace.Event {
-		// The second snapshot-12 read serves version 5 although version 9
-		// (newer, still at or below 12) had been committed at the owner.
-		for i, e := range evs {
-			if e.Type == trace.EvSnapRead && e.A == 12 && e.B == 9 {
-				evs[i].B = 5
-			}
-		}
-		return evs
-	})
-	expectViolation(t, evs, "snapshot-consistency")
-}
-
-func TestOracleFlagsSnapReadOfUninstalledVersion(t *testing.T) {
-	evs := mutate(t, func(evs []trace.Event) []trace.Event {
-		// Version 6 was never installed at the owner.
-		for i, e := range evs {
-			if e.Type == trace.EvSnapRead && e.A == 12 && e.B == 9 {
-				evs[i].B = 6
-			}
-		}
-		return evs
-	})
-	expectViolation(t, evs, "snapshot-consistency")
-}
-
-func TestOracleFlagsAdvanceNotNewest(t *testing.T) {
-	evs := mutate(t, func(evs []trace.Event) []trace.Event {
-		// The advance serve hands out version 5, but an advance must serve
-		// the owner's newest version (9).
-		for i, e := range evs {
-			if e.Type == trace.EvSnapRead && e.Detail == "advance" {
-				evs[i].B = 5
-			}
-		}
-		return evs
-	})
-	expectViolation(t, evs, "snapshot-consistency")
-}
-
-func TestOracleFlagsLeakFromUpgradedAttempt(t *testing.T) {
-	// The upgraded read-only attempt 0x5A aborts instead of committing, but
-	// its commit lock on obj/s is never released: the late EvTxBegin
-	// (Detail "upgrade") announced lock identity 0x5A1, so batch atomicity
-	// must still flag the leak.
-	evs := mutate(t, func(evs []trace.Event) []trace.Event {
-		out := evs[:0]
-		for _, e := range evs {
-			if e.Type == trace.EvLockRelease && e.Tx == 0x5A1 {
-				continue
-			}
-			if e.Type == trace.EvTxCommit && e.Tx == 0x5A {
-				e = trace.Event{Node: 3, Seq: e.Seq, Clock: e.Clock, Type: trace.EvTxAbort, Tx: 0x5A, Detail: "validation"}
-			}
-			out = append(out, e)
-		}
-		return out
-	})
-	expectViolation(t, evs, "batch-atomicity")
 }
 
 func TestOracleSkipsStatefulChecksWhenTruncated(t *testing.T) {

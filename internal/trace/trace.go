@@ -54,11 +54,6 @@ const (
 	// inner transaction itself failed, "parent" when an enclosing abort
 	// killed it.
 	EvNestAbort EventType = "nest-abort"
-	// EvTxBeginRO starts one attempt of a read-only (MVCC snapshot) root
-	// transaction. A = attempt number; B = the pinned snapshot clock. A
-	// distinct type from EvTxBegin because B carries a clock here, not a
-	// lock identity — read-only attempts hold no locks.
-	EvTxBeginRO EventType = "tx-begin-ro"
 )
 
 // Object protocol (requester node).
@@ -80,14 +75,6 @@ const (
 	EvParkTimeout EventType = "park-timeout"
 	// EvParkCancel resolves a park: the caller's context ended.
 	EvParkCancel EventType = "park-cancel"
-	// EvSnapRead is an owner-side snapshot read served from the versioned
-	// store (emitted under the store mutex, so it is totally ordered with
-	// the installs of the same object). Tx = reading transaction,
-	// A = requested snapshot clock, B = served version clock. Normally
-	// B <= A and B is the newest retained version at or below A;
-	// Detail = "advance" marks the first-read escape hatch where the
-	// current version (B > A) is served and the reader re-pins to B.
-	EvSnapRead EventType = "snap-read"
 )
 
 // Commit-lock state machine (owner node, store-serialised).

@@ -4,7 +4,8 @@
 # broke. `make verify` delegates here.
 #
 # Usage: scripts/ci.sh [stage]
-#   vet    go vet + go build
+#   vet    go vet + go build, then the loc figure
+#   loc    lines of non-test Go outside bench/ (ROADMAP aim 2's measure)
 #   test   go test with the protocol-package coverage floor
 #   race   full suite under the race detector
 #   perf   perf smokes: commit-pipeline msgs/commit bound, the
@@ -39,6 +40,13 @@ stage_vet() {
 
     echo "== go build ./..."
     go build ./...
+
+    stage_loc
+}
+
+stage_loc() {
+    echo "== non-test Go outside bench/ (lines)"
+    find . -name '*.go' -not -name '*_test.go' -not -path './bench/*' -not -path './.bench_build/*' | xargs cat | wc -l
 }
 
 stage_test() {
@@ -132,14 +140,13 @@ stage_fuzz() {
     go test ./internal/stm/ -fuzz FuzzCommitPushRoundTrip -fuzztime "$CI_FUZZTIME"
     go test ./internal/stm/ -fuzz FuzzAcquireCheckBatchRoundTrip -fuzztime "$CI_FUZZTIME"
     go test ./internal/stm/ -fuzz FuzzCommitObjBatchRoundTrip -fuzztime "$CI_FUZZTIME"
-    go test ./internal/stm/ -fuzz FuzzSnapshotReadRoundTrip -fuzztime "$CI_FUZZTIME"
-    go test ./internal/stm/ -fuzz FuzzSnapshotReadBatchRoundTrip -fuzztime "$CI_FUZZTIME"
     go test ./internal/cc/ -fuzz FuzzDirectoryBatchRoundTrip -fuzztime "$CI_FUZZTIME"
 }
 
 stage="${1:-all}"
 case "$stage" in
 vet) stage_vet ;;
+loc) stage_loc ;;
 test) stage_test ;;
 race) stage_race ;;
 perf) stage_perf ;;
@@ -152,7 +159,7 @@ all)
     stage_fuzz
     ;;
 *)
-    echo "usage: $0 [vet|test|race|perf|fuzz|all]" >&2
+    echo "usage: $0 [vet|loc|test|race|perf|fuzz|all]" >&2
     exit 2
     ;;
 esac
