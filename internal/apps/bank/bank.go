@@ -113,6 +113,10 @@ func (b *Bank) batchTransfer(ctx context.Context, rt *stm.Runtime, rng *rand.Ran
 		for _, t := range transfers {
 			from, to := AccountID(t[0]), AccountID(t[1])
 			if err := tx.Atomic(ctx, "bank/transfer", func(c *stm.Txn) error {
+				// Open the access set in one wave, then update.
+				if _, err := c.ReadMany(ctx, []object.ID{from, to}); err != nil {
+					return err
+				}
 				if err := c.Update(ctx, from, func(v object.Value) object.Value {
 					v.(*Account).Balance -= amount
 					return v

@@ -167,16 +167,25 @@ func (d *DHT) Get(ctx context.Context, rt *stm.Runtime, key string) (string, boo
 	return out, ok, err
 }
 
+// allBuckets is the access set of a whole-table scan.
+func (d *DHT) allBuckets() []object.ID {
+	oids := make([]object.ID, d.buckets)
+	for i := range oids {
+		oids[i] = BucketID(i)
+	}
+	return oids
+}
+
 // Len counts stored keys across all buckets in one transaction.
 func (d *DHT) Len(ctx context.Context, rt *stm.Runtime) (int, error) {
 	total := 0
 	err := rt.Atomic(ctx, "dht/len", func(tx *stm.Txn) error {
+		vals, err := tx.ReadMany(ctx, d.allBuckets())
+		if err != nil {
+			return err
+		}
 		total = 0
-		for i := 0; i < d.buckets; i++ {
-			v, err := tx.Read(ctx, BucketID(i))
-			if err != nil {
-				return err
-			}
+		for _, v := range vals {
 			total += len(v.(*Bucket).M)
 		}
 		return nil
@@ -188,11 +197,11 @@ func (d *DHT) Len(ctx context.Context, rt *stm.Runtime) (int, error) {
 // holding it.
 func (d *DHT) Check(ctx context.Context, rt *stm.Runtime) error {
 	return rt.Atomic(ctx, "dht/check", func(tx *stm.Txn) error {
-		for i := 0; i < d.buckets; i++ {
-			v, err := tx.Read(ctx, BucketID(i))
-			if err != nil {
-				return err
-			}
+		vals, err := tx.ReadMany(ctx, d.allBuckets())
+		if err != nil {
+			return err
+		}
+		for i, v := range vals {
 			for k := range v.(*Bucket).M {
 				if d.bucketOf(k) != BucketID(i) {
 					return fmt.Errorf("dht: key %q stored in wrong bucket %d", k, i)

@@ -175,6 +175,16 @@ func (v *Vacation) Op(ctx context.Context, rt *stm.Runtime, rng *rand.Rand, read
 	}
 }
 
+// window is the access set of one inventory scan: ScanSpan entries of kind
+// k from offset off, opened with one ReadMany.
+func (v *Vacation) window(k Kind, off int) []object.ID {
+	oids := make([]object.ID, v.opts.ScanSpan)
+	for j := range oids {
+		oids[j] = ResourceID(k, (off+j)%v.resources)
+	}
+	return oids
+}
+
 // MakeReservation books the cheapest available unit of one to three
 // resource kinds for the customer, each kind inside its own closed-nested
 // transaction (the paper's "try an alternate remote device" pattern:
@@ -207,17 +217,16 @@ func (v *Vacation) MakeReservation(ctx context.Context, rt *stm.Runtime, rng *ra
 				chosen = nil
 				// Scan a window of the kind's inventory for the cheapest
 				// available entry.
+				vals, err := c.ReadMany(ctx, v.window(kind, off))
+				if err != nil {
+					return err
+				}
 				best := -1
 				var bestPrice int64
-				for j := 0; j < v.opts.ScanSpan; j++ {
-					idx := (off + j) % v.resources
-					val, err := c.Read(ctx, ResourceID(kind, idx))
-					if err != nil {
-						return err
-					}
+				for j, val := range vals {
 					res := val.(*Resource)
 					if res.Avail > 0 && (best < 0 || res.Price < bestPrice) {
-						best, bestPrice = idx, res.Price
+						best, bestPrice = (off+j)%v.resources, res.Price
 					}
 				}
 				if best < 0 {
@@ -326,12 +335,8 @@ func (v *Vacation) query(ctx context.Context, rt *stm.Runtime, rng *rand.Rand) e
 			return err
 		}
 		return tx.Atomic(ctx, "vac/query/inv", func(c *stm.Txn) error {
-			for j := 0; j < v.opts.ScanSpan; j++ {
-				if _, err := c.Read(ctx, ResourceID(kind, (off+j)%v.resources)); err != nil {
-					return err
-				}
-			}
-			return nil
+			_, err := c.ReadMany(ctx, v.window(kind, off))
+			return err
 		})
 	})
 }
@@ -341,31 +346,34 @@ func (v *Vacation) query(ctx context.Context, rt *stm.Runtime, rng *rand.Rand) e
 // 0 ≤ Avail ≤ Total.
 func (v *Vacation) Check(ctx context.Context, rt *stm.Runtime) error {
 	return rt.Atomic(ctx, "vac/check", func(tx *stm.Txn) error {
-		claimed := make(map[object.ID]int64)
+		// One bulk read of every customer, then every inventory entry.
+		oids := make([]object.ID, 0, v.customers+int(numKinds)*v.resources)
 		for i := 0; i < v.customers; i++ {
-			val, err := tx.Read(ctx, CustomerID(i))
-			if err != nil {
-				return err
+			oids = append(oids, CustomerID(i))
+		}
+		for k := Kind(0); k < numKinds; k++ {
+			for i := 0; i < v.resources; i++ {
+				oids = append(oids, ResourceID(k, i))
 			}
+		}
+		vals, err := tx.ReadMany(ctx, oids)
+		if err != nil {
+			return err
+		}
+		claimed := make(map[object.ID]int64)
+		for _, val := range vals[:v.customers] {
 			for _, r := range val.(*Customer).Reservations {
 				claimed[ResourceID(r.Kind, r.Index)]++
 			}
 		}
-		for k := Kind(0); k < numKinds; k++ {
-			for i := 0; i < v.resources; i++ {
-				oid := ResourceID(k, i)
-				val, err := tx.Read(ctx, oid)
-				if err != nil {
-					return err
-				}
-				res := val.(*Resource)
-				if res.Avail < 0 || res.Avail > res.Total {
-					return fmt.Errorf("vacation: %s has avail %d of total %d", oid, res.Avail, res.Total)
-				}
-				if got := res.Total - res.Avail; got != claimed[oid] {
-					return fmt.Errorf("vacation: %s claims mismatch: inventory says %d, customers hold %d",
-						oid, got, claimed[oid])
-				}
+		for i, val := range vals[v.customers:] {
+			oid, res := oids[v.customers+i], val.(*Resource)
+			if res.Avail < 0 || res.Avail > res.Total {
+				return fmt.Errorf("vacation: %s has avail %d of total %d", oid, res.Avail, res.Total)
+			}
+			if got := res.Total - res.Avail; got != claimed[oid] {
+				return fmt.Errorf("vacation: %s claims mismatch: inventory says %d, customers hold %d",
+					oid, got, claimed[oid])
 			}
 		}
 		return nil

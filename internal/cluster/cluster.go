@@ -22,7 +22,8 @@ import (
 
 // RequestHandler serves one RPC kind: it receives the sender and payload
 // and returns the reply payload or an error (propagated to the caller as a
-// *RemoteError). Handlers run on their own goroutine and may block.
+// *RemoteError). A handler runs on its own goroutine — on the caller's, when
+// a node calls itself — and may block.
 type RequestHandler func(from transport.NodeID, payload any) (any, error)
 
 // NotifyHandler serves a one-way message kind. It is invoked synchronously
@@ -200,7 +201,13 @@ func (e *Endpoint) HandleNotify(kind transport.Kind, h NotifyHandler) {
 // RetryPolicy with exponential backoff and jitter. Every retransmission
 // carries the original correlation ID, and the receiver deduplicates by
 // (sender, correlation), so a retried call never re-executes its handler.
+//
+// A node does not send itself messages: a call to Self() runs the handler in
+// process (callSelf).
 func (e *Endpoint) Call(ctx context.Context, to transport.NodeID, kind transport.Kind, payload any) (any, error) {
+	if to == e.Self() {
+		return e.callSelf(ctx, kind, payload)
+	}
 	corr := e.corr.Add(1)
 	ch := make(chan *transport.Message, 1)
 
@@ -315,6 +322,32 @@ func (e *Endpoint) Call(ctx context.Context, to transport.NodeID, kind transport
 	}
 }
 
+// callSelf is Call addressed to this node: the handler runs on the caller's
+// goroutine and its result comes back with Call's error shapes (a handler
+// error or a missing handler is a *RemoteError naming this node). No message
+// exists — no correlation ID, dedup entry, trace event or transport Send, so
+// no link delay and no fault: what transport.MetricLatency ("self-links cost
+// zero") and FaultModel ("self-sends are never faulted") assume.
+func (e *Endpoint) callSelf(ctx context.Context, kind transport.Kind, payload any) (any, error) {
+	e.mu.Lock()
+	closed, h := e.closed, e.handlers[kind]
+	e.mu.Unlock()
+	if closed {
+		return nil, ErrEndpointClosed
+	}
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	if h == nil {
+		return nil, &RemoteError{Node: e.Self(), Msg: fmt.Sprintf("no handler for %v", kind)}
+	}
+	body, err := h(e.Self(), payload)
+	if err != nil {
+		return nil, &RemoteError{Node: e.Self(), Msg: err.Error()}
+	}
+	return body, nil
+}
+
 // jitter spreads d by ±50% using a deterministic hash of the call identity,
 // decorrelating retransmission storms without a shared RNG.
 func jitter(d time.Duration, salt uint64) time.Duration {
@@ -326,13 +359,20 @@ func jitter(d time.Duration, salt uint64) time.Duration {
 	return time.Duration(float64(d) * (0.5 + frac))
 }
 
-// Notify sends a one-way message (no reply expected).
+// Notify sends a one-way message (no reply expected). Addressed to Self() it
+// runs the notify handler in process, like callSelf.
 func (e *Endpoint) Notify(to transport.NodeID, kind transport.Kind, payload any) error {
 	e.mu.Lock()
-	closed := e.closed
+	closed, h := e.closed, e.notifies[kind]
 	e.mu.Unlock()
 	if closed {
 		return ErrEndpointClosed
+	}
+	if to == e.Self() {
+		if h != nil {
+			h(to, payload)
+		}
+		return nil
 	}
 	err := e.tr.Send(&transport.Message{
 		From:    e.Self(),

@@ -132,22 +132,43 @@ func TestAcquireBatchPartialFailure(t *testing.T) {
 	}
 }
 
+// readBox reads one box in a transaction of its own on rt.
+func readBox(t *testing.T, rt *Runtime, oid object.ID) (n int64) {
+	t.Helper()
+	if err := rt.Atomic(context.Background(), "readBox", func(tx *Txn) error {
+		v, err := tx.Read(context.Background(), oid)
+		if err == nil {
+			n = v.(*box).N
+		}
+		return err
+	}); err != nil {
+		t.Fatal(err)
+	}
+	return n
+}
+
 // TestValidateBatchStaleAbortsInnermost checks closed-nesting attribution
 // through the batched validator: when one entry of a validate batch is
 // stale, the innermost transaction that OBSERVED that version aborts — the
 // child when it fetched the entry itself, the whole root when the child
 // inherited the version from an ancestor's snapshot.
 func TestValidateBatchStaleAbortsInnermost(t *testing.T) {
-	t.Run("own-stale-aborts-child-only", func(t *testing.T) {
+	// staleInnerRead runs, on node 1, a root that reads x and then a child
+	// that reads y, both owned by node 0, which bumps y right after the
+	// child's first fetch without a message reaching node 1. With evidence,
+	// another transaction on node 1 then reads z from node 0, so node 1's
+	// clock has heard of the commit when the child commits.
+	staleInnerRead := func(t *testing.T, evidence bool) (rootAttempts, childAttempts int, snap MetricsSnapshot) {
 		tc := newTestCluster(t, 2, nil, nil)
 		ctx := context.Background()
-		for _, oid := range []object.ID{"x", "y"} {
+		for _, oid := range []object.ID{"x", "y", "z"} {
 			if err := tc.rts[0].CreateRoot(ctx, oid, &box{N: 1}); err != nil {
 				t.Fatal(err)
 			}
 		}
-		childAttempts := 0
+		bumped := false
 		err := tc.rts[1].Atomic(ctx, "root", func(tx *Txn) error {
+			rootAttempts++
 			if _, err := tx.Read(ctx, "x"); err != nil {
 				return err
 			}
@@ -156,15 +177,19 @@ func TestValidateBatchStaleAbortsInnermost(t *testing.T) {
 				if _, err := child.Read(ctx, "y"); err != nil {
 					return err
 				}
-				if childAttempts == 1 {
-					// Bump y between the child's fetch and its early
-					// validation: the child's OWN read is stale.
-					err := tc.rts[0].Atomic(ctx, "intf", func(itx *Txn) error {
-						return itx.Write(ctx, "y", &box{N: 50})
-					})
-					if err != nil {
-						return fmt.Errorf("interferer: %v", err)
-					}
+				if bumped {
+					return nil
+				}
+				bumped = true
+				// Bump y between the child's fetch and its commit: the
+				// child's OWN read is stale.
+				if err := tc.rts[0].Atomic(ctx, "intf", func(itx *Txn) error {
+					return itx.Write(ctx, "y", &box{N: 50})
+				}); err != nil {
+					return fmt.Errorf("interferer: %v", err)
+				}
+				if evidence {
+					readBox(t, tc.rts[1], "z")
 				}
 				return nil
 			})
@@ -176,15 +201,41 @@ func TestValidateBatchStaleAbortsInnermost(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if childAttempts < 2 {
-			t.Fatalf("child committed in %d attempt(s); early validation missed the stale entry", childAttempts)
+		for oid, want := range map[object.ID]int64{"x": 7, "y": 50} {
+			if got := readBox(t, tc.rts[0], oid); got != want {
+				t.Fatalf("%s = %d, want %d", oid, got, want)
+			}
 		}
-		snap := tc.rts[1].Metrics().Snapshot()
+		return rootAttempts, childAttempts, tc.rts[1].Metrics().Snapshot()
+	}
+
+	t.Run("own-stale-aborts-child-only", func(t *testing.T) {
+		rootAttempts, childAttempts, snap := staleInnerRead(t, true)
+		if rootAttempts != 1 || childAttempts < 2 {
+			t.Fatalf("root ran %d time(s), child %d; the inner commit's forwarding step missed the stale entry", rootAttempts, childAttempts)
+		}
 		if snap.NestedOwn == 0 {
 			t.Fatal("stale own read did not abort the inner transaction")
 		}
-		if snap.Commits != 1 || snap.TotalAborts() != 0 {
+		// Two root commits on node 1: the root under test and the read of z.
+		if snap.Commits != 2 || snap.TotalAborts() != 0 {
 			t.Fatalf("root commits=%d aborts=%v; a child-only failure aborted the root", snap.Commits, snap.Aborts)
+		}
+	})
+
+	// No clock evidence: node 1 has not heard of the interferer's commit, so
+	// the inner commit costs no message and merges; the version check of the
+	// root commit refuses the stale read instead.
+	t.Run("own-stale-unheard-aborts-root-at-commit", func(t *testing.T) {
+		rootAttempts, childAttempts, snap := staleInnerRead(t, false)
+		if rootAttempts != 2 || childAttempts != 2 {
+			t.Fatalf("root ran %d time(s), child %d; want one root retry with one child run each", rootAttempts, childAttempts)
+		}
+		if snap.NestedOwn != 0 {
+			t.Fatalf("nestedOwn = %d; the inner transaction had no reason to revalidate", snap.NestedOwn)
+		}
+		if snap.Commits != 1 || snap.Aborts[AbortValidation] != 1 || snap.TotalAborts() != 1 {
+			t.Fatalf("root commits=%d aborts=%v; want one commit after one validation abort", snap.Commits, snap.Aborts)
 		}
 	})
 

@@ -3,6 +3,7 @@ package stm
 import (
 	"context"
 	"errors"
+	"fmt"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -226,52 +227,56 @@ func TestWaveDecidesPerEntry(t *testing.T) {
 	}
 }
 
+// homedAt returns an object ID whose home directory, in a cluster of n nodes,
+// is node home — so a test decides which directory requests cross the fabric
+// (a node calling its own shard sends nothing).
+func homedAt(t *testing.T, n, home int) object.ID {
+	t.Helper()
+	for i := 0; i < 1000; i++ {
+		if oid := object.ID(fmt.Sprintf("x%d", i)); cc.HomeOf(oid, n) == transport.NodeID(home) {
+			return oid
+		}
+	}
+	t.Fatalf("no object ID homed at node %d of %d", home, n)
+	return ""
+}
+
 // TestStaleHintFollowsMovedTo: node 2 holds a hint that x is on node 0, but
 // node 1 has since committed a write and taken x. Node 0's reply names node
 // 1, and the retry goes there directly — no directory message. When node
 // 0's record is wrong or gone, the home directory settles it one hop later.
+// x is homed at node 3, which never holds it, so every lookup and retrieve
+// the reader makes is a message the interceptor sees.
 func TestStaleHintFollowsMovedTo(t *testing.T) {
 	cases := []struct {
 		name          string
-		record        func(owner0 *Runtime) // tamper with node 0's departure record
+		record        func(owner0 *Runtime, x object.ID) // tamper with node 0's departure record
 		wantLookups   int
 		wantRetrieves int
 	}{
-		{name: "moved-to followed", record: func(*Runtime) {}, wantLookups: 0, wantRetrieves: 2},
-		{name: "lying", record: func(rt *Runtime) { rt.migrated["x"] = migration{to: 2} }, wantLookups: 1, wantRetrieves: 3},
-		{name: "absent", record: func(rt *Runtime) { delete(rt.migrated, "x") }, wantLookups: 1, wantRetrieves: 2},
+		{name: "moved-to followed", record: func(*Runtime, object.ID) {}, wantLookups: 0, wantRetrieves: 2},
+		{name: "lying", record: func(rt *Runtime, x object.ID) { rt.migrated[x] = migration{to: 3} }, wantLookups: 1, wantRetrieves: 3},
+		{name: "absent", record: func(rt *Runtime, x object.ID) { delete(rt.migrated, x) }, wantLookups: 1, wantRetrieves: 2},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			tc := newTestCluster(t, 3, nil, nil)
+			tc := newTestCluster(t, 4, nil, nil)
 			ctx := context.Background()
-			seed(t, tc, map[object.ID]int{"x": 0})
-			read := func() (n int64) {
-				t.Helper()
-				if err := tc.rts[2].Atomic(ctx, "r", func(tx *Txn) error {
-					v, err := tx.Read(ctx, "x")
-					if err == nil {
-						n = v.(*box).N
-					}
-					return err
-				}); err != nil {
-					t.Fatal(err)
-				}
-				return n
-			}
-			read() // node 2 learns: x is on node 0
+			x := homedAt(t, 4, 3)
+			seed(t, tc, map[object.ID]int{x: 0})
+			readBox(t, tc.rts[2], x) // node 2 learns: x is on node 0
 			if err := tc.rts[1].Atomic(ctx, "w", func(tx *Txn) error {
-				return tx.Write(ctx, "x", &box{N: 7})
+				return tx.Write(ctx, x, &box{N: 7})
 			}); err != nil {
 				t.Fatal(err)
 			}
 			tc.rts[0].migrMu.Lock()
-			c.record(tc.rts[0])
+			c.record(tc.rts[0], x)
 			tc.rts[0].migrMu.Unlock()
 
 			var msgs kindCounter
 			tc.net.SetInterceptor(msgs.intercept)
-			if got := read(); got != 7 {
+			if got := readBox(t, tc.rts[2], x); got != 7 {
 				t.Fatalf("read %d, want 7", got)
 			}
 			if got := msgs.count(cc.KindLookup, cc.KindLookupBatch); got != c.wantLookups {

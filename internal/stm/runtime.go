@@ -407,10 +407,8 @@ func (rt *Runtime) handlePush(from transport.NodeID, payload any) {
 	if !ok {
 		return
 	}
-	rt.waitMu.Lock()
-	ch, waiting := rt.waiters[waitKey{tx: msg.TxID, oid: msg.Oid}]
-	rt.waitMu.Unlock()
-	if !waiting {
+	ch := rt.waiter(msg.TxID, msg.Oid)
+	if ch == nil {
 		_ = rt.ep.Notify(from, KindDecline, declineMsg{Oid: msg.Oid})
 		return
 	}
@@ -433,12 +431,17 @@ func (rt *Runtime) handleDecline(_ transport.NodeID, payload any) {
 // ---------------------------------------------------------------------------
 // Waiter registry (requester side of the enqueue protocol).
 
-func (rt *Runtime) registerWaiter(tx uint64, oid object.ID) chan pushMsg {
-	ch := make(chan pushMsg, 1)
+func (rt *Runtime) registerWaiter(tx uint64, oid object.ID) {
 	rt.waitMu.Lock()
-	rt.waiters[waitKey{tx: tx, oid: oid}] = ch
+	rt.waiters[waitKey{tx: tx, oid: oid}] = make(chan pushMsg, 1)
 	rt.waitMu.Unlock()
-	return ch
+}
+
+// waiter returns the channel tx is registered on for oid, nil when it is not.
+func (rt *Runtime) waiter(tx uint64, oid object.ID) chan pushMsg {
+	rt.waitMu.Lock()
+	defer rt.waitMu.Unlock()
+	return rt.waiters[waitKey{tx: tx, oid: oid}]
 }
 
 func (rt *Runtime) deregisterWaiter(tx uint64, oid object.ID) {

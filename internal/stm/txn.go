@@ -138,7 +138,7 @@ func (rt *Runtime) Atomic(ctx context.Context, name string, fn func(tx *Txn) err
 
 // Atomic runs fn as a closed-nested inner transaction. The inner
 // transaction's effects become part of the parent only when fn returns nil
-// and its early validation passes; an inner abort retries just the inner
+// and its forwarding step passes; an inner abort retries just the inner
 // transaction. If an enclosing transaction must abort, the error
 // propagates (do not swallow errors from Read/Write/Atomic).
 //
@@ -167,11 +167,12 @@ func (tx *Txn) Atomic(ctx context.Context, name string, fn func(child *Txn) erro
 		rt.tracer.Emit(trace.Event{Type: trace.EvNestBegin, Tx: tx.id, A: uint64(attempt)})
 		err := fn(child)
 		if err == nil {
-			// Early validation (N-TFA): an inner commit validates the
-			// inner transaction's own read set immediately, so a stale
-			// inner read aborts (and retries) just the inner transaction
-			// now instead of killing the whole parent at top-level commit.
-			err = child.validateOwn(ctx)
+			// An inner commit is a forwarding step: the chain is revalidated
+			// exactly when this node has heard of a commit since the
+			// transaction's start, so a stale inner read that is known about
+			// retries just the inner transaction, and a quiet clock costs no
+			// message (the root commit's version checks catch the rest).
+			err = child.forward(ctx, rt.clock.Now())
 		}
 		if err == nil {
 			child.mergeIntoParent()
@@ -409,9 +410,8 @@ func (tx *Txn) fetchMany(ctx context.Context, oids []object.ID, mode sched.Mode)
 		}
 		// Register the waiters before the requests so a hand-off push can
 		// never race past us.
-		chans := make([]chan pushMsg, len(pending))
-		for i, oid := range pending {
-			chans[i] = rt.registerWaiter(tx.id, oid)
+		for _, oid := range pending {
+			rt.registerWaiter(tx.id, oid)
 		}
 		groups := groupByOwner(pending, owners)
 		calls := make([]cluster.Outcall, len(groups))
@@ -448,8 +448,7 @@ func (tx *Txn) fetchMany(ctx context.Context, oids []object.ID, mode sched.Mode)
 					if r.Backoff <= 0 {
 						return &abortError{target: root, cause: AbortDenied}
 					}
-					ch := chans[slices.Index(pending, oid)]
-					parked = append(parked, park{oid, ch, r.Backoff, time.Now().Add(r.Backoff)})
+					parked = append(parked, park{oid, rt.waiter(tx.id, oid), r.Backoff, time.Now().Add(r.Backoff)})
 				case retrieveMoved:
 					// A stale owner hint, and the node knows where the object
 					// went: try there next, without a directory round trip.
@@ -535,19 +534,20 @@ func (tx *Txn) adoptFetched(ctx context.Context, got []fetched) error {
 }
 
 // forward implements TFA's transactional forwarding: when the transaction
-// observes an owner clock ahead of its start time, it revalidates its read
-// set and, if intact, advances its start time; a stale entry aborts the
-// innermost level holding it.
-func (tx *Txn) forward(ctx context.Context, ownerClock uint64) error {
+// observes a clock ahead of its start time — an owner's with a fetched copy,
+// this node's own at an inner commit — it revalidates its read set and, if
+// intact, advances its start time; a stale entry aborts the innermost level
+// holding it.
+func (tx *Txn) forward(ctx context.Context, clock uint64) error {
 	root := tx.root
-	if ownerClock <= root.start {
+	if clock <= root.start {
 		return nil
 	}
 	if err := tx.validateChain(ctx); err != nil {
 		return err
 	}
-	tx.rt.tracer.Emit(trace.Event{Type: trace.EvForward, Tx: tx.id, A: root.start, B: ownerClock})
-	root.start = ownerClock
+	tx.rt.tracer.Emit(trace.Event{Type: trace.EvForward, Tx: tx.id, A: root.start, B: clock})
+	root.start = clock
 	return nil
 }
 
@@ -598,50 +598,6 @@ func (tx *Txn) validateChain(ctx context.Context) error {
 	}
 	if staleTarget != nil {
 		return &abortError{target: staleTarget, cause: AbortValidation}
-	}
-	return nil
-}
-
-// validateOwn re-checks every non-created entry fetched at this nesting
-// level (one batch message per owner), aborting this level if any is stale
-// (inner-commit early validation).
-func (tx *Txn) validateOwn(ctx context.Context) error {
-	var entries []verEntry
-	var inherited []bool
-	for oid, e := range tx.entries {
-		if e.created {
-			continue
-		}
-		entries = append(entries, verEntry{Oid: oid, Ver: e.ver})
-		inherited = append(inherited, e.inherited)
-	}
-	if len(entries) == 0 {
-		return nil
-	}
-	oks, err := tx.checkVersions(ctx, entries, nil)
-	if err != nil {
-		return tx.convertErr(ctx, err, AbortValidation)
-	}
-	staleOwn, staleInherited := false, false
-	for i, ok := range oks {
-		if ok {
-			continue
-		}
-		if inherited[i] {
-			staleInherited = true
-		} else {
-			staleOwn = true
-		}
-	}
-	if staleInherited {
-		// The stale version was observed by an ancestor: retrying this
-		// inner transaction would re-read the same doomed snapshot forever
-		// (the classic partial-abort livelock). The enclosing snapshot is
-		// broken, so the whole top-level transaction restarts.
-		return &abortError{target: tx.root, cause: AbortValidation}
-	}
-	if staleOwn {
-		return &abortError{target: tx, cause: AbortValidation}
 	}
 	return nil
 }
