@@ -100,6 +100,7 @@ func (b *Bank) Op(ctx context.Context, rt *stm.Runtime, rng *rand.Rand, read boo
 func (b *Bank) batchTransfer(ctx context.Context, rt *stm.Runtime, rng *rand.Rand) error {
 	n := 1 + rng.Intn(b.opts.MaxNested)
 	transfers := make([][2]int, n)
+	accts := make([]object.ID, 0, 2*n)
 	for i := range transfers {
 		from := b.pick(rng, b.accounts)
 		to := b.pick(rng, b.accounts)
@@ -107,9 +108,12 @@ func (b *Bank) batchTransfer(ctx context.Context, rt *stm.Runtime, rng *rand.Ran
 			to = (to + 1) % b.accounts
 		}
 		transfers[i] = [2]int{from, to}
+		accts = append(accts, AccountID(from), AccountID(to))
 	}
 	const amount = 7
 	return rt.Atomic(ctx, "bank/batch", func(tx *stm.Txn) error {
+		// Every account is picked already: the transfers' retrieves overlap.
+		tx.Prefetch(ctx, accts)
 		for _, t := range transfers {
 			from, to := AccountID(t[0]), AccountID(t[1])
 			if err := tx.Atomic(ctx, "bank/transfer", func(c *stm.Txn) error {

@@ -107,9 +107,19 @@ func (d *DHT) Op(ctx context.Context, rt *stm.Runtime, rng *rand.Rand, read bool
 	return d.puts(ctx, rt, keys, val)
 }
 
+// bucketsOf is the access set of a batch of keys, for its root to announce.
+func (d *DHT) bucketsOf(keys []string) []object.ID {
+	oids := make([]object.ID, len(keys))
+	for i, k := range keys {
+		oids[i] = d.bucketOf(k)
+	}
+	return oids
+}
+
 // puts stores each key inside its own nested transaction.
 func (d *DHT) puts(ctx context.Context, rt *stm.Runtime, keys []string, val string) error {
 	return rt.Atomic(ctx, "dht/put", func(tx *stm.Txn) error {
+		tx.Prefetch(ctx, d.bucketsOf(keys))
 		for _, k := range keys {
 			oid := d.bucketOf(k)
 			key := k
@@ -129,6 +139,7 @@ func (d *DHT) puts(ctx context.Context, rt *stm.Runtime, keys []string, val stri
 // gets looks each key up inside its own nested transaction.
 func (d *DHT) gets(ctx context.Context, rt *stm.Runtime, keys []string) error {
 	return rt.Atomic(ctx, "dht/get", func(tx *stm.Txn) error {
+		tx.Prefetch(ctx, d.bucketsOf(keys))
 		for _, k := range keys {
 			oid := d.bucketOf(k)
 			key := k

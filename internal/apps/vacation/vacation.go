@@ -200,11 +200,14 @@ func (v *Vacation) MakeReservation(ctx context.Context, rt *stm.Runtime, rng *ra
 		kinds = append(kinds, Kind(rng.Intn(int(numKinds))))
 	}
 	offsets := make([]int, len(kinds))
+	access := []object.ID{CustomerID(cust)} // everything the reservation may open
 	for i := range offsets {
 		offsets[i] = v.pick(rng, v.resources)
+		access = append(access, v.window(kinds[i], offsets[i])...)
 	}
 
 	return rt.Atomic(ctx, "vac/reserve", func(tx *stm.Txn) error {
+		tx.Prefetch(ctx, access)
 		var booked []Reservation
 		for i, k := range kinds {
 			kind, off := k, offsets[i]
@@ -268,6 +271,11 @@ func (v *Vacation) CancelCustomer(ctx context.Context, rt *stm.Runtime, cust int
 			return err
 		}
 		resv := val.(*Customer).Reservations
+		held := make([]object.ID, len(resv))
+		for i, r := range resv {
+			held[i] = ResourceID(r.Kind, r.Index)
+		}
+		tx.Prefetch(ctx, held)
 		for _, r := range resv {
 			res := r
 			if err := tx.Atomic(ctx, "vac/cancel/one", func(c *stm.Txn) error {
@@ -293,6 +301,7 @@ func (v *Vacation) updateTables(ctx context.Context, rt *stm.Runtime, rng *rand.
 		price int64
 	}
 	targets := make([]target, n)
+	access := make([]object.ID, n)
 	for i := range targets {
 		targets[i] = target{
 			// The kind goes through the key picker too: under a Zipfian
@@ -303,8 +312,10 @@ func (v *Vacation) updateTables(ctx context.Context, rt *stm.Runtime, rng *rand.
 			idx:   v.pick(rng, v.resources),
 			price: 50 + int64(rng.Intn(450)),
 		}
+		access[i] = ResourceID(targets[i].k, targets[i].idx)
 	}
 	return rt.Atomic(ctx, "vac/update", func(tx *stm.Txn) error {
+		tx.Prefetch(ctx, access)
 		for _, tg := range targets {
 			tgt := tg
 			if err := tx.Atomic(ctx, "vac/update/one", func(c *stm.Txn) error {
@@ -328,6 +339,7 @@ func (v *Vacation) query(ctx context.Context, rt *stm.Runtime, rng *rand.Rand) e
 	kind := Kind(v.pick(rng, int(numKinds)))
 	off := v.pick(rng, v.resources)
 	return rt.Atomic(ctx, "vac/query", func(tx *stm.Txn) error {
+		tx.Prefetch(ctx, append(v.window(kind, off), CustomerID(cust)))
 		if err := tx.Atomic(ctx, "vac/query/cust", func(c *stm.Txn) error {
 			_, err := c.Read(ctx, CustomerID(cust))
 			return err

@@ -63,7 +63,7 @@ func (cm *commitMeter) wave(n int) {
 //  4. commit point: tick the local TFA clock, producing the new version;
 //  5. publish every written object: update in place when this node already
 //     owns it, otherwise migrate ownership here (adopting the old owner's
-//     requester queue) and update the home directory;
+//     requester queue) with the home directory updated in the same wave;
 //  6. hand freshly committed objects to queued requesters (RTS hand-off).
 //
 // Every phase is owner-grouped: the write and read sets are partitioned by
@@ -99,7 +99,7 @@ func (tx *Txn) commit(ctx context.Context) error {
 	// charged to the read-path counters (Metrics.ReadMsgs).
 	if len(writes) == 0 && len(creates) == 0 {
 		rt.metrics.readOnlyCommits.Add(1)
-		rt.metrics.readMsgs.Add(tx.readRPCs)
+		rt.metrics.readMsgs.Add(tx.readRPCs.Load())
 		return nil
 	}
 	sortIDs(writes)
@@ -297,12 +297,13 @@ func (tx *Txn) releaseLocks(ctx context.Context, locked map[object.ID]transport.
 	tx.rt.ep.Broadcast(ctx, calls)
 }
 
-// publishAll installs the committed write set at its new home (this node),
-// one migration batch per remote owner, and hands the freshly committed
-// objects to queued requesters. Locally owned writes update in place and
-// cost no messages. A failed entry frees its own commit lock so the object
-// is not wedged, but its already-published siblings stay published (the
-// paper's model assumes reliable delivery past the commit point).
+// publishAll installs the committed write set at its new home (this node) in
+// one wave: a migration batch per remote owner and, alongside, the ownership
+// update per home directory. A migrated object is installed here — so can be
+// served, locked or migrated onward — only once both have answered: a later
+// migration's directory update cannot overtake this one. Locally owned writes
+// update in place and cost no messages. A refused entry goes to refused; its
+// published siblings stay published (the paper's model: reliable delivery).
 func (tx *Txn) publishAll(ctx context.Context, writes []object.ID, locked map[object.ID]transport.NodeID, newVer object.Version, meter *commitMeter) error {
 	if len(writes) == 0 {
 		return nil
@@ -310,13 +311,17 @@ func (tx *Txn) publishAll(ctx context.Context, writes []object.ID, locked map[ob
 	rt := tx.rt
 
 	var pubErr error
-	groups := groupByOwner(writes, locked)
+	fail := func(err error) {
+		if pubErr == nil {
+			pubErr = err
+		}
+	}
 	var calls []cluster.Outcall
 	var remote []ownerGroup
-	var local []object.ID
-	for _, g := range groups {
+	var local, moving []object.ID
+	for _, g := range groupByOwner(writes, locked) {
 		if g.owner == rt.Self() {
-			local = append(local, g.oids...)
+			local = g.oids
 			continue
 		}
 		req := commitObjBatchReq{TxID: tx.lockID, NewVer: newVer, NewOwner: rt.Self(), Entries: make([]commitObjBatchEntry, len(g.oids))}
@@ -325,55 +330,51 @@ func (tx *Txn) publishAll(ctx context.Context, writes []object.ID, locked map[ob
 		}
 		calls = append(calls, cluster.Outcall{To: g.owner, Kind: KindCommitObjectBatch, Payload: req})
 		remote = append(remote, g)
+		moving = append(moving, g.oids...)
 	}
 
-	results := rt.ep.Broadcast(ctx, calls)
-	meter.wave(len(calls))
+	if len(calls) > 0 {
+		var updMsgs int
+		var updErr error
+		updated := make(chan struct{})
+		go func() {
+			defer close(updated)
+			updMsgs, updErr = rt.locator.UpdateOwnerBatch(ctx, moving, rt.Self())
+		}()
+		results := rt.ep.Broadcast(ctx, calls)
+		<-updated
+		meter.wave(len(calls) + updMsgs)
+		if updErr != nil {
+			fail(fmt.Errorf("stm: ownership update: %w", updErr))
+		}
 
-	// migrated collects the objects whose old owner surrendered them; their
-	// home directories are updated in one more batched wave below.
-	var migrated []object.ID
-	for gi, res := range results {
-		g := remote[gi]
-		if res.Err != nil {
-			tx.releaseGroup(ctx, g.owner, g.oids)
-			if pubErr == nil {
-				pubErr = fmt.Errorf("stm: commit migration at node %d: %w", g.owner, res.Err)
+		var migrated []object.ID
+		for gi, res := range results {
+			g := remote[gi]
+			resp, ok := res.Body.(commitObjBatchResp)
+			if res.Err == nil && (!ok || len(resp.Results) != len(g.oids)) {
+				res.Err = fmt.Errorf("bad commit batch reply %T", res.Body)
 			}
-			continue
-		}
-		resp, ok := res.Body.(commitObjBatchResp)
-		if !ok || len(resp.Results) != len(g.oids) {
-			tx.releaseGroup(ctx, g.owner, g.oids)
-			if pubErr == nil {
-				pubErr = fmt.Errorf("stm: bad commit batch reply %T", res.Body)
-			}
-			continue
-		}
-		for i, r := range resp.Results {
-			oid := g.oids[i]
-			if r.Err != "" {
-				// This entry's migration failed at the owner; at least free
-				// its lock so the object is not wedged.
-				tx.releaseGroup(ctx, g.owner, []object.ID{oid})
-				if pubErr == nil {
-					pubErr = fmt.Errorf("stm: commit migration of %q: %s", oid, r.Err)
-				}
+			if res.Err != nil {
+				fail(fmt.Errorf("stm: commit migration at node %d: %w", g.owner, res.Err))
+				tx.refused(ctx, g.owner, g.oids)
 				continue
 			}
-			rt.store.Install(oid, tx.entries[oid].val.Copy(), newVer)
-			rt.policy.AdoptQueue(oid, r.Queue)
-			migrated = append(migrated, oid)
+			var refused []object.ID
+			for i, r := range resp.Results {
+				oid := g.oids[i]
+				if r.Err != "" {
+					fail(fmt.Errorf("stm: commit migration of %q: %s", oid, r.Err))
+					refused = append(refused, oid)
+					continue
+				}
+				rt.store.Install(oid, tx.entries[oid].val.Copy(), newVer)
+				rt.policy.AdoptQueue(oid, r.Queue)
+				migrated = append(migrated, oid)
+			}
+			tx.refused(ctx, g.owner, refused)
 		}
-	}
-
-	if len(migrated) > 0 {
-		msgs, err := rt.locator.UpdateOwnerBatch(ctx, migrated, rt.Self())
-		meter.wave(msgs)
-		if err != nil && pubErr == nil {
-			pubErr = fmt.Errorf("stm: ownership update: %w", err)
-		}
-		if err == nil {
+		if updErr == nil {
 			for _, oid := range migrated {
 				rt.serveQueue(oid, rt.policy.OnRelease(oid))
 			}
@@ -382,9 +383,7 @@ func (tx *Txn) publishAll(ctx context.Context, writes []object.ID, locked map[ob
 
 	for _, oid := range local {
 		if err := rt.store.UpdateCommitted(oid, tx.entries[oid].val.Copy(), newVer, tx.lockID); err != nil {
-			if pubErr == nil {
-				pubErr = err
-			}
+			fail(err)
 			continue
 		}
 		rt.serveQueue(oid, rt.policy.OnRelease(oid))
@@ -392,14 +391,15 @@ func (tx *Txn) publishAll(ctx context.Context, writes []object.ID, locked map[ob
 	return pubErr
 }
 
-// releaseGroup best-effort frees a slice of one owner's commit locks after
-// a publish failure.
-func (tx *Txn) releaseGroup(ctx context.Context, owner transport.NodeID, oids []object.ID) {
-	m := make(map[object.ID]transport.NodeID, len(oids))
-	for _, oid := range oids {
-		m[oid] = owner
+// refused handles the entries of a publish that owner did not surrender:
+// their commit locks are freed there so the objects are not wedged, and their
+// homes — told in the same wave that the objects were coming here — are
+// pointed back at owner. Best effort.
+func (tx *Txn) refused(ctx context.Context, owner transport.NodeID, oids []object.ID) {
+	if len(oids) > 0 {
+		_, _ = tx.rt.ep.Call(ctx, owner, KindRelease, releaseReq{Oids: oids, TxID: tx.lockID})
+		_, _ = tx.rt.locator.UpdateOwnerBatch(ctx, oids, owner)
 	}
-	tx.releaseLocks(ctx, m)
 }
 
 // detach returns a context that survives cancellation of ctx. RPCs issued

@@ -73,6 +73,8 @@ type Metrics struct {
 	enqueues      atomic.Uint64 // requests parked by the scheduler
 	pushes        atomic.Uint64 // objects handed to parked requesters
 	retrieves     atomic.Uint64 // object fetch RPCs issued
+	prefetched    atomic.Uint64 // copies Txn.Prefetch received
+	prefOpened    atomic.Uint64 // of those, copies a transaction then opened
 	leaseExpiries atomic.Uint64 // commit locks force-released by the lease reaper
 	commitMsgs    atomic.Uint64 // messages sent by successful commit pipelines
 	commitRounds  atomic.Uint64 // parallel batch rounds those messages formed
@@ -125,6 +127,10 @@ type MetricsSnapshot struct {
 	// as stm.read_msgs_per_ro_commit.
 	ReadOnlyCommits uint64
 	ReadMsgs        uint64
+	// Prefetched counts the copies Txn.Prefetch fetched ahead of their access
+	// (its requests count in Retrieves), PrefetchOpened those then opened.
+	Prefetched     uint64
+	PrefetchOpened uint64
 
 	// Latency maps outcome (LatencyCommitKey or an AbortCause string) to
 	// that outcome's attempt-latency histogram.
@@ -148,6 +154,8 @@ func (m *Metrics) Snapshot() MetricsSnapshot {
 
 		ReadOnlyCommits: m.readOnlyCommits.Load(),
 		ReadMsgs:        m.readMsgs.Load(),
+		Prefetched:      m.prefetched.Load(),
+		PrefetchOpened:  m.prefOpened.Load(),
 	}
 	s.Latency = make(map[string]stats.HistSnapshot, int(numAbortCauses)+1)
 	s.Latency[LatencyCommitKey] = m.commitLatency.Snapshot()
@@ -216,6 +224,8 @@ func (s *MetricsSnapshot) Merge(other MetricsSnapshot) {
 	s.Enqueues += other.Enqueues
 	s.Pushes += other.Pushes
 	s.Retrieves += other.Retrieves
+	s.Prefetched += other.Prefetched
+	s.PrefetchOpened += other.PrefetchOpened
 	s.LeaseExpiries += other.LeaseExpiries
 	s.CommitMsgs += other.CommitMsgs
 	s.CommitRounds += other.CommitRounds
@@ -248,6 +258,8 @@ func (s *MetricsSnapshot) Sub(base MetricsSnapshot) {
 	s.Enqueues -= base.Enqueues
 	s.Pushes -= base.Pushes
 	s.Retrieves -= base.Retrieves
+	s.Prefetched -= base.Prefetched
+	s.PrefetchOpened -= base.PrefetchOpened
 	s.LeaseExpiries -= base.LeaseExpiries
 	s.CommitMsgs -= base.CommitMsgs
 	s.CommitRounds -= base.CommitRounds

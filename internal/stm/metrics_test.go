@@ -33,6 +33,8 @@ func TestMetricsSnapshotAndMerge(t *testing.T) {
 	m.enqueues.Add(7)
 	m.pushes.Add(8)
 	m.retrieves.Add(9)
+	m.prefetched.Add(10)
+	m.prefOpened.Add(14)
 
 	s := m.Snapshot()
 	if s.Commits != 3 || s.NestedCommits != 5 || s.NestedOwn != 4 ||
@@ -65,6 +67,8 @@ func fullyPopulated() MetricsSnapshot {
 	m.enqueues.Add(7)
 	m.pushes.Add(8)
 	m.retrieves.Add(9)
+	m.prefetched.Add(10)
+	m.prefOpened.Add(14)
 	m.leaseExpiries.Add(2)
 	m.commitMsgs.Add(15)
 	m.commitRounds.Add(12)

@@ -41,14 +41,16 @@ const (
 // stamps carried as durations (elapsed = ETS.r−ETS.s, remaining =
 // ETS.c−ETS.r), and every object the transaction wants from that node (a
 // Read or Write asks for one). The owner takes the scheduling decision per
-// object.
+// object — except that a Prefetch request's commit-locked objects are
+// answered retrieveDenied with nothing observed, scheduled or queued.
 type retrieveReq struct {
-	TxID    uint64
-	Mode    sched.Mode
-	MyCL    int
-	Elapsed time.Duration
-	Remain  time.Duration
-	Oids    []object.ID
+	TxID     uint64
+	Mode     sched.Mode
+	MyCL     int
+	Elapsed  time.Duration
+	Remain   time.Duration
+	Prefetch bool
+	Oids     []object.ID
 }
 
 // retrieveResult is one object's disposition, parallel to the request Oids.

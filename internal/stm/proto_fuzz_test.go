@@ -60,13 +60,13 @@ func roundTrip(t *testing.T, payload any) any {
 // requester the wrong object under the right key, and a corrupted MovedTo
 // would send the next hop to the wrong node.
 func FuzzRetrieveRoundTrip(f *testing.F) {
-	f.Add("obj/a", "obj/b", uint64(1), uint8(1), 3, int64(5e6), int64(2e6), uint8(0), uint8(2), int64(7e6), uint64(9), int32(1), int64(11), int32(2))
-	f.Add("", "x", uint64(0), uint8(0), -1, int64(-1), int64(0), uint8(4), uint8(3), int64(1)<<62, ^uint64(0), int32(-2), int64(0), int32(-1))
+	f.Add("obj/a", "obj/b", uint64(1), uint8(1), 3, int64(5e6), int64(2e6), uint8(0), uint8(2), int64(7e6), uint64(9), int32(1), int64(11), int32(2), false)
+	f.Add("", "x", uint64(0), uint8(0), -1, int64(-1), int64(0), uint8(4), uint8(3), int64(1)<<62, ^uint64(0), int32(-2), int64(0), int32(-1), true)
 	f.Fuzz(func(t *testing.T, oidA, oidB string, tx uint64, mode uint8, myCL int, elapsed, remain int64,
-		statusA, statusB uint8, backoff int64, ownClock uint64, vnode int32, val int64, movedTo int32) {
+		statusA, statusB uint8, backoff int64, ownClock uint64, vnode int32, val int64, movedTo int32, prefetch bool) {
 		req := retrieveReq{
 			TxID: tx, Mode: sched.Mode(mode), MyCL: myCL,
-			Elapsed: time.Duration(elapsed), Remain: time.Duration(remain),
+			Elapsed: time.Duration(elapsed), Remain: time.Duration(remain), Prefetch: prefetch,
 			Oids: []object.ID{object.ID(oidA), object.ID(oidB)},
 		}
 		if got := roundTrip(t, req).(retrieveReq); !reflect.DeepEqual(got, req) {

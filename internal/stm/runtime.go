@@ -245,6 +245,10 @@ func (rt *Runtime) retrieveOne(from transport.NodeID, req *retrieveReq, oid obje
 		}
 		return retrieveResult{Status: retrieveNotOwner}
 	}
+	if locked && req.Prefetch {
+		// Left alone: not a conflict the transaction has run into yet.
+		return retrieveResult{Status: retrieveDenied}
+	}
 	// Only now: a request that chased a stale hint here must not count
 	// towards the contention level of an object this node does not own.
 	localCL := rt.policy.ObserveRequest(oid, req.TxID)

@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"slices"
 	"sort"
+	"sync"
+	"sync/atomic"
 	"time"
 
 	"dstm/internal/cc"
@@ -45,8 +47,9 @@ type Txn struct {
 	// Root-only fields (TFA state).
 	began    time.Time
 	expected time.Duration
-	start    uint64 // TFA start clock; advanced by forwarding
-	readRPCs uint64 // the attempt's data-path read messages (Metrics.ReadMsgs)
+	start    uint64        // TFA start clock; advanced by forwarding
+	readRPCs atomic.Uint64 // the attempt's data-path read messages (Metrics.ReadMsgs)
+	pre      *prefetch     // copies fetched ahead of their access (Prefetch)
 
 	entries        map[object.ID]*objEntry
 	clSum          int // Σ remote CLs of objects fetched at this level
@@ -100,6 +103,10 @@ func (rt *Runtime) Atomic(ctx context.Context, name string, fn func(tx *Txn) err
 		rt.tracer.Emit(trace.Event{Type: trace.EvTxBegin, Tx: id, A: uint64(attempt), B: tx.lockID})
 
 		err := fn(tx)
+		if p := tx.pre; p != nil { // a prefetch ends with the attempt
+			p.cancel()
+			p.wg.Wait()
+		}
 		if err == nil {
 			err = tx.commit(ctx)
 		}
@@ -253,16 +260,7 @@ func (tx *Txn) Read(ctx context.Context, oid object.ID) (object.Value, error) {
 // fetched with one KindRetrieve round trip per owner, all owners in parallel
 // (fetchMany). Results are parallel to oids.
 func (tx *Txn) ReadMany(ctx context.Context, oids []object.ID) ([]object.Value, error) {
-	var miss []object.ID
-	for _, oid := range oids {
-		if e, _ := tx.lookup(oid); e == nil {
-			miss = append(miss, oid)
-		}
-	}
-	// One request per object: sorted (the order groupByOwner keeps within
-	// each owner's batch) and without repeats.
-	sortIDs(miss)
-	miss = slices.Compact(miss)
+	miss := tx.unopened(oids)
 	if err := tx.fetchMany(ctx, miss, sched.Read); err != nil {
 		return nil, err
 	}
@@ -272,6 +270,19 @@ func (tx *Txn) ReadMany(ctx context.Context, oids []object.ID) ([]object.Value, 
 		out[i] = e.val
 	}
 	return out, nil
+}
+
+// unopened returns the IDs among oids this chain has not accessed yet, sorted
+// (the order groupByOwner keeps within an owner's batch) and without repeats.
+func (tx *Txn) unopened(oids []object.ID) []object.ID {
+	var miss []object.ID
+	for _, oid := range oids {
+		if e, _ := tx.lookup(oid); e == nil {
+			miss = append(miss, oid)
+		}
+	}
+	sortIDs(miss)
+	return slices.Compact(miss)
 }
 
 // Write buffers a new value for oid, fetching the object first if this
@@ -341,8 +352,8 @@ func (tx *Txn) convertErr(ctx context.Context, err error, cause AbortCause) erro
 	return &abortError{target: tx.root, cause: cause}
 }
 
-// fetched is one object copy received by fetchMany, in a retrieve reply or
-// a hand-off push, with the clock its owner reported alongside.
+// fetched is one object copy received in a retrieve reply or a hand-off
+// push, with the clock its owner reported alongside.
 type fetched struct {
 	oid        object.ID
 	val        object.Value
@@ -351,126 +362,106 @@ type fetched struct {
 	ownerClock uint64
 }
 
+// park is one enqueued entry: its hand-off push comes on ch, or not by until.
+type park struct {
+	oid     object.ID
+	ch      chan pushMsg
+	backoff time.Duration
+	until   time.Time
+}
+
+// prefetch is what a root attempt's Prefetch calls have in flight and hold.
+type prefetch struct {
+	ctx    context.Context
+	cancel context.CancelFunc
+	wg     sync.WaitGroup // the batches in flight
+	mu     sync.Mutex     // guards held while they are
+	held   map[object.ID]fetched
+}
+
+// Prefetch announces objects the transaction — usually its inner
+// transactions — will open, so their retrieves overlap instead of each
+// waiting for the access that needs it. It returns at once and is best
+// effort: fetchMany's waves go out in the background and the root holds the
+// copies outside every read set. The level that opens an object adopts the
+// held copy as if its reply had just arrived: forwarding, abort attribution
+// and partial abort happen then, at that level. An owner leaves a commit-locked
+// object alone (the transaction's own request will meet that conflict).
+func (tx *Txn) Prefetch(ctx context.Context, oids []object.ID) {
+	want := tx.unopened(oids)
+	if len(want) == 0 {
+		return
+	}
+	root, p := tx.root, tx.root.pre
+	if p == nil {
+		p = &prefetch{held: make(map[object.ID]fetched)}
+		p.ctx, p.cancel = context.WithCancel(ctx)
+		root.pre = p
+	}
+	myCL := tx.myCL()
+	p.wg.Add(1)
+	go func() {
+		defer p.wg.Done()
+		got, _, _ := root.retrieveWaves(p.ctx, want, sched.Read, myCL, true)
+		root.rt.metrics.prefetched.Add(uint64(len(got)))
+		p.mu.Lock()
+		for _, f := range got {
+			p.held[f.oid] = f
+		}
+		p.mu.Unlock()
+	}()
+}
+
+// takeHeld waits for the root's prefetch batches in flight and splits oids
+// into copies held — taken, so a retry of the level refetches — and objects
+// still to fetch. A copy current only as of a clock behind the transaction's
+// start cannot join unvalidated (adoptFetched) and is dropped.
+func (tx *Txn) takeHeld(oids []object.ID) (got []fetched, rest []object.ID) {
+	p := tx.root.pre
+	if p == nil {
+		return nil, oids
+	}
+	p.wg.Wait()
+	for _, oid := range oids {
+		f, ok := p.held[oid]
+		delete(p.held, oid)
+		if ok && f.ownerClock >= tx.root.start {
+			got = append(got, f)
+		} else {
+			rest = append(rest, oid)
+		}
+	}
+	tx.rt.metrics.prefOpened.Add(uint64(len(got)))
+	return got, rest
+}
+
 // fetchMany implements Open_Object (Algorithm 2) for every oid at once
 // (sorted, distinct, not yet accessed by this chain; a Read or Write passes
-// one). Each wave locates the owners and sends every owner ONE retrieve for
-// all it holds, with myCL and ETS attached, all owners in parallel. The
-// owner decides per object: a copy is kept; a denial aborts the root; an
-// enqueued object is parked — once the waves are done — for its
-// scheduler-assigned backoff, waiting for a hand-off push; an object the
-// node no longer owns re-enters the next wave, hop-bounded. All copies are
-// then adopted under one transactional-forwarding step (adoptFetched).
+// one): copies a prefetch holds are taken, the rest requested from their
+// owners (retrieveWaves), an enqueued object is parked — once the waves are
+// done — for its scheduler-assigned backoff, waiting for a hand-off push, and
+// all copies are adopted under one forwarding step (adoptFetched).
 func (tx *Txn) fetchMany(ctx context.Context, oids []object.ID, mode sched.Mode) error {
 	if len(oids) == 0 {
 		return nil
 	}
 	rt := tx.rt
-	root := tx.root
 	for _, oid := range oids {
 		rt.tracer.Emit(trace.Event{Type: trace.EvRetrieve, Tx: tx.id, Oid: oid, Detail: mode.String()})
 	}
+	held, rest := tx.takeHeld(oids)
 	// A waiter still registered when the call returns is abandoned: the
 	// push that comes for it later is declined.
 	defer func() {
-		for _, oid := range oids {
+		for _, oid := range rest {
 			rt.deregisterWaiter(tx.id, oid)
 		}
 	}()
-
-	type park struct {
-		oid     object.ID
-		ch      chan pushMsg
-		backoff time.Duration
-		until   time.Time
+	got, parked, err := tx.retrieveWaves(ctx, rest, mode, tx.myCL(), false)
+	if err != nil {
+		return err
 	}
-	var (
-		got    []fetched
-		parked []park
-	)
-	myCL := tx.myCL()
-	pending := oids
-	for hop := 0; hop < maxOwnerHops && len(pending) > 0; hop++ {
-		owners, _, err := rt.locator.LocateBatch(ctx, pending)
-		if err != nil {
-			if errors.Is(err, cc.ErrUnknownObject) {
-				return err // application-level error, not retryable
-			}
-			// A lookup lost to the network is transient: abort and retry
-			// rather than failing the whole Atomic call.
-			return tx.convertErr(ctx, err, AbortDenied)
-		}
-
-		elapsed := time.Since(root.began)
-		remain := root.expected - elapsed
-		if remain <= 0 {
-			remain = root.expected / 4
-			if remain <= 0 {
-				remain = 50 * time.Microsecond
-			}
-		}
-		// Register the waiters before the requests so a hand-off push can
-		// never race past us.
-		for _, oid := range pending {
-			rt.registerWaiter(tx.id, oid)
-		}
-		groups := groupByOwner(pending, owners)
-		calls := make([]cluster.Outcall, len(groups))
-		for i, g := range groups {
-			calls[i] = cluster.Outcall{To: g.owner, Kind: KindRetrieve, Payload: retrieveReq{
-				TxID: tx.id, Mode: mode, MyCL: myCL, Elapsed: elapsed, Remain: remain, Oids: g.oids,
-			}}
-		}
-		rt.metrics.retrieves.Add(uint64(len(calls)))
-		if mode == sched.Read {
-			root.readRPCs += uint64(len(calls))
-		}
-		results := rt.ep.Broadcast(ctx, calls)
-
-		var next []object.ID
-		for gi, res := range results {
-			g := groups[gi]
-			if res.Err != nil {
-				return tx.convertErr(ctx, res.Err, AbortDenied)
-			}
-			resp, ok := res.Body.(retrieveResp)
-			if !ok || len(resp.Results) != len(g.oids) {
-				return fmt.Errorf("stm: bad retrieve reply %T", res.Body)
-			}
-			for i := range resp.Results {
-				r, oid := &resp.Results[i], g.oids[i]
-				switch r.Status {
-				case retrieveOK:
-					rt.deregisterWaiter(tx.id, oid)
-					got = append(got, fetched{oid, r.Value, r.Version, r.RemoteCL, resp.OwnerClock})
-				case retrieveDenied:
-					return &abortError{target: root, cause: AbortDenied}
-				case retrieveEnqueued:
-					if r.Backoff <= 0 {
-						return &abortError{target: root, cause: AbortDenied}
-					}
-					parked = append(parked, park{oid, rt.waiter(tx.id, oid), r.Backoff, time.Now().Add(r.Backoff)})
-				case retrieveMoved:
-					// A stale owner hint, and the node knows where the object
-					// went: try there next, without a directory round trip.
-					rt.deregisterWaiter(tx.id, oid)
-					rt.locator.NoteOwner(oid, r.MovedTo)
-					next = append(next, oid)
-				case retrieveNotOwner:
-					rt.deregisterWaiter(tx.id, oid)
-					rt.locator.InvalidateHint(oid)
-					next = append(next, oid)
-				default:
-					return fmt.Errorf("stm: unknown retrieve status %d", r.Status)
-				}
-			}
-		}
-		sortIDs(next)
-		pending = next
-	}
-	if len(pending) > 0 {
-		// The objects moved more times than we are willing to chase.
-		return &abortError{target: root, cause: AbortDenied}
-	}
+	got = append(got, held...)
 
 	// Park events are emitted here, at consumption, so they are strictly
 	// ordered within the transaction's goroutine (a push can never appear
@@ -489,7 +480,7 @@ func (tx *Txn) fetchMany(ctx context.Context, oids []object.ID, mode sched.Mode)
 			// Backoff expired before the object arrived: the parent
 			// aborts, losing its committed children (paper §IV-B).
 			rt.tracer.Emit(trace.Event{Type: trace.EvParkTimeout, Tx: tx.id, Oid: p.oid})
-			return &abortError{target: root, cause: AbortQueueTimeout}
+			return &abortError{target: tx.root, cause: AbortQueueTimeout}
 		case <-ctx.Done():
 			timer.Stop()
 			rt.tracer.Emit(trace.Event{Type: trace.EvParkCancel, Tx: tx.id, Oid: p.oid})
@@ -497,6 +488,105 @@ func (tx *Txn) fetchMany(ctx context.Context, oids []object.ID, mode sched.Mode)
 		}
 	}
 	return tx.adoptFetched(ctx, got)
+}
+
+// retrieveWaves requests oids from their owners and returns the copies and
+// the entries the owners enqueued. Each wave locates the owners and sends
+// every owner ONE retrieve for all it holds, with myCL and ETS attached, all
+// owners in parallel. The owner decides per object: a copy is kept; a denial
+// aborts the root; an object the node no longer owns re-enters the next wave,
+// hop-bounded. A prefetch wave registers no waiter (no owner queues it), reads
+// a denial as "left alone", and may run off the transaction's goroutine.
+func (tx *Txn) retrieveWaves(ctx context.Context, oids []object.ID, mode sched.Mode, myCL int, prefetch bool) (got []fetched, parked []park, err error) {
+	rt, root := tx.rt, tx.root
+	denied := func() error { return &abortError{target: root, cause: AbortDenied} }
+	pending := oids
+	for hop := 0; hop < maxOwnerHops && len(pending) > 0; hop++ {
+		owners, _, err := rt.locator.LocateBatch(ctx, pending)
+		if errors.Is(err, cc.ErrUnknownObject) {
+			return nil, nil, err // application-level error, not retryable
+		} else if err != nil {
+			// A lookup lost to the network is transient: abort and retry
+			// rather than failing the whole Atomic call.
+			return nil, nil, tx.convertErr(ctx, err, AbortDenied)
+		}
+
+		elapsed := time.Since(root.began)
+		remain := root.expected - elapsed
+		if remain <= 0 {
+			remain = root.expected / 4
+			if remain <= 0 {
+				remain = 50 * time.Microsecond
+			}
+		}
+		// Register the waiters before the requests so a hand-off push can
+		// never race past us.
+		if !prefetch {
+			for _, oid := range pending {
+				rt.registerWaiter(tx.id, oid)
+			}
+		}
+		groups := groupByOwner(pending, owners)
+		calls := make([]cluster.Outcall, len(groups))
+		for i, g := range groups {
+			calls[i] = cluster.Outcall{To: g.owner, Kind: KindRetrieve, Payload: retrieveReq{
+				TxID: tx.id, Mode: mode, MyCL: myCL, Elapsed: elapsed, Remain: remain, Prefetch: prefetch, Oids: g.oids,
+			}}
+		}
+		rt.metrics.retrieves.Add(uint64(len(calls)))
+		if mode == sched.Read {
+			root.readRPCs.Add(uint64(len(calls)))
+		}
+		results := rt.ep.Broadcast(ctx, calls)
+
+		var next []object.ID
+		for gi, res := range results {
+			g := groups[gi]
+			if res.Err != nil {
+				return nil, nil, tx.convertErr(ctx, res.Err, AbortDenied)
+			}
+			resp, ok := res.Body.(retrieveResp)
+			if !ok || len(resp.Results) != len(g.oids) {
+				return nil, nil, fmt.Errorf("stm: bad retrieve reply %T", res.Body)
+			}
+			for i := range resp.Results {
+				r, oid := &resp.Results[i], g.oids[i]
+				switch r.Status {
+				case retrieveOK:
+					rt.deregisterWaiter(tx.id, oid)
+					got = append(got, fetched{oid, r.Value, r.Version, r.RemoteCL, resp.OwnerClock})
+				case retrieveDenied:
+					if !prefetch {
+						return nil, nil, denied()
+					}
+				case retrieveEnqueued:
+					if r.Backoff <= 0 {
+						return nil, nil, denied()
+					}
+					parked = append(parked, park{oid, rt.waiter(tx.id, oid), r.Backoff, time.Now().Add(r.Backoff)})
+				case retrieveMoved:
+					// A stale owner hint, and the node knows where the object
+					// went: try there next, without a directory round trip.
+					rt.deregisterWaiter(tx.id, oid)
+					rt.locator.NoteOwner(oid, r.MovedTo)
+					next = append(next, oid)
+				case retrieveNotOwner:
+					rt.deregisterWaiter(tx.id, oid)
+					rt.locator.InvalidateHint(oid)
+					next = append(next, oid)
+				default:
+					return nil, nil, fmt.Errorf("stm: unknown retrieve status %d", r.Status)
+				}
+			}
+		}
+		sortIDs(next)
+		pending = next
+	}
+	if len(pending) > 0 {
+		// The objects moved more times than we are willing to chase.
+		return nil, nil, denied()
+	}
+	return got, parked, nil
 }
 
 // adoptFetched records the copies one fetchMany received at this nesting

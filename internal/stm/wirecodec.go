@@ -133,6 +133,7 @@ func (q retrieveReq) appendWire(b []byte) []byte {
 	b = wire.AppendVarint(b, int64(q.MyCL))
 	b = wire.AppendVarint(b, int64(q.Elapsed))
 	b = wire.AppendVarint(b, int64(q.Remain))
+	b = wire.AppendBool(b, q.Prefetch)
 	return appendOids(b, q.Oids)
 }
 
@@ -142,6 +143,7 @@ func (q *retrieveReq) decodeWire(r *wire.Reader) {
 	q.MyCL = int(r.Varint())
 	q.Elapsed = time.Duration(r.Varint())
 	q.Remain = time.Duration(r.Varint())
+	q.Prefetch = r.Bool()
 	q.Oids = readOids(r, q.Oids)
 }
 

@@ -50,7 +50,7 @@ func wireBenchCases() []struct {
 	// A four-account audit's retrieve to one owner, and its reply: three
 	// copies and one object that has moved on.
 	retReq := retrieveReq{TxID: 77, Mode: sched.Read, MyCL: 2,
-		Elapsed: 120 * time.Microsecond, Remain: 340 * time.Microsecond, Oids: oids[:4]}
+		Elapsed: 120 * time.Microsecond, Remain: 340 * time.Microsecond, Prefetch: true, Oids: oids[:4]}
 	retResp := retrieveResp{OwnerClock: 42, Results: []retrieveResult{
 		{Status: retrieveOK, Value: &benchVal{N: 1000}, Version: ver, RemoteCL: 3},
 		{Status: retrieveOK, Value: &benchVal{N: 993}, Version: ver, RemoteCL: 1},
@@ -181,6 +181,16 @@ func TestWireDecodeReuse(t *testing.T) {
 	}
 	if !strings.HasSuffix(string(dst.Entries[1].Oid), "/1") {
 		t.Fatalf("entry 1 oid %q", dst.Entries[1].Oid)
+	}
+
+	// The prefetch flag of one retrieve must not stick to the next.
+	var ret retrieveReq
+	for _, want := range []bool{true, false} {
+		r.Reset(retrieveReq{TxID: 3, Prefetch: want, Oids: benchOids(2)}.appendWire(nil))
+		ret.decodeWire(r)
+		if err := r.Err(); err != nil || ret.Prefetch != want || len(ret.Oids) != 2 {
+			t.Fatalf("retrieve decode: prefetch=%v oids=%d err=%v, want %v, 2", ret.Prefetch, len(ret.Oids), err, want)
+		}
 	}
 }
 

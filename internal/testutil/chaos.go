@@ -193,6 +193,10 @@ type ChaosReport struct {
 	Faults  transport.FaultStats // messages dropped/duplicated/reordered
 	Crashes int                  // crash/restart cycles executed
 
+	// StaleEntries counts the objects whose home, on the healed cluster, does
+	// not name the store holding them; Run fails on any unless nodes crashed.
+	StaleEntries int
+
 	// Open-loop accounting (ChaosOptions.Arrival only; zero otherwise).
 	Offered   uint64 // arrivals generated by the arrival process
 	Shed      uint64 // arrivals dropped at the MaxPending bound
@@ -341,6 +345,10 @@ func (c *ChaosCluster) Run(ctx context.Context, bench apps.Benchmark) (ChaosRepo
 	if err := bench.Check(checkCtx, c.Rts[0]); err != nil {
 		return rep, fmt.Errorf("chaos: invariant check: %w", err)
 	}
+	var stale error
+	if rep.StaleEntries, stale = c.staleEntries(checkCtx); stale != nil && c.opts.CrashEvery == 0 {
+		return rep, stale
+	}
 
 	if c.opts.Trace {
 		// Quiesce before collecting so no goroutine is mid-way through
@@ -364,6 +372,21 @@ func (c *ChaosCluster) Run(ctx context.Context, bench apps.Benchmark) (ChaosRepo
 		rep.ProtocolErr = check.Run(merged, check.Options{Truncated: rep.TraceDropped > 0}).Err()
 	}
 	return rep, nil
+}
+
+// staleEntries has a fresh home lookup made for every object in every store
+// and counts those not naming the holder; the error describes one of them.
+func (c *ChaosCluster) staleEntries(ctx context.Context) (n int, err error) {
+	for i, rt := range c.Rts {
+		for _, id := range rt.Store().IDs() {
+			got, lerr := c.Rts[(i+1)%len(c.Rts)].Locator().Relocate(ctx, id)
+			if lerr != nil || got != rt.Self() {
+				n++
+				err = fmt.Errorf("chaos: stale directory: %s is in node %d's store, its home says node %d (err %v)", id, rt.Self(), got, lerr)
+			}
+		}
+	}
+	return n, err
 }
 
 // isShutdownErr reports whether err is an expected consequence of the run

@@ -54,9 +54,9 @@ func requireChaosHappened(t *testing.T, rep ChaosReport) {
 	if rep.Metrics.Commits == 0 {
 		t.Fatal("no transactions committed under faults; cluster made no progress")
 	}
-	t.Logf("commits=%d aborts=%d dropped=%d duplicated=%d reordered=%d crashes=%d lease-expiries=%d",
+	t.Logf("commits=%d aborts=%d dropped=%d duplicated=%d reordered=%d crashes=%d lease-expiries=%d stale-entries=%d",
 		rep.Metrics.Commits, rep.Metrics.TotalAborts(), rep.Faults.Dropped,
-		rep.Faults.Duplicated, rep.Faults.Reordered, rep.Crashes, rep.Metrics.LeaseExpiries)
+		rep.Faults.Duplicated, rep.Faults.Reordered, rep.Crashes, rep.Metrics.LeaseExpiries, rep.StaleEntries)
 }
 
 // TestChaosBankConservation checks the headline invariant: across 15%
@@ -69,6 +69,29 @@ func TestChaosBankConservation(t *testing.T) {
 		t.Fatal(err)
 	}
 	requireChaosHappened(t, rep)
+}
+
+// TestChaosDirectoryConverges runs the bank under loss, duplication and
+// reordering but no crashes, where every committer finishes its publish wave:
+// migrations chase one another across the lossy links, and once the cluster
+// is quiet every home entry must name the store holding the object (Run
+// fails otherwise).
+func TestChaosDirectoryConverges(t *testing.T) {
+	opts := chaosOpts()
+	opts.CrashEvery = 0
+	opts.ReadRatio = 0.2
+	opts.MkPolicy = func() sched.Policy { return core.New(core.Options{CLThreshold: 3}) }
+	cc := NewChaosCluster(t, opts)
+	rep, err := cc.Run(context.Background(), bank.New(bank.Options{AccountsPerNode: 4}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Faults.Dropped == 0 || rep.Metrics.Commits == 0 {
+		t.Fatalf("dropped=%d commits=%d: the run exercised nothing", rep.Faults.Dropped, rep.Metrics.Commits)
+	}
+	t.Logf("commits=%d dropped=%d duplicated=%d reordered=%d prefetched=%d opened=%d",
+		rep.Metrics.Commits, rep.Faults.Dropped, rep.Faults.Duplicated, rep.Faults.Reordered,
+		rep.Metrics.Prefetched, rep.Metrics.PrefetchOpened)
 }
 
 // TestChaosListIntegrity runs the sorted linked list under the same faults:

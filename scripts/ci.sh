@@ -13,8 +13,8 @@
 #          smoke, the repo benchmark in smoke mode (`go run ./bench
 #          -quick`, JSON to $TMPDIR/ci_bench_quick.json: fails unless its
 #          output checks pass, the trace oracle is clean and
-#          cluster.other_msgs_per_op and cluster.self_msgs_per_op are 0 on
-#          every workload), and a
+#          cluster.other_msgs_per_op, cluster.self_msgs_per_op and
+#          cc.stale_entries are 0 on every workload), and a
 #          3-process dstmnode open-loop bank smoke over real TCP. Writes
 #          nothing under results/.
 #   fuzz   every fuzz target for CI_FUZZTIME each (differential
@@ -100,7 +100,9 @@ stage_perf() {
     # (cluster.other_msgs_per_op = 0) — the guard that a protocol change
     # did not introduce a kind the budget cannot attribute — and no node may
     # address a message to itself (cluster.self_msgs_per_op = 0): self-calls
-    # run in process, so one on the fabric has crept back.
+    # run in process, so one on the fabric has crept back — and every home
+    # directory entry must name the store that holds the object once the
+    # cluster is quiet (cc.stale_entries = 0).
     quick="${TMPDIR:-/tmp}/ci_bench_quick.json"
     echo "== bench -quick ($quick)"
     go run ./bench -quick -out "$quick"
@@ -109,15 +111,17 @@ stage_perf() {
         /"trace.oracle_ok":/ { want = "oracle"; next }
         /"cluster.other_msgs_per_op":/ { want = "other"; next }
         /"cluster.self_msgs_per_op":/ { want = "self"; next }
+        /"cc.stale_entries":/ { want = "stale"; next }
         want != "" && /"value":/ {
             if (want == "oracle" && $2 + 0 == 1) clean++
             if (want == "other" && $2 + 0 == 0) known++
             if (want == "self" && $2 + 0 == 0) noself++
+            if (want == "stale" && $2 + 0 == 0) fresh++
             want = ""
         }
         END {
-            printf "== trace.oracle_ok = 1 on %d, cluster.other_msgs_per_op = 0 on %d, cluster.self_msgs_per_op = 0 on %d of %d workloads\n", clean, known, noself, workloads
-            exit !(workloads > 0 && clean == workloads && known == workloads && noself == workloads)
+            printf "== trace.oracle_ok = 1 on %d, cluster.other_msgs_per_op = 0 on %d, cluster.self_msgs_per_op = 0 on %d, cc.stale_entries = 0 on %d of %d workloads\n", clean, known, noself, fresh, workloads
+            exit !(workloads > 0 && clean == workloads && known == workloads && noself == workloads && fresh == workloads)
         }' "$quick"
 
     # Multi-process smoke: a real 3-process cluster over loopback TCP,
