@@ -11,7 +11,8 @@
 //  2. at any time only one copy of the object is registered as writable.
 //
 // Ownership moves to the committing transaction's node on every write
-// commit; the committer updates the home. Requesters keep a local owner
+// commit; the committer's publish wave tells the home — and every other node
+// it reaches — where the objects went (Moved). Requesters keep a local owner
 // hint cache; a stale hint is detected by the owner ("not owner" reply) and
 // refreshed from the home.
 package cc
@@ -26,8 +27,10 @@ import (
 	"dstm/internal/transport"
 )
 
-// Message kinds 1–9 are reserved for the directory protocol. Kind 3 (the
-// retired single-object update) is reserved: never reuse it.
+// Message kinds 1–9 are reserved for the directory protocol. Kinds 3 and 6
+// (the retired single-object and batch updates; a migration reaches the home
+// in the committer's publish message, see Moved) are reserved: never reuse
+// them.
 const (
 	KindLookup   transport.Kind = 1
 	KindRegister transport.Kind = 2
@@ -35,7 +38,6 @@ const (
 	// homed at the same directory node (owner-grouped commit pipeline).
 	KindLookupBatch   transport.Kind = 4
 	KindRegisterBatch transport.Kind = 5
-	KindUpdateBatch   transport.Kind = 6
 )
 
 // lookupReq asks a home node for the owner of an object.
@@ -72,13 +74,6 @@ type registerBatchReq struct {
 	Tx    uint64
 }
 
-// updateBatchReq moves ownership of several objects homed at the receiver
-// to Owner (commit-time migration).
-type updateBatchReq struct {
-	Oids  []object.ID
-	Owner transport.NodeID
-}
-
 // batchErrResp carries per-object errors parallel to a batch request; an
 // empty string is success. One failed entry must not mask its siblings'
 // outcomes, so the handler never fails the whole RPC for an entry error.
@@ -91,7 +86,6 @@ func init() {
 	transport.RegisterPayload(lookupBatchReq{})
 	transport.RegisterPayload(lookupBatchResp{})
 	transport.RegisterPayload(registerBatchReq{})
-	transport.RegisterPayload(updateBatchReq{})
 	transport.RegisterPayload(batchErrResp{})
 }
 
@@ -134,7 +128,6 @@ func NewService(ep *cluster.Endpoint, size int) *Service {
 	ep.Handle(KindRegister, s.handleRegister)
 	ep.Handle(KindLookupBatch, s.handleLookupBatch)
 	ep.Handle(KindRegisterBatch, s.handleRegisterBatch)
-	ep.Handle(KindUpdateBatch, s.handleUpdateBatch)
 	return s
 }
 
@@ -210,38 +203,31 @@ func (s *Service) handleRegisterBatch(_ transport.NodeID, payload any) (any, err
 	return resp, nil
 }
 
-func (s *Service) handleUpdateBatch(_ transport.NodeID, payload any) (any, error) {
-	req, ok := payload.(updateBatchReq)
-	if !ok {
-		return nil, fmt.Errorf("cc: bad update batch payload %T", payload)
-	}
-	resp := batchErrResp{Errs: make([]string, len(req.Oids))}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for i, oid := range req.Oids {
-		if _, known := s.owners[oid]; !known {
-			resp.Errs[i] = fmt.Sprintf("cc: update for unregistered object %q", oid)
-			continue
-		}
-		s.owners[oid] = req.Owner
-		delete(s.regTx, oid)
-	}
-	return resp, nil
-}
-
 // Home returns the home node of id in this cluster.
 func (s *Service) Home(id object.ID) transport.NodeID { return HomeOf(id, s.size) }
 
-// Locate returns the current owner of id, consulting the local hint cache
-// first and falling back to the home directory.
+// Locate returns the current owner of id: from this node's directory shard
+// when the object is homed here, else from the local hint cache, falling
+// back to the home directory.
 func (s *Service) Locate(ctx context.Context, id object.ID) (transport.NodeID, error) {
 	s.mu.Lock()
-	if owner, ok := s.hints[id]; ok {
-		s.mu.Unlock()
+	owner, ok := s.known(id)
+	s.mu.Unlock()
+	if ok {
 		return owner, nil
 	}
-	s.mu.Unlock()
 	return s.locateFresh(ctx, id)
+}
+
+// known is what this node can say about id's owner without a message: the
+// directory entry when the object is homed here (only those are in owners;
+// authoritative, so a hint is not consulted), else the hint. s.mu is held.
+func (s *Service) known(id object.ID) (transport.NodeID, bool) {
+	if owner, ok := s.owners[id]; ok {
+		return owner, true
+	}
+	owner, ok := s.hints[id]
+	return owner, ok
 }
 
 // locateFresh queries the home, bypassing the hint cache, and refreshes the
@@ -308,16 +294,16 @@ func (s *Service) RegisterTx(ctx context.Context, id object.ID, owner transport.
 // on m nodes costs m messages instead of k. Each returns the number of
 // messages it sent so the commit pipeline can account msgs/commit.
 
-// LocateBatch resolves the owners of every id, consulting the hint cache
-// first and batching the misses by home node. It returns the owner map and
-// the number of lookup messages sent. Unknown objects surface as an
-// ErrUnknownObject-wrapped error; transport failures surface as-is.
+// LocateBatch resolves the owners of every id, answering what this node
+// knows (see known) and batching the misses by home node. It returns the
+// owner map and the number of lookup messages sent. Unknown objects surface
+// as an ErrUnknownObject-wrapped error; transport failures surface as-is.
 func (s *Service) LocateBatch(ctx context.Context, ids []object.ID) (map[object.ID]transport.NodeID, int, error) {
 	out := make(map[object.ID]transport.NodeID, len(ids))
 	byHome := make(map[transport.NodeID][]object.ID)
 	s.mu.Lock()
 	for _, id := range ids {
-		if owner, ok := s.hints[id]; ok {
+		if owner, ok := s.known(id); ok {
 			out[id] = owner
 			continue
 		}
@@ -366,41 +352,10 @@ func (s *Service) LocateBatch(ctx context.Context, ids []object.ID) (map[object.
 }
 
 // RegisterBatchTx registers every id as created by transaction tx and owned
-// by owner, one message per home node. It returns the number of messages
-// sent and the first per-object or transport error encountered.
+// by owner, one message per home node, folding the per-entry error strings
+// of each reply into the first error. It returns the number of messages sent
+// — even on error, so callers can account partial fan-outs.
 func (s *Service) RegisterBatchTx(ctx context.Context, ids []object.ID, owner transport.NodeID, tx uint64) (int, error) {
-	msgs, err := s.batchByHome(ctx, ids, KindRegisterBatch, func(oids []object.ID) any {
-		return registerBatchReq{Oids: oids, Owner: owner, Tx: tx}
-	})
-	if err != nil {
-		return msgs, err
-	}
-	for _, id := range ids {
-		s.NoteOwner(id, owner)
-	}
-	return msgs, nil
-}
-
-// UpdateOwnerBatch records commit-time ownership migration of every id at
-// its home, one message per home node, returning the message count.
-func (s *Service) UpdateOwnerBatch(ctx context.Context, ids []object.ID, owner transport.NodeID) (int, error) {
-	msgs, err := s.batchByHome(ctx, ids, KindUpdateBatch, func(oids []object.ID) any {
-		return updateBatchReq{Oids: oids, Owner: owner}
-	})
-	if err != nil {
-		return msgs, err
-	}
-	for _, id := range ids {
-		s.NoteOwner(id, owner)
-	}
-	return msgs, nil
-}
-
-// batchByHome groups ids by home node, broadcasts one kind-message per
-// home built by mkReq, and folds the per-entry error strings of each
-// batchErrResp reply into the first error. It returns the message count
-// even on error so callers can account partial fan-outs.
-func (s *Service) batchByHome(ctx context.Context, ids []object.ID, kind transport.Kind, mkReq func([]object.ID) any) (int, error) {
 	if len(ids) == 0 {
 		return 0, nil
 	}
@@ -412,7 +367,7 @@ func (s *Service) batchByHome(ctx context.Context, ids []object.ID, kind transpo
 	calls := make([]cluster.Outcall, 0, len(byHome))
 	groups := make([][]object.ID, 0, len(byHome))
 	for home, oids := range byHome {
-		calls = append(calls, cluster.Outcall{To: home, Kind: kind, Payload: mkReq(oids)})
+		calls = append(calls, cluster.Outcall{To: home, Kind: KindRegisterBatch, Payload: registerBatchReq{Oids: oids, Owner: owner, Tx: tx}})
 		groups = append(groups, oids)
 	}
 	results := s.ep.Broadcast(ctx, calls)
@@ -437,5 +392,35 @@ func (s *Service) batchByHome(ctx context.Context, ids []object.ID, kind transpo
 			}
 		}
 	}
-	return len(calls), firstErr
+	if firstErr != nil {
+		return len(calls), firstErr
+	}
+	for _, id := range ids {
+		s.NoteOwner(id, owner)
+	}
+	return len(calls), nil
+}
+
+// Moved records, at this node, that a commit brought ids to owner — what the
+// committer's publish wave tells every node it reaches, and the committer
+// itself. The directory entry of an id homed here is rewritten (an
+// unregistered one is the error returned, its siblings still applied); any
+// other id gets an owner hint.
+func (s *Service) Moved(ids []object.ID, owner transport.NodeID) error {
+	var firstErr error
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for _, id := range ids {
+		_, registered := s.owners[id]
+		switch {
+		case s.Home(id) != s.ep.Self():
+			s.hints[id] = owner
+		case registered:
+			s.owners[id] = owner
+			delete(s.regTx, id)
+		case firstErr == nil:
+			firstErr = fmt.Errorf("cc: update for unregistered object %q", id)
+		}
+	}
+	return firstErr
 }

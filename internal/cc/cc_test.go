@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -124,8 +125,8 @@ func TestUpdateOwnerAndHints(t *testing.T) {
 	if owner, err := svcs[0].Locate(ctx, "obj/m"); err != nil || owner != 2 {
 		t.Fatalf("locate: %d, %v", owner, err)
 	}
-	// Ownership migrates to node 3.
-	if _, err := svcs[3].UpdateOwnerBatch(ctx, []object.ID{"obj/m"}, 3); err != nil {
+	// Ownership migrates to node 3: its publish wave reaches the home.
+	if err := svcs[HomeOf("obj/m", 4)].Moved([]object.ID{"obj/m"}, 3); err != nil {
 		t.Fatal(err)
 	}
 	// Node 0 still has the stale hint...
@@ -145,8 +146,69 @@ func TestUpdateOwnerAndHints(t *testing.T) {
 
 func TestUpdateUnregistered(t *testing.T) {
 	svcs := newCluster(t, 3)
-	if _, err := svcs[0].UpdateOwnerBatch(context.Background(), []object.ID{"ghost"}, 1); err == nil {
-		t.Fatal("UpdateOwnerBatch on unregistered object succeeded")
+	if err := svcs[HomeOf("ghost", 3)].Moved([]object.ID{"ghost"}, 1); err == nil {
+		t.Fatal("Moved at the home of an unregistered object succeeded")
+	}
+}
+
+// idHomedAt returns an object ID starting with prefix whose home, in a cluster
+// of n nodes, is home.
+func idHomedAt(t *testing.T, prefix string, n, home int) object.ID {
+	t.Helper()
+	for i := 0; i < 1000; i++ {
+		if id := object.ID(fmt.Sprintf("%s%d", prefix, i)); HomeOf(id, n) == transport.NodeID(home) {
+			return id
+		}
+	}
+	t.Fatalf("no object ID homed at node %d of %d", home, n)
+	return ""
+}
+
+// TestHomeAnswersFromItsShard: a node locates an object homed at itself from
+// its directory shard — with no message, and whatever its hint says.
+func TestHomeAnswersFromItsShard(t *testing.T) {
+	svcs := newCluster(t, 3)
+	ctx := context.Background()
+	id := idHomedAt(t, "obj/h", 3, 0)
+	if err := svcs[1].Register(ctx, id, 1); err != nil {
+		t.Fatal(err)
+	}
+	svcs[0].NoteOwner(id, 2) // the hint and the shard disagree
+	if owner, err := svcs[0].Locate(ctx, id); err != nil || owner != 1 {
+		t.Fatalf("Locate = %d, %v; want the shard's answer, node 1", owner, err)
+	}
+	owners, msgs, err := svcs[0].LocateBatch(ctx, []object.ID{id})
+	if err != nil || msgs != 0 || owners[id] != 1 {
+		t.Fatalf("LocateBatch = %v, %d msgs, %v; want node 1, 0 msgs", owners, msgs, err)
+	}
+}
+
+// TestMovedUpdatesShardAndHints: one call tells a node where a commit's
+// objects went — the directory entry for the one homed there, a hint for the
+// other — and unregistered siblings do not stop either.
+func TestMovedUpdatesShardAndHints(t *testing.T) {
+	svcs := newCluster(t, 3)
+	ctx := context.Background()
+	here, there, ghost := idHomedAt(t, "obj/h", 3, 0), idHomedAt(t, "obj/h", 3, 1), idHomedAt(t, "ghost", 3, 0)
+	for _, id := range []object.ID{here, there} {
+		if err := svcs[1].Register(ctx, id, 1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	err := svcs[0].Moved([]object.ID{ghost, here, there}, 2)
+	if err == nil || !strings.Contains(err.Error(), string(ghost)) {
+		t.Fatalf("Moved = %v, want the unregistered %s", err, ghost)
+	}
+	owners, msgs, err := svcs[0].LocateBatch(ctx, []object.ID{here, there})
+	if err != nil || msgs != 0 || owners[here] != 2 || owners[there] != 2 {
+		t.Fatalf("node 0 locates %v with %d msgs (%v); want both at node 2, 0 msgs", owners, msgs, err)
+	}
+	// The home of `there` was not told: its entry still names node 1.
+	if owner, _ := svcs[2].Relocate(ctx, there); owner != 1 {
+		t.Fatalf("home of %s names node %d, want 1", there, owner)
+	}
+	if owner, _ := svcs[2].Relocate(ctx, here); owner != 2 {
+		t.Fatalf("home of %s names node %d, want 2", here, owner)
 	}
 }
 

@@ -82,11 +82,6 @@ func FuzzDirectoryBatchRoundTrip(f *testing.F) {
 			t.Fatalf("registerBatchReq changed: %+v -> %+v", rreq, got)
 		}
 
-		ureq := updateBatchReq{Oids: oids, Owner: transport.NodeID(owner)}
-		if got := roundTrip(t, ureq).(updateBatchReq); !reflect.DeepEqual(got, ureq) {
-			t.Fatalf("updateBatchReq changed: %+v -> %+v", ureq, got)
-		}
-
 		eresp := batchErrResp{Errs: []string{errStr, ""}}
 		got := roundTrip(t, eresp).(batchErrResp)
 		if len(got.Errs) != 2 || got.Errs[0] != errStr || got.Errs[1] != "" {

@@ -9,8 +9,9 @@ import (
 	"dstm/internal/wire"
 )
 
-// Wire type IDs 40–49 are reserved for directory payloads. ID 43 (payload of
-// the retired single-object update) is reserved: never reuse it.
+// Wire type IDs 40–49 are reserved for directory payloads. IDs 43 and 47
+// (payloads of the retired single-object and batch updates) are reserved:
+// never reuse them.
 const (
 	wireIDLookupReq        wire.ID = 40
 	wireIDLookupResp       wire.ID = 41
@@ -18,33 +19,8 @@ const (
 	wireIDLookupBatchReq   wire.ID = 44
 	wireIDLookupBatchResp  wire.ID = 45
 	wireIDRegisterBatchReq wire.ID = 46
-	wireIDUpdateBatchReq   wire.ID = 47
 	wireIDBatchErrResp     wire.ID = 48
 )
-
-func growCC[T any](s []T, n int) []T {
-	if cap(s) >= n {
-		return s[:n]
-	}
-	return make([]T, n)
-}
-
-func appendOids(b []byte, oids []object.ID) []byte {
-	b = wire.AppendUvarint(b, uint64(len(oids)))
-	for _, oid := range oids {
-		b = wire.AppendString(b, string(oid))
-	}
-	return b
-}
-
-func readOids(r *wire.Reader, prev []object.ID) []object.ID {
-	n := r.SliceLen(1)
-	oids := growCC(prev, n)
-	for i := range oids {
-		oids[i] = object.ID(r.String())
-	}
-	return oids
-}
 
 func init() {
 	wire.Register(wireIDLookupReq, lookupReq{},
@@ -79,14 +55,14 @@ func init() {
 		})
 	wire.Register(wireIDLookupBatchReq, lookupBatchReq{},
 		func(b []byte, v any) ([]byte, error) {
-			return appendOids(b, v.(lookupBatchReq).Oids), nil
+			return wire.AppendStrings(b, v.(lookupBatchReq).Oids), nil
 		},
 		func(r *wire.Reader, prev any) any {
 			var q lookupBatchReq
 			if p, ok := prev.(lookupBatchReq); ok {
 				q = p
 			}
-			q.Oids = readOids(r, q.Oids)
+			q.Oids = wire.ReadStrings(r, q.Oids)
 			return q
 		})
 	wire.Register(wireIDLookupBatchResp, lookupBatchResp{},
@@ -105,7 +81,7 @@ func init() {
 				q = p
 			}
 			n := r.SliceLen(2)
-			q.Results = growCC(q.Results, n)
+			q.Results = wire.Grow(q.Results, n)
 			for i := range q.Results {
 				q.Results[i].Owner = transport.NodeID(r.Varint())
 				q.Results[i].Known = r.Bool()
@@ -115,7 +91,7 @@ func init() {
 	wire.Register(wireIDRegisterBatchReq, registerBatchReq{},
 		func(b []byte, v any) ([]byte, error) {
 			q := v.(registerBatchReq)
-			b = appendOids(b, q.Oids)
+			b = wire.AppendStrings(b, q.Oids)
 			b = wire.AppendVarint(b, int64(q.Owner))
 			return wire.AppendUvarint(b, q.Tx), nil
 		},
@@ -124,24 +100,9 @@ func init() {
 			if p, ok := prev.(registerBatchReq); ok {
 				q = p
 			}
-			q.Oids = readOids(r, q.Oids)
+			q.Oids = wire.ReadStrings(r, q.Oids)
 			q.Owner = transport.NodeID(r.Varint())
 			q.Tx = r.Uvarint()
-			return q
-		})
-	wire.Register(wireIDUpdateBatchReq, updateBatchReq{},
-		func(b []byte, v any) ([]byte, error) {
-			q := v.(updateBatchReq)
-			b = appendOids(b, q.Oids)
-			return wire.AppendVarint(b, int64(q.Owner)), nil
-		},
-		func(r *wire.Reader, prev any) any {
-			var q updateBatchReq
-			if p, ok := prev.(updateBatchReq); ok {
-				q = p
-			}
-			q.Oids = readOids(r, q.Oids)
-			q.Owner = transport.NodeID(r.Varint())
 			return q
 		})
 	wire.Register(wireIDBatchErrResp, batchErrResp{},
@@ -159,7 +120,7 @@ func init() {
 				q = p
 			}
 			n := r.SliceLen(1)
-			q.Errs = growCC(q.Errs, n)
+			q.Errs = wire.Grow(q.Errs, n)
 			for i := range q.Errs {
 				q.Errs[i] = r.String()
 			}

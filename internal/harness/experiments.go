@@ -62,6 +62,8 @@ func (r Result) MetricsTable() string {
 	}
 	fmt.Fprintf(&b, "%-22s %8d   pushes %d  retrieves %d  lease-expiries %d\n",
 		"enqueues", m.Enqueues, m.Pushes, m.Retrieves, m.LeaseExpiries)
+	fmt.Fprintf(&b, "%-22s %8d   remote-copies %d  stale-hops %d  hops/copy %.2f\n",
+		"retrieve-waves", m.RetrieveWaves, m.RemoteCopies, m.StaleHops, float64(m.StaleHops)/float64(max(m.RemoteCopies, 1)))
 	fmt.Fprintf(&b, "%-22s %8d   nested-own %d  nested-parent %d (rate %.1f%%)\n",
 		"nested-commits", m.NestedCommits, m.NestedOwn, m.NestedParent, 100*m.NestedAbortRate())
 	fmt.Fprintf(&b, "%-22s %8d   rounds %d  msgs/commit %.1f  rounds/commit %.1f\n",

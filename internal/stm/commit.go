@@ -298,12 +298,14 @@ func (tx *Txn) releaseLocks(ctx context.Context, locked map[object.ID]transport.
 }
 
 // publishAll installs the committed write set at its new home (this node) in
-// one wave: a migration batch per remote owner and, alongside, the ownership
-// update per home directory. A migrated object is installed here — so can be
-// served, locked or migrated onward — only once both have answered: a later
-// migration's directory update cannot overtake this one. Locally owned writes
-// update in place and cost no messages. A refused entry goes to refused; its
-// published siblings stay published (the paper's model: reliable delivery).
+// one wave: ONE message to every node that owns an object the commit brings
+// here or is the home of one, asking it to surrender its entries and naming
+// everything that moves (commitObjBatchReq). A migrated object is installed
+// here — so can be served, locked or migrated onward — only once every node
+// of the wave has answered: a later migration's directory update cannot
+// overtake this one. Locally owned writes update in place and cost no
+// messages. A refused entry goes to refused; its published siblings stay
+// published (the paper's model: reliable delivery).
 func (tx *Txn) publishAll(ctx context.Context, writes []object.ID, locked map[object.ID]transport.NodeID, newVer object.Version, meter *commitMeter) error {
 	if len(writes) == 0 {
 		return nil
@@ -316,65 +318,74 @@ func (tx *Txn) publishAll(ctx context.Context, writes []object.ID, locked map[ob
 			pubErr = err
 		}
 	}
-	var calls []cluster.Outcall
-	var remote []ownerGroup
 	var local, moving []object.ID
+	surrender := make(map[transport.NodeID][]object.ID) // node of the wave → its entries
 	for _, g := range groupByOwner(writes, locked) {
 		if g.owner == rt.Self() {
 			local = g.oids
 			continue
 		}
-		req := commitObjBatchReq{TxID: tx.lockID, NewVer: newVer, NewOwner: rt.Self(), Entries: make([]commitObjBatchEntry, len(g.oids))}
-		for j, oid := range g.oids {
-			req.Entries[j] = commitObjBatchEntry{Oid: oid, NewValue: tx.entries[oid].val}
-		}
-		calls = append(calls, cluster.Outcall{To: g.owner, Kind: KindCommitObjectBatch, Payload: req})
-		remote = append(remote, g)
+		surrender[g.owner] = g.oids
 		moving = append(moving, g.oids...)
 	}
-
-	if len(calls) > 0 {
-		var updMsgs int
-		var updErr error
-		updated := make(chan struct{})
-		go func() {
-			defer close(updated)
-			updMsgs, updErr = rt.locator.UpdateOwnerBatch(ctx, moving, rt.Self())
-		}()
-		results := rt.ep.Broadcast(ctx, calls)
-		<-updated
-		meter.wave(len(calls) + updMsgs)
-		if updErr != nil {
-			fail(fmt.Errorf("stm: ownership update: %w", updErr))
+	for _, oid := range moving {
+		// A home that owns none of them is in the wave too, with no entries.
+		home := rt.locator.Home(oid)
+		if _, in := surrender[home]; !in && home != rt.Self() {
+			surrender[home] = nil
 		}
+	}
+
+	if len(moving) > 0 {
+		calls := make([]cluster.Outcall, 0, len(surrender))
+		for node, oids := range surrender {
+			calls = append(calls, cluster.Outcall{To: node, Kind: KindCommitObjectBatch,
+				Payload: commitObjBatchReq{TxID: tx.lockID, NewOwner: rt.Self(), Oids: oids, Moved: moving}})
+		}
+		sort.Slice(calls, func(i, j int) bool { return calls[i].To < calls[j].To })
+		results := rt.ep.Broadcast(ctx, calls)
+		meter.wave(len(calls))
 
 		var migrated []object.ID
-		for gi, res := range results {
-			g := remote[gi]
+		dirOK := true
+		for ci, res := range results {
+			node, oids := calls[ci].To, surrender[calls[ci].To]
 			resp, ok := res.Body.(commitObjBatchResp)
-			if res.Err == nil && (!ok || len(resp.Results) != len(g.oids)) {
+			if res.Err == nil && (!ok || len(resp.Results) != len(oids)) {
 				res.Err = fmt.Errorf("bad commit batch reply %T", res.Body)
 			}
 			if res.Err != nil {
-				fail(fmt.Errorf("stm: commit migration at node %d: %w", g.owner, res.Err))
-				tx.refused(ctx, g.owner, g.oids)
+				fail(fmt.Errorf("stm: publish at node %d: %w", node, res.Err))
+				dirOK = false
+				tx.refused(ctx, node, oids)
 				continue
+			}
+			if resp.DirErr != "" {
+				fail(fmt.Errorf("stm: ownership update at node %d: %s", node, resp.DirErr))
+				dirOK = false
 			}
 			var refused []object.ID
 			for i, r := range resp.Results {
-				oid := g.oids[i]
 				if r.Err != "" {
-					fail(fmt.Errorf("stm: commit migration of %q: %s", oid, r.Err))
-					refused = append(refused, oid)
+					fail(fmt.Errorf("stm: commit migration of %q: %s", oids[i], r.Err))
+					refused = append(refused, oids[i])
 					continue
 				}
-				rt.store.Install(oid, tx.entries[oid].val.Copy(), newVer)
-				rt.policy.AdoptQueue(oid, r.Queue)
-				migrated = append(migrated, oid)
+				rt.policy.AdoptQueue(oids[i], r.Queue) // nothing reads it before the install
+				migrated = append(migrated, oids[i])
 			}
-			tx.refused(ctx, g.owner, refused)
+			tx.refused(ctx, node, refused)
 		}
-		if updErr == nil {
+		// This node learns what every other node of the wave did — its own
+		// directory shard included — and only then holds the objects.
+		if err := rt.locator.Moved(migrated, rt.Self()); err != nil {
+			fail(fmt.Errorf("stm: ownership update: %w", err))
+			dirOK = false
+		}
+		for _, oid := range migrated {
+			rt.store.Install(oid, tx.entries[oid].val.Copy(), newVer)
+		}
+		if dirOK {
 			for _, oid := range migrated {
 				rt.serveQueue(oid, rt.policy.OnRelease(oid))
 			}
@@ -392,14 +403,20 @@ func (tx *Txn) publishAll(ctx context.Context, writes []object.ID, locked map[ob
 }
 
 // refused handles the entries of a publish that owner did not surrender:
-// their commit locks are freed there so the objects are not wedged, and their
-// homes — told in the same wave that the objects were coming here — are
-// pointed back at owner. Best effort.
+// their homes — told in the same wave that the objects were coming here — are
+// pointed back at owner with the same message, nothing to surrender, and then
+// their commit locks are freed there so the objects are not wedged (in that
+// order: once unlocked an object can move on, and its next directory update
+// must not be overwritten by this one). Best effort, one object at a time.
 func (tx *Txn) refused(ctx context.Context, owner transport.NodeID, oids []object.ID) {
-	if len(oids) > 0 {
-		_, _ = tx.rt.ep.Call(ctx, owner, KindRelease, releaseReq{Oids: oids, TxID: tx.lockID})
-		_, _ = tx.rt.locator.UpdateOwnerBatch(ctx, oids, owner)
+	if len(oids) == 0 {
+		return
 	}
+	for _, oid := range oids {
+		_, _ = tx.rt.ep.Call(ctx, tx.rt.locator.Home(oid), KindCommitObjectBatch,
+			commitObjBatchReq{TxID: tx.lockID, NewOwner: owner, Moved: []object.ID{oid}})
+	}
+	_, _ = tx.rt.ep.Call(ctx, owner, KindRelease, releaseReq{Oids: oids, TxID: tx.lockID})
 }
 
 // detach returns a context that survives cancellation of ctx. RPCs issued

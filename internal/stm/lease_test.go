@@ -138,12 +138,7 @@ func TestCommitMigrationIdempotent(t *testing.T) {
 		t.Fatalf("lock: %v", got)
 	}
 
-	req := commitObjBatchReq{
-		TxID:     txid,
-		NewVer:   object.Version{Clock: 9, Node: 1},
-		NewOwner: 1,
-		Entries:  []commitObjBatchEntry{{Oid: "mig", NewValue: &box{N: 2}}},
-	}
+	req := commitObjBatchReq{TxID: txid, NewOwner: 1, Oids: []object.ID{"mig"}, Moved: []object.ID{"mig"}}
 	// migrate sends the one-entry batch and returns that entry's error text.
 	migrate := func(req commitObjBatchReq) string {
 		t.Helper()

@@ -73,6 +73,9 @@ type Metrics struct {
 	enqueues      atomic.Uint64 // requests parked by the scheduler
 	pushes        atomic.Uint64 // objects handed to parked requesters
 	retrieves     atomic.Uint64 // object fetch RPCs issued
+	retrieveWaves atomic.Uint64 // retrieve waves with at least one remote request
+	remoteCopies  atomic.Uint64 // entries a remote node answered with a copy
+	staleHops     atomic.Uint64 // entries a remote node answered Moved or NotOwner
 	prefetched    atomic.Uint64 // copies Txn.Prefetch received
 	prefOpened    atomic.Uint64 // of those, copies a transaction then opened
 	leaseExpiries atomic.Uint64 // commit locks force-released by the lease reaper
@@ -113,6 +116,14 @@ type MetricsSnapshot struct {
 	Enqueues      uint64
 	Pushes        uint64
 	Retrieves     uint64
+	// RetrieveWaves counts the retrieve waves that asked at least one remote
+	// node — each is a round trip on its transaction's blocking path (or a
+	// prefetch's). Of the entries asked of a remote node, RemoteCopies came
+	// back as a copy and StaleHops as Moved or NotOwner: the owner pointer
+	// was wrong, and the entry costs another wave.
+	RetrieveWaves uint64
+	RemoteCopies  uint64
+	StaleHops     uint64
 	LeaseExpiries uint64
 	// CommitMsgs counts the protocol messages issued by commit pipelines
 	// that reached the commit point; CommitRounds counts the parallel batch
@@ -148,6 +159,9 @@ func (m *Metrics) Snapshot() MetricsSnapshot {
 		Enqueues:      m.enqueues.Load(),
 		Pushes:        m.pushes.Load(),
 		Retrieves:     m.retrieves.Load(),
+		RetrieveWaves: m.retrieveWaves.Load(),
+		RemoteCopies:  m.remoteCopies.Load(),
+		StaleHops:     m.staleHops.Load(),
 		LeaseExpiries: m.leaseExpiries.Load(),
 		CommitMsgs:    m.commitMsgs.Load(),
 		CommitRounds:  m.commitRounds.Load(),
@@ -224,6 +238,9 @@ func (s *MetricsSnapshot) Merge(other MetricsSnapshot) {
 	s.Enqueues += other.Enqueues
 	s.Pushes += other.Pushes
 	s.Retrieves += other.Retrieves
+	s.RetrieveWaves += other.RetrieveWaves
+	s.RemoteCopies += other.RemoteCopies
+	s.StaleHops += other.StaleHops
 	s.Prefetched += other.Prefetched
 	s.PrefetchOpened += other.PrefetchOpened
 	s.LeaseExpiries += other.LeaseExpiries
@@ -258,6 +275,9 @@ func (s *MetricsSnapshot) Sub(base MetricsSnapshot) {
 	s.Enqueues -= base.Enqueues
 	s.Pushes -= base.Pushes
 	s.Retrieves -= base.Retrieves
+	s.RetrieveWaves -= base.RetrieveWaves
+	s.RemoteCopies -= base.RemoteCopies
+	s.StaleHops -= base.StaleHops
 	s.Prefetched -= base.Prefetched
 	s.PrefetchOpened -= base.PrefetchOpened
 	s.LeaseExpiries -= base.LeaseExpiries

@@ -67,6 +67,9 @@ func fullyPopulated() MetricsSnapshot {
 	m.enqueues.Add(7)
 	m.pushes.Add(8)
 	m.retrieves.Add(9)
+	m.retrieveWaves.Add(16)
+	m.remoteCopies.Add(17)
+	m.staleHops.Add(18)
 	m.prefetched.Add(10)
 	m.prefOpened.Add(14)
 	m.leaseExpiries.Add(2)

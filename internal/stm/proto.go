@@ -31,8 +31,9 @@ const (
 	// KindCheckVersionBatch validates a per-owner slice of read-set
 	// entries in one round trip.
 	KindCheckVersionBatch transport.Kind = 18
-	// KindCommitObjectBatch installs the new versions of a per-owner slice
-	// of the write set and migrates their ownership in one round trip.
+	// KindCommitObjectBatch is the publish wave: it migrates a per-owner
+	// slice of the write set to the committer and tells the receiver — an
+	// old owner, a home, or both — where everything the commit moved went.
 	KindCommitObjectBatch transport.Kind = 19
 )
 
@@ -146,20 +147,16 @@ type checkBatchResp struct {
 	Results []checkBatchResult
 }
 
-// commitObjBatchEntry is one object of a commit-migration batch.
-type commitObjBatchEntry struct {
-	Oid      object.ID
-	NewValue object.Value
-}
-
-// commitObjBatchReq installs the new committed versions at the old owner
-// and migrates ownership of every entry to NewOwner. All entries share the
-// commit-point version NewVer (one commit = one clock tick).
+// commitObjBatchReq is the publish wave's one message to a node: surrender
+// Oids (the receiver's slice of the write set, none when it is reached only
+// as a home) to NewOwner, and note that Moved — every object the commit
+// brings to NewOwner — went there (cc.Service.Moved: the directory entry of
+// an object homed at the receiver, an owner hint for the rest).
 type commitObjBatchReq struct {
 	TxID     uint64
-	NewVer   object.Version
 	NewOwner transport.NodeID
-	Entries  []commitObjBatchEntry
+	Oids     []object.ID
+	Moved    []object.ID
 }
 
 // commitObjBatchResult is one entry's migration outcome: the requester
@@ -170,9 +167,11 @@ type commitObjBatchResult struct {
 	Err   string
 }
 
-// commitObjBatchResp carries per-entry outcomes, parallel to the request.
+// commitObjBatchResp carries per-entry outcomes, parallel to the request
+// Oids, and the receiver's directory error for Moved (empty = ok).
 type commitObjBatchResp struct {
 	Results []commitObjBatchResult
+	DirErr  string
 }
 
 // pushMsg hands a committed object to an enqueued requester. Owner is the

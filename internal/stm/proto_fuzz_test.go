@@ -145,25 +145,29 @@ func FuzzAcquireCheckBatchRoundTrip(f *testing.F) {
 	})
 }
 
-// FuzzCommitObjBatchRoundTrip round-trips the migration batch: the request
-// carrying every new value for one owner, and the reply whose per-entry
-// results mix surrendered requester queues with per-entry error strings.
+// FuzzCommitObjBatchRoundTrip round-trips the publish message: the request
+// naming what one node surrenders and everything the commit moved — two lists
+// that must not bleed into each other, or a home would be told of a move that
+// did not happen — and the reply whose per-entry results mix surrendered
+// requester queues with per-entry error strings, beside the directory error.
 func FuzzCommitObjBatchRoundTrip(f *testing.F) {
-	f.Add("obj/x", "obj/y", uint64(3), uint64(17), int32(2), int64(-4), byte(1), int64(6e6), "")
-	f.Add("", "q", ^uint64(0), uint64(0), int32(-1), int64(0), byte(0), int64(-1), "store: gone")
-	f.Fuzz(func(t *testing.T, oidA, oidB string, tx, verClock uint64, newOwner int32,
-		val int64, qmode byte, qElapsed int64, errStr string) {
+	f.Add("obj/x", "obj/y", "obj/z", uint64(3), int32(2), byte(1), int64(6e6), "", "")
+	f.Add("", "q", "", ^uint64(0), int32(-1), byte(0), int64(-1), "store: gone", "cc: update for unregistered object \"q\"")
+	f.Fuzz(func(t *testing.T, oidA, oidB, oidC string, tx uint64, newOwner int32,
+		qmode byte, qElapsed int64, errStr, dirErr string) {
 		req := commitObjBatchReq{
 			TxID:     tx,
-			NewVer:   object.Version{Clock: verClock, Node: newOwner},
 			NewOwner: transport.NodeID(newOwner),
-			Entries: []commitObjBatchEntry{
-				{Oid: object.ID(oidA), NewValue: fuzzVal{X: val}},
-				{Oid: object.ID(oidB), NewValue: fuzzVal{X: -val}},
-			},
+			Oids:     []object.ID{object.ID(oidA)},
+			Moved:    []object.ID{object.ID(oidA), object.ID(oidB), object.ID(oidC)},
 		}
 		if got := roundTrip(t, req).(commitObjBatchReq); !reflect.DeepEqual(got, req) {
 			t.Fatalf("commitObjBatchReq changed: %+v -> %+v", req, got)
+		}
+		// A node reached only as a home surrenders nothing.
+		req.Oids = nil
+		if got := roundTrip(t, req).(commitObjBatchReq); !reflect.DeepEqual(got, req) {
+			t.Fatalf("commitObjBatchReq (home only) changed: %+v -> %+v", req, got)
 		}
 
 		resp := commitObjBatchResp{Results: []commitObjBatchResult{
@@ -173,10 +177,10 @@ func FuzzCommitObjBatchRoundTrip(f *testing.F) {
 				Elapsed: time.Duration(qElapsed), ExpectedRemaining: time.Duration(-qElapsed),
 			}}},
 			{Err: errStr},
-		}}
+		}, DirErr: dirErr}
 		got := roundTrip(t, resp).(commitObjBatchResp)
 		if len(got.Results) != 2 || !reflect.DeepEqual(got.Results[0].Queue, resp.Results[0].Queue) ||
-			got.Results[1].Err != errStr || got.Results[0].Err != "" {
+			got.Results[1].Err != errStr || got.Results[0].Err != "" || got.DirErr != dirErr {
 			t.Fatalf("commitObjBatchResp changed: %+v -> %+v", resp, got)
 		}
 	})

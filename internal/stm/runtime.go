@@ -3,6 +3,7 @@ package stm
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -358,19 +359,26 @@ func (rt *Runtime) handleCheckVersionBatch(_ transport.NodeID, payload any) (any
 	return resp, nil
 }
 
+// handleCommitObjectBatch serves one message of a publish wave: surrender
+// this node's entries, then remember where everything the commit moved went
+// — except an entry refused just now, which is still here.
 func (rt *Runtime) handleCommitObjectBatch(_ transport.NodeID, payload any) (any, error) {
 	req, ok := payload.(commitObjBatchReq)
 	if !ok {
 		return nil, fmt.Errorf("stm: bad commit batch payload %T", payload)
 	}
-	resp := commitObjBatchResp{Results: make([]commitObjBatchResult, len(req.Entries))}
-	for i, e := range req.Entries {
-		queue, err := rt.migrateOut(e.Oid, req.TxID, req.NewOwner)
+	resp := commitObjBatchResp{Results: make([]commitObjBatchResult, len(req.Oids))}
+	for i, oid := range req.Oids {
+		queue, err := rt.migrateOut(oid, req.TxID, req.NewOwner)
 		if err != nil {
 			resp.Results[i].Err = err.Error()
 			continue
 		}
 		resp.Results[i].Queue = queue
+	}
+	moved := slices.DeleteFunc(slices.Clone(req.Moved), rt.store.Owns)
+	if err := rt.locator.Moved(moved, req.NewOwner); err != nil {
+		resp.DirErr = err.Error()
 	}
 	return resp, nil
 }

@@ -320,9 +320,9 @@ func TestQueueMigratesWithOwnership(t *testing.T) {
 	// Simulate node 1's commit of x: migrate ownership + queue to node 1
 	// exactly as Txn.publish does.
 	newVer := object.Version{Clock: tc.rts[1].ep.Clock().Tick(), Node: 1}
+	moved := []object.ID{"x"}
 	body, err := tc.rts[1].ep.Call(ctx, 0, KindCommitObjectBatch, commitObjBatchReq{
-		TxID: committerTx, NewVer: newVer, NewOwner: 1,
-		Entries: []commitObjBatchEntry{{Oid: "x", NewValue: &box{N: 50}}},
+		TxID: committerTx, NewOwner: 1, Oids: moved, Moved: moved,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -332,10 +332,14 @@ func TestQueueMigratesWithOwnership(t *testing.T) {
 		t.Fatalf("migration results = %+v, want one entry carrying C's request", results)
 	}
 	queue := results[0].Queue
-	tc.rts[1].Store().Install("x", &box{N: 50}, newVer)
-	if _, err := tc.rts[1].Locator().UpdateOwnerBatch(ctx, []object.ID{"x"}, 1); err != nil {
-		t.Fatal(err)
+	if home := tc.rts[1].Locator().Home("x"); home != 0 {
+		if _, err := tc.rts[1].ep.Call(ctx, home, KindCommitObjectBatch, commitObjBatchReq{
+			TxID: committerTx, NewOwner: 1, Moved: moved,
+		}); err != nil {
+			t.Fatal(err)
+		}
 	}
+	tc.rts[1].Store().Install("x", &box{N: 50}, newVer)
 	tc.rts[1].Policy().AdoptQueue("x", queue)
 	tc.rts[1].serveQueue("x", tc.rts[1].Policy().OnRelease("x"))
 

@@ -534,6 +534,9 @@ func (tx *Txn) retrieveWaves(ctx context.Context, oids []object.ID, mode sched.M
 			}}
 		}
 		rt.metrics.retrieves.Add(uint64(len(calls)))
+		if slices.ContainsFunc(groups, func(g ownerGroup) bool { return g.owner != rt.Self() }) {
+			rt.metrics.retrieveWaves.Add(1)
+		}
 		if mode == sched.Read {
 			root.readRPCs.Add(uint64(len(calls)))
 		}
@@ -545,6 +548,11 @@ func (tx *Txn) retrieveWaves(ctx context.Context, oids []object.ID, mode sched.M
 			if res.Err != nil {
 				return nil, nil, tx.convertErr(ctx, res.Err, AbortDenied)
 			}
+			// What a remote node's answers cost or brought: a copy, or a hop.
+			var far uint64
+			if g.owner != rt.Self() {
+				far = 1
+			}
 			resp, ok := res.Body.(retrieveResp)
 			if !ok || len(resp.Results) != len(g.oids) {
 				return nil, nil, fmt.Errorf("stm: bad retrieve reply %T", res.Body)
@@ -553,6 +561,7 @@ func (tx *Txn) retrieveWaves(ctx context.Context, oids []object.ID, mode sched.M
 				r, oid := &resp.Results[i], g.oids[i]
 				switch r.Status {
 				case retrieveOK:
+					rt.metrics.remoteCopies.Add(far)
 					rt.deregisterWaiter(tx.id, oid)
 					got = append(got, fetched{oid, r.Value, r.Version, r.RemoteCL, resp.OwnerClock})
 				case retrieveDenied:
@@ -567,10 +576,12 @@ func (tx *Txn) retrieveWaves(ctx context.Context, oids []object.ID, mode sched.M
 				case retrieveMoved:
 					// A stale owner hint, and the node knows where the object
 					// went: try there next, without a directory round trip.
+					rt.metrics.staleHops.Add(far)
 					rt.deregisterWaiter(tx.id, oid)
 					rt.locator.NoteOwner(oid, r.MovedTo)
 					next = append(next, oid)
 				case retrieveNotOwner:
+					rt.metrics.staleHops.Add(far)
 					rt.deregisterWaiter(tx.id, oid)
 					rt.locator.InvalidateHint(oid)
 					next = append(next, oid)

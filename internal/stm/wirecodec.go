@@ -17,9 +17,10 @@ import (
 
 // Wire type IDs 10–39 are reserved for STM payloads. They are a static
 // protocol: never renumber, only append. IDs 10–15, 17 and 18 (payloads of
-// the retired per-object retrieve/check/acquire/commit RPCs) and 27–30 (the
-// retired MVCC snapshot-read payloads) are reserved: never reuse them, or a
-// frame from an old peer would mis-decode into a live type.
+// the retired per-object retrieve/check/acquire/commit RPCs), 25 and 26 (the
+// publish pair that carried values and no move list) and 27–30 (the retired
+// MVCC snapshot-read payloads) are reserved: never reuse them, or a frame
+// from an old peer would mis-decode into a live type.
 const (
 	wireIDReleaseReq         wire.ID = 16
 	wireIDPushMsg            wire.ID = 19
@@ -28,20 +29,11 @@ const (
 	wireIDAcquireBatchResp   wire.ID = 22
 	wireIDCheckBatchReq      wire.ID = 23
 	wireIDCheckBatchResp     wire.ID = 24
-	wireIDCommitObjBatchReq  wire.ID = 25
-	wireIDCommitObjBatchResp wire.ID = 26
 	wireIDRetrieveReq        wire.ID = 31
 	wireIDRetrieveResp       wire.ID = 32
+	wireIDCommitObjBatchReq  wire.ID = 33
+	wireIDCommitObjBatchResp wire.ID = 34
 )
-
-// grow returns s resized to n elements, reusing its backing array when
-// capacity allows (retained elements feed value-reuse on decode).
-func grow[T any](s []T, n int) []T {
-	if cap(s) >= n {
-		return s[:n]
-	}
-	return make([]T, n)
-}
 
 func appendVersion(b []byte, v object.Version) []byte {
 	b = wire.AppendUvarint(b, v.Clock)
@@ -50,22 +42,6 @@ func appendVersion(b []byte, v object.Version) []byte {
 
 func readVersion(r *wire.Reader) object.Version {
 	return object.Version{Clock: r.Uvarint(), Node: int32(r.Varint())}
-}
-
-func appendOids(b []byte, oids []object.ID) []byte {
-	b = wire.AppendUvarint(b, uint64(len(oids)))
-	for _, oid := range oids {
-		b = wire.AppendString(b, string(oid))
-	}
-	return b
-}
-
-func readOids(r *wire.Reader, prev []object.ID) []object.ID {
-	oids := grow(prev, r.SliceLen(1))
-	for i := range oids {
-		oids[i] = object.ID(r.String())
-	}
-	return oids
 }
 
 // readValue decodes an object value, reusing prev when the concrete type
@@ -116,7 +92,7 @@ func readSchedQueue(r *wire.Reader, prev []sched.Request) []sched.Request {
 	if n == 0 {
 		return prev[:0]
 	}
-	qs := grow(prev, n)
+	qs := wire.Grow(prev, n)
 	for i := range qs {
 		readSchedRequest(r, &qs[i])
 	}
@@ -134,7 +110,7 @@ func (q retrieveReq) appendWire(b []byte) []byte {
 	b = wire.AppendVarint(b, int64(q.Elapsed))
 	b = wire.AppendVarint(b, int64(q.Remain))
 	b = wire.AppendBool(b, q.Prefetch)
-	return appendOids(b, q.Oids)
+	return wire.AppendStrings(b, q.Oids)
 }
 
 func (q *retrieveReq) decodeWire(r *wire.Reader) {
@@ -144,7 +120,7 @@ func (q *retrieveReq) decodeWire(r *wire.Reader) {
 	q.Elapsed = time.Duration(r.Varint())
 	q.Remain = time.Duration(r.Varint())
 	q.Prefetch = r.Bool()
-	q.Oids = readOids(r, q.Oids)
+	q.Oids = wire.ReadStrings(r, q.Oids)
 }
 
 func (q retrieveResp) appendWire(b []byte) ([]byte, error) {
@@ -166,7 +142,7 @@ func (q retrieveResp) appendWire(b []byte) ([]byte, error) {
 }
 
 func (q *retrieveResp) decodeWire(r *wire.Reader) {
-	q.Results = grow(q.Results, r.SliceLen(7))
+	q.Results = wire.Grow(q.Results, r.SliceLen(7))
 	for i := range q.Results {
 		res := &q.Results[i]
 		res.Status = retrieveStatus(r.Uvarint())
@@ -180,12 +156,12 @@ func (q *retrieveResp) decodeWire(r *wire.Reader) {
 }
 
 func (q releaseReq) appendWire(b []byte) []byte {
-	b = appendOids(b, q.Oids)
+	b = wire.AppendStrings(b, q.Oids)
 	return wire.AppendUvarint(b, q.TxID)
 }
 
 func (q *releaseReq) decodeWire(r *wire.Reader) {
-	q.Oids = readOids(r, q.Oids)
+	q.Oids = wire.ReadStrings(r, q.Oids)
 	q.TxID = r.Uvarint()
 }
 
@@ -231,7 +207,7 @@ func appendVerEntries(b []byte, es []verEntry) []byte {
 
 func readVerEntries(r *wire.Reader, prev []verEntry) []verEntry {
 	n := r.SliceLen(3)
-	es := grow(prev, n)
+	es := wire.Grow(prev, n)
 	for i := range es {
 		es[i].Oid = object.ID(r.String())
 		es[i].Ver = readVersion(r)
@@ -259,7 +235,7 @@ func (q acquireBatchResp) appendWire(b []byte) []byte {
 
 func (q *acquireBatchResp) decodeWire(r *wire.Reader) {
 	n := r.SliceLen(1)
-	q.Results = grow(q.Results, n)
+	q.Results = wire.Grow(q.Results, n)
 	for i := range q.Results {
 		q.Results[i] = uint8(r.Uvarint())
 	}
@@ -287,40 +263,25 @@ func (q checkBatchResp) appendWire(b []byte) []byte {
 
 func (q *checkBatchResp) decodeWire(r *wire.Reader) {
 	n := r.SliceLen(2)
-	q.Results = grow(q.Results, n)
+	q.Results = wire.Grow(q.Results, n)
 	for i := range q.Results {
 		q.Results[i].OK = r.Bool()
 		q.Results[i].NotOwner = r.Bool()
 	}
 }
 
-func (q commitObjBatchReq) appendWire(b []byte) ([]byte, error) {
+func (q commitObjBatchReq) appendWire(b []byte) []byte {
 	b = wire.AppendUvarint(b, q.TxID)
-	b = appendVersion(b, q.NewVer)
 	b = wire.AppendVarint(b, int64(q.NewOwner))
-	b = wire.AppendUvarint(b, uint64(len(q.Entries)))
-	for i := range q.Entries {
-		b = wire.AppendString(b, string(q.Entries[i].Oid))
-		var err error
-		b, err = wire.AppendAny(b, q.Entries[i].NewValue)
-		if err != nil {
-			return b, err
-		}
-	}
-	return b, nil
+	b = wire.AppendStrings(b, q.Oids)
+	return wire.AppendStrings(b, q.Moved)
 }
 
 func (q *commitObjBatchReq) decodeWire(r *wire.Reader) {
 	q.TxID = r.Uvarint()
-	q.NewVer = readVersion(r)
 	q.NewOwner = transport.NodeID(r.Varint())
-	n := r.SliceLen(2)
-	q.Entries = grow(q.Entries, n)
-	for i := range q.Entries {
-		e := &q.Entries[i]
-		e.Oid = object.ID(r.String())
-		e.NewValue = readValue(r, e.NewValue)
-	}
+	q.Oids = wire.ReadStrings(r, q.Oids)
+	q.Moved = wire.ReadStrings(r, q.Moved)
 }
 
 func (q commitObjBatchResp) appendWire(b []byte) []byte {
@@ -329,16 +290,17 @@ func (q commitObjBatchResp) appendWire(b []byte) []byte {
 		b = appendSchedQueue(b, q.Results[i].Queue)
 		b = wire.AppendString(b, q.Results[i].Err)
 	}
-	return b
+	return wire.AppendString(b, q.DirErr)
 }
 
 func (q *commitObjBatchResp) decodeWire(r *wire.Reader) {
 	n := r.SliceLen(2)
-	q.Results = grow(q.Results, n)
+	q.Results = wire.Grow(q.Results, n)
 	for i := range q.Results {
 		q.Results[i].Queue = readSchedQueue(r, q.Results[i].Queue)
 		q.Results[i].Err = r.String()
 	}
+	q.DirErr = r.String()
 }
 
 // ---------------------------------------------------------------------------
@@ -435,7 +397,7 @@ func init() {
 			return q
 		})
 	wire.Register(wireIDCommitObjBatchReq, commitObjBatchReq{},
-		func(b []byte, v any) ([]byte, error) { return v.(commitObjBatchReq).appendWire(b) },
+		func(b []byte, v any) ([]byte, error) { return v.(commitObjBatchReq).appendWire(b), nil },
 		func(r *wire.Reader, prev any) any {
 			var q commitObjBatchReq
 			if p, ok := prev.(commitObjBatchReq); ok {

@@ -64,10 +64,8 @@ func wireBenchCases() []struct {
 		acq.Entries = append(acq.Entries, verEntry{Oid: oid, Ver: ver})
 		chk.Entries = append(chk.Entries, verEntry{Oid: oid, Ver: ver})
 	}
-	com := commitObjBatchReq{TxID: 77, NewVer: object.Version{Clock: 42, Node: 3}, NewOwner: 3}
-	for _, oid := range oids[:4] {
-		com.Entries = append(com.Entries, commitObjBatchEntry{Oid: oid, NewValue: &benchVal{N: 900}})
-	}
+	// A publish message to the old owner of four of the eight objects moved.
+	com := commitObjBatchReq{TxID: 77, NewOwner: 3, Oids: oids[:4], Moved: oids}
 	comResp := commitObjBatchResp{Results: make([]commitObjBatchResult, 4)}
 	comResp.Results[1].Queue = []sched.Request{{Oid: oids[1], TxID: 78, Node: 5, Mode: sched.Write,
 		MyCL: 1, Elapsed: time.Millisecond, ExpectedRemaining: 2 * time.Millisecond}}
@@ -97,7 +95,7 @@ func wireBenchCases() []struct {
 			func(b []byte) ([]byte, error) { return chk.appendWire(b), nil },
 			func(r *wire.Reader) { decChk.decodeWire(r) }},
 		{"commitObjBatchReq4",
-			func(b []byte) ([]byte, error) { return com.appendWire(b) },
+			func(b []byte) ([]byte, error) { return com.appendWire(b), nil },
 			func(r *wire.Reader) { decCom.decodeWire(r) }},
 		{"commitObjBatchResp4",
 			func(b []byte) ([]byte, error) { return comResp.appendWire(b), nil },

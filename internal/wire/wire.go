@@ -279,6 +279,34 @@ func (r *Reader) SliceLen(minElemBytes int) int {
 	return n
 }
 
+// Grow returns s resized to n elements, reusing its backing array when
+// capacity allows (retained elements feed value-reuse on decode).
+func Grow[T any](s []T, n int) []T {
+	if cap(s) >= n {
+		return s[:n]
+	}
+	return make([]T, n)
+}
+
+// AppendStrings appends a length-prefixed list of strings (object IDs).
+func AppendStrings[S ~string](b []byte, ss []S) []byte {
+	b = AppendUvarint(b, uint64(len(ss)))
+	for _, s := range ss {
+		b = AppendString(b, string(s))
+	}
+	return b
+}
+
+// ReadStrings decodes what AppendStrings wrote, into prev's backing array
+// when it is large enough.
+func ReadStrings[S ~string](r *Reader, prev []S) []S {
+	ss := Grow(prev, r.SliceLen(1))
+	for i := range ss {
+		ss[i] = S(r.String())
+	}
+	return ss
+}
+
 // ---------------------------------------------------------------------------
 // Type registry: interface-typed values on the wire.
 

@@ -9,6 +9,7 @@
 #   test   go test with the protocol-package coverage floor
 #   race   full suite under the race detector
 #   perf   perf smokes: commit-pipeline msgs/commit bound, the
+#          one-retrieve-wave-after-publish count gate, the
 #          zero-allocation wire-codec gate, the open-loop stability
 #          smoke, the repo benchmark in smoke mode (`go run ./bench
 #          -quick`, JSON to $TMPDIR/ci_bench_quick.json: fails unless its
@@ -76,6 +77,13 @@ stage_perf() {
     # bound (per-owner rounds, not per-object messages).
     echo "== commit-pipeline msgs/commit bound"
     go test ./internal/stm/ -run TestCommitMsgsBoundEightObjectsTwoOwners -count=1
+
+    # Retrieve-wave count gate: after a commit's publish wave every node it
+    # reached (old owners and homes) finds the moved objects with ONE
+    # retrieve, no stale hop and no directory message; the wave itself is one
+    # message per node.
+    echo "== one retrieve wave after a publish"
+    go test ./internal/stm/ -run 'TestOneRetrieveWaveAfterPublish|TestPublishWaveIsOneMessagePerNode' -count=1
 
     # Wire-codec allocation gate: encoding and (warm) decoding the hot
     # protocol payloads — Retrieve, AcquireBatch, CommitObjectBatch —
