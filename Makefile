@@ -2,7 +2,7 @@ GO ?= go
 FUZZTIME ?= 3s
 COV_FLOOR ?= 70
 
-.PHONY: all build vet loc test cover race fuzz perf bench bench-stability verify clean
+.PHONY: all build vet loc test cover race fuzz perf bench verify clean
 
 all: verify
 
@@ -40,10 +40,10 @@ fuzz:
 	CI_FUZZTIME=$(FUZZTIME) ./scripts/ci.sh fuzz
 
 # perf runs the perf smokes: the commit-pipeline msgs/commit bound, the
-# wire-codec zero-allocation gate, the open-loop stability smoke, the repo
-# benchmark in smoke mode (`go run ./bench -quick`; output checks, trace
-# oracle and "no message outside the per-kind table" gated), and a
-# 3-process dstmnode cluster smoke.
+# wire-codec zero-allocation gate, the open-loop rows of internal/testbed's
+# drive test, the repo benchmark in smoke mode (`go run ./bench -quick`;
+# output checks, trace oracle and "no message outside the per-kind table"
+# gated), and a 3-process dstmnode cluster smoke.
 perf:
 	./scripts/ci.sh perf
 
@@ -52,21 +52,11 @@ perf:
 verify:
 	CI_FUZZTIME=$(FUZZTIME) CI_COV_FLOOR=$(COV_FLOOR) ./scripts/ci.sh all
 
-# bench runs the Go micro-benchmarks, then the commit-pipeline benchmark,
-# which writes machine-readable throughput / msgs-per-commit / latency-tail
-# rows per scheduler to results/BENCH_commit.json.
+# bench runs the Go micro-benchmarks. msgs/commit, latency tails and the
+# open-loop numbers are the repo benchmark's: `bash bench/run.sh`
+# (bench/README.md).
 bench:
 	$(GO) test -bench=. -benchmem -run '^$$' .
-	$(GO) run ./cmd/rtsbench -benchjson results/BENCH_commit.json -duration 150ms -nodes 4 -bench bank,dht
-
-# bench-stability runs the open-loop queue-stability sweep — scheduler ×
-# skew (uniform/zipf/storm) × arrival (poisson at each rate + adversarial
-# conflict-window) over bank/list/DHT — and writes the per-cell offered vs
-# completed load, makespan, queue-depth series, sojourn p50/p99/p999 and
-# stability verdict to results/BENCH_stability.json.
-bench-stability:
-	$(GO) run ./cmd/rtsbench -experiment stability -bench bank,ll,dht \
-		-nodes 4 -duration 150ms -stabilityjson results/BENCH_stability.json
 
 clean:
 	$(GO) clean ./...

@@ -21,19 +21,22 @@ import (
 	"time"
 
 	"dstm/internal/harness"
+	"dstm/internal/testbed"
 	"dstm/internal/workload"
 )
 
 // benchCfg is the shared scaled-down experiment cell.
 func benchCfg() harness.Config {
 	return harness.Config{
-		Nodes:          6,
-		WorkersPerNode: 8,
-		Duration:       120 * time.Millisecond,
+		Options: testbed.Options{
+			Nodes:          6,
+			WorkersPerNode: 8,
+			Duration:       120 * time.Millisecond,
+			CLThreshold:    3,
+			Seed:           1,
+		},
 		ObjectsPerNode: 6,
 		DelayScale:     0.004, // 1–50 ms → 4–200 µs
-		CLThreshold:    3,
-		Seed:           1,
 	}
 }
 

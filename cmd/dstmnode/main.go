@@ -16,41 +16,42 @@
 //	dstmnode -spawn 3 -duration 2s
 //	dstmnode -spawn 3 -openloop -rate 300 -arrival poisson -zipf 0.8
 //
-// The -drive node seeds a small bank, runs transfer transactions against
-// the cluster for -duration, then prints throughput and the conservation
-// check. -openloop switches the driver from the closed loop (next
-// transaction only after the previous finishes) to an open-loop arrival
-// process from internal/workload: arrivals are admitted on the clock's
-// schedule regardless of completions, overload sheds at -maxpending, and
-// the report adds sojourn (arrival→commit) p50/p99. Other nodes serve
-// objects until killed or until -exitafter elapses (children always get
-// an -exitafter so a crashed parent cannot leak node processes).
+// The -drive node seeds a small bank, has internal/testbed's op loop run
+// transfer transactions against the cluster for -duration, then prints
+// throughput and the conservation check. -openloop switches the loop from
+// closed (a worker's next transaction only after its previous one finishes)
+// to an open-loop arrival process from internal/workload: arrivals are
+// admitted on the clock's schedule regardless of completions, overload
+// sheds at -maxpending, and the report adds sojourn (arrival→commit)
+// p50/p99 over exact samples. The op stream derives from testbed's default
+// seed, so a failing run can be run again. Other nodes serve objects until
+// killed or until -exitafter elapses (children always get an -exitafter so
+// a crashed parent cannot leak node processes).
 package main
 
 import (
 	"context"
 	"flag"
 	"fmt"
-	"math/rand"
 	"net"
 	"os"
 	"os/exec"
 	"strconv"
 	"strings"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"dstm/internal/apps/bank"
-	"dstm/internal/cluster"
-	"dstm/internal/core"
-	"dstm/internal/sched"
-	"dstm/internal/stats"
-	"dstm/internal/stm"
+	"dstm/internal/testbed"
 	"dstm/internal/transport"
-	"dstm/internal/vclock"
 	"dstm/internal/workload"
 )
+
+// schedulers maps the -scheduler flag's values to testbed's names.
+var schedulers = map[string]testbed.Scheduler{
+	"rts":     testbed.RTS,
+	"tfa":     testbed.TFA,
+	"backoff": testbed.Backoff,
+}
 
 type options struct {
 	id         int
@@ -85,7 +86,7 @@ func main() {
 	flag.Float64Var(&o.rate, "rate", 200, "open-loop offered rate (tx/sec)")
 	flag.StringVar(&o.arrival, "arrival", "poisson", "open-loop arrival process: poisson | constant")
 	flag.Float64Var(&o.zipf, "zipf", 0, "Zipfian key-skew theta (0 = uniform)")
-	flag.IntVar(&o.workers, "workers", 8, "open-loop executor goroutines")
+	flag.IntVar(&o.workers, "workers", 8, "concurrent transactions on the drive node")
 	flag.IntVar(&o.maxPending, "maxpending", 1<<14, "open-loop admission queue cap (arrivals beyond it are shed)")
 	flag.Parse()
 
@@ -173,41 +174,47 @@ func reservePorts(n int) ([]string, error) {
 	return addrs, nil
 }
 
-// runNode assembles one node's full stack (TCP transport, scheduler
-// policy, STM runtime) and either serves or drives.
+// runNode has testbed assemble this process's node of the TCP cluster and
+// either serves or drives.
 func runNode(o options) error {
 	peers, err := parsePeers(o.peers)
 	if err != nil {
 		return err
 	}
-	listen, ok := peers[transport.NodeID(o.id)]
+	scheduler, ok := schedulers[o.policy]
 	if !ok {
-		return fmt.Errorf("node %d not present in -peers", o.id)
+		return fmt.Errorf("unknown scheduler %q", o.policy)
 	}
-
-	tn, err := transport.NewTCPNode(transport.NodeID(o.id), listen, peers)
+	opts := testbed.Options{
+		Peers:          peers,
+		Self:           transport.NodeID(o.id),
+		Scheduler:      scheduler,
+		CLThreshold:    o.threshold,
+		WorkersPerNode: o.workers,
+		Duration:       o.duration,
+		ReadRatio:      0.5,
+		MaxPending:     o.maxPending,
+	}
+	if o.zipf > 0 {
+		opts.KeySampler = workload.NewZipf(o.zipf)
+	}
+	if o.openLoop {
+		switch o.arrival {
+		case "poisson":
+			opts.Arrival = workload.NewPoisson(o.rate)
+		case "constant":
+			opts.Arrival = workload.NewConstant(o.rate)
+		default:
+			return fmt.Errorf("unknown arrival %q (want poisson or constant)", o.arrival)
+		}
+	}
+	c, err := testbed.New(opts)
 	if err != nil {
 		return err
 	}
-	defer tn.Close()
-
-	st := stats.NewTable(time.Millisecond)
-	var pol sched.Policy
-	switch o.policy {
-	case "rts":
-		pol = core.New(core.Options{CLThreshold: o.threshold})
-	case "tfa":
-		pol = sched.NewTFA()
-	case "backoff":
-		pol = sched.NewBackoff(st, 50*time.Millisecond)
-	default:
-		return fmt.Errorf("unknown scheduler %q", o.policy)
-	}
-
-	ep := cluster.NewEndpoint(tn, &vclock.Clock{})
-	rt := stm.NewRuntime(ep, len(peers), pol, st)
+	defer c.Close()
 	fmt.Printf("dstmnode: node %d listening on %s (%s scheduler, %d peers)\n",
-		o.id, tn.Addr(), pol.Name(), len(peers))
+		o.id, peers[opts.Self], c.Rts[0].Policy().Name(), len(peers))
 
 	if !o.drive {
 		if o.exitAfter > 0 {
@@ -216,11 +223,7 @@ func runNode(o options) error {
 		}
 		select {} // serve forever
 	}
-
-	if o.openLoop {
-		return driveOpenLoop(rt, o)
-	}
-	return driveBank(rt, o.accounts, o.duration)
+	return drive(c, o, opts.Arrival)
 }
 
 func parsePeers(s string) (map[transport.NodeID]string, error) {
@@ -239,142 +242,47 @@ func parsePeers(s string) (map[transport.NodeID]string, error) {
 	return peers, nil
 }
 
-// seedBank creates the bank and retries Setup until every peer answers:
-// object homes are spread across nodes, so seeding succeeds only once
-// everyone is listening.
-func seedBank(ctx context.Context, rt *stm.Runtime, accounts int, zipf float64) (*bank.Bank, error) {
-	b := bank.New(bank.Options{AccountsPerNode: accounts})
-	if zipf > 0 {
-		z := workload.NewZipf(zipf)
-		b.SetKeyPicker(func(rng *rand.Rand, n int) int { return z.Sample(rng, n) })
-	}
-	var setupErr error
+// drive seeds the bank — retrying until every peer answers: object homes
+// are spread across nodes, so seeding succeeds only once everyone is
+// listening — runs testbed's op loop, closed or open, and audits the total.
+// In the open loop completions do not gate admissions, so overload shows up
+// as shed arrivals and a fat sojourn tail rather than a sagging offered rate.
+func drive(c *testbed.Cluster, o options, arr workload.Arrival) error {
+	ctx := context.Background()
+	b := bank.New(bank.Options{AccountsPerNode: o.accounts})
+	var err error
 	for attempt := 0; attempt < 50; attempt++ {
-		setupErr = b.Setup(ctx, []*stm.Runtime{rt})
-		if setupErr == nil {
-			return b, nil
+		if err = c.Setup(ctx, b); err == nil {
+			break
 		}
 		time.Sleep(200 * time.Millisecond)
 	}
-	return nil, fmt.Errorf("seeding failed (are all peers up?): %w", setupErr)
-}
+	if err != nil {
+		return fmt.Errorf("seeding failed (are all peers up?): %w", err)
+	}
+	if arr == nil {
+		fmt.Printf("dstmnode: seeded %d accounts, driving for %v\n", b.Accounts(), o.duration)
+	} else {
+		fmt.Printf("dstmnode: seeded %d accounts, open loop %s @ %.0f tx/s for %v (%d workers)\n",
+			b.Accounts(), arr.Name(), o.rate, o.duration, o.workers)
+	}
 
-// driveBank seeds accounts, runs closed-loop transfers, and audits the
-// total.
-func driveBank(rt *stm.Runtime, accounts int, d time.Duration) error {
-	ctx := context.Background()
-	b, err := seedBank(ctx, rt, accounts, 0)
+	rep, err := c.Drive(ctx, b, nil)
 	if err != nil {
 		return err
 	}
-	fmt.Printf("dstmnode: seeded %d accounts, driving for %v\n", b.Accounts(), d)
-
-	runCtx, cancel := context.WithTimeout(ctx, d)
-	defer cancel()
-	rng := rand.New(rand.NewSource(time.Now().UnixNano()))
-	ops := 0
-	for runCtx.Err() == nil {
-		if err := b.Op(runCtx, rt, rng, rng.Float64() < 0.5); err != nil {
-			if runCtx.Err() != nil {
-				break
-			}
-			return err
-		}
-		ops++
+	m := rep.Metrics
+	rate := float64(m.Commits) / o.duration.Seconds()
+	if arr == nil {
+		fmt.Printf("dstmnode: %d ops driven, %d commits, %d aborts, %.1f commits/sec\n",
+			rep.Completed, m.Commits, m.TotalAborts(), rate)
+	} else {
+		fmt.Printf("dstmnode: offered %d, completed %d, shed %d; %d commits, %d aborts, %.1f commits/sec\n",
+			rep.Offered, rep.Completed, rep.Shed, m.Commits, m.TotalAborts(), rate)
+		fmt.Printf("dstmnode: sojourn p50 %v  p99 %v\n", rep.Sojourn.Quantile(0.50), rep.Sojourn.Quantile(0.99))
 	}
-
-	m := rt.Metrics().Snapshot()
-	fmt.Printf("dstmnode: %d ops driven, %d commits, %d aborts, %.1f commits/sec\n",
-		ops, m.Commits, m.TotalAborts(), float64(m.Commits)/d.Seconds())
-	if err := b.Check(ctx, rt); err != nil {
-		return err
-	}
-	fmt.Println("dstmnode: conservation check passed")
-	return nil
-}
-
-// driveOpenLoop admits bank transactions on an arrival process's
-// schedule — completions do not gate admissions, so overload shows up as
-// shed arrivals and a fat sojourn tail rather than a sagging offered
-// rate. Sojourn is measured arrival→completion, queueing included.
-func driveOpenLoop(rt *stm.Runtime, o options) error {
-	ctx := context.Background()
-	b, err := seedBank(ctx, rt, o.accounts, o.zipf)
-	if err != nil {
-		return err
-	}
-
-	var arr workload.Arrival
-	switch o.arrival {
-	case "poisson":
-		arr = workload.NewPoisson(o.rate)
-	case "constant":
-		arr = workload.NewConstant(o.rate)
-	default:
-		return fmt.Errorf("unknown arrival %q (want poisson or constant)", o.arrival)
-	}
-	fmt.Printf("dstmnode: seeded %d accounts, open loop %s @ %.0f tx/s for %v (%d workers)\n",
-		b.Accounts(), arr.Name(), o.rate, o.duration, o.workers)
-
-	runCtx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	pending := make(chan time.Time, o.maxPending)
-	var (
-		shed      atomic.Uint64
-		completed atomic.Uint64
-		opErr     atomic.Value
-		wg        sync.WaitGroup
-	)
-	hists := make([]*stats.LatencyHist, o.workers)
-	for w := 0; w < o.workers; w++ {
-		hists[w] = &stats.LatencyHist{}
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			rng := rand.New(rand.NewSource(time.Now().UnixNano() + int64(w)))
-			for arrived := range pending {
-				if err := b.Op(runCtx, rt, rng, rng.Float64() < 0.5); err != nil {
-					if runCtx.Err() != nil {
-						return
-					}
-					opErr.CompareAndSwap(nil, err)
-					cancel()
-					return
-				}
-				hists[w].Observe(time.Since(arrived))
-				completed.Add(1)
-			}
-		}(w)
-	}
-
-	driveCtx, driveCancel := context.WithTimeout(runCtx, o.duration)
-	rng := rand.New(rand.NewSource(time.Now().UnixNano()))
-	offered := workload.Drive(driveCtx, arr, rng, 0, func(int) bool {
-		select {
-		case pending <- time.Now():
-		default:
-			shed.Add(1)
-		}
-		return true
-	})
-	driveCancel()
-	close(pending)
-	wg.Wait()
-	if err, _ := opErr.Load().(error); err != nil {
-		return err
-	}
-
-	var soj stats.HistSnapshot
-	for _, h := range hists {
-		soj.Merge(h.Snapshot())
-	}
-	m := rt.Metrics().Snapshot()
-	fmt.Printf("dstmnode: offered %d, completed %d, shed %d; %d commits, %d aborts, %.1f commits/sec\n",
-		offered, completed.Load(), shed.Load(), m.Commits, m.TotalAborts(),
-		float64(m.Commits)/o.duration.Seconds())
-	fmt.Printf("dstmnode: sojourn p50 %v  p99 %v\n", soj.Quantile(0.50), soj.Quantile(0.99))
-	if err := b.Check(ctx, rt); err != nil {
-		return err
+	if rep.CheckErr != nil {
+		return rep.CheckErr
 	}
 	fmt.Println("dstmnode: conservation check passed")
 	return nil

@@ -18,23 +18,23 @@
 //   - internal/sched — the TFA and TFA+Backoff baseline policies;
 //   - internal/apps — the six benchmarks (Vacation, Bank, Linked-List,
 //     BST, RB-Tree, DHT);
-//   - internal/harness — experiment driver reproducing the paper's
-//     Table I and Figures 4–6.
+//   - internal/testbed — the one cluster assembly (fabric, endpoints,
+//     stats tables, schedulers, runtimes) and the one op loop, closed or
+//     open, with its invariant check and trace oracle;
+//   - internal/harness — the paper's experiments on top of it: Table I
+//     and Figures 4–6.
 //
-// This package offers a small facade for assembling a local (in-process,
-// latency-simulated) cluster; see NewLocalCluster. For full control use
-// the internal packages directly, as the examples under examples/ do.
+// This package offers a small facade over internal/testbed for assembling
+// a local (in-process, latency-simulated) cluster; see NewLocalCluster, and
+// the examples under examples/, which all start from it.
 package dstm
 
 import (
 	"time"
 
-	"dstm/internal/cluster"
-	"dstm/internal/core"
-	"dstm/internal/sched"
 	"dstm/internal/stm"
+	"dstm/internal/testbed"
 	"dstm/internal/transport"
-	"dstm/internal/vclock"
 )
 
 // SchedulerKind selects a node's transactional scheduler.
@@ -66,51 +66,45 @@ type ClusterOptions struct {
 
 // Cluster is a set of in-process D-STM nodes joined by a simulated
 // network.
-type Cluster struct {
-	net      *transport.Network
-	runtimes []*stm.Runtime
-}
+type Cluster struct{ c *testbed.Cluster }
 
-// NewLocalCluster assembles an in-process cluster.
+// NewLocalCluster assembles an in-process cluster. It panics on a
+// SchedulerKind that is none of the three above.
 func NewLocalCluster(opts ClusterOptions) *Cluster {
-	if opts.Nodes <= 0 {
-		opts.Nodes = 4
+	o := testbed.Options{
+		Nodes:       opts.Nodes,
+		Scheduler:   testbed.Scheduler(opts.Scheduler),
+		CLThreshold: opts.CLThreshold,
 	}
-	var lat transport.LatencyModel = transport.ZeroLatency{}
+	if o.Nodes <= 0 {
+		o.Nodes = 4
+	}
+	if o.Scheduler == "" {
+		o.Scheduler = testbed.RTS
+	}
 	if opts.LatencyMax > 0 {
-		lat = transport.MetricLatency{
+		o.Latency = transport.MetricLatency{
 			Min:   opts.LatencyMin,
 			Max:   opts.LatencyMax,
 			Scale: opts.LatencyScale,
 		}
 	}
-	net := transport.NewNetwork(lat)
-	c := &Cluster{net: net}
-	for i := 0; i < opts.Nodes; i++ {
-		var pol sched.Policy
-		switch opts.Scheduler {
-		case TFA:
-			pol = sched.NewTFA()
-		case TFABackoff:
-			pol = sched.NewBackoff(nil, 50*time.Millisecond)
-		default:
-			pol = core.New(core.Options{CLThreshold: opts.CLThreshold})
-		}
-		ep := cluster.NewEndpoint(net.Endpoint(transport.NodeID(i)), &vclock.Clock{})
-		c.runtimes = append(c.runtimes, stm.NewRuntime(ep, opts.Nodes, pol, nil))
+	c, err := testbed.New(o)
+	if err != nil {
+		panic(err)
 	}
-	return c
+	return &Cluster{c: c}
 }
 
 // Size returns the number of nodes.
-func (c *Cluster) Size() int { return len(c.runtimes) }
+func (c *Cluster) Size() int { return len(c.c.Rts) }
 
 // Runtime returns node i's D-STM runtime (start transactions with its
 // Atomic method).
-func (c *Cluster) Runtime(i int) *stm.Runtime { return c.runtimes[i] }
+func (c *Cluster) Runtime(i int) *stm.Runtime { return c.c.Rts[i] }
 
 // Runtimes returns all runtimes, indexed by node ID.
-func (c *Cluster) Runtimes() []*stm.Runtime { return c.runtimes }
+func (c *Cluster) Runtimes() []*stm.Runtime { return c.c.Rts }
 
 // Close tears the cluster's network down.
-func (c *Cluster) Close() { c.net.Close() }
+func (c *Cluster) Close() { c.c.Close() }

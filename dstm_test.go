@@ -79,3 +79,33 @@ func TestLocalClusterEndToEnd(t *testing.T) {
 		t.Fatalf("counter = %d, want 3", got)
 	}
 }
+
+// TestLocalClusterBackoffScalesWithProfile: the facade's TFA+Backoff must be
+// the baseline the paper runs compare against — its stall seeded by the
+// profile's measured execution time from the table the runtime records
+// commits into, not by a fixed 1 ms base.
+func TestLocalClusterBackoffScalesWithProfile(t *testing.T) {
+	c := NewLocalCluster(ClusterOptions{Nodes: 2, Scheduler: TFABackoff})
+	defer c.Close()
+	ctx := context.Background()
+	if err := c.Runtime(0).CreateRoot(ctx, "c", &counter{}); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 3; i++ {
+		err := c.Runtime(0).Atomic(ctx, "slow", func(tx *stm.Txn) error {
+			time.Sleep(8 * time.Millisecond)
+			return tx.Update(ctx, "c", func(v object.Value) object.Value {
+				v.(*counter).N++
+				return v
+			})
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	// A fixed 1 ms base gives a first-retry stall of at most 1 ms (half
+	// the base plus up to half again of jitter); an 8 ms profile at least 4.
+	if d := c.Runtime(0).Policy().RetryDelay(1, "slow"); d <= time.Millisecond {
+		t.Fatalf("first-retry stall for an 8 ms profile = %v, the fixed-base value", d)
+	}
+}

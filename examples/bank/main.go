@@ -12,30 +12,26 @@ import (
 	"sync"
 	"time"
 
+	"dstm"
 	"dstm/internal/apps/bank"
-	"dstm/internal/cluster"
-	"dstm/internal/core"
-	"dstm/internal/sched"
 	"dstm/internal/stm"
-	"dstm/internal/transport"
-	"dstm/internal/vclock"
 )
 
-func run(policyName string, mk func() sched.Policy) {
+func run(scheduler dstm.SchedulerKind) {
 	const nodes = 4
 	const workers = 8
 	const duration = 400 * time.Millisecond
 
-	net := transport.NewNetwork(transport.MetricLatency{
-		Min: time.Millisecond, Max: 50 * time.Millisecond, Scale: 0.01,
+	c := dstm.NewLocalCluster(dstm.ClusterOptions{
+		Nodes:        nodes,
+		Scheduler:    scheduler,
+		CLThreshold:  3,
+		LatencyMin:   time.Millisecond,
+		LatencyMax:   50 * time.Millisecond,
+		LatencyScale: 0.01,
 	})
-	defer net.Close()
-
-	rts := make([]*stm.Runtime, nodes)
-	for i := 0; i < nodes; i++ {
-		ep := cluster.NewEndpoint(net.Endpoint(transport.NodeID(i)), &vclock.Clock{})
-		rts[i] = stm.NewRuntime(ep, nodes, mk(), nil)
-	}
+	defer c.Close()
+	rts := c.Runtimes()
 
 	ctx := context.Background()
 	b := bank.New(bank.Options{AccountsPerNode: 6, MaxNested: 4})
@@ -66,17 +62,17 @@ func run(policyName string, mk func() sched.Policy) {
 		total.Merge(rt.Metrics().Snapshot())
 	}
 	if err := b.Check(ctx, rts[0]); err != nil {
-		log.Fatalf("%s: %v", policyName, err)
+		log.Fatalf("%s: %v", scheduler, err)
 	}
 	fmt.Printf("%-12s  commits=%-6d aborts=%-6d nested-aborts(parent-caused)=%d/%d  throughput=%.0f tx/s  [conserved ✓]\n",
-		policyName, total.Commits, total.TotalAborts(),
+		scheduler, total.Commits, total.TotalAborts(),
 		total.NestedParent, total.NestedOwn+total.NestedParent,
 		float64(total.Commits)/duration.Seconds())
 }
 
 func main() {
 	fmt.Println("Bank: 4 nodes × 3 workers, batch transfers with nested inner transfers")
-	run("RTS", func() sched.Policy { return core.New(core.Options{CLThreshold: 3}) })
-	run("TFA", func() sched.Policy { return sched.NewTFA() })
-	run("TFA+Backoff", func() sched.Policy { return sched.NewBackoff(nil, 50*time.Millisecond) })
+	run(dstm.RTS)
+	run(dstm.TFA)
+	run(dstm.TFABackoff)
 }

@@ -9,26 +9,20 @@ import (
 	"log"
 	"time"
 
+	"dstm"
 	"dstm/internal/apps/dht"
-	"dstm/internal/cluster"
-	"dstm/internal/core"
-	"dstm/internal/stm"
-	"dstm/internal/transport"
-	"dstm/internal/vclock"
 )
 
 func main() {
 	const nodes = 4
-	net := transport.NewNetwork(transport.MetricLatency{
-		Min: time.Millisecond, Max: 10 * time.Millisecond, Scale: 0.05,
+	c := dstm.NewLocalCluster(dstm.ClusterOptions{
+		Nodes:        nodes,
+		LatencyMin:   time.Millisecond,
+		LatencyMax:   10 * time.Millisecond,
+		LatencyScale: 0.05,
 	})
-	defer net.Close()
-
-	rts := make([]*stm.Runtime, nodes)
-	for i := 0; i < nodes; i++ {
-		ep := cluster.NewEndpoint(net.Endpoint(transport.NodeID(i)), &vclock.Clock{})
-		rts[i] = stm.NewRuntime(ep, nodes, core.New(core.Options{}), nil)
-	}
+	defer c.Close()
+	rts := c.Runtimes()
 
 	ctx := context.Background()
 	d := dht.New(dht.Options{BucketsPerNode: 4})

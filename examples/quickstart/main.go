@@ -9,12 +9,9 @@ import (
 	"log"
 	"time"
 
-	"dstm/internal/cluster"
-	"dstm/internal/core"
+	"dstm"
 	"dstm/internal/object"
 	"dstm/internal/stm"
-	"dstm/internal/transport"
-	"dstm/internal/vclock"
 )
 
 // Counter is a user-defined shared object: anything with a deep Copy.
@@ -26,19 +23,19 @@ type Counter struct {
 func (c *Counter) Copy() object.Value { d := *c; return &d }
 
 func main() {
-	// 1. A 3-node cluster over the in-memory network with 1–5 ms links.
+	// 1. A 3-node cluster over the in-memory network with 1–5 ms links
+	// (scaled by 0.1). Every node runs the paper's RTS scheduler.
 	const nodes = 3
-	net := transport.NewNetwork(transport.MetricLatency{
-		Min: time.Millisecond, Max: 5 * time.Millisecond, Scale: 0.1,
+	c := dstm.NewLocalCluster(dstm.ClusterOptions{
+		Nodes:        nodes,
+		Scheduler:    dstm.RTS,
+		CLThreshold:  3,
+		LatencyMin:   time.Millisecond,
+		LatencyMax:   5 * time.Millisecond,
+		LatencyScale: 0.1,
 	})
-	defer net.Close()
-
-	rts := make([]*stm.Runtime, nodes)
-	for i := 0; i < nodes; i++ {
-		ep := cluster.NewEndpoint(net.Endpoint(transport.NodeID(i)), &vclock.Clock{})
-		// Every node runs the paper's RTS scheduler.
-		rts[i] = stm.NewRuntime(ep, nodes, core.New(core.Options{CLThreshold: 3}), nil)
-	}
+	defer c.Close()
+	rts := c.Runtimes()
 
 	ctx := context.Background()
 

@@ -12,26 +12,23 @@ import (
 	"sync"
 	"time"
 
+	"dstm"
 	"dstm/internal/apps/vacation"
-	"dstm/internal/cluster"
-	"dstm/internal/core"
 	"dstm/internal/stm"
-	"dstm/internal/transport"
-	"dstm/internal/vclock"
 )
 
 func main() {
 	const nodes = 8
-	net := transport.NewNetwork(transport.MetricLatency{
-		Min: time.Millisecond, Max: 50 * time.Millisecond, Scale: 0.005,
+	c := dstm.NewLocalCluster(dstm.ClusterOptions{
+		Nodes:        nodes,
+		Scheduler:    dstm.RTS,
+		CLThreshold:  3,
+		LatencyMin:   time.Millisecond,
+		LatencyMax:   50 * time.Millisecond,
+		LatencyScale: 0.005,
 	})
-	defer net.Close()
-
-	rts := make([]*stm.Runtime, nodes)
-	for i := 0; i < nodes; i++ {
-		ep := cluster.NewEndpoint(net.Endpoint(transport.NodeID(i)), &vclock.Clock{})
-		rts[i] = stm.NewRuntime(ep, nodes, core.New(core.Options{CLThreshold: 3}), nil)
-	}
+	defer c.Close()
+	rts := c.Runtimes()
 
 	ctx := context.Background()
 	v := vacation.New(vacation.Options{

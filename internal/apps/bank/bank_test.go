@@ -10,7 +10,7 @@ import (
 )
 
 func TestSetupSeedsAccounts(t *testing.T) {
-	rts := testutil.Cluster(t, 3, nil, nil)
+	rts := testutil.Cluster(t, 3)
 	b := New(Options{AccountsPerNode: 4})
 	ctx := context.Background()
 	if err := b.Setup(ctx, rts); err != nil {
@@ -29,7 +29,7 @@ func TestSetupSeedsAccounts(t *testing.T) {
 }
 
 func TestTransfersConserveMoney(t *testing.T) {
-	rts := testutil.Cluster(t, 2, nil, nil)
+	rts := testutil.Cluster(t, 2)
 	b := New(Options{AccountsPerNode: 3})
 	ctx := context.Background()
 	if err := b.Setup(ctx, rts); err != nil {
@@ -47,7 +47,7 @@ func TestTransfersConserveMoney(t *testing.T) {
 }
 
 func TestReadOpRuns(t *testing.T) {
-	rts := testutil.Cluster(t, 2, nil, nil)
+	rts := testutil.Cluster(t, 2)
 	b := New(Options{AccountsPerNode: 3})
 	ctx := context.Background()
 	if err := b.Setup(ctx, rts); err != nil {
@@ -67,7 +67,7 @@ func TestReadOpRuns(t *testing.T) {
 
 func TestConcurrentTransfersConserveMoney(t *testing.T) {
 	const nodes = 3
-	rts := testutil.Cluster(t, nodes, nil, nil)
+	rts := testutil.Cluster(t, nodes)
 	b := New(Options{AccountsPerNode: 2, MaxNested: 3})
 	ctx := context.Background()
 	if err := b.Setup(ctx, rts); err != nil {

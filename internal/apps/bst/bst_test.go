@@ -10,7 +10,7 @@ import (
 )
 
 func TestAddRemoveRevive(t *testing.T) {
-	rts := testutil.Cluster(t, 2, nil, nil)
+	rts := testutil.Cluster(t, 2)
 	b := New(Options{KeyRange: 16, InitialSize: 1, Name: "bt1"})
 	ctx := context.Background()
 	if err := b.Setup(ctx, rts); err != nil {
@@ -43,7 +43,7 @@ func TestAddRemoveRevive(t *testing.T) {
 }
 
 func TestSequentialOracle(t *testing.T) {
-	rts := testutil.Cluster(t, 2, nil, nil)
+	rts := testutil.Cluster(t, 2)
 	b := New(Options{KeyRange: 32, InitialSize: 5, Name: "bt2"})
 	ctx := context.Background()
 	if err := b.Setup(ctx, rts); err != nil {
@@ -105,7 +105,7 @@ func TestSequentialOracle(t *testing.T) {
 
 func TestConcurrentOps(t *testing.T) {
 	const nodes = 3
-	rts := testutil.Cluster(t, nodes, nil, nil)
+	rts := testutil.Cluster(t, nodes)
 	b := New(Options{KeyRange: 24, InitialSize: 6, Name: "bt3"})
 	ctx := context.Background()
 	if err := b.Setup(ctx, rts); err != nil {

@@ -11,7 +11,7 @@ import (
 )
 
 func TestPutGetRoundTrip(t *testing.T) {
-	rts := testutil.Cluster(t, 3, nil, nil)
+	rts := testutil.Cluster(t, 3)
 	d := New(Options{BucketsPerNode: 2})
 	ctx := context.Background()
 	if err := d.Setup(ctx, rts); err != nil {
@@ -40,7 +40,7 @@ func TestPutGetRoundTrip(t *testing.T) {
 }
 
 func TestOverwrite(t *testing.T) {
-	rts := testutil.Cluster(t, 2, nil, nil)
+	rts := testutil.Cluster(t, 2)
 	d := New(Options{BucketsPerNode: 2})
 	ctx := context.Background()
 	if err := d.Setup(ctx, rts); err != nil {
@@ -65,7 +65,7 @@ func TestOverwrite(t *testing.T) {
 }
 
 func TestSequentialOracle(t *testing.T) {
-	rts := testutil.Cluster(t, 2, nil, nil)
+	rts := testutil.Cluster(t, 2)
 	d := New(Options{BucketsPerNode: 3, KeySpace: 32})
 	ctx := context.Background()
 	if err := d.Setup(ctx, rts); err != nil {
@@ -104,7 +104,7 @@ func TestSequentialOracle(t *testing.T) {
 
 func TestConcurrentDistinctKeys(t *testing.T) {
 	const nodes = 3
-	rts := testutil.Cluster(t, nodes, nil, nil)
+	rts := testutil.Cluster(t, nodes)
 	d := New(Options{BucketsPerNode: 2})
 	ctx := context.Background()
 	if err := d.Setup(ctx, rts); err != nil {
@@ -140,7 +140,7 @@ func TestConcurrentDistinctKeys(t *testing.T) {
 }
 
 func TestOpSmoke(t *testing.T) {
-	rts := testutil.Cluster(t, 2, nil, nil)
+	rts := testutil.Cluster(t, 2)
 	d := New(Options{BucketsPerNode: 2, KeySpace: 16})
 	ctx := context.Background()
 	if err := d.Setup(ctx, rts); err != nil {

@@ -10,7 +10,7 @@ import (
 )
 
 func TestAddRemoveContains(t *testing.T) {
-	rts := testutil.Cluster(t, 2, nil, nil)
+	rts := testutil.Cluster(t, 2)
 	l := New(Options{KeyRange: 16, InitialSize: 1, Name: "t1"})
 	ctx := context.Background()
 	if err := l.Setup(ctx, rts); err != nil {
@@ -49,7 +49,7 @@ func TestAddRemoveContains(t *testing.T) {
 }
 
 func TestSequentialOracle(t *testing.T) {
-	rts := testutil.Cluster(t, 2, nil, nil)
+	rts := testutil.Cluster(t, 2)
 	l := New(Options{KeyRange: 24, InitialSize: 4, Name: "t2"})
 	ctx := context.Background()
 	if err := l.Setup(ctx, rts); err != nil {
@@ -116,7 +116,7 @@ func TestSequentialOracle(t *testing.T) {
 
 func TestConcurrentOpsKeepOrder(t *testing.T) {
 	const nodes = 3
-	rts := testutil.Cluster(t, nodes, nil, nil)
+	rts := testutil.Cluster(t, nodes)
 	l := New(Options{KeyRange: 20, InitialSize: 6, Name: "t3"})
 	ctx := context.Background()
 	if err := l.Setup(ctx, rts); err != nil {

@@ -12,7 +12,7 @@ import (
 func TestAscendingInsertStaysBalanced(t *testing.T) {
 	// Ascending inserts are the degenerate case for a plain BST; the RB
 	// fixups must keep the shape invariants (checked by Check) intact.
-	rts := testutil.Cluster(t, 2, nil, nil)
+	rts := testutil.Cluster(t, 2)
 	tr := New(Options{KeyRange: 64, InitialSize: 1, Name: "rbt1"})
 	ctx := context.Background()
 	if err := tr.Setup(ctx, rts); err != nil {
@@ -36,7 +36,7 @@ func TestAscendingInsertStaysBalanced(t *testing.T) {
 }
 
 func TestDescendingInsert(t *testing.T) {
-	rts := testutil.Cluster(t, 1, nil, nil)
+	rts := testutil.Cluster(t, 1)
 	tr := New(Options{KeyRange: 64, InitialSize: 1, Name: "rbt2"})
 	ctx := context.Background()
 	if err := tr.Setup(ctx, rts); err != nil {
@@ -53,7 +53,7 @@ func TestDescendingInsert(t *testing.T) {
 }
 
 func TestSequentialOracle(t *testing.T) {
-	rts := testutil.Cluster(t, 2, nil, nil)
+	rts := testutil.Cluster(t, 2)
 	tr := New(Options{KeyRange: 48, InitialSize: 6, Name: "rbt3"})
 	ctx := context.Background()
 	if err := tr.Setup(ctx, rts); err != nil {
@@ -125,7 +125,7 @@ func TestSequentialOracle(t *testing.T) {
 
 func TestConcurrentOps(t *testing.T) {
 	const nodes = 3
-	rts := testutil.Cluster(t, nodes, nil, nil)
+	rts := testutil.Cluster(t, nodes)
 	tr := New(Options{KeyRange: 32, InitialSize: 8, Name: "rbt4"})
 	ctx := context.Background()
 	if err := tr.Setup(ctx, rts); err != nil {

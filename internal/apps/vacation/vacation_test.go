@@ -13,7 +13,7 @@ import (
 
 func setupVac(t *testing.T, nodes int, opts Options) (*Vacation, []*stm.Runtime) {
 	t.Helper()
-	rts := testutil.Cluster(t, nodes, nil, nil)
+	rts := testutil.Cluster(t, nodes)
 	v := New(opts)
 	if err := v.Setup(context.Background(), rts); err != nil {
 		t.Fatal(err)

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"dstm/internal/testbed"
 	"dstm/internal/workload"
 )
 
@@ -13,34 +14,36 @@ import (
 // nearly every transaction collides on the two rotating hot objects —
 // and asserts that RTS actually differentiates from plain TFA there:
 // at least as many committed transactions (within a 15% tolerance band)
-// and strictly fewer aborts (calibrated runs typically show 3–13× fewer).
+// and strictly fewer aborts (these cells measure 0.42–0.70 of TFA's).
 //
-// Counts are aggregated over five seeds so a single unlucky interleaving
-// cannot flip the verdict; the bands are wide enough that the comparison
-// is deterministic run-to-run even though the simulated cluster schedules
-// real goroutines.
+// Counts are aggregated over fifteen seeds so a single unlucky interleaving
+// cannot flip the verdict — five left the commit ratio spread over
+// 0.73–1.17 from run to run, fifteen keep it within 0.90–1.23, busy host or
+// idle — and the two schedulers alternate seed by seed so a change in host
+// load during the test lands on both halves of the comparison.
 func TestSchedulerDifferentiationHotKeyStorm(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-seed aggregate cell")
 	}
 	totals := make(map[Scheduler]struct{ commits, aborts uint64 })
-	for _, s := range []Scheduler{SchedRTS, SchedTFA} {
-		var commits, aborts uint64
-		for seed := int64(1); seed <= 5; seed++ {
+	for seed := int64(1); seed <= 15; seed++ {
+		for _, s := range []Scheduler{SchedRTS, SchedTFA} {
 			cfg := Config{
-				Nodes:          4,
-				WorkersPerNode: 3,
-				Duration:       150 * time.Millisecond,
+				Options: testbed.Options{
+					Nodes:          4,
+					WorkersPerNode: 3,
+					Duration:       150 * time.Millisecond,
+					CLThreshold:    3,
+					Scheduler:      s,
+					ReadRatio:      0.1, // high contention: 90% writes
+					Seed:           seed,
+					// Two hot keys take 90% of the draws, rotating every 64
+					// draws so the storm sweeps across owners.
+					KeySampler: workload.NewHotKeyStorm(2, 0.9, 64),
+				},
 				ObjectsPerNode: 4,
 				DelayScale:     0.002,
-				CLThreshold:    3,
 				Benchmark:      BenchBank,
-				Scheduler:      s,
-				ReadRatio:      0.1, // high contention: 90% writes
-				Seed:           seed,
-				// Two hot keys take 90% of the draws, rotating every 64
-				// draws so the storm sweeps across owners.
-				KeySampler: workload.NewHotKeyStorm(2, 0.9, 64),
 			}
 			res, err := Run(context.Background(), cfg)
 			if err != nil {
@@ -49,11 +52,14 @@ func TestSchedulerDifferentiationHotKeyStorm(t *testing.T) {
 			if res.CheckErr != nil {
 				t.Fatalf("%s seed %d invariant: %v", s, seed, res.CheckErr)
 			}
-			commits += res.Metrics.Commits
-			aborts += res.Metrics.TotalAborts()
+			sum := totals[s]
+			sum.commits += res.Metrics.Commits
+			sum.aborts += res.Metrics.TotalAborts()
+			totals[s] = sum
 		}
-		totals[s] = struct{ commits, aborts uint64 }{commits, aborts}
-		t.Logf("%-12s commits=%d aborts=%d", s, commits, aborts)
+	}
+	for _, s := range []Scheduler{SchedRTS, SchedTFA} {
+		t.Logf("%-12s commits=%d aborts=%d", s, totals[s].commits, totals[s].aborts)
 	}
 
 	rts, tfa := totals[SchedRTS], totals[SchedTFA]

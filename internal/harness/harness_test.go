@@ -6,15 +6,17 @@ import (
 	"testing"
 	"time"
 
-	"dstm/internal/cluster"
+	"dstm/internal/testbed"
 )
 
 // quickCfg is a small, fast experiment cell for tests.
 func quickCfg() Config {
 	return Config{
-		Nodes:          3,
-		WorkersPerNode: 2,
-		Duration:       80 * time.Millisecond,
+		Options: testbed.Options{
+			Nodes:          3,
+			WorkersPerNode: 2,
+			Duration:       80 * time.Millisecond,
+		},
 		ObjectsPerNode: 4,
 		DelayScale:     0.002, // 1–50ms → 2–100µs
 	}
@@ -190,11 +192,7 @@ func TestRunWithFaultInjection(t *testing.T) {
 	cfg.Reorder = 0.05
 	cfg.MaxExtraDelay = time.Millisecond
 	cfg.LockLease = 5 * time.Second
-	cfg.CallRetry = cluster.RetryPolicy{
-		PerTryTimeout: 30 * time.Millisecond,
-		BaseBackoff:   2 * time.Millisecond,
-		MaxBackoff:    20 * time.Millisecond,
-	}
+	cfg.CallRetry = testbed.LossyRetry
 	res, err := Run(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -8,12 +8,9 @@ import (
 	"time"
 
 	"dstm/internal/apps/bank"
-	"dstm/internal/cluster"
-	"dstm/internal/core"
-	"dstm/internal/stats"
 	"dstm/internal/stm"
+	"dstm/internal/testbed"
 	"dstm/internal/transport"
-	"dstm/internal/vclock"
 )
 
 // TestShutdownLeavesCleanState is a regression test for a family of
@@ -25,37 +22,30 @@ import (
 // that no commit locks survive, ownership is single, and the invariant
 // check completes promptly.
 func TestShutdownLeavesCleanState(t *testing.T) {
-	const iterations = 12
+	const iterations, nodes = 12, 3
 	for iter := 0; iter < iterations; iter++ {
-		cfg := Config{
-			Nodes:          3,
-			WorkersPerNode: 2,
-			Duration:       60 * time.Millisecond,
-			ObjectsPerNode: 4,
-			DelayScale:     0.002,
-			Seed:           int64(iter + 1),
-		}.withDefaults()
-
-		lat := transport.MetricLatency{Min: cfg.LatMin, Max: cfg.LatMax,
-			Scale: cfg.DelayScale, Seed: uint64(cfg.Seed)}
-		net := transport.NewNetwork(lat)
-		rts := make([]*stm.Runtime, cfg.Nodes)
-		for i := 0; i < cfg.Nodes; i++ {
-			st := stats.NewTable(time.Millisecond)
-			pol := core.New(core.Options{CLThreshold: cfg.CLThreshold, CLWindow: cfg.CLWindow})
-			ep := cluster.NewEndpoint(net.Endpoint(transport.NodeID(i)), &vclock.Clock{})
-			rts[i] = stm.NewRuntime(ep, cfg.Nodes, pol, st)
+		c, err := testbed.New(testbed.Options{
+			Nodes:     nodes,
+			Scheduler: testbed.RTS,
+			CLWindow:  time.Millisecond, // a few transaction lifetimes at this scale
+			Seed:      int64(iter + 1),
+			Latency: transport.MetricLatency{Min: time.Millisecond, Max: 50 * time.Millisecond,
+				Scale: 0.002, Seed: uint64(iter + 1)},
+		})
+		if err != nil {
+			t.Fatal(err)
 		}
-		b := bank.New(bank.Options{AccountsPerNode: cfg.ObjectsPerNode})
+		rts := c.Rts
+		b := bank.New(bank.Options{AccountsPerNode: 4})
 		ctx := context.Background()
 		if err := b.Setup(ctx, rts); err != nil {
 			t.Fatal(err)
 		}
 
-		runCtx, cancel := context.WithTimeout(ctx, cfg.Duration)
+		runCtx, cancel := context.WithTimeout(ctx, 60*time.Millisecond)
 		var wg sync.WaitGroup
-		for n := 0; n < cfg.Nodes; n++ {
-			for w := 0; w < cfg.WorkersPerNode; w++ {
+		for n := 0; n < nodes; n++ {
+			for w := 0; w < 2; w++ {
 				wg.Add(1)
 				go func(rt *stm.Runtime, seed int64) {
 					defer wg.Done()
@@ -63,7 +53,7 @@ func TestShutdownLeavesCleanState(t *testing.T) {
 					for runCtx.Err() == nil {
 						_ = b.Op(runCtx, rt, rng, rng.Float64() < 0.5)
 					}
-				}(rts[n], cfg.Seed+int64(n*1000+w))
+				}(rts[n], int64(iter+1+n*1000+w))
 			}
 		}
 		wg.Wait()
@@ -92,11 +82,11 @@ func TestShutdownLeavesCleanState(t *testing.T) {
 		}
 
 		checkCtx, ccancel := context.WithTimeout(ctx, 5*time.Second)
-		err := b.Check(checkCtx, rts[0])
+		err = b.Check(checkCtx, rts[0])
 		ccancel()
 		if err != nil {
 			t.Fatalf("iter %d: invariant check wedged or failed: %v", iter, err)
 		}
-		net.Close()
+		c.Close()
 	}
 }

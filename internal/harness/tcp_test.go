@@ -4,6 +4,8 @@ import (
 	"context"
 	"testing"
 	"time"
+
+	"dstm/internal/testbed"
 )
 
 // TestRunOverTCP runs a small bank cell over real loopback sockets: the
@@ -12,12 +14,14 @@ import (
 func TestRunOverTCP(t *testing.T) {
 	t.Run("tcp", func(t *testing.T) {
 		res, err := Run(context.Background(), Config{
-			Nodes:          3,
-			Benchmark:      BenchBank,
-			Scheduler:      SchedTFA,
-			WorkersPerNode: 2,
-			Duration:       150 * time.Millisecond,
-			Transport:      "tcp",
+			Options: testbed.Options{
+				Nodes:          3,
+				Scheduler:      SchedTFA,
+				WorkersPerNode: 2,
+				Duration:       150 * time.Millisecond,
+				Transport:      "tcp",
+			},
+			Benchmark: BenchBank,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -34,7 +38,7 @@ func TestRunOverTCP(t *testing.T) {
 // TestTCPRejectsFaults: fault injection is a memnet feature; a TCP config
 // asking for it must fail fast instead of silently running lossless.
 func TestTCPRejectsFaults(t *testing.T) {
-	_, err := Run(context.Background(), Config{Transport: "tcp", Drop: 0.1})
+	_, err := Run(context.Background(), Config{Options: testbed.Options{Transport: "tcp", Drop: 0.1}})
 	if err == nil {
 		t.Fatal("faulty TCP config accepted")
 	}
@@ -42,7 +46,7 @@ func TestTCPRejectsFaults(t *testing.T) {
 
 // TestUnknownTransport: typos must not fall back to memnet silently.
 func TestUnknownTransport(t *testing.T) {
-	_, err := Run(context.Background(), Config{Transport: "udp"})
+	_, err := Run(context.Background(), Config{Options: testbed.Options{Transport: "udp"}})
 	if err == nil {
 		t.Fatal("unknown transport accepted")
 	}

@@ -8,8 +8,8 @@ import (
 	"testing"
 	"time"
 
-	"dstm/internal/cluster"
 	"dstm/internal/stm"
+	"dstm/internal/testbed"
 	"dstm/internal/trace"
 	"dstm/internal/trace/check"
 )
@@ -90,11 +90,7 @@ func TestProtocolTraceLossyAllBenchmarks(t *testing.T) {
 			cfg.Reorder = 0.05
 			cfg.MaxExtraDelay = time.Millisecond
 			cfg.LockLease = 2 * time.Second
-			cfg.CallRetry = cluster.RetryPolicy{
-				PerTryTimeout: 30 * time.Millisecond,
-				BaseBackoff:   2 * time.Millisecond,
-				MaxBackoff:    20 * time.Millisecond,
-			}
+			cfg.CallRetry = testbed.LossyRetry
 			res, err := Run(context.Background(), cfg)
 			if err != nil {
 				t.Fatal(err)

@@ -1,0 +1,277 @@
+package testbed
+
+import (
+	"context"
+	"errors"
+	"fmt"
+	"math"
+	"math/rand"
+	"os"
+	"slices"
+	"sync"
+	"sync/atomic"
+	"time"
+
+	"dstm/internal/apps"
+	"dstm/internal/cluster"
+	"dstm/internal/stm"
+	"dstm/internal/trace"
+	"dstm/internal/trace/check"
+	"dstm/internal/transport"
+	"dstm/internal/workload"
+)
+
+// Samples are exact per-operation latencies, sorted ascending.
+type Samples []time.Duration
+
+// Quantile returns the nearest-rank q-quantile (0 for no samples).
+func (s Samples) Quantile(q float64) time.Duration {
+	if len(s) == 0 {
+		return 0
+	}
+	rank := int(math.Ceil(q * float64(len(s))))
+	return s[min(max(rank, 1), len(s))-1]
+}
+
+// Report is what one Drive produced, completed by Finish.
+type Report struct {
+	Elapsed time.Duration // the window as it ran: faults on → last worker out
+
+	// Operation accounting. Offered = Shed + Completed + Failed + Left:
+	// every operation offered was shed at a full admission queue, returned
+	// nil, returned an error, or was still queued or in service when the
+	// window closed. In the closed loop nothing queues, so nothing is shed
+	// and Left counts the operations the deadline cut short.
+	Offered, Shed, Completed, Failed, Left uint64
+
+	// Sojourn has one sample per completed operation: arrival (the start
+	// of the operation in the closed loop) to return, queueing included.
+	Sojourn Samples
+
+	Metrics stm.MetricsSnapshot  // the window's transaction counters, Setup's excluded
+	Faults  transport.FaultStats // messages the fault model dropped, duplicated, reordered
+
+	// CheckErr is the application's invariant check on the healed cluster.
+	CheckErr error
+
+	// Set by Finish when Options.Trace is on: the oracle's verdict over
+	// the merged event log, the log's size, and how many events the rings
+	// lost to wrap-around (> 0 downgrades the check to the truncated-trace
+	// invariants).
+	ProtocolErr  error
+	TraceEvents  int
+	TraceDropped uint64
+}
+
+// Setup applies the configured key sampler to bench and seeds its shared
+// objects over the still reliable network.
+func (c *Cluster) Setup(ctx context.Context, bench apps.Benchmark) error {
+	if sampler := c.opts.KeySampler; sampler != nil {
+		sk, ok := bench.(apps.Skewable)
+		if !ok {
+			return fmt.Errorf("testbed: %s does not support key sampling", bench.Name())
+		}
+		sk.SetKeyPicker(func(rng *rand.Rand, n int) int { return sampler.Sample(rng, n) })
+	}
+	if err := bench.Setup(ctx, c.Rts); err != nil {
+		return fmt.Errorf("testbed: setup: %w", err)
+	}
+	return nil
+}
+
+// job is one arrival admitted to the open loop's queue.
+type job struct {
+	arrived time.Time
+	seed    int64
+}
+
+// Drive is the one op loop. It arms the configured faults, has
+// WorkersPerNode workers per runtime serve bench's operations for Duration
+// — closed loop, or open loop when Options.Arrival is set — then heals the
+// network, gathers the window's counters and runs bench.Check on the
+// healed cluster. during, if not nil, runs alongside the workers with a
+// context that ends with the window, and has returned before the heal (the
+// chaos suite's crash controller). The error is the first operation that
+// failed for a reason other than the window closing; Check is skipped then.
+func (c *Cluster) Drive(ctx context.Context, bench apps.Benchmark, during func(context.Context)) (Report, error) {
+	o := c.opts
+	if o.Duration <= 0 || o.WorkersPerNode <= 0 {
+		return Report{}, fmt.Errorf("testbed: drive needs a Duration and WorkersPerNode, got %v and %d", o.Duration, o.WorkersPerNode)
+	}
+	before := c.metrics()
+	if o.faulty() {
+		c.Net.SetFaults(c.Faults)
+	}
+	runCtx, cancel := context.WithTimeout(ctx, o.Duration)
+	defer cancel()
+
+	var (
+		offered, shed, failed, cut atomic.Uint64
+		errOnce                    sync.Once
+		firstErr                   error
+		wg                         sync.WaitGroup
+		jobs                       chan job
+		sojourns                   = make([][]time.Duration, len(c.Rts)*o.WorkersPerNode)
+	)
+	if o.Arrival != nil {
+		// Sized to the admission bound: a full buffer is what sheds.
+		jobs = make(chan job, o.MaxPending)
+	}
+	start := time.Now()
+	for n, rt := range c.Rts {
+		for w := 0; w < o.WorkersPerNode; w++ {
+			wg.Add(1)
+			go func(rt *stm.Runtime, seed int64, done *[]time.Duration) {
+				defer wg.Done()
+				// Closed loop: one stream per worker. Open loop: each
+				// admitted arrival reseeds, so the schedule, not the worker
+				// that happens to serve it, determines the operation.
+				rng := rand.New(rand.NewSource(seed))
+				for runCtx.Err() == nil {
+					arrived := time.Now()
+					if jobs == nil {
+						offered.Add(1)
+					} else {
+						select {
+						case <-runCtx.Done():
+							return
+						case j := <-jobs:
+							arrived, rng = j.arrived, rand.New(rand.NewSource(j.seed))
+						}
+					}
+					err := bench.Op(runCtx, rt, rng, rng.Float64() < o.ReadRatio)
+					switch {
+					case err == nil:
+						*done = append(*done, time.Since(arrived))
+					case isShutdownErr(err):
+						cut.Add(1)
+						return
+					default:
+						failed.Add(1)
+						errOnce.Do(func() { firstErr = err })
+					}
+				}
+			}(rt, o.Seed+int64(n*1000+w), &sojourns[n*o.WorkersPerNode+w])
+		}
+	}
+	if during != nil {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			during(runCtx)
+		}()
+	}
+	if jobs != nil {
+		// The arrival clock: offer on schedule until the window closes,
+		// shedding — never blocking — when the queue is full.
+		rng := rand.New(rand.NewSource(o.Seed ^ 0x0a221ca1))
+		workload.Drive(runCtx, o.Arrival, rng, 0, func(i int) bool {
+			offered.Add(1)
+			select {
+			case jobs <- job{arrived: time.Now(), seed: o.Seed + int64(i)*7919 + 1}:
+			default:
+				shed.Add(1)
+			}
+			return true
+		})
+	}
+	<-runCtx.Done()
+	wg.Wait()
+
+	rep := Report{
+		Elapsed: time.Since(start),
+		Offered: offered.Load(),
+		Shed:    shed.Load(),
+		Failed:  failed.Load(),
+		Left:    cut.Load() + uint64(len(jobs)),
+	}
+	for _, s := range sojourns {
+		rep.Sojourn = append(rep.Sojourn, s...)
+	}
+	slices.Sort(rep.Sojourn)
+	rep.Completed = uint64(len(rep.Sojourn))
+
+	// Heal before checking invariants: the check verifies what committed,
+	// not whether its own RPCs survive a lossy network.
+	faulted := c.Net != nil && c.Net.Faults() != nil
+	if faulted {
+		for i := 0; i < o.Nodes; i++ {
+			c.Faults.Restart(transport.NodeID(i))
+		}
+		c.Net.SetFaults(nil)
+		rep.Faults = c.Faults.Stats()
+	}
+	rep.Metrics = c.metrics()
+	rep.Metrics.Sub(before)
+	if firstErr != nil {
+		return rep, fmt.Errorf("testbed: operation failed: %w", firstErr)
+	}
+	if faulted {
+		// Let straggling retransmissions and queue hand-offs converge on
+		// the healed network.
+		time.Sleep(100 * time.Millisecond)
+	}
+	// Bounded, so a broken cluster reports an error instead of retrying
+	// forever.
+	checkCtx, checkCancel := context.WithTimeout(ctx, 30*time.Second)
+	defer checkCancel()
+	rep.CheckErr = bench.Check(checkCtx, c.Rts[0])
+	return rep, nil
+}
+
+// Finish closes the cluster and, when tracing, merges the per-node event
+// logs, replays them through the protocol oracle into rep and writes
+// Options.TracePath.
+func (c *Cluster) Finish(rep *Report) error {
+	// Quiesce before collecting so no goroutine is mid-way through emitting
+	// a hand-off group: Close stops the lease reapers and drains the
+	// per-link delivery goroutines; the sleep gives spawned handler
+	// goroutines a beat to finish.
+	c.Close()
+	if !c.opts.Trace {
+		return nil
+	}
+	time.Sleep(25 * time.Millisecond)
+
+	logs := make([][]trace.Event, len(c.recorders))
+	for i, rec := range c.recorders {
+		logs[i] = rec.Events()
+		rep.TraceDropped += rec.Dropped()
+	}
+	merged := trace.Merge(logs...)
+	rep.TraceEvents = len(merged)
+	rep.ProtocolErr = check.Run(merged, check.Options{Truncated: rep.TraceDropped > 0}).Err()
+	if c.opts.TracePath == "" {
+		return nil
+	}
+	f, err := os.Create(c.opts.TracePath)
+	if err != nil {
+		return fmt.Errorf("testbed: trace file: %w", err)
+	}
+	werr := trace.WriteJSONL(f, merged)
+	if cerr := f.Close(); werr == nil {
+		werr = cerr
+	}
+	if werr != nil {
+		return fmt.Errorf("testbed: trace write: %w", werr)
+	}
+	return nil
+}
+
+// metrics sums the transaction counters of this process's runtimes.
+func (c *Cluster) metrics() stm.MetricsSnapshot {
+	var total stm.MetricsSnapshot
+	for _, rt := range c.Rts {
+		total.Merge(rt.Metrics().Snapshot())
+	}
+	return total
+}
+
+// isShutdownErr reports whether err is an expected consequence of the
+// window closing or the cluster shutting down rather than a failure.
+func isShutdownErr(err error) bool {
+	return errors.Is(err, context.Canceled) ||
+		errors.Is(err, context.DeadlineExceeded) ||
+		errors.Is(err, cluster.ErrEndpointClosed) ||
+		errors.Is(err, transport.ErrClosed)
+}

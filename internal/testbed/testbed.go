@@ -1,0 +1,272 @@
+// Package testbed is the one place outside bench/ where a D-STM cluster is
+// assembled and driven. The paper's evaluation has one shape — N nodes, one
+// scheduler per node, one application, workers issuing operations — and
+// every caller (the experiment harness, the chaos suite, the dstmnode
+// daemon, the public facade and through it the examples) gets that shape
+// from here: New wires the fabric, endpoints, stats tables, schedulers and
+// runtimes; Setup seeds an application; Drive runs the closed or open op
+// loop and checks what it left behind; Finish replays the trace through the
+// oracle. bench/ keeps its own copy until ROADMAP item 3(c) makes it import
+// this package.
+package testbed
+
+import (
+	"fmt"
+	"time"
+
+	"dstm/internal/cluster"
+	"dstm/internal/core"
+	"dstm/internal/sched"
+	"dstm/internal/stats"
+	"dstm/internal/stm"
+	"dstm/internal/trace"
+	"dstm/internal/transport"
+	"dstm/internal/vclock"
+	"dstm/internal/workload"
+)
+
+// Scheduler names the transactional scheduler every node runs.
+type Scheduler string
+
+// The three schedulers the paper compares.
+const (
+	RTS     Scheduler = "RTS"
+	TFA     Scheduler = "TFA"
+	Backoff Scheduler = "TFA+Backoff"
+)
+
+// Schedulers lists them in the paper's reporting order.
+var Schedulers = []Scheduler{RTS, TFA, Backoff}
+
+// LossyRetry is the RPC retry policy for runs that inject message loss:
+// retransmissions paced to in-memory link delays, not the 2 s per-try
+// timeout of cluster.DefaultRetryPolicy.
+var LossyRetry = cluster.RetryPolicy{
+	PerTryTimeout: 30 * time.Millisecond,
+	BaseBackoff:   2 * time.Millisecond,
+	MaxBackoff:    20 * time.Millisecond,
+}
+
+// Options describes one cluster and the load Drive offers it. Callers own
+// their defaults; New fills only Seed and MaxPending.
+type Options struct {
+	Nodes int   // cluster size
+	Seed  int64 // every random stream of the run derives from it; 0 means 1
+
+	// Transport selects the fabric: "memnet" (default, the in-process
+	// network under the Latency model; nil means no delay) or "tcp" (real
+	// loopback sockets, one per node). With Peers set the process is node
+	// Self of a TCP cluster whose other nodes run elsewhere: Nodes is
+	// len(Peers) and Rts holds that one runtime. Fault injection and the
+	// latency model require memnet.
+	Transport string
+	Latency   transport.LatencyModel
+	Peers     map[transport.NodeID]string
+	Self      transport.NodeID
+
+	// Scheduler and its knobs. CLThreshold, AdaptiveCL and CLWindow are
+	// RTS's (zero values mean core's defaults); BackoffCap bounds
+	// TFA+Backoff's stall (0 means sched.NewBackoff's default).
+	Scheduler   Scheduler
+	CLThreshold int
+	AdaptiveCL  bool
+	CLWindow    time.Duration
+	BackoffCap  time.Duration
+
+	// FlatNesting inlines inner atomic blocks into their parents (the
+	// paper's flat-nesting contrast case) instead of closed nesting.
+	FlatNesting bool
+
+	// Fault rates of the seeded transport.FaultModel that Drive installs
+	// for its window — Setup always runs over a reliable network. Zero
+	// rates keep the lossless network the paper assumes. See DESIGN.md
+	// "Fault model".
+	Drop          float64
+	Duplicate     float64
+	Reorder       float64
+	MaxExtraDelay time.Duration
+
+	// CallRetry is every endpoint's RPC retry policy; the zero value keeps
+	// cluster.DefaultRetryPolicy. Lossy runs want LossyRetry.
+	CallRetry cluster.RetryPolicy
+
+	// LockLease, when positive, starts each node's lock-lease reaper so a
+	// crashed or wedged committer cannot block an object forever.
+	LockLease time.Duration
+
+	// Trace records protocol events on every node from before Setup, so
+	// the oracle Finish runs sees complete state. TraceCap is each node's
+	// ring capacity (0 = trace.DefaultCapacity); a wrapped ring downgrades
+	// the check to the truncated-trace invariants. TracePath, when set,
+	// receives the merged trace as JSONL.
+	Trace     bool
+	TraceCap  int
+	TracePath string
+
+	// The load. WorkersPerNode workers on every node of Rts serve
+	// operations for Duration, a ReadRatio fraction of them reads, keys
+	// drawn by KeySampler (nil keeps the application's uniform draws).
+	// Arrival nil is the closed loop: each worker issues its next
+	// operation when the previous one returns. Otherwise operations arrive
+	// on Arrival's absolute schedule whatever the completions, into one
+	// admission queue of MaxPending (0 means 4096) that sheds when full.
+	WorkersPerNode int
+	Duration       time.Duration
+	ReadRatio      float64
+	KeySampler     workload.KeySampler
+	Arrival        workload.Arrival
+	MaxPending     int
+}
+
+// faulty reports whether any fault-injection rate is set.
+func (o Options) faulty() bool { return o.Drop > 0 || o.Duplicate > 0 || o.Reorder > 0 }
+
+// newPolicy is the one scheduler-name → policy constructor. st is the table
+// the node's runtime records commits into, so TFA+Backoff scales its stall
+// by the profile's measured execution time on every caller's cluster.
+func newPolicy(o Options, st *stats.Table) (sched.Policy, error) {
+	switch o.Scheduler {
+	case RTS:
+		return core.New(core.Options{
+			CLThreshold: o.CLThreshold,
+			Adaptive:    o.AdaptiveCL,
+			CLWindow:    o.CLWindow,
+		}), nil
+	case TFA:
+		return sched.NewTFA(), nil
+	case Backoff:
+		return sched.NewBackoff(st, o.BackoffCap), nil
+	default:
+		return nil, fmt.Errorf("testbed: unknown scheduler %q", o.Scheduler)
+	}
+}
+
+// Cluster is an assembled cluster. The exported fields are for callers that
+// add their own controllers and checks around Drive.
+type Cluster struct {
+	// Rts are this process's runtimes, indexed by node ID unless
+	// Options.Peers made it one node of a larger cluster.
+	Rts []*stm.Runtime
+	// Net and Faults exist on memnet only. Faults is built from the
+	// configured rates and stays dormant until Drive installs it.
+	Net    *transport.Network
+	Faults *transport.FaultModel
+
+	opts        Options
+	tcps        []*transport.TCPNode
+	recorders   []*trace.Recorder
+	reaperStops []func()
+}
+
+// New assembles the cluster o describes. Call Close (or Finish) when done.
+func New(o Options) (*Cluster, error) {
+	if o.Seed == 0 {
+		o.Seed = 1
+	}
+	if o.MaxPending <= 0 {
+		o.MaxPending = 4096
+	}
+	if o.Peers != nil {
+		o.Transport, o.Nodes = "tcp", len(o.Peers)
+	}
+	c := &Cluster{opts: o}
+	var fabric []transport.Transport
+	switch o.Transport {
+	case "", "memnet":
+		c.Net = transport.NewNetwork(o.Latency)
+		c.Faults = transport.NewFaultModel(transport.FaultConfig{
+			Seed:          uint64(o.Seed),
+			Drop:          o.Drop,
+			Duplicate:     o.Duplicate,
+			Reorder:       o.Reorder,
+			MaxExtraDelay: o.MaxExtraDelay,
+		})
+		for i := 0; i < o.Nodes; i++ {
+			fabric = append(fabric, c.Net.Endpoint(transport.NodeID(i)))
+		}
+	case "tcp":
+		if o.faulty() {
+			return nil, fmt.Errorf("testbed: fault injection requires the memnet transport")
+		}
+		if err := c.listenTCP(); err != nil {
+			c.Close()
+			return nil, err
+		}
+		for _, tn := range c.tcps {
+			fabric = append(fabric, tn)
+		}
+	default:
+		return nil, fmt.Errorf("testbed: unknown transport %q", o.Transport)
+	}
+	for _, tr := range fabric {
+		st := stats.NewTable(time.Millisecond)
+		pol, err := newPolicy(o, st)
+		if err != nil {
+			c.Close()
+			return nil, err
+		}
+		clk := &vclock.Clock{}
+		ep := cluster.NewEndpoint(tr, clk)
+		if (o.CallRetry != cluster.RetryPolicy{}) {
+			ep.SetRetryPolicy(o.CallRetry)
+		}
+		rt := stm.NewRuntime(ep, o.Nodes, pol, st)
+		if o.Trace {
+			rec := trace.NewRecorder(tr.Self(), o.TraceCap, clk.Now)
+			rt.SetTracer(rec)
+			c.recorders = append(c.recorders, rec)
+		}
+		if o.FlatNesting {
+			rt.SetNesting(stm.FlatNesting)
+		}
+		if o.LockLease > 0 {
+			c.reaperStops = append(c.reaperStops, rt.StartLeaseExpiry(o.LockLease))
+		}
+		c.Rts = append(c.Rts, rt)
+	}
+	return c, nil
+}
+
+// listenTCP opens this process's TCP nodes: the one Options.Peers assigns
+// it, or all Nodes on loopback ports the kernel picks.
+func (c *Cluster) listenTCP() error {
+	o := c.opts
+	if o.Peers != nil {
+		listen, ok := o.Peers[o.Self]
+		if !ok {
+			return fmt.Errorf("testbed: node %d is not among the peers", o.Self)
+		}
+		tn, err := transport.NewTCPNode(o.Self, listen, o.Peers)
+		if err != nil {
+			return fmt.Errorf("testbed: tcp node %d: %w", o.Self, err)
+		}
+		c.tcps = append(c.tcps, tn)
+		return nil
+	}
+	peers := make(map[transport.NodeID]string, o.Nodes)
+	for i := 0; i < o.Nodes; i++ {
+		tn, err := transport.NewTCPNode(transport.NodeID(i), "127.0.0.1:0", nil)
+		if err != nil {
+			return fmt.Errorf("testbed: tcp node %d: %w", i, err)
+		}
+		c.tcps = append(c.tcps, tn)
+		peers[transport.NodeID(i)] = tn.Addr()
+	}
+	for _, tn := range c.tcps {
+		tn.SetPeers(peers)
+	}
+	return nil
+}
+
+// Close stops the lease reapers and shuts the fabric. It is idempotent.
+func (c *Cluster) Close() {
+	for _, stop := range c.reaperStops {
+		stop()
+	}
+	if c.Net != nil {
+		c.Net.Close()
+	}
+	for _, tn := range c.tcps {
+		tn.Close()
+	}
+}

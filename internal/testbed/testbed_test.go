@@ -1,0 +1,137 @@
+package testbed
+
+import (
+	"context"
+	"testing"
+	"time"
+
+	"dstm/internal/apps/bank"
+	"dstm/internal/transport"
+	"dstm/internal/workload"
+)
+
+// TestDrive runs the one op loop over every fabric, loop shape and
+// scheduler on a traced bank cell, plus an overloaded open-loop cell whose
+// admission queue must shed. Each cell must conserve money, account for
+// every operation it offered, sample exactly the completed ones, and leave
+// a trace the protocol oracle accepts. scripts/ci.sh perf runs the
+// open-loop rows as its open-loop smoke.
+func TestDrive(t *testing.T) {
+	type cell struct {
+		name string
+		opts Options
+	}
+	var cells []cell
+	for _, loop := range []string{"closed", "open"} {
+		for _, fabric := range []string{"memnet", "tcp"} {
+			for _, s := range Schedulers {
+				o := Options{
+					Nodes:          3,
+					Seed:           5,
+					Transport:      fabric,
+					Latency:        transport.UniformLatency(100 * time.Microsecond),
+					Scheduler:      s,
+					WorkersPerNode: 2,
+					Duration:       100 * time.Millisecond,
+					ReadRatio:      0.5,
+				}
+				if loop == "open" {
+					o.Arrival = workload.NewPoisson(400)
+				}
+				cells = append(cells, cell{loop + "/" + fabric + "/" + string(s), o})
+			}
+		}
+	}
+	// One worker, arrivals far beyond its service rate, a tiny queue.
+	cells = append(cells, cell{"open/overload", Options{
+		Nodes:          1,
+		Scheduler:      RTS,
+		WorkersPerNode: 1,
+		Duration:       60 * time.Millisecond,
+		ReadRatio:      0.5,
+		Arrival:        workload.NewConstant(50000),
+		MaxPending:     4,
+	}})
+	for _, tc := range cells {
+		tc := tc
+		t.Run(tc.name, func(t *testing.T) {
+			t.Parallel()
+			tc.opts.Trace = true
+			tc.opts.TraceCap = 1 << 19 // nothing may wrap: a dropped event downgrades the oracle
+			c, err := New(tc.opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer c.Close()
+			ctx := context.Background()
+			b := bank.New(bank.Options{AccountsPerNode: 4})
+			if err := c.Setup(ctx, b); err != nil {
+				t.Fatal(err)
+			}
+			rep, err := c.Drive(ctx, b, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := c.Finish(&rep); err != nil {
+				t.Fatal(err)
+			}
+			t.Logf("offered=%d shed=%d completed=%d failed=%d left=%d commits=%d p50=%v p99=%v events=%d",
+				rep.Offered, rep.Shed, rep.Completed, rep.Failed, rep.Left, rep.Metrics.Commits,
+				rep.Sojourn.Quantile(0.5), rep.Sojourn.Quantile(0.99), rep.TraceEvents)
+			if rep.CheckErr != nil {
+				t.Fatalf("conservation: %v", rep.CheckErr)
+			}
+			if rep.Completed == 0 || rep.Metrics.Commits == 0 {
+				t.Fatalf("nothing ran: completed=%d commits=%d", rep.Completed, rep.Metrics.Commits)
+			}
+			if rep.Offered != rep.Shed+rep.Completed+rep.Failed+rep.Left {
+				t.Fatalf("offered %d != shed %d + completed %d + failed %d + left %d",
+					rep.Offered, rep.Shed, rep.Completed, rep.Failed, rep.Left)
+			}
+			if uint64(len(rep.Sojourn)) != rep.Completed {
+				t.Fatalf("%d sojourn samples for %d completed operations", len(rep.Sojourn), rep.Completed)
+			}
+			if p50, p99 := rep.Sojourn.Quantile(0.5), rep.Sojourn.Quantile(0.99); p50 <= 0 || p99 < p50 {
+				t.Fatalf("bad quantiles: p50=%v p99=%v", p50, p99)
+			}
+			if tc.opts.Arrival == nil && rep.Shed != 0 {
+				t.Fatalf("closed loop shed %d operations", rep.Shed)
+			}
+			if tc.opts.MaxPending > 0 && rep.Shed == 0 {
+				t.Fatalf("nothing shed at MaxPending=%d (offered=%d)", tc.opts.MaxPending, rep.Offered)
+			}
+			if rep.TraceEvents == 0 || rep.TraceDropped != 0 {
+				t.Fatalf("trace: %d events, %d dropped", rep.TraceEvents, rep.TraceDropped)
+			}
+			if rep.ProtocolErr != nil {
+				t.Fatalf("protocol check failed over %d events:\n%v", rep.TraceEvents, rep.ProtocolErr)
+			}
+		})
+	}
+}
+
+func TestNewRejects(t *testing.T) {
+	for name, o := range map[string]Options{
+		"unknown scheduler": {Nodes: 2, Scheduler: "nope"},
+		"unknown transport": {Nodes: 2, Scheduler: TFA, Transport: "udp"},
+		"faults over tcp":   {Nodes: 2, Scheduler: TFA, Transport: "tcp", Drop: 0.1},
+		"self not a peer":   {Scheduler: TFA, Peers: map[transport.NodeID]string{0: "127.0.0.1:0"}, Self: 1},
+	} {
+		if c, err := New(o); err == nil {
+			c.Close()
+			t.Errorf("%s: accepted", name)
+		}
+	}
+}
+
+func TestQuantileNearestRank(t *testing.T) {
+	s := Samples{1, 2, 3, 4, 5, 6, 7, 8, 9, 10}
+	for q, want := range map[float64]time.Duration{0: 1, 0.5: 5, 0.9: 9, 0.99: 10, 1: 10} {
+		if got := s.Quantile(q); got != want {
+			t.Errorf("Quantile(%v) = %d, want %d", q, got, want)
+		}
+	}
+	if got := (Samples{}).Quantile(0.5); got != 0 {
+		t.Errorf("empty Quantile = %v", got)
+	}
+}

@@ -8,8 +8,7 @@ import (
 	"dstm/internal/apps/bank"
 	"dstm/internal/apps/dht"
 	"dstm/internal/apps/list"
-	"dstm/internal/core"
-	"dstm/internal/sched"
+	"dstm/internal/testbed"
 	"dstm/internal/transport"
 	"dstm/internal/workload"
 )
@@ -19,16 +18,18 @@ import (
 // fixed seed, so failures reproduce.
 func chaosOpts() ChaosOptions {
 	return ChaosOptions{
-		Nodes:         3,
-		Seed:          7,
-		Drop:          0.15,
-		Duplicate:     0.05,
-		Reorder:       0.10,
-		MaxExtraDelay: time.Millisecond,
-		Workers:       3,
-		Duration:      1500 * time.Millisecond,
-		CrashEvery:    300 * time.Millisecond,
-		CrashDown:     150 * time.Millisecond,
+		Options: testbed.Options{
+			Nodes:          3,
+			Seed:           7,
+			Drop:           0.15,
+			Duplicate:      0.05,
+			Reorder:        0.10,
+			MaxExtraDelay:  time.Millisecond,
+			WorkersPerNode: 3,
+			Duration:       1500 * time.Millisecond,
+		},
+		CrashEvery: 300 * time.Millisecond,
+		CrashDown:  150 * time.Millisecond,
 	}
 }
 
@@ -80,7 +81,7 @@ func TestChaosDirectoryConverges(t *testing.T) {
 	opts := chaosOpts()
 	opts.CrashEvery = 0
 	opts.ReadRatio = 0.2
-	opts.MkPolicy = func() sched.Policy { return core.New(core.Options{CLThreshold: 3}) }
+	opts.Scheduler, opts.CLThreshold = testbed.RTS, 3
 	cc := NewChaosCluster(t, opts)
 	rep, err := cc.Run(context.Background(), bank.New(bank.Options{AccountsPerNode: 4}))
 	if err != nil {
@@ -129,7 +130,7 @@ func TestChaosDHTPlacement(t *testing.T) {
 func TestChaosBankRTSScheduler(t *testing.T) {
 	opts := chaosOpts()
 	opts.Seed = 31
-	opts.MkPolicy = func() sched.Policy { return core.New(core.Options{CLThreshold: 3}) }
+	opts.Scheduler, opts.CLThreshold = testbed.RTS, 3
 	cc := NewChaosCluster(t, opts)
 	rep, err := cc.Run(context.Background(), bank.New(bank.Options{AccountsPerNode: 4}))
 	if err != nil {
@@ -149,7 +150,7 @@ func TestChaosTraceProtocolCheck(t *testing.T) {
 	opts.Seed = 47
 	opts.Trace = true
 	opts.TraceCap = 1 << 21 // sized for busy-host goodput, as below
-	opts.MkPolicy = func() sched.Policy { return core.New(core.Options{CLThreshold: 3}) }
+	opts.Scheduler, opts.CLThreshold = testbed.RTS, 3
 	opts.LockLease = traceLease
 	cc := NewChaosCluster(t, opts)
 	rep, err := cc.Run(context.Background(), bank.New(bank.Options{AccountsPerNode: 4}))
@@ -214,7 +215,7 @@ func TestChaosBankTraceBatchAtomicity(t *testing.T) {
 	opts.Seed = 61
 	opts.Trace = true
 	opts.TraceCap = 1 << 21 // sized for busy-host goodput, as above
-	opts.MkPolicy = func() sched.Policy { return core.New(core.Options{CLThreshold: 3}) }
+	opts.Scheduler, opts.CLThreshold = testbed.RTS, 3
 	opts.LockLease = traceLease
 	cc := NewChaosCluster(t, opts)
 	rep, err := cc.Run(context.Background(), bank.New(bank.Options{AccountsPerNode: 4}))
@@ -238,18 +239,21 @@ func TestChaosSoakBankHeavyLoss(t *testing.T) {
 		t.Skip("soak test skipped in -short mode")
 	}
 	opts := ChaosOptions{
-		Nodes:         4,
-		Seed:          42,
-		Drop:          0.20,
-		Duplicate:     0.05,
-		Reorder:       0.10,
-		MaxExtraDelay: 2 * time.Millisecond,
-		Latency:       transport.UniformLatency(200 * time.Microsecond),
-		Workers:       4,
-		Duration:      6 * time.Second,
-		CrashEvery:    400 * time.Millisecond,
-		CrashDown:     200 * time.Millisecond,
-		MkPolicy:      func() sched.Policy { return core.New(core.Options{CLThreshold: 3}) },
+		Options: testbed.Options{
+			Nodes:          4,
+			Seed:           42,
+			Drop:           0.20,
+			Duplicate:      0.05,
+			Reorder:        0.10,
+			MaxExtraDelay:  2 * time.Millisecond,
+			Latency:        transport.UniformLatency(200 * time.Microsecond),
+			WorkersPerNode: 4,
+			Duration:       6 * time.Second,
+			Scheduler:      testbed.RTS,
+			CLThreshold:    3,
+		},
+		CrashEvery: 400 * time.Millisecond,
+		CrashDown:  200 * time.Millisecond,
 	}
 	cc := NewChaosCluster(t, opts)
 	rep, err := cc.Run(context.Background(), bank.New(bank.Options{AccountsPerNode: 5}))
@@ -275,7 +279,7 @@ func TestChaosOpenLoopZipfTraceOracle(t *testing.T) {
 	opts.Seed = 61
 	opts.Trace = true
 	opts.TraceCap = 1 << 20
-	opts.MkPolicy = func() sched.Policy { return core.New(core.Options{CLThreshold: 3}) }
+	opts.Scheduler, opts.CLThreshold = testbed.RTS, 3
 	opts.KeySampler = workload.NewZipf(0.9)
 	opts.Arrival = workload.NewPoisson(600)
 	opts.MaxPending = 512
@@ -316,7 +320,7 @@ func TestChaosReadHeavyTraceOracle(t *testing.T) {
 	opts.ReadRatio = 0.6
 	opts.Trace = true
 	opts.TraceCap = 1 << 21
-	opts.MkPolicy = func() sched.Policy { return core.New(core.Options{CLThreshold: 3}) }
+	opts.Scheduler, opts.CLThreshold = testbed.RTS, 3
 	opts.LockLease = traceLease
 	cc := NewChaosCluster(t, opts)
 	rep, err := cc.Run(context.Background(), bank.New(bank.Options{AccountsPerNode: 4}))

@@ -5,27 +5,18 @@ package testutil
 import (
 	"testing"
 
-	"dstm/internal/cluster"
-	"dstm/internal/sched"
 	"dstm/internal/stm"
-	"dstm/internal/transport"
-	"dstm/internal/vclock"
+	"dstm/internal/testbed"
 )
 
-// Cluster builds n D-STM runtimes over an in-memory network. lat nil means
-// zero latency; mkPolicy nil means plain TFA on every node. The network is
-// torn down via t.Cleanup.
-func Cluster(t testing.TB, n int, lat transport.LatencyModel, mkPolicy func() sched.Policy) []*stm.Runtime {
+// Cluster builds n D-STM runtimes, plain TFA on every node, over a
+// zero-latency in-memory network that t.Cleanup tears down.
+func Cluster(t testing.TB, n int) []*stm.Runtime {
 	t.Helper()
-	if mkPolicy == nil {
-		mkPolicy = func() sched.Policy { return sched.NewTFA() }
+	c, err := testbed.New(testbed.Options{Nodes: n, Scheduler: testbed.TFA})
+	if err != nil {
+		t.Fatal(err)
 	}
-	net := transport.NewNetwork(lat)
-	t.Cleanup(func() { net.Close() })
-	rts := make([]*stm.Runtime, n)
-	for i := 0; i < n; i++ {
-		ep := cluster.NewEndpoint(net.Endpoint(transport.NodeID(i)), &vclock.Clock{})
-		rts[i] = stm.NewRuntime(ep, n, mkPolicy(), nil)
-	}
-	return rts
+	t.Cleanup(c.Close)
+	return c.Rts
 }

@@ -4,14 +4,17 @@
 # broke. `make verify` delegates here.
 #
 # Usage: scripts/ci.sh [stage]
-#   vet    go vet + go build, then the loc figure
+#   vet    go vet + go build, then the loc figure and the one-driver gate
+#          (outside bench/ and tests, at most one call site each of
+#          stm.NewRuntime and workload.Drive: internal/testbed's)
 #   loc    lines of non-test Go outside bench/ (ROADMAP aim 2's measure)
 #   test   go test with the protocol-package coverage floor
 #   race   full suite under the race detector
 #   perf   perf smokes: commit-pipeline msgs/commit bound, the
 #          one-retrieve-wave-after-publish count gate, the
-#          zero-allocation wire-codec gate, the open-loop stability
-#          smoke, the repo benchmark in smoke mode (`go run ./bench
+#          zero-allocation wire-codec gate, the open-loop rows of
+#          internal/testbed's drive test (all three schedulers, memnet and
+#          TCP), the repo benchmark in smoke mode (`go run ./bench
 #          -quick`, JSON to $TMPDIR/ci_bench_quick.json: fails unless its
 #          output checks pass, the trace oracle is clean and
 #          cluster.other_msgs_per_op, cluster.self_msgs_per_op and
@@ -44,11 +47,29 @@ stage_vet() {
     go build ./...
 
     stage_loc
+
+    # One cluster assembly and one drive loop outside bench/ (ROADMAP aim 2):
+    # a second call site of either constructor is a second driver.
+    for call in 'stm.NewRuntime(' 'workload.Drive('; do
+        sites=$(nontest_go | xargs grep -nF "$call" || true)
+        n=$(printf '%s' "$sites" | grep -c . || true)
+        echo "== call sites of $call outside bench/ and tests: $n"
+        if [ "$n" -gt 1 ]; then
+            printf '%s\n' "$sites" >&2
+            echo "more than one call site of $call: assemble and drive through internal/testbed" >&2
+            exit 1
+        fi
+    done
+}
+
+# nontest_go lists the non-test Go files outside bench/.
+nontest_go() {
+    find . -name '*.go' -not -name '*_test.go' -not -path './bench/*' -not -path './.bench_build/*'
 }
 
 stage_loc() {
     echo "== non-test Go outside bench/ (lines)"
-    find . -name '*.go' -not -name '*_test.go' -not -path './bench/*' -not -path './.bench_build/*' | xargs cat | wc -l
+    nontest_go | xargs cat | wc -l
 }
 
 stage_test() {
@@ -91,13 +112,12 @@ stage_perf() {
     echo "== wire-codec zero-alloc gate"
     go test ./internal/stm/ -run TestWireCodecZeroAlloc -count=1
 
-    # Open-loop stability smoke: one small Zipfian cell per scheduler at a
-    # rate calibrated well inside capacity. -faildiverging turns a diverging
-    # queue verdict for RTS into a CI failure.
-    echo "== open-loop stability smoke (zipf @ 250/s)"
-    go run ./cmd/rtsbench -experiment stability -bench bank -skews zipf \
-        -arrivals poisson -rates 250 -nodes 3 -workers 2 -duration 100ms \
-        -delayscale 0.002 -stabilityjson /tmp/ci_stability.json -faildiverging
+    # Open-loop smoke: the one drive loop, open, under each of the three
+    # schedulers on memnet and loopback TCP, plus an overloaded cell that
+    # must shed; every cell conserves money, accounts for each operation it
+    # offered and leaves a trace the oracle accepts.
+    echo "== open-loop drive smoke (internal/testbed)"
+    go test ./internal/testbed/ -run 'TestDrive/open' -count=1
 
     # Repo benchmark, smoke mode: all five open-loop workloads with 3 s
     # windows (about a minute on two cores). Exit 0 means every workload's
