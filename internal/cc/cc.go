@@ -13,8 +13,9 @@
 // Ownership moves to the committing transaction's node on every write
 // commit; the committer's publish wave tells the home — and every other node
 // it reaches — where the objects went (Moved). Requesters keep a local owner
-// hint cache; a stale hint is detected by the owner ("not owner" reply) and
-// refreshed from the home.
+// hint cache; a stale hint is detected by the node it names, which answers
+// where the object went (followed without the home) or that it does not know
+// (refreshed from the home).
 package cc
 
 import (
@@ -27,36 +28,22 @@ import (
 	"dstm/internal/transport"
 )
 
-// Message kinds 1–9 are reserved for the directory protocol. Kinds 3 and 6
-// (the retired single-object and batch updates; a migration reaches the home
-// in the committer's publish message, see Moved) are reserved: never reuse
-// them.
+// Message kinds 1–9 are reserved for the directory protocol. Kinds 1 and 2
+// (the retired single-object lookup and register; a batch of one is the only
+// shape) and 3 and 6 (the retired single-object and batch updates; a
+// migration reaches the home in the committer's publish message, see Moved)
+// are reserved: never reuse them.
 const (
-	KindLookup   transport.Kind = 1
-	KindRegister transport.Kind = 2
-	// Batch variants: one message carries every object of a commit that is
-	// homed at the same directory node (owner-grouped commit pipeline).
+	// One message carries every object of a request that is homed at the
+	// same directory node.
 	KindLookupBatch   transport.Kind = 4
 	KindRegisterBatch transport.Kind = 5
 )
 
-// lookupReq asks a home node for the owner of an object.
-type lookupReq struct{ Oid object.ID }
-
-// lookupResp carries the owner; Known is false for unregistered objects.
+// lookupResp is one object's owner; Known is false for unregistered objects.
 type lookupResp struct {
 	Owner transport.NodeID
 	Known bool
-}
-
-// registerReq registers a newly created object with its home. Tx, when
-// non-zero, identifies the creating transaction so a re-register from the
-// same transaction (a commit retried after its reply was lost) is
-// idempotent while a genuine duplicate create is still rejected.
-type registerReq struct {
-	Oid   object.ID
-	Owner transport.NodeID
-	Tx    uint64
 }
 
 // lookupBatchReq asks a home node for the owners of several objects.
@@ -66,8 +53,10 @@ type lookupBatchReq struct{ Oids []object.ID }
 type lookupBatchResp struct{ Results []lookupResp }
 
 // registerBatchReq registers several newly created objects, all homed at
-// the receiving node and all owned by Owner. Tx tags the creating
-// transaction for idempotent re-registration (see registerReq).
+// the receiving node and all owned by Owner. Tx, when non-zero, identifies
+// the creating transaction so a re-register from the same transaction (a
+// commit retried after its reply was lost) is idempotent while a genuine
+// duplicate create is still rejected.
 type registerBatchReq struct {
 	Oids  []object.ID
 	Owner transport.NodeID
@@ -80,9 +69,6 @@ type registerBatchReq struct {
 type batchErrResp struct{ Errs []string }
 
 func init() {
-	transport.RegisterPayload(lookupReq{})
-	transport.RegisterPayload(lookupResp{})
-	transport.RegisterPayload(registerReq{})
 	transport.RegisterPayload(lookupBatchReq{})
 	transport.RegisterPayload(lookupBatchResp{})
 	transport.RegisterPayload(registerBatchReq{})
@@ -124,44 +110,9 @@ func NewService(ep *cluster.Endpoint, size int) *Service {
 		regTx:  make(map[object.ID]uint64),
 		hints:  make(map[object.ID]transport.NodeID),
 	}
-	ep.Handle(KindLookup, s.handleLookup)
-	ep.Handle(KindRegister, s.handleRegister)
 	ep.Handle(KindLookupBatch, s.handleLookupBatch)
 	ep.Handle(KindRegisterBatch, s.handleRegisterBatch)
 	return s
-}
-
-func (s *Service) handleLookup(_ transport.NodeID, payload any) (any, error) {
-	req, ok := payload.(lookupReq)
-	if !ok {
-		return nil, fmt.Errorf("cc: bad lookup payload %T", payload)
-	}
-	s.mu.Lock()
-	owner, known := s.owners[req.Oid]
-	s.mu.Unlock()
-	return lookupResp{Owner: owner, Known: known}, nil
-}
-
-func (s *Service) handleRegister(_ transport.NodeID, payload any) (any, error) {
-	req, ok := payload.(registerReq)
-	if !ok {
-		return nil, fmt.Errorf("cc: bad register payload %T", payload)
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if existing, dup := s.owners[req.Oid]; dup {
-		if existing == req.Owner && req.Tx != 0 && s.regTx[req.Oid] == req.Tx {
-			// The same transaction registering again: its earlier reply was
-			// lost and the commit is being retried. Succeed idempotently.
-			return lookupResp{Owner: req.Owner, Known: true}, nil
-		}
-		return nil, fmt.Errorf("cc: object %q already registered to node %d", req.Oid, existing)
-	}
-	s.owners[req.Oid] = req.Owner
-	if req.Tx != 0 {
-		s.regTx[req.Oid] = req.Tx
-	}
-	return lookupResp{Owner: req.Owner, Known: true}, nil
 }
 
 func (s *Service) handleLookupBatch(_ transport.NodeID, payload any) (any, error) {
@@ -206,17 +157,10 @@ func (s *Service) handleRegisterBatch(_ transport.NodeID, payload any) (any, err
 // Home returns the home node of id in this cluster.
 func (s *Service) Home(id object.ID) transport.NodeID { return HomeOf(id, s.size) }
 
-// Locate returns the current owner of id: from this node's directory shard
-// when the object is homed here, else from the local hint cache, falling
-// back to the home directory.
+// Locate returns the current owner of id: LocateBatch of one.
 func (s *Service) Locate(ctx context.Context, id object.ID) (transport.NodeID, error) {
-	s.mu.Lock()
-	owner, ok := s.known(id)
-	s.mu.Unlock()
-	if ok {
-		return owner, nil
-	}
-	return s.locateFresh(ctx, id)
+	owners, _, err := s.LocateBatch(ctx, []object.ID{id})
+	return owners[id], err
 }
 
 // known is what this node can say about id's owner without a message: the
@@ -230,26 +174,6 @@ func (s *Service) known(id object.ID) (transport.NodeID, bool) {
 	return owner, ok
 }
 
-// locateFresh queries the home, bypassing the hint cache, and refreshes the
-// hint on success.
-func (s *Service) locateFresh(ctx context.Context, id object.ID) (transport.NodeID, error) {
-	body, err := s.ep.Call(ctx, s.Home(id), KindLookup, lookupReq{Oid: id})
-	if err != nil {
-		return 0, err
-	}
-	resp, ok := body.(lookupResp)
-	if !ok {
-		return 0, fmt.Errorf("cc: bad lookup reply %T", body)
-	}
-	if !resp.Known {
-		return 0, fmt.Errorf("%w: %q", ErrUnknownObject, id)
-	}
-	s.mu.Lock()
-	s.hints[id] = resp.Owner
-	s.mu.Unlock()
-	return resp.Owner, nil
-}
-
 // InvalidateHint drops the cached owner for id (after a "not owner" reply).
 func (s *Service) InvalidateHint(id object.ID) {
 	s.mu.Lock()
@@ -257,10 +181,10 @@ func (s *Service) InvalidateHint(id object.ID) {
 	s.mu.Unlock()
 }
 
-// Relocate invalidates the hint and performs a fresh home lookup.
+// Relocate invalidates the hint and locates id again: the home's answer.
 func (s *Service) Relocate(ctx context.Context, id object.ID) (transport.NodeID, error) {
 	s.InvalidateHint(id)
-	return s.locateFresh(ctx, id)
+	return s.Locate(ctx, id)
 }
 
 // NoteOwner records an authoritative owner hint learned from the protocol
@@ -279,76 +203,88 @@ func (s *Service) Register(ctx context.Context, id object.ID, owner transport.No
 // RegisterTx registers id like Register, tagging the registration with the
 // creating transaction so a retried commit (whose earlier register reply was
 // lost) can re-register idempotently. tx 0 means strict one-shot semantics.
+// It is RegisterBatchTx of one.
 func (s *Service) RegisterTx(ctx context.Context, id object.ID, owner transport.NodeID, tx uint64) error {
-	_, err := s.ep.Call(ctx, s.Home(id), KindRegister, registerReq{Oid: id, Owner: owner, Tx: tx})
-	if err != nil {
-		return err
-	}
-	s.NoteOwner(id, owner)
-	return nil
+	_, err := s.RegisterBatchTx(ctx, []object.ID{id}, owner, tx)
+	return err
 }
 
 // ---------------------------------------------------------------------------
 // Batched client methods. Each groups its objects by home node and issues
-// one message per home, in parallel, so a commit touching k objects homed
-// on m nodes costs m messages instead of k. Each returns the number of
+// one message per home, in parallel (toHomes), so a commit touching k objects
+// homed on m nodes costs m messages instead of k. Each returns the number of
 // messages it sent so the commit pipeline can account msgs/commit.
 
-// LocateBatch resolves the owners of every id, answering what this node
-// knows (see known) and batching the misses by home node. It returns the
-// owner map and the number of lookup messages sent. Unknown objects surface
-// as an ErrUnknownObject-wrapped error; transport failures surface as-is.
-func (s *Service) LocateBatch(ctx context.Context, ids []object.ID) (map[object.ID]transport.NodeID, int, error) {
-	out := make(map[object.ID]transport.NodeID, len(ids))
+// toHomes sends every home node of ids ONE message of kind — req(the ids
+// homed there) — all homes in parallel, and hands each reply to take with
+// the ids it answers for. It returns the number of messages sent and the
+// first error: a lost message, or take's.
+func (s *Service) toHomes(ctx context.Context, ids []object.ID, kind transport.Kind,
+	req func(ids []object.ID) any, take func(ids []object.ID, body any) error) (int, error) {
 	byHome := make(map[transport.NodeID][]object.ID)
-	s.mu.Lock()
 	for _, id := range ids {
-		if owner, ok := s.known(id); ok {
-			out[id] = owner
-			continue
-		}
 		home := s.Home(id)
 		byHome[home] = append(byHome[home], id)
-	}
-	s.mu.Unlock()
-	if len(byHome) == 0 {
-		return out, 0, nil
 	}
 	calls := make([]cluster.Outcall, 0, len(byHome))
 	groups := make([][]object.ID, 0, len(byHome))
 	for home, oids := range byHome {
-		calls = append(calls, cluster.Outcall{To: home, Kind: KindLookupBatch, Payload: lookupBatchReq{Oids: oids}})
+		calls = append(calls, cluster.Outcall{To: home, Kind: kind, Payload: req(oids)})
 		groups = append(groups, oids)
 	}
-	results := s.ep.Broadcast(ctx, calls)
 	var firstErr error
-	for gi, res := range results {
-		if res.Err != nil {
-			if firstErr == nil {
-				firstErr = res.Err
-			}
-			continue
+	for gi, res := range s.ep.Broadcast(ctx, calls) {
+		err := res.Err
+		if err == nil {
+			err = take(groups[gi], res.Body)
 		}
-		resp, ok := res.Body.(lookupBatchResp)
-		if !ok || len(resp.Results) != len(groups[gi]) {
-			if firstErr == nil {
-				firstErr = fmt.Errorf("cc: bad lookup batch reply %T", res.Body)
-			}
-			continue
-		}
-		for i, r := range resp.Results {
-			id := groups[gi][i]
-			if !r.Known {
-				if firstErr == nil {
-					firstErr = fmt.Errorf("%w: %q", ErrUnknownObject, id)
-				}
-				continue
-			}
-			s.NoteOwner(id, r.Owner)
-			out[id] = r.Owner
+		if firstErr == nil {
+			firstErr = err
 		}
 	}
-	return out, len(calls), firstErr
+	return len(calls), firstErr
+}
+
+// LocateBatch resolves the owners of every id, answering what this node
+// knows (see known) and asking the homes of the rest. It returns the owner
+// map and the number of lookup messages sent. Unknown objects surface as an
+// ErrUnknownObject-wrapped error; transport failures surface as-is.
+func (s *Service) LocateBatch(ctx context.Context, ids []object.ID) (map[object.ID]transport.NodeID, int, error) {
+	out := make(map[object.ID]transport.NodeID, len(ids))
+	var miss []object.ID
+	s.mu.Lock()
+	for _, id := range ids {
+		if owner, ok := s.known(id); ok {
+			out[id] = owner
+		} else {
+			miss = append(miss, id)
+		}
+	}
+	s.mu.Unlock()
+	if len(miss) == 0 {
+		return out, 0, nil
+	}
+	n, err := s.toHomes(ctx, miss, KindLookupBatch,
+		func(ids []object.ID) any { return lookupBatchReq{Oids: ids} },
+		func(ids []object.ID, body any) error {
+			resp, ok := body.(lookupBatchResp)
+			if !ok || len(resp.Results) != len(ids) {
+				return fmt.Errorf("cc: bad lookup batch reply %T", body)
+			}
+			var err error
+			for i, r := range resp.Results {
+				if !r.Known {
+					if err == nil {
+						err = fmt.Errorf("%w: %q", ErrUnknownObject, ids[i])
+					}
+					continue
+				}
+				s.NoteOwner(ids[i], r.Owner)
+				out[ids[i]] = r.Owner
+			}
+			return err
+		})
+	return out, n, err
 }
 
 // RegisterBatchTx registers every id as created by transaction tx and owned
@@ -359,46 +295,27 @@ func (s *Service) RegisterBatchTx(ctx context.Context, ids []object.ID, owner tr
 	if len(ids) == 0 {
 		return 0, nil
 	}
-	byHome := make(map[transport.NodeID][]object.ID)
-	for _, id := range ids {
-		home := s.Home(id)
-		byHome[home] = append(byHome[home], id)
-	}
-	calls := make([]cluster.Outcall, 0, len(byHome))
-	groups := make([][]object.ID, 0, len(byHome))
-	for home, oids := range byHome {
-		calls = append(calls, cluster.Outcall{To: home, Kind: KindRegisterBatch, Payload: registerBatchReq{Oids: oids, Owner: owner, Tx: tx}})
-		groups = append(groups, oids)
-	}
-	results := s.ep.Broadcast(ctx, calls)
-	var firstErr error
-	for gi, res := range results {
-		if res.Err != nil {
-			if firstErr == nil {
-				firstErr = res.Err
+	n, err := s.toHomes(ctx, ids, KindRegisterBatch,
+		func(ids []object.ID) any { return registerBatchReq{Oids: ids, Owner: owner, Tx: tx} },
+		func(ids []object.ID, body any) error {
+			resp, ok := body.(batchErrResp)
+			if !ok || len(resp.Errs) != len(ids) {
+				return fmt.Errorf("cc: bad batch reply %T", body)
 			}
-			continue
-		}
-		resp, ok := res.Body.(batchErrResp)
-		if !ok || len(resp.Errs) != len(groups[gi]) {
-			if firstErr == nil {
-				firstErr = fmt.Errorf("cc: bad batch reply %T", res.Body)
+			for i, msg := range resp.Errs {
+				if msg != "" {
+					return fmt.Errorf("cc: %q: %s", ids[i], msg)
+				}
 			}
-			continue
-		}
-		for i, msg := range resp.Errs {
-			if msg != "" && firstErr == nil {
-				firstErr = fmt.Errorf("cc: %q: %s", groups[gi][i], msg)
-			}
-		}
-	}
-	if firstErr != nil {
-		return len(calls), firstErr
+			return nil
+		})
+	if err != nil {
+		return n, err
 	}
 	for _, id := range ids {
 		s.NoteOwner(id, owner)
 	}
-	return len(calls), nil
+	return n, nil
 }
 
 // Moved records, at this node, that a commit brought ids to owner — what the

@@ -52,19 +52,6 @@ func FuzzDirectoryBatchRoundTrip(f *testing.F) {
 	f.Fuzz(func(t *testing.T, oidA, oidB string, owner int32, tx uint64, known bool, errStr string) {
 		oids := []object.ID{object.ID(oidA), object.ID(oidB)}
 
-		sreq := lookupReq{Oid: object.ID(oidA)}
-		if got := roundTrip(t, sreq).(lookupReq); got != sreq {
-			t.Fatalf("lookupReq changed: %+v -> %+v", sreq, got)
-		}
-		sresp := lookupResp{Owner: transport.NodeID(owner), Known: known}
-		if got := roundTrip(t, sresp).(lookupResp); got != sresp {
-			t.Fatalf("lookupResp changed: %+v -> %+v", sresp, got)
-		}
-		srreq := registerReq{Oid: object.ID(oidB), Owner: transport.NodeID(owner), Tx: tx}
-		if got := roundTrip(t, srreq).(registerReq); got != srreq {
-			t.Fatalf("registerReq changed: %+v -> %+v", srreq, got)
-		}
-
 		lreq := lookupBatchReq{Oids: oids}
 		if got := roundTrip(t, lreq).(lookupBatchReq); !reflect.DeepEqual(got, lreq) {
 			t.Fatalf("lookupBatchReq changed: %+v -> %+v", lreq, got)

@@ -4,18 +4,15 @@
 package cc
 
 import (
-	"dstm/internal/object"
 	"dstm/internal/transport"
 	"dstm/internal/wire"
 )
 
-// Wire type IDs 40–49 are reserved for directory payloads. IDs 43 and 47
+// Wire type IDs 40–49 are reserved for directory payloads. IDs 40–42
+// (payloads of the retired single-object lookup and register) and 43 and 47
 // (payloads of the retired single-object and batch updates) are reserved:
 // never reuse them.
 const (
-	wireIDLookupReq        wire.ID = 40
-	wireIDLookupResp       wire.ID = 41
-	wireIDRegisterReq      wire.ID = 42
 	wireIDLookupBatchReq   wire.ID = 44
 	wireIDLookupBatchResp  wire.ID = 45
 	wireIDRegisterBatchReq wire.ID = 46
@@ -23,36 +20,6 @@ const (
 )
 
 func init() {
-	wire.Register(wireIDLookupReq, lookupReq{},
-		func(b []byte, v any) ([]byte, error) {
-			return wire.AppendString(b, string(v.(lookupReq).Oid)), nil
-		},
-		func(r *wire.Reader, _ any) any {
-			return lookupReq{Oid: object.ID(r.String())}
-		})
-	wire.Register(wireIDLookupResp, lookupResp{},
-		func(b []byte, v any) ([]byte, error) {
-			q := v.(lookupResp)
-			b = wire.AppendVarint(b, int64(q.Owner))
-			return wire.AppendBool(b, q.Known), nil
-		},
-		func(r *wire.Reader, _ any) any {
-			return lookupResp{Owner: transport.NodeID(r.Varint()), Known: r.Bool()}
-		})
-	wire.Register(wireIDRegisterReq, registerReq{},
-		func(b []byte, v any) ([]byte, error) {
-			q := v.(registerReq)
-			b = wire.AppendString(b, string(q.Oid))
-			b = wire.AppendVarint(b, int64(q.Owner))
-			return wire.AppendUvarint(b, q.Tx), nil
-		},
-		func(r *wire.Reader, _ any) any {
-			return registerReq{
-				Oid:   object.ID(r.String()),
-				Owner: transport.NodeID(r.Varint()),
-				Tx:    r.Uvarint(),
-			}
-		})
 	wire.Register(wireIDLookupBatchReq, lookupBatchReq{},
 		func(b []byte, v any) ([]byte, error) {
 			return wire.AppendStrings(b, v.(lookupBatchReq).Oids), nil

@@ -6,47 +6,33 @@
 // successful commit times of write transactions. Whenever a transaction
 // starts, an expected commit time is picked up from the table."
 //
-// Our entry keeps the same two structures:
-//
-//   - a Bloom filter holding the bucketised durations of the most recent
-//     successful commits (the "representation of the most current
-//     successful commit times"), rebuilt whenever it grows stale, and
-//   - a running average over the samples currently represented in the
-//     filter, which is what Expect returns.
-//
-// Durations are bucketised to a fixed resolution before entering the filter
-// so that repeated near-identical commit times map to the same key.
+// What a starting transaction picks up is the average, and nothing asks the
+// filter whether a commit time was seen, so an entry keeps only the running
+// average of the profile's most recent successful commit times, over a
+// window restarted every DefaultWindow samples.
 package stats
 
 import (
 	"sync"
 	"time"
-
-	"dstm/internal/bloom"
 )
 
-// DefaultResolution is the duration bucket width used to key commit times
-// into the Bloom filter.
-const DefaultResolution = 50 * time.Microsecond
-
-// DefaultWindow is the number of recent commit samples represented per
-// entry before the Bloom filter and average are rebuilt from scratch.
+// DefaultWindow is the number of recent commit samples averaged per entry
+// before the average is restarted from its current value.
 const DefaultWindow = 64
 
 // Table maps a transaction profile name to its commit-time history. It is
 // safe for concurrent use; there is one Table per node.
 type Table struct {
-	mu         sync.Mutex
-	entries    map[string]*entry
-	resolution time.Duration
-	window     int
-	fallback   time.Duration
+	mu       sync.Mutex
+	entries  map[string]*entry
+	window   int
+	fallback time.Duration
 }
 
 type entry struct {
-	filter *bloom.Filter
-	sum    time.Duration
-	count  int
+	sum   time.Duration
+	count int
 }
 
 // NewTable returns an empty stats table. fallback is returned by Expect for
@@ -56,18 +42,10 @@ func NewTable(fallback time.Duration) *Table {
 		fallback = time.Millisecond
 	}
 	return &Table{
-		entries:    make(map[string]*entry),
-		resolution: DefaultResolution,
-		window:     DefaultWindow,
-		fallback:   fallback,
+		entries:  make(map[string]*entry),
+		window:   DefaultWindow,
+		fallback: fallback,
 	}
-}
-
-func (t *Table) bucket(d time.Duration) uint64 {
-	if d < 0 {
-		d = 0
-	}
-	return uint64(d / t.resolution)
 }
 
 // RecordCommit adds an observed successful commit duration for the named
@@ -80,20 +58,16 @@ func (t *Table) RecordCommit(name string, took time.Duration) {
 	defer t.mu.Unlock()
 	e := t.entries[name]
 	if e == nil {
-		e = &entry{filter: bloom.New(t.window, 0.01)}
+		e = &entry{}
 		t.entries[name] = e
 	}
 	if e.count >= t.window {
 		// Keep only "the most current" commit times: restart the window,
 		// seeding the average with the previous estimate so Expect never
 		// jumps discontinuously.
-		prev := e.sum / time.Duration(e.count)
-		e.filter.Reset()
-		e.sum = prev
+		e.sum /= time.Duration(e.count)
 		e.count = 1
-		e.filter.Add(t.bucket(prev))
 	}
-	e.filter.Add(t.bucket(took))
 	e.sum += took
 	e.count++
 }
@@ -110,20 +84,6 @@ func (t *Table) Expect(name string) time.Duration {
 		return t.fallback
 	}
 	return e.sum / time.Duration(e.count)
-}
-
-// Seen reports whether a commit duration close to d (same bucket) has been
-// recorded recently for name. It consults the Bloom filter, so it may
-// return a false positive but never a false negative within the current
-// window.
-func (t *Table) Seen(name string, d time.Duration) bool {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	e := t.entries[name]
-	if e == nil {
-		return false
-	}
-	return e.filter.Contains(t.bucket(d))
 }
 
 // Profiles returns the number of distinct transaction profiles recorded.

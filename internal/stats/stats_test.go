@@ -44,22 +44,6 @@ func TestProfilesIndependent(t *testing.T) {
 	}
 }
 
-func TestSeenUsesBloomFilter(t *testing.T) {
-	tb := NewTable(time.Millisecond)
-	d := 500 * time.Microsecond
-	if tb.Seen("tx", d) {
-		t.Fatal("Seen true before any record")
-	}
-	tb.RecordCommit("tx", d)
-	if !tb.Seen("tx", d) {
-		t.Fatal("Seen false for just-recorded duration (false negative)")
-	}
-	// Same bucket (resolution 50µs): 510µs buckets with 500µs.
-	if !tb.Seen("tx", d+10*time.Microsecond) {
-		t.Fatal("Seen false for same-bucket duration")
-	}
-}
-
 func TestWindowRollover(t *testing.T) {
 	tb := NewTable(time.Millisecond)
 	// Fill well past the window with a constant value; the estimate must
@@ -134,7 +118,6 @@ func TestConcurrentAccess(t *testing.T) {
 			for i := 0; i < 500; i++ {
 				tb.RecordCommit(name, time.Duration(i)*time.Microsecond)
 				_ = tb.Expect(name)
-				_ = tb.Seen(name, time.Duration(i)*time.Microsecond)
 			}
 		}(g)
 	}

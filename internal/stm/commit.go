@@ -1,9 +1,10 @@
 package stm
 
 import (
+	"cmp"
 	"context"
 	"fmt"
-	"sort"
+	"slices"
 	"time"
 
 	"dstm/internal/cluster"
@@ -21,7 +22,8 @@ type ownerGroup struct {
 
 // groupByOwner partitions oids by their owner, returning groups sorted by
 // owner ID so batch fan-outs are deterministic. Every batched protocol step
-// (retrieve, validate, acquire, publish) orders its messages through here.
+// (retrieve, validate, acquire, publish, release) orders its messages
+// through here.
 func groupByOwner(oids []object.ID, owners map[object.ID]transport.NodeID) []ownerGroup {
 	byOwner := make(map[transport.NodeID][]object.ID)
 	for _, oid := range oids {
@@ -31,7 +33,7 @@ func groupByOwner(oids []object.ID, owners map[object.ID]transport.NodeID) []own
 	for o, ids := range byOwner {
 		groups = append(groups, ownerGroup{owner: o, oids: ids})
 	}
-	sort.Slice(groups, func(i, j int) bool { return groups[i].owner < groups[j].owner })
+	slices.SortFunc(groups, func(a, b ownerGroup) int { return cmp.Compare(a.owner, b.owner) })
 	return groups
 }
 
@@ -181,117 +183,66 @@ func (tx *Txn) commit(ctx context.Context) error {
 	return nil
 }
 
-// acquireAll commit-locks the write set, one atomic batch per owner, fanned
-// out in parallel. Owners apply their batch all-or-nothing, so a batch that
-// comes back unapplied left NO locks at that owner; only applied batches
-// (and calls whose replies were lost, conservatively) are recorded in
-// locked for the abort path to release. Stale owner hints are chased in
-// batches too: a "not owner" entry rolls its whole group back, the hint is
-// invalidated, and the group's objects re-enter the next wave, hop-bounded.
+// acquireAll commit-locks the write set in an owner wave of KindAcquireBatch,
+// one atomic batch per owner. Owners apply their batch all-or-nothing, so a
+// batch that comes back unapplied left NO locks at that owner; locked keeps
+// the applied batches and, conservatively, those whose replies were lost,
+// for the abort path to release. A stale entry aborts on validation, a busy
+// one on the lock; a batch refused only for entries its node no longer holds
+// goes again whole (the entries that would have locked included), to where
+// the chase leads.
 func (tx *Txn) acquireAll(ctx context.Context, writes []object.ID, locked map[object.ID]transport.NodeID, meter *commitMeter) error {
 	if len(writes) == 0 {
 		return nil
 	}
-	rt := tx.rt
-	pending := writes
-	for hop := 0; hop < maxOwnerHops && len(pending) > 0; hop++ {
-		owners, msgs, err := rt.locator.LocateBatch(ctx, pending)
-		meter.wave(msgs)
-		if err != nil {
-			return tx.convertErr(ctx, err, AbortLockFailed)
-		}
-		groups := groupByOwner(pending, owners)
-		calls := make([]cluster.Outcall, len(groups))
-		for i, g := range groups {
+	err := ownerWave(ctx, tx, KindAcquireBatch, writes, meter,
+		func(_ int, g ownerGroup) any {
 			req := acquireBatchReq{TxID: tx.lockID, Entries: make([]verEntry, len(g.oids))}
-			for j, oid := range g.oids {
-				req.Entries[j] = verEntry{Oid: oid, Ver: tx.entries[oid].ver}
+			for i, oid := range g.oids {
+				req.Entries[i] = verEntry{Oid: oid, Ver: tx.entries[oid].ver}
+				// Held until the reply says otherwise: if it is lost the batch
+				// may still have been applied (the store's refusal markers
+				// cover release-before-acquire races).
+				locked[oid] = g.owner
 			}
-			calls[i] = cluster.Outcall{To: g.owner, Kind: KindAcquireBatch, Payload: req}
-		}
-		results := rt.ep.Broadcast(ctx, calls)
-		meter.wave(len(calls))
-
-		var firstErr error
-		stale, busy := false, false
-		var next []object.ID
-		for gi, res := range results {
-			g := groups[gi]
-			if res.Err != nil {
-				// The reply was lost: the batch may still have been applied
-				// at the owner, so the abort path must conservatively
-				// release the whole group there (the store's refusal
-				// markers cover release-before-acquire races).
-				for _, oid := range g.oids {
-					locked[oid] = g.owner
-				}
-				if firstErr == nil {
-					firstErr = res.Err
-				}
-				continue
+			return req
+		},
+		func(g ownerGroup, r acquireBatchResp) (bool, error) {
+			if r.Applied {
+				return false, nil
 			}
-			resp, ok := res.Body.(acquireBatchResp)
-			if !ok || len(resp.Results) != len(g.oids) {
-				if firstErr == nil {
-					firstErr = fmt.Errorf("stm: bad acquire batch reply %T", res.Body)
-				}
-				continue
+			for _, oid := range g.oids {
+				delete(locked, oid)
 			}
-			if resp.Applied {
-				for _, oid := range g.oids {
-					locked[oid] = g.owner
-				}
-				continue
-			}
-			// Unapplied: no lock was taken at this owner. Classify the
-			// per-entry refusals; pure not-owner groups chase the hint.
-			notOwnerOnly := true
-			for i, r := range resp.Results {
-				switch object.LockResult(r) {
-				case object.LockOK:
-				case object.LockStale:
-					stale, notOwnerOnly = true, false
-				case object.LockNotOwner:
-					rt.locator.InvalidateHint(g.oids[i])
-				default: // LockBusy
-					busy, notOwnerOnly = true, false
+			busy := false
+			for _, a := range r.Results {
+				switch {
+				case a.Status == statusStale:
+					return false, &abortError{target: tx, cause: AbortValidation}
+				case a.Status != statusOK && !a.Status.notHere():
+					busy = true
 				}
 			}
-			if notOwnerOnly {
-				// The atomic batch rolled back because of its not-owner
-				// entries, so the WHOLE group (including entries that would
-				// have locked) must retry against fresh owners.
-				next = append(next, g.oids...)
+			if busy {
+				return false, &abortError{target: tx, cause: AbortLockFailed}
 			}
-		}
-		switch {
-		case firstErr != nil:
-			return tx.convertErr(ctx, firstErr, AbortLockFailed)
-		case stale:
-			return &abortError{target: tx, cause: AbortValidation}
-		case busy:
-			return &abortError{target: tx, cause: AbortLockFailed}
-		}
-		sortIDs(next)
-		pending = next
-	}
-	if len(pending) > 0 {
-		// The objects moved more times than we are willing to chase.
-		return &abortError{target: tx, cause: AbortLockFailed}
-	}
-	return nil
+			return true, nil
+		})
+	return tx.convertErr(ctx, err, AbortLockFailed)
 }
 
-// releaseLocks batches unlock requests per owner after a failed commit.
+// releaseLocks sends every owner in locked one unlock for what it holds,
+// after a failed commit.
 func (tx *Txn) releaseLocks(ctx context.Context, locked map[object.ID]transport.NodeID) {
-	byOwner := make(map[transport.NodeID][]object.ID)
-	for oid, owner := range locked {
-		byOwner[owner] = append(byOwner[owner], oid)
+	oids := make([]object.ID, 0, len(locked))
+	for oid := range locked {
+		oids = append(oids, oid)
 	}
-	calls := make([]cluster.Outcall, 0, len(byOwner))
-	for owner, oids := range byOwner {
-		sortIDs(oids)
-		calls = append(calls, cluster.Outcall{To: owner, Kind: KindRelease, Payload: releaseReq{Oids: oids, TxID: tx.lockID}})
+	sortIDs(oids)
+	groups := groupByOwner(oids, locked)
+	calls := make([]cluster.Outcall, len(groups))
+	for i, g := range groups {
+		calls[i] = cluster.Outcall{To: g.owner, Kind: KindRelease, Payload: releaseReq{Oids: g.oids, TxID: tx.lockID}}
 	}
 	// Best effort; the locks die with the runtime if the peer is gone.
 	tx.rt.ep.Broadcast(ctx, calls)
@@ -342,7 +293,7 @@ func (tx *Txn) publishAll(ctx context.Context, writes []object.ID, locked map[ob
 			calls = append(calls, cluster.Outcall{To: node, Kind: KindCommitObjectBatch,
 				Payload: commitObjBatchReq{TxID: tx.lockID, NewOwner: rt.Self(), Oids: oids, Moved: moving}})
 		}
-		sort.Slice(calls, func(i, j int) bool { return calls[i].To < calls[j].To })
+		slices.SortFunc(calls, func(a, b cluster.Outcall) int { return cmp.Compare(a.To, b.To) })
 		results := rt.ep.Broadcast(ctx, calls)
 		meter.wave(len(calls))
 
@@ -407,15 +358,23 @@ func (tx *Txn) publishAll(ctx context.Context, writes []object.ID, locked map[ob
 // pointed back at owner with the same message, nothing to surrender, and then
 // their commit locks are freed there so the objects are not wedged (in that
 // order: once unlocked an object can move on, and its next directory update
-// must not be overwritten by this one). Best effort, one object at a time.
+// must not be overwritten by this one). Best effort: one wave to the homes,
+// one message per home, then the release.
 func (tx *Txn) refused(ctx context.Context, owner transport.NodeID, oids []object.ID) {
 	if len(oids) == 0 {
 		return
 	}
+	homes := make(map[object.ID]transport.NodeID, len(oids))
 	for _, oid := range oids {
-		_, _ = tx.rt.ep.Call(ctx, tx.rt.locator.Home(oid), KindCommitObjectBatch,
-			commitObjBatchReq{TxID: tx.lockID, NewOwner: owner, Moved: []object.ID{oid}})
+		homes[oid] = tx.rt.locator.Home(oid)
 	}
+	groups := groupByOwner(oids, homes)
+	calls := make([]cluster.Outcall, len(groups))
+	for i, g := range groups {
+		calls[i] = cluster.Outcall{To: g.owner, Kind: KindCommitObjectBatch,
+			Payload: commitObjBatchReq{TxID: tx.lockID, NewOwner: owner, Moved: g.oids}}
+	}
+	tx.rt.ep.Broadcast(ctx, calls)
 	_, _ = tx.rt.ep.Call(ctx, owner, KindRelease, releaseReq{Oids: oids, TxID: tx.lockID})
 }
 
@@ -426,6 +385,4 @@ func detach(ctx context.Context) context.Context {
 	return context.WithoutCancel(ctx)
 }
 
-func sortIDs(ids []object.ID) {
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-}
+func sortIDs(ids []object.ID) { slices.Sort(ids) }

@@ -243,50 +243,89 @@ func homedAt(t *testing.T, n, home int) object.ID {
 
 // TestStaleHintFollowsMovedTo: node 2 holds a hint that x is on node 0, but
 // node 1 has since committed a write and taken x. Node 0's reply names node
-// 1, and the retry goes there directly — no directory message. When node
-// 0's record is wrong or gone, the home directory settles it one hop later.
-// x is homed at node 3, which never holds it, so every lookup and retrieve
-// the reader makes is a message the interceptor sees.
+// 1, and the next wave goes there directly — no directory message — whether
+// node 2 retrieves x, validates its read of x at commit, or acquires x to
+// commit a write of it. When node 0's record is wrong or gone, the home
+// directory settles it one hop later. x is homed at node 3, which never
+// holds it, so every lookup and retrieve node 2 makes is a message the
+// interceptor sees.
 func TestStaleHintFollowsMovedTo(t *testing.T) {
+	moved := func(*Runtime, object.ID) {}
 	cases := []struct {
 		name          string
+		step          string                             // retrieve, validate or acquire
 		record        func(owner0 *Runtime, x object.ID) // tamper with node 0's departure record
 		wantLookups   int
 		wantRetrieves int
 	}{
-		{name: "moved-to followed", record: func(*Runtime, object.ID) {}, wantLookups: 0, wantRetrieves: 2},
-		{name: "lying", record: func(rt *Runtime, x object.ID) { rt.migrated[x] = migration{to: 3} }, wantLookups: 1, wantRetrieves: 3},
-		{name: "absent", record: func(rt *Runtime, x object.ID) { delete(rt.migrated, x) }, wantLookups: 1, wantRetrieves: 2},
+		{name: "moved-to followed", step: "retrieve", record: moved, wantLookups: 0, wantRetrieves: 2},
+		{name: "lying", step: "retrieve", record: func(rt *Runtime, x object.ID) { rt.migrated[x] = migration{to: 3} }, wantLookups: 1, wantRetrieves: 3},
+		{name: "absent", step: "retrieve", record: func(rt *Runtime, x object.ID) { delete(rt.migrated, x) }, wantLookups: 1, wantRetrieves: 2},
+		// The commit meets node 0's Moved and finds x changed at node 1: one
+		// validation abort, and the retry retrieves x from node 1.
+		{name: "validate", step: "validate", record: moved, wantLookups: 0, wantRetrieves: 1},
+		{name: "acquire", step: "acquire", record: moved, wantLookups: 0, wantRetrieves: 1},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
 			tc := newTestCluster(t, 4, nil, nil)
 			ctx := context.Background()
 			x := homedAt(t, 4, 3)
-			seed(t, tc, map[object.ID]int{x: 0})
-			readBox(t, tc.rts[2], x) // node 2 learns: x is on node 0
-			if err := tc.rts[1].Atomic(ctx, "w", func(tx *Txn) error {
-				return tx.Write(ctx, x, &box{N: 7})
-			}); err != nil {
-				t.Fatal(err)
-			}
-			tc.rts[0].migrMu.Lock()
-			c.record(tc.rts[0], x)
-			tc.rts[0].migrMu.Unlock()
-
+			seed(t, tc, map[object.ID]int{x: 0, "y": 2})
 			var msgs kindCounter
-			tc.net.SetInterceptor(msgs.intercept)
-			if got := readBox(t, tc.rts[2], x); got != 7 {
-				t.Fatalf("read %d, want 7", got)
+			move := func() {
+				if err := tc.rts[1].Atomic(ctx, "w", func(tx *Txn) error {
+					return tx.Write(ctx, x, &box{N: 7})
+				}); err != nil {
+					t.Fatal(err)
+				}
+				tc.rts[0].migrMu.Lock()
+				c.record(tc.rts[0], x)
+				tc.rts[0].migrMu.Unlock()
+				tc.net.SetInterceptor(msgs.intercept)
 			}
-			if got := msgs.count(cc.KindLookup, cc.KindLookupBatch); got != c.wantLookups {
+
+			if c.step == "retrieve" {
+				readBox(t, tc.rts[2], x) // node 2 learns: x is on node 0
+				move()
+				if got := readBox(t, tc.rts[2], x); got != 7 {
+					t.Fatalf("read %d, want 7", got)
+				}
+				if a := tc.rts[2].Metrics().Snapshot().TotalAborts(); a != 0 {
+					t.Fatalf("chasing the hint cost %d aborts", a)
+				}
+			} else {
+				attempts := 0
+				err := tc.rts[2].Atomic(ctx, "rw", func(tx *Txn) error {
+					attempts++
+					if _, err := tx.Read(ctx, x); err != nil {
+						return err
+					}
+					w := object.ID("y")
+					if c.step == "acquire" {
+						w = x
+					}
+					if err := tx.Write(ctx, w, &box{N: 8}); err != nil {
+						return err
+					}
+					if attempts == 1 {
+						move()
+					}
+					return nil
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				m := tc.rts[2].Metrics().Snapshot()
+				if attempts != 2 || m.TotalAborts() != 1 || m.Aborts[AbortValidation] != 1 {
+					t.Fatalf("%d attempts, aborts %v; want 2 attempts, one validation abort", attempts, m.Aborts)
+				}
+			}
+			if got := msgs.count(cc.KindLookupBatch); got != c.wantLookups {
 				t.Fatalf("%d directory lookups, want %d", got, c.wantLookups)
 			}
 			if got := msgs.count(KindRetrieve); got != c.wantRetrieves || got > maxOwnerHops {
 				t.Fatalf("%d retrieves, want %d", got, c.wantRetrieves)
-			}
-			if a := tc.rts[2].Metrics().Snapshot().TotalAborts(); a != 0 {
-				t.Fatalf("chasing the hint cost %d aborts", a)
 			}
 		})
 	}
@@ -323,7 +362,7 @@ func TestRetrieveObservesOnlyOwnedObjects(t *testing.T) {
 		t.Fatal(err)
 	}
 	res := body.(retrieveResp).Results
-	if len(res) != 2 || res[0].Status != retrieveNotOwner || res[1].Status != retrieveOK {
+	if len(res) != 2 || res[0].Status != statusNotOwner || res[1].Status != statusOK {
 		t.Fatalf("results = %+v, want [not-owner, ok]", res)
 	}
 	o := observers[0]

@@ -5,7 +5,9 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"dstm/internal/core"
 	"dstm/internal/object"
+	"dstm/internal/sched"
 	"dstm/internal/transport"
 )
 
@@ -149,5 +151,36 @@ func TestOneNodeNestedUpdateSendsNothing(t *testing.T) {
 	}
 	if n := sends.Load(); n != 0 {
 		t.Fatalf("%d transport sends on a one-node cluster, want 0", n)
+	}
+}
+
+// TestNestedAllocsWithinFlat: on a one-node cluster under RTS, a local
+// two-object update two closed-nested levels deep allocates at most 1.2× what
+// the flat update does — bench/micro.go's stm.local_nested_tx_allocs against
+// stm.local_tx_allocs, and the owner wave's hot path.
+func TestNestedAllocsWithinFlat(t *testing.T) {
+	tc := newTestCluster(t, 1, nil, func() sched.Policy { return core.New(core.Options{}) })
+	rt, ctx := tc.rts[0], context.Background()
+	seed(t, tc, map[object.ID]int{"a": 0, "b": 0})
+	update := func(tx *Txn) error {
+		if err := tx.Update(ctx, "a", bump); err != nil {
+			return err
+		}
+		return tx.Update(ctx, "b", bump)
+	}
+	allocs := func(fn func(tx *Txn) error) float64 {
+		return testing.AllocsPerRun(200, func() {
+			if err := rt.Atomic(ctx, "update", fn); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	flat := allocs(update)
+	nested := allocs(func(tx *Txn) error {
+		return tx.Atomic(ctx, "l1", func(c1 *Txn) error { return c1.Atomic(ctx, "l2", update) })
+	})
+	t.Logf("allocations per update: %.0f flat, %.0f nested two levels deep", flat, nested)
+	if nested > 1.2*flat {
+		t.Fatalf("nested update allocates %.0f, more than 1.2× the flat update's %.0f", nested, flat)
 	}
 }

@@ -43,7 +43,7 @@ const (
 // ETS.c−ETS.r), and every object the transaction wants from that node (a
 // Read or Write asks for one). The owner takes the scheduling decision per
 // object — except that a Prefetch request's commit-locked objects are
-// answered retrieveDenied with nothing observed, scheduled or queued.
+// answered statusDenied with nothing observed, scheduled or queued.
 type retrieveReq struct {
 	TxID     uint64
 	Mode     sched.Mode
@@ -56,41 +56,65 @@ type retrieveReq struct {
 
 // retrieveResult is one object's disposition, parallel to the request Oids.
 type retrieveResult struct {
-	// Status disposition; see retrieve* constants.
-	Status retrieveStatus
-	// Value and Version are set when Status == retrieveOK.
+	// Status is statusOK, statusDenied, statusEnqueued or the not-here answer.
+	Status status
+	// Value and Version are set when Status == statusOK.
 	Value   object.Value
 	Version object.Version
 	// RemoteCL is the object's local contention level at the owner; the
 	// requester accumulates it into its myCL.
 	RemoteCL int
-	// Backoff is the enqueue wait budget when Status == retrieveEnqueued.
+	// Backoff is the enqueue wait budget when Status == statusEnqueued.
 	Backoff time.Duration
 	// MovedTo is the node this one surrendered the object to, set when
-	// Status == retrieveMoved.
+	// Status == statusMoved.
 	MovedTo transport.NodeID
 }
 
 // retrieveResp answers a retrieve. OwnerClock is the owner's TFA clock for
-// the forwarding check; every retrieveOK copy is current as of it (see
+// the forwarding check; every statusOK copy is current as of it (see
 // handleRetrieve).
 type retrieveResp struct {
 	Results    []retrieveResult
 	OwnerClock uint64
 }
 
-type retrieveStatus uint8
+// status is one entry's answer in a reply of an owner wave (retrieve,
+// validate, acquire). statusNotOwner and statusMoved are the one "not here"
+// answer all three share (Runtime.notHere); the requester chases it
+// (ownerWave). Retrieve's values keep their wire numbers 0–4.
+type status uint8
 
 const (
-	retrieveOK retrieveStatus = iota
-	retrieveDenied
-	retrieveEnqueued
-	// retrieveNotOwner: this node does not hold the object and has no
-	// record of where it went; the requester asks the home directory.
-	retrieveNotOwner
-	// retrieveMoved: this node gave the object away, to MovedTo.
-	retrieveMoved
+	// statusOK: retrieve — a copy; validate — still current; acquire —
+	// lockable (locked when the batch was applied).
+	statusOK status = iota
+	// statusDenied: retrieve — the scheduler denied the request.
+	statusDenied
+	// statusEnqueued: retrieve — queued; a hand-off push will follow.
+	statusEnqueued
+	// statusNotOwner: this node does not hold the object and has no record
+	// of where it went; the requester asks the home directory.
+	statusNotOwner
+	// statusMoved: this node gave the object away, to MovedTo.
+	statusMoved
+	// statusStale: validate, acquire — the version moved on (for validate,
+	// also: another transaction holds the commit lock).
+	statusStale
+	// statusBusy: acquire — another transaction holds the commit lock.
+	statusBusy
 )
+
+// notHere reports whether s is the "not here" answer.
+func (s status) notHere() bool { return s == statusNotOwner || s == statusMoved }
+
+// answer is one entry's answer in a validate or acquire reply: the status,
+// and where the object went when it is statusMoved — what retrieveResult
+// carries beside its copy.
+type answer struct {
+	Status  status
+	MovedTo transport.NodeID
+}
 
 // releaseReq unlocks objects after a failed commit.
 type releaseReq struct {
@@ -121,11 +145,12 @@ type acquireBatchReq struct {
 }
 
 // acquireBatchResp reports per-entry lock outcomes, parallel to the
-// request entries (object.LockResult values). Applied reports whether the
-// locks were actually taken; when false, no entry is locked at the owner —
-// the results identify which entries failed and how.
+// request entries: statusOK, statusStale, statusBusy or the not-here answer.
+// Applied reports whether the locks were actually taken; when false, no
+// entry is locked at the owner — the results identify which entries failed
+// and how.
 type acquireBatchResp struct {
-	Results []uint8
+	Results []answer
 	Applied bool
 }
 
@@ -136,16 +161,27 @@ type checkBatchReq struct {
 	Entries []verEntry
 }
 
-// checkBatchResult is one entry's validation outcome.
-type checkBatchResult struct {
-	OK       bool
-	NotOwner bool
+// checkBatchResp carries per-entry outcomes, parallel to the request:
+// statusOK, statusStale or the not-here answer.
+type checkBatchResp struct {
+	Results []answer
 }
 
-// checkBatchResp carries per-entry outcomes, parallel to the request.
-type checkBatchResp struct {
-	Results []checkBatchResult
+// ownerReply is a reply of an owner wave as the wave reads it: one answer
+// per entry of the request, in request order.
+type ownerReply interface {
+	entries() int
+	at(i int) answer
 }
+
+func (r retrieveResp) entries() int { return len(r.Results) }
+func (r retrieveResp) at(i int) answer {
+	return answer{Status: r.Results[i].Status, MovedTo: r.Results[i].MovedTo}
+}
+func (r checkBatchResp) entries() int      { return len(r.Results) }
+func (r checkBatchResp) at(i int) answer   { return r.Results[i] }
+func (r acquireBatchResp) entries() int    { return len(r.Results) }
+func (r acquireBatchResp) at(i int) answer { return r.Results[i] }
 
 // commitObjBatchReq is the publish wave's one message to a node: surrender
 // Oids (the receiver's slice of the write set, none when it is reached only

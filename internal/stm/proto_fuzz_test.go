@@ -74,9 +74,9 @@ func FuzzRetrieveRoundTrip(f *testing.F) {
 		}
 		resp := retrieveResp{
 			Results: []retrieveResult{
-				{Status: retrieveStatus(statusA), Value: fuzzVal{X: val},
+				{Status: status(statusA), Value: fuzzVal{X: val},
 					Version: object.Version{Clock: ownClock, Node: vnode}, RemoteCL: myCL},
-				{Status: retrieveStatus(statusB), RemoteCL: -myCL,
+				{Status: status(statusB), RemoteCL: -myCL,
 					Backoff: time.Duration(backoff), MovedTo: transport.NodeID(movedTo)},
 			},
 			OwnerClock: ownClock,
@@ -108,15 +108,16 @@ func FuzzCommitPushRoundTrip(f *testing.F) {
 }
 
 // FuzzAcquireCheckBatchRoundTrip round-trips the owner-grouped lock and
-// validation batches. The per-entry result slices must survive verbatim and
-// stay parallel to the request entries: a shifted or truncated Results
-// slice would make the committer misattribute which entry refused the
-// batch (and hence which transaction to abort).
+// validation batches. The per-entry answers must survive verbatim and stay
+// parallel to the request entries: a shifted or truncated Results slice
+// would make the committer misattribute which entry refused the batch (and
+// hence which transaction to abort), and a corrupted MovedTo would send the
+// next wave to the wrong node.
 func FuzzAcquireCheckBatchRoundTrip(f *testing.F) {
-	f.Add("obj/a", "obj/b", uint64(7), uint64(5), int32(1), byte(2), true, true, false)
-	f.Add("", "x", uint64(0), ^uint64(0), int32(-3), byte(0), false, false, true)
+	f.Add("obj/a", "obj/b", uint64(7), uint64(5), int32(1), byte(statusStale), byte(statusMoved), int32(2), true)
+	f.Add("", "x", uint64(0), ^uint64(0), int32(-3), byte(statusOK), byte(statusNotOwner), int32(-1), false)
 	f.Fuzz(func(t *testing.T, oidA, oidB string, tx, verClock uint64, vnode int32,
-		lockRes byte, applied, ok, notOwner bool) {
+		statusA, statusB byte, movedTo int32, applied bool) {
 		entries := []verEntry{
 			{Oid: object.ID(oidA), Ver: object.Version{Clock: verClock, Node: vnode}},
 			{Oid: object.ID(oidB), Ver: object.Version{Clock: ^verClock, Node: -vnode}},
@@ -126,7 +127,11 @@ func FuzzAcquireCheckBatchRoundTrip(f *testing.F) {
 		if got := roundTrip(t, areq).(acquireBatchReq); !reflect.DeepEqual(got, areq) {
 			t.Fatalf("acquireBatchReq changed: %+v -> %+v", areq, got)
 		}
-		aresp := acquireBatchResp{Results: []uint8{lockRes, lockRes ^ 1}, Applied: applied}
+		answers := []answer{
+			{Status: status(statusA), MovedTo: transport.NodeID(movedTo)},
+			{Status: status(statusB), MovedTo: transport.NodeID(-movedTo)},
+		}
+		aresp := acquireBatchResp{Results: answers, Applied: applied}
 		if got := roundTrip(t, aresp).(acquireBatchResp); !reflect.DeepEqual(got, aresp) {
 			t.Fatalf("acquireBatchResp changed: %+v -> %+v", aresp, got)
 		}
@@ -135,10 +140,7 @@ func FuzzAcquireCheckBatchRoundTrip(f *testing.F) {
 		if got := roundTrip(t, creq).(checkBatchReq); !reflect.DeepEqual(got, creq) {
 			t.Fatalf("checkBatchReq changed: %+v -> %+v", creq, got)
 		}
-		cresp := checkBatchResp{Results: []checkBatchResult{
-			{OK: ok, NotOwner: notOwner},
-			{OK: !ok, NotOwner: !notOwner},
-		}}
+		cresp := checkBatchResp{Results: answers}
 		if got := roundTrip(t, cresp).(checkBatchResp); !reflect.DeepEqual(got, cresp) {
 			t.Fatalf("checkBatchResp changed: %+v -> %+v", cresp, got)
 		}

@@ -15,12 +15,13 @@ import (
 
 // TestRetiredKindsAreRefused: a request with a retired message kind (the
 // per-object check/acquire/commit RPCs and the MVCC snapshot reads of stm,
-// the single-object and batch updates of cc — what a peer built before their
-// removal would still send) is answered with the endpoint's "no handler" error at
-// once, not left to time out.
+// the single-object lookup and register and the single-object and batch
+// updates of cc — what a peer built before their removal would still send)
+// is answered with the endpoint's "no handler" error at once, not left to
+// time out.
 func TestRetiredKindsAreRefused(t *testing.T) {
 	tc := newTestCluster(t, 2, nil, nil)
-	for _, kind := range []transport.Kind{3, 6, 11, 12, 14, 20, 21} {
+	for _, kind := range []transport.Kind{1, 2, 3, 6, 11, 12, 14, 20, 21} {
 		t.Run(fmt.Sprintf("kind%d", kind), func(t *testing.T) {
 			ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
 			defer cancel()
@@ -34,12 +35,14 @@ func TestRetiredKindsAreRefused(t *testing.T) {
 }
 
 // TestRetiredWireIDsAreUnregistered: the wire type IDs of the retired
-// payloads (10 and 11 were the single-object retrieve pair, 25 and 26 the
-// publish pair before it named what moved, 27–30 the MVCC snapshot reads, 43
-// and 47 the directory updates) decode as unknown, so a frame from an old peer is rejected
-// instead of being read as whatever type took the number over.
+// payloads (10 and 11 were the single-object retrieve pair, 22 and 24 the
+// acquire and check replies without the not-here answer, 25 and 26 the
+// publish pair before it named what moved, 27–30 the MVCC snapshot reads,
+// 40–42 the single-object directory lookup and register, 43 and 47 the
+// directory updates) decode as unknown, so a frame from an old peer is
+// rejected instead of being read as whatever type took the number over.
 func TestRetiredWireIDsAreUnregistered(t *testing.T) {
-	for _, id := range []wire.ID{10, 11, 12, 13, 14, 15, 17, 18, 25, 26, 27, 28, 29, 30, 43, 47} {
+	for _, id := range []wire.ID{10, 11, 12, 13, 14, 15, 17, 18, 22, 24, 25, 26, 27, 28, 29, 30, 40, 41, 42, 43, 47} {
 		t.Run(fmt.Sprintf("id%d", id), func(t *testing.T) {
 			r := wire.NewReader(wire.AppendUvarint(nil, uint64(id)))
 			v := r.Any(nil)

@@ -42,7 +42,8 @@ type Runtime struct {
 	// from this node: the transaction, so a retransmitted commit-migration
 	// request (its reply was lost and the RPC dedup entry has aged out)
 	// reads as success, not "not owned" — see migrateOut — and the node it
-	// went to, which a retrieve for the departed object is answered with.
+	// went to, which any request for the departed object is answered with
+	// (notHere).
 	migrMu   sync.Mutex
 	migrated map[object.ID]migration
 
@@ -218,7 +219,7 @@ func (rt *Runtime) handleRetrieve(from transport.NodeID, payload any) (any, erro
 		intact := true
 		for i, oid := range req.Oids {
 			r := &resp.Results[i]
-			if r.Status != retrieveOK {
+			if r.Status != statusOK {
 				continue
 			}
 			if ver, lockedBy, owned := rt.store.State(oid); !owned || lockedBy != 0 || !ver.Equal(r.Version) {
@@ -238,23 +239,18 @@ func (rt *Runtime) handleRetrieve(from transport.NodeID, payload any) (any, erro
 func (rt *Runtime) retrieveOne(from transport.NodeID, req *retrieveReq, oid object.ID) retrieveResult {
 	val, ver, locked, owned := rt.store.Snapshot(oid)
 	if !owned {
-		rt.migrMu.Lock()
-		m, moved := rt.migrated[oid]
-		rt.migrMu.Unlock()
-		if moved {
-			return retrieveResult{Status: retrieveMoved, MovedTo: m.to}
-		}
-		return retrieveResult{Status: retrieveNotOwner}
+		a := rt.notHere(oid)
+		return retrieveResult{Status: a.Status, MovedTo: a.MovedTo}
 	}
 	if locked && req.Prefetch {
 		// Left alone: not a conflict the transaction has run into yet.
-		return retrieveResult{Status: retrieveDenied}
+		return retrieveResult{Status: statusDenied}
 	}
 	// Only now: a request that chased a stale hint here must not count
 	// towards the contention level of an object this node does not own.
 	localCL := rt.policy.ObserveRequest(oid, req.TxID)
 	if !locked {
-		return retrieveResult{Status: retrieveOK, Value: val, Version: ver, RemoteCL: localCL}
+		return retrieveResult{Status: statusOK, Value: val, Version: ver, RemoteCL: localCL}
 	}
 
 	// A conflict: the scheduler decides (RTS Algorithm 3).
@@ -269,9 +265,22 @@ func (rt *Runtime) retrieveOne(from transport.NodeID, req *retrieveReq, oid obje
 	})
 	if dec.Enqueue {
 		rt.metrics.enqueues.Add(1)
-		return retrieveResult{Status: retrieveEnqueued, RemoteCL: localCL, Backoff: dec.Backoff}
+		return retrieveResult{Status: statusEnqueued, RemoteCL: localCL, Backoff: dec.Backoff}
 	}
-	return retrieveResult{Status: retrieveDenied, RemoteCL: localCL}
+	return retrieveResult{Status: statusDenied, RemoteCL: localCL}
+}
+
+// notHere is this node's answer for an object it does not hold, whichever
+// step asks: Moved to the node a commit last took it to (Runtime.migrated),
+// else NotOwner.
+func (rt *Runtime) notHere(oid object.ID) answer {
+	rt.migrMu.Lock()
+	m, moved := rt.migrated[oid]
+	rt.migrMu.Unlock()
+	if moved {
+		return answer{Status: statusMoved, MovedTo: m.to}
+	}
+	return answer{Status: statusNotOwner}
 }
 
 func (rt *Runtime) handleRelease(_ transport.NodeID, payload any) (any, error) {
@@ -332,9 +341,18 @@ func (rt *Runtime) handleAcquireBatch(_ transport.NodeID, payload any) (any, err
 		entries[i] = object.LockEntry{ID: e.Oid, Expect: e.Ver}
 	}
 	results, applied := rt.store.LockBatch(req.TxID, entries)
-	resp := acquireBatchResp{Results: make([]uint8, len(results)), Applied: applied}
+	resp := acquireBatchResp{Results: make([]answer, len(results)), Applied: applied}
 	for i, r := range results {
-		resp.Results[i] = uint8(r)
+		switch r {
+		case object.LockOK:
+			resp.Results[i] = answer{Status: statusOK}
+		case object.LockStale:
+			resp.Results[i] = answer{Status: statusStale}
+		case object.LockNotOwner:
+			resp.Results[i] = rt.notHere(entries[i].ID)
+		default:
+			resp.Results[i] = answer{Status: statusBusy}
+		}
 	}
 	return resp, nil
 }
@@ -344,17 +362,17 @@ func (rt *Runtime) handleCheckVersionBatch(_ transport.NodeID, payload any) (any
 	if !ok {
 		return nil, fmt.Errorf("stm: bad check batch payload %T", payload)
 	}
-	resp := checkBatchResp{Results: make([]checkBatchResult, len(req.Entries))}
+	resp := checkBatchResp{Results: make([]answer, len(req.Entries))}
 	for i, e := range req.Entries {
 		ver, lockedBy, owned := rt.store.State(e.Oid)
-		if !owned {
-			resp.Results[i] = checkBatchResult{NotOwner: true}
-			continue
-		}
+		switch {
+		case !owned:
+			resp.Results[i] = rt.notHere(e.Oid)
 		// A version is valid only if unchanged AND not mid-commit by another
 		// transaction (whose new version would be installed momentarily).
-		valid := ver.Equal(e.Ver) && (lockedBy == 0 || lockedBy == req.TxID)
-		resp.Results[i] = checkBatchResult{OK: valid}
+		case !ver.Equal(e.Ver) || lockedBy != 0 && lockedBy != req.TxID:
+			resp.Results[i] = answer{Status: statusStale}
+		}
 	}
 	return resp, nil
 }

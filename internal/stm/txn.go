@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"slices"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -15,6 +14,7 @@ import (
 	"dstm/internal/object"
 	"dstm/internal/sched"
 	"dstm/internal/trace"
+	"dstm/internal/transport"
 )
 
 // abortError unwinds an aborting transaction to the level that must retry.
@@ -30,8 +30,12 @@ func (e *abortError) Error() string {
 	return fmt.Sprintf("stm: transaction aborted (%s)", e.cause)
 }
 
-// maxOwnerHops bounds stale-owner-hint chases during a fetch.
+// maxOwnerHops bounds the waves of one owner-wave chase (ownerWave).
 const maxOwnerHops = 8
+
+// errOwnerHops ends an owner wave whose objects moved more times than it
+// chases.
+var errOwnerHops = errors.New("stm: objects moved more than maxOwnerHops times")
 
 // Txn is a (possibly closed-nested) transaction. Obtain a root transaction
 // from Runtime.Atomic and children from Txn.Atomic. A Txn is confined to
@@ -490,112 +494,148 @@ func (tx *Txn) fetchMany(ctx context.Context, oids []object.ID, mode sched.Mode)
 	return tx.adoptFetched(ctx, got)
 }
 
-// retrieveWaves requests oids from their owners and returns the copies and
-// the entries the owners enqueued. Each wave locates the owners and sends
-// every owner ONE retrieve for all it holds, with myCL and ETS attached, all
-// owners in parallel. The owner decides per object: a copy is kept; a denial
-// aborts the root; an object the node no longer owns re-enters the next wave,
-// hop-bounded. A prefetch wave registers no waiter (no owner queues it), reads
-// a denial as "left alone", and may run off the transaction's goroutine.
-func (tx *Txn) retrieveWaves(ctx context.Context, oids []object.ID, mode sched.Mode, myCL int, prefetch bool) (got []fetched, parked []park, err error) {
-	rt, root := tx.rt, tx.root
-	denied := func() error { return &abortError{target: root, cause: AbortDenied} }
+// ownerWave is the one locate–send–chase loop of the steps that ask the
+// owners of objects about them: retrieve, validate and acquire. Each wave
+// locates the owners of the pending entries and sends every owner ONE
+// request of kind — request(wave, g) for the entries g it holds — all owners
+// in parallel, then hands each reply to take for the step's per-entry
+// verdicts. An entry the node no longer holds is chased (Runtime.notHere):
+// after Moved the next wave asks where the object went, with no directory
+// round trip; after NotOwner the hint is dropped and the next wave asks the
+// home. take returning again sends its whole group once more (an acquire
+// batch that was not applied). The first error — a lookup, a lost or
+// malformed reply, or take's — ends the chase once every reply of its wave
+// has been read; entries still pending after maxOwnerHops waves end it with
+// errOwnerHops. Either way the step aborts (Txn.convertErr). meter, when
+// non-nil, accounts the lookups and requests.
+func ownerWave[R ownerReply](ctx context.Context, tx *Txn, kind transport.Kind, oids []object.ID, meter *commitMeter,
+	request func(wave int, g ownerGroup) any, take func(g ownerGroup, r R) (again bool, err error)) error {
+	rt := tx.rt
 	pending := oids
-	for hop := 0; hop < maxOwnerHops && len(pending) > 0; hop++ {
-		owners, _, err := rt.locator.LocateBatch(ctx, pending)
-		if errors.Is(err, cc.ErrUnknownObject) {
-			return nil, nil, err // application-level error, not retryable
-		} else if err != nil {
-			// A lookup lost to the network is transient: abort and retry
-			// rather than failing the whole Atomic call.
-			return nil, nil, tx.convertErr(ctx, err, AbortDenied)
-		}
-
-		elapsed := time.Since(root.began)
-		remain := root.expected - elapsed
-		if remain <= 0 {
-			remain = root.expected / 4
-			if remain <= 0 {
-				remain = 50 * time.Microsecond
-			}
-		}
-		// Register the waiters before the requests so a hand-off push can
-		// never race past us.
-		if !prefetch {
-			for _, oid := range pending {
-				rt.registerWaiter(tx.id, oid)
-			}
+	for wave := 0; wave < maxOwnerHops && len(pending) > 0; wave++ {
+		owners, msgs, err := rt.locator.LocateBatch(ctx, pending)
+		meter.wave(msgs)
+		if err != nil {
+			return err
 		}
 		groups := groupByOwner(pending, owners)
 		calls := make([]cluster.Outcall, len(groups))
 		for i, g := range groups {
-			calls[i] = cluster.Outcall{To: g.owner, Kind: KindRetrieve, Payload: retrieveReq{
-				TxID: tx.id, Mode: mode, MyCL: myCL, Elapsed: elapsed, Remain: remain, Prefetch: prefetch, Oids: g.oids,
-			}}
-		}
-		rt.metrics.retrieves.Add(uint64(len(calls)))
-		if slices.ContainsFunc(groups, func(g ownerGroup) bool { return g.owner != rt.Self() }) {
-			rt.metrics.retrieveWaves.Add(1)
-		}
-		if mode == sched.Read {
-			root.readRPCs.Add(uint64(len(calls)))
+			calls[i] = cluster.Outcall{To: g.owner, Kind: kind, Payload: request(wave, g)}
 		}
 		results := rt.ep.Broadcast(ctx, calls)
+		meter.wave(len(calls))
 
-		var next []object.ID
+		pending = nil
+		var first error
 		for gi, res := range results {
 			g := groups[gi]
-			if res.Err != nil {
-				return nil, nil, tx.convertErr(ctx, res.Err, AbortDenied)
+			r, ok := res.Body.(R)
+			switch {
+			case res.Err != nil:
+			case !ok || r.entries() != len(g.oids):
+				res.Err = fmt.Errorf("stm: bad reply %T to kind %d", res.Body, kind)
+			default:
+				var again bool
+				again, res.Err = take(g, r)
+				for i, oid := range g.oids {
+					switch a := r.at(i); a.Status {
+					case statusMoved:
+						rt.locator.NoteOwner(oid, a.MovedTo)
+					case statusNotOwner:
+						rt.locator.InvalidateHint(oid)
+					default:
+						if !again {
+							continue
+						}
+					}
+					pending = append(pending, oid)
+				}
 			}
+			if first == nil {
+				first = res.Err
+			}
+		}
+		if first != nil {
+			return first
+		}
+		sortIDs(pending)
+	}
+	if len(pending) > 0 {
+		return errOwnerHops
+	}
+	return nil
+}
+
+// retrieveWaves requests oids from their owners — an owner wave of
+// KindRetrieve with myCL and ETS attached — and returns the copies and the
+// entries the owners enqueued. The owner decides per object: a copy is kept;
+// a denial aborts the root. A prefetch wave registers no waiter (no owner
+// queues it), reads a denial as "left alone", and may run off the
+// transaction's goroutine.
+func (tx *Txn) retrieveWaves(ctx context.Context, oids []object.ID, mode sched.Mode, myCL int, prefetch bool) (got []fetched, parked []park, err error) {
+	rt, root := tx.rt, tx.root
+	counted := -1 // the last wave counted in Metrics.RetrieveWaves
+	err = ownerWave(ctx, tx, KindRetrieve, oids, nil,
+		func(wave int, g ownerGroup) any {
+			rt.metrics.retrieves.Add(1)
+			if g.owner != rt.Self() && wave != counted {
+				counted = wave
+				rt.metrics.retrieveWaves.Add(1)
+			}
+			if mode == sched.Read {
+				root.readRPCs.Add(1)
+			}
+			// Register the waiters before the request so a hand-off push can
+			// never race past us.
+			if !prefetch {
+				for _, oid := range g.oids {
+					rt.registerWaiter(tx.id, oid)
+				}
+			}
+			elapsed := time.Since(root.began)
+			remain := root.expected - elapsed
+			if remain <= 0 {
+				remain = root.expected / 4
+				if remain <= 0 {
+					remain = 50 * time.Microsecond
+				}
+			}
+			return retrieveReq{TxID: tx.id, Mode: mode, MyCL: myCL, Elapsed: elapsed, Remain: remain, Prefetch: prefetch, Oids: g.oids}
+		},
+		func(g ownerGroup, r retrieveResp) (bool, error) {
 			// What a remote node's answers cost or brought: a copy, or a hop.
 			var far uint64
 			if g.owner != rt.Self() {
 				far = 1
 			}
-			resp, ok := res.Body.(retrieveResp)
-			if !ok || len(resp.Results) != len(g.oids) {
-				return nil, nil, fmt.Errorf("stm: bad retrieve reply %T", res.Body)
-			}
-			for i := range resp.Results {
-				r, oid := &resp.Results[i], g.oids[i]
-				switch r.Status {
-				case retrieveOK:
+			for i := range r.Results {
+				res, oid := &r.Results[i], g.oids[i]
+				switch {
+				case res.Status == statusOK:
 					rt.metrics.remoteCopies.Add(far)
 					rt.deregisterWaiter(tx.id, oid)
-					got = append(got, fetched{oid, r.Value, r.Version, r.RemoteCL, resp.OwnerClock})
-				case retrieveDenied:
-					if !prefetch {
-						return nil, nil, denied()
-					}
-				case retrieveEnqueued:
-					if r.Backoff <= 0 {
-						return nil, nil, denied()
-					}
-					parked = append(parked, park{oid, rt.waiter(tx.id, oid), r.Backoff, time.Now().Add(r.Backoff)})
-				case retrieveMoved:
-					// A stale owner hint, and the node knows where the object
-					// went: try there next, without a directory round trip.
+					got = append(got, fetched{oid, res.Value, res.Version, res.RemoteCL, r.OwnerClock})
+				case res.Status.notHere():
 					rt.metrics.staleHops.Add(far)
 					rt.deregisterWaiter(tx.id, oid)
-					rt.locator.NoteOwner(oid, r.MovedTo)
-					next = append(next, oid)
-				case retrieveNotOwner:
-					rt.metrics.staleHops.Add(far)
-					rt.deregisterWaiter(tx.id, oid)
-					rt.locator.InvalidateHint(oid)
-					next = append(next, oid)
-				default:
-					return nil, nil, fmt.Errorf("stm: unknown retrieve status %d", r.Status)
+				case res.Status == statusEnqueued && res.Backoff > 0:
+					parked = append(parked, park{oid, rt.waiter(tx.id, oid), res.Backoff, time.Now().Add(res.Backoff)})
+				case res.Status == statusDenied && prefetch:
+				default: // denied, or enqueued with no time to wait
+					return false, &abortError{target: root, cause: AbortDenied}
 				}
 			}
-		}
-		sortIDs(next)
-		pending = next
-	}
-	if len(pending) > 0 {
-		// The objects moved more times than we are willing to chase.
-		return nil, nil, denied()
+			return false, nil
+		})
+	switch {
+	case errors.Is(err, cc.ErrUnknownObject):
+		return nil, nil, err // application-level error, not retryable
+	case err != nil:
+		// A lookup or request lost to the network, or an object that keeps
+		// moving, is transient: abort and retry rather than failing the
+		// whole Atomic call.
+		return nil, nil, tx.convertErr(ctx, err, AbortDenied)
 	}
 	return got, parked, nil
 }
@@ -658,47 +698,48 @@ func (tx *Txn) forward(ctx context.Context, clock uint64) error {
 // abort) — when several entries are stale, the outermost affected level
 // wins, since its abort subsumes the others.
 func (tx *Txn) validateChain(ctx context.Context) error {
-	type item struct {
+	// Per object, the level its staleness aborts and that level's depth.
+	type holder struct {
 		level *Txn
 		depth int
 	}
-	var items []item
-	var entries []verEntry
+	holders := make(map[object.ID]holder)
 	depth := 0
 	for t := tx; t != nil; t = t.parent {
 		for oid, e := range t.entries {
-			if e.created {
-				continue
-			}
-			level, d := t, depth
+			h := holder{t, depth}
 			if e.inherited {
 				// The version was observed by an ancestor; retrying this
 				// level alone would re-read the same doomed snapshot.
-				level, d = tx.root, 1<<30
+				h = holder{tx.root, 1 << 30}
 			}
-			items = append(items, item{level: level, depth: d})
-			entries = append(entries, verEntry{Oid: oid, Ver: e.ver})
+			if prev, seen := holders[oid]; e.created || seen && prev.depth >= h.depth {
+				continue
+			}
+			holders[oid] = h
 		}
 		depth++
 	}
-	if len(items) == 0 {
+	if len(holders) == 0 {
 		return nil
 	}
+	oids := make([]object.ID, 0, len(holders))
+	for oid := range holders {
+		oids = append(oids, oid)
+	}
 
-	oks, err := tx.checkVersions(ctx, entries, nil)
+	stale, err := tx.checkVersions(ctx, oids, nil)
 	if err != nil {
 		return tx.convertErr(ctx, err, AbortValidation)
 	}
-	var staleTarget *Txn
-	staleDepth := -1
-	for i, ok := range oks {
-		if !ok && items[i].depth > staleDepth {
-			staleDepth = items[i].depth
-			staleTarget = items[i].level
+	target := holder{depth: -1}
+	for _, oid := range stale {
+		if h := holders[oid]; h.depth > target.depth {
+			target = h
 		}
 	}
-	if staleTarget != nil {
-		return &abortError{target: staleTarget, cause: AbortValidation}
+	if target.level != nil {
+		return &abortError{target: target.level, cause: AbortValidation}
 	}
 	return nil
 }
@@ -710,91 +751,39 @@ func (tx *Txn) validateMany(ctx context.Context, oids []object.ID, meter *commit
 	if len(oids) == 0 {
 		return nil
 	}
-	entries := make([]verEntry, len(oids))
-	for i, oid := range oids {
-		entries[i] = verEntry{Oid: oid, Ver: tx.entries[oid].ver}
-	}
-	oks, err := tx.checkVersions(ctx, entries, meter)
+	stale, err := tx.checkVersions(ctx, oids, meter)
 	if err != nil {
 		return tx.convertErr(ctx, err, AbortValidation)
 	}
-	for _, ok := range oks {
-		if !ok {
-			return &abortError{target: tx.root, cause: AbortValidation}
-		}
+	if len(stale) > 0 {
+		return &abortError{target: tx.root, cause: AbortValidation}
 	}
 	return nil
 }
 
-// checkVersions asks the owners of every entry whether its version is still
-// current, one batch message per owner per wave, chasing stale owner hints
-// in batches (hop-bounded). The result slice is parallel to entries; an
-// entry whose owner could not be pinned within maxOwnerHops reads as stale
-// (the movers committed new versions anyway). meter, when non-nil, accounts
+// checkVersions asks, in an owner wave of KindCheckVersionBatch, whether the
+// version this chain holds of each of oids (distinct, fetched) is still
+// current, and returns the ones that are not. meter, when non-nil, accounts
 // the messages and waves into the commit pipeline's tally.
-func (tx *Txn) checkVersions(ctx context.Context, entries []verEntry, meter *commitMeter) ([]bool, error) {
-	rt := tx.rt
-	oks := make([]bool, len(entries))
-	pending := make([]int, len(entries))
-	for i := range pending {
-		pending[i] = i
-	}
-	for hop := 0; hop < maxOwnerHops && len(pending) > 0; hop++ {
-		oids := make([]object.ID, len(pending))
-		for i, idx := range pending {
-			oids[i] = entries[idx].Oid
-		}
-		owners, msgs, err := rt.locator.LocateBatch(ctx, oids)
-		meter.wave(msgs)
-		if err != nil {
-			return nil, err
-		}
-
-		// An ID can sit at several nesting levels, so a group's request is
-		// the pending entries that owner holds, in pending order.
-		groups := groupByOwner(oids, owners)
-		calls := make([]cluster.Outcall, len(groups))
-		for i, g := range groups {
-			req := checkBatchReq{TxID: tx.root.lockID, Entries: make([]verEntry, 0, len(g.oids))}
-			for _, idx := range pending {
-				if owners[entries[idx].Oid] == g.owner {
-					req.Entries = append(req.Entries, entries[idx])
+func (tx *Txn) checkVersions(ctx context.Context, oids []object.ID, meter *commitMeter) (stale []object.ID, err error) {
+	err = ownerWave(ctx, tx, KindCheckVersionBatch, oids, meter,
+		func(_ int, g ownerGroup) any {
+			req := checkBatchReq{TxID: tx.root.lockID, Entries: make([]verEntry, len(g.oids))}
+			for i, oid := range g.oids {
+				e, _ := tx.lookup(oid)
+				req.Entries[i] = verEntry{Oid: oid, Ver: e.ver}
+			}
+			return req
+		},
+		func(g ownerGroup, r checkBatchResp) (bool, error) {
+			for i, a := range r.Results {
+				if a.Status != statusOK && !a.Status.notHere() {
+					stale = append(stale, g.oids[i])
 				}
 			}
-			calls[i] = cluster.Outcall{To: g.owner, Kind: KindCheckVersionBatch, Payload: req}
-		}
-		results := rt.ep.Broadcast(ctx, calls)
-		meter.wave(len(calls))
-
-		var next []int
-		for gi, res := range results {
-			g := groups[gi]
-			if res.Err != nil {
-				return nil, res.Err
-			}
-			resp, ok := res.Body.(checkBatchResp)
-			if !ok || len(resp.Results) != len(g.oids) {
-				return nil, fmt.Errorf("stm: bad check batch reply %T", res.Body)
-			}
-			i := 0
-			for _, idx := range pending {
-				if owners[entries[idx].Oid] != g.owner {
-					continue
-				}
-				r := resp.Results[i]
-				i++
-				if r.NotOwner {
-					rt.locator.InvalidateHint(entries[idx].Oid)
-					next = append(next, idx)
-					continue
-				}
-				oks[idx] = r.OK
-			}
-		}
-		sort.Ints(next)
-		pending = next
-	}
-	return oks, nil
+			return false, nil
+		})
+	return stale, err
 }
 
 func sleepCtx(ctx context.Context, d time.Duration) bool {

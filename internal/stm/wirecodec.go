@@ -17,7 +17,8 @@ import (
 
 // Wire type IDs 10–39 are reserved for STM payloads. They are a static
 // protocol: never renumber, only append. IDs 10–15, 17 and 18 (payloads of
-// the retired per-object retrieve/check/acquire/commit RPCs), 25 and 26 (the
+// the retired per-object retrieve/check/acquire/commit RPCs), 22 and 24 (the
+// acquire and check replies without the not-here answer), 25 and 26 (the
 // publish pair that carried values and no move list) and 27–30 (the retired
 // MVCC snapshot-read payloads) are reserved: never reuse them, or a frame
 // from an old peer would mis-decode into a live type.
@@ -26,13 +27,13 @@ const (
 	wireIDPushMsg            wire.ID = 19
 	wireIDDeclineMsg         wire.ID = 20
 	wireIDAcquireBatchReq    wire.ID = 21
-	wireIDAcquireBatchResp   wire.ID = 22
 	wireIDCheckBatchReq      wire.ID = 23
-	wireIDCheckBatchResp     wire.ID = 24
 	wireIDRetrieveReq        wire.ID = 31
 	wireIDRetrieveResp       wire.ID = 32
 	wireIDCommitObjBatchReq  wire.ID = 33
 	wireIDCommitObjBatchResp wire.ID = 34
+	wireIDAcquireBatchResp   wire.ID = 35
+	wireIDCheckBatchResp     wire.ID = 36
 )
 
 func appendVersion(b []byte, v object.Version) []byte {
@@ -145,7 +146,7 @@ func (q *retrieveResp) decodeWire(r *wire.Reader) {
 	q.Results = wire.Grow(q.Results, r.SliceLen(7))
 	for i := range q.Results {
 		res := &q.Results[i]
-		res.Status = retrieveStatus(r.Uvarint())
+		res.Status = status(r.Uvarint())
 		res.Value = readValue(r, res.Value)
 		res.Version = readVersion(r)
 		res.RemoteCL = int(r.Varint())
@@ -225,20 +226,30 @@ func (q *acquireBatchReq) decodeWire(r *wire.Reader) {
 	q.Entries = readVerEntries(r, q.Entries)
 }
 
-func (q acquireBatchResp) appendWire(b []byte) []byte {
-	b = wire.AppendUvarint(b, uint64(len(q.Results)))
-	for _, res := range q.Results {
-		b = wire.AppendUvarint(b, uint64(res))
+func appendAnswers(b []byte, as []answer) []byte {
+	b = wire.AppendUvarint(b, uint64(len(as)))
+	for i := range as {
+		b = wire.AppendUvarint(b, uint64(as[i].Status))
+		b = wire.AppendVarint(b, int64(as[i].MovedTo))
 	}
-	return wire.AppendBool(b, q.Applied)
+	return b
+}
+
+func readAnswers(r *wire.Reader, prev []answer) []answer {
+	as := wire.Grow(prev, r.SliceLen(2))
+	for i := range as {
+		as[i].Status = status(r.Uvarint())
+		as[i].MovedTo = transport.NodeID(r.Varint())
+	}
+	return as
+}
+
+func (q acquireBatchResp) appendWire(b []byte) []byte {
+	return wire.AppendBool(appendAnswers(b, q.Results), q.Applied)
 }
 
 func (q *acquireBatchResp) decodeWire(r *wire.Reader) {
-	n := r.SliceLen(1)
-	q.Results = wire.Grow(q.Results, n)
-	for i := range q.Results {
-		q.Results[i] = uint8(r.Uvarint())
-	}
+	q.Results = readAnswers(r, q.Results)
 	q.Applied = r.Bool()
 }
 
@@ -253,21 +264,11 @@ func (q *checkBatchReq) decodeWire(r *wire.Reader) {
 }
 
 func (q checkBatchResp) appendWire(b []byte) []byte {
-	b = wire.AppendUvarint(b, uint64(len(q.Results)))
-	for i := range q.Results {
-		b = wire.AppendBool(b, q.Results[i].OK)
-		b = wire.AppendBool(b, q.Results[i].NotOwner)
-	}
-	return b
+	return appendAnswers(b, q.Results)
 }
 
 func (q *checkBatchResp) decodeWire(r *wire.Reader) {
-	n := r.SliceLen(2)
-	q.Results = wire.Grow(q.Results, n)
-	for i := range q.Results {
-		q.Results[i].OK = r.Bool()
-		q.Results[i].NotOwner = r.Bool()
-	}
+	q.Results = readAnswers(r, q.Results)
 }
 
 func (q commitObjBatchReq) appendWire(b []byte) []byte {

@@ -52,11 +52,18 @@ func wireBenchCases() []struct {
 	retReq := retrieveReq{TxID: 77, Mode: sched.Read, MyCL: 2,
 		Elapsed: 120 * time.Microsecond, Remain: 340 * time.Microsecond, Prefetch: true, Oids: oids[:4]}
 	retResp := retrieveResp{OwnerClock: 42, Results: []retrieveResult{
-		{Status: retrieveOK, Value: &benchVal{N: 1000}, Version: ver, RemoteCL: 3},
-		{Status: retrieveOK, Value: &benchVal{N: 993}, Version: ver, RemoteCL: 1},
-		{Status: retrieveMoved, MovedTo: 2},
-		{Status: retrieveOK, Value: &benchVal{N: 1007}, Version: ver},
+		{Status: statusOK, Value: &benchVal{N: 1000}, Version: ver, RemoteCL: 3},
+		{Status: statusOK, Value: &benchVal{N: 993}, Version: ver, RemoteCL: 1},
+		{Status: statusMoved, MovedTo: 2},
+		{Status: statusOK, Value: &benchVal{N: 1007}, Version: ver},
 	}}
+	// The acquire and check replies of one owner: eight entries, two of them
+	// gone — one to a known node, one with no record.
+	answers := make([]answer, 8)
+	answers[2] = answer{Status: statusMoved, MovedTo: 2}
+	answers[5] = answer{Status: statusNotOwner}
+	acqResp := acquireBatchResp{Results: answers}
+	chkResp := checkBatchResp{Results: answers}
 
 	acq := acquireBatchReq{TxID: 77}
 	chk := checkBatchReq{TxID: 77}
@@ -73,7 +80,9 @@ func wireBenchCases() []struct {
 	var decRetReq retrieveReq
 	var decRetResp retrieveResp
 	var decAcq acquireBatchReq
+	var decAcqResp acquireBatchResp
 	var decChk checkBatchReq
+	var decChkResp checkBatchResp
 	var decCom commitObjBatchReq
 	var decComResp commitObjBatchResp
 
@@ -91,9 +100,15 @@ func wireBenchCases() []struct {
 		{"acquireBatchReq8",
 			func(b []byte) ([]byte, error) { return acq.appendWire(b), nil },
 			func(r *wire.Reader) { decAcq.decodeWire(r) }},
+		{"acquireBatchResp8",
+			func(b []byte) ([]byte, error) { return acqResp.appendWire(b), nil },
+			func(r *wire.Reader) { decAcqResp.decodeWire(r) }},
 		{"checkBatchReq8",
 			func(b []byte) ([]byte, error) { return chk.appendWire(b), nil },
 			func(r *wire.Reader) { decChk.decodeWire(r) }},
+		{"checkBatchResp8",
+			func(b []byte) ([]byte, error) { return chkResp.appendWire(b), nil },
+			func(r *wire.Reader) { decChkResp.decodeWire(r) }},
 		{"commitObjBatchReq4",
 			func(b []byte) ([]byte, error) { return com.appendWire(b), nil },
 			func(r *wire.Reader) { decCom.decodeWire(r) }},

@@ -4,9 +4,11 @@
 # broke. `make verify` delegates here.
 #
 # Usage: scripts/ci.sh [stage]
-#   vet    go vet + go build, then the loc figure and the one-driver gate
+#   vet    go vet + go build, then the loc figure and the one-way gates
 #          (outside bench/ and tests, at most one call site each of
-#          stm.NewRuntime and workload.Drive: internal/testbed's)
+#          stm.NewRuntime and workload.Drive: internal/testbed's; in
+#          internal/stm, at most one LocateBatch call and one loop bounded
+#          by maxOwnerHops: ownerWave's)
 #   loc    lines of non-test Go outside bench/ (ROADMAP aim 2's measure)
 #   test   go test with the protocol-package coverage floor
 #   race   full suite under the race detector
@@ -48,18 +50,27 @@ stage_vet() {
 
     stage_loc
 
-    # One cluster assembly and one drive loop outside bench/ (ROADMAP aim 2):
-    # a second call site of either constructor is a second driver.
-    for call in 'stm.NewRuntime(' 'workload.Drive('; do
-        sites=$(nontest_go | xargs grep -nF "$call" || true)
-        n=$(printf '%s' "$sites" | grep -c . || true)
-        echo "== call sites of $call outside bench/ and tests: $n"
-        if [ "$n" -gt 1 ]; then
-            printf '%s\n' "$sites" >&2
-            echo "more than one call site of $call: assemble and drive through internal/testbed" >&2
-            exit 1
-        fi
-    done
+    # One way to do each thing (ROADMAP aim 2). One cluster assembly and one
+    # drive loop outside bench/: a second call site of either constructor is
+    # a second driver. One owner wave in internal/stm: a second directory
+    # lookup or a second hop-bounded loop is a second locate–send–chase loop.
+    nontest_go | one_site 'stm\.NewRuntime\(' 'assemble and drive through internal/testbed'
+    nontest_go | one_site 'workload\.Drive\(' 'assemble and drive through internal/testbed'
+    nontest_go | grep '^\./internal/stm/' | one_site 'LocateBatch\(' 'locate, send and chase through ownerWave'
+    nontest_go | grep '^\./internal/stm/' | one_site 'for .*maxOwnerHops' 'locate, send and chase through ownerWave'
+}
+
+# one_site PATTERN HINT: fails when the extended regexp PATTERN matches more
+# than one line of the Go files named on stdin.
+one_site() {
+    sites=$(xargs grep -nE "$1" || true)
+    n=$(printf '%s' "$sites" | grep -c . || true)
+    echo "== lines matching $1: $n"
+    if [ "$n" -gt 1 ]; then
+        printf '%s\n' "$sites" >&2
+        echo "more than one line matches $1: $2" >&2
+        exit 1
+    fi
 }
 
 # nontest_go lists the non-test Go files outside bench/.
