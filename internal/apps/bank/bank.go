@@ -12,6 +12,7 @@ import (
 
 	"dstm/internal/apps"
 	"dstm/internal/object"
+	"dstm/internal/sched"
 	"dstm/internal/stm"
 )
 
@@ -113,7 +114,7 @@ func (b *Bank) batchTransfer(ctx context.Context, rt *stm.Runtime, rng *rand.Ran
 	const amount = 7
 	return rt.Atomic(ctx, "bank/batch", func(tx *stm.Txn) error {
 		// Every account is picked already: the transfers' retrieves overlap.
-		tx.Prefetch(ctx, accts)
+		tx.Prefetch(ctx, accts, sched.Write)
 		for _, t := range transfers {
 			from, to := AccountID(t[0]), AccountID(t[1])
 			if err := tx.Atomic(ctx, "bank/transfer", func(c *stm.Txn) error {

@@ -13,6 +13,7 @@ import (
 
 	"dstm/internal/apps"
 	"dstm/internal/object"
+	"dstm/internal/sched"
 	"dstm/internal/stm"
 )
 
@@ -119,7 +120,7 @@ func (d *DHT) bucketsOf(keys []string) []object.ID {
 // puts stores each key inside its own nested transaction.
 func (d *DHT) puts(ctx context.Context, rt *stm.Runtime, keys []string, val string) error {
 	return rt.Atomic(ctx, "dht/put", func(tx *stm.Txn) error {
-		tx.Prefetch(ctx, d.bucketsOf(keys))
+		tx.Prefetch(ctx, d.bucketsOf(keys), sched.Read)
 		for _, k := range keys {
 			oid := d.bucketOf(k)
 			key := k
@@ -139,7 +140,7 @@ func (d *DHT) puts(ctx context.Context, rt *stm.Runtime, keys []string, val stri
 // gets looks each key up inside its own nested transaction.
 func (d *DHT) gets(ctx context.Context, rt *stm.Runtime, keys []string) error {
 	return rt.Atomic(ctx, "dht/get", func(tx *stm.Txn) error {
-		tx.Prefetch(ctx, d.bucketsOf(keys))
+		tx.Prefetch(ctx, d.bucketsOf(keys), sched.Read)
 		for _, k := range keys {
 			oid := d.bucketOf(k)
 			key := k

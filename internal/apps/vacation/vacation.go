@@ -14,6 +14,7 @@ import (
 
 	"dstm/internal/apps"
 	"dstm/internal/object"
+	"dstm/internal/sched"
 	"dstm/internal/stm"
 )
 
@@ -207,7 +208,7 @@ func (v *Vacation) MakeReservation(ctx context.Context, rt *stm.Runtime, rng *ra
 	}
 
 	return rt.Atomic(ctx, "vac/reserve", func(tx *stm.Txn) error {
-		tx.Prefetch(ctx, access)
+		tx.Prefetch(ctx, access, sched.Read)
 		var booked []Reservation
 		for i, k := range kinds {
 			kind, off := k, offsets[i]
@@ -275,7 +276,7 @@ func (v *Vacation) CancelCustomer(ctx context.Context, rt *stm.Runtime, cust int
 		for i, r := range resv {
 			held[i] = ResourceID(r.Kind, r.Index)
 		}
-		tx.Prefetch(ctx, held)
+		tx.Prefetch(ctx, held, sched.Read)
 		for _, r := range resv {
 			res := r
 			if err := tx.Atomic(ctx, "vac/cancel/one", func(c *stm.Txn) error {
@@ -315,7 +316,7 @@ func (v *Vacation) updateTables(ctx context.Context, rt *stm.Runtime, rng *rand.
 		access[i] = ResourceID(targets[i].k, targets[i].idx)
 	}
 	return rt.Atomic(ctx, "vac/update", func(tx *stm.Txn) error {
-		tx.Prefetch(ctx, access)
+		tx.Prefetch(ctx, access, sched.Read)
 		for _, tg := range targets {
 			tgt := tg
 			if err := tx.Atomic(ctx, "vac/update/one", func(c *stm.Txn) error {
@@ -339,7 +340,7 @@ func (v *Vacation) query(ctx context.Context, rt *stm.Runtime, rng *rand.Rand) e
 	kind := Kind(v.pick(rng, int(numKinds)))
 	off := v.pick(rng, v.resources)
 	return rt.Atomic(ctx, "vac/query", func(tx *stm.Txn) error {
-		tx.Prefetch(ctx, append(v.window(kind, off), CustomerID(cust)))
+		tx.Prefetch(ctx, append(v.window(kind, off), CustomerID(cust)), sched.Read)
 		if err := tx.Atomic(ctx, "vac/query/cust", func(c *stm.Txn) error {
 			_, err := c.Read(ctx, CustomerID(cust))
 			return err

@@ -1,0 +1,420 @@
+package stm
+
+import (
+	"context"
+	"errors"
+	"sync"
+	"sync/atomic"
+	"testing"
+	"time"
+
+	"dstm/internal/cc"
+	"dstm/internal/core"
+	"dstm/internal/object"
+	"dstm/internal/sched"
+	"dstm/internal/trace"
+	"dstm/internal/trace/check"
+	"dstm/internal/transport"
+)
+
+// These tests pin an announced write set (Prefetch with sched.Write): its
+// retrieve wave commit-locks the objects for the attempt, so the commit
+// neither acquires nor validates them and a held copy is never dropped,
+// revalidated or used up; an announcement that does not lock everywhere is
+// given back before any access waits; and every ending of the attempt
+// releases what it announced and did not publish.
+
+// announceTransfers is the bank's write transaction: announce every account
+// with write intent, then one closed-nested transfer per pair.
+func announceTransfers(ctx context.Context, tx *Txn, pairs ...[2]object.ID) error {
+	var accts []object.ID
+	for _, p := range pairs {
+		accts = append(accts, p[0], p[1])
+	}
+	tx.Prefetch(ctx, accts, sched.Write)
+	for _, p := range pairs {
+		if err := transfer(ctx, tx, p[0], p[1]); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// noLocksLeft fails when any node holds a commit lock on any of oids.
+func noLocksLeft(t *testing.T, tc *testCluster, oids ...object.ID) {
+	t.Helper()
+	for i, rt := range tc.rts {
+		for _, oid := range oids {
+			if rt.Store().Locked(oid) {
+				t.Errorf("%s is still commit-locked at node %d", oid, i)
+			}
+		}
+	}
+}
+
+// TestAnnouncedNestedWriteIsTwoWaves: a bank-shaped batch on node 0 — two
+// transfers over four accounts owned by nodes 1 and 2, owners known — blocks
+// on one retrieve wave, whose two requests carry the lock identity, and one
+// publish wave. Nothing acquires and nothing validates.
+func TestAnnouncedNestedWriteIsTwoWaves(t *testing.T) {
+	tc := newTestCluster(t, 3, nil, nil)
+	ctx := context.Background()
+	place := map[object.ID]int{"a": 1, "b": 1, "c": 2, "d": 2}
+	seed(t, tc, place)
+	wave := map[transport.NodeID]bool{} // the publish wave: old owners ∪ homes
+	for oid, owner := range place {
+		tc.rts[0].Locator().NoteOwner(oid, transport.NodeID(owner))
+		wave[transport.NodeID(owner)] = true
+		if home := cc.HomeOf(oid, 3); home != 0 {
+			wave[home] = true
+		}
+	}
+	var msgs kindCounter
+	var locking atomic.Int64
+	tc.net.SetInterceptor(holdRetrieves(t, 2, holdPublishWave(t, len(wave), func(m *transport.Message) bool {
+		if q, ok := m.Payload.(retrieveReq); ok && q.LockID != 0 {
+			locking.Add(1)
+		}
+		return msgs.intercept(m)
+	})))
+
+	err := tc.rts[0].Atomic(ctx, "bank/batch", func(tx *Txn) error {
+		return announceTransfers(ctx, tx, [2]object.ID{"a", "c"}, [2]object.ID{"b", "d"})
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r, l := msgs.count(KindRetrieve), locking.Load(); r != 2 || l != 2 {
+		t.Fatalf("%d retrieves, %d of them locking; want 2 and 2: one per owner", r, l)
+	}
+	if a, v, lk := msgs.count(KindAcquireBatch), msgs.count(KindCheckVersionBatch), msgs.count(cc.KindLookupBatch); a != 0 || v != 0 || lk != 0 {
+		t.Fatalf("acquire/validate/lookup messages = %d/%d/%d, want 0/0/0", a, v, lk)
+	}
+	m := tc.rts[0].Metrics().Snapshot()
+	if m.RetrieveWaves != 1 || m.CommitRounds != 1 || m.CommitMsgs != uint64(len(wave)) || m.TotalAborts() != 0 {
+		t.Fatalf("retrieve waves %d, commit waves %d with %d messages, aborts %d; want 1, 1 with %d, 0",
+			m.RetrieveWaves, m.CommitRounds, m.CommitMsgs, m.TotalAborts(), len(wave))
+	}
+	for oid, want := range map[object.ID]int64{"a": 11, "b": 11, "c": 21, "d": 21} {
+		if got := readBox(t, tc.rts[0], oid); got != want {
+			t.Fatalf("%s = %d, want %d", oid, got, want)
+		}
+	}
+	noLocksLeft(t, tc, "a", "b", "c", "d")
+}
+
+// TestCrossedAnnouncementsBothCommit: writers on nodes 0 and 3 announce
+// {a, b}, a owned by node 1 and b by node 2, and reach the owners in opposite
+// order — each locks one object and finds the other locked. Neither waits
+// holding its lock: both give back what they locked and continue on the lazy
+// path, so both commit and neither times out in a queue, under RTS with a
+// backoff long enough that a hold-and-wait would.
+func TestCrossedAnnouncementsBothCommit(t *testing.T) {
+	tc := newTestCluster(t, 4, nil, func() sched.Policy { return core.New(core.Options{CLThreshold: 5}) })
+	ctx := context.Background()
+	seed(t, tc, map[object.ID]int{"a": 1, "b": 2})
+	// Writer 0's first announcement reaches node 2 only once node 2 has
+	// answered writer 3's, and writer 3's reaches node 1 only once node 1 has
+	// answered writer 0's; a writer's first release reaches its owner only
+	// once that owner has answered the other writer too.
+	type link struct {
+		kind     transport.Kind
+		from, to transport.NodeID
+	}
+	after := map[link]link{
+		{KindRetrieve, 0, 2}: {KindRetrieve, 2, 3}, {KindRetrieve, 3, 1}: {KindRetrieve, 1, 0},
+		{KindRelease, 3, 2}: {KindRetrieve, 2, 0}, {KindRelease, 0, 1}: {KindRetrieve, 1, 3},
+	}
+	answered := map[link]chan struct{}{}
+	for _, reply := range after {
+		answered[reply] = make(chan struct{})
+	}
+	var first sync.Map
+	var msgs kindCounter
+	tc.net.SetInterceptor(func(m *transport.Message) bool {
+		l := link{m.Kind, m.From, m.To}
+		if _, seen := first.LoadOrStore(l, true); !seen {
+			if ch, ok := answered[l]; ok && m.IsReply {
+				defer close(ch)
+			}
+			if reply, ok := after[l]; ok && !m.IsReply {
+				select {
+				case <-answered[reply]:
+				case <-time.After(2 * time.Second):
+					t.Errorf("the announcements did not cross: %+v waited in vain for %+v", l, reply)
+				}
+			}
+		}
+		return msgs.intercept(m)
+	})
+
+	var wg sync.WaitGroup
+	errs := make([]error, 4)
+	for _, w := range []int{0, 3} {
+		tc.rts[w].Stats().RecordCommit("bank/batch", 500*time.Millisecond)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			errs[w] = tc.rts[w].Atomic(ctx, "bank/batch", func(tx *Txn) error {
+				return announceTransfers(ctx, tx, [2]object.ID{"a", "b"})
+			})
+		}()
+	}
+	wg.Wait()
+	for _, w := range []int{0, 3} {
+		if errs[w] != nil {
+			t.Fatalf("writer %d: %v", w, errs[w])
+		}
+		if m := tc.rts[w].Metrics().Snapshot(); m.Aborts[AbortQueueTimeout] != 0 {
+			t.Fatalf("writer %d timed out in a queue %d times", w, m.Aborts[AbortQueueTimeout])
+		}
+	}
+	if n := msgs.count(KindRelease); n < 2 {
+		t.Fatalf("%d release messages, want at least 2: each writer gives back the object it locked", n)
+	}
+	if a, b := readBox(t, tc.rts[0], "a"), readBox(t, tc.rts[0], "b"); a != 12 || b != 22 {
+		t.Fatalf("a=%d b=%d, want 12/22: both transfers committed", a, b)
+	}
+	noLocksLeft(t, tc, "a", "b")
+}
+
+// TestLockedHeldCopyBehindTheStartIsAdopted: the root on node 0 announces x
+// (node 1), then reads z from node 2, whose clock is far ahead, and forwards
+// its start past the clock x's owner reported. A copy the attempt holds
+// locked cannot have changed, so the inner transaction adopts it — no second
+// retrieve, and no validation message names x. A read-intent copy in the same
+// place is dropped and fetched again.
+func TestLockedHeldCopyBehindTheStartIsAdopted(t *testing.T) {
+	for _, c := range []struct {
+		mode       sched.Mode
+		retrievesX int
+	}{{sched.Write, 1}, {sched.Read, 2}} {
+		t.Run(c.mode.String(), func(t *testing.T) {
+			tc := newTestCluster(t, 3, nil, nil)
+			ctx := context.Background()
+			seed(t, tc, map[object.ID]int{"x": 1, "z": 2})
+			tc.rts[0].Locator().NoteOwner("x", 1)
+			tc.rts[0].Locator().NoteOwner("z", 2)
+			var retrievesX, checksX atomic.Int64
+			tc.net.SetInterceptor(func(m *transport.Message) bool {
+				switch q := m.Payload.(type) {
+				case retrieveReq:
+					if m.To == 1 {
+						retrievesX.Add(1)
+					}
+				case checkBatchReq:
+					for _, e := range q.Entries {
+						if e.Oid == "x" {
+							checksX.Add(1)
+						}
+					}
+				}
+				return true
+			})
+
+			err := tc.rts[0].Atomic(ctx, "root", func(tx *Txn) error {
+				tx.Prefetch(ctx, []object.ID{"x"}, c.mode)
+				awaitPrefetch(tx)
+				behind := tx.root.pre.held["x"].ownerClock
+				for i := 0; i < 20; i++ {
+					tc.rts[2].ep.Clock().Tick()
+				}
+				if _, err := tx.Read(ctx, "z"); err != nil {
+					return err
+				}
+				if tx.start <= behind {
+					t.Fatalf("start %d not forwarded past x's owner clock %d", tx.start, behind)
+				}
+				return tx.Atomic(ctx, "opens x", func(in *Txn) error { return in.Update(ctx, "x", bump) })
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if r, v := retrievesX.Load(), checksX.Load(); r != int64(c.retrievesX) || v != 0 {
+				t.Fatalf("%d retrieves of x, %d validation entries for x; want %d, 0", r, v, c.retrievesX)
+			}
+			if x := readBox(t, tc.rts[0], "x"); x != 11 {
+				t.Fatalf("x=%d, want 11", x)
+			}
+		})
+	}
+}
+
+// TestEveryEndingReleasesTheAnnouncement: the root announces x and y and then
+// ends without committing — a root abort (the retry commits), an application
+// error, a cancelled context. Each leaves no commit lock in any store, and
+// the oracle's batch atomicity (I7: no lock held by an aborted attempt at the
+// end of the trace) holds.
+func TestEveryEndingReleasesTheAnnouncement(t *testing.T) {
+	appErr := errors.New("application says no")
+	for _, c := range []struct {
+		name string
+		end  func(tx *Txn, cancel context.CancelFunc, attempt int) error
+		want error
+	}{
+		{"root abort", func(tx *Txn, _ context.CancelFunc, attempt int) error {
+			if attempt == 1 {
+				return &abortError{target: tx, cause: AbortValidation}
+			}
+			return nil
+		}, nil},
+		{"application error", func(*Txn, context.CancelFunc, int) error { return appErr }, appErr},
+		{"cancelled context", func(_ *Txn, cancel context.CancelFunc, _ int) error {
+			cancel()
+			return context.Canceled
+		}, context.Canceled},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			tc := newTestCluster(t, 3, nil, nil)
+			recs := make([][]trace.Event, 0, 3)
+			var recorders []*trace.Recorder
+			for i, rt := range tc.rts {
+				rec := trace.NewRecorder(transport.NodeID(i), 0, rt.clock.Now)
+				rt.SetTracer(rec)
+				recorders = append(recorders, rec)
+			}
+			seed(t, tc, map[object.ID]int{"x": 1, "y": 2})
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+
+			attempt := 0
+			err := tc.rts[0].Atomic(ctx, "root", func(tx *Txn) error {
+				attempt++
+				tx.Prefetch(ctx, []object.ID{"x", "y"}, sched.Write)
+				awaitPrefetch(tx)
+				if n := len(tx.root.pre.locked); n != 2 {
+					t.Errorf("attempt %d holds %d announced locks, want 2", attempt, n)
+				}
+				return c.end(tx, cancel, attempt)
+			})
+			if !errors.Is(err, c.want) {
+				t.Fatalf("Atomic = %v, want %v", err, c.want)
+			}
+			noLocksLeft(t, tc, "x", "y")
+			for _, rec := range recorders {
+				recs = append(recs, rec.Events())
+			}
+			if err := check.Run(trace.Merge(recs...), check.Options{}).Err(); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+}
+
+// TestInnerRetryRetakesTheLockedCopy: the inner transaction that opens an
+// announced object aborts once. Its retry takes the held copy again — the
+// object is locked for the attempt, so it is still current — and sends no
+// retrieve.
+func TestInnerRetryRetakesTheLockedCopy(t *testing.T) {
+	tc := newTestCluster(t, 2, nil, nil)
+	ctx := context.Background()
+	seed(t, tc, map[object.ID]int{"x": 1})
+	var msgs kindCounter
+	tc.net.SetInterceptor(msgs.intercept)
+
+	runs := 0
+	err := tc.rts[0].Atomic(ctx, "root", func(tx *Txn) error {
+		tx.Prefetch(ctx, []object.ID{"x"}, sched.Write)
+		return tx.Atomic(ctx, "inner", func(c *Txn) error {
+			runs++
+			if err := c.Update(ctx, "x", bump); err != nil {
+				return err
+			}
+			if got := msgs.count(KindRetrieve); got != 1 {
+				t.Errorf("run %d: %d retrieves so far, want 1: the announcement's", runs, got)
+			}
+			if runs == 1 {
+				return &abortError{target: c, cause: AbortValidation}
+			}
+			return nil
+		})
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := tc.rts[0].Metrics().Snapshot()
+	if runs != 2 || m.Retrieves != 1 || m.PrefetchOpened != 2 || m.NestedOwn != 1 || m.TotalAborts() != 0 {
+		t.Fatalf("runs=%d retrieves=%d opened=%d own aborts=%d root aborts=%d, want 2/1/2/1/0",
+			runs, m.Retrieves, m.PrefetchOpened, m.NestedOwn, m.TotalAborts())
+	}
+	if x := readBox(t, tc.rts[0], "x"); x != 11 {
+		t.Fatalf("x=%d, want 11: the aborted run's write is gone", x)
+	}
+}
+
+// TestUnwrittenAnnouncementIsReleasedByTheCommit: the root announces x (node
+// 1), y and z (node 2), writes x, only reads y and never opens z. The commit
+// validates nothing and releases y and z, versions unchanged, with one message
+// in the same wave as the publish.
+func TestUnwrittenAnnouncementIsReleasedByTheCommit(t *testing.T) {
+	tc := newTestCluster(t, 3, nil, nil)
+	ctx := context.Background()
+	seed(t, tc, map[object.ID]int{"x": 1, "y": 2, "z": 2})
+	before := map[object.ID]object.Version{}
+	for _, oid := range []object.ID{"y", "z"} {
+		before[oid], _ = tc.rts[2].Store().Version(oid)
+	}
+	var msgs kindCounter
+	tc.net.SetInterceptor(msgs.intercept)
+
+	err := tc.rts[0].Atomic(ctx, "root", func(tx *Txn) error {
+		tx.Prefetch(ctx, []object.ID{"x", "y", "z"}, sched.Write)
+		return tx.Atomic(ctx, "inner", func(c *Txn) error {
+			if _, err := c.Read(ctx, "y"); err != nil {
+				return err
+			}
+			return c.Update(ctx, "x", bump)
+		})
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a, v, r := msgs.count(KindAcquireBatch), msgs.count(KindCheckVersionBatch), msgs.count(KindRelease); a != 0 || v != 0 || r != 1 {
+		t.Fatalf("acquire/validate/release messages = %d/%d/%d, want 0/0/1", a, v, r)
+	}
+	if m := tc.rts[0].Metrics().Snapshot(); m.CommitRounds != 1 {
+		t.Fatalf("commit took %d waves, want 1: the release rides the publish wave", m.CommitRounds)
+	}
+	for oid, ver := range before {
+		if now, _ := tc.rts[2].Store().Version(oid); now != ver {
+			t.Fatalf("%s version %v after the release, want %v unchanged", oid, now, ver)
+		}
+	}
+	noLocksLeft(t, tc, "x", "y", "z")
+	if x := readBox(t, tc.rts[0], "x"); x != 11 {
+		t.Fatalf("x=%d, want 11", x)
+	}
+}
+
+// TestReleaseFencesALateAnnouncement: an attempt gave up on the reply to its
+// announcement and released, and the release is served first — here before
+// the object has even arrived at the node, so no per-object refusal can be
+// recorded. The announcement served after it locks nothing. The attempt's
+// commit acquire, on its lazy path, is not fenced.
+func TestReleaseFencesALateAnnouncement(t *testing.T) {
+	tc := newTestCluster(t, 2, nil, nil)
+	ctx := context.Background()
+	const lockID = 1<<40 | 77
+	owner := tc.rts[1]
+	if _, err := tc.rts[0].ep.Call(ctx, 1, KindRelease, releaseReq{Oids: []object.ID{"x"}, TxID: lockID}); err != nil {
+		t.Fatal(err)
+	}
+	owner.Store().Install("x", &box{N: 1}, object.Version{Clock: 3, Node: 1}) // the object arrives
+
+	body, err := tc.rts[0].ep.Call(ctx, 1, KindRetrieve, retrieveReq{TxID: 9, Mode: sched.Write, Prefetch: true, LockID: lockID, Oids: []object.ID{"x"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r := body.(retrieveResp); r.Locked || r.Results[0].Status != statusOK || owner.Store().Locked("x") {
+		t.Fatalf("late announcement: locked=%v status=%v store locked=%v; want a plain copy and no lock",
+			r.Locked, r.Results[0].Status, owner.Store().Locked("x"))
+	}
+	body, err = tc.rts[0].ep.Call(ctx, 1, KindAcquireBatch, acquireBatchReq{TxID: lockID,
+		Entries: []verEntry{{Oid: "x", Ver: object.Version{Clock: 3, Node: 1}}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r := body.(acquireBatchResp); !r.Applied || !owner.Store().Locked("x") {
+		t.Fatalf("commit acquire after the release: applied=%v, want the lock", r.Applied)
+	}
+}

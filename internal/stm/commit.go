@@ -4,6 +4,7 @@ import (
 	"cmp"
 	"context"
 	"fmt"
+	"maps"
 	"slices"
 	"time"
 
@@ -59,13 +60,16 @@ func (cm *commitMeter) wave(n int) {
 //
 //  1. commit-lock every written object at its owner (version CAS) — from
 //     this moment retrieve requests for those objects conflict and flow
-//     through the transactional scheduler;
-//  2. validate the read-only set (early validation);
+//     through the transactional scheduler — except the announced write set
+//     (Prefetch with sched.Write), which its retrieve locked already;
+//  2. validate the read-only set (early validation), the announced objects
+//     it holds locked aside;
 //  3. install created objects (locked) and register them with their homes;
 //  4. commit point: tick the local TFA clock, producing the new version;
 //  5. publish every written object: update in place when this node already
 //     owns it, otherwise migrate ownership here (adopting the old owner's
-//     requester queue) with the home directory updated in the same wave;
+//     requester queue) with the home directory updated in the same wave,
+//     which also releases the announced objects the commit did not write;
 //  6. hand freshly committed objects to queued requesters (RTS hand-off).
 //
 // Every phase is owner-grouped: the write and read sets are partitioned by
@@ -83,6 +87,11 @@ func (tx *Txn) commit(ctx context.Context) error {
 	}
 	rt := tx.rt
 
+	var announced map[object.ID]transport.NodeID
+	if tx.pre != nil {
+		announced = tx.pre.locked
+	}
+	held := func(oid object.ID) bool { _, ok := announced[oid]; return ok }
 	var writes, reads, creates []object.ID
 	for oid, e := range tx.entries {
 		switch {
@@ -90,7 +99,7 @@ func (tx *Txn) commit(ctx context.Context) error {
 			creates = append(creates, oid)
 		case e.dirty:
 			writes = append(writes, oid)
-		default:
+		case !held(oid):
 			reads = append(reads, oid)
 		}
 	}
@@ -100,6 +109,7 @@ func (tx *Txn) commit(ctx context.Context) error {
 	// commit costs zero messages; the attempt's data-path read RPCs are
 	// charged to the read-path counters (Metrics.ReadMsgs).
 	if len(writes) == 0 && len(creates) == 0 {
+		tx.releaseLocks(ctx, announced)
 		rt.metrics.readOnlyCommits.Add(1)
 		rt.metrics.readMsgs.Add(tx.readRPCs.Load())
 		return nil
@@ -110,16 +120,25 @@ func (tx *Txn) commit(ctx context.Context) error {
 
 	var meter commitMeter
 
-	// Phase 1: lock the write set at the owners, one batch per owner.
+	// Phase 1: lock the rest of the write set at the owners, one batch per
+	// owner.
 	//
 	// Lock release and post-commit publishing must complete even when the
 	// transaction's own context has just been cancelled — otherwise a
 	// worker shut down mid-commit leaves orphaned commit locks (or a
 	// half-published write set) behind. Run them on a detached context.
-	locked := make(map[object.ID]transport.NodeID, len(writes))
-	abortUnlock := func() { tx.releaseLocks(detach(ctx), locked) }
+	locked := make(map[object.ID]transport.NodeID, len(writes)+len(announced))
+	maps.Copy(locked, announced)
+	abortUnlock := func() { tx.releaseLocks(ctx, locked) }
+	acquire, unwritten := writes, maps.Clone(announced)
+	if len(announced) > 0 {
+		acquire = slices.DeleteFunc(slices.Clone(writes), held)
+		for _, oid := range writes {
+			delete(unwritten, oid)
+		}
+	}
 
-	if err := tx.acquireAll(ctx, writes, locked, &meter); err != nil {
+	if err := tx.acquireAll(ctx, acquire, locked, &meter); err != nil {
 		abortUnlock()
 		return err
 	}
@@ -166,7 +185,7 @@ func (tx *Txn) commit(ctx context.Context) error {
 
 	// Phase 5+6: publish writes and serve queued requesters. Past the
 	// commit point cancellation must not interrupt publication.
-	if err := tx.publishAll(detach(ctx), writes, locked, newVer, &meter); err != nil {
+	if err := tx.publishAll(detach(ctx), writes, locked, unwritten, newVer, &meter); err != nil {
 		return err
 	}
 	for _, oid := range creates {
@@ -231,9 +250,22 @@ func (tx *Txn) acquireAll(ctx context.Context, writes []object.ID, locked map[ob
 	return tx.convertErr(ctx, err, AbortLockFailed)
 }
 
-// releaseLocks sends every owner in locked one unlock for what it holds,
-// after a failed commit.
+// releaseLocks sends every owner in locked one unlock for what it holds, in
+// one wave: after a failed commit, or for an announcement the attempt does
+// not publish. It runs detached from ctx, so a cancelled attempt still
+// releases.
 func (tx *Txn) releaseLocks(ctx context.Context, locked map[object.ID]transport.NodeID) {
+	if calls := tx.releaseCalls(locked); len(calls) > 0 {
+		// Best effort; the locks die with the runtime if the peer is gone.
+		tx.rt.ep.Broadcast(detach(ctx), calls)
+	}
+}
+
+// releaseCalls is one KindRelease per owner in locked, for what it holds.
+func (tx *Txn) releaseCalls(locked map[object.ID]transport.NodeID) []cluster.Outcall {
+	if len(locked) == 0 {
+		return nil
+	}
 	oids := make([]object.ID, 0, len(locked))
 	for oid := range locked {
 		oids = append(oids, oid)
@@ -244,8 +276,7 @@ func (tx *Txn) releaseLocks(ctx context.Context, locked map[object.ID]transport.
 	for i, g := range groups {
 		calls[i] = cluster.Outcall{To: g.owner, Kind: KindRelease, Payload: releaseReq{Oids: g.oids, TxID: tx.lockID}}
 	}
-	// Best effort; the locks die with the runtime if the peer is gone.
-	tx.rt.ep.Broadcast(ctx, calls)
+	return calls
 }
 
 // publishAll installs the committed write set at its new home (this node) in
@@ -256,11 +287,10 @@ func (tx *Txn) releaseLocks(ctx context.Context, locked map[object.ID]transport.
 // of the wave has answered: a later migration's directory update cannot
 // overtake this one. Locally owned writes update in place and cost no
 // messages. A refused entry goes to refused; its published siblings stay
-// published (the paper's model: reliable delivery).
-func (tx *Txn) publishAll(ctx context.Context, writes []object.ID, locked map[object.ID]transport.NodeID, newVer object.Version, meter *commitMeter) error {
-	if len(writes) == 0 {
-		return nil
-	}
+// published (the paper's model: reliable delivery). The announced objects the
+// commit did not write (unwritten) are released, unchanged, in the same wave.
+func (tx *Txn) publishAll(ctx context.Context, writes []object.ID, locked, unwritten map[object.ID]transport.NodeID,
+	newVer object.Version, meter *commitMeter) error {
 	rt := tx.rt
 
 	var pubErr error
@@ -287,16 +317,21 @@ func (tx *Txn) publishAll(ctx context.Context, writes []object.ID, locked map[ob
 		}
 	}
 
-	if len(moving) > 0 {
-		calls := make([]cluster.Outcall, 0, len(surrender))
-		for node, oids := range surrender {
-			calls = append(calls, cluster.Outcall{To: node, Kind: KindCommitObjectBatch,
-				Payload: commitObjBatchReq{TxID: tx.lockID, NewOwner: rt.Self(), Oids: oids, Moved: moving}})
-		}
-		slices.SortFunc(calls, func(a, b cluster.Outcall) int { return cmp.Compare(a.To, b.To) })
-		results := rt.ep.Broadcast(ctx, calls)
+	calls := make([]cluster.Outcall, 0, len(surrender))
+	for node, oids := range surrender {
+		calls = append(calls, cluster.Outcall{To: node, Kind: KindCommitObjectBatch,
+			Payload: commitObjBatchReq{TxID: tx.lockID, NewOwner: rt.Self(), Oids: oids, Moved: moving}})
+	}
+	slices.SortFunc(calls, func(a, b cluster.Outcall) int { return cmp.Compare(a.To, b.To) })
+	published := len(calls)
+	calls = append(calls, tx.releaseCalls(unwritten)...)
+	var results []cluster.CallResult
+	if len(calls) > 0 {
+		results = rt.ep.Broadcast(ctx, calls)[:published]
 		meter.wave(len(calls))
+	}
 
+	if len(moving) > 0 {
 		var migrated []object.ID
 		dirOK := true
 		for ci, res := range results {

@@ -572,6 +572,115 @@ func TestRetrieveReplyIsAConsistentCut(t *testing.T) {
 	}
 }
 
+// midHandOff is a scheduler policy that, once armed, runs between from inside
+// the first observation of object on: where serveQueue has taken the copy it
+// hands off and not yet read the clock.
+type midHandOff struct {
+	sched.Policy
+	on      object.ID
+	armed   atomic.Bool
+	between func()
+}
+
+func (p *midHandOff) ObserveRequest(oid object.ID, txid uint64) int {
+	if oid == p.on && p.armed.CompareAndSwap(true, false) {
+		p.between()
+	}
+	return p.Policy.ObserveRequest(oid, txid)
+}
+
+// TestHandOffPushIsAConsistentCut: node 2's audit reads t/a, which is
+// commit-locked at node 0, parks, and is handed t/a when the lock goes; then
+// it reads t/b. Between the copy the hand-off took and the clock it reads,
+// either a local transfer a→b commits — a push of the old a at a clock covering
+// the commit would be adopted unvalidated, and the read-only audit would
+// commit a sum of 101 — or another transaction locks t/a, and the parked
+// audit goes back to the head of the queue for that lock's holder to serve.
+func TestHandOffPushIsAConsistentCut(t *testing.T) {
+	cases := []struct {
+		name    string
+		between func(tc *testCluster) error
+		requeue bool
+	}{
+		{name: "commit in between", between: func(tc *testCluster) error {
+			return move(context.Background(), tc.rts[0], "t/a", "t/b")
+		}},
+		{name: "lock in between", requeue: true, between: func(tc *testCluster) error {
+			ver, _ := tc.rts[0].Store().Version("t/a")
+			if r := tc.rts[0].Store().Lock("t/a", fakeValidator+1, ver); r != object.LockOK {
+				return fmt.Errorf("lock: %v", r)
+			}
+			return nil
+		}},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			ctx := context.Background()
+			var tc *testCluster
+			var betweenErr error
+			var hook *midHandOff
+			rts := core.New(core.Options{CLThreshold: 5})
+			node := 0
+			tc = newTestCluster(t, 3, nil, func() sched.Policy {
+				node++
+				if node-1 != 0 {
+					return sched.NewTFA()
+				}
+				hook = &midHandOff{Policy: rts, on: "t/a", between: func() { betweenErr = c.between(tc) }}
+				return hook
+			})
+			for oid, n := range map[object.ID]int64{"t/a": 100, "t/b": 0} {
+				if err := tc.rts[0].CreateRoot(ctx, oid, &box{N: n}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			tc.rts[2].Stats().RecordCommit("audit", 500*time.Millisecond) // a comfortable backoff
+			lockObject(t, tc.rts[0], "t/a")
+
+			type view struct{ a, b int64 }
+			done := make(chan view, 1)
+			go func() {
+				var v view
+				err := tc.rts[2].Atomic(ctx, "audit", func(tx *Txn) error {
+					va, err := tx.Read(ctx, "t/a")
+					if err != nil {
+						return err
+					}
+					vb, err := tx.Read(ctx, "t/b")
+					if err != nil {
+						return err
+					}
+					v = view{va.(*box).N, vb.(*box).N}
+					return nil
+				})
+				if err != nil {
+					t.Error(err)
+				}
+				done <- v
+			}()
+			waitFor(t, func() bool { return rts.QueueLen("t/a") == 1 })
+			hook.armed.Store(true)
+			unlockAndServe(tc.rts[0], "t/a")
+			if betweenErr != nil {
+				t.Fatal(betweenErr)
+			}
+			if c.requeue {
+				if q := rts.QueueLen("t/a"); q != 1 {
+					t.Fatalf("queue holds %d requesters after a hand-off that met a lock, want the audit back at its head", q)
+				}
+				tc.rts[0].Store().Unlock("t/a", fakeValidator+1)
+				tc.rts[0].serveQueue("t/a", rts.OnRelease("t/a"))
+			}
+			if v := <-done; v.a+v.b != 100 {
+				t.Fatalf("audit committed a=%d b=%d (sum %d), want sum 100", v.a, v.b, v.a+v.b)
+			}
+			if m := tc.rts[2].Metrics().Snapshot(); m.Pushes != 1 {
+				t.Fatalf("pushes = %d, want 1", m.Pushes)
+			}
+		})
+	}
+}
+
 // TestROSnapshotConsistencyUnderWriters is the end-to-end guard for the
 // same property: writers on two nodes keep moving value between two objects
 // (conserving the sum, and dragging both objects back and forth) while a

@@ -46,7 +46,7 @@ func TestPrefetchIsOneHeldWave(t *testing.T) {
 	tc.net.SetInterceptor(holdRetrieves(t, 3, msgs.intercept))
 
 	err := tc.rts[0].Atomic(ctx, "batch", func(tx *Txn) error {
-		tx.Prefetch(ctx, []object.ID{"a", "c", "b", "d", "a"})
+		tx.Prefetch(ctx, []object.ID{"a", "c", "b", "d", "a"}, sched.Read)
 		awaitPrefetch(tx)
 		if got := msgs.count(KindRetrieve); got != 3 {
 			t.Errorf("the prefetch sent %d retrieves, want 3: one per owner", got)
@@ -84,8 +84,8 @@ func TestPrefetchBatchesShareTheHeldSet(t *testing.T) {
 	tc.net.SetInterceptor(holdRetrieves(t, 3, msgs.intercept))
 
 	err := tc.rts[0].Atomic(ctx, "batch", func(tx *Txn) error {
-		tx.Prefetch(ctx, []object.ID{"a", "b"})
-		tx.Prefetch(ctx, []object.ID{"c", "d"})
+		tx.Prefetch(ctx, []object.ID{"a", "b"}, sched.Read)
+		tx.Prefetch(ctx, []object.ID{"c", "d"}, sched.Read)
 		if err := transfer(ctx, tx, "a", "c"); err != nil {
 			return err
 		}
@@ -112,7 +112,7 @@ func TestStalePrefetchedCopyAbortsTheInnerTransactionOnly(t *testing.T) {
 	rootRuns, innerRuns := 0, 0
 	err := tc.rts[0].Atomic(ctx, "root", func(tx *Txn) error {
 		rootRuns++
-		tx.Prefetch(ctx, []object.ID{"x"})
+		tx.Prefetch(ctx, []object.ID{"x"}, sched.Read)
 		awaitPrefetch(tx)
 		if err := tc.rts[2].Atomic(ctx, "w", func(w *Txn) error { return w.Write(ctx, "x", &box{N: 50}) }); err != nil {
 			return err
@@ -176,7 +176,7 @@ func TestPrefetchLeavesALockedObjectAlone(t *testing.T) {
 	done := make(chan error, 1)
 	go func() {
 		done <- tc.rts[0].Atomic(ctx, "root", func(tx *Txn) error {
-			tx.Prefetch(ctx, []object.ID{"y"})
+			tx.Prefetch(ctx, []object.ID{"y"}, sched.Read)
 			awaitPrefetch(tx)
 			if o, c, q, h := owner.observed.Load(), owner.conflicts.Load(), rts.QueueLen("y"), len(tx.pre.held); o != 0 || c != 0 || q != 0 || h != 0 {
 				t.Errorf("prefetch of a locked object: observed %d, conflicts %d, queued %d, held %d; want none", o, c, q, h)
@@ -210,7 +210,7 @@ func TestUnopenedPrefetchCostsTheCommitNothing(t *testing.T) {
 		tc.net.SetInterceptor(msgs.intercept)
 		err := tc.rts[0].Atomic(ctx, "root", func(tx *Txn) error {
 			if prefetch {
-				tx.Prefetch(ctx, []object.ID{"u", "v"})
+				tx.Prefetch(ctx, []object.ID{"u", "v"}, sched.Read)
 				awaitPrefetch(tx)
 			}
 			return tx.Update(ctx, "w", bump)
@@ -234,7 +234,7 @@ func TestUnopenedPrefetchCostsTheCommitNothing(t *testing.T) {
 	ctx := context.Background()
 	seed(t, tc, map[object.ID]int{"u": 1, "v": 2})
 	if err := tc.rts[0].Atomic(ctx, "ro", func(tx *Txn) error {
-		tx.Prefetch(ctx, []object.ID{"u", "v"})
+		tx.Prefetch(ctx, []object.ID{"u", "v"}, sched.Read)
 		_, err := tx.Read(ctx, "u")
 		return err
 	}); err != nil {
@@ -256,7 +256,7 @@ func TestInnerRetryRefetches(t *testing.T) {
 
 	runs := 0
 	err := tc.rts[0].Atomic(ctx, "root", func(tx *Txn) error {
-		tx.Prefetch(ctx, []object.ID{"x"})
+		tx.Prefetch(ctx, []object.ID{"x"}, sched.Read)
 		return tx.Atomic(ctx, "inner", func(c *Txn) error {
 			runs++
 			if _, err := c.Read(ctx, "x"); err != nil {
@@ -299,7 +299,7 @@ func TestEndingTheAttemptCancelsThePrefetch(t *testing.T) {
 	var batch *prefetch
 	began := time.Now()
 	err := tc.rts[0].Atomic(ctx, "root", func(tx *Txn) error {
-		tx.Prefetch(ctx, []object.ID{"x"})
+		tx.Prefetch(ctx, []object.ID{"x"}, sched.Read)
 		batch = tx.pre
 		<-sent
 		return nil

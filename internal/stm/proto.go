@@ -43,7 +43,10 @@ const (
 // ETS.c−ETS.r), and every object the transaction wants from that node (a
 // Read or Write asks for one). The owner takes the scheduling decision per
 // object — except that a Prefetch request's commit-locked objects are
-// answered statusDenied with nothing observed, scheduled or queued.
+// answered statusDenied with nothing observed, scheduled or queued. A
+// nonzero LockID is a write set announced with write intent: the owner first
+// tries to commit-lock every entry it holds for LockID, all or nothing
+// (Runtime.lockAnnounced).
 type retrieveReq struct {
 	TxID     uint64
 	Mode     sched.Mode
@@ -51,6 +54,7 @@ type retrieveReq struct {
 	Elapsed  time.Duration
 	Remain   time.Duration
 	Prefetch bool
+	LockID   uint64
 	Oids     []object.ID
 }
 
@@ -73,10 +77,12 @@ type retrieveResult struct {
 
 // retrieveResp answers a retrieve. OwnerClock is the owner's TFA clock for
 // the forwarding check; every statusOK copy is current as of it (see
-// handleRetrieve).
+// handleRetrieve). Locked reports that every statusOK copy is commit-locked
+// for the request's LockID; when false, no entry was locked.
 type retrieveResp struct {
 	Results    []retrieveResult
 	OwnerClock uint64
+	Locked     bool
 }
 
 // status is one entry's answer in a reply of an owner wave (retrieve,
@@ -116,7 +122,9 @@ type answer struct {
 	MovedTo transport.NodeID
 }
 
-// releaseReq unlocks objects after a failed commit.
+// releaseReq unlocks objects after a failed commit, after an announcement
+// that did not lock everywhere, or, with the publish wave, announced objects
+// the commit did not write.
 type releaseReq struct {
 	Oids []object.ID
 	TxID uint64

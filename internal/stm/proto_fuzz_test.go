@@ -58,15 +58,18 @@ func roundTrip(t *testing.T, payload any) any {
 // survive: a corrupted Elapsed or Backoff would silently skew the RTS
 // scheduling decision at the owner, a shifted Results slice would hand the
 // requester the wrong object under the right key, and a corrupted MovedTo
-// would send the next hop to the wrong node.
+// would send the next hop to the wrong node. A lost LockID would leave an
+// announced write set unlocked, and a flipped Locked would make the
+// requester trust copies nobody locked.
 func FuzzRetrieveRoundTrip(f *testing.F) {
-	f.Add("obj/a", "obj/b", uint64(1), uint8(1), 3, int64(5e6), int64(2e6), uint8(0), uint8(2), int64(7e6), uint64(9), int32(1), int64(11), int32(2), false)
-	f.Add("", "x", uint64(0), uint8(0), -1, int64(-1), int64(0), uint8(4), uint8(3), int64(1)<<62, ^uint64(0), int32(-2), int64(0), int32(-1), true)
+	f.Add("obj/a", "obj/b", uint64(1), uint8(1), 3, int64(5e6), int64(2e6), uint8(0), uint8(2), int64(7e6), uint64(9), int32(1), int64(11), int32(2), false, uint64(0), false)
+	f.Add("", "x", uint64(0), uint8(0), -1, int64(-1), int64(0), uint8(4), uint8(3), int64(1)<<62, ^uint64(0), int32(-2), int64(0), int32(-1), true, uint64(1)<<41|7, true)
 	f.Fuzz(func(t *testing.T, oidA, oidB string, tx uint64, mode uint8, myCL int, elapsed, remain int64,
-		statusA, statusB uint8, backoff int64, ownClock uint64, vnode int32, val int64, movedTo int32, prefetch bool) {
+		statusA, statusB uint8, backoff int64, ownClock uint64, vnode int32, val int64, movedTo int32, prefetch bool,
+		lockID uint64, locked bool) {
 		req := retrieveReq{
 			TxID: tx, Mode: sched.Mode(mode), MyCL: myCL,
-			Elapsed: time.Duration(elapsed), Remain: time.Duration(remain), Prefetch: prefetch,
+			Elapsed: time.Duration(elapsed), Remain: time.Duration(remain), Prefetch: prefetch, LockID: lockID,
 			Oids: []object.ID{object.ID(oidA), object.ID(oidB)},
 		}
 		if got := roundTrip(t, req).(retrieveReq); !reflect.DeepEqual(got, req) {
@@ -80,6 +83,7 @@ func FuzzRetrieveRoundTrip(f *testing.F) {
 					Backoff: time.Duration(backoff), MovedTo: transport.NodeID(movedTo)},
 			},
 			OwnerClock: ownClock,
+			Locked:     locked,
 		}
 		if got := roundTrip(t, resp).(retrieveResp); !reflect.DeepEqual(got, resp) {
 			t.Fatalf("retrieveResp changed: %+v -> %+v", resp, got)

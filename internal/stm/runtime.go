@@ -47,6 +47,16 @@ type Runtime struct {
 	migrMu   sync.Mutex
 	migrated map[object.ID]migration
 
+	// released fences announcements against releases that overtake them: the
+	// requester releases a batch whose reply it gave up on, and that release
+	// can be served here before the request — even before the object arrives
+	// here, when no per-object refusal can be recorded. Once an attempt's
+	// lock identity has released here, lockAnnounced locks nothing for it.
+	// annMu makes the fence check and the lock one step against a release.
+	annMu        sync.Mutex
+	released     map[uint64]bool
+	releasedFIFO []uint64
+
 	nesting NestingMode
 	tracer  *trace.Recorder
 }
@@ -102,6 +112,7 @@ func NewRuntime(ep *cluster.Endpoint, size int, policy sched.Policy, st *stats.T
 		metrics:  &Metrics{},
 		waiters:  make(map[waitKey]chan pushMsg),
 		migrated: make(map[object.ID]migration),
+		released: make(map[uint64]bool),
 	}
 	ep.Handle(KindRetrieve, rt.handleRetrieve)
 	ep.Handle(KindRelease, rt.handleRelease)
@@ -205,6 +216,9 @@ func (rt *Runtime) handleRetrieve(from transport.NodeID, payload any) (any, erro
 		return nil, fmt.Errorf("stm: bad retrieve payload %T", payload)
 	}
 	resp := retrieveResp{Results: make([]retrieveResult, len(req.Oids))}
+	if req.LockID != 0 && rt.lockAnnounced(&req, &resp) {
+		return resp, nil
+	}
 	for i, oid := range req.Oids {
 		resp.Results[i] = rt.retrieveOne(from, &req, oid)
 	}
@@ -231,6 +245,44 @@ func (rt *Runtime) handleRetrieve(from transport.NodeID, payload any) (any, erro
 			return resp, nil
 		}
 	}
+}
+
+// lockAnnounced serves a write set announced with write intent: it
+// commit-locks, for req.LockID, every entry this node holds at the version
+// it copies, all or nothing (commitLock), and answers those copies with
+// Locked set and the rest with the "not here" answer. A locked copy is
+// trivially a consistent cut: nothing can commit it until the lock holder
+// does. When any entry cannot be locked — another transaction holds it, or a
+// commit got to it between the copy and the lock — nothing is locked and it
+// reports false; the request is then served as a plain prefetch.
+func (rt *Runtime) lockAnnounced(req *retrieveReq, resp *retrieveResp) bool {
+	entries := make([]object.LockEntry, 0, len(req.Oids))
+	for i, oid := range req.Oids {
+		val, ver, _, owned := rt.store.Snapshot(oid)
+		if !owned {
+			a := rt.notHere(oid)
+			resp.Results[i] = retrieveResult{Status: a.Status, MovedTo: a.MovedTo}
+			continue
+		}
+		resp.Results[i] = retrieveResult{Status: statusOK, Value: val, Version: ver}
+		entries = append(entries, object.LockEntry{ID: oid, Expect: ver})
+	}
+	rt.annMu.Lock()
+	applied := !rt.released[req.LockID]
+	if applied {
+		_, applied = rt.commitLock(req.LockID, entries)
+	}
+	rt.annMu.Unlock()
+	if !applied {
+		return false
+	}
+	for i, oid := range req.Oids {
+		if r := &resp.Results[i]; r.Status == statusOK {
+			r.RemoteCL = rt.policy.ObserveRequest(oid, req.TxID)
+		}
+	}
+	resp.OwnerClock, resp.Locked = rt.clock.Now(), true
+	return true
 }
 
 // retrieveOne serves one object of a retrieve: the current copy, or — when
@@ -288,8 +340,20 @@ func (rt *Runtime) handleRelease(_ transport.NodeID, payload any) (any, error) {
 	if !ok {
 		return nil, fmt.Errorf("stm: bad release payload %T", payload)
 	}
+	rt.annMu.Lock()
+	if !rt.released[req.TxID] {
+		rt.released[req.TxID] = true
+		rt.releasedFIFO = append(rt.releasedFIFO, req.TxID)
+		if len(rt.releasedFIFO) > releasedCap {
+			delete(rt.released, rt.releasedFIFO[0])
+			rt.releasedFIFO = rt.releasedFIFO[1:]
+		}
+	}
 	for _, oid := range req.Oids {
 		rt.store.Unlock(oid, req.TxID)
+	}
+	rt.annMu.Unlock()
+	for _, oid := range req.Oids {
 		// The commit failed, so the object stays here unchanged; hand the
 		// current value to any queued requesters — unless the object is
 		// (still) locked by someone else (e.g. this was a conservative
@@ -300,6 +364,11 @@ func (rt *Runtime) handleRelease(_ transport.NodeID, payload any) (any, error) {
 	}
 	return releaseReq{}, nil
 }
+
+// releasedCap bounds Runtime.released: a release and the request it overtook
+// are sent a moment apart, so a fence that outlives thousands of later
+// releases has long done its work.
+const releasedCap = 4096
 
 // migrateOut surrenders one object to the committing transaction tx, which
 // runs on node to: ownership migrates to the committer, so drop the local
@@ -340,21 +409,32 @@ func (rt *Runtime) handleAcquireBatch(_ transport.NodeID, payload any) (any, err
 	for i, e := range req.Entries {
 		entries[i] = object.LockEntry{ID: e.Oid, Expect: e.Ver}
 	}
-	results, applied := rt.store.LockBatch(req.TxID, entries)
-	resp := acquireBatchResp{Results: make([]answer, len(results)), Applied: applied}
+	var resp acquireBatchResp
+	resp.Results, resp.Applied = rt.commitLock(req.TxID, entries)
+	return resp, nil
+}
+
+// commitLock is the one owner-side commit-lock step, shared by an acquire
+// batch and an announced write set: it locks every entry for tx at its
+// expected version as one atomic step (Store.LockBatch) and answers each —
+// statusOK, statusStale, statusBusy or the "not here" answer. applied
+// reports whether the locks were taken; when false, none was.
+func (rt *Runtime) commitLock(tx uint64, entries []object.LockEntry) ([]answer, bool) {
+	results, applied := rt.store.LockBatch(tx, entries)
+	answers := make([]answer, len(results))
 	for i, r := range results {
 		switch r {
 		case object.LockOK:
-			resp.Results[i] = answer{Status: statusOK}
+			answers[i] = answer{Status: statusOK}
 		case object.LockStale:
-			resp.Results[i] = answer{Status: statusStale}
+			answers[i] = answer{Status: statusStale}
 		case object.LockNotOwner:
-			resp.Results[i] = rt.notHere(entries[i].ID)
+			answers[i] = rt.notHere(entries[i].ID)
 		default:
-			resp.Results[i] = answer{Status: statusBusy}
+			answers[i] = answer{Status: statusBusy}
 		}
 	}
-	return resp, nil
+	return answers, applied
 }
 
 func (rt *Runtime) handleCheckVersionBatch(_ transport.NodeID, payload any) (any, error) {
@@ -401,33 +481,50 @@ func (rt *Runtime) handleCommitObjectBatch(_ transport.NodeID, payload any) (any
 	return resp, nil
 }
 
-// serveQueue pushes the current (or given) object state to the requesters
-// popped from the scheduler queue.
+// serveQueue pushes the object's current state to the requesters popped from
+// the scheduler queue. The push is a consistent cut, as a retrieve reply is
+// (handleRetrieve): the clock is read after the copy was taken, and the copy
+// is then confirmed still current and unlocked, or taken again. An object a
+// commit has locked in between goes to that commit: the requesters go back to
+// the head of the queue, and the lock holder's publish or release serves them.
 func (rt *Runtime) serveQueue(oid object.ID, reqs []sched.Request) {
 	if len(reqs) == 0 {
 		return
 	}
-	val, ver, _, owned := rt.store.Snapshot(oid)
+	val, ver, locked, owned := rt.store.Snapshot(oid)
 	if !owned {
 		return
 	}
-	for _, r := range reqs {
-		rt.pushTo(r, val.Copy(), ver)
+	cls := make([]int, len(reqs))
+	for i, r := range reqs {
+		cls[i] = rt.policy.ObserveRequest(r.Oid, r.TxID)
 	}
-}
-
-// pushTo hands one object copy to a parked requester.
-func (rt *Runtime) pushTo(r sched.Request, val object.Value, ver object.Version) {
-	remoteCL := rt.policy.ObserveRequest(r.Oid, r.TxID)
-	_ = rt.ep.Notify(r.Node, KindPush, pushMsg{
-		Oid:        r.Oid,
-		TxID:       r.TxID,
-		Value:      val,
-		Version:    ver,
-		Owner:      rt.Self(),
-		OwnerClock: rt.clock.Now(),
-		RemoteCL:   remoteCL,
-	})
+	var clock uint64
+	for {
+		if !owned {
+			return
+		}
+		if locked {
+			rt.policy.AdoptQueue(oid, reqs)
+			return
+		}
+		clock = rt.clock.Now()
+		if now, lockedBy, ok := rt.store.State(oid); ok && lockedBy == 0 && now.Equal(ver) {
+			break
+		}
+		val, ver, locked, owned = rt.store.Snapshot(oid)
+	}
+	for i, r := range reqs {
+		_ = rt.ep.Notify(r.Node, KindPush, pushMsg{
+			Oid:        r.Oid,
+			TxID:       r.TxID,
+			Value:      val.Copy(),
+			Version:    ver,
+			Owner:      rt.Self(),
+			OwnerClock: clock,
+			RemoteCL:   cls[i],
+		})
+	}
 }
 
 // handlePush delivers a pushed object to the parked transaction, or

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"maps"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -110,6 +111,11 @@ func (rt *Runtime) Atomic(ctx context.Context, name string, fn func(tx *Txn) err
 		if p := tx.pre; p != nil { // a prefetch ends with the attempt
 			p.cancel()
 			p.wg.Wait()
+			if err != nil {
+				// An abort, an application error or a cancelled context: what
+				// the attempt announced is released before the abort is told.
+				tx.releaseLocks(ctx, p.locked)
+			}
 		}
 		if err == nil {
 			err = tx.commit(ctx)
@@ -379,8 +385,12 @@ type prefetch struct {
 	ctx    context.Context
 	cancel context.CancelFunc
 	wg     sync.WaitGroup // the batches in flight
-	mu     sync.Mutex     // guards held while they are
+	mu     sync.Mutex     // guards held and locked while they are
 	held   map[object.ID]fetched
+	// locked is the announced write set the attempt holds commit-locked, by
+	// owner: its held copies cannot change until the attempt publishes or
+	// releases them.
+	locked map[object.ID]transport.NodeID
 }
 
 // Prefetch announces objects the transaction — usually its inner
@@ -389,37 +399,74 @@ type prefetch struct {
 // effort: fetchMany's waves go out in the background and the root holds the
 // copies outside every read set. The level that opens an object adopts the
 // held copy as if its reply had just arrived: forwarding, abort attribution
-// and partial abort happen then, at that level. An owner leaves a commit-locked
-// object alone (the transaction's own request will meet that conflict).
-func (tx *Txn) Prefetch(ctx context.Context, oids []object.ID) {
+// and partial abort happen then, at that level. With sched.Read an owner
+// leaves a commit-locked object alone (the transaction's own request will
+// meet that conflict).
+//
+// With sched.Write the objects are the root's write set, announced once,
+// before any access: each owner commit-locks the ones it holds for the
+// attempt, all or nothing, so the commit neither acquires nor validates them
+// and a held copy is never dropped, revalidated or used up. When any owner
+// could not lock its batch, the batches that did lock are released before
+// any access proceeds, and the copies are plain held copies.
+func (tx *Txn) Prefetch(ctx context.Context, oids []object.ID, mode sched.Mode) {
 	want := tx.unopened(oids)
 	if len(want) == 0 {
 		return
 	}
 	root, p := tx.root, tx.root.pre
 	if p == nil {
-		p = &prefetch{held: make(map[object.ID]fetched)}
+		p = &prefetch{held: make(map[object.ID]fetched), locked: make(map[object.ID]transport.NodeID)}
 		p.ctx, p.cancel = context.WithCancel(ctx)
 		root.pre = p
+	}
+	var locked map[object.ID]transport.NodeID
+	if mode == sched.Write {
+		// A second announcement must not release what an earlier one locked.
+		p.wg.Wait()
+		want = slices.DeleteFunc(want, func(oid object.ID) bool { _, ok := p.locked[oid]; return ok })
+		locked = make(map[object.ID]transport.NodeID, len(want))
 	}
 	myCL := tx.myCL()
 	p.wg.Add(1)
 	go func() {
 		defer p.wg.Done()
-		got, _, _ := root.retrieveWaves(p.ctx, want, sched.Read, myCL, true)
+		got, _, err := root.retrieveWaves(p.ctx, want, mode, myCL, true, locked)
+		if len(locked) > 0 && (err != nil || len(locked) < len(want)) {
+			// No transaction holds a lock while it waits: an announcement
+			// that did not lock everywhere gives back what it did lock.
+			root.releaseLocks(p.ctx, locked)
+			clear(locked)
+		}
 		root.rt.metrics.prefetched.Add(uint64(len(got)))
 		p.mu.Lock()
 		for _, f := range got {
 			p.held[f.oid] = f
 		}
+		maps.Copy(p.locked, locked)
 		p.mu.Unlock()
 	}()
 }
 
+// holdsLock reports whether the attempt holds oid commit-locked since
+// announcing it (Prefetch with sched.Write).
+func (tx *Txn) holdsLock(oid object.ID) bool {
+	p := tx.root.pre
+	if p == nil {
+		return false
+	}
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	_, ok := p.locked[oid]
+	return ok
+}
+
 // takeHeld waits for the root's prefetch batches in flight and splits oids
-// into copies held — taken, so a retry of the level refetches — and objects
-// still to fetch. A copy current only as of a clock behind the transaction's
-// start cannot join unvalidated (adoptFetched) and is dropped.
+// into copies held and objects still to fetch. A copy is taken, so a retry
+// of the level refetches, and one current only as of a clock behind the
+// transaction's start cannot join unvalidated (adoptFetched) and is dropped
+// — unless the attempt holds it locked: then it cannot have changed, and it
+// stays held for a retry to take again.
 func (tx *Txn) takeHeld(oids []object.ID) (got []fetched, rest []object.ID) {
 	p := tx.root.pre
 	if p == nil {
@@ -428,6 +475,10 @@ func (tx *Txn) takeHeld(oids []object.ID) (got []fetched, rest []object.ID) {
 	p.wg.Wait()
 	for _, oid := range oids {
 		f, ok := p.held[oid]
+		if _, locked := p.locked[oid]; ok && locked {
+			got = append(got, f)
+			continue
+		}
 		delete(p.held, oid)
 		if ok && f.ownerClock >= tx.root.start {
 			got = append(got, f)
@@ -461,7 +512,7 @@ func (tx *Txn) fetchMany(ctx context.Context, oids []object.ID, mode sched.Mode)
 			rt.deregisterWaiter(tx.id, oid)
 		}
 	}()
-	got, parked, err := tx.retrieveWaves(ctx, rest, mode, tx.myCL(), false)
+	got, parked, err := tx.retrieveWaves(ctx, rest, mode, tx.myCL(), false, nil)
 	if err != nil {
 		return err
 	}
@@ -572,9 +623,17 @@ func ownerWave[R ownerReply](ctx context.Context, tx *Txn, kind transport.Kind, 
 // entries the owners enqueued. The owner decides per object: a copy is kept;
 // a denial aborts the root. A prefetch wave registers no waiter (no owner
 // queues it), reads a denial as "left alone", and may run off the
-// transaction's goroutine.
-func (tx *Txn) retrieveWaves(ctx context.Context, oids []object.ID, mode sched.Mode, myCL int, prefetch bool) (got []fetched, parked []park, err error) {
+// transaction's goroutine. With locked non-nil it asks the owners to lock
+// their batches for the attempt (Runtime.lockAnnounced) and keeps in locked
+// the copies that came back locked, by owner — and, like acquireAll, the
+// batches whose replies were lost.
+func (tx *Txn) retrieveWaves(ctx context.Context, oids []object.ID, mode sched.Mode, myCL int, prefetch bool,
+	locked map[object.ID]transport.NodeID) (got []fetched, parked []park, err error) {
 	rt, root := tx.rt, tx.root
+	var lockID uint64
+	if locked != nil {
+		lockID = root.lockID
+	}
 	counted := -1 // the last wave counted in Metrics.RetrieveWaves
 	err = ownerWave(ctx, tx, KindRetrieve, oids, nil,
 		func(wave int, g ownerGroup) any {
@@ -588,8 +647,11 @@ func (tx *Txn) retrieveWaves(ctx context.Context, oids []object.ID, mode sched.M
 			}
 			// Register the waiters before the request so a hand-off push can
 			// never race past us.
-			if !prefetch {
-				for _, oid := range g.oids {
+			for _, oid := range g.oids {
+				switch {
+				case locked != nil:
+					locked[oid] = g.owner // until the reply says otherwise
+				case !prefetch:
 					rt.registerWaiter(tx.id, oid)
 				}
 			}
@@ -601,7 +663,8 @@ func (tx *Txn) retrieveWaves(ctx context.Context, oids []object.ID, mode sched.M
 					remain = 50 * time.Microsecond
 				}
 			}
-			return retrieveReq{TxID: tx.id, Mode: mode, MyCL: myCL, Elapsed: elapsed, Remain: remain, Prefetch: prefetch, Oids: g.oids}
+			return retrieveReq{TxID: tx.id, Mode: mode, MyCL: myCL, Elapsed: elapsed, Remain: remain,
+				Prefetch: prefetch, LockID: lockID, Oids: g.oids}
 		},
 		func(g ownerGroup, r retrieveResp) (bool, error) {
 			// What a remote node's answers cost or brought: a copy, or a hop.
@@ -611,6 +674,9 @@ func (tx *Txn) retrieveWaves(ctx context.Context, oids []object.ID, mode sched.M
 			}
 			for i := range r.Results {
 				res, oid := &r.Results[i], g.oids[i]
+				if locked != nil && !(r.Locked && res.Status == statusOK) {
+					delete(locked, oid)
+				}
 				switch {
 				case res.Status == statusOK:
 					rt.metrics.remoteCopies.Add(far)
@@ -693,10 +759,11 @@ func (tx *Txn) forward(ctx context.Context, clock uint64) error {
 }
 
 // validateChain re-checks every fetched entry along the nesting chain
-// against its owner's current version, one batch message per owner. A stale
-// entry aborts the innermost transaction holding it (closed nesting partial
-// abort) — when several entries are stale, the outermost affected level
-// wins, since its abort subsumes the others.
+// against its owner's current version, one batch message per owner — except
+// the entries the attempt holds locked since announcing them, which cannot
+// have changed. A stale entry aborts the innermost transaction holding it
+// (closed nesting partial abort) — when several entries are stale, the
+// outermost affected level wins, since its abort subsumes the others.
 func (tx *Txn) validateChain(ctx context.Context) error {
 	// Per object, the level its staleness aborts and that level's depth.
 	type holder struct {
@@ -713,7 +780,7 @@ func (tx *Txn) validateChain(ctx context.Context) error {
 				// level alone would re-read the same doomed snapshot.
 				h = holder{tx.root, 1 << 30}
 			}
-			if prev, seen := holders[oid]; e.created || seen && prev.depth >= h.depth {
+			if prev, seen := holders[oid]; e.created || seen && prev.depth >= h.depth || tx.holdsLock(oid) {
 				continue
 			}
 			holders[oid] = h

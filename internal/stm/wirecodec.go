@@ -19,21 +19,22 @@ import (
 // protocol: never renumber, only append. IDs 10–15, 17 and 18 (payloads of
 // the retired per-object retrieve/check/acquire/commit RPCs), 22 and 24 (the
 // acquire and check replies without the not-here answer), 25 and 26 (the
-// publish pair that carried values and no move list) and 27–30 (the retired
-// MVCC snapshot-read payloads) are reserved: never reuse them, or a frame
-// from an old peer would mis-decode into a live type.
+// publish pair that carried values and no move list), 27–30 (the retired
+// MVCC snapshot-read payloads) and 31 and 32 (the retrieve pair without the
+// lock identity and the locked flag) are reserved: never reuse them, or a
+// frame from an old peer would mis-decode into a live type.
 const (
 	wireIDReleaseReq         wire.ID = 16
 	wireIDPushMsg            wire.ID = 19
 	wireIDDeclineMsg         wire.ID = 20
 	wireIDAcquireBatchReq    wire.ID = 21
 	wireIDCheckBatchReq      wire.ID = 23
-	wireIDRetrieveReq        wire.ID = 31
-	wireIDRetrieveResp       wire.ID = 32
 	wireIDCommitObjBatchReq  wire.ID = 33
 	wireIDCommitObjBatchResp wire.ID = 34
 	wireIDAcquireBatchResp   wire.ID = 35
 	wireIDCheckBatchResp     wire.ID = 36
+	wireIDRetrieveReq        wire.ID = 37
+	wireIDRetrieveResp       wire.ID = 38
 )
 
 func appendVersion(b []byte, v object.Version) []byte {
@@ -111,6 +112,7 @@ func (q retrieveReq) appendWire(b []byte) []byte {
 	b = wire.AppendVarint(b, int64(q.Elapsed))
 	b = wire.AppendVarint(b, int64(q.Remain))
 	b = wire.AppendBool(b, q.Prefetch)
+	b = wire.AppendUvarint(b, q.LockID)
 	return wire.AppendStrings(b, q.Oids)
 }
 
@@ -121,6 +123,7 @@ func (q *retrieveReq) decodeWire(r *wire.Reader) {
 	q.Elapsed = time.Duration(r.Varint())
 	q.Remain = time.Duration(r.Varint())
 	q.Prefetch = r.Bool()
+	q.LockID = r.Uvarint()
 	q.Oids = wire.ReadStrings(r, q.Oids)
 }
 
@@ -139,7 +142,8 @@ func (q retrieveResp) appendWire(b []byte) ([]byte, error) {
 		b = wire.AppendVarint(b, int64(res.Backoff))
 		b = wire.AppendVarint(b, int64(res.MovedTo))
 	}
-	return wire.AppendUvarint(b, q.OwnerClock), nil
+	b = wire.AppendUvarint(b, q.OwnerClock)
+	return wire.AppendBool(b, q.Locked), nil
 }
 
 func (q *retrieveResp) decodeWire(r *wire.Reader) {
@@ -154,6 +158,7 @@ func (q *retrieveResp) decodeWire(r *wire.Reader) {
 		res.MovedTo = transport.NodeID(r.Varint())
 	}
 	q.OwnerClock = r.Uvarint()
+	q.Locked = r.Bool()
 }
 
 func (q releaseReq) appendWire(b []byte) []byte {

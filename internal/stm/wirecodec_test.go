@@ -57,6 +57,15 @@ func wireBenchCases() []struct {
 		{Status: statusMoved, MovedTo: 2},
 		{Status: statusOK, Value: &benchVal{N: 1007}, Version: ver},
 	}}
+	// A bank batch's announced write set at one owner, locked there: two
+	// copies under the attempt's lock and one object that has moved on.
+	annReq := retrieveReq{TxID: 77, Mode: sched.Write, MyCL: 0,
+		Elapsed: 80 * time.Microsecond, Remain: 900 * time.Microsecond, Prefetch: true, LockID: 1<<40 | 78, Oids: oids[:3]}
+	annResp := retrieveResp{OwnerClock: 42, Locked: true, Results: []retrieveResult{
+		{Status: statusOK, Value: &benchVal{N: 1000}, Version: ver, RemoteCL: 1},
+		{Status: statusMoved, MovedTo: 2},
+		{Status: statusOK, Value: &benchVal{N: 993}, Version: ver, RemoteCL: 1},
+	}}
 	// The acquire and check replies of one owner: eight entries, two of them
 	// gone — one to a known node, one with no record.
 	answers := make([]answer, 8)
@@ -79,6 +88,8 @@ func wireBenchCases() []struct {
 
 	var decRetReq retrieveReq
 	var decRetResp retrieveResp
+	var decAnnReq retrieveReq
+	var decAnnResp retrieveResp
 	var decAcq acquireBatchReq
 	var decAcqResp acquireBatchResp
 	var decChk checkBatchReq
@@ -97,6 +108,12 @@ func wireBenchCases() []struct {
 		{"retrieveResp",
 			func(b []byte) ([]byte, error) { return retResp.appendWire(b) },
 			func(r *wire.Reader) { decRetResp.decodeWire(r) }},
+		{"retrieveReqAnnounce",
+			func(b []byte) ([]byte, error) { return annReq.appendWire(b), nil },
+			func(r *wire.Reader) { decAnnReq.decodeWire(r) }},
+		{"retrieveRespLocked",
+			func(b []byte) ([]byte, error) { return annResp.appendWire(b) },
+			func(r *wire.Reader) { decAnnResp.decodeWire(r) }},
 		{"acquireBatchReq8",
 			func(b []byte) ([]byte, error) { return acq.appendWire(b), nil },
 			func(r *wire.Reader) { decAcq.decodeWire(r) }},
@@ -196,13 +213,28 @@ func TestWireDecodeReuse(t *testing.T) {
 		t.Fatalf("entry 1 oid %q", dst.Entries[1].Oid)
 	}
 
-	// The prefetch flag of one retrieve must not stick to the next.
+	// The prefetch flag and lock identity of one retrieve must not stick to
+	// the next, nor the locked flag of one reply.
 	var ret retrieveReq
+	var resp retrieveResp
 	for _, want := range []bool{true, false} {
-		r.Reset(retrieveReq{TxID: 3, Prefetch: want, Oids: benchOids(2)}.appendWire(nil))
+		var lockID uint64
+		if want {
+			lockID = 9
+		}
+		r.Reset(retrieveReq{TxID: 3, Prefetch: want, LockID: lockID, Oids: benchOids(2)}.appendWire(nil))
 		ret.decodeWire(r)
-		if err := r.Err(); err != nil || ret.Prefetch != want || len(ret.Oids) != 2 {
-			t.Fatalf("retrieve decode: prefetch=%v oids=%d err=%v, want %v, 2", ret.Prefetch, len(ret.Oids), err, want)
+		if err := r.Err(); err != nil || ret.Prefetch != want || ret.LockID != lockID || len(ret.Oids) != 2 {
+			t.Fatalf("retrieve decode: prefetch=%v lock=%d oids=%d err=%v, want %v, %d, 2", ret.Prefetch, ret.LockID, len(ret.Oids), err, want, lockID)
+		}
+		b, err := retrieveResp{Locked: want}.appendWire(nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r.Reset(b)
+		resp.decodeWire(r)
+		if err := r.Err(); err != nil || resp.Locked != want {
+			t.Fatalf("retrieve reply decode: locked=%v err=%v, want %v", resp.Locked, err, want)
 		}
 	}
 }

@@ -8,11 +8,13 @@
 #          (outside bench/ and tests, at most one call site each of
 #          stm.NewRuntime and workload.Drive: internal/testbed's; in
 #          internal/stm, at most one LocateBatch call and one loop bounded
-#          by maxOwnerHops: ownerWave's)
+#          by maxOwnerHops: ownerWave's; and one LockBatch call:
+#          commitLock's)
 #   loc    lines of non-test Go outside bench/ (ROADMAP aim 2's measure)
 #   test   go test with the protocol-package coverage floor
 #   race   full suite under the race detector
 #   perf   perf smokes: commit-pipeline msgs/commit bound, the
+#          announced-write two-wave gate, the
 #          one-retrieve-wave-after-publish count gate, the
 #          zero-allocation wire-codec gate, the open-loop rows of
 #          internal/testbed's drive test (all three schedulers, memnet and
@@ -54,10 +56,13 @@ stage_vet() {
     # drive loop outside bench/: a second call site of either constructor is
     # a second driver. One owner wave in internal/stm: a second directory
     # lookup or a second hop-bounded loop is a second locate–send–chase loop.
+    # One owner-side commit-lock step: an acquire batch and an announced write
+    # set lock through the same helper.
     nontest_go | one_site 'stm\.NewRuntime\(' 'assemble and drive through internal/testbed'
     nontest_go | one_site 'workload\.Drive\(' 'assemble and drive through internal/testbed'
     nontest_go | grep '^\./internal/stm/' | one_site 'LocateBatch\(' 'locate, send and chase through ownerWave'
     nontest_go | grep '^\./internal/stm/' | one_site 'for .*maxOwnerHops' 'locate, send and chase through ownerWave'
+    nontest_go | grep '^\./internal/stm/' | one_site 'LockBatch\(' 'commit-lock through Runtime.commitLock'
 }
 
 # one_site PATTERN HINT: fails when the extended regexp PATTERN matches more
@@ -106,9 +111,11 @@ stage_race() {
 stage_perf() {
     # Commit-pipeline perf smoke: an 8-object transaction spread over 2
     # owners must finish its commit phases within the owner-grouped batch
-    # bound (per-owner rounds, not per-object messages).
-    echo "== commit-pipeline msgs/commit bound"
-    go test ./internal/stm/ -run TestCommitMsgsBoundEightObjectsTwoOwners -count=1
+    # bound (per-owner rounds, not per-object messages); and a bank-shaped
+    # nested write whose write set was announced blocks on one locking
+    # retrieve wave and one publish wave, with no acquire and no validation.
+    echo "== commit-pipeline msgs/commit bound, announced write in two waves"
+    go test ./internal/stm/ -run 'TestCommitMsgsBoundEightObjectsTwoOwners|TestAnnouncedNestedWriteIsTwoWaves' -count=1
 
     # Retrieve-wave count gate: after a commit's publish wave every node it
     # reached (old owners and homes) finds the moved objects with ONE
