@@ -128,11 +128,8 @@ func runCell(ctx context.Context, base harness.Config, benches []harness.Benchma
 		}
 		fmt.Printf("%s / %s (read %.0f%%)\n", harness.BenchmarkLabel(b), sched, 100*readRatio)
 		fmt.Println(res.MetricsTable())
-		if res.CheckErr != nil {
-			return fmt.Errorf("%s invariant: %w", b, res.CheckErr)
-		}
-		if res.ProtocolErr != nil {
-			return fmt.Errorf("%s protocol trace: %w", b, res.ProtocolErr)
+		if err := res.Err(); err != nil {
+			return err
 		}
 	}
 	return nil

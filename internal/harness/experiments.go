@@ -114,14 +114,11 @@ func RunTable1(ctx context.Context, base Config, benches []BenchmarkKind) (Table
 				cfg.Scheduler = s
 				cfg.ReadRatio = cont.ReadRatio()
 				res, err := Run(ctx, cfg)
+				if err == nil {
+					err = res.Err()
+				}
 				if err != nil {
 					return Table1{}, err
-				}
-				if res.CheckErr != nil {
-					return Table1{}, fmt.Errorf("harness: %s invariant: %w", b, res.CheckErr)
-				}
-				if res.ProtocolErr != nil {
-					return Table1{}, fmt.Errorf("harness: %s protocol trace: %w", b, res.ProtocolErr)
 				}
 				rate := res.NestedAbortRate()
 				switch {
@@ -189,14 +186,11 @@ func RunThroughputSweep(ctx context.Context, base Config, bench BenchmarkKind,
 			cfg.ReadRatio = cont.ReadRatio()
 			cfg.Nodes = n
 			res, err := Run(ctx, cfg)
+			if err == nil {
+				err = res.Err()
+			}
 			if err != nil {
 				return Sweep{}, err
-			}
-			if res.CheckErr != nil {
-				return Sweep{}, fmt.Errorf("harness: %s invariant: %w", bench, res.CheckErr)
-			}
-			if res.ProtocolErr != nil {
-				return Sweep{}, fmt.Errorf("harness: %s protocol trace: %w", bench, res.ProtocolErr)
 			}
 			pt.Throughput[s] = res.Throughput()
 		}
@@ -257,14 +251,11 @@ func RunSpeedupSummary(ctx context.Context, base Config, benches []BenchmarkKind
 				cfg.Scheduler = s
 				cfg.ReadRatio = cont.ReadRatio()
 				res, err := Run(ctx, cfg)
+				if err == nil {
+					err = res.Err()
+				}
 				if err != nil {
 					return nil, err
-				}
-				if res.CheckErr != nil {
-					return nil, fmt.Errorf("harness: %s invariant: %w", b, res.CheckErr)
-				}
-				if res.ProtocolErr != nil {
-					return nil, fmt.Errorf("harness: %s protocol trace: %w", b, res.ProtocolErr)
 				}
 				tp[s] = res.Throughput()
 			}

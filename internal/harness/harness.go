@@ -152,6 +152,18 @@ func (r Result) Throughput() float64 {
 	return float64(r.Metrics.Commits) / r.Elapsed.Seconds()
 }
 
+// Err is the cell's verdict: the application's invariant check, then — with
+// Config.Trace — the protocol oracle's. Every experiment fails on it.
+func (r Result) Err() error {
+	if r.CheckErr != nil {
+		return fmt.Errorf("harness: %s invariant: %w", r.Config.Benchmark, r.CheckErr)
+	}
+	if r.ProtocolErr != nil {
+		return fmt.Errorf("harness: %s protocol trace: %w", r.Config.Benchmark, r.ProtocolErr)
+	}
+	return nil
+}
+
 // NestedAbortRate is Table I's metric.
 func (r Result) NestedAbortRate() float64 { return r.Metrics.NestedAbortRate() }
 

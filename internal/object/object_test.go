@@ -11,6 +11,12 @@ type intBox struct{ N int64 }
 
 func (b *intBox) Copy() Value { c := *b; return &c }
 
+// lock commit-locks one object through the store's one lock entry.
+func lock(s *Store, id ID, tx uint64, expect Version) LockResult {
+	r, _ := s.LockBatch(tx, []LockEntry{{ID: id, Expect: expect}})
+	return r[0]
+}
+
 func TestIDHashStable(t *testing.T) {
 	a := ID("bank/acct/1").Hash()
 	b := ID("bank/acct/1").Hash()
@@ -98,8 +104,8 @@ func TestSnapshotMissing(t *testing.T) {
 	if _, _, _, ok := s.Snapshot("nope"); ok {
 		t.Fatal("Snapshot of missing object returned ok")
 	}
-	if _, ok := s.Version("nope"); ok {
-		t.Fatal("Version of missing object returned ok")
+	if _, _, ok := s.State("nope"); ok {
+		t.Fatal("State of missing object returned ok")
 	}
 }
 
@@ -107,24 +113,24 @@ func TestLockSemantics(t *testing.T) {
 	s := NewStore()
 	s.Install("x", &intBox{1}, Version{5, 2})
 
-	if got := s.Lock("y", 10, Version{}); got != LockNotOwner {
+	if got := lock(s, "y", 10, Version{}); got != LockNotOwner {
 		t.Fatalf("lock unowned: %v", got)
 	}
-	if got := s.Lock("x", 10, Version{4, 2}); got != LockStale {
+	if got := lock(s, "x", 10, Version{4, 2}); got != LockStale {
 		t.Fatalf("stale lock: %v", got)
 	}
-	if got := s.Lock("x", 10, Version{5, 2}); got != LockOK {
+	if got := lock(s, "x", 10, Version{5, 2}); got != LockOK {
 		t.Fatalf("lock: %v", got)
 	}
 	if !s.Locked("x") {
 		t.Fatal("Locked false after Lock")
 	}
 	// Re-entrant for the same tx.
-	if got := s.Lock("x", 10, Version{5, 2}); got != LockOK {
+	if got := lock(s, "x", 10, Version{5, 2}); got != LockOK {
 		t.Fatalf("re-entrant lock: %v", got)
 	}
 	// Busy for another tx, even with correct version.
-	if got := s.Lock("x", 11, Version{5, 2}); got != LockBusy {
+	if got := lock(s, "x", 11, Version{5, 2}); got != LockBusy {
 		t.Fatalf("busy lock: %v", got)
 	}
 	// Unlock by non-holder is a no-op.
@@ -146,7 +152,7 @@ func TestRemoveRequiresLock(t *testing.T) {
 	if err := s.Remove("x", 10); err == nil {
 		t.Fatal("Remove without lock succeeded")
 	}
-	if s.Lock("x", 10, Version{1, 0}) != LockOK {
+	if lock(s, "x", 10, Version{1, 0}) != LockOK {
 		t.Fatal("lock failed")
 	}
 	if err := s.Remove("x", 11); err == nil {
@@ -194,33 +200,90 @@ func TestLockResultString(t *testing.T) {
 }
 
 func TestUnlockBeforeLockRefusesStaleAcquire(t *testing.T) {
-	// A release processed before its own (delayed) acquire must tombstone
-	// the transaction so the late acquire cannot orphan the lock.
+	// A release served before its own (delayed) lock request fences the
+	// identity for the object, so the late request cannot orphan the lock.
+	cases := []struct {
+		name   string
+		setup  func(s *Store) // release tx 42's lock on "x", in some order
+		fence  bool           // whether 42's later lock request is refused
+		others []uint64       // other identities the setup leaves fenced on "x"
+	}{
+		{"release first", func(s *Store) {
+			s.Install("x", &intBox{1}, Version{})
+			s.Unlock("x", 42)
+		}, true, nil},
+		// Several identities racing on one object are each fenced.
+		{"several identities released", func(s *Store) {
+			s.Install("x", &intBox{1}, Version{})
+			for _, tx := range []uint64{100, 42, 101, 102, 103} {
+				s.Unlock("x", tx)
+			}
+		}, true, []uint64{100, 101, 102, 103}},
+		// The object arrives after the release: the fence lives in the
+		// shard, so the Install does not clear it.
+		{"release before install", func(s *Store) {
+			s.Unlock("x", 42)
+			s.Install("x", &intBox{1}, Version{})
+		}, true, nil},
+		// A release of a lock 42 held plants no fence: the identity may lock
+		// the object again.
+		{"release of a held lock", func(s *Store) {
+			s.Install("x", &intBox{1}, Version{})
+			if got := lock(s, "x", 42, Version{}); got != LockOK {
+				t.Fatalf("lock = %v", got)
+			}
+			s.Unlock("x", 42)
+		}, false, nil},
+		// Past the bound the oldest fence is evicted: 42's fence is followed
+		// by a full shard's worth of later ones on x, the newest of which
+		// are all still fenced.
+		{"oldest evicted past the bound", func(s *Store) {
+			s.Install("x", &intBox{1}, Version{})
+			s.Unlock("x", 42)
+			for tx := uint64(1000); tx < 1000+shardFences; tx++ {
+				s.Unlock("x", tx)
+			}
+		}, false, []uint64{1000 + shardFences - 4, 1000 + shardFences - 3, 1000 + shardFences - 2, 1000 + shardFences - 1}},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			s := NewStore()
+			c.setup(s)
+			// Checked first, while x is unlocked: a busy answer is a fence.
+			for _, tx := range c.others {
+				if got := lock(s, "x", tx, Version{}); got != LockBusy {
+					t.Fatalf("identity %d = %v, want LockBusy (fenced)", tx, got)
+				}
+			}
+			want := LockOK
+			if c.fence {
+				want = LockBusy
+			}
+			// The fence is permanent: a second request is refused as well.
+			for i := 0; i < 2; i++ {
+				if got := lock(s, "x", 42, Version{}); got != want {
+					t.Fatalf("lock request %d after the release = %v, want %v", i+1, got, want)
+				}
+			}
+			if s.Locked("x") == c.fence {
+				t.Fatalf("locked = %v after the late requests", s.Locked("x"))
+			}
+			// Another identity is never fenced.
+			s.Unlock("x", 42)
+			if got := lock(s, "x", 7, Version{}); got != LockOK {
+				t.Fatalf("fresh identity = %v, want LockOK", got)
+			}
+		})
+	}
+
+	// A fence refuses the whole batch it appears in.
 	s := NewStore()
-	s.Install("x", &intBox{1}, Version{})
-
-	s.Unlock("x", 42) // release arrives first (reordered handlers)
-	if got := s.Lock("x", 42, Version{}); got != LockBusy {
-		t.Fatalf("stale acquire after release = %v, want LockBusy", got)
-	}
-	if s.Locked("x") {
-		t.Fatal("stale acquire locked the object")
-	}
-	// The tombstone is one-shot: a later, legitimate acquire from the same
-	// ID (not possible with per-attempt lock IDs, but defensively) works.
-	if got := s.Lock("x", 42, Version{}); got != LockOK {
-		t.Fatalf("second acquire = %v, want LockOK", got)
-	}
-	s.Unlock("x", 42)
-
-	// The ring tolerates several racing transactions.
-	for tx := uint64(100); tx < 104; tx++ {
-		s.Unlock("x", tx)
-	}
-	for tx := uint64(100); tx < 104; tx++ {
-		if got := s.Lock("x", tx, Version{}); got != LockBusy {
-			t.Fatalf("tx %d stale acquire = %v, want LockBusy", tx, got)
-		}
+	s.Install("a", &intBox{1}, Version{})
+	s.Install("b", &intBox{1}, Version{})
+	s.Unlock("b", 42)
+	res, applied := s.LockBatch(42, []LockEntry{{ID: "a"}, {ID: "b"}})
+	if applied || res[0] != LockOK || res[1] != LockBusy || s.Locked("a") {
+		t.Fatalf("batch with a fenced entry: results %v applied %v, want [ok busy] unapplied", res, applied)
 	}
 }
 
@@ -232,7 +295,7 @@ func TestStoreConcurrentLocking(t *testing.T) {
 	done := make(chan struct{})
 	for g := 1; g <= goroutines; g++ {
 		go func(tx uint64) {
-			if s.Lock("x", tx, Version{}) == LockOK {
+			if lock(s, "x", tx, Version{}) == LockOK {
 				acquired <- tx
 			}
 			done <- struct{}{}
@@ -257,10 +320,10 @@ func TestExpireLocks(t *testing.T) {
 	s.Install("b", &intBox{2}, Version{1, 0})
 	s.Install("c", &intBox{3}, Version{1, 0})
 
-	if got := s.Lock("a", 7, Version{1, 0}); got != LockOK {
+	if got := lock(s, "a", 7, Version{1, 0}); got != LockOK {
 		t.Fatalf("lock a: %v", got)
 	}
-	if got := s.Lock("b", 8, Version{1, 0}); got != LockOK {
+	if got := lock(s, "b", 8, Version{1, 0}); got != LockOK {
 		t.Fatalf("lock b: %v", got)
 	}
 	// "c" stays unlocked.
@@ -289,16 +352,16 @@ func TestExpireLocks(t *testing.T) {
 		t.Fatal("objects still locked after expiry")
 	}
 
-	// The expired holders are tombstoned: their delayed lock requests must
-	// not resurrect the lock.
-	if got := s.Lock("a", 7, Version{1, 0}); got != LockBusy {
+	// The expired holders are fenced: their delayed lock requests must not
+	// resurrect the lock.
+	if got := lock(s, "a", 7, Version{1, 0}); got != LockBusy {
 		t.Fatalf("expired holder re-lock: %v, want LockBusy (refused)", got)
 	}
-	if got := s.Lock("b", 8, Version{1, 0}); got != LockBusy {
+	if got := lock(s, "b", 8, Version{1, 0}); got != LockBusy {
 		t.Fatalf("expired holder re-lock: %v, want LockBusy (refused)", got)
 	}
 	// A fresh transaction can take the freed lock.
-	if got := s.Lock("a", 9, Version{1, 0}); got != LockOK {
+	if got := lock(s, "a", 9, Version{1, 0}); got != LockOK {
 		t.Fatalf("fresh lock after expiry: %v", got)
 	}
 	// Expiring again releases the fresh holder too (zero lease), proving

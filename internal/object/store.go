@@ -2,7 +2,6 @@ package object
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -33,14 +32,51 @@ type TraceFn func(op string, id ID, tx, a uint64)
 // union of its entries' shard locks — in ascending shard order, so
 // concurrent batches cannot deadlock — to apply a whole batch as one
 // atomic step.
+//
+// A lock request can reach the store after its own identity's release (an
+// at-least-once retransmission, a reply the requester gave up on). Served,
+// it would orphan the lock until a lease reaps it. So a release that finds
+// the identity not holding the lock, and a lease expiry, fence the
+// (object, identity) pair for good, and LockBatch refuses a fenced entry.
+// The fence lives in the object's shard, not its record, so it also holds
+// for an object installed after the release; a release that unlocks a lock
+// it holds plants none.
 type Store struct {
 	shards [storeShards]shard
 	trace  atomic.Pointer[TraceFn]
 }
 
 type shard struct {
-	mu   sync.Mutex
-	objs map[ID]*record
+	mu     sync.Mutex
+	objs   map[ID]*record
+	fenced map[fence]bool
+	fences []fence // fenced in planting order, oldest first
+}
+
+// fence is one (object, lock identity) pair refused by LockBatch.
+type fence struct {
+	id ID
+	tx uint64
+}
+
+// shardFences bounds each shard's fences, 4,096 per store: a release and the
+// request it overtook are sent a moment apart, so a fence that outlives
+// thousands of later ones has long done its work.
+const shardFences = 4096 / storeShards
+
+// fence refuses tx's later lock requests for id; the caller holds sh.mu.
+func (sh *shard) fence(id ID, tx uint64) {
+	f := fence{id, tx}
+	n := len(sh.fenced)
+	sh.fenced[f] = true
+	if len(sh.fenced) == n { // already fenced: keep its place in the FIFO
+		return
+	}
+	sh.fences = append(sh.fences, f)
+	if len(sh.fences) > shardFences {
+		delete(sh.fenced, sh.fences[0])
+		sh.fences = sh.fences[1:]
+	}
 }
 
 func (s *Store) shardOf(id ID) *shard {
@@ -50,8 +86,8 @@ func (s *Store) shardOf(id ID) *shard {
 // SetTrace installs a debug callback invoked (under the owning shard's
 // lock) for every lock-state transition: "lock-ok", "lock-busy",
 // "lock-stale", "lock-refused", "lock-expired", "unlock", "unlock-miss",
-// "remove", "commit", "install", "install-locked". Pass nil to disable.
-// Intended for tests and debugging.
+// "unlock-noobj", "remove", "commit", "install", "install-locked". Pass nil
+// to disable. Intended for tests and debugging.
 func (s *Store) SetTrace(f TraceFn) {
 	if f == nil {
 		s.trace.Store(nil)
@@ -71,41 +107,6 @@ type record struct {
 	ver    Version
 	lockTx uint64    // transaction ID holding the commit lock; 0 = unlocked
 	lockAt time.Time // when the commit lock was taken (lease accounting)
-	// refused is a small ring of one-shot tombstones: Unlock by a
-	// transaction that does not hold the lock records its ID here, so a
-	// stale Lock request from that transaction arriving *after* its
-	// release (request/handler reordering, or a lock reply lost to
-	// cancellation) is denied instead of orphaning the lock forever.
-	refused    [4]uint64
-	refusedIdx uint8
-}
-
-// refuse records tx in the tombstone ring.
-func (r *record) refuse(tx uint64) {
-	r.refused[r.refusedIdx%4] = tx
-	r.refusedIdx++
-}
-
-// consumeRefusal reports whether tx was tombstoned, clearing the entry.
-func (r *record) consumeRefusal(tx uint64) bool {
-	for i := range r.refused {
-		if r.refused[i] == tx {
-			r.refused[i] = 0
-			return true
-		}
-	}
-	return false
-}
-
-// refusedFor reports whether tx is tombstoned without consuming the entry
-// (used by the read-only evaluation pass of LockBatch).
-func (r *record) refusedFor(tx uint64) bool {
-	for i := range r.refused {
-		if r.refused[i] == tx {
-			return true
-		}
-	}
-	return false
 }
 
 // NewStore returns an empty store.
@@ -113,6 +114,7 @@ func NewStore() *Store {
 	s := &Store{}
 	for i := range s.shards {
 		s.shards[i].objs = make(map[ID]*record)
+		s.shards[i].fenced = make(map[fence]bool)
 	}
 	return s
 }
@@ -141,19 +143,6 @@ func (s *Store) Snapshot(id ID) (val Value, ver Version, locked bool, ok bool) {
 	return r.val.Copy(), r.ver, r.lockTx != 0, true
 }
 
-// Version returns the object's current version. ok is false when the object
-// is not owned here.
-func (s *Store) Version(id ID) (Version, bool) {
-	sh := s.shardOf(id)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	r, ok := sh.objs[id]
-	if !ok {
-		return Version{}, false
-	}
-	return r.ver, true
-}
-
 // State returns the object's version and the transaction holding its commit
 // lock (0 when unlocked). ok is false when the object is not owned here.
 func (s *Store) State(id ID) (ver Version, lockedBy uint64, ok bool) {
@@ -167,63 +156,25 @@ func (s *Store) State(id ID) (ver Version, lockedBy uint64, ok bool) {
 	return r.ver, r.lockTx, true
 }
 
-// Lock acquires the commit lock on id for transaction tx if the object is
-// owned here, currently unlocked (or already locked by tx), and its version
-// still equals expect. It returns:
-//
-//	LockOK       – lock acquired (or re-entered)
-//	LockStale    – version mismatch: the caller read a stale copy
-//	LockBusy     – another transaction holds the commit lock
-//	LockNotOwner – this node does not own the object
-func (s *Store) Lock(id ID, tx uint64, expect Version) LockResult {
-	sh := s.shardOf(id)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	return s.lockLocked(sh, id, tx, expect)
-}
-
-// lockLocked is Lock's body; the caller holds sh.mu.
-func (s *Store) lockLocked(sh *shard, id ID, tx uint64, expect Version) LockResult {
-	r, ok := sh.objs[id]
-	if !ok {
-		return LockNotOwner
-	}
-	if tx != 0 && r.consumeRefusal(tx) {
-		// The transaction already released (or abandoned) this lock; its
-		// stale acquire must not resurrect it.
-		s.emit("lock-refused", id, tx, 0)
-		return LockBusy
-	}
-	if r.lockTx != 0 && r.lockTx != tx {
-		s.emit("lock-busy", id, tx, 0)
-		return LockBusy
-	}
-	if !r.ver.Equal(expect) {
-		s.emit("lock-stale", id, tx, 0)
-		return LockStale
-	}
-	r.lockTx = tx
-	r.lockAt = time.Now()
-	s.emit("lock-ok", id, tx, 0)
-	return LockOK
-}
-
 // LockEntry is one object of a LockBatch request.
 type LockEntry struct {
 	ID     ID
 	Expect Version
 }
 
-// LockBatch attempts to commit-lock every entry for tx as one atomic step:
-// it holds the union of the entries' shard locks (acquired in ascending
-// shard order, so concurrent batches cannot deadlock) while evaluating all
-// entries, and applies the locks only when every entry would succeed.
+// LockBatch is the store's one way to take a commit lock. It attempts to
+// commit-lock every entry for tx as one atomic step: it holds the union of
+// the entries' shard locks (acquired in ascending shard order, so
+// concurrent batches cannot deadlock) while evaluating all entries, and
+// applies the locks only when every entry would succeed. An entry is
+// locked if the object is owned here, unlocked (or already locked by tx),
+// at version Expect, and not fenced for tx (see Store).
 //
 // applied reports whether the locks were taken. When applied is false, NO
 // lock was taken — the per-entry results tell the caller which entries
-// failed (stale / busy / not-owner) and which would have succeeded
-// (LockOK), so a single bad entry aborts the commit precisely while its
-// sibling entries roll back for free. All-or-nothing acquisition also
+// failed (stale / busy, fenced included / not-owner) and which would have
+// succeeded (LockOK), so a single bad entry aborts the commit precisely
+// while its sibling entries roll back for free. All-or-nothing acquisition also
 // means a racing batch never observes a half-locked prefix of this one.
 func (s *Store) LockBatch(tx uint64, entries []LockEntry) (results []LockResult, applied bool) {
 	results = make([]LockResult, len(entries))
@@ -234,20 +185,25 @@ func (s *Store) LockBatch(tx uint64, entries []LockEntry) (results []LockResult,
 	s.lockShardsFor(entries)
 	defer s.unlockShardsFor(entries)
 
-	// Evaluation pass: no mutation, so a failed batch leaves the store
-	// exactly as it found it (tombstones included).
+	// Evaluation pass: nothing is locked, so a failed batch leaves the store
+	// exactly as it found it. Only failures are narrated: emitting lock-ok
+	// for an entry that would have succeeded would lie to the trace.
 	applied = true
 	for i, e := range entries {
-		r, ok := s.shardOf(e.ID).objs[e.ID]
+		sh := s.shardOf(e.ID)
+		r, ok := sh.objs[e.ID]
 		switch {
 		case !ok:
 			results[i] = LockNotOwner
-		case tx != 0 && r.refusedFor(tx):
+		case sh.fenced[fence{e.ID, tx}]:
 			results[i] = LockBusy
+			s.emit("lock-refused", e.ID, tx, 0)
 		case r.lockTx != 0 && r.lockTx != tx:
 			results[i] = LockBusy
+			s.emit("lock-busy", e.ID, tx, 0)
 		case !r.ver.Equal(e.Expect):
 			results[i] = LockStale
+			s.emit("lock-stale", e.ID, tx, 0)
 		default:
 			results[i] = LockOK
 		}
@@ -256,26 +212,11 @@ func (s *Store) LockBatch(tx uint64, entries []LockEntry) (results []LockResult,
 		}
 	}
 	if !applied {
-		// Narrate the failures (but not the would-have-succeeded entries:
-		// nothing was locked, so emitting lock-ok would lie to the trace).
-		for i, e := range entries {
-			switch results[i] {
-			case LockBusy:
-				s.emit("lock-busy", e.ID, tx, 0)
-			case LockStale:
-				s.emit("lock-stale", e.ID, tx, 0)
-			}
-		}
 		return results, false
 	}
 	now := time.Now()
 	for _, e := range entries {
 		r := s.shardOf(e.ID).objs[e.ID]
-		if tx != 0 {
-			// Consume matching tombstones only on the apply path; the
-			// evaluation pass proved none exists for tx.
-			r.consumeRefusal(tx)
-		}
 		r.lockTx = tx
 		r.lockAt = now
 		s.emit("lock-ok", e.ID, tx, 0)
@@ -313,10 +254,9 @@ func shardSet(entries []LockEntry) []int {
 }
 
 // ExpireLocks force-releases every commit lock held for at least lease,
-// returning the affected object IDs. The expired holder is tombstoned (see
-// record.refuse) so its delayed lock, commit, or unlock messages cannot
-// resurrect or corrupt the lock state. This is the abort-on-owner-crash
-// path: a committer that died (or was partitioned away) mid-commit cannot
+// returning the affected object IDs. The expired holder is fenced (see
+// Store) so its delayed lock requests cannot resurrect the lock. This is
+// the abort-on-owner-crash path: a committer that died (or was partitioned away) mid-commit cannot
 // wedge the objects it had locked — after the lease they return to
 // circulation and queued requesters get served.
 func (s *Store) ExpireLocks(lease time.Duration) []ID {
@@ -328,7 +268,7 @@ func (s *Store) ExpireLocks(lease time.Duration) []ID {
 		for id, r := range sh.objs {
 			if r.lockTx != 0 && now.Sub(r.lockAt) >= lease {
 				s.emit("lock-expired", id, r.lockTx, 0)
-				r.refuse(r.lockTx)
+				sh.fence(id, r.lockTx)
 				r.lockTx = 0
 				expired = append(expired, id)
 			}
@@ -339,9 +279,9 @@ func (s *Store) ExpireLocks(lease time.Duration) []ID {
 }
 
 // Unlock releases the commit lock on id if held by tx. Releasing a lock
-// that tx does not hold plants a one-shot refusal marker instead (see
-// record.refused), so a delayed Lock request from tx cannot orphan the
-// object after its owner already processed the release.
+// that tx does not hold — or an object not here — fences tx for id instead
+// (see Store), so a delayed lock request from tx cannot orphan the object
+// after its owner already served the release.
 func (s *Store) Unlock(id ID, tx uint64) {
 	sh := s.shardOf(id)
 	sh.mu.Lock()
@@ -349,6 +289,7 @@ func (s *Store) Unlock(id ID, tx uint64) {
 	r, ok := sh.objs[id]
 	if !ok {
 		s.emit("unlock-noobj", id, tx, 0)
+		sh.fence(id, tx)
 		return
 	}
 	if r.lockTx == tx {
@@ -357,7 +298,7 @@ func (s *Store) Unlock(id ID, tx uint64) {
 		return
 	}
 	s.emit("unlock-miss", id, tx, 0)
-	r.refuse(tx)
+	sh.fence(id, tx)
 }
 
 // InstallLocked inserts an object already commit-locked by tx, so it is
@@ -459,16 +400,10 @@ func (s *Store) IDs() []ID {
 	return out
 }
 
-// SortIDs orders ids ascending — the cluster-wide deterministic lock order
-// used by the commit protocol, within and across per-owner batches.
-func SortIDs(ids []ID) {
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-}
-
-// LockResult is the outcome of a Store.Lock attempt.
+// LockResult is the outcome of one LockBatch entry.
 type LockResult uint8
 
-// Lock outcomes; see Store.Lock.
+// Lock outcomes; see Store.LockBatch.
 const (
 	LockOK LockResult = iota
 	LockStale

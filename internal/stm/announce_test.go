@@ -352,7 +352,7 @@ func TestUnwrittenAnnouncementIsReleasedByTheCommit(t *testing.T) {
 	seed(t, tc, map[object.ID]int{"x": 1, "y": 2, "z": 2})
 	before := map[object.ID]object.Version{}
 	for _, oid := range []object.ID{"y", "z"} {
-		before[oid], _ = tc.rts[2].Store().Version(oid)
+		before[oid], _, _ = tc.rts[2].Store().State(oid)
 	}
 	var msgs kindCounter
 	tc.net.SetInterceptor(msgs.intercept)
@@ -376,7 +376,7 @@ func TestUnwrittenAnnouncementIsReleasedByTheCommit(t *testing.T) {
 		t.Fatalf("commit took %d waves, want 1: the release rides the publish wave", m.CommitRounds)
 	}
 	for oid, ver := range before {
-		if now, _ := tc.rts[2].Store().Version(oid); now != ver {
+		if now, _, _ := tc.rts[2].Store().State(oid); now != ver {
 			t.Fatalf("%s version %v after the release, want %v unchanged", oid, now, ver)
 		}
 	}
@@ -388,9 +388,9 @@ func TestUnwrittenAnnouncementIsReleasedByTheCommit(t *testing.T) {
 
 // TestReleaseFencesALateAnnouncement: an attempt gave up on the reply to its
 // announcement and released, and the release is served first — here before
-// the object has even arrived at the node, so no per-object refusal can be
-// recorded. The announcement served after it locks nothing. The attempt's
-// commit acquire, on its lazy path, is not fenced.
+// the object has even arrived at the node. The announcement served after it
+// locks nothing, and the fence is permanent: the attempt's commit acquire
+// under the same identity is refused too (it retries under a fresh one).
 func TestReleaseFencesALateAnnouncement(t *testing.T) {
 	tc := newTestCluster(t, 2, nil, nil)
 	ctx := context.Background()
@@ -414,7 +414,39 @@ func TestReleaseFencesALateAnnouncement(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r := body.(acquireBatchResp); !r.Applied || !owner.Store().Locked("x") {
-		t.Fatalf("commit acquire after the release: applied=%v, want the lock", r.Applied)
+	if r := body.(acquireBatchResp); r.Applied || r.Results[0].Status != statusBusy || owner.Store().Locked("x") {
+		t.Fatalf("commit acquire after the release: applied=%v status=%v, want refused as busy", r.Applied, r.Results[0].Status)
+	}
+}
+
+// TestReleaseRacesItsAnnouncement serves a release and the announcement it
+// answers, under one lock identity, on two goroutines at once. Whichever the
+// owner serves first, no lock is left held: an announcement served first is
+// undone by the release, one served second meets the fence.
+func TestReleaseRacesItsAnnouncement(t *testing.T) {
+	tc := newTestCluster(t, 1, nil, nil)
+	owner := tc.rts[0]
+	oids := []object.ID{"x", "y"}
+	for _, oid := range oids {
+		owner.Store().Install(oid, &box{N: 1}, object.Version{})
+	}
+	for i := uint64(1); i <= 1000; i++ {
+		lockID := 1<<40 | i
+		var wg sync.WaitGroup
+		wg.Add(2)
+		go func() {
+			defer wg.Done()
+			owner.handleRelease(0, releaseReq{Oids: oids, TxID: lockID})
+		}()
+		go func() {
+			defer wg.Done()
+			owner.handleRetrieve(0, retrieveReq{TxID: lockID, Mode: sched.Write, Prefetch: true, LockID: lockID, Oids: oids})
+		}()
+		wg.Wait()
+		for _, oid := range oids {
+			if _, by, _ := owner.Store().State(oid); by != 0 {
+				t.Fatalf("iteration %d: %s left locked by %x", i, oid, by)
+			}
+		}
 	}
 }

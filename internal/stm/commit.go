@@ -220,8 +220,8 @@ func (tx *Txn) acquireAll(ctx context.Context, writes []object.ID, locked map[ob
 			for i, oid := range g.oids {
 				req.Entries[i] = verEntry{Oid: oid, Ver: tx.entries[oid].ver}
 				// Held until the reply says otherwise: if it is lost the batch
-				// may still have been applied (the store's refusal markers
-				// cover release-before-acquire races).
+				// may still have been applied (the store's fence covers
+				// release-before-acquire races).
 				locked[oid] = g.owner
 			}
 			return req

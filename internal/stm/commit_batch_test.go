@@ -28,11 +28,11 @@ func TestAcquireBatchPartialFailure(t *testing.T) {
 		{
 			name: "one-entry-busy",
 			sabotage: func(t *testing.T, tc *testCluster) {
-				ver, ok := tc.rts[0].Store().Version("b1")
+				ver, _, ok := tc.rts[0].Store().State("b1")
 				if !ok {
 					t.Fatal("b1 not installed at node 0")
 				}
-				if res := tc.rts[0].Store().Lock("b1", foreignTx, ver); res != object.LockOK {
+				if res := lockAt(tc.rts[0].Store(), "b1", foreignTx, ver); res != object.LockOK {
 					t.Fatalf("foreign pre-lock of b1 failed: %v", res)
 				}
 			},

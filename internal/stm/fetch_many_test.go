@@ -606,8 +606,8 @@ func TestHandOffPushIsAConsistentCut(t *testing.T) {
 			return move(context.Background(), tc.rts[0], "t/a", "t/b")
 		}},
 		{name: "lock in between", requeue: true, between: func(tc *testCluster) error {
-			ver, _ := tc.rts[0].Store().Version("t/a")
-			if r := tc.rts[0].Store().Lock("t/a", fakeValidator+1, ver); r != object.LockOK {
+			ver, _, _ := tc.rts[0].Store().State("t/a")
+			if r := lockAt(tc.rts[0].Store(), "t/a", fakeValidator+1, ver); r != object.LockOK {
 				return fmt.Errorf("lock: %v", r)
 			}
 			return nil

@@ -14,7 +14,7 @@ import (
 // commit-locking an object: the lock is taken directly in the owner's store
 // by a transaction ID that will never unlock. Without the lease reaper every
 // writer would abort on LockBusy / retrieveDenied forever; with it, the lock
-// expires, the dead holder is tombstoned, and the writer commits.
+// expires, the dead holder is fenced, and the writer commits.
 func TestLeaseExpiryFreesWedgedLock(t *testing.T) {
 	tc := newTestCluster(t, 2, nil, nil)
 	rt0 := tc.rts[0]
@@ -31,7 +31,7 @@ func TestLeaseExpiryFreesWedgedLock(t *testing.T) {
 	if !ok {
 		t.Fatal("object not owned by creator")
 	}
-	if got := rt0.Store().Lock("wedged", deadTx, ver); got != object.LockOK {
+	if got := lockAt(rt0.Store(), "wedged", deadTx, ver); got != object.LockOK {
 		t.Fatalf("setup lock: %v", got)
 	}
 
@@ -58,7 +58,7 @@ func TestLeaseExpiryFreesWedgedLock(t *testing.T) {
 	}
 	// The dead holder must not be able to resurrect its lock afterwards.
 	if rt0.Store().Owns("wedged") {
-		if got := rt0.Store().Lock("wedged", deadTx, ver); got == object.LockOK {
+		if got := lockAt(rt0.Store(), "wedged", deadTx, ver); got == object.LockOK {
 			t.Fatal("expired holder re-acquired the lock")
 		}
 	}
@@ -78,7 +78,7 @@ func TestLeaseExpiryServesQueuedRequesters(t *testing.T) {
 	}
 	const deadTx = 0xdead
 	ver, _, _ := rt0.Store().State("queued")
-	if got := rt0.Store().Lock("queued", deadTx, ver); got != object.LockOK {
+	if got := lockAt(rt0.Store(), "queued", deadTx, ver); got != object.LockOK {
 		t.Fatalf("setup lock: %v", got)
 	}
 
@@ -111,7 +111,7 @@ func TestLeaseExpiryStopIdempotent(t *testing.T) {
 		t.Fatal(err)
 	}
 	ver, _, _ := rt.Store().State("x")
-	if got := rt.Store().Lock("x", 99, ver); got != object.LockOK {
+	if got := lockAt(rt.Store(), "x", 99, ver); got != object.LockOK {
 		t.Fatalf("lock: %v", got)
 	}
 	time.Sleep(20 * time.Millisecond)
@@ -134,7 +134,7 @@ func TestCommitMigrationIdempotent(t *testing.T) {
 	}
 	const txid = 77
 	ver, _, _ := rt0.Store().State("mig")
-	if got := rt0.Store().Lock("mig", txid, ver); got != object.LockOK {
+	if got := lockAt(rt0.Store(), "mig", txid, ver); got != object.LockOK {
 		t.Fatalf("lock: %v", got)
 	}
 

@@ -46,7 +46,7 @@ const (
 // answered statusDenied with nothing observed, scheduled or queued. A
 // nonzero LockID is a write set announced with write intent: the owner first
 // tries to commit-lock every entry it holds for LockID, all or nothing
-// (Runtime.lockAnnounced).
+// (Runtime.lockAnnounced), unless a release by LockID overtook it there.
 type retrieveReq struct {
 	TxID     uint64
 	Mode     sched.Mode

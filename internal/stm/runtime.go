@@ -47,16 +47,6 @@ type Runtime struct {
 	migrMu   sync.Mutex
 	migrated map[object.ID]migration
 
-	// released fences announcements against releases that overtake them: the
-	// requester releases a batch whose reply it gave up on, and that release
-	// can be served here before the request — even before the object arrives
-	// here, when no per-object refusal can be recorded. Once an attempt's
-	// lock identity has released here, lockAnnounced locks nothing for it.
-	// annMu makes the fence check and the lock one step against a release.
-	annMu        sync.Mutex
-	released     map[uint64]bool
-	releasedFIFO []uint64
-
 	nesting NestingMode
 	tracer  *trace.Recorder
 }
@@ -112,7 +102,6 @@ func NewRuntime(ep *cluster.Endpoint, size int, policy sched.Policy, st *stats.T
 		metrics:  &Metrics{},
 		waiters:  make(map[waitKey]chan pushMsg),
 		migrated: make(map[object.ID]migration),
-		released: make(map[uint64]bool),
 	}
 	ep.Handle(KindRetrieve, rt.handleRetrieve)
 	ep.Handle(KindRelease, rt.handleRelease)
@@ -252,9 +241,10 @@ func (rt *Runtime) handleRetrieve(from transport.NodeID, payload any) (any, erro
 // it copies, all or nothing (commitLock), and answers those copies with
 // Locked set and the rest with the "not here" answer. A locked copy is
 // trivially a consistent cut: nothing can commit it until the lock holder
-// does. When any entry cannot be locked — another transaction holds it, or a
-// commit got to it between the copy and the lock — nothing is locked and it
-// reports false; the request is then served as a plain prefetch.
+// does. When any entry cannot be locked — another transaction holds it, a
+// commit got to it between the copy and the lock, or the store fenced it for
+// req.LockID because a release overtook this request — nothing is locked and
+// it reports false; the request is then served as a plain prefetch.
 func (rt *Runtime) lockAnnounced(req *retrieveReq, resp *retrieveResp) bool {
 	entries := make([]object.LockEntry, 0, len(req.Oids))
 	for i, oid := range req.Oids {
@@ -267,13 +257,7 @@ func (rt *Runtime) lockAnnounced(req *retrieveReq, resp *retrieveResp) bool {
 		resp.Results[i] = retrieveResult{Status: statusOK, Value: val, Version: ver}
 		entries = append(entries, object.LockEntry{ID: oid, Expect: ver})
 	}
-	rt.annMu.Lock()
-	applied := !rt.released[req.LockID]
-	if applied {
-		_, applied = rt.commitLock(req.LockID, entries)
-	}
-	rt.annMu.Unlock()
-	if !applied {
+	if _, applied := rt.commitLock(req.LockID, entries); !applied {
 		return false
 	}
 	for i, oid := range req.Oids {
@@ -340,20 +324,8 @@ func (rt *Runtime) handleRelease(_ transport.NodeID, payload any) (any, error) {
 	if !ok {
 		return nil, fmt.Errorf("stm: bad release payload %T", payload)
 	}
-	rt.annMu.Lock()
-	if !rt.released[req.TxID] {
-		rt.released[req.TxID] = true
-		rt.releasedFIFO = append(rt.releasedFIFO, req.TxID)
-		if len(rt.releasedFIFO) > releasedCap {
-			delete(rt.released, rt.releasedFIFO[0])
-			rt.releasedFIFO = rt.releasedFIFO[1:]
-		}
-	}
 	for _, oid := range req.Oids {
 		rt.store.Unlock(oid, req.TxID)
-	}
-	rt.annMu.Unlock()
-	for _, oid := range req.Oids {
 		// The commit failed, so the object stays here unchanged; hand the
 		// current value to any queued requesters — unless the object is
 		// (still) locked by someone else (e.g. this was a conservative
@@ -364,11 +336,6 @@ func (rt *Runtime) handleRelease(_ transport.NodeID, payload any) (any, error) {
 	}
 	return releaseReq{}, nil
 }
-
-// releasedCap bounds Runtime.released: a release and the request it overtook
-// are sent a moment apart, so a fence that outlives thousands of later
-// releases has long done its work.
-const releasedCap = 4096
 
 // migrateOut surrenders one object to the committing transaction tx, which
 // runs on node to: ownership migrates to the committer, so drop the local

@@ -18,13 +18,19 @@ import (
 
 const fakeValidator uint64 = 0xf00d
 
+// lockAt commit-locks one object through the store's one lock entry.
+func lockAt(st *object.Store, id object.ID, tx uint64, ver object.Version) object.LockResult {
+	r, _ := st.LockBatch(tx, []object.LockEntry{{ID: id, Expect: ver}})
+	return r[0]
+}
+
 func lockObject(t *testing.T, rt *Runtime, oid object.ID) {
 	t.Helper()
-	ver, ok := rt.Store().Version(oid)
+	ver, _, ok := rt.Store().State(oid)
 	if !ok {
 		t.Fatalf("object %q not owned", oid)
 	}
-	if res := rt.Store().Lock(oid, fakeValidator, ver); res != object.LockOK {
+	if res := lockAt(rt.Store(), oid, fakeValidator, ver); res != object.LockOK {
 		t.Fatalf("lock: %v", res)
 	}
 }
@@ -300,7 +306,7 @@ func TestQueueMigratesWithOwnership(t *testing.T) {
 		t.Fatal(err)
 	}
 	committerTx := uint64(0xbeef)
-	if res := tc.rts[0].Store().Lock("x", committerTx, ver); res != object.LockOK {
+	if res := lockAt(tc.rts[0].Store(), "x", committerTx, ver); res != object.LockOK {
 		t.Fatalf("lock: %v", res)
 	}
 

@@ -9,7 +9,8 @@
 #          stm.NewRuntime and workload.Drive: internal/testbed's; in
 #          internal/stm, at most one LocateBatch call and one loop bounded
 #          by maxOwnerHops: ownerWave's; and one LockBatch call:
-#          commitLock's)
+#          commitLock's; in internal/object, one read of the stale-lock
+#          fence map: LockBatch's)
 #   loc    lines of non-test Go outside bench/ (ROADMAP aim 2's measure)
 #   test   go test with the protocol-package coverage floor
 #   race   full suite under the race detector
@@ -57,12 +58,16 @@ stage_vet() {
     # a second driver. One owner wave in internal/stm: a second directory
     # lookup or a second hop-bounded loop is a second locate–send–chase loop.
     # One owner-side commit-lock step: an acquire batch and an announced write
-    # set lock through the same helper.
+    # set lock through the same helper, and the store reads its one
+    # stale-lock fence map in one place, its one lock entry (any read of the
+    # map other than an assignment counts, so a second fence check or a
+    # second lock entry that checks the fence fails).
     nontest_go | one_site 'stm\.NewRuntime\(' 'assemble and drive through internal/testbed'
     nontest_go | one_site 'workload\.Drive\(' 'assemble and drive through internal/testbed'
     nontest_go | grep '^\./internal/stm/' | one_site 'LocateBatch\(' 'locate, send and chase through ownerWave'
     nontest_go | grep '^\./internal/stm/' | one_site 'for .*maxOwnerHops' 'locate, send and chase through ownerWave'
     nontest_go | grep '^\./internal/stm/' | one_site 'LockBatch\(' 'commit-lock through Runtime.commitLock'
+    nontest_go | grep '^\./internal/object/' | one_site '\.fenced\[[^]]*\]([^ ]|$| [^=])' 'check the stale-lock fence in Store.LockBatch only'
 }
 
 # one_site PATTERN HINT: fails when the extended regexp PATTERN matches more
