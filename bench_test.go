@@ -162,9 +162,7 @@ func BenchmarkFig6_Speedup(b *testing.B) {
 // BenchmarkSkew_KeyDistributions runs the closed-loop high-contention bank
 // cell under each key distribution: uniform, Zipfian (theta 0.9) and the
 // rotating hot-key storm. The spread between RTS and TFA widens as the
-// skew concentrates conflicts onto fewer objects — the regime the
-// stability experiment (cmd/rtsbench -experiment stability) probes with
-// open-loop arrivals.
+// skew concentrates conflicts onto fewer objects.
 func BenchmarkSkew_KeyDistributions(b *testing.B) {
 	samplers := []struct {
 		name string

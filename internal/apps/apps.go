@@ -1,6 +1,8 @@
 // Package apps defines the common shape of the paper's six benchmark
 // applications (Vacation, Bank, Linked-List, BST, RB-Tree, DHT), each
 // implemented as closed-nested transactional programs over the D-STM API.
+// The three integer sets (Linked-List, BST, RB-Tree) are one benchmark,
+// Set, over a Layout each.
 package apps
 
 import (

@@ -11,7 +11,7 @@ import (
 
 func TestAddRemoveContains(t *testing.T) {
 	rts := testutil.Cluster(t, 2)
-	l := New(Options{KeyRange: 16, InitialSize: 1, Name: "t1"})
+	l := New(Options{KeyRange: 16, InitialSize: 1})
 	ctx := context.Background()
 	if err := l.Setup(ctx, rts); err != nil {
 		t.Fatal(err)
@@ -50,7 +50,7 @@ func TestAddRemoveContains(t *testing.T) {
 
 func TestSequentialOracle(t *testing.T) {
 	rts := testutil.Cluster(t, 2)
-	l := New(Options{KeyRange: 24, InitialSize: 4, Name: "t2"})
+	l := New(Options{KeyRange: 24, InitialSize: 4})
 	ctx := context.Background()
 	if err := l.Setup(ctx, rts); err != nil {
 		t.Fatal(err)
@@ -117,7 +117,7 @@ func TestSequentialOracle(t *testing.T) {
 func TestConcurrentOpsKeepOrder(t *testing.T) {
 	const nodes = 3
 	rts := testutil.Cluster(t, nodes)
-	l := New(Options{KeyRange: 20, InitialSize: 6, Name: "t3"})
+	l := New(Options{KeyRange: 20, InitialSize: 6})
 	ctx := context.Background()
 	if err := l.Setup(ctx, rts); err != nil {
 		t.Fatal(err)
@@ -150,10 +150,20 @@ func TestConcurrentOpsKeepOrder(t *testing.T) {
 
 func TestDefaults(t *testing.T) {
 	l := New(Options{})
-	if l.opts.KeyRange <= 0 || l.opts.InitialSize <= 0 || l.opts.MaxNested <= 0 {
-		t.Fatalf("defaults: %+v", l.opts)
-	}
 	if l.Name() != "Linked-List" {
 		t.Fatalf("name %q", l.Name())
+	}
+	// Zero options seed KeyRange/2 = 24 elements from [0, 48).
+	rts := testutil.Cluster(t, 1)
+	ctx := context.Background()
+	if err := l.Setup(ctx, rts); err != nil {
+		t.Fatal(err)
+	}
+	snap, err := l.Snapshot(ctx, rts[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(snap) != 24 || snap[0] < 0 || snap[len(snap)-1] >= 48 {
+		t.Fatalf("default setup seeded %v, want 24 elements from [0, 48)", snap)
 	}
 }

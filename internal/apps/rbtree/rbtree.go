@@ -1,16 +1,19 @@
-// Package rbtree implements the Red/Black-Tree set microbenchmark: a
-// balanced binary search tree whose nodes are separate shared objects.
-// Inserts perform the full red-black rebalancing (recolourings and
-// rotations) transactionally, so one insert can write several nodes —
-// the largest write sets of the paper's microbenchmarks. Removal uses lazy
-// deletion (tombstones), keeping the red-black shape invariants intact.
+// Package rbtree implements the two tree set microbenchmarks, RB-Tree and
+// BST, over one binary search tree whose nodes are separate shared objects.
+// RB-Tree inserts perform the full red-black rebalancing (recolourings and
+// rotations) transactionally, so one insert can write several nodes — the
+// largest write sets of the paper's microbenchmarks. The BST is the same
+// tree without the fixup: an insert attaches a leaf (one Create, one write
+// of the parent) and the tree stays unbalanced. Both remove by lazy
+// deletion (a tombstone flag), so no structural surgery is ever needed and
+// the red-black shape invariants stay intact; a later add revives a
+// tombstone in place. The benchmark itself (setup, operations, check) is
+// apps.Set; this package supplies the layout.
 package rbtree
 
 import (
 	"context"
 	"fmt"
-	"math/rand"
-	"sync/atomic"
 
 	"dstm/internal/apps"
 	"dstm/internal/object"
@@ -25,8 +28,8 @@ type Root struct {
 // Copy implements object.Value.
 func (r *Root) Copy() object.Value { c := *r; return &c }
 
-// Node is one tree node. Red is the node colour; Deleted is the lazy-
-// deletion tombstone.
+// Node is one tree node. Red is the node colour, which only the RB-Tree's
+// fixup and check read; Deleted is the lazy-deletion tombstone.
 type Node struct {
 	Val     int64
 	Red     bool
@@ -43,121 +46,37 @@ func init() {
 	object.Register(&Node{})
 }
 
-// Options configures the benchmark.
-type Options struct {
-	// KeyRange bounds element values. 0 means 64.
-	KeyRange int
-	// InitialSize elements are inserted at setup. 0 means KeyRange/2.
-	InitialSize int
-	// MaxNested bounds nested ops per transaction. 0 means 2.
-	MaxNested int
-	// Name distinguishes multiple trees. Empty means "rb".
-	Name string
-}
-
-// RBTree is the benchmark instance.
-type RBTree struct {
-	opts Options
-	root object.ID
-	seq  atomic.Uint64
-	pick apps.KeyPicker
-}
+// Options configures either benchmark. KeyRange 0 means 64.
+type Options = apps.SetOptions
 
 // New returns an RB-Tree benchmark.
-func New(opts Options) *RBTree {
-	if opts.KeyRange <= 0 {
-		opts.KeyRange = 64
-	}
-	if opts.InitialSize <= 0 {
-		opts.InitialSize = opts.KeyRange / 2
-	}
-	if opts.MaxNested <= 0 {
-		opts.MaxNested = 2
-	}
-	if opts.Name == "" {
-		opts.Name = "rb"
-	}
-	t := &RBTree{opts: opts, pick: apps.UniformKeys}
-	t.root = object.ID(opts.Name + "/root")
-	return t
+func New(opts Options) *apps.Set { return newSet("RB-Tree", "rb", 44, true, opts) }
+
+// NewBST returns a BST benchmark: the same tree, its inserts without the
+// red-black fixup and its check without the colour rules.
+func NewBST(opts Options) *apps.Set { return newSet("BST", "bst", 43, false, opts) }
+
+func newSet(name, prefix string, seed int64, balanced bool, opts Options) *apps.Set {
+	t := &tree{root: object.ID(prefix + "/root"), balanced: balanced}
+	return apps.NewSet(apps.SetKind{Name: name, Prefix: prefix, Seed: seed, KeyRange: 64}, opts, t)
 }
 
-// Name implements apps.Benchmark.
-func (t *RBTree) Name() string { return "RB-Tree" }
-
-// SetKeyPicker implements apps.Skewable: element values drawn by Op go
-// through p.
-func (t *RBTree) SetKeyPicker(p apps.KeyPicker) { t.pick = apps.PickerOrUniform(p) }
-
-func (t *RBTree) newNodeID(rt *stm.Runtime) object.ID {
-	return object.ID(fmt.Sprintf("%s/n/%d-%d", t.opts.Name, rt.Self(), t.seq.Add(1)))
+// tree is the layout: the root object, and whether inserts keep the
+// red-black rules.
+type tree struct {
+	root     object.ID
+	balanced bool
 }
 
-// Setup implements apps.Benchmark.
-func (t *RBTree) Setup(ctx context.Context, rts []*stm.Runtime) error {
-	if err := rts[0].CreateRoot(ctx, t.root, &Root{}); err != nil {
-		return err
-	}
-	rng := rand.New(rand.NewSource(44))
-	inserted := 0
-	for inserted < t.opts.InitialSize {
-		rt := rts[inserted%len(rts)]
-		added, err := t.Add(ctx, rt, int64(rng.Intn(t.opts.KeyRange)))
-		if err != nil {
-			return err
-		}
-		if added {
-			inserted++
-		}
-	}
-	return nil
-}
+var _ apps.LayoutChecker = (*tree)(nil)
 
-// Op implements apps.Benchmark.
-func (t *RBTree) Op(ctx context.Context, rt *stm.Runtime, rng *rand.Rand, read bool) error {
-	n := 1 + rng.Intn(t.opts.MaxNested)
-	vals := make([]int64, n)
-	for i := range vals {
-		vals[i] = int64(t.pick(rng, t.opts.KeyRange))
-	}
-	if read {
-		return rt.Atomic(ctx, "rb/contains", func(tx *stm.Txn) error {
-			for _, v := range vals {
-				val := v
-				if err := tx.Atomic(ctx, "rb/contains/one", func(c *stm.Txn) error {
-					_, err := t.containsIn(ctx, c, val)
-					return err
-				}); err != nil {
-					return err
-				}
-			}
-			return nil
-		})
-	}
-	return rt.Atomic(ctx, "rb/update", func(tx *stm.Txn) error {
-		for i, v := range vals {
-			val := v
-			add := i%2 == 0
-			if err := tx.Atomic(ctx, "rb/update/one", func(c *stm.Txn) error {
-				var err error
-				if add {
-					_, err = t.addIn(ctx, c, rt, val)
-				} else {
-					_, err = t.removeIn(ctx, c, val)
-				}
-				return err
-			}); err != nil {
-				return err
-			}
-		}
-		return nil
-	})
-}
+// Entry implements apps.Layout.
+func (t *tree) Entry() (object.ID, object.Value) { return t.root, &Root{} }
 
 // workset is a transaction-local view of the tree: node working copies
 // that can be mutated freely and flushed back in one pass.
 type workset struct {
-	t     *RBTree
+	t     *tree
 	ctx   context.Context
 	tx    *stm.Txn
 	nodes map[object.ID]*Node
@@ -168,7 +87,7 @@ type workset struct {
 	rootDirty bool
 }
 
-func (t *RBTree) newWorkset(ctx context.Context, tx *stm.Txn) (*workset, error) {
+func (t *tree) newWorkset(ctx context.Context, tx *stm.Txn) (*workset, error) {
 	rv, err := tx.Read(ctx, t.root)
 	if err != nil {
 		return nil, err
@@ -231,6 +150,28 @@ func (w *workset) flush() error {
 	return nil
 }
 
+// descend walks from the root towards v. It returns the node holding v (id
+// "" and n nil if there is none) and the IDs of the nodes above it, root
+// first: the ancestors of where v is or would be attached.
+func (w *workset) descend(v int64) (id object.ID, n *Node, path []object.ID, err error) {
+	for cur := w.rootChild; cur != ""; {
+		n, err := w.get(cur)
+		if err != nil {
+			return "", nil, nil, err
+		}
+		if v == n.Val {
+			return cur, n, path, nil
+		}
+		path = append(path, cur)
+		if v < n.Val {
+			cur = n.Left
+		} else {
+			cur = n.Right
+		}
+	}
+	return "", nil, path, nil
+}
+
 // rotateLeft rotates the subtree rooted at x left and returns the new
 // subtree root (x's former right child).
 func (w *workset) rotateLeft(xid object.ID) (object.ID, error) {
@@ -288,91 +229,53 @@ func (w *workset) relink(parentID, oldChild, newChild object.ID) error {
 	return nil
 }
 
-func (t *RBTree) containsIn(ctx context.Context, tx *stm.Txn, v int64) (bool, error) {
+// Contains implements apps.Layout.
+func (t *tree) Contains(ctx context.Context, tx *stm.Txn, v int64) (bool, error) {
 	w, err := t.newWorkset(ctx, tx)
 	if err != nil {
 		return false, err
 	}
-	cur := w.rootChild
-	for cur != "" {
-		n, err := w.get(cur)
-		if err != nil {
-			return false, err
-		}
-		switch {
-		case v == n.Val:
-			return !n.Deleted, nil
-		case v < n.Val:
-			cur = n.Left
-		default:
-			cur = n.Right
-		}
-	}
-	return false, nil
+	_, n, _, err := w.descend(v)
+	return n != nil && !n.Deleted, err
 }
 
-func (t *RBTree) removeIn(ctx context.Context, tx *stm.Txn, v int64) (bool, error) {
+// Remove implements apps.Layout: tombstones the node holding v.
+func (t *tree) Remove(ctx context.Context, tx *stm.Txn, v int64) (bool, error) {
 	w, err := t.newWorkset(ctx, tx)
 	if err != nil {
 		return false, err
 	}
-	cur := w.rootChild
-	for cur != "" {
-		n, err := w.get(cur)
-		if err != nil {
-			return false, err
-		}
-		switch {
-		case v == n.Val:
-			if n.Deleted {
-				return false, nil
-			}
-			n.Deleted = true
-			w.mark(cur)
-			return true, w.flush()
-		case v < n.Val:
-			cur = n.Left
-		default:
-			cur = n.Right
-		}
+	id, n, _, err := w.descend(v)
+	if err != nil || n == nil || n.Deleted {
+		return false, err
 	}
-	return false, nil
+	n.Deleted = true
+	w.mark(id)
+	return true, w.flush()
 }
 
-// addIn inserts v with full red-black insert fixup (CLRS, with an explicit
-// ancestor stack instead of parent pointers).
-func (t *RBTree) addIn(ctx context.Context, tx *stm.Txn, rt *stm.Runtime, v int64) (bool, error) {
+// Add implements apps.Layout: revives v's tombstone in place, or attaches a
+// new leaf and, in a red-black tree, runs the insert fixup.
+func (t *tree) Add(ctx context.Context, tx *stm.Txn, v int64, newID func() object.ID) (bool, error) {
 	w, err := t.newWorkset(ctx, tx)
 	if err != nil {
 		return false, err
 	}
-
-	// Descend, recording the path root→parent.
-	var path []object.ID
-	cur := w.rootChild
-	for cur != "" {
-		n, err := w.get(cur)
-		if err != nil {
-			return false, err
+	id, n, path, err := w.descend(v)
+	if err != nil {
+		return false, err
+	}
+	if n != nil {
+		if !n.Deleted {
+			return false, nil
 		}
-		if v == n.Val {
-			if !n.Deleted {
-				return false, nil
-			}
-			n.Deleted = false
-			w.mark(cur)
-			return true, w.flush()
-		}
-		path = append(path, cur)
-		if v < n.Val {
-			cur = n.Left
-		} else {
-			cur = n.Right
-		}
+		n.Deleted = false
+		w.mark(id)
+		return true, w.flush()
 	}
 
 	// Attach the new red node.
-	zid := t.newNodeID(rt)
+	zid := newID()
 	w.add(zid, &Node{Val: v, Red: true})
 	if len(path) == 0 {
 		w.setRoot(zid)
@@ -386,8 +289,18 @@ func (t *RBTree) addIn(ctx context.Context, tx *stm.Txn, rt *stm.Runtime, v int6
 		}
 		w.mark(pid)
 	}
+	if t.balanced {
+		if err := w.fixup(path, zid); err != nil {
+			return false, err
+		}
+	}
+	return true, w.flush()
+}
 
-	// Insert fixup.
+// fixup restores the red-black rules after the red node zid was attached
+// below path (root → parent): CLRS's insert fixup, with an explicit
+// ancestor stack instead of parent pointers.
+func (w *workset) fixup(path []object.ID, zid object.ID) error {
 	for len(path) > 0 {
 		pid := path[len(path)-1]
 		p := w.nodes[pid]
@@ -405,7 +318,7 @@ func (t *RBTree) addIn(ctx context.Context, tx *stm.Txn, rt *stm.Runtime, v int6
 		if g.Left == pid {
 			uncle, uncleID, err := w.child(g.Right)
 			if err != nil {
-				return false, err
+				return err
 			}
 			if uncle != nil && uncle.Red {
 				p.Red, uncle.Red, g.Red = false, false, true
@@ -419,7 +332,7 @@ func (t *RBTree) addIn(ctx context.Context, tx *stm.Txn, rt *stm.Runtime, v int6
 			if p.Right == zid {
 				newP, err := w.rotateLeft(pid)
 				if err != nil {
-					return false, err
+					return err
 				}
 				g.Left = newP
 				w.mark(gid)
@@ -428,13 +341,13 @@ func (t *RBTree) addIn(ctx context.Context, tx *stm.Txn, rt *stm.Runtime, v int6
 			}
 			newG, err := w.rotateRight(gid)
 			if err != nil {
-				return false, err
+				return err
 			}
 			p.Red, g.Red = false, true
 			w.mark(pid)
 			w.mark(gid)
 			if err := w.relink(ggid, gid, newG); err != nil {
-				return false, err
+				return err
 			}
 			break
 		}
@@ -442,7 +355,7 @@ func (t *RBTree) addIn(ctx context.Context, tx *stm.Txn, rt *stm.Runtime, v int6
 		// Mirror image: parent is the right child.
 		uncle, uncleID, err := w.child(g.Left)
 		if err != nil {
-			return false, err
+			return err
 		}
 		if uncle != nil && uncle.Red {
 			p.Red, uncle.Red, g.Red = false, false, true
@@ -456,7 +369,7 @@ func (t *RBTree) addIn(ctx context.Context, tx *stm.Txn, rt *stm.Runtime, v int6
 		if p.Left == zid {
 			newP, err := w.rotateRight(pid)
 			if err != nil {
-				return false, err
+				return err
 			}
 			g.Right = newP
 			w.mark(gid)
@@ -465,13 +378,13 @@ func (t *RBTree) addIn(ctx context.Context, tx *stm.Txn, rt *stm.Runtime, v int6
 		}
 		newG, err := w.rotateLeft(gid)
 		if err != nil {
-			return false, err
+			return err
 		}
 		p.Red, g.Red = false, true
 		w.mark(pid)
 		w.mark(gid)
 		if err := w.relink(ggid, gid, newG); err != nil {
-			return false, err
+			return err
 		}
 		break
 	}
@@ -480,14 +393,14 @@ func (t *RBTree) addIn(ctx context.Context, tx *stm.Txn, rt *stm.Runtime, v int6
 	if w.rootChild != "" {
 		rn, err := w.get(w.rootChild)
 		if err != nil {
-			return false, err
+			return err
 		}
 		if rn.Red {
 			rn.Red = false
 			w.mark(w.rootChild)
 		}
 	}
-	return true, w.flush()
+	return nil
 }
 
 // child loads an optional child node ("" yields nil).
@@ -499,54 +412,16 @@ func (w *workset) child(id object.ID) (*Node, object.ID, error) {
 	return n, id, err
 }
 
-// Add inserts v, reporting whether the set changed.
-func (t *RBTree) Add(ctx context.Context, rt *stm.Runtime, v int64) (bool, error) {
-	var added bool
-	err := rt.Atomic(ctx, "rb/add", func(tx *stm.Txn) error {
-		var err error
-		added, err = t.addIn(ctx, tx, rt, v)
+// Walk implements apps.Layout: the live elements, in order.
+func (t *tree) Walk(ctx context.Context, tx *stm.Txn, out *[]int64) error {
+	rv, err := tx.Read(ctx, t.root)
+	if err != nil {
 		return err
-	})
-	return added, err
+	}
+	return inorder(ctx, tx, rv.(*Root).Child, out)
 }
 
-// Remove deletes v, reporting whether the set changed.
-func (t *RBTree) Remove(ctx context.Context, rt *stm.Runtime, v int64) (bool, error) {
-	var removed bool
-	err := rt.Atomic(ctx, "rb/remove", func(tx *stm.Txn) error {
-		var err error
-		removed, err = t.removeIn(ctx, tx, v)
-		return err
-	})
-	return removed, err
-}
-
-// Contains reports membership of v.
-func (t *RBTree) Contains(ctx context.Context, rt *stm.Runtime, v int64) (bool, error) {
-	var found bool
-	err := rt.Atomic(ctx, "rb/contains", func(tx *stm.Txn) error {
-		var err error
-		found, err = t.containsIn(ctx, tx, v)
-		return err
-	})
-	return found, err
-}
-
-// Snapshot returns the live elements in sorted order.
-func (t *RBTree) Snapshot(ctx context.Context, rt *stm.Runtime) ([]int64, error) {
-	var out []int64
-	err := rt.Atomic(ctx, "rb/snapshot", func(tx *stm.Txn) error {
-		out = out[:0]
-		rv, err := tx.Read(ctx, t.root)
-		if err != nil {
-			return err
-		}
-		return t.inorder(ctx, tx, rv.(*Root).Child, &out)
-	})
-	return out, err
-}
-
-func (t *RBTree) inorder(ctx context.Context, tx *stm.Txn, id object.ID, out *[]int64) error {
+func inorder(ctx context.Context, tx *stm.Txn, id object.ID, out *[]int64) error {
 	if id == "" {
 		return nil
 	}
@@ -555,44 +430,45 @@ func (t *RBTree) inorder(ctx context.Context, tx *stm.Txn, id object.ID, out *[]
 		return err
 	}
 	n := nv.(*Node)
-	if err := t.inorder(ctx, tx, n.Left, out); err != nil {
+	if err := inorder(ctx, tx, n.Left, out); err != nil {
 		return err
 	}
 	if !n.Deleted {
 		*out = append(*out, n.Val)
 	}
-	return t.inorder(ctx, tx, n.Right, out)
+	return inorder(ctx, tx, n.Right, out)
 }
 
-// Check implements apps.Benchmark: BST order plus the red-black shape
-// invariants — the root is black, no red node has a red child, and every
-// root-to-leaf path crosses the same number of black nodes.
-func (t *RBTree) Check(ctx context.Context, rt *stm.Runtime) error {
-	return rt.Atomic(ctx, "rb/check", func(tx *stm.Txn) error {
-		rv, err := tx.Read(ctx, t.root)
-		if err != nil {
-			return err
-		}
-		rootID := rv.(*Root).Child
-		if rootID == "" {
-			return nil
-		}
-		rn, err := tx.Read(ctx, rootID)
-		if err != nil {
-			return err
-		}
-		if rn.(*Node).Red {
-			return fmt.Errorf("rbtree: red root")
-		}
-		var prev *int64
-		_, err = t.verify(ctx, tx, rootID, false, &prev)
+// Check implements apps.LayoutChecker: a red-black tree keeps the colour
+// rules — the root is black, no red node has a red child, and every
+// root-to-leaf path crosses the same number of black nodes. A BST has
+// none.
+func (t *tree) Check(ctx context.Context, tx *stm.Txn) error {
+	if !t.balanced {
+		return nil
+	}
+	rv, err := tx.Read(ctx, t.root)
+	if err != nil {
 		return err
-	})
+	}
+	rootID := rv.(*Root).Child
+	if rootID == "" {
+		return nil
+	}
+	rn, err := tx.Read(ctx, rootID)
+	if err != nil {
+		return err
+	}
+	if rn.(*Node).Red {
+		return fmt.Errorf("rbtree: red root")
+	}
+	_, err = blackHeight(ctx, tx, rootID, false)
+	return err
 }
 
-// verify walks the tree returning its black height and checking order and
-// colour constraints.
-func (t *RBTree) verify(ctx context.Context, tx *stm.Txn, id object.ID, parentRed bool, prev **int64) (int, error) {
+// blackHeight returns the black height of the subtree at id, checking the
+// colour rules on the way.
+func blackHeight(ctx context.Context, tx *stm.Txn, id object.ID, parentRed bool) (int, error) {
 	if id == "" {
 		return 1, nil
 	}
@@ -604,16 +480,11 @@ func (t *RBTree) verify(ctx context.Context, tx *stm.Txn, id object.ID, parentRe
 	if parentRed && n.Red {
 		return 0, fmt.Errorf("rbtree: red-red violation at %d", n.Val)
 	}
-	lh, err := t.verify(ctx, tx, n.Left, n.Red, prev)
+	lh, err := blackHeight(ctx, tx, n.Left, n.Red)
 	if err != nil {
 		return 0, err
 	}
-	if *prev != nil && **prev >= n.Val {
-		return 0, fmt.Errorf("rbtree: order violation at %d", n.Val)
-	}
-	v := n.Val
-	*prev = &v
-	rh, err := t.verify(ctx, tx, n.Right, n.Red, prev)
+	rh, err := blackHeight(ctx, tx, n.Right, n.Red)
 	if err != nil {
 		return 0, err
 	}

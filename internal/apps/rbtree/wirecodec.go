@@ -5,8 +5,8 @@ import (
 	"dstm/internal/wire"
 )
 
-// rbtree's slots in the application-value ID range 100–119 (see DESIGN.md
-// "Wire format").
+// rbtree's slots in the application-value ID range 100–119, for both
+// trees (see DESIGN.md "Wire format"; 106 and 107 are retired).
 const (
 	wireIDRoot wire.ID = 104
 	wireIDNode wire.ID = 105

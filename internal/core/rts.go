@@ -43,11 +43,10 @@ type Options struct {
 	CLThreshold int
 
 	// Adaptive enables runtime hill-climbing of the CL threshold between
-	// MinThreshold and MaxThreshold (paper §IV-A: the threshold "is
-	// adaptively determined").
-	Adaptive                   bool
-	MinThreshold, MaxThreshold int
-	AdaptBatch                 int
+	// adaptMin and adaptMax (paper §IV-A: the threshold "is adaptively
+	// determined").
+	Adaptive   bool
+	AdaptBatch int
 
 	// CLWindow is the sliding window over which per-object local CLs are
 	// counted. 0 means 100 ms.
@@ -57,15 +56,14 @@ type Options struct {
 	// CL threshold (paper §III-C: "the transactions will be enqueued as
 	// many as CL threshold").
 	MaxQueue int
-
-	// RetryDelay is the client-side stall after an abort. RTS relies on
-	// enqueueing rather than client stalls, so this defaults to zero.
-	RetryDelay time.Duration
 }
 
 // DefaultCLThreshold matches the order of magnitude the paper's example
 // uses (§III-B illustrates a threshold of 3).
 const DefaultCLThreshold = 3
+
+// adaptMin and adaptMax bound the adaptive CL threshold.
+const adaptMin, adaptMax = 2, 16
 
 // RTS is the reactive transactional scheduler. It implements sched.Policy.
 type RTS struct {
@@ -100,14 +98,7 @@ func New(opts Options) *RTS {
 		lists:   make(map[object.ID]*requesterList),
 	}
 	if opts.Adaptive {
-		min, max := opts.MinThreshold, opts.MaxThreshold
-		if min <= 0 {
-			min = 2
-		}
-		if max <= 0 {
-			max = 16
-		}
-		r.adapt = newAdaptiveThreshold(opts.CLThreshold, min, max, opts.AdaptBatch)
+		r.adapt = newAdaptiveThreshold(opts.CLThreshold, adaptMin, adaptMax, opts.AdaptBatch)
 	}
 	return r
 }
@@ -275,12 +266,12 @@ func (r *RTS) AdoptQueue(oid object.ID, reqs []sched.Request) {
 	lst.entries = append(adopted, lst.entries...)
 }
 
-// RetryDelay implements sched.Policy.
-func (r *RTS) RetryDelay(int, string) time.Duration { return r.opts.RetryDelay }
+// RetryDelay implements sched.Policy: none, since RTS relies on enqueueing
+// rather than client stalls.
+func (r *RTS) RetryDelay(int, string) time.Duration { return 0 }
 
 // QueueDepth implements sched.QueueDepther: the total number of parked
-// requesters across every object's list — the scheduler-side component of
-// the stability driver's queue-depth time series.
+// requesters across every object's list.
 func (r *RTS) QueueDepth() int {
 	r.mu.Lock()
 	defer r.mu.Unlock()

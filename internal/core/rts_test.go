@@ -219,7 +219,7 @@ func TestRTSExtractAdoptQueue(t *testing.T) {
 }
 
 func TestRTSAdaptiveThresholdWiring(t *testing.T) {
-	r := New(Options{CLThreshold: 4, Adaptive: true, MinThreshold: 2, MaxThreshold: 8, AdaptBatch: 2})
+	r := New(Options{CLThreshold: 4, Adaptive: true, AdaptBatch: 2})
 	before := r.Threshold()
 	r.Feedback(true)
 	r.Feedback(true)
@@ -239,10 +239,6 @@ func TestRTSRetryDelay(t *testing.T) {
 	r := New(Options{})
 	if d := r.RetryDelay(5, "p"); d != 0 {
 		t.Fatalf("default retry delay %v", d)
-	}
-	r2 := New(Options{RetryDelay: time.Millisecond})
-	if d := r2.RetryDelay(1, "p"); d != time.Millisecond {
-		t.Fatalf("configured retry delay %v", d)
 	}
 }
 

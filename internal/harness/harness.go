@@ -12,7 +12,6 @@ import (
 
 	"dstm/internal/apps"
 	"dstm/internal/apps/bank"
-	"dstm/internal/apps/bst"
 	"dstm/internal/apps/dht"
 	"dstm/internal/apps/list"
 	"dstm/internal/apps/rbtree"
@@ -175,14 +174,11 @@ func newBenchmark(cfg Config) (apps.Benchmark, error) {
 	case BenchDHT:
 		return dht.New(dht.Options{BucketsPerNode: cfg.ObjectsPerNode}), nil
 	case BenchList:
-		kr := cfg.ObjectsPerNode * cfg.Nodes
-		return list.New(list.Options{KeyRange: kr, InitialSize: kr / 2}), nil
+		return list.New(list.Options{KeyRange: cfg.ObjectsPerNode * cfg.Nodes}), nil
 	case BenchBST:
-		kr := 2 * cfg.ObjectsPerNode * cfg.Nodes
-		return bst.New(bst.Options{KeyRange: kr, InitialSize: kr / 2}), nil
+		return rbtree.NewBST(rbtree.Options{KeyRange: 2 * cfg.ObjectsPerNode * cfg.Nodes}), nil
 	case BenchRBTree:
-		kr := 2 * cfg.ObjectsPerNode * cfg.Nodes
-		return rbtree.New(rbtree.Options{KeyRange: kr, InitialSize: kr / 2}), nil
+		return rbtree.New(rbtree.Options{KeyRange: 2 * cfg.ObjectsPerNode * cfg.Nodes}), nil
 	case BenchVacation:
 		per := cfg.ObjectsPerNode / 4
 		if per < 1 {

@@ -108,12 +108,11 @@ type Estimator interface {
 }
 
 // QueueDepther is an optional Policy extension: QueueDepth reports how
-// many requesters the policy currently has parked across all objects.
-// The open-loop stability driver samples it into the queue-depth time
-// series, alongside the admission queue, so scheduler-internal queue
-// growth (RTS's requester lists) is visible in the same trajectory as
-// offered-load backlog. All in-tree policies implement it; the baselines
-// report 0 (they never enqueue).
+// many requesters the policy currently has parked across all objects, so
+// a driver sampling it sees scheduler-internal queue growth (RTS's
+// requester lists) next to its own admission backlog; the repo benchmark
+// reports its peak as core.queue_depth_max. All in-tree policies
+// implement it; the baselines report 0 (they never enqueue).
 type QueueDepther interface {
 	QueueDepth() int
 }

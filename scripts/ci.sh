@@ -10,7 +10,8 @@
 #          internal/stm, at most one LocateBatch call and one loop bounded
 #          by maxOwnerHops: ownerWave's; and one LockBatch call:
 #          commitLock's; in internal/object, one read of the stale-lock
-#          fence map: LockBatch's)
+#          fence map: LockBatch's; in internal/apps, one sorted-set
+#          seeding loop and one strictly-increasing check: apps.Set's)
 #   loc    lines of non-test Go outside bench/ (ROADMAP aim 2's measure)
 #   test   go test with the protocol-package coverage floor
 #   race   full suite under the race detector
@@ -68,6 +69,11 @@ stage_vet() {
     nontest_go | grep '^\./internal/stm/' | one_site 'for .*maxOwnerHops' 'locate, send and chase through ownerWave'
     nontest_go | grep '^\./internal/stm/' | one_site 'LockBatch\(' 'commit-lock through Runtime.commitLock'
     nontest_go | grep '^\./internal/object/' | one_site '\.fenced\[[^]]*\]([^ ]|$| [^=])' 'check the stale-lock fence in Store.LockBatch only'
+    # One sorted-set benchmark: Linked-List, BST and RB-Tree supply only
+    # their layout to apps.Set, so a second seeding loop or a second order
+    # check in internal/apps is a second copy of the skeleton.
+    nontest_go | grep '^\./internal/apps/' | one_site 'inserted%len\(rts\)' 'seed and check a sorted set through apps.Set'
+    nontest_go | grep '^\./internal/apps/' | one_site '\[i-1\] >= ' 'seed and check a sorted set through apps.Set'
 }
 
 # one_site PATTERN HINT: fails when the extended regexp PATTERN matches more
