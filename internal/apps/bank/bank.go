@@ -27,8 +27,6 @@ type Account struct {
 // Copy implements object.Value.
 func (a *Account) Copy() object.Value { c := *a; return &c }
 
-func init() { object.Register(&Account{}) }
-
 // Options configures the benchmark.
 type Options struct {
 	// AccountsPerNode is the number of accounts seeded at each node

@@ -6,17 +6,12 @@ import "dstm/internal/wire"
 // takes 100 (see DESIGN.md "Wire format").
 const wireIDAccount wire.ID = 100
 
-func init() {
-	wire.Register(wireIDAccount, &Account{},
-		func(b []byte, v any) ([]byte, error) {
-			return wire.AppendVarint(b, v.(*Account).Balance), nil
-		},
-		func(r *wire.Reader, prev any) any {
-			a, _ := prev.(*Account)
-			if a == nil {
-				a = new(Account)
-			}
-			a.Balance = r.Varint()
-			return a
-		})
+func init() { wire.Register(wireIDAccount, &Account{}) }
+
+// AppendWire implements wire.Codec.
+func (a *Account) AppendWire(b []byte) ([]byte, error) {
+	return wire.AppendVarint(b, a.Balance), nil
 }
+
+// ReadWire implements wire.Codec.
+func (*Account) ReadWire(r *wire.Reader) any { return &Account{Balance: r.Varint()} }

@@ -31,8 +31,6 @@ func (b *Bucket) Copy() object.Value {
 	return c
 }
 
-func init() { object.Register(&Bucket{}) }
-
 // Options configures the benchmark.
 type Options struct {
 	// BucketsPerNode is the number of bucket objects per node. 0 means 8.

@@ -6,32 +6,25 @@ import "dstm/internal/wire"
 // (see DESIGN.md "Wire format").
 const wireIDBucket wire.ID = 108
 
-func init() {
-	wire.Register(wireIDBucket, &Bucket{},
-		func(b []byte, v any) ([]byte, error) {
-			q := v.(*Bucket)
-			b = wire.AppendUvarint(b, uint64(len(q.M)))
-			for k, val := range q.M {
-				b = wire.AppendString(b, k)
-				b = wire.AppendString(b, val)
-			}
-			return b, nil
-		},
-		func(r *wire.Reader, prev any) any {
-			q, _ := prev.(*Bucket)
-			if q == nil {
-				q = new(Bucket)
-			}
-			n := r.SliceLen(2)
-			if q.M == nil {
-				q.M = make(map[string]string, n)
-			} else {
-				clear(q.M)
-			}
-			for i := 0; i < n; i++ {
-				k := r.String()
-				q.M[k] = r.String()
-			}
-			return q
-		})
+func init() { wire.Register(wireIDBucket, &Bucket{}) }
+
+// AppendWire implements wire.Codec.
+func (b *Bucket) AppendWire(buf []byte) ([]byte, error) {
+	buf = wire.AppendUvarint(buf, uint64(len(b.M)))
+	for k, v := range b.M {
+		buf = wire.AppendString(buf, k)
+		buf = wire.AppendString(buf, v)
+	}
+	return buf, nil
+}
+
+// ReadWire implements wire.Codec.
+func (*Bucket) ReadWire(r *wire.Reader) any {
+	n := r.SliceLen(2)
+	b := &Bucket{M: make(map[string]string, n)}
+	for i := 0; i < n; i++ {
+		k := r.String()
+		b.M[k] = r.String()
+	}
+	return b
 }

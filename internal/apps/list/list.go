@@ -23,8 +23,6 @@ type Node struct {
 // Copy implements object.Value.
 func (n *Node) Copy() object.Value { c := *n; return &c }
 
-func init() { object.Register(&Node{}) }
-
 // Options configures the benchmark. KeyRange 0 means 48.
 type Options = apps.SetOptions
 

@@ -9,20 +9,14 @@ import (
 // DESIGN.md "Wire format").
 const wireIDNode wire.ID = 101
 
-func init() {
-	wire.Register(wireIDNode, &Node{},
-		func(b []byte, v any) ([]byte, error) {
-			n := v.(*Node)
-			b = wire.AppendVarint(b, n.Val)
-			return wire.AppendString(b, string(n.Next)), nil
-		},
-		func(r *wire.Reader, prev any) any {
-			n, _ := prev.(*Node)
-			if n == nil {
-				n = new(Node)
-			}
-			n.Val = r.Varint()
-			n.Next = object.ID(r.String())
-			return n
-		})
+func init() { wire.Register(wireIDNode, &Node{}) }
+
+// AppendWire implements wire.Codec.
+func (n *Node) AppendWire(b []byte) ([]byte, error) {
+	return wire.AppendString(wire.AppendVarint(b, n.Val), string(n.Next)), nil
+}
+
+// ReadWire implements wire.Codec.
+func (*Node) ReadWire(r *wire.Reader) any {
+	return &Node{Val: r.Varint(), Next: object.ID(r.String())}
 }

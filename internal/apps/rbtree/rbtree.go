@@ -41,11 +41,6 @@ type Node struct {
 // Copy implements object.Value.
 func (n *Node) Copy() object.Value { c := *n; return &c }
 
-func init() {
-	object.Register(&Root{})
-	object.Register(&Node{})
-}
-
 // Options configures either benchmark. KeyRange 0 means 64.
 type Options = apps.SetOptions
 

@@ -313,7 +313,7 @@ func TestRetiredWireIDsAreUnregistered(t *testing.T) {
 	for _, id := range []wire.ID{106, 107} {
 		t.Run(fmt.Sprintf("id%d", id), func(t *testing.T) {
 			r := wire.NewReader(wire.AppendUvarint(nil, uint64(id)))
-			v := r.Any(nil)
+			v := r.Any()
 			err := r.Err()
 			if v != nil || !errors.Is(err, wire.ErrMalformed) || !strings.Contains(err.Error(), "unknown wire type ID") {
 				t.Fatalf("wire ID %d decoded to %T, err %v; want unknown wire type ID", id, v, err)

@@ -13,37 +13,29 @@ const (
 )
 
 func init() {
-	wire.Register(wireIDRoot, &Root{},
-		func(b []byte, v any) ([]byte, error) {
-			return wire.AppendString(b, string(v.(*Root).Child)), nil
-		},
-		func(r *wire.Reader, prev any) any {
-			q, _ := prev.(*Root)
-			if q == nil {
-				q = new(Root)
-			}
-			q.Child = object.ID(r.String())
-			return q
-		})
-	wire.Register(wireIDNode, &Node{},
-		func(b []byte, v any) ([]byte, error) {
-			n := v.(*Node)
-			b = wire.AppendVarint(b, n.Val)
-			b = wire.AppendBool(b, n.Red)
-			b = wire.AppendString(b, string(n.Left))
-			b = wire.AppendString(b, string(n.Right))
-			return wire.AppendBool(b, n.Deleted), nil
-		},
-		func(r *wire.Reader, prev any) any {
-			n, _ := prev.(*Node)
-			if n == nil {
-				n = new(Node)
-			}
-			n.Val = r.Varint()
-			n.Red = r.Bool()
-			n.Left = object.ID(r.String())
-			n.Right = object.ID(r.String())
-			n.Deleted = r.Bool()
-			return n
-		})
+	wire.Register(wireIDRoot, &Root{})
+	wire.Register(wireIDNode, &Node{})
+}
+
+// AppendWire implements wire.Codec.
+func (r *Root) AppendWire(b []byte) ([]byte, error) {
+	return wire.AppendString(b, string(r.Child)), nil
+}
+
+// ReadWire implements wire.Codec.
+func (*Root) ReadWire(r *wire.Reader) any { return &Root{Child: object.ID(r.String())} }
+
+// AppendWire implements wire.Codec.
+func (n *Node) AppendWire(b []byte) ([]byte, error) {
+	b = wire.AppendVarint(b, n.Val)
+	b = wire.AppendBool(b, n.Red)
+	b = wire.AppendString(b, string(n.Left))
+	b = wire.AppendString(b, string(n.Right))
+	return wire.AppendBool(b, n.Deleted), nil
+}
+
+// ReadWire implements wire.Codec.
+func (*Node) ReadWire(r *wire.Reader) any {
+	return &Node{Val: r.Varint(), Red: r.Bool(), Left: object.ID(r.String()),
+		Right: object.ID(r.String()), Deleted: r.Bool()}
 }

@@ -71,11 +71,6 @@ func (c *Customer) Copy() object.Value {
 	return n
 }
 
-func init() {
-	object.Register(&Resource{})
-	object.Register(&Customer{})
-}
-
 // Options configures the benchmark.
 type Options struct {
 	// ResourcesPerKindPerNode inventory entries of each kind per node.

@@ -10,50 +10,38 @@ const (
 )
 
 func init() {
-	wire.Register(wireIDResource, &Resource{},
-		func(b []byte, v any) ([]byte, error) {
-			q := v.(*Resource)
-			b = wire.AppendVarint(b, q.Total)
-			b = wire.AppendVarint(b, q.Avail)
-			return wire.AppendVarint(b, q.Price), nil
-		},
-		func(r *wire.Reader, prev any) any {
-			q, _ := prev.(*Resource)
-			if q == nil {
-				q = new(Resource)
-			}
-			q.Total = r.Varint()
-			q.Avail = r.Varint()
-			q.Price = r.Varint()
-			return q
-		})
-	wire.Register(wireIDCustomer, &Customer{},
-		func(b []byte, v any) ([]byte, error) {
-			q := v.(*Customer)
-			b = wire.AppendUvarint(b, uint64(len(q.Reservations)))
-			for i := range q.Reservations {
-				b = wire.AppendUvarint(b, uint64(q.Reservations[i].Kind))
-				b = wire.AppendVarint(b, int64(q.Reservations[i].Index))
-				b = wire.AppendVarint(b, q.Reservations[i].Price)
-			}
-			return b, nil
-		},
-		func(r *wire.Reader, prev any) any {
-			q, _ := prev.(*Customer)
-			if q == nil {
-				q = new(Customer)
-			}
-			n := r.SliceLen(3)
-			if cap(q.Reservations) >= n {
-				q.Reservations = q.Reservations[:n]
-			} else {
-				q.Reservations = make([]Reservation, n)
-			}
-			for i := range q.Reservations {
-				q.Reservations[i].Kind = Kind(r.Uvarint())
-				q.Reservations[i].Index = int(r.Varint())
-				q.Reservations[i].Price = r.Varint()
-			}
-			return q
-		})
+	wire.Register(wireIDResource, &Resource{})
+	wire.Register(wireIDCustomer, &Customer{})
+}
+
+// AppendWire implements wire.Codec.
+func (r *Resource) AppendWire(b []byte) ([]byte, error) {
+	b = wire.AppendVarint(b, r.Total)
+	b = wire.AppendVarint(b, r.Avail)
+	return wire.AppendVarint(b, r.Price), nil
+}
+
+// ReadWire implements wire.Codec.
+func (*Resource) ReadWire(r *wire.Reader) any {
+	return &Resource{Total: r.Varint(), Avail: r.Varint(), Price: r.Varint()}
+}
+
+// AppendWire implements wire.Codec.
+func (c *Customer) AppendWire(b []byte) ([]byte, error) {
+	b = wire.AppendUvarint(b, uint64(len(c.Reservations)))
+	for _, res := range c.Reservations {
+		b = wire.AppendUvarint(b, uint64(res.Kind))
+		b = wire.AppendVarint(b, int64(res.Index))
+		b = wire.AppendVarint(b, res.Price)
+	}
+	return b, nil
+}
+
+// ReadWire implements wire.Codec.
+func (*Customer) ReadWire(r *wire.Reader) any {
+	c := &Customer{Reservations: wire.Grow[Reservation](nil, r.SliceLen(3))}
+	for i := range c.Reservations {
+		c.Reservations[i] = Reservation{Kind: Kind(r.Uvarint()), Index: int(r.Varint()), Price: r.Varint()}
+	}
+	return c
 }

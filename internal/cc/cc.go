@@ -68,13 +68,6 @@ type registerBatchReq struct {
 // outcomes, so the handler never fails the whole RPC for an entry error.
 type batchErrResp struct{ Errs []string }
 
-func init() {
-	transport.RegisterPayload(lookupBatchReq{})
-	transport.RegisterPayload(lookupBatchResp{})
-	transport.RegisterPayload(registerBatchReq{})
-	transport.RegisterPayload(batchErrResp{})
-}
-
 // HomeOf returns the home (directory) node of an object in a cluster of
 // size n.
 func HomeOf(id object.ID, n int) transport.NodeID {

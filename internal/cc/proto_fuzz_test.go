@@ -11,8 +11,16 @@ import (
 	"dstm/internal/wire"
 )
 
+// gob, the reference these round trips compare against, must know every
+// payload type the Payload interface carries.
+func init() {
+	for _, p := range []any{lookupBatchReq{}, lookupBatchResp{}, registerBatchReq{}, batchErrResp{}} {
+		gob.Register(p)
+	}
+}
+
 // roundTrip passes a message carrying payload through BOTH wire formats —
-// gob (the legacy baseline) and the binary codec — and requires them to
+// gob (the reference) and the binary codec — and requires them to
 // agree, so every fuzz target in this file doubles as a differential
 // oracle. It returns the gob-decoded payload.
 func roundTrip(t *testing.T, payload any) any {

@@ -1,9 +1,10 @@
 // Binary wire codecs for the directory protocol payloads (see DESIGN.md
 // "Wire format" for the type-ID map). Same conventions as the STM codecs:
-// append-style alloc-free encode, decode-in-place with slice reuse.
+// append-style alloc-free encode, ReadWire decoding a fresh payload.
 package cc
 
 import (
+	"dstm/internal/object"
 	"dstm/internal/transport"
 	"dstm/internal/wire"
 )
@@ -20,77 +21,51 @@ const (
 )
 
 func init() {
-	wire.Register(wireIDLookupBatchReq, lookupBatchReq{},
-		func(b []byte, v any) ([]byte, error) {
-			return wire.AppendStrings(b, v.(lookupBatchReq).Oids), nil
-		},
-		func(r *wire.Reader, prev any) any {
-			var q lookupBatchReq
-			if p, ok := prev.(lookupBatchReq); ok {
-				q = p
-			}
-			q.Oids = wire.ReadStrings(r, q.Oids)
-			return q
-		})
-	wire.Register(wireIDLookupBatchResp, lookupBatchResp{},
-		func(b []byte, v any) ([]byte, error) {
-			q := v.(lookupBatchResp)
-			b = wire.AppendUvarint(b, uint64(len(q.Results)))
-			for i := range q.Results {
-				b = wire.AppendVarint(b, int64(q.Results[i].Owner))
-				b = wire.AppendBool(b, q.Results[i].Known)
-			}
-			return b, nil
-		},
-		func(r *wire.Reader, prev any) any {
-			var q lookupBatchResp
-			if p, ok := prev.(lookupBatchResp); ok {
-				q = p
-			}
-			n := r.SliceLen(2)
-			q.Results = wire.Grow(q.Results, n)
-			for i := range q.Results {
-				q.Results[i].Owner = transport.NodeID(r.Varint())
-				q.Results[i].Known = r.Bool()
-			}
-			return q
-		})
-	wire.Register(wireIDRegisterBatchReq, registerBatchReq{},
-		func(b []byte, v any) ([]byte, error) {
-			q := v.(registerBatchReq)
-			b = wire.AppendStrings(b, q.Oids)
-			b = wire.AppendVarint(b, int64(q.Owner))
-			return wire.AppendUvarint(b, q.Tx), nil
-		},
-		func(r *wire.Reader, prev any) any {
-			var q registerBatchReq
-			if p, ok := prev.(registerBatchReq); ok {
-				q = p
-			}
-			q.Oids = wire.ReadStrings(r, q.Oids)
-			q.Owner = transport.NodeID(r.Varint())
-			q.Tx = r.Uvarint()
-			return q
-		})
-	wire.Register(wireIDBatchErrResp, batchErrResp{},
-		func(b []byte, v any) ([]byte, error) {
-			q := v.(batchErrResp)
-			b = wire.AppendUvarint(b, uint64(len(q.Errs)))
-			for _, e := range q.Errs {
-				b = wire.AppendString(b, e)
-			}
-			return b, nil
-		},
-		func(r *wire.Reader, prev any) any {
-			var q batchErrResp
-			if p, ok := prev.(batchErrResp); ok {
-				q = p
-			}
-			n := r.SliceLen(1)
-			q.Errs = wire.Grow(q.Errs, n)
-			for i := range q.Errs {
-				q.Errs[i] = r.String()
-			}
-			return q
-		})
+	wire.Register(wireIDLookupBatchReq, lookupBatchReq{})
+	wire.Register(wireIDLookupBatchResp, lookupBatchResp{})
+	wire.Register(wireIDRegisterBatchReq, registerBatchReq{})
+	wire.Register(wireIDBatchErrResp, batchErrResp{})
+}
+
+func (q lookupBatchReq) AppendWire(b []byte) ([]byte, error) {
+	return wire.AppendStrings(b, q.Oids), nil
+}
+
+func (lookupBatchReq) ReadWire(r *wire.Reader) any {
+	return lookupBatchReq{Oids: wire.ReadStrings[object.ID](r, nil)}
+}
+
+func (q lookupBatchResp) AppendWire(b []byte) ([]byte, error) {
+	b = wire.AppendUvarint(b, uint64(len(q.Results)))
+	for _, res := range q.Results {
+		b = wire.AppendVarint(b, int64(res.Owner))
+		b = wire.AppendBool(b, res.Known)
+	}
+	return b, nil
+}
+
+func (lookupBatchResp) ReadWire(r *wire.Reader) any {
+	q := lookupBatchResp{Results: wire.Grow[lookupResp](nil, r.SliceLen(2))}
+	for i := range q.Results {
+		q.Results[i] = lookupResp{Owner: transport.NodeID(r.Varint()), Known: r.Bool()}
+	}
+	return q
+}
+
+func (q registerBatchReq) AppendWire(b []byte) ([]byte, error) {
+	b = wire.AppendStrings(b, q.Oids)
+	b = wire.AppendVarint(b, int64(q.Owner))
+	return wire.AppendUvarint(b, q.Tx), nil
+}
+
+func (registerBatchReq) ReadWire(r *wire.Reader) any {
+	return registerBatchReq{Oids: wire.ReadStrings[object.ID](r, nil), Owner: transport.NodeID(r.Varint()), Tx: r.Uvarint()}
+}
+
+func (q batchErrResp) AppendWire(b []byte) ([]byte, error) {
+	return wire.AppendStrings(b, q.Errs), nil
+}
+
+func (batchErrResp) ReadWire(r *wire.Reader) any {
+	return batchErrResp{Errs: wire.ReadStrings[string](r, nil)}
 }

@@ -68,9 +68,6 @@ type RetryPolicy struct {
 	// each attempt (with ±50% deterministic jitter) up to MaxBackoff.
 	BaseBackoff time.Duration
 	MaxBackoff  time.Duration
-	// MaxAttempts caps the total number of sends. 0 means unlimited —
-	// bounded only by the call deadline.
-	MaxAttempts int
 }
 
 // DefaultRetryPolicy is the endpoint's out-of-the-box behaviour: patient
@@ -84,9 +81,6 @@ func DefaultRetryPolicy() RetryPolicy {
 	}
 }
 
-// NoRetry is a RetryPolicy that sends once and waits out the deadline.
-func NoRetry() RetryPolicy { return RetryPolicy{} }
-
 // dedupCap bounds the per-endpoint duplicate-suppression cache. Entries
 // are evicted oldest-first once the handler has replied; in-flight entries
 // are never evicted.
@@ -96,10 +90,6 @@ const dedupCap = 4096
 type envelope struct {
 	Err  string
 	Body any
-}
-
-func init() {
-	transport.RegisterPayload(envelope{})
 }
 
 // dedupKey identifies one request for duplicate suppression: correlation
@@ -303,9 +293,6 @@ func (e *Endpoint) Call(ctx context.Context, to transport.NodeID, kind transport
 		body, err, expired := await(rp.PerTryTimeout)
 		if !expired {
 			return body, err
-		}
-		if rp.MaxAttempts > 0 && attempt >= rp.MaxAttempts {
-			return nil, fmt.Errorf("%w: %v to node %d after %d attempts", ErrCallTimeout, kind, to, attempt)
 		}
 		// Back off before retransmitting — but keep listening: a reply that
 		// was merely slow must still complete the call.

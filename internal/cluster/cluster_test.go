@@ -11,6 +11,7 @@ import (
 
 	"dstm/internal/transport"
 	"dstm/internal/vclock"
+	"dstm/internal/wire"
 )
 
 const (
@@ -246,16 +247,27 @@ func TestCallOverTCP(t *testing.T) {
 	defer a.Close()
 	defer b.Close()
 
-	transport.RegisterPayload("")
 	b.Handle(kindEcho, func(_ transport.NodeID, p any) (any, error) { return p, nil })
-	got, err := a.Call(context.Background(), 1, kindEcho, "tcp")
+	got, err := a.Call(context.Background(), 1, kindEcho, tcpEcho{S: "tcp"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got != "tcp" {
+	if got != (tcpEcho{S: "tcp"}) {
 		t.Fatalf("got %v", got)
 	}
 }
+
+// tcpEcho is a payload with a wire codec, so it can cross TCP.
+type tcpEcho struct{ S string }
+
+func (e tcpEcho) AppendWire(b []byte) ([]byte, error) { return wire.AppendString(b, e.S), nil }
+
+func (tcpEcho) ReadWire(r *wire.Reader) any { return tcpEcho{S: r.String()} }
+
+// wireIDTCPEcho is test-only (90–99 are never assigned outside tests).
+const wireIDTCPEcho wire.ID = 92
+
+func init() { wire.Register(wireIDTCPEcho, tcpEcho{}) }
 
 // withPeers is a test helper: TCPNode resolves peers lazily, so installing
 // the table after construction is fine as long as it happens before Send.

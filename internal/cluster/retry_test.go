@@ -104,26 +104,6 @@ func TestCallDuplicatedRequestsSuppressed(t *testing.T) {
 	}
 }
 
-func TestCallMaxAttemptsReturnsCallTimeout(t *testing.T) {
-	a, _, n, calls := countingPair(t)
-	p := fastRetry()
-	p.MaxAttempts = 3
-	a.SetRetryPolicy(p)
-
-	n.SetInterceptor(func(m *transport.Message) bool { return m.IsReply }) // eat all requests
-	start := time.Now()
-	_, err := a.Call(context.Background(), 1, kindCount, nil)
-	if !errors.Is(err, ErrCallTimeout) {
-		t.Fatalf("err = %v, want ErrCallTimeout", err)
-	}
-	if elapsed := time.Since(start); elapsed > 2*time.Second {
-		t.Fatalf("gave up after %v; MaxAttempts should bound the call tightly", elapsed)
-	}
-	if c := calls.Load(); c != 0 {
-		t.Fatalf("handler ran %d times, want 0", c)
-	}
-}
-
 func TestCallContextCancelMidRetry(t *testing.T) {
 	a, _, n, _ := countingPair(t)
 	a.SetRetryPolicy(fastRetry())
@@ -201,12 +181,9 @@ func TestRetryPolicyAccessors(t *testing.T) {
 	if p := a.RetryPolicy(); p != DefaultRetryPolicy() {
 		t.Fatalf("fresh endpoint policy %+v, want default", p)
 	}
-	custom := RetryPolicy{PerTryTimeout: time.Second, MaxAttempts: 7}
+	custom := RetryPolicy{PerTryTimeout: time.Second, BaseBackoff: 7 * time.Millisecond}
 	a.SetRetryPolicy(custom)
 	if p := a.RetryPolicy(); p != custom {
 		t.Fatalf("policy %+v, want %+v", p, custom)
-	}
-	if p := NoRetry(); p.PerTryTimeout != 0 {
-		t.Fatalf("NoRetry per-try timeout %v, want 0", p.PerTryTimeout)
 	}
 }

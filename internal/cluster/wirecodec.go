@@ -6,20 +6,12 @@ import "dstm/internal/wire"
 // "Wire format").
 const wireIDEnvelope wire.ID = 2
 
-func init() {
-	wire.Register(wireIDEnvelope, envelope{},
-		func(b []byte, v any) ([]byte, error) {
-			e := v.(envelope)
-			b = wire.AppendString(b, e.Err)
-			return wire.AppendAny(b, e.Body)
-		},
-		func(r *wire.Reader, prev any) any {
-			var e envelope
-			if p, ok := prev.(envelope); ok {
-				e = p
-			}
-			e.Err = r.String()
-			e.Body = r.Any(e.Body)
-			return e
-		})
+func init() { wire.Register(wireIDEnvelope, envelope{}) }
+
+// AppendWire implements wire.Codec.
+func (e envelope) AppendWire(b []byte) ([]byte, error) {
+	return wire.AppendAny(wire.AppendString(b, e.Err), e.Body)
 }
+
+// ReadWire implements wire.Codec.
+func (envelope) ReadWire(r *wire.Reader) any { return envelope{Err: r.String(), Body: r.Any()} }

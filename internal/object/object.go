@@ -5,7 +5,6 @@
 package object
 
 import (
-	"encoding/gob"
 	"fmt"
 	"hash/fnv"
 )
@@ -44,12 +43,8 @@ func (v Version) String() string { return fmt.Sprintf("v%d@n%d", v.Clock, v.Node
 
 // Value is the interface shared objects implement. Copy must return a deep
 // copy so that transaction-local buffers never alias the authoritative
-// copy. Values travelling over the TCP transport must also be registered
-// with Register so encoding/gob can marshal them through interface fields.
+// copy. A value that crosses the TCP transport also needs a binary codec:
+// its type implements wire.Codec and is registered once with wire.Register.
 type Value interface {
 	Copy() Value
 }
-
-// Register makes a concrete Value type known to encoding/gob, for use with
-// the TCP transport. It is safe to call from init functions.
-func Register(v Value) { gob.Register(v) }

@@ -202,9 +202,9 @@ func TestLockedHeldCopyBehindTheStartIsAdopted(t *testing.T) {
 					if m.To == 1 {
 						retrievesX.Add(1)
 					}
-				case checkBatchReq:
+				case verBatchReq:
 					for _, e := range q.Entries {
-						if e.Oid == "x" {
+						if e.Oid == "x" && m.Kind == KindCheckVersionBatch {
 							checksX.Add(1)
 						}
 					}
@@ -409,13 +409,13 @@ func TestReleaseFencesALateAnnouncement(t *testing.T) {
 		t.Fatalf("late announcement: locked=%v status=%v store locked=%v; want a plain copy and no lock",
 			r.Locked, r.Results[0].Status, owner.Store().Locked("x"))
 	}
-	body, err = tc.rts[0].ep.Call(ctx, 1, KindAcquireBatch, acquireBatchReq{TxID: lockID,
+	body, err = tc.rts[0].ep.Call(ctx, 1, KindAcquireBatch, verBatchReq{TxID: lockID,
 		Entries: []verEntry{{Oid: "x", Ver: object.Version{Clock: 3, Node: 1}}}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r := body.(acquireBatchResp); r.Applied || r.Results[0].Status != statusBusy || owner.Store().Locked("x") {
-		t.Fatalf("commit acquire after the release: applied=%v status=%v, want refused as busy", r.Applied, r.Results[0].Status)
+	if r := body.(answersResp); r.applied() || r.Results[0].Status != statusBusy || owner.Store().Locked("x") {
+		t.Fatalf("commit acquire after the release: applied=%v status=%v, want refused as busy", r.applied(), r.Results[0].Status)
 	}
 }
 

@@ -216,7 +216,7 @@ func (tx *Txn) acquireAll(ctx context.Context, writes []object.ID, locked map[ob
 	}
 	err := ownerWave(ctx, tx, KindAcquireBatch, writes, meter,
 		func(_ int, g ownerGroup) any {
-			req := acquireBatchReq{TxID: tx.lockID, Entries: make([]verEntry, len(g.oids))}
+			req := verBatchReq{TxID: tx.lockID, Entries: make([]verEntry, len(g.oids))}
 			for i, oid := range g.oids {
 				req.Entries[i] = verEntry{Oid: oid, Ver: tx.entries[oid].ver}
 				// Held until the reply says otherwise: if it is lost the batch
@@ -226,8 +226,8 @@ func (tx *Txn) acquireAll(ctx context.Context, writes []object.ID, locked map[ob
 			}
 			return req
 		},
-		func(g ownerGroup, r acquireBatchResp) (bool, error) {
-			if r.Applied {
+		func(g ownerGroup, r answersResp) (bool, error) {
+			if r.applied() {
 				return false, nil
 			}
 			for _, oid := range g.oids {

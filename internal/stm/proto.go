@@ -144,35 +144,31 @@ type verEntry struct {
 	Ver object.Version
 }
 
-// acquireBatchReq commit-locks every entry at one owner for TxID. The
-// owner applies the batch atomically (all-or-nothing against its store):
-// either every entry is locked, or none is.
-type acquireBatchReq struct {
+// verBatchReq is one owner's slice of an acquire or a validation for TxID.
+// As KindAcquireBatch the owner commit-locks every entry at its version, all
+// or nothing against its store; as KindCheckVersionBatch it checks that each
+// entry is still current (TxID's own locks do not invalidate it).
+type verBatchReq struct {
 	TxID    uint64
 	Entries []verEntry
 }
 
-// acquireBatchResp reports per-entry lock outcomes, parallel to the
-// request entries: statusOK, statusStale, statusBusy or the not-here answer.
-// Applied reports whether the locks were actually taken; when false, no
-// entry is locked at the owner — the results identify which entries failed
-// and how.
-type acquireBatchResp struct {
+// answersResp answers a verBatchReq entry by entry, in request order:
+// statusOK, statusStale, statusBusy (acquire only) or the not-here answer.
+type answersResp struct {
 	Results []answer
-	Applied bool
 }
 
-// checkBatchReq validates every entry's version at one owner for the
-// committing transaction TxID (whose own locks do not invalidate it).
-type checkBatchReq struct {
-	TxID    uint64
-	Entries []verEntry
-}
-
-// checkBatchResp carries per-entry outcomes, parallel to the request:
-// statusOK, statusStale or the not-here answer.
-type checkBatchResp struct {
-	Results []answer
+// applied reports whether the acquire batch this answers took its locks.
+// The owner locks all or nothing (Store.LockBatch), so it did exactly when
+// every entry answered statusOK; otherwise no entry is locked there.
+func (r answersResp) applied() bool {
+	for _, a := range r.Results {
+		if a.Status != statusOK {
+			return false
+		}
+	}
+	return true
 }
 
 // ownerReply is a reply of an owner wave as the wave reads it: one answer
@@ -186,10 +182,8 @@ func (r retrieveResp) entries() int { return len(r.Results) }
 func (r retrieveResp) at(i int) answer {
 	return answer{Status: r.Results[i].Status, MovedTo: r.Results[i].MovedTo}
 }
-func (r checkBatchResp) entries() int      { return len(r.Results) }
-func (r checkBatchResp) at(i int) answer   { return r.Results[i] }
-func (r acquireBatchResp) entries() int    { return len(r.Results) }
-func (r acquireBatchResp) at(i int) answer { return r.Results[i] }
+func (r answersResp) entries() int    { return len(r.Results) }
+func (r answersResp) at(i int) answer { return r.Results[i] }
 
 // commitObjBatchReq is the publish wave's one message to a node: surrender
 // Oids (the receiver's slice of the write set, none when it is reached only
@@ -235,18 +229,4 @@ type pushMsg struct {
 // the owner forwards the object to the next queued requester.
 type declineMsg struct {
 	Oid object.ID
-}
-
-func init() {
-	transport.RegisterPayload(retrieveReq{})
-	transport.RegisterPayload(retrieveResp{})
-	transport.RegisterPayload(releaseReq{})
-	transport.RegisterPayload(pushMsg{})
-	transport.RegisterPayload(declineMsg{})
-	transport.RegisterPayload(acquireBatchReq{})
-	transport.RegisterPayload(acquireBatchResp{})
-	transport.RegisterPayload(checkBatchReq{})
-	transport.RegisterPayload(checkBatchResp{})
-	transport.RegisterPayload(commitObjBatchReq{})
-	transport.RegisterPayload(commitObjBatchResp{})
 }

@@ -13,16 +13,31 @@ import (
 	"dstm/internal/wire"
 )
 
-// fuzzVal is a registered object.Value so protocol payloads carrying
-// interface-typed values can travel through gob in this test.
+// fuzzVal is an object.Value with a binary codec, so protocol payloads
+// carrying interface-typed values travel both formats in this test.
 type fuzzVal struct{ X int64 }
 
 func (v fuzzVal) Copy() object.Value { return v }
 
-func init() { object.Register(fuzzVal{}) }
+func (v fuzzVal) AppendWire(b []byte) ([]byte, error) { return wire.AppendVarint(b, v.X), nil }
+
+func (fuzzVal) ReadWire(r *wire.Reader) any { return fuzzVal{X: r.Varint()} }
+
+// wireIDFuzzVal is test-only (90–99 are never assigned outside tests).
+const wireIDFuzzVal wire.ID = 98
+
+func init() {
+	wire.Register(wireIDFuzzVal, fuzzVal{})
+	// gob, the reference these round trips compare against, must know every
+	// concrete type an interface field carries.
+	for _, v := range []any{fuzzVal{}, retrieveReq{}, retrieveResp{}, pushMsg{}, verBatchReq{},
+		answersResp{}, commitObjBatchReq{}, commitObjBatchResp{}} {
+		gob.Register(v)
+	}
+}
 
 // roundTrip passes a message carrying payload through BOTH wire formats —
-// gob (the legacy baseline) and the binary codec — and requires them to
+// gob (the reference) and the binary codec — and requires them to
 // agree: the binary format must be a drop-in replacement, so every fuzz
 // target in this file doubles as a differential oracle. It returns the
 // gob-decoded payload.
@@ -111,42 +126,31 @@ func FuzzCommitPushRoundTrip(f *testing.F) {
 	})
 }
 
-// FuzzAcquireCheckBatchRoundTrip round-trips the owner-grouped lock and
-// validation batches. The per-entry answers must survive verbatim and stay
-// parallel to the request entries: a shifted or truncated Results slice
-// would make the committer misattribute which entry refused the batch (and
-// hence which transaction to abort), and a corrupted MovedTo would send the
+// FuzzAcquireCheckBatchRoundTrip round-trips the request and the reply that
+// acquire and validation share. The per-entry answers must survive verbatim
+// and stay parallel to the request entries: a shifted or truncated Results
+// slice would make the committer misattribute which entry refused the batch
+// (and hence which transaction to abort), a corrupted status would make it
+// read a refused acquire as applied, and a corrupted MovedTo would send the
 // next wave to the wrong node.
 func FuzzAcquireCheckBatchRoundTrip(f *testing.F) {
-	f.Add("obj/a", "obj/b", uint64(7), uint64(5), int32(1), byte(statusStale), byte(statusMoved), int32(2), true)
-	f.Add("", "x", uint64(0), ^uint64(0), int32(-3), byte(statusOK), byte(statusNotOwner), int32(-1), false)
+	f.Add("obj/a", "obj/b", uint64(7), uint64(5), int32(1), byte(statusStale), byte(statusMoved), int32(2))
+	f.Add("", "x", uint64(0), ^uint64(0), int32(-3), byte(statusOK), byte(statusNotOwner), int32(-1))
 	f.Fuzz(func(t *testing.T, oidA, oidB string, tx, verClock uint64, vnode int32,
-		statusA, statusB byte, movedTo int32, applied bool) {
-		entries := []verEntry{
+		statusA, statusB byte, movedTo int32) {
+		req := verBatchReq{TxID: tx, Entries: []verEntry{
 			{Oid: object.ID(oidA), Ver: object.Version{Clock: verClock, Node: vnode}},
 			{Oid: object.ID(oidB), Ver: object.Version{Clock: ^verClock, Node: -vnode}},
+		}}
+		if got := roundTrip(t, req).(verBatchReq); !reflect.DeepEqual(got, req) {
+			t.Fatalf("verBatchReq changed: %+v -> %+v", req, got)
 		}
-
-		areq := acquireBatchReq{TxID: tx, Entries: entries}
-		if got := roundTrip(t, areq).(acquireBatchReq); !reflect.DeepEqual(got, areq) {
-			t.Fatalf("acquireBatchReq changed: %+v -> %+v", areq, got)
-		}
-		answers := []answer{
+		resp := answersResp{Results: []answer{
 			{Status: status(statusA), MovedTo: transport.NodeID(movedTo)},
 			{Status: status(statusB), MovedTo: transport.NodeID(-movedTo)},
-		}
-		aresp := acquireBatchResp{Results: answers, Applied: applied}
-		if got := roundTrip(t, aresp).(acquireBatchResp); !reflect.DeepEqual(got, aresp) {
-			t.Fatalf("acquireBatchResp changed: %+v -> %+v", aresp, got)
-		}
-
-		creq := checkBatchReq{TxID: tx, Entries: entries}
-		if got := roundTrip(t, creq).(checkBatchReq); !reflect.DeepEqual(got, creq) {
-			t.Fatalf("checkBatchReq changed: %+v -> %+v", creq, got)
-		}
-		cresp := checkBatchResp{Results: answers}
-		if got := roundTrip(t, cresp).(checkBatchResp); !reflect.DeepEqual(got, cresp) {
-			t.Fatalf("checkBatchResp changed: %+v -> %+v", cresp, got)
+		}}
+		if got := roundTrip(t, resp).(answersResp); !reflect.DeepEqual(got, resp) {
+			t.Fatalf("answersResp changed: %+v -> %+v", resp, got)
 		}
 	})
 }

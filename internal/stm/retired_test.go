@@ -36,17 +36,19 @@ func TestRetiredKindsAreRefused(t *testing.T) {
 
 // TestRetiredWireIDsAreUnregistered: the wire type IDs of the retired
 // payloads (10 and 11 were the single-object retrieve pair, 22 and 24 the
-// acquire and check replies without the not-here answer, 25 and 26 the
-// publish pair before it named what moved, 27–30 the MVCC snapshot reads,
+// acquire and check replies without the not-here answer, 23 and 35 the check
+// request and the acquire reply from before acquire and validation shared one
+// request and one reply type, 25 and 26 the publish pair before it named what
+// moved, 27–30 the MVCC snapshot reads,
 // 31 and 32 the retrieve pair without the lock identity and the locked flag,
 // 40–42 the single-object directory lookup and register, 43 and 47 the
 // directory updates) decode as unknown, so a frame from an old peer is
 // rejected instead of being read as whatever type took the number over.
 func TestRetiredWireIDsAreUnregistered(t *testing.T) {
-	for _, id := range []wire.ID{10, 11, 12, 13, 14, 15, 17, 18, 22, 24, 25, 26, 27, 28, 29, 30, 31, 32, 40, 41, 42, 43, 47} {
+	for _, id := range []wire.ID{10, 11, 12, 13, 14, 15, 17, 18, 22, 23, 24, 25, 26, 27, 28, 29, 30, 31, 32, 35, 40, 41, 42, 43, 47} {
 		t.Run(fmt.Sprintf("id%d", id), func(t *testing.T) {
 			r := wire.NewReader(wire.AppendUvarint(nil, uint64(id)))
-			v := r.Any(nil)
+			v := r.Any()
 			err := r.Err()
 			if v != nil || !errors.Is(err, wire.ErrMalformed) || !strings.Contains(err.Error(), "unknown wire type ID") {
 				t.Fatalf("wire ID %d decoded to %T, err %v; want unknown wire type ID", id, v, err)

@@ -162,9 +162,6 @@ func (rt *Runtime) SetTracer(tr *trace.Recorder) {
 	})
 }
 
-// Tracer returns the runtime's event recorder (nil when tracing is off).
-func (rt *Runtime) Tracer() *trace.Recorder { return rt.tracer }
-
 // Metrics returns the node's transaction outcome counters.
 func (rt *Runtime) Metrics() *Metrics { return rt.metrics }
 
@@ -368,7 +365,7 @@ func (rt *Runtime) migrateOut(oid object.ID, tx uint64, to transport.NodeID) ([]
 // that this node owns (O(owners) commit rounds instead of O(objects)).
 
 func (rt *Runtime) handleAcquireBatch(_ transport.NodeID, payload any) (any, error) {
-	req, ok := payload.(acquireBatchReq)
+	req, ok := payload.(verBatchReq)
 	if !ok {
 		return nil, fmt.Errorf("stm: bad acquire batch payload %T", payload)
 	}
@@ -376,9 +373,8 @@ func (rt *Runtime) handleAcquireBatch(_ transport.NodeID, payload any) (any, err
 	for i, e := range req.Entries {
 		entries[i] = object.LockEntry{ID: e.Oid, Expect: e.Ver}
 	}
-	var resp acquireBatchResp
-	resp.Results, resp.Applied = rt.commitLock(req.TxID, entries)
-	return resp, nil
+	answers, _ := rt.commitLock(req.TxID, entries)
+	return answersResp{Results: answers}, nil
 }
 
 // commitLock is the one owner-side commit-lock step, shared by an acquire
@@ -405,11 +401,11 @@ func (rt *Runtime) commitLock(tx uint64, entries []object.LockEntry) ([]answer, 
 }
 
 func (rt *Runtime) handleCheckVersionBatch(_ transport.NodeID, payload any) (any, error) {
-	req, ok := payload.(checkBatchReq)
+	req, ok := payload.(verBatchReq)
 	if !ok {
 		return nil, fmt.Errorf("stm: bad check batch payload %T", payload)
 	}
-	resp := checkBatchResp{Results: make([]answer, len(req.Entries))}
+	resp := answersResp{Results: make([]answer, len(req.Entries))}
 	for i, e := range req.Entries {
 		ver, lockedBy, owned := rt.store.State(e.Oid)
 		switch {

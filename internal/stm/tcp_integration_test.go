@@ -11,13 +11,30 @@ import (
 	"dstm/internal/sched"
 	"dstm/internal/transport"
 	"dstm/internal/vclock"
+	"dstm/internal/wire"
+)
+
+// Test-only wire type IDs (90–99 are never assigned outside tests): values
+// crossing the TCP transport need a codec.
+const (
+	wireIDBox  wire.ID = 96
+	wireIDPair wire.ID = 97
 )
 
 func init() {
-	// Values crossing the TCP transport must be gob-registered.
-	object.Register(&box{})
-	object.Register(&pair{})
+	wire.Register(wireIDBox, &box{})
+	wire.Register(wireIDPair, &pair{})
 }
+
+func (b *box) AppendWire(buf []byte) ([]byte, error) { return wire.AppendVarint(buf, b.N), nil }
+
+func (*box) ReadWire(r *wire.Reader) any { return &box{N: r.Varint()} }
+
+func (p *pair) AppendWire(b []byte) ([]byte, error) {
+	return wire.AppendVarint(wire.AppendVarint(b, p.A), p.B), nil
+}
+
+func (*pair) ReadWire(r *wire.Reader) any { return &pair{A: r.Varint(), B: r.Varint()} }
 
 // newTCPCluster builds n runtimes over real TCP on loopback.
 func newTCPCluster(t *testing.T, n int) []*Runtime {

@@ -835,14 +835,14 @@ func (tx *Txn) validateMany(ctx context.Context, oids []object.ID, meter *commit
 func (tx *Txn) checkVersions(ctx context.Context, oids []object.ID, meter *commitMeter) (stale []object.ID, err error) {
 	err = ownerWave(ctx, tx, KindCheckVersionBatch, oids, meter,
 		func(_ int, g ownerGroup) any {
-			req := checkBatchReq{TxID: tx.root.lockID, Entries: make([]verEntry, len(g.oids))}
+			req := verBatchReq{TxID: tx.root.lockID, Entries: make([]verEntry, len(g.oids))}
 			for i, oid := range g.oids {
 				e, _ := tx.lookup(oid)
 				req.Entries[i] = verEntry{Oid: oid, Ver: e.ver}
 			}
 			return req
 		},
-		func(g ownerGroup, r checkBatchResp) (bool, error) {
+		func(g ownerGroup, r answersResp) (bool, error) {
 			for i, a := range r.Results {
 				if a.Status != statusOK && !a.Status.notHere() {
 					stale = append(stale, g.oids[i])

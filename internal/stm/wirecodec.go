@@ -1,8 +1,8 @@
 // Binary wire codecs for the STM protocol payloads (see DESIGN.md "Wire
-// format" for the type-ID map). Encoders are append-style and alloc-free;
-// decoders write into the payload struct in place, reusing its slices and
-// embedded object values, so a connection decoding into a reused payload
-// reaches zero steady-state allocations.
+// format" for the type-ID map). AppendWire is append-style and alloc-free.
+// ReadWire decodes the fresh payload the transport hands a handler; for the
+// hot payloads it runs decodeWire, which overwrites a payload struct in
+// place, growing its slices — what TestWireCodecZeroAlloc times.
 package stm
 
 import (
@@ -18,24 +18,36 @@ import (
 // Wire type IDs 10–39 are reserved for STM payloads. They are a static
 // protocol: never renumber, only append. IDs 10–15, 17 and 18 (payloads of
 // the retired per-object retrieve/check/acquire/commit RPCs), 22 and 24 (the
-// acquire and check replies without the not-here answer), 25 and 26 (the
-// publish pair that carried values and no move list), 27–30 (the retired
-// MVCC snapshot-read payloads) and 31 and 32 (the retrieve pair without the
-// lock identity and the locked flag) are reserved: never reuse them, or a
-// frame from an old peer would mis-decode into a live type.
+// acquire and check replies without the not-here answer), 23 and 35 (the
+// check request and the acquire reply, from before acquire and validation
+// shared one request and one reply type), 25 and 26 (the publish pair that
+// carried values and no move list), 27–30 (the retired MVCC snapshot-read
+// payloads) and 31 and 32 (the retrieve pair without the lock identity and
+// the locked flag) are reserved: never reuse them, or a frame from an old
+// peer would mis-decode into a live type.
 const (
 	wireIDReleaseReq         wire.ID = 16
 	wireIDPushMsg            wire.ID = 19
 	wireIDDeclineMsg         wire.ID = 20
-	wireIDAcquireBatchReq    wire.ID = 21
-	wireIDCheckBatchReq      wire.ID = 23
+	wireIDVerBatchReq        wire.ID = 21
 	wireIDCommitObjBatchReq  wire.ID = 33
 	wireIDCommitObjBatchResp wire.ID = 34
-	wireIDAcquireBatchResp   wire.ID = 35
-	wireIDCheckBatchResp     wire.ID = 36
+	wireIDAnswersResp        wire.ID = 36
 	wireIDRetrieveReq        wire.ID = 37
 	wireIDRetrieveResp       wire.ID = 38
 )
+
+func init() {
+	wire.Register(wireIDReleaseReq, releaseReq{})
+	wire.Register(wireIDPushMsg, pushMsg{})
+	wire.Register(wireIDDeclineMsg, declineMsg{})
+	wire.Register(wireIDVerBatchReq, verBatchReq{})
+	wire.Register(wireIDCommitObjBatchReq, commitObjBatchReq{})
+	wire.Register(wireIDCommitObjBatchResp, commitObjBatchResp{})
+	wire.Register(wireIDAnswersResp, answersResp{})
+	wire.Register(wireIDRetrieveReq, retrieveReq{})
+	wire.Register(wireIDRetrieveResp, retrieveResp{})
+}
 
 func appendVersion(b []byte, v object.Version) []byte {
 	b = wire.AppendUvarint(b, v.Clock)
@@ -46,10 +58,10 @@ func readVersion(r *wire.Reader) object.Version {
 	return object.Version{Clock: r.Uvarint(), Node: int32(r.Varint())}
 }
 
-// readValue decodes an object value, reusing prev when the concrete type
-// matches, and enforces that the decoded payload implements object.Value.
-func readValue(r *wire.Reader, prev object.Value) object.Value {
-	av := r.Any(prev)
+// readValue decodes an object value and enforces that the decoded payload
+// implements object.Value.
+func readValue(r *wire.Reader) object.Value {
+	av := r.Any()
 	if av == nil {
 		return nil
 	}
@@ -102,10 +114,10 @@ func readSchedQueue(r *wire.Reader, prev []sched.Request) []sched.Request {
 }
 
 // ---------------------------------------------------------------------------
-// Per-payload codecs. Encoders are value-receiver methods (no escape);
-// decoders are pointer-receiver and overwrite in place.
+// Per-payload codecs. AppendWire has a value receiver (no escape);
+// decodeWire a pointer receiver, overwriting in place.
 
-func (q retrieveReq) appendWire(b []byte) []byte {
+func (q retrieveReq) AppendWire(b []byte) ([]byte, error) {
 	b = wire.AppendUvarint(b, q.TxID)
 	b = wire.AppendUvarint(b, uint64(q.Mode))
 	b = wire.AppendVarint(b, int64(q.MyCL))
@@ -113,7 +125,7 @@ func (q retrieveReq) appendWire(b []byte) []byte {
 	b = wire.AppendVarint(b, int64(q.Remain))
 	b = wire.AppendBool(b, q.Prefetch)
 	b = wire.AppendUvarint(b, q.LockID)
-	return wire.AppendStrings(b, q.Oids)
+	return wire.AppendStrings(b, q.Oids), nil
 }
 
 func (q *retrieveReq) decodeWire(r *wire.Reader) {
@@ -127,7 +139,13 @@ func (q *retrieveReq) decodeWire(r *wire.Reader) {
 	q.Oids = wire.ReadStrings(r, q.Oids)
 }
 
-func (q retrieveResp) appendWire(b []byte) ([]byte, error) {
+func (retrieveReq) ReadWire(r *wire.Reader) any {
+	var q retrieveReq
+	q.decodeWire(r)
+	return q
+}
+
+func (q retrieveResp) AppendWire(b []byte) ([]byte, error) {
 	b = wire.AppendUvarint(b, uint64(len(q.Results)))
 	for i := range q.Results {
 		res := &q.Results[i]
@@ -151,7 +169,7 @@ func (q *retrieveResp) decodeWire(r *wire.Reader) {
 	for i := range q.Results {
 		res := &q.Results[i]
 		res.Status = status(r.Uvarint())
-		res.Value = readValue(r, res.Value)
+		res.Value = readValue(r)
 		res.Version = readVersion(r)
 		res.RemoteCL = int(r.Varint())
 		res.Backoff = time.Duration(r.Varint())
@@ -161,17 +179,22 @@ func (q *retrieveResp) decodeWire(r *wire.Reader) {
 	q.Locked = r.Bool()
 }
 
-func (q releaseReq) appendWire(b []byte) []byte {
+func (retrieveResp) ReadWire(r *wire.Reader) any {
+	var q retrieveResp
+	q.decodeWire(r)
+	return q
+}
+
+func (q releaseReq) AppendWire(b []byte) ([]byte, error) {
 	b = wire.AppendStrings(b, q.Oids)
-	return wire.AppendUvarint(b, q.TxID)
+	return wire.AppendUvarint(b, q.TxID), nil
 }
 
-func (q *releaseReq) decodeWire(r *wire.Reader) {
-	q.Oids = wire.ReadStrings(r, q.Oids)
-	q.TxID = r.Uvarint()
+func (releaseReq) ReadWire(r *wire.Reader) any {
+	return releaseReq{Oids: wire.ReadStrings[object.ID](r, nil), TxID: r.Uvarint()}
 }
 
-func (q pushMsg) appendWire(b []byte) ([]byte, error) {
+func (q pushMsg) AppendWire(b []byte) ([]byte, error) {
 	b = wire.AppendString(b, string(q.Oid))
 	b = wire.AppendUvarint(b, q.TxID)
 	b, err := wire.AppendAny(b, q.Value)
@@ -184,103 +207,69 @@ func (q pushMsg) appendWire(b []byte) ([]byte, error) {
 	return wire.AppendVarint(b, int64(q.RemoteCL)), nil
 }
 
-func (q *pushMsg) decodeWire(r *wire.Reader) {
-	q.Oid = object.ID(r.String())
-	q.TxID = r.Uvarint()
-	q.Value = readValue(r, q.Value)
-	q.Version = readVersion(r)
-	q.Owner = transport.NodeID(r.Varint())
-	q.OwnerClock = r.Uvarint()
-	q.RemoteCL = int(r.Varint())
+func (pushMsg) ReadWire(r *wire.Reader) any {
+	return pushMsg{Oid: object.ID(r.String()), TxID: r.Uvarint(), Value: readValue(r),
+		Version: readVersion(r), Owner: transport.NodeID(r.Varint()), OwnerClock: r.Uvarint(),
+		RemoteCL: int(r.Varint())}
 }
 
-func (q declineMsg) appendWire(b []byte) []byte {
-	return wire.AppendString(b, string(q.Oid))
+func (q declineMsg) AppendWire(b []byte) ([]byte, error) {
+	return wire.AppendString(b, string(q.Oid)), nil
 }
 
-func (q *declineMsg) decodeWire(r *wire.Reader) {
-	q.Oid = object.ID(r.String())
-}
+func (declineMsg) ReadWire(r *wire.Reader) any { return declineMsg{Oid: object.ID(r.String())} }
 
-func appendVerEntries(b []byte, es []verEntry) []byte {
-	b = wire.AppendUvarint(b, uint64(len(es)))
-	for i := range es {
-		b = wire.AppendString(b, string(es[i].Oid))
-		b = appendVersion(b, es[i].Ver)
-	}
-	return b
-}
-
-func readVerEntries(r *wire.Reader, prev []verEntry) []verEntry {
-	n := r.SliceLen(3)
-	es := wire.Grow(prev, n)
-	for i := range es {
-		es[i].Oid = object.ID(r.String())
-		es[i].Ver = readVersion(r)
-	}
-	return es
-}
-
-func (q acquireBatchReq) appendWire(b []byte) []byte {
+func (q verBatchReq) AppendWire(b []byte) ([]byte, error) {
 	b = wire.AppendUvarint(b, q.TxID)
-	return appendVerEntries(b, q.Entries)
-}
-
-func (q *acquireBatchReq) decodeWire(r *wire.Reader) {
-	q.TxID = r.Uvarint()
-	q.Entries = readVerEntries(r, q.Entries)
-}
-
-func appendAnswers(b []byte, as []answer) []byte {
-	b = wire.AppendUvarint(b, uint64(len(as)))
-	for i := range as {
-		b = wire.AppendUvarint(b, uint64(as[i].Status))
-		b = wire.AppendVarint(b, int64(as[i].MovedTo))
+	b = wire.AppendUvarint(b, uint64(len(q.Entries)))
+	for i := range q.Entries {
+		b = wire.AppendString(b, string(q.Entries[i].Oid))
+		b = appendVersion(b, q.Entries[i].Ver)
 	}
-	return b
+	return b, nil
 }
 
-func readAnswers(r *wire.Reader, prev []answer) []answer {
-	as := wire.Grow(prev, r.SliceLen(2))
-	for i := range as {
-		as[i].Status = status(r.Uvarint())
-		as[i].MovedTo = transport.NodeID(r.Varint())
-	}
-	return as
-}
-
-func (q acquireBatchResp) appendWire(b []byte) []byte {
-	return wire.AppendBool(appendAnswers(b, q.Results), q.Applied)
-}
-
-func (q *acquireBatchResp) decodeWire(r *wire.Reader) {
-	q.Results = readAnswers(r, q.Results)
-	q.Applied = r.Bool()
-}
-
-func (q checkBatchReq) appendWire(b []byte) []byte {
-	b = wire.AppendUvarint(b, q.TxID)
-	return appendVerEntries(b, q.Entries)
-}
-
-func (q *checkBatchReq) decodeWire(r *wire.Reader) {
+func (q *verBatchReq) decodeWire(r *wire.Reader) {
 	q.TxID = r.Uvarint()
-	q.Entries = readVerEntries(r, q.Entries)
+	q.Entries = wire.Grow(q.Entries, r.SliceLen(3))
+	for i := range q.Entries {
+		q.Entries[i] = verEntry{Oid: object.ID(r.String()), Ver: readVersion(r)}
+	}
 }
 
-func (q checkBatchResp) appendWire(b []byte) []byte {
-	return appendAnswers(b, q.Results)
+func (verBatchReq) ReadWire(r *wire.Reader) any {
+	var q verBatchReq
+	q.decodeWire(r)
+	return q
 }
 
-func (q *checkBatchResp) decodeWire(r *wire.Reader) {
-	q.Results = readAnswers(r, q.Results)
+func (q answersResp) AppendWire(b []byte) ([]byte, error) {
+	b = wire.AppendUvarint(b, uint64(len(q.Results)))
+	for i := range q.Results {
+		b = wire.AppendUvarint(b, uint64(q.Results[i].Status))
+		b = wire.AppendVarint(b, int64(q.Results[i].MovedTo))
+	}
+	return b, nil
 }
 
-func (q commitObjBatchReq) appendWire(b []byte) []byte {
+func (q *answersResp) decodeWire(r *wire.Reader) {
+	q.Results = wire.Grow(q.Results, r.SliceLen(2))
+	for i := range q.Results {
+		q.Results[i] = answer{Status: status(r.Uvarint()), MovedTo: transport.NodeID(r.Varint())}
+	}
+}
+
+func (answersResp) ReadWire(r *wire.Reader) any {
+	var q answersResp
+	q.decodeWire(r)
+	return q
+}
+
+func (q commitObjBatchReq) AppendWire(b []byte) ([]byte, error) {
 	b = wire.AppendUvarint(b, q.TxID)
 	b = wire.AppendVarint(b, int64(q.NewOwner))
 	b = wire.AppendStrings(b, q.Oids)
-	return wire.AppendStrings(b, q.Moved)
+	return wire.AppendStrings(b, q.Moved), nil
 }
 
 func (q *commitObjBatchReq) decodeWire(r *wire.Reader) {
@@ -290,18 +279,23 @@ func (q *commitObjBatchReq) decodeWire(r *wire.Reader) {
 	q.Moved = wire.ReadStrings(r, q.Moved)
 }
 
-func (q commitObjBatchResp) appendWire(b []byte) []byte {
+func (commitObjBatchReq) ReadWire(r *wire.Reader) any {
+	var q commitObjBatchReq
+	q.decodeWire(r)
+	return q
+}
+
+func (q commitObjBatchResp) AppendWire(b []byte) ([]byte, error) {
 	b = wire.AppendUvarint(b, uint64(len(q.Results)))
 	for i := range q.Results {
 		b = appendSchedQueue(b, q.Results[i].Queue)
 		b = wire.AppendString(b, q.Results[i].Err)
 	}
-	return wire.AppendString(b, q.DirErr)
+	return wire.AppendString(b, q.DirErr), nil
 }
 
 func (q *commitObjBatchResp) decodeWire(r *wire.Reader) {
-	n := r.SliceLen(2)
-	q.Results = wire.Grow(q.Results, n)
+	q.Results = wire.Grow(q.Results, r.SliceLen(2))
 	for i := range q.Results {
 		q.Results[i].Queue = readSchedQueue(r, q.Results[i].Queue)
 		q.Results[i].Err = r.String()
@@ -309,119 +303,10 @@ func (q *commitObjBatchResp) decodeWire(r *wire.Reader) {
 	q.DirErr = r.String()
 }
 
-// ---------------------------------------------------------------------------
-// Registration. The encode closures call value-receiver methods directly so
-// the registered encode path stays allocation-free; the decode closures
-// reuse prev's slices and values when the transport hands one back.
-
-func init() {
-	wire.Register(wireIDRetrieveReq, retrieveReq{},
-		func(b []byte, v any) ([]byte, error) { return v.(retrieveReq).appendWire(b), nil },
-		func(r *wire.Reader, prev any) any {
-			var q retrieveReq
-			if p, ok := prev.(retrieveReq); ok {
-				q = p
-			}
-			q.decodeWire(r)
-			return q
-		})
-	wire.Register(wireIDRetrieveResp, retrieveResp{},
-		func(b []byte, v any) ([]byte, error) { return v.(retrieveResp).appendWire(b) },
-		func(r *wire.Reader, prev any) any {
-			var q retrieveResp
-			if p, ok := prev.(retrieveResp); ok {
-				q = p
-			}
-			q.decodeWire(r)
-			return q
-		})
-	wire.Register(wireIDReleaseReq, releaseReq{},
-		func(b []byte, v any) ([]byte, error) { return v.(releaseReq).appendWire(b), nil },
-		func(r *wire.Reader, prev any) any {
-			var q releaseReq
-			if p, ok := prev.(releaseReq); ok {
-				q = p
-			}
-			q.decodeWire(r)
-			return q
-		})
-	wire.Register(wireIDPushMsg, pushMsg{},
-		func(b []byte, v any) ([]byte, error) { return v.(pushMsg).appendWire(b) },
-		func(r *wire.Reader, prev any) any {
-			var q pushMsg
-			if p, ok := prev.(pushMsg); ok {
-				q = p
-			}
-			q.decodeWire(r)
-			return q
-		})
-	wire.Register(wireIDDeclineMsg, declineMsg{},
-		func(b []byte, v any) ([]byte, error) { return v.(declineMsg).appendWire(b), nil },
-		func(r *wire.Reader, prev any) any {
-			var q declineMsg
-			q.decodeWire(r)
-			return q
-		})
-	wire.Register(wireIDAcquireBatchReq, acquireBatchReq{},
-		func(b []byte, v any) ([]byte, error) { return v.(acquireBatchReq).appendWire(b), nil },
-		func(r *wire.Reader, prev any) any {
-			var q acquireBatchReq
-			if p, ok := prev.(acquireBatchReq); ok {
-				q = p
-			}
-			q.decodeWire(r)
-			return q
-		})
-	wire.Register(wireIDAcquireBatchResp, acquireBatchResp{},
-		func(b []byte, v any) ([]byte, error) { return v.(acquireBatchResp).appendWire(b), nil },
-		func(r *wire.Reader, prev any) any {
-			var q acquireBatchResp
-			if p, ok := prev.(acquireBatchResp); ok {
-				q = p
-			}
-			q.decodeWire(r)
-			return q
-		})
-	wire.Register(wireIDCheckBatchReq, checkBatchReq{},
-		func(b []byte, v any) ([]byte, error) { return v.(checkBatchReq).appendWire(b), nil },
-		func(r *wire.Reader, prev any) any {
-			var q checkBatchReq
-			if p, ok := prev.(checkBatchReq); ok {
-				q = p
-			}
-			q.decodeWire(r)
-			return q
-		})
-	wire.Register(wireIDCheckBatchResp, checkBatchResp{},
-		func(b []byte, v any) ([]byte, error) { return v.(checkBatchResp).appendWire(b), nil },
-		func(r *wire.Reader, prev any) any {
-			var q checkBatchResp
-			if p, ok := prev.(checkBatchResp); ok {
-				q = p
-			}
-			q.decodeWire(r)
-			return q
-		})
-	wire.Register(wireIDCommitObjBatchReq, commitObjBatchReq{},
-		func(b []byte, v any) ([]byte, error) { return v.(commitObjBatchReq).appendWire(b), nil },
-		func(r *wire.Reader, prev any) any {
-			var q commitObjBatchReq
-			if p, ok := prev.(commitObjBatchReq); ok {
-				q = p
-			}
-			q.decodeWire(r)
-			return q
-		})
-	wire.Register(wireIDCommitObjBatchResp, commitObjBatchResp{},
-		func(b []byte, v any) ([]byte, error) { return v.(commitObjBatchResp).appendWire(b), nil },
-		func(r *wire.Reader, prev any) any {
-			var q commitObjBatchResp
-			if p, ok := prev.(commitObjBatchResp); ok {
-				q = p
-			}
-			q.decodeWire(r)
-			return q
-		})
+func (commitObjBatchResp) ReadWire(r *wire.Reader) any {
+	var q commitObjBatchResp
+	q.decodeWire(r)
+	return q
 }
 
 // benchOids returns n recurring object IDs shaped like real ones.
@@ -438,7 +323,7 @@ func benchOids(n int) []object.ID {
 // (bench/micro.go sizes wire.msg_bytes from it, so its value is fixed).
 func WirePumpPayload() any {
 	oids := benchOids(8)
-	q := acquireBatchReq{TxID: 77}
+	q := verBatchReq{TxID: 77}
 	for _, oid := range oids {
 		q.Entries = append(q.Entries, verEntry{Oid: oid, Ver: object.Version{Clock: 41, Node: 3}})
 	}

@@ -12,15 +12,15 @@ import (
 //	ver:u8(=1)  from:varint  to:varint  clock:uvarint  kind:uvarint
 //	corr:uvarint  flags:u8(bit0=IsReply)  payload:any
 //
-// The payload is a wire type ID followed by the registered binary
-// encoding (or a gob blob for unregistered types).
+// The payload is a wire type ID followed by that type's binary encoding
+// (wire.AppendAny).
 const frameVersion = 1
 
 // flag bits of the frame header.
 const flagIsReply = 1 << 0
 
 // AppendMessage appends m's binary frame body to b. It allocates nothing
-// beyond growing b when the payload type has a registered wire codec.
+// beyond growing b, and fails when the payload's type has no wire codec.
 func AppendMessage(b []byte, m *Message) ([]byte, error) {
 	b = append(b, frameVersion)
 	b = wire.AppendVarint(b, int64(m.From))
@@ -61,6 +61,6 @@ func DecodeMessage(r *wire.Reader, m *Message) error {
 		return fmt.Errorf("%w: flag byte %d", wire.ErrMalformed, flags)
 	}
 	m.IsReply = flags&flagIsReply != 0
-	m.Payload = r.Any(nil)
+	m.Payload = r.Any()
 	return r.Err()
 }

@@ -66,9 +66,9 @@ var helloMagic = [4]byte{'D', 'S', 'T', 'M'}
 // reuse the connection the requester dialled; correlation IDs at the
 // cluster layer demultiplex), frames are encoded with the zero-allocation
 // wire codec straight into a per-connection coalescing buffer, and a writer
-// goroutine batches queued frames into single write syscalls. Payload types
-// without a registered wire codec must be registered with RegisterPayload
-// (they cross as an embedded gob blob).
+// goroutine batches queued frames into single write syscalls. A payload
+// crosses only if its type has a wire codec (wire.Register): Send reports
+// one that has none, and the connection carries on.
 type TCPNode struct {
 	id    NodeID
 	ln    net.Listener

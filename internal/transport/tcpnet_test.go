@@ -4,6 +4,14 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"dstm/internal/wire"
+)
+
+// Test-only wire type IDs (90–99 are never assigned outside tests).
+const (
+	wireIDTCPPayload  wire.ID = 90
+	wireIDFuzzPayload wire.ID = 91
 )
 
 type tcpPayload struct {
@@ -11,9 +19,13 @@ type tcpPayload struct {
 	S string
 }
 
-func init() {
-	RegisterPayload(tcpPayload{})
+func (p tcpPayload) AppendWire(b []byte) ([]byte, error) {
+	return wire.AppendString(wire.AppendVarint(b, int64(p.N)), p.S), nil
 }
+
+func (tcpPayload) ReadWire(r *wire.Reader) any { return tcpPayload{N: int(r.Varint()), S: r.String()} }
+
+func init() { wire.Register(wireIDTCPPayload, tcpPayload{}) }
 
 // newTCPPair starts two TCP nodes on loopback that know each other's
 // addresses.
@@ -114,6 +126,36 @@ func TestTCPManyMessagesOrdered(t *testing.T) {
 		if v != i {
 			t.Fatalf("out of order at %d: %d", i, v)
 		}
+	}
+}
+
+// TestTCPSendWithoutCodec: a payload whose type has no wire codec cannot
+// cross. Send reports it and takes the frame's partial encoding back out of
+// the connection's buffer, so the next frame on the connection arrives
+// intact.
+func TestTCPSendWithoutCodec(t *testing.T) {
+	a, b := newTCPPair(t)
+	got := make(chan *Message, 1)
+	b.SetHandler(func(m *Message) { got <- m })
+
+	type noCodec struct{ N int }
+	if err := a.Send(&Message{From: 0, To: 1, Kind: 3, Payload: noCodec{N: 1}}); err == nil {
+		t.Fatal("Send of a payload without a codec succeeded")
+	}
+	after := tcpPayload{N: 2, S: "after"}
+	if err := a.Send(&Message{From: 0, To: 1, Kind: 4, Clock: 9, Payload: after}); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case m := <-got:
+		if p, ok := m.Payload.(tcpPayload); !ok || p != after || m.Kind != 4 || m.Clock != 9 {
+			t.Fatalf("the frame after the failed send arrived as %+v", m)
+		}
+	case <-time.After(2 * time.Second):
+		t.Fatal("the frame after the failed send never arrived")
+	}
+	if n := a.Stats().MsgsSent; n != 1 {
+		t.Fatalf("sent %d frames, want 1", n)
 	}
 }
 

@@ -12,7 +12,6 @@
 package transport
 
 import (
-	"encoding/gob"
 	"errors"
 	"fmt"
 )
@@ -62,10 +61,5 @@ var ErrClosed = errors.New("transport: endpoint closed")
 
 // ErrUnknownNode is returned by Send when the destination does not exist.
 var ErrUnknownNode = errors.New("transport: unknown destination node")
-
-// RegisterPayload registers a payload type with encoding/gob for use with
-// the TCP transport: gob is the binary codec's fallback for types without a
-// wire.Register codec. The in-memory transport does not need registration.
-func RegisterPayload(v any) { gob.Register(v) }
 
 func (k Kind) String() string { return fmt.Sprintf("kind(%d)", uint16(k)) }

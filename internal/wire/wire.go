@@ -7,10 +7,9 @@
 //  1. Zero allocations on the hot encode path: every encoder is an
 //     append-style function growing a caller-owned []byte, so a transport
 //     connection encodes straight into its coalescing buffer.
-//  2. Zero steady-state allocations on decode: the Reader hands out
-//     interned strings (object IDs recur; a bounded intern table makes
-//     the second sight of an ID free) and payload decoders reuse the
-//     slices and values of the struct they decode into.
+//  2. Cheap decode: the Reader hands out interned strings (object IDs
+//     recur; a bounded intern table makes the second sight of an ID free),
+//     so a decoded payload allocates only itself and its slices.
 //  3. Robustness: a malformed frame from a broken peer must produce an
 //     error, never a panic or an unbounded allocation. Every read is
 //     bounds-checked and every length is capped by the bytes remaining.
@@ -18,15 +17,11 @@
 // Integers travel as LEB128 uvarints (signed values zig-zag first), so
 // small clocks, counts, and node IDs cost one byte. Strings and byte
 // blobs are length-prefixed. Interface-typed values (message payloads,
-// object values) are tagged with a registered type ID; types without a
-// registered codec fall back to an embedded encoding/gob blob, so custom
-// application values keep working over TCP without hand-written codecs —
-// they just pay gob's price.
+// object values) are tagged with the type ID their Codec was registered
+// under; a value of a type without one cannot be encoded.
 package wire
 
 import (
-	"bytes"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"math/bits"
@@ -36,14 +31,10 @@ import (
 // ID tags a registered payload type on the wire.
 type ID uint64
 
-// Reserved type IDs.
-const (
-	// IDNil encodes a nil interface value.
-	IDNil ID = 0
-	// IDGob wraps a gob-encoded blob: the escape hatch for types without
-	// a registered binary codec.
-	IDGob ID = 1
-)
+// IDNil encodes a nil interface value. ID 1 is retired (it tagged the gob
+// blob of a type without a binary codec) and stays unregistered, so a
+// frame carrying it fails as an unknown type.
+const IDNil ID = 0
 
 // ErrTruncated is reported when the input ends inside a value.
 var ErrTruncated = errors.New("wire: truncated input")
@@ -280,7 +271,7 @@ func (r *Reader) SliceLen(minElemBytes int) int {
 }
 
 // Grow returns s resized to n elements, reusing its backing array when
-// capacity allows (retained elements feed value-reuse on decode).
+// capacity allows: a decode in place grows its struct's slices through it.
 func Grow[T any](s []T, n int) []T {
 	if cap(s) >= n {
 		return s[:n]
@@ -310,122 +301,66 @@ func ReadStrings[S ~string](r *Reader, prev []S) []S {
 // ---------------------------------------------------------------------------
 // Type registry: interface-typed values on the wire.
 
-// EncodeFunc appends v (whose concrete type the codec was registered
-// for) to b. It may fail only when an embedded interface value cannot be
-// encoded (e.g. a gob fallback for an unregistrable type).
-type EncodeFunc func(b []byte, v any) ([]byte, error)
-
-// DecodeFunc decodes one value. prev, when non-nil, is a value of the
-// same concrete type that may be overwritten and returned to avoid
-// allocating (steady-state decode of a reused struct).
-type DecodeFunc func(r *Reader, prev any) any
-
-type codecEntry struct {
-	id  ID
-	typ reflect.Type
-	enc EncodeFunc
-	dec DecodeFunc
+// Codec is what a type implements to cross the wire. AppendWire appends
+// the value's encoding to b; it fails only when a value the type carries
+// has no codec. ReadWire decodes one value of the receiver's type and
+// returns it fresh: the receiver is the prototype given to Register, and
+// is not read.
+type Codec interface {
+	AppendWire(b []byte) ([]byte, error)
+	ReadWire(r *Reader) any
 }
 
 var (
-	codecsByType = map[reflect.Type]*codecEntry{}
-	codecsByID   = map[ID]*codecEntry{}
+	idsByType  = map[reflect.Type]ID{}
+	codecsByID = map[ID]Codec{}
 )
 
-// Register installs the binary codec for prototype's concrete type under
-// the given type ID. IDs are a static protocol (see DESIGN.md "Wire
-// format"); duplicates panic. Call from init functions only.
-func Register(id ID, prototype any, enc EncodeFunc, dec DecodeFunc) {
-	if id == IDNil || id == IDGob {
-		panic(fmt.Sprintf("wire: type ID %d is reserved", id))
+// Register installs prototype's concrete type under the given type ID. IDs
+// are a static protocol (see DESIGN.md "Wire format"); duplicates panic.
+// Call from init functions only.
+func Register(id ID, prototype Codec) {
+	if id == IDNil {
+		panic("wire: type ID 0 is reserved for nil")
 	}
 	t := reflect.TypeOf(prototype)
 	if t == nil {
 		panic("wire: cannot register nil prototype")
 	}
-	if _, dup := codecsByType[t]; dup {
+	if _, dup := idsByType[t]; dup {
 		panic(fmt.Sprintf("wire: duplicate codec for type %v", t))
 	}
 	if prev, dup := codecsByID[id]; dup {
-		panic(fmt.Sprintf("wire: type ID %d already used by %v", id, prev.typ))
+		panic(fmt.Sprintf("wire: type ID %d already used by %T", id, prev))
 	}
-	e := &codecEntry{id: id, typ: t, enc: enc, dec: dec}
-	codecsByType[t] = e
-	codecsByID[id] = e
+	idsByType[t] = id
+	codecsByID[id] = prototype
 }
 
-// RegisterGobFallbackType registers a concrete type with encoding/gob so
-// it can travel through the IDGob escape hatch. transport.RegisterPayload
-// and object.Register route here.
-func RegisterGobFallbackType(v any) { gob.Register(v) }
-
-// Registered reports whether v's concrete type has a binary codec (nil
-// counts: it has a fixed encoding).
-func Registered(v any) bool {
-	if v == nil {
-		return true
-	}
-	_, ok := codecsByType[reflect.TypeOf(v)]
-	return ok
-}
-
-// AppendAny appends an interface value: a type ID followed by the
-// registered encoding, or a gob blob for unregistered types. The
-// registered path performs no allocations beyond growing b.
+// AppendAny appends an interface value: its type ID followed by its
+// encoding. A value whose type was never registered is an error. It
+// performs no allocations beyond growing b.
 func AppendAny(b []byte, v any) ([]byte, error) {
 	if v == nil {
 		return AppendUvarint(b, uint64(IDNil)), nil
 	}
-	if e, ok := codecsByType[reflect.TypeOf(v)]; ok {
-		b = AppendUvarint(b, uint64(e.id))
-		return e.enc(b, v)
+	id, ok := idsByType[reflect.TypeOf(v)]
+	if !ok {
+		return b, fmt.Errorf("wire: no codec registered for %T", v)
 	}
-	return appendGobFallback(b, v)
+	return v.(Codec).AppendWire(AppendUvarint(b, uint64(id)))
 }
 
-// appendGobFallback wraps v in a length-prefixed gob blob. It is kept out
-// of AppendAny so taking &v here does not force AppendAny's parameter to
-// escape (which would cost one allocation on the registered fast path).
-func appendGobFallback(b []byte, v any) ([]byte, error) {
-	var bb bytes.Buffer
-	if err := gob.NewEncoder(&bb).Encode(&v); err != nil {
-		return b, fmt.Errorf("wire: gob fallback for %T: %w", v, err)
-	}
-	b = AppendUvarint(b, uint64(IDGob))
-	return AppendBytes(b, bb.Bytes()), nil
-}
-
-// Any decodes an interface value encoded by AppendAny. prev, when it has
-// the same concrete type as the encoded value, may be reused by the
-// registered decoder.
-func (r *Reader) Any(prev any) any {
+// Any decodes an interface value encoded by AppendAny into a fresh value.
+func (r *Reader) Any() any {
 	id := ID(r.Uvarint())
-	if r.err != nil {
+	if r.err != nil || id == IDNil {
 		return nil
 	}
-	switch id {
-	case IDNil:
-		return nil
-	case IDGob:
-		n := int(r.Uvarint())
-		p := r.take(n)
-		if r.err != nil {
-			return nil
-		}
-		var v any
-		if err := gob.NewDecoder(bytes.NewReader(p)).Decode(&v); err != nil {
-			r.fail(fmt.Errorf("%w: gob payload: %v", ErrMalformed, err))
-			return nil
-		}
-		return v
-	}
-	e, ok := codecsByID[id]
+	c, ok := codecsByID[id]
 	if !ok {
 		r.fail(fmt.Errorf("%w: unknown wire type ID %d", ErrMalformed, id))
 		return nil
 	}
-	if prev != nil && reflect.TypeOf(prev) != e.typ {
-		prev = nil
-	}
-	return e.dec(r, prev)
+	return c.ReadWire(r)
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"math"
+	"strings"
 	"testing"
 )
 
@@ -133,19 +134,16 @@ type testVal struct {
 	S string
 }
 
-func init() {
-	Register(9001, testVal{},
-		func(b []byte, v any) ([]byte, error) {
-			tv := v.(testVal)
-			b = AppendVarint(b, tv.N)
-			return AppendString(b, tv.S), nil
-		},
-		func(r *Reader, _ any) any {
-			return testVal{N: r.Varint(), S: r.String()}
-		})
+func (v testVal) AppendWire(b []byte) ([]byte, error) {
+	return AppendString(AppendVarint(b, v.N), v.S), nil
 }
 
-type gobOnlyVal struct{ X int32 }
+func (testVal) ReadWire(r *Reader) any { return testVal{N: r.Varint(), S: r.String()} }
+
+func init() { Register(9001, testVal{}) }
+
+// unregistered has no codec.
+type unregistered struct{ X int32 }
 
 func TestAnyRegisteredRoundTrip(t *testing.T) {
 	in := testVal{N: -7, S: "x"}
@@ -154,7 +152,7 @@ func TestAnyRegisteredRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	r := NewReader(b)
-	out := r.Any(nil)
+	out := r.Any()
 	if r.Err() != nil {
 		t.Fatal(r.Err())
 	}
@@ -169,32 +167,29 @@ func TestAnyNil(t *testing.T) {
 		t.Fatal(err)
 	}
 	r := NewReader(b)
-	if out := r.Any(nil); out != nil || r.Err() != nil {
+	if out := r.Any(); out != nil || r.Err() != nil {
 		t.Fatalf("nil any: %v err=%v", out, r.Err())
 	}
 }
 
-func TestAnyGobFallback(t *testing.T) {
-	RegisterGobFallbackType(gobOnlyVal{})
-	in := gobOnlyVal{X: 42}
-	b, err := AppendAny(nil, in)
-	if err != nil {
-		t.Fatal(err)
+// TestAnyUnregistered: a value whose type has no codec cannot be encoded —
+// AppendAny reports it and leaves the buffer as it was — and ID 1, the
+// retired gob fallback's tag, decodes as unknown.
+func TestAnyUnregistered(t *testing.T) {
+	b, err := AppendAny([]byte{7}, unregistered{X: 42})
+	if err == nil || !bytes.Equal(b, []byte{7}) {
+		t.Fatalf("AppendAny of an unregistered type: %v, err %v; want [7] and an error", b, err)
 	}
-	r := NewReader(b)
-	out := r.Any(nil)
-	if r.Err() != nil {
-		t.Fatal(r.Err())
-	}
-	if got, ok := out.(gobOnlyVal); !ok || got != in {
-		t.Fatalf("gob fallback round trip: %#v -> %#v", in, out)
+	r := NewReader(AppendUvarint(nil, 1))
+	if out := r.Any(); out != nil || !errors.Is(r.Err(), ErrMalformed) || !strings.Contains(r.Err().Error(), "unknown wire type ID") {
+		t.Fatalf("wire ID 1 decoded to %v, err %v; want unknown wire type ID", out, r.Err())
 	}
 }
 
 func TestAnyUnknownID(t *testing.T) {
 	b := AppendUvarint(nil, 54321)
 	r := NewReader(b)
-	if out := r.Any(nil); out != nil || r.Err() == nil {
+	if out := r.Any(); out != nil || r.Err() == nil {
 		t.Fatalf("unknown id: out=%v err=%v", out, r.Err())
 	}
 }

@@ -104,8 +104,8 @@ func (b *Burst) Next(*rand.Rand) time.Duration {
 
 // ConflictWindow is the adversarial pattern: every Period it releases
 // BurstSize arrivals simultaneously (zero gap). Period should be set near
-// the system's commit cadence — the p50 commit latency from
-// BENCH_commit.json is the calibration source — so each burst lands while
+// the system's commit cadence — the repo benchmark's write_p50_ms on the
+// same fabric is the calibration source — so each burst lands while
 // the previous burst's winner still holds its commit locks. Every burst
 // member then hits commit-locked objects at once, forcing the scheduler's
 // enqueue-vs-abort decision on the whole cohort; this is the arrival

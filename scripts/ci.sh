@@ -5,7 +5,8 @@
 #
 # Usage: scripts/ci.sh [stage]
 #   vet    go vet + go build, then the loc figure and the one-way gates
-#          (outside bench/ and tests, at most one call site each of
+#          (outside bench/ and tests, no import of encoding/gob — the
+#          binary wire codec is the one codec — and at most one call site each of
 #          stm.NewRuntime and workload.Drive: internal/testbed's; in
 #          internal/stm, at most one LocateBatch call and one loop bounded
 #          by maxOwnerHops: ownerWave's; and one LockBatch call:
@@ -74,6 +75,14 @@ stage_vet() {
     # check in internal/apps is a second copy of the skeleton.
     nontest_go | grep '^\./internal/apps/' | one_site 'inserted%len\(rts\)' 'seed and check a sorted set through apps.Set'
     nontest_go | grep '^\./internal/apps/' | one_site '\[i-1\] >= ' 'seed and check a sorted set through apps.Set'
+    # One codec: whatever crosses a socket has a binary wire codec, and gob
+    # is only the reference of the differential fuzz oracles.
+    if gob=$(nontest_go | xargs grep -l '"encoding/gob"'); then
+        printf '%s\n' "$gob" >&2
+        echo "encoding/gob imported outside tests: give the type a wire.Codec and wire.Register it" >&2
+        exit 1
+    fi
+    echo "== non-test files importing encoding/gob: 0"
 }
 
 # one_site PATTERN HINT: fails when the extended regexp PATTERN matches more
@@ -200,7 +209,6 @@ stage_fuzz() {
     # input is encoded with both gob and the binary codec and the decoded
     # results must agree exactly.
     go test ./internal/transport/ -fuzz FuzzMessageGobRoundTrip -fuzztime "$CI_FUZZTIME"
-    go test ./internal/transport/ -fuzz FuzzMessageGobDecode -fuzztime "$CI_FUZZTIME"
     go test ./internal/transport/ -fuzz FuzzMessageBinaryDecode -fuzztime "$CI_FUZZTIME"
     go test ./internal/stm/ -fuzz FuzzRetrieveRoundTrip -fuzztime "$CI_FUZZTIME"
     go test ./internal/stm/ -fuzz FuzzCommitPushRoundTrip -fuzztime "$CI_FUZZTIME"
