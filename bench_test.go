@@ -20,6 +20,7 @@ import (
 	"testing"
 	"time"
 
+	"dstm/internal/apps"
 	"dstm/internal/harness"
 	"dstm/internal/testbed"
 	"dstm/internal/workload"
@@ -164,20 +165,20 @@ func BenchmarkFig6_Speedup(b *testing.B) {
 // rotating hot-key storm. The spread between RTS and TFA widens as the
 // skew concentrates conflicts onto fewer objects.
 func BenchmarkSkew_KeyDistributions(b *testing.B) {
-	samplers := []struct {
+	pickers := []struct {
 		name string
-		mk   func() workload.KeySampler
+		mk   func() apps.KeyPicker
 	}{
-		{"uniform", func() workload.KeySampler { return workload.NewUniform() }},
-		{"zipf-0.9", func() workload.KeySampler { return workload.NewZipf(0.9) }},
-		{"storm", func() workload.KeySampler { return workload.NewHotKeyStorm(2, 0.9, 64) }},
+		{"uniform", func() apps.KeyPicker { return nil }},
+		{"zipf-0.9", func() apps.KeyPicker { return workload.NewZipf(0.9).Sample }},
+		{"storm", func() apps.KeyPicker { return workload.NewHotKeyStorm(2, 0.9, 64).Sample }},
 	}
-	for _, sk := range samplers {
+	for _, sk := range pickers {
 		for _, s := range []harness.Scheduler{harness.SchedRTS, harness.SchedTFA} {
 			b.Run(fmt.Sprintf("%s/%s", sk.name, s), func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
 					cfg := highContention(harness.BenchBank, s)
-					cfg.KeySampler = sk.mk()
+					cfg.KeyPicker = sk.mk()
 					reportCell(b, runCell(b, cfg))
 				}
 			})

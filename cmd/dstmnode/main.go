@@ -196,7 +196,7 @@ func runNode(o options) error {
 		MaxPending:     o.maxPending,
 	}
 	if o.zipf > 0 {
-		opts.KeySampler = workload.NewZipf(o.zipf)
+		opts.KeyPicker = workload.NewZipf(o.zipf).Sample
 	}
 	if o.openLoop {
 		switch o.arrival {

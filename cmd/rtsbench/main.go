@@ -112,7 +112,7 @@ func main() {
 }
 
 // runCell runs a single experiment cell per benchmark and prints the full
-// outcome breakdown (per-cause abort counts with latency histograms, and —
+// outcome breakdown (per-cause abort counts with mean attempt times, and —
 // with -trace — the protocol-checker verdict). The one-cell mode is the
 // natural home of -tracefile: the JSONL on disk is exactly that cell's run.
 func runCell(ctx context.Context, base harness.Config, benches []harness.BenchmarkKind,

@@ -39,7 +39,7 @@ func (c *Customer) AppendWire(b []byte) ([]byte, error) {
 
 // ReadWire implements wire.Codec.
 func (*Customer) ReadWire(r *wire.Reader) any {
-	c := &Customer{Reservations: wire.Grow[Reservation](nil, r.SliceLen(3))}
+	c := &Customer{Reservations: wire.MakeSlice[Reservation](r.SliceLen(3))}
 	for i := range c.Reservations {
 		c.Reservations[i] = Reservation{Kind: Kind(r.Uvarint()), Index: int(r.Varint()), Price: r.Varint()}
 	}

@@ -32,7 +32,7 @@ func (q lookupBatchReq) AppendWire(b []byte) ([]byte, error) {
 }
 
 func (lookupBatchReq) ReadWire(r *wire.Reader) any {
-	return lookupBatchReq{Oids: wire.ReadStrings[object.ID](r, nil)}
+	return lookupBatchReq{Oids: wire.ReadStrings[object.ID](r)}
 }
 
 func (q lookupBatchResp) AppendWire(b []byte) ([]byte, error) {
@@ -45,7 +45,7 @@ func (q lookupBatchResp) AppendWire(b []byte) ([]byte, error) {
 }
 
 func (lookupBatchResp) ReadWire(r *wire.Reader) any {
-	q := lookupBatchResp{Results: wire.Grow[lookupResp](nil, r.SliceLen(2))}
+	q := lookupBatchResp{Results: wire.MakeSlice[lookupResp](r.SliceLen(2))}
 	for i := range q.Results {
 		q.Results[i] = lookupResp{Owner: transport.NodeID(r.Varint()), Known: r.Bool()}
 	}
@@ -59,7 +59,7 @@ func (q registerBatchReq) AppendWire(b []byte) ([]byte, error) {
 }
 
 func (registerBatchReq) ReadWire(r *wire.Reader) any {
-	return registerBatchReq{Oids: wire.ReadStrings[object.ID](r, nil), Owner: transport.NodeID(r.Varint()), Tx: r.Uvarint()}
+	return registerBatchReq{Oids: wire.ReadStrings[object.ID](r), Owner: transport.NodeID(r.Varint()), Tx: r.Uvarint()}
 }
 
 func (q batchErrResp) AppendWire(b []byte) ([]byte, error) {
@@ -67,5 +67,5 @@ func (q batchErrResp) AppendWire(b []byte) ([]byte, error) {
 }
 
 func (batchErrResp) ReadWire(r *wire.Reader) any {
-	return batchErrResp{Errs: wire.ReadStrings[string](r, nil)}
+	return batchErrResp{Errs: wire.ReadStrings[string](r)}
 }

@@ -58,16 +58,3 @@ func (t *clTracker) Record(oid object.ID, txid uint64) int {
 	e.txs[txid] = struct{}{}
 	return len(e.txs)
 }
-
-// Level returns oid's local CL without recording a request. Expired
-// windows read as zero.
-func (t *clTracker) Level(oid object.ID) int {
-	now := t.now()
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	e := t.entries[oid]
-	if e == nil || now.Sub(e.windowFrom) > t.window {
-		return 0
-	}
-	return len(e.txs)
-}

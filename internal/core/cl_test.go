@@ -17,15 +17,15 @@ func TestCLRecordCounts(t *testing.T) {
 	if got := tr.Record("b", 3); got != 1 {
 		t.Fatalf("other object Record = %d", got)
 	}
-	if got := tr.Level("a"); got != 2 {
-		t.Fatalf("Level = %d", got)
+	if got := tr.Record("a", 1); got != 2 {
+		t.Fatalf("repeat Record = %d, want 2", got)
 	}
 }
 
 func TestCLLevelUnknown(t *testing.T) {
 	tr := newCLTracker(time.Second)
-	if got := tr.Level("ghost"); got != 0 {
-		t.Fatalf("Level of unknown = %d", got)
+	if got := tr.Record("ghost", 1); got != 1 {
+		t.Fatalf("first Record of an unknown object = %d, want 1", got)
 	}
 }
 
@@ -35,15 +35,11 @@ func TestCLWindowExpiry(t *testing.T) {
 	tr.now = func() time.Time { return now }
 
 	tr.Record("a", 1)
-	tr.Record("a", 2)
-	if got := tr.Level("a"); got != 2 {
-		t.Fatalf("Level = %d", got)
+	if got := tr.Record("a", 2); got != 2 {
+		t.Fatalf("Record = %d", got)
 	}
 	// Advance beyond the window: the count resets.
 	now = now.Add(20 * time.Millisecond)
-	if got := tr.Level("a"); got != 0 {
-		t.Fatalf("Level after window = %d", got)
-	}
 	if got := tr.Record("a", 1); got != 1 {
 		t.Fatalf("Record after window = %d, want fresh count 1", got)
 	}
@@ -70,14 +66,15 @@ func TestCLDefaultWindow(t *testing.T) {
 	}
 }
 
-// Property: within one window, Level("x") equals the number of Records.
+// Property: within one window, Record returns the number of distinct
+// requesters so far.
 func TestCLCountProperty(t *testing.T) {
 	f := func(n uint8) bool {
 		tr := newCLTracker(time.Hour)
 		for i := 0; i < int(n); i++ {
 			tr.Record("x", uint64(i+1))
 		}
-		return tr.Level("x") == int(n)
+		return tr.Record("x", 0) == int(n)+1
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)

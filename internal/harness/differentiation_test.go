@@ -39,7 +39,7 @@ func TestSchedulerDifferentiationHotKeyStorm(t *testing.T) {
 					Seed:           seed,
 					// Two hot keys take 90% of the draws, rotating every 64
 					// draws so the storm sweeps across owners.
-					KeySampler: workload.NewHotKeyStorm(2, 0.9, 64),
+					KeyPicker: workload.NewHotKeyStorm(2, 0.9, 64).Sample,
 				},
 				ObjectsPerNode: 4,
 				DelayScale:     0.002,

@@ -45,20 +45,21 @@ func BenchmarkLabel(k BenchmarkKind) string {
 	}
 }
 
-// MetricsTable renders one result's outcome breakdown: commits, the
-// per-cause abort counts, and each outcome's attempt-latency histogram
-// (count, mean and tail quantiles), so time lost per abort cause is
-// visible next to its frequency.
+// MetricsTable renders one result's outcome breakdown: commits with the
+// operations' exact sojourn p50/p99, the per-cause abort counts, and each
+// outcome's mean attempt time, so time lost per abort cause is visible next
+// to its frequency.
 func (r Result) MetricsTable() string {
 	var b strings.Builder
 	m := r.Metrics
-	fmt.Fprintf(&b, "%-22s %8d   %.1f tx/s   [%s]\n",
-		"commit", m.Commits, r.Throughput(), m.Latency[stm.LatencyCommitKey])
+	fmt.Fprintf(&b, "%-22s %8d   %.1f tx/s   [mean=%v]   sojourn p50 %v p99 %v\n", "commit", m.Commits,
+		r.Throughput(), m.Latency[stm.LatencyCommitKey].Mean(), r.Sojourn.Quantile(0.50), r.Sojourn.Quantile(0.99))
 	for _, c := range stm.AbortCauses() {
-		if m.Aborts[c] == 0 && m.Latency[c.String()].Count() == 0 {
+		l := m.Latency[c.String()]
+		if m.Aborts[c] == 0 && l.Count() == 0 {
 			continue
 		}
-		fmt.Fprintf(&b, "%-22s %8d   [%s]\n", "abort:"+c.String(), m.Aborts[c], m.Latency[c.String()])
+		fmt.Fprintf(&b, "%-22s %8d   [mean=%v]\n", "abort:"+c.String(), m.Aborts[c], l.Mean())
 	}
 	fmt.Fprintf(&b, "%-22s %8d   pushes %d  retrieves %d  lease-expiries %d\n",
 		"enqueues", m.Enqueues, m.Pushes, m.Retrieves, m.LeaseExpiries)

@@ -70,7 +70,7 @@ func TestOpenLoopShedsAtMaxPending(t *testing.T) {
 
 func TestOpenLoopZipfSampler(t *testing.T) {
 	cfg := quickOpenCfg()
-	cfg.KeySampler = workload.NewZipf(0.9)
+	cfg.KeyPicker = workload.NewZipf(0.9).Sample
 	res, err := Run(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)

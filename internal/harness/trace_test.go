@@ -179,7 +179,7 @@ func TestProtocolTraceTruncated(t *testing.T) {
 }
 
 // TestMetricsTableRendersBreakdown pins the Result output surface: the
-// per-cause abort breakdown with latency histograms, and the trace verdict
+// per-cause abort breakdown with mean attempt times, and the trace verdict
 // line when tracing is on.
 func TestMetricsTableRendersBreakdown(t *testing.T) {
 	cfg := traceCfg()
@@ -194,7 +194,7 @@ func TestMetricsTableRendersBreakdown(t *testing.T) {
 		t.Fatalf("no commit line:\n%s", out)
 	}
 	if !strings.Contains(out, "mean=") {
-		t.Fatalf("no latency histogram rendered:\n%s", out)
+		t.Fatalf("no mean attempt time rendered:\n%s", out)
 	}
 	if !strings.Contains(out, "trace-events") || !strings.Contains(out, "protocol-check ok") {
 		t.Fatalf("no trace verdict line:\n%s", out)

@@ -85,10 +85,3 @@ func (t *Table) Expect(name string) time.Duration {
 	}
 	return e.sum / time.Duration(e.count)
 }
-
-// Profiles returns the number of distinct transaction profiles recorded.
-func (t *Table) Profiles() int {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return len(t.entries)
-}

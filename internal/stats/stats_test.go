@@ -39,8 +39,8 @@ func TestProfilesIndependent(t *testing.T) {
 	if got := tb.Expect("b"); got != 900*time.Microsecond {
 		t.Fatalf("profile b polluted: %v", got)
 	}
-	if tb.Profiles() != 2 {
-		t.Fatalf("Profiles() = %d", tb.Profiles())
+	if got := tb.Expect("c"); got != time.Millisecond {
+		t.Fatalf("profile c, never recorded: %v, want the fallback", got)
 	}
 }
 

@@ -214,7 +214,6 @@ func TestLockedHeldCopyBehindTheStartIsAdopted(t *testing.T) {
 
 			err := tc.rts[0].Atomic(ctx, "root", func(tx *Txn) error {
 				tx.Prefetch(ctx, []object.ID{"x"}, c.mode)
-				awaitPrefetch(tx)
 				behind := tx.root.pre.held["x"].ownerClock
 				for i := 0; i < 20; i++ {
 					tc.rts[2].ep.Clock().Tick()
@@ -281,7 +280,6 @@ func TestEveryEndingReleasesTheAnnouncement(t *testing.T) {
 			err := tc.rts[0].Atomic(ctx, "root", func(tx *Txn) error {
 				attempt++
 				tx.Prefetch(ctx, []object.ID{"x", "y"}, sched.Write)
-				awaitPrefetch(tx)
 				if n := len(tx.root.pre.locked); n != 2 {
 					t.Errorf("attempt %d holds %d announced locks, want 2", attempt, n)
 				}

@@ -111,7 +111,7 @@ func (tx *Txn) commit(ctx context.Context) error {
 	if len(writes) == 0 && len(creates) == 0 {
 		tx.releaseLocks(ctx, announced)
 		rt.metrics.readOnlyCommits.Add(1)
-		rt.metrics.readMsgs.Add(tx.readRPCs.Load())
+		rt.metrics.readMsgs.Add(tx.readRPCs)
 		return nil
 	}
 	sortIDs(writes)

@@ -13,9 +13,6 @@ func TestFlatNestingInlinesInnerBlocks(t *testing.T) {
 	tc := newTestCluster(t, 1, nil, nil)
 	rt := tc.rts[0]
 	rt.SetNesting(FlatNesting)
-	if rt.Nesting() != FlatNesting {
-		t.Fatal("nesting mode not set")
-	}
 	ctx := context.Background()
 	if err := rt.CreateRoot(ctx, "x", &box{N: 0}); err != nil {
 		t.Fatal(err)

@@ -3,8 +3,6 @@ package stm
 import (
 	"sync/atomic"
 	"time"
-
-	"dstm/internal/stats"
 )
 
 // AbortCause classifies why a transaction attempt aborted, feeding the
@@ -85,21 +83,44 @@ type Metrics struct {
 	readOnlyCommits atomic.Uint64 // commits that wrote nothing
 	readMsgs        atomic.Uint64 // data-path read RPCs charged to those commits
 
-	// Per-outcome attempt latency: how long one top-level attempt ran
-	// before committing, or before aborting with each cause. The split
-	// shows WHERE time is lost — e.g. queue-timeout aborts each burn a full
-	// backoff, so their latency dwarfs denied aborts.
-	commitLatency stats.LatencyHist
-	abortLatency  [numAbortCauses]stats.LatencyHist
+	// Per-outcome attempt time: how many top-level attempts committed, or
+	// aborted with each cause, and how long they ran in sum. The split shows
+	// WHERE time is lost — e.g. queue-timeout aborts each burn a full
+	// backoff, so their mean dwarfs denied aborts'.
+	commitTime attemptTime
+	abortTime  [numAbortCauses]attemptTime
 }
 
-// observeOutcome records one attempt's latency under its outcome.
+// attemptTime counts one outcome's attempts and sums their durations.
+type attemptTime struct{ n, ns atomic.Uint64 }
+
+func (a *attemptTime) load() Latency { return Latency{N: a.n.Load(), SumNs: a.ns.Load()} }
+
+// observeOutcome records one attempt's duration under its outcome.
 func (m *Metrics) observeOutcome(committed bool, cause AbortCause, d time.Duration) {
-	if committed {
-		m.commitLatency.Observe(d)
-		return
+	a := &m.commitTime
+	if !committed {
+		a = &m.abortTime[cause]
 	}
-	m.abortLatency[cause].Observe(d)
+	a.n.Add(1)
+	a.ns.Add(uint64(max(d, 0)))
+}
+
+// Latency is one outcome's attempt count and summed attempt time.
+type Latency struct {
+	N     uint64
+	SumNs uint64
+}
+
+// Count returns the number of attempts.
+func (l Latency) Count() uint64 { return l.N }
+
+// Mean returns the average attempt time (0 when there was none).
+func (l Latency) Mean() time.Duration {
+	if l.N == 0 {
+		return 0
+	}
+	return time.Duration(l.SumNs / l.N)
 }
 
 // LatencyCommitKey is the Latency map key for committed attempts; aborted
@@ -144,8 +165,8 @@ type MetricsSnapshot struct {
 	PrefetchOpened uint64
 
 	// Latency maps outcome (LatencyCommitKey or an AbortCause string) to
-	// that outcome's attempt-latency histogram.
-	Latency map[string]stats.HistSnapshot
+	// that outcome's attempt count and summed attempt time.
+	Latency map[string]Latency
 }
 
 // Snapshot copies the counters.
@@ -171,11 +192,11 @@ func (m *Metrics) Snapshot() MetricsSnapshot {
 		Prefetched:      m.prefetched.Load(),
 		PrefetchOpened:  m.prefOpened.Load(),
 	}
-	s.Latency = make(map[string]stats.HistSnapshot, int(numAbortCauses)+1)
-	s.Latency[LatencyCommitKey] = m.commitLatency.Snapshot()
+	s.Latency = make(map[string]Latency, int(numAbortCauses)+1)
+	s.Latency[LatencyCommitKey] = m.commitTime.load()
 	for c := AbortCause(0); c < numAbortCauses; c++ {
 		s.Aborts[c] = m.aborts[c].Load()
-		s.Latency[c.String()] = m.abortLatency[c].Snapshot()
+		s.Latency[c.String()] = m.abortTime[c].load()
 	}
 	return s
 }
@@ -255,18 +276,17 @@ func (s *MetricsSnapshot) Merge(other MetricsSnapshot) {
 		s.Aborts[c] += v
 	}
 	if s.Latency == nil && len(other.Latency) > 0 {
-		s.Latency = make(map[string]stats.HistSnapshot, len(other.Latency))
+		s.Latency = make(map[string]Latency, len(other.Latency))
 	}
-	for k, h := range other.Latency {
+	for k, l := range other.Latency {
 		cur := s.Latency[k]
-		cur.Merge(h)
-		s.Latency[k] = cur
+		s.Latency[k] = Latency{N: cur.N + l.N, SumNs: cur.SumNs + l.SumNs}
 	}
 }
 
-// Sub removes a baseline snapshot's counters from s (saturation-free for
-// the plain counters — callers subtract a baseline taken earlier on the
-// same nodes, so the counters are monotone; histograms saturate at zero).
+// Sub removes a baseline snapshot's counters from s (saturation-free:
+// callers subtract a baseline taken earlier on the same nodes, so the
+// counters are monotone).
 func (s *MetricsSnapshot) Sub(base MetricsSnapshot) {
 	s.Commits -= base.Commits
 	s.NestedCommits -= base.NestedCommits
@@ -290,12 +310,11 @@ func (s *MetricsSnapshot) Sub(base MetricsSnapshot) {
 			s.Aborts[c] -= v
 		}
 	}
-	for k, h := range base.Latency {
+	for k, l := range base.Latency {
 		if s.Latency == nil {
 			break
 		}
 		cur := s.Latency[k]
-		cur.Sub(h)
-		s.Latency[k] = cur
+		s.Latency[k] = Latency{N: cur.N - l.N, SumNs: cur.SumNs - l.SumNs}
 	}
 }

@@ -57,7 +57,7 @@ func TestMetricsSnapshotAndMerge(t *testing.T) {
 }
 
 // fullyPopulated returns a snapshot in which every field — including every
-// abort cause and every latency histogram — is non-zero.
+// abort cause and every outcome's attempt time — is non-zero.
 func fullyPopulated() MetricsSnapshot {
 	var m Metrics
 	m.commits.Add(3)
@@ -102,7 +102,7 @@ func TestMergePreservesEveryField(t *testing.T) {
 	}
 	for k, h := range a.Latency {
 		if h.Count() == 0 {
-			t.Fatalf("latency histogram %q is empty in the populated snapshot", k)
+			t.Fatalf("attempt time %q is empty in the populated snapshot", k)
 		}
 	}
 

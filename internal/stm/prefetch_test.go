@@ -2,7 +2,6 @@ package stm
 
 import (
 	"context"
-	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -18,9 +17,6 @@ import (
 // arrived late — it is adopted, validated and, when stale, aborted at the
 // level that opens it; a commit-locked object is left alone at its owner;
 // and copies nobody opens cost the commit nothing.
-
-// awaitPrefetch blocks until the batches tx's root has in flight are in.
-func awaitPrefetch(tx *Txn) { tx.root.pre.wg.Wait() }
 
 // transfer is the bank's inner transaction: open both objects, update both.
 func transfer(ctx context.Context, tx *Txn, from, to object.ID) error {
@@ -47,7 +43,6 @@ func TestPrefetchIsOneHeldWave(t *testing.T) {
 
 	err := tc.rts[0].Atomic(ctx, "batch", func(tx *Txn) error {
 		tx.Prefetch(ctx, []object.ID{"a", "c", "b", "d", "a"}, sched.Read)
-		awaitPrefetch(tx)
 		if got := msgs.count(KindRetrieve); got != 3 {
 			t.Errorf("the prefetch sent %d retrieves, want 3: one per owner", got)
 		}
@@ -74,14 +69,14 @@ func TestPrefetchIsOneHeldWave(t *testing.T) {
 	}
 }
 
-// TestPrefetchBatchesShareTheHeldSet: two announcements in a row run as two
-// batches side by side; an access waits for both and finds every copy.
+// TestPrefetchBatchesShareTheHeldSet: two announcements in a row each fetch
+// their objects into the one held set, and the accesses find every copy.
 func TestPrefetchBatchesShareTheHeldSet(t *testing.T) {
 	tc := newTestCluster(t, 4, nil, nil)
 	ctx := context.Background()
 	seed(t, tc, map[object.ID]int{"a": 1, "b": 1, "c": 2, "d": 3})
 	var msgs kindCounter
-	tc.net.SetInterceptor(holdRetrieves(t, 3, msgs.intercept))
+	tc.net.SetInterceptor(msgs.intercept)
 
 	err := tc.rts[0].Atomic(ctx, "batch", func(tx *Txn) error {
 		tx.Prefetch(ctx, []object.ID{"a", "b"}, sched.Read)
@@ -113,7 +108,6 @@ func TestStalePrefetchedCopyAbortsTheInnerTransactionOnly(t *testing.T) {
 	err := tc.rts[0].Atomic(ctx, "root", func(tx *Txn) error {
 		rootRuns++
 		tx.Prefetch(ctx, []object.ID{"x"}, sched.Read)
-		awaitPrefetch(tx)
 		if err := tc.rts[2].Atomic(ctx, "w", func(w *Txn) error { return w.Write(ctx, "x", &box{N: 50}) }); err != nil {
 			return err
 		}
@@ -177,7 +171,6 @@ func TestPrefetchLeavesALockedObjectAlone(t *testing.T) {
 	go func() {
 		done <- tc.rts[0].Atomic(ctx, "root", func(tx *Txn) error {
 			tx.Prefetch(ctx, []object.ID{"y"}, sched.Read)
-			awaitPrefetch(tx)
 			if o, c, q, h := owner.observed.Load(), owner.conflicts.Load(), rts.QueueLen("y"), len(tx.pre.held); o != 0 || c != 0 || q != 0 || h != 0 {
 				t.Errorf("prefetch of a locked object: observed %d, conflicts %d, queued %d, held %d; want none", o, c, q, h)
 			}
@@ -211,7 +204,6 @@ func TestUnopenedPrefetchCostsTheCommitNothing(t *testing.T) {
 		err := tc.rts[0].Atomic(ctx, "root", func(tx *Txn) error {
 			if prefetch {
 				tx.Prefetch(ctx, []object.ID{"u", "v"}, sched.Read)
-				awaitPrefetch(tx)
 			}
 			return tx.Update(ctx, "w", bump)
 		})
@@ -279,44 +271,82 @@ func TestInnerRetryRefetches(t *testing.T) {
 	}
 }
 
-// TestEndingTheAttemptCancelsThePrefetch: the attempt ends while the
-// prefetch's request is still on the wire. Atomic returns without waiting
-// for an answer, and no copy, waiter or goroutine of the batch is left.
-func TestEndingTheAttemptCancelsThePrefetch(t *testing.T) {
-	tc := newTestCluster(t, 2, nil, nil)
-	ctx := context.Background()
-	seed(t, tc, map[object.ID]int{"x": 1})
-	sent := make(chan struct{})
-	var once sync.Once
-	tc.net.SetInterceptor(func(m *transport.Message) bool {
-		if m.Kind == KindRetrieve && !m.IsReply {
-			once.Do(func() { close(sent) })
-			return false // never answered
-		}
-		return true
-	})
+// slowRetrieves is a memnet interceptor that holds every retrieve reply for
+// 20 ms and counts the retrieves not answered yet.
+type slowRetrieves struct{ unanswered atomic.Int64 }
 
-	var batch *prefetch
-	began := time.Now()
+func (s *slowRetrieves) intercept(m *transport.Message) bool {
+	if m.Kind == KindRetrieve {
+		if m.IsReply {
+			time.Sleep(20 * time.Millisecond)
+			s.unanswered.Add(-1)
+		} else {
+			s.unanswered.Add(1)
+		}
+	}
+	return true
+}
+
+// TestPrefetchReturnsWithTheCopiesHeld: retrieve replies take 20 ms. When
+// Prefetch returns, the root holds every announced copy and no retrieve is
+// left on the wire.
+func TestPrefetchReturnsWithTheCopiesHeld(t *testing.T) {
+	tc := newTestCluster(t, 3, nil, nil)
+	ctx := context.Background()
+	seed(t, tc, map[object.ID]int{"a": 1, "b": 1, "c": 2})
+	var slow slowRetrieves
+	tc.net.SetInterceptor(slow.intercept)
+
 	err := tc.rts[0].Atomic(ctx, "root", func(tx *Txn) error {
-		tx.Prefetch(ctx, []object.ID{"x"}, sched.Read)
-		batch = tx.pre
-		<-sent
+		tx.Prefetch(ctx, []object.ID{"a", "b", "c"}, sched.Read)
+		if h, n := len(tx.pre.held), slow.unanswered.Load(); h != 3 || n != 0 {
+			t.Errorf("after Prefetch: %d copies held, %d retrieves unanswered; want 3, 0", h, n)
+		}
 		return nil
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d := time.Since(began); d > time.Second {
-		t.Fatalf("Atomic took %v: it waited for the unanswered prefetch", d)
-	}
-	if batch.ctx.Err() == nil || len(batch.held) != 0 {
-		t.Fatalf("after the attempt: batch context %v, %d copies held; want cancelled, 0", batch.ctx.Err(), len(batch.held))
-	}
-	tc.rts[0].waitMu.Lock()
-	left := len(tc.rts[0].waiters)
-	tc.rts[0].waitMu.Unlock()
-	if m := tc.rts[0].Metrics().Snapshot(); left != 0 || m.ReadOnlyCommits != 1 || m.ReadMsgs != 1 {
-		t.Fatalf("waiters left %d, read-only commits %d, read msgs %d; want 0, 1, 1", left, m.ReadOnlyCommits, m.ReadMsgs)
+}
+
+// TestWritePrefetchReturnsLocked: retrieve replies take 20 ms. When an
+// announcement of x (node 1) and y (node 2) returns, both are commit-locked
+// at their owners under the attempt's lock identity and both copies are
+// held. When node 2 refuses because y is locked for another transaction,
+// neither is locked for the attempt and x is a plain held copy.
+func TestWritePrefetchReturnsLocked(t *testing.T) {
+	for _, refused := range []bool{false, true} {
+		t.Run(map[bool]string{false: "locked", true: "refused"}[refused], func(t *testing.T) {
+			tc := newTestCluster(t, 3, nil, nil)
+			ctx := context.Background()
+			place := map[object.ID]int{"x": 1, "y": 2}
+			seed(t, tc, place)
+			wantHeld := 2
+			if refused {
+				lockObject(t, tc.rts[2], "y")
+				defer unlockAndServe(tc.rts[2], "y")
+				wantHeld = 1
+			}
+			var slow slowRetrieves
+			tc.net.SetInterceptor(slow.intercept)
+
+			err := tc.rts[0].Atomic(ctx, "root", func(tx *Txn) error {
+				tx.Prefetch(ctx, []object.ID{"x", "y"}, sched.Write)
+				if h, n := len(tx.pre.held), slow.unanswered.Load(); h != wantHeld || n != 0 {
+					t.Errorf("after Prefetch: %d copies held, %d retrieves unanswered; want %d, 0", h, n, wantHeld)
+				}
+				for oid, node := range place {
+					if _, by, _ := tc.rts[node].Store().State(oid); (by == tx.lockID) == refused {
+						t.Errorf("after Prefetch: %s locked by %x at node %d, attempt %x; want locked for the attempt: %v",
+							oid, by, node, tx.lockID, !refused)
+					}
+				}
+				return nil
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			noLocksLeft(t, tc, "x")
+		})
 	}
 }

@@ -120,9 +120,6 @@ func (rt *Runtime) Self() transport.NodeID { return rt.ep.Self() }
 // blocks started through Txn.Atomic. Call before running transactions.
 func (rt *Runtime) SetNesting(m NestingMode) { rt.nesting = m }
 
-// Nesting returns the runtime's nesting mode.
-func (rt *Runtime) Nesting() NestingMode { return rt.nesting }
-
 // SetTracer wires a protocol event recorder through every layer this
 // runtime owns: transaction lifecycle (this package), the owner-side
 // commit-lock state machine (the store's trace hook), the scheduler queue

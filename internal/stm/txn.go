@@ -6,8 +6,6 @@ import (
 	"fmt"
 	"maps"
 	"slices"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"dstm/internal/cc"
@@ -40,7 +38,8 @@ var errOwnerHops = errors.New("stm: objects moved more than maxOwnerHops times")
 
 // Txn is a (possibly closed-nested) transaction. Obtain a root transaction
 // from Runtime.Atomic and children from Txn.Atomic. A Txn is confined to
-// the goroutine executing its atomic block.
+// the goroutine executing its atomic block: every step of an attempt,
+// Prefetch included, runs there in order.
 type Txn struct {
 	rt     *Runtime
 	id     uint64 // root transaction ID, shared by all nested levels
@@ -52,9 +51,9 @@ type Txn struct {
 	// Root-only fields (TFA state).
 	began    time.Time
 	expected time.Duration
-	start    uint64        // TFA start clock; advanced by forwarding
-	readRPCs atomic.Uint64 // the attempt's data-path read messages (Metrics.ReadMsgs)
-	pre      *prefetch     // copies fetched ahead of their access (Prefetch)
+	start    uint64    // TFA start clock; advanced by forwarding
+	readRPCs uint64    // the attempt's data-path read messages (Metrics.ReadMsgs)
+	pre      *prefetch // copies fetched ahead of their access (Prefetch)
 
 	entries        map[object.ID]*objEntry
 	clSum          int // Σ remote CLs of objects fetched at this level
@@ -108,14 +107,10 @@ func (rt *Runtime) Atomic(ctx context.Context, name string, fn func(tx *Txn) err
 		rt.tracer.Emit(trace.Event{Type: trace.EvTxBegin, Tx: id, A: uint64(attempt), B: tx.lockID})
 
 		err := fn(tx)
-		if p := tx.pre; p != nil { // a prefetch ends with the attempt
-			p.cancel()
-			p.wg.Wait()
-			if err != nil {
-				// An abort, an application error or a cancelled context: what
-				// the attempt announced is released before the abort is told.
-				tx.releaseLocks(ctx, p.locked)
-			}
+		if p := tx.pre; p != nil && err != nil {
+			// An abort, an application error or a cancelled context: what the
+			// attempt announced is released before the abort is told.
+			tx.releaseLocks(ctx, p.locked)
 		}
 		if err == nil {
 			err = tx.commit(ctx)
@@ -380,13 +375,9 @@ type park struct {
 	until   time.Time
 }
 
-// prefetch is what a root attempt's Prefetch calls have in flight and hold.
+// prefetch is what a root attempt's Prefetch calls hold.
 type prefetch struct {
-	ctx    context.Context
-	cancel context.CancelFunc
-	wg     sync.WaitGroup // the batches in flight
-	mu     sync.Mutex     // guards held and locked while they are
-	held   map[object.ID]fetched
+	held map[object.ID]fetched
 	// locked is the announced write set the attempt holds commit-locked, by
 	// owner: its held copies cannot change until the attempt publishes or
 	// releases them.
@@ -394,21 +385,20 @@ type prefetch struct {
 }
 
 // Prefetch announces objects the transaction — usually its inner
-// transactions — will open, so their retrieves overlap instead of each
-// waiting for the access that needs it. It returns at once and is best
-// effort: fetchMany's waves go out in the background and the root holds the
-// copies outside every read set. The level that opens an object adopts the
-// held copy as if its reply had just arrived: forwarding, abort attribution
-// and partial abort happen then, at that level. With sched.Read an owner
-// leaves a commit-locked object alone (the transaction's own request will
-// meet that conflict).
+// transactions — will open, so their retrieves go out in one wave instead of
+// each waiting for the access that needs it. It is best effort and returns
+// once that wave is in: the root holds the copies outside every read set. The
+// level that opens an object adopts the held copy as if its reply had just
+// arrived: forwarding, abort attribution and partial abort happen then, at
+// that level. With sched.Read an owner leaves a commit-locked object alone
+// (the transaction's own request will meet that conflict).
 //
 // With sched.Write the objects are the root's write set, announced once,
 // before any access: each owner commit-locks the ones it holds for the
 // attempt, all or nothing, so the commit neither acquires nor validates them
 // and a held copy is never dropped, revalidated or used up. When any owner
 // could not lock its batch, the batches that did lock are released before
-// any access proceeds, and the copies are plain held copies.
+// Prefetch returns, and the copies are plain held copies.
 func (tx *Txn) Prefetch(ctx context.Context, oids []object.ID, mode sched.Mode) {
 	want := tx.unopened(oids)
 	if len(want) == 0 {
@@ -417,35 +407,26 @@ func (tx *Txn) Prefetch(ctx context.Context, oids []object.ID, mode sched.Mode) 
 	root, p := tx.root, tx.root.pre
 	if p == nil {
 		p = &prefetch{held: make(map[object.ID]fetched), locked: make(map[object.ID]transport.NodeID)}
-		p.ctx, p.cancel = context.WithCancel(ctx)
 		root.pre = p
 	}
 	var locked map[object.ID]transport.NodeID
 	if mode == sched.Write {
 		// A second announcement must not release what an earlier one locked.
-		p.wg.Wait()
-		want = slices.DeleteFunc(want, func(oid object.ID) bool { _, ok := p.locked[oid]; return ok })
+		want = slices.DeleteFunc(want, tx.holdsLock)
 		locked = make(map[object.ID]transport.NodeID, len(want))
 	}
-	myCL := tx.myCL()
-	p.wg.Add(1)
-	go func() {
-		defer p.wg.Done()
-		got, _, err := root.retrieveWaves(p.ctx, want, mode, myCL, true, locked)
-		if len(locked) > 0 && (err != nil || len(locked) < len(want)) {
-			// No transaction holds a lock while it waits: an announcement
-			// that did not lock everywhere gives back what it did lock.
-			root.releaseLocks(p.ctx, locked)
-			clear(locked)
-		}
-		root.rt.metrics.prefetched.Add(uint64(len(got)))
-		p.mu.Lock()
-		for _, f := range got {
-			p.held[f.oid] = f
-		}
-		maps.Copy(p.locked, locked)
-		p.mu.Unlock()
-	}()
+	got, _, err := root.retrieveWaves(ctx, want, mode, tx.myCL(), true, locked)
+	if len(locked) > 0 && (err != nil || len(locked) < len(want)) {
+		// No transaction holds a lock while it waits: an announcement that
+		// did not lock everywhere gives back what it did lock.
+		root.releaseLocks(ctx, locked)
+		clear(locked)
+	}
+	root.rt.metrics.prefetched.Add(uint64(len(got)))
+	for _, f := range got {
+		p.held[f.oid] = f
+	}
+	maps.Copy(p.locked, locked)
 }
 
 // holdsLock reports whether the attempt holds oid commit-locked since
@@ -455,24 +436,21 @@ func (tx *Txn) holdsLock(oid object.ID) bool {
 	if p == nil {
 		return false
 	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
 	_, ok := p.locked[oid]
 	return ok
 }
 
-// takeHeld waits for the root's prefetch batches in flight and splits oids
-// into copies held and objects still to fetch. A copy is taken, so a retry
-// of the level refetches, and one current only as of a clock behind the
-// transaction's start cannot join unvalidated (adoptFetched) and is dropped
-// — unless the attempt holds it locked: then it cannot have changed, and it
-// stays held for a retry to take again.
+// takeHeld splits oids into copies the root's prefetches hold and objects
+// still to fetch. A copy is taken, so a retry of the level refetches, and one
+// current only as of a clock behind the transaction's start cannot join
+// unvalidated (adoptFetched) and is dropped — unless the attempt holds it
+// locked: then it cannot have changed, and it stays held for a retry to take
+// again.
 func (tx *Txn) takeHeld(oids []object.ID) (got []fetched, rest []object.ID) {
 	p := tx.root.pre
 	if p == nil {
 		return nil, oids
 	}
-	p.wg.Wait()
 	for _, oid := range oids {
 		f, ok := p.held[oid]
 		if _, locked := p.locked[oid]; ok && locked {
@@ -622,11 +600,10 @@ func ownerWave[R ownerReply](ctx context.Context, tx *Txn, kind transport.Kind, 
 // KindRetrieve with myCL and ETS attached — and returns the copies and the
 // entries the owners enqueued. The owner decides per object: a copy is kept;
 // a denial aborts the root. A prefetch wave registers no waiter (no owner
-// queues it), reads a denial as "left alone", and may run off the
-// transaction's goroutine. With locked non-nil it asks the owners to lock
-// their batches for the attempt (Runtime.lockAnnounced) and keeps in locked
-// the copies that came back locked, by owner — and, like acquireAll, the
-// batches whose replies were lost.
+// queues it) and reads a denial as "left alone". With locked non-nil it asks
+// the owners to lock their batches for the attempt (Runtime.lockAnnounced)
+// and keeps in locked the copies that came back locked, by owner — and, like
+// acquireAll, the batches whose replies were lost.
 func (tx *Txn) retrieveWaves(ctx context.Context, oids []object.ID, mode sched.Mode, myCL int, prefetch bool,
 	locked map[object.ID]transport.NodeID) (got []fetched, parked []park, err error) {
 	rt, root := tx.rt, tx.root
@@ -643,7 +620,7 @@ func (tx *Txn) retrieveWaves(ctx context.Context, oids []object.ID, mode sched.M
 				rt.metrics.retrieveWaves.Add(1)
 			}
 			if mode == sched.Read {
-				root.readRPCs.Add(1)
+				root.readRPCs++
 			}
 			// Register the waiters before the request so a hand-off push can
 			// never race past us.

@@ -1,8 +1,6 @@
 // Binary wire codecs for the STM protocol payloads (see DESIGN.md "Wire
-// format" for the type-ID map). AppendWire is append-style and alloc-free.
-// ReadWire decodes the fresh payload the transport hands a handler; for the
-// hot payloads it runs decodeWire, which overwrites a payload struct in
-// place, growing its slices — what TestWireCodecZeroAlloc times.
+// format" for the type-ID map). AppendWire is append-style and alloc-free;
+// ReadWire decodes the fresh payload the transport hands a handler.
 package stm
 
 import (
@@ -101,12 +99,8 @@ func appendSchedQueue(b []byte, qs []sched.Request) []byte {
 	return b
 }
 
-func readSchedQueue(r *wire.Reader, prev []sched.Request) []sched.Request {
-	n := r.SliceLen(7)
-	if n == 0 {
-		return prev[:0]
-	}
-	qs := wire.Grow(prev, n)
+func readSchedQueue(r *wire.Reader) []sched.Request {
+	qs := wire.MakeSlice[sched.Request](r.SliceLen(7))
 	for i := range qs {
 		readSchedRequest(r, &qs[i])
 	}
@@ -114,8 +108,7 @@ func readSchedQueue(r *wire.Reader, prev []sched.Request) []sched.Request {
 }
 
 // ---------------------------------------------------------------------------
-// Per-payload codecs. AppendWire has a value receiver (no escape);
-// decodeWire a pointer receiver, overwriting in place.
+// Per-payload codecs. AppendWire has a value receiver (no escape).
 
 func (q retrieveReq) AppendWire(b []byte) ([]byte, error) {
 	b = wire.AppendUvarint(b, q.TxID)
@@ -128,21 +121,10 @@ func (q retrieveReq) AppendWire(b []byte) ([]byte, error) {
 	return wire.AppendStrings(b, q.Oids), nil
 }
 
-func (q *retrieveReq) decodeWire(r *wire.Reader) {
-	q.TxID = r.Uvarint()
-	q.Mode = sched.Mode(r.Uvarint())
-	q.MyCL = int(r.Varint())
-	q.Elapsed = time.Duration(r.Varint())
-	q.Remain = time.Duration(r.Varint())
-	q.Prefetch = r.Bool()
-	q.LockID = r.Uvarint()
-	q.Oids = wire.ReadStrings(r, q.Oids)
-}
-
 func (retrieveReq) ReadWire(r *wire.Reader) any {
-	var q retrieveReq
-	q.decodeWire(r)
-	return q
+	return retrieveReq{TxID: r.Uvarint(), Mode: sched.Mode(r.Uvarint()), MyCL: int(r.Varint()),
+		Elapsed: time.Duration(r.Varint()), Remain: time.Duration(r.Varint()), Prefetch: r.Bool(),
+		LockID: r.Uvarint(), Oids: wire.ReadStrings[object.ID](r)}
 }
 
 func (q retrieveResp) AppendWire(b []byte) ([]byte, error) {
@@ -164,8 +146,8 @@ func (q retrieveResp) AppendWire(b []byte) ([]byte, error) {
 	return wire.AppendBool(b, q.Locked), nil
 }
 
-func (q *retrieveResp) decodeWire(r *wire.Reader) {
-	q.Results = wire.Grow(q.Results, r.SliceLen(7))
+func (retrieveResp) ReadWire(r *wire.Reader) any {
+	q := retrieveResp{Results: wire.MakeSlice[retrieveResult](r.SliceLen(7))}
 	for i := range q.Results {
 		res := &q.Results[i]
 		res.Status = status(r.Uvarint())
@@ -177,11 +159,6 @@ func (q *retrieveResp) decodeWire(r *wire.Reader) {
 	}
 	q.OwnerClock = r.Uvarint()
 	q.Locked = r.Bool()
-}
-
-func (retrieveResp) ReadWire(r *wire.Reader) any {
-	var q retrieveResp
-	q.decodeWire(r)
 	return q
 }
 
@@ -191,7 +168,7 @@ func (q releaseReq) AppendWire(b []byte) ([]byte, error) {
 }
 
 func (releaseReq) ReadWire(r *wire.Reader) any {
-	return releaseReq{Oids: wire.ReadStrings[object.ID](r, nil), TxID: r.Uvarint()}
+	return releaseReq{Oids: wire.ReadStrings[object.ID](r), TxID: r.Uvarint()}
 }
 
 func (q pushMsg) AppendWire(b []byte) ([]byte, error) {
@@ -229,17 +206,11 @@ func (q verBatchReq) AppendWire(b []byte) ([]byte, error) {
 	return b, nil
 }
 
-func (q *verBatchReq) decodeWire(r *wire.Reader) {
-	q.TxID = r.Uvarint()
-	q.Entries = wire.Grow(q.Entries, r.SliceLen(3))
+func (verBatchReq) ReadWire(r *wire.Reader) any {
+	q := verBatchReq{TxID: r.Uvarint(), Entries: wire.MakeSlice[verEntry](r.SliceLen(3))}
 	for i := range q.Entries {
 		q.Entries[i] = verEntry{Oid: object.ID(r.String()), Ver: readVersion(r)}
 	}
-}
-
-func (verBatchReq) ReadWire(r *wire.Reader) any {
-	var q verBatchReq
-	q.decodeWire(r)
 	return q
 }
 
@@ -252,16 +223,11 @@ func (q answersResp) AppendWire(b []byte) ([]byte, error) {
 	return b, nil
 }
 
-func (q *answersResp) decodeWire(r *wire.Reader) {
-	q.Results = wire.Grow(q.Results, r.SliceLen(2))
+func (answersResp) ReadWire(r *wire.Reader) any {
+	q := answersResp{Results: wire.MakeSlice[answer](r.SliceLen(2))}
 	for i := range q.Results {
 		q.Results[i] = answer{Status: status(r.Uvarint()), MovedTo: transport.NodeID(r.Varint())}
 	}
-}
-
-func (answersResp) ReadWire(r *wire.Reader) any {
-	var q answersResp
-	q.decodeWire(r)
 	return q
 }
 
@@ -272,17 +238,9 @@ func (q commitObjBatchReq) AppendWire(b []byte) ([]byte, error) {
 	return wire.AppendStrings(b, q.Moved), nil
 }
 
-func (q *commitObjBatchReq) decodeWire(r *wire.Reader) {
-	q.TxID = r.Uvarint()
-	q.NewOwner = transport.NodeID(r.Varint())
-	q.Oids = wire.ReadStrings(r, q.Oids)
-	q.Moved = wire.ReadStrings(r, q.Moved)
-}
-
 func (commitObjBatchReq) ReadWire(r *wire.Reader) any {
-	var q commitObjBatchReq
-	q.decodeWire(r)
-	return q
+	return commitObjBatchReq{TxID: r.Uvarint(), NewOwner: transport.NodeID(r.Varint()),
+		Oids: wire.ReadStrings[object.ID](r), Moved: wire.ReadStrings[object.ID](r)}
 }
 
 func (q commitObjBatchResp) AppendWire(b []byte) ([]byte, error) {
@@ -294,18 +252,12 @@ func (q commitObjBatchResp) AppendWire(b []byte) ([]byte, error) {
 	return wire.AppendString(b, q.DirErr), nil
 }
 
-func (q *commitObjBatchResp) decodeWire(r *wire.Reader) {
-	q.Results = wire.Grow(q.Results, r.SliceLen(2))
+func (commitObjBatchResp) ReadWire(r *wire.Reader) any {
+	q := commitObjBatchResp{Results: wire.MakeSlice[commitObjBatchResult](r.SliceLen(2))}
 	for i := range q.Results {
-		q.Results[i].Queue = readSchedQueue(r, q.Results[i].Queue)
-		q.Results[i].Err = r.String()
+		q.Results[i] = commitObjBatchResult{Queue: readSchedQueue(r), Err: r.String()}
 	}
 	q.DirErr = r.String()
-}
-
-func (commitObjBatchResp) ReadWire(r *wire.Reader) any {
-	var q commitObjBatchResp
-	q.decodeWire(r)
 	return q
 }
 

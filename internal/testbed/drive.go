@@ -63,15 +63,15 @@ type Report struct {
 	TraceDropped uint64
 }
 
-// Setup applies the configured key sampler to bench and seeds its shared
+// Setup applies the configured key picker to bench and seeds its shared
 // objects over the still reliable network.
 func (c *Cluster) Setup(ctx context.Context, bench apps.Benchmark) error {
-	if sampler := c.opts.KeySampler; sampler != nil {
+	if pick := c.opts.KeyPicker; pick != nil {
 		sk, ok := bench.(apps.Skewable)
 		if !ok {
 			return fmt.Errorf("testbed: %s does not support key sampling", bench.Name())
 		}
-		sk.SetKeyPicker(func(rng *rand.Rand, n int) int { return sampler.Sample(rng, n) })
+		sk.SetKeyPicker(pick)
 	}
 	if err := bench.Setup(ctx, c.Rts); err != nil {
 		return fmt.Errorf("testbed: setup: %w", err)

@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"time"
 
+	"dstm/internal/apps"
 	"dstm/internal/cluster"
 	"dstm/internal/core"
 	"dstm/internal/sched"
@@ -105,7 +106,7 @@ type Options struct {
 
 	// The load. WorkersPerNode workers on every node of Rts serve
 	// operations for Duration, a ReadRatio fraction of them reads, keys
-	// drawn by KeySampler (nil keeps the application's uniform draws).
+	// drawn by KeyPicker (nil keeps the application's uniform draws).
 	// Arrival nil is the closed loop: each worker issues its next
 	// operation when the previous one returns. Otherwise operations arrive
 	// on Arrival's absolute schedule whatever the completions, into one
@@ -113,7 +114,7 @@ type Options struct {
 	WorkersPerNode int
 	Duration       time.Duration
 	ReadRatio      float64
-	KeySampler     workload.KeySampler
+	KeyPicker      apps.KeyPicker
 	Arrival        workload.Arrival
 	MaxPending     int
 }

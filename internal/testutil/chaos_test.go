@@ -280,7 +280,7 @@ func TestChaosOpenLoopZipfTraceOracle(t *testing.T) {
 	opts.Trace = true
 	opts.TraceCap = 1 << 20
 	opts.Scheduler, opts.CLThreshold = testbed.RTS, 3
-	opts.KeySampler = workload.NewZipf(0.9)
+	opts.KeyPicker = workload.NewZipf(0.9).Sample
 	opts.Arrival = workload.NewPoisson(600)
 	opts.MaxPending = 512
 	cc := NewChaosCluster(t, opts)

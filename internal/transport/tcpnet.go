@@ -32,11 +32,12 @@ type TCPOptions struct {
 	// larger syscalls. 0 writes immediately; frames arriving while a write
 	// syscall is in flight still coalesce into the next write.
 	FlushDelay time.Duration
-	// MaxBuffered is the per-connection soft cap, in bytes, on coalesced
-	// frames awaiting the writer; Send blocks (backpressure) while the
-	// buffer is over it. 0 means 1 MiB.
-	MaxBuffered int
 }
+
+// maxBuffered is the per-connection soft cap, in bytes, on coalesced frames
+// awaiting the writer; Send blocks (backpressure) while the buffer is over
+// it.
+const maxBuffered = 1 << 20
 
 // WireStats counts a node's TCP traffic. Writes is the number of write
 // syscalls issued, so BytesSent/Writes exposes the coalescing factor.
@@ -119,9 +120,6 @@ func NewTCPNodeOpts(id NodeID, listenAddr string, peers map[NodeID]string, opts 
 	ln, err := net.Listen("tcp", listenAddr)
 	if err != nil {
 		return nil, fmt.Errorf("tcpnet: listen %s: %w", listenAddr, err)
-	}
-	if opts.MaxBuffered <= 0 {
-		opts.MaxBuffered = 1 << 20
 	}
 	n := &TCPNode{
 		id:       id,
@@ -302,10 +300,10 @@ func (n *TCPNode) Send(m *Message) error {
 // sendBinary encodes m straight into the connection's coalescing buffer
 // (4-byte big-endian length prefix, then the frame body) and wakes the
 // writer. It blocks briefly for backpressure when the buffer is over
-// MaxBuffered.
+// maxBuffered.
 func (n *TCPNode) sendBinary(m *Message, tc *tcpConn) error {
 	tc.mu.Lock()
-	for len(tc.pending) > n.opts.MaxBuffered && tc.werr == nil && !tc.closed {
+	for len(tc.pending) > maxBuffered && tc.werr == nil && !tc.closed {
 		tc.cond.Wait()
 	}
 	if tc.werr != nil || tc.closed {

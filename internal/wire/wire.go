@@ -24,7 +24,6 @@ package wire
 import (
 	"errors"
 	"fmt"
-	"math/bits"
 	"reflect"
 )
 
@@ -86,11 +85,6 @@ func AppendString(b []byte, s string) []byte {
 func AppendBytes(b []byte, p []byte) []byte {
 	b = AppendUvarint(b, uint64(len(p)))
 	return append(b, p...)
-}
-
-// UvarintLen returns the encoded size of v, for pre-sizing buffers.
-func UvarintLen(v uint64) int {
-	return (bits.Len64(v|1) + 6) / 7
 }
 
 // ---------------------------------------------------------------------------
@@ -270,11 +264,11 @@ func (r *Reader) SliceLen(minElemBytes int) int {
 	return n
 }
 
-// Grow returns s resized to n elements, reusing its backing array when
-// capacity allows: a decode in place grows its struct's slices through it.
-func Grow[T any](s []T, n int) []T {
-	if cap(s) >= n {
-		return s[:n]
+// MakeSlice returns a fresh slice of n elements for a decoder to fill, nil
+// when n is 0: an empty list decodes as the zero value, as it does in gob.
+func MakeSlice[T any](n int) []T {
+	if n == 0 {
+		return nil
 	}
 	return make([]T, n)
 }
@@ -288,10 +282,9 @@ func AppendStrings[S ~string](b []byte, ss []S) []byte {
 	return b
 }
 
-// ReadStrings decodes what AppendStrings wrote, into prev's backing array
-// when it is large enough.
-func ReadStrings[S ~string](r *Reader, prev []S) []S {
-	ss := Grow(prev, r.SliceLen(1))
+// ReadStrings decodes what AppendStrings wrote.
+func ReadStrings[S ~string](r *Reader) []S {
+	ss := MakeSlice[S](r.SliceLen(1))
 	for i := range ss {
 		ss[i] = S(r.String())
 	}

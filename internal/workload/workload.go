@@ -7,46 +7,16 @@
 // of how many complete. Every generator is deterministic for a fixed
 // seed: samplers draw only from the caller's rand.Rand, and arrival
 // processes keep their phase state internally, so the same seed replays
-// the same schedule.
+// the same schedule. A sampler's Sample method is an apps.KeyPicker: pass
+// it as a method value, e.g. workload.NewZipf(0.9).Sample.
 package workload
 
 import (
-	"fmt"
 	"math"
 	"math/rand"
 	"sync"
 	"sync/atomic"
 )
-
-// KeySampler draws a key index in [0, n) from rng. Implementations may
-// keep internal state (e.g. a rotating hot window) but must be safe for
-// concurrent use; all randomness comes from the caller's rng so a
-// single-threaded caller with a seeded rng replays the same key sequence.
-type KeySampler interface {
-	// Name identifies the distribution in reports ("uniform",
-	// "zipf(0.90)", "storm", ...).
-	Name() string
-
-	// Sample returns a key index in [0, n). n must be >= 1.
-	Sample(rng *rand.Rand, n int) int
-}
-
-// Uniform is the key-uniform baseline every pre-existing benchmark used.
-type Uniform struct{}
-
-// NewUniform returns the uniform sampler.
-func NewUniform() Uniform { return Uniform{} }
-
-// Name implements KeySampler.
-func (Uniform) Name() string { return "uniform" }
-
-// Sample implements KeySampler.
-func (Uniform) Sample(rng *rand.Rand, n int) int {
-	if n <= 1 {
-		return 0
-	}
-	return rng.Intn(n)
-}
 
 // Zipf samples ranks 0..n-1 with P(rank r) proportional to 1/(r+1)^theta,
 // using the constant-time approximation of Gray et al. (the YCSB
@@ -77,12 +47,6 @@ func NewZipf(theta float64) *Zipf {
 	return &Zipf{theta: theta, zeta: make(map[int]float64)}
 }
 
-// Name implements KeySampler.
-func (z *Zipf) Name() string { return fmt.Sprintf("zipf(%.2f)", z.theta) }
-
-// Theta returns the configured (clamped) skew parameter.
-func (z *Zipf) Theta() float64 { return z.theta }
-
 // zetaN returns (and caches) zeta(n, theta) = sum_{i=1..n} i^-theta.
 func (z *Zipf) zetaN(n int) float64 {
 	z.mu.Lock()
@@ -98,7 +62,8 @@ func (z *Zipf) zetaN(n int) float64 {
 	return sum
 }
 
-// Sample implements KeySampler.
+// Sample returns a key index in [0, n) drawn from rng. It is safe for
+// concurrent use.
 func (z *Zipf) Sample(rng *rand.Rand, n int) int {
 	if n <= 1 {
 		return 0
@@ -154,10 +119,8 @@ func NewHotKeyStorm(hotKeys int, hotFraction float64, rotateEvery uint64) *HotKe
 	return &HotKeyStorm{HotKeys: hotKeys, HotFraction: hotFraction, RotateEvery: rotateEvery}
 }
 
-// Name implements KeySampler.
-func (h *HotKeyStorm) Name() string { return "storm" }
-
-// Sample implements KeySampler.
+// Sample returns a key index in [0, n) drawn from rng. It is safe for
+// concurrent use.
 func (h *HotKeyStorm) Sample(rng *rand.Rand, n int) int {
 	if n <= 1 {
 		return 0
@@ -185,10 +148,3 @@ func (h *HotKeyStorm) Sample(rng *rand.Rand, n int) int {
 	}
 	return (start + rng.Intn(hot)) % n
 }
-
-// Compile-time interface checks.
-var (
-	_ KeySampler = Uniform{}
-	_ KeySampler = (*Zipf)(nil)
-	_ KeySampler = (*HotKeyStorm)(nil)
-)

@@ -75,15 +75,16 @@ func TestZipfRankFrequencySlope(t *testing.T) {
 // no panics, indices always in range, theta=0 statistically uniform.
 func TestZipfThetaEdges(t *testing.T) {
 	t.Run("negative-and-ge-one-clamp", func(t *testing.T) {
-		for _, theta := range []float64{-1, 1, 1.5, 10} {
-			z := NewZipf(theta)
-			if z.Theta() < 0 || z.Theta() > maxZipfTheta {
-				t.Fatalf("theta %v clamped to %v, outside [0, %v]", theta, z.Theta(), maxZipfTheta)
-			}
-			rng := rand.New(rand.NewSource(3))
+		for theta, clamped := range map[float64]float64{-1: 0, 1: maxZipfTheta, 1.5: maxZipfTheta, 10: maxZipfTheta} {
+			z, want := NewZipf(theta), NewZipf(clamped)
+			rng, wantRng := rand.New(rand.NewSource(3)), rand.New(rand.NewSource(3))
 			for i := 0; i < 5_000; i++ {
-				if k := z.Sample(rng, 17); k < 0 || k >= 17 {
+				k := z.Sample(rng, 17)
+				if k < 0 || k >= 17 {
 					t.Fatalf("theta=%v: sample %d out of range", theta, k)
+				}
+				if w := want.Sample(wantRng, 17); k != w {
+					t.Fatalf("theta=%v draw %d: %d, want %d as with theta %v", theta, i, k, w, clamped)
 				}
 			}
 		}
@@ -154,20 +155,4 @@ func TestHotKeyStorm(t *testing.T) {
 			}
 		}
 	})
-}
-
-// TestSamplerNames pins the report labels the JSON results key on.
-func TestSamplerNames(t *testing.T) {
-	for _, tc := range []struct {
-		s    KeySampler
-		want string
-	}{
-		{NewUniform(), "uniform"},
-		{NewZipf(0.9), "zipf(0.90)"},
-		{NewHotKeyStorm(2, 0.9, 0), "storm"},
-	} {
-		if got := tc.s.Name(); got != tc.want {
-			t.Errorf("Name() = %q, want %q", got, tc.want)
-		}
-	}
 }
