@@ -43,7 +43,7 @@ func benchCfg() harness.Config {
 
 // contentionCfg is benchCfg pointed at one (benchmark, scheduler, read
 // ratio) cell — the combination every table, figure, and ablation varies.
-func contentionCfg(bench harness.BenchmarkKind, s harness.Scheduler, readRatio float64) harness.Config {
+func contentionCfg(bench harness.BenchmarkKind, s testbed.Scheduler, readRatio float64) harness.Config {
 	cfg := benchCfg()
 	cfg.Benchmark = bench
 	cfg.Scheduler = s
@@ -52,7 +52,7 @@ func contentionCfg(bench harness.BenchmarkKind, s harness.Scheduler, readRatio f
 }
 
 // highContention is the write-heavy mix (10% reads) the ablations use.
-func highContention(bench harness.BenchmarkKind, s harness.Scheduler) harness.Config {
+func highContention(bench harness.BenchmarkKind, s testbed.Scheduler) harness.Config {
 	return contentionCfg(bench, s, harness.High.ReadRatio())
 }
 
@@ -83,7 +83,7 @@ func runCell(b *testing.B, cfg harness.Config) harness.Result {
 func BenchmarkTable1(b *testing.B) {
 	for _, bench := range harness.Benchmarks {
 		for _, cont := range []harness.Contention{harness.Low, harness.High} {
-			for _, s := range []harness.Scheduler{harness.SchedRTS, harness.SchedTFA} {
+			for _, s := range []testbed.Scheduler{testbed.RTS, testbed.TFA} {
 				name := fmt.Sprintf("%s/%s/%s", harness.BenchmarkLabel(bench), cont, s)
 				b.Run(name, func(b *testing.B) {
 					for i := 0; i < b.N; i++ {
@@ -105,7 +105,7 @@ func BenchmarkTable1(b *testing.B) {
 func figBench(b *testing.B, bench harness.BenchmarkKind, cont harness.Contention) {
 	b.Helper()
 	for _, n := range []int{4, 8, 12} {
-		for _, s := range harness.Schedulers {
+		for _, s := range testbed.Schedulers {
 			b.Run(fmt.Sprintf("nodes=%d/%s", n, s), func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
 					cfg := contentionCfg(bench, s, cont.ReadRatio())
@@ -174,7 +174,7 @@ func BenchmarkSkew_KeyDistributions(b *testing.B) {
 		{"storm", func() apps.KeyPicker { return workload.NewHotKeyStorm(2, 0.9, 64).Sample }},
 	}
 	for _, sk := range pickers {
-		for _, s := range []harness.Scheduler{harness.SchedRTS, harness.SchedTFA} {
+		for _, s := range []testbed.Scheduler{testbed.RTS, testbed.TFA} {
 			b.Run(fmt.Sprintf("%s/%s", sk.name, s), func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
 					cfg := highContention(harness.BenchBank, s)
@@ -197,7 +197,7 @@ func BenchmarkAblation_CLThreshold(b *testing.B) {
 		b.Run(fmt.Sprintf("threshold=%d", thr), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				// High contention exposes the peak.
-				cfg := highContention(harness.BenchBank, harness.SchedRTS)
+				cfg := highContention(harness.BenchBank, testbed.RTS)
 				cfg.CLThreshold = thr
 				reportCell(b, runCell(b, cfg))
 			}
@@ -205,7 +205,7 @@ func BenchmarkAblation_CLThreshold(b *testing.B) {
 	}
 	b.Run("adaptive", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			cfg := highContention(harness.BenchBank, harness.SchedRTS)
+			cfg := highContention(harness.BenchBank, testbed.RTS)
 			cfg.AdaptiveCL = true
 			reportCell(b, runCell(b, cfg))
 		}
@@ -216,7 +216,7 @@ func BenchmarkAblation_CLThreshold(b *testing.B) {
 // the two extremes: abort-everything (TFA) and enqueue-everything (RTS
 // with an effectively unbounded CL threshold) — the trade-off §VI argues.
 func BenchmarkAblation_QueuePolicy(b *testing.B) {
-	run := func(b *testing.B, s harness.Scheduler, thr int) {
+	run := func(b *testing.B, s testbed.Scheduler, thr int) {
 		for i := 0; i < b.N; i++ {
 			cfg := highContention(harness.BenchBank, s)
 			if thr > 0 {
@@ -225,9 +225,9 @@ func BenchmarkAblation_QueuePolicy(b *testing.B) {
 			reportCell(b, runCell(b, cfg))
 		}
 	}
-	b.Run("abort-everything", func(b *testing.B) { run(b, harness.SchedTFA, 0) })
-	b.Run("rts-gated", func(b *testing.B) { run(b, harness.SchedRTS, 3) })
-	b.Run("enqueue-everything", func(b *testing.B) { run(b, harness.SchedRTS, 1<<20) })
+	b.Run("abort-everything", func(b *testing.B) { run(b, testbed.TFA, 0) })
+	b.Run("rts-gated", func(b *testing.B) { run(b, testbed.RTS, 3) })
+	b.Run("enqueue-everything", func(b *testing.B) { run(b, testbed.RTS, 1<<20) })
 }
 
 // BenchmarkAblation_Nesting compares closed nesting (the paper's model)
@@ -235,7 +235,7 @@ func BenchmarkAblation_QueuePolicy(b *testing.B) {
 // conflict restarts the whole parent, re-fetching all objects — the
 // concurrency loss §I motivates closed nesting with.
 func BenchmarkAblation_Nesting(b *testing.B) {
-	for _, s := range []harness.Scheduler{harness.SchedRTS, harness.SchedTFA} {
+	for _, s := range []testbed.Scheduler{testbed.RTS, testbed.TFA} {
 		for _, flat := range []bool{false, true} {
 			mode := "closed"
 			if flat {
@@ -256,7 +256,7 @@ func BenchmarkAblation_Nesting(b *testing.B) {
 // of TFA+Backoff with client-side stalls disabled (plain TFA), isolating
 // what the backoff itself contributes.
 func BenchmarkAblation_BackoffSource(b *testing.B) {
-	for _, s := range []harness.Scheduler{harness.SchedTFA, harness.SchedBackoff} {
+	for _, s := range []testbed.Scheduler{testbed.TFA, testbed.Backoff} {
 		b.Run(string(s), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				reportCell(b, runCell(b, highContention(harness.BenchVacation, s)))

@@ -85,7 +85,7 @@ func main() {
 	var err error
 	switch *experiment {
 	case "cell":
-		err = runCell(ctx, base, benches, harness.Scheduler(*scheduler), *readRatio)
+		err = runCell(ctx, base, benches, testbed.Scheduler(*scheduler), *readRatio)
 	case "table1":
 		err = runTable1(ctx, base, benches)
 	case "fig4":
@@ -116,7 +116,7 @@ func main() {
 // with -trace — the protocol-checker verdict). The one-cell mode is the
 // natural home of -tracefile: the JSONL on disk is exactly that cell's run.
 func runCell(ctx context.Context, base harness.Config, benches []harness.BenchmarkKind,
-	sched harness.Scheduler, readRatio float64) error {
+	sched testbed.Scheduler, readRatio float64) error {
 	for _, b := range benches {
 		cfg := base
 		cfg.Benchmark = b

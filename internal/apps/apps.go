@@ -36,13 +36,6 @@ func PickerOrUniform(p KeyPicker) KeyPicker {
 	return p
 }
 
-// Skewable is implemented by benchmarks whose key distribution can be
-// replaced. SetKeyPicker must be called before the op loops start; all
-// six benchmarks implement it.
-type Skewable interface {
-	SetKeyPicker(KeyPicker)
-}
-
 // Benchmark is one distributed application under test.
 type Benchmark interface {
 	// Name is the benchmark's display name ("Bank", "DHT", ...).
@@ -59,4 +52,8 @@ type Benchmark interface {
 
 	// Check validates the application's global invariants after a run.
 	Check(ctx context.Context, rt *stm.Runtime) error
+
+	// SetKeyPicker replaces the distribution of Op's key draws (nil
+	// restores uniform). Call it before the op loops start.
+	SetKeyPicker(KeyPicker)
 }

@@ -60,7 +60,7 @@ func New(opts Options) *Bank {
 	return &Bank{opts: opts, pick: apps.UniformKeys}
 }
 
-// SetKeyPicker implements apps.Skewable: account choice for transfers and
+// SetKeyPicker implements apps.Benchmark: account choice for transfers and
 // audits goes through p.
 func (b *Bank) SetKeyPicker(p apps.KeyPicker) { b.pick = apps.PickerOrUniform(p) }
 

@@ -62,7 +62,7 @@ func New(opts Options) *DHT {
 	return &DHT{opts: opts, pick: apps.UniformKeys}
 }
 
-// SetKeyPicker implements apps.Skewable: the keys Op puts/gets go through
+// SetKeyPicker implements apps.Benchmark: the keys Op puts/gets go through
 // p. Skewed keys concentrate traffic on the buckets the hot keys hash to.
 func (d *DHT) SetKeyPicker(p apps.KeyPicker) { d.pick = apps.PickerOrUniform(p) }
 

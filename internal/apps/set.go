@@ -60,10 +60,7 @@ type Set struct {
 	pick   KeyPicker
 }
 
-var (
-	_ Benchmark = (*Set)(nil)
-	_ Skewable  = (*Set)(nil)
-)
+var _ Benchmark = (*Set)(nil)
 
 // NewSet returns the benchmark kind over layout.
 func NewSet(kind SetKind, opts SetOptions, layout Layout) *Set {
@@ -79,7 +76,7 @@ func NewSet(kind SetKind, opts SetOptions, layout Layout) *Set {
 // Name implements Benchmark.
 func (s *Set) Name() string { return s.kind.Name }
 
-// SetKeyPicker implements Skewable: element values drawn by Op go through
+// SetKeyPicker implements Benchmark: element values drawn by Op go through
 // p, so skewed values concentrate conflicts on one stretch of the set.
 func (s *Set) SetKeyPicker(p KeyPicker) { s.pick = PickerOrUniform(p) }
 

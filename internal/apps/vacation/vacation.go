@@ -111,7 +111,7 @@ func New(opts Options) *Vacation {
 	return &Vacation{opts: opts, pick: apps.UniformKeys}
 }
 
-// SetKeyPicker implements apps.Skewable: customer and inventory-offset
+// SetKeyPicker implements apps.Benchmark: customer and inventory-offset
 // choices go through p, so skew concentrates reservations on a few hot
 // customers and resource rows.
 func (v *Vacation) SetKeyPicker(p apps.KeyPicker) { v.pick = apps.PickerOrUniform(p) }

@@ -53,14 +53,10 @@ type lookupBatchReq struct{ Oids []object.ID }
 type lookupBatchResp struct{ Results []lookupResp }
 
 // registerBatchReq registers several newly created objects, all homed at
-// the receiving node and all owned by Owner. Tx, when non-zero, identifies
-// the creating transaction so a re-register from the same transaction (a
-// commit retried after its reply was lost) is idempotent while a genuine
-// duplicate create is still rejected.
+// the receiving node and all owned by Owner.
 type registerBatchReq struct {
 	Oids  []object.ID
 	Owner transport.NodeID
-	Tx    uint64
 }
 
 // batchErrResp carries per-object errors parallel to a batch request; an
@@ -89,7 +85,6 @@ type Service struct {
 
 	mu     sync.Mutex
 	owners map[object.ID]transport.NodeID // directory shard: objects homed here
-	regTx  map[object.ID]uint64           // transaction that registered each object
 	hints  map[object.ID]transport.NodeID // locator cache: last known owners
 }
 
@@ -100,7 +95,6 @@ func NewService(ep *cluster.Endpoint, size int) *Service {
 		ep:     ep,
 		size:   size,
 		owners: make(map[object.ID]transport.NodeID),
-		regTx:  make(map[object.ID]uint64),
 		hints:  make(map[object.ID]transport.NodeID),
 	}
 	ep.Handle(KindLookupBatch, s.handleLookupBatch)
@@ -133,16 +127,10 @@ func (s *Service) handleRegisterBatch(_ transport.NodeID, payload any) (any, err
 	defer s.mu.Unlock()
 	for i, oid := range req.Oids {
 		if existing, dup := s.owners[oid]; dup {
-			if existing == req.Owner && req.Tx != 0 && s.regTx[oid] == req.Tx {
-				continue // idempotent re-register by the same transaction
-			}
 			resp.Errs[i] = fmt.Sprintf("cc: object %q already registered to node %d", oid, existing)
 			continue
 		}
 		s.owners[oid] = req.Owner
-		if req.Tx != 0 {
-			s.regTx[oid] = req.Tx
-		}
 	}
 	return resp, nil
 }
@@ -188,17 +176,10 @@ func (s *Service) NoteOwner(id object.ID, owner transport.NodeID) {
 	s.mu.Unlock()
 }
 
-// Register announces a newly created object owned by owner to its home.
+// Register announces a newly created object owned by owner to its home:
+// RegisterBatch of one.
 func (s *Service) Register(ctx context.Context, id object.ID, owner transport.NodeID) error {
-	return s.RegisterTx(ctx, id, owner, 0)
-}
-
-// RegisterTx registers id like Register, tagging the registration with the
-// creating transaction so a retried commit (whose earlier register reply was
-// lost) can re-register idempotently. tx 0 means strict one-shot semantics.
-// It is RegisterBatchTx of one.
-func (s *Service) RegisterTx(ctx context.Context, id object.ID, owner transport.NodeID, tx uint64) error {
-	_, err := s.RegisterBatchTx(ctx, []object.ID{id}, owner, tx)
+	_, err := s.RegisterBatch(ctx, []object.ID{id}, owner)
 	return err
 }
 
@@ -280,16 +261,16 @@ func (s *Service) LocateBatch(ctx context.Context, ids []object.ID) (map[object.
 	return out, n, err
 }
 
-// RegisterBatchTx registers every id as created by transaction tx and owned
-// by owner, one message per home node, folding the per-entry error strings
+// RegisterBatch registers every id as newly created and owned by owner,
+// one message per home node, folding the per-entry error strings
 // of each reply into the first error. It returns the number of messages sent
 // — even on error, so callers can account partial fan-outs.
-func (s *Service) RegisterBatchTx(ctx context.Context, ids []object.ID, owner transport.NodeID, tx uint64) (int, error) {
+func (s *Service) RegisterBatch(ctx context.Context, ids []object.ID, owner transport.NodeID) (int, error) {
 	if len(ids) == 0 {
 		return 0, nil
 	}
 	n, err := s.toHomes(ctx, ids, KindRegisterBatch,
-		func(ids []object.ID) any { return registerBatchReq{Oids: ids, Owner: owner, Tx: tx} },
+		func(ids []object.ID) any { return registerBatchReq{Oids: ids, Owner: owner} },
 		func(ids []object.ID, body any) error {
 			resp, ok := body.(batchErrResp)
 			if !ok || len(resp.Errs) != len(ids) {
@@ -327,7 +308,6 @@ func (s *Service) Moved(ids []object.ID, owner transport.NodeID) error {
 			s.hints[id] = owner
 		case registered:
 			s.owners[id] = owner
-			delete(s.regTx, id)
 		case firstErr == nil:
 			firstErr = fmt.Errorf("cc: update for unregistered object %q", id)
 		}

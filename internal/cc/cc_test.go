@@ -78,40 +78,14 @@ func TestRegisterConflict(t *testing.T) {
 	if err := svcs[0].Register(ctx, "obj/x", 0); err != nil {
 		t.Fatal(err)
 	}
-	// Untagged (tx 0) registration is strict: even the same owner cannot
-	// re-register (a duplicate create must fail).
+	// Registration is strict: even the same owner cannot re-register (a
+	// duplicate create must fail).
 	if err := svcs[0].Register(ctx, "obj/x", 0); err == nil {
 		t.Fatal("same-owner re-register succeeded; creates must be strict")
 	}
 	// Different owner: rejected.
 	if err := svcs[1].Register(ctx, "obj/x", 1); err == nil {
 		t.Fatal("conflicting register succeeded")
-	}
-}
-
-func TestRegisterTxIdempotentForSameTransaction(t *testing.T) {
-	svcs := newCluster(t, 3)
-	ctx := context.Background()
-	if err := svcs[0].RegisterTx(ctx, "obj/t", 0, 42); err != nil {
-		t.Fatal(err)
-	}
-	// The same transaction re-registering (commit retried after a lost
-	// reply) succeeds.
-	if err := svcs[0].RegisterTx(ctx, "obj/t", 0, 42); err != nil {
-		t.Fatalf("same-tx re-register failed: %v", err)
-	}
-	// A different transaction from the same node is a genuine duplicate
-	// create and must fail.
-	if err := svcs[0].RegisterTx(ctx, "obj/t", 0, 43); err == nil {
-		t.Fatal("different-tx duplicate create succeeded")
-	}
-	// As must an untagged one.
-	if err := svcs[0].Register(ctx, "obj/t", 0); err == nil {
-		t.Fatal("untagged duplicate create succeeded")
-	}
-	// And a different owner, regardless of tx.
-	if err := svcs[1].RegisterTx(ctx, "obj/t", 1, 42); err == nil {
-		t.Fatal("different-owner register succeeded")
 	}
 }
 

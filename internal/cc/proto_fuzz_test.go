@@ -55,9 +55,9 @@ func roundTrip(t *testing.T, payload any) any {
 // parallel to the request Oids: a shifted slice would bind an owner (or an
 // error) to the wrong object at the requester.
 func FuzzDirectoryBatchRoundTrip(f *testing.F) {
-	f.Add("obj/a", "obj/b", int32(1), uint64(9), true, "cc: taken")
-	f.Add("", "x", int32(-2), uint64(0), false, "")
-	f.Fuzz(func(t *testing.T, oidA, oidB string, owner int32, tx uint64, known bool, errStr string) {
+	f.Add("obj/a", "obj/b", int32(1), true, "cc: taken")
+	f.Add("", "x", int32(-2), false, "")
+	f.Fuzz(func(t *testing.T, oidA, oidB string, owner int32, known bool, errStr string) {
 		oids := []object.ID{object.ID(oidA), object.ID(oidB)}
 
 		lreq := lookupBatchReq{Oids: oids}
@@ -72,7 +72,7 @@ func FuzzDirectoryBatchRoundTrip(f *testing.F) {
 			t.Fatalf("lookupBatchResp changed: %+v -> %+v", lresp, got)
 		}
 
-		rreq := registerBatchReq{Oids: oids, Owner: transport.NodeID(owner), Tx: tx}
+		rreq := registerBatchReq{Oids: oids, Owner: transport.NodeID(owner)}
 		if got := roundTrip(t, rreq).(registerBatchReq); !reflect.DeepEqual(got, rreq) {
 			t.Fatalf("registerBatchReq changed: %+v -> %+v", rreq, got)
 		}

@@ -10,13 +10,14 @@ import (
 )
 
 // Wire type IDs 40–49 are reserved for directory payloads. IDs 40–42
-// (payloads of the retired single-object lookup and register) and 43 and 47
-// (payloads of the retired single-object and batch updates) are reserved:
+// (payloads of the retired single-object lookup and register), 43 and 47
+// (payloads of the retired single-object and batch updates) and 46 (the
+// register batch while it named its creating transaction) are reserved:
 // never reuse them.
 const (
 	wireIDLookupBatchReq   wire.ID = 44
 	wireIDLookupBatchResp  wire.ID = 45
-	wireIDRegisterBatchReq wire.ID = 46
+	wireIDRegisterBatchReq wire.ID = 49
 	wireIDBatchErrResp     wire.ID = 48
 )
 
@@ -54,12 +55,11 @@ func (lookupBatchResp) ReadWire(r *wire.Reader) any {
 
 func (q registerBatchReq) AppendWire(b []byte) ([]byte, error) {
 	b = wire.AppendStrings(b, q.Oids)
-	b = wire.AppendVarint(b, int64(q.Owner))
-	return wire.AppendUvarint(b, q.Tx), nil
+	return wire.AppendVarint(b, int64(q.Owner)), nil
 }
 
 func (registerBatchReq) ReadWire(r *wire.Reader) any {
-	return registerBatchReq{Oids: wire.ReadStrings[object.ID](r), Owner: transport.NodeID(r.Varint()), Tx: r.Uvarint()}
+	return registerBatchReq{Oids: wire.ReadStrings[object.ID](r), Owner: transport.NodeID(r.Varint())}
 }
 
 func (q batchErrResp) AppendWire(b []byte) ([]byte, error) {

@@ -55,10 +55,9 @@ var ErrCallTimeout = errors.New("cluster: call timed out awaiting reply")
 const DefaultCallTimeout = 30 * time.Second
 
 // RetryPolicy controls Call's retransmission behaviour. A retransmission
-// reuses the original correlation ID, and the receiving endpoint
-// deduplicates requests by (sender, correlation), so retries are exactly-
-// once with respect to handler execution even over a network that drops or
-// duplicates messages.
+// reuses the original correlation ID and floor, so the receiver serves each
+// call at most once even over a network that drops, duplicates or delays
+// messages (see Endpoint).
 type RetryPolicy struct {
 	// PerTryTimeout is how long one attempt waits for a reply before
 	// retransmitting. <= 0 disables retransmission: the single send waits
@@ -81,22 +80,10 @@ func DefaultRetryPolicy() RetryPolicy {
 	}
 }
 
-// dedupCap bounds the per-endpoint duplicate-suppression cache. Entries
-// are evicted oldest-first once the handler has replied; in-flight entries
-// are never evicted.
-const dedupCap = 4096
-
 // envelope is the wire format for replies.
 type envelope struct {
 	Err  string
 	Body any
-}
-
-// dedupKey identifies one request for duplicate suppression: correlation
-// IDs are unique per sender endpoint, so the pair is cluster-unique.
-type dedupKey struct {
-	from transport.NodeID
-	corr uint64
 }
 
 // dedupEntry is one request's server-side state: in flight until the
@@ -107,22 +94,31 @@ type dedupEntry struct {
 }
 
 // Endpoint is one node's RPC attachment.
+//
+// It serves each call at most once. Every request carries its sender's
+// floor (transport.Message.Floor): the lowest correlation ID among the
+// sender's calls still awaiting a reply, read when the call was issued. The
+// receiver keeps the highest floor seen from each sender and never serves a
+// request below it, because that request's call is over. It remembers every
+// request at or above the floor, in flight or with its reply, so a
+// duplicate is answered from memory rather than served again; what falls
+// below the floor is forgotten.
 type Endpoint struct {
 	tr    transport.Transport
 	clock *vclock.Clock
 
-	corr   atomic.Uint64
 	retry  atomic.Value // RetryPolicy
 	tracer atomic.Pointer[trace.Recorder]
 
-	mu        sync.Mutex
-	pending   map[uint64]chan *transport.Message
-	handlers  map[transport.Kind]RequestHandler
-	notifies  map[transport.Kind]NotifyHandler
-	dedup     map[dedupKey]*dedupEntry
-	dedupFIFO []dedupKey
-	closed    bool
-	done      chan struct{} // closed by Close; fails pending calls fast
+	mu       sync.Mutex
+	corr     uint64 // last correlation ID issued
+	pending  map[uint64]chan *transport.Message
+	handlers map[transport.Kind]RequestHandler
+	notifies map[transport.Kind]NotifyHandler
+	floor    map[transport.NodeID]uint64                 // highest floor seen per sender
+	dedup    map[transport.NodeID]map[uint64]*dedupEntry // per sender, requests at or above its floor
+	closed   bool
+	done     chan struct{} // closed by Close; fails pending calls fast
 }
 
 // NewEndpoint wraps tr. The clock is shared with the node's STM runtime so
@@ -134,7 +130,8 @@ func NewEndpoint(tr transport.Transport, clock *vclock.Clock) *Endpoint {
 		pending:  make(map[uint64]chan *transport.Message),
 		handlers: make(map[transport.Kind]RequestHandler),
 		notifies: make(map[transport.Kind]NotifyHandler),
-		dedup:    make(map[dedupKey]*dedupEntry),
+		floor:    make(map[transport.NodeID]uint64),
+		dedup:    make(map[transport.NodeID]map[uint64]*dedupEntry),
 		done:     make(chan struct{}),
 	}
 	e.retry.Store(DefaultRetryPolicy())
@@ -189,8 +186,9 @@ func (e *Endpoint) HandleNotify(kind transport.Kind, h NotifyHandler) {
 //
 // Lost requests and lost replies are retransmitted per the endpoint's
 // RetryPolicy with exponential backoff and jitter. Every retransmission
-// carries the original correlation ID, and the receiver deduplicates by
-// (sender, correlation), so a retried call never re-executes its handler.
+// carries the original correlation ID and floor, so a retried call never
+// re-executes its handler, and no copy of the request is served once the
+// call has returned.
 //
 // A node does not send itself messages: a call to Self() runs the handler in
 // process (callSelf).
@@ -198,15 +196,22 @@ func (e *Endpoint) Call(ctx context.Context, to transport.NodeID, kind transport
 	if to == e.Self() {
 		return e.callSelf(ctx, kind, payload)
 	}
-	corr := e.corr.Add(1)
 	ch := make(chan *transport.Message, 1)
 
+	// Issue the ID and read the floor in one critical section: no ID below
+	// the floor can then be issued later, so every call below it is over.
 	e.mu.Lock()
 	if e.closed {
 		e.mu.Unlock()
 		return nil, ErrEndpointClosed
 	}
+	e.corr++
+	corr := e.corr
 	e.pending[corr] = ch
+	floor := corr
+	for c := range e.pending {
+		floor = min(floor, c)
+	}
 	e.mu.Unlock()
 
 	defer func() {
@@ -284,6 +289,7 @@ func (e *Endpoint) Call(ctx context.Context, to transport.NodeID, kind transport
 			Clock:   e.clock.Now(),
 			Kind:    kind,
 			Corr:    corr,
+			Floor:   floor,
 			Payload: payload,
 		})
 		if err != nil {
@@ -398,9 +404,23 @@ func (e *Endpoint) onMessage(m *transport.Message) {
 	}
 
 	if m.Corr != 0 {
-		key := dedupKey{from: m.From, corr: m.Corr}
 		e.mu.Lock()
-		if ent, seen := e.dedup[key]; seen {
+		if m.Corr < e.floor[m.From] {
+			// The call is over: its sender has the reply or has given up,
+			// so serving this copy could only repeat the handler's effect.
+			e.mu.Unlock()
+			return
+		}
+		served := e.dedup[m.From]
+		if m.Floor > e.floor[m.From] {
+			e.floor[m.From] = m.Floor
+			for c := range served {
+				if c < m.Floor {
+					delete(e.dedup[m.From], c)
+				}
+			}
+		}
+		if ent, seen := served[m.Corr]; seen {
 			// A retransmitted (or network-duplicated) request must not
 			// re-execute its handler. If the original already replied,
 			// resend the cached reply (the first one was evidently lost);
@@ -412,9 +432,12 @@ func (e *Endpoint) onMessage(m *transport.Message) {
 			}
 			return
 		}
+		if served == nil {
+			served = make(map[uint64]*dedupEntry)
+			e.dedup[m.From] = served
+		}
 		ent := &dedupEntry{}
-		e.dedup[key] = ent
-		e.evictDedupLocked(key)
+		served[m.Corr] = ent
 		h := e.handlers[m.Kind]
 		e.mu.Unlock()
 		// Requests run on their own goroutine so a slow handler never
@@ -444,23 +467,6 @@ func (e *Endpoint) onMessage(m *transport.Message) {
 	e.mu.Unlock()
 	if h != nil {
 		h(m.From, m.Payload)
-	}
-}
-
-// evictDedupLocked appends key to the eviction queue and trims the cache
-// to dedupCap, skipping (and re-queueing) entries whose handler is still
-// running. Callers must hold e.mu.
-func (e *Endpoint) evictDedupLocked(key dedupKey) {
-	e.dedupFIFO = append(e.dedupFIFO, key)
-	// Bound the scan so a cache full of in-flight entries cannot spin.
-	for budget := len(e.dedupFIFO); len(e.dedup) > dedupCap && budget > 0; budget-- {
-		oldest := e.dedupFIFO[0]
-		e.dedupFIFO = e.dedupFIFO[1:]
-		if ent, ok := e.dedup[oldest]; ok && !ent.done {
-			e.dedupFIFO = append(e.dedupFIFO, oldest)
-			continue
-		}
-		delete(e.dedup, oldest)
 	}
 }
 

@@ -3,6 +3,7 @@ package cluster
 import (
 	"context"
 	"errors"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -101,6 +102,73 @@ func TestCallDuplicatedRequestsSuppressed(t *testing.T) {
 	time.Sleep(10 * time.Millisecond)
 	if c := calls.Load(); c != 10 {
 		t.Fatalf("handler ran %d times for 10 calls, want 10", c)
+	}
+}
+
+// TestLateCopyOfAnEndedCallIsNeverServed: a copy of a request delivered
+// again after its call returned — with 4,097 calls to the same receiver in
+// between — does not run the handler a second time.
+func TestLateCopyOfAnEndedCallIsNeverServed(t *testing.T) {
+	a, _, n, calls := countingPair(t)
+	var mu sync.Mutex
+	var first *transport.Message
+	n.SetInterceptor(func(m *transport.Message) bool {
+		mu.Lock()
+		if first == nil && m.Kind == kindCount && !m.IsReply {
+			c := *m
+			first = &c
+		}
+		mu.Unlock()
+		return true
+	})
+	ctx := context.Background()
+	if _, err := a.Call(ctx, 1, kindCount, "once"); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i <= 4096; i++ {
+		if _, err := a.Call(ctx, 1, kindEcho, i); err == nil {
+			t.Fatal("echo has no handler here: want a remote error")
+		}
+	}
+	mu.Lock()
+	late := first
+	mu.Unlock()
+	if err := n.Endpoint(0).Send(late); err != nil {
+		t.Fatal(err)
+	}
+	// The link is FIFO: once a later call is answered, the copy has been
+	// delivered, and a served copy's handler gets 50 ms.
+	if _, err := a.Call(ctx, 1, kindCount, "after"); err != nil {
+		t.Fatal(err)
+	}
+	time.Sleep(50 * time.Millisecond)
+	if c := calls.Load(); c != 2 {
+		t.Fatalf("handler ran %d times for 2 calls and a late copy, want 2", c)
+	}
+}
+
+// TestDedupHoldsOnlyCallsInFlight: a sender making one call at a time has
+// one request remembered at the receiver — the one being served — however
+// many calls it has made.
+func TestDedupHoldsOnlyCallsInFlight(t *testing.T) {
+	a, b, _ := newPair(t, nil)
+	var most atomic.Int64
+	b.Handle(kindEcho, func(from transport.NodeID, p any) (any, error) {
+		b.mu.Lock()
+		held := int64(len(b.dedup[from]))
+		b.mu.Unlock()
+		if held > most.Load() {
+			most.Store(held)
+		}
+		return p, nil
+	})
+	for i := 0; i < 100; i++ {
+		if _, err := a.Call(context.Background(), 1, kindEcho, i); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if m := most.Load(); m != 1 {
+		t.Fatalf("the receiver held up to %d requests from a sender with one call in flight, want 1", m)
 	}
 }
 

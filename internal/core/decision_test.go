@@ -9,11 +9,10 @@ import (
 	"dstm/internal/trace"
 )
 
-// TestRTSDecisionTable pins Algorithm 3's predicate exactly at its three
-// boundaries. Enqueue requires ALL of
+// TestRTSDecisionTable pins Algorithm 3's predicate exactly at its two
+// boundaries. Enqueue requires BOTH of
 //
 //	bk(queue) <  Elapsed          (strict: equal elapsed aborts)
-//	len(queue) <  maxQueue        (a full queue aborts)
 //	contention <  threshold       (contention AT the threshold aborts,
 //	                               where contention = len+1 + MyCL)
 //
@@ -28,7 +27,6 @@ func TestRTSDecisionTable(t *testing.T) {
 	cases := []struct {
 		name      string
 		threshold int
-		maxQueue  int
 		seeds     []seed
 		elapsed   time.Duration
 		myCL      int
@@ -44,77 +42,72 @@ func TestRTSDecisionTable(t *testing.T) {
 		},
 		{
 			name:      "elapsed equal to bk: strict comparison aborts",
-			threshold: 10, maxQueue: 10,
-			seeds:   []seed{{5 * time.Millisecond}},
-			elapsed: 5 * time.Millisecond,
-			enqueue: false,
+			threshold: 10,
+			seeds:     []seed{{5 * time.Millisecond}},
+			elapsed:   5 * time.Millisecond,
+			enqueue:   false,
 		},
 		{
 			name:      "elapsed one tick above bk: enqueue",
-			threshold: 10, maxQueue: 10,
-			seeds:   []seed{{5 * time.Millisecond}},
-			elapsed: 5*time.Millisecond + time.Nanosecond,
-			enqueue: true,
-			backoff: 5*time.Millisecond + time.Millisecond,
+			threshold: 10,
+			seeds:     []seed{{5 * time.Millisecond}},
+			elapsed:   5*time.Millisecond + time.Nanosecond,
+			enqueue:   true,
+			backoff:   5*time.Millisecond + time.Millisecond,
 		},
 		{
+			// The threshold caps the queue: with no remote CL it holds at
+			// most threshold-1 requesters (paper §III-C).
 			name:      "queue one below cap: enqueue",
-			threshold: 100, maxQueue: 3,
-			seeds:   []seed{{time.Microsecond}, {time.Microsecond}},
-			elapsed: time.Second,
-			enqueue: true,
-			backoff: 2*time.Microsecond + time.Millisecond,
+			threshold: 4,
+			seeds:     []seed{{time.Microsecond}, {time.Microsecond}},
+			elapsed:   time.Second,
+			enqueue:   true,
+			backoff:   2*time.Microsecond + time.Millisecond,
 		},
 		{
 			name:      "queue at cap: abort",
-			threshold: 100, maxQueue: 3,
-			seeds:   []seed{{time.Microsecond}, {time.Microsecond}, {time.Microsecond}},
-			elapsed: time.Second,
-			enqueue: false,
+			threshold: 4,
+			seeds:     []seed{{time.Microsecond}, {time.Microsecond}, {time.Microsecond}},
+			elapsed:   time.Second,
+			enqueue:   false,
 		},
 		{
 			name:      "contention one below threshold: enqueue",
-			threshold: 3, maxQueue: 100,
-			seeds:   []seed{{time.Microsecond}}, // contention = 1+1+0 = 2
-			elapsed: time.Second,
-			enqueue: true,
-			backoff: time.Microsecond + time.Millisecond,
+			threshold: 3,
+			seeds:     []seed{{time.Microsecond}}, // contention = 1+1+0 = 2
+			elapsed:   time.Second,
+			enqueue:   true,
+			backoff:   time.Microsecond + time.Millisecond,
 		},
 		{
 			name:      "contention at threshold: abort",
-			threshold: 3, maxQueue: 100,
-			seeds:   []seed{{time.Microsecond}, {time.Microsecond}}, // 2+1+0 = 3
-			elapsed: time.Second,
-			enqueue: false,
+			threshold: 3,
+			seeds:     []seed{{time.Microsecond}, {time.Microsecond}}, // 2+1+0 = 3
+			elapsed:   time.Second,
+			enqueue:   false,
 		},
 		{
 			name:      "remote CL pushes contention to threshold: abort",
-			threshold: 3, maxQueue: 100,
-			seeds:   nil, // contention = 0+1+2 = 3
-			myCL:    2,
-			elapsed: time.Second,
-			enqueue: false,
+			threshold: 3,
+			seeds:     nil, // contention = 0+1+2 = 3
+			myCL:      2,
+			elapsed:   time.Second,
+			enqueue:   false,
 		},
 		{
 			name:      "remote CL one below threshold: enqueue",
-			threshold: 3, maxQueue: 100,
-			myCL:    1, // contention = 0+1+1 = 2
-			elapsed: time.Second,
-			enqueue: true,
-			backoff: time.Millisecond,
-		},
-		{
-			name:      "MaxQueue zero derives cap from threshold",
-			threshold: 2, // derived maxQueue = 2, but contention trips first
-			seeds:     []seed{{time.Microsecond}},
+			threshold: 3,
+			myCL:      1, // contention = 0+1+1 = 2
 			elapsed:   time.Second,
-			enqueue:   false, // contention = 1+1 = 2 == threshold
+			enqueue:   true,
+			backoff:   time.Millisecond,
 		},
 	}
 	for _, tc := range cases {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
-			r := New(Options{CLThreshold: tc.threshold, MaxQueue: tc.maxQueue})
+			r := New(Options{CLThreshold: tc.threshold})
 			for i, s := range tc.seeds {
 				// Seeds use a huge Elapsed and a generous threshold-safe
 				// MyCL of 0 so they always enqueue.
@@ -146,7 +139,7 @@ func TestRTSDecisionTable(t *testing.T) {
 // each enqueued requester's backoff is the sum of the expected remaining
 // times of everyone ahead of it plus its own.
 func TestRTSBackoffAccumulationOrder(t *testing.T) {
-	r := New(Options{CLThreshold: 100, MaxQueue: 100})
+	r := New(Options{CLThreshold: 100})
 	remains := []time.Duration{3 * time.Millisecond, 5 * time.Millisecond, 7 * time.Millisecond}
 	var want time.Duration
 	for i, rem := range remains {
@@ -167,7 +160,7 @@ func TestRTSBackoffAccumulationOrder(t *testing.T) {
 // when an entry was actually removed.
 func TestRTSDecisionTraceEvents(t *testing.T) {
 	rec := trace.NewRecorder(0, 64, func() uint64 { return 0 })
-	r := New(Options{CLThreshold: 3, MaxQueue: 10})
+	r := New(Options{CLThreshold: 3})
 	r.SetTracer(rec)
 
 	// Enqueue, then the same (node, tx) retries: dup-dequeue + re-enqueue.
@@ -237,7 +230,7 @@ func TestRTSReleaseHeadModeTable(t *testing.T) {
 	for _, tc := range cases {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
-			r := New(Options{CLThreshold: 100, MaxQueue: 100})
+			r := New(Options{CLThreshold: 100})
 			for i, m := range tc.modes {
 				if d := r.OnConflict(mkReq("x", uint64(i+1), int32(i), m, time.Hour, time.Millisecond, 0)); !d.Enqueue {
 					t.Fatalf("seed %d denied", i)

@@ -10,13 +10,13 @@ import (
 )
 
 // Property: under any interleaving of conflicts, releases, declines and
-// extractions, (a) the queue length never exceeds the cap, (b) every
+// extractions, (a) the queue stays shorter than the CL threshold, (b) every
 // enqueue decision carries a positive backoff, and (c) backoffs reported to
 // consecutive enqueuers of one object never decrease between releases
 // (bk only accumulates).
 func TestRTSQueueInvariantsProperty(t *testing.T) {
 	f := func(seed int64, opsRaw []uint8) bool {
-		r := New(Options{CLThreshold: 6, MaxQueue: 4})
+		r := New(Options{CLThreshold: 5})
 		rng := rand.New(rand.NewSource(seed))
 		lastBackoff := time.Duration(0)
 		for i, op := range opsRaw {
@@ -27,7 +27,7 @@ func TestRTSQueueInvariantsProperty(t *testing.T) {
 					time.Duration(1+rng.Intn(10))*time.Millisecond,
 					rng.Intn(3))
 				d := r.OnConflict(req)
-				if r.QueueLen("obj/p") > 4 {
+				if r.QueueLen("obj/p") >= 5 {
 					return false
 				}
 				if d.Enqueue {
@@ -59,7 +59,7 @@ func TestRTSQueueInvariantsProperty(t *testing.T) {
 func TestRTSQueueMigrationProperty(t *testing.T) {
 	f := func(n uint8) bool {
 		count := int(n%8) + 1
-		r := New(Options{CLThreshold: 1 << 20, MaxQueue: 64})
+		r := New(Options{CLThreshold: 1 << 20})
 		for i := 0; i < count; i++ {
 			d := r.OnConflict(mkReq("m", uint64(i+1), int32(i), sched.Write,
 				time.Hour, time.Millisecond, 0))
@@ -96,7 +96,7 @@ func TestRTSReadBroadcastProperty(t *testing.T) {
 		if len(pattern) == 0 || len(pattern) > 32 {
 			return true
 		}
-		r := New(Options{CLThreshold: 1 << 20, MaxQueue: 64})
+		r := New(Options{CLThreshold: 1 << 20})
 		reads, writes := 0, 0
 		for i, isRead := range pattern {
 			mode := sched.Write

@@ -26,6 +26,7 @@
 package core
 
 import (
+	"slices"
 	"sync"
 	"time"
 
@@ -51,11 +52,6 @@ type Options struct {
 	// CLWindow is the sliding window over which per-object local CLs are
 	// counted. 0 means 100 ms.
 	CLWindow time.Duration
-
-	// MaxQueue caps each object's requester queue. 0 derives it from the
-	// CL threshold (paper §III-C: "the transactions will be enqueued as
-	// many as CL threshold").
-	MaxQueue int
 }
 
 // DefaultCLThreshold matches the order of magnitude the paper's example
@@ -153,21 +149,18 @@ func (r *RTS) OnConflict(req sched.Request) sched.Decision {
 		r.tracer.Emit(trace.Event{Type: trace.EvDequeue, Tx: req.TxID, Oid: req.Oid, Detail: "dup"})
 	}
 
-	maxQueue := r.opts.MaxQueue
-	threshold := r.Threshold()
-	if maxQueue <= 0 {
-		maxQueue = threshold
-	}
-
 	// contention = local CL of the object (queued requesters plus this
-	// one) + the requester's remote CL (objects it already holds).
+	// one) + the requester's remote CL (objects it already holds). Holding
+	// it below the threshold also caps the queue below the threshold
+	// (paper §III-C: "the transactions will be enqueued as many as CL
+	// threshold").
 	contention := lst.len() + 1 + req.MyCL
 
 	// Enqueue only a transaction whose elapsed execution time exceeds the
 	// backoff it would have to sit out (otherwise aborting and restarting
 	// is cheaper than queueing, §III-A).
-	if lst.bk() < req.Elapsed && lst.len() < maxQueue && contention < threshold {
-		lst.add(req, contention)
+	if lst.bk() < req.Elapsed && contention < r.Threshold() {
+		lst.entries = append(lst.entries, req)
 		bk := lst.bk()
 		r.tracer.Emit(trace.Event{
 			Type: trace.EvEnqueue, Tx: req.TxID, Oid: req.Oid,
@@ -233,12 +226,10 @@ func (r *RTS) ExtractQueue(oid object.ID) []sched.Request {
 		return nil
 	}
 	delete(r.lists, oid)
-	out := make([]sched.Request, len(lst.entries))
-	for i, e := range lst.entries {
-		out[i] = e.req
-		r.tracer.Emit(trace.Event{Type: trace.EvDequeue, Tx: e.req.TxID, Oid: oid, Detail: "extract"})
+	for _, e := range lst.entries {
+		r.tracer.Emit(trace.Event{Type: trace.EvDequeue, Tx: e.TxID, Oid: oid, Detail: "extract"})
 	}
-	return out
+	return lst.entries
 }
 
 // AdoptQueue implements sched.Policy: install a queue received with
@@ -255,15 +246,13 @@ func (r *RTS) AdoptQueue(oid object.ID, reqs []sched.Request) {
 		lst = &requesterList{}
 		r.lists[oid] = lst
 	}
-	adopted := make([]listEntry, 0, len(reqs)+len(lst.entries))
 	for i, q := range reqs {
-		adopted = append(adopted, listEntry{req: q})
 		r.tracer.Emit(trace.Event{
 			Type: trace.EvAdopt, Tx: q.TxID, Oid: oid,
 			Detail: q.Mode.String(), A: uint64(i),
 		})
 	}
-	lst.entries = append(adopted, lst.entries...)
+	lst.entries = slices.Concat(reqs, lst.entries)
 }
 
 // RetryDelay implements sched.Policy: none, since RTS relies on enqueueing
@@ -293,17 +282,11 @@ func (r *RTS) QueueLen(oid object.ID) int {
 }
 
 // requesterList is the paper's Requester_List: the queue of enqueued
-// requesters for one object plus their recorded contention levels. bk —
-// the accumulated backoff (Algorithm 3's static bks) — is derived from the
-// expected remaining execution times of the queued entries so that dedup
-// and pops keep it consistent.
+// requesters for one object. bk — the accumulated backoff (Algorithm 3's
+// static bks) — is derived from the expected remaining execution times of
+// the queued entries so that dedup and pops keep it consistent.
 type requesterList struct {
-	entries []listEntry
-}
-
-type listEntry struct {
-	req        sched.Request
-	contention int
+	entries []sched.Request
 }
 
 func (l *requesterList) len() int { return len(l.entries) }
@@ -311,13 +294,9 @@ func (l *requesterList) len() int { return len(l.entries) }
 func (l *requesterList) bk() time.Duration {
 	var sum time.Duration
 	for _, e := range l.entries {
-		sum += e.req.ExpectedRemaining
+		sum += e.ExpectedRemaining
 	}
 	return sum
-}
-
-func (l *requesterList) add(req sched.Request, contention int) {
-	l.entries = append(l.entries, listEntry{req: req, contention: contention})
 }
 
 // removeDuplicate drops a stale entry from the same node and transaction
@@ -325,7 +304,7 @@ func (l *requesterList) add(req sched.Request, contention int) {
 // reports whether an entry was actually removed.
 func (l *requesterList) removeDuplicate(node transport.NodeID, txid uint64) bool {
 	for i, e := range l.entries {
-		if e.req.Node == node && e.req.TxID == txid {
+		if e.Node == node && e.TxID == txid {
 			l.entries = append(l.entries[:i], l.entries[i+1:]...)
 			return true
 		}
@@ -340,17 +319,16 @@ func (l *requesterList) pop() []sched.Request {
 	if len(l.entries) == 0 {
 		return nil
 	}
-	if l.entries[0].req.Mode == sched.Write {
-		head := l.entries[0].req
+	if l.entries[0].Mode == sched.Write {
+		head := l.entries[0]
 		l.entries = l.entries[1:]
 		return []sched.Request{head}
 	}
 	// Reads are compatible: release all of them at once.
-	var reads []sched.Request
-	var rest []listEntry
+	var reads, rest []sched.Request
 	for _, e := range l.entries {
-		if e.req.Mode == sched.Read {
-			reads = append(reads, e.req)
+		if e.Mode == sched.Read {
+			reads = append(reads, e)
 		} else {
 			rest = append(rest, e)
 		}

@@ -81,7 +81,7 @@ func TestRTSAbortsHighContention(t *testing.T) {
 
 // Backoff accumulates across enqueued requesters (Algorithm 3: bk += ETS.c − ETS.r).
 func TestRTSBackoffAccumulates(t *testing.T) {
-	r := New(Options{CLThreshold: 10, MaxQueue: 10})
+	r := New(Options{CLThreshold: 10})
 	d1 := r.OnConflict(mkReq("x", 1, 1, sched.Write, time.Second, 3*time.Millisecond, 0))
 	d2 := r.OnConflict(mkReq("x", 2, 2, sched.Write, time.Second, 4*time.Millisecond, 0))
 	if !d1.Enqueue || !d2.Enqueue {
@@ -116,15 +116,17 @@ func TestRTSPaperScenario(t *testing.T) {
 	}
 }
 
+// The CL threshold caps the queue (paper §III-C): with threshold 3 and no
+// remote CL, two conflicting requesters queue and the third is denied.
 func TestRTSQueueCap(t *testing.T) {
-	r := New(Options{CLThreshold: 100, MaxQueue: 2})
+	r := New(Options{CLThreshold: 3})
 	for i := uint64(1); i <= 2; i++ {
 		if d := r.OnConflict(mkReq("x", i, int32(i), sched.Write, time.Second, time.Millisecond, 0)); !d.Enqueue {
-			t.Fatalf("requester %d rejected below cap", i)
+			t.Fatalf("requester %d rejected below the threshold", i)
 		}
 	}
 	if d := r.OnConflict(mkReq("x", 3, 3, sched.Write, time.Hour, time.Millisecond, 0)); d.Enqueue {
-		t.Fatal("queue cap not enforced")
+		t.Fatal("third requester queued: contention 3 reached the threshold")
 	}
 }
 

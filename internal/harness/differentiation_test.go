@@ -25,9 +25,9 @@ func TestSchedulerDifferentiationHotKeyStorm(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-seed aggregate cell")
 	}
-	totals := make(map[Scheduler]struct{ commits, aborts uint64 })
+	totals := make(map[testbed.Scheduler]struct{ commits, aborts uint64 })
 	for seed := int64(1); seed <= 15; seed++ {
-		for _, s := range []Scheduler{SchedRTS, SchedTFA} {
+		for _, s := range []testbed.Scheduler{testbed.RTS, testbed.TFA} {
 			cfg := Config{
 				Options: testbed.Options{
 					Nodes:          4,
@@ -58,11 +58,11 @@ func TestSchedulerDifferentiationHotKeyStorm(t *testing.T) {
 			totals[s] = sum
 		}
 	}
-	for _, s := range []Scheduler{SchedRTS, SchedTFA} {
+	for _, s := range []testbed.Scheduler{testbed.RTS, testbed.TFA} {
 		t.Logf("%-12s commits=%d aborts=%d", s, totals[s].commits, totals[s].aborts)
 	}
 
-	rts, tfa := totals[SchedRTS], totals[SchedTFA]
+	rts, tfa := totals[testbed.RTS], totals[testbed.TFA]
 	if rts.commits == 0 || tfa.commits == 0 {
 		t.Fatalf("degenerate cell: rts=%+v tfa=%+v", rts, tfa)
 	}

@@ -6,6 +6,7 @@ import (
 	"strings"
 
 	"dstm/internal/stm"
+	"dstm/internal/testbed"
 )
 
 // Contention names the paper's two workload mixes.
@@ -109,7 +110,7 @@ func RunTable1(ctx context.Context, base Config, benches []BenchmarkKind) (Table
 	for _, b := range benches {
 		row := Table1Row{Benchmark: b}
 		for _, cont := range []Contention{Low, High} {
-			for _, s := range []Scheduler{SchedRTS, SchedTFA} {
+			for _, s := range []testbed.Scheduler{testbed.RTS, testbed.TFA} {
 				cfg := base
 				cfg.Benchmark = b
 				cfg.Scheduler = s
@@ -123,11 +124,11 @@ func RunTable1(ctx context.Context, base Config, benches []BenchmarkKind) (Table
 				}
 				rate := res.NestedAbortRate()
 				switch {
-				case cont == Low && s == SchedRTS:
+				case cont == Low && s == testbed.RTS:
 					row.LowRTS = rate
-				case cont == Low && s == SchedTFA:
+				case cont == Low && s == testbed.TFA:
 					row.LowTFA = rate
-				case cont == High && s == SchedRTS:
+				case cont == High && s == testbed.RTS:
 					row.HighRTS = rate
 				default:
 					row.HighTFA = rate
@@ -160,7 +161,7 @@ func (t Table1) Format() string {
 // SweepPoint is one node count's throughput per scheduler.
 type SweepPoint struct {
 	Nodes      int
-	Throughput map[Scheduler]float64
+	Throughput map[testbed.Scheduler]float64
 }
 
 // Sweep is one benchmark's curve set (one sub-figure of Fig. 4/5).
@@ -179,8 +180,8 @@ func RunThroughputSweep(ctx context.Context, base Config, bench BenchmarkKind,
 	}
 	sw := Sweep{Benchmark: bench, Contention: cont}
 	for _, n := range nodeCounts {
-		pt := SweepPoint{Nodes: n, Throughput: make(map[Scheduler]float64, len(Schedulers))}
-		for _, s := range Schedulers {
+		pt := SweepPoint{Nodes: n, Throughput: make(map[testbed.Scheduler]float64, len(testbed.Schedulers))}
+		for _, s := range testbed.Schedulers {
 			cfg := base
 			cfg.Benchmark = bench
 			cfg.Scheduler = s
@@ -210,13 +211,13 @@ func (s Sweep) Format() string {
 	fmt.Fprintf(&b, "%s: %s in %s Contention (throughput, txns/sec)\n",
 		fig, BenchmarkLabel(s.Benchmark), s.Contention)
 	fmt.Fprintf(&b, "%-6s", "Nodes")
-	for _, sc := range Schedulers {
+	for _, sc := range testbed.Schedulers {
 		fmt.Fprintf(&b, " %12s", sc)
 	}
 	fmt.Fprintln(&b)
 	for _, pt := range s.Points {
 		fmt.Fprintf(&b, "%-6d", pt.Nodes)
-		for _, sc := range Schedulers {
+		for _, sc := range testbed.Schedulers {
 			fmt.Fprintf(&b, " %12.1f", pt.Throughput[sc])
 		}
 		fmt.Fprintln(&b)
@@ -245,8 +246,8 @@ func RunSpeedupSummary(ctx context.Context, base Config, benches []BenchmarkKind
 	for _, b := range benches {
 		row := SpeedupRow{Benchmark: b}
 		for _, cont := range []Contention{Low, High} {
-			tp := make(map[Scheduler]float64, len(Schedulers))
-			for _, s := range Schedulers {
+			tp := make(map[testbed.Scheduler]float64, len(testbed.Schedulers))
+			for _, s := range testbed.Schedulers {
 				cfg := base
 				cfg.Benchmark = b
 				cfg.Scheduler = s
@@ -260,13 +261,13 @@ func RunSpeedupSummary(ctx context.Context, base Config, benches []BenchmarkKind
 				}
 				tp[s] = res.Throughput()
 			}
-			rtsTP := tp[SchedRTS]
+			rtsTP := tp[testbed.RTS]
 			spTFA, spBK := 0.0, 0.0
-			if tp[SchedTFA] > 0 {
-				spTFA = rtsTP / tp[SchedTFA]
+			if tp[testbed.TFA] > 0 {
+				spTFA = rtsTP / tp[testbed.TFA]
 			}
-			if tp[SchedBackoff] > 0 {
-				spBK = rtsTP / tp[SchedBackoff]
+			if tp[testbed.Backoff] > 0 {
+				spBK = rtsTP / tp[testbed.Backoff]
 			}
 			if cont == Low {
 				row.TFALow, row.BackoffLow = spTFA, spBK

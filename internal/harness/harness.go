@@ -21,19 +21,6 @@ import (
 	"dstm/internal/transport"
 )
 
-// Scheduler selects the transactional scheduler under test.
-type Scheduler = testbed.Scheduler
-
-// The three schedulers the paper compares.
-const (
-	SchedRTS     = testbed.RTS
-	SchedTFA     = testbed.TFA
-	SchedBackoff = testbed.Backoff
-)
-
-// Schedulers lists them in the paper's reporting order.
-var Schedulers = testbed.Schedulers
-
 // BenchmarkKind selects the application.
 type BenchmarkKind string
 
@@ -71,7 +58,7 @@ func (c Config) withDefaults() Config {
 		c.Nodes = 4
 	}
 	if c.Scheduler == "" {
-		c.Scheduler = SchedRTS
+		c.Scheduler = testbed.RTS
 	}
 	if c.Benchmark == "" {
 		c.Benchmark = BenchBank

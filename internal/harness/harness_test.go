@@ -31,7 +31,7 @@ func TestRunDefaults(t *testing.T) {
 }
 
 func TestRunProducesCommits(t *testing.T) {
-	for _, s := range Schedulers {
+	for _, s := range testbed.Schedulers {
 		s := s
 		t.Run(string(s), func(t *testing.T) {
 			cfg := quickCfg()
@@ -61,7 +61,7 @@ func TestRunAllBenchmarks(t *testing.T) {
 		t.Run(string(b), func(t *testing.T) {
 			cfg := quickCfg()
 			cfg.Benchmark = b
-			cfg.Scheduler = SchedRTS
+			cfg.Scheduler = testbed.RTS
 			cfg.ReadRatio = 0.5
 			res, err := Run(context.Background(), cfg)
 			if err != nil {
@@ -128,7 +128,7 @@ func TestThroughputSweepSmallRun(t *testing.T) {
 		t.Fatalf("points = %d", len(sw.Points))
 	}
 	for _, pt := range sw.Points {
-		for _, s := range Schedulers {
+		for _, s := range testbed.Schedulers {
 			if pt.Throughput[s] <= 0 {
 				t.Fatalf("zero throughput for %s at %d nodes", s, pt.Nodes)
 			}

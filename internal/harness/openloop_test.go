@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"dstm/internal/testbed"
 	"dstm/internal/workload"
 )
 
@@ -13,7 +14,7 @@ import (
 func quickOpenCfg() Config {
 	cfg := quickCfg()
 	cfg.Benchmark = BenchBank
-	cfg.Scheduler = SchedRTS
+	cfg.Scheduler = testbed.RTS
 	cfg.ReadRatio = 0.5
 	cfg.Seed = 11
 	cfg.Arrival = workload.NewConstant(400)

@@ -16,7 +16,7 @@ func TestRunOverTCP(t *testing.T) {
 		res, err := Run(context.Background(), Config{
 			Options: testbed.Options{
 				Nodes:          3,
-				Scheduler:      SchedTFA,
+				Scheduler:      testbed.TFA,
 				WorkersPerNode: 2,
 				Duration:       150 * time.Millisecond,
 				Transport:      "tcp",

@@ -55,7 +55,7 @@ func TestProtocolTraceCleanAllBenchmarks(t *testing.T) {
 			t.Parallel()
 			cfg := traceCfg()
 			cfg.Benchmark = b
-			cfg.Scheduler = SchedRTS
+			cfg.Scheduler = testbed.RTS
 			res, err := Run(context.Background(), cfg)
 			if err != nil {
 				t.Fatal(err)
@@ -83,7 +83,7 @@ func TestProtocolTraceLossyAllBenchmarks(t *testing.T) {
 			t.Parallel()
 			cfg := traceCfg()
 			cfg.Benchmark = b
-			cfg.Scheduler = SchedRTS
+			cfg.Scheduler = testbed.RTS
 			cfg.Duration = 300 * time.Millisecond
 			cfg.Drop = 0.15
 			cfg.Duplicate = 0.05
@@ -110,7 +110,7 @@ func TestProtocolTraceLossyAllBenchmarks(t *testing.T) {
 // and TFA+Backoff never enqueue, so their traces exercise the lock and
 // forwarding invariants without the queue model.
 func TestProtocolTraceAllSchedulers(t *testing.T) {
-	for _, s := range Schedulers {
+	for _, s := range testbed.Schedulers {
 		s := s
 		t.Run(string(s), func(t *testing.T) {
 			t.Parallel()
@@ -132,7 +132,7 @@ func TestProtocolTraceAllSchedulers(t *testing.T) {
 func TestProtocolTraceExport(t *testing.T) {
 	cfg := traceCfg()
 	cfg.Benchmark = BenchBank
-	cfg.Scheduler = SchedRTS
+	cfg.Scheduler = testbed.RTS
 	cfg.TracePath = filepath.Join(t.TempDir(), "trace.jsonl")
 	res, err := Run(context.Background(), cfg)
 	if err != nil {
@@ -164,7 +164,7 @@ func TestProtocolTraceExport(t *testing.T) {
 func TestProtocolTraceTruncated(t *testing.T) {
 	cfg := traceCfg()
 	cfg.Benchmark = BenchBank
-	cfg.Scheduler = SchedRTS
+	cfg.Scheduler = testbed.RTS
 	cfg.TraceCap = 64
 	res, err := Run(context.Background(), cfg)
 	if err != nil {
@@ -184,7 +184,7 @@ func TestProtocolTraceTruncated(t *testing.T) {
 func TestMetricsTableRendersBreakdown(t *testing.T) {
 	cfg := traceCfg()
 	cfg.Benchmark = BenchBank
-	cfg.Scheduler = SchedRTS
+	cfg.Scheduler = testbed.RTS
 	res, err := Run(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -161,14 +161,10 @@ func (tx *Txn) commit(ctx context.Context) error {
 			e := tx.entries[oid]
 			rt.store.InstallLocked(oid, e.val.Copy(), object.Version{}, tx.lockID)
 		}
-		msgs, err := rt.locator.RegisterBatchTx(detach(ctx), creates, rt.Self(), tx.lockID)
+		msgs, err := rt.locator.RegisterBatch(detach(ctx), creates, rt.Self())
 		meter.wave(msgs)
 		if err != nil {
 			// ID collision or directory failure: roll the creations back.
-			// Registration of the non-colliding entries is harmless — the
-			// batch is tagged with tx.lockID, so a retried attempt of the
-			// same transaction re-registers them idempotently and a
-			// different creator's genuine collision still surfaces.
 			for _, oid := range creates {
 				_ = rt.store.Remove(oid, tx.lockID)
 			}

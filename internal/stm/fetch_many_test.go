@@ -259,7 +259,7 @@ func TestStaleHintFollowsMovedTo(t *testing.T) {
 		wantRetrieves int
 	}{
 		{name: "moved-to followed", step: "retrieve", record: moved, wantLookups: 0, wantRetrieves: 2},
-		{name: "lying", step: "retrieve", record: func(rt *Runtime, x object.ID) { rt.migrated[x] = migration{to: 3} }, wantLookups: 1, wantRetrieves: 3},
+		{name: "lying", step: "retrieve", record: func(rt *Runtime, x object.ID) { rt.migrated[x] = 3 }, wantLookups: 1, wantRetrieves: 3},
 		{name: "absent", step: "retrieve", record: func(rt *Runtime, x object.ID) { delete(rt.migrated, x) }, wantLookups: 1, wantRetrieves: 2},
 		// The commit meets node 0's Moved and finds x changed at node 1: one
 		// validation abort, and the retry retrieves x from node 1.

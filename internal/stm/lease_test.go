@@ -53,9 +53,9 @@ func TestLeaseExpiryFreesWedgedLock(t *testing.T) {
 		t.Fatalf("writer never got past the wedged lock: %v", err)
 	}
 
-	if n := rt0.Metrics().Snapshot().LeaseExpiries; n == 0 {
-		t.Fatal("no lease expiries recorded despite the reaper freeing the lock")
-	}
+	// The reaper counts an expiry just after it frees the lock, so the
+	// writer can commit before the count lands: wait for it.
+	waitFor(t, func() bool { return rt0.Metrics().Snapshot().LeaseExpiries > 0 })
 	// The dead holder must not be able to resurrect its lock afterwards.
 	if rt0.Store().Owns("wedged") {
 		if got := lockAt(rt0.Store(), "wedged", deadTx, ver); got == object.LockOK {
@@ -120,11 +120,12 @@ func TestLeaseExpiryStopIdempotent(t *testing.T) {
 	}
 }
 
-// TestCommitMigrationIdempotent covers the at-least-once window of the
-// commit-migration RPC: when a retransmission outlives the endpoint's dedup
-// cache, the old owner re-executes the handler and must report the
-// already-completed migration as success — not "not owned".
-func TestCommitMigrationIdempotent(t *testing.T) {
+// TestCommitMigrationOfAGoneObjectFails: once a commit has taken an object
+// away from its owner, a commit message claiming it again — from another
+// transaction or from a new call of the same one — is refused. A copy of the
+// first message is never served again (the endpoint's floor), so no
+// migration has to be replayable.
+func TestCommitMigrationOfAGoneObjectFails(t *testing.T) {
 	tc := newTestCluster(t, 2, nil, nil)
 	rt0, rt1 := tc.rts[0], tc.rts[1]
 	ctx := context.Background()
@@ -159,12 +160,11 @@ func TestCommitMigrationIdempotent(t *testing.T) {
 	if rt0.Store().Owns("mig") {
 		t.Fatal("object still owned by old owner after migration")
 	}
-	// A re-executed retransmission (fresh correlation ID, so the RPC dedup
-	// cannot absorb it) must succeed idempotently.
-	if e := migrate(req); e != "" {
-		t.Fatalf("retransmitted migration not idempotent: %s", e)
+	// A new call of the same transaction finds the object gone, and so does
+	// a different transaction claiming it.
+	if e := migrate(req); e == "" {
+		t.Fatal("a second migration call of a gone object succeeded")
 	}
-	// A different transaction claiming the same migration is still an error.
 	bad := req
 	bad.TxID = 78
 	if e := migrate(bad); e == "" {

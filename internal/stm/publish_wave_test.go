@@ -146,6 +146,58 @@ func TestInstallWaitsForTheDirectoryUpdate(t *testing.T) {
 	}
 }
 
+// TestLatePublishCopyCannotMoveTheHomeBack: node 1 takes x from node 0 and
+// node 2 then takes it from node 1; x is homed at node 3. A copy of node 1's
+// publish message to the home, delivered again after node 1 has sent the
+// home 4,097 other requests, is never served: node 1's call is over, so the
+// home still names node 2, not node 1.
+func TestLatePublishCopyCannotMoveTheHomeBack(t *testing.T) {
+	tc := newTestCluster(t, 4, nil, nil)
+	ctx := context.Background()
+	x := homedAt(t, 4, 3)
+	seed(t, tc, map[object.ID]int{x: 0})
+
+	var mu sync.Mutex
+	var publish *transport.Message
+	tc.net.SetInterceptor(func(m *transport.Message) bool {
+		if m.Kind == KindCommitObjectBatch && m.From == 1 && m.To == 3 && !m.IsReply {
+			mu.Lock()
+			if publish == nil {
+				c := *m
+				publish = &c
+			}
+			mu.Unlock()
+		}
+		return true
+	})
+	for _, node := range []int{1, 2} {
+		if err := tc.rts[node].Atomic(ctx, "w", func(tx *Txn) error { return tx.Update(ctx, x, bump) }); err != nil {
+			t.Fatal(err)
+		}
+	}
+	mu.Lock()
+	late := publish
+	mu.Unlock()
+	if late == nil {
+		t.Fatal("node 1 sent x's home no publish message")
+	}
+	for i := 0; i <= 4096; i++ {
+		homeSays(t, tc.rts[1], x)
+	}
+
+	home := tc.rts[3].Locator()
+	if err := tc.net.Endpoint(1).Send(late); err != nil {
+		t.Fatal(err)
+	}
+	// The link is FIFO: once a later request from node 1 is answered, the
+	// copy has been delivered, and a served copy's handler gets 50 ms.
+	homeSays(t, tc.rts[1], x)
+	time.Sleep(50 * time.Millisecond)
+	if owner, err := home.Locate(ctx, x); err != nil || owner != 2 {
+		t.Fatalf("the home names node %d (%v) after a late copy of node 1's publish, want node 2", owner, err)
+	}
+}
+
 // TestRefusedPublishPointsTheHomeBack: node 0 commits a, b (node 1) and c
 // (node 2); b's commit lock is reaped between acquire and publish, so node 1
 // refuses to surrender it. The siblings are published, b stays at node 1

@@ -42,10 +42,11 @@ func TestRetiredKindsAreRefused(t *testing.T) {
 // moved, 27–30 the MVCC snapshot reads,
 // 31 and 32 the retrieve pair without the lock identity and the locked flag,
 // 40–42 the single-object directory lookup and register, 43 and 47 the
-// directory updates) decode as unknown, so a frame from an old peer is
+// directory updates, 46 the register batch that named its creating
+// transaction) decode as unknown, so a frame from an old peer is
 // rejected instead of being read as whatever type took the number over.
 func TestRetiredWireIDsAreUnregistered(t *testing.T) {
-	for _, id := range []wire.ID{10, 11, 12, 13, 14, 15, 17, 18, 22, 23, 24, 25, 26, 27, 28, 29, 30, 31, 32, 35, 40, 41, 42, 43, 47} {
+	for _, id := range []wire.ID{10, 11, 12, 13, 14, 15, 17, 18, 22, 23, 24, 25, 26, 27, 28, 29, 30, 31, 32, 35, 40, 41, 42, 43, 46, 47} {
 		t.Run(fmt.Sprintf("id%d", id), func(t *testing.T) {
 			r := wire.NewReader(wire.AppendUvarint(nil, uint64(id)))
 			v := r.Any()

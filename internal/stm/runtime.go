@@ -38,14 +38,11 @@ type Runtime struct {
 	waitMu  sync.Mutex
 	waiters map[waitKey]chan pushMsg
 
-	// migrated remembers, per object, the commit that last migrated it away
-	// from this node: the transaction, so a retransmitted commit-migration
-	// request (its reply was lost and the RPC dedup entry has aged out)
-	// reads as success, not "not owned" — see migrateOut — and the node it
-	// went to, which any request for the departed object is answered with
-	// (notHere).
+	// migrated remembers, per object, the node the commit that last took it
+	// away from this node took it to; any request for the departed object
+	// is answered with it (notHere).
 	migrMu   sync.Mutex
-	migrated map[object.ID]migration
+	migrated map[object.ID]transport.NodeID
 
 	nesting NestingMode
 	tracer  *trace.Recorder
@@ -54,12 +51,6 @@ type Runtime struct {
 type waitKey struct {
 	tx  uint64
 	oid object.ID
-}
-
-// migration is one object's last departure from this node.
-type migration struct {
-	tx uint64
-	to transport.NodeID
 }
 
 // NestingMode selects how Txn.Atomic treats inner atomic blocks.
@@ -101,7 +92,7 @@ func NewRuntime(ep *cluster.Endpoint, size int, policy sched.Policy, st *stats.T
 		stats:    st,
 		metrics:  &Metrics{},
 		waiters:  make(map[waitKey]chan pushMsg),
-		migrated: make(map[object.ID]migration),
+		migrated: make(map[object.ID]transport.NodeID),
 	}
 	ep.Handle(KindRetrieve, rt.handleRetrieve)
 	ep.Handle(KindRelease, rt.handleRelease)
@@ -305,10 +296,10 @@ func (rt *Runtime) retrieveOne(from transport.NodeID, req *retrieveReq, oid obje
 // else NotOwner.
 func (rt *Runtime) notHere(oid object.ID) answer {
 	rt.migrMu.Lock()
-	m, moved := rt.migrated[oid]
+	to, moved := rt.migrated[oid]
 	rt.migrMu.Unlock()
 	if moved {
-		return answer{Status: statusMoved, MovedTo: m.to}
+		return answer{Status: statusMoved, MovedTo: to}
 	}
 	return answer{Status: statusNotOwner}
 }
@@ -334,25 +325,15 @@ func (rt *Runtime) handleRelease(_ transport.NodeID, payload any) (any, error) {
 // migrateOut surrenders one object to the committing transaction tx, which
 // runs on node to: ownership migrates to the committer, so drop the local
 // copy (requires the committer to hold the commit lock) and hand back the
-// requester queue so scheduling state travels with the object.
-//
-// At-least-once delivery: if tx already migrated the object away (the reply
-// was lost and the retransmission outlived the RPC dedup window), the
-// removal is done — report success. The requester queue went with the first
-// execution; an empty queue here only costs the parked requesters a backoff
-// timeout.
+// requester queue so scheduling state travels with the object. The endpoint
+// serves each commit request at most once, so an object already gone is an
+// error.
 func (rt *Runtime) migrateOut(oid object.ID, tx uint64, to transport.NodeID) ([]sched.Request, error) {
 	if err := rt.store.Remove(oid, tx); err != nil {
-		rt.migrMu.Lock()
-		prior := rt.migrated[oid]
-		rt.migrMu.Unlock()
-		if prior.tx == tx {
-			return nil, nil
-		}
 		return nil, err
 	}
 	rt.migrMu.Lock()
-	rt.migrated[oid] = migration{tx: tx, to: to}
+	rt.migrated[oid] = to
 	rt.migrMu.Unlock()
 	return rt.policy.ExtractQueue(oid), nil
 }

@@ -67,11 +67,7 @@ type Report struct {
 // objects over the still reliable network.
 func (c *Cluster) Setup(ctx context.Context, bench apps.Benchmark) error {
 	if pick := c.opts.KeyPicker; pick != nil {
-		sk, ok := bench.(apps.Skewable)
-		if !ok {
-			return fmt.Errorf("testbed: %s does not support key sampling", bench.Name())
-		}
-		sk.SetKeyPicker(pick)
+		bench.SetKeyPicker(pick)
 	}
 	if err := bench.Setup(ctx, c.Rts); err != nil {
 		return fmt.Errorf("testbed: setup: %w", err)

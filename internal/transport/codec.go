@@ -9,12 +9,12 @@ import (
 // Binary frame body layout (the TCP transport length-prefixes each body
 // with a u32 big-endian byte count; see DESIGN.md "Wire format"):
 //
-//	ver:u8(=1)  from:varint  to:varint  clock:uvarint  kind:uvarint
-//	corr:uvarint  flags:u8(bit0=IsReply)  payload:any
+//	ver:u8(=2)  from:varint  to:varint  clock:uvarint  kind:uvarint
+//	corr:uvarint  floor:uvarint  flags:u8(bit0=IsReply)  payload:any
 //
 // The payload is a wire type ID followed by that type's binary encoding
 // (wire.AppendAny).
-const frameVersion = 1
+const frameVersion = 2
 
 // flag bits of the frame header.
 const flagIsReply = 1 << 0
@@ -28,6 +28,7 @@ func AppendMessage(b []byte, m *Message) ([]byte, error) {
 	b = wire.AppendUvarint(b, m.Clock)
 	b = wire.AppendUvarint(b, uint64(m.Kind))
 	b = wire.AppendUvarint(b, m.Corr)
+	b = wire.AppendUvarint(b, m.Floor)
 	var flags byte
 	if m.IsReply {
 		flags |= flagIsReply
@@ -56,6 +57,7 @@ func DecodeMessage(r *wire.Reader, m *Message) error {
 	}
 	m.Kind = Kind(kind)
 	m.Corr = r.Uvarint()
+	m.Floor = r.Uvarint()
 	flags := r.Uvarint()
 	if flags > 0xff {
 		return fmt.Errorf("%w: flag byte %d", wire.ErrMalformed, flags)

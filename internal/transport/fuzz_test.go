@@ -37,14 +37,14 @@ func init() {
 // codec: the in-memory and TCP transports must be interchangeable, so the
 // wire format must be lossless.
 func FuzzMessageGobRoundTrip(f *testing.F) {
-	f.Add(int32(0), int32(1), uint64(7), uint16(10), uint64(3), false, "hello", []byte{1, 2}, uint64(9))
-	f.Add(int32(-5), int32(1<<30), ^uint64(0), uint16(0), uint64(0), true, "", []byte(nil), uint64(0))
-	f.Add(int32(2), int32(2), uint64(1)<<63, uint16(65535), uint64(1), true, "päck\x00", []byte("x"), ^uint64(0))
+	f.Add(int32(0), int32(1), uint64(7), uint16(10), uint64(3), uint64(2), false, "hello", []byte{1, 2}, uint64(9))
+	f.Add(int32(-5), int32(1<<30), ^uint64(0), uint16(0), uint64(0), uint64(0), true, "", []byte(nil), uint64(0))
+	f.Add(int32(2), int32(2), uint64(1)<<63, uint16(65535), uint64(1), ^uint64(0), true, "päck\x00", []byte("x"), ^uint64(0))
 	f.Fuzz(func(t *testing.T, from, to int32, clock uint64, kind uint16,
-		corr uint64, isReply bool, s string, b []byte, n uint64) {
+		corr, floor uint64, isReply bool, s string, b []byte, n uint64) {
 		in := Message{
 			From: NodeID(from), To: NodeID(to), Clock: clock,
-			Kind: Kind(kind), Corr: corr, IsReply: isReply,
+			Kind: Kind(kind), Corr: corr, Floor: floor, IsReply: isReply,
 			Payload: fuzzPayload{S: s, B: b, N: n},
 		}
 		var buf bytes.Buffer
@@ -56,7 +56,7 @@ func FuzzMessageGobRoundTrip(f *testing.F) {
 			t.Fatalf("decode of own encoding: %v", err)
 		}
 		if out.From != in.From || out.To != in.To || out.Clock != in.Clock ||
-			out.Kind != in.Kind || out.Corr != in.Corr || out.IsReply != in.IsReply {
+			out.Kind != in.Kind || out.Corr != in.Corr || out.Floor != in.Floor || out.IsReply != in.IsReply {
 			t.Fatalf("header changed: %+v -> %+v", in, out)
 		}
 		p, ok := out.Payload.(fuzzPayload)
@@ -80,7 +80,7 @@ func FuzzMessageGobRoundTrip(f *testing.F) {
 			t.Fatalf("binary decode of own encoding: %v", err)
 		}
 		if bout.From != out.From || bout.To != out.To || bout.Clock != out.Clock ||
-			bout.Kind != out.Kind || bout.Corr != out.Corr || bout.IsReply != out.IsReply {
+			bout.Kind != out.Kind || bout.Corr != out.Corr || bout.Floor != out.Floor || bout.IsReply != out.IsReply {
 			t.Fatalf("binary header disagrees with gob: %+v vs %+v", bout, out)
 		}
 		bp, ok := bout.Payload.(fuzzPayload)
@@ -97,14 +97,14 @@ func FuzzMessageGobRoundTrip(f *testing.F) {
 // the TCP transport runs on every inbound frame: it must reject garbage with
 // an error, never a panic or an unbounded allocation.
 func FuzzMessageBinaryDecode(f *testing.F) {
-	valid, err := AppendMessage(nil, &Message{From: 1, To: 2, Kind: 10, Corr: 3,
+	valid, err := AppendMessage(nil, &Message{From: 1, To: 2, Kind: 10, Corr: 3, Floor: 2,
 		Payload: fuzzPayload{S: "s", B: []byte{1}, N: 2}})
 	if err != nil {
 		f.Fatal(err)
 	}
 	f.Add(valid)
 	f.Add([]byte{})
-	f.Add([]byte{0x01, 0xff, 0xff, 0xff, 0xff, 0xff})
+	f.Add([]byte{frameVersion, 0xff, 0xff, 0xff, 0xff, 0xff})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var m Message
 		_ = DecodeMessage(wire.NewReader(data), &m) // must not panic

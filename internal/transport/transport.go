@@ -25,13 +25,17 @@ type Kind uint16
 
 // Message is the unit of communication. Clock carries the sender's TFA
 // logical clock for asynchronous clock synchronisation; Corr correlates a
-// reply with its request (0 for one-way notifications).
+// reply with its request (0 for one-way notifications). Floor, on a
+// request, is the lowest correlation ID among the sender's calls still
+// awaiting a reply when this call was issued: every call of the sender
+// below it is over, so the receiver may drop any request below it.
 type Message struct {
 	From    NodeID
 	To      NodeID
 	Clock   uint64
 	Kind    Kind
 	Corr    uint64
+	Floor   uint64
 	IsReply bool
 	Payload any
 }

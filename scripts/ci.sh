@@ -13,7 +13,8 @@
 #          commitLock's; and one goroutine started: the lease reaper's; in
 #          internal/object, one read of the stale-lock fence map:
 #          LockBatch's; in internal/apps, one sorted-set seeding loop and one
-#          strictly-increasing check: apps.Set's)
+#          strictly-increasing check: apps.Set's; in internal/cluster,
+#          exactly one deletion from the dedup map: the floor prune)
 #   loc    lines of non-test Go outside bench/ (ROADMAP aim 2's measure)
 #   test   go test with the protocol-package coverage floor
 #   race   full suite under the race detector
@@ -79,6 +80,10 @@ stage_vet() {
     # check in internal/apps is a second copy of the skeleton.
     nontest_go | grep '^\./internal/apps/' | one_site 'inserted%len\(rts\)' 'seed and check a sorted set through apps.Set'
     nontest_go | grep '^\./internal/apps/' | one_site '\[i-1\] >= ' 'seed and check a sorted set through apps.Set'
+    # At most once, one rule: the receiver forgets a sender's requests only
+    # once the sender's floor has passed them, so no cap or FIFO may evict
+    # an entry too, and without the prune the map would grow without bound.
+    nontest_go | grep '^\./internal/cluster/' | one_site 'delete\(e\.dedup' 'forget a request only once its sender floor passes it' exactly
     # One codec: whatever crosses a socket has a binary wire codec, and gob
     # is only the reference of the differential fuzz oracles.
     if gob=$(nontest_go | xargs grep -l '"encoding/gob"'); then
@@ -89,15 +94,16 @@ stage_vet() {
     echo "== non-test files importing encoding/gob: 0"
 }
 
-# one_site PATTERN HINT: fails when the extended regexp PATTERN matches more
-# than one line of the Go files named on stdin.
+# one_site PATTERN HINT [exactly]: fails when the extended regexp PATTERN
+# matches more than one line of the Go files named on stdin — or, with
+# "exactly", any number of lines but one.
 one_site() {
     sites=$(xargs grep -nE "$1" || true)
     n=$(printf '%s' "$sites" | grep -c . || true)
     echo "== lines matching $1: $n"
-    if [ "$n" -gt 1 ]; then
+    if [ "$n" -gt 1 ] || { [ "${3:-}" = exactly ] && [ "$n" -ne 1 ]; }; then
         printf '%s\n' "$sites" >&2
-        echo "more than one line matches $1: $2" >&2
+        echo "$n lines match $1, want ${3:-at most} one: $2" >&2
         exit 1
     fi
 }
