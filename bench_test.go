@@ -56,11 +56,8 @@ func highContention(bench harness.BenchmarkKind, s testbed.Scheduler) harness.Co
 	return contentionCfg(bench, s, harness.High.ReadRatio())
 }
 
-func reportCell(b *testing.B, res harness.Result) {
+func reportCell(b *testing.B, res testbed.Report) {
 	b.Helper()
-	if res.CheckErr != nil {
-		b.Fatalf("invariant violated: %v", res.CheckErr)
-	}
 	b.ReportMetric(res.Throughput(), "tx/sec")
 	total := float64(res.Metrics.Commits + res.Metrics.TotalAborts())
 	if total > 0 {
@@ -68,7 +65,7 @@ func reportCell(b *testing.B, res harness.Result) {
 	}
 }
 
-func runCell(b *testing.B, cfg harness.Config) harness.Result {
+func runCell(b *testing.B, cfg harness.Config) testbed.Report {
 	b.Helper()
 	res, err := harness.Run(context.Background(), cfg)
 	if err != nil {

@@ -267,7 +267,7 @@ func drive(c *testbed.Cluster, o options, arr workload.Arrival) error {
 			b.Accounts(), arr.Name(), o.rate, o.duration, o.workers)
 	}
 
-	rep, err := c.Drive(ctx, b, nil)
+	rep, err := c.Drive(ctx, b)
 	if err != nil {
 		return err
 	}

@@ -43,7 +43,7 @@ func TestRTSQueueInvariantsProperty(t *testing.T) {
 				r.OnRelease("obj/p")
 				lastBackoff = 0
 			case 3: // decline
-				r.OnDecline("obj/p")
+				r.OnRelease("obj/p")
 				lastBackoff = 0
 			}
 		}

@@ -178,22 +178,11 @@ func (r *RTS) OnConflict(req sched.Request) sched.Decision {
 // OnRelease implements sched.Policy — the hand-off of Algorithm 4: on
 // commit-lock release the object goes to the first queued write requester,
 // or simultaneously to all queued read requesters when a read heads the
-// queue, maximising read concurrency.
+// queue, maximising read concurrency. A popped requester that declines (it
+// aborted while parked) makes the owner call it again for the next.
 func (r *RTS) OnRelease(oid object.ID) []sched.Request {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return r.popLocked(oid)
-}
-
-// OnDecline implements sched.Policy: the previously popped requester was
-// gone (aborted while parked); try the next.
-func (r *RTS) OnDecline(oid object.ID) []sched.Request {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.popLocked(oid)
-}
-
-func (r *RTS) popLocked(oid object.ID) []sched.Request {
 	lst := r.lists[oid]
 	if lst == nil || lst.len() == 0 {
 		return nil

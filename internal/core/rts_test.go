@@ -182,7 +182,7 @@ func TestRTSReleaseReadBroadcast(t *testing.T) {
 		}
 	}
 	// The write stays queued and pops next.
-	next := r.OnDecline("obj/x")
+	next := r.OnRelease("obj/x")
 	if len(next) != 1 || next[0].TxID != 2 {
 		t.Fatalf("next pop = %+v", next)
 	}

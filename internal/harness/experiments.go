@@ -46,11 +46,11 @@ func BenchmarkLabel(k BenchmarkKind) string {
 	}
 }
 
-// MetricsTable renders one result's outcome breakdown: commits with the
+// MetricsTable renders one cell's outcome breakdown: commits with the
 // operations' exact sojourn p50/p99, the per-cause abort counts, and each
 // outcome's mean attempt time, so time lost per abort cause is visible next
-// to its frequency.
-func (r Result) MetricsTable() string {
+// to its frequency; and, for a traced cell, the oracle's verdict.
+func MetricsTable(r testbed.Report) string {
 	var b strings.Builder
 	m := r.Metrics
 	fmt.Fprintf(&b, "%-22s %8d   %.1f tx/s   [mean=%v]   sojourn p50 %v p99 %v\n", "commit", m.Commits,
@@ -70,7 +70,7 @@ func (r Result) MetricsTable() string {
 		"nested-commits", m.NestedCommits, m.NestedOwn, m.NestedParent, 100*m.NestedAbortRate())
 	fmt.Fprintf(&b, "%-22s %8d   rounds %d  msgs/commit %.1f  rounds/commit %.1f\n",
 		"commit-msgs", m.CommitMsgs, m.CommitRounds, m.MsgsPerCommit(), m.RoundsPerCommit())
-	if r.Config.Trace {
+	if r.TraceEvents > 0 {
 		fmt.Fprintf(&b, "%-22s %8d   dropped %d  protocol-check %s\n",
 			"trace-events", r.TraceEvents, r.TraceDropped, errLabel(r.ProtocolErr))
 	}
@@ -116,9 +116,6 @@ func RunTable1(ctx context.Context, base Config, benches []BenchmarkKind) (Table
 				cfg.Scheduler = s
 				cfg.ReadRatio = cont.ReadRatio()
 				res, err := Run(ctx, cfg)
-				if err == nil {
-					err = res.Err()
-				}
 				if err != nil {
 					return Table1{}, err
 				}
@@ -188,9 +185,6 @@ func RunThroughputSweep(ctx context.Context, base Config, bench BenchmarkKind,
 			cfg.ReadRatio = cont.ReadRatio()
 			cfg.Nodes = n
 			res, err := Run(ctx, cfg)
-			if err == nil {
-				err = res.Err()
-			}
 			if err != nil {
 				return Sweep{}, err
 			}
@@ -253,9 +247,6 @@ func RunSpeedupSummary(ctx context.Context, base Config, benches []BenchmarkKind
 				cfg.Scheduler = s
 				cfg.ReadRatio = cont.ReadRatio()
 				res, err := Run(ctx, cfg)
-				if err == nil {
-					err = res.Err()
-				}
 				if err != nil {
 					return nil, err
 				}

@@ -1,8 +1,8 @@
 // Package harness runs the paper's experiments: it picks one of the six
 // benchmarks, fills in the paper's defaults (link-latency band, read ratio,
-// per-node concurrency) and has internal/testbed assemble and drive the
-// cluster, then turns the reports into throughput and abort-rate results —
-// the raw material for Table I and Figures 4–6.
+// per-node concurrency) and has internal/testbed run the cell, then turns
+// the reports into throughput and abort-rate results — the raw material for
+// Table I and Figures 4–6.
 package harness
 
 import (
@@ -122,37 +122,6 @@ func scaled(d time.Duration, scale float64) time.Duration {
 	return out
 }
 
-// Result is one experiment cell: the defaulted config and testbed's report
-// of the run (counters, operation accounting and sojourn samples, the
-// application's CheckErr, and with Config.Trace the oracle's verdict).
-type Result struct {
-	Config Config
-	testbed.Report
-}
-
-// Throughput is committed top-level transactions per second, cluster-wide.
-func (r Result) Throughput() float64 {
-	if r.Elapsed <= 0 {
-		return 0
-	}
-	return float64(r.Metrics.Commits) / r.Elapsed.Seconds()
-}
-
-// Err is the cell's verdict: the application's invariant check, then — with
-// Config.Trace — the protocol oracle's. Every experiment fails on it.
-func (r Result) Err() error {
-	if r.CheckErr != nil {
-		return fmt.Errorf("harness: %s invariant: %w", r.Config.Benchmark, r.CheckErr)
-	}
-	if r.ProtocolErr != nil {
-		return fmt.Errorf("harness: %s protocol trace: %w", r.Config.Benchmark, r.ProtocolErr)
-	}
-	return nil
-}
-
-// NestedAbortRate is Table I's metric.
-func (r Result) NestedAbortRate() float64 { return r.Metrics.NestedAbortRate() }
-
 // newBenchmark builds the application for a config.
 func newBenchmark(cfg Config) (apps.Benchmark, error) {
 	switch cfg.Benchmark {
@@ -180,25 +149,18 @@ func newBenchmark(cfg Config) (apps.Benchmark, error) {
 	}
 }
 
-// Run executes one experiment cell and returns its result.
-func Run(ctx context.Context, cfg Config) (Result, error) {
+// Run executes one experiment cell through testbed.Run: its report, and
+// its error or verdict (the application's invariant, the directory and,
+// with Config.Trace, the protocol oracle).
+func Run(ctx context.Context, cfg Config) (testbed.Report, error) {
 	cfg = cfg.withDefaults()
 	bench, err := newBenchmark(cfg)
 	if err != nil {
-		return Result{}, err
+		return testbed.Report{}, err
 	}
-	c, err := testbed.New(cfg.Options)
+	rep, err := testbed.Run(ctx, cfg.Options, bench)
 	if err != nil {
-		return Result{}, err
+		return rep, fmt.Errorf("harness: %s: %w", cfg.Benchmark, err)
 	}
-	defer c.Close()
-	if err := c.Setup(ctx, bench); err != nil {
-		return Result{}, err
-	}
-	rep, err := c.Drive(ctx, bench, nil)
-	if err != nil {
-		return Result{}, err
-	}
-	res := Result{Config: cfg, Report: rep}
-	return res, c.Finish(&res.Report)
+	return rep, nil
 }

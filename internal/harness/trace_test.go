@@ -28,18 +28,16 @@ func traceCfg() Config {
 	return cfg
 }
 
-// requireCleanTrace asserts the run produced a complete trace that the
-// protocol oracle accepts.
-func requireCleanTrace(t *testing.T, res Result) {
+// requireCleanTrace asserts the run recorded a complete trace, so the
+// oracle verdict Run already failed on was the full check, not the
+// truncated one.
+func requireCleanTrace(t *testing.T, res testbed.Report) {
 	t.Helper()
 	if res.TraceEvents == 0 {
 		t.Fatal("tracing enabled but no events recorded")
 	}
 	if res.TraceDropped != 0 {
 		t.Fatalf("ring wrapped (%d events dropped) — raise TraceCap so the full check runs", res.TraceDropped)
-	}
-	if res.ProtocolErr != nil {
-		t.Fatalf("protocol check failed over %d events:\n%v", res.TraceEvents, res.ProtocolErr)
 	}
 	t.Logf("protocol check ok over %d events", res.TraceEvents)
 }
@@ -62,9 +60,6 @@ func TestProtocolTraceCleanAllBenchmarks(t *testing.T) {
 			}
 			if res.Metrics.Commits == 0 {
 				t.Fatal("no commits")
-			}
-			if res.CheckErr != nil {
-				t.Fatalf("invariant: %v", res.CheckErr)
 			}
 			requireCleanTrace(t, res)
 		})
@@ -90,16 +85,12 @@ func TestProtocolTraceLossyAllBenchmarks(t *testing.T) {
 			cfg.Reorder = 0.05
 			cfg.MaxExtraDelay = time.Millisecond
 			cfg.LockLease = 2 * time.Second
-			cfg.CallRetry = testbed.LossyRetry
 			res, err := Run(context.Background(), cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if res.Metrics.Commits == 0 {
 				t.Fatal("no commits under 15% loss")
-			}
-			if res.CheckErr != nil {
-				t.Fatalf("invariant: %v", res.CheckErr)
 			}
 			requireCleanTrace(t, res)
 		})
@@ -178,7 +169,7 @@ func TestProtocolTraceTruncated(t *testing.T) {
 	}
 }
 
-// TestMetricsTableRendersBreakdown pins the Result output surface: the
+// TestMetricsTableRendersBreakdown pins the cell's output surface: the
 // per-cause abort breakdown with mean attempt times, and the trace verdict
 // line when tracing is on.
 func TestMetricsTableRendersBreakdown(t *testing.T) {
@@ -189,7 +180,7 @@ func TestMetricsTableRendersBreakdown(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out := res.MetricsTable()
+	out := MetricsTable(res)
 	if !strings.Contains(out, "commit") || !strings.Contains(out, "tx/s") {
 		t.Fatalf("no commit line:\n%s", out)
 	}

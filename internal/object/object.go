@@ -28,14 +28,6 @@ type Version struct {
 	Node  int32
 }
 
-// Less orders versions by clock, then node.
-func (v Version) Less(o Version) bool {
-	if v.Clock != o.Clock {
-		return v.Clock < o.Clock
-	}
-	return v.Node < o.Node
-}
-
 // Equal reports whether two versions are identical.
 func (v Version) Equal(o Version) bool { return v == o }
 

@@ -84,10 +84,9 @@ func (s *Store) shardOf(id ID) *shard {
 }
 
 // SetTrace installs a debug callback invoked (under the owning shard's
-// lock) for every lock-state transition: "lock-ok", "lock-busy",
-// "lock-stale", "lock-refused", "lock-expired", "unlock", "unlock-miss",
-// "unlock-noobj", "remove", "commit", "install", "install-locked". Pass nil
-// to disable. Intended for tests and debugging.
+// lock) for every lock-state change: "lock-ok", "lock-expired", "unlock",
+// "remove", "commit", "install", "install-locked". Pass nil to disable.
+// Intended for tests and debugging.
 func (s *Store) SetTrace(f TraceFn) {
 	if f == nil {
 		s.trace.Store(nil)
@@ -186,8 +185,7 @@ func (s *Store) LockBatch(tx uint64, entries []LockEntry) (results []LockResult,
 	defer s.unlockShardsFor(entries)
 
 	// Evaluation pass: nothing is locked, so a failed batch leaves the store
-	// exactly as it found it. Only failures are narrated: emitting lock-ok
-	// for an entry that would have succeeded would lie to the trace.
+	// exactly as it found it, and nothing is narrated.
 	applied = true
 	for i, e := range entries {
 		sh := s.shardOf(e.ID)
@@ -197,13 +195,10 @@ func (s *Store) LockBatch(tx uint64, entries []LockEntry) (results []LockResult,
 			results[i] = LockNotOwner
 		case sh.fenced[fence{e.ID, tx}]:
 			results[i] = LockBusy
-			s.emit("lock-refused", e.ID, tx, 0)
 		case r.lockTx != 0 && r.lockTx != tx:
 			results[i] = LockBusy
-			s.emit("lock-busy", e.ID, tx, 0)
 		case !r.ver.Equal(e.Expect):
 			results[i] = LockStale
-			s.emit("lock-stale", e.ID, tx, 0)
 		default:
 			results[i] = LockOK
 		}
@@ -288,7 +283,6 @@ func (s *Store) Unlock(id ID, tx uint64) {
 	defer sh.mu.Unlock()
 	r, ok := sh.objs[id]
 	if !ok {
-		s.emit("unlock-noobj", id, tx, 0)
 		sh.fence(id, tx)
 		return
 	}
@@ -297,7 +291,6 @@ func (s *Store) Unlock(id ID, tx uint64) {
 		s.emit("unlock", id, tx, 0)
 		return
 	}
-	s.emit("unlock-miss", id, tx, 0)
 	sh.fence(id, tx)
 }
 

@@ -16,7 +16,6 @@ func (noQueue) OnRelease(object.ID) []Request        { return nil }
 func (noQueue) QueueDepth() int                      { return 0 }
 func (noQueue) ExtractQueue(object.ID) []Request     { return nil }
 func (noQueue) AdoptQueue(object.ID, []Request)      {}
-func (noQueue) OnDecline(object.ID) []Request        { return nil }
 func (noQueue) OnConflict(Request) Decision          { return Decision{} }
 func (noQueue) ObserveRequest(object.ID, uint64) int { return 0 }
 func (noQueue) RetryDelay(int, string) time.Duration { return 0 }

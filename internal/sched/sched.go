@@ -79,9 +79,11 @@ type Policy interface {
 	OnConflict(req Request) Decision
 
 	// OnRelease is invoked when oid's commit lock is released with the
-	// object still owned here. It returns the queued requesters to hand
-	// the object to now: the first write requester, or every queued read
-	// requester (reads are mutually compatible, paper §III-B).
+	// object still owned here, and again when a requester it returned no
+	// longer wants the object (it aborted while parked). It returns the
+	// queued requesters to hand the object to now: the first write
+	// requester, or every queued read requester (reads are mutually
+	// compatible, paper §III-B).
 	OnRelease(oid object.ID) []Request
 
 	// ExtractQueue removes and returns oid's entire queue; called when
@@ -90,11 +92,6 @@ type Policy interface {
 
 	// AdoptQueue installs a queue received together with ownership.
 	AdoptQueue(oid object.ID, reqs []Request)
-
-	// OnDecline reports that a requester popped by OnRelease/OnDecline no
-	// longer wanted the object (it aborted while parked). It returns the
-	// next requesters to try.
-	OnDecline(oid object.ID) []Request
 
 	// RetryDelay returns how long an aborted transaction should stall
 	// before its next attempt (client side). attempt counts from 1.

@@ -34,9 +34,6 @@ func TestTFADeniesAndRetriesImmediately(t *testing.T) {
 		t.Fatalf("TFA ExtractQueue = %v", q)
 	}
 	p.AdoptQueue("x", []Request{{}}) // must not panic
-	if q := p.OnDecline("x"); q != nil {
-		t.Fatalf("TFA OnDecline = %v", q)
-	}
 	if cl := p.ObserveRequest("x", 1); cl != 0 {
 		t.Fatalf("TFA ObserveRequest = %d", cl)
 	}

@@ -165,6 +165,9 @@ func (rt *Runtime) Store() *object.Store { return rt.store }
 // Locator exposes the node's CC service (tests and setup helpers).
 func (rt *Runtime) Locator() *cc.Service { return rt.locator }
 
+// Endpoint exposes the node's RPC endpoint (tests).
+func (rt *Runtime) Endpoint() *cluster.Endpoint { return rt.ep }
+
 func (rt *Runtime) nextTxID() uint64 {
 	rt.seqMu.Lock()
 	rt.txSeq++
@@ -493,7 +496,7 @@ func (rt *Runtime) handleDecline(_ transport.NodeID, payload any) {
 	if !ok {
 		return
 	}
-	rt.serveQueue(msg.Oid, rt.policy.OnDecline(msg.Oid))
+	rt.serveQueue(msg.Oid, rt.policy.OnRelease(msg.Oid))
 }
 
 // ---------------------------------------------------------------------------

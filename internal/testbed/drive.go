@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"maps"
 	"math"
 	"math/rand"
 	"os"
@@ -13,7 +14,9 @@ import (
 	"time"
 
 	"dstm/internal/apps"
+	"dstm/internal/cc"
 	"dstm/internal/cluster"
+	"dstm/internal/object"
 	"dstm/internal/stm"
 	"dstm/internal/trace"
 	"dstm/internal/trace/check"
@@ -33,7 +36,7 @@ func (s Samples) Quantile(q float64) time.Duration {
 	return s[min(max(rank, 1), len(s))-1]
 }
 
-// Report is what one Drive produced, completed by Finish.
+// Report is what one Drive produced, completed by Run and Finish.
 type Report struct {
 	Elapsed time.Duration // the window as it ran: faults on → last worker out
 
@@ -50,9 +53,16 @@ type Report struct {
 
 	Metrics stm.MetricsSnapshot  // the window's transaction counters, Setup's excluded
 	Faults  transport.FaultStats // messages the fault model dropped, duplicated, reordered
+	Crashes int                  // crash/restart cycles the crash schedule ran
 
 	// CheckErr is the application's invariant check on the healed cluster.
 	CheckErr error
+
+	// StaleEntries, set by Run, counts the objects whose home, on the
+	// healed cluster, does not name the store holding them; stale
+	// describes one of them.
+	StaleEntries int
+	stale        error
 
 	// Set by Finish when Options.Trace is on: the oracle's verdict over
 	// the merged event log, the log's size, and how many events the rings
@@ -61,6 +71,62 @@ type Report struct {
 	ProtocolErr  error
 	TraceEvents  int
 	TraceDropped uint64
+}
+
+// Throughput is committed top-level transactions per second, cluster-wide.
+func (r Report) Throughput() float64 {
+	if r.Elapsed <= 0 {
+		return 0
+	}
+	return float64(r.Metrics.Commits) / r.Elapsed.Seconds()
+}
+
+// NestedAbortRate is Table I's metric.
+func (r Report) NestedAbortRate() float64 { return r.Metrics.NestedAbortRate() }
+
+// Err is the run's verdict, checked in order: the application's invariant;
+// the directory, unless a node crashed (a crashed committer may leave its
+// publish wave unfinished); the protocol oracle, when tracing.
+func (r Report) Err() error {
+	if r.CheckErr != nil {
+		return fmt.Errorf("testbed: invariant: %w", r.CheckErr)
+	}
+	if r.StaleEntries > 0 && r.Crashes == 0 {
+		return fmt.Errorf("testbed: %d stale directory entries: %w", r.StaleEntries, r.stale)
+	}
+	if r.ProtocolErr != nil {
+		return fmt.Errorf("testbed: protocol trace: %w", r.ProtocolErr)
+	}
+	return nil
+}
+
+// Run runs one cell in process: New, Setup, Drive, the directory check and
+// Finish. Its error is the first step that failed or, once all ran, the
+// verdict Err; the report is complete whenever Drive finished.
+func Run(ctx context.Context, o Options, bench apps.Benchmark) (Report, error) {
+	c, err := New(o)
+	if err != nil {
+		return Report{}, err
+	}
+	defer c.Close()
+	if err := c.Setup(ctx, bench); err != nil {
+		return Report{}, err
+	}
+	rep, err := c.Drive(ctx, bench)
+	if err != nil {
+		return rep, err
+	}
+	checkCtx, cancel := context.WithTimeout(ctx, 30*time.Second)
+	defer cancel()
+	var lookupErr error
+	rep.StaleEntries, rep.stale, lookupErr = c.staleEntries(checkCtx)
+	if err := c.Finish(&rep); err != nil {
+		return rep, err
+	}
+	if lookupErr != nil {
+		return rep, fmt.Errorf("testbed: directory check: %w", lookupErr)
+	}
+	return rep, rep.Err()
 }
 
 // Setup applies the configured key picker to bench and seeds its shared
@@ -81,28 +147,27 @@ type job struct {
 	seed    int64
 }
 
-// Drive is the one op loop. It arms the configured faults, has
-// WorkersPerNode workers per runtime serve bench's operations for Duration
-// — closed loop, or open loop when Options.Arrival is set — then heals the
-// network, gathers the window's counters and runs bench.Check on the
-// healed cluster. during, if not nil, runs alongside the workers with a
-// context that ends with the window, and has returned before the heal (the
-// chaos suite's crash controller). The error is the first operation that
+// Drive is the one op loop. It arms the configured faults and crash
+// schedule, has WorkersPerNode workers per runtime serve bench's operations
+// for Duration — closed loop, or open loop when Options.Arrival is set —
+// then heals the network, gathers the window's counters and runs
+// bench.Check on the healed cluster. The error is the first operation that
 // failed for a reason other than the window closing; Check is skipped then.
-func (c *Cluster) Drive(ctx context.Context, bench apps.Benchmark, during func(context.Context)) (Report, error) {
+func (c *Cluster) Drive(ctx context.Context, bench apps.Benchmark) (Report, error) {
 	o := c.opts
 	if o.Duration <= 0 || o.WorkersPerNode <= 0 {
 		return Report{}, fmt.Errorf("testbed: drive needs a Duration and WorkersPerNode, got %v and %d", o.Duration, o.WorkersPerNode)
 	}
 	before := c.metrics()
 	if o.faulty() {
-		c.Net.SetFaults(c.Faults)
+		c.net.SetFaults(c.faults)
 	}
 	runCtx, cancel := context.WithTimeout(ctx, o.Duration)
 	defer cancel()
 
 	var (
 		offered, shed, failed, cut atomic.Uint64
+		crashes                    int
 		errOnce                    sync.Once
 		firstErr                   error
 		wg                         sync.WaitGroup
@@ -150,11 +215,11 @@ func (c *Cluster) Drive(ctx context.Context, bench apps.Benchmark, during func(c
 			}(rt, o.Seed+int64(n*1000+w), &sojourns[n*o.WorkersPerNode+w])
 		}
 	}
-	if during != nil {
+	if o.CrashEvery > 0 {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			during(runCtx)
+			crashes = c.crashLoop(runCtx)
 		}()
 	}
 	if jobs != nil {
@@ -180,6 +245,7 @@ func (c *Cluster) Drive(ctx context.Context, bench apps.Benchmark, during func(c
 		Shed:    shed.Load(),
 		Failed:  failed.Load(),
 		Left:    cut.Load() + uint64(len(jobs)),
+		Crashes: crashes,
 	}
 	for _, s := range sojourns {
 		rep.Sojourn = append(rep.Sojourn, s...)
@@ -189,20 +255,19 @@ func (c *Cluster) Drive(ctx context.Context, bench apps.Benchmark, during func(c
 
 	// Heal before checking invariants: the check verifies what committed,
 	// not whether its own RPCs survive a lossy network.
-	faulted := c.Net != nil && c.Net.Faults() != nil
-	if faulted {
+	if o.faulty() {
 		for i := 0; i < o.Nodes; i++ {
-			c.Faults.Restart(transport.NodeID(i))
+			c.faults.Restart(transport.NodeID(i))
 		}
-		c.Net.SetFaults(nil)
-		rep.Faults = c.Faults.Stats()
+		c.net.SetFaults(nil)
+		rep.Faults = c.faults.Stats()
 	}
 	rep.Metrics = c.metrics()
 	rep.Metrics.Sub(before)
 	if firstErr != nil {
 		return rep, fmt.Errorf("testbed: operation failed: %w", firstErr)
 	}
-	if faulted {
+	if o.faulty() {
 		// Let straggling retransmissions and queue hand-offs converge on
 		// the healed network.
 		time.Sleep(100 * time.Millisecond)
@@ -252,6 +317,87 @@ func (c *Cluster) Finish(rep *Report) error {
 		return fmt.Errorf("testbed: trace write: %w", werr)
 	}
 	return nil
+}
+
+// crashLoop is the crash schedule: until ctx ends, every CrashEvery it takes
+// a random node off the network for half of CrashEvery, then brings it
+// back. The victim's in-memory state survives (fail-stop with stable
+// store); only its connectivity flaps. It returns the number of crashes.
+func (c *Cluster) crashLoop(ctx context.Context) (crashes int) {
+	rng := rand.New(rand.NewSource(c.opts.Seed ^ 0x5ca1ab1e))
+	tick := time.NewTicker(c.opts.CrashEvery)
+	defer tick.Stop()
+	for {
+		select {
+		case <-ctx.Done():
+			return crashes
+		case <-tick.C:
+		}
+		victim := transport.NodeID(rng.Intn(c.opts.Nodes))
+		c.faults.Crash(victim)
+		crashes++
+		select {
+		case <-ctx.Done():
+		case <-time.After(c.opts.CrashEvery / 2):
+		}
+		c.faults.Restart(victim)
+	}
+}
+
+// staleEntries checks the directory against the stores. It drops node 0's
+// owner hints for every stored object and has node 0 ask each home about
+// the objects homed there, one lookup per home and all at once, so the
+// check costs one round trip whatever the object count. It counts the
+// objects whose home names another node or has no entry, and stale
+// describes one of them. err is a lookup that failed: the check was not
+// made.
+func (c *Cluster) staleEntries(ctx context.Context) (n int, stale, err error) {
+	loc := c.Rts[0].Locator()
+	byHome := make(map[transport.NodeID][]object.ID)
+	for _, rt := range c.Rts {
+		for _, id := range rt.Store().IDs() {
+			loc.InvalidateHint(id)
+			home := loc.Home(id)
+			byHome[home] = append(byHome[home], id)
+		}
+	}
+	var (
+		mu       sync.Mutex
+		wg       sync.WaitGroup
+		homeSays = make(map[object.ID]transport.NodeID)
+	)
+	for _, ids := range byHome {
+		wg.Add(1)
+		go func(ids []object.ID) {
+			defer wg.Done()
+			// An unknown object is an answer, not a failed lookup: the
+			// home has no entry for it.
+			owners, _, lerr := loc.LocateBatch(ctx, ids)
+			mu.Lock()
+			defer mu.Unlock()
+			maps.Copy(homeSays, owners)
+			if lerr != nil && !errors.Is(lerr, cc.ErrUnknownObject) && err == nil {
+				err = lerr
+			}
+		}(ids)
+	}
+	wg.Wait()
+	if err != nil {
+		return 0, nil, err
+	}
+	for _, rt := range c.Rts {
+		for _, id := range rt.Store().IDs() {
+			switch got, ok := homeSays[id]; {
+			case !ok:
+				n++
+				stale = fmt.Errorf("%s is in node %d's store, its home has no entry for it", id, rt.Self())
+			case got != rt.Self():
+				n++
+				stale = fmt.Errorf("%s is in node %d's store, its home says node %d", id, rt.Self(), got)
+			}
+		}
+	}
+	return n, stale, nil
 }
 
 // metrics sums the transaction counters of this process's runtimes.

@@ -6,8 +6,9 @@
 // from here: New wires the fabric, endpoints, stats tables, schedulers and
 // runtimes; Setup seeds an application; Drive runs the closed or open op
 // loop and checks what it left behind; Finish replays the trace through the
-// oracle. bench/ keeps its own copy until ROADMAP item 3(c) makes it import
-// this package.
+// oracle. Run is that sequence for one in-process cell, with the directory
+// check between Drive and Finish. bench/ keeps its own copy until ROADMAP
+// item 3(c) makes it import this package.
 package testbed
 
 import (
@@ -39,10 +40,10 @@ const (
 // Schedulers lists them in the paper's reporting order.
 var Schedulers = []Scheduler{RTS, TFA, Backoff}
 
-// LossyRetry is the RPC retry policy for runs that inject message loss:
-// retransmissions paced to in-memory link delays, not the 2 s per-try
-// timeout of cluster.DefaultRetryPolicy.
-var LossyRetry = cluster.RetryPolicy{
+// lossyRetry is every endpoint's RPC retry policy in a run that injects
+// faults: retransmissions paced to in-memory link delays, not the 2 s
+// per-try timeout of cluster.DefaultRetryPolicy that the others keep.
+var lossyRetry = cluster.RetryPolicy{
 	PerTryTimeout: 30 * time.Millisecond,
 	BaseBackoff:   2 * time.Millisecond,
 	MaxBackoff:    20 * time.Millisecond,
@@ -81,15 +82,17 @@ type Options struct {
 	// Fault rates of the seeded transport.FaultModel that Drive installs
 	// for its window — Setup always runs over a reliable network. Zero
 	// rates keep the lossless network the paper assumes. See DESIGN.md
-	// "Fault model".
+	// "Fault model". Any fault, crashes included, puts every endpoint on
+	// lossyRetry.
 	Drop          float64
 	Duplicate     float64
 	Reorder       float64
 	MaxExtraDelay time.Duration
 
-	// CallRetry is every endpoint's RPC retry policy; the zero value keeps
-	// cluster.DefaultRetryPolicy. Lossy runs want LossyRetry.
-	CallRetry cluster.RetryPolicy
+	// Crash schedule, run by Drive: every CrashEvery a random node, node 0
+	// included, crashes (drops off the network) for half of CrashEvery,
+	// then restarts. CrashEvery 0 disables crashes.
+	CrashEvery time.Duration
 
 	// LockLease, when positive, starts each node's lock-lease reaper so a
 	// crashed or wedged committer cannot block an object forever.
@@ -119,8 +122,10 @@ type Options struct {
 	MaxPending     int
 }
 
-// faulty reports whether any fault-injection rate is set.
-func (o Options) faulty() bool { return o.Drop > 0 || o.Duplicate > 0 || o.Reorder > 0 }
+// faulty reports whether any fault-injection rate or a crash schedule is set.
+func (o Options) faulty() bool {
+	return o.Drop > 0 || o.Duplicate > 0 || o.Reorder > 0 || o.CrashEvery > 0
+}
 
 // newPolicy is the one scheduler-name → policy constructor. st is the table
 // the node's runtime records commits into, so TFA+Backoff scales its stall
@@ -142,16 +147,17 @@ func newPolicy(o Options, st *stats.Table) (sched.Policy, error) {
 	}
 }
 
-// Cluster is an assembled cluster. The exported fields are for callers that
-// add their own controllers and checks around Drive.
+// Cluster is an assembled cluster.
 type Cluster struct {
 	// Rts are this process's runtimes, indexed by node ID unless
 	// Options.Peers made it one node of a larger cluster.
 	Rts []*stm.Runtime
-	// Net and Faults exist on memnet only. Faults is built from the
-	// configured rates and stays dormant until Drive installs it.
-	Net    *transport.Network
-	Faults *transport.FaultModel
+
+	// net and faults exist on memnet only. faults is built from the
+	// configured rates and crash schedule and stays dormant until Drive
+	// installs it.
+	net    *transport.Network
+	faults *transport.FaultModel
 
 	opts        Options
 	tcps        []*transport.TCPNode
@@ -174,8 +180,8 @@ func New(o Options) (*Cluster, error) {
 	var fabric []transport.Transport
 	switch o.Transport {
 	case "", "memnet":
-		c.Net = transport.NewNetwork(o.Latency)
-		c.Faults = transport.NewFaultModel(transport.FaultConfig{
+		c.net = transport.NewNetwork(o.Latency)
+		c.faults = transport.NewFaultModel(transport.FaultConfig{
 			Seed:          uint64(o.Seed),
 			Drop:          o.Drop,
 			Duplicate:     o.Duplicate,
@@ -183,7 +189,7 @@ func New(o Options) (*Cluster, error) {
 			MaxExtraDelay: o.MaxExtraDelay,
 		})
 		for i := 0; i < o.Nodes; i++ {
-			fabric = append(fabric, c.Net.Endpoint(transport.NodeID(i)))
+			fabric = append(fabric, c.net.Endpoint(transport.NodeID(i)))
 		}
 	case "tcp":
 		if o.faulty() {
@@ -208,8 +214,8 @@ func New(o Options) (*Cluster, error) {
 		}
 		clk := &vclock.Clock{}
 		ep := cluster.NewEndpoint(tr, clk)
-		if (o.CallRetry != cluster.RetryPolicy{}) {
-			ep.SetRetryPolicy(o.CallRetry)
+		if o.faulty() {
+			ep.SetRetryPolicy(lossyRetry)
 		}
 		rt := stm.NewRuntime(ep, o.Nodes, pol, st)
 		if o.Trace {
@@ -264,8 +270,8 @@ func (c *Cluster) Close() {
 	for _, stop := range c.reaperStops {
 		stop()
 	}
-	if c.Net != nil {
-		c.Net.Close()
+	if c.net != nil {
+		c.net.Close()
 	}
 	for _, tn := range c.tcps {
 		tn.Close()

@@ -2,10 +2,14 @@ package testbed
 
 import (
 	"context"
+	"fmt"
+	"strings"
 	"testing"
 	"time"
 
 	"dstm/internal/apps/bank"
+	"dstm/internal/cluster"
+	"dstm/internal/object"
 	"dstm/internal/transport"
 	"dstm/internal/workload"
 )
@@ -68,7 +72,7 @@ func TestDrive(t *testing.T) {
 			if err := c.Setup(ctx, b); err != nil {
 				t.Fatal(err)
 			}
-			rep, err := c.Drive(ctx, b, nil)
+			rep, err := c.Drive(ctx, b)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -133,5 +137,132 @@ func TestQuantileNearestRank(t *testing.T) {
 	}
 	if got := (Samples{}).Quantile(0.5); got != 0 {
 		t.Errorf("empty Quantile = %v", got)
+	}
+}
+
+// TestRunCrashOnly: a crash schedule with every fault rate zero still arms
+// the fault model and puts every endpoint on the lossy retry policy, and the
+// run's report counts the crashes; a run with no fault keeps the default.
+func TestRunCrashOnly(t *testing.T) {
+	o := Options{
+		Nodes:          3,
+		Seed:           3,
+		Scheduler:      TFA,
+		CrashEvery:     40 * time.Millisecond,
+		LockLease:      5 * time.Second,
+		WorkersPerNode: 2,
+		Duration:       200 * time.Millisecond,
+		ReadRatio:      0.5,
+	}
+	for _, tc := range []struct {
+		opts Options
+		want cluster.RetryPolicy
+	}{
+		{o, lossyRetry},
+		{Options{Nodes: 3, Scheduler: TFA}, cluster.DefaultRetryPolicy()},
+	} {
+		c, err := New(tc.opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, rt := range c.Rts {
+			if got := rt.Endpoint().RetryPolicy(); got != tc.want {
+				t.Errorf("crash every %v: node %d retry policy %+v, want %+v", tc.opts.CrashEvery, rt.Self(), got, tc.want)
+			}
+		}
+		c.Close()
+	}
+	rep, err := Run(context.Background(), o, bank.New(bank.Options{AccountsPerNode: 4}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Crashes == 0 {
+		t.Fatalf("no crash in a %v window crashing every %v", o.Duration, o.CrashEvery)
+	}
+	if rep.Metrics.Commits == 0 {
+		t.Fatal("no commits")
+	}
+	t.Logf("crashes=%d dropped=%d commits=%d stale-entries=%d", rep.Crashes, rep.Faults.Dropped, rep.Metrics.Commits, rep.StaleEntries)
+}
+
+// TestStaleEntryFailsVerdict points one home entry at the wrong node after
+// a drive: the directory check counts it, and the verdict fails unless the
+// run crashed a node.
+func TestStaleEntryFailsVerdict(t *testing.T) {
+	c, err := New(Options{Nodes: 3, Scheduler: TFA, WorkersPerNode: 2, Duration: 50 * time.Millisecond, ReadRatio: 0.5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	ctx := context.Background()
+	b := bank.New(bank.Options{AccountsPerNode: 4})
+	if err := c.Setup(ctx, b); err != nil {
+		t.Fatal(err)
+	}
+	rep, err := c.Drive(ctx, b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.StaleEntries, rep.stale, err = c.staleEntries(ctx); err != nil || rep.StaleEntries != 0 || rep.Err() != nil {
+		t.Fatalf("healthy cluster: lookup %v, %d stale entries, verdict %v", err, rep.StaleEntries, rep.Err())
+	}
+
+	holder := c.Rts[0]
+	for _, rt := range c.Rts {
+		if len(rt.Store().IDs()) > len(holder.Store().IDs()) {
+			holder = rt
+		}
+	}
+	id := holder.Store().IDs()[0]
+	home := c.Rts[holder.Locator().Home(id)]
+	wrong := (holder.Self() + 1) % 3
+	if err := home.Locator().Moved([]object.ID{id}, wrong); err != nil {
+		t.Fatal(err)
+	}
+	if rep.StaleEntries, rep.stale, err = c.staleEntries(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if rep.StaleEntries != 1 {
+		t.Fatalf("%d stale entries after misdirecting %s, want 1", rep.StaleEntries, id)
+	}
+	if err := rep.Err(); err == nil || !strings.Contains(err.Error(), string(id)) {
+		t.Fatalf("verdict %v, want the stale entry %s", err, id)
+	}
+	rep.Crashes = 1
+	if err := rep.Err(); err != nil {
+		t.Fatalf("a run that crashed a node failed on its directory: %v", err)
+	}
+}
+
+// TestDirectoryCheckAsksEachHomeOnce: the directory check costs one round
+// trip whatever the object count, so 400 objects on 10 ms links fit a
+// 250 ms budget that one lookup per object would overrun about twentyfold;
+// and a lookup that fails is the check's error, never a stale entry.
+func TestDirectoryCheckAsksEachHomeOnce(t *testing.T) {
+	c, err := New(Options{Nodes: 4, Scheduler: TFA, Latency: transport.UniformLatency(10 * time.Millisecond)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	ctx := context.Background()
+	for _, rt := range c.Rts {
+		ids := make([]object.ID, 100)
+		for i := range ids {
+			ids[i] = object.ID(fmt.Sprintf("obj/%d/%d", rt.Self(), i))
+			rt.Store().Install(ids[i], &bank.Account{}, object.Version{})
+		}
+		if _, err := rt.Locator().RegisterBatch(ctx, ids, rt.Self()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	budget, cancel := context.WithTimeout(ctx, 250*time.Millisecond)
+	defer cancel()
+	if n, stale, err := c.staleEntries(budget); err != nil || n != 0 {
+		t.Fatalf("lookup error %v, %d stale entries (%v)", err, n, stale)
+	}
+	done, cancelDone := context.WithCancel(ctx)
+	cancelDone()
+	if n, _, err := c.staleEntries(done); err == nil || n != 0 {
+		t.Fatalf("no time left: lookup error %v and %d stale entries, want an error and none counted", err, n)
 	}
 }

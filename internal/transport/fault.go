@@ -53,8 +53,8 @@ type FaultStats struct {
 }
 
 // FaultModel is a deterministic, seeded fault injector for the simulated
-// network: per-message drop / duplicate / reorder plus whole-link
-// partitions and whole-node crash/restart. Install it on a Network with
+// network: per-message drop / duplicate / reorder plus whole-node
+// crash/restart. Install it on a Network with
 // SetFaults. All methods are safe for concurrent use.
 //
 // A "crashed" node is modelled as fully disconnected: every message to or
@@ -67,7 +67,6 @@ type FaultModel struct {
 
 	mu   sync.Mutex
 	seq  map[uint64]uint64 // per-directed-link message counters
-	cut  map[uint64]bool   // severed directed links
 	down map[NodeID]bool   // crashed nodes
 
 	dropped    atomic.Uint64
@@ -83,7 +82,6 @@ func NewFaultModel(cfg FaultConfig) *FaultModel {
 	return &FaultModel{
 		cfg:  cfg,
 		seq:  make(map[uint64]uint64),
-		cut:  make(map[uint64]bool),
 		down: make(map[NodeID]bool),
 	}
 }
@@ -105,7 +103,7 @@ func (f *FaultModel) Decide(from, to NodeID) Outcome {
 	key := linkKey(from, to)
 
 	f.mu.Lock()
-	if f.down[from] || f.down[to] || f.cut[key] {
+	if f.down[from] || f.down[to] {
 		f.mu.Unlock()
 		f.dropped.Add(1)
 		return Outcome{Drop: true}
@@ -136,30 +134,6 @@ func (f *FaultModel) Decide(from, to NodeID) Outcome {
 	return out
 }
 
-// Partition severs the link between a and b in both directions.
-func (f *FaultModel) Partition(a, b NodeID) {
-	f.mu.Lock()
-	f.cut[linkKey(a, b)] = true
-	f.cut[linkKey(b, a)] = true
-	f.mu.Unlock()
-}
-
-// Heal restores the link between a and b in both directions.
-func (f *FaultModel) Heal(a, b NodeID) {
-	f.mu.Lock()
-	delete(f.cut, linkKey(a, b))
-	delete(f.cut, linkKey(b, a))
-	f.mu.Unlock()
-}
-
-// Partitioned reports whether the a→b direction is currently severed
-// (by Partition or by a crash of either end).
-func (f *FaultModel) Partitioned(a, b NodeID) bool {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.cut[linkKey(a, b)] || f.down[a] || f.down[b]
-}
-
 // Crash disconnects node n entirely: every message to or from it is lost
 // until Restart.
 func (f *FaultModel) Crash(n NodeID) {
@@ -174,13 +148,6 @@ func (f *FaultModel) Restart(n NodeID) {
 	f.mu.Lock()
 	delete(f.down, n)
 	f.mu.Unlock()
-}
-
-// Crashed reports whether n is currently down.
-func (f *FaultModel) Crashed(n NodeID) bool {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.down[n]
 }
 
 // Stats returns the model's injected-fault counters.

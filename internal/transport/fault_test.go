@@ -116,35 +116,9 @@ func TestFaultModelSelfSendsNeverFaulted(t *testing.T) {
 	}
 }
 
-func TestFaultModelPartitionSymmetry(t *testing.T) {
-	fm := NewFaultModel(FaultConfig{Seed: 1})
-	fm.Partition(2, 5)
-	for _, link := range [][2]NodeID{{2, 5}, {5, 2}} {
-		if !fm.Partitioned(link[0], link[1]) {
-			t.Fatalf("link %v not partitioned", link)
-		}
-		if out := fm.Decide(link[0], link[1]); !out.Drop {
-			t.Fatalf("message crossed partitioned link %v", link)
-		}
-	}
-	// Unrelated links are untouched.
-	if fm.Partitioned(2, 6) || fm.Decide(2, 6).Drop {
-		t.Fatal("partition of (2,5) leaked onto (2,6)")
-	}
-	fm.Heal(2, 5)
-	for _, link := range [][2]NodeID{{2, 5}, {5, 2}} {
-		if fm.Partitioned(link[0], link[1]) || fm.Decide(link[0], link[1]).Drop {
-			t.Fatalf("healed link %v still dropping", link)
-		}
-	}
-}
-
 func TestFaultModelCrashRestart(t *testing.T) {
 	fm := NewFaultModel(FaultConfig{Seed: 1})
 	fm.Crash(3)
-	if !fm.Crashed(3) {
-		t.Fatal("Crashed(3) = false after Crash")
-	}
 	// Everything to or from the crashed node is lost, both directions.
 	for _, link := range [][2]NodeID{{0, 3}, {3, 0}, {3, 9}} {
 		if out := fm.Decide(link[0], link[1]); !out.Drop {
@@ -156,9 +130,6 @@ func TestFaultModelCrashRestart(t *testing.T) {
 		t.Fatal("crash of node 3 dropped 0→1 traffic")
 	}
 	fm.Restart(3)
-	if fm.Crashed(3) {
-		t.Fatal("Crashed(3) = true after Restart")
-	}
 	// Messages lost during the crash stay lost; new traffic flows.
 	for _, link := range [][2]NodeID{{0, 3}, {3, 0}} {
 		if out := fm.Decide(link[0], link[1]); out.Drop {

@@ -25,7 +25,7 @@ type Network struct {
 	// tests. Stored atomically so Send never takes the network lock.
 	interceptor atomic.Value // func(*Message) bool
 
-	// faults, when set, injects drop/duplicate/reorder/partition/crash
+	// faults, when set, injects drop/duplicate/reorder/crash
 	// faults into every Send. Stored atomically for the same reason.
 	faults atomic.Pointer[FaultModel]
 }

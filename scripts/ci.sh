@@ -7,7 +7,9 @@
 #   vet    go vet + go build, then the loc figure and the one-way gates
 #          (outside bench/ and tests, no import of encoding/gob — the
 #          binary wire codec is the one codec — and at most one call site each of
-#          stm.NewRuntime and workload.Drive: internal/testbed's; in
+#          stm.NewRuntime and workload.Drive: internal/testbed's, and
+#          exactly one line serving a benchmark's .Op( outside
+#          internal/apps: testbed's Drive; in
 #          internal/stm, at most one LocateBatch call and one loop bounded
 #          by maxOwnerHops: ownerWave's; and one LockBatch call:
 #          commitLock's; and one goroutine started: the lease reaper's; in
@@ -68,6 +70,11 @@ stage_vet() {
     # second lock entry that checks the fence fails).
     nontest_go | one_site 'stm\.NewRuntime\(' 'assemble and drive through internal/testbed'
     nontest_go | one_site 'workload\.Drive\(' 'assemble and drive through internal/testbed'
+    # One op loop: outside the benchmarks themselves, the one line that
+    # serves a benchmark's operation is testbed's Drive, so a second worker
+    # loop (one that could drop an operation's error) fails here.
+    nontest_go | grep -v '^\./internal/apps/' | one_site '\.Op\(' 'serve operations through testbed.Cluster.Drive' exactly
+    nontest_go | grep '^\./internal/testbed/' | one_site '\.Op\(' 'serve operations through testbed.Cluster.Drive' exactly
     nontest_go | grep '^\./internal/stm/' | one_site 'LocateBatch\(' 'locate, send and chase through ownerWave'
     nontest_go | grep '^\./internal/stm/' | one_site 'for .*maxOwnerHops' 'locate, send and chase through ownerWave'
     nontest_go | grep '^\./internal/stm/' | one_site 'LockBatch\(' 'commit-lock through Runtime.commitLock'
