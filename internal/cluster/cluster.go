@@ -22,8 +22,11 @@ import (
 
 // RequestHandler serves one RPC kind: it receives the sender and payload
 // and returns the reply payload or an error (propagated to the caller as a
-// *RemoteError). A handler runs on its own goroutine — on the caller's, when
-// a node calls itself — and may block.
+// *RemoteError). It runs on the delivery path — the goroutine that delivered
+// the request, or the caller's when a node calls itself — and sends its reply
+// from there, so it takes NotifyHandler's contract: it returns quickly, never
+// calls Call or Broadcast, and never waits on another node. A message for
+// another node goes out through Notify.
 type RequestHandler func(from transport.NodeID, payload any) (any, error)
 
 // NotifyHandler serves a one-way message kind. It is invoked synchronously
@@ -111,8 +114,8 @@ type Endpoint struct {
 	tracer atomic.Pointer[trace.Recorder]
 
 	mu       sync.Mutex
-	corr     uint64 // last correlation ID issued
-	pending  map[uint64]chan *transport.Message
+	corr     uint64                             // last correlation ID issued
+	pending  map[uint64]chan *transport.Message // calls awaiting a reply; a wave shares one channel
 	handlers map[transport.Kind]RequestHandler
 	notifies map[transport.Kind]NotifyHandler
 	floor    map[transport.NodeID]uint64                 // highest floor seen per sender
@@ -179,10 +182,10 @@ func (e *Endpoint) HandleNotify(kind transport.Kind, h NotifyHandler) {
 	e.notifies[kind] = h
 }
 
-// Call performs a blocking RPC to node `to`. It returns the remote reply
-// body, a *RemoteError if the remote handler failed, or a local error
-// (context cancellation, closed endpoint, transport failure, ErrCallTimeout
-// after the retry budget is spent).
+// Call performs a blocking RPC to node `to`: a Broadcast of one. It returns
+// the remote reply body, a *RemoteError if the remote handler failed, or a
+// local error (context cancellation, closed endpoint, transport failure,
+// ErrCallTimeout after the retry budget is spent).
 //
 // Lost requests and lost replies are retransmitted per the endpoint's
 // RetryPolicy with exponential backoff and jitter. Every retransmission
@@ -193,126 +196,9 @@ func (e *Endpoint) HandleNotify(kind transport.Kind, h NotifyHandler) {
 // A node does not send itself messages: a call to Self() runs the handler in
 // process (callSelf).
 func (e *Endpoint) Call(ctx context.Context, to transport.NodeID, kind transport.Kind, payload any) (any, error) {
-	if to == e.Self() {
-		return e.callSelf(ctx, kind, payload)
-	}
-	ch := make(chan *transport.Message, 1)
-
-	// Issue the ID and read the floor in one critical section: no ID below
-	// the floor can then be issued later, so every call below it is over.
-	e.mu.Lock()
-	if e.closed {
-		e.mu.Unlock()
-		return nil, ErrEndpointClosed
-	}
-	e.corr++
-	corr := e.corr
-	e.pending[corr] = ch
-	floor := corr
-	for c := range e.pending {
-		floor = min(floor, c)
-	}
-	e.mu.Unlock()
-
-	defer func() {
-		e.mu.Lock()
-		delete(e.pending, corr)
-		e.mu.Unlock()
-	}()
-
-	// Bound the whole call so a lost conversation cannot wedge a
-	// transaction forever. When the bound is ours (not the caller's), its
-	// expiry reports ErrCallTimeout rather than a context error, so the
-	// caller can tell a lost conversation from its own cancellation.
-	imposed := false
-	if _, has := ctx.Deadline(); !has {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, DefaultCallTimeout)
-		imposed = true
-		defer cancel()
-	}
-	timeoutErr := func() error {
-		if imposed && errors.Is(ctx.Err(), context.DeadlineExceeded) {
-			return fmt.Errorf("%w: %v to node %d", ErrCallTimeout, kind, to)
-		}
-		return ctx.Err()
-	}
-
-	decode := func(m *transport.Message) (any, error) {
-		env, ok := m.Payload.(envelope)
-		if !ok {
-			return nil, fmt.Errorf("cluster: malformed reply for %v from node %d", kind, to)
-		}
-		if env.Err != "" {
-			return nil, &RemoteError{Node: to, Msg: env.Err}
-		}
-		return env.Body, nil
-	}
-	// await waits up to d (forever when d <= 0) for a reply or the context.
-	// expired true means neither arrived and the caller should retransmit.
-	await := func(d time.Duration) (body any, err error, expired bool) {
-		var timer *time.Timer
-		var expire <-chan time.Time
-		if d > 0 {
-			timer = time.NewTimer(d)
-			expire = timer.C
-			defer timer.Stop()
-		}
-		select {
-		case m := <-ch:
-			body, err = decode(m)
-			return body, err, false
-		case <-e.done:
-			// Close drained the endpoint: no reply can ever arrive, so fail
-			// now instead of sitting out the rest of the call deadline.
-			return nil, ErrEndpointClosed, false
-		case <-ctx.Done():
-			return nil, timeoutErr(), false
-		case <-expire:
-			return nil, nil, true
-		}
-	}
-
-	rp := e.RetryPolicy()
-	backoff := rp.BaseBackoff
-	for attempt := 1; ; attempt++ {
-		// Emit the send event BEFORE handing the message to the transport:
-		// delivery runs on another goroutine (synchronously, under zero
-		// latency), so emitting afterwards can order the reply's recv event
-		// ahead of this send in the same node's sequence — a false
-		// "unsolicited reply" for the trace checker. A recorded send whose
-		// message then fails to leave is harmless to every invariant.
-		e.tracer.Load().Emit(trace.Event{Type: trace.EvMsgSend, Peer: to, Corr: corr, A: uint64(kind)})
-		err := e.tr.Send(&transport.Message{
-			From:    e.Self(),
-			To:      to,
-			Clock:   e.clock.Now(),
-			Kind:    kind,
-			Corr:    corr,
-			Floor:   floor,
-			Payload: payload,
-		})
-		if err != nil {
-			return nil, fmt.Errorf("cluster: call %v to node %d: %w", kind, to, err)
-		}
-
-		body, err, expired := await(rp.PerTryTimeout)
-		if !expired {
-			return body, err
-		}
-		// Back off before retransmitting — but keep listening: a reply that
-		// was merely slow must still complete the call.
-		if backoff > 0 {
-			d := jitter(backoff, uint64(corr)^uint64(attempt)<<32^uint64(e.Self()))
-			if body, err, expired := await(d); !expired {
-				return body, err
-			}
-			backoff *= 2
-			if rp.MaxBackoff > 0 && backoff > rp.MaxBackoff {
-				backoff = rp.MaxBackoff
-			}
-		}
-	}
+	var r [1]CallResult
+	e.wave(ctx, []Outcall{{To: to, Kind: kind, Payload: payload}}, r[:])
+	return r[0].Body, r[0].Err
 }
 
 // callSelf is Call addressed to this node: the handler runs on the caller's
@@ -321,24 +207,38 @@ func (e *Endpoint) Call(ctx context.Context, to transport.NodeID, kind transport
 // exists — no correlation ID, dedup entry, trace event or transport Send, so
 // no link delay and no fault: what transport.MetricLatency ("self-links cost
 // zero") and FaultModel ("self-sends are never faulted") assume.
-func (e *Endpoint) callSelf(ctx context.Context, kind transport.Kind, payload any) (any, error) {
+func (e *Endpoint) callSelf(ctx context.Context, kind transport.Kind, payload any) CallResult {
 	e.mu.Lock()
 	closed, h := e.closed, e.handlers[kind]
 	e.mu.Unlock()
 	if closed {
-		return nil, ErrEndpointClosed
+		return CallResult{Err: ErrEndpointClosed}
 	}
 	if err := ctx.Err(); err != nil {
-		return nil, err
+		return CallResult{Err: err}
 	}
+	return serve(h, kind, e.Self(), payload).result(e.Self())
+}
+
+// serve runs h, the handler registered for kind (nil if none), and wraps its
+// outcome as the reply.
+func serve(h RequestHandler, kind transport.Kind, from transport.NodeID, payload any) envelope {
 	if h == nil {
-		return nil, &RemoteError{Node: e.Self(), Msg: fmt.Sprintf("no handler for %v", kind)}
+		return envelope{Err: fmt.Sprintf("no handler for %v", kind)}
 	}
-	body, err := h(e.Self(), payload)
+	body, err := h(from, payload)
 	if err != nil {
-		return nil, &RemoteError{Node: e.Self(), Msg: err.Error()}
+		return envelope{Err: err.Error()}
 	}
-	return body, nil
+	return envelope{Body: body}
+}
+
+// result is the reply env from node as Call returns it.
+func (env envelope) result(node transport.NodeID) CallResult {
+	if env.Err != "" {
+		return CallResult{Err: &RemoteError{Node: node, Msg: env.Err}}
+	}
+	return CallResult{Body: env.Body}
 }
 
 // jitter spreads d by ±50% using a deterministic hash of the call identity,
@@ -391,14 +291,14 @@ func (e *Endpoint) onMessage(m *transport.Message) {
 	}
 
 	if m.IsReply {
+		// The first reply ends the call's wait; a duplicate finds no entry
+		// and is dropped, so the wave's channel has room for every reply.
 		e.mu.Lock()
 		ch := e.pending[m.Corr]
+		delete(e.pending, m.Corr)
 		e.mu.Unlock()
 		if ch != nil {
-			select {
-			case ch <- m:
-			default: // duplicate reply; drop
-			}
+			ch <- m
 		}
 		return
 	}
@@ -440,25 +340,14 @@ func (e *Endpoint) onMessage(m *transport.Message) {
 		served[m.Corr] = ent
 		h := e.handlers[m.Kind]
 		e.mu.Unlock()
-		// Requests run on their own goroutine so a slow handler never
-		// blocks the delivery path (per-link FIFO goroutine in memnet).
-		go func() {
-			var env envelope
-			if h == nil {
-				env = envelope{Err: fmt.Sprintf("no handler for %v", m.Kind)}
-			} else {
-				body, err := h(m.From, m.Payload)
-				env = envelope{Body: body}
-				if err != nil {
-					env = envelope{Err: err.Error()}
-				}
-			}
-			e.mu.Lock()
-			ent.done = true
-			ent.env = env
-			e.mu.Unlock()
-			e.reply(m, env)
-		}()
+		// Served on the delivery path (RequestHandler's contract), so one
+		// link's requests are served in the order they arrive.
+		env := serve(h, m.Kind, m.From, m.Payload)
+		e.mu.Lock()
+		ent.done = true
+		ent.env = env
+		e.mu.Unlock()
+		e.reply(m, env)
 		return
 	}
 

@@ -95,8 +95,10 @@ func TestSelfNotifyRunsHandlerInProcess(t *testing.T) {
 	}
 }
 
-// TestSelfCallReentrant: a handler may itself call (and notify) its own
-// node — the endpoint holds no lock while a handler runs.
+// TestSelfCallReentrant: the endpoint holds no lock while a handler runs, so
+// a handler run in process for a self-call can call (and notify) its own
+// node again. A handler served on the delivery path must not call at all
+// (RequestHandler).
 func TestSelfCallReentrant(t *testing.T) {
 	a, _ := selfEndpoint(t)
 	pinged := false
@@ -124,8 +126,8 @@ func TestSelfCallReentrant(t *testing.T) {
 
 // BenchmarkEndpointCall is the cluster layer's micro-benchmark: one echo
 // round trip to the node itself (in process) and to a peer over a
-// zero-latency memnet link (two transport sends, dispatch goroutine, dedup
-// entry, reply channel).
+// zero-latency memnet link (two transport sends, dedup entry, reply
+// channel; the handler runs on the link's delivery goroutine).
 func BenchmarkEndpointCall(b *testing.B) {
 	n := transport.NewNetwork(nil)
 	defer n.Close()

@@ -51,24 +51,30 @@ func (c *kindCounter) count(kinds ...transport.Kind) int {
 }
 
 // holdRetrieves returns a memnet interceptor that holds every retrieve
-// request inside Send until owners distinct nodes have one pending, and
-// hands everything else (and the released requests) to next. A request is
-// stamped with its sender's clock before Send, so the requests of one wave
-// all carry the clock the wave started with, and an implementation that
-// waits for one reply before sending the next request never gets past the
-// first.
+// reply inside Send until owners distinct nodes have received their request
+// (a node replying has received it), and hands everything else (and the
+// released replies) to next. An implementation that waits for one reply
+// before sending the next request never gets past the first.
 func holdRetrieves(t *testing.T, owners int, next func(*transport.Message) bool) func(*transport.Message) bool {
+	return holdReplies(t, KindRetrieve, owners, "retrieve", "the wave is not parallel", next)
+}
+
+// holdReplies holds each reply of kind inside Send until nodes distinct
+// nodes have sent one, and hands every message to next once it passes.
+// Holding the reply, not the request, leaves the sender free to send the
+// rest of its wave from one goroutine.
+func holdReplies(t *testing.T, kind transport.Kind, nodes int, what, why string, next func(*transport.Message) bool) func(*transport.Message) bool {
 	var (
 		mu      sync.Mutex
-		pending = map[transport.NodeID]bool{}
+		reached = map[transport.NodeID]bool{}
 		all     = make(chan struct{})
 	)
 	return func(m *transport.Message) bool {
-		if m.Kind == KindRetrieve && !m.IsReply {
+		if m.Kind == kind && m.IsReply {
 			mu.Lock()
-			if !pending[m.To] {
-				pending[m.To] = true
-				if len(pending) == owners {
+			if !reached[m.From] {
+				reached[m.From] = true
+				if len(reached) == nodes {
 					close(all)
 				}
 			}
@@ -76,7 +82,7 @@ func holdRetrieves(t *testing.T, owners int, next func(*transport.Message) bool)
 			select {
 			case <-all:
 			case <-time.After(2 * time.Second):
-				t.Errorf("retrieve to node %d sent alone: the wave is not parallel", m.To)
+				t.Errorf("%s to node %d sent alone: %s", what, m.From, why)
 			}
 		}
 		return next(m)
@@ -145,13 +151,16 @@ func TestWaveDecidesPerEntry(t *testing.T) {
 		name     string
 		locked   []object.ID
 		tfaOwner bool          // y's owner runs plain TFA, which denies every conflict
-		backoff  time.Duration // the backoff RTS assigns (the reader's expected remaining time)
+		backoff  time.Duration // the backoff RTS assigns (the reader's expected remaining time; < 0: estimate overrun)
 		release  bool          // free y once the reader is queued on it
 		want     AbortCause
 	}{
 		{name: "enqueued and handed off", locked: []object.ID{"y"}, backoff: time.Hour, release: true, want: commits},
 		{name: "denied", locked: []object.ID{"x", "y"}, tfaOwner: true, backoff: time.Hour, want: AbortDenied},
 		{name: "park times out", locked: []object.ID{"y"}, backoff: 5 * time.Millisecond, want: AbortQueueTimeout},
+		// An overrun estimate: the owner parks the reader for about as long
+		// as its attempt has run, not for a quarter of the hour-long estimate.
+		{name: "park after an overrun estimate times out", locked: []object.ID{"y"}, backoff: -time.Minute, want: AbortQueueTimeout},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

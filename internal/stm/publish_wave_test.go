@@ -19,35 +19,13 @@ import (
 // the home before this one, and every node the wave reached knows where the
 // objects went.
 
-// holdPublishWave returns a memnet interceptor that holds the committer's
-// publish messages inside Send until nodes distinct destinations have one
-// pending, and hands everything else (and the released wave) to next: a
-// commit that waits for one answer before sending the next message never gets
-// past the first.
+// holdPublishWave returns a memnet interceptor that holds every reply to the
+// committer's publish messages inside Send until nodes distinct destinations
+// have received theirs, and hands everything else (and the released replies)
+// to next: a commit that waits for one answer before sending the next message
+// never gets past the first.
 func holdPublishWave(t *testing.T, nodes int, next func(*transport.Message) bool) func(*transport.Message) bool {
-	var (
-		mu      sync.Mutex
-		pending = map[transport.NodeID]bool{}
-		all     = make(chan struct{})
-	)
-	return func(m *transport.Message) bool {
-		if m.Kind == KindCommitObjectBatch && !m.IsReply {
-			mu.Lock()
-			if !pending[m.To] {
-				pending[m.To] = true
-				if len(pending) == nodes {
-					close(all)
-				}
-			}
-			mu.Unlock()
-			select {
-			case <-all:
-			case <-time.After(2 * time.Second):
-				t.Errorf("publish to node %d sent alone: old owners and homes are not one wave", m.To)
-			}
-		}
-		return next(m)
-	}
+	return holdReplies(t, KindCommitObjectBatch, nodes, "publish", "old owners and homes are not one wave", next)
 }
 
 // kindUpdateBatch is the retired directory update (cc kind 6): the publish

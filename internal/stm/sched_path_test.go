@@ -172,13 +172,14 @@ func TestRTSQueueTimeoutAborts(t *testing.T) {
 // tests can make the requester look arbitrarily long-running to RTS.
 func manualTxn(rt *Runtime, ranFor, expectedTotal time.Duration) *Txn {
 	tx := &Txn{
-		rt:       rt,
-		id:       rt.nextTxID(),
-		name:     "manual",
-		began:    time.Now().Add(-ranFor),
-		expected: expectedTotal,
-		start:    rt.ep.Clock().Now(),
-		entries:  make(map[object.ID]*objEntry),
+		rt:           rt,
+		id:           rt.nextTxID(),
+		name:         "manual",
+		began:        time.Now().Add(-ranFor),
+		attemptBegan: time.Now(),
+		expected:     expectedTotal,
+		start:        rt.ep.Clock().Now(),
+		entries:      make(map[object.ID]*objEntry),
 	}
 	tx.root = tx
 	return tx

@@ -49,11 +49,12 @@ type Txn struct {
 	root   *Txn
 
 	// Root-only fields (TFA state).
-	began    time.Time
-	expected time.Duration
-	start    uint64    // TFA start clock; advanced by forwarding
-	readRPCs uint64    // the attempt's data-path read messages (Metrics.ReadMsgs)
-	pre      *prefetch // copies fetched ahead of their access (Prefetch)
+	began        time.Time // the first attempt's start (ETS.s)
+	attemptBegan time.Time // this attempt's start
+	expected     time.Duration
+	start        uint64    // TFA start clock; advanced by forwarding
+	readRPCs     uint64    // the attempt's data-path read messages (Metrics.ReadMsgs)
+	pre          *prefetch // copies fetched ahead of their access (Prefetch)
 
 	entries        map[object.ID]*objEntry
 	clSum          int // Σ remote CLs of objects fetched at this level
@@ -87,7 +88,6 @@ func (rt *Runtime) Atomic(ctx context.Context, name string, fn func(tx *Txn) err
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		attemptBegan := time.Now()
 		tx := &Txn{
 			rt:   rt,
 			id:   id,
@@ -95,11 +95,12 @@ func (rt *Runtime) Atomic(ctx context.Context, name string, fn func(tx *Txn) err
 			// Each attempt locks under a fresh identity so a stale lock
 			// request from a cancelled attempt can never be confused with
 			// (or resurrect over) a newer attempt's locks.
-			lockID:   rt.nextTxID(),
-			began:    began,
-			expected: rt.stats.Expect(name),
-			start:    rt.clock.Now(),
-			entries:  make(map[object.ID]*objEntry),
+			lockID:       rt.nextTxID(),
+			began:        began,
+			attemptBegan: time.Now(),
+			expected:     rt.stats.Expect(name),
+			start:        rt.clock.Now(),
+			entries:      make(map[object.ID]*objEntry),
 		}
 		tx.root = tx
 		// B carries the attempt's lock identity so trace checkers can match
@@ -117,7 +118,7 @@ func (rt *Runtime) Atomic(ctx context.Context, name string, fn func(tx *Txn) err
 		}
 		if err == nil {
 			rt.metrics.commits.Add(1)
-			rt.metrics.observeOutcome(true, 0, time.Since(attemptBegan))
+			rt.metrics.observeOutcome(true, 0, time.Since(tx.attemptBegan))
 			rt.tracer.Emit(trace.Event{Type: trace.EvTxCommit, Tx: id})
 			rt.feedback(true)
 			return nil
@@ -130,7 +131,7 @@ func (rt *Runtime) Atomic(ctx context.Context, name string, fn func(tx *Txn) err
 			return err
 		}
 		rt.metrics.aborts[ae.cause].Add(1)
-		rt.metrics.observeOutcome(false, ae.cause, time.Since(attemptBegan))
+		rt.metrics.observeOutcome(false, ae.cause, time.Since(tx.attemptBegan))
 		rt.tracer.Emit(trace.Event{Type: trace.EvTxAbort, Tx: id, Detail: ae.cause.String()})
 		// Every inner transaction that had committed into this root is
 		// rolled back with it (Table I's "aborts due to parent abort").
@@ -635,7 +636,11 @@ func (tx *Txn) retrieveWaves(ctx context.Context, oids []object.ID, mode sched.M
 			elapsed := time.Since(root.began)
 			remain := root.expected - elapsed
 			if remain <= 0 {
-				remain = root.expected / 4
+				// The estimate is overrun, so it no longer says what is left.
+				// Guess this attempt's running time again, never more than a
+				// quarter of the estimate: the owner parks the request that
+				// long, so the guess must rest on a time measured here.
+				remain = min(root.expected/4, time.Since(root.attemptBegan))
 				if remain <= 0 {
 					remain = 50 * time.Microsecond
 				}

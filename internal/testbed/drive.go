@@ -285,14 +285,12 @@ func (c *Cluster) Drive(ctx context.Context, bench apps.Benchmark) (Report, erro
 // Options.TracePath.
 func (c *Cluster) Finish(rep *Report) error {
 	// Quiesce before collecting so no goroutine is mid-way through emitting
-	// a hand-off group: Close stops the lease reapers and drains the
-	// per-link delivery goroutines; the sleep gives spawned handler
-	// goroutines a beat to finish.
+	// a hand-off group: Close stops the lease reapers and waits out the
+	// delivery goroutines, on which every handler runs.
 	c.Close()
 	if !c.opts.Trace {
 		return nil
 	}
-	time.Sleep(25 * time.Millisecond)
 
 	logs := make([][]trace.Event, len(c.recorders))
 	for i, rec := range c.recorders {

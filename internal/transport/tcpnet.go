@@ -8,7 +8,6 @@ import (
 	"net"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"dstm/internal/wire"
 )
@@ -22,16 +21,11 @@ type Codec uint8
 // multiplexing and write coalescing — the only TCP codec.
 const CodecBinary Codec = 0
 
-// TCPOptions tunes a TCPNode beyond the defaults.
+// TCPOptions holds nothing that changes a TCPNode; it survives, like Codec,
+// only because bench/cluster.go names it.
 type TCPOptions struct {
 	// Codec is always CodecBinary; see the Codec type.
 	Codec Codec
-	// FlushDelay: after a frame lands in an empty
-	// write buffer, the writer waits up to this long for more frames
-	// before issuing the write — trading a bounded latency bump for fewer,
-	// larger syscalls. 0 writes immediately; frames arriving while a write
-	// syscall is in flight still coalesce into the next write.
-	FlushDelay time.Duration
 }
 
 // maxBuffered is the per-connection soft cap, in bytes, on coalesced frames
@@ -73,7 +67,6 @@ var helloMagic = [4]byte{'D', 'S', 'T', 'M'}
 type TCPNode struct {
 	id    NodeID
 	ln    net.Listener
-	opts  TCPOptions
 	peers map[NodeID]string
 
 	handler atomic.Value // Handler
@@ -108,15 +101,14 @@ type tcpConn struct {
 	closed  bool
 }
 
-// NewTCPNode starts listening on listenAddr with default options and
-// will dial peers lazily. peers maps every cluster node (including self,
-// ignored) to its address.
-func NewTCPNode(id NodeID, listenAddr string, peers map[NodeID]string) (*TCPNode, error) {
-	return NewTCPNodeOpts(id, listenAddr, peers, TCPOptions{})
+// NewTCPNodeOpts is NewTCPNode; see TCPOptions.
+func NewTCPNodeOpts(id NodeID, listenAddr string, peers map[NodeID]string, _ TCPOptions) (*TCPNode, error) {
+	return NewTCPNode(id, listenAddr, peers)
 }
 
-// NewTCPNodeOpts is NewTCPNode with explicit coalescing options.
-func NewTCPNodeOpts(id NodeID, listenAddr string, peers map[NodeID]string, opts TCPOptions) (*TCPNode, error) {
+// NewTCPNode starts listening on listenAddr and will dial peers lazily.
+// peers maps every cluster node (including self, ignored) to its address.
+func NewTCPNode(id NodeID, listenAddr string, peers map[NodeID]string) (*TCPNode, error) {
 	ln, err := net.Listen("tcp", listenAddr)
 	if err != nil {
 		return nil, fmt.Errorf("tcpnet: listen %s: %w", listenAddr, err)
@@ -124,7 +116,6 @@ func NewTCPNodeOpts(id NodeID, listenAddr string, peers map[NodeID]string, opts 
 	n := &TCPNode{
 		id:       id,
 		ln:       ln,
-		opts:     opts,
 		peers:    peers,
 		conns:    make(map[NodeID]*tcpConn),
 		accepted: make(map[net.Conn]struct{}),
@@ -340,11 +331,8 @@ func (n *TCPNode) sendBinary(m *Message, tc *tcpConn) error {
 }
 
 // writeLoop drains tc.pending into write syscalls. While a write is in
-// flight new frames accumulate, so bursts coalesce naturally; FlushDelay
-// adds an explicit wait after the first frame of a batch to trade a
-// bounded latency bump for even fewer syscalls.
+// flight new frames accumulate, so bursts coalesce into the next write.
 func (n *TCPNode) writeLoop(to NodeID, tc *tcpConn) {
-	flush := n.opts.FlushDelay
 	tc.mu.Lock()
 	for {
 		for len(tc.pending) == 0 && !tc.closed && tc.werr == nil {
@@ -353,11 +341,6 @@ func (n *TCPNode) writeLoop(to NodeID, tc *tcpConn) {
 		if tc.werr != nil || (tc.closed && len(tc.pending) == 0) {
 			tc.mu.Unlock()
 			return
-		}
-		if flush > 0 && !tc.closed {
-			tc.mu.Unlock()
-			time.Sleep(flush)
-			tc.mu.Lock()
 		}
 		buf := tc.pending
 		tc.pending = tc.spare[:0]

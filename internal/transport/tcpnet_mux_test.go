@@ -1,10 +1,16 @@
 package transport
 
 import (
+	"bufio"
+	"encoding/binary"
 	"fmt"
+	"io"
+	"net"
 	"sync"
 	"testing"
 	"time"
+
+	"dstm/internal/wire"
 )
 
 // newTCPPairOpts is newTCPPair with explicit options on both nodes.
@@ -60,43 +66,65 @@ func TestTCPMuxNoReverseDial(t *testing.T) {
 	}
 }
 
-// TestTCPWriteCoalescing: a burst of small sends must land in far fewer
-// write syscalls than messages, given a flush window.
+// TestTCPWriteCoalescing: frames that concurrent senders queue while a write
+// is in flight share the next write syscall. The connection is a net.Pipe,
+// whose Write returns only once the far end has read it all, so the first
+// write stays in flight until the test starts reading.
 func TestTCPWriteCoalescing(t *testing.T) {
-	a, b := newTCPPairOpts(t, TCPOptions{Codec: CodecBinary, FlushDelay: 2 * time.Millisecond})
+	near, far := net.Pipe()
+	n := &TCPNode{conns: make(map[NodeID]*tcpConn)}
+	tc := n.newBinaryConn(near)
+	stopped := make(chan struct{})
+	go func() { defer close(stopped); n.writeLoop(1, tc) }()
+	defer func() { tc.shutdown(); far.Close(); <-stopped }()
 
-	const burst = 200
-	var mu sync.Mutex
-	recv := 0
-	got := make(chan struct{})
-	b.SetHandler(func(m *Message) {
-		mu.Lock()
-		recv++
-		if recv == burst {
-			close(got)
+	send := func(i int) {
+		if err := n.sendBinary(&Message{From: 0, To: 1, Kind: 2, Corr: uint64(i), Payload: tcpPayload{N: i}}, tc); err != nil {
+			t.Error(err)
 		}
-		mu.Unlock()
-	})
+	}
+	send(0)
+	// The writer counts a write before issuing it, so once it has counted
+	// one, frame 0 is out of the buffer and its write cannot finish yet.
+	for deadline := time.Now().Add(2 * time.Second); n.writes.Load() == 0; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("the writer never took the first frame")
+		}
+	}
+	const senders, per = 8, 25
+	var wg sync.WaitGroup
+	for s := 0; s < senders; s++ {
+		wg.Add(1)
+		go func(s int) {
+			defer wg.Done()
+			for j := 1; j <= per; j++ {
+				send(s*per + j)
+			}
+		}(s)
+	}
+	wg.Wait()
 
-	for i := 0; i < burst; i++ {
-		if err := a.Send(&Message{From: 0, To: 1, Kind: 2, Corr: uint64(i + 1),
-			Payload: tcpPayload{N: i}}); err != nil {
+	seen := make(map[uint64]bool)
+	br := bufio.NewReader(far)
+	r := wire.NewReader(nil)
+	for len(seen) < 1+senders*per {
+		var lenb [4]byte
+		if _, err := io.ReadFull(br, lenb[:]); err != nil {
 			t.Fatal(err)
 		}
+		body := make([]byte, binary.BigEndian.Uint32(lenb[:]))
+		if _, err := io.ReadFull(br, body); err != nil {
+			t.Fatal(err)
+		}
+		var m Message
+		r.Reset(body)
+		if err := DecodeMessage(r, &m); err != nil || m.Payload != (tcpPayload{N: int(m.Corr)}) || seen[m.Corr] {
+			t.Fatalf("frame %+v (decode error %v): corrupt or repeated", m, err)
+		}
+		seen[m.Corr] = true
 	}
-	select {
-	case <-got:
-	case <-time.After(5 * time.Second):
-		mu.Lock()
-		t.Fatalf("only %d/%d delivered", recv, burst)
-	}
-
-	st := a.Stats()
-	if st.MsgsSent != burst {
-		t.Fatalf("sent %d msgs, want %d", st.MsgsSent, burst)
-	}
-	if st.Writes >= burst/2 {
-		t.Fatalf("%d writes for %d msgs: coalescing ineffective", st.Writes, burst)
+	if w := n.writes.Load(); w != 2 {
+		t.Fatalf("%d writes for one frame and %d frames queued behind it, want 2", w, senders*per)
 	}
 }
 

@@ -16,7 +16,9 @@
 #          internal/object, one read of the stale-lock fence map:
 #          LockBatch's; in internal/apps, one sorted-set seeding loop and one
 #          strictly-increasing check: apps.Set's; in internal/cluster,
-#          exactly one deletion from the dedup map: the floor prune)
+#          exactly one deletion from the dedup map: the floor prune, and
+#          no go statement: a request is served on its delivery goroutine
+#          and a wave is sent and awaited on its caller's)
 #   loc    lines of non-test Go outside bench/ (ROADMAP aim 2's measure)
 #   test   go test with the protocol-package coverage floor
 #   race   full suite under the race detector
@@ -91,6 +93,10 @@ stage_vet() {
     # once the sender's floor has passed them, so no cap or FIFO may evict
     # an entry too, and without the prune the map would grow without bound.
     nontest_go | grep '^\./internal/cluster/' | one_site 'delete\(e\.dedup' 'forget a request only once its sender floor passes it' exactly
+    # No goroutine per message: a request handler runs on the goroutine
+    # that delivered the request, and Broadcast sends its wave and collects
+    # the replies on the caller's.
+    nontest_go | grep '^\./internal/cluster/' | one_site '^\s*go [[:alnum:]_(]' 'serve a request on its delivery goroutine, send and await a wave on the calling one' none
     # One codec: whatever crosses a socket has a binary wire codec, and gob
     # is only the reference of the differential fuzz oracles.
     if gob=$(nontest_go | xargs grep -l '"encoding/gob"'); then
@@ -101,16 +107,19 @@ stage_vet() {
     echo "== non-test files importing encoding/gob: 0"
 }
 
-# one_site PATTERN HINT [exactly]: fails when the extended regexp PATTERN
-# matches more than one line of the Go files named on stdin — or, with
-# "exactly", any number of lines but one.
+# one_site PATTERN HINT [exactly|none]: fails when the extended regexp
+# PATTERN matches more than one line of the Go files named on stdin — or,
+# with "exactly", any number of lines but one; with "none", any line.
 one_site() {
     sites=$(xargs grep -nE "$1" || true)
     n=$(printf '%s' "$sites" | grep -c . || true)
     echo "== lines matching $1: $n"
-    if [ "$n" -gt 1 ] || { [ "${3:-}" = exactly ] && [ "$n" -ne 1 ]; }; then
+    if [ "$n" -gt 1 ] || { [ "${3:-}" = exactly ] && [ "$n" -ne 1 ]; } || { [ "${3:-}" = none ] && [ "$n" -ne 0 ]; }; then
         printf '%s\n' "$sites" >&2
-        echo "$n lines match $1, want ${3:-at most} one: $2" >&2
+        case "${3:-}" in
+        none) echo "$n lines match $1, want none: $2" >&2 ;;
+        *) echo "$n lines match $1, want ${3:-at most} one: $2" >&2 ;;
+        esac
         exit 1
     fi
 }
