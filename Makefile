@@ -52,9 +52,10 @@ perf:
 verify:
 	CI_FUZZTIME=$(FUZZTIME) CI_COV_FLOOR=$(COV_FLOOR) ./scripts/ci.sh all
 
-# bench runs the Go micro-benchmarks. msgs/commit, latency tails and the
-# open-loop numbers are the repo benchmark's: `bash bench/run.sh`
-# (bench/README.md).
+# bench runs the root package's key-skew and ablation benchmarks
+# (bench_test.go). The paper's tables and figures are
+# `go run ./cmd/rtsbench`; msgs/commit, latency tails and the open-loop
+# numbers are the repo benchmark's: `bash bench/run.sh` (bench/README.md).
 bench:
 	$(GO) test -bench=. -benchmem -run '^$$' .
 

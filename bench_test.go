@@ -1,18 +1,14 @@
 package dstm
 
-// Benchmark harness: one testing.B benchmark per table and figure of the
-// paper, plus ablations for the design choices DESIGN.md calls out. Each
-// benchmark iteration runs a complete (scaled-down) experiment cell and
-// reports domain metrics via b.ReportMetric:
+// Benchmarks for the design choices DESIGN.md calls out: key skew and
+// ablations. Each iteration runs a complete (scaled-down) high-contention
+// cell and reports domain metrics via b.ReportMetric:
 //
 //	tx/sec       cluster-wide committed top-level transactions per second
 //	abort%       top-level aborts / (commits + aborts)
-//	nestedPar%   Table I's metric: parent-caused nested aborts / all nested aborts
-//	speedup-*    Fig. 6's throughput ratios
 //
-// Full-scale regeneration (all six benchmarks, larger sweeps) is
-// cmd/rtsbench's job; these benches keep each cell small enough for
-// `go test -bench=.` to finish in minutes on one machine.
+// The paper's tables and figures are cmd/rtsbench's job; these cells stay
+// small enough for `go test -bench=.` to finish in minutes on one machine.
 
 import (
 	"context"
@@ -21,136 +17,40 @@ import (
 	"time"
 
 	"dstm/internal/apps"
-	"dstm/internal/harness"
+	"dstm/internal/apps/bank"
+	"dstm/internal/apps/vacation"
 	"dstm/internal/testbed"
 	"dstm/internal/workload"
 )
 
-// benchCfg is the shared scaled-down experiment cell.
-func benchCfg() harness.Config {
-	return harness.Config{
-		Options: testbed.Options{
-			Nodes:          6,
-			WorkersPerNode: 8,
-			Duration:       120 * time.Millisecond,
-			CLThreshold:    3,
-			Seed:           1,
-		},
-		ObjectsPerNode: 6,
-		DelayScale:     0.004, // 1–50 ms → 4–200 µs
-	}
+// highContention is the shared scaled-down cell under scheduler s: six
+// nodes on 4–200 µs links, eight workers each, the write-heavy mix (10 %
+// reads).
+func highContention(s testbed.Scheduler) testbed.Options {
+	o := testbed.PaperCell(0.004, 1)
+	o.Nodes, o.Scheduler, o.CLThreshold = 6, s, 3
+	o.Duration, o.ReadRatio = 120*time.Millisecond, 0.1
+	return o
 }
 
-// contentionCfg is benchCfg pointed at one (benchmark, scheduler, read
-// ratio) cell — the combination every table, figure, and ablation varies.
-func contentionCfg(bench harness.BenchmarkKind, s testbed.Scheduler, readRatio float64) harness.Config {
-	cfg := benchCfg()
-	cfg.Benchmark = bench
-	cfg.Scheduler = s
-	cfg.ReadRatio = readRatio
-	return cfg
+// newBank and newVacation size the applications for six objects per node,
+// as rtsbench's catalogue does.
+func newBank() apps.Benchmark { return bank.New(bank.Options{AccountsPerNode: 6}) }
+func newVacation() apps.Benchmark {
+	return vacation.New(vacation.Options{ResourcesPerKindPerNode: 1, CustomersPerNode: 1})
 }
 
-// highContention is the write-heavy mix (10% reads) the ablations use.
-func highContention(bench harness.BenchmarkKind, s testbed.Scheduler) harness.Config {
-	return contentionCfg(bench, s, harness.High.ReadRatio())
-}
-
-func reportCell(b *testing.B, res testbed.Report) {
+// runCell runs one cell and reports its throughput and abort rate.
+func runCell(b *testing.B, o testbed.Options, app apps.Benchmark) {
 	b.Helper()
+	res, err := testbed.Run(context.Background(), o, app)
+	if err != nil {
+		b.Fatal(err)
+	}
 	b.ReportMetric(res.Throughput(), "tx/sec")
 	total := float64(res.Metrics.Commits + res.Metrics.TotalAborts())
 	if total > 0 {
 		b.ReportMetric(100*float64(res.Metrics.TotalAborts())/total, "abort%")
-	}
-}
-
-func runCell(b *testing.B, cfg harness.Config) testbed.Report {
-	b.Helper()
-	res, err := harness.Run(context.Background(), cfg)
-	if err != nil {
-		b.Fatal(err)
-	}
-	return res
-}
-
-// ---------------------------------------------------------------------------
-// Table I — abort rate of nested transactions (RTS vs TFA, low & high).
-
-func BenchmarkTable1(b *testing.B) {
-	for _, bench := range harness.Benchmarks {
-		for _, cont := range []harness.Contention{harness.Low, harness.High} {
-			for _, s := range []testbed.Scheduler{testbed.RTS, testbed.TFA} {
-				name := fmt.Sprintf("%s/%s/%s", harness.BenchmarkLabel(bench), cont, s)
-				b.Run(name, func(b *testing.B) {
-					for i := 0; i < b.N; i++ {
-						res := runCell(b, contentionCfg(bench, s, cont.ReadRatio()))
-						reportCell(b, res)
-						b.ReportMetric(100*res.NestedAbortRate(), "nestedPar%")
-					}
-				})
-			}
-		}
-	}
-}
-
-// ---------------------------------------------------------------------------
-// Figures 4 and 5 — throughput across node counts for the three
-// schedulers, at low (Fig. 4) and high (Fig. 5) contention. One benchmark
-// function per sub-figure.
-
-func figBench(b *testing.B, bench harness.BenchmarkKind, cont harness.Contention) {
-	b.Helper()
-	for _, n := range []int{4, 8, 12} {
-		for _, s := range testbed.Schedulers {
-			b.Run(fmt.Sprintf("nodes=%d/%s", n, s), func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					cfg := contentionCfg(bench, s, cont.ReadRatio())
-					cfg.Nodes = n
-					reportCell(b, runCell(b, cfg))
-				}
-			})
-		}
-	}
-}
-
-func BenchmarkFig4a_Vacation_Low(b *testing.B) { figBench(b, harness.BenchVacation, harness.Low) }
-func BenchmarkFig4b_Bank_Low(b *testing.B)     { figBench(b, harness.BenchBank, harness.Low) }
-func BenchmarkFig4c_LinkedList_Low(b *testing.B) {
-	figBench(b, harness.BenchList, harness.Low)
-}
-func BenchmarkFig4d_RBTree_Low(b *testing.B) { figBench(b, harness.BenchRBTree, harness.Low) }
-func BenchmarkFig4e_BST_Low(b *testing.B)    { figBench(b, harness.BenchBST, harness.Low) }
-func BenchmarkFig4f_DHT_Low(b *testing.B)    { figBench(b, harness.BenchDHT, harness.Low) }
-
-func BenchmarkFig5a_Vacation_High(b *testing.B) { figBench(b, harness.BenchVacation, harness.High) }
-func BenchmarkFig5b_Bank_High(b *testing.B)     { figBench(b, harness.BenchBank, harness.High) }
-func BenchmarkFig5c_LinkedList_High(b *testing.B) {
-	figBench(b, harness.BenchList, harness.High)
-}
-func BenchmarkFig5d_RBTree_High(b *testing.B) { figBench(b, harness.BenchRBTree, harness.High) }
-func BenchmarkFig5e_BST_High(b *testing.B)    { figBench(b, harness.BenchBST, harness.High) }
-func BenchmarkFig5f_DHT_High(b *testing.B)    { figBench(b, harness.BenchDHT, harness.High) }
-
-// ---------------------------------------------------------------------------
-// Figure 6 — summary of throughput speedup (RTS over TFA and TFA+Backoff).
-
-func BenchmarkFig6_Speedup(b *testing.B) {
-	for _, bench := range harness.Benchmarks {
-		b.Run(harness.BenchmarkLabel(bench), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				rows, err := harness.RunSpeedupSummary(context.Background(), benchCfg(),
-					[]harness.BenchmarkKind{bench})
-				if err != nil {
-					b.Fatal(err)
-				}
-				r := rows[0]
-				b.ReportMetric(r.TFALow, "speedup-TFA-low")
-				b.ReportMetric(r.BackoffLow, "speedup-Backoff-low")
-				b.ReportMetric(r.TFAHigh, "speedup-TFA-high")
-				b.ReportMetric(r.BackoffHigh, "speedup-Backoff-high")
-			}
-		})
 	}
 }
 
@@ -174,9 +74,9 @@ func BenchmarkSkew_KeyDistributions(b *testing.B) {
 		for _, s := range []testbed.Scheduler{testbed.RTS, testbed.TFA} {
 			b.Run(fmt.Sprintf("%s/%s", sk.name, s), func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
-					cfg := highContention(harness.BenchBank, s)
-					cfg.KeyPicker = sk.mk()
-					reportCell(b, runCell(b, cfg))
+					o := highContention(s)
+					o.KeyPicker = sk.mk()
+					runCell(b, o, newBank())
 				}
 			})
 		}
@@ -194,17 +94,17 @@ func BenchmarkAblation_CLThreshold(b *testing.B) {
 		b.Run(fmt.Sprintf("threshold=%d", thr), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				// High contention exposes the peak.
-				cfg := highContention(harness.BenchBank, testbed.RTS)
-				cfg.CLThreshold = thr
-				reportCell(b, runCell(b, cfg))
+				o := highContention(testbed.RTS)
+				o.CLThreshold = thr
+				runCell(b, o, newBank())
 			}
 		})
 	}
 	b.Run("adaptive", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			cfg := highContention(harness.BenchBank, testbed.RTS)
-			cfg.AdaptiveCL = true
-			reportCell(b, runCell(b, cfg))
+			o := highContention(testbed.RTS)
+			o.AdaptiveCL = true
+			runCell(b, o, newBank())
 		}
 	})
 }
@@ -215,11 +115,11 @@ func BenchmarkAblation_CLThreshold(b *testing.B) {
 func BenchmarkAblation_QueuePolicy(b *testing.B) {
 	run := func(b *testing.B, s testbed.Scheduler, thr int) {
 		for i := 0; i < b.N; i++ {
-			cfg := highContention(harness.BenchBank, s)
+			o := highContention(s)
 			if thr > 0 {
-				cfg.CLThreshold = thr
+				o.CLThreshold = thr
 			}
-			reportCell(b, runCell(b, cfg))
+			runCell(b, o, newBank())
 		}
 	}
 	b.Run("abort-everything", func(b *testing.B) { run(b, testbed.TFA, 0) })
@@ -240,9 +140,9 @@ func BenchmarkAblation_Nesting(b *testing.B) {
 			}
 			b.Run(fmt.Sprintf("%s/%s", s, mode), func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
-					cfg := highContention(harness.BenchBank, s)
-					cfg.FlatNesting = flat
-					reportCell(b, runCell(b, cfg))
+					o := highContention(s)
+					o.FlatNesting = flat
+					runCell(b, o, newBank())
 				}
 			})
 		}
@@ -256,7 +156,7 @@ func BenchmarkAblation_BackoffSource(b *testing.B) {
 	for _, s := range []testbed.Scheduler{testbed.TFA, testbed.Backoff} {
 		b.Run(string(s), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				reportCell(b, runCell(b, highContention(harness.BenchVacation, s)))
+				runCell(b, highContention(s), newVacation())
 			}
 		})
 	}

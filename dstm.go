@@ -20,9 +20,10 @@
 //     BST, RB-Tree, DHT);
 //   - internal/testbed — the one cluster assembly (fabric, endpoints,
 //     stats tables, schedulers, runtimes) and the one op loop, closed or
-//     open, with its invariant check and trace oracle;
-//   - internal/harness — the paper's experiments on top of it: Table I
-//     and Figures 4–6.
+//     open, with its invariant check and trace oracle, and the paper's
+//     cell defaults (PaperCell);
+//   - cmd/rtsbench — the paper's experiments on top of it: Table I and
+//     Figures 4–6 as one grid of cells.
 //
 // This package offers a small facade over internal/testbed for assembling
 // a local (in-process, latency-simulated) cluster; see NewLocalCluster, and

@@ -20,6 +20,7 @@ package cc
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sync"
 
@@ -192,7 +193,9 @@ func (s *Service) Register(ctx context.Context, id object.ID, owner transport.No
 // toHomes sends every home node of ids ONE message of kind — req(the ids
 // homed there) — all homes in parallel, and hands each reply to take with
 // the ids it answers for. It returns the number of messages sent and the
-// first error: a lost message, or take's.
+// first error in call order, except that a failed call (a lost message, or
+// any error of take's but an unknown object) outranks an unknown object: a
+// caller may take an unknown object as an answer, never a failed call.
 func (s *Service) toHomes(ctx context.Context, ids []object.ID, kind transport.Kind,
 	req func(ids []object.ID) any, take func(ids []object.ID, body any) error) (int, error) {
 	byHome := make(map[transport.NodeID][]object.ID)
@@ -212,7 +215,7 @@ func (s *Service) toHomes(ctx context.Context, ids []object.ID, kind transport.K
 		if err == nil {
 			err = take(groups[gi], res.Body)
 		}
-		if firstErr == nil {
+		if firstErr == nil || err != nil && errors.Is(firstErr, ErrUnknownObject) && !errors.Is(err, ErrUnknownObject) {
 			firstErr = err
 		}
 	}

@@ -249,3 +249,23 @@ func TestHomeDistribution(t *testing.T) {
 		}
 	}
 }
+
+// TestLocateBatchFailedCallOutranksUnknown: a lookup that could not reach
+// one home is a failed lookup, whatever order the homes answer in, even when
+// another home has no entry for its object.
+func TestLocateBatchFailedCallOutranksUnknown(t *testing.T) {
+	net := transport.NewNetwork(nil)
+	t.Cleanup(func() { net.Close() })
+	// Nodes 0 and 1 of three: node 2, a home, is not on the network.
+	svcs := make([]*Service, 2)
+	for i := range svcs {
+		svcs[i] = NewService(cluster.NewEndpoint(net.Endpoint(transport.NodeID(i)), &vclock.Clock{}), 3)
+	}
+	ids := []object.ID{idHomedAt(t, "ghost", 3, 1), idHomedAt(t, "lost", 3, 2)}
+	for i := 0; i < 20; i++ {
+		_, _, err := svcs[0].LocateBatch(context.Background(), ids)
+		if err == nil || errors.Is(err, ErrUnknownObject) {
+			t.Fatalf("try %d: LocateBatch = %v, want the failed call to node 2", i, err)
+		}
+	}
+}

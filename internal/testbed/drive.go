@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"maps"
 	"math"
 	"math/rand"
 	"os"
@@ -343,44 +342,25 @@ func (c *Cluster) crashLoop(ctx context.Context) (crashes int) {
 }
 
 // staleEntries checks the directory against the stores. It drops node 0's
-// owner hints for every stored object and has node 0 ask each home about
-// the objects homed there, one lookup per home and all at once, so the
-// check costs one round trip whatever the object count. It counts the
-// objects whose home names another node or has no entry, and stale
-// describes one of them. err is a lookup that failed: the check was not
-// made.
+// owner hints for every stored object and has node 0 look them all up in
+// one LocateBatch, one lookup per home and all at once, so the check costs
+// one round trip whatever the object count. It counts the objects whose
+// home names another node or has no entry, and stale describes one of them.
+// err is a lookup that failed: the check was not made.
 func (c *Cluster) staleEntries(ctx context.Context) (n int, stale, err error) {
 	loc := c.Rts[0].Locator()
-	byHome := make(map[transport.NodeID][]object.ID)
+	var ids []object.ID
 	for _, rt := range c.Rts {
 		for _, id := range rt.Store().IDs() {
 			loc.InvalidateHint(id)
-			home := loc.Home(id)
-			byHome[home] = append(byHome[home], id)
+			ids = append(ids, id)
 		}
 	}
-	var (
-		mu       sync.Mutex
-		wg       sync.WaitGroup
-		homeSays = make(map[object.ID]transport.NodeID)
-	)
-	for _, ids := range byHome {
-		wg.Add(1)
-		go func(ids []object.ID) {
-			defer wg.Done()
-			// An unknown object is an answer, not a failed lookup: the
-			// home has no entry for it.
-			owners, _, lerr := loc.LocateBatch(ctx, ids)
-			mu.Lock()
-			defer mu.Unlock()
-			maps.Copy(homeSays, owners)
-			if lerr != nil && !errors.Is(lerr, cc.ErrUnknownObject) && err == nil {
-				err = lerr
-			}
-		}(ids)
-	}
-	wg.Wait()
-	if err != nil {
+	// An unknown object is an answer, not a failed lookup: the home has no
+	// entry for it, and LocateBatch reports it only if every call went
+	// through.
+	homeSays, _, err := loc.LocateBatch(ctx, ids)
+	if err != nil && !errors.Is(err, cc.ErrUnknownObject) {
 		return 0, nil, err
 	}
 	for _, rt := range c.Rts {

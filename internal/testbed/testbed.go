@@ -1,14 +1,15 @@
 // Package testbed is the one place outside bench/ where a D-STM cluster is
 // assembled and driven. The paper's evaluation has one shape — N nodes, one
 // scheduler per node, one application, workers issuing operations — and
-// every caller (the experiment harness, the chaos suite, the dstmnode
+// every caller (rtsbench's paper cells, the chaos suite, the dstmnode
 // daemon, the public facade and through it the examples) gets that shape
 // from here: New wires the fabric, endpoints, stats tables, schedulers and
 // runtimes; Setup seeds an application; Drive runs the closed or open op
 // loop and checks what it left behind; Finish replays the trace through the
 // oracle. Run is that sequence for one in-process cell, with the directory
-// check between Drive and Finish. bench/ keeps its own copy until ROADMAP
-// item 3(c) makes it import this package.
+// check between Drive and Finish, and PaperCell holds the paper's defaults
+// for one. bench/ keeps its own copy until ROADMAP item 5(a) makes it
+// import this package.
 package testbed
 
 import (
@@ -120,6 +121,23 @@ type Options struct {
 	KeyPicker      apps.KeyPicker
 	Arrival        workload.Arrival
 	MaxPending     int
+}
+
+// PaperCell is the paper's cell before its caller picks the nodes,
+// scheduler, read ratio and window: the 1–50 ms link band (paper §IV-A)
+// scaled by scale and seeded from seed, and 8 workers per node. Every time
+// constant scales with the link delays (DESIGN §8): RTS's CL window and
+// TFA+Backoff's stall cap span a few transaction lifetimes, 500 ms at full
+// scale, and never drop below 1 ms so timers stay meaningful.
+func PaperCell(scale float64, seed int64) Options {
+	window := max(time.Duration(float64(500*time.Millisecond)*scale), time.Millisecond)
+	return Options{
+		Seed:           seed,
+		Latency:        transport.MetricLatency{Min: time.Millisecond, Max: 50 * time.Millisecond, Scale: scale, Seed: uint64(seed)},
+		CLWindow:       window,
+		BackoffCap:     window,
+		WorkersPerNode: 8,
+	}
 }
 
 // faulty reports whether any fault-injection rate or a crash schedule is set.

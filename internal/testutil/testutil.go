@@ -1,5 +1,5 @@
 // Package testutil provides in-memory cluster construction shared by the
-// application and harness test suites.
+// application and chaos test suites.
 package testutil
 
 import (

@@ -63,8 +63,11 @@ stage_vet() {
 
     # One way to do each thing (ROADMAP aim 2). One cluster assembly and one
     # drive loop outside bench/: a second call site of either constructor is
-    # a second driver. One owner wave in internal/stm: a second directory
-    # lookup or a second hop-bounded loop is a second locate–send–chase loop.
+    # a second driver. One paper-cell runner: rtsbench's grid.cell is the one
+    # non-test line that runs a cell through testbed.Run, so a second
+    # experiment loop with its own defaults fails here. One owner wave in
+    # internal/stm: a second directory lookup or a second hop-bounded loop is
+    # a second locate–send–chase loop.
     # One owner-side commit-lock step: an acquire batch and an announced write
     # set lock through the same helper, and the store reads its one
     # stale-lock fence map in one place, its one lock entry (any read of the
@@ -72,6 +75,7 @@ stage_vet() {
     # second lock entry that checks the fence fails).
     nontest_go | one_site 'stm\.NewRuntime\(' 'assemble and drive through internal/testbed'
     nontest_go | one_site 'workload\.Drive\(' 'assemble and drive through internal/testbed'
+    nontest_go | one_site 'testbed\.Run\(' "run a paper cell through rtsbench's grid.cell"
     # One op loop: outside the benchmarks themselves, the one line that
     # serves a benchmark's operation is testbed's Drive, so a second worker
     # loop (one that could drop an operation's error) fails here.
