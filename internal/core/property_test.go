@@ -9,11 +9,13 @@ import (
 	"dstm/internal/sched"
 )
 
-// Property: under any interleaving of conflicts, releases, declines and
-// extractions, (a) the queue stays shorter than the CL threshold, (b) every
-// enqueue decision carries a positive backoff, and (c) backoffs reported to
-// consecutive enqueuers of one object never decrease between releases
-// (bk only accumulates).
+// Property: under any interleaving of conflicts, releases (an owner serves a
+// decline with a release too) and extractions (the queue leaving with its
+// object), (a) the queue stays shorter than the CL threshold, (b) every
+// enqueue decision carries a positive backoff, (c) backoffs reported to
+// consecutive enqueuers of one object never decrease between releases and
+// extractions (bk only accumulates), and (d) an extraction leaves the queue
+// empty.
 func TestRTSQueueInvariantsProperty(t *testing.T) {
 	f := func(seed int64, opsRaw []uint8) bool {
 		r := New(Options{CLThreshold: 5})
@@ -42,8 +44,11 @@ func TestRTSQueueInvariantsProperty(t *testing.T) {
 			case 2: // release
 				r.OnRelease("obj/p")
 				lastBackoff = 0
-			case 3: // decline
-				r.OnRelease("obj/p")
+			case 3: // extraction
+				r.ExtractQueue("obj/p")
+				if r.QueueLen("obj/p") != 0 {
+					return false
+				}
 				lastBackoff = 0
 			}
 		}

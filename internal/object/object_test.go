@@ -187,8 +187,8 @@ func TestUnlockBeforeLockRefusesStaleAcquire(t *testing.T) {
 				s.Unlock("x", tx)
 			}
 		}, true, []uint64{100, 101, 102, 103}},
-		// The object arrives after the release: the fence lives in the
-		// shard, so the Install does not clear it.
+		// The object arrives after the release: the fence lives beside the
+		// records, so the Install does not clear it.
 		{"release before install", func(s *Store) {
 			s.Unlock("x", 42)
 			s.Install("x", &intBox{1}, Version{})
@@ -203,15 +203,15 @@ func TestUnlockBeforeLockRefusesStaleAcquire(t *testing.T) {
 			s.Unlock("x", 42)
 		}, false, nil},
 		// Past the bound the oldest fence is evicted: 42's fence is followed
-		// by a full shard's worth of later ones on x, the newest of which
+		// by a full store's worth of later ones on x, the newest of which
 		// are all still fenced.
 		{"oldest evicted past the bound", func(s *Store) {
 			s.Install("x", &intBox{1}, Version{})
 			s.Unlock("x", 42)
-			for tx := uint64(1000); tx < 1000+shardFences; tx++ {
+			for tx := uint64(1000); tx < 1000+maxFences; tx++ {
 				s.Unlock("x", tx)
 			}
-		}, false, []uint64{1000 + shardFences - 4, 1000 + shardFences - 3, 1000 + shardFences - 2, 1000 + shardFences - 1}},
+		}, false, []uint64{1000 + maxFences - 4, 1000 + maxFences - 3, 1000 + maxFences - 2, 1000 + maxFences - 1}},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

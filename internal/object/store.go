@@ -7,13 +7,6 @@ import (
 	"time"
 )
 
-// storeShards is the number of independently locked shards in a Store. A
-// power of two so the shard index is a mask of the ID hash. 16 shards keep
-// lock hold times short under the batched commit path, where one handler
-// applies a whole per-owner batch while retrieves for unrelated objects
-// keep flowing on other shards.
-const storeShards = 16
-
 // TraceFn is the store's debug callback type; see Store.SetTrace. a carries
 // the installed version clock for "install" and "commit", zero otherwise.
 type TraceFn func(op string, id ID, tx, a uint64)
@@ -27,30 +20,23 @@ type TraceFn func(op string, id ID, tx, a uint64)
 // every incoming retrieve request for that object is a conflict that the
 // node's scheduler must resolve (abort vs enqueue).
 //
-// The store is sharded by ID hash: independent objects contend on
-// different mutexes, and the batched commit protocol (LockBatch) takes the
-// union of its entries' shard locks — in ascending shard order, so
-// concurrent batches cannot deadlock — to apply a whole batch as one
-// atomic step.
+// One mutex guards the whole store, so LockBatch applies a whole batch as
+// one critical section.
 //
 // A lock request can reach the store after its own identity's release (an
 // at-least-once retransmission, a reply the requester gave up on). Served,
 // it would orphan the lock until a lease reaps it. So a release that finds
 // the identity not holding the lock, and a lease expiry, fence the
 // (object, identity) pair for good, and LockBatch refuses a fenced entry.
-// The fence lives in the object's shard, not its record, so it also holds
-// for an object installed after the release; a release that unlocks a lock
-// it holds plants none.
+// The fence lives beside the records, not in one, so it also holds for an
+// object installed after the release; a release that unlocks a lock it
+// holds plants none.
 type Store struct {
-	shards [storeShards]shard
-	trace  atomic.Pointer[TraceFn]
-}
-
-type shard struct {
 	mu     sync.Mutex
 	objs   map[ID]*record
 	fenced map[fence]bool
 	fences []fence // fenced in planting order, oldest first
+	trace  atomic.Pointer[TraceFn]
 }
 
 // fence is one (object, lock identity) pair refused by LockBatch.
@@ -59,34 +45,30 @@ type fence struct {
 	tx uint64
 }
 
-// shardFences bounds each shard's fences, 4,096 per store: a release and the
-// request it overtook are sent a moment apart, so a fence that outlives
-// thousands of later ones has long done its work.
-const shardFences = 4096 / storeShards
+// maxFences bounds the store's fences: a release and the request it
+// overtook are sent a moment apart, so a fence that outlives thousands of
+// later ones has long done its work.
+const maxFences = 4096
 
-// fence refuses tx's later lock requests for id; the caller holds sh.mu.
-func (sh *shard) fence(id ID, tx uint64) {
+// fence refuses tx's later lock requests for id; the caller holds s.mu.
+func (s *Store) fence(id ID, tx uint64) {
 	f := fence{id, tx}
-	n := len(sh.fenced)
-	sh.fenced[f] = true
-	if len(sh.fenced) == n { // already fenced: keep its place in the FIFO
+	n := len(s.fenced)
+	s.fenced[f] = true
+	if len(s.fenced) == n { // already fenced: keep its place in the FIFO
 		return
 	}
-	sh.fences = append(sh.fences, f)
-	if len(sh.fences) > shardFences {
-		delete(sh.fenced, sh.fences[0])
-		sh.fences = sh.fences[1:]
+	s.fences = append(s.fences, f)
+	if len(s.fences) > maxFences {
+		delete(s.fenced, s.fences[0])
+		s.fences = s.fences[1:]
 	}
 }
 
-func (s *Store) shardOf(id ID) *shard {
-	return &s.shards[id.Hash()&(storeShards-1)]
-}
-
-// SetTrace installs a debug callback invoked (under the owning shard's
-// lock) for every lock-state change: "lock-ok", "lock-expired", "unlock",
-// "remove", "commit", "install", "install-locked". Pass nil to disable.
-// Intended for tests and debugging.
+// SetTrace installs a debug callback invoked (under the store's lock) for
+// every lock-state change: "lock-ok", "lock-expired", "unlock", "remove",
+// "commit", "install", "install-locked". Pass nil to disable. Intended for
+// tests and debugging.
 func (s *Store) SetTrace(f TraceFn) {
 	if f == nil {
 		s.trace.Store(nil)
@@ -110,32 +92,25 @@ type record struct {
 
 // NewStore returns an empty store.
 func NewStore() *Store {
-	s := &Store{}
-	for i := range s.shards {
-		s.shards[i].objs = make(map[ID]*record)
-		s.shards[i].fenced = make(map[fence]bool)
-	}
-	return s
+	return &Store{objs: make(map[ID]*record), fenced: make(map[fence]bool)}
 }
 
 // Install inserts or replaces the authoritative copy of an object,
 // unlocked. Used at object creation and when ownership migrates to this
 // node after a commit.
 func (s *Store) Install(id ID, val Value, ver Version) {
-	sh := s.shardOf(id)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	s.emit("install", id, 0, ver.Clock)
-	sh.objs[id] = &record{val: val, ver: ver}
+	s.objs[id] = &record{val: val, ver: ver}
 }
 
 // Snapshot returns a deep copy of the object's value plus its version and
 // lock state. ok is false when this node does not own the object.
 func (s *Store) Snapshot(id ID) (val Value, ver Version, locked bool, ok bool) {
-	sh := s.shardOf(id)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	r, ok := sh.objs[id]
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	r, ok := s.objs[id]
 	if !ok {
 		return nil, Version{}, false, false
 	}
@@ -145,10 +120,9 @@ func (s *Store) Snapshot(id ID) (val Value, ver Version, locked bool, ok bool) {
 // State returns the object's version and the transaction holding its commit
 // lock (0 when unlocked). ok is false when the object is not owned here.
 func (s *Store) State(id ID) (ver Version, lockedBy uint64, ok bool) {
-	sh := s.shardOf(id)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	r, ok := sh.objs[id]
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	r, ok := s.objs[id]
 	if !ok {
 		return Version{}, 0, false
 	}
@@ -162,38 +136,33 @@ type LockEntry struct {
 }
 
 // LockBatch is the store's one way to take a commit lock. It attempts to
-// commit-lock every entry for tx as one atomic step: it holds the union of
-// the entries' shard locks (acquired in ascending shard order, so
-// concurrent batches cannot deadlock) while evaluating all entries, and
-// applies the locks only when every entry would succeed. An entry is
-// locked if the object is owned here, unlocked (or already locked by tx),
-// at version Expect, and not fenced for tx (see Store).
+// commit-lock every entry for tx as one critical section: it evaluates all
+// entries and applies the locks only when every entry would succeed. An
+// entry is locked if the object is owned here, unlocked (or already locked
+// by tx), at version Expect, and not fenced for tx (see Store).
 //
 // applied reports whether the locks were taken. When applied is false, NO
-// lock was taken — the per-entry results tell the caller which entries
-// failed (stale / busy, fenced included / not-owner) and which would have
-// succeeded (LockOK), so a single bad entry aborts the commit precisely
-// while its sibling entries roll back for free. All-or-nothing acquisition also
-// means a racing batch never observes a half-locked prefix of this one.
+// lock was taken, so a racing batch never observes a half-locked prefix of
+// this one; the per-entry results say which entries failed (stale / busy,
+// fenced included / not-owner) and which would have succeeded (LockOK).
 func (s *Store) LockBatch(tx uint64, entries []LockEntry) (results []LockResult, applied bool) {
 	results = make([]LockResult, len(entries))
 	if len(entries) == 0 {
 		return results, true
 	}
 
-	s.lockShardsFor(entries)
-	defer s.unlockShardsFor(entries)
+	s.mu.Lock()
+	defer s.mu.Unlock()
 
 	// Evaluation pass: nothing is locked, so a failed batch leaves the store
 	// exactly as it found it, and nothing is narrated.
 	applied = true
 	for i, e := range entries {
-		sh := s.shardOf(e.ID)
-		r, ok := sh.objs[e.ID]
+		r, ok := s.objs[e.ID]
 		switch {
 		case !ok:
 			results[i] = LockNotOwner
-		case sh.fenced[fence{e.ID, tx}]:
+		case s.fenced[fence{e.ID, tx}]:
 			results[i] = LockBusy
 		case r.lockTx != 0 && r.lockTx != tx:
 			results[i] = LockBusy
@@ -211,7 +180,7 @@ func (s *Store) LockBatch(tx uint64, entries []LockEntry) (results []LockResult,
 	}
 	now := time.Now()
 	for _, e := range entries {
-		r := s.shardOf(e.ID).objs[e.ID]
+		r := s.objs[e.ID]
 		r.lockTx = tx
 		r.lockAt = now
 		s.emit("lock-ok", e.ID, tx, 0)
@@ -219,56 +188,24 @@ func (s *Store) LockBatch(tx uint64, entries []LockEntry) (results []LockResult,
 	return results, true
 }
 
-// lockShardsFor locks the union of the entries' shards in ascending order.
-func (s *Store) lockShardsFor(entries []LockEntry) {
-	for _, idx := range shardSet(entries) {
-		s.shards[idx].mu.Lock()
-	}
-}
-
-// unlockShardsFor releases what lockShardsFor took.
-func (s *Store) unlockShardsFor(entries []LockEntry) {
-	for _, idx := range shardSet(entries) {
-		s.shards[idx].mu.Unlock()
-	}
-}
-
-// shardSet returns the sorted, deduplicated shard indices of entries.
-func shardSet(entries []LockEntry) []int {
-	var mask uint32
-	for _, e := range entries {
-		mask |= 1 << (e.ID.Hash() & (storeShards - 1))
-	}
-	out := make([]int, 0, storeShards)
-	for i := 0; i < storeShards; i++ {
-		if mask&(1<<i) != 0 {
-			out = append(out, i)
-		}
-	}
-	return out
-}
-
 // ExpireLocks force-releases every commit lock held for at least lease,
 // returning the affected object IDs. The expired holder is fenced (see
 // Store) so its delayed lock requests cannot resurrect the lock. This is
-// the abort-on-owner-crash path: a committer that died (or was partitioned away) mid-commit cannot
-// wedge the objects it had locked — after the lease they return to
+// the abort-on-owner-crash path: a committer that died (or was partitioned
+// away) mid-commit cannot wedge the objects it had locked — after the lease they return to
 // circulation and queued requesters get served.
 func (s *Store) ExpireLocks(lease time.Duration) []ID {
 	now := time.Now()
 	var expired []ID
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.mu.Lock()
-		for id, r := range sh.objs {
-			if r.lockTx != 0 && now.Sub(r.lockAt) >= lease {
-				s.emit("lock-expired", id, r.lockTx, 0)
-				sh.fence(id, r.lockTx)
-				r.lockTx = 0
-				expired = append(expired, id)
-			}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for id, r := range s.objs {
+		if r.lockTx != 0 && now.Sub(r.lockAt) >= lease {
+			s.emit("lock-expired", id, r.lockTx, 0)
+			s.fence(id, r.lockTx)
+			r.lockTx = 0
+			expired = append(expired, id)
 		}
-		sh.mu.Unlock()
 	}
 	return expired
 }
@@ -278,12 +215,11 @@ func (s *Store) ExpireLocks(lease time.Duration) []ID {
 // (see Store), so a delayed lock request from tx cannot orphan the object
 // after its owner already served the release.
 func (s *Store) Unlock(id ID, tx uint64) {
-	sh := s.shardOf(id)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	r, ok := sh.objs[id]
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	r, ok := s.objs[id]
 	if !ok {
-		sh.fence(id, tx)
+		s.fence(id, tx)
 		return
 	}
 	if r.lockTx == tx {
@@ -291,28 +227,26 @@ func (s *Store) Unlock(id ID, tx uint64) {
 		s.emit("unlock", id, tx, 0)
 		return
 	}
-	sh.fence(id, tx)
+	s.fence(id, tx)
 }
 
 // InstallLocked inserts an object already commit-locked by tx, so it is
 // invisible to plain snapshots' unlocked path until the creating
 // transaction commits (UpdateCommitted) or rolls back (Remove).
 func (s *Store) InstallLocked(id ID, val Value, ver Version, tx uint64) {
-	sh := s.shardOf(id)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	s.emit("install-locked", id, tx, 0)
-	sh.objs[id] = &record{val: val, ver: ver, lockTx: tx, lockAt: time.Now()}
+	s.objs[id] = &record{val: val, ver: ver, lockTx: tx, lockAt: time.Now()}
 }
 
 // UpdateCommitted installs a new committed value and version for an object
 // whose commit lock is held by tx, then releases the lock. Used when the
 // committing transaction's node already owns the object (no migration).
 func (s *Store) UpdateCommitted(id ID, val Value, ver Version, tx uint64) error {
-	sh := s.shardOf(id)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	r, ok := sh.objs[id]
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	r, ok := s.objs[id]
 	if !ok {
 		return fmt.Errorf("store: update %q: not owned", id)
 	}
@@ -334,10 +268,9 @@ func (s *Store) SnapshotAt(id ID, _, _ uint64) (Value, Version, bool, bool) { re
 // (ownership is migrating away as part of tx's commit). It returns an error
 // if the object is absent or locked by someone else.
 func (s *Store) Remove(id ID, tx uint64) error {
-	sh := s.shardOf(id)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	r, ok := sh.objs[id]
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	r, ok := s.objs[id]
 	if !ok {
 		return fmt.Errorf("store: remove %q: not owned", id)
 	}
@@ -345,50 +278,40 @@ func (s *Store) Remove(id ID, tx uint64) error {
 		return fmt.Errorf("store: remove %q: lock held by tx %d, not %d", id, r.lockTx, tx)
 	}
 	s.emit("remove", id, tx, 0)
-	delete(sh.objs, id)
+	delete(s.objs, id)
 	return nil
 }
 
 // Owns reports whether this node currently owns id.
 func (s *Store) Owns(id ID) bool {
-	sh := s.shardOf(id)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	_, ok := sh.objs[id]
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	_, ok := s.objs[id]
 	return ok
 }
 
 // Locked reports whether id is owned here and commit-locked.
 func (s *Store) Locked(id ID) bool {
-	sh := s.shardOf(id)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	r, ok := sh.objs[id]
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	r, ok := s.objs[id]
 	return ok && r.lockTx != 0
 }
 
 // Len returns the number of objects owned by this node.
 func (s *Store) Len() int {
-	n := 0
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.mu.Lock()
-		n += len(sh.objs)
-		sh.mu.Unlock()
-	}
-	return n
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return len(s.objs)
 }
 
 // IDs returns the IDs of all objects owned here (unordered snapshot).
 func (s *Store) IDs() []ID {
-	var out []ID
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.mu.Lock()
-		for id := range sh.objs {
-			out = append(out, id)
-		}
-		sh.mu.Unlock()
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	out := make([]ID, 0, len(s.objs))
+	for id := range s.objs {
+		out = append(out, id)
 	}
 	return out
 }

@@ -55,7 +55,7 @@ func noLocksLeft(t *testing.T, tc *testCluster, oids ...object.ID) {
 // TestAnnouncedNestedWriteIsTwoWaves: a bank-shaped batch on node 0 — two
 // transfers over four accounts owned by nodes 1 and 2, owners known — blocks
 // on one retrieve wave, whose two requests carry the lock identity, and one
-// publish wave. Nothing acquires and nothing validates.
+// publish wave. The commit sends no lock of its own and validates nothing.
 func TestAnnouncedNestedWriteIsTwoWaves(t *testing.T) {
 	tc := newTestCluster(t, 3, nil, nil)
 	ctx := context.Background()
@@ -70,13 +70,7 @@ func TestAnnouncedNestedWriteIsTwoWaves(t *testing.T) {
 		}
 	}
 	var msgs kindCounter
-	var locking atomic.Int64
-	tc.net.SetInterceptor(holdRetrieves(t, 2, holdPublishWave(t, len(wave), func(m *transport.Message) bool {
-		if q, ok := m.Payload.(retrieveReq); ok && q.LockID != 0 {
-			locking.Add(1)
-		}
-		return msgs.intercept(m)
-	})))
+	tc.net.SetInterceptor(holdRetrieves(t, 2, holdPublishWave(t, len(wave), msgs.intercept)))
 
 	err := tc.rts[0].Atomic(ctx, "bank/batch", func(tx *Txn) error {
 		return announceTransfers(ctx, tx, [2]object.ID{"a", "c"}, [2]object.ID{"b", "d"})
@@ -84,11 +78,11 @@ func TestAnnouncedNestedWriteIsTwoWaves(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r, l := msgs.count(KindRetrieve), locking.Load(); r != 2 || l != 2 {
-		t.Fatalf("%d retrieves, %d of them locking; want 2 and 2: one per owner", r, l)
+	if r, l := msgs.count(KindRetrieve), msgs.count(kindLockingRetrieve); r != 0 || l != 2 {
+		t.Fatalf("%d plain and %d locking retrieves; want 0 and 2: one per owner", r, l)
 	}
-	if a, v, lk := msgs.count(KindAcquireBatch), msgs.count(KindCheckVersionBatch), msgs.count(cc.KindLookupBatch); a != 0 || v != 0 || lk != 0 {
-		t.Fatalf("acquire/validate/lookup messages = %d/%d/%d, want 0/0/0", a, v, lk)
+	if v, lk := msgs.count(KindCheckVersionBatch), msgs.count(cc.KindLookupBatch); v != 0 || lk != 0 {
+		t.Fatalf("validate/lookup messages = %d/%d, want 0/0", v, lk)
 	}
 	m := tc.rts[0].Metrics().Snapshot()
 	if m.RetrieveWaves != 1 || m.CommitRounds != 1 || m.CommitMsgs != uint64(len(wave)) || m.TotalAborts() != 0 {
@@ -183,23 +177,28 @@ func TestCrossedAnnouncementsBothCommit(t *testing.T) {
 // its start past the clock x's owner reported. A copy the attempt holds
 // locked cannot have changed, so the inner transaction adopts it — no second
 // retrieve, and no validation message names x. A read-intent copy in the same
-// place is dropped and fetched again.
+// place is dropped and fetched again, and the commit locks x with a locking
+// retrieve of its own.
 func TestLockedHeldCopyBehindTheStartIsAdopted(t *testing.T) {
 	for _, c := range []struct {
-		mode       sched.Mode
-		retrievesX int
-	}{{sched.Write, 1}, {sched.Read, 2}} {
+		mode              sched.Mode
+		retrievesX, locks int
+	}{{sched.Write, 0, 1}, {sched.Read, 2, 1}} {
 		t.Run(c.mode.String(), func(t *testing.T) {
 			tc := newTestCluster(t, 3, nil, nil)
 			ctx := context.Background()
 			seed(t, tc, map[object.ID]int{"x": 1, "z": 2})
 			tc.rts[0].Locator().NoteOwner("x", 1)
 			tc.rts[0].Locator().NoteOwner("z", 2)
-			var retrievesX, checksX atomic.Int64
+			var retrievesX, locksX, checksX atomic.Int64
 			tc.net.SetInterceptor(func(m *transport.Message) bool {
 				switch q := m.Payload.(type) {
 				case retrieveReq:
-					if m.To == 1 {
+					switch {
+					case m.To != 1:
+					case q.LockID != 0:
+						locksX.Add(1)
+					default:
 						retrievesX.Add(1)
 					}
 				case verBatchReq:
@@ -229,8 +228,8 @@ func TestLockedHeldCopyBehindTheStartIsAdopted(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if r, v := retrievesX.Load(), checksX.Load(); r != int64(c.retrievesX) || v != 0 {
-				t.Fatalf("%d retrieves of x, %d validation entries for x; want %d, 0", r, v, c.retrievesX)
+			if r, l, v := retrievesX.Load(), locksX.Load(), checksX.Load(); r != int64(c.retrievesX) || l != int64(c.locks) || v != 0 {
+				t.Fatalf("%d plain and %d locking retrieves of x, %d validation entries for x; want %d, %d, 0", r, l, v, c.retrievesX, c.locks)
 			}
 			if x := readBox(t, tc.rts[0], "x"); x != 11 {
 				t.Fatalf("x=%d, want 11", x)
@@ -318,8 +317,8 @@ func TestInnerRetryRetakesTheLockedCopy(t *testing.T) {
 			if err := c.Update(ctx, "x", bump); err != nil {
 				return err
 			}
-			if got := msgs.count(KindRetrieve); got != 1 {
-				t.Errorf("run %d: %d retrieves so far, want 1: the announcement's", runs, got)
+			if r, l := msgs.count(KindRetrieve), msgs.count(kindLockingRetrieve); r != 0 || l != 1 {
+				t.Errorf("run %d: %d plain and %d locking retrieves so far, want 0 and 1: the announcement's", runs, r, l)
 			}
 			if runs == 1 {
 				return &abortError{target: c, cause: AbortValidation}
@@ -367,8 +366,8 @@ func TestUnwrittenAnnouncementIsReleasedByTheCommit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a, v, r := msgs.count(KindAcquireBatch), msgs.count(KindCheckVersionBatch), msgs.count(KindRelease); a != 0 || v != 0 || r != 1 {
-		t.Fatalf("acquire/validate/release messages = %d/%d/%d, want 0/0/1", a, v, r)
+	if l, v, r := msgs.count(kindLockingRetrieve), msgs.count(KindCheckVersionBatch), msgs.count(KindRelease); l != 2 || v != 0 || r != 1 {
+		t.Fatalf("locking retrieve/validate/release messages = %d/%d/%d, want 2/0/1: the announcement's, one per owner", l, v, r)
 	}
 	if m := tc.rts[0].Metrics().Snapshot(); m.CommitRounds != 1 {
 		t.Fatalf("commit took %d waves, want 1: the release rides the publish wave", m.CommitRounds)
@@ -387,8 +386,9 @@ func TestUnwrittenAnnouncementIsReleasedByTheCommit(t *testing.T) {
 // TestReleaseFencesALateAnnouncement: an attempt gave up on the reply to its
 // announcement and released, and the release is served first — here before
 // the object has even arrived at the node. The announcement served after it
-// locks nothing, and the fence is permanent: the attempt's commit acquire
-// under the same identity is refused too (it retries under a fresh one).
+// locks nothing, and the fence is permanent: the attempt's commit lock, a
+// second locking retrieve under the same identity, is refused too (it
+// retries under a fresh one).
 func TestReleaseFencesALateAnnouncement(t *testing.T) {
 	tc := newTestCluster(t, 2, nil, nil)
 	ctx := context.Background()
@@ -399,21 +399,15 @@ func TestReleaseFencesALateAnnouncement(t *testing.T) {
 	}
 	owner.Store().Install("x", &box{N: 1}, object.Version{Clock: 3, Node: 1}) // the object arrives
 
-	body, err := tc.rts[0].ep.Call(ctx, 1, KindRetrieve, retrieveReq{TxID: 9, Mode: sched.Write, Prefetch: true, LockID: lockID, Oids: []object.ID{"x"}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r := body.(retrieveResp); r.Locked || r.Results[0].Status != statusOK || owner.Store().Locked("x") {
-		t.Fatalf("late announcement: locked=%v status=%v store locked=%v; want a plain copy and no lock",
-			r.Locked, r.Results[0].Status, owner.Store().Locked("x"))
-	}
-	body, err = tc.rts[0].ep.Call(ctx, 1, KindAcquireBatch, verBatchReq{TxID: lockID,
-		Entries: []verEntry{{Oid: "x", Ver: object.Version{Clock: 3, Node: 1}}}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r := body.(answersResp); r.applied() || r.Results[0].Status != statusBusy || owner.Store().Locked("x") {
-		t.Fatalf("commit acquire after the release: applied=%v status=%v, want refused as busy", r.applied(), r.Results[0].Status)
+	for _, what := range []string{"late announcement", "commit lock after the release"} {
+		body, err := tc.rts[0].ep.Call(ctx, 1, KindRetrieve, retrieveReq{TxID: 9, Mode: sched.Write, Prefetch: true, LockID: lockID, Oids: []object.ID{"x"}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if r := body.(retrieveResp); r.Locked || r.Results[0].Status != statusOK || owner.Store().Locked("x") {
+			t.Fatalf("%s: locked=%v status=%v store locked=%v; want a plain copy and no lock",
+				what, r.Locked, r.Results[0].Status, owner.Store().Locked("x"))
+		}
 	}
 }
 

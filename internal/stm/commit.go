@@ -23,8 +23,7 @@ type ownerGroup struct {
 
 // groupByOwner partitions oids by their owner, returning groups sorted by
 // owner ID so batch fan-outs are deterministic. Every batched protocol step
-// (retrieve, validate, acquire, publish, release) orders its messages
-// through here.
+// (retrieve, validate, publish, release) orders its messages through here.
 func groupByOwner(oids []object.ID, owners map[object.ID]transport.NodeID) []ownerGroup {
 	byOwner := make(map[transport.NodeID][]object.ID)
 	for _, oid := range oids {
@@ -58,18 +57,20 @@ func (cm *commitMeter) wave(n int) {
 
 // commit drives the top-level (root) commit protocol:
 //
-//  1. commit-lock every written object at its owner (version CAS) — from
-//     this moment retrieve requests for those objects conflict and flow
-//     through the transactional scheduler — except the announced write set
-//     (Prefetch with sched.Write), which its retrieve locked already;
+//  1. commit-lock every written object at its owner with the locking
+//     retrieve (lockWave) — from this moment retrieve requests for those
+//     objects conflict and flow through the transactional scheduler — and
+//     check that none changed since it was read; the announced write set
+//     (Prefetch with sched.Write) was locked by its own wave already;
 //  2. validate the read-only set (early validation), the announced objects
 //     it holds locked aside;
 //  3. install created objects (locked) and register them with their homes;
 //  4. commit point: tick the local TFA clock, producing the new version;
-//  5. publish every written object: update in place when this node already
-//     owns it, otherwise migrate ownership here (adopting the old owner's
-//     requester queue) with the home directory updated in the same wave,
-//     which also releases the announced objects the commit did not write;
+//  5. publish every written or created object: update in place when this
+//     node already owns it, otherwise migrate ownership here (adopting the
+//     old owner's requester queue) with the home directory updated in the
+//     same wave, which also releases the announced objects the commit did
+//     not write;
 //  6. hand freshly committed objects to queued requesters (RTS hand-off).
 //
 // Every phase is owner-grouped: the write and read sets are partitioned by
@@ -120,8 +121,8 @@ func (tx *Txn) commit(ctx context.Context) error {
 
 	var meter commitMeter
 
-	// Phase 1: lock the rest of the write set at the owners, one batch per
-	// owner.
+	// Phase 1: lock the rest of the write set at the owners, one locking
+	// retrieve per owner; a copy whose version moved since the read aborts.
 	//
 	// Lock release and post-commit publishing must complete even when the
 	// transaction's own context has just been cancelled — otherwise a
@@ -138,7 +139,11 @@ func (tx *Txn) commit(ctx context.Context) error {
 		}
 	}
 
-	if err := tx.acquireAll(ctx, acquire, locked, &meter); err != nil {
+	got, err := tx.lockWave(ctx, acquire, locked, &meter)
+	if slices.ContainsFunc(got, func(f fetched) bool { return !f.ver.Equal(tx.entries[f.oid].ver) }) {
+		err = &abortError{target: tx, cause: AbortValidation}
+	}
+	if err != nil {
 		abortUnlock()
 		return err
 	}
@@ -158,8 +163,7 @@ func (tx *Txn) commit(ctx context.Context) error {
 			return err
 		}
 		for _, oid := range creates {
-			e := tx.entries[oid]
-			rt.store.InstallLocked(oid, e.val.Copy(), object.Version{}, tx.lockID)
+			rt.store.InstallLocked(oid, tx.entries[oid].val.Copy(), object.Version{}, tx.lockID)
 		}
 		msgs, err := rt.locator.RegisterBatch(detach(ctx), creates, rt.Self())
 		meter.wave(msgs)
@@ -174,6 +178,10 @@ func (tx *Txn) commit(ctx context.Context) error {
 			}
 			return fmt.Errorf("stm: create: %w", err)
 		}
+		for _, oid := range creates {
+			locked[oid] = rt.Self()
+		}
+		writes = append(writes, creates...)
 	}
 
 	// Phase 4: commit point.
@@ -184,66 +192,11 @@ func (tx *Txn) commit(ctx context.Context) error {
 	if err := tx.publishAll(detach(ctx), writes, locked, unwritten, newVer, &meter); err != nil {
 		return err
 	}
-	for _, oid := range creates {
-		e := tx.entries[oid]
-		if err := rt.store.UpdateCommitted(oid, e.val.Copy(), newVer, tx.lockID); err != nil {
-			return err
-		}
-		rt.serveQueue(oid, rt.policy.OnRelease(oid))
-	}
 
 	rt.metrics.commitMsgs.Add(meter.msgs)
 	rt.metrics.commitRounds.Add(meter.rounds)
 	rt.stats.RecordCommit(tx.name, time.Since(tx.began))
 	return nil
-}
-
-// acquireAll commit-locks the write set in an owner wave of KindAcquireBatch,
-// one atomic batch per owner. Owners apply their batch all-or-nothing, so a
-// batch that comes back unapplied left NO locks at that owner; locked keeps
-// the applied batches and, conservatively, those whose replies were lost,
-// for the abort path to release. A stale entry aborts on validation, a busy
-// one on the lock; a batch refused only for entries its node no longer holds
-// goes again whole (the entries that would have locked included), to where
-// the chase leads.
-func (tx *Txn) acquireAll(ctx context.Context, writes []object.ID, locked map[object.ID]transport.NodeID, meter *commitMeter) error {
-	if len(writes) == 0 {
-		return nil
-	}
-	err := ownerWave(ctx, tx, KindAcquireBatch, writes, meter,
-		func(_ int, g ownerGroup) any {
-			req := verBatchReq{TxID: tx.lockID, Entries: make([]verEntry, len(g.oids))}
-			for i, oid := range g.oids {
-				req.Entries[i] = verEntry{Oid: oid, Ver: tx.entries[oid].ver}
-				// Held until the reply says otherwise: if it is lost the batch
-				// may still have been applied (the store's fence covers
-				// release-before-acquire races).
-				locked[oid] = g.owner
-			}
-			return req
-		},
-		func(g ownerGroup, r answersResp) (bool, error) {
-			if r.applied() {
-				return false, nil
-			}
-			for _, oid := range g.oids {
-				delete(locked, oid)
-			}
-			busy := false
-			for _, a := range r.Results {
-				switch {
-				case a.Status == statusStale:
-					return false, &abortError{target: tx, cause: AbortValidation}
-				case a.Status != statusOK && !a.Status.notHere():
-					busy = true
-				}
-			}
-			if busy {
-				return false, &abortError{target: tx, cause: AbortLockFailed}
-			}
-			return true, nil
-		})
-	return tx.convertErr(ctx, err, AbortLockFailed)
 }
 
 // releaseLocks sends every owner in locked one unlock for what it holds, in
@@ -275,16 +228,18 @@ func (tx *Txn) releaseCalls(locked map[object.ID]transport.NodeID) []cluster.Out
 	return calls
 }
 
-// publishAll installs the committed write set at its new home (this node) in
-// one wave: ONE message to every node that owns an object the commit brings
-// here or is the home of one, asking it to surrender its entries and naming
-// everything that moves (commitObjBatchReq). A migrated object is installed
-// here — so can be served, locked or migrated onward — only once every node
-// of the wave has answered: a later migration's directory update cannot
-// overtake this one. Locally owned writes update in place and cost no
-// messages. A refused entry goes to refused; its published siblings stay
-// published (the paper's model: reliable delivery). The announced objects the
-// commit did not write (unwritten) are released, unchanged, in the same wave.
+// publishAll installs the committed write set, creations included, at its
+// new home (this node) in one wave: ONE message to every node that owns an
+// object the commit brings here or is the home of one, asking it to
+// surrender its entries and naming everything that moves (commitObjBatchReq).
+// A migrated object is installed here — so can be served, locked or migrated
+// onward — only once every node of the wave has answered: a later
+// migration's directory update cannot overtake this one. Locally owned
+// writes and creations update in place and cost no messages. A refused entry
+// goes to refused, and a failed local update is recorded; either way its
+// siblings are still published (the paper's model: reliable delivery), and
+// the first error is returned. The announced objects the commit did not
+// write (unwritten) are released, unchanged, in the same wave.
 func (tx *Txn) publishAll(ctx context.Context, writes []object.ID, locked, unwritten map[object.ID]transport.NodeID,
 	newVer object.Version, meter *commitMeter) error {
 	rt := tx.rt

@@ -8,19 +8,21 @@ import (
 	"dstm/internal/object"
 )
 
-// TestAcquireBatchPartialFailure drives the all-or-nothing acquire batch
-// through its two refusal classes: one entry of a two-object batch fails at
-// the owner (commit-locked by another transaction, or stale after a
-// competing commit) and the WHOLE batch must roll back — the sibling entry
-// that would have locked is not held across the abort, the attempt aborts
-// with the refusal's cause, and the retried attempt commits cleanly.
+// TestAcquireBatchPartialFailure drives the commit's locking retrieve
+// through its two refusal classes: one entry of a two-object batch fails
+// (commit-locked by another transaction at the owner, or stale after a
+// competing commit) and the WHOLE batch must roll back — neither entry is
+// held across the abort, the attempt aborts with the refusal's cause (busy:
+// lock-failed; stale: validation), and the retried attempt commits cleanly.
+// A busy entry leaves the owner's batch unlocked; a stale one is locked at
+// its new version, and the abort releases it.
 func TestAcquireBatchPartialFailure(t *testing.T) {
 	const foreignTx = 0xDEAD
 
 	cases := []struct {
 		name string
 		// sabotage makes exactly the "b1" entry of the first attempt's
-		// acquire batch fail; undo (may be nil) lifts it before attempt 2.
+		// commit lock fail; undo (may be nil) lifts it before attempt 2.
 		sabotage  func(t *testing.T, tc *testCluster)
 		undo      func(t *testing.T, tc *testCluster)
 		wantCause AbortCause
@@ -72,14 +74,17 @@ func TestAcquireBatchPartialFailure(t *testing.T) {
 			err := tc.rts[1].Atomic(ctx, "w", func(tx *Txn) error {
 				attempt++
 				if attempt == 2 {
-					// The sibling entry "a1" would have locked; the batch's
-					// atomicity guarantees it was never (or no longer is)
-					// held when the aborted attempt hands over to this one.
-					if tc.rts[0].Store().Locked("a1") {
-						return fmt.Errorf("sibling a1 left locked by aborted batch")
-					}
 					if c.undo != nil {
 						c.undo(t, tc)
+					}
+					// The sibling entry "a1" would have locked; the batch's
+					// atomicity guarantees it was never (or no longer is)
+					// held when the aborted attempt hands over to this one,
+					// and neither is "b1".
+					for _, oid := range []object.ID{"a1", "b1"} {
+						if tc.rts[0].Store().Locked(oid) {
+							return fmt.Errorf("%s left locked by the aborted attempt", oid)
+						}
 					}
 				}
 				if err := tx.Write(ctx, "a1", &box{N: 10}); err != nil {
@@ -104,8 +109,8 @@ func TestAcquireBatchPartialFailure(t *testing.T) {
 			if snap.Commits != 1 {
 				t.Fatalf("commits = %d, want 1", snap.Commits)
 			}
-			if snap.Aborts[c.wantCause] == 0 {
-				t.Fatalf("no %v abort recorded; aborts = %v", c.wantCause, snap.Aborts)
+			if snap.Aborts[c.wantCause] != 1 || snap.TotalAborts() != 1 {
+				t.Fatalf("aborts = %v, want one %v abort", snap.Aborts, c.wantCause)
 			}
 
 			// The committed values won, including over the interferer's write.

@@ -3,6 +3,7 @@ package stm
 import (
 	"context"
 	"errors"
+	"sync"
 	"testing"
 	"time"
 
@@ -30,12 +31,23 @@ func TestCancelledCommitReleasesLocks(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Black-hole acquire-batch REPLIES: the owner locks "a" and "b", but
-	// the committer never learns it and stalls until its context dies. Its
-	// conservative release (issued on a detached context) must then free
-	// the whole batch.
+	// Black-hole the REPLIES to locking retrieves: the owner locks "a" and
+	// "b", but the committer never learns it and stalls until its context
+	// dies. Its conservative release (issued on a detached context) must
+	// then free the whole batch.
+	var mu sync.Mutex
+	type call struct {
+		caller transport.NodeID
+		corr   uint64
+	}
+	locking := map[call]bool{}
 	net.SetInterceptor(func(m *transport.Message) bool {
-		return !(m.Kind == KindAcquireBatch && m.IsReply)
+		mu.Lock()
+		defer mu.Unlock()
+		if q, ok := m.Payload.(retrieveReq); ok && q.LockID != 0 {
+			locking[call{m.From, m.Corr}] = true
+		}
+		return !(m.IsReply && locking[call{m.To, m.Corr}])
 	})
 
 	txCtx, cancel := context.WithTimeout(ctx, 100*time.Millisecond)

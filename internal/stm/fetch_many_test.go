@@ -22,19 +22,29 @@ import (
 // consistent cut as of its owner clock.
 
 // kindCounter is a memnet interceptor counting request and one-way messages
-// by kind (replies are not counted).
+// by kind (replies are not counted). A locking retrieve (nonzero LockID)
+// counts as kindLockingRetrieve, not as KindRetrieve.
 type kindCounter struct {
 	mu sync.Mutex
 	n  map[transport.Kind]int
 }
 
+// kindLockingRetrieve is the kind a kindCounter files the locking retrieve
+// under, the one way to take a commit lock (Txn.lockWave). No message
+// carries it.
+const kindLockingRetrieve transport.Kind = 1 << 15
+
 func (c *kindCounter) intercept(m *transport.Message) bool {
 	if !m.IsReply {
+		kind := m.Kind
+		if q, ok := m.Payload.(retrieveReq); ok && q.LockID != 0 {
+			kind = kindLockingRetrieve
+		}
 		c.mu.Lock()
 		if c.n == nil {
 			c.n = make(map[transport.Kind]int)
 		}
-		c.n[m.Kind]++
+		c.n[kind]++
 		c.mu.Unlock()
 	}
 	return true
@@ -253,8 +263,8 @@ func homedAt(t *testing.T, n, home int) object.ID {
 // TestStaleHintFollowsMovedTo: node 2 holds a hint that x is on node 0, but
 // node 1 has since committed a write and taken x. Node 0's reply names node
 // 1, and the next wave goes there directly — no directory message — whether
-// node 2 retrieves x, validates its read of x at commit, or acquires x to
-// commit a write of it. When node 0's record is wrong or gone, the home
+// node 2 retrieves x, validates its read of x at commit, or acquires x's
+// commit lock to commit a write of it. When node 0's record is wrong or gone, the home
 // directory settles it one hop later. x is homed at node 3, which never
 // holds it, so every lookup and retrieve node 2 makes is a message the
 // interceptor sees.
@@ -266,14 +276,17 @@ func TestStaleHintFollowsMovedTo(t *testing.T) {
 		record        func(owner0 *Runtime, x object.ID) // tamper with node 0's departure record
 		wantLookups   int
 		wantRetrieves int
+		wantLocks     int // locking retrieves
 	}{
 		{name: "moved-to followed", step: "retrieve", record: moved, wantLookups: 0, wantRetrieves: 2},
 		{name: "lying", step: "retrieve", record: func(rt *Runtime, x object.ID) { rt.migrated[x] = 3 }, wantLookups: 1, wantRetrieves: 3},
 		{name: "absent", step: "retrieve", record: func(rt *Runtime, x object.ID) { delete(rt.migrated, x) }, wantLookups: 1, wantRetrieves: 2},
 		// The commit meets node 0's Moved and finds x changed at node 1: one
-		// validation abort, and the retry retrieves x from node 1.
+		// validation abort, and the retry retrieves x from node 1. A commit
+		// that writes x locks it at node 0, then at node 1, releases it, and
+		// its retry locks it at node 1 again.
 		{name: "validate", step: "validate", record: moved, wantLookups: 0, wantRetrieves: 1},
-		{name: "acquire", step: "acquire", record: moved, wantLookups: 0, wantRetrieves: 1},
+		{name: "acquire", step: "acquire", record: moved, wantLookups: 0, wantRetrieves: 1, wantLocks: 3},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -335,6 +348,9 @@ func TestStaleHintFollowsMovedTo(t *testing.T) {
 			}
 			if got := msgs.count(KindRetrieve); got != c.wantRetrieves || got > maxOwnerHops {
 				t.Fatalf("%d retrieves, want %d", got, c.wantRetrieves)
+			}
+			if got := msgs.count(kindLockingRetrieve); got != c.wantLocks {
+				t.Fatalf("%d locking retrieves, want %d", got, c.wantLocks)
 			}
 		})
 	}

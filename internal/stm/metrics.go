@@ -136,10 +136,12 @@ type MetricsSnapshot struct {
 	NestedParent  uint64
 	Enqueues      uint64
 	Pushes        uint64
-	Retrieves     uint64
+	// Retrieves counts retrieve requests, the locking retrieves included: a
+	// commit's lock requests count here, as Prefetch(sched.Write)'s do.
+	Retrieves uint64
 	// RetrieveWaves counts the retrieve waves that asked at least one remote
 	// node — each is a round trip on its transaction's blocking path (or a
-	// prefetch's). Of the entries asked of a remote node, RemoteCopies came
+	// prefetch's or a commit lock's). Of the entries asked of a remote node, RemoteCopies came
 	// back as a copy and StaleHops as Moved or NotOwner: the owner pointer
 	// was wrong, and the entry costs another wave.
 	RetrieveWaves uint64

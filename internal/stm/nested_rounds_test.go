@@ -21,7 +21,8 @@ func bump(v object.Value) object.Value { v.(*box).N++; return v }
 
 // TestInnerTransactionOpensItsAccessSetInOneWave: a transfer-shaped child —
 // open {from, to}, then update both — sends one retrieve to each of the two
-// remote owners, both in flight together, and the updates send none.
+// remote owners, both in flight together, and the updates send none; the
+// root commit locks with one locking retrieve per owner.
 func TestInnerTransactionOpensItsAccessSetInOneWave(t *testing.T) {
 	tc := newTestCluster(t, 3, nil, nil)
 	ctx := context.Background()
@@ -43,8 +44,8 @@ func TestInnerTransactionOpensItsAccessSetInOneWave(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := msgs.count(KindRetrieve); got != 2 {
-		t.Fatalf("%d retrieves, want 2: one per owner", got)
+	if r, l := msgs.count(KindRetrieve), msgs.count(kindLockingRetrieve); r != 2 || l != 2 {
+		t.Fatalf("%d plain and %d locking retrieves, want 2 and 2: one per owner", r, l)
 	}
 	if got := msgs.count(KindCheckVersionBatch); got != 0 {
 		t.Fatalf("%d validation messages with every clock at rest, want 0", got)

@@ -33,7 +33,8 @@ func transfer(ctx context.Context, tx *Txn, from, to object.ID) error {
 
 // TestPrefetchIsOneHeldWave: a batch of two transfers over four objects on
 // three remote owners sends one retrieve per owner, all in flight together,
-// and the inner transactions send none.
+// and the inner transactions send none; the commit locks with one locking
+// retrieve per owner, which Metrics.Retrieves counts too.
 func TestPrefetchIsOneHeldWave(t *testing.T) {
 	tc := newTestCluster(t, 4, nil, nil)
 	ctx := context.Background()
@@ -54,12 +55,12 @@ func TestPrefetchIsOneHeldWave(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := msgs.count(KindRetrieve); got != 3 {
-		t.Fatalf("%d retrieves in all, want 3: the inner transactions send none", got)
+	if r, l := msgs.count(KindRetrieve), msgs.count(kindLockingRetrieve); r != 3 || l != 3 {
+		t.Fatalf("%d plain and %d locking retrieves in all, want 3 and 3: the inner transactions send none", r, l)
 	}
 	m := tc.rts[0].Metrics().Snapshot()
-	if m.Retrieves != 3 || m.Prefetched != 4 || m.PrefetchOpened != 4 || m.NestedCommits != 2 || m.TotalAborts() != 0 {
-		t.Fatalf("retrieves=%d prefetched=%d opened=%d nested commits=%d aborts=%d, want 3/4/4/2/0",
+	if m.Retrieves != 6 || m.Prefetched != 4 || m.PrefetchOpened != 4 || m.NestedCommits != 2 || m.TotalAborts() != 0 {
+		t.Fatalf("retrieves=%d prefetched=%d opened=%d nested commits=%d aborts=%d, want 6/4/4/2/0",
 			m.Retrieves, m.Prefetched, m.PrefetchOpened, m.NestedCommits, m.TotalAborts())
 	}
 	for oid, want := range map[object.ID]int64{"a": 11, "b": 11, "c": 21, "d": 31} {
@@ -89,8 +90,9 @@ func TestPrefetchBatchesShareTheHeldSet(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m := tc.rts[0].Metrics().Snapshot(); msgs.count(KindRetrieve) != 3 || m.Prefetched != 4 || m.PrefetchOpened != 4 {
-		t.Fatalf("retrieves=%d prefetched=%d opened=%d, want 3/4/4", msgs.count(KindRetrieve), m.Prefetched, m.PrefetchOpened)
+	r, l := msgs.count(KindRetrieve), msgs.count(kindLockingRetrieve)
+	if m := tc.rts[0].Metrics().Snapshot(); r != 3 || l != 3 || m.Prefetched != 4 || m.PrefetchOpened != 4 {
+		t.Fatalf("retrieves=%d locking=%d prefetched=%d opened=%d, want 3/3/4/4", r, l, m.Prefetched, m.PrefetchOpened)
 	}
 }
 
@@ -210,7 +212,7 @@ func TestUnopenedPrefetchCostsTheCommitNothing(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return tc.rts[0].Metrics().Snapshot(), msgs.count(KindAcquireBatch, KindCheckVersionBatch, KindCommitObjectBatch)
+		return tc.rts[0].Metrics().Snapshot(), msgs.count(kindLockingRetrieve, KindCheckVersionBatch, KindCommitObjectBatch)
 	}
 	plain, plainMsgs := commit(false)
 	with, withMsgs := commit(true)

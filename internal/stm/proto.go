@@ -12,9 +12,10 @@ import (
 )
 
 // Message kinds 10–29 are reserved for the STM protocol. Kinds 11, 12 and
-// 14 (the retired per-object check/acquire/commit RPCs) and 20 and 21 (the
-// retired MVCC snapshot reads) are reserved: never reuse them, an old peer
-// may still send them, and bench/layers.go classifies by number.
+// 14 (the retired per-object check/acquire/commit RPCs), 17 (the retired
+// acquire batch: a commit locks with the locking retrieve) and 20 and 21
+// (the retired MVCC snapshot reads) are reserved: never reuse them, an old
+// peer may still send them, and bench/layers.go classifies by number.
 const (
 	// KindRetrieve is Open_Object's request to an object owner: every
 	// object one transaction wants from that node, in one round trip.
@@ -25,9 +26,6 @@ const (
 	KindPush transport.Kind = 15
 	// KindDecline tells an owner the pushed requester is gone (one-way).
 	KindDecline transport.Kind = 16
-	// KindAcquireBatch commit-locks a whole per-owner slice of the write
-	// set in one round trip (owner-grouped commit pipeline).
-	KindAcquireBatch transport.Kind = 17
 	// KindCheckVersionBatch validates a per-owner slice of read-set
 	// entries in one round trip.
 	KindCheckVersionBatch transport.Kind = 18
@@ -44,9 +42,10 @@ const (
 // Read or Write asks for one). The owner takes the scheduling decision per
 // object — except that a Prefetch request's commit-locked objects are
 // answered statusDenied with nothing observed, scheduled or queued. A
-// nonzero LockID is a write set announced with write intent: the owner first
-// tries to commit-lock every entry it holds for LockID, all or nothing
-// (Runtime.lockAnnounced), unless a release by LockID overtook it there.
+// nonzero LockID makes it the locking retrieve, the one way to take a commit
+// lock (Txn.lockWave): the owner first tries to commit-lock every entry it
+// holds for LockID, all or nothing (Runtime.lockAnnounced), unless a release
+// by LockID overtook it there.
 type retrieveReq struct {
 	TxID     uint64
 	Mode     sched.Mode
@@ -86,14 +85,14 @@ type retrieveResp struct {
 }
 
 // status is one entry's answer in a reply of an owner wave (retrieve,
-// validate, acquire). statusNotOwner and statusMoved are the one "not here"
-// answer all three share (Runtime.notHere); the requester chases it
-// (ownerWave). Retrieve's values keep their wire numbers 0–4.
+// validate). statusNotOwner and statusMoved are the one "not here" answer
+// both share (Runtime.notHere); the requester chases it (ownerWave).
+// Retrieve's values keep their wire numbers 0–4; 6 (the retired acquire's
+// busy answer) is reserved.
 type status uint8
 
 const (
-	// statusOK: retrieve — a copy; validate — still current; acquire —
-	// lockable (locked when the batch was applied).
+	// statusOK: retrieve — a copy; validate — still current.
 	statusOK status = iota
 	// statusDenied: retrieve — the scheduler denied the request.
 	statusDenied
@@ -104,17 +103,15 @@ const (
 	statusNotOwner
 	// statusMoved: this node gave the object away, to MovedTo.
 	statusMoved
-	// statusStale: validate, acquire — the version moved on (for validate,
-	// also: another transaction holds the commit lock).
+	// statusStale: validate — the version moved on, or another transaction
+	// holds the commit lock.
 	statusStale
-	// statusBusy: acquire — another transaction holds the commit lock.
-	statusBusy
 )
 
 // notHere reports whether s is the "not here" answer.
 func (s status) notHere() bool { return s == statusNotOwner || s == statusMoved }
 
-// answer is one entry's answer in a validate or acquire reply: the status,
+// answer is one entry's answer in a validate reply: the status,
 // and where the object went when it is statusMoved — what retrieveResult
 // carries beside its copy.
 type answer struct {
@@ -136,7 +133,7 @@ type releaseReq struct {
 // owner per phase, so a commit touching k objects on m owners costs O(m)
 // rounds instead of O(k). Every batch reply carries per-object results, so
 // one failed entry aborts the commit precisely (innermost attribution is
-// preserved on the requester side) while its sibling entries roll back.
+// preserved on the requester side).
 
 // verEntry is one (object, expected version) pair of a batch.
 type verEntry struct {
@@ -144,31 +141,18 @@ type verEntry struct {
 	Ver object.Version
 }
 
-// verBatchReq is one owner's slice of an acquire or a validation for TxID.
-// As KindAcquireBatch the owner commit-locks every entry at its version, all
-// or nothing against its store; as KindCheckVersionBatch it checks that each
-// entry is still current (TxID's own locks do not invalidate it).
+// verBatchReq is one owner's slice of a validation for TxID
+// (KindCheckVersionBatch): the owner checks that each entry is still current
+// (TxID's own locks do not invalidate it).
 type verBatchReq struct {
 	TxID    uint64
 	Entries []verEntry
 }
 
 // answersResp answers a verBatchReq entry by entry, in request order:
-// statusOK, statusStale, statusBusy (acquire only) or the not-here answer.
+// statusOK, statusStale or the not-here answer.
 type answersResp struct {
 	Results []answer
-}
-
-// applied reports whether the acquire batch this answers took its locks.
-// The owner locks all or nothing (Store.LockBatch), so it did exactly when
-// every entry answered statusOK; otherwise no entry is locked there.
-func (r answersResp) applied() bool {
-	for _, a := range r.Results {
-		if a.Status != statusOK {
-			return false
-		}
-	}
-	return true
 }
 
 // ownerReply is a reply of an owner wave as the wave reads it: one answer

@@ -126,13 +126,14 @@ func FuzzCommitPushRoundTrip(f *testing.F) {
 	})
 }
 
-// FuzzAcquireCheckBatchRoundTrip round-trips the request and the reply that
-// acquire and validation share. The per-entry answers must survive verbatim
-// and stay parallel to the request entries: a shifted or truncated Results
-// slice would make the committer misattribute which entry refused the batch
-// (and hence which transaction to abort), a corrupted status would make it
-// read a refused acquire as applied, and a corrupted MovedTo would send the
-// next wave to the wrong node.
+// FuzzAcquireCheckBatchRoundTrip round-trips the request and the reply of
+// validation (the retired acquire batch carried them too, and the name keys
+// the seed corpus). The per-entry answers must survive verbatim and stay
+// parallel to the request entries: a shifted or truncated Results slice
+// would make the committer misattribute which entry is stale (and hence
+// which transaction to abort), a corrupted status would make it read a
+// stale entry as current, and a corrupted MovedTo would send the next wave
+// to the wrong node.
 func FuzzAcquireCheckBatchRoundTrip(f *testing.F) {
 	f.Add("obj/a", "obj/b", uint64(7), uint64(5), int32(1), byte(statusStale), byte(statusMoved), int32(2))
 	f.Add("", "x", uint64(0), ^uint64(0), int32(-3), byte(statusOK), byte(statusNotOwner), int32(-1))

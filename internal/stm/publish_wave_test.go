@@ -43,8 +43,9 @@ func homeSays(t *testing.T, rt *Runtime, oid object.ID) transport.NodeID {
 }
 
 // TestMigratingCommitIsTwoWaves: node 0 writes x, owned by node 1 and homed
-// at node 2. Its commit blocks on two waves — acquire, then publish to the old
-// owner and the home together — and sends the three messages it always sent.
+// at node 2. Its commit blocks on two waves — the locking retrieve, then
+// publish to the old owner and the home together — and sends the three
+// messages it always sent.
 func TestMigratingCommitIsTwoWaves(t *testing.T) {
 	tc := newTestCluster(t, 3, nil, nil)
 	ctx := context.Background()
@@ -58,10 +59,10 @@ func TestMigratingCommitIsTwoWaves(t *testing.T) {
 	}
 	m := tc.rts[0].Metrics().Snapshot()
 	if m.CommitRounds != 2 || m.CommitMsgs != 3 {
-		t.Fatalf("commit took %d waves and %d messages, want 2 (acquire; publish to owner and home) and 3", m.CommitRounds, m.CommitMsgs)
+		t.Fatalf("commit took %d waves and %d messages, want 2 (lock; publish to owner and home) and 3", m.CommitRounds, m.CommitMsgs)
 	}
-	if a, p, u := msgs.count(KindAcquireBatch), msgs.count(KindCommitObjectBatch), msgs.count(kindUpdateBatch); a != 1 || p != 2 || u != 0 {
-		t.Fatalf("acquire/publish/kind-6 messages = %d/%d/%d, want 1/2 (old owner, home)/0", a, p, u)
+	if a, p, u := msgs.count(kindLockingRetrieve), msgs.count(KindCommitObjectBatch), msgs.count(kindUpdateBatch); a != 1 || p != 2 || u != 0 {
+		t.Fatalf("lock/publish/kind-6 messages = %d/%d/%d, want 1/2 (old owner, home)/0", a, p, u)
 	}
 	if !tc.rts[0].Store().Owns(x) || homeSays(t, tc.rts[1], x) != 0 {
 		t.Fatalf("x not at node 0, or its home does not say so")

@@ -14,14 +14,14 @@ import (
 )
 
 // TestRetiredKindsAreRefused: a request with a retired message kind (the
-// per-object check/acquire/commit RPCs and the MVCC snapshot reads of stm,
-// the single-object lookup and register and the single-object and batch
-// updates of cc — what a peer built before their removal would still send)
-// is answered with the endpoint's "no handler" error at once, not left to
-// time out.
+// per-object check/acquire/commit RPCs, the acquire batch and the MVCC
+// snapshot reads of stm, the single-object lookup and register and the
+// single-object and batch updates of cc — what a peer built before their
+// removal would still send) is answered with the endpoint's "no handler"
+// error at once, not left to time out.
 func TestRetiredKindsAreRefused(t *testing.T) {
 	tc := newTestCluster(t, 2, nil, nil)
-	for _, kind := range []transport.Kind{1, 2, 3, 6, 11, 12, 14, 20, 21} {
+	for _, kind := range []transport.Kind{1, 2, 3, 6, 11, 12, 14, 17, 20, 21} {
 		t.Run(fmt.Sprintf("kind%d", kind), func(t *testing.T) {
 			ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
 			defer cancel()

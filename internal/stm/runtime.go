@@ -96,7 +96,6 @@ func NewRuntime(ep *cluster.Endpoint, size int, policy sched.Policy, st *stats.T
 	}
 	ep.Handle(KindRetrieve, rt.handleRetrieve)
 	ep.Handle(KindRelease, rt.handleRelease)
-	ep.Handle(KindAcquireBatch, rt.handleAcquireBatch)
 	ep.Handle(KindCheckVersionBatch, rt.handleCheckVersionBatch)
 	ep.Handle(KindCommitObjectBatch, rt.handleCommitObjectBatch)
 	ep.HandleNotify(KindPush, rt.handlePush)
@@ -224,12 +223,12 @@ func (rt *Runtime) handleRetrieve(from transport.NodeID, payload any) (any, erro
 	}
 }
 
-// lockAnnounced serves a write set announced with write intent: it
-// commit-locks, for req.LockID, every entry this node holds at the version
-// it copies, all or nothing (commitLock), and answers those copies with
-// Locked set and the rest with the "not here" answer. A locked copy is
-// trivially a consistent cut: nothing can commit it until the lock holder
-// does. When any entry cannot be locked — another transaction holds it, a
+// lockAnnounced serves a locking retrieve (Txn.lockWave), the one owner-side
+// commit-lock step: it commit-locks, for req.LockID, every entry this node
+// holds at the version it copies, all or nothing (Store.LockBatch), and
+// answers those copies with Locked set and the rest with the "not here"
+// answer. A locked copy is trivially a consistent cut: nothing can commit it
+// until the lock holder does. When any entry cannot be locked — another transaction holds it, a
 // commit got to it between the copy and the lock, or the store fenced it for
 // req.LockID because a release overtook this request — nothing is locked and
 // it reports false; the request is then served as a plain prefetch.
@@ -245,7 +244,7 @@ func (rt *Runtime) lockAnnounced(req *retrieveReq, resp *retrieveResp) bool {
 		resp.Results[i] = retrieveResult{Status: statusOK, Value: val, Version: ver}
 		entries = append(entries, object.LockEntry{ID: oid, Expect: ver})
 	}
-	if _, applied := rt.commitLock(req.LockID, entries); !applied {
+	if _, applied := rt.store.LockBatch(req.LockID, entries); !applied {
 		return false
 	}
 	for i, oid := range req.Oids {
@@ -344,42 +343,6 @@ func (rt *Runtime) migrateOut(oid object.ID, tx uint64, to transport.NodeID) ([]
 // ---------------------------------------------------------------------------
 // Owner-grouped batch handlers: one message covers every object of a commit
 // that this node owns (O(owners) commit rounds instead of O(objects)).
-
-func (rt *Runtime) handleAcquireBatch(_ transport.NodeID, payload any) (any, error) {
-	req, ok := payload.(verBatchReq)
-	if !ok {
-		return nil, fmt.Errorf("stm: bad acquire batch payload %T", payload)
-	}
-	entries := make([]object.LockEntry, len(req.Entries))
-	for i, e := range req.Entries {
-		entries[i] = object.LockEntry{ID: e.Oid, Expect: e.Ver}
-	}
-	answers, _ := rt.commitLock(req.TxID, entries)
-	return answersResp{Results: answers}, nil
-}
-
-// commitLock is the one owner-side commit-lock step, shared by an acquire
-// batch and an announced write set: it locks every entry for tx at its
-// expected version as one atomic step (Store.LockBatch) and answers each —
-// statusOK, statusStale, statusBusy or the "not here" answer. applied
-// reports whether the locks were taken; when false, none was.
-func (rt *Runtime) commitLock(tx uint64, entries []object.LockEntry) ([]answer, bool) {
-	results, applied := rt.store.LockBatch(tx, entries)
-	answers := make([]answer, len(results))
-	for i, r := range results {
-		switch r {
-		case object.LockOK:
-			answers[i] = answer{Status: statusOK}
-		case object.LockStale:
-			answers[i] = answer{Status: statusStale}
-		case object.LockNotOwner:
-			answers[i] = rt.notHere(entries[i].ID)
-		default:
-			answers[i] = answer{Status: statusBusy}
-		}
-	}
-	return answers, applied
-}
 
 func (rt *Runtime) handleCheckVersionBatch(_ transport.NodeID, payload any) (any, error) {
 	req, ok := payload.(verBatchReq)

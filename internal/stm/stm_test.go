@@ -4,10 +4,12 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"dstm/internal/cc"
 	"dstm/internal/cluster"
 	"dstm/internal/object"
 	"dstm/internal/sched"
@@ -262,6 +264,50 @@ func TestCreateDuplicateFails(t *testing.T) {
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestFailedCreatePublishStillPublishesTheRest: a commit creates c0 and c1,
+// homed at node 1, and c0 loses its commit lock while the registration is on
+// the wire. The commit reports c0's failed update, and still publishes c1 and
+// frees its lock: creations publish through the same loop as local writes,
+// which carries on past a failed entry.
+func TestFailedCreatePublishStillPublishesTheRest(t *testing.T) {
+	tc := newTestCluster(t, 2, nil, nil)
+	ctx := context.Background()
+	var created []object.ID
+	for i := 0; len(created) < 2; i++ {
+		if oid := object.ID(fmt.Sprintf("c%d", i)); cc.HomeOf(oid, 2) == 1 {
+			created = append(created, oid)
+		}
+	}
+	st := tc.rts[0].Store()
+	tc.net.SetInterceptor(func(m *transport.Message) bool {
+		if m.Kind == cc.KindRegisterBatch && !m.IsReply {
+			_, by, _ := st.State(created[0])
+			st.Unlock(created[0], by)
+		}
+		return true
+	})
+
+	err := tc.rts[0].Atomic(ctx, "create", func(tx *Txn) error {
+		for _, oid := range created {
+			if err := tx.Create(oid, &box{N: 5}); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
+	if err == nil || !strings.Contains(err.Error(), string(created[0])) {
+		t.Fatalf("err = %v, want %s's failed update", err, created[0])
+	}
+	for _, oid := range created {
+		if st.Locked(oid) {
+			t.Fatalf("%s left locked", oid)
+		}
+	}
+	if val, ver, _, ok := st.Snapshot(created[1]); !ok || ver.Clock == 0 || val.(*box).N != 5 {
+		t.Fatalf("%s = %v at %v (owned %v), want 5 at a committed version", created[1], val, ver, ok)
 	}
 }
 

@@ -395,11 +395,12 @@ type prefetch struct {
 // (the transaction's own request will meet that conflict).
 //
 // With sched.Write the objects are the root's write set, announced once,
-// before any access: each owner commit-locks the ones it holds for the
-// attempt, all or nothing, so the commit neither acquires nor validates them
-// and a held copy is never dropped, revalidated or used up. When any owner
-// could not lock its batch, the batches that did lock are released before
-// Prefetch returns, and the copies are plain held copies.
+// before any access, with the locking retrieve (lockWave): each owner
+// commit-locks the ones it holds for the attempt, all or nothing, so the
+// commit neither locks nor validates them and a held copy is never dropped,
+// revalidated or used up. When any owner could not lock its batch, the
+// batches that did lock are released before Prefetch returns, and the copies
+// are plain held copies.
 func (tx *Txn) Prefetch(ctx context.Context, oids []object.ID, mode sched.Mode) {
 	want := tx.unopened(oids)
 	if len(want) == 0 {
@@ -410,24 +411,43 @@ func (tx *Txn) Prefetch(ctx context.Context, oids []object.ID, mode sched.Mode) 
 		p = &prefetch{held: make(map[object.ID]fetched), locked: make(map[object.ID]transport.NodeID)}
 		root.pre = p
 	}
-	var locked map[object.ID]transport.NodeID
+	var got []fetched
 	if mode == sched.Write {
 		// A second announcement must not release what an earlier one locked.
 		want = slices.DeleteFunc(want, tx.holdsLock)
-		locked = make(map[object.ID]transport.NodeID, len(want))
-	}
-	got, _, err := root.retrieveWaves(ctx, want, mode, tx.myCL(), true, locked)
-	if len(locked) > 0 && (err != nil || len(locked) < len(want)) {
-		// No transaction holds a lock while it waits: an announcement that
-		// did not lock everywhere gives back what it did lock.
-		root.releaseLocks(ctx, locked)
-		clear(locked)
+		locked := make(map[object.ID]transport.NodeID, len(want))
+		var err error
+		if got, err = tx.lockWave(ctx, want, locked, nil); err != nil {
+			// No transaction holds a lock while it waits: an announcement
+			// that did not lock everywhere gives back what it did lock.
+			root.releaseLocks(ctx, locked)
+			clear(locked)
+		}
+		maps.Copy(p.locked, locked)
+	} else {
+		got, _, _ = tx.retrieveWaves(ctx, want, mode, true, nil, nil)
 	}
 	root.rt.metrics.prefetched.Add(uint64(len(got)))
 	for _, f := range got {
 		p.held[f.oid] = f
 	}
-	maps.Copy(p.locked, locked)
+}
+
+// lockWave is the locking retrieve, the one way an attempt takes commit
+// locks: Prefetch announces its write set with it, and the commit locks the
+// writes not announced. It is a prefetch wave whose requests carry the
+// attempt's lock identity, so each owner commit-locks the batch it holds, all
+// or nothing, at the versions it copies (Runtime.lockAnnounced). It returns
+// the copies and adds to locked, by owner, the entries that came back locked
+// (and those whose replies were lost). An entry of oids left unlocked makes
+// it return a lock-failed abort, which the caller reads its own way:
+// Prefetch gives back what did lock and carries on lazily, the commit aborts.
+func (tx *Txn) lockWave(ctx context.Context, oids []object.ID, locked map[object.ID]transport.NodeID, meter *commitMeter) ([]fetched, error) {
+	got, _, err := tx.retrieveWaves(ctx, oids, sched.Write, true, locked, meter)
+	if err == nil && slices.ContainsFunc(oids, func(oid object.ID) bool { _, ok := locked[oid]; return !ok }) {
+		err = &abortError{target: tx.root, cause: AbortLockFailed}
+	}
+	return got, err
 }
 
 // holdsLock reports whether the attempt holds oid commit-locked since
@@ -491,7 +511,7 @@ func (tx *Txn) fetchMany(ctx context.Context, oids []object.ID, mode sched.Mode)
 			rt.deregisterWaiter(tx.id, oid)
 		}
 	}()
-	got, parked, err := tx.retrieveWaves(ctx, rest, mode, tx.myCL(), false, nil)
+	got, parked, err := tx.retrieveWaves(ctx, rest, mode, false, nil, nil)
 	if err != nil {
 		return err
 	}
@@ -525,21 +545,20 @@ func (tx *Txn) fetchMany(ctx context.Context, oids []object.ID, mode sched.Mode)
 }
 
 // ownerWave is the one locate–send–chase loop of the steps that ask the
-// owners of objects about them: retrieve, validate and acquire. Each wave
-// locates the owners of the pending entries and sends every owner ONE
+// owners of objects about them: retrieve (locking or not) and validate. Each
+// wave locates the owners of the pending entries and sends every owner ONE
 // request of kind — request(wave, g) for the entries g it holds — all owners
 // in parallel, then hands each reply to take for the step's per-entry
 // verdicts. An entry the node no longer holds is chased (Runtime.notHere):
 // after Moved the next wave asks where the object went, with no directory
 // round trip; after NotOwner the hint is dropped and the next wave asks the
-// home. take returning again sends its whole group once more (an acquire
-// batch that was not applied). The first error — a lookup, a lost or
-// malformed reply, or take's — ends the chase once every reply of its wave
-// has been read; entries still pending after maxOwnerHops waves end it with
-// errOwnerHops. Either way the step aborts (Txn.convertErr). meter, when
-// non-nil, accounts the lookups and requests.
+// home. The first error — a lookup, a lost or malformed reply, or take's —
+// ends the chase once every reply of its wave has been read; entries still
+// pending after maxOwnerHops waves end it with errOwnerHops. Either way the
+// step aborts (Txn.convertErr). meter, when non-nil, accounts the lookups
+// and requests.
 func ownerWave[R ownerReply](ctx context.Context, tx *Txn, kind transport.Kind, oids []object.ID, meter *commitMeter,
-	request func(wave int, g ownerGroup) any, take func(g ownerGroup, r R) (again bool, err error)) error {
+	request func(wave int, g ownerGroup) any, take func(g ownerGroup, r R) error) error {
 	rt := tx.rt
 	pending := oids
 	for wave := 0; wave < maxOwnerHops && len(pending) > 0; wave++ {
@@ -566,8 +585,7 @@ func ownerWave[R ownerReply](ctx context.Context, tx *Txn, kind transport.Kind, 
 			case !ok || r.entries() != len(g.oids):
 				res.Err = fmt.Errorf("stm: bad reply %T to kind %d", res.Body, kind)
 			default:
-				var again bool
-				again, res.Err = take(g, r)
+				res.Err = take(g, r)
 				for i, oid := range g.oids {
 					switch a := r.at(i); a.Status {
 					case statusMoved:
@@ -575,9 +593,7 @@ func ownerWave[R ownerReply](ctx context.Context, tx *Txn, kind transport.Kind, 
 					case statusNotOwner:
 						rt.locator.InvalidateHint(oid)
 					default:
-						if !again {
-							continue
-						}
+						continue
 					}
 					pending = append(pending, oid)
 				}
@@ -598,22 +614,25 @@ func ownerWave[R ownerReply](ctx context.Context, tx *Txn, kind transport.Kind, 
 }
 
 // retrieveWaves requests oids from their owners — an owner wave of
-// KindRetrieve with myCL and ETS attached — and returns the copies and the
-// entries the owners enqueued. The owner decides per object: a copy is kept;
-// a denial aborts the root. A prefetch wave registers no waiter (no owner
-// queues it) and reads a denial as "left alone". With locked non-nil it asks
-// the owners to lock their batches for the attempt (Runtime.lockAnnounced)
-// and keeps in locked the copies that came back locked, by owner — and, like
-// acquireAll, the batches whose replies were lost.
-func (tx *Txn) retrieveWaves(ctx context.Context, oids []object.ID, mode sched.Mode, myCL int, prefetch bool,
-	locked map[object.ID]transport.NodeID) (got []fetched, parked []park, err error) {
-	rt, root := tx.rt, tx.root
+// KindRetrieve with the chain's myCL and ETS attached — and returns the
+// copies and the entries the owners enqueued. The owner decides per object: a
+// copy is kept; a denial aborts the root. A prefetch wave registers no waiter
+// (no owner queues it) and reads a denial as "left alone". With locked
+// non-nil it is the locking retrieve (lockWave): it asks the owners to lock
+// their batches for the attempt (Runtime.lockAnnounced) and keeps in locked
+// the copies that came back locked, by owner — and, conservatively, the
+// batches whose replies were lost; a lost wave then aborts on the lock.
+// meter, when non-nil, accounts the wave into the commit pipeline's tally.
+func (tx *Txn) retrieveWaves(ctx context.Context, oids []object.ID, mode sched.Mode, prefetch bool,
+	locked map[object.ID]transport.NodeID, meter *commitMeter) (got []fetched, parked []park, err error) {
+	rt, root, myCL := tx.rt, tx.root, tx.myCL()
 	var lockID uint64
+	cause := AbortDenied
 	if locked != nil {
-		lockID = root.lockID
+		lockID, cause = root.lockID, AbortLockFailed
 	}
 	counted := -1 // the last wave counted in Metrics.RetrieveWaves
-	err = ownerWave(ctx, tx, KindRetrieve, oids, nil,
+	err = ownerWave(ctx, tx, KindRetrieve, oids, meter,
 		func(wave int, g ownerGroup) any {
 			rt.metrics.retrieves.Add(1)
 			if g.owner != rt.Self() && wave != counted {
@@ -648,7 +667,7 @@ func (tx *Txn) retrieveWaves(ctx context.Context, oids []object.ID, mode sched.M
 			return retrieveReq{TxID: tx.id, Mode: mode, MyCL: myCL, Elapsed: elapsed, Remain: remain,
 				Prefetch: prefetch, LockID: lockID, Oids: g.oids}
 		},
-		func(g ownerGroup, r retrieveResp) (bool, error) {
+		func(g ownerGroup, r retrieveResp) error {
 			// What a remote node's answers cost or brought: a copy, or a hop.
 			var far uint64
 			if g.owner != rt.Self() {
@@ -671,10 +690,10 @@ func (tx *Txn) retrieveWaves(ctx context.Context, oids []object.ID, mode sched.M
 					parked = append(parked, park{oid, rt.waiter(tx.id, oid), res.Backoff, time.Now().Add(res.Backoff)})
 				case res.Status == statusDenied && prefetch:
 				default: // denied, or enqueued with no time to wait
-					return false, &abortError{target: root, cause: AbortDenied}
+					return &abortError{target: root, cause: AbortDenied}
 				}
 			}
-			return false, nil
+			return nil
 		})
 	switch {
 	case errors.Is(err, cc.ErrUnknownObject):
@@ -683,7 +702,7 @@ func (tx *Txn) retrieveWaves(ctx context.Context, oids []object.ID, mode sched.M
 		// A lookup or request lost to the network, or an object that keeps
 		// moving, is transient: abort and retry rather than failing the
 		// whole Atomic call.
-		return nil, nil, tx.convertErr(ctx, err, AbortDenied)
+		return nil, nil, tx.convertErr(ctx, err, cause)
 	}
 	return got, parked, nil
 }
@@ -824,13 +843,13 @@ func (tx *Txn) checkVersions(ctx context.Context, oids []object.ID, meter *commi
 			}
 			return req
 		},
-		func(g ownerGroup, r answersResp) (bool, error) {
+		func(g ownerGroup, r answersResp) error {
 			for i, a := range r.Results {
 				if a.Status != statusOK && !a.Status.notHere() {
 					stale = append(stale, g.oids[i])
 				}
 			}
-			return false, nil
+			return nil
 		})
 	return stale, err
 }

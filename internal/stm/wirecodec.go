@@ -271,8 +271,9 @@ func benchOids(n int) []object.ID {
 }
 
 // WirePumpPayload returns a representative commit-pipeline payload (an
-// 8-entry acquire batch) for transport-level pump benchmarks
-// (bench/micro.go sizes wire.msg_bytes from it, so its value is fixed).
+// 8-entry verBatchReq, the validation request) for transport-level pump
+// benchmarks (bench/micro.go sizes wire.msg_bytes from it, so its value is
+// fixed).
 func WirePumpPayload() any {
 	oids := benchOids(8)
 	q := verBatchReq{TxID: 77}

@@ -66,10 +66,11 @@ func wireBenchCases() []wireCase {
 		{Status: statusMoved, MovedTo: 2},
 		{Status: statusOK, Value: benchVal(93), Version: ver, RemoteCL: 1},
 	}}
-	// One owner's eight entries, acquired at the versions the transaction
-	// writes over and validated at the versions it read, with the replies:
-	// every lock taken, and two entries gone from the owner — one to a known
-	// node, one with no record.
+	// One owner's eight entries at one version — the pump frame's shape
+	// (WirePumpPayload), which the retired acquire batch sent — and validated
+	// at the versions the transaction read, with the replies: every entry
+	// current, and two entries gone from the owner — one to a known node, one
+	// with no record.
 	acq := verBatchReq{TxID: 77}
 	chk := verBatchReq{TxID: 77}
 	for i, oid := range oids {

@@ -21,9 +21,9 @@
 //   - I6 reply correlation: every reply received was solicited — its
 //     (peer, correlation) pair matches an earlier outgoing request;
 //   - I7 batch atomicity: at trace end, no commit lock is still held by an
-//     attempt that aborted — an owner-grouped acquire batch is applied
-//     all-or-nothing, so a failed commit must leave NO subset of its batch
-//     locked once its releases have drained (checked at end-of-trace
+//     attempt that aborted — an owner's lock batch (a locking retrieve) is
+//     applied all-or-nothing, so a failed commit must leave NO subset of its
+//     batch locked once its releases have drained (checked at end-of-trace
 //     because an abort and its owner-side release can carry tied clocks).
 //
 // I8 (MVCC snapshot consistency) is retired with the read path it checked;

@@ -12,8 +12,8 @@
 #          internal/apps: testbed's Drive; in
 #          internal/stm, at most one LocateBatch call and one loop bounded
 #          by maxOwnerHops: ownerWave's; and one LockBatch call:
-#          commitLock's; and one goroutine started: the lease reaper's; in
-#          internal/object, one read of the stale-lock fence map:
+#          Runtime.lockAnnounced's; and one goroutine started: the lease
+#          reaper's; in internal/object, one read of the stale-lock fence map:
 #          LockBatch's; in internal/apps, one sorted-set seeding loop and one
 #          strictly-increasing check: apps.Set's; in internal/cluster,
 #          exactly one deletion from the dedup map: the floor prune, and
@@ -68,11 +68,11 @@ stage_vet() {
     # experiment loop with its own defaults fails here. One owner wave in
     # internal/stm: a second directory lookup or a second hop-bounded loop is
     # a second locate–send–chase loop.
-    # One owner-side commit-lock step: an acquire batch and an announced write
-    # set lock through the same helper, and the store reads its one
-    # stale-lock fence map in one place, its one lock entry (any read of the
-    # map other than an assignment counts, so a second fence check or a
-    # second lock entry that checks the fence fails).
+    # One owner-side commit-lock step: every commit lock is taken by a
+    # locking retrieve, served by Runtime.lockAnnounced, and the store reads
+    # its one stale-lock fence map in one place, its one lock entry (any read
+    # of the map other than an assignment counts, so a second fence check or
+    # a second lock entry that checks the fence fails).
     nontest_go | one_site 'stm\.NewRuntime\(' 'assemble and drive through internal/testbed'
     nontest_go | one_site 'workload\.Drive\(' 'assemble and drive through internal/testbed'
     nontest_go | one_site 'testbed\.Run\(' "run a paper cell through rtsbench's grid.cell"
@@ -83,7 +83,7 @@ stage_vet() {
     nontest_go | grep '^\./internal/testbed/' | one_site '\.Op\(' 'serve operations through testbed.Cluster.Drive' exactly
     nontest_go | grep '^\./internal/stm/' | one_site 'LocateBatch\(' 'locate, send and chase through ownerWave'
     nontest_go | grep '^\./internal/stm/' | one_site 'for .*maxOwnerHops' 'locate, send and chase through ownerWave'
-    nontest_go | grep '^\./internal/stm/' | one_site 'LockBatch\(' 'commit-lock through Runtime.commitLock'
+    nontest_go | grep '^\./internal/stm/' | one_site 'LockBatch\(' 'commit-lock through Runtime.lockAnnounced'
     # A transaction's steps run in order on the goroutine of its atomic
     # block; the lease reaper is the one goroutine internal/stm starts.
     nontest_go | grep '^\./internal/stm/' | one_site '^\s*go func' 'run a transaction step on the goroutine of its atomic block'
@@ -175,7 +175,7 @@ stage_perf() {
     go test ./internal/stm/ -run 'TestOneRetrieveWaveAfterPublish|TestPublishWaveIsOneMessagePerNode' -count=1
 
     # Wire-codec allocation gate: encoding the hot protocol payloads —
-    # Retrieve, AcquireBatch, CommitObjectBatch — must be allocation-free,
+    # Retrieve, CheckVersionBatch, CommitObjectBatch — must be allocation-free,
     # and decoding one must allocate only the fresh payload and its slices.
     echo "== wire-codec allocation gate"
     go test ./internal/stm/ -run TestWireCodecZeroAlloc -count=1
