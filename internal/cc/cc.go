@@ -16,12 +16,21 @@
 // hint cache; a stale hint is detected by the node it names, which answers
 // where the object went (followed without the home) or that it does not know
 // (refreshed from the home).
+//
+// Every message a node sends another also carries the objects the sender
+// took (Took) since it last wrote there and still holds, and the receiver
+// keeps them as owner hints: a node the publish wave did not reach learns of
+// a move from the committer's next message to it instead of from a chase.
+// Hints stay advisory — a wrong one costs one hop — so a check of the
+// directory asks the homes (AskHomes).
 package cc
 
 import (
 	"context"
 	"errors"
 	"fmt"
+	"maps"
+	"slices"
 	"sync"
 
 	"dstm/internal/cluster"
@@ -60,6 +69,10 @@ type registerBatchReq struct {
 	Owner transport.NodeID
 }
 
+// ownerHints rides beside a message's payload (Service.gossip): its sender
+// took and holds every object of Oids.
+type ownerHints struct{ Oids []object.ID }
+
 // batchErrResp carries per-object errors parallel to a batch request; an
 // empty string is success. One failed entry must not mask its siblings'
 // outcomes, so the handler never fails the whole RPC for an entry error.
@@ -78,6 +91,10 @@ func HomeOf(id object.ID, n int) transport.NodeID {
 // record of the object.
 var ErrUnknownObject = fmt.Errorf("cc: unknown object")
 
+// maxTook caps each peer's list of the objects this node took: a peer this
+// node has not written to for longer hears of the last maxTook only.
+const maxTook = 64
+
 // Service is one node's directory shard plus its client-side locator with
 // owner-hint cache.
 type Service struct {
@@ -87,20 +104,85 @@ type Service struct {
 	mu     sync.Mutex
 	owners map[object.ID]transport.NodeID // directory shard: objects homed here
 	hints  map[object.ID]transport.NodeID // locator cache: last known owners
+	// The objects this node took (Took), the last maxTook of ntook in a
+	// ring, and per peer the ntook of this node's last message to it: peer
+	// p's list is the entries logged since sent[p].
+	took  [maxTook]object.ID
+	ntook uint64
+	sent  []uint64
 }
 
-// NewService creates the directory service for this node and registers its
-// protocol handlers on ep. size is the total number of nodes.
+// NewService creates the directory service for this node, registers its
+// protocol handlers on ep and installs its gossip as ep's piggyback. size is
+// the total number of nodes.
 func NewService(ep *cluster.Endpoint, size int) *Service {
 	s := &Service{
 		ep:     ep,
 		size:   size,
 		owners: make(map[object.ID]transport.NodeID),
 		hints:  make(map[object.ID]transport.NodeID),
+		sent:   make([]uint64, size),
 	}
 	ep.Handle(KindLookupBatch, s.handleLookupBatch)
 	ep.Handle(KindRegisterBatch, s.handleRegisterBatch)
+	ep.SetPiggyback(s.gossip, s.heard)
 	return s
+}
+
+// Took records that this node took ids — registered them, or a commit
+// installed them here — so each other node hears of them on the next message
+// this node sends it. Call it only once ids can be served here: a peer sent
+// here earlier would be answered NotOwner.
+func (s *Service) Took(ids []object.ID) {
+	s.mu.Lock()
+	for _, id := range ids {
+		s.took[s.ntook%maxTook] = id
+		s.ntook++
+	}
+	s.mu.Unlock()
+}
+
+// gossip is the piggyback of a message to peer to: its list drained, keeping
+// the objects this node still names itself the owner of; nil when none are
+// left. An empty list costs no allocation.
+func (s *Service) gossip(to transport.NodeID) any {
+	self := s.ep.Self()
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if int(to) < 0 || int(to) >= len(s.sent) || s.sent[to] == s.ntook {
+		return nil
+	}
+	var held []object.ID
+	for i := max(s.sent[to], s.ntook-min(s.ntook, maxTook)); i < s.ntook; i++ {
+		id := s.took[i%maxTook]
+		if owner, ok := s.known(id); ok && owner == self && !slices.Contains(held, id) {
+			held = append(held, id)
+		}
+	}
+	s.sent[to] = s.ntook
+	if len(held) == 0 {
+		return nil
+	}
+	return ownerHints{Oids: held}
+}
+
+// heard keeps what a message from node from carried as owner hints: from
+// holds each object. An object homed here is left to the directory shard,
+// which is authoritative, and one this node names itself the owner of is
+// left too: it hears of its own departures from the commit that takes it.
+func (s *Service) heard(from transport.NodeID, p any) {
+	h, ok := p.(ownerHints)
+	if !ok {
+		return
+	}
+	self := s.ep.Self()
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for _, id := range h.Oids {
+		if owner, ok := s.hints[id]; s.Home(id) != self && (!ok || owner != self) {
+			s.hints[id] = from
+		}
+	}
 }
 
 func (s *Service) handleLookupBatch(_ transport.NodeID, payload any) (any, error) {
@@ -163,10 +245,11 @@ func (s *Service) InvalidateHint(id object.ID) {
 	s.mu.Unlock()
 }
 
-// Relocate invalidates the hint and locates id again: the home's answer.
+// Relocate asks id's home for its owner, whatever the hint says: AskHomes of
+// one.
 func (s *Service) Relocate(ctx context.Context, id object.ID) (transport.NodeID, error) {
-	s.InvalidateHint(id)
-	return s.Locate(ctx, id)
+	owners, _, err := s.AskHomes(ctx, []object.ID{id})
+	return owners[id], err
 }
 
 // NoteOwner records an authoritative owner hint learned from the protocol
@@ -241,7 +324,21 @@ func (s *Service) LocateBatch(ctx context.Context, ids []object.ID) (map[object.
 	if len(miss) == 0 {
 		return out, 0, nil
 	}
-	n, err := s.toHomes(ctx, miss, KindLookupBatch,
+	asked, n, err := s.AskHomes(ctx, miss)
+	maps.Copy(out, asked)
+	return out, n, err
+}
+
+// AskHomes looks up the owners of every id at their homes, one lookup per
+// home and all at once, and notes each answer as an owner hint. It never
+// answers from a hint, so it is the directory's own answer: what a check of
+// the directory must read, since a hint can be refilled by any message. It
+// returns the owner map and the number of lookup messages sent. Unknown
+// objects surface as an ErrUnknownObject-wrapped error; transport failures
+// surface as-is.
+func (s *Service) AskHomes(ctx context.Context, ids []object.ID) (map[object.ID]transport.NodeID, int, error) {
+	out := make(map[object.ID]transport.NodeID, len(ids))
+	n, err := s.toHomes(ctx, ids, KindLookupBatch,
 		func(ids []object.ID) any { return lookupBatchReq{Oids: ids} },
 		func(ids []object.ID, body any) error {
 			resp, ok := body.(lookupBatchResp)
@@ -291,6 +388,9 @@ func (s *Service) RegisterBatch(ctx context.Context, ids []object.ID, owner tran
 	}
 	for _, id := range ids {
 		s.NoteOwner(id, owner)
+	}
+	if owner == s.ep.Self() {
+		s.Took(ids)
 	}
 	return n, nil
 }

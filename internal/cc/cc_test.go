@@ -269,3 +269,100 @@ func TestLocateBatchFailedCallOutranksUnknown(t *testing.T) {
 		}
 	}
 }
+
+// TestGossipDrainsHeldObjects: the objects a node took ride on its next
+// message to each peer, once: a send drains that peer's list, keeps only
+// the objects the node still names itself the owner of, and keeps at most
+// the last maxTook. An empty list costs no allocation.
+func TestGossipDrainsHeldObjects(t *testing.T) {
+	s := newCluster(t, 3)[0]
+	s.NoteOwner("kept", 0)
+	s.NoteOwner("gone", 2) // taken, then taken away
+	s.Took([]object.ID{"kept", "gone", "kept"})
+
+	if got, ok := s.gossip(1).(ownerHints); !ok || fmt.Sprint(got.Oids) != "[kept]" {
+		t.Fatalf("gossip to node 1 = %v, want [kept]", got)
+	}
+	if got := s.gossip(1); got != nil {
+		t.Fatalf("a second send to node 1 carries %v, want nothing", got)
+	}
+	if got, ok := s.gossip(2).(ownerHints); !ok || fmt.Sprint(got.Oids) != "[kept]" {
+		t.Fatalf("gossip to node 2 = %v, want [kept]: each peer has its own list", got)
+	}
+	if allocs := testing.AllocsPerRun(100, func() { s.gossip(1) }); allocs != 0 {
+		t.Fatalf("an empty list allocates %.0f/op, want 0", allocs)
+	}
+
+	ids := make([]object.ID, maxTook+10)
+	for i := range ids {
+		ids[i] = object.ID(fmt.Sprintf("obj/%d", i))
+		s.NoteOwner(ids[i], 0)
+	}
+	s.Took(ids)
+	got, _ := s.gossip(1).(ownerHints)
+	if fmt.Sprint(got.Oids) != fmt.Sprint(ids[10:]) {
+		t.Fatalf("after %d took, gossip carries %d objects from %v, want the last %d", len(ids), len(got.Oids), got.Oids[:1], maxTook)
+	}
+}
+
+// TestHeardKeepsHintsButNotForItsShard: a peer's gossip becomes an owner
+// hint, except for an object homed at the receiver — its directory shard is
+// authoritative — and one the receiver names itself the owner of.
+func TestHeardKeepsHintsButNotForItsShard(t *testing.T) {
+	s := newCluster(t, 3)[0]
+	here, there, mine := idHomedAt(t, "obj/h", 3, 0), idHomedAt(t, "obj/t", 3, 1), idHomedAt(t, "obj/m", 3, 2)
+	s.NoteOwner(mine, 0)
+	s.heard(2, ownerHints{Oids: []object.ID{here, there, mine}})
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if _, ok := s.hints[here]; ok {
+		t.Fatalf("gossip of %s, homed at the receiver, became a hint", here)
+	}
+	if s.hints[there] != 2 || s.hints[mine] != 0 {
+		t.Fatalf("hints %s=%d %s=%d, want node 2 and the receiver itself", there, s.hints[there], mine, s.hints[mine])
+	}
+}
+
+// TestRegisteredObjectIsGossiped: a registration is gossiped from its
+// owner. Node 2 hears of the object on the first message node 1 sends it —
+// here a reply — and then locates it with no message.
+func TestRegisteredObjectIsGossiped(t *testing.T) {
+	svcs := newCluster(t, 3)
+	ctx := context.Background()
+	id, other := idHomedAt(t, "obj/g", 3, 0), idHomedAt(t, "obj/o", 3, 1)
+	for _, oid := range []object.ID{id, other} {
+		if err := svcs[1].Register(ctx, oid, 1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, msgs, err := svcs[2].LocateBatch(ctx, []object.ID{other}); err != nil || msgs != 1 {
+		t.Fatalf("first lookup: %d msgs, %v; want one lookup at node 1", msgs, err)
+	}
+	owners, msgs, err := svcs[2].LocateBatch(ctx, []object.ID{id})
+	if err != nil || msgs != 0 || owners[id] != 1 {
+		t.Fatalf("node 2 locates %v with %d msgs (%v); want node 1 and no message", owners, msgs, err)
+	}
+}
+
+// TestAskHomesReadsNoHint: the directory check's lookup is the home's
+// answer, not the hint's — the home names node 1, a hint names node 2.
+func TestAskHomesReadsNoHint(t *testing.T) {
+	svcs := newCluster(t, 4)
+	ctx := context.Background()
+	id := idHomedAt(t, "obj/a", 4, 0)
+	if err := svcs[1].Register(ctx, id, 1); err != nil {
+		t.Fatal(err)
+	}
+	svcs[3].NoteOwner(id, 2)
+	if owner, _ := svcs[3].Locate(ctx, id); owner != 2 {
+		t.Fatalf("Locate = %d, want the hint, node 2", owner)
+	}
+	owners, msgs, err := svcs[3].AskHomes(ctx, []object.ID{id})
+	if err != nil || msgs != 1 || owners[id] != 1 {
+		t.Fatalf("AskHomes = %v, %d msgs, %v; want the home's node 1 in one lookup", owners, msgs, err)
+	}
+	svcs[3].NoteOwner(id, 2)
+	if owner, err := svcs[3].Relocate(ctx, id); err != nil || owner != 1 {
+		t.Fatalf("Relocate = %d, %v; want the home's node 1", owner, err)
+	}
+}

@@ -21,7 +21,12 @@ const (
 	wireIDBatchErrResp     wire.ID = 48
 )
 
+// Wire type IDs 50–59 are reserved for the owner hints a message carries
+// beside its payload (the cluster endpoint's piggyback).
+const wireIDOwnerHints wire.ID = 50
+
 func init() {
+	wire.Register(wireIDOwnerHints, ownerHints{})
 	wire.Register(wireIDLookupBatchReq, lookupBatchReq{})
 	wire.Register(wireIDLookupBatchResp, lookupBatchResp{})
 	wire.Register(wireIDRegisterBatchReq, registerBatchReq{})
@@ -68,4 +73,12 @@ func (q batchErrResp) AppendWire(b []byte) ([]byte, error) {
 
 func (batchErrResp) ReadWire(r *wire.Reader) any {
 	return batchErrResp{Errs: wire.ReadStrings[string](r)}
+}
+
+func (q ownerHints) AppendWire(b []byte) ([]byte, error) {
+	return wire.AppendStrings(b, q.Oids), nil
+}
+
+func (ownerHints) ReadWire(r *wire.Reader) any {
+	return ownerHints{Oids: wire.ReadStrings[object.ID](r)}
 }

@@ -202,13 +202,14 @@ func (e *Endpoint) transmit(s *slot, c Outcall, floor uint64, rp RetryPolicy, no
 	// reply" for the trace checker).
 	e.tracer.Load().Emit(trace.Event{Type: trace.EvMsgSend, Peer: c.To, Corr: s.corr, A: uint64(c.Kind)})
 	err := e.tr.Send(&transport.Message{
-		From:    e.Self(),
-		To:      c.To,
-		Clock:   e.clock.Now(),
-		Kind:    c.Kind,
-		Corr:    s.corr,
-		Floor:   floor,
-		Payload: c.Payload,
+		From:      e.Self(),
+		To:        c.To,
+		Clock:     e.clock.Now(),
+		Kind:      c.Kind,
+		Corr:      s.corr,
+		Floor:     floor,
+		Payload:   c.Payload,
+		Piggyback: e.attach(c.To),
 	})
 	if err != nil {
 		return fmt.Errorf("cluster: call %v to node %d: %w", c.Kind, c.To, err)

@@ -1,7 +1,9 @@
 // Package cluster layers a request/response (RPC) discipline over the raw
 // transport: correlation IDs, per-kind handler dispatch, remote error
-// propagation, and TFA clock piggybacking (every outgoing message carries
-// the node's clock; every incoming message merges into it).
+// propagation, TFA clock piggybacking (every outgoing message carries the
+// node's clock; every incoming message merges into it), and one piggyback
+// slot that every message between two nodes fills from one producer and
+// empties into one consumer (SetPiggyback; the directory's owner hints).
 //
 // One Endpoint exists per node. Owner-side protocol handlers (directory,
 // object retrieval, commit) register themselves by message Kind.
@@ -96,6 +98,13 @@ type dedupEntry struct {
 	env  envelope
 }
 
+// piggyback is the one producer and consumer of what rides on every
+// cross-node message beside its payload (Endpoint.SetPiggyback).
+type piggyback struct {
+	produce func(to transport.NodeID) any
+	consume func(from transport.NodeID, p any)
+}
+
 // Endpoint is one node's RPC attachment.
 //
 // It serves each call at most once. Every request carries its sender's
@@ -112,6 +121,7 @@ type Endpoint struct {
 
 	retry  atomic.Value // RetryPolicy
 	tracer atomic.Pointer[trace.Recorder]
+	piggy  atomic.Pointer[piggyback]
 
 	mu       sync.Mutex
 	corr     uint64                             // last correlation ID issued
@@ -154,6 +164,36 @@ func (e *Endpoint) RetryPolicy() RetryPolicy { return e.retry.Load().(RetryPolic
 // disables). Every send and receive is emitted with its correlation ID so
 // the trace checker can verify reply correlation.
 func (e *Endpoint) SetTracer(tr *trace.Recorder) { e.tracer.Store(tr) }
+
+// SetPiggyback installs the one producer and consumer of what rides beside
+// the payload of every message between this node and another
+// (transport.Message.Piggyback). produce(to) is asked on every such send — a
+// request's first send and each retransmission, a reply, a notify — and nil
+// attaches nothing. consume(from, p) is handed what a message carried before
+// the message is dispatched (its handler runs, or the call it answers wakes);
+// a copy the endpoint drops (below the floor, a duplicate) is dropped with
+// it. A call to this node carries nothing. Both run without the endpoint's
+// lock and must return quickly. It panics on a second install.
+func (e *Endpoint) SetPiggyback(produce func(to transport.NodeID) any, consume func(from transport.NodeID, p any)) {
+	if !e.piggy.CompareAndSwap(nil, &piggyback{produce, consume}) {
+		panic("cluster: piggyback installed twice")
+	}
+}
+
+// attach is what produce gives a message to node to; nil without one.
+func (e *Endpoint) attach(to transport.NodeID) any {
+	if p := e.piggy.Load(); p != nil {
+		return p.produce(to)
+	}
+	return nil
+}
+
+// takePiggyback hands m's piggyback to consume.
+func (e *Endpoint) takePiggyback(m *transport.Message) {
+	if p := e.piggy.Load(); p != nil && m.Piggyback != nil {
+		p.consume(m.From, m.Piggyback)
+	}
+}
 
 // Self returns this endpoint's node ID.
 func (e *Endpoint) Self() transport.NodeID { return e.tr.Self() }
@@ -268,11 +308,12 @@ func (e *Endpoint) Notify(to transport.NodeID, kind transport.Kind, payload any)
 		return nil
 	}
 	err := e.tr.Send(&transport.Message{
-		From:    e.Self(),
-		To:      to,
-		Clock:   e.clock.Now(),
-		Kind:    kind,
-		Payload: payload,
+		From:      e.Self(),
+		To:        to,
+		Clock:     e.clock.Now(),
+		Kind:      kind,
+		Payload:   payload,
+		Piggyback: e.attach(to),
 	})
 	if err == nil {
 		e.tracer.Load().Emit(trace.Event{Type: trace.EvMsgSend, Peer: to, A: uint64(kind)})
@@ -298,6 +339,7 @@ func (e *Endpoint) onMessage(m *transport.Message) {
 		delete(e.pending, m.Corr)
 		e.mu.Unlock()
 		if ch != nil {
+			e.takePiggyback(m)
 			ch <- m
 		}
 		return
@@ -340,6 +382,7 @@ func (e *Endpoint) onMessage(m *transport.Message) {
 		served[m.Corr] = ent
 		h := e.handlers[m.Kind]
 		e.mu.Unlock()
+		e.takePiggyback(m)
 		// Served on the delivery path (RequestHandler's contract), so one
 		// link's requests are served in the order they arrive.
 		env := serve(h, m.Kind, m.From, m.Payload)
@@ -354,6 +397,7 @@ func (e *Endpoint) onMessage(m *transport.Message) {
 	e.mu.Lock()
 	h := e.notifies[m.Kind]
 	e.mu.Unlock()
+	e.takePiggyback(m)
 	if h != nil {
 		h(m.From, m.Payload)
 	}
@@ -362,13 +406,14 @@ func (e *Endpoint) onMessage(m *transport.Message) {
 func (e *Endpoint) reply(req *transport.Message, env envelope) {
 	// Best effort: the caller times out if the reply cannot be sent.
 	err := e.tr.Send(&transport.Message{
-		From:    e.Self(),
-		To:      req.From,
-		Clock:   e.clock.Now(),
-		Kind:    req.Kind,
-		Corr:    req.Corr,
-		IsReply: true,
-		Payload: env,
+		From:      e.Self(),
+		To:        req.From,
+		Clock:     e.clock.Now(),
+		Kind:      req.Kind,
+		Corr:      req.Corr,
+		IsReply:   true,
+		Payload:   env,
+		Piggyback: e.attach(req.From),
 	})
 	if err == nil {
 		e.tracer.Load().Emit(trace.Event{

@@ -322,6 +322,7 @@ func (tx *Txn) publishAll(ctx context.Context, writes []object.ID, locked, unwri
 		for _, oid := range migrated {
 			rt.store.Install(oid, tx.entries[oid].val.Copy(), newVer)
 		}
+		rt.locator.Took(migrated) // installed: every other node may now hear of them
 		if dirOK {
 			for _, oid := range migrated {
 				rt.serveQueue(oid, rt.policy.OnRelease(oid))

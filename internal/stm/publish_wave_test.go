@@ -326,6 +326,44 @@ func TestOneRetrieveWaveAfterPublish(t *testing.T) {
 	}
 }
 
+// TestGossipedMoveNeedsNoChase: as in TestOneRetrieveWaveAfterPublish, node
+// 0 takes x (from node 1) and y (from node 2), and node 4, which had read
+// both, is not reached by the publish wave. But once node 0 has sent node 4
+// any message — here a lookup of z at its home, node 4 — that message carried
+// what node 0 took, so node 4's next ReadMany{x, y} is ONE retrieve, to node
+// 0, with no stale hop and no directory message.
+func TestGossipedMoveNeedsNoChase(t *testing.T) {
+	tc := newTestCluster(t, 5, nil, nil)
+	ctx := context.Background()
+	x, y, z := homedAt(t, 5, 2), homedAt(t, 5, 3), homedAt(t, 5, 4)
+	seed(t, tc, map[object.ID]int{x: 1, y: 2, z: 4})
+	for _, rt := range tc.rts[1:] {
+		readBoth(t, rt, x, y)
+	}
+	if err := move(ctx, tc.rts[0], x, y); err != nil {
+		t.Fatal(err)
+	}
+	if owner := homeSays(t, tc.rts[0], z); owner != 4 {
+		t.Fatalf("z's home names node %d, want 4", owner)
+	}
+
+	var log routeLog
+	tc.net.SetInterceptor(log.intercept)
+	rt := tc.rts[4]
+	before := rt.Metrics().Snapshot()
+	if nx, ny := readBoth(t, rt, x, y); nx != 9 || ny != 21 {
+		t.Fatalf("node 4 read x=%d y=%d, want 9 and 21", nx, ny)
+	}
+	if seen := log.take(); len(seen) != 1 || seen[0] != (route{KindRetrieve, 4, 0}) {
+		t.Fatalf("node 4's read sent %v, want one retrieve to node 0", seen)
+	}
+	m := rt.Metrics().Snapshot()
+	m.Sub(before)
+	if m.RetrieveWaves != 1 || m.StaleHops != 0 || m.RemoteCopies != 2 {
+		t.Fatalf("node 4: %d waves, %d stale hops, %d copies; want 1, 0, 2", m.RetrieveWaves, m.StaleHops, m.RemoteCopies)
+	}
+}
+
 // TestHintAheadOfTheInstallRecovers: node 0 takes x from node 1; its publish
 // message to x's home, node 2, is held, so node 1 already points at node 0
 // while node 0 does not hold x yet. Node 1's read goes to node 0, is answered

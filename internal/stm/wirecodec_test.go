@@ -1,12 +1,15 @@
 package stm
 
 import (
+	"context"
 	"reflect"
+	"sync"
 	"testing"
 	"time"
 
 	"dstm/internal/object"
 	"dstm/internal/sched"
+	"dstm/internal/transport"
 	"dstm/internal/wire"
 )
 
@@ -102,6 +105,42 @@ func wireBenchCases() []wireCase {
 	}
 }
 
+// hintedFrame is a retrieve request carrying owner hints, as a node sends
+// one: node 0 registers two objects, and its next message to node 1 (a
+// lookup, here given a retrieve's payload) carries them.
+func hintedFrame(t *testing.T) *transport.Message {
+	t.Helper()
+	tc := newTestCluster(t, 2, nil, nil)
+	ctx := context.Background()
+	oids := benchOids(2)
+	for _, oid := range oids {
+		if err := tc.rts[0].CreateRoot(ctx, oid, benchVal(1)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var mu sync.Mutex
+	var frame *transport.Message
+	tc.net.SetInterceptor(func(m *transport.Message) bool {
+		mu.Lock()
+		defer mu.Unlock()
+		if m.From == 0 && m.Piggyback != nil && frame == nil {
+			c := *m
+			frame = &c
+		}
+		return true
+	})
+	if _, _, err := tc.rts[0].Locator().AskHomes(ctx, []object.ID{homedAt(t, 2, 1)}); err == nil {
+		t.Fatal("the lookup of an unregistered object succeeded")
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if frame == nil {
+		t.Fatal("node 0's message to node 1 carried no owner hints")
+	}
+	frame.Payload = wireBenchCases()[0].msg
+	return frame
+}
+
 // encode returns c's encoding, failing the test when c cannot be encoded.
 func encode(tb testing.TB, c wire.Codec) []byte {
 	tb.Helper()
@@ -117,8 +156,22 @@ func encode(tb testing.TB, c wire.Codec) []byte {
 // its decode must allocate exactly what receiving it costs in production
 // (transport.DecodeMessage → Reader.Any → ReadWire): the fresh payload and
 // its slices, nothing per entry once the intern table is warm. A regression
-// here silently reintroduces per-message garbage on the TCP path.
+// here silently reintroduces per-message garbage on the TCP path. A whole
+// frame whose piggyback carries owner hints encodes without allocating too.
 func TestWireCodecZeroAlloc(t *testing.T) {
+	t.Run("encode/frameWithHints", func(t *testing.T) {
+		frame := hintedFrame(t)
+		buf := make([]byte, 0, 1024)
+		allocs := testing.AllocsPerRun(200, func() {
+			b, err := transport.AppendMessage(buf[:0], frame)
+			if err != nil || len(b) == 0 {
+				t.Fatal(err)
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("encoding a frame with owner hints allocates %.1f/op; want 0", allocs)
+		}
+	})
 	for _, c := range wireBenchCases() {
 		t.Run("encode/"+c.name, func(t *testing.T) {
 			buf := make([]byte, 0, 1024)

@@ -341,25 +341,20 @@ func (c *Cluster) crashLoop(ctx context.Context) (crashes int) {
 	}
 }
 
-// staleEntries checks the directory against the stores. It drops node 0's
-// owner hints for every stored object and has node 0 look them all up in
-// one LocateBatch, one lookup per home and all at once, so the check costs
-// one round trip whatever the object count. It counts the objects whose
-// home names another node or has no entry, and stale describes one of them.
-// err is a lookup that failed: the check was not made.
+// staleEntries checks the directory against the stores. Node 0 asks the
+// homes of every stored object (cc.Service.AskHomes, which never answers
+// from a hint), one lookup per home and all at once, so the check costs one
+// round trip whatever the object count. It counts the objects whose home
+// names another node or has no entry, and stale describes one of them. err
+// is a lookup that failed: the check was not made.
 func (c *Cluster) staleEntries(ctx context.Context) (n int, stale, err error) {
-	loc := c.Rts[0].Locator()
 	var ids []object.ID
 	for _, rt := range c.Rts {
-		for _, id := range rt.Store().IDs() {
-			loc.InvalidateHint(id)
-			ids = append(ids, id)
-		}
+		ids = append(ids, rt.Store().IDs()...)
 	}
 	// An unknown object is an answer, not a failed lookup: the home has no
-	// entry for it, and LocateBatch reports it only if every call went
-	// through.
-	homeSays, _, err := loc.LocateBatch(ctx, ids)
+	// entry for it, and AskHomes reports it only if every call went through.
+	homeSays, _, err := c.Rts[0].Locator().AskHomes(ctx, ids)
 	if err != nil && !errors.Is(err, cc.ErrUnknownObject) {
 		return 0, nil, err
 	}

@@ -9,18 +9,24 @@ import (
 // Binary frame body layout (the TCP transport length-prefixes each body
 // with a u32 big-endian byte count; see DESIGN.md "Wire format"):
 //
-//	ver:u8(=2)  from:varint  to:varint  clock:uvarint  kind:uvarint
-//	corr:uvarint  floor:uvarint  flags:u8(bit0=IsReply)  payload:any
+//	ver:u8(=3)  from:varint  to:varint  clock:uvarint  kind:uvarint
+//	corr:uvarint  floor:uvarint  flags:u8(bit0=IsReply, bit1=Piggyback)
+//	payload:any  [piggyback:any]
 //
-// The payload is a wire type ID followed by that type's binary encoding
-// (wire.AppendAny).
-const frameVersion = 2
+// The payload, and the piggyback when flags bit 1 is set, is a wire type ID
+// followed by that type's binary encoding (wire.AppendAny). A frame of any
+// other version is refused.
+const frameVersion = 3
 
 // flag bits of the frame header.
-const flagIsReply = 1 << 0
+const (
+	flagIsReply   = 1 << 0
+	flagPiggyback = 1 << 1
+)
 
 // AppendMessage appends m's binary frame body to b. It allocates nothing
-// beyond growing b, and fails when the payload's type has no wire codec.
+// beyond growing b, and fails when the payload's or the piggyback's type has
+// no wire codec.
 func AppendMessage(b []byte, m *Message) ([]byte, error) {
 	b = append(b, frameVersion)
 	b = wire.AppendVarint(b, int64(m.From))
@@ -33,8 +39,15 @@ func AppendMessage(b []byte, m *Message) ([]byte, error) {
 	if m.IsReply {
 		flags |= flagIsReply
 	}
+	if m.Piggyback != nil {
+		flags |= flagPiggyback
+	}
 	b = append(b, flags)
-	return wire.AppendAny(b, m.Payload)
+	b, err := wire.AppendAny(b, m.Payload)
+	if err != nil || m.Piggyback == nil {
+		return b, err
+	}
+	return wire.AppendAny(b, m.Piggyback)
 }
 
 // DecodeMessage decodes one frame body into m using r (whose intern
@@ -64,5 +77,8 @@ func DecodeMessage(r *wire.Reader, m *Message) error {
 	}
 	m.IsReply = flags&flagIsReply != 0
 	m.Payload = r.Any()
+	if flags&flagPiggyback != 0 {
+		m.Piggyback = r.Any()
+	}
 	return r.Err()
 }

@@ -32,20 +32,25 @@ func init() {
 }
 
 // FuzzMessageGobRoundTrip encodes a Message with gob — the reference
-// encoding — checks every header field and the payload survive unchanged,
+// encoding — checks every header field, the payload and the piggyback (when
+// there is one) survive unchanged,
 // and uses the result as the differential oracle for the binary frame
 // codec: the in-memory and TCP transports must be interchangeable, so the
 // wire format must be lossless.
 func FuzzMessageGobRoundTrip(f *testing.F) {
-	f.Add(int32(0), int32(1), uint64(7), uint16(10), uint64(3), uint64(2), false, "hello", []byte{1, 2}, uint64(9))
-	f.Add(int32(-5), int32(1<<30), ^uint64(0), uint16(0), uint64(0), uint64(0), true, "", []byte(nil), uint64(0))
-	f.Add(int32(2), int32(2), uint64(1)<<63, uint16(65535), uint64(1), ^uint64(0), true, "päck\x00", []byte("x"), ^uint64(0))
+	f.Add(int32(0), int32(1), uint64(7), uint16(10), uint64(3), uint64(2), false, "hello", []byte{1, 2}, uint64(9), false, "")
+	f.Add(int32(-5), int32(1<<30), ^uint64(0), uint16(0), uint64(0), uint64(0), true, "", []byte(nil), uint64(0), false, "")
+	f.Add(int32(2), int32(2), uint64(1)<<63, uint16(65535), uint64(1), ^uint64(0), true, "päck\x00", []byte("x"), ^uint64(0), false, "")
+	f.Add(int32(1), int32(3), uint64(5), uint16(10), uint64(4), uint64(4), false, "req", []byte{7}, uint64(1), true, "x12")
 	f.Fuzz(func(t *testing.T, from, to int32, clock uint64, kind uint16,
-		corr, floor uint64, isReply bool, s string, b []byte, n uint64) {
+		corr, floor uint64, isReply bool, s string, b []byte, n uint64, hinted bool, hs string) {
 		in := Message{
 			From: NodeID(from), To: NodeID(to), Clock: clock,
 			Kind: Kind(kind), Corr: corr, Floor: floor, IsReply: isReply,
 			Payload: fuzzPayload{S: s, B: b, N: n},
+		}
+		if hinted {
+			in.Piggyback = fuzzPayload{S: hs}
 		}
 		var buf bytes.Buffer
 		if err := gob.NewEncoder(&buf).Encode(&in); err != nil {
@@ -67,6 +72,9 @@ func FuzzMessageGobRoundTrip(f *testing.F) {
 		// both mean "no bytes" on this wire.
 		if p.S != s || p.N != n || !bytes.Equal(p.B, b) {
 			t.Fatalf("payload changed: %+v -> %+v", in.Payload, p)
+		}
+		if hp, _ := out.Piggyback.(fuzzPayload); (out.Piggyback != nil) != hinted || hp.S != hs && hinted {
+			t.Fatalf("piggyback changed: %+v -> %+v", in.Piggyback, out.Piggyback)
 		}
 
 		// Differential oracle: the binary frame codec must agree with the
@@ -90,6 +98,10 @@ func FuzzMessageGobRoundTrip(f *testing.F) {
 		if bp.S != p.S || bp.N != p.N || !bytes.Equal(bp.B, p.B) {
 			t.Fatalf("binary payload disagrees with gob: %+v vs %+v", bp, p)
 		}
+		if (bout.Piggyback == nil) != (out.Piggyback == nil) ||
+			bout.Piggyback != nil && bout.Piggyback.(fuzzPayload).S != out.Piggyback.(fuzzPayload).S {
+			t.Fatalf("binary piggyback disagrees with gob: %+v vs %+v", bout.Piggyback, out.Piggyback)
+		}
 	})
 }
 
@@ -103,6 +115,12 @@ func FuzzMessageBinaryDecode(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(valid)
+	hinted, err := AppendMessage(nil, &Message{From: 1, To: 2, Kind: 10, Corr: 4, IsReply: true,
+		Payload: fuzzPayload{S: "r"}, Piggyback: fuzzPayload{S: "x12"}})
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(hinted)
 	f.Add([]byte{})
 	f.Add([]byte{frameVersion, 0xff, 0xff, 0xff, 0xff, 0xff})
 	f.Fuzz(func(t *testing.T, data []byte) {

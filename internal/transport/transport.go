@@ -29,15 +29,19 @@ type Kind uint16
 // request, is the lowest correlation ID among the sender's calls still
 // awaiting a reply when this call was issued: every call of the sender
 // below it is over, so the receiver may drop any request below it.
+// Piggyback is what the sender's messaging layer attaches beside the
+// payload for the receiver's messaging layer (nil: nothing); a transport
+// carries it as it carries the payload.
 type Message struct {
-	From    NodeID
-	To      NodeID
-	Clock   uint64
-	Kind    Kind
-	Corr    uint64
-	Floor   uint64
-	IsReply bool
-	Payload any
+	From      NodeID
+	To        NodeID
+	Clock     uint64
+	Kind      Kind
+	Corr      uint64
+	Floor     uint64
+	IsReply   bool
+	Payload   any
+	Piggyback any
 }
 
 // Handler receives every message delivered to an endpoint. Handlers must

@@ -18,13 +18,14 @@
 #          strictly-increasing check: apps.Set's; in internal/cluster,
 #          exactly one deletion from the dedup map: the floor prune, and
 #          no go statement: a request is served on its delivery goroutine
-#          and a wave is sent and awaited on its caller's)
+#          and a wave is sent and awaited on its caller's; and exactly one
+#          call installing the endpoint's piggyback: cc.NewService's)
 #   loc    lines of non-test Go outside bench/ (ROADMAP aim 2's measure)
 #   test   go test with the protocol-package coverage floor
 #   race   full suite under the race detector
 #   perf   perf smokes: commit-pipeline msgs/commit bound, the
 #          announced-write two-wave gate, the
-#          one-retrieve-wave-after-publish count gate, the
+#          one-retrieve-wave-after-publish and gossiped-move count gates, the
 #          wire-codec allocation gate, the open-loop rows of
 #          internal/testbed's drive test (all three schedulers, memnet and
 #          TCP), the repo benchmark in smoke mode (`go run ./bench
@@ -101,6 +102,12 @@ stage_vet() {
     # that delivered the request, and Broadcast sends its wave and collects
     # the replies on the caller's.
     nontest_go | grep '^\./internal/cluster/' | one_site '^\s*go [[:alnum:]_(]' 'serve a request on its delivery goroutine, send and await a wave on the calling one' none
+    # One piggyback: what rides beside every message's payload is cc's
+    # gossip of the objects its sender took, installed by cc.NewService, so
+    # a second producer that would displace it (or a node without it) fails
+    # here.
+    nontest_go | one_site '\.SetPiggyback\(' 'attach owner hints to every message through cc.NewService' exactly
+    nontest_go | grep '^\./internal/cc/' | one_site '\.SetPiggyback\(' 'attach owner hints to every message through cc.NewService' exactly
     # One codec: whatever crosses a socket has a binary wire codec, and gob
     # is only the reference of the differential fuzz oracles.
     if gob=$(nontest_go | xargs grep -l '"encoding/gob"'); then
@@ -170,13 +177,15 @@ stage_perf() {
     # Retrieve-wave count gate: after a commit's publish wave every node it
     # reached (old owners and homes) finds the moved objects with ONE
     # retrieve, no stale hop and no directory message; the wave itself is one
-    # message per node.
+    # message per node; and a node the wave did not reach does the same once
+    # the committer has sent it any message (the gossip of what it took).
     echo "== one retrieve wave after a publish"
-    go test ./internal/stm/ -run 'TestOneRetrieveWaveAfterPublish|TestPublishWaveIsOneMessagePerNode' -count=1
+    go test ./internal/stm/ -run 'TestOneRetrieveWaveAfterPublish|TestPublishWaveIsOneMessagePerNode|TestGossipedMoveNeedsNoChase' -count=1
 
     # Wire-codec allocation gate: encoding the hot protocol payloads —
-    # Retrieve, CheckVersionBatch, CommitObjectBatch — must be allocation-free,
-    # and decoding one must allocate only the fresh payload and its slices.
+    # Retrieve, CheckVersionBatch, CommitObjectBatch — and a frame carrying
+    # owner hints must be allocation-free, and decoding one must allocate
+    # only the fresh payload and its slices.
     echo "== wire-codec allocation gate"
     go test ./internal/stm/ -run TestWireCodecZeroAlloc -count=1
 
