@@ -16,6 +16,12 @@ func lock(s *Store, id ID, tx uint64, expect Version) LockResult {
 	return r[0]
 }
 
+// isLocked reports whether id is owned by s and commit-locked.
+func isLocked(s *Store, id ID) bool {
+	_, by, ok := s.State(id)
+	return ok && by != 0
+}
+
 func TestIDHashStable(t *testing.T) {
 	a := ID("bank/acct/1").Hash()
 	b := ID("bank/acct/1").Hash()
@@ -77,6 +83,43 @@ func TestSnapshotMissing(t *testing.T) {
 	}
 }
 
+// TestReadIsOneCut: Read copies every object and reads the clock in one
+// critical section — now runs with the store's mutex held — and reports each
+// copy's version, lock holder and ownership.
+func TestReadIsOneCut(t *testing.T) {
+	s := NewStore()
+	s.Install("x", &intBox{7}, Version{1, 0})
+	s.Install("y", &intBox{8}, Version{2, 1})
+	if r := lock(s, "y", 5, Version{2, 1}); r != LockOK {
+		t.Fatalf("lock y: %v", r)
+	}
+	held := false
+	copies, clock := s.Read(nil, []ID{"x", "y", "nope"}, func() uint64 {
+		held = !s.mu.TryLock()
+		if !held {
+			s.mu.Unlock()
+		}
+		return 42
+	})
+	if !held || clock != 42 {
+		t.Fatalf("clock %d read with the mutex held = %v, want 42 and true", clock, held)
+	}
+	x, y, nope := copies[0], copies[1], copies[2]
+	if !x.Owned || x.LockedBy != 0 || x.Ver != (Version{1, 0}) || x.Val.(*intBox).N != 7 {
+		t.Fatalf("x = %+v", x)
+	}
+	if !y.Owned || y.LockedBy != 5 || y.Ver != (Version{2, 1}) || y.Val.(*intBox).N != 8 {
+		t.Fatalf("y = %+v", y)
+	}
+	if nope != (Copy{}) {
+		t.Fatalf("missing object = %+v, want the zero Copy", nope)
+	}
+	x.Val.(*intBox).N = 99
+	if again, _ := s.Read(nil, []ID{"x"}, nil); again[0].Val.(*intBox).N != 7 {
+		t.Fatal("Read aliases the authoritative copy")
+	}
+}
+
 func TestLockSemantics(t *testing.T) {
 	s := NewStore()
 	s.Install("x", &intBox{1}, Version{5, 2})
@@ -90,7 +133,7 @@ func TestLockSemantics(t *testing.T) {
 	if got := lock(s, "x", 10, Version{5, 2}); got != LockOK {
 		t.Fatalf("lock: %v", got)
 	}
-	if !s.Locked("x") {
+	if !isLocked(s, "x") {
 		t.Fatal("Locked false after Lock")
 	}
 	// Re-entrant for the same tx.
@@ -103,11 +146,11 @@ func TestLockSemantics(t *testing.T) {
 	}
 	// Unlock by non-holder is a no-op.
 	s.Unlock("x", 11)
-	if !s.Locked("x") {
+	if !isLocked(s, "x") {
 		t.Fatal("non-holder unlock released the lock")
 	}
 	s.Unlock("x", 10)
-	if s.Locked("x") {
+	if isLocked(s, "x") {
 		t.Fatal("still locked after holder unlock")
 	}
 	// Unlock when unlocked is a no-op.
@@ -233,8 +276,8 @@ func TestUnlockBeforeLockRefusesStaleAcquire(t *testing.T) {
 					t.Fatalf("lock request %d after the release = %v, want %v", i+1, got, want)
 				}
 			}
-			if s.Locked("x") == c.fence {
-				t.Fatalf("locked = %v after the late requests", s.Locked("x"))
+			if isLocked(s, "x") == c.fence {
+				t.Fatalf("locked = %v after the late requests", isLocked(s, "x"))
 			}
 			// Another identity is never fenced.
 			s.Unlock("x", 42)
@@ -250,7 +293,7 @@ func TestUnlockBeforeLockRefusesStaleAcquire(t *testing.T) {
 	s.Install("b", &intBox{1}, Version{})
 	s.Unlock("b", 42)
 	res, applied := s.LockBatch(42, []LockEntry{{ID: "a"}, {ID: "b"}})
-	if applied || res[0] != LockOK || res[1] != LockBusy || s.Locked("a") {
+	if applied || res[0] != LockOK || res[1] != LockBusy || isLocked(s, "a") {
 		t.Fatalf("batch with a fenced entry: results %v applied %v, want [ok busy] unapplied", res, applied)
 	}
 }
@@ -300,7 +343,7 @@ func TestExpireLocks(t *testing.T) {
 	if exp := s.ExpireLocks(time.Hour); len(exp) != 0 {
 		t.Fatalf("expired %v under a 1h lease", exp)
 	}
-	if !s.Locked("a") || !s.Locked("b") {
+	if !isLocked(s, "a") || !isLocked(s, "b") {
 		t.Fatal("locks released under a generous lease")
 	}
 
@@ -316,7 +359,7 @@ func TestExpireLocks(t *testing.T) {
 	if !seen["a"] || !seen["b"] || seen["c"] {
 		t.Fatalf("expired set %v, want {a, b}", exp)
 	}
-	if s.Locked("a") || s.Locked("b") {
+	if isLocked(s, "a") || isLocked(s, "b") {
 		t.Fatal("objects still locked after expiry")
 	}
 

@@ -20,8 +20,10 @@ type TraceFn func(op string, id ID, tx, a uint64)
 // every incoming retrieve request for that object is a conflict that the
 // node's scheduler must resolve (abort vs enqueue).
 //
-// One mutex guards the whole store, so LockBatch applies a whole batch as
-// one critical section.
+// One mutex guards the whole store, so each batch is one critical section:
+// LockBatch applies a whole batch of locks, and Read copies a batch of
+// objects and reads the caller's clock — the cut every owner reply (a
+// retrieve, a locking retrieve, a hand-off push) is built from.
 //
 // A lock request can reach the store after its own identity's release (an
 // at-least-once retransmission, a reply the requester gave up on). Served,
@@ -105,16 +107,47 @@ func (s *Store) Install(id ID, val Value, ver Version) {
 	s.objs[id] = &record{val: val, ver: ver}
 }
 
-// Snapshot returns a deep copy of the object's value plus its version and
-// lock state. ok is false when this node does not own the object.
-func (s *Store) Snapshot(id ID) (val Value, ver Version, locked bool, ok bool) {
+// Copy is one object as Store.Read found it: a deep copy of its value, its
+// version and the transaction holding its commit lock (0 when unlocked).
+// Owned is false, and the rest zero, when this node does not own it.
+type Copy struct {
+	Val      Value
+	Ver      Version
+	LockedBy uint64
+	Owned    bool
+}
+
+// Read appends a copy of every object of ids to dst and then calls now (when
+// not nil), all in one critical section, and returns the copies with now's
+// result: they are the store's state at that clock. Nothing can lock, update or remove one of
+// them between the copy and the clock, so a reply built from one Read is a
+// consistent cut; a commit that locks one of them later does so after the
+// clock was read. now runs with the store locked, so it must not call the
+// store.
+func (s *Store) Read(dst []Copy, ids []ID, now func() uint64) ([]Copy, uint64) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	r, ok := s.objs[id]
-	if !ok {
-		return nil, Version{}, false, false
+	for _, id := range ids {
+		var c Copy
+		if r, ok := s.objs[id]; ok {
+			c = Copy{Val: r.val.Copy(), Ver: r.ver, LockedBy: r.lockTx, Owned: true}
+		}
+		dst = append(dst, c)
 	}
-	return r.val.Copy(), r.ver, r.lockTx != 0, true
+	var clock uint64
+	if now != nil {
+		clock = now()
+	}
+	return dst, clock
+}
+
+// Snapshot is Read of one object, without a clock. Outside tests only the
+// frozen bench/ calls it (verify.go, and micro.go through SnapshotAt); a
+// benchmark PR removes both.
+func (s *Store) Snapshot(id ID) (val Value, ver Version, locked bool, ok bool) {
+	var buf [1]Copy
+	c, _ := s.Read(buf[:0], []ID{id}, nil)
+	return c[0].Val, c[0].Ver, c[0].LockedBy != 0, c[0].Owned
 }
 
 // State returns the object's version and the transaction holding its commit
@@ -260,8 +293,7 @@ func (s *Store) UpdateCommitted(id ID, val Value, ver Version, tx uint64) error 
 	return nil
 }
 
-// SnapshotAt is Snapshot. Only the frozen bench/micro.go names it; a
-// benchmark PR removes it.
+// SnapshotAt is Snapshot; the frozen bench/micro.go times it.
 func (s *Store) SnapshotAt(id ID, _, _ uint64) (Value, Version, bool, bool) { return s.Snapshot(id) }
 
 // Remove deletes the object if the caller transaction holds its commit lock
@@ -288,14 +320,6 @@ func (s *Store) Owns(id ID) bool {
 	defer s.mu.Unlock()
 	_, ok := s.objs[id]
 	return ok
-}
-
-// Locked reports whether id is owned here and commit-locked.
-func (s *Store) Locked(id ID) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	r, ok := s.objs[id]
-	return ok && r.lockTx != 0
 }
 
 // Len returns the number of objects owned by this node.

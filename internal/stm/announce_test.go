@@ -45,7 +45,7 @@ func noLocksLeft(t *testing.T, tc *testCluster, oids ...object.ID) {
 	t.Helper()
 	for i, rt := range tc.rts {
 		for _, oid := range oids {
-			if rt.Store().Locked(oid) {
+			if isLocked(rt.Store(), oid) {
 				t.Errorf("%s is still commit-locked at node %d", oid, i)
 			}
 		}
@@ -404,9 +404,9 @@ func TestReleaseFencesALateAnnouncement(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if r := body.(retrieveResp); r.Locked || r.Results[0].Status != statusOK || owner.Store().Locked("x") {
+		if r := body.(retrieveResp); r.Locked || r.Results[0].Status != statusOK || isLocked(owner.Store(), "x") {
 			t.Fatalf("%s: locked=%v status=%v store locked=%v; want a plain copy and no lock",
-				what, r.Locked, r.Results[0].Status, owner.Store().Locked("x"))
+				what, r.Locked, r.Results[0].Status, isLocked(owner.Store(), "x"))
 		}
 	}
 }

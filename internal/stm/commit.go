@@ -319,13 +319,19 @@ func (tx *Txn) publishAll(ctx context.Context, writes []object.ID, locked, unwri
 			fail(fmt.Errorf("stm: ownership update: %w", err))
 			dirOK = false
 		}
+		// Back here: where an earlier commit sent them is no answer any more.
+		rt.migrMu.Lock()
+		for _, oid := range migrated {
+			delete(rt.migrated, oid)
+		}
+		rt.migrMu.Unlock()
 		for _, oid := range migrated {
 			rt.store.Install(oid, tx.entries[oid].val.Copy(), newVer)
 		}
 		rt.locator.Took(migrated) // installed: every other node may now hear of them
 		if dirOK {
 			for _, oid := range migrated {
-				rt.serveQueue(oid, rt.policy.OnRelease(oid))
+				rt.handOff(oid)
 			}
 		}
 	}
@@ -335,7 +341,7 @@ func (tx *Txn) publishAll(ctx context.Context, writes []object.ID, locked, unwri
 			fail(err)
 			continue
 		}
-		rt.serveQueue(oid, rt.policy.OnRelease(oid))
+		rt.handOff(oid)
 	}
 	return pubErr
 }

@@ -82,7 +82,7 @@ func TestAcquireBatchPartialFailure(t *testing.T) {
 					// held when the aborted attempt hands over to this one,
 					// and neither is "b1".
 					for _, oid := range []object.ID{"a1", "b1"} {
-						if tc.rts[0].Store().Locked(oid) {
+						if isLocked(tc.rts[0].Store(), oid) {
 							return fmt.Errorf("%s left locked by the aborted attempt", oid)
 						}
 					}

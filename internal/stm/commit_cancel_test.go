@@ -66,7 +66,7 @@ func TestCancelledCommitReleasesLocks(t *testing.T) {
 	// The locks on "a" and "b" must have been released despite the dead
 	// context.
 	deadline := time.Now().Add(2 * time.Second)
-	for tc.rts[0].Store().Locked("a") || tc.rts[0].Store().Locked("b") {
+	for isLocked(tc.rts[0].Store(), "a") || isLocked(tc.rts[0].Store(), "b") {
 		if time.Now().After(deadline) {
 			t.Fatal("locks orphaned after cancelled commit")
 		}

@@ -513,7 +513,8 @@ func TestWaveForwardingAbortsInnermostHolder(t *testing.T) {
 
 // commitMidRetrieve is a scheduler policy that, the first time its node
 // serves object on, runs commit from inside the retrieve handler: after the
-// copy of on was taken and before the batch's next entry is.
+// batch was read and before the reply is sent — between two entries' copies,
+// were they read one at a time.
 type commitMidRetrieve struct {
 	sched.Policy
 	on     object.ID
@@ -552,11 +553,13 @@ func audit(ctx context.Context, rt *Runtime, a, b object.ID) (na, nb int64, err 
 }
 
 // TestRetrieveReplyIsAConsistentCut: node 0 owns a (100) and b (0); while it
-// serves node 2's retrieve for both, a transfer a→b commits between the two
-// entries — by a local transaction, or by node 1, which takes both objects
-// away. A reply carrying the old a beside the new b (or beside a pointer to
-// it) at a clock that covers the commit would be adopted unvalidated, and
-// the read-only audit would commit a sum of 101.
+// serves node 2's retrieve for both, a transfer a→b commits after the entries
+// were read — by a local transaction, or by node 1, which takes both objects
+// away. The reply is the cut from before the transfer, at a clock the
+// transfer's version is above, so the audit commits a=100, b=0. A reply
+// carrying the old a beside the new b (or beside a pointer to it) at a clock
+// that covers the commit would be adopted unvalidated, and the read-only audit
+// would commit a sum of 101.
 func TestRetrieveReplyIsAConsistentCut(t *testing.T) {
 	cases := []struct {
 		name      string
@@ -590,16 +593,16 @@ func TestRetrieveReplyIsAConsistentCut(t *testing.T) {
 			if err != nil || commitErr != nil {
 				t.Fatalf("audit: %v; transfer: %v", err, commitErr)
 			}
-			if a != 99 || b != 1 {
-				t.Fatalf("audit committed a=%d b=%d (sum %d), want a=99 b=1", a, b, a+b)
+			if a != 100 || b != 0 {
+				t.Fatalf("audit committed a=%d b=%d (sum %d), want a=100 b=0", a, b, a+b)
 			}
 		})
 	}
 }
 
 // midHandOff is a scheduler policy that, once armed, runs between from inside
-// the first observation of object on: where serveQueue has taken the copy it
-// hands off and not yet read the clock.
+// the first observation of object on: where handOff has read the copy and the
+// clock it hands off and not yet pushed them.
 type midHandOff struct {
 	sched.Policy
 	on      object.ID
@@ -616,21 +619,22 @@ func (p *midHandOff) ObserveRequest(oid object.ID, txid uint64) int {
 
 // TestHandOffPushIsAConsistentCut: node 2's audit reads t/a, which is
 // commit-locked at node 0, parks, and is handed t/a when the lock goes; then
-// it reads t/b. Between the copy the hand-off took and the clock it reads,
-// either a local transfer a→b commits — a push of the old a at a clock covering
-// the commit would be adopted unvalidated, and the read-only audit would
-// commit a sum of 101 — or another transaction locks t/a, and the parked
-// audit goes back to the head of the queue for that lock's holder to serve.
+// it reads t/b. Either a local transfer a→b commits after the hand-off read
+// t/a — a push of the old a at a clock covering the commit would be adopted
+// unvalidated, and the read-only audit would commit a sum of 101 — or another
+// transaction locks t/a before the hand-off reads it, and the parked audit
+// stays queued for that lock's holder to serve.
 func TestHandOffPushIsAConsistentCut(t *testing.T) {
 	cases := []struct {
-		name    string
-		between func(tc *testCluster) error
-		requeue bool
+		name string
+		// between runs from inside the hand-off, after its read; relock after
+		// the lock is gone and before the hand-off reads.
+		between, relock func(tc *testCluster) error
 	}{
 		{name: "commit in between", between: func(tc *testCluster) error {
 			return move(context.Background(), tc.rts[0], "t/a", "t/b")
 		}},
-		{name: "lock in between", requeue: true, between: func(tc *testCluster) error {
+		{name: "lock in between", relock: func(tc *testCluster) error {
 			ver, _, _ := tc.rts[0].Store().State("t/a")
 			if r := lockAt(tc.rts[0].Store(), "t/a", fakeValidator+1, ver); r != object.LockOK {
 				return fmt.Errorf("lock: %v", r)
@@ -684,17 +688,23 @@ func TestHandOffPushIsAConsistentCut(t *testing.T) {
 				done <- v
 			}()
 			waitFor(t, func() bool { return rts.QueueLen("t/a") == 1 })
-			hook.armed.Store(true)
-			unlockAndServe(tc.rts[0], "t/a")
-			if betweenErr != nil {
-				t.Fatal(betweenErr)
-			}
-			if c.requeue {
+			if c.relock != nil {
+				tc.rts[0].Store().Unlock("t/a", fakeValidator)
+				if err := c.relock(tc); err != nil {
+					t.Fatal(err)
+				}
+				tc.rts[0].handOff("t/a")
 				if q := rts.QueueLen("t/a"); q != 1 {
-					t.Fatalf("queue holds %d requesters after a hand-off that met a lock, want the audit back at its head", q)
+					t.Fatalf("queue holds %d requesters after a hand-off that met a lock, want the audit still queued", q)
 				}
 				tc.rts[0].Store().Unlock("t/a", fakeValidator+1)
-				tc.rts[0].serveQueue("t/a", rts.OnRelease("t/a"))
+				tc.rts[0].handOff("t/a")
+			} else {
+				hook.armed.Store(true)
+				unlockAndServe(tc.rts[0], "t/a")
+				if betweenErr != nil {
+					t.Fatal(betweenErr)
+				}
 			}
 			if v := <-done; v.a+v.b != 100 {
 				t.Fatalf("audit committed a=%d b=%d (sum %d), want sum 100", v.a, v.b, v.a+v.b)

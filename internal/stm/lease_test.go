@@ -115,7 +115,7 @@ func TestLeaseExpiryStopIdempotent(t *testing.T) {
 		t.Fatalf("lock: %v", got)
 	}
 	time.Sleep(20 * time.Millisecond)
-	if !rt.Store().Locked("x") {
+	if !isLocked(rt.Store(), "x") {
 		t.Fatal("stopped reaper still expired a lock")
 	}
 }

@@ -215,7 +215,7 @@ func TestRefusedPublishPointsTheHomeBack(t *testing.T) {
 			t.Fatalf("sibling %s was not published to node 0", oid)
 		}
 	}
-	if tc.rts[0].Store().Owns(b) || !tc.rts[1].Store().Owns(b) || tc.rts[1].Store().Locked(b) {
+	if tc.rts[0].Store().Owns(b) || !tc.rts[1].Store().Owns(b) || isLocked(tc.rts[1].Store(), b) {
 		t.Fatalf("refused %s is not at node 1, unlocked", b)
 	}
 	if got := homeSays(t, tc.rts[3], b); got != 1 {

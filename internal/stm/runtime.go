@@ -39,8 +39,9 @@ type Runtime struct {
 	waiters map[waitKey]chan pushMsg
 
 	// migrated remembers, per object, the node the commit that last took it
-	// away from this node took it to; any request for the departed object
-	// is answered with it (notHere).
+	// away from this node took it to, until a commit of this node brings it
+	// back (publishAll); any request for the departed object is answered
+	// with it (notHere).
 	migrMu   sync.Mutex
 	migrated map[object.ID]transport.NodeID
 
@@ -191,80 +192,65 @@ func (rt *Runtime) handleRetrieve(from transport.NodeID, payload any) (any, erro
 	if !ok {
 		return nil, fmt.Errorf("stm: bad retrieve payload %T", payload)
 	}
-	resp := retrieveResp{Results: make([]retrieveResult, len(req.Oids))}
-	if req.LockID != 0 && rt.lockAnnounced(&req, &resp) {
+	// The reply is a cut as of OwnerClock: every entry is copied and the
+	// clock read in one critical section of the store (Store.Read). A commit
+	// that touches one of them later takes its lock after that read, hence
+	// ticks past OwnerClock — the requester may treat the copies as unchanged
+	// up to that clock.
+	var buf [8]object.Copy // a batch of up to 8 is read without allocating
+	copies, clock := rt.store.Read(buf[:0], req.Oids, rt.clock.Now)
+	resp := retrieveResp{Results: make([]retrieveResult, len(req.Oids)), OwnerClock: clock}
+	if req.LockID != 0 && rt.lockAnnounced(&req, copies, &resp) {
 		return resp, nil
 	}
 	for i, oid := range req.Oids {
-		resp.Results[i] = rt.retrieveOne(from, &req, oid)
+		resp.Results[i] = rt.retrieveOne(from, &req, oid, copies[i])
 	}
-	// The reply is a cut as of OwnerClock: the clock is read after every copy
-	// was served (so it covers each version handed out), and every copy is
-	// then confirmed still current and unlocked. A commit that touches one of
-	// them later takes its lock after this check, hence ticks past OwnerClock
-	// — the requester may treat the copies as unchanged up to that clock. A
-	// copy a commit got to in between is served again, and the clock re-read.
-	for {
-		resp.OwnerClock = rt.clock.Now()
-		intact := true
-		for i, oid := range req.Oids {
-			r := &resp.Results[i]
-			if r.Status != statusOK {
-				continue
-			}
-			if ver, lockedBy, owned := rt.store.State(oid); !owned || lockedBy != 0 || !ver.Equal(r.Version) {
-				*r = rt.retrieveOne(from, &req, oid)
-				intact = false
-			}
-		}
-		if intact {
-			return resp, nil
-		}
-	}
+	return resp, nil
 }
 
 // lockAnnounced serves a locking retrieve (Txn.lockWave), the one owner-side
 // commit-lock step: it commit-locks, for req.LockID, every entry this node
-// holds at the version it copies, all or nothing (Store.LockBatch), and
-// answers those copies with Locked set and the rest with the "not here"
-// answer. A locked copy is trivially a consistent cut: nothing can commit it
-// until the lock holder does. When any entry cannot be locked — another transaction holds it, a
-// commit got to it between the copy and the lock, or the store fenced it for
-// req.LockID because a release overtook this request — nothing is locked and
-// it reports false; the request is then served as a plain prefetch.
-func (rt *Runtime) lockAnnounced(req *retrieveReq, resp *retrieveResp) bool {
+// held when the request's copies were read, at the version read, all or
+// nothing (Store.LockBatch), and answers those copies with Locked set and the
+// rest with the "not here" answer. A locked copy is trivially a consistent
+// cut: nothing can commit it until the lock holder does. When any entry
+// cannot be locked — another transaction holds it, a commit got to it after
+// the read, or the store fenced it for req.LockID because a release overtook
+// this request — nothing is locked and it reports false; the request is then
+// served as a plain prefetch, from the same read.
+func (rt *Runtime) lockAnnounced(req *retrieveReq, copies []object.Copy, resp *retrieveResp) bool {
 	entries := make([]object.LockEntry, 0, len(req.Oids))
-	for i, oid := range req.Oids {
-		val, ver, _, owned := rt.store.Snapshot(oid)
-		if !owned {
-			a := rt.notHere(oid)
-			resp.Results[i] = retrieveResult{Status: a.Status, MovedTo: a.MovedTo}
-			continue
+	for i, c := range copies {
+		if c.Owned {
+			entries = append(entries, object.LockEntry{ID: req.Oids[i], Expect: c.Ver})
 		}
-		resp.Results[i] = retrieveResult{Status: statusOK, Value: val, Version: ver}
-		entries = append(entries, object.LockEntry{ID: oid, Expect: ver})
 	}
 	if _, applied := rt.store.LockBatch(req.LockID, entries); !applied {
 		return false
 	}
 	for i, oid := range req.Oids {
-		if r := &resp.Results[i]; r.Status == statusOK {
-			r.RemoteCL = rt.policy.ObserveRequest(oid, req.TxID)
+		if c := copies[i]; c.Owned {
+			resp.Results[i] = retrieveResult{Status: statusOK, Value: c.Val, Version: c.Ver,
+				RemoteCL: rt.policy.ObserveRequest(oid, req.TxID)}
+		} else {
+			a := rt.notHere(oid)
+			resp.Results[i] = retrieveResult{Status: a.Status, MovedTo: a.MovedTo}
 		}
 	}
-	resp.OwnerClock, resp.Locked = rt.clock.Now(), true
+	resp.Locked = true
 	return true
 }
 
-// retrieveOne serves one object of a retrieve: the current copy, or — when
-// the object is being validated by a committing transaction — the
+// retrieveOne serves one object of a retrieve from its copy c: the copy, or —
+// when the object is being validated by a committing transaction — the
 // transactional scheduler's decision for this requester.
-func (rt *Runtime) retrieveOne(from transport.NodeID, req *retrieveReq, oid object.ID) retrieveResult {
-	val, ver, locked, owned := rt.store.Snapshot(oid)
-	if !owned {
+func (rt *Runtime) retrieveOne(from transport.NodeID, req *retrieveReq, oid object.ID, c object.Copy) retrieveResult {
+	if !c.Owned {
 		a := rt.notHere(oid)
 		return retrieveResult{Status: a.Status, MovedTo: a.MovedTo}
 	}
+	locked := c.LockedBy != 0
 	if locked && req.Prefetch {
 		// Left alone: not a conflict the transaction has run into yet.
 		return retrieveResult{Status: statusDenied}
@@ -273,7 +259,7 @@ func (rt *Runtime) retrieveOne(from transport.NodeID, req *retrieveReq, oid obje
 	// towards the contention level of an object this node does not own.
 	localCL := rt.policy.ObserveRequest(oid, req.TxID)
 	if !locked {
-		return retrieveResult{Status: statusOK, Value: val, Version: ver, RemoteCL: localCL}
+		return retrieveResult{Status: statusOK, Value: c.Val, Version: c.Ver, RemoteCL: localCL}
 	}
 
 	// A conflict: the scheduler decides (RTS Algorithm 3).
@@ -288,6 +274,9 @@ func (rt *Runtime) retrieveOne(from transport.NodeID, req *retrieveReq, oid obje
 	})
 	if dec.Enqueue {
 		rt.metrics.enqueues.Add(1)
+		// The lock the read saw may be gone already, its hand-off run on an
+		// empty queue: hand the object off now, or nobody ever will.
+		rt.handOff(oid)
 		return retrieveResult{Status: statusEnqueued, RemoteCL: localCL, Backoff: dec.Backoff}
 	}
 	return retrieveResult{Status: statusDenied, RemoteCL: localCL}
@@ -313,13 +302,9 @@ func (rt *Runtime) handleRelease(_ transport.NodeID, payload any) (any, error) {
 	}
 	for _, oid := range req.Oids {
 		rt.store.Unlock(oid, req.TxID)
-		// The commit failed, so the object stays here unchanged; hand the
-		// current value to any queued requesters — unless the object is
-		// (still) locked by someone else (e.g. this was a conservative
-		// release of a lock that was never actually held).
-		if !rt.store.Locked(oid) {
-			rt.serveQueue(oid, rt.policy.OnRelease(oid))
-		}
+		// The commit failed, so the object stays here unchanged; hand it to
+		// any queued requesters (handOff leaves it to whoever holds it now).
+		rt.handOff(oid)
 	}
 	return releaseReq{}, nil
 }
@@ -388,48 +373,28 @@ func (rt *Runtime) handleCommitObjectBatch(_ transport.NodeID, payload any) (any
 	return resp, nil
 }
 
-// serveQueue pushes the object's current state to the requesters popped from
-// the scheduler queue. The push is a consistent cut, as a retrieve reply is
-// (handleRetrieve): the clock is read after the copy was taken, and the copy
-// is then confirmed still current and unlocked, or taken again. An object a
-// commit has locked in between goes to that commit: the requesters go back to
-// the head of the queue, and the lock holder's publish or release serves them.
-func (rt *Runtime) serveQueue(oid object.ID, reqs []sched.Request) {
-	if len(reqs) == 0 {
+// handOff pushes the object's current state to the requesters its
+// scheduler queue gives up now (RTS Algorithm 4). The push is a consistent
+// cut, as a retrieve reply is (handleRetrieve): the copy and the clock come
+// from one store read. An object gone or locked is left alone, its queue
+// untouched: a migration took the queue with it, and the lock holder's
+// publish or release, or the lease reaper, hands it off once it is free.
+func (rt *Runtime) handOff(oid object.ID) {
+	var buf [1]object.Copy
+	cs, clock := rt.store.Read(buf[:0], []object.ID{oid}, rt.clock.Now)
+	c := cs[0]
+	if !c.Owned || c.LockedBy != 0 {
 		return
 	}
-	val, ver, locked, owned := rt.store.Snapshot(oid)
-	if !owned {
-		return
-	}
-	cls := make([]int, len(reqs))
-	for i, r := range reqs {
-		cls[i] = rt.policy.ObserveRequest(r.Oid, r.TxID)
-	}
-	var clock uint64
-	for {
-		if !owned {
-			return
-		}
-		if locked {
-			rt.policy.AdoptQueue(oid, reqs)
-			return
-		}
-		clock = rt.clock.Now()
-		if now, lockedBy, ok := rt.store.State(oid); ok && lockedBy == 0 && now.Equal(ver) {
-			break
-		}
-		val, ver, locked, owned = rt.store.Snapshot(oid)
-	}
-	for i, r := range reqs {
+	for _, r := range rt.policy.OnRelease(oid) {
 		_ = rt.ep.Notify(r.Node, KindPush, pushMsg{
 			Oid:        r.Oid,
 			TxID:       r.TxID,
-			Value:      val.Copy(),
-			Version:    ver,
+			Value:      c.Val.Copy(),
+			Version:    c.Ver,
 			Owner:      rt.Self(),
 			OwnerClock: clock,
-			RemoteCL:   cls[i],
+			RemoteCL:   rt.policy.ObserveRequest(r.Oid, r.TxID),
 		})
 	}
 }
@@ -459,7 +424,7 @@ func (rt *Runtime) handleDecline(_ transport.NodeID, payload any) {
 	if !ok {
 		return
 	}
-	rt.serveQueue(msg.Oid, rt.policy.OnRelease(msg.Oid))
+	rt.handOff(msg.Oid)
 }
 
 // ---------------------------------------------------------------------------
@@ -521,7 +486,7 @@ func (rt *Runtime) StartLeaseExpiry(lease time.Duration) (stop func()) {
 			case <-t.C:
 				for _, oid := range rt.store.ExpireLocks(lease) {
 					rt.metrics.leaseExpiries.Add(1)
-					rt.serveQueue(oid, rt.policy.OnRelease(oid))
+					rt.handOff(oid)
 				}
 			}
 		}

@@ -3,6 +3,7 @@ package stm
 import (
 	"context"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -24,6 +25,12 @@ func lockAt(st *object.Store, id object.ID, tx uint64, ver object.Version) objec
 	return r[0]
 }
 
+// isLocked reports whether id is owned by st and commit-locked.
+func isLocked(st *object.Store, id object.ID) bool {
+	_, by, ok := st.State(id)
+	return ok && by != 0
+}
+
 func lockObject(t *testing.T, rt *Runtime, oid object.ID) {
 	t.Helper()
 	ver, _, ok := rt.Store().State(oid)
@@ -37,7 +44,7 @@ func lockObject(t *testing.T, rt *Runtime, oid object.ID) {
 
 func unlockAndServe(rt *Runtime, oid object.ID) {
 	rt.Store().Unlock(oid, fakeValidator)
-	rt.serveQueue(oid, rt.policy.OnRelease(oid))
+	rt.handOff(oid)
 }
 
 func TestTFADeniedAbortRetry(t *testing.T) {
@@ -283,6 +290,58 @@ func TestRTSReadersReleasedTogether(t *testing.T) {
 	}
 }
 
+// releaseInConflict is RTS with one release run inside OnConflict, before
+// the decision: the retrieve read the object locked, and the release's
+// hand-off finds the queue still empty.
+type releaseInConflict struct {
+	*core.RTS
+	fired   atomic.Bool
+	release func()
+}
+
+func (p *releaseInConflict) OnConflict(req sched.Request) sched.Decision {
+	if p.fired.CompareAndSwap(false, true) {
+		p.release()
+	}
+	return p.RTS.OnConflict(req)
+}
+
+// TestLockGoneBeforeTheEnqueueIsHandedOff: node 1's write finds x locked at
+// node 0, and the lock goes before the scheduler enqueues it. The owner hands
+// x off after the enqueue, so the writer is pushed x at once instead of
+// sitting out its backoff and aborting with queue-timeout.
+func TestLockGoneBeforeTheEnqueueIsHandedOff(t *testing.T) {
+	ctx := context.Background()
+	var tc *testCluster
+	rts := core.New(core.Options{CLThreshold: 5})
+	node := 0
+	tc = newTestCluster(t, 2, nil, func() sched.Policy {
+		node++
+		if node-1 != 0 {
+			return sched.NewTFA()
+		}
+		return &releaseInConflict{RTS: rts, release: func() { unlockAndServe(tc.rts[0], "x") }}
+	})
+	if err := tc.rts[0].CreateRoot(ctx, "x", &box{N: 1}); err != nil {
+		t.Fatal(err)
+	}
+	tc.rts[1].Stats().RecordCommit("w", 300*time.Millisecond)
+	lockObject(t, tc.rts[0], "x")
+
+	if err := tc.rts[1].Atomic(ctx, "w", func(tx *Txn) error {
+		return tx.Write(ctx, "x", &box{N: 2})
+	}); err != nil {
+		t.Fatal(err)
+	}
+	m := tc.rts[1].Metrics().Snapshot()
+	if m.Aborts[AbortQueueTimeout] != 0 || m.Pushes != 1 {
+		t.Fatalf("queue-timeout aborts = %d, pushes = %d; want 0 and 1", m.Aborts[AbortQueueTimeout], m.Pushes)
+	}
+	if e := tc.rts[0].Metrics().Snapshot().Enqueues; e != 1 {
+		t.Fatalf("owner enqueues = %d, want 1", e)
+	}
+}
+
 func TestQueueMigratesWithOwnership(t *testing.T) {
 	// Requester C parks at node 0 while node 1's transaction is
 	// committing object x; the commit migrates x (and the queue) to node
@@ -348,7 +407,7 @@ func TestQueueMigratesWithOwnership(t *testing.T) {
 	}
 	tc.rts[1].Store().Install("x", &box{N: 50}, newVer)
 	tc.rts[1].Policy().AdoptQueue("x", queue)
-	tc.rts[1].serveQueue("x", tc.rts[1].Policy().OnRelease("x"))
+	tc.rts[1].handOff("x")
 
 	if err := <-doneC; err != nil {
 		t.Fatal(err)

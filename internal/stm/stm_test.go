@@ -302,7 +302,7 @@ func TestFailedCreatePublishStillPublishesTheRest(t *testing.T) {
 		t.Fatalf("err = %v, want %s's failed update", err, created[0])
 	}
 	for _, oid := range created {
-		if st.Locked(oid) {
+		if isLocked(st, oid) {
 			t.Fatalf("%s left locked", oid)
 		}
 	}

@@ -13,7 +13,9 @@
 #          internal/stm, at most one LocateBatch call and one loop bounded
 #          by maxOwnerHops: ownerWave's; and one LockBatch call:
 #          Runtime.lockAnnounced's; and one goroutine started: the lease
-#          reaper's; in internal/object, one read of the stale-lock fence map:
+#          reaper's; and one call popping a scheduler queue: Runtime.handOff's;
+#          and no clock read in runtime.go outside the store's read; in
+#          internal/object, one read of the stale-lock fence map:
 #          LockBatch's; in internal/apps, one sorted-set seeding loop and one
 #          strictly-increasing check: apps.Set's; in internal/cluster,
 #          exactly one deletion from the dedup map: the floor prune, and
@@ -88,6 +90,13 @@ stage_vet() {
     # A transaction's steps run in order on the goroutine of its atomic
     # block; the lease reaper is the one goroutine internal/stm starts.
     nontest_go | grep '^\./internal/stm/' | one_site '^\s*go func' 'run a transaction step on the goroutine of its atomic block'
+    # One owner-side read: a retrieve reply and a hand-off push take their
+    # copies and their clock from one Store.Read, so a clock read of its own
+    # in runtime.go is a reply cut apart from its copies; and every freed
+    # object is served through Runtime.handOff, the one call that pops a
+    # scheduler queue.
+    echo ./internal/stm/runtime.go | one_site 'clock\.Now\(\)' "read a reply's clock inside Store.Read" none
+    nontest_go | grep '^\./internal/stm/' | one_site 'OnRelease\(' 'serve a freed object through Runtime.handOff' exactly
     nontest_go | grep '^\./internal/object/' | one_site '\.fenced\[[^]]*\]([^ ]|$| [^=])' 'check the stale-lock fence in Store.LockBatch only'
     # One sorted-set benchmark: Linked-List, BST and RB-Tree supply only
     # their layout to apps.Set, so a second seeding loop or a second order
