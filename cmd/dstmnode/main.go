@@ -242,23 +242,15 @@ func parsePeers(s string) (map[transport.NodeID]string, error) {
 	return peers, nil
 }
 
-// drive seeds the bank — retrying until every peer answers: object homes
-// are spread across nodes, so seeding succeeds only once everyone is
-// listening — runs testbed's op loop, closed or open, and audits the total.
-// In the open loop completions do not gate admissions, so overload shows up
-// as shed arrivals and a fat sojourn tail rather than a sagging offered rate.
+// drive seeds the bank once every peer listens (testbed's Setup waits for
+// them), runs testbed's op loop, closed or open, and audits the total. In
+// the open loop completions do not gate admissions, so overload shows up as
+// shed arrivals and a fat sojourn tail rather than a sagging offered rate.
 func drive(c *testbed.Cluster, o options, arr workload.Arrival) error {
 	ctx := context.Background()
 	b := bank.New(bank.Options{AccountsPerNode: o.accounts})
-	var err error
-	for attempt := 0; attempt < 50; attempt++ {
-		if err = c.Setup(ctx, b); err == nil {
-			break
-		}
-		time.Sleep(200 * time.Millisecond)
-	}
-	if err != nil {
-		return fmt.Errorf("seeding failed (are all peers up?): %w", err)
+	if err := c.Setup(ctx, b); err != nil {
+		return fmt.Errorf("seeding failed: %w", err)
 	}
 	if arr == nil {
 		fmt.Printf("dstmnode: seeded %d accounts, driving for %v\n", b.Accounts(), o.duration)

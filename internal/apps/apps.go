@@ -7,8 +7,11 @@ package apps
 
 import (
 	"context"
+	"errors"
 	"math/rand"
+	"sync"
 
+	"dstm/internal/object"
 	"dstm/internal/stm"
 )
 
@@ -56,4 +59,30 @@ type Benchmark interface {
 	// SetKeyPicker replaces the distribution of Op's key draws (nil
 	// restores uniform). Call it before the op loops start.
 	SetKeyPicker(KeyPicker)
+}
+
+// Seed creates a benchmark's shared objects in one wave: ids[j], valued
+// vals[j], is created on node j mod len(rts); each node gives its objects to
+// one stm.Runtime.CreateRoots call, and all nodes run at once, so seeding
+// costs one registration round trip whatever the object count.
+func Seed(ctx context.Context, rts []*stm.Runtime, ids []object.ID, vals []object.Value) error {
+	errs := make([]error, len(rts))
+	var wg sync.WaitGroup
+	for node, rt := range rts {
+		var nodeIDs []object.ID
+		var nodeVals []object.Value
+		for j := node; j < len(ids); j += len(rts) {
+			nodeIDs, nodeVals = append(nodeIDs, ids[j]), append(nodeVals, vals[j])
+		}
+		if len(nodeIDs) == 0 {
+			continue
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			errs[node] = rt.CreateRoots(ctx, nodeIDs, nodeVals)
+		}()
+	}
+	wg.Wait()
+	return errors.Join(errs...)
 }

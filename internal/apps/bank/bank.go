@@ -9,6 +9,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"strconv"
 
 	"dstm/internal/apps"
 	"dstm/internal/object"
@@ -68,18 +69,17 @@ func (b *Bank) SetKeyPicker(p apps.KeyPicker) { b.pick = apps.PickerOrUniform(p)
 func (b *Bank) Name() string { return "Bank" }
 
 // AccountID returns the object ID of account i.
-func AccountID(i int) object.ID { return object.ID(fmt.Sprintf("bank/acct/%d", i)) }
+func AccountID(i int) object.ID { return object.ID("bank/acct/" + strconv.Itoa(i)) }
 
 // Setup implements apps.Benchmark: account i lives on node i mod N.
 func (b *Bank) Setup(ctx context.Context, rts []*stm.Runtime) error {
 	b.accounts = b.opts.AccountsPerNode * len(rts)
-	for i := 0; i < b.accounts; i++ {
-		rt := rts[i%len(rts)]
-		if err := rt.CreateRoot(ctx, AccountID(i), &Account{Balance: InitialBalance}); err != nil {
-			return err
-		}
+	ids := make([]object.ID, b.accounts)
+	vals := make([]object.Value, b.accounts)
+	for i := range ids {
+		ids[i], vals[i] = AccountID(i), &Account{Balance: InitialBalance}
 	}
-	return nil
+	return apps.Seed(ctx, rts, ids, vals)
 }
 
 // Accounts returns the number of seeded accounts.

@@ -2,11 +2,14 @@ package bank
 
 import (
 	"context"
+	"fmt"
 	"math/rand"
 	"sync"
 	"testing"
 
+	"dstm/internal/object"
 	"dstm/internal/testutil"
+	"dstm/internal/transport"
 )
 
 func TestSetupSeedsAccounts(t *testing.T) {
@@ -25,6 +28,29 @@ func TestSetupSeedsAccounts(t *testing.T) {
 	}
 	if total != 12*InitialBalance {
 		t.Fatalf("total = %d", total)
+	}
+	ids := make([]object.ID, b.Accounts())
+	for i := range ids {
+		ids[i] = AccountID(i)
+	}
+	owners, _, err := rts[0].Locator().AskHomes(ctx, ids)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, id := range ids {
+		if want := transport.NodeID(i % len(rts)); owners[id] != want || !rts[want].Store().Owns(id) {
+			t.Fatalf("%s: home names node %d (held there: %v), want node %d", id, owners[id], rts[owners[id]].Store().Owns(id), want)
+		}
+	}
+}
+
+// TestAccountIDKeepsItsText: homes hash an account's ID, so its text is
+// that of the fmt form it replaced.
+func TestAccountIDKeepsItsText(t *testing.T) {
+	for _, i := range []int{0, 1, 255, 1 << 20} {
+		if got, want := AccountID(i), object.ID(fmt.Sprintf("bank/acct/%d", i)); got != want {
+			t.Fatalf("AccountID(%d) = %q, want %q", i, got, want)
+		}
 	}
 }
 

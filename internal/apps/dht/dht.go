@@ -80,16 +80,15 @@ func (d *DHT) bucketOf(key string) object.ID {
 
 func (d *DHT) key(i int) string { return fmt.Sprintf("k%d", i) }
 
-// Setup implements apps.Benchmark.
+// Setup implements apps.Benchmark: bucket i lives on node i mod N.
 func (d *DHT) Setup(ctx context.Context, rts []*stm.Runtime) error {
 	d.buckets = d.opts.BucketsPerNode * len(rts)
-	for i := 0; i < d.buckets; i++ {
-		rt := rts[i%len(rts)]
-		if err := rt.CreateRoot(ctx, BucketID(i), &Bucket{M: map[string]string{}}); err != nil {
-			return err
-		}
+	ids := make([]object.ID, d.buckets)
+	vals := make([]object.Value, d.buckets)
+	for i := range ids {
+		ids[i], vals[i] = BucketID(i), &Bucket{M: map[string]string{}}
 	}
-	return nil
+	return apps.Seed(ctx, rts, ids, vals)
 }
 
 // Op implements apps.Benchmark.

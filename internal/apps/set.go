@@ -91,7 +91,7 @@ func (s *Set) newID(rt *stm.Runtime) func() object.ID {
 // inserts InitialSize distinct values, round-robin across the nodes.
 func (s *Set) Setup(ctx context.Context, rts []*stm.Runtime) error {
 	id, entry := s.layout.Entry()
-	if err := rts[0].CreateRoot(ctx, id, entry); err != nil {
+	if err := Seed(ctx, rts, []object.ID{id}, []object.Value{entry}); err != nil {
 		return err
 	}
 	rng := rand.New(rand.NewSource(s.kind.Seed))

@@ -127,31 +127,32 @@ func ResourceID(k Kind, i int) object.ID {
 // CustomerID returns the object ID of customer i.
 func CustomerID(i int) object.ID { return object.ID(fmt.Sprintf("vac/cust/%d", i)) }
 
-// Setup implements apps.Benchmark.
+// Setup implements apps.Benchmark: inventory entry i of each kind and
+// customer i live on node i mod N. apps.Seed puts the list's j-th object on
+// node j mod N, which is that node because each kind's entries and the
+// customers each start the list at a multiple of N. Prices are drawn kind
+// by kind, entry by entry.
 func (v *Vacation) Setup(ctx context.Context, rts []*stm.Runtime) error {
 	v.resources = v.opts.ResourcesPerKindPerNode * len(rts)
 	v.customers = v.opts.CustomersPerNode * len(rts)
 	rng := rand.New(rand.NewSource(45))
+	var ids []object.ID
+	var vals []object.Value
 	for k := Kind(0); k < numKinds; k++ {
 		for i := 0; i < v.resources; i++ {
-			rt := rts[i%len(rts)]
-			res := &Resource{
+			ids = append(ids, ResourceID(k, i))
+			vals = append(vals, &Resource{
 				Total: v.opts.UnitsPerResource,
 				Avail: v.opts.UnitsPerResource,
 				Price: 50 + int64(rng.Intn(450)),
-			}
-			if err := rt.CreateRoot(ctx, ResourceID(k, i), res); err != nil {
-				return err
-			}
+			})
 		}
 	}
 	for i := 0; i < v.customers; i++ {
-		rt := rts[i%len(rts)]
-		if err := rt.CreateRoot(ctx, CustomerID(i), &Customer{}); err != nil {
-			return err
-		}
+		ids = append(ids, CustomerID(i))
+		vals = append(vals, &Customer{})
 	}
-	return nil
+	return apps.Seed(ctx, rts, ids, vals)
 }
 
 // Op implements apps.Benchmark. Writes split between making reservations

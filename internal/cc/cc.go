@@ -263,7 +263,7 @@ func (s *Service) NoteOwner(id object.ID, owner transport.NodeID) {
 // Register announces a newly created object owned by owner to its home:
 // RegisterBatch of one.
 func (s *Service) Register(ctx context.Context, id object.ID, owner transport.NodeID) error {
-	_, err := s.RegisterBatch(ctx, []object.ID{id}, owner)
+	_, _, err := s.RegisterBatch(ctx, []object.ID{id}, owner)
 	return err
 }
 
@@ -362,37 +362,44 @@ func (s *Service) AskHomes(ctx context.Context, ids []object.ID) (map[object.ID]
 }
 
 // RegisterBatch registers every id as newly created and owned by owner,
-// one message per home node, folding the per-entry error strings
-// of each reply into the first error. It returns the number of messages sent
-// — even on error, so callers can account partial fan-outs.
-func (s *Service) RegisterBatch(ctx context.Context, ids []object.ID, owner transport.NodeID) (int, error) {
+// one message per home node, all at once. It returns the ids their homes
+// refused (registered already), the number of messages sent — even on
+// error, so callers can account partial fan-outs — and the first error: the
+// first refusal, or a failed call, whose ids may or may not be registered.
+// Each id a home accepted is noted as owned by owner, and as taken (Took)
+// when owner is this node, whatever its siblings' outcome.
+func (s *Service) RegisterBatch(ctx context.Context, ids []object.ID, owner transport.NodeID) (refused []object.ID, n int, err error) {
 	if len(ids) == 0 {
-		return 0, nil
+		return nil, 0, nil
 	}
-	n, err := s.toHomes(ctx, ids, KindRegisterBatch,
+	var registered []object.ID
+	n, err = s.toHomes(ctx, ids, KindRegisterBatch,
 		func(ids []object.ID) any { return registerBatchReq{Oids: ids, Owner: owner} },
 		func(ids []object.ID, body any) error {
 			resp, ok := body.(batchErrResp)
 			if !ok || len(resp.Errs) != len(ids) {
 				return fmt.Errorf("cc: bad batch reply %T", body)
 			}
+			var err error
 			for i, msg := range resp.Errs {
-				if msg != "" {
-					return fmt.Errorf("cc: %q: %s", ids[i], msg)
+				if msg == "" {
+					registered = append(registered, ids[i])
+					continue
+				}
+				refused = append(refused, ids[i])
+				if err == nil {
+					err = fmt.Errorf("cc: %q: %s", ids[i], msg)
 				}
 			}
-			return nil
+			return err
 		})
-	if err != nil {
-		return n, err
-	}
-	for _, id := range ids {
+	for _, id := range registered {
 		s.NoteOwner(id, owner)
 	}
 	if owner == s.ep.Self() {
-		s.Took(ids)
+		s.Took(registered)
 	}
-	return n, nil
+	return refused, n, err
 }
 
 // Moved records, at this node, that a commit brought ids to owner — what the

@@ -107,6 +107,20 @@ func (s *Store) Install(id ID, val Value, ver Version) {
 	s.objs[id] = &record{val: val, ver: ver}
 }
 
+// InstallNew installs val as id at the zero version, unlocked, unless the
+// store holds id already, and reports whether it did: an object that exists
+// keeps its value and version.
+func (s *Store) InstallNew(id ID, val Value) bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if _, ok := s.objs[id]; ok {
+		return false
+	}
+	s.emit("install", id, 0, 0)
+	s.objs[id] = &record{val: val}
+	return true
+}
+
 // Copy is one object as Store.Read found it: a deep copy of its value, its
 // version and the transaction holding its commit lock (0 when unlocked).
 // Owned is false, and the rest zero, when this node does not own it.

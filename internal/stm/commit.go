@@ -165,7 +165,7 @@ func (tx *Txn) commit(ctx context.Context) error {
 		for _, oid := range creates {
 			rt.store.InstallLocked(oid, tx.entries[oid].val.Copy(), object.Version{}, tx.lockID)
 		}
-		msgs, err := rt.locator.RegisterBatch(detach(ctx), creates, rt.Self())
+		_, msgs, err := rt.locator.RegisterBatch(detach(ctx), creates, rt.Self())
 		meter.wave(msgs)
 		if err != nil {
 			// ID collision or directory failure: roll the creations back.

@@ -177,11 +177,41 @@ func (rt *Runtime) nextTxID() uint64 {
 	return uint64(rt.ep.Self())<<40 | seq
 }
 
-// CreateRoot seeds an object during setup: installs it locally and
-// registers it with its home directory, outside any transaction.
+// CreateRoot seeds one object during setup: CreateRoots of one.
 func (rt *Runtime) CreateRoot(ctx context.Context, id object.ID, val object.Value) error {
-	rt.store.Install(id, val, object.Version{})
-	return rt.locator.Register(ctx, id, rt.Self())
+	return rt.CreateRoots(ctx, []object.ID{id}, []object.Value{val})
+}
+
+// CreateRoots seeds objects during setup, outside any transaction: it
+// installs each ids[i] with value vals[i] here, then registers them all with
+// their homes, one message per home and all at once
+// (cc.Service.RegisterBatch). Each entry stands alone: an object this node
+// holds already keeps its value and version, and an object whose home
+// refuses it (it is registered already) is not kept here unless it was
+// here before. The error names the first refusal or failed call; the
+// entries of a failed call stay installed, since their registration may
+// have landed.
+func (rt *Runtime) CreateRoots(ctx context.Context, ids []object.ID, vals []object.Value) error {
+	if len(ids) != len(vals) {
+		return fmt.Errorf("stm: create roots: %d ids, %d values", len(ids), len(vals))
+	}
+	fresh := make(map[object.ID]bool, len(ids)) // installed by this call
+	for _, id := range ids {
+		if _, dup := fresh[id]; dup {
+			return fmt.Errorf("stm: create roots: %q listed twice", id)
+		}
+		fresh[id] = false
+	}
+	for i, id := range ids {
+		fresh[id] = rt.store.InstallNew(id, vals[i])
+	}
+	refused, _, err := rt.locator.RegisterBatch(ctx, ids, rt.Self())
+	for _, id := range refused {
+		if fresh[id] {
+			_ = rt.store.Remove(id, 0) // unlocked, so tx 0 holds its lock
+		}
+	}
+	return err
 }
 
 // ---------------------------------------------------------------------------

@@ -267,6 +267,50 @@ func TestCreateDuplicateFails(t *testing.T) {
 	}
 }
 
+// TestRefusedCreateLeavesTheStoreAlone: a create its home refuses changes no
+// store, entry by entry. On the owner the live object keeps its value and
+// version; on another node no second copy is left behind; and a sibling the
+// home accepts is created all the same.
+func TestRefusedCreateLeavesTheStoreAlone(t *testing.T) {
+	tc := newTestCluster(t, 2, nil, nil)
+	ctx := context.Background()
+	owner, other := tc.rts[0], tc.rts[1]
+	if err := owner.CreateRoot(ctx, "dup", &box{N: 4}); err != nil {
+		t.Fatal(err)
+	}
+	if err := owner.Atomic(ctx, "inc", func(tx *Txn) error {
+		return tx.Write(ctx, "dup", &box{N: 5})
+	}); err != nil {
+		t.Fatal(err)
+	}
+	_, ver, _, _ := owner.Store().Snapshot("dup")
+	if ver.Clock == 0 {
+		t.Fatalf("dup at %v after a commit, want a committed version", ver)
+	}
+
+	if err := owner.CreateRoot(ctx, "dup", &box{N: 99}); err == nil || !strings.Contains(err.Error(), "already registered") {
+		t.Fatalf("second create on the owner: err = %v, want already registered", err)
+	}
+	if val, got, _, ok := owner.Store().Snapshot("dup"); !ok || val.(*box).N != 5 || !got.Equal(ver) {
+		t.Fatalf("owner holds dup = %v at %v (owned %v) after a refused create, want 5 at %v", val, got, ok, ver)
+	}
+
+	err := other.CreateRoots(ctx, []object.ID{"dup", "fresh"}, []object.Value{&box{N: 99}, &box{N: 7}})
+	if err == nil || !strings.Contains(err.Error(), "already registered") {
+		t.Fatalf("create on another node: err = %v, want already registered", err)
+	}
+	if _, _, ok := other.Store().State("dup"); ok {
+		t.Fatal("a refused create left a second copy of dup on node 1")
+	}
+	if val, _, _, ok := other.Store().Snapshot("fresh"); !ok || val.(*box).N != 7 {
+		t.Fatalf("node 1 holds fresh = %v (owned %v), want 7", val, ok)
+	}
+	owners, _, err := owner.Locator().AskHomes(ctx, []object.ID{"dup", "fresh"})
+	if err != nil || owners["dup"] != 0 || owners["fresh"] != 1 {
+		t.Fatalf("homes name %v (err %v), want dup on node 0 and fresh on node 1", owners, err)
+	}
+}
+
 // TestFailedCreatePublishStillPublishesTheRest: a commit creates c0 and c1,
 // homed at node 1, and c0 loses its commit lock while the registration is on
 // the wire. The commit reports c0's failed update, and still publishes c1 and

@@ -129,10 +129,14 @@ func Run(ctx context.Context, o Options, bench apps.Benchmark) (Report, error) {
 }
 
 // Setup applies the configured key picker to bench and seeds its shared
-// objects over the still reliable network.
+// objects over the still reliable network, once: one node of a
+// multi-process cluster (Options.Peers) first waits for its peers to listen.
 func (c *Cluster) Setup(ctx context.Context, bench apps.Benchmark) error {
 	if pick := c.opts.KeyPicker; pick != nil {
 		bench.SetKeyPicker(pick)
+	}
+	if err := c.awaitPeers(ctx); err != nil {
+		return fmt.Errorf("testbed: setup: %w", err)
 	}
 	if err := bench.Setup(ctx, c.Rts); err != nil {
 		return fmt.Errorf("testbed: setup: %w", err)

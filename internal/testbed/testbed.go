@@ -13,7 +13,9 @@
 package testbed
 
 import (
+	"context"
 	"fmt"
+	"net"
 	"time"
 
 	"dstm/internal/apps"
@@ -279,6 +281,38 @@ func (c *Cluster) listenTCP() error {
 	}
 	for _, tn := range c.tcps {
 		tn.SetPeers(peers)
+	}
+	return nil
+}
+
+// peerWait bounds how long a node of a multi-process cluster waits for its
+// peers to listen (awaitPeers).
+const peerWait = 10 * time.Second
+
+// awaitPeers returns once every other node of Options.Peers accepts a
+// connection, polling for up to peerWait: a node's objects are homed all
+// over the cluster, so it can seed them only once every home listens. An
+// in-process cluster listens from New on and returns at once.
+func (c *Cluster) awaitPeers(ctx context.Context) error {
+	ctx, cancel := context.WithTimeout(ctx, peerWait)
+	defer cancel()
+	var d net.Dialer
+	for id, addr := range c.opts.Peers {
+		if id == c.opts.Self {
+			continue
+		}
+		for {
+			conn, err := d.DialContext(ctx, "tcp", addr)
+			if err == nil {
+				conn.Close()
+				break
+			}
+			select {
+			case <-ctx.Done():
+				return fmt.Errorf("node %d at %s does not listen: %w", id, addr, err)
+			case <-time.After(50 * time.Millisecond):
+			}
+		}
 	}
 	return nil
 }

@@ -3,11 +3,14 @@ package testbed
 import (
 	"context"
 	"fmt"
+	"net"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"dstm/internal/apps/bank"
+	"dstm/internal/cc"
 	"dstm/internal/cluster"
 	"dstm/internal/object"
 	"dstm/internal/transport"
@@ -254,7 +257,7 @@ func TestDirectoryCheckAsksEachHomeOnce(t *testing.T) {
 			ids[i] = object.ID(fmt.Sprintf("obj/%d/%d", rt.Self(), i))
 			rt.Store().Install(ids[i], &bank.Account{}, object.Version{})
 		}
-		if _, err := rt.Locator().RegisterBatch(ctx, ids, rt.Self()); err != nil {
+		if _, _, err := rt.Locator().RegisterBatch(ctx, ids, rt.Self()); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -267,5 +270,109 @@ func TestDirectoryCheckAsksEachHomeOnce(t *testing.T) {
 	cancelDone()
 	if n, _, err := c.staleEntries(done); err == nil || n != 0 {
 		t.Fatalf("no time left: lookup error %v and %d stale entries, want an error and none counted", err, n)
+	}
+}
+
+// TestCreateRootsIsOneRegistrationWave: seeding k accounts on each of n nodes
+// is one wave of registrations, whatever k: at most one KindRegisterBatch
+// request from each node to each other node, every one of them sent before
+// the first reply arrives (all nodes at once), and each home then names the
+// account's creator, node i mod n.
+func TestCreateRootsIsOneRegistrationWave(t *testing.T) {
+	const n = 4
+	for _, k := range []int{1, 8, 64} {
+		t.Run(fmt.Sprintf("k=%d", k), func(t *testing.T) {
+			c, err := New(Options{Nodes: n, Scheduler: TFA, Latency: transport.UniformLatency(20 * time.Millisecond)})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer c.Close()
+			var requests, late, replies atomic.Int64
+			c.net.SetInterceptor(func(m *transport.Message) bool {
+				if m.Kind == cc.KindRegisterBatch && m.IsReply {
+					replies.Add(1)
+				} else if m.Kind == cc.KindRegisterBatch {
+					requests.Add(1)
+					if replies.Load() > 0 {
+						late.Add(1)
+					}
+				}
+				return true
+			})
+			ctx := context.Background()
+			b := bank.New(bank.Options{AccountsPerNode: k})
+			if err := c.Setup(ctx, b); err != nil {
+				t.Fatal(err)
+			}
+			if got := requests.Load(); got > n*(n-1) || late.Load() > 0 {
+				t.Fatalf("%d register requests, %d of them after a reply; want at most %d, all in one wave", got, late.Load(), n*(n-1))
+			}
+			ids := make([]object.ID, b.Accounts())
+			for i := range ids {
+				ids[i] = bank.AccountID(i)
+			}
+			owners, _, err := c.Rts[0].Locator().AskHomes(ctx, ids)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, id := range ids {
+				if owners[id] != transport.NodeID(i%n) {
+					t.Fatalf("home names node %d for %s, want its creator %d", owners[id], id, i%n)
+				}
+			}
+		})
+	}
+}
+
+// TestDriveNodeSeedsOnceItsPeerListens: the node that drives a
+// multi-process cluster starts half a second before its peer, and one Setup
+// still seeds: it waits for the peer to listen before registering anything.
+func TestDriveNodeSeedsOnceItsPeerListens(t *testing.T) {
+	peers := make(map[transport.NodeID]string)
+	for id := range transport.NodeID(2) {
+		l, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		peers[id] = l.Addr().String()
+		l.Close()
+	}
+	drive, err := New(Options{Peers: peers, Self: 0, Scheduler: TFA})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer drive.Close()
+	late := make(chan *Cluster, 1)
+	go func() {
+		time.Sleep(500 * time.Millisecond)
+		c, err := New(Options{Peers: peers, Self: 1, Scheduler: TFA})
+		if err != nil {
+			t.Error(err)
+		}
+		late <- c
+	}()
+	defer func() {
+		if c := <-late; c != nil {
+			c.Close()
+		}
+	}()
+
+	ctx := context.Background()
+	b := bank.New(bank.Options{AccountsPerNode: 8})
+	if err := drive.Setup(ctx, b); err != nil {
+		t.Fatal(err)
+	}
+	ids := make([]object.ID, b.Accounts())
+	for i := range ids {
+		ids[i] = bank.AccountID(i)
+	}
+	owners, _, err := drive.Rts[0].Locator().AskHomes(ctx, ids)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, id := range ids {
+		if owners[id] != 0 {
+			t.Fatalf("home names node %d for %s, want the drive node", owners[id], id)
+		}
 	}
 }

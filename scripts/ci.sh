@@ -17,7 +17,8 @@
 #          and no clock read in runtime.go outside the store's read; in
 #          internal/object, one read of the stale-lock fence map:
 #          LockBatch's; in internal/apps, one sorted-set seeding loop and one
-#          strictly-increasing check: apps.Set's; in internal/cluster,
+#          strictly-increasing check: apps.Set's, no CreateRoot call and
+#          one CreateRoots call: apps.Seed's; in internal/cluster,
 #          exactly one deletion from the dedup map: the floor prune, and
 #          no go statement: a request is served on its delivery goroutine
 #          and a wave is sent and awaited on its caller's; and exactly one
@@ -28,6 +29,7 @@
 #   perf   perf smokes: commit-pipeline msgs/commit bound, the
 #          announced-write two-wave gate, the
 #          one-retrieve-wave-after-publish and gossiped-move count gates, the
+#          one-registration-wave seeding gate, the
 #          wire-codec allocation gate, the open-loop rows of
 #          internal/testbed's drive test (all three schedulers, memnet and
 #          TCP), the repo benchmark in smoke mode (`go run ./bench
@@ -103,6 +105,11 @@ stage_vet() {
     # check in internal/apps is a second copy of the skeleton.
     nontest_go | grep '^\./internal/apps/' | one_site 'inserted%len\(rts\)' 'seed and check a sorted set through apps.Set'
     nontest_go | grep '^\./internal/apps/' | one_site '\[i-1\] >= ' 'seed and check a sorted set through apps.Set'
+    # One seeding wave: a benchmark hands its starting objects to apps.Seed,
+    # whose one CreateRoots call per node registers them with one batch per
+    # home, all nodes at once; a CreateRoot per object is a round trip each.
+    nontest_go | grep '^\./internal/apps/' | one_site 'CreateRoot\(' 'seed through apps.Seed, one CreateRoots wave' none
+    nontest_go | grep '^\./internal/apps/' | one_site 'CreateRoots\(' 'seed through apps.Seed, one CreateRoots wave' exactly
     # At most once, one rule: the receiver forgets a sender's requests only
     # once the sender's floor has passed them, so no cap or FIFO may evict
     # an entry too, and without the prune the map would grow without bound.
@@ -190,6 +197,12 @@ stage_perf() {
     # the committer has sent it any message (the gossip of what it took).
     echo "== one retrieve wave after a publish"
     go test ./internal/stm/ -run 'TestOneRetrieveWaveAfterPublish|TestPublishWaveIsOneMessagePerNode|TestGossipedMoveNeedsNoChase' -count=1
+
+    # Seeding count gate: k objects on each of n nodes register in one wave,
+    # at most one batch from each node to each other home whatever k, all
+    # sent before the first reply.
+    echo "== seeding is one registration wave"
+    go test ./internal/testbed/ -run 'TestCreateRootsIsOneRegistrationWave' -count=1
 
     # Wire-codec allocation gate: encoding the hot protocol payloads —
     # Retrieve, CheckVersionBatch, CommitObjectBatch — and a frame carrying
