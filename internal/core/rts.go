@@ -68,7 +68,7 @@ type RTS struct {
 	adapt   *adaptiveThreshold
 
 	mu    sync.Mutex
-	lists map[object.ID]*requesterList
+	lists map[object.ID]requesterList // only lists with entries (put)
 
 	// tracer records queue transitions; handoffSeq groups the pops of one
 	// release so the checker can validate the hand-off head rule. Both are
@@ -91,7 +91,7 @@ func New(opts Options) *RTS {
 	r := &RTS{
 		opts:    opts,
 		tracker: newCLTracker(opts.CLWindow),
-		lists:   make(map[object.ID]*requesterList),
+		lists:   make(map[object.ID]requesterList),
 	}
 	if opts.Adaptive {
 		r.adapt = newAdaptiveThreshold(opts.CLThreshold, adaptMin, adaptMax, opts.AdaptBatch)
@@ -140,10 +140,6 @@ func (r *RTS) OnConflict(req sched.Request) sched.Decision {
 	defer r.mu.Unlock()
 
 	lst := r.lists[req.Oid]
-	if lst == nil {
-		lst = &requesterList{}
-		r.lists[req.Oid] = lst
-	}
 	// A requester that timed out and retried must not occupy two slots.
 	if lst.removeDuplicate(req.Node, req.TxID) {
 		r.tracer.Emit(trace.Event{Type: trace.EvDequeue, Tx: req.TxID, Oid: req.Oid, Detail: "dup"})
@@ -161,6 +157,7 @@ func (r *RTS) OnConflict(req sched.Request) sched.Decision {
 	// is cheaper than queueing, §III-A).
 	if lst.bk() < req.Elapsed && contention < r.Threshold() {
 		lst.entries = append(lst.entries, req)
+		r.put(req.Oid, lst)
 		bk := lst.bk()
 		r.tracer.Emit(trace.Event{
 			Type: trace.EvEnqueue, Tx: req.TxID, Oid: req.Oid,
@@ -168,6 +165,7 @@ func (r *RTS) OnConflict(req sched.Request) sched.Decision {
 		})
 		return sched.Decision{Enqueue: true, Backoff: bk}
 	}
+	r.put(req.Oid, lst) // a duplicate dropped above may have emptied it
 	r.tracer.Emit(trace.Event{
 		Type: trace.EvDeny, Tx: req.TxID, Oid: req.Oid,
 		Detail: req.Mode.String(), A: uint64(contention),
@@ -184,13 +182,8 @@ func (r *RTS) OnRelease(oid object.ID) []sched.Request {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	lst := r.lists[oid]
-	if lst == nil || lst.len() == 0 {
-		return nil
-	}
 	out := lst.pop()
-	if lst.len() == 0 {
-		delete(r.lists, oid)
-	}
+	r.put(oid, lst)
 	if len(out) > 0 && r.tracer.Enabled() {
 		// Pops of one release share a group ID so the checker can validate
 		// the head rule over the whole hand-off set.
@@ -211,9 +204,6 @@ func (r *RTS) ExtractQueue(oid object.ID) []sched.Request {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	lst := r.lists[oid]
-	if lst == nil {
-		return nil
-	}
 	delete(r.lists, oid)
 	for _, e := range lst.entries {
 		r.tracer.Emit(trace.Event{Type: trace.EvDequeue, Tx: e.TxID, Oid: oid, Detail: "extract"})
@@ -231,10 +221,6 @@ func (r *RTS) AdoptQueue(oid object.ID, reqs []sched.Request) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	lst := r.lists[oid]
-	if lst == nil {
-		lst = &requesterList{}
-		r.lists[oid] = lst
-	}
 	for i, q := range reqs {
 		r.tracer.Emit(trace.Event{
 			Type: trace.EvAdopt, Tx: q.TxID, Oid: oid,
@@ -242,6 +228,17 @@ func (r *RTS) AdoptQueue(oid object.ID, reqs []sched.Request) {
 		})
 	}
 	lst.entries = slices.Concat(reqs, lst.entries)
+	r.put(oid, lst)
+}
+
+// put stores lst as oid's list, or drops oid's list when lst is empty, so
+// the map holds only objects with queued requesters; the caller holds mu.
+func (r *RTS) put(oid object.ID, lst requesterList) {
+	if lst.len() == 0 {
+		delete(r.lists, oid)
+		return
+	}
+	r.lists[oid] = lst
 }
 
 // RetryDelay implements sched.Policy: none, since RTS relies on enqueueing
@@ -264,10 +261,7 @@ func (r *RTS) QueueDepth() int {
 func (r *RTS) QueueLen(oid object.ID) int {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if lst := r.lists[oid]; lst != nil {
-		return lst.len()
-	}
-	return 0
+	return r.lists[oid].len()
 }
 
 // requesterList is the paper's Requester_List: the queue of enqueued
@@ -278,9 +272,9 @@ type requesterList struct {
 	entries []sched.Request
 }
 
-func (l *requesterList) len() int { return len(l.entries) }
+func (l requesterList) len() int { return len(l.entries) }
 
-func (l *requesterList) bk() time.Duration {
+func (l requesterList) bk() time.Duration {
 	var sum time.Duration
 	for _, e := range l.entries {
 		sum += e.ExpectedRemaining

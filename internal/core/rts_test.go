@@ -1,6 +1,7 @@
 package core
 
 import (
+	"strconv"
 	"testing"
 	"time"
 
@@ -251,5 +252,46 @@ func TestRTSObserveRequestCounts(t *testing.T) {
 	}
 	if cl := r.ObserveRequest("a", 2); cl != 2 {
 		t.Fatalf("second observe = %d", cl)
+	}
+}
+
+// TestRTSKeepsNoEmptyList: RTS keeps a requester list only while it has
+// entries. A denied conflict, a retry whose denial drops its own earlier
+// slot, a release that pops the last entry and an extraction each leave no
+// list behind, so the lists QueueDepth walks are the queued objects only.
+func TestRTSKeepsNoEmptyList(t *testing.T) {
+	r := New(Options{CLThreshold: 3})
+	for i := 0; i < 100; i++ {
+		// No time elapsed: never worth queueing.
+		if r.OnConflict(mkReq(strconv.Itoa(i), uint64(i), 1, sched.Write, 0, time.Millisecond, 0)).Enqueue {
+			t.Fatal("a request with no elapsed time was enqueued")
+		}
+	}
+	if n := len(r.lists); n != 0 {
+		t.Fatalf("%d lists after 100 denials, want 0", n)
+	}
+
+	queued := mkReq("dup", 7, 1, sched.Write, time.Second, time.Millisecond, 0)
+	if !r.OnConflict(queued).Enqueue {
+		t.Fatal("first request not enqueued")
+	}
+	retry := queued
+	retry.Elapsed = 0
+	if r.OnConflict(retry).Enqueue {
+		t.Fatal("retry with no elapsed time was enqueued")
+	}
+	if !r.OnConflict(mkReq("pop", 8, 1, sched.Write, time.Second, time.Millisecond, 0)).Enqueue ||
+		!r.OnConflict(mkReq("extract", 9, 1, sched.Write, time.Second, time.Millisecond, 0)).Enqueue {
+		t.Fatal("request not enqueued")
+	}
+	if got := r.OnRelease("obj/pop"); len(got) != 1 {
+		t.Fatalf("release popped %d requesters, want 1", len(got))
+	}
+	if got := r.ExtractQueue("obj/extract"); len(got) != 1 {
+		t.Fatalf("extraction took %d requesters, want 1", len(got))
+	}
+	r.AdoptQueue("obj/adopt", nil)
+	if n := len(r.lists); n != 0 || r.QueueDepth() != 0 {
+		t.Fatalf("%d lists, queue depth %d; want 0 and 0", n, r.QueueDepth())
 	}
 }

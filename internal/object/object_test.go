@@ -3,6 +3,8 @@ package object
 import (
 	"testing"
 	"time"
+
+	"dstm/internal/transport"
 )
 
 // intBox is a minimal Value for tests.
@@ -18,8 +20,8 @@ func lock(s *Store, id ID, tx uint64, expect Version) LockResult {
 
 // isLocked reports whether id is owned by s and commit-locked.
 func isLocked(s *Store, id ID) bool {
-	_, by, ok := s.State(id)
-	return ok && by != 0
+	c := s.State(id)
+	return c.Owned && c.LockedBy != 0
 }
 
 func TestIDHashStable(t *testing.T) {
@@ -78,7 +80,7 @@ func TestSnapshotMissing(t *testing.T) {
 	if _, _, _, ok := s.Snapshot("nope"); ok {
 		t.Fatal("Snapshot of missing object returned ok")
 	}
-	if _, _, ok := s.State("nope"); ok {
+	if s.State("nope").Owned {
 		t.Fatal("State of missing object returned ok")
 	}
 }
@@ -93,16 +95,29 @@ func TestReadIsOneCut(t *testing.T) {
 	if r := lock(s, "y", 5, Version{2, 1}); r != LockOK {
 		t.Fatalf("lock y: %v", r)
 	}
-	held := false
-	copies, clock := s.Read(nil, []ID{"x", "y", "nope"}, func() uint64 {
-		held = !s.mu.TryLock()
-		if !held {
+	locked := func() bool {
+		if s.mu.TryLock() {
 			s.mu.Unlock()
+			return false
 		}
+		return true
+	}
+	var held, decided bool
+	var seen []Copy
+	copies, clock := s.Read(nil, []ID{"x", "y", "nope"}, func() uint64 {
+		held = locked()
 		return 42
+	}, func(i int, c Copy) {
+		decided = locked()
+		if i == len(seen) {
+			seen = append(seen, c)
+		}
 	})
 	if !held || clock != 42 {
 		t.Fatalf("clock %d read with the mutex held = %v, want 42 and true", clock, held)
+	}
+	if !decided || len(seen) != 3 || seen[1] != copies[1] || seen[2] != copies[2] {
+		t.Fatalf("decided with the mutex held = %v on %+v, want true on the 3 copies returned", decided, seen)
 	}
 	x, y, nope := copies[0], copies[1], copies[2]
 	if !x.Owned || x.LockedBy != 0 || x.Ver != (Version{1, 0}) || x.Val.(*intBox).N != 7 {
@@ -115,7 +130,7 @@ func TestReadIsOneCut(t *testing.T) {
 		t.Fatalf("missing object = %+v, want the zero Copy", nope)
 	}
 	x.Val.(*intBox).N = 99
-	if again, _ := s.Read(nil, []ID{"x"}, nil); again[0].Val.(*intBox).N != 7 {
+	if again, _ := s.Read(nil, []ID{"x"}, nil, nil); again[0].Val.(*intBox).N != 7 {
 		t.Fatal("Read aliases the authoritative copy")
 	}
 }
@@ -180,13 +195,64 @@ func TestRemoveRequiresLock(t *testing.T) {
 	}
 }
 
+// TestDepartureRecord: only a migration leaves a departure record, and any
+// install, or a commit bringing the object back (Arriving), clears it.
+func TestDepartureRecord(t *testing.T) {
+	moved := func(s *Store, id ID) (transport.NodeID, bool) {
+		c := s.State(id)
+		return c.MovedTo, c.Moved && !c.Owned
+	}
+	installs := map[string]func(s *Store){
+		"Install":       func(s *Store) { s.Install("x", &intBox{1}, Version{}) },
+		"InstallNew":    func(s *Store) { s.InstallNew("x", &intBox{1}) },
+		"InstallLocked": func(s *Store) { s.InstallLocked("x", &intBox{1}, Version{}, 9) },
+		"Arriving":      func(s *Store) { s.Arriving([]ID{"x"}) },
+	}
+	for name, clear := range installs {
+		t.Run(name, func(t *testing.T) {
+			s := NewStore()
+			s.Install("x", &intBox{1}, Version{})
+			if err := s.Migrate("x", 0, 3); err != nil {
+				t.Fatal(err)
+			}
+			if to, ok := moved(s, "x"); !ok || to != 3 {
+				t.Fatalf("after Migrate: moved to %d = %v, want node 3", to, ok)
+			}
+			var buf [1]Copy
+			if c, _ := s.Read(buf[:0], []ID{"x"}, nil, nil); !c[0].Moved || c[0].MovedTo != 3 {
+				t.Fatalf("Read after Migrate = %+v, want moved to node 3", c[0])
+			}
+			clear(s)
+			if _, ok := moved(s, "x"); ok {
+				t.Fatalf("a departure record outlived %s", name)
+			}
+		})
+	}
+	t.Run("Remove", func(t *testing.T) {
+		s := NewStore()
+		s.InstallLocked("x", &intBox{1}, Version{}, 9)
+		if err := s.Remove("x", 9); err != nil {
+			t.Fatal(err)
+		}
+		if c := s.State("x"); c != (Copy{}) {
+			t.Fatalf("after a rollback Remove: %+v, want the zero Copy", c)
+		}
+	})
+	t.Run("Migrate refused", func(t *testing.T) {
+		s := NewStore()
+		if err := s.Migrate("x", 0, 3); err == nil {
+			t.Fatal("Migrate of an object not here succeeded")
+		}
+		if _, ok := moved(s, "x"); ok {
+			t.Fatal("a refused Migrate left a departure record")
+		}
+	})
+}
+
 func TestStoreLenIDs(t *testing.T) {
 	s := NewStore()
 	s.Install("a", &intBox{1}, Version{})
 	s.Install("b", &intBox{2}, Version{})
-	if s.Len() != 2 {
-		t.Fatalf("Len = %d", s.Len())
-	}
 	ids := s.IDs()
 	seen := map[ID]bool{}
 	for _, id := range ids {

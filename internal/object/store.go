@@ -5,15 +5,17 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"dstm/internal/transport"
 )
 
 // TraceFn is the store's debug callback type; see Store.SetTrace. a carries
 // the installed version clock for "install" and "commit", zero otherwise.
 type TraceFn func(op string, id ID, tx, a uint64)
 
-// Store holds the authoritative copies of the objects currently owned by
-// one node, together with per-object commit-lock state. All methods are
-// safe for concurrent use.
+// Store is one node's owner record: the authoritative copies of the objects
+// it owns with their commit-lock state, and where a migration last took
+// each one it gave away. All methods are safe for concurrent use.
 //
 // The commit lock is what creates the scheduling window the paper exploits:
 // while a committing transaction validates an object (holds its lock),
@@ -22,8 +24,12 @@ type TraceFn func(op string, id ID, tx, a uint64)
 //
 // One mutex guards the whole store, so each batch is one critical section:
 // LockBatch applies a whole batch of locks, and Read copies a batch of
-// objects and reads the caller's clock — the cut every owner reply (a
-// retrieve, a locking retrieve, a hand-off push) is built from.
+// objects, reads the caller's clock and runs the caller's decision on the
+// copies — the cut every owner reply (a retrieve, a locking retrieve, a
+// hand-off push) is built from, and the moment the scheduler decides it.
+//
+// The departure records sit beside the records, under the same mutex: only
+// Migrate writes one, and every install, or Arriving, clears it.
 //
 // A lock request can reach the store after its own identity's release (an
 // at-least-once retransmission, a reply the requester gave up on). Served,
@@ -36,6 +42,7 @@ type TraceFn func(op string, id ID, tx, a uint64)
 type Store struct {
 	mu     sync.Mutex
 	objs   map[ID]*record
+	moved  map[ID]transport.NodeID // departure records, none for an object in objs
 	fenced map[fence]bool
 	fences []fence // fenced in planting order, oldest first
 	trace  atomic.Pointer[TraceFn]
@@ -94,7 +101,7 @@ type record struct {
 
 // NewStore returns an empty store.
 func NewStore() *Store {
-	return &Store{objs: make(map[ID]*record), fenced: make(map[fence]bool)}
+	return &Store{objs: make(map[ID]*record), moved: make(map[ID]transport.NodeID), fenced: make(map[fence]bool)}
 }
 
 // Install inserts or replaces the authoritative copy of an object,
@@ -105,6 +112,7 @@ func (s *Store) Install(id ID, val Value, ver Version) {
 	defer s.mu.Unlock()
 	s.emit("install", id, 0, ver.Clock)
 	s.objs[id] = &record{val: val, ver: ver}
+	delete(s.moved, id)
 }
 
 // InstallNew installs val as id at the zero version, unlocked, unless the
@@ -118,39 +126,53 @@ func (s *Store) InstallNew(id ID, val Value) bool {
 	}
 	s.emit("install", id, 0, 0)
 	s.objs[id] = &record{val: val}
+	delete(s.moved, id)
 	return true
 }
 
 // Copy is one object as Store.Read found it: a deep copy of its value, its
 // version and the transaction holding its commit lock (0 when unlocked).
-// Owned is false, and the rest zero, when this node does not own it.
+// Owned is false, and those zero, when this node does not own it; then
+// Moved says whether a migration took it away, to node MovedTo.
 type Copy struct {
 	Val      Value
 	Ver      Version
 	LockedBy uint64
+	MovedTo  transport.NodeID
 	Owned    bool
+	Moved    bool
 }
 
-// Read appends a copy of every object of ids to dst and then calls now (when
-// not nil), all in one critical section, and returns the copies with now's
-// result: they are the store's state at that clock. Nothing can lock, update or remove one of
-// them between the copy and the clock, so a reply built from one Read is a
-// consistent cut; a commit that locks one of them later does so after the
-// clock was read. now runs with the store locked, so it must not call the
-// store.
-func (s *Store) Read(dst []Copy, ids []ID, now func() uint64) ([]Copy, uint64) {
+// Read appends a copy of every object of ids to dst, then calls now and
+// decide(i, copy of ids[i]) for each copy (each when not nil), all in one
+// critical section, and returns the copies with now's result: they are the
+// store's state at that clock, and decide sees exactly them. Nothing can
+// lock, update, remove or install one of them between the copy, the clock
+// and the decision, so a reply built from one Read is a consistent cut, and
+// a commit that locks one of them later does so after the clock was read
+// and the decision made. now and decide run with the store locked: they
+// must not call the store, and must not send a message (a message to this
+// node is served on the sender's goroutine, and its handler may call the
+// store).
+func (s *Store) Read(dst []Copy, ids []ID, now func() uint64, decide func(i int, c Copy)) ([]Copy, uint64) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	start := len(dst)
 	for _, id := range ids {
 		var c Copy
 		if r, ok := s.objs[id]; ok {
 			c = Copy{Val: r.val.Copy(), Ver: r.ver, LockedBy: r.lockTx, Owned: true}
+		} else {
+			c.MovedTo, c.Moved = s.moved[id]
 		}
 		dst = append(dst, c)
 	}
 	var clock uint64
 	if now != nil {
 		clock = now()
+	}
+	for i := start; decide != nil && i < len(dst); i++ {
+		decide(i-start, dst[i])
 	}
 	return dst, clock
 }
@@ -160,20 +182,19 @@ func (s *Store) Read(dst []Copy, ids []ID, now func() uint64) ([]Copy, uint64) {
 // benchmark PR removes both.
 func (s *Store) Snapshot(id ID) (val Value, ver Version, locked bool, ok bool) {
 	var buf [1]Copy
-	c, _ := s.Read(buf[:0], []ID{id}, nil)
+	c, _ := s.Read(buf[:0], []ID{id}, nil, nil)
 	return c[0].Val, c[0].Ver, c[0].LockedBy != 0, c[0].Owned
 }
 
-// State returns the object's version and the transaction holding its commit
-// lock (0 when unlocked). ok is false when the object is not owned here.
-func (s *Store) State(id ID) (ver Version, lockedBy uint64, ok bool) {
+// State is Read of one object without its value and without a clock.
+func (s *Store) State(id ID) Copy {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	r, ok := s.objs[id]
-	if !ok {
-		return Version{}, 0, false
+	if r, ok := s.objs[id]; ok {
+		return Copy{Ver: r.ver, LockedBy: r.lockTx, Owned: true}
 	}
-	return r.ver, r.lockTx, true
+	to, moved := s.moved[id]
+	return Copy{MovedTo: to, Moved: moved}
 }
 
 // LockEntry is one object of a LockBatch request.
@@ -285,6 +306,7 @@ func (s *Store) InstallLocked(id ID, val Value, ver Version, tx uint64) {
 	defer s.mu.Unlock()
 	s.emit("install-locked", id, tx, 0)
 	s.objs[id] = &record{val: val, ver: ver, lockTx: tx, lockAt: time.Now()}
+	delete(s.moved, id)
 }
 
 // UpdateCommitted installs a new committed value and version for an object
@@ -310,10 +332,16 @@ func (s *Store) UpdateCommitted(id ID, val Value, ver Version, tx uint64) error 
 // SnapshotAt is Snapshot; the frozen bench/micro.go times it.
 func (s *Store) SnapshotAt(id ID, _, _ uint64) (Value, Version, bool, bool) { return s.Snapshot(id) }
 
-// Remove deletes the object if the caller transaction holds its commit lock
-// (ownership is migrating away as part of tx's commit). It returns an error
-// if the object is absent or locked by someone else.
-func (s *Store) Remove(id ID, tx uint64) error {
+// Remove deletes the object if the caller transaction holds its commit lock:
+// a rollback (a creation undone), which leaves no departure record. It
+// returns an error if the object is absent or locked by someone else.
+func (s *Store) Remove(id ID, tx uint64) error { return s.remove(id, tx, nil) }
+
+// Migrate is Remove for a migration: ownership is moving to node to as part
+// of tx's commit, so it also records that the object went there.
+func (s *Store) Migrate(id ID, tx uint64, to transport.NodeID) error { return s.remove(id, tx, &to) }
+
+func (s *Store) remove(id ID, tx uint64, to *transport.NodeID) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	r, ok := s.objs[id]
@@ -325,7 +353,21 @@ func (s *Store) Remove(id ID, tx uint64) error {
 	}
 	s.emit("remove", id, tx, 0)
 	delete(s.objs, id)
+	if to != nil {
+		s.moved[id] = *to
+	}
 	return nil
+}
+
+// Arriving clears the departure records of ids: a commit of this node is
+// bringing them back, so until they are installed a request for one reads
+// not owned, not moved to the node that is sending it here.
+func (s *Store) Arriving(ids []ID) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for _, id := range ids {
+		delete(s.moved, id)
+	}
 }
 
 // Owns reports whether this node currently owns id.
@@ -334,13 +376,6 @@ func (s *Store) Owns(id ID) bool {
 	defer s.mu.Unlock()
 	_, ok := s.objs[id]
 	return ok
-}
-
-// Len returns the number of objects owned by this node.
-func (s *Store) Len() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.objs)
 }
 
 // IDs returns the IDs of all objects owned here (unordered snapshot).

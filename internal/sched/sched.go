@@ -63,7 +63,10 @@ type Decision struct {
 
 // Policy is the per-node transactional scheduler. Implementations must be
 // safe for concurrent use. Methods that manage queues are no-ops for
-// policies that never enqueue (the baselines).
+// policies that never enqueue (the baselines). OnConflict and OnRelease are
+// called with the owner's object store locked (object.Store.Read), so a
+// decision and the store state it was made on are one critical section:
+// they must return quickly, and must not call the store or send a message.
 type Policy interface {
 	// Name identifies the policy in reports ("RTS", "TFA", "TFA+Backoff").
 	Name() string

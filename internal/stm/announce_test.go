@@ -349,7 +349,7 @@ func TestUnwrittenAnnouncementIsReleasedByTheCommit(t *testing.T) {
 	seed(t, tc, map[object.ID]int{"x": 1, "y": 2, "z": 2})
 	before := map[object.ID]object.Version{}
 	for _, oid := range []object.ID{"y", "z"} {
-		before[oid], _, _ = tc.rts[2].Store().State(oid)
+		before[oid] = tc.rts[2].Store().State(oid).Ver
 	}
 	var msgs kindCounter
 	tc.net.SetInterceptor(msgs.intercept)
@@ -373,7 +373,7 @@ func TestUnwrittenAnnouncementIsReleasedByTheCommit(t *testing.T) {
 		t.Fatalf("commit took %d waves, want 1: the release rides the publish wave", m.CommitRounds)
 	}
 	for oid, ver := range before {
-		if now, _, _ := tc.rts[2].Store().State(oid); now != ver {
+		if now := tc.rts[2].Store().State(oid).Ver; now != ver {
 			t.Fatalf("%s version %v after the release, want %v unchanged", oid, now, ver)
 		}
 	}
@@ -436,7 +436,7 @@ func TestReleaseRacesItsAnnouncement(t *testing.T) {
 		}()
 		wg.Wait()
 		for _, oid := range oids {
-			if _, by, _ := owner.Store().State(oid); by != 0 {
+			if by := owner.Store().State(oid).LockedBy; by != 0 {
 				t.Fatalf("iteration %d: %s left locked by %x", i, oid, by)
 			}
 		}

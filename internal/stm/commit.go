@@ -268,6 +268,9 @@ func (tx *Txn) publishAll(ctx context.Context, writes []object.ID, locked, unwri
 		}
 	}
 
+	// Coming back: a request in the wave's window is told NotOwner, not
+	// Moved to the node that is sending them here.
+	rt.store.Arriving(moving)
 	calls := make([]cluster.Outcall, 0, len(surrender))
 	for node, oids := range surrender {
 		calls = append(calls, cluster.Outcall{To: node, Kind: KindCommitObjectBatch,
@@ -319,12 +322,6 @@ func (tx *Txn) publishAll(ctx context.Context, writes []object.ID, locked, unwri
 			fail(fmt.Errorf("stm: ownership update: %w", err))
 			dirOK = false
 		}
-		// Back here: where an earlier commit sent them is no answer any more.
-		rt.migrMu.Lock()
-		for _, oid := range migrated {
-			delete(rt.migrated, oid)
-		}
-		rt.migrMu.Unlock()
 		for _, oid := range migrated {
 			rt.store.Install(oid, tx.entries[oid].val.Copy(), newVer)
 		}

@@ -30,8 +30,9 @@ func TestAcquireBatchPartialFailure(t *testing.T) {
 		{
 			name: "one-entry-busy",
 			sabotage: func(t *testing.T, tc *testCluster) {
-				ver, _, ok := tc.rts[0].Store().State("b1")
-				if !ok {
+				c := tc.rts[0].Store().State("b1")
+				ver := c.Ver
+				if !c.Owned {
 					t.Fatal("b1 not installed at node 0")
 				}
 				if res := lockAt(tc.rts[0].Store(), "b1", foreignTx, ver); res != object.LockOK {

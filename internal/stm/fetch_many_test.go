@@ -279,8 +279,13 @@ func TestStaleHintFollowsMovedTo(t *testing.T) {
 		wantLocks     int // locking retrieves
 	}{
 		{name: "moved-to followed", step: "retrieve", record: moved, wantLookups: 0, wantRetrieves: 2},
-		{name: "lying", step: "retrieve", record: func(rt *Runtime, x object.ID) { rt.migrated[x] = 3 }, wantLookups: 1, wantRetrieves: 3},
-		{name: "absent", step: "retrieve", record: func(rt *Runtime, x object.ID) { delete(rt.migrated, x) }, wantLookups: 1, wantRetrieves: 2},
+		{name: "lying", step: "retrieve", record: func(rt *Runtime, x object.ID) {
+			rt.store.Install(x, &box{}, object.Version{}) // held a moment, then sent to node 3
+			if err := rt.store.Migrate(x, 0, 3); err != nil {
+				panic(err)
+			}
+		}, wantLookups: 1, wantRetrieves: 3},
+		{name: "absent", step: "retrieve", record: func(rt *Runtime, x object.ID) { rt.store.Arriving([]object.ID{x}) }, wantLookups: 1, wantRetrieves: 2},
 		// The commit meets node 0's Moved and finds x changed at node 1: one
 		// validation abort, and the retry retrieves x from node 1. A commit
 		// that writes x locks it at node 0, then at node 1, releases it, and
@@ -301,9 +306,7 @@ func TestStaleHintFollowsMovedTo(t *testing.T) {
 				}); err != nil {
 					t.Fatal(err)
 				}
-				tc.rts[0].migrMu.Lock()
 				c.record(tc.rts[0], x)
-				tc.rts[0].migrMu.Unlock()
 				tc.net.SetInterceptor(msgs.intercept)
 			}
 
@@ -512,19 +515,24 @@ func TestWaveForwardingAbortsInnermostHolder(t *testing.T) {
 }
 
 // commitMidRetrieve is a scheduler policy that, the first time its node
-// serves object on, runs commit from inside the retrieve handler: after the
-// batch was read and before the reply is sent — between two entries' copies,
-// were they read one at a time.
+// serves object on, starts commit from inside the retrieve handler's read —
+// between two entries' copies, were they read one at a time — on a
+// goroutine of its own (the read holds the store, which the commit needs),
+// and closes done once it has committed.
 type commitMidRetrieve struct {
 	sched.Policy
 	on     object.ID
 	fired  atomic.Bool
 	commit func()
+	done   chan struct{}
 }
 
 func (p *commitMidRetrieve) ObserveRequest(oid object.ID, txid uint64) int {
 	if oid == p.on && p.fired.CompareAndSwap(false, true) {
-		p.commit()
+		go func() {
+			defer close(p.done)
+			p.commit()
+		}()
 	}
 	return p.Policy.ObserveRequest(oid, txid)
 }
@@ -553,9 +561,10 @@ func audit(ctx context.Context, rt *Runtime, a, b object.ID) (na, nb int64, err 
 }
 
 // TestRetrieveReplyIsAConsistentCut: node 0 owns a (100) and b (0); while it
-// serves node 2's retrieve for both, a transfer a→b commits after the entries
-// were read — by a local transaction, or by node 1, which takes both objects
-// away. The reply is the cut from before the transfer, at a clock the
+// serves node 2's retrieve for both, a transfer a→b starts inside the read
+// and commits before the reply leaves — by a local transaction, or by node 1,
+// which takes both objects away. The reply is the cut from before the
+// transfer, at a clock the
 // transfer's version is above, so the audit commits a=100, b=0. A reply
 // carrying the old a beside the new b (or beside a pointer to it) at a clock
 // that covers the commit would be adopted unvalidated, and the read-only audit
@@ -573,21 +582,26 @@ func TestRetrieveReplyIsAConsistentCut(t *testing.T) {
 			ctx := context.Background()
 			var tc *testCluster
 			var commitErr error
-			node := 0
-			tc = newTestCluster(t, 3, nil, func() sched.Policy {
-				node++
-				if node-1 != 0 {
-					return sched.NewTFA()
-				}
-				return &commitMidRetrieve{Policy: sched.NewTFA(), on: "t/a", commit: func() {
-					commitErr = move(ctx, tc.rts[c.committer], "t/a", "t/b")
-				}}
-			})
+			hook := &commitMidRetrieve{Policy: sched.NewTFA(), on: "t/a", done: make(chan struct{}), commit: func() {
+				commitErr = move(ctx, tc.rts[c.committer], "t/a", "t/b")
+			}}
+			tc = newTestCluster(t, 3, nil, inOrder(hook, sched.NewTFA(), sched.NewTFA()))
 			for oid, n := range map[object.ID]int64{"t/a": 100, "t/b": 0} {
 				if err := tc.rts[0].CreateRoot(ctx, oid, &box{N: n}); err != nil {
 					t.Fatal(err)
 				}
 			}
+			// Hold node 0's reply to node 2 until the transfer has committed.
+			tc.net.SetInterceptor(func(m *transport.Message) bool {
+				if m.Kind == KindRetrieve && m.IsReply && m.From == 0 && m.To == 2 && hook.fired.Load() {
+					select {
+					case <-hook.done:
+					case <-time.After(5 * time.Second):
+						t.Error("the transfer did not commit within 5 s")
+					}
+				}
+				return true
+			})
 
 			a, b, err := audit(ctx, tc.rts[2], "t/a", "t/b")
 			if err != nil || commitErr != nil {
@@ -635,7 +649,7 @@ func TestHandOffPushIsAConsistentCut(t *testing.T) {
 			return move(context.Background(), tc.rts[0], "t/a", "t/b")
 		}},
 		{name: "lock in between", relock: func(tc *testCluster) error {
-			ver, _, _ := tc.rts[0].Store().State("t/a")
+			ver := tc.rts[0].Store().State("t/a").Ver
 			if r := lockAt(tc.rts[0].Store(), "t/a", fakeValidator+1, ver); r != object.LockOK {
 				return fmt.Errorf("lock: %v", r)
 			}

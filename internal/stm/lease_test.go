@@ -27,8 +27,9 @@ func TestLeaseExpiryFreesWedgedLock(t *testing.T) {
 	// Wedge: a "crashed" committer holds the commit lock and will never
 	// release it.
 	const deadTx = 0xdead
-	ver, _, ok := rt0.Store().State("wedged")
-	if !ok {
+	c := rt0.Store().State("wedged")
+	ver := c.Ver
+	if !c.Owned {
 		t.Fatal("object not owned by creator")
 	}
 	if got := lockAt(rt0.Store(), "wedged", deadTx, ver); got != object.LockOK {
@@ -77,7 +78,7 @@ func TestLeaseExpiryServesQueuedRequesters(t *testing.T) {
 		t.Fatal(err)
 	}
 	const deadTx = 0xdead
-	ver, _, _ := rt0.Store().State("queued")
+	ver := rt0.Store().State("queued").Ver
 	if got := lockAt(rt0.Store(), "queued", deadTx, ver); got != object.LockOK {
 		t.Fatalf("setup lock: %v", got)
 	}
@@ -110,7 +111,7 @@ func TestLeaseExpiryStopIdempotent(t *testing.T) {
 	if err := rt.CreateRoot(context.Background(), "x", &box{N: 1}); err != nil {
 		t.Fatal(err)
 	}
-	ver, _, _ := rt.Store().State("x")
+	ver := rt.Store().State("x").Ver
 	if got := lockAt(rt.Store(), "x", 99, ver); got != object.LockOK {
 		t.Fatalf("lock: %v", got)
 	}
@@ -134,7 +135,7 @@ func TestCommitMigrationOfAGoneObjectFails(t *testing.T) {
 		t.Fatal(err)
 	}
 	const txid = 77
-	ver, _, _ := rt0.Store().State("mig")
+	ver := rt0.Store().State("mig").Ver
 	if got := lockAt(rt0.Store(), "mig", txid, ver); got != object.LockOK {
 		t.Fatalf("lock: %v", got)
 	}

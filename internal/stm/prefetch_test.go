@@ -338,7 +338,7 @@ func TestWritePrefetchReturnsLocked(t *testing.T) {
 					t.Errorf("after Prefetch: %d copies held, %d retrieves unanswered; want %d, 0", h, n, wantHeld)
 				}
 				for oid, node := range place {
-					if _, by, _ := tc.rts[node].Store().State(oid); (by == tx.lockID) == refused {
+					if by := tc.rts[node].Store().State(oid).LockedBy; (by == tx.lockID) == refused {
 						t.Errorf("after Prefetch: %s locked by %x at node %d, attempt %x; want locked for the attempt: %v",
 							oid, by, node, tx.lockID, !refused)
 					}

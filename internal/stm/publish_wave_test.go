@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"dstm/internal/object"
+	"dstm/internal/sched"
 	"dstm/internal/transport"
 )
 
@@ -479,5 +480,107 @@ func TestPublishWaveIsOneMessagePerNode(t *testing.T) {
 		if !tc.rts[0].Store().Owns(oid) || homeSays(t, tc.rts[4], oid) != 0 {
 			t.Fatalf("%s is not at node 0, or its home does not say so", oid)
 		}
+	}
+}
+
+// askAbout sends node from's retrieve for oid straight to node at, with no
+// directory lookup, and returns at's answer.
+func askAbout(t *testing.T, tc *testCluster, from, at transport.NodeID, oid object.ID) retrieveResult {
+	t.Helper()
+	body, err := tc.rts[from].ep.Call(context.Background(), at, KindRetrieve,
+		retrieveReq{TxID: 0xa5, Mode: sched.Read, Oids: []object.ID{oid}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return body.(retrieveResp).Results[0]
+}
+
+// takeAway commits a write of oid at node to, which migrates it there.
+func takeAway(t *testing.T, tc *testCluster, to int, oid object.ID) {
+	t.Helper()
+	if err := tc.rts[to].Atomic(context.Background(), "take", func(tx *Txn) error {
+		return tx.Write(context.Background(), oid, &box{N: int64(to)})
+	}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestReturningObjectIsNotMovedAway: node 1 took x from node 0, so node 0
+// answers Moved to node 1. Then node 0 writes x, and its publish wave, which
+// brings x back from node 1, is held for its replies. A retrieve served at
+// node 0 in that window is answered NotOwner — ask the home — and not Moved
+// to node 1, which is sending x back.
+func TestReturningObjectIsNotMovedAway(t *testing.T) {
+	tc := newTestCluster(t, 3, nil, nil)
+	ctx := context.Background()
+	seed(t, tc, map[object.ID]int{"x": 0})
+	takeAway(t, tc, 1, "x")
+	if r := askAbout(t, tc, 2, 0, "x"); r.Status != statusMoved || r.MovedTo != 1 {
+		t.Fatalf("node 0 answers %v to node %d, want moved to node 1", r.Status, r.MovedTo)
+	}
+
+	held, release := make(chan struct{}), make(chan struct{})
+	letGo := sync.OnceFunc(func() { close(release) })
+	defer letGo() // a failed test must not leave the commit held
+	var hold sync.Once
+	tc.net.SetInterceptor(func(m *transport.Message) bool {
+		// Node 1's reply, held on node 1's goroutine serving node 0; a reply
+		// of node 2's held there would hold node 0's answers to node 2 too.
+		if m.Kind == KindCommitObjectBatch && m.IsReply && m.From == 1 && m.To == 0 {
+			hold.Do(func() {
+				close(held)
+				<-release
+			})
+		}
+		return true
+	})
+	done := make(chan error, 1)
+	go func() {
+		done <- tc.rts[0].Atomic(ctx, "w", func(tx *Txn) error { return tx.Write(ctx, "x", &box{N: 7}) })
+	}()
+	<-held
+	r := askAbout(t, tc, 2, 0, "x")
+	letGo()
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	if r.Status != statusNotOwner {
+		t.Fatalf("during the wave node 0 answers %v to node %d, want not-owner", r.Status, r.MovedTo)
+	}
+	if got := readBox(t, tc.rts[2], "x"); got != 7 || !tc.rts[0].Store().Owns("x") {
+		t.Fatalf("read %d, node 0 holds x = %v; want 7 and true", got, tc.rts[0].Store().Owns("x"))
+	}
+}
+
+// TestRolledBackCreateLeavesNoDepartureRecord: node 1 held x and node 0 took
+// it, so node 1 answers Moved to node 0. Then node 1 creates x again, and the
+// home refuses it: by CreateRoots, or by a transaction's creation, which
+// rolls back. The install cleared the departure record and the rollback's
+// removal writes none, so node 1 answers NotOwner.
+func TestRolledBackCreateLeavesNoDepartureRecord(t *testing.T) {
+	cases := map[string]func(ctx context.Context, rt *Runtime) error{
+		"CreateRoots": func(ctx context.Context, rt *Runtime) error {
+			return rt.CreateRoots(ctx, []object.ID{"x"}, []object.Value{&box{N: 9}})
+		},
+		"transaction": func(ctx context.Context, rt *Runtime) error {
+			return rt.Atomic(ctx, "create", func(tx *Txn) error { return tx.Create("x", &box{N: 9}) })
+		},
+	}
+	for name, create := range cases {
+		t.Run(name, func(t *testing.T) {
+			tc := newTestCluster(t, 3, nil, nil)
+			ctx := context.Background()
+			seed(t, tc, map[object.ID]int{"x": 1})
+			takeAway(t, tc, 0, "x")
+			if r := askAbout(t, tc, 2, 1, "x"); r.Status != statusMoved || r.MovedTo != 0 {
+				t.Fatalf("node 1 answers %v to node %d, want moved to node 0", r.Status, r.MovedTo)
+			}
+			if err := create(ctx, tc.rts[1]); err == nil || !strings.Contains(err.Error(), "already registered") {
+				t.Fatalf("create: err = %v, want already registered", err)
+			}
+			if r := askAbout(t, tc, 2, 1, "x"); r.Status != statusNotOwner {
+				t.Fatalf("after the rollback node 1 answers %v to node %d, want not-owner", r.Status, r.MovedTo)
+			}
+		})
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"slices"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"dstm/internal/cc"
@@ -32,18 +33,10 @@ type Runtime struct {
 	stats   *stats.Table
 	metrics *Metrics
 
-	txSeq uint64
-	seqMu sync.Mutex
+	txSeq atomic.Uint64
 
 	waitMu  sync.Mutex
 	waiters map[waitKey]chan pushMsg
-
-	// migrated remembers, per object, the node the commit that last took it
-	// away from this node took it to, until a commit of this node brings it
-	// back (publishAll); any request for the departed object is answered
-	// with it (notHere).
-	migrMu   sync.Mutex
-	migrated map[object.ID]transport.NodeID
 
 	nesting NestingMode
 	tracer  *trace.Recorder
@@ -85,15 +78,14 @@ func NewRuntime(ep *cluster.Endpoint, size int, policy sched.Policy, st *stats.T
 		st = stats.NewTable(time.Millisecond)
 	}
 	rt := &Runtime{
-		ep:       ep,
-		clock:    ep.Clock(),
-		store:    object.NewStore(),
-		locator:  cc.NewService(ep, size),
-		policy:   policy,
-		stats:    st,
-		metrics:  &Metrics{},
-		waiters:  make(map[waitKey]chan pushMsg),
-		migrated: make(map[object.ID]transport.NodeID),
+		ep:      ep,
+		clock:   ep.Clock(),
+		store:   object.NewStore(),
+		locator: cc.NewService(ep, size),
+		policy:  policy,
+		stats:   st,
+		metrics: &Metrics{},
+		waiters: make(map[waitKey]chan pushMsg),
 	}
 	ep.Handle(KindRetrieve, rt.handleRetrieve)
 	ep.Handle(KindRelease, rt.handleRelease)
@@ -169,12 +161,8 @@ func (rt *Runtime) Locator() *cc.Service { return rt.locator }
 func (rt *Runtime) Endpoint() *cluster.Endpoint { return rt.ep }
 
 func (rt *Runtime) nextTxID() uint64 {
-	rt.seqMu.Lock()
-	rt.txSeq++
-	seq := rt.txSeq
-	rt.seqMu.Unlock()
 	// Node-unique transaction IDs: node in the top bits, sequence below.
-	return uint64(rt.ep.Self())<<40 | seq
+	return uint64(rt.ep.Self())<<40 | rt.txSeq.Add(1)
 }
 
 // CreateRoot seeds one object during setup: CreateRoots of one.
@@ -222,19 +210,19 @@ func (rt *Runtime) handleRetrieve(from transport.NodeID, payload any) (any, erro
 	if !ok {
 		return nil, fmt.Errorf("stm: bad retrieve payload %T", payload)
 	}
-	// The reply is a cut as of OwnerClock: every entry is copied and the
-	// clock read in one critical section of the store (Store.Read). A commit
-	// that touches one of them later takes its lock after that read, hence
-	// ticks past OwnerClock — the requester may treat the copies as unchanged
-	// up to that clock.
+	// The reply is a cut as of OwnerClock: every entry is copied, the clock
+	// read and every conflict decided in one critical section (Store.Read).
+	// A commit that touches one of them later locks it after that read, hence
+	// ticks past OwnerClock, and a release or migration of an entry enqueued
+	// here finds the requester queued.
+	resp := retrieveResp{Results: make([]retrieveResult, len(req.Oids))}
 	var buf [8]object.Copy // a batch of up to 8 is read without allocating
-	copies, clock := rt.store.Read(buf[:0], req.Oids, rt.clock.Now)
-	resp := retrieveResp{Results: make([]retrieveResult, len(req.Oids)), OwnerClock: clock}
-	if req.LockID != 0 && rt.lockAnnounced(&req, copies, &resp) {
-		return resp, nil
-	}
-	for i, oid := range req.Oids {
-		resp.Results[i] = rt.retrieveOne(from, &req, oid, copies[i])
+	copies, clock := rt.store.Read(buf[:0], req.Oids, rt.clock.Now, func(i int, c object.Copy) {
+		rt.retrieveOne(from, &req, req.Oids[i], &c, &resp.Results[i])
+	})
+	resp.OwnerClock = clock
+	if req.LockID != 0 {
+		rt.lockAnnounced(&req, copies, &resp)
 	}
 	return resp, nil
 }
@@ -242,14 +230,13 @@ func (rt *Runtime) handleRetrieve(from transport.NodeID, payload any) (any, erro
 // lockAnnounced serves a locking retrieve (Txn.lockWave), the one owner-side
 // commit-lock step: it commit-locks, for req.LockID, every entry this node
 // held when the request's copies were read, at the version read, all or
-// nothing (Store.LockBatch), and answers those copies with Locked set and the
-// rest with the "not here" answer. A locked copy is trivially a consistent
-// cut: nothing can commit it until the lock holder does. When any entry
-// cannot be locked — another transaction holds it, a commit got to it after
-// the read, or the store fenced it for req.LockID because a release overtook
-// this request — nothing is locked and it reports false; the request is then
-// served as a plain prefetch, from the same read.
-func (rt *Runtime) lockAnnounced(req *retrieveReq, copies []object.Copy, resp *retrieveResp) bool {
+// nothing (Store.LockBatch), and answers those copies with Locked set (the
+// read answered the unlocked ones; the rest were req.LockID's already). When
+// any entry cannot be locked — another transaction holds it, a commit got to
+// it after the read, or the store fenced it for req.LockID because a release
+// overtook this request — nothing is locked, and the answers stay those of
+// the plain prefetch the read decided.
+func (rt *Runtime) lockAnnounced(req *retrieveReq, copies []object.Copy, resp *retrieveResp) {
 	entries := make([]object.LockEntry, 0, len(req.Oids))
 	for i, c := range copies {
 		if c.Owned {
@@ -257,39 +244,39 @@ func (rt *Runtime) lockAnnounced(req *retrieveReq, copies []object.Copy, resp *r
 		}
 	}
 	if _, applied := rt.store.LockBatch(req.LockID, entries); !applied {
-		return false
+		return
 	}
-	for i, oid := range req.Oids {
-		if c := copies[i]; c.Owned {
-			resp.Results[i] = retrieveResult{Status: statusOK, Value: c.Val, Version: c.Ver,
-				RemoteCL: rt.policy.ObserveRequest(oid, req.TxID)}
-		} else {
-			a := rt.notHere(oid)
-			resp.Results[i] = retrieveResult{Status: a.Status, MovedTo: a.MovedTo}
+	for i, c := range copies {
+		if r := &resp.Results[i]; c.Owned && r.Status != statusOK {
+			*r = retrieveResult{Status: statusOK, Value: c.Val, Version: c.Ver}
 		}
 	}
 	resp.Locked = true
-	return true
 }
 
-// retrieveOne serves one object of a retrieve from its copy c: the copy, or —
-// when the object is being validated by a committing transaction — the
-// transactional scheduler's decision for this requester.
-func (rt *Runtime) retrieveOne(from transport.NodeID, req *retrieveReq, oid object.ID, c object.Copy) retrieveResult {
+// retrieveOne answers one object of a retrieve into out (zero on entry)
+// from its copy c, with the store locked (handleRetrieve's read): the copy,
+// or — when the object is being validated by a committing transaction — the
+// transactional scheduler's decision for this requester. Both go by
+// pointer: this runs once per entry inside the store's critical section.
+func (rt *Runtime) retrieveOne(from transport.NodeID, req *retrieveReq, oid object.ID, c *object.Copy, out *retrieveResult) {
 	if !c.Owned {
-		a := rt.notHere(oid)
-		return retrieveResult{Status: a.Status, MovedTo: a.MovedTo}
+		a := notHere(*c)
+		out.Status, out.MovedTo = a.Status, a.MovedTo
+		return
 	}
 	locked := c.LockedBy != 0
 	if locked && req.Prefetch {
 		// Left alone: not a conflict the transaction has run into yet.
-		return retrieveResult{Status: statusDenied}
+		out.Status = statusDenied
+		return
 	}
 	// Only now: a request that chased a stale hint here must not count
 	// towards the contention level of an object this node does not own.
-	localCL := rt.policy.ObserveRequest(oid, req.TxID)
+	out.RemoteCL = rt.policy.ObserveRequest(oid, req.TxID)
 	if !locked {
-		return retrieveResult{Status: statusOK, Value: c.Val, Version: c.Ver, RemoteCL: localCL}
+		out.Status, out.Value, out.Version = statusOK, c.Val, c.Ver
+		return
 	}
 
 	// A conflict: the scheduler decides (RTS Algorithm 3).
@@ -302,25 +289,19 @@ func (rt *Runtime) retrieveOne(from transport.NodeID, req *retrieveReq, oid obje
 		Elapsed:           req.Elapsed,
 		ExpectedRemaining: req.Remain,
 	})
+	out.Status = statusDenied
 	if dec.Enqueue {
 		rt.metrics.enqueues.Add(1)
-		// The lock the read saw may be gone already, its hand-off run on an
-		// empty queue: hand the object off now, or nobody ever will.
-		rt.handOff(oid)
-		return retrieveResult{Status: statusEnqueued, RemoteCL: localCL, Backoff: dec.Backoff}
+		out.Status, out.Backoff = statusEnqueued, dec.Backoff
 	}
-	return retrieveResult{Status: statusDenied, RemoteCL: localCL}
 }
 
 // notHere is this node's answer for an object it does not hold, whichever
-// step asks: Moved to the node a commit last took it to (Runtime.migrated),
-// else NotOwner.
-func (rt *Runtime) notHere(oid object.ID) answer {
-	rt.migrMu.Lock()
-	to, moved := rt.migrated[oid]
-	rt.migrMu.Unlock()
-	if moved {
-		return answer{Status: statusMoved, MovedTo: to}
+// step asks, from the store's copy c: Moved to the node a migration last
+// took it to, else NotOwner.
+func notHere(c object.Copy) answer {
+	if c.Moved {
+		return answer{Status: statusMoved, MovedTo: c.MovedTo}
 	}
 	return answer{Status: statusNotOwner}
 }
@@ -339,22 +320,6 @@ func (rt *Runtime) handleRelease(_ transport.NodeID, payload any) (any, error) {
 	return releaseReq{}, nil
 }
 
-// migrateOut surrenders one object to the committing transaction tx, which
-// runs on node to: ownership migrates to the committer, so drop the local
-// copy (requires the committer to hold the commit lock) and hand back the
-// requester queue so scheduling state travels with the object. The endpoint
-// serves each commit request at most once, so an object already gone is an
-// error.
-func (rt *Runtime) migrateOut(oid object.ID, tx uint64, to transport.NodeID) ([]sched.Request, error) {
-	if err := rt.store.Remove(oid, tx); err != nil {
-		return nil, err
-	}
-	rt.migrMu.Lock()
-	rt.migrated[oid] = to
-	rt.migrMu.Unlock()
-	return rt.policy.ExtractQueue(oid), nil
-}
-
 // ---------------------------------------------------------------------------
 // Owner-grouped batch handlers: one message covers every object of a commit
 // that this node owns (O(owners) commit rounds instead of O(objects)).
@@ -366,22 +331,27 @@ func (rt *Runtime) handleCheckVersionBatch(_ transport.NodeID, payload any) (any
 	}
 	resp := answersResp{Results: make([]answer, len(req.Entries))}
 	for i, e := range req.Entries {
-		ver, lockedBy, owned := rt.store.State(e.Oid)
+		c := rt.store.State(e.Oid)
 		switch {
-		case !owned:
-			resp.Results[i] = rt.notHere(e.Oid)
+		case !c.Owned:
+			resp.Results[i] = notHere(c)
 		// A version is valid only if unchanged AND not mid-commit by another
 		// transaction (whose new version would be installed momentarily).
-		case !ver.Equal(e.Ver) || lockedBy != 0 && lockedBy != req.TxID:
+		case !c.Ver.Equal(e.Ver) || c.LockedBy != 0 && c.LockedBy != req.TxID:
 			resp.Results[i] = answer{Status: statusStale}
 		}
 	}
 	return resp, nil
 }
 
-// handleCommitObjectBatch serves one message of a publish wave: surrender
-// this node's entries, then remember where everything the commit moved went
-// — except an entry refused just now, which is still here.
+// handleCommitObjectBatch serves one message of a publish wave. Each entry
+// of this node's leaves the store for the committer, which holds its commit
+// lock (Store.Migrate records where it went), and its requester queue goes
+// back in the reply: a retrieve enqueues only under the store's mutex while
+// the object is here, so that queue is complete. The endpoint serves each
+// request at most once, so an entry already gone is refused. Then the node
+// remembers where everything the commit moved went — except an entry
+// refused just now, which is still here.
 func (rt *Runtime) handleCommitObjectBatch(_ transport.NodeID, payload any) (any, error) {
 	req, ok := payload.(commitObjBatchReq)
 	if !ok {
@@ -389,12 +359,11 @@ func (rt *Runtime) handleCommitObjectBatch(_ transport.NodeID, payload any) (any
 	}
 	resp := commitObjBatchResp{Results: make([]commitObjBatchResult, len(req.Oids))}
 	for i, oid := range req.Oids {
-		queue, err := rt.migrateOut(oid, req.TxID, req.NewOwner)
-		if err != nil {
+		if err := rt.store.Migrate(oid, req.TxID, req.NewOwner); err != nil {
 			resp.Results[i].Err = err.Error()
 			continue
 		}
-		resp.Results[i].Queue = queue
+		resp.Results[i].Queue = rt.policy.ExtractQueue(oid)
 	}
 	moved := slices.DeleteFunc(slices.Clone(req.Moved), rt.store.Owns)
 	if err := rt.locator.Moved(moved, req.NewOwner); err != nil {
@@ -404,24 +373,26 @@ func (rt *Runtime) handleCommitObjectBatch(_ transport.NodeID, payload any) (any
 }
 
 // handOff pushes the object's current state to the requesters its
-// scheduler queue gives up now (RTS Algorithm 4). The push is a consistent
-// cut, as a retrieve reply is (handleRetrieve): the copy and the clock come
-// from one store read. An object gone or locked is left alone, its queue
-// untouched: a migration took the queue with it, and the lock holder's
-// publish or release, or the lease reaper, hands it off once it is free.
+// scheduler queue gives up now (RTS Algorithm 4). The pop, the copy and the
+// clock come from one store read, so the push is a consistent cut, as a
+// retrieve reply is; the pushes are sent after it. An object gone or locked
+// is left alone, its queue untouched: a migration took the queue with it,
+// and the lock holder's publish or release, or the lease reaper, hands it
+// off once it is free.
 func (rt *Runtime) handOff(oid object.ID) {
 	var buf [1]object.Copy
-	cs, clock := rt.store.Read(buf[:0], []object.ID{oid}, rt.clock.Now)
-	c := cs[0]
-	if !c.Owned || c.LockedBy != 0 {
-		return
-	}
-	for _, r := range rt.policy.OnRelease(oid) {
+	var popped []sched.Request
+	cs, clock := rt.store.Read(buf[:0], []object.ID{oid}, rt.clock.Now, func(_ int, c object.Copy) {
+		if c.Owned && c.LockedBy == 0 {
+			popped = rt.policy.OnRelease(oid)
+		}
+	})
+	for _, r := range popped {
 		_ = rt.ep.Notify(r.Node, KindPush, pushMsg{
 			Oid:        r.Oid,
 			TxID:       r.TxID,
-			Value:      c.Val.Copy(),
-			Version:    c.Ver,
+			Value:      cs[0].Val.Copy(),
+			Version:    cs[0].Ver,
 			Owner:      rt.Self(),
 			OwnerClock: clock,
 			RemoteCL:   rt.policy.ObserveRequest(r.Oid, r.TxID),

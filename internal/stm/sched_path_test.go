@@ -2,6 +2,7 @@ package stm
 
 import (
 	"context"
+	"fmt"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -27,14 +28,15 @@ func lockAt(st *object.Store, id object.ID, tx uint64, ver object.Version) objec
 
 // isLocked reports whether id is owned by st and commit-locked.
 func isLocked(st *object.Store, id object.ID) bool {
-	_, by, ok := st.State(id)
-	return ok && by != 0
+	c := st.State(id)
+	return c.Owned && c.LockedBy != 0
 }
 
 func lockObject(t *testing.T, rt *Runtime, oid object.ID) {
 	t.Helper()
-	ver, _, ok := rt.Store().State(oid)
-	if !ok {
+	c := rt.Store().State(oid)
+	ver := c.Ver
+	if !c.Owned {
 		t.Fatalf("object %q not owned", oid)
 	}
 	if res := lockAt(rt.Store(), oid, fakeValidator, ver); res != object.LockOK {
@@ -290,38 +292,53 @@ func TestRTSReadersReleasedTogether(t *testing.T) {
 	}
 }
 
-// releaseInConflict is RTS with one release run inside OnConflict, before
-// the decision: the retrieve read the object locked, and the release's
-// hand-off finds the queue still empty.
-type releaseInConflict struct {
+// actInConflict is RTS with one action started inside its first
+// OnConflict, after the retrieve read the object locked and before the
+// decision. The action runs on a goroutine of its own, and OnConflict waits
+// for it up to 200 ms before deciding: an owner that decides with its store
+// unlocked lets the action land between the read and the enqueue, and one
+// that decides under the store's mutex holds the action back until the
+// enqueue is done (a store call made here directly would deadlock).
+type actInConflict struct {
 	*core.RTS
-	fired   atomic.Bool
-	release func()
+	fired atomic.Bool
+	act   func()
 }
 
-func (p *releaseInConflict) OnConflict(req sched.Request) sched.Decision {
+func (p *actInConflict) OnConflict(req sched.Request) sched.Decision {
 	if p.fired.CompareAndSwap(false, true) {
-		p.release()
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			p.act()
+		}()
+		select {
+		case <-done:
+		case <-time.After(200 * time.Millisecond):
+		}
 	}
 	return p.RTS.OnConflict(req)
 }
 
+// inOrder is a policy factory for newTestCluster: node i gets ps[i].
+func inOrder(ps ...sched.Policy) func() sched.Policy {
+	node := 0
+	return func() sched.Policy {
+		node++
+		return ps[node-1]
+	}
+}
+
 // TestLockGoneBeforeTheEnqueueIsHandedOff: node 1's write finds x locked at
-// node 0, and the lock goes before the scheduler enqueues it. The owner hands
-// x off after the enqueue, so the writer is pushed x at once instead of
+// node 0, and a release of the lock starts before the scheduler enqueues the
+// writer. Whichever lands first, the writer is pushed x at once instead of
 // sitting out its backoff and aborting with queue-timeout.
 func TestLockGoneBeforeTheEnqueueIsHandedOff(t *testing.T) {
 	ctx := context.Background()
 	var tc *testCluster
-	rts := core.New(core.Options{CLThreshold: 5})
-	node := 0
-	tc = newTestCluster(t, 2, nil, func() sched.Policy {
-		node++
-		if node-1 != 0 {
-			return sched.NewTFA()
-		}
-		return &releaseInConflict{RTS: rts, release: func() { unlockAndServe(tc.rts[0], "x") }}
-	})
+	p := &actInConflict{RTS: core.New(core.Options{CLThreshold: 5})}
+	p.act = func() { unlockAndServe(tc.rts[0], "x") }
+	tc = newTestCluster(t, 2, nil, inOrder(p, sched.NewTFA()))
 	if err := tc.rts[0].CreateRoot(ctx, "x", &box{N: 1}); err != nil {
 		t.Fatal(err)
 	}
@@ -383,31 +400,11 @@ func TestQueueMigratesWithOwnership(t *testing.T) {
 	}()
 	waitFor(t, func() bool { return rts0.QueueLen("x") == 1 })
 
-	// Simulate node 1's commit of x: migrate ownership + queue to node 1
-	// exactly as Txn.publish does.
-	newVer := object.Version{Clock: tc.rts[1].ep.Clock().Tick(), Node: 1}
-	moved := []object.ID{"x"}
-	body, err := tc.rts[1].ep.Call(ctx, 0, KindCommitObjectBatch, commitObjBatchReq{
-		TxID: committerTx, NewOwner: 1, Oids: moved, Moved: moved,
-	})
-	if err != nil {
+	if queue, err := publishX(ctx, tc, committerTx, 50); err != nil {
 		t.Fatal(err)
+	} else if len(queue) != 1 {
+		t.Fatalf("migration carried %d requests, want C's", len(queue))
 	}
-	results := body.(commitObjBatchResp).Results
-	if len(results) != 1 || results[0].Err != "" || len(results[0].Queue) != 1 {
-		t.Fatalf("migration results = %+v, want one entry carrying C's request", results)
-	}
-	queue := results[0].Queue
-	if home := tc.rts[1].Locator().Home("x"); home != 0 {
-		if _, err := tc.rts[1].ep.Call(ctx, home, KindCommitObjectBatch, commitObjBatchReq{
-			TxID: committerTx, NewOwner: 1, Moved: moved,
-		}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	tc.rts[1].Store().Install("x", &box{N: 50}, newVer)
-	tc.rts[1].Policy().AdoptQueue("x", queue)
-	tc.rts[1].handOff("x")
 
 	if err := <-doneC; err != nil {
 		t.Fatal(err)
@@ -425,6 +422,90 @@ func TestQueueMigratesWithOwnership(t *testing.T) {
 	}
 	if got != 150 {
 		t.Fatalf("x = %d, want 150 (50 migrated + C's +100)", got)
+	}
+}
+
+// publishX plays node 1's commit of x, locked at node 0 by committerTx, as
+// Txn.publishAll does: x migrates with its queue to node 1, x's home learns
+// of it, and node 1 installs x with value n, adopts the queue and hands x
+// off. It returns the queue the migration carried.
+func publishX(ctx context.Context, tc *testCluster, committerTx uint64, n int64) ([]sched.Request, error) {
+	newVer := object.Version{Clock: tc.rts[1].ep.Clock().Tick(), Node: 1}
+	moved := []object.ID{"x"}
+	body, err := tc.rts[1].ep.Call(ctx, 0, KindCommitObjectBatch, commitObjBatchReq{
+		TxID: committerTx, NewOwner: 1, Oids: moved, Moved: moved,
+	})
+	if err != nil {
+		return nil, err
+	}
+	results := body.(commitObjBatchResp).Results
+	if len(results) != 1 || results[0].Err != "" {
+		return nil, fmt.Errorf("migration results = %+v, want one entry", results)
+	}
+	queue := results[0].Queue
+	if home := tc.rts[1].Locator().Home("x"); home != 0 {
+		if _, err := tc.rts[1].ep.Call(ctx, home, KindCommitObjectBatch, commitObjBatchReq{
+			TxID: committerTx, NewOwner: 1, Moved: moved,
+		}); err != nil {
+			return nil, err
+		}
+	}
+	tc.rts[1].Store().Install("x", &box{N: n}, newVer)
+	tc.rts[1].Policy().AdoptQueue("x", queue)
+	tc.rts[1].handOff("x")
+	return queue, nil
+}
+
+// TestMigrationBeforeTheEnqueueKeepsTheRequester: node 2's write finds x
+// locked at node 0 by node 1's commit, and the commit's publish starts
+// migrating x (and its queue) to node 1 before the scheduler enqueues the
+// writer. The owner decides under its store's mutex, so the migration waits
+// for the enqueue and carries the writer along: node 1 pushes x to it, and
+// node 0 keeps no orphaned queue entry.
+func TestMigrationBeforeTheEnqueueKeepsTheRequester(t *testing.T) {
+	ctx := context.Background()
+	var tc *testCluster
+	p := &actInConflict{RTS: core.New(core.Options{CLThreshold: 5})}
+	committerTx := uint64(0xbeef)
+	published := make(chan error, 1)
+	p.act = func() {
+		_, err := publishX(ctx, tc, committerTx, 50)
+		published <- err
+	}
+	tc = newTestCluster(t, 3, nil, inOrder(p, core.New(core.Options{CLThreshold: 5}), sched.NewTFA()))
+	if err := tc.rts[0].CreateRoot(ctx, "x", &box{N: 1}); err != nil {
+		t.Fatal(err)
+	}
+	tc.rts[2].Stats().RecordCommit("w", 300*time.Millisecond)
+	if res := lockAt(tc.rts[0].Store(), "x", committerTx, object.Version{}); res != object.LockOK {
+		t.Fatalf("lock: %v", res)
+	}
+
+	if err := tc.rts[2].Atomic(ctx, "w", func(tx *Txn) error {
+		return tx.Update(ctx, "x", func(v object.Value) object.Value {
+			v.(*box).N += 100
+			return v
+		})
+	}); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case err := <-published:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("the migration never ran: the write met no conflict")
+	}
+	m := tc.rts[2].Metrics().Snapshot()
+	if m.Aborts[AbortQueueTimeout] != 0 || m.Pushes != 1 {
+		t.Fatalf("queue-timeout aborts = %d, pushes = %d; want 0 and 1", m.Aborts[AbortQueueTimeout], m.Pushes)
+	}
+	if n := p.QueueLen("x"); n != 0 {
+		t.Fatalf("node 0 still queues %d requesters for x, which it no longer holds", n)
+	}
+	if got := readBox(t, tc.rts[0], "x"); got != 150 {
+		t.Fatalf("x = %d, want 150 (50 published + node 2's +100)", got)
 	}
 }
 

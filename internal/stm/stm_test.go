@@ -299,7 +299,7 @@ func TestRefusedCreateLeavesTheStoreAlone(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "already registered") {
 		t.Fatalf("create on another node: err = %v, want already registered", err)
 	}
-	if _, _, ok := other.Store().State("dup"); ok {
+	if other.Store().State("dup").Owned {
 		t.Fatal("a refused create left a second copy of dup on node 1")
 	}
 	if val, _, _, ok := other.Store().Snapshot("fresh"); !ok || val.(*box).N != 7 {
@@ -328,7 +328,7 @@ func TestFailedCreatePublishStillPublishesTheRest(t *testing.T) {
 	st := tc.rts[0].Store()
 	tc.net.SetInterceptor(func(m *transport.Message) bool {
 		if m.Kind == cc.KindRegisterBatch && !m.IsReply {
-			_, by, _ := st.State(created[0])
+			by := st.State(created[0]).LockedBy
 			st.Unlock(created[0], by)
 		}
 		return true

@@ -150,7 +150,7 @@ func TestShutdownLeavesCleanState(t *testing.T) {
 					continue
 				}
 				owners++
-				if _, lockedBy, _ := rt.Store().State(oid); lockedBy != 0 {
+				if lockedBy := rt.Store().State(oid).LockedBy; lockedBy != 0 {
 					t.Fatalf("iter %d: %s orphan-locked by %x at node %d", iter, oid, lockedBy, n)
 				}
 			}

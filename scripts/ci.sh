@@ -14,7 +14,10 @@
 #          by maxOwnerHops: ownerWave's; and one LockBatch call:
 #          Runtime.lockAnnounced's; and one goroutine started: the lease
 #          reaper's; and one call popping a scheduler queue: Runtime.handOff's;
-#          and no clock read in runtime.go outside the store's read; in
+#          and no clock read in runtime.go outside the store's read;
+#          and one scheduler conflict decision, inside the retrieve's
+#          store read, and no per-object map field or migrMu in
+#          runtime.go: the store is the one owner record; in
 #          internal/object, one read of the stale-lock fence map:
 #          LockBatch's; in internal/apps, one sorted-set seeding loop and one
 #          strictly-increasing check: apps.Set's, no CreateRoot call and
@@ -99,6 +102,13 @@ stage_vet() {
     # scheduler queue.
     echo ./internal/stm/runtime.go | one_site 'clock\.Now\(\)' "read a reply's clock inside Store.Read" none
     nontest_go | grep '^\./internal/stm/' | one_site 'OnRelease\(' 'serve a freed object through Runtime.handOff' exactly
+    # One owner record: the store holds every piece of an owner's per-object
+    # state (copy, lock, departure record) under its one mutex, and the
+    # scheduler decides a conflict inside the retrieve's Store.Read, so a
+    # per-object map or a mutex of the runtime's own beside the store, or a
+    # second conflict decision outside that read, fails here.
+    echo ./internal/stm/runtime.go | one_site '^\s+[[:alnum:]_, ]+\s+map\[object\.ID\]|migrMu' 'keep per-object owner state in object.Store' none
+    nontest_go | grep '^\./internal/stm/' | one_site 'OnConflict\(' "decide a conflict inside the retrieve's Store.Read" exactly
     nontest_go | grep '^\./internal/object/' | one_site '\.fenced\[[^]]*\]([^ ]|$| [^=])' 'check the stale-lock fence in Store.LockBatch only'
     # One sorted-set benchmark: Linked-List, BST and RB-Tree supply only
     # their layout to apps.Set, so a second seeding loop or a second order
