@@ -17,6 +17,10 @@ type TraceFn func(op string, id ID, tx, a uint64)
 // it owns with their commit-lock state, and where a migration last took
 // each one it gave away. All methods are safe for concurrent use.
 //
+// A value handed to the store is the store's, and nobody changes it (an
+// install or an update replaces it): Read hands out the held value, and
+// whoever sends one on copies it for its receiver.
+//
 // The commit lock is what creates the scheduling window the paper exploits:
 // while a committing transaction validates an object (holds its lock),
 // every incoming retrieve request for that object is a conflict that the
@@ -130,8 +134,8 @@ func (s *Store) InstallNew(id ID, val Value) bool {
 	return true
 }
 
-// Copy is one object as Store.Read found it: a deep copy of its value, its
-// version and the transaction holding its commit lock (0 when unlocked).
+// Copy is one object as Store.Read found it: the store's own value (see
+// Store), its version and its commit lock's holder (0 when unlocked).
 // Owned is false, and those zero, when this node does not own it; then
 // Moved says whether a migration took it away, to node MovedTo.
 type Copy struct {
@@ -143,7 +147,7 @@ type Copy struct {
 	Moved    bool
 }
 
-// Read appends a copy of every object of ids to dst, then calls now and
+// Read appends a Copy of every object of ids to dst, then calls now and
 // decide(i, copy of ids[i]) for each copy (each when not nil), all in one
 // critical section, and returns the copies with now's result: they are the
 // store's state at that clock, and decide sees exactly them. Nothing can
@@ -153,7 +157,7 @@ type Copy struct {
 // and the decision made. now and decide run with the store locked: they
 // must not call the store, and must not send a message (a message to this
 // node is served on the sender's goroutine, and its handler may call the
-// store).
+// store). Each value is the store's own: its sender copies it (see Store).
 func (s *Store) Read(dst []Copy, ids []ID, now func() uint64, decide func(i int, c Copy)) ([]Copy, uint64) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -161,7 +165,7 @@ func (s *Store) Read(dst []Copy, ids []ID, now func() uint64, decide func(i int,
 	for _, id := range ids {
 		var c Copy
 		if r, ok := s.objs[id]; ok {
-			c = Copy{Val: r.val.Copy(), Ver: r.ver, LockedBy: r.lockTx, Owned: true}
+			c = Copy{Val: r.val, Ver: r.ver, LockedBy: r.lockTx, Owned: true}
 		} else {
 			c.MovedTo, c.Moved = s.moved[id]
 		}
@@ -177,13 +181,16 @@ func (s *Store) Read(dst []Copy, ids []ID, now func() uint64, decide func(i int,
 	return dst, clock
 }
 
-// Snapshot is Read of one object, without a clock. Outside tests only the
-// frozen bench/ calls it (verify.go, and micro.go through SnapshotAt); a
-// benchmark PR removes both.
+// Snapshot is Read of one object, without a clock, with a deep copy of its
+// value (nil when not owned). Outside tests only the frozen bench/ calls it
+// (verify.go, and micro.go through SnapshotAt); a benchmark PR removes both.
 func (s *Store) Snapshot(id ID) (val Value, ver Version, locked bool, ok bool) {
 	var buf [1]Copy
 	c, _ := s.Read(buf[:0], []ID{id}, nil, nil)
-	return c[0].Val, c[0].Ver, c[0].LockedBy != 0, c[0].Owned
+	if c[0].Owned {
+		val = c[0].Val.Copy()
+	}
+	return val, c[0].Ver, c[0].LockedBy != 0, c[0].Owned
 }
 
 // State is Read of one object without its value and without a clock.

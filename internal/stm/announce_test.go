@@ -3,6 +3,8 @@ package stm
 import (
 	"context"
 	"errors"
+	"maps"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -238,29 +240,73 @@ func TestLockedHeldCopyBehindTheStartIsAdopted(t *testing.T) {
 	}
 }
 
-// TestEveryEndingReleasesTheAnnouncement: the root announces x and y and then
-// ends without committing — a root abort (the retry commits), an application
-// error, a cancelled context. Each leaves no commit lock in any store, and
-// the oracle's batch atomicity (I7: no lock held by an aborted attempt at the
-// end of the trace) holds.
+// TestEveryEndingReleasesTheAnnouncement: the root announces x (node 1) and
+// y (node 2) and then ends without publishing them — a root abort (the retry
+// commits), an application error, a cancelled context; or, in the commit, a
+// refused commit lock (the retry commits), a read found stale at validation
+// (the retry commits), a creation whose ID is registered already, a
+// read-only commit. Each leaves no commit lock in any store, the oracle's
+// batch atomicity (I7: no lock held by an aborted attempt at the end of the
+// trace) holds, and the first attempt's ending sends each owner it held a
+// lock at exactly one release.
 func TestEveryEndingReleasesTheAnnouncement(t *testing.T) {
-	appErr := errors.New("application says no")
+	type ending struct {
+		ctx     context.Context
+		tc      *testCluster
+		tx      *Txn
+		cancel  context.CancelFunc
+		attempt int
+	}
 	for _, c := range []struct {
-		name string
-		end  func(tx *Txn, cancel context.CancelFunc, attempt int) error
-		want error
+		name   string
+		end    func(e ending) error
+		want   string                // a part of Atomic's error; "" for a commit
+		aborts map[AbortCause]uint64 // the root aborts on the way
 	}{
-		{"root abort", func(tx *Txn, _ context.CancelFunc, attempt int) error {
-			if attempt == 1 {
-				return &abortError{target: tx, cause: AbortValidation}
+		{"root abort", func(e ending) error {
+			if e.attempt == 1 {
+				return &abortError{target: e.tx, cause: AbortValidation}
 			}
 			return nil
-		}, nil},
-		{"application error", func(*Txn, context.CancelFunc, int) error { return appErr }, appErr},
-		{"cancelled context", func(_ *Txn, cancel context.CancelFunc, _ int) error {
-			cancel()
+		}, "", map[AbortCause]uint64{AbortValidation: 1}},
+		{"application error", func(ending) error { return errors.New("application says no") }, "application says no", nil},
+		{"cancelled context", func(e ending) error {
+			e.cancel()
 			return context.Canceled
-		}, context.Canceled},
+		}, context.Canceled.Error(), nil},
+		{"commit lock refused", func(e ending) error {
+			owner := e.tc.rts[1].Store()
+			if e.attempt > 1 {
+				owner.Unlock("z", fakeValidator)
+			}
+			if err := e.tx.Update(e.ctx, "z", bump); err != nil {
+				return err
+			}
+			if e.attempt == 1 { // another committer holds z when the commit locks it
+				lockAt(owner, "z", fakeValidator, owner.State("z").Ver)
+			}
+			return nil
+		}, "", map[AbortCause]uint64{AbortLockFailed: 1}},
+		{"stale read at validation", func(e ending) error {
+			if _, err := e.tx.Read(e.ctx, "w"); err != nil {
+				return err
+			}
+			if e.attempt == 1 { // another commit updates w after the read
+				owner := e.tc.rts[1].Store()
+				lockAt(owner, "w", fakeValidator, owner.State("w").Ver)
+				if err := owner.UpdateCommitted("w", &box{N: 11}, object.Version{Clock: 99, Node: 1}, fakeValidator); err != nil {
+					return err
+				}
+			}
+			return e.tx.Update(e.ctx, "x", bump)
+		}, "", map[AbortCause]uint64{AbortValidation: 1}},
+		{"creation refused", func(e ending) error {
+			return e.tx.Create("dup", &box{N: 1})
+		}, "already registered", nil},
+		{"read-only commit", func(e ending) error {
+			_, err := e.tx.Read(e.ctx, "x")
+			return err
+		}, "", nil},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			tc := newTestCluster(t, 3, nil, nil)
@@ -271,23 +317,54 @@ func TestEveryEndingReleasesTheAnnouncement(t *testing.T) {
 				rt.SetTracer(rec)
 				recorders = append(recorders, rec)
 			}
-			seed(t, tc, map[object.ID]int{"x": 1, "y": 2})
+			seed(t, tc, map[object.ID]int{"x": 1, "y": 2, "z": 1, "w": 1, "dup": 2})
+			var mu sync.Mutex
+			releases := map[transport.NodeID]int{} // KindRelease requests by receiver
+			tc.net.SetInterceptor(func(m *transport.Message) bool {
+				if m.Kind == KindRelease && !m.IsReply {
+					mu.Lock()
+					releases[m.To]++
+					mu.Unlock()
+				}
+				return true
+			})
+			// firstEnding is what the first attempt's ending released, read
+			// when the second attempt starts or Atomic returns.
+			var firstEnding map[transport.NodeID]int
+			endFirst := func() {
+				mu.Lock()
+				defer mu.Unlock()
+				if firstEnding == nil {
+					firstEnding = maps.Clone(releases)
+				}
+			}
 			ctx, cancel := context.WithCancel(context.Background())
 			defer cancel()
 
 			attempt := 0
 			err := tc.rts[0].Atomic(ctx, "root", func(tx *Txn) error {
-				attempt++
+				if attempt++; attempt > 1 {
+					endFirst()
+				}
 				tx.Prefetch(ctx, []object.ID{"x", "y"}, sched.Write)
 				if n := len(tx.root.pre.locked); n != 2 {
 					t.Errorf("attempt %d holds %d announced locks, want 2", attempt, n)
 				}
-				return c.end(tx, cancel, attempt)
+				return c.end(ending{ctx, tc, tx, cancel, attempt})
 			})
-			if !errors.Is(err, c.want) {
-				t.Fatalf("Atomic = %v, want %v", err, c.want)
+			endFirst()
+			if c.want == "" && err != nil || c.want != "" && (err == nil || !strings.Contains(err.Error(), c.want)) {
+				t.Fatalf("Atomic = %v, want %q", err, c.want)
 			}
-			noLocksLeft(t, tc, "x", "y")
+			aborts := tc.rts[0].Metrics().Snapshot().Aborts
+			maps.DeleteFunc(aborts, func(_ AbortCause, n uint64) bool { return n == 0 })
+			if !maps.Equal(aborts, c.aborts) {
+				t.Fatalf("root aborts %v, want %v", aborts, c.aborts)
+			}
+			if want := map[transport.NodeID]int{1: 1, 2: 1}; !maps.Equal(firstEnding, want) {
+				t.Fatalf("the first attempt's ending sent releases %v (by node), want %v", firstEnding, want)
+			}
+			noLocksLeft(t, tc, "x", "y", "z", "w", "dup")
 			for _, rec := range recorders {
 				recs = append(recs, rec.Events())
 			}

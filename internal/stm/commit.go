@@ -4,7 +4,6 @@ import (
 	"cmp"
 	"context"
 	"fmt"
-	"maps"
 	"slices"
 	"time"
 
@@ -62,8 +61,8 @@ func (cm *commitMeter) wave(n int) {
 //     objects conflict and flow through the transactional scheduler — and
 //     check that none changed since it was read; the announced write set
 //     (Prefetch with sched.Write) was locked by its own wave already;
-//  2. validate the read-only set (early validation), the announced objects
-//     it holds locked aside;
+//  2. validate the read set (early validation): every entry the attempt
+//     does not hold locked, through validateChain;
 //  3. install created objects (locked) and register them with their homes;
 //  4. commit point: tick the local TFA clock, producing the new version;
 //  5. publish every written or created object: update in place when this
@@ -72,6 +71,9 @@ func (cm *commitMeter) wave(n int) {
 //     same wave, which also releases the announced objects the commit did
 //     not write;
 //  6. hand freshly committed objects to queued requesters (RTS hand-off).
+//
+// Every lock the commit takes joins the attempt's lock set (prefetch.locked),
+// which Runtime.Atomic releases unless the publish wave took it over.
 //
 // Every phase is owner-grouped: the write and read sets are partitioned by
 // owner (IDs kept in global sortIDs order within and across groups) and each
@@ -88,20 +90,13 @@ func (tx *Txn) commit(ctx context.Context) error {
 	}
 	rt := tx.rt
 
-	var announced map[object.ID]transport.NodeID
-	if tx.pre != nil {
-		announced = tx.pre.locked
-	}
-	held := func(oid object.ID) bool { _, ok := announced[oid]; return ok }
-	var writes, reads, creates []object.ID
+	var writes, creates []object.ID
 	for oid, e := range tx.entries {
 		switch {
 		case e.created:
 			creates = append(creates, oid)
 		case e.dirty:
 			writes = append(writes, oid)
-		case !held(oid):
-			reads = append(reads, oid)
 		}
 	}
 	// Read-only transactions commit without further validation: TFA's
@@ -110,47 +105,28 @@ func (tx *Txn) commit(ctx context.Context) error {
 	// commit costs zero messages; the attempt's data-path read RPCs are
 	// charged to the read-path counters (Metrics.ReadMsgs).
 	if len(writes) == 0 && len(creates) == 0 {
-		tx.releaseLocks(ctx, announced)
 		rt.metrics.readOnlyCommits.Add(1)
 		rt.metrics.readMsgs.Add(tx.readRPCs)
 		return nil
 	}
 	sortIDs(writes)
-	sortIDs(reads)
 	sortIDs(creates)
 
 	var meter commitMeter
+	p := tx.holdings()
 
 	// Phase 1: lock the rest of the write set at the owners, one locking
 	// retrieve per owner; a copy whose version moved since the read aborts.
-	//
-	// Lock release and post-commit publishing must complete even when the
-	// transaction's own context has just been cancelled — otherwise a
-	// worker shut down mid-commit leaves orphaned commit locks (or a
-	// half-published write set) behind. Run them on a detached context.
-	locked := make(map[object.ID]transport.NodeID, len(writes)+len(announced))
-	maps.Copy(locked, announced)
-	abortUnlock := func() { tx.releaseLocks(ctx, locked) }
-	acquire, unwritten := writes, maps.Clone(announced)
-	if len(announced) > 0 {
-		acquire = slices.DeleteFunc(slices.Clone(writes), held)
-		for _, oid := range writes {
-			delete(unwritten, oid)
-		}
-	}
-
-	got, err := tx.lockWave(ctx, acquire, locked, &meter)
+	got, err := tx.lockWave(ctx, slices.DeleteFunc(slices.Clone(writes), tx.holdsLock), p.locked, &meter)
 	if slices.ContainsFunc(got, func(f fetched) bool { return !f.ver.Equal(tx.entries[f.oid].ver) }) {
 		err = &abortError{target: tx, cause: AbortValidation}
 	}
 	if err != nil {
-		abortUnlock()
 		return err
 	}
 
 	// Phase 2: early validation of the read set, one batch per owner.
-	if err := tx.validateMany(ctx, reads, &meter); err != nil {
-		abortUnlock()
+	if err := tx.validateChain(ctx, &meter); err != nil {
 		return err
 	}
 
@@ -159,7 +135,6 @@ func (tx *Txn) commit(ctx context.Context) error {
 	// run them detached so cancellation cannot leave a subset registered.
 	if len(creates) > 0 {
 		if err := ctx.Err(); err != nil {
-			abortUnlock()
 			return err
 		}
 		for _, oid := range creates {
@@ -172,24 +147,25 @@ func (tx *Txn) commit(ctx context.Context) error {
 			for _, oid := range creates {
 				_ = rt.store.Remove(oid, tx.lockID)
 			}
-			abortUnlock()
 			if ctx.Err() != nil {
 				return ctx.Err()
 			}
 			return fmt.Errorf("stm: create: %w", err)
 		}
 		for _, oid := range creates {
-			locked[oid] = rt.Self()
+			p.locked[oid] = rt.Self()
 		}
 		writes = append(writes, creates...)
 	}
 
-	// Phase 4: commit point.
+	// Phase 4: commit point. The publish wave takes over the lock set.
 	newVer := object.Version{Clock: rt.clock.Tick(), Node: int32(rt.Self())}
+	locked := p.locked
+	p.locked = nil
 
 	// Phase 5+6: publish writes and serve queued requesters. Past the
-	// commit point cancellation must not interrupt publication.
-	if err := tx.publishAll(detach(ctx), writes, locked, unwritten, newVer, &meter); err != nil {
+	// commit point cancellation must not interrupt publication or release.
+	if err := tx.publishAll(detach(ctx), writes, locked, newVer, &meter); err != nil {
 		return err
 	}
 
@@ -200,9 +176,9 @@ func (tx *Txn) commit(ctx context.Context) error {
 }
 
 // releaseLocks sends every owner in locked one unlock for what it holds, in
-// one wave: after a failed commit, or for an announcement the attempt does
-// not publish. It runs detached from ctx, so a cancelled attempt still
-// releases.
+// one wave: what an attempt still holds when it ends (Runtime.Atomic), or an
+// announcement that did not lock everywhere (Prefetch). It runs detached from
+// ctx, so a cancelled attempt still releases.
 func (tx *Txn) releaseLocks(ctx context.Context, locked map[object.ID]transport.NodeID) {
 	if calls := tx.releaseCalls(locked); len(calls) > 0 {
 		// Best effort; the locks die with the runtime if the peer is gone.
@@ -238,9 +214,10 @@ func (tx *Txn) releaseCalls(locked map[object.ID]transport.NodeID) []cluster.Out
 // writes and creations update in place and cost no messages. A refused entry
 // goes to refused, and a failed local update is recorded; either way its
 // siblings are still published (the paper's model: reliable delivery), and
-// the first error is returned. The announced objects the commit did not
-// write (unwritten) are released, unchanged, in the same wave.
-func (tx *Txn) publishAll(ctx context.Context, writes []object.ID, locked, unwritten map[object.ID]transport.NodeID,
+// the first error is returned. locked is the attempt's lock set, consumed
+// here: what is left once the writes are taken out — announced, not written
+// — is released, unchanged, in the same wave.
+func (tx *Txn) publishAll(ctx context.Context, writes []object.ID, locked map[object.ID]transport.NodeID,
 	newVer object.Version, meter *commitMeter) error {
 	rt := tx.rt
 
@@ -260,6 +237,9 @@ func (tx *Txn) publishAll(ctx context.Context, writes []object.ID, locked, unwri
 		surrender[g.owner] = g.oids
 		moving = append(moving, g.oids...)
 	}
+	for _, oid := range writes {
+		delete(locked, oid)
+	}
 	for _, oid := range moving {
 		// A home that owns none of them is in the wave too, with no entries.
 		home := rt.locator.Home(oid)
@@ -278,7 +258,7 @@ func (tx *Txn) publishAll(ctx context.Context, writes []object.ID, locked, unwri
 	}
 	slices.SortFunc(calls, func(a, b cluster.Outcall) int { return cmp.Compare(a.To, b.To) })
 	published := len(calls)
-	calls = append(calls, tx.releaseCalls(unwritten)...)
+	calls = append(calls, tx.releaseCalls(locked)...)
 	var results []cluster.CallResult
 	if len(calls) > 0 {
 		results = rt.ep.Broadcast(ctx, calls)[:published]

@@ -23,9 +23,6 @@ const (
 	AbortValidation
 	// AbortLockFailed: commit could not lock its write set.
 	AbortLockFailed
-	// AbortParent: a closed-nested transaction was rolled back because an
-	// enclosing transaction aborted after the child had committed into it.
-	AbortParent
 	// AbortSnapshot is never raised (the MVCC read path is gone). Only the
 	// frozen bench/layers.go names it; a benchmark PR removes it.
 	AbortSnapshot
@@ -42,8 +39,6 @@ func (c AbortCause) String() string {
 		return "validation"
 	case AbortLockFailed:
 		return "lock-failed"
-	case AbortParent:
-		return "parent-abort"
 	case AbortSnapshot:
 		return "snapshot"
 	default:

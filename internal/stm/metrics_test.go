@@ -12,7 +12,6 @@ func TestAbortCauseStrings(t *testing.T) {
 		AbortQueueTimeout: "queue-timeout",
 		AbortValidation:   "validation",
 		AbortLockFailed:   "lock-failed",
-		AbortParent:       "parent-abort",
 		AbortCause(200):   "unknown",
 	}
 	for c, w := range want {

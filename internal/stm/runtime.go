@@ -231,7 +231,8 @@ func (rt *Runtime) handleRetrieve(from transport.NodeID, payload any) (any, erro
 // commit-lock step: it commit-locks, for req.LockID, every entry this node
 // held when the request's copies were read, at the version read, all or
 // nothing (Store.LockBatch), and answers those copies with Locked set (the
-// read answered the unlocked ones; the rest were req.LockID's already). When
+// read answered the unlocked ones; the rest, req.LockID's already, get a
+// copy of the value here). When
 // any entry cannot be locked — another transaction holds it, a commit got to
 // it after the read, or the store fenced it for req.LockID because a release
 // overtook this request — nothing is locked, and the answers stay those of
@@ -248,14 +249,14 @@ func (rt *Runtime) lockAnnounced(req *retrieveReq, copies []object.Copy, resp *r
 	}
 	for i, c := range copies {
 		if r := &resp.Results[i]; c.Owned && r.Status != statusOK {
-			*r = retrieveResult{Status: statusOK, Value: c.Val, Version: c.Ver}
+			*r = retrieveResult{Status: statusOK, Value: c.Val.Copy(), Version: c.Ver}
 		}
 	}
 	resp.Locked = true
 }
 
 // retrieveOne answers one object of a retrieve into out (zero on entry)
-// from its copy c, with the store locked (handleRetrieve's read): the copy,
+// from c, with the store locked (handleRetrieve's read): a copy of its value,
 // or — when the object is being validated by a committing transaction — the
 // transactional scheduler's decision for this requester. Both go by
 // pointer: this runs once per entry inside the store's critical section.
@@ -275,7 +276,7 @@ func (rt *Runtime) retrieveOne(from transport.NodeID, req *retrieveReq, oid obje
 	// towards the contention level of an object this node does not own.
 	out.RemoteCL = rt.policy.ObserveRequest(oid, req.TxID)
 	if !locked {
-		out.Status, out.Value, out.Version = statusOK, c.Val, c.Ver
+		out.Status, out.Value, out.Version = statusOK, c.Val.Copy(), c.Ver
 		return
 	}
 
@@ -373,12 +374,13 @@ func (rt *Runtime) handleCommitObjectBatch(_ transport.NodeID, payload any) (any
 }
 
 // handOff pushes the object's current state to the requesters its
-// scheduler queue gives up now (RTS Algorithm 4). The pop, the copy and the
+// scheduler queue gives up now (RTS Algorithm 4). The pop, the value and the
 // clock come from one store read, so the push is a consistent cut, as a
-// retrieve reply is; the pushes are sent after it. An object gone or locked
-// is left alone, its queue untouched: a migration took the queue with it,
-// and the lock holder's publish or release, or the lease reaper, hands it
-// off once it is free.
+// retrieve reply is; the pushes are sent after it, each with its own copy of
+// the value, so an object nobody is queued for costs no copy. An object gone
+// or locked is left alone, its queue untouched: a migration took the queue
+// with it, and the lock holder's publish or release, or the lease reaper,
+// hands it off once it is free.
 func (rt *Runtime) handOff(oid object.ID) {
 	var buf [1]object.Copy
 	var popped []sched.Request

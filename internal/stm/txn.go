@@ -54,7 +54,7 @@ type Txn struct {
 	expected     time.Duration
 	start        uint64    // TFA start clock; advanced by forwarding
 	readRPCs     uint64    // the attempt's data-path read messages (Metrics.ReadMsgs)
-	pre          *prefetch // copies fetched ahead of their access (Prefetch)
+	pre          *prefetch // prefetched copies and commit locks (holdings)
 
 	entries        map[object.ID]*objEntry
 	clSum          int // Σ remote CLs of objects fetched at this level
@@ -108,13 +108,14 @@ func (rt *Runtime) Atomic(ctx context.Context, name string, fn func(tx *Txn) err
 		rt.tracer.Emit(trace.Event{Type: trace.EvTxBegin, Tx: id, A: uint64(attempt), B: tx.lockID})
 
 		err := fn(tx)
-		if p := tx.pre; p != nil && err != nil {
-			// An abort, an application error or a cancelled context: what the
-			// attempt announced is released before the abort is told.
-			tx.releaseLocks(ctx, p.locked)
-		}
 		if err == nil {
 			err = tx.commit(ctx)
+		}
+		if p := tx.pre; p != nil {
+			// Whatever the ending, what the attempt still holds locked is
+			// released before the outcome is told (past the commit point the
+			// publish wave took the set over).
+			tx.releaseLocks(ctx, p.locked)
 		}
 		if err == nil {
 			rt.metrics.commits.Add(1)
@@ -376,11 +377,13 @@ type park struct {
 	until   time.Time
 }
 
-// prefetch is what a root attempt's Prefetch calls hold.
+// prefetch is what a root attempt holds at the owners (Txn.holdings): the
+// copies its Prefetch calls fetched, and its commit locks.
 type prefetch struct {
 	held map[object.ID]fetched
-	// locked is the announced write set the attempt holds commit-locked, by
-	// owner: its held copies cannot change until the attempt publishes or
+	// locked is every object the attempt holds commit-locked, by owner: the
+	// announced write set, then the writes its commit locks. They cannot
+	// change until the publish wave takes them over or Runtime.Atomic
 	// releases them.
 	locked map[object.ID]transport.NodeID
 }
@@ -406,11 +409,7 @@ func (tx *Txn) Prefetch(ctx context.Context, oids []object.ID, mode sched.Mode) 
 	if len(want) == 0 {
 		return
 	}
-	root, p := tx.root, tx.root.pre
-	if p == nil {
-		p = &prefetch{held: make(map[object.ID]fetched), locked: make(map[object.ID]transport.NodeID)}
-		root.pre = p
-	}
+	root, p := tx.root, tx.holdings()
 	var got []fetched
 	if mode == sched.Write {
 		// A second announcement must not release what an earlier one locked.
@@ -450,8 +449,19 @@ func (tx *Txn) lockWave(ctx context.Context, oids []object.ID, locked map[object
 	return got, err
 }
 
-// holdsLock reports whether the attempt holds oid commit-locked since
-// announcing it (Prefetch with sched.Write).
+// holdings is the root attempt's one record of what it holds at the owners,
+// made on first use: Prefetch keeps its copies and announced locks there, and
+// the commit adds the locks it takes.
+func (tx *Txn) holdings() *prefetch {
+	root := tx.root
+	if root.pre == nil {
+		root.pre = &prefetch{held: make(map[object.ID]fetched), locked: make(map[object.ID]transport.NodeID)}
+	}
+	return root.pre
+}
+
+// holdsLock reports whether the attempt holds oid commit-locked (see
+// prefetch.locked).
 func (tx *Txn) holdsLock(oid object.ID) bool {
 	p := tx.root.pre
 	if p == nil {
@@ -751,7 +761,7 @@ func (tx *Txn) forward(ctx context.Context, clock uint64) error {
 	if clock <= root.start {
 		return nil
 	}
-	if err := tx.validateChain(ctx); err != nil {
+	if err := tx.validateChain(ctx, nil); err != nil {
 		return err
 	}
 	tx.rt.tracer.Emit(trace.Event{Type: trace.EvForward, Tx: tx.id, A: root.start, B: clock})
@@ -761,11 +771,12 @@ func (tx *Txn) forward(ctx context.Context, clock uint64) error {
 
 // validateChain re-checks every fetched entry along the nesting chain
 // against its owner's current version, one batch message per owner — except
-// the entries the attempt holds locked since announcing them, which cannot
-// have changed. A stale entry aborts the innermost transaction holding it
-// (closed nesting partial abort) — when several entries are stale, the
-// outermost affected level wins, since its abort subsumes the others.
-func (tx *Txn) validateChain(ctx context.Context) error {
+// the entries the attempt holds locked, which cannot have changed. A stale
+// entry aborts the innermost transaction holding it (closed nesting partial
+// abort) — when several entries are stale, the outermost affected level wins,
+// since its abort subsumes the others. meter, when non-nil, accounts the
+// messages of the commit's early validation.
+func (tx *Txn) validateChain(ctx context.Context, meter *commitMeter) error {
 	// Per object, the level its staleness aborts and that level's depth.
 	type holder struct {
 		level *Txn
@@ -795,8 +806,9 @@ func (tx *Txn) validateChain(ctx context.Context) error {
 	for oid := range holders {
 		oids = append(oids, oid)
 	}
+	sortIDs(oids)
 
-	stale, err := tx.checkVersions(ctx, oids, nil)
+	stale, err := tx.checkVersions(ctx, oids, meter)
 	if err != nil {
 		return tx.convertErr(ctx, err, AbortValidation)
 	}
@@ -808,23 +820,6 @@ func (tx *Txn) validateChain(ctx context.Context) error {
 	}
 	if target.level != nil {
 		return &abortError{target: target.level, cause: AbortValidation}
-	}
-	return nil
-}
-
-// validateMany checks a set of this transaction's read entries (one batch
-// message per owner), aborting the root if any is stale. The commit
-// pipeline's message meter accounts the batches (nil to skip accounting).
-func (tx *Txn) validateMany(ctx context.Context, oids []object.ID, meter *commitMeter) error {
-	if len(oids) == 0 {
-		return nil
-	}
-	stale, err := tx.checkVersions(ctx, oids, meter)
-	if err != nil {
-		return tx.convertErr(ctx, err, AbortValidation)
-	}
-	if len(stale) > 0 {
-		return &abortError{target: tx.root, cause: AbortValidation}
 	}
 	return nil
 }

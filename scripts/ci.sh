@@ -17,7 +17,9 @@
 #          and no clock read in runtime.go outside the store's read;
 #          and one scheduler conflict decision, inside the retrieve's
 #          store read, and no per-object map field or migrMu in
-#          runtime.go: the store is the one owner record; in
+#          runtime.go: the store is the one owner record; and no
+#          release called from commit.go and no validateMany or
+#          abortUnlock: Runtime.Atomic releases an attempt's lock set; in
 #          internal/object, one read of the stale-lock fence map:
 #          LockBatch's; in internal/apps, one sorted-set seeding loop and one
 #          strictly-increasing check: apps.Set's, no CreateRoot call and
@@ -109,6 +111,13 @@ stage_vet() {
     # second conflict decision outside that read, fails here.
     echo ./internal/stm/runtime.go | one_site '^\s+[[:alnum:]_, ]+\s+map\[object\.ID\]|migrMu' 'keep per-object owner state in object.Store' none
     nontest_go | grep '^\./internal/stm/' | one_site 'OnConflict\(' "decide a conflict inside the retrieve's Store.Read" exactly
+    # One lock set and one release site per attempt: the commit locks into
+    # the attempt's holdings and validates through validateChain, and
+    # Runtime.Atomic releases whatever an ending leaves held, so a release
+    # called from the commit, a second read-set validation or a per-commit
+    # unlock helper fails here.
+    echo ./internal/stm/commit.go | one_site '\.releaseLocks\(' 'leave the release of an ending to Runtime.Atomic' none
+    nontest_go | grep '^\./internal/stm/' | one_site 'validateMany|abortUnlock' 'validate through validateChain and release through Runtime.Atomic' none
     nontest_go | grep '^\./internal/object/' | one_site '\.fenced\[[^]]*\]([^ ]|$| [^=])' 'check the stale-lock fence in Store.LockBatch only'
     # One sorted-set benchmark: Linked-List, BST and RB-Tree supply only
     # their layout to apps.Set, so a second seeding loop or a second order
