@@ -215,7 +215,7 @@ func TestLockedHeldCopyBehindTheStartIsAdopted(t *testing.T) {
 
 			err := tc.rts[0].Atomic(ctx, "root", func(tx *Txn) error {
 				tx.Prefetch(ctx, []object.ID{"x"}, c.mode)
-				behind := tx.root.pre.held["x"].ownerClock
+				behind := tx.root.held.copies["x"].ownerClock
 				for i := 0; i < 20; i++ {
 					tc.rts[2].ep.Clock().Tick()
 				}
@@ -257,23 +257,25 @@ func TestEveryEndingReleasesTheAnnouncement(t *testing.T) {
 		cancel  context.CancelFunc
 		attempt int
 	}
+	appErr := errors.New("application says no")
 	for _, c := range []struct {
-		name   string
-		end    func(e ending) error
-		want   string                // a part of Atomic's error; "" for a commit
-		aborts map[AbortCause]uint64 // the root aborts on the way
+		name     string
+		end      func(e ending) error
+		want     error                 // Atomic's error, matched with errors.Is; nil for a commit
+		wantText string                // a part of Atomic's error, where it has no sentinel
+		aborts   map[AbortCause]uint64 // the root aborts on the way
 	}{
 		{"root abort", func(e ending) error {
 			if e.attempt == 1 {
 				return &abortError{target: e.tx, cause: AbortValidation}
 			}
 			return nil
-		}, "", map[AbortCause]uint64{AbortValidation: 1}},
-		{"application error", func(ending) error { return errors.New("application says no") }, "application says no", nil},
+		}, nil, "", map[AbortCause]uint64{AbortValidation: 1}},
+		{"application error", func(ending) error { return appErr }, appErr, "", nil},
 		{"cancelled context", func(e ending) error {
 			e.cancel()
 			return context.Canceled
-		}, context.Canceled.Error(), nil},
+		}, context.Canceled, "", nil},
 		{"commit lock refused", func(e ending) error {
 			owner := e.tc.rts[1].Store()
 			if e.attempt > 1 {
@@ -286,7 +288,7 @@ func TestEveryEndingReleasesTheAnnouncement(t *testing.T) {
 				lockAt(owner, "z", fakeValidator, owner.State("z").Ver)
 			}
 			return nil
-		}, "", map[AbortCause]uint64{AbortLockFailed: 1}},
+		}, nil, "", map[AbortCause]uint64{AbortLockFailed: 1}},
 		{"stale read at validation", func(e ending) error {
 			if _, err := e.tx.Read(e.ctx, "w"); err != nil {
 				return err
@@ -299,14 +301,14 @@ func TestEveryEndingReleasesTheAnnouncement(t *testing.T) {
 				}
 			}
 			return e.tx.Update(e.ctx, "x", bump)
-		}, "", map[AbortCause]uint64{AbortValidation: 1}},
+		}, nil, "", map[AbortCause]uint64{AbortValidation: 1}},
 		{"creation refused", func(e ending) error {
 			return e.tx.Create("dup", &box{N: 1})
-		}, "already registered", nil},
+		}, nil, "already registered", nil},
 		{"read-only commit", func(e ending) error {
 			_, err := e.tx.Read(e.ctx, "x")
 			return err
-		}, "", nil},
+		}, nil, "", nil},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			tc := newTestCluster(t, 3, nil, nil)
@@ -347,14 +349,19 @@ func TestEveryEndingReleasesTheAnnouncement(t *testing.T) {
 					endFirst()
 				}
 				tx.Prefetch(ctx, []object.ID{"x", "y"}, sched.Write)
-				if n := len(tx.root.pre.locked); n != 2 {
+				if n := len(tx.root.held.locked); n != 2 {
 					t.Errorf("attempt %d holds %d announced locks, want 2", attempt, n)
 				}
 				return c.end(ending{ctx, tc, tx, cancel, attempt})
 			})
 			endFirst()
-			if c.want == "" && err != nil || c.want != "" && (err == nil || !strings.Contains(err.Error(), c.want)) {
-				t.Fatalf("Atomic = %v, want %q", err, c.want)
+			switch {
+			case c.wantText != "":
+				if err == nil || !strings.Contains(err.Error(), c.wantText) {
+					t.Fatalf("Atomic = %v, want an error containing %q", err, c.wantText)
+				}
+			case !errors.Is(err, c.want):
+				t.Fatalf("Atomic = %v, want %v", err, c.want)
 			}
 			aborts := tc.rts[0].Metrics().Snapshot().Aborts
 			maps.DeleteFunc(aborts, func(_ AbortCause, n uint64) bool { return n == 0 })

@@ -72,7 +72,7 @@ func (cm *commitMeter) wave(n int) {
 //     not write;
 //  6. hand freshly committed objects to queued requesters (RTS hand-off).
 //
-// Every lock the commit takes joins the attempt's lock set (prefetch.locked),
+// Every lock the commit takes joins the attempt's lock set (holdings.locked),
 // which Runtime.Atomic releases unless the publish wave took it over.
 //
 // Every phase is owner-grouped: the write and read sets are partitioned by

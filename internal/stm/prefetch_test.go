@@ -173,7 +173,7 @@ func TestPrefetchLeavesALockedObjectAlone(t *testing.T) {
 	go func() {
 		done <- tc.rts[0].Atomic(ctx, "root", func(tx *Txn) error {
 			tx.Prefetch(ctx, []object.ID{"y"}, sched.Read)
-			if o, c, q, h := owner.observed.Load(), owner.conflicts.Load(), rts.QueueLen("y"), len(tx.pre.held); o != 0 || c != 0 || q != 0 || h != 0 {
+			if o, c, q, h := owner.observed.Load(), owner.conflicts.Load(), rts.QueueLen("y"), len(tx.held.copies); o != 0 || c != 0 || q != 0 || h != 0 {
 				t.Errorf("prefetch of a locked object: observed %d, conflicts %d, queued %d, held %d; want none", o, c, q, h)
 			}
 			return tx.Atomic(ctx, "opens y", func(c *Txn) error { return c.Update(ctx, "y", bump) })
@@ -301,7 +301,7 @@ func TestPrefetchReturnsWithTheCopiesHeld(t *testing.T) {
 
 	err := tc.rts[0].Atomic(ctx, "root", func(tx *Txn) error {
 		tx.Prefetch(ctx, []object.ID{"a", "b", "c"}, sched.Read)
-		if h, n := len(tx.pre.held), slow.unanswered.Load(); h != 3 || n != 0 {
+		if h, n := len(tx.held.copies), slow.unanswered.Load(); h != 3 || n != 0 {
 			t.Errorf("after Prefetch: %d copies held, %d retrieves unanswered; want 3, 0", h, n)
 		}
 		return nil
@@ -334,7 +334,7 @@ func TestWritePrefetchReturnsLocked(t *testing.T) {
 
 			err := tc.rts[0].Atomic(ctx, "root", func(tx *Txn) error {
 				tx.Prefetch(ctx, []object.ID{"x", "y"}, sched.Write)
-				if h, n := len(tx.pre.held), slow.unanswered.Load(); h != wantHeld || n != 0 {
+				if h, n := len(tx.held.copies), slow.unanswered.Load(); h != wantHeld || n != 0 {
 					t.Errorf("after Prefetch: %d copies held, %d retrieves unanswered; want %d, 0", h, n, wantHeld)
 				}
 				for oid, node := range place {

@@ -52,9 +52,9 @@ type Txn struct {
 	began        time.Time // the first attempt's start (ETS.s)
 	attemptBegan time.Time // this attempt's start
 	expected     time.Duration
-	start        uint64    // TFA start clock; advanced by forwarding
-	readRPCs     uint64    // the attempt's data-path read messages (Metrics.ReadMsgs)
-	pre          *prefetch // prefetched copies and commit locks (holdings)
+	start        uint64   // TFA start clock; advanced by forwarding
+	readRPCs     uint64   // the attempt's data-path read messages (Metrics.ReadMsgs)
+	held         holdings // what the root attempt holds at the owners
 
 	entries        map[object.ID]*objEntry
 	clSum          int // Σ remote CLs of objects fetched at this level
@@ -111,12 +111,10 @@ func (rt *Runtime) Atomic(ctx context.Context, name string, fn func(tx *Txn) err
 		if err == nil {
 			err = tx.commit(ctx)
 		}
-		if p := tx.pre; p != nil {
-			// Whatever the ending, what the attempt still holds locked is
-			// released before the outcome is told (past the commit point the
-			// publish wave took the set over).
-			tx.releaseLocks(ctx, p.locked)
-		}
+		// Whatever the ending, what the attempt still holds locked is released
+		// before the outcome is told (past the commit point the publish wave
+		// took the set over).
+		tx.releaseLocks(ctx, tx.held.locked)
 		if err == nil {
 			rt.metrics.commits.Add(1)
 			rt.metrics.observeOutcome(true, 0, time.Since(tx.attemptBegan))
@@ -377,10 +375,10 @@ type park struct {
 	until   time.Time
 }
 
-// prefetch is what a root attempt holds at the owners (Txn.holdings): the
+// holdings is what a root attempt holds at the owners (Txn.holdings): the
 // copies its Prefetch calls fetched, and its commit locks.
-type prefetch struct {
-	held map[object.ID]fetched
+type holdings struct {
+	copies map[object.ID]fetched // made by the first Prefetch that stores one
 	// locked is every object the attempt holds commit-locked, by owner: the
 	// announced write set, then the writes its commit locks. They cannot
 	// change until the publish wave takes them over or Runtime.Atomic
@@ -427,8 +425,11 @@ func (tx *Txn) Prefetch(ctx context.Context, oids []object.ID, mode sched.Mode) 
 		got, _, _ = tx.retrieveWaves(ctx, want, mode, true, nil, nil)
 	}
 	root.rt.metrics.prefetched.Add(uint64(len(got)))
+	if len(got) > 0 && p.copies == nil {
+		p.copies = make(map[object.ID]fetched, len(got))
+	}
 	for _, f := range got {
-		p.held[f.oid] = f
+		p.copies[f.oid] = f
 	}
 }
 
@@ -450,24 +451,20 @@ func (tx *Txn) lockWave(ctx context.Context, oids []object.ID, locked map[object
 }
 
 // holdings is the root attempt's one record of what it holds at the owners,
-// made on first use: Prefetch keeps its copies and announced locks there, and
-// the commit adds the locks it takes.
-func (tx *Txn) holdings() *prefetch {
-	root := tx.root
-	if root.pre == nil {
-		root.pre = &prefetch{held: make(map[object.ID]fetched), locked: make(map[object.ID]transport.NodeID)}
+// its lock set made on first use: Prefetch keeps its copies and announced
+// locks there, and the commit adds the locks it takes.
+func (tx *Txn) holdings() *holdings {
+	p := &tx.root.held
+	if p.locked == nil {
+		p.locked = make(map[object.ID]transport.NodeID)
 	}
-	return root.pre
+	return p
 }
 
 // holdsLock reports whether the attempt holds oid commit-locked (see
-// prefetch.locked).
+// holdings.locked).
 func (tx *Txn) holdsLock(oid object.ID) bool {
-	p := tx.root.pre
-	if p == nil {
-		return false
-	}
-	_, ok := p.locked[oid]
+	_, ok := tx.root.held.locked[oid]
 	return ok
 }
 
@@ -478,17 +475,17 @@ func (tx *Txn) holdsLock(oid object.ID) bool {
 // locked: then it cannot have changed, and it stays held for a retry to take
 // again.
 func (tx *Txn) takeHeld(oids []object.ID) (got []fetched, rest []object.ID) {
-	p := tx.root.pre
-	if p == nil {
+	p := &tx.root.held
+	if p.copies == nil {
 		return nil, oids
 	}
 	for _, oid := range oids {
-		f, ok := p.held[oid]
+		f, ok := p.copies[oid]
 		if _, locked := p.locked[oid]; ok && locked {
 			got = append(got, f)
 			continue
 		}
-		delete(p.held, oid)
+		delete(p.copies, oid)
 		if ok && f.ownerClock >= tx.root.start {
 			got = append(got, f)
 		} else {
