@@ -14,8 +14,7 @@
 // a node count and a scheduler on testbed.PaperCell's defaults — run by one
 // cell runner. Flags tune scale: -nodes, -maxnodes, -duration, -workers,
 // -objects, -delayscale, -clthreshold, -adaptive, -bench. Fault injection
-// (lossy links, see DESIGN.md "Fault model"): -drop, -duplicate, -reorder,
-// -locklease.
+// (lossy links, see DESIGN.md "Fault model"): -drop, -duplicate, -reorder.
 package main
 
 import (
@@ -63,7 +62,6 @@ func run(args []string, w io.Writer) error {
 		drop       = fs.Float64("drop", 0, "message drop probability (fault injection)")
 		duplicate  = fs.Float64("duplicate", 0, "message duplication probability (fault injection)")
 		reorder    = fs.Float64("reorder", 0, "message reorder probability (fault injection)")
-		lockLease  = fs.Duration("locklease", 0, "force-release commit locks held this long (0 = off)")
 		traceOn    = fs.Bool("trace", false, "record protocol events and run the trace checker on every cell")
 		traceFile  = fs.String("tracefile", "", "write the merged trace as JSONL (implies -trace; multi-cell experiments overwrite per cell)")
 		traceCap   = fs.Int("tracecap", 0, "per-node trace ring capacity (0 = default)")
@@ -80,7 +78,6 @@ func run(args []string, w io.Writer) error {
 	g.base.FlatNesting = *flat
 	g.base.Drop, g.base.Duplicate, g.base.Reorder = *drop, *duplicate, *reorder
 	g.base.MaxExtraDelay = time.Millisecond
-	g.base.LockLease = *lockLease
 	g.base.Trace = *traceOn || *traceFile != ""
 	g.base.TraceCap = *traceCap
 	g.base.TracePath = *traceFile
@@ -335,8 +332,8 @@ func metricsTable(r testbed.Report) string {
 		}
 		fmt.Fprintf(&b, "%-22s %8d   [mean=%v]\n", "abort:"+c.String(), m.Aborts[c], l.Mean())
 	}
-	fmt.Fprintf(&b, "%-22s %8d   pushes %d  retrieves %d  lease-expiries %d\n",
-		"enqueues", m.Enqueues, m.Pushes, m.Retrieves, m.LeaseExpiries)
+	fmt.Fprintf(&b, "%-22s %8d   pushes %d  retrieves %d\n",
+		"enqueues", m.Enqueues, m.Pushes, m.Retrieves)
 	fmt.Fprintf(&b, "%-22s %8d   remote-copies %d  stale-hops %d  hops/copy %.2f\n",
 		"retrieve-waves", m.RetrieveWaves, m.RemoteCopies, m.StaleHops, float64(m.StaleHops)/float64(max(m.RemoteCopies, 1)))
 	fmt.Fprintf(&b, "%-22s %8d   nested-own %d  nested-parent %d (rate %.1f%%)\n",

@@ -218,10 +218,10 @@ func TestProtocolTraceCleanAllBenchmarks(t *testing.T) {
 }
 
 // TestProtocolTraceLossyAllBenchmarks repeats the oracle check under the
-// chaos fault model (15% drop plus duplication and reordering, with the
-// lock-lease reaper armed): message loss may change WHICH protocol events
-// occur — timeouts instead of pushes, lease expiries instead of unlocks —
-// but never in an order the invariants forbid.
+// chaos fault model (15% drop plus duplication and reordering): message
+// loss may change WHICH protocol events occur — timeouts instead of pushes,
+// fenced lock requests, retransmitted releases — but never in an order the
+// invariants forbid.
 func TestProtocolTraceLossyAllBenchmarks(t *testing.T) {
 	for _, app := range paperApps {
 		app := app
@@ -231,7 +231,6 @@ func TestProtocolTraceLossyAllBenchmarks(t *testing.T) {
 			g.base.Duration = 300 * time.Millisecond
 			g.base.Drop, g.base.Duplicate, g.base.Reorder = 0.15, 0.05, 0.05
 			g.base.MaxExtraDelay = time.Millisecond
-			g.base.LockLease = 2 * time.Second
 			res, err := g.cell(context.Background(), app, 0.5, 3, testbed.RTS)
 			if err != nil {
 				t.Fatal(err)

@@ -2,7 +2,6 @@ package object
 
 import (
 	"testing"
-	"time"
 
 	"dstm/internal/transport"
 )
@@ -386,62 +385,5 @@ func TestStoreConcurrentLocking(t *testing.T) {
 	}
 	if n != 1 {
 		t.Fatalf("%d goroutines acquired the commit lock, want exactly 1", n)
-	}
-}
-
-func TestExpireLocks(t *testing.T) {
-	s := NewStore()
-	s.Install("a", &intBox{1}, Version{1, 0})
-	s.Install("b", &intBox{2}, Version{1, 0})
-	s.Install("c", &intBox{3}, Version{1, 0})
-
-	if got := lock(s, "a", 7, Version{1, 0}); got != LockOK {
-		t.Fatalf("lock a: %v", got)
-	}
-	if got := lock(s, "b", 8, Version{1, 0}); got != LockOK {
-		t.Fatalf("lock b: %v", got)
-	}
-	// "c" stays unlocked.
-
-	// A generous lease expires nothing.
-	if exp := s.ExpireLocks(time.Hour); len(exp) != 0 {
-		t.Fatalf("expired %v under a 1h lease", exp)
-	}
-	if !isLocked(s, "a") || !isLocked(s, "b") {
-		t.Fatal("locks released under a generous lease")
-	}
-
-	// A zero lease expires every held lock, and only held locks.
-	exp := s.ExpireLocks(0)
-	if len(exp) != 2 {
-		t.Fatalf("expired %v, want exactly the two locked objects", exp)
-	}
-	seen := map[ID]bool{}
-	for _, id := range exp {
-		seen[id] = true
-	}
-	if !seen["a"] || !seen["b"] || seen["c"] {
-		t.Fatalf("expired set %v, want {a, b}", exp)
-	}
-	if isLocked(s, "a") || isLocked(s, "b") {
-		t.Fatal("objects still locked after expiry")
-	}
-
-	// The expired holders are fenced: their delayed lock requests must not
-	// resurrect the lock.
-	if got := lock(s, "a", 7, Version{1, 0}); got != LockBusy {
-		t.Fatalf("expired holder re-lock: %v, want LockBusy (refused)", got)
-	}
-	if got := lock(s, "b", 8, Version{1, 0}); got != LockBusy {
-		t.Fatalf("expired holder re-lock: %v, want LockBusy (refused)", got)
-	}
-	// A fresh transaction can take the freed lock.
-	if got := lock(s, "a", 9, Version{1, 0}); got != LockOK {
-		t.Fatalf("fresh lock after expiry: %v", got)
-	}
-	// Expiring again releases the fresh holder too (zero lease), proving
-	// expiry is repeatable.
-	if exp := s.ExpireLocks(0); len(exp) != 1 || exp[0] != "a" {
-		t.Fatalf("second expiry %v, want [a]", exp)
 	}
 }

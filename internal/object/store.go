@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"dstm/internal/transport"
 )
@@ -35,11 +34,13 @@ type TraceFn func(op string, id ID, tx, a uint64)
 // The departure records sit beside the records, under the same mutex: only
 // Migrate writes one, and every install, or Arriving, clears it.
 //
-// A lock request can reach the store after its own identity's release (an
+// Only a lock's holder frees it: its release (Unlock), its in-place update
+// (UpdateCommitted), its migration (Migrate) or its rollback (Remove). A
+// lock request can reach the store after its own identity's release (an
 // at-least-once retransmission, a reply the requester gave up on). Served,
-// it would orphan the lock until a lease reaps it. So a release that finds
-// the identity not holding the lock, and a lease expiry, fence the
-// (object, identity) pair for good, and LockBatch refuses a fenced entry.
+// it would orphan the lock, since its holder has already let go. So a
+// release that finds the identity not holding the lock fences the (object,
+// identity) pair for good, and LockBatch refuses a fenced entry.
 // The fence lives beside the records, not in one, so it also holds for an
 // object installed after the release; a release that unlocks a lock it
 // holds plants none.
@@ -79,7 +80,7 @@ func (s *Store) fence(id ID, tx uint64) {
 }
 
 // SetTrace installs a debug callback invoked (under the store's lock) for
-// every lock-state change: "lock-ok", "lock-expired", "unlock", "remove",
+// every lock-state change: "lock-ok", "unlock", "remove",
 // "commit", "install", "install-locked". Pass nil to disable. Intended for
 // tests and debugging.
 func (s *Store) SetTrace(f TraceFn) {
@@ -99,8 +100,7 @@ func (s *Store) emit(op string, id ID, tx, a uint64) {
 type record struct {
 	val    Value
 	ver    Version
-	lockTx uint64    // transaction ID holding the commit lock; 0 = unlocked
-	lockAt time.Time // when the commit lock was taken (lease accounting)
+	lockTx uint64 // transaction ID holding the commit lock; 0 = unlocked
 }
 
 // NewStore returns an empty store.
@@ -253,36 +253,11 @@ func (s *Store) LockBatch(tx uint64, entries []LockEntry) (results []LockResult,
 	if !applied {
 		return results, false
 	}
-	now := time.Now()
 	for _, e := range entries {
-		r := s.objs[e.ID]
-		r.lockTx = tx
-		r.lockAt = now
+		s.objs[e.ID].lockTx = tx
 		s.emit("lock-ok", e.ID, tx, 0)
 	}
 	return results, true
-}
-
-// ExpireLocks force-releases every commit lock held for at least lease,
-// returning the affected object IDs. The expired holder is fenced (see
-// Store) so its delayed lock requests cannot resurrect the lock. This is
-// the abort-on-owner-crash path: a committer that died (or was partitioned
-// away) mid-commit cannot wedge the objects it had locked — after the lease they return to
-// circulation and queued requesters get served.
-func (s *Store) ExpireLocks(lease time.Duration) []ID {
-	now := time.Now()
-	var expired []ID
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for id, r := range s.objs {
-		if r.lockTx != 0 && now.Sub(r.lockAt) >= lease {
-			s.emit("lock-expired", id, r.lockTx, 0)
-			s.fence(id, r.lockTx)
-			r.lockTx = 0
-			expired = append(expired, id)
-		}
-	}
-	return expired
 }
 
 // Unlock releases the commit lock on id if held by tx. Releasing a lock
@@ -312,7 +287,7 @@ func (s *Store) InstallLocked(id ID, val Value, ver Version, tx uint64) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.emit("install-locked", id, tx, 0)
-	s.objs[id] = &record{val: val, ver: ver, lockTx: tx, lockAt: time.Now()}
+	s.objs[id] = &record{val: val, ver: ver, lockTx: tx}
 	delete(s.moved, id)
 }
 

@@ -285,7 +285,7 @@ func TestEveryEndingReleasesTheAnnouncement(t *testing.T) {
 				return err
 			}
 			if e.attempt == 1 { // another committer holds z when the commit locks it
-				lockAt(owner, "z", fakeValidator, owner.State("z").Ver)
+				lockOne(owner, "z", fakeValidator, owner.State("z").Ver)
 			}
 			return nil
 		}, nil, "", map[AbortCause]uint64{AbortLockFailed: 1}},
@@ -295,7 +295,7 @@ func TestEveryEndingReleasesTheAnnouncement(t *testing.T) {
 			}
 			if e.attempt == 1 { // another commit updates w after the read
 				owner := e.tc.rts[1].Store()
-				lockAt(owner, "w", fakeValidator, owner.State("w").Ver)
+				lockOne(owner, "w", fakeValidator, owner.State("w").Ver)
 				if err := owner.UpdateCommitted("w", &box{N: 11}, object.Version{Clock: 99, Node: 1}, fakeValidator); err != nil {
 					return err
 				}

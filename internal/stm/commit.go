@@ -324,12 +324,14 @@ func (tx *Txn) publishAll(ctx context.Context, writes []object.ID, locked map[ob
 }
 
 // refused handles the entries of a publish that owner did not surrender:
-// their homes — told in the same wave that the objects were coming here — are
-// pointed back at owner with the same message, nothing to surrender, and then
-// their commit locks are freed there so the objects are not wedged (in that
-// order: once unlocked an object can move on, and its next directory update
-// must not be overwritten by this one). Best effort: one wave to the homes,
-// one message per home, then the release.
+// the publish call failed (its retry budget ran out), or owner refused an
+// entry, which only a defect can cause, since only a lock's holder frees
+// it. Their homes — told in the same wave that the objects were coming
+// here — are pointed back at owner with the same message, nothing to
+// surrender, and then their commit locks are freed there so the objects are
+// not wedged (in that order: once unlocked an object can move on, and its
+// next directory update must not be overwritten by this one). Best effort:
+// one wave to the homes, one message per home, then the release.
 func (tx *Txn) refused(ctx context.Context, owner transport.NodeID, oids []object.ID) {
 	if len(oids) == 0 {
 		return

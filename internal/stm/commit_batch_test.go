@@ -35,7 +35,7 @@ func TestAcquireBatchPartialFailure(t *testing.T) {
 				if !c.Owned {
 					t.Fatal("b1 not installed at node 0")
 				}
-				if res := lockAt(tc.rts[0].Store(), "b1", foreignTx, ver); res != object.LockOK {
+				if res := lockOne(tc.rts[0].Store(), "b1", foreignTx, ver); res != object.LockOK {
 					t.Fatalf("foreign pre-lock of b1 failed: %v", res)
 				}
 			},

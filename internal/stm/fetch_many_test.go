@@ -650,7 +650,7 @@ func TestHandOffPushIsAConsistentCut(t *testing.T) {
 		}},
 		{name: "lock in between", relock: func(tc *testCluster) error {
 			ver := tc.rts[0].Store().State("t/a").Ver
-			if r := lockAt(tc.rts[0].Store(), "t/a", fakeValidator+1, ver); r != object.LockOK {
+			if r := lockOne(tc.rts[0].Store(), "t/a", fakeValidator+1, ver); r != object.LockOK {
 				return fmt.Errorf("lock: %v", r)
 			}
 			return nil

@@ -71,7 +71,6 @@ type Metrics struct {
 	staleHops     atomic.Uint64 // entries a remote node answered Moved or NotOwner
 	prefetched    atomic.Uint64 // copies Txn.Prefetch received
 	prefOpened    atomic.Uint64 // of those, copies a transaction then opened
-	leaseExpiries atomic.Uint64 // commit locks force-released by the lease reaper
 	commitMsgs    atomic.Uint64 // messages sent by successful commit pipelines
 	commitRounds  atomic.Uint64 // parallel batch rounds those messages formed
 
@@ -142,7 +141,6 @@ type MetricsSnapshot struct {
 	RetrieveWaves uint64
 	RemoteCopies  uint64
 	StaleHops     uint64
-	LeaseExpiries uint64
 	// CommitMsgs counts the protocol messages issued by commit pipelines
 	// that reached the commit point; CommitRounds counts the parallel batch
 	// waves they formed. Their ratios to Commits are the paper-facing
@@ -180,7 +178,6 @@ func (m *Metrics) Snapshot() MetricsSnapshot {
 		RetrieveWaves: m.retrieveWaves.Load(),
 		RemoteCopies:  m.remoteCopies.Load(),
 		StaleHops:     m.staleHops.Load(),
-		LeaseExpiries: m.leaseExpiries.Load(),
 		CommitMsgs:    m.commitMsgs.Load(),
 		CommitRounds:  m.commitRounds.Load(),
 
@@ -261,7 +258,6 @@ func (s *MetricsSnapshot) Merge(other MetricsSnapshot) {
 	s.StaleHops += other.StaleHops
 	s.Prefetched += other.Prefetched
 	s.PrefetchOpened += other.PrefetchOpened
-	s.LeaseExpiries += other.LeaseExpiries
 	s.CommitMsgs += other.CommitMsgs
 	s.CommitRounds += other.CommitRounds
 	s.ReadOnlyCommits += other.ReadOnlyCommits
@@ -297,7 +293,6 @@ func (s *MetricsSnapshot) Sub(base MetricsSnapshot) {
 	s.StaleHops -= base.StaleHops
 	s.Prefetched -= base.Prefetched
 	s.PrefetchOpened -= base.PrefetchOpened
-	s.LeaseExpiries -= base.LeaseExpiries
 	s.CommitMsgs -= base.CommitMsgs
 	s.CommitRounds -= base.CommitRounds
 	s.ReadOnlyCommits -= base.ReadOnlyCommits

@@ -71,7 +71,6 @@ func fullyPopulated() MetricsSnapshot {
 	m.staleHops.Add(18)
 	m.prefetched.Add(10)
 	m.prefOpened.Add(14)
-	m.leaseExpiries.Add(2)
 	m.commitMsgs.Add(15)
 	m.commitRounds.Add(12)
 	m.readOnlyCommits.Add(11)

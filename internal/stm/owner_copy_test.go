@@ -30,7 +30,7 @@ func TestValueLeavingTheOwnerIsCopied(t *testing.T) {
 		{"locking retrieve", func(t *testing.T, rt *Runtime) object.Value {
 			// A second announcement of a lock the attempt holds: the read
 			// leaves the locked entry alone, and lockAnnounced answers it.
-			lockAt(rt.Store(), "x", lockID, rt.Store().State("x").Ver)
+			lockOne(rt.Store(), "x", lockID, rt.Store().State("x").Ver)
 			defer rt.Store().Unlock("x", lockID)
 			return selfRetrieve(t, rt, retrieveReq{TxID: 1, Mode: sched.Write, Prefetch: true, LockID: lockID, Oids: []object.ID{"x"}})
 		}},
@@ -78,7 +78,7 @@ func selfRetrieve(t *testing.T, rt *Runtime, req retrieveReq) object.Value {
 
 // TestHandOffOfAnUnqueuedObjectAllocatesNothing: freeing an object nobody is
 // queued for — each local commit's update, each release, each installed
-// migration, each lease expiry — copies no value.
+// migration — copies no value.
 func TestHandOffOfAnUnqueuedObjectAllocatesNothing(t *testing.T) {
 	rt := newRTSCluster(t, 1, core.Options{CLThreshold: 5}).rts[0]
 	if err := rt.CreateRoot(context.Background(), "x", &box{N: 7}); err != nil {

@@ -179,10 +179,12 @@ func TestLatePublishCopyCannotMoveTheHomeBack(t *testing.T) {
 }
 
 // TestRefusedPublishPointsTheHomeBack: node 0 commits a, b (node 1) and c
-// (node 2); b's commit lock is reaped between acquire and publish, so node 1
-// refuses to surrender it. The siblings are published, b stays at node 1
-// unchanged and unlocked, its home — told in the same wave that b was moving
-// — names node 1 again, and the commit reports the refusal.
+// (node 2); b's commit lock is freed under its holder between acquire and
+// publish, which only a defect could do, so node 1 refuses to surrender it.
+// The siblings are published, b stays at node 1 unchanged and unlocked, its
+// home — told in the same wave that b was moving — names node 1 again, and
+// the commit reports the refusal. A publish call that fails takes the same
+// path for all of its entries.
 func TestRefusedPublishPointsTheHomeBack(t *testing.T) {
 	tc := newTestCluster(t, 4, nil, nil)
 	ctx := context.Background()
@@ -190,10 +192,10 @@ func TestRefusedPublishPointsTheHomeBack(t *testing.T) {
 	seed(t, tc, map[object.ID]int{a: 1, b: 1, c: 2})
 
 	var lockID uint64
-	var reap sync.Once
+	var free sync.Once
 	tc.net.SetInterceptor(holdPublishWave(t, 3, func(m *transport.Message) bool {
 		if m.Kind == KindCommitObjectBatch && m.To == 1 && !m.IsReply {
-			reap.Do(func() { tc.rts[1].Store().Unlock(b, lockID) })
+			free.Do(func() { tc.rts[1].Store().Unlock(b, lockID) })
 		}
 		return true
 	}))
@@ -582,5 +584,57 @@ func TestRolledBackCreateLeavesNoDepartureRecord(t *testing.T) {
 				t.Fatalf("after the rollback node 1 answers %v to node %d, want not-owner", r.Status, r.MovedTo)
 			}
 		})
+	}
+}
+
+// TestCommitMigrationOfAGoneObjectFails: once a commit has taken an object
+// away from its owner, a commit message claiming it again — from another
+// transaction or from a new call of the same one — is refused. A copy of the
+// first message is never served again (the endpoint's floor), so no
+// migration has to be replayable.
+func TestCommitMigrationOfAGoneObjectFails(t *testing.T) {
+	tc := newTestCluster(t, 2, nil, nil)
+	rt0, rt1 := tc.rts[0], tc.rts[1]
+	ctx := context.Background()
+
+	if err := rt0.CreateRoot(ctx, "mig", &box{N: 1}); err != nil {
+		t.Fatal(err)
+	}
+	const txid = 77
+	ver := rt0.Store().State("mig").Ver
+	if got := lockOne(rt0.Store(), "mig", txid, ver); got != object.LockOK {
+		t.Fatalf("lock: %v", got)
+	}
+
+	req := commitObjBatchReq{TxID: txid, NewOwner: 1, Oids: []object.ID{"mig"}, Moved: []object.ID{"mig"}}
+	// migrate sends the one-entry batch and returns that entry's error text.
+	migrate := func(req commitObjBatchReq) string {
+		t.Helper()
+		body, err := rt1.ep.Call(ctx, 0, KindCommitObjectBatch, req)
+		if err != nil {
+			t.Fatalf("migration call: %v", err)
+		}
+		results := body.(commitObjBatchResp).Results
+		if len(results) != 1 {
+			t.Fatalf("results = %+v, want one entry", results)
+		}
+		return results[0].Err
+	}
+	// First migration removes the object from node 0.
+	if e := migrate(req); e != "" {
+		t.Fatalf("migration: %s", e)
+	}
+	if rt0.Store().Owns("mig") {
+		t.Fatal("object still owned by old owner after migration")
+	}
+	// A new call of the same transaction finds the object gone, and so does
+	// a different transaction claiming it.
+	if e := migrate(req); e == "" {
+		t.Fatal("a second migration call of a gone object succeeded")
+	}
+	bad := req
+	bad.TxID = 78
+	if e := migrate(bad); e == "" {
+		t.Fatal("foreign-tx migration of a gone object succeeded")
 	}
 }

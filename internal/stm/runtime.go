@@ -134,8 +134,6 @@ func (rt *Runtime) SetTracer(tr *trace.Recorder) {
 			tr.Emit(trace.Event{Type: trace.EvLockRelease, Tx: tx, Oid: id, Detail: "commit", A: a})
 		case "remove":
 			tr.Emit(trace.Event{Type: trace.EvLockRelease, Tx: tx, Oid: id, Detail: "migrate"})
-		case "lock-expired":
-			tr.Emit(trace.Event{Type: trace.EvLeaseExpire, Tx: tx, Oid: id})
 		case "install":
 			tr.Emit(trace.Event{Type: trace.EvInstall, Oid: id, A: a})
 		}
@@ -379,8 +377,8 @@ func (rt *Runtime) handleCommitObjectBatch(_ transport.NodeID, payload any) (any
 // retrieve reply is; the pushes are sent after it, each with its own copy of
 // the value, so an object nobody is queued for costs no copy. An object gone
 // or locked is left alone, its queue untouched: a migration took the queue
-// with it, and the lock holder's publish or release, or the lease reaper,
-// hands it off once it is free.
+// with it, and the lock holder's publish or release hands it off once it is
+// free.
 func (rt *Runtime) handOff(oid object.ID) {
 	var buf [1]object.Copy
 	var popped []sched.Request
@@ -457,43 +455,4 @@ func (rt *Runtime) feedback(committed bool) {
 	if f, ok := rt.policy.(feedbacker); ok {
 		f.Feedback(committed)
 	}
-}
-
-// ---------------------------------------------------------------------------
-// Lock-lease expiry (crash robustness).
-
-// StartLeaseExpiry launches a reaper that force-releases commit locks held
-// longer than lease and hands the freed objects to their queued requesters.
-// It is the owner-side defence against a crashed or partitioned committer:
-// without it, a lock whose holder died mid-commit wedges every transaction
-// queued behind the object forever (the paper's model excludes this by
-// assuming reliable delivery and no failures).
-//
-// The lease must comfortably exceed the longest healthy commit (a few call
-// timeouts), or live committers will have their locks stolen mid-publish.
-// The returned stop function halts the reaper; calling it more than once is
-// safe.
-func (rt *Runtime) StartLeaseExpiry(lease time.Duration) (stop func()) {
-	interval := lease / 4
-	if interval < time.Millisecond {
-		interval = time.Millisecond
-	}
-	done := make(chan struct{})
-	go func() {
-		t := time.NewTicker(interval)
-		defer t.Stop()
-		for {
-			select {
-			case <-done:
-				return
-			case <-t.C:
-				for _, oid := range rt.store.ExpireLocks(lease) {
-					rt.metrics.leaseExpiries.Add(1)
-					rt.handOff(oid)
-				}
-			}
-		}
-	}()
-	var once sync.Once
-	return func() { once.Do(func() { close(done) }) }
 }

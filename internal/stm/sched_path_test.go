@@ -20,8 +20,8 @@ import (
 
 const fakeValidator uint64 = 0xf00d
 
-// lockAt commit-locks one object through the store's one lock entry.
-func lockAt(st *object.Store, id object.ID, tx uint64, ver object.Version) object.LockResult {
+// lockOne commit-locks one object through the store's one lock entry.
+func lockOne(st *object.Store, id object.ID, tx uint64, ver object.Version) object.LockResult {
 	r, _ := st.LockBatch(tx, []object.LockEntry{{ID: id, Expect: ver}})
 	return r[0]
 }
@@ -39,7 +39,7 @@ func lockObject(t *testing.T, rt *Runtime, oid object.ID) {
 	if !c.Owned {
 		t.Fatalf("object %q not owned", oid)
 	}
-	if res := lockAt(rt.Store(), oid, fakeValidator, ver); res != object.LockOK {
+	if res := lockOne(rt.Store(), oid, fakeValidator, ver); res != object.LockOK {
 		t.Fatalf("lock: %v", res)
 	}
 }
@@ -383,7 +383,7 @@ func TestQueueMigratesWithOwnership(t *testing.T) {
 		t.Fatal(err)
 	}
 	committerTx := uint64(0xbeef)
-	if res := lockAt(tc.rts[0].Store(), "x", committerTx, ver); res != object.LockOK {
+	if res := lockOne(tc.rts[0].Store(), "x", committerTx, ver); res != object.LockOK {
 		t.Fatalf("lock: %v", res)
 	}
 
@@ -477,7 +477,7 @@ func TestMigrationBeforeTheEnqueueKeepsTheRequester(t *testing.T) {
 		t.Fatal(err)
 	}
 	tc.rts[2].Stats().RecordCommit("w", 300*time.Millisecond)
-	if res := lockAt(tc.rts[0].Store(), "x", committerTx, object.Version{}); res != object.LockOK {
+	if res := lockOne(tc.rts[0].Store(), "x", committerTx, object.Version{}); res != object.LockOK {
 		t.Fatalf("lock: %v", res)
 	}
 

@@ -57,11 +57,12 @@ type Report struct {
 	// CheckErr is the application's invariant check on the healed cluster.
 	CheckErr error
 
-	// StaleEntries, set by Run, counts the objects whose home, on the
-	// healed cluster, does not name the store holding them; stale
-	// describes one of them.
-	StaleEntries int
-	stale        error
+	// Set by Run from one walk of the healed cluster's stores: LeftLocks
+	// counts the objects still commit-locked once Drive returned, leftLock
+	// describing the first; StaleEntries counts the objects whose home does
+	// not name the store holding them, stale describing one.
+	LeftLocks, StaleEntries int
+	leftLock, stale         error
 
 	// Set by Finish when Options.Trace is on: the oracle's verdict over
 	// the merged event log, the log's size, and how many events the rings
@@ -83,14 +84,20 @@ func (r Report) Throughput() float64 {
 // NestedAbortRate is Table I's metric.
 func (r Report) NestedAbortRate() float64 { return r.Metrics.NestedAbortRate() }
 
-// Err is the run's verdict, checked in order: the application's invariant;
-// the directory, unless a node crashed (a crashed committer may leave its
-// publish wave unfinished); the protocol oracle, when tracing.
+// Err is the run's verdict, checked in order: the commit locks, since
+// only a lock's holder frees it and every holder has ended by then (a lock
+// left behind also wedges the invariant check); the application's
+// invariant; the directory; the protocol oracle, when tracing. A crash is
+// no excuse: a crashed node keeps its state, and every release and
+// publish outlasts its crash window.
 func (r Report) Err() error {
+	if r.LeftLocks > 0 {
+		return fmt.Errorf("testbed: %d commit locks left: %w", r.LeftLocks, r.leftLock)
+	}
 	if r.CheckErr != nil {
 		return fmt.Errorf("testbed: invariant: %w", r.CheckErr)
 	}
-	if r.StaleEntries > 0 && r.Crashes == 0 {
+	if r.StaleEntries > 0 {
 		return fmt.Errorf("testbed: %d stale directory entries: %w", r.StaleEntries, r.stale)
 	}
 	if r.ProtocolErr != nil {
@@ -117,8 +124,7 @@ func Run(ctx context.Context, o Options, bench apps.Benchmark) (Report, error) {
 	}
 	checkCtx, cancel := context.WithTimeout(ctx, 30*time.Second)
 	defer cancel()
-	var lookupErr error
-	rep.StaleEntries, rep.stale, lookupErr = c.staleEntries(checkCtx)
+	lookupErr := c.checkStores(checkCtx, &rep)
 	if err := c.Finish(&rep); err != nil {
 		return rep, err
 	}
@@ -288,8 +294,8 @@ func (c *Cluster) Drive(ctx context.Context, bench apps.Benchmark) (Report, erro
 // Options.TracePath.
 func (c *Cluster) Finish(rep *Report) error {
 	// Quiesce before collecting so no goroutine is mid-way through emitting
-	// a hand-off group: Close stops the lease reapers and waits out the
-	// delivery goroutines, on which every handler runs.
+	// a hand-off group: Close waits out the delivery goroutines, on which
+	// every handler runs.
 	c.Close()
 	if !c.opts.Trace {
 		return nil
@@ -345,13 +351,14 @@ func (c *Cluster) crashLoop(ctx context.Context) (crashes int) {
 	}
 }
 
-// staleEntries checks the directory against the stores. Node 0 asks the
-// homes of every stored object (cc.Service.AskHomes, which never answers
-// from a hint), one lookup per home and all at once, so the check costs one
-// round trip whatever the object count. It counts the objects whose home
-// names another node or has no entry, and stale describes one of them. err
-// is a lookup that failed: the check was not made.
-func (c *Cluster) staleEntries(ctx context.Context) (n int, stale, err error) {
+// checkStores checks the stores of a quiet cluster into rep: the commit
+// locks left (leftLock) and the directory. Node 0 asks the homes of every
+// stored object (cc.Service.AskHomes, which never answers from a hint), one
+// lookup per home and all at once, so the check costs one round trip
+// whatever the object count. It counts the objects whose home names
+// another node or has no entry. err is a lookup that failed: the check was
+// not made and rep is unchanged.
+func (c *Cluster) checkStores(ctx context.Context, rep *Report) error {
 	var ids []object.ID
 	for _, rt := range c.Rts {
 		ids = append(ids, rt.Store().IDs()...)
@@ -360,21 +367,37 @@ func (c *Cluster) staleEntries(ctx context.Context) (n int, stale, err error) {
 	// entry for it, and AskHomes reports it only if every call went through.
 	homeSays, _, err := c.Rts[0].Locator().AskHomes(ctx, ids)
 	if err != nil && !errors.Is(err, cc.ErrUnknownObject) {
-		return 0, nil, err
+		return err
 	}
 	for _, rt := range c.Rts {
 		for _, id := range rt.Store().IDs() {
+			if err := leftLock(rt, id); err != nil {
+				rep.LeftLocks++
+				if rep.leftLock == nil {
+					rep.leftLock = err
+				}
+			}
 			switch got, ok := homeSays[id]; {
 			case !ok:
-				n++
-				stale = fmt.Errorf("%s is in node %d's store, its home has no entry for it", id, rt.Self())
+				rep.StaleEntries++
+				rep.stale = fmt.Errorf("%s is in node %d's store, its home has no entry for it", id, rt.Self())
 			case got != rt.Self():
-				n++
-				stale = fmt.Errorf("%s is in node %d's store, its home says node %d", id, rt.Self(), got)
+				rep.StaleEntries++
+				rep.stale = fmt.Errorf("%s is in node %d's store, its home says node %d", id, rt.Self(), got)
 			}
 		}
 	}
-	return n, stale, nil
+	return nil
+}
+
+// leftLock describes the commit lock rt's store holds on id, or is nil.
+// Once every transaction has ended none may be held: only a lock's holder
+// frees it.
+func leftLock(rt *stm.Runtime, id object.ID) error {
+	if tx := rt.Store().State(id).LockedBy; tx != 0 {
+		return fmt.Errorf("%s is commit-locked by tx %x at node %d", id, tx, rt.Self())
+	}
+	return nil
 }
 
 // metrics sums the transaction counters of this process's runtimes.

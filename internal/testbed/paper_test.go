@@ -145,13 +145,13 @@ func TestShutdownLeavesCleanState(t *testing.T) {
 		for i := 0; i < b.Accounts(); i++ {
 			oid := bank.AccountID(i)
 			owners := 0
-			for n, rt := range rts {
+			for _, rt := range rts {
 				if !rt.Store().Owns(oid) {
 					continue
 				}
 				owners++
-				if lockedBy := rt.Store().State(oid).LockedBy; lockedBy != 0 {
-					t.Fatalf("iter %d: %s orphan-locked by %x at node %d", iter, oid, lockedBy, n)
+				if err := leftLock(rt, oid); err != nil {
+					t.Fatalf("iter %d: orphan lock: %v", iter, err)
 				}
 			}
 			if owners != 1 {

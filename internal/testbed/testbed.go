@@ -97,10 +97,6 @@ type Options struct {
 	// then restarts. CrashEvery 0 disables crashes.
 	CrashEvery time.Duration
 
-	// LockLease, when positive, starts each node's lock-lease reaper so a
-	// crashed or wedged committer cannot block an object forever.
-	LockLease time.Duration
-
 	// Trace records protocol events on every node from before Setup, so
 	// the oracle Finish runs sees complete state. TraceCap is each node's
 	// ring capacity (0 = trace.DefaultCapacity); a wrapped ring downgrades
@@ -179,10 +175,9 @@ type Cluster struct {
 	net    *transport.Network
 	faults *transport.FaultModel
 
-	opts        Options
-	tcps        []*transport.TCPNode
-	recorders   []*trace.Recorder
-	reaperStops []func()
+	opts      Options
+	tcps      []*transport.TCPNode
+	recorders []*trace.Recorder
 }
 
 // New assembles the cluster o describes. Call Close (or Finish) when done.
@@ -245,9 +240,6 @@ func New(o Options) (*Cluster, error) {
 		}
 		if o.FlatNesting {
 			rt.SetNesting(stm.FlatNesting)
-		}
-		if o.LockLease > 0 {
-			c.reaperStops = append(c.reaperStops, rt.StartLeaseExpiry(o.LockLease))
 		}
 		c.Rts = append(c.Rts, rt)
 	}
@@ -317,11 +309,8 @@ func (c *Cluster) awaitPeers(ctx context.Context) error {
 	return nil
 }
 
-// Close stops the lease reapers and shuts the fabric. It is idempotent.
+// Close shuts the fabric. It is idempotent.
 func (c *Cluster) Close() {
-	for _, stop := range c.reaperStops {
-		stop()
-	}
 	if c.net != nil {
 		c.net.Close()
 	}

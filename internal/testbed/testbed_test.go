@@ -13,6 +13,7 @@ import (
 	"dstm/internal/cc"
 	"dstm/internal/cluster"
 	"dstm/internal/object"
+	"dstm/internal/stm"
 	"dstm/internal/transport"
 	"dstm/internal/workload"
 )
@@ -152,7 +153,6 @@ func TestRunCrashOnly(t *testing.T) {
 		Seed:           3,
 		Scheduler:      TFA,
 		CrashEvery:     40 * time.Millisecond,
-		LockLease:      5 * time.Second,
 		WorkersPerNode: 2,
 		Duration:       200 * time.Millisecond,
 		ReadRatio:      0.5,
@@ -188,15 +188,16 @@ func TestRunCrashOnly(t *testing.T) {
 	t.Logf("crashes=%d dropped=%d commits=%d stale-entries=%d", rep.Crashes, rep.Faults.Dropped, rep.Metrics.Commits, rep.StaleEntries)
 }
 
-// TestStaleEntryFailsVerdict points one home entry at the wrong node after
-// a drive: the directory check counts it, whatever the checking node's hint
-// says, and the verdict fails unless the run crashed a node.
-func TestStaleEntryFailsVerdict(t *testing.T) {
+// drivenCluster drives a short bank run on three nodes, checks that its
+// stores come out clean, and returns the cluster with the node holding the
+// most objects.
+func drivenCluster(t *testing.T) (*Cluster, *stm.Runtime) {
+	t.Helper()
 	c, err := New(Options{Nodes: 3, Scheduler: TFA, WorkersPerNode: 2, Duration: 50 * time.Millisecond, ReadRatio: 0.5})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer c.Close()
+	t.Cleanup(c.Close)
 	ctx := context.Background()
 	b := bank.New(bank.Options{AccountsPerNode: 4})
 	if err := c.Setup(ctx, b); err != nil {
@@ -206,16 +207,24 @@ func TestStaleEntryFailsVerdict(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.StaleEntries, rep.stale, err = c.staleEntries(ctx); err != nil || rep.StaleEntries != 0 || rep.Err() != nil {
-		t.Fatalf("healthy cluster: lookup %v, %d stale entries, verdict %v", err, rep.StaleEntries, rep.Err())
+	if err := c.checkStores(ctx, &rep); err != nil || rep.LeftLocks != 0 || rep.StaleEntries != 0 || rep.Err() != nil {
+		t.Fatalf("healthy cluster: lookup %v, %d locks left, %d stale entries, verdict %v", err, rep.LeftLocks, rep.StaleEntries, rep.Err())
 	}
-
 	holder := c.Rts[0]
 	for _, rt := range c.Rts {
 		if len(rt.Store().IDs()) > len(holder.Store().IDs()) {
 			holder = rt
 		}
 	}
+	return c, holder
+}
+
+// TestStaleEntryFailsVerdict points one home entry at the wrong node after
+// a drive: the directory check counts it, whatever the checking node's hint
+// says, and the verdict fails.
+func TestStaleEntryFailsVerdict(t *testing.T) {
+	c, holder := drivenCluster(t)
+	ctx := context.Background()
 	id := holder.Store().IDs()[0]
 	home := c.Rts[holder.Locator().Home(id)]
 	wrong := (holder.Self() + 1) % 3
@@ -225,7 +234,8 @@ func TestStaleEntryFailsVerdict(t *testing.T) {
 	// A hint naming the holder, as gossip may leave one at any time, does
 	// not hide the entry: the check reads the homes.
 	c.Rts[0].Locator().NoteOwner(id, holder.Self())
-	if rep.StaleEntries, rep.stale, err = c.staleEntries(ctx); err != nil {
+	var rep Report
+	if err := c.checkStores(ctx, &rep); err != nil {
 		t.Fatal(err)
 	}
 	if rep.StaleEntries != 1 {
@@ -234,9 +244,28 @@ func TestStaleEntryFailsVerdict(t *testing.T) {
 	if err := rep.Err(); err == nil || !strings.Contains(err.Error(), string(id)) {
 		t.Fatalf("verdict %v, want the stale entry %s", err, id)
 	}
-	rep.Crashes = 1
-	if err := rep.Err(); err != nil {
-		t.Fatalf("a run that crashed a node failed on its directory: %v", err)
+}
+
+// TestLeftLockFailsVerdict commit-locks one object after a drive, as a
+// holder that never let go would leave it: the store walk counts it and the
+// verdict names it.
+func TestLeftLockFailsVerdict(t *testing.T) {
+	c, holder := drivenCluster(t)
+	id := holder.Store().IDs()[0]
+	const tx = 0xdead
+	entry := []object.LockEntry{{ID: id, Expect: holder.Store().State(id).Ver}}
+	if _, ok := holder.Store().LockBatch(tx, entry); !ok {
+		t.Fatalf("could not lock %s", id)
+	}
+	var rep Report
+	if err := c.checkStores(context.Background(), &rep); err != nil {
+		t.Fatal(err)
+	}
+	if rep.LeftLocks != 1 || rep.StaleEntries != 0 {
+		t.Fatalf("%d locks left, %d stale entries after locking %s, want 1 and 0", rep.LeftLocks, rep.StaleEntries, id)
+	}
+	if err := rep.Err(); err == nil || !strings.Contains(err.Error(), string(id)) || !strings.Contains(err.Error(), "dead") {
+		t.Fatalf("verdict %v, want the lock tx %x holds on %s", err, tx, id)
 	}
 }
 
@@ -263,13 +292,14 @@ func TestDirectoryCheckAsksEachHomeOnce(t *testing.T) {
 	}
 	budget, cancel := context.WithTimeout(ctx, 250*time.Millisecond)
 	defer cancel()
-	if n, stale, err := c.staleEntries(budget); err != nil || n != 0 {
-		t.Fatalf("lookup error %v, %d stale entries (%v)", err, n, stale)
+	var rep Report
+	if err := c.checkStores(budget, &rep); err != nil || rep.StaleEntries != 0 {
+		t.Fatalf("lookup error %v, %d stale entries (%v)", err, rep.StaleEntries, rep.stale)
 	}
 	done, cancelDone := context.WithCancel(ctx)
 	cancelDone()
-	if n, _, err := c.staleEntries(done); err == nil || n != 0 {
-		t.Fatalf("no time left: lookup error %v and %d stale entries, want an error and none counted", err, n)
+	if err := c.checkStores(done, &rep); err == nil || rep.StaleEntries != 0 {
+		t.Fatalf("no time left: lookup error %v and %d stale entries, want an error and none counted", err, rep.StaleEntries)
 	}
 }
 

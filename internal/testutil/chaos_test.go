@@ -14,9 +14,7 @@ import (
 )
 
 // chaosOpts is the shared base configuration: TFA on 3 nodes, 15% drop,
-// some duplication and reordering, a crash/restart every 300ms, and a lock
-// lease comfortably longer than any healthy commit here, so the
-// crashed-committer backstop only fires when a holder is truly gone. All
+// some duplication and reordering, and a crash/restart every 300ms. All
 // streams derive from the fixed seed, so failures reproduce.
 func chaosOpts() testbed.Options {
 	return testbed.Options{
@@ -28,21 +26,11 @@ func chaosOpts() testbed.Options {
 		Reorder:        0.10,
 		MaxExtraDelay:  time.Millisecond,
 		CrashEvery:     300 * time.Millisecond,
-		LockLease:      5 * time.Second,
 		WorkersPerNode: 3,
 		Duration:       1500 * time.Millisecond,
 		ReadRatio:      0.5,
 	}
 }
-
-// traceLease is the lock lease of the traced bank runs: short enough that a
-// crashed committer does not wedge its hot accounts for the whole run (the
-// retry storm would wrap any trace ring), and comfortably above the longest
-// healthy commit under 15% loss and 150 ms crash windows, as
-// StartLeaseExpiry requires (400 ms is not: a live committer outlives it
-// about one run in eight and fails to publish past the commit point).
-// Surviving an expiry is lease_test.go's subject, not these tests'.
-const traceLease = time.Second
 
 // requireChaosHappened fails unless the run actually exercised the fault
 // paths it claims to: messages dropped and at least one crash cycle.
@@ -57,9 +45,9 @@ func requireChaosHappened(t *testing.T, rep testbed.Report) {
 	if rep.Metrics.Commits == 0 {
 		t.Fatal("no transactions committed under faults; cluster made no progress")
 	}
-	t.Logf("commits=%d aborts=%d dropped=%d duplicated=%d reordered=%d crashes=%d lease-expiries=%d stale-entries=%d",
+	t.Logf("commits=%d aborts=%d dropped=%d duplicated=%d reordered=%d crashes=%d stale-entries=%d",
 		rep.Metrics.Commits, rep.Metrics.TotalAborts(), rep.Faults.Dropped,
-		rep.Faults.Duplicated, rep.Faults.Reordered, rep.Crashes, rep.Metrics.LeaseExpiries, rep.StaleEntries)
+		rep.Faults.Duplicated, rep.Faults.Reordered, rep.Crashes, rep.StaleEntries)
 }
 
 // TestChaosBankConservation checks the headline invariant: across 15%
@@ -141,14 +129,13 @@ func TestChaosBankRTSScheduler(t *testing.T) {
 // through the trace/check protocol oracle. Crashes take nodes off the
 // network but their recorders keep running, so the merged log is complete
 // and the stateful invariants (lock exclusion, hand-off head rule, park
-// closure, lease-expiry safety, batch atomicity) must all hold.
+// closure, reply correlation, batch atomicity) must all hold.
 func TestChaosTraceProtocolCheck(t *testing.T) {
 	opts := chaosOpts()
 	opts.Seed = 47
 	opts.Trace = true
 	opts.TraceCap = 1 << 21 // sized for busy-host goodput, as below
 	opts.Scheduler, opts.CLThreshold = testbed.RTS, 3
-	opts.LockLease = traceLease
 	rep, err := testbed.Run(context.Background(), opts, bank.New(bank.Options{AccountsPerNode: 4}))
 	if err != nil {
 		t.Fatal(err)
@@ -160,7 +147,7 @@ func TestChaosTraceProtocolCheck(t *testing.T) {
 	if rep.TraceDropped != 0 {
 		t.Fatalf("ring wrapped (%d dropped) — raise TraceCap so the full check runs", rep.TraceDropped)
 	}
-	t.Logf("protocol check ok over %d events (lease-expiries=%d)", rep.TraceEvents, rep.Metrics.LeaseExpiries)
+	t.Logf("protocol check ok over %d events", rep.TraceEvents)
 }
 
 // TestChaosDHTTraceBatchAtomicity stresses the owner-grouped commit
@@ -205,7 +192,6 @@ func TestChaosBankTraceBatchAtomicity(t *testing.T) {
 	opts.Trace = true
 	opts.TraceCap = 1 << 21 // sized for busy-host goodput, as above
 	opts.Scheduler, opts.CLThreshold = testbed.RTS, 3
-	opts.LockLease = traceLease
 	rep, err := testbed.Run(context.Background(), opts, bank.New(bank.Options{AccountsPerNode: 4}))
 	if err != nil {
 		t.Fatal(err)
@@ -232,7 +218,6 @@ func TestChaosSoakBankHeavyLoss(t *testing.T) {
 		MaxExtraDelay:  2 * time.Millisecond,
 		Latency:        transport.UniformLatency(200 * time.Microsecond),
 		CrashEvery:     400 * time.Millisecond,
-		LockLease:      5 * time.Second,
 		WorkersPerNode: 4,
 		Duration:       6 * time.Second,
 		ReadRatio:      0.5,
@@ -300,7 +285,6 @@ func TestChaosReadHeavyTraceOracle(t *testing.T) {
 	opts.Trace = true
 	opts.TraceCap = 1 << 21
 	opts.Scheduler, opts.CLThreshold = testbed.RTS, 3
-	opts.LockLease = traceLease
 	rep, err := testbed.Run(context.Background(), opts, bank.New(bank.Options{AccountsPerNode: 4}))
 	if err != nil {
 		t.Fatal(err)

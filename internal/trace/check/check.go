@@ -5,7 +5,7 @@
 //
 //   - I1 commit-lock mutual exclusion: at any owner, an object's commit
 //     lock is granted to at most one transaction at a time, and is only
-//     released (or lease-expired) for its current holder;
+//     released for its current holder;
 //   - I2 forwarding monotonicity: TFA forwarding never moves a
 //     transaction's start clock backwards, within one forwarding step or
 //     across steps;
@@ -16,8 +16,6 @@
 //     push, is cancelled by its caller, or times out — and a timeout must
 //     be followed by that transaction aborting with the queue-timeout
 //     cause;
-//   - I5 lease-expiry safety: a lease expiry only fires for the
-//     transaction currently holding the lock (never after its release);
 //   - I6 reply correlation: every reply received was solicited — its
 //     (peer, correlation) pair matches an earlier outgoing request;
 //   - I7 batch atomicity: at trace end, no commit lock is still held by an
@@ -26,10 +24,12 @@
 //     batch locked once its releases have drained (checked at end-of-trace
 //     because an abort and its owner-side release can carry tied clocks).
 //
-// I8 (MVCC snapshot consistency) is retired with the read path it checked;
-// the number is not reused — I9 and I10 keep their planned names.
+// I5 (lease-expiry safety) is retired with the lock lease: only a lock's
+// holder frees it, which I1 checks. I8 (MVCC snapshot consistency) is
+// retired with the read path it checked. Neither number is reused — I9
+// and I10 keep their planned names.
 //
-// I1, I3, I4, I5, I6 and I7 are stateful: they reconstruct queues, locks
+// I1, I3, I4, I6 and I7 are stateful: they reconstruct queues, locks
 // and parked waiters from the trace, so they are only sound over a complete
 // trace. When any recorder dropped events (ring wrap), run with
 // Options.Truncated — the stateful invariants are skipped and only I2 is
@@ -170,7 +170,7 @@ func Run(events []trace.Event, opts Options) *Report {
 	}
 	c.rep.Events = len(events)
 	if opts.Truncated {
-		c.rep.Skipped = []string{"lock-exclusion", "handoff-head", "park-closure", "lease-expiry", "reply-correlation", "batch-atomicity"}
+		c.rep.Skipped = []string{"lock-exclusion", "handoff-head", "park-closure", "reply-correlation", "batch-atomicity"}
 	}
 	for _, e := range events {
 		c.step(e)
@@ -217,8 +217,6 @@ func (c *checker) step(e trace.Event) {
 		c.lockAcquire(e)
 	case trace.EvLockRelease:
 		c.lockRelease(e)
-	case trace.EvLeaseExpire:
-		c.leaseExpire(e)
 	case trace.EvInstall:
 		// Unlocked (re-)install: creation seeding or migration in.
 		c.locks[lockKey{node: e.Node, oid: e.Oid}] = 0
@@ -337,7 +335,7 @@ func (c *checker) checkForward(e trace.Event) {
 }
 
 // ---------------------------------------------------------------------------
-// I1/I5 — commit-lock state machine.
+// I1 — commit-lock state machine.
 
 func (c *checker) lockAcquire(e trace.Event) {
 	k := lockKey{node: e.Node, oid: e.Oid}
@@ -354,16 +352,6 @@ func (c *checker) lockRelease(e trace.Event) {
 	if cur := c.locks[k]; cur != e.Tx {
 		c.violate("lock-exclusion", e,
 			"%s at node %d released by tx %x but held by tx %x", e.Oid, e.Node, e.Tx, cur)
-	}
-	c.locks[k] = 0
-}
-
-func (c *checker) leaseExpire(e trace.Event) {
-	k := lockKey{node: e.Node, oid: e.Oid}
-	if cur := c.locks[k]; cur != e.Tx {
-		c.violate("lease-expiry", e,
-			"%s at node %d lease-expired for tx %x but the lock is held by tx %x (expiry after release)",
-			e.Oid, e.Node, e.Tx, cur)
 	}
 	c.locks[k] = 0
 }

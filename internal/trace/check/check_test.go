@@ -10,8 +10,8 @@ import (
 // golden builds a clean protocol trace exercising every checked invariant:
 // a commit-locked object with enqueued requesters, a write-head hand-off, a
 // read broadcast, a park resolved by push, a park resolved by timeout (with
-// the matching queue-timeout abort), a forwarding step, a lease expiry for
-// a genuine holder, and a correlated RPC exchange.
+// the matching queue-timeout abort), a forwarding step, and a correlated
+// RPC exchange.
 func golden() []trace.Event {
 	seq := map[transport.NodeID]uint64{}
 	ev := func(node transport.NodeID, clock uint64, typ trace.EventType, mut func(*trace.Event)) trace.Event {
@@ -49,10 +49,6 @@ func golden() []trace.Event {
 		ev(0, 5, trace.EvLockRelease, func(e *trace.Event) { e.Tx = 0xE; e.Oid = "obj/x"; e.Detail = "unlock" }),
 		ev(0, 5, trace.EvHandOff, func(e *trace.Event) { e.Tx = 0xC; e.Oid = "obj/x"; e.Detail = "read"; e.A = 2 }),
 		ev(0, 5, trace.EvHandOff, func(e *trace.Event) { e.Tx = 0xD; e.Oid = "obj/x"; e.Detail = "read"; e.A = 2 }),
-
-		// A lease expiry for a holder that is genuinely wedged.
-		ev(0, 6, trace.EvLockAcquire, func(e *trace.Event) { e.Tx = 0xF; e.Oid = "obj/y" }),
-		ev(0, 7, trace.EvLeaseExpire, func(e *trace.Event) { e.Tx = 0xF; e.Oid = "obj/y" }),
 
 		// A park that times out, followed by the mandated queue-timeout abort.
 		ev(2, 7, trace.EvTxBegin, func(e *trace.Event) { e.Tx = 0x1B; e.A = 1 }),
@@ -183,26 +179,6 @@ func TestOracleFlagsPartialReadBroadcast(t *testing.T) {
 		return out
 	})
 	expectViolation(t, evs, "handoff-head")
-}
-
-func TestOracleFlagsExpiryAfterRelease(t *testing.T) {
-	evs := mutate(t, func(evs []trace.Event) []trace.Event {
-		// obj/y's holder releases cleanly, then the lease fires anyway.
-		for i, e := range evs {
-			if e.Type == trace.EvLeaseExpire {
-				rel := e
-				rel.Type = trace.EvLockRelease
-				rel.Detail = "unlock"
-				exp := e
-				exp.Seq = 1000
-				exp.Clock++
-				return append(append(append([]trace.Event(nil), evs[:i]...), rel, exp), evs[i+1:]...)
-			}
-		}
-		t.Fatal("no lease-expire in golden trace")
-		return nil
-	})
-	expectViolation(t, evs, "lease-expiry")
 }
 
 func TestOracleFlagsCommitAfterParkTimeout(t *testing.T) {

@@ -1,9 +1,9 @@
 // Package trace is the protocol event layer of the D-STM stack: a
 // low-overhead, per-node ring-buffered recorder of every protocol-relevant
 // transition (transaction begin/commit/abort, nested begin/merge/rollback,
-// object retrieve and TFA forwarding, commit-lock acquire/release, lease
-// expiry, RTS enqueue/backoff/hand-off decisions, and message send/receive
-// with correlation IDs).
+// object retrieve and TFA forwarding, commit-lock acquire/release, RTS
+// enqueue/backoff/hand-off decisions, and message send/receive with
+// correlation IDs).
 //
 // A nil *Recorder is a valid, disabled recorder: every emit degrades to a
 // nil check, so production paths carry tracing at negligible cost. Enabled
@@ -86,9 +86,6 @@ const (
 	// (failed commit), "commit" (in-place publish), or "migrate" (ownership
 	// moved to the committer).
 	EvLockRelease EventType = "lock-release"
-	// EvLeaseExpire force-releases a commit lock whose holder exceeded the
-	// lease (crash suspicion).
-	EvLeaseExpire EventType = "lease-expire"
 	// EvInstall installs an unlocked authoritative copy (creation seeding or
 	// ownership migration in).
 	EvInstall EventType = "install"

@@ -12,8 +12,10 @@
 #          internal/apps: testbed's Drive; in
 #          internal/stm, at most one LocateBatch call and one loop bounded
 #          by maxOwnerHops: ownerWave's; and one LockBatch call:
-#          Runtime.lockAnnounced's; and one goroutine started: the lease
-#          reaper's; and one call popping a scheduler queue: Runtime.handOff's;
+#          Runtime.lockAnnounced's; and no goroutine started: a
+#          transaction's steps run on the goroutine of its atomic block, and
+#          only a lock's holder frees it, so no reaper runs; and one call
+#          popping a scheduler queue: Runtime.handOff's;
 #          and no clock read in runtime.go outside the store's read;
 #          and one scheduler conflict decision, inside the retrieve's
 #          store read, and no per-object map field or migrMu in
@@ -95,8 +97,9 @@ stage_vet() {
     nontest_go | grep '^\./internal/stm/' | one_site 'for .*maxOwnerHops' 'locate, send and chase through ownerWave'
     nontest_go | grep '^\./internal/stm/' | one_site 'LockBatch\(' 'commit-lock through Runtime.lockAnnounced'
     # A transaction's steps run in order on the goroutine of its atomic
-    # block; the lease reaper is the one goroutine internal/stm starts.
-    nontest_go | grep '^\./internal/stm/' | one_site '^\s*go func' 'run a transaction step on the goroutine of its atomic block'
+    # block, and only a lock's holder frees it, so internal/stm starts no
+    # goroutine: there is no lock lease for one to reap.
+    nontest_go | grep '^\./internal/stm/' | one_site '^\s*go func' 'run a transaction step on the goroutine of its atomic block' none
     # One owner-side read: a retrieve reply and a hand-off push take their
     # copies and their clock from one Store.Read, so a clock read of its own
     # in runtime.go is a reply cut apart from its copies; and every freed
