@@ -264,13 +264,12 @@ func drive(c *testbed.Cluster, o options, arr workload.Arrival) error {
 		return err
 	}
 	m := rep.Metrics
-	rate := float64(m.Commits) / o.duration.Seconds()
 	if arr == nil {
 		fmt.Printf("dstmnode: %d ops driven, %d commits, %d aborts, %.1f commits/sec\n",
-			rep.Completed, m.Commits, m.TotalAborts(), rate)
+			rep.Completed, m.Commits, m.TotalAborts(), rep.Throughput())
 	} else {
 		fmt.Printf("dstmnode: offered %d, completed %d, shed %d; %d commits, %d aborts, %.1f commits/sec\n",
-			rep.Offered, rep.Completed, rep.Shed, m.Commits, m.TotalAborts(), rate)
+			rep.Offered, rep.Completed, rep.Shed, m.Commits, m.TotalAborts(), rep.Throughput())
 		fmt.Printf("dstmnode: sojourn p50 %v  p99 %v\n", rep.Sojourn.Quantile(0.50), rep.Sojourn.Quantile(0.99))
 	}
 	if rep.CheckErr != nil {

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"maps"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -194,21 +195,18 @@ func TestLockedHeldCopyBehindTheStartIsAdopted(t *testing.T) {
 			tc.rts[0].Locator().NoteOwner("z", 2)
 			var retrievesX, locksX, checksX atomic.Int64
 			tc.net.SetInterceptor(func(m *transport.Message) bool {
-				switch q := m.Payload.(type) {
-				case retrieveReq:
-					switch {
-					case m.To != 1:
-					case q.LockID != 0:
-						locksX.Add(1)
-					default:
-						retrievesX.Add(1)
+				q, ok := m.Payload.(retrieveReq)
+				switch {
+				case !ok:
+				case m.Kind == KindCheckVersionBatch:
+					if slices.Contains(q.Oids, "x") {
+						checksX.Add(1)
 					}
-				case verBatchReq:
-					for _, e := range q.Entries {
-						if e.Oid == "x" && m.Kind == KindCheckVersionBatch {
-							checksX.Add(1)
-						}
-					}
+				case m.To != 1:
+				case q.LockID != 0:
+					locksX.Add(1)
+				default:
+					retrievesX.Add(1)
 				}
 				return true
 			})

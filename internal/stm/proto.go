@@ -27,7 +27,9 @@ const (
 	// KindDecline tells an owner the pushed requester is gone (one-way).
 	KindDecline transport.Kind = 16
 	// KindCheckVersionBatch validates a per-owner slice of read-set
-	// entries in one round trip.
+	// entries in one round trip: a prefetch retrieve (Runtime.handleValidate)
+	// whose copies the requester compares with the versions it read. It
+	// keeps its own kind so validation messages are counted apart.
 	KindCheckVersionBatch transport.Kind = 18
 	// KindCommitObjectBatch is the publish wave: it migrates a per-owner
 	// slice of the write set to the committer and tells the receiver — an
@@ -41,7 +43,8 @@ const (
 // ETS.c−ETS.r), and every object the transaction wants from that node (a
 // Read or Write asks for one). The owner takes the scheduling decision per
 // object — except that a Prefetch request's commit-locked objects are
-// answered statusDenied with nothing observed, scheduled or queued. A
+// answered statusDenied with nothing observed, scheduled or queued (a
+// validation is one: Txn.checkVersions). A
 // nonzero LockID makes it the locking retrieve, the one way to take a commit
 // lock (Txn.lockWave): the owner first tries to commit-lock every entry it
 // holds for LockID, all or nothing (Runtime.lockAnnounced), unless a release
@@ -84,40 +87,30 @@ type retrieveResp struct {
 	Locked     bool
 }
 
-// status is one entry's answer in a reply of an owner wave (retrieve,
-// validate). statusNotOwner and statusMoved are the one "not here" answer
-// both share (Runtime.notHere); the requester chases it (ownerWave).
-// Retrieve's values keep their wire numbers 0–4; 6 (the retired acquire's
-// busy answer) is reserved.
+// status is one entry's answer in a retrieve reply. statusNotOwner and
+// statusMoved are the "not here" answer; the requester chases it
+// (ownerWave). The values keep their wire numbers 0–4; 5 (the retired
+// validation's stale answer) and 6 (the retired acquire's busy answer) are
+// reserved.
 type status uint8
 
 const (
-	// statusOK: retrieve — a copy; validate — still current.
+	// statusOK: a copy.
 	statusOK status = iota
-	// statusDenied: retrieve — the scheduler denied the request.
+	// statusDenied: the scheduler denied the request, or a prefetch found
+	// the object commit-locked.
 	statusDenied
-	// statusEnqueued: retrieve — queued; a hand-off push will follow.
+	// statusEnqueued: queued; a hand-off push will follow.
 	statusEnqueued
 	// statusNotOwner: this node does not hold the object and has no record
 	// of where it went; the requester asks the home directory.
 	statusNotOwner
 	// statusMoved: this node gave the object away, to MovedTo.
 	statusMoved
-	// statusStale: validate — the version moved on, or another transaction
-	// holds the commit lock.
-	statusStale
 )
 
 // notHere reports whether s is the "not here" answer.
 func (s status) notHere() bool { return s == statusNotOwner || s == statusMoved }
-
-// answer is one entry's answer in a validate reply: the status,
-// and where the object went when it is statusMoved — what retrieveResult
-// carries beside its copy.
-type answer struct {
-	Status  status
-	MovedTo transport.NodeID
-}
 
 // releaseReq unlocks objects after a failed commit, after an announcement
 // that did not lock everywhere, or, with the publish wave, announced objects
@@ -134,40 +127,6 @@ type releaseReq struct {
 // rounds instead of O(k). Every batch reply carries per-object results, so
 // one failed entry aborts the commit precisely (innermost attribution is
 // preserved on the requester side).
-
-// verEntry is one (object, expected version) pair of a batch.
-type verEntry struct {
-	Oid object.ID
-	Ver object.Version
-}
-
-// verBatchReq is one owner's slice of a validation for TxID
-// (KindCheckVersionBatch): the owner checks that each entry is still current
-// (TxID's own locks do not invalidate it).
-type verBatchReq struct {
-	TxID    uint64
-	Entries []verEntry
-}
-
-// answersResp answers a verBatchReq entry by entry, in request order:
-// statusOK, statusStale or the not-here answer.
-type answersResp struct {
-	Results []answer
-}
-
-// ownerReply is a reply of an owner wave as the wave reads it: one answer
-// per entry of the request, in request order.
-type ownerReply interface {
-	entries() int
-	at(i int) answer
-}
-
-func (r retrieveResp) entries() int { return len(r.Results) }
-func (r retrieveResp) at(i int) answer {
-	return answer{Status: r.Results[i].Status, MovedTo: r.Results[i].MovedTo}
-}
-func (r answersResp) entries() int    { return len(r.Results) }
-func (r answersResp) at(i int) answer { return r.Results[i] }
 
 // commitObjBatchReq is the publish wave's one message to a node: surrender
 // Oids (the receiver's slice of the write set, none when it is reached only

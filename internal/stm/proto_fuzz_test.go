@@ -30,8 +30,8 @@ func init() {
 	wire.Register(wireIDFuzzVal, fuzzVal{})
 	// gob, the reference these round trips compare against, must know every
 	// concrete type an interface field carries.
-	for _, v := range []any{fuzzVal{}, retrieveReq{}, retrieveResp{}, pushMsg{}, verBatchReq{},
-		answersResp{}, commitObjBatchReq{}, commitObjBatchResp{}} {
+	for _, v := range []any{fuzzVal{}, retrieveReq{}, retrieveResp{}, pushMsg{},
+		commitObjBatchReq{}, commitObjBatchResp{}} {
 		gob.Register(v)
 	}
 }
@@ -69,16 +69,20 @@ func roundTrip(t *testing.T, payload any) any {
 }
 
 // FuzzRetrieveRoundTrip round-trips the per-owner retrieve — the protocol's
-// hottest message pair — through both wire formats. Every field must
-// survive: a corrupted Elapsed or Backoff would silently skew the RTS
-// scheduling decision at the owner, a shifted Results slice would hand the
-// requester the wrong object under the right key, and a corrupted MovedTo
+// hottest message pair, which a validation sends too — through both wire
+// formats. Every field must survive: a corrupted Elapsed or Backoff would
+// silently skew the RTS scheduling decision at the owner, a shifted Results
+// slice would hand the requester the wrong object under the right key (and a
+// validation would compare the wrong versions), and a corrupted MovedTo
 // would send the next hop to the wrong node. A lost LockID would leave an
 // announced write set unlocked, and a flipped Locked would make the
 // requester trust copies nobody locked.
 func FuzzRetrieveRoundTrip(f *testing.F) {
 	f.Add("obj/a", "obj/b", uint64(1), uint8(1), 3, int64(5e6), int64(2e6), uint8(0), uint8(2), int64(7e6), uint64(9), int32(1), int64(11), int32(2), false, uint64(0), false)
 	f.Add("", "x", uint64(0), uint8(0), -1, int64(-1), int64(0), uint8(4), uint8(3), int64(1)<<62, ^uint64(0), int32(-2), int64(0), int32(-1), true, uint64(1)<<41|7, true)
+	// A validation: a read-mode prefetch with no lock identity, answered with
+	// a copy and a denial of an entry another transaction holds locked.
+	f.Add("bank/acct/n3/0", "bank/acct/n3/1", uint64(77), uint8(sched.Read), 0, int64(0), int64(0), uint8(statusOK), uint8(statusDenied), int64(0), uint64(41), int32(3), int64(7), int32(0), true, uint64(0), false)
 	f.Fuzz(func(t *testing.T, oidA, oidB string, tx uint64, mode uint8, myCL int, elapsed, remain int64,
 		statusA, statusB uint8, backoff int64, ownClock uint64, vnode int32, val int64, movedTo int32, prefetch bool,
 		lockID uint64, locked bool) {
@@ -122,36 +126,6 @@ func FuzzCommitPushRoundTrip(f *testing.F) {
 		}
 		if got := roundTrip(t, push).(pushMsg); got != push {
 			t.Fatalf("pushMsg changed: %+v -> %+v", push, got)
-		}
-	})
-}
-
-// FuzzAcquireCheckBatchRoundTrip round-trips the request and the reply of
-// validation (the retired acquire batch carried them too, and the name keys
-// the seed corpus). The per-entry answers must survive verbatim and stay
-// parallel to the request entries: a shifted or truncated Results slice
-// would make the committer misattribute which entry is stale (and hence
-// which transaction to abort), a corrupted status would make it read a
-// stale entry as current, and a corrupted MovedTo would send the next wave
-// to the wrong node.
-func FuzzAcquireCheckBatchRoundTrip(f *testing.F) {
-	f.Add("obj/a", "obj/b", uint64(7), uint64(5), int32(1), byte(statusStale), byte(statusMoved), int32(2))
-	f.Add("", "x", uint64(0), ^uint64(0), int32(-3), byte(statusOK), byte(statusNotOwner), int32(-1))
-	f.Fuzz(func(t *testing.T, oidA, oidB string, tx, verClock uint64, vnode int32,
-		statusA, statusB byte, movedTo int32) {
-		req := verBatchReq{TxID: tx, Entries: []verEntry{
-			{Oid: object.ID(oidA), Ver: object.Version{Clock: verClock, Node: vnode}},
-			{Oid: object.ID(oidB), Ver: object.Version{Clock: ^verClock, Node: -vnode}},
-		}}
-		if got := roundTrip(t, req).(verBatchReq); !reflect.DeepEqual(got, req) {
-			t.Fatalf("verBatchReq changed: %+v -> %+v", req, got)
-		}
-		resp := answersResp{Results: []answer{
-			{Status: status(statusA), MovedTo: transport.NodeID(movedTo)},
-			{Status: status(statusB), MovedTo: transport.NodeID(-movedTo)},
-		}}
-		if got := roundTrip(t, resp).(answersResp); !reflect.DeepEqual(got, resp) {
-			t.Fatalf("answersResp changed: %+v -> %+v", resp, got)
 		}
 	})
 }

@@ -38,7 +38,8 @@ func TestRetiredKindsAreRefused(t *testing.T) {
 // payloads (10 and 11 were the single-object retrieve pair, 22 and 24 the
 // acquire and check replies without the not-here answer, 23 and 35 the check
 // request and the acquire reply from before acquire and validation shared one
-// request and one reply type, 25 and 26 the publish pair before it named what
+// request and one reply type, 21 and 36 that shared pair, from before a
+// validation was a prefetch retrieve, 25 and 26 the publish pair before it named what
 // moved, 27–30 the MVCC snapshot reads,
 // 31 and 32 the retrieve pair without the lock identity and the locked flag,
 // 40–42 the single-object directory lookup and register, 43 and 47 the
@@ -46,7 +47,7 @@ func TestRetiredKindsAreRefused(t *testing.T) {
 // transaction) decode as unknown, so a frame from an old peer is
 // rejected instead of being read as whatever type took the number over.
 func TestRetiredWireIDsAreUnregistered(t *testing.T) {
-	for _, id := range []wire.ID{10, 11, 12, 13, 14, 15, 17, 18, 22, 23, 24, 25, 26, 27, 28, 29, 30, 31, 32, 35, 40, 41, 42, 43, 46, 47} {
+	for _, id := range []wire.ID{10, 11, 12, 13, 14, 15, 17, 18, 21, 22, 23, 24, 25, 26, 27, 28, 29, 30, 31, 32, 35, 36, 40, 41, 42, 43, 46, 47} {
 		t.Run(fmt.Sprintf("id%d", id), func(t *testing.T) {
 			r := wire.NewReader(wire.AppendUvarint(nil, uint64(id)))
 			v := r.Any()

@@ -89,7 +89,7 @@ func NewRuntime(ep *cluster.Endpoint, size int, policy sched.Policy, st *stats.T
 	}
 	ep.Handle(KindRetrieve, rt.handleRetrieve)
 	ep.Handle(KindRelease, rt.handleRelease)
-	ep.Handle(KindCheckVersionBatch, rt.handleCheckVersionBatch)
+	ep.Handle(KindCheckVersionBatch, rt.handleValidate)
 	ep.Handle(KindCommitObjectBatch, rt.handleCommitObjectBatch)
 	ep.HandleNotify(KindPush, rt.handlePush)
 	ep.HandleNotify(KindDecline, rt.handleDecline)
@@ -225,6 +225,18 @@ func (rt *Runtime) handleRetrieve(from transport.NodeID, payload any) (any, erro
 	return resp, nil
 }
 
+// handleValidate serves a validation (Txn.checkVersions) as a prefetch
+// retrieve, whatever the request says: a copy of each entry held here, a
+// denial of each entry another transaction holds commit-locked, with no
+// scheduler decision and nothing queued or locked.
+func (rt *Runtime) handleValidate(from transport.NodeID, payload any) (any, error) {
+	if req, ok := payload.(retrieveReq); ok {
+		req.Prefetch, req.LockID = true, 0
+		payload = req
+	}
+	return rt.handleRetrieve(from, payload)
+}
+
 // lockAnnounced serves a locking retrieve (Txn.lockWave), the one owner-side
 // commit-lock step: it commit-locks, for req.LockID, every entry this node
 // held when the request's copies were read, at the version read, all or
@@ -260,8 +272,11 @@ func (rt *Runtime) lockAnnounced(req *retrieveReq, copies []object.Copy, resp *r
 // pointer: this runs once per entry inside the store's critical section.
 func (rt *Runtime) retrieveOne(from transport.NodeID, req *retrieveReq, oid object.ID, c *object.Copy, out *retrieveResult) {
 	if !c.Owned {
-		a := notHere(*c)
-		out.Status, out.MovedTo = a.Status, a.MovedTo
+		// Moved to the node a migration last took it to, else NotOwner.
+		out.Status = statusNotOwner
+		if c.Moved {
+			out.Status, out.MovedTo = statusMoved, c.MovedTo
+		}
 		return
 	}
 	locked := c.LockedBy != 0
@@ -295,16 +310,6 @@ func (rt *Runtime) retrieveOne(from transport.NodeID, req *retrieveReq, oid obje
 	}
 }
 
-// notHere is this node's answer for an object it does not hold, whichever
-// step asks, from the store's copy c: Moved to the node a migration last
-// took it to, else NotOwner.
-func notHere(c object.Copy) answer {
-	if c.Moved {
-		return answer{Status: statusMoved, MovedTo: c.MovedTo}
-	}
-	return answer{Status: statusNotOwner}
-}
-
 func (rt *Runtime) handleRelease(_ transport.NodeID, payload any) (any, error) {
 	req, ok := payload.(releaseReq)
 	if !ok {
@@ -322,26 +327,6 @@ func (rt *Runtime) handleRelease(_ transport.NodeID, payload any) (any, error) {
 // ---------------------------------------------------------------------------
 // Owner-grouped batch handlers: one message covers every object of a commit
 // that this node owns (O(owners) commit rounds instead of O(objects)).
-
-func (rt *Runtime) handleCheckVersionBatch(_ transport.NodeID, payload any) (any, error) {
-	req, ok := payload.(verBatchReq)
-	if !ok {
-		return nil, fmt.Errorf("stm: bad check batch payload %T", payload)
-	}
-	resp := answersResp{Results: make([]answer, len(req.Entries))}
-	for i, e := range req.Entries {
-		c := rt.store.State(e.Oid)
-		switch {
-		case !c.Owned:
-			resp.Results[i] = notHere(c)
-		// A version is valid only if unchanged AND not mid-commit by another
-		// transaction (whose new version would be installed momentarily).
-		case !c.Ver.Equal(e.Ver) || c.LockedBy != 0 && c.LockedBy != req.TxID:
-			resp.Results[i] = answer{Status: statusStale}
-		}
-	}
-	return resp, nil
-}
 
 // handleCommitObjectBatch serves one message of a publish wave. Each entry
 // of this node's leaves the store for the committer, which holds its commit

@@ -552,20 +552,20 @@ func (tx *Txn) fetchMany(ctx context.Context, oids []object.ID, mode sched.Mode)
 }
 
 // ownerWave is the one locate–send–chase loop of the steps that ask the
-// owners of objects about them: retrieve (locking or not) and validate. Each
-// wave locates the owners of the pending entries and sends every owner ONE
-// request of kind — request(wave, g) for the entries g it holds — all owners
-// in parallel, then hands each reply to take for the step's per-entry
-// verdicts. An entry the node no longer holds is chased (Runtime.notHere):
-// after Moved the next wave asks where the object went, with no directory
-// round trip; after NotOwner the hint is dropped and the next wave asks the
-// home. The first error — a lookup, a lost or malformed reply, or take's —
-// ends the chase once every reply of its wave has been read; entries still
-// pending after maxOwnerHops waves end it with errOwnerHops. Either way the
-// step aborts (Txn.convertErr). meter, when non-nil, accounts the lookups
+// owners of objects about them: retrieve (locking or not) and validate, both
+// a retrieve request and reply. Each wave locates the owners of the pending
+// entries and sends every owner ONE request of kind — request(wave, g) for
+// the entries g it holds — all owners in parallel, then hands each reply to
+// take for the step's per-entry verdicts. An entry the node no longer holds
+// is chased: after Moved the next wave asks where the object went, with no
+// directory round trip; after NotOwner the hint is dropped and the next wave
+// asks the home. The first error — a lookup, a lost or malformed reply, or
+// take's — ends the chase once every reply of its wave has been read; entries
+// still pending after maxOwnerHops waves end it with errOwnerHops. Either way
+// the step aborts (Txn.convertErr). meter, when non-nil, accounts the lookups
 // and requests.
-func ownerWave[R ownerReply](ctx context.Context, tx *Txn, kind transport.Kind, oids []object.ID, meter *commitMeter,
-	request func(wave int, g ownerGroup) any, take func(g ownerGroup, r R) error) error {
+func ownerWave(ctx context.Context, tx *Txn, kind transport.Kind, oids []object.ID, meter *commitMeter,
+	request func(wave int, g ownerGroup) any, take func(g ownerGroup, r retrieveResp) error) error {
 	rt := tx.rt
 	pending := oids
 	for wave := 0; wave < maxOwnerHops && len(pending) > 0; wave++ {
@@ -586,15 +586,15 @@ func ownerWave[R ownerReply](ctx context.Context, tx *Txn, kind transport.Kind, 
 		var first error
 		for gi, res := range results {
 			g := groups[gi]
-			r, ok := res.Body.(R)
+			r, ok := res.Body.(retrieveResp)
 			switch {
 			case res.Err != nil:
-			case !ok || r.entries() != len(g.oids):
+			case !ok || len(r.Results) != len(g.oids):
 				res.Err = fmt.Errorf("stm: bad reply %T to kind %d", res.Body, kind)
 			default:
 				res.Err = take(g, r)
 				for i, oid := range g.oids {
-					switch a := r.at(i); a.Status {
+					switch a := &r.Results[i]; a.Status {
 					case statusMoved:
 						rt.locator.NoteOwner(oid, a.MovedTo)
 					case statusNotOwner:
@@ -768,11 +768,12 @@ func (tx *Txn) forward(ctx context.Context, clock uint64) error {
 
 // validateChain re-checks every fetched entry along the nesting chain
 // against its owner's current version, one batch message per owner — except
-// the entries the attempt holds locked, which cannot have changed. A stale
-// entry aborts the innermost transaction holding it (closed nesting partial
-// abort) — when several entries are stale, the outermost affected level wins,
-// since its abort subsumes the others. meter, when non-nil, accounts the
-// messages of the commit's early validation.
+// the entries the attempt holds locked, which cannot have changed (and which
+// an owner would answer as stale: it denies a validation every locked
+// entry). A stale entry aborts the innermost transaction holding it (closed
+// nesting partial abort) — when several entries are stale, the outermost
+// affected level wins, since its abort subsumes the others. meter, when
+// non-nil, accounts the messages of the commit's early validation.
 func (tx *Txn) validateChain(ctx context.Context, meter *commitMeter) error {
 	// Per object, the level its staleness aborts and that level's depth.
 	type holder struct {
@@ -822,23 +823,23 @@ func (tx *Txn) validateChain(ctx context.Context, meter *commitMeter) error {
 }
 
 // checkVersions asks, in an owner wave of KindCheckVersionBatch, whether the
-// version this chain holds of each of oids (distinct, fetched) is still
-// current, and returns the ones that are not. meter, when non-nil, accounts
-// the messages and waves into the commit pipeline's tally.
+// version this chain holds of each of oids (distinct, fetched, none locked by
+// the attempt) is still current, and returns the ones that are not. The
+// request is a prefetch retrieve (Runtime.handleValidate): an entry is stale
+// when its owner's copy has another version, or when the owner denies it
+// because another transaction holds it commit-locked, so its new version is
+// on the way. meter, when non-nil, accounts the messages and waves into the
+// commit pipeline's tally.
 func (tx *Txn) checkVersions(ctx context.Context, oids []object.ID, meter *commitMeter) (stale []object.ID, err error) {
 	err = ownerWave(ctx, tx, KindCheckVersionBatch, oids, meter,
 		func(_ int, g ownerGroup) any {
-			req := verBatchReq{TxID: tx.root.lockID, Entries: make([]verEntry, len(g.oids))}
-			for i, oid := range g.oids {
-				e, _ := tx.lookup(oid)
-				req.Entries[i] = verEntry{Oid: oid, Ver: e.ver}
-			}
-			return req
+			return retrieveReq{TxID: tx.id, Mode: sched.Read, Prefetch: true, Oids: g.oids}
 		},
-		func(g ownerGroup, r answersResp) error {
-			for i, a := range r.Results {
-				if a.Status != statusOK && !a.Status.notHere() {
-					stale = append(stale, g.oids[i])
+		func(g ownerGroup, r retrieveResp) error {
+			for i, oid := range g.oids {
+				res := &r.Results[i]
+				if e, _ := tx.lookup(oid); res.Status == statusDenied || res.Status == statusOK && !res.Version.Equal(e.ver) {
+					stale = append(stale, oid)
 				}
 			}
 			return nil

@@ -20,17 +20,16 @@ import (
 // check request and the acquire reply, from before acquire and validation
 // shared one request and one reply type), 25 and 26 (the publish pair that
 // carried values and no move list), 27–30 (the retired MVCC snapshot-read
-// payloads) and 31 and 32 (the retrieve pair without the lock identity and
-// the locked flag) are reserved: never reuse them, or a frame from an old
-// peer would mis-decode into a live type.
+// payloads), 31 and 32 (the retrieve pair without the lock identity and
+// the locked flag) and 21 and 36 (the validation pair from before a
+// validation was a prefetch retrieve) are reserved: never reuse them, or a
+// frame from an old peer would mis-decode into a live type.
 const (
 	wireIDReleaseReq         wire.ID = 16
 	wireIDPushMsg            wire.ID = 19
 	wireIDDeclineMsg         wire.ID = 20
-	wireIDVerBatchReq        wire.ID = 21
 	wireIDCommitObjBatchReq  wire.ID = 33
 	wireIDCommitObjBatchResp wire.ID = 34
-	wireIDAnswersResp        wire.ID = 36
 	wireIDRetrieveReq        wire.ID = 37
 	wireIDRetrieveResp       wire.ID = 38
 )
@@ -39,10 +38,8 @@ func init() {
 	wire.Register(wireIDReleaseReq, releaseReq{})
 	wire.Register(wireIDPushMsg, pushMsg{})
 	wire.Register(wireIDDeclineMsg, declineMsg{})
-	wire.Register(wireIDVerBatchReq, verBatchReq{})
 	wire.Register(wireIDCommitObjBatchReq, commitObjBatchReq{})
 	wire.Register(wireIDCommitObjBatchResp, commitObjBatchResp{})
-	wire.Register(wireIDAnswersResp, answersResp{})
 	wire.Register(wireIDRetrieveReq, retrieveReq{})
 	wire.Register(wireIDRetrieveResp, retrieveResp{})
 }
@@ -196,41 +193,6 @@ func (q declineMsg) AppendWire(b []byte) ([]byte, error) {
 
 func (declineMsg) ReadWire(r *wire.Reader) any { return declineMsg{Oid: object.ID(r.String())} }
 
-func (q verBatchReq) AppendWire(b []byte) ([]byte, error) {
-	b = wire.AppendUvarint(b, q.TxID)
-	b = wire.AppendUvarint(b, uint64(len(q.Entries)))
-	for i := range q.Entries {
-		b = wire.AppendString(b, string(q.Entries[i].Oid))
-		b = appendVersion(b, q.Entries[i].Ver)
-	}
-	return b, nil
-}
-
-func (verBatchReq) ReadWire(r *wire.Reader) any {
-	q := verBatchReq{TxID: r.Uvarint(), Entries: wire.MakeSlice[verEntry](r.SliceLen(3))}
-	for i := range q.Entries {
-		q.Entries[i] = verEntry{Oid: object.ID(r.String()), Ver: readVersion(r)}
-	}
-	return q
-}
-
-func (q answersResp) AppendWire(b []byte) ([]byte, error) {
-	b = wire.AppendUvarint(b, uint64(len(q.Results)))
-	for i := range q.Results {
-		b = wire.AppendUvarint(b, uint64(q.Results[i].Status))
-		b = wire.AppendVarint(b, int64(q.Results[i].MovedTo))
-	}
-	return b, nil
-}
-
-func (answersResp) ReadWire(r *wire.Reader) any {
-	q := answersResp{Results: wire.MakeSlice[answer](r.SliceLen(2))}
-	for i := range q.Results {
-		q.Results[i] = answer{Status: status(r.Uvarint()), MovedTo: transport.NodeID(r.Varint())}
-	}
-	return q
-}
-
 func (q commitObjBatchReq) AppendWire(b []byte) ([]byte, error) {
 	b = wire.AppendUvarint(b, q.TxID)
 	b = wire.AppendVarint(b, int64(q.NewOwner))
@@ -271,14 +233,9 @@ func benchOids(n int) []object.ID {
 }
 
 // WirePumpPayload returns a representative commit-pipeline payload (an
-// 8-entry verBatchReq, the validation request) for transport-level pump
-// benchmarks (bench/micro.go sizes wire.msg_bytes from it, so its value is
-// fixed).
+// 8-entry validation request: a prefetch retrieve on KindCheckVersionBatch)
+// for transport-level pump benchmarks (bench/micro.go sizes wire.msg_bytes
+// from it, so its value is fixed).
 func WirePumpPayload() any {
-	oids := benchOids(8)
-	q := verBatchReq{TxID: 77}
-	for _, oid := range oids {
-		q.Entries = append(q.Entries, verEntry{Oid: oid, Ver: object.Version{Clock: 41, Node: 3}})
-	}
-	return q
+	return retrieveReq{TxID: 77, Mode: sched.Read, Prefetch: true, Oids: benchOids(8)}
 }

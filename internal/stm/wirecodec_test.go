@@ -69,22 +69,18 @@ func wireBenchCases() []wireCase {
 		{Status: statusMoved, MovedTo: 2},
 		{Status: statusOK, Value: benchVal(93), Version: ver, RemoteCL: 1},
 	}}
-	// One owner's eight entries at one version — the pump frame's shape
-	// (WirePumpPayload), which the retired acquire batch sent — and validated
-	// at the versions the transaction read, with the replies: every entry
-	// current, and two entries gone from the owner — one to a known node, one
+	// One owner's eight entries validated — the pump frame (WirePumpPayload)
+	// — and the reply: five copies, one entry another transaction holds
+	// locked, and two entries gone from the owner — one to a known node, one
 	// with no record.
-	acq := verBatchReq{TxID: 77}
-	chk := verBatchReq{TxID: 77}
-	for i, oid := range oids {
-		acq.Entries = append(acq.Entries, verEntry{Oid: oid, Ver: ver})
-		chk.Entries = append(chk.Entries, verEntry{Oid: oid, Ver: object.Version{Clock: 30 + uint64(i), Node: 3}})
+	chk := WirePumpPayload().(retrieveReq)
+	chkResp := retrieveResp{OwnerClock: 42, Results: make([]retrieveResult, 8)}
+	for i := range chkResp.Results {
+		chkResp.Results[i] = retrieveResult{Status: statusOK, Value: benchVal(100 + i), Version: ver, RemoteCL: 1}
 	}
-	acqResp := answersResp{Results: make([]answer, 8)}
-	gone := make([]answer, 8)
-	gone[2] = answer{Status: statusMoved, MovedTo: 2}
-	gone[5] = answer{Status: statusNotOwner}
-	chkResp := answersResp{Results: gone}
+	chkResp.Results[2] = retrieveResult{Status: statusMoved, MovedTo: 2}
+	chkResp.Results[4] = retrieveResult{Status: statusDenied}
+	chkResp.Results[5] = retrieveResult{Status: statusNotOwner}
 	// A publish message to the old owner of four of the eight objects moved.
 	com := commitObjBatchReq{TxID: 77, NewOwner: 3, Oids: oids[:4], Moved: oids}
 	comResp := commitObjBatchResp{Results: make([]commitObjBatchResult, 4)}
@@ -96,8 +92,6 @@ func wireBenchCases() []wireCase {
 		{"retrieveResp", retResp, 2},
 		{"retrieveReqAnnounce", annReq, 2},
 		{"retrieveRespLocked", annResp, 2},
-		{"acquireBatchReq8", acq, 2},
-		{"acquireBatchResp8", acqResp, 2},
 		{"checkBatchReq8", chk, 2},
 		{"checkBatchResp8", chkResp, 2},
 		{"commitObjBatchReq4", com, 3},

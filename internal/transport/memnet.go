@@ -57,9 +57,6 @@ func (n *Network) SetInterceptor(f func(*Message) bool) {
 // for chaos tests and lossy-network experiments.
 func (n *Network) SetFaults(fm *FaultModel) { n.faults.Store(fm) }
 
-// Faults returns the installed fault model, or nil.
-func (n *Network) Faults() *FaultModel { return n.faults.Load() }
-
 // Endpoint creates (or returns) the endpoint for id.
 func (n *Network) Endpoint(id NodeID) Transport {
 	n.mu.Lock()

@@ -16,7 +16,9 @@
 #          transaction's steps run on the goroutine of its atomic block, and
 #          only a lock's holder frees it, so no reaper runs; and one call
 #          popping a scheduler queue: Runtime.handOff's;
-#          and no clock read in runtime.go outside the store's read;
+#          and no clock read in runtime.go outside the store's read,
+#          and no Store.State call: every owner reply, a validation's
+#          included, is built from one Store.Read;
 #          and one scheduler conflict decision, inside the retrieve's
 #          store read, and no per-object map field or migrMu in
 #          runtime.go: the store is the one owner record; and no
@@ -106,6 +108,10 @@ stage_vet() {
     # object is served through Runtime.handOff, the one call that pops a
     # scheduler queue.
     echo ./internal/stm/runtime.go | one_site 'clock\.Now\(\)' "read a reply's clock inside Store.Read" none
+    # A validation is a prefetch retrieve, so no owner reply reads the store
+    # entry by entry: a per-entry Store.State read is a reply that is not
+    # one cut.
+    nontest_go | grep '^\./internal/stm/' | one_site '\.State\(' 'build an owner reply from one Store.Read' none
     nontest_go | grep '^\./internal/stm/' | one_site 'OnRelease\(' 'serve a freed object through Runtime.handOff' exactly
     # One owner record: the store holds every piece of an owner's per-object
     # state (copy, lock, departure record) under its one mutex, and the
@@ -226,10 +232,10 @@ stage_perf() {
     echo "== seeding is one registration wave"
     go test ./internal/testbed/ -run 'TestCreateRootsIsOneRegistrationWave' -count=1
 
-    # Wire-codec allocation gate: encoding the hot protocol payloads —
-    # Retrieve, CheckVersionBatch, CommitObjectBatch — and a frame carrying
-    # owner hints must be allocation-free, and decoding one must allocate
-    # only the fresh payload and its slices.
+    # Wire-codec allocation gate: encoding the hot protocol payloads — the
+    # retrieve (a validation's included) and the publish — and a frame
+    # carrying owner hints must be allocation-free, and decoding one must
+    # allocate only the fresh payload and its slices.
     echo "== wire-codec allocation gate"
     go test ./internal/stm/ -run TestWireCodecZeroAlloc -count=1
 
@@ -295,7 +301,6 @@ stage_fuzz() {
     go test ./internal/transport/ -fuzz FuzzMessageBinaryDecode -fuzztime "$CI_FUZZTIME"
     go test ./internal/stm/ -fuzz FuzzRetrieveRoundTrip -fuzztime "$CI_FUZZTIME"
     go test ./internal/stm/ -fuzz FuzzCommitPushRoundTrip -fuzztime "$CI_FUZZTIME"
-    go test ./internal/stm/ -fuzz FuzzAcquireCheckBatchRoundTrip -fuzztime "$CI_FUZZTIME"
     go test ./internal/stm/ -fuzz FuzzCommitObjBatchRoundTrip -fuzztime "$CI_FUZZTIME"
     go test ./internal/cc/ -fuzz FuzzDirectoryBatchRoundTrip -fuzztime "$CI_FUZZTIME"
 }
