@@ -220,8 +220,8 @@ func TestProtocolTraceCleanAllBenchmarks(t *testing.T) {
 // TestProtocolTraceLossyAllBenchmarks repeats the oracle check under the
 // chaos fault model (15% drop plus duplication and reordering): message
 // loss may change WHICH protocol events occur — timeouts instead of pushes,
-// fenced lock requests, retransmitted releases — but never in an order the
-// invariants forbid.
+// retransmitted lock requests and homes messages — but never in an order
+// the invariants forbid.
 func TestProtocolTraceLossyAllBenchmarks(t *testing.T) {
 	for _, app := range paperApps {
 		app := app

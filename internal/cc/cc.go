@@ -10,17 +10,18 @@
 //     number of hops (requester → home → owner), and
 //  2. at any time only one copy of the object is registered as writable.
 //
-// Ownership moves to the committing transaction's node on every write
-// commit; the committer's publish wave tells the home — and every other node
-// it reaches — where the objects went (Moved). Requesters keep a local owner
+// Ownership moves to the committing transaction's node with its commit lock:
+// the old owner records where the object went, the committer records it for
+// itself, and the committer's homes wave tells every other home, naming
+// everything its locks moved (Moved). Requesters keep a local owner
 // hint cache; a stale hint is detected by the node it names, which answers
 // where the object went (followed without the home) or that it does not know
 // (refreshed from the home).
 //
 // Every message a node sends another also carries the objects the sender
 // took (Took) since it last wrote there and still holds, and the receiver
-// keeps them as owner hints: a node the publish wave did not reach learns of
-// a move from the committer's next message to it instead of from a chase.
+// keeps them as owner hints: a node the commit did not reach learns of a
+// move from the committer's next message to it instead of from a chase.
 // Hints stay advisory — a wrong one costs one hop — so a check of the
 // directory asks the homes (AskHomes).
 package cc
@@ -41,7 +42,8 @@ import (
 // Message kinds 1–9 are reserved for the directory protocol. Kinds 1 and 2
 // (the retired single-object lookup and register; a batch of one is the only
 // shape) and 3 and 6 (the retired single-object and batch updates; a
-// migration reaches the home in the committer's publish message, see Moved)
+// migration reaches the home with the lock or in the committer's homes
+// message, see Moved)
 // are reserved: never reuse them.
 const (
 	// One message carries every object of a request that is homed at the
@@ -402,9 +404,9 @@ func (s *Service) RegisterBatch(ctx context.Context, ids []object.ID, owner tran
 	return refused, n, err
 }
 
-// Moved records, at this node, that a commit brought ids to owner — what the
-// committer's publish wave tells every node it reaches, and the committer
-// itself. The directory entry of an id homed here is rewritten (an
+// Moved records, at this node, that a commit lock brought ids to owner —
+// what the old owner records when its lock hands them over, the committer
+// when it installs them, and each home its homes wave reaches. The directory entry of an id homed here is rewritten (an
 // unregistered one is the error returned, its siblings still applied); any
 // other id gets an owner hint.
 func (s *Service) Moved(ids []object.ID, owner transport.NodeID) error {

@@ -99,7 +99,7 @@ func TestUpdateOwnerAndHints(t *testing.T) {
 	if owner, err := svcs[0].Locate(ctx, "obj/m"); err != nil || owner != 2 {
 		t.Fatalf("locate: %d, %v", owner, err)
 	}
-	// Ownership migrates to node 3: its publish wave reaches the home.
+	// Ownership migrates to node 3: its homes wave reaches the home.
 	if err := svcs[HomeOf("obj/m", 4)].Moved([]object.ID{"obj/m"}, 3); err != nil {
 		t.Fatal(err)
 	}

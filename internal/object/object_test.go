@@ -193,7 +193,8 @@ func TestRemoveRequiresLock(t *testing.T) {
 }
 
 // TestDepartureRecord: only a migration leaves a departure record, and any
-// install, or a commit bringing the object back (Arriving), clears it.
+// install, or a lock request that may bring the object back (Arriving),
+// clears it.
 func TestDepartureRecord(t *testing.T) {
 	moved := func(s *Store, id ID) (transport.NodeID, bool) {
 		c := s.State(id)
@@ -270,94 +271,6 @@ func TestLockResultString(t *testing.T) {
 	}
 	if LockResult(99).String() == "" {
 		t.Error("unknown LockResult produced empty string")
-	}
-}
-
-func TestUnlockBeforeLockRefusesStaleAcquire(t *testing.T) {
-	// A release served before its own (delayed) lock request fences the
-	// identity for the object, so the late request cannot orphan the lock.
-	cases := []struct {
-		name   string
-		setup  func(s *Store) // release tx 42's lock on "x", in some order
-		fence  bool           // whether 42's later lock request is refused
-		others []uint64       // other identities the setup leaves fenced on "x"
-	}{
-		{"release first", func(s *Store) {
-			s.Install("x", &intBox{1}, Version{})
-			s.Unlock("x", 42)
-		}, true, nil},
-		// Several identities racing on one object are each fenced.
-		{"several identities released", func(s *Store) {
-			s.Install("x", &intBox{1}, Version{})
-			for _, tx := range []uint64{100, 42, 101, 102, 103} {
-				s.Unlock("x", tx)
-			}
-		}, true, []uint64{100, 101, 102, 103}},
-		// The object arrives after the release: the fence lives beside the
-		// records, so the Install does not clear it.
-		{"release before install", func(s *Store) {
-			s.Unlock("x", 42)
-			s.Install("x", &intBox{1}, Version{})
-		}, true, nil},
-		// A release of a lock 42 held plants no fence: the identity may lock
-		// the object again.
-		{"release of a held lock", func(s *Store) {
-			s.Install("x", &intBox{1}, Version{})
-			if got := lock(s, "x", 42, Version{}); got != LockOK {
-				t.Fatalf("lock = %v", got)
-			}
-			s.Unlock("x", 42)
-		}, false, nil},
-		// Past the bound the oldest fence is evicted: 42's fence is followed
-		// by a full store's worth of later ones on x, the newest of which
-		// are all still fenced.
-		{"oldest evicted past the bound", func(s *Store) {
-			s.Install("x", &intBox{1}, Version{})
-			s.Unlock("x", 42)
-			for tx := uint64(1000); tx < 1000+maxFences; tx++ {
-				s.Unlock("x", tx)
-			}
-		}, false, []uint64{1000 + maxFences - 4, 1000 + maxFences - 3, 1000 + maxFences - 2, 1000 + maxFences - 1}},
-	}
-	for _, c := range cases {
-		t.Run(c.name, func(t *testing.T) {
-			s := NewStore()
-			c.setup(s)
-			// Checked first, while x is unlocked: a busy answer is a fence.
-			for _, tx := range c.others {
-				if got := lock(s, "x", tx, Version{}); got != LockBusy {
-					t.Fatalf("identity %d = %v, want LockBusy (fenced)", tx, got)
-				}
-			}
-			want := LockOK
-			if c.fence {
-				want = LockBusy
-			}
-			// The fence is permanent: a second request is refused as well.
-			for i := 0; i < 2; i++ {
-				if got := lock(s, "x", 42, Version{}); got != want {
-					t.Fatalf("lock request %d after the release = %v, want %v", i+1, got, want)
-				}
-			}
-			if isLocked(s, "x") == c.fence {
-				t.Fatalf("locked = %v after the late requests", isLocked(s, "x"))
-			}
-			// Another identity is never fenced.
-			s.Unlock("x", 42)
-			if got := lock(s, "x", 7, Version{}); got != LockOK {
-				t.Fatalf("fresh identity = %v, want LockOK", got)
-			}
-		})
-	}
-
-	// A fence refuses the whole batch it appears in.
-	s := NewStore()
-	s.Install("a", &intBox{1}, Version{})
-	s.Install("b", &intBox{1}, Version{})
-	s.Unlock("b", 42)
-	res, applied := s.LockBatch(42, []LockEntry{{ID: "a"}, {ID: "b"}})
-	if applied || res[0] != LockOK || res[1] != LockBusy || isLocked(s, "a") {
-		t.Fatalf("batch with a fenced entry: results %v applied %v, want [ok busy] unapplied", res, applied)
 	}
 }
 

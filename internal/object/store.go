@@ -34,53 +34,18 @@ type TraceFn func(op string, id ID, tx, a uint64)
 // The departure records sit beside the records, under the same mutex: only
 // Migrate writes one, and every install, or Arriving, clears it.
 //
-// Only a lock's holder frees it: its release (Unlock), its in-place update
-// (UpdateCommitted), its migration (Migrate) or its rollback (Remove). A
-// lock request can reach the store after its own identity's release (an
-// at-least-once retransmission, a reply the requester gave up on). Served,
-// it would orphan the lock, since its holder has already let go. So a
-// release that finds the identity not holding the lock fences the (object,
-// identity) pair for good, and LockBatch refuses a fenced entry.
-// The fence lives beside the records, not in one, so it also holds for an
-// object installed after the release; a release that unlocks a lock it
-// holds plants none.
+// Only a lock's holder frees it, on its own node: its release (Unlock), its
+// in-place update (UpdateCommitted) or its rollback (Remove); a migration
+// (Migrate) hands the lock, with the object, to the node it leaves for.
 type Store struct {
-	mu     sync.Mutex
-	objs   map[ID]*record
-	moved  map[ID]transport.NodeID // departure records, none for an object in objs
-	fenced map[fence]bool
-	fences []fence // fenced in planting order, oldest first
-	trace  atomic.Pointer[TraceFn]
-}
-
-// fence is one (object, lock identity) pair refused by LockBatch.
-type fence struct {
-	id ID
-	tx uint64
-}
-
-// maxFences bounds the store's fences: a release and the request it
-// overtook are sent a moment apart, so a fence that outlives thousands of
-// later ones has long done its work.
-const maxFences = 4096
-
-// fence refuses tx's later lock requests for id; the caller holds s.mu.
-func (s *Store) fence(id ID, tx uint64) {
-	f := fence{id, tx}
-	n := len(s.fenced)
-	s.fenced[f] = true
-	if len(s.fenced) == n { // already fenced: keep its place in the FIFO
-		return
-	}
-	s.fences = append(s.fences, f)
-	if len(s.fences) > maxFences {
-		delete(s.fenced, s.fences[0])
-		s.fences = s.fences[1:]
-	}
+	mu    sync.Mutex
+	objs  map[ID]*record
+	moved map[ID]transport.NodeID // departure records, none for an object in objs
+	trace atomic.Pointer[TraceFn]
 }
 
 // SetTrace installs a debug callback invoked (under the store's lock) for
-// every lock-state change: "lock-ok", "unlock", "remove",
+// every lock-state change: "lock-ok", "unlock", "remove", "migrate",
 // "commit", "install", "install-locked". Pass nil to disable. Intended for
 // tests and debugging.
 func (s *Store) SetTrace(f TraceFn) {
@@ -105,12 +70,11 @@ type record struct {
 
 // NewStore returns an empty store.
 func NewStore() *Store {
-	return &Store{objs: make(map[ID]*record), moved: make(map[ID]transport.NodeID), fenced: make(map[fence]bool)}
+	return &Store{objs: make(map[ID]*record), moved: make(map[ID]transport.NodeID)}
 }
 
 // Install inserts or replaces the authoritative copy of an object,
-// unlocked. Used at object creation and when ownership migrates to this
-// node after a commit.
+// unlocked.
 func (s *Store) Install(id ID, val Value, ver Version) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -214,12 +178,12 @@ type LockEntry struct {
 // commit-lock every entry for tx as one critical section: it evaluates all
 // entries and applies the locks only when every entry would succeed. An
 // entry is locked if the object is owned here, unlocked (or already locked
-// by tx), at version Expect, and not fenced for tx (see Store).
+// by tx), and at version Expect.
 //
 // applied reports whether the locks were taken. When applied is false, NO
 // lock was taken, so a racing batch never observes a half-locked prefix of
-// this one; the per-entry results say which entries failed (stale / busy,
-// fenced included / not-owner) and which would have succeeded (LockOK).
+// this one; the per-entry results say which entries failed (stale / busy /
+// not-owner) and which would have succeeded (LockOK).
 func (s *Store) LockBatch(tx uint64, entries []LockEntry) (results []LockResult, applied bool) {
 	results = make([]LockResult, len(entries))
 	if len(entries) == 0 {
@@ -237,8 +201,6 @@ func (s *Store) LockBatch(tx uint64, entries []LockEntry) (results []LockResult,
 		switch {
 		case !ok:
 			results[i] = LockNotOwner
-		case s.fenced[fence{e.ID, tx}]:
-			results[i] = LockBusy
 		case r.lockTx != 0 && r.lockTx != tx:
 			results[i] = LockBusy
 		case !r.ver.Equal(e.Expect):
@@ -260,29 +222,20 @@ func (s *Store) LockBatch(tx uint64, entries []LockEntry) (results []LockResult,
 	return results, true
 }
 
-// Unlock releases the commit lock on id if held by tx. Releasing a lock
-// that tx does not hold — or an object not here — fences tx for id instead
-// (see Store), so a delayed lock request from tx cannot orphan the object
-// after its owner already served the release.
+// Unlock releases the commit lock on id if held by tx.
 func (s *Store) Unlock(id ID, tx uint64) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	r, ok := s.objs[id]
-	if !ok {
-		s.fence(id, tx)
-		return
-	}
-	if r.lockTx == tx {
+	if r, ok := s.objs[id]; ok && r.lockTx == tx {
 		r.lockTx = 0
 		s.emit("unlock", id, tx, 0)
-		return
 	}
-	s.fence(id, tx)
 }
 
-// InstallLocked inserts an object already commit-locked by tx, so it is
-// invisible to plain snapshots' unlocked path until the creating
-// transaction commits (UpdateCommitted) or rolls back (Remove).
+// InstallLocked inserts an object already commit-locked by tx: one tx
+// creates, or one whose lock brought it here from its old owner (Migrate
+// there). It stays locked until tx publishes it (UpdateCommitted), frees it
+// unchanged (Unlock) or rolls a creation back (Remove).
 func (s *Store) InstallLocked(id ID, val Value, ver Version, tx uint64) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -292,8 +245,8 @@ func (s *Store) InstallLocked(id ID, val Value, ver Version, tx uint64) {
 }
 
 // UpdateCommitted installs a new committed value and version for an object
-// whose commit lock is held by tx, then releases the lock. Used when the
-// committing transaction's node already owns the object (no migration).
+// whose commit lock is held by tx, then releases the lock: the commit
+// publishes in place, since its locks brought every write here.
 func (s *Store) UpdateCommitted(id ID, val Value, ver Version, tx uint64) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -319,8 +272,9 @@ func (s *Store) SnapshotAt(id ID, _, _ uint64) (Value, Version, bool, bool) { re
 // returns an error if the object is absent or locked by someone else.
 func (s *Store) Remove(id ID, tx uint64) error { return s.remove(id, tx, nil) }
 
-// Migrate is Remove for a migration: ownership is moving to node to as part
-// of tx's commit, so it also records that the object went there.
+// Migrate is Remove for a migration: tx's commit lock takes the object to
+// node to, where tx installs it locked, so it also records that the object
+// went there.
 func (s *Store) Migrate(id ID, tx uint64, to transport.NodeID) error { return s.remove(id, tx, &to) }
 
 func (s *Store) remove(id ID, tx uint64, to *transport.NodeID) error {
@@ -333,17 +287,19 @@ func (s *Store) remove(id ID, tx uint64, to *transport.NodeID) error {
 	if r.lockTx != tx {
 		return fmt.Errorf("store: remove %q: lock held by tx %d, not %d", id, r.lockTx, tx)
 	}
-	s.emit("remove", id, tx, 0)
 	delete(s.objs, id)
-	if to != nil {
-		s.moved[id] = *to
+	if to == nil {
+		s.emit("remove", id, tx, 0)
+		return nil
 	}
+	s.emit("migrate", id, tx, 0)
+	s.moved[id] = *to
 	return nil
 }
 
-// Arriving clears the departure records of ids: a commit of this node is
-// bringing them back, so until they are installed a request for one reads
-// not owned, not moved to the node that is sending it here.
+// Arriving clears the departure records of ids: a lock request of this
+// node may bring them back, so until they are installed a request for one
+// reads not owned, not moved to the node that may be sending it here.
 func (s *Store) Arriving(ids []ID) {
 	s.mu.Lock()
 	defer s.mu.Unlock()

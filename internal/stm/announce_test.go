@@ -21,11 +21,12 @@ import (
 )
 
 // These tests pin an announced write set (Prefetch with sched.Write): its
-// retrieve wave commit-locks the objects for the attempt, so the commit
-// neither acquires nor validates them and a held copy is never dropped,
-// revalidated or used up; an announcement that does not lock everywhere is
-// given back before any access waits; and every ending of the attempt
-// releases what it announced and did not publish.
+// retrieve wave commit-locks the objects for the attempt and brings them to
+// its node, so the commit neither acquires nor validates them and a held
+// copy is never dropped, revalidated or used up; an announcement that does
+// not lock everywhere is given back before any access waits; and every
+// ending of the attempt releases what it announced and did not publish,
+// once the homes of what moved know where it is.
 
 // announceTransfers is the bank's write transaction: announce every account
 // with write intent, then one closed-nested transfer per pair.
@@ -55,28 +56,75 @@ func noLocksLeft(t *testing.T, tc *testCluster, oids ...object.ID) {
 	}
 }
 
-// TestAnnouncedNestedWriteIsTwoWaves: a bank-shaped batch on node 0 — two
-// transfers over four accounts owned by nodes 1 and 2, owners known — blocks
-// on one retrieve wave, whose two requests carry the lock identity, and one
-// publish wave. The commit sends no lock of its own and validates nothing.
-func TestAnnouncedNestedWriteIsTwoWaves(t *testing.T) {
-	tc := newTestCluster(t, 3, nil, nil)
-	ctx := context.Background()
-	place := map[object.ID]int{"a": 1, "b": 1, "c": 2, "d": 2}
-	seed(t, tc, place)
-	wave := map[transport.NodeID]bool{} // the publish wave: old owners ∪ homes
+// homesOutside returns the homes each old owner's objects in place report
+// to a commit on node 0 that takes them all: every home other than node 0
+// and that object's owner, in a cluster of n nodes.
+func homesOutside(n int, place map[object.ID]int) map[transport.NodeID]int {
+	homes := map[transport.NodeID]int{}
 	for oid, owner := range place {
-		tc.rts[0].Locator().NoteOwner(oid, transport.NodeID(owner))
-		wave[transport.NodeID(owner)] = true
-		if home := cc.HomeOf(oid, 3); home != 0 {
-			wave[home] = true
+		if home := cc.HomeOf(oid, n); home != 0 && home != transport.NodeID(owner) {
+			homes[home] = 1
 		}
 	}
+	return homes
+}
+
+// requestsTo counts, by receiver, the requests of kind an interceptor sees.
+type requestsTo struct {
+	kind transport.Kind
+	mu   sync.Mutex
+	n    map[transport.NodeID]int
+}
+
+func (r *requestsTo) intercept(m *transport.Message) bool {
+	if m.Kind == r.kind && !m.IsReply {
+		r.mu.Lock()
+		if r.n == nil {
+			r.n = map[transport.NodeID]int{}
+		}
+		r.n[m.To]++
+		r.mu.Unlock()
+	}
+	return true
+}
+
+// take returns the counts so far and starts again from none.
+func (r *requestsTo) take() map[transport.NodeID]int {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	n := r.n
+	r.n = nil
+	return n
+}
+
+// TestAnnouncedNestedWriteIsTwoWaves: a bank-shaped batch on node 0 — two
+// transfers over four accounts owned by nodes 1 and 2, owners known — blocks
+// on one retrieve wave, whose two requests carry the lock identity and bring
+// the accounts here, and one homes wave. Each old owner gets exactly one
+// message, its lock; the homes wave reaches node 3 only, the one home other
+// than node 0 and the account's old owner. The commit sends no lock of its
+// own and validates nothing.
+func TestAnnouncedNestedWriteIsTwoWaves(t *testing.T) {
+	tc := newTestCluster(t, 4, nil, nil)
+	ctx := context.Background()
+	ids := homedAtEach(t, 4, 3, 1, 0, 3)
+	a, b, c, d := ids[0], ids[1], ids[2], ids[3]
+	place := map[object.ID]int{a: 1, b: 1, c: 2, d: 2}
+	seed(t, tc, place)
+	for oid, owner := range place {
+		tc.rts[0].Locator().NoteOwner(oid, transport.NodeID(owner))
+	}
 	var msgs kindCounter
-	tc.net.SetInterceptor(holdRetrieves(t, 2, holdPublishWave(t, len(wave), msgs.intercept)))
+	got := requestsTo{kind: KindCommitObjectBatch}
+	var all routeLog
+	tc.net.SetInterceptor(holdRetrieves(t, 2, func(m *transport.Message) bool {
+		all.intercept(m)
+		got.intercept(m)
+		return msgs.intercept(m)
+	}))
 
 	err := tc.rts[0].Atomic(ctx, "bank/batch", func(tx *Txn) error {
-		return announceTransfers(ctx, tx, [2]object.ID{"a", "c"}, [2]object.ID{"b", "d"})
+		return announceTransfers(ctx, tx, [2]object.ID{a, c}, [2]object.ID{b, d})
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -87,17 +135,25 @@ func TestAnnouncedNestedWriteIsTwoWaves(t *testing.T) {
 	if v, lk := msgs.count(KindCheckVersionBatch), msgs.count(cc.KindLookupBatch); v != 0 || lk != 0 {
 		t.Fatalf("validate/lookup messages = %d/%d, want 0/0", v, lk)
 	}
-	m := tc.rts[0].Metrics().Snapshot()
-	if m.RetrieveWaves != 1 || m.CommitRounds != 1 || m.CommitMsgs != uint64(len(wave)) || m.TotalAborts() != 0 {
-		t.Fatalf("retrieve waves %d, commit waves %d with %d messages, aborts %d; want 1, 1 with %d, 0",
-			m.RetrieveWaves, m.CommitRounds, m.CommitMsgs, m.TotalAborts(), len(wave))
+	for _, r := range all.take() {
+		if (r.to == 1 || r.to == 2) && r.kind != KindRetrieve {
+			t.Fatalf("old owner %d got %v besides its lock", r.to, r)
+		}
 	}
-	for oid, want := range map[object.ID]int64{"a": 11, "b": 11, "c": 21, "d": 21} {
+	if homes, want := got.take(), homesOutside(4, place); !maps.Equal(homes, want) || len(want) != 1 || want[3] != 1 {
+		t.Fatalf("homes wave = %v (by node), want %v: node 3 only", homes, want)
+	}
+	m := tc.rts[0].Metrics().Snapshot()
+	if m.RetrieveWaves != 1 || m.CommitRounds != 1 || m.CommitMsgs != 1 || m.TotalAborts() != 0 {
+		t.Fatalf("retrieve waves %d, commit waves %d with %d messages, aborts %d; want 1, 1 with 1, 0",
+			m.RetrieveWaves, m.CommitRounds, m.CommitMsgs, m.TotalAborts())
+	}
+	for oid, want := range map[object.ID]int64{a: 11, b: 11, c: 21, d: 21} {
 		if got := readBox(t, tc.rts[0], oid); got != want {
 			t.Fatalf("%s = %d, want %d", oid, got, want)
 		}
 	}
-	noLocksLeft(t, tc, "a", "b", "c", "d")
+	noLocksLeft(t, tc, a, b, c, d)
 }
 
 // TestCrossedAnnouncementsBothCommit: writers on nodes 0 and 3 announce
@@ -105,29 +161,27 @@ func TestAnnouncedNestedWriteIsTwoWaves(t *testing.T) {
 // order — each locks one object and finds the other locked. Neither waits
 // holding its lock: both give back what they locked and continue on the lazy
 // path, so both commit and neither times out in a queue, under RTS with a
-// backoff long enough that a hold-and-wait would.
+// backoff long enough that a hold-and-wait would. The give-back is on the
+// writer's own node: the lock brought the object there.
 func TestCrossedAnnouncementsBothCommit(t *testing.T) {
 	tc := newTestCluster(t, 4, nil, func() sched.Policy { return core.New(core.Options{CLThreshold: 5}) })
 	ctx := context.Background()
 	seed(t, tc, map[object.ID]int{"a": 1, "b": 2})
 	// Writer 0's first announcement reaches node 2 only once node 2 has
 	// answered writer 3's, and writer 3's reaches node 1 only once node 1 has
-	// answered writer 0's; a writer's first release reaches its owner only
-	// once that owner has answered the other writer too.
+	// answered writer 0's.
 	type link struct {
 		kind     transport.Kind
 		from, to transport.NodeID
 	}
 	after := map[link]link{
 		{KindRetrieve, 0, 2}: {KindRetrieve, 2, 3}, {KindRetrieve, 3, 1}: {KindRetrieve, 1, 0},
-		{KindRelease, 3, 2}: {KindRetrieve, 2, 0}, {KindRelease, 0, 1}: {KindRetrieve, 1, 3},
 	}
 	answered := map[link]chan struct{}{}
 	for _, reply := range after {
 		answered[reply] = make(chan struct{})
 	}
 	var first sync.Map
-	var msgs kindCounter
 	tc.net.SetInterceptor(func(m *transport.Message) bool {
 		l := link{m.Kind, m.From, m.To}
 		if _, seen := first.LoadOrStore(l, true); !seen {
@@ -142,7 +196,7 @@ func TestCrossedAnnouncementsBothCommit(t *testing.T) {
 				}
 			}
 		}
-		return msgs.intercept(m)
+		return true
 	})
 
 	var wg sync.WaitGroup
@@ -166,9 +220,6 @@ func TestCrossedAnnouncementsBothCommit(t *testing.T) {
 			t.Fatalf("writer %d timed out in a queue %d times", w, m.Aborts[AbortQueueTimeout])
 		}
 	}
-	if n := msgs.count(KindRelease); n < 2 {
-		t.Fatalf("%d release messages, want at least 2: each writer gives back the object it locked", n)
-	}
 	if a, b := readBox(t, tc.rts[0], "a"), readBox(t, tc.rts[0], "b"); a != 12 || b != 22 {
 		t.Fatalf("a=%d b=%d, want 12/22: both transfers committed", a, b)
 	}
@@ -176,8 +227,9 @@ func TestCrossedAnnouncementsBothCommit(t *testing.T) {
 }
 
 // TestLockedHeldCopyBehindTheStartIsAdopted: the root on node 0 announces x
-// (node 1), then reads z from node 2, whose clock is far ahead, and forwards
-// its start past the clock x's owner reported. A copy the attempt holds
+// (node 1), then reads z from node 2, whose clock is far ahead and which has
+// committed z anew, and forwards its start past the clock x's owner
+// reported. A copy the attempt holds
 // locked cannot have changed, so the inner transaction adopts it — no second
 // retrieve, and no validation message names x. A read-intent copy in the same
 // place is dropped and fetched again, and the commit locks x with a locking
@@ -217,6 +269,10 @@ func TestLockedHeldCopyBehindTheStartIsAdopted(t *testing.T) {
 				for i := 0; i < 20; i++ {
 					tc.rts[2].ep.Clock().Tick()
 				}
+				// z is committed anew at its owner, past x's owner clock.
+				if err := tc.rts[2].Atomic(ctx, "w", func(w *Txn) error { return w.Update(ctx, "z", bump) }); err != nil {
+					return err
+				}
 				if _, err := tx.Read(ctx, "z"); err != nil {
 					return err
 				}
@@ -243,10 +299,12 @@ func TestLockedHeldCopyBehindTheStartIsAdopted(t *testing.T) {
 // commits), an application error, a cancelled context; or, in the commit, a
 // refused commit lock (the retry commits), a read found stale at validation
 // (the retry commits), a creation whose ID is registered already, a
-// read-only commit. Each leaves no commit lock in any store, the oracle's
-// batch atomicity (I7: no lock held by an aborted attempt at the end of the
-// trace) holds, and the first attempt's ending sends each owner it held a
-// lock at exactly one release.
+// read-only commit. Each leaves no commit lock in any store and x and y at
+// node 0, which their locks brought them to, with their homes saying so; the
+// oracle's batch atomicity (I7: no lock held by an aborted attempt at the
+// end of the trace) holds; and the first attempt's ending sends one homes
+// message to each home other than node 0 and the object's old owner, and
+// nothing to the old owners.
 func TestEveryEndingReleasesTheAnnouncement(t *testing.T) {
 	type ending struct {
 		ctx     context.Context
@@ -318,24 +376,14 @@ func TestEveryEndingReleasesTheAnnouncement(t *testing.T) {
 				recorders = append(recorders, rec)
 			}
 			seed(t, tc, map[object.ID]int{"x": 1, "y": 2, "z": 1, "w": 1, "dup": 2})
-			var mu sync.Mutex
-			releases := map[transport.NodeID]int{} // KindRelease requests by receiver
-			tc.net.SetInterceptor(func(m *transport.Message) bool {
-				if m.Kind == KindRelease && !m.IsReply {
-					mu.Lock()
-					releases[m.To]++
-					mu.Unlock()
-				}
-				return true
-			})
-			// firstEnding is what the first attempt's ending released, read
-			// when the second attempt starts or Atomic returns.
+			homes := requestsTo{kind: KindCommitObjectBatch}
+			tc.net.SetInterceptor(homes.intercept)
+			// firstEnding is the homes wave of the first attempt's ending,
+			// read when the second attempt starts or Atomic returns.
 			var firstEnding map[transport.NodeID]int
 			endFirst := func() {
-				mu.Lock()
-				defer mu.Unlock()
 				if firstEnding == nil {
-					firstEnding = maps.Clone(releases)
+					firstEnding = homes.take()
 				}
 			}
 			ctx, cancel := context.WithCancel(context.Background())
@@ -366,10 +414,14 @@ func TestEveryEndingReleasesTheAnnouncement(t *testing.T) {
 			if !maps.Equal(aborts, c.aborts) {
 				t.Fatalf("root aborts %v, want %v", aborts, c.aborts)
 			}
-			if want := map[transport.NodeID]int{1: 1, 2: 1}; !maps.Equal(firstEnding, want) {
-				t.Fatalf("the first attempt's ending sent releases %v (by node), want %v", firstEnding, want)
+			if want := homesOutside(3, map[object.ID]int{"x": 1, "y": 2}); !maps.Equal(firstEnding, want) {
+				t.Fatalf("the first attempt's ending sent homes messages %v (by node), want %v", firstEnding, want)
 			}
 			noLocksLeft(t, tc, "x", "y", "z", "w", "dup")
+			if owners, _, err := tc.rts[1].Locator().AskHomes(context.Background(), []object.ID{"x", "y"}); err != nil ||
+				owners["x"] != 0 || owners["y"] != 0 || !tc.rts[0].Store().Owns("x") || !tc.rts[0].Store().Owns("y") {
+				t.Fatalf("homes say %v (%v); want x and y at node 0, which holds them", owners, err)
+			}
 			for _, rec := range recorders {
 				recs = append(recs, rec.Events())
 			}
@@ -423,12 +475,15 @@ func TestInnerRetryRetakesTheLockedCopy(t *testing.T) {
 
 // TestUnwrittenAnnouncementIsReleasedByTheCommit: the root announces x (node
 // 1), y and z (node 2), writes x, only reads y and never opens z. The commit
-// validates nothing and releases y and z, versions unchanged, with one message
-// in the same wave as the publish.
+// validates nothing and frees y and z, versions unchanged, at node 0, where
+// their locks brought them, in the same step that publishes x: the homes
+// wave, when there is one, is the commit's one wave, and the old owners hear
+// nothing after their locks.
 func TestUnwrittenAnnouncementIsReleasedByTheCommit(t *testing.T) {
 	tc := newTestCluster(t, 3, nil, nil)
 	ctx := context.Background()
-	seed(t, tc, map[object.ID]int{"x": 1, "y": 2, "z": 2})
+	place := map[object.ID]int{"x": 1, "y": 2, "z": 2}
+	seed(t, tc, place)
 	before := map[object.ID]object.Version{}
 	for _, oid := range []object.ID{"y", "z"} {
 		before[oid] = tc.rts[2].Store().State(oid).Ver
@@ -448,14 +503,16 @@ func TestUnwrittenAnnouncementIsReleasedByTheCommit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if l, v, r := msgs.count(kindLockingRetrieve), msgs.count(KindCheckVersionBatch), msgs.count(KindRelease); l != 2 || v != 0 || r != 1 {
-		t.Fatalf("locking retrieve/validate/release messages = %d/%d/%d, want 2/0/1: the announcement's, one per owner", l, v, r)
+	homes := len(homesOutside(3, place))
+	if l, v, h := msgs.count(kindLockingRetrieve), msgs.count(KindCheckVersionBatch), msgs.count(KindCommitObjectBatch); l != 2 || v != 0 || h != homes {
+		t.Fatalf("locking retrieve/validate/homes messages = %d/%d/%d, want 2/0/%d: the announcement's, one per owner, and one per home outside",
+			l, v, h, homes)
 	}
-	if m := tc.rts[0].Metrics().Snapshot(); m.CommitRounds != 1 {
-		t.Fatalf("commit took %d waves, want 1: the release rides the publish wave", m.CommitRounds)
+	if m := tc.rts[0].Metrics().Snapshot(); m.CommitRounds != uint64(min(homes, 1)) {
+		t.Fatalf("commit took %d waves, want %d: the homes wave alone", m.CommitRounds, min(homes, 1))
 	}
 	for oid, ver := range before {
-		if now := tc.rts[2].Store().State(oid).Ver; now != ver {
+		if now := tc.rts[0].Store().State(oid).Ver; now != ver {
 			t.Fatalf("%s version %v after the release, want %v unchanged", oid, now, ver)
 		}
 	}
@@ -465,62 +522,39 @@ func TestUnwrittenAnnouncementIsReleasedByTheCommit(t *testing.T) {
 	}
 }
 
-// TestReleaseFencesALateAnnouncement: an attempt gave up on the reply to its
-// announcement and released, and the release is served first — here before
-// the object has even arrived at the node. The announcement served after it
-// locks nothing, and the fence is permanent: the attempt's commit lock, a
-// second locking retrieve under the same identity, is refused too (it
-// retries under a fresh one).
-func TestReleaseFencesALateAnnouncement(t *testing.T) {
-	tc := newTestCluster(t, 2, nil, nil)
-	ctx := context.Background()
-	const lockID = 1<<40 | 77
-	owner := tc.rts[1]
-	if _, err := tc.rts[0].ep.Call(ctx, 1, KindRelease, releaseReq{Oids: []object.ID{"x"}, TxID: lockID}); err != nil {
-		t.Fatal(err)
-	}
-	owner.Store().Install("x", &box{N: 1}, object.Version{Clock: 3, Node: 1}) // the object arrives
-
-	for _, what := range []string{"late announcement", "commit lock after the release"} {
-		body, err := tc.rts[0].ep.Call(ctx, 1, KindRetrieve, retrieveReq{TxID: 9, Mode: sched.Write, Prefetch: true, LockID: lockID, Oids: []object.ID{"x"}})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if r := body.(retrieveResp); r.Locked || r.Results[0].Status != statusOK || isLocked(owner.Store(), "x") {
-			t.Fatalf("%s: locked=%v status=%v store locked=%v; want a plain copy and no lock",
-				what, r.Locked, r.Results[0].Status, isLocked(owner.Store(), "x"))
-		}
-	}
-}
-
-// TestReleaseRacesItsAnnouncement serves a release and the announcement it
-// answers, under one lock identity, on two goroutines at once. Whichever the
-// owner serves first, no lock is left held: an announcement served first is
-// undone by the release, one served second meets the fence.
+// TestReleaseRacesItsAnnouncement: the attempt's context is cancelled while
+// the reply to its announcement is on the wire, after the owner has handed x
+// over. The release cannot overtake the announcement: the locking retrieve
+// is detached from the attempt's context, so Prefetch waits for the reply,
+// installs x and, the context being over, gives it back on its own node
+// before it returns. No lock is left held, and x is at node 0 with its home
+// saying so.
 func TestReleaseRacesItsAnnouncement(t *testing.T) {
-	tc := newTestCluster(t, 1, nil, nil)
-	owner := tc.rts[0]
-	oids := []object.ID{"x", "y"}
-	for _, oid := range oids {
-		owner.Store().Install(oid, &box{N: 1}, object.Version{})
-	}
-	for i := uint64(1); i <= 1000; i++ {
-		lockID := 1<<40 | i
-		var wg sync.WaitGroup
-		wg.Add(2)
-		go func() {
-			defer wg.Done()
-			owner.handleRelease(0, releaseReq{Oids: oids, TxID: lockID})
-		}()
-		go func() {
-			defer wg.Done()
-			owner.handleRetrieve(0, retrieveReq{TxID: lockID, Mode: sched.Write, Prefetch: true, LockID: lockID, Oids: oids})
-		}()
-		wg.Wait()
-		for _, oid := range oids {
-			if by := owner.Store().State(oid).LockedBy; by != 0 {
-				t.Fatalf("iteration %d: %s left locked by %x", i, oid, by)
-			}
+	tc := newTestCluster(t, 3, nil, nil)
+	x := homedAt(t, 3, 2)
+	seed(t, tc, map[object.ID]int{x: 1})
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	var lc lockCalls
+	tc.net.SetInterceptor(func(m *transport.Message) bool {
+		if lc.isReply(m) {
+			cancel()
+			time.Sleep(10 * time.Millisecond) // the attempt must not act on the cancel alone
 		}
+		return true
+	})
+	err := tc.rts[0].Atomic(ctx, "root", func(tx *Txn) error {
+		tx.Prefetch(ctx, []object.ID{x}, sched.Write)
+		if !tc.rts[0].Store().Owns(x) || isLocked(tc.rts[0].Store(), x) || len(tx.root.held.locked) != 0 {
+			t.Errorf("Prefetch returned before x was here and given back")
+		}
+		return ctx.Err()
+	})
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("Atomic = %v, want context.Canceled", err)
+	}
+	noLocksLeft(t, tc, x)
+	if !tc.rts[0].Store().Owns(x) || tc.rts[1].Store().Owns(x) || homeSays(t, tc.rts[1], x) != 0 {
+		t.Fatalf("x is not at node 0 alone, or its home does not say so")
 	}
 }

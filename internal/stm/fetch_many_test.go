@@ -50,6 +50,28 @@ func (c *kindCounter) intercept(m *transport.Message) bool {
 	return true
 }
 
+// lockCalls tells the reply to a locking retrieve from any other message,
+// given every message in the order it is sent (replies are wrapped, so only
+// their correlation names what they answer).
+type lockCalls struct {
+	mu    sync.Mutex
+	calls map[[2]uint64]bool // (caller, correlation) of each locking retrieve
+}
+
+// isReply reports whether m answers a locking retrieve, noting m if it is one.
+func (l *lockCalls) isReply(m *transport.Message) bool {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if q, ok := m.Payload.(retrieveReq); ok && q.LockID != 0 && !m.IsReply {
+		if l.calls == nil {
+			l.calls = map[[2]uint64]bool{}
+		}
+		l.calls[[2]uint64{uint64(m.From), m.Corr}] = true
+		return false
+	}
+	return m.IsReply && l.calls[[2]uint64{uint64(m.To), m.Corr}]
+}
+
 func (c *kindCounter) count(kinds ...transport.Kind) int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -260,6 +282,22 @@ func homedAt(t *testing.T, n, home int) object.ID {
 	return ""
 }
 
+// homedAtEach returns one object ID per entry of homes, all distinct, each
+// homed at that node in a cluster of n nodes.
+func homedAtEach(t *testing.T, n int, homes ...int) []object.ID {
+	t.Helper()
+	var ids []object.ID
+	for i := 0; i < 10000 && len(ids) < len(homes); i++ {
+		if oid := object.ID(fmt.Sprintf("x%d", i)); cc.HomeOf(oid, n) == transport.NodeID(homes[len(ids)]) {
+			ids = append(ids, oid)
+		}
+	}
+	if len(ids) < len(homes) {
+		t.Fatalf("no object IDs homed at nodes %v of %d", homes, n)
+	}
+	return ids
+}
+
 // TestStaleHintFollowsMovedTo: node 2 holds a hint that x is on node 0, but
 // node 1 has since committed a write and taken x. Node 0's reply names node
 // 1, and the next wave goes there directly — no directory message — whether
@@ -288,10 +326,10 @@ func TestStaleHintFollowsMovedTo(t *testing.T) {
 		{name: "absent", step: "retrieve", record: func(rt *Runtime, x object.ID) { rt.store.Arriving([]object.ID{x}) }, wantLookups: 1, wantRetrieves: 2},
 		// The commit meets node 0's Moved and finds x changed at node 1: one
 		// validation abort, and the retry retrieves x from node 1. A commit
-		// that writes x locks it at node 0, then at node 1, releases it, and
-		// its retry locks it at node 1 again.
+		// that writes x locks it at node 0, then at node 1, which hands it
+		// over; it aborts, and its retry finds x here.
 		{name: "validate", step: "validate", record: moved, wantLookups: 0, wantRetrieves: 1},
-		{name: "acquire", step: "acquire", record: moved, wantLookups: 0, wantRetrieves: 1, wantLocks: 3},
+		{name: "acquire", step: "acquire", record: moved, wantLookups: 0, wantRetrieves: 0, wantLocks: 2},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -402,8 +440,8 @@ func TestRetrieveObservesOnlyOwnedObjects(t *testing.T) {
 }
 
 // TestWaveForwardsOnce: a transaction that holds e (from node 1) fetches c
-// and d from nodes 2 and 3, whose clocks are both ahead of its start. The
-// wave takes one forwarding step, to the larger clock: one validation wave
+// and d from nodes 2 and 3, each committed anew since its start. The wave
+// takes one forwarding step, to the newer version, d's: one validation wave
 // covering e and the copy from the owner that reported the smaller clock.
 func TestWaveForwardsOnce(t *testing.T) {
 	tc := newTestCluster(t, 4, nil, nil)
@@ -422,18 +460,25 @@ func TestWaveForwardsOnce(t *testing.T) {
 			return err
 		}
 		start = tx.start
+		// c and d are committed anew at their owners, whose clocks have
+		// run ahead: d's version is the newest.
 		for i := 0; i < 5; i++ {
 			tc.rts[2].ep.Clock().Tick()
 		}
-		var ahead uint64
 		for i := 0; i < 9; i++ {
-			ahead = tc.rts[3].ep.Clock().Tick()
+			tc.rts[3].ep.Clock().Tick()
 		}
+		for oid, owner := range map[object.ID]int{"c": 2, "d": 3} {
+			if err := tc.rts[owner].Atomic(ctx, "w", func(w *Txn) error { return w.Update(ctx, oid, bump) }); err != nil {
+				return err
+			}
+		}
+		ahead := tc.rts[3].Store().State("d").Ver.Clock
 		tc.net.SetInterceptor(holdRetrieves(t, 2, msgs.intercept))
 		_, err := tx.ReadMany(ctx, []object.ID{"c", "d"})
 		forwarded = tx.start
 		if err == nil && forwarded != ahead {
-			t.Errorf("start forwarded %d -> %d, want node 3's clock %d", start, forwarded, ahead)
+			t.Errorf("start forwarded %d -> %d, want d's version %d", start, forwarded, ahead)
 		}
 		return err
 	})

@@ -8,8 +8,8 @@ import (
 )
 
 // TestForwardingAbortsStaleRead reproduces TFA's early validation: a
-// transaction that read x, and later receives an object from a node whose
-// clock advanced past its start time, must revalidate x; if x changed, the
+// transaction that read x, and later receives an object whose version is
+// newer than its start time, must revalidate x; if x changed, the
 // transaction aborts and retries with a consistent snapshot.
 func TestForwardingAbortsStaleRead(t *testing.T) {
 	tc := newTestCluster(t, 2, nil, nil)
@@ -32,9 +32,13 @@ func TestForwardingAbortsStaleRead(t *testing.T) {
 		sawX = vx.(*box).N
 
 		if attempts == 1 {
-			// Node 0 commits a new version of x while the reader is between
-			// its two reads; node 0's clock ticks past the reader's start.
+			// Node 0 commits a new version of x, and of y with its value
+			// unchanged, while the reader is between its two reads: y's
+			// version is past the reader's start.
 			if err := tc.rts[0].Atomic(ctx, "writer", func(w *Txn) error {
+				if err := w.Update(ctx, "y", func(v object.Value) object.Value { return v }); err != nil {
+					return err
+				}
 				return w.Update(ctx, "x", func(v object.Value) object.Value {
 					v.(*box).N = 2
 					return v

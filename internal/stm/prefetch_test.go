@@ -313,9 +313,11 @@ func TestPrefetchReturnsWithTheCopiesHeld(t *testing.T) {
 
 // TestWritePrefetchReturnsLocked: retrieve replies take 20 ms. When an
 // announcement of x (node 1) and y (node 2) returns, both are commit-locked
-// at their owners under the attempt's lock identity and both copies are
-// held. When node 2 refuses because y is locked for another transaction,
-// neither is locked for the attempt and x is a plain held copy.
+// under the attempt's lock identity at node 0, where their locks brought
+// them, and both copies are held. When node 2 refuses because y is locked
+// for another transaction, neither is locked for the attempt: x, which
+// moved, is at node 0, unlocked, with its home saying so before Prefetch
+// returns, y is still at node 2, and x is a plain held copy.
 func TestWritePrefetchReturnsLocked(t *testing.T) {
 	for _, refused := range []bool{false, true} {
 		t.Run(map[bool]string{false: "locked", true: "refused"}[refused], func(t *testing.T) {
@@ -337,11 +339,19 @@ func TestWritePrefetchReturnsLocked(t *testing.T) {
 				if h, n := len(tx.held.copies), slow.unanswered.Load(); h != wantHeld || n != 0 {
 					t.Errorf("after Prefetch: %d copies held, %d retrieves unanswered; want %d, 0", h, n, wantHeld)
 				}
-				for oid, node := range place {
-					if by := tc.rts[node].Store().State(oid).LockedBy; (by == tx.lockID) == refused {
-						t.Errorf("after Prefetch: %s locked by %x at node %d, attempt %x; want locked for the attempt: %v",
-							oid, by, node, tx.lockID, !refused)
+				for oid := range place {
+					at := 0
+					if refused && oid == "y" {
+						at = 2
 					}
+					c := tc.rts[at].Store().State(oid)
+					if !c.Owned || (c.LockedBy == tx.lockID) == refused {
+						t.Errorf("after Prefetch: %s at node %d owned %v, locked by %x, attempt %x; want it there, locked for the attempt: %v",
+							oid, at, c.Owned, c.LockedBy, tx.lockID, !refused)
+					}
+				}
+				if owners, _, err := tc.rts[0].Locator().AskHomes(ctx, []object.ID{"x", "y"}); refused && (err != nil || owners["x"] != 0 || owners["y"] != 2) {
+					t.Errorf("after a refused Prefetch the homes say %v (%v), want x at node 0 and y at node 2", owners, err)
 				}
 				return nil
 			})

@@ -12,16 +12,15 @@ import (
 )
 
 // Message kinds 10–29 are reserved for the STM protocol. Kinds 11, 12 and
-// 14 (the retired per-object check/acquire/commit RPCs), 17 (the retired
-// acquire batch: a commit locks with the locking retrieve) and 20 and 21
-// (the retired MVCC snapshot reads) are reserved: never reuse them, an old
-// peer may still send them, and bench/layers.go classifies by number.
+// 14 (the retired per-object check/acquire/commit RPCs), 13 (the retired
+// remote release: every lock an attempt holds is on its own node), 17 (the
+// retired acquire batch: a commit locks with the locking retrieve) and 20
+// and 21 (the retired MVCC snapshot reads) are reserved: never reuse them,
+// an old peer may still send them, and bench/layers.go classifies by number.
 const (
 	// KindRetrieve is Open_Object's request to an object owner: every
 	// object one transaction wants from that node, in one round trip.
 	KindRetrieve transport.Kind = 10
-	// KindRelease drops commit locks after a failed commit.
-	KindRelease transport.Kind = 13
 	// KindPush hands an object to an enqueued requester (one-way).
 	KindPush transport.Kind = 15
 	// KindDecline tells an owner the pushed requester is gone (one-way).
@@ -31,9 +30,8 @@ const (
 	// whose copies the requester compares with the versions it read. It
 	// keeps its own kind so validation messages are counted apart.
 	KindCheckVersionBatch transport.Kind = 18
-	// KindCommitObjectBatch is the publish wave: it migrates a per-owner
-	// slice of the write set to the committer and tells the receiver — an
-	// old owner, a home, or both — where everything the commit moved went.
+	// KindCommitObjectBatch is the homes wave (Txn.tellHomes): it tells a
+	// home where everything an attempt's locks brought to its node went.
 	KindCommitObjectBatch transport.Kind = 19
 )
 
@@ -46,9 +44,9 @@ const (
 // answered statusDenied with nothing observed, scheduled or queued (a
 // validation is one: Txn.checkVersions). A
 // nonzero LockID makes it the locking retrieve, the one way to take a commit
-// lock (Txn.lockWave): the owner first tries to commit-lock every entry it
-// holds for LockID, all or nothing (Runtime.lockAnnounced), unless a release
-// by LockID overtook it there.
+// lock (Txn.lockWave): the owner tries to commit-lock every entry it holds
+// for LockID, all or nothing, and hands what it locked to the requester
+// (Runtime.lockAnnounced).
 type retrieveReq struct {
 	TxID     uint64
 	Mode     sched.Mode
@@ -64,7 +62,8 @@ type retrieveReq struct {
 type retrieveResult struct {
 	// Status is statusOK, statusDenied, statusEnqueued or the not-here answer.
 	Status status
-	// Value and Version are set when Status == statusOK.
+	// Value and Version are set when Status == statusOK; a validation's
+	// answer carries the Version only.
 	Value   object.Value
 	Version object.Version
 	// RemoteCL is the object's local contention level at the owner; the
@@ -75,12 +74,16 @@ type retrieveResult struct {
 	// MovedTo is the node this one surrendered the object to, set when
 	// Status == statusMoved.
 	MovedTo transport.NodeID
+	// Queue is the requester queue that left the owner with the object, on
+	// an entry a locking retrieve took (retrieveResp.Locked).
+	Queue []sched.Request
 }
 
 // retrieveResp answers a retrieve. OwnerClock is the owner's TFA clock for
 // the forwarding check; every statusOK copy is current as of it (see
-// handleRetrieve). Locked reports that every statusOK copy is commit-locked
-// for the request's LockID; when false, no entry was locked.
+// handleRetrieve). Locked reports that every statusOK copy was commit-locked
+// for the request's LockID and left the owner for the requester with its
+// queue, unless the requester is the owner; when false, no entry was locked.
 type retrieveResp struct {
 	Results    []retrieveResult
 	OwnerClock uint64
@@ -112,47 +115,20 @@ const (
 // notHere reports whether s is the "not here" answer.
 func (s status) notHere() bool { return s == statusNotOwner || s == statusMoved }
 
-// releaseReq unlocks objects after a failed commit, after an announcement
-// that did not lock everywhere, or, with the publish wave, announced objects
-// the commit did not write.
-type releaseReq struct {
-	Oids []object.ID
-	TxID uint64
-}
-
-// ---------------------------------------------------------------------------
-// Owner-grouped batch messages. The commit pipeline partitions a
-// transaction's write and read sets by owner and sends ONE message per
-// owner per phase, so a commit touching k objects on m owners costs O(m)
-// rounds instead of O(k). Every batch reply carries per-object results, so
-// one failed entry aborts the commit precisely (innermost attribution is
-// preserved on the requester side).
-
-// commitObjBatchReq is the publish wave's one message to a node: surrender
-// Oids (the receiver's slice of the write set, none when it is reached only
-// as a home) to NewOwner, and note that Moved — every object the commit
-// brings to NewOwner — went there (cc.Service.Moved: the directory entry of
-// an object homed at the receiver, an owner hint for the rest).
+// commitObjBatchReq is the homes wave's one message to a home: Moved —
+// every object lock identity TxID brought to NewOwner — went there
+// (cc.Service.Moved: the directory entry of an object homed at the
+// receiver, an owner hint for the rest).
 type commitObjBatchReq struct {
 	TxID     uint64
 	NewOwner transport.NodeID
-	Oids     []object.ID
 	Moved    []object.ID
 }
 
-// commitObjBatchResult is one entry's migration outcome: the requester
-// queue surrendered with the object, or a per-entry error (empty = ok) so
-// one failed entry does not poison its siblings.
-type commitObjBatchResult struct {
-	Queue []sched.Request
-	Err   string
-}
-
-// commitObjBatchResp carries per-entry outcomes, parallel to the request
-// Oids, and the receiver's directory error for Moved (empty = ok).
+// commitObjBatchResp answers a homes-wave message with the receiver's
+// directory error for Moved (empty = ok).
 type commitObjBatchResp struct {
-	Results []commitObjBatchResult
-	DirErr  string
+	DirErr string
 }
 
 // pushMsg hands a committed object to an enqueued requester. Owner is the

@@ -75,8 +75,10 @@ func roundTrip(t *testing.T, payload any) any {
 // slice would hand the requester the wrong object under the right key (and a
 // validation would compare the wrong versions), and a corrupted MovedTo
 // would send the next hop to the wrong node. A lost LockID would leave an
-// announced write set unlocked, and a flipped Locked would make the
-// requester trust copies nobody locked.
+// announced write set unlocked, a flipped Locked would make the requester
+// trust copies nobody locked, and a queue that left its owner with a locked
+// object must arrive whole, or its requesters would wait for a push that
+// never comes.
 func FuzzRetrieveRoundTrip(f *testing.F) {
 	f.Add("obj/a", "obj/b", uint64(1), uint8(1), 3, int64(5e6), int64(2e6), uint8(0), uint8(2), int64(7e6), uint64(9), int32(1), int64(11), int32(2), false, uint64(0), false)
 	f.Add("", "x", uint64(0), uint8(0), -1, int64(-1), int64(0), uint8(4), uint8(3), int64(1)<<62, ^uint64(0), int32(-2), int64(0), int32(-1), true, uint64(1)<<41|7, true)
@@ -99,7 +101,9 @@ func FuzzRetrieveRoundTrip(f *testing.F) {
 				{Status: status(statusA), Value: fuzzVal{X: val},
 					Version: object.Version{Clock: ownClock, Node: vnode}, RemoteCL: myCL},
 				{Status: status(statusB), RemoteCL: -myCL,
-					Backoff: time.Duration(backoff), MovedTo: transport.NodeID(movedTo)},
+					Backoff: time.Duration(backoff), MovedTo: transport.NodeID(movedTo),
+					Queue: []sched.Request{{Oid: object.ID(oidB), TxID: tx, Node: transport.NodeID(movedTo),
+						Mode: sched.Mode(mode), MyCL: myCL, Elapsed: time.Duration(elapsed), ExpectedRemaining: time.Duration(remain)}}},
 			},
 			OwnerClock: ownClock,
 			Locked:     locked,
@@ -110,10 +114,10 @@ func FuzzRetrieveRoundTrip(f *testing.F) {
 	})
 }
 
-// FuzzCommitPushRoundTrip round-trips the push that hands a migrated object
-// to a parked transaction. The trailing arguments are unused: the signature
-// is fixed by the checked-in corpus. FuzzCommitObjBatchRoundTrip covers the
-// migration request and its queue-carrying reply.
+// FuzzCommitPushRoundTrip round-trips the push that hands a freed object to
+// a parked transaction. The trailing arguments are unused: the signature is
+// fixed by the checked-in corpus. FuzzRetrieveRoundTrip covers the
+// queue-carrying reply of a locking retrieve.
 func FuzzCommitPushRoundTrip(f *testing.F) {
 	f.Add("obj/x", uint64(3), uint64(17), int32(2), int64(-4), uint64(23), int32(0), uint8(1), int64(6e6), int64(8e6))
 	f.Add("", uint64(0), uint64(0), int32(-1), int64(0), ^uint64(0), int32(5), uint8(0), int64(0), int64(-1))
@@ -130,42 +134,26 @@ func FuzzCommitPushRoundTrip(f *testing.F) {
 	})
 }
 
-// FuzzCommitObjBatchRoundTrip round-trips the publish message: the request
-// naming what one node surrenders and everything the commit moved — two lists
-// that must not bleed into each other, or a home would be told of a move that
-// did not happen — and the reply whose per-entry results mix surrendered
-// requester queues with per-entry error strings, beside the directory error.
+// FuzzCommitObjBatchRoundTrip round-trips the homes wave's message: the
+// request naming everything a lock identity brought to its new owner — a
+// corrupted list would tell a home of a move that did not happen — and the
+// reply carrying the home's directory error. The fourth-last to second-last
+// arguments are unused: the signature is fixed by the checked-in corpus.
 func FuzzCommitObjBatchRoundTrip(f *testing.F) {
 	f.Add("obj/x", "obj/y", "obj/z", uint64(3), int32(2), byte(1), int64(6e6), "", "")
 	f.Add("", "q", "", ^uint64(0), int32(-1), byte(0), int64(-1), "store: gone", "cc: update for unregistered object \"q\"")
 	f.Fuzz(func(t *testing.T, oidA, oidB, oidC string, tx uint64, newOwner int32,
-		qmode byte, qElapsed int64, errStr, dirErr string) {
+		_ byte, _ int64, _, dirErr string) {
 		req := commitObjBatchReq{
 			TxID:     tx,
 			NewOwner: transport.NodeID(newOwner),
-			Oids:     []object.ID{object.ID(oidA)},
 			Moved:    []object.ID{object.ID(oidA), object.ID(oidB), object.ID(oidC)},
 		}
 		if got := roundTrip(t, req).(commitObjBatchReq); !reflect.DeepEqual(got, req) {
 			t.Fatalf("commitObjBatchReq changed: %+v -> %+v", req, got)
 		}
-		// A node reached only as a home surrenders nothing.
-		req.Oids = nil
-		if got := roundTrip(t, req).(commitObjBatchReq); !reflect.DeepEqual(got, req) {
-			t.Fatalf("commitObjBatchReq (home only) changed: %+v -> %+v", req, got)
-		}
-
-		resp := commitObjBatchResp{Results: []commitObjBatchResult{
-			{Queue: []sched.Request{{
-				Oid: object.ID(oidA), TxID: tx, Node: transport.NodeID(newOwner),
-				Mode: sched.Mode(qmode), MyCL: int(newOwner),
-				Elapsed: time.Duration(qElapsed), ExpectedRemaining: time.Duration(-qElapsed),
-			}}},
-			{Err: errStr},
-		}, DirErr: dirErr}
-		got := roundTrip(t, resp).(commitObjBatchResp)
-		if len(got.Results) != 2 || !reflect.DeepEqual(got.Results[0].Queue, resp.Results[0].Queue) ||
-			got.Results[1].Err != errStr || got.Results[0].Err != "" || got.DirErr != dirErr {
+		resp := commitObjBatchResp{DirErr: dirErr}
+		if got := roundTrip(t, resp).(commitObjBatchResp); got != resp {
 			t.Fatalf("commitObjBatchResp changed: %+v -> %+v", resp, got)
 		}
 	})

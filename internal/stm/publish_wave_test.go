@@ -4,6 +4,7 @@ import (
 	"context"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -12,21 +13,23 @@ import (
 	"dstm/internal/transport"
 )
 
-// These tests pin the publish wave: past the commit point the committer sends
-// ONE message to every node that owns an object the commit moves or is the
-// home of one — asking for the node's objects and naming everything that
-// moves — and installs, so serves, locks, migrates onward, only once all have
-// answered. A later migration's directory update can therefore never reach
-// the home before this one, and every node the wave reached knows where the
-// objects went.
+// These tests pin lock by migration and the homes wave: the locking
+// retrieve hands each object it locks to the locker, which installs it
+// locked, and the old owner remembers where it went; then, past the commit
+// point (or at any other ending), the locker sends ONE message to every home
+// of a moved object other than itself and that object's old owner — naming
+// everything that moved — and frees the locks, so serves, locks and lets the
+// objects move on, only once all have answered. A later migration's
+// directory update can therefore never reach the home before this one, and
+// every node the commit reached knows where the objects went.
 
-// holdPublishWave returns a memnet interceptor that holds every reply to the
-// committer's publish messages inside Send until nodes distinct destinations
-// have received theirs, and hands everything else (and the released replies)
-// to next: a commit that waits for one answer before sending the next message
+// holdHomesWave returns a memnet interceptor that holds every reply to the
+// committer's homes messages inside Send until nodes distinct homes have
+// received theirs, and hands everything else (and the released replies) to
+// next: a commit that waits for one answer before sending the next message
 // never gets past the first.
-func holdPublishWave(t *testing.T, nodes int, next func(*transport.Message) bool) func(*transport.Message) bool {
-	return holdReplies(t, KindCommitObjectBatch, nodes, "publish", "old owners and homes are not one wave", next)
+func holdHomesWave(t *testing.T, nodes int, next func(*transport.Message) bool) func(*transport.Message) bool {
+	return holdReplies(t, KindCommitObjectBatch, nodes, "homes message", "the homes are not one wave", next)
 }
 
 // kindUpdateBatch is the retired directory update (cc kind 6): the publish
@@ -44,26 +47,26 @@ func homeSays(t *testing.T, rt *Runtime, oid object.ID) transport.NodeID {
 }
 
 // TestMigratingCommitIsTwoWaves: node 0 writes x, owned by node 1 and homed
-// at node 2. Its commit blocks on two waves — the locking retrieve, then
-// publish to the old owner and the home together — and sends the three
-// messages it always sent.
+// at node 2. Its commit blocks on two waves — the locking retrieve, which
+// brings x here, then the homes wave to node 2 — and sends two messages: the
+// old owner hears nothing after its lock.
 func TestMigratingCommitIsTwoWaves(t *testing.T) {
 	tc := newTestCluster(t, 3, nil, nil)
 	ctx := context.Background()
 	x := homedAt(t, 3, 2)
 	seed(t, tc, map[object.ID]int{x: 1})
 	var msgs kindCounter
-	tc.net.SetInterceptor(holdPublishWave(t, 2, msgs.intercept))
+	tc.net.SetInterceptor(msgs.intercept)
 
 	if err := tc.rts[0].Atomic(ctx, "w", func(tx *Txn) error { return tx.Update(ctx, x, bump) }); err != nil {
 		t.Fatal(err)
 	}
 	m := tc.rts[0].Metrics().Snapshot()
-	if m.CommitRounds != 2 || m.CommitMsgs != 3 {
-		t.Fatalf("commit took %d waves and %d messages, want 2 (lock; publish to owner and home) and 3", m.CommitRounds, m.CommitMsgs)
+	if m.CommitRounds != 2 || m.CommitMsgs != 2 {
+		t.Fatalf("commit took %d waves and %d messages, want 2 (lock; homes) and 2", m.CommitRounds, m.CommitMsgs)
 	}
-	if a, p, u := msgs.count(kindLockingRetrieve), msgs.count(KindCommitObjectBatch), msgs.count(kindUpdateBatch); a != 1 || p != 2 || u != 0 {
-		t.Fatalf("lock/publish/kind-6 messages = %d/%d/%d, want 1/2 (old owner, home)/0", a, p, u)
+	if a, p, u := msgs.count(kindLockingRetrieve), msgs.count(KindCommitObjectBatch), msgs.count(kindUpdateBatch); a != 1 || p != 1 || u != 0 {
+		t.Fatalf("lock/homes/kind-6 messages = %d/%d/%d, want 1/1 (the home)/0", a, p, u)
 	}
 	if !tc.rts[0].Store().Owns(x) || homeSays(t, tc.rts[1], x) != 0 {
 		t.Fatalf("x not at node 0, or its home does not say so")
@@ -71,11 +74,11 @@ func TestMigratingCommitIsTwoWaves(t *testing.T) {
 }
 
 // TestInstallWaitsForTheDirectoryUpdate: node 1 takes x from node 0 and its
-// publish message to x's home, node 3, is held on the wire. While it is, node
-// 1 does not hold x — nobody can obtain x from it — so node 2's migration of x
-// cannot complete, and its directory update cannot reach the home first. Once
-// the message is let go both commits finish, and the home names the last
-// owner.
+// homes message to x's home, node 3, is held on the wire. While it is, node
+// 1 holds x locked and has not installed its new version — nobody can
+// obtain x from it — so node 2's migration of x cannot complete, and its
+// directory update cannot reach the home first. Once the message is let go
+// both commits finish, and the home names the last owner.
 func TestInstallWaitsForTheDirectoryUpdate(t *testing.T) {
 	tc := newTestCluster(t, 4, nil, nil)
 	ctx := context.Background()
@@ -101,9 +104,8 @@ func TestInstallWaitsForTheDirectoryUpdate(t *testing.T) {
 
 	first := write(tc.rts[1], 7)
 	<-held
-	waitFor(t, func() bool { return !tc.rts[0].Store().Owns(x) })
-	if tc.rts[1].Store().Owns(x) {
-		t.Fatal("the committer holds x before its home acknowledged the move")
+	if tc.rts[0].Store().Owns(x) || !isLocked(tc.rts[1].Store(), x) {
+		t.Fatal("x is not at the committer, locked, while its home has not acknowledged the move")
 	}
 	second := write(tc.rts[2], 9)
 	select {
@@ -128,9 +130,9 @@ func TestInstallWaitsForTheDirectoryUpdate(t *testing.T) {
 
 // TestLatePublishCopyCannotMoveTheHomeBack: node 1 takes x from node 0 and
 // node 2 then takes it from node 1; x is homed at node 3. A copy of node 1's
-// publish message to the home, delivered again after node 1 has sent the
-// home 4,097 other requests, is never served: node 1's call is over, so the
-// home still names node 2, not node 1.
+// homes message, delivered again after node 1 has sent the home 4,097 other
+// requests, is never served: node 1's call is over, so the home still names
+// node 2, not node 1.
 func TestLatePublishCopyCannotMoveTheHomeBack(t *testing.T) {
 	tc := newTestCluster(t, 4, nil, nil)
 	ctx := context.Background()
@@ -159,7 +161,7 @@ func TestLatePublishCopyCannotMoveTheHomeBack(t *testing.T) {
 	late := publish
 	mu.Unlock()
 	if late == nil {
-		t.Fatal("node 1 sent x's home no publish message")
+		t.Fatal("node 1 sent x's home no homes message")
 	}
 	for i := 0; i <= 4096; i++ {
 		homeSays(t, tc.rts[1], x)
@@ -174,58 +176,7 @@ func TestLatePublishCopyCannotMoveTheHomeBack(t *testing.T) {
 	homeSays(t, tc.rts[1], x)
 	time.Sleep(50 * time.Millisecond)
 	if owner, err := home.Locate(ctx, x); err != nil || owner != 2 {
-		t.Fatalf("the home names node %d (%v) after a late copy of node 1's publish, want node 2", owner, err)
-	}
-}
-
-// TestRefusedPublishPointsTheHomeBack: node 0 commits a, b (node 1) and c
-// (node 2); b's commit lock is freed under its holder between acquire and
-// publish, which only a defect could do, so node 1 refuses to surrender it.
-// The siblings are published, b stays at node 1 unchanged and unlocked, its
-// home — told in the same wave that b was moving — names node 1 again, and
-// the commit reports the refusal. A publish call that fails takes the same
-// path for all of its entries.
-func TestRefusedPublishPointsTheHomeBack(t *testing.T) {
-	tc := newTestCluster(t, 4, nil, nil)
-	ctx := context.Background()
-	a, b, c := homedAt(t, 4, 3), homedAt(t, 4, 2), homedAt(t, 4, 1)
-	seed(t, tc, map[object.ID]int{a: 1, b: 1, c: 2})
-
-	var lockID uint64
-	var free sync.Once
-	tc.net.SetInterceptor(holdPublishWave(t, 3, func(m *transport.Message) bool {
-		if m.Kind == KindCommitObjectBatch && m.To == 1 && !m.IsReply {
-			free.Do(func() { tc.rts[1].Store().Unlock(b, lockID) })
-		}
-		return true
-	}))
-
-	err := tc.rts[0].Atomic(ctx, "w", func(tx *Txn) error {
-		lockID = tx.lockID
-		for _, oid := range []object.ID{a, b, c} {
-			if err := tx.Update(ctx, oid, bump); err != nil {
-				return err
-			}
-		}
-		return nil
-	})
-	if err == nil || !strings.Contains(err.Error(), string(b)) {
-		t.Fatalf("commit returned %v, want the refused migration of %s", err, b)
-	}
-	tc.net.SetInterceptor(nil)
-	for _, oid := range []object.ID{a, c} {
-		if !tc.rts[0].Store().Owns(oid) || homeSays(t, tc.rts[3], oid) != 0 {
-			t.Fatalf("sibling %s was not published to node 0", oid)
-		}
-	}
-	if tc.rts[0].Store().Owns(b) || !tc.rts[1].Store().Owns(b) || isLocked(tc.rts[1].Store(), b) {
-		t.Fatalf("refused %s is not at node 1, unlocked", b)
-	}
-	if got := homeSays(t, tc.rts[3], b); got != 1 {
-		t.Fatalf("the home of refused %s names node %d, want its old owner, node 1", b, got)
-	}
-	if na, nb, nc := readBox(t, tc.rts[3], a), readBox(t, tc.rts[3], b), readBox(t, tc.rts[3], c); na != 11 || nb != 10 || nc != 21 {
-		t.Fatalf("a=%d b=%d c=%d, want 11/10/21", na, nb, nc)
+		t.Fatalf("the home names node %d (%v) after a late copy of node 1's homes message, want node 2", owner, err)
 	}
 }
 
@@ -271,17 +222,18 @@ func readBoth(t *testing.T, rt *Runtime, x, y object.ID) (nx, ny int64) {
 }
 
 // TestOneRetrieveWaveAfterPublish: node 0 commits a write that brings home x
-// (old owner node 1, home node 2) and y (old owner node 2, home node 3). Every
-// node had read both, so each held a pointer to an old owner. The publish wave
-// reaches nodes 1, 2 and 3: each then locates both objects at node 0 without
-// a message, and its next ReadMany{x, y} is ONE retrieve, to node 0, with no
-// stale hop. Node 4, which the wave did not reach, still gets there through
-// the old owners' moved-to pointers: one extra wave, no directory lookup.
+// and y, both from node 1, homed at nodes 2 and 3. Every node had read both,
+// so each held a pointer to node 1. The commit reaches nodes 1 (the lock),
+// 2 and 3 (the homes wave, which names both objects): each then locates both
+// objects at node 0 without a message, and its next ReadMany{x, y} is ONE
+// retrieve, to node 0, with no stale hop. Node 4, which the commit did not
+// reach, still gets there through node 1's moved-to pointers: one extra
+// wave, no directory lookup.
 func TestOneRetrieveWaveAfterPublish(t *testing.T) {
 	tc := newTestCluster(t, 5, nil, nil)
 	ctx := context.Background()
 	x, y := homedAt(t, 5, 2), homedAt(t, 5, 3)
-	seed(t, tc, map[object.ID]int{x: 1, y: 2})
+	seed(t, tc, map[object.ID]int{x: 1, y: 1})
 	for _, rt := range tc.rts[1:] {
 		readBoth(t, rt, x, y)
 	}
@@ -298,8 +250,8 @@ func TestOneRetrieveWaveAfterPublish(t *testing.T) {
 		if err != nil || msgs != 0 || owners[x] != 0 || owners[y] != 0 || len(log.take()) != 0 {
 			t.Fatalf("node %d locates %v with %d messages (%v); want both at node 0, no message", n, owners, msgs, err)
 		}
-		if nx, ny := readBoth(t, rt, x, y); nx != 9 || ny != 21 {
-			t.Fatalf("node %d read x=%d y=%d, want 9 and 21", n, nx, ny)
+		if nx, ny := readBoth(t, rt, x, y); nx != 9 || ny != 11 {
+			t.Fatalf("node %d read x=%d y=%d, want 9 and 11", n, nx, ny)
 		}
 		want := route{KindRetrieve, transport.NodeID(n), 0}
 		if seen := log.take(); len(seen) != 1 || seen[0] != want {
@@ -312,9 +264,9 @@ func TestOneRetrieveWaveAfterPublish(t *testing.T) {
 		}
 	}
 
-	// Not reached by the wave: the pointers node 4 holds are the old owners'.
-	if nx, ny := readBoth(t, tc.rts[4], x, y); nx != 9 || ny != 21 {
-		t.Fatalf("node 4 read x=%d y=%d, want 9 and 21", nx, ny)
+	// Not reached: the pointers node 4 holds name the old owner.
+	if nx, ny := readBoth(t, tc.rts[4], x, y); nx != 9 || ny != 11 {
+		t.Fatalf("node 4 read x=%d y=%d, want 9 and 11", nx, ny)
 	}
 	var retrieves int
 	for _, r := range log.take() {
@@ -324,14 +276,14 @@ func TestOneRetrieveWaveAfterPublish(t *testing.T) {
 		retrieves++
 	}
 	m := tc.rts[4].Metrics().Snapshot()
-	if retrieves != 3 || m.StaleHops != 2 || retrieves > maxOwnerHops {
-		t.Fatalf("node 4: %d retrieves, %d stale hops; want 3 (both old owners, then node 0) and 2", retrieves, m.StaleHops)
+	if retrieves != 2 || m.StaleHops != 2 {
+		t.Fatalf("node 4: %d retrieves, %d stale hops; want 2 (the old owner, then node 0) and 2", retrieves, m.StaleHops)
 	}
 }
 
 // TestGossipedMoveNeedsNoChase: as in TestOneRetrieveWaveAfterPublish, node
 // 0 takes x (from node 1) and y (from node 2), and node 4, which had read
-// both, is not reached by the publish wave. But once node 0 has sent node 4
+// both, is not reached by the commit. But once node 0 has sent node 4
 // any message — here a lookup of z at its home, node 4 — that message carried
 // what node 0 took, so node 4's next ReadMany{x, y} is ONE retrieve, to node
 // 0, with no stale hop and no directory message.
@@ -367,11 +319,11 @@ func TestGossipedMoveNeedsNoChase(t *testing.T) {
 	}
 }
 
-// TestHintAheadOfTheInstallRecovers: node 0 takes x from node 1; its publish
-// message to x's home, node 2, is held, so node 1 already points at node 0
-// while node 0 does not hold x yet. Node 1's read goes to node 0, is answered
-// "not owner", and ends at node 0 one directory lookup later — inside the hop
-// bound, with no abort.
+// TestHintAheadOfTheInstallRecovers: node 0 takes x from node 1; node 1's
+// reply to the lock, which carries x, is held, so node 1 already points at
+// node 0 while node 0 does not hold x yet. Node 1's read goes to node 0, is
+// answered "not owner", and ends at node 0 one directory lookup later —
+// inside the hop bound, with no abort.
 func TestHintAheadOfTheInstallRecovers(t *testing.T) {
 	tc := newTestCluster(t, 3, nil, nil)
 	ctx := context.Background()
@@ -383,9 +335,10 @@ func TestHintAheadOfTheInstallRecovers(t *testing.T) {
 	defer letGo() // a failed test must not leave the commit held
 	var hold, early sync.Once
 	var log routeLog
+	var lc lockCalls
 	tc.net.SetInterceptor(func(m *transport.Message) bool {
 		switch {
-		case m.Kind == KindCommitObjectBatch && m.To == 2 && !m.IsReply:
+		case lc.isReply(m):
 			hold.Do(func() {
 				close(held)
 				<-release
@@ -395,10 +348,10 @@ func TestHintAheadOfTheInstallRecovers(t *testing.T) {
 			// the reader hears it, so what the reader does next is decided.
 			early.Do(func() {
 				if tc.rts[0].Store().Owns(x) {
-					t.Error("node 0 holds x before its home answered")
+					t.Error("node 0 holds x before the lock's reply arrived")
 				}
 				letGo()
-				for end := time.Now().Add(2 * time.Second); !tc.rts[0].Store().Owns(x) && time.Now().Before(end); {
+				for end := time.Now().Add(2 * time.Second); !(tc.rts[0].Store().Owns(x) && !isLocked(tc.rts[0].Store(), x)) && time.Now().Before(end); {
 					time.Sleep(100 * time.Microsecond)
 				}
 			})
@@ -438,50 +391,122 @@ func TestHintAheadOfTheInstallRecovers(t *testing.T) {
 	}
 }
 
+// TestRequestBetweenSurrenderAndInstallIsChased: node 0's lock takes x from
+// node 1 (x's home), and node 1's reply, which carries x, is held. Node 2
+// reads x in that window — through a hint that already names node 0, which
+// answers "not owner" until x is installed, or through node 1, whose
+// departure record names node 0 — and its second request reaches node 0
+// once x is there: the read is chased, not lost, and ends inside the hop
+// bound with the value node 0 published and no abort.
+func TestRequestBetweenSurrenderAndInstallIsChased(t *testing.T) {
+	for via, hint := range map[string]transport.NodeID{"hint": 0, "departure record": 1} {
+		t.Run(via, func(t *testing.T) {
+			tc := newTestCluster(t, 3, nil, nil)
+			ctx := context.Background()
+			x := homedAt(t, 3, 1)
+			seed(t, tc, map[object.ID]int{x: 1})
+			held, release := make(chan struct{}), make(chan struct{})
+			letGo := sync.OnceFunc(func() { close(release) })
+			defer letGo()
+			var hold sync.Once
+			var lc lockCalls
+			var asked atomic.Int64 // node 2's retrieves
+			tc.net.SetInterceptor(func(m *transport.Message) bool {
+				if lc.isReply(m) {
+					hold.Do(func() {
+						close(held)
+						<-release
+					})
+				}
+				if m.Kind == KindRetrieve && m.From == 2 && !m.IsReply && asked.Add(1) == 2 {
+					// The window has been met; this request goes out once x
+					// is at node 0 and published.
+					letGo()
+					for end := time.Now().Add(2 * time.Second); !(tc.rts[0].Store().Owns(x) && !isLocked(tc.rts[0].Store(), x)) && time.Now().Before(end); {
+						time.Sleep(100 * time.Microsecond)
+					}
+				}
+				return true
+			})
+			done := make(chan error, 1)
+			go func() {
+				done <- tc.rts[0].Atomic(ctx, "w", func(tx *Txn) error { return tx.Write(ctx, x, &box{N: 7}) })
+			}()
+			<-held
+			tc.rts[2].Locator().NoteOwner(x, hint)
+			if got := readBox(t, tc.rts[2], x); got != 7 {
+				t.Fatalf("node 2 read %d, want 7", got)
+			}
+			if err := <-done; err != nil {
+				t.Fatal(err)
+			}
+			if m := tc.rts[2].Metrics().Snapshot(); m.TotalAborts() != 0 || m.StaleHops != 1 || asked.Load() != 2 {
+				t.Fatalf("node 2: %d aborts, %d stale hops, %d retrieves; want 0, 1, 2", m.TotalAborts(), m.StaleHops, asked.Load())
+			}
+		})
+	}
+}
+
 // TestPublishWaveIsOneMessagePerNode: node 0 commits five writes — p (owner
 // and home node 1), q (owner 1, home 2), r (owner 2, home 3), s (owner 2,
-// home 0) and u (its own, home 4). The publish wave is one message to each of
-// nodes 1, 2 and 3 — old owners ∪ homes of what moves — all in flight
-// together; node 4, home of an object that stays, hears nothing.
+// home 0) and u (its own, home 4). The homes wave is one message to each of
+// nodes 2 and 3 — the homes other than node 0 and the object's old owner —
+// both in flight together; node 1, an old owner whose objects are homed at
+// itself or here, and node 4, home of an object that stays, hear nothing
+// after the lock. A commit of p and s alone, every home the committer or the
+// old owner, sends no homes message at all.
 func TestPublishWaveIsOneMessagePerNode(t *testing.T) {
 	tc := newTestCluster(t, 5, nil, nil)
 	ctx := context.Background()
-	ids := make([]object.ID, 5) // one object homed at each node
-	for home := range ids {
-		ids[home] = homedAt(t, 5, home)
-	}
-	p, q, r, s, u := ids[1], ids[2], ids[3], ids[0], ids[4]
+	ids := homedAtEach(t, 5, 1, 2, 3, 0, 4)
+	p, q, r, s, u := ids[0], ids[1], ids[2], ids[3], ids[4]
 	seed(t, tc, map[object.ID]int{p: 1, q: 1, r: 2, s: 2, u: 0})
 	var log routeLog
-	tc.net.SetInterceptor(holdPublishWave(t, 3, log.intercept))
-
-	if err := tc.rts[0].Atomic(ctx, "w", func(tx *Txn) error {
-		for _, oid := range []object.ID{p, q, r, s, u} {
-			if err := tx.Update(ctx, oid, bump); err != nil {
-				return err
+	tc.net.SetInterceptor(holdHomesWave(t, 2, log.intercept))
+	commit := func(oids ...object.ID) map[transport.NodeID]int {
+		t.Helper()
+		if err := tc.rts[0].Atomic(ctx, "w", func(tx *Txn) error {
+			for _, oid := range oids {
+				if err := tx.Update(ctx, oid, bump); err != nil {
+					return err
+				}
+			}
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+		homes := map[transport.NodeID]int{}
+		for _, m := range log.take() {
+			if m.kind == kindUpdateBatch {
+				t.Fatalf("a kind-6 directory update was sent: %v", m)
+			}
+			if m.kind == KindCommitObjectBatch {
+				homes[m.to]++
 			}
 		}
-		return nil
-	}); err != nil {
-		t.Fatal(err)
+		return homes
 	}
-	published := map[transport.NodeID]int{}
-	for _, m := range log.take() {
-		if m.kind == kindUpdateBatch {
-			t.Fatalf("a kind-6 directory update was sent: %v", m)
-		}
-		if m.kind == KindCommitObjectBatch {
-			published[m.to]++
-		}
+
+	if homes := commit(p, q, r, s, u); len(homes) != 2 || homes[2] != 1 || homes[3] != 1 {
+		t.Fatalf("homes messages per node = %v, want one each to nodes 2 and 3", homes)
 	}
-	if len(published) != 3 || published[1] != 1 || published[2] != 1 || published[3] != 1 {
-		t.Fatalf("publish messages per node = %v, want one each to nodes 1, 2 and 3", published)
-	}
-	tc.net.SetInterceptor(nil)
 	for _, oid := range []object.ID{p, q, r, s, u} {
 		if !tc.rts[0].Store().Owns(oid) || homeSays(t, tc.rts[4], oid) != 0 {
 			t.Fatalf("%s is not at node 0, or its home does not say so", oid)
 		}
+	}
+
+	ps := homedAtEach(t, 5, 1, 0, 0)
+	seed(t, tc, map[object.ID]int{ps[1]: 1, ps[2]: 2})
+	tc.net.SetInterceptor(log.intercept)
+	before := tc.rts[0].Metrics().Snapshot()
+	if homes := commit(ps[1], ps[2]); len(homes) != 0 {
+		t.Fatalf("homes messages per node = %v, want none: every home is node 0", homes)
+	}
+	m := tc.rts[0].Metrics().Snapshot()
+	m.Sub(before)
+	if m.CommitRounds != 1 || m.CommitMsgs != 2 {
+		t.Fatalf("commit took %d waves and %d messages, want 1 and 2: the locks alone", m.CommitRounds, m.CommitMsgs)
 	}
 }
 
@@ -508,10 +533,10 @@ func takeAway(t *testing.T, tc *testCluster, to int, oid object.ID) {
 }
 
 // TestReturningObjectIsNotMovedAway: node 1 took x from node 0, so node 0
-// answers Moved to node 1. Then node 0 writes x, and its publish wave, which
-// brings x back from node 1, is held for its replies. A retrieve served at
-// node 0 in that window is answered NotOwner — ask the home — and not Moved
-// to node 1, which is sending x back.
+// answers Moved to node 1. Then node 0 writes x, and the reply to its lock,
+// which brings x back from node 1, is held. A retrieve served at node 0 in
+// that window is answered NotOwner — ask the home — and not Moved to node 1,
+// which is sending x back.
 func TestReturningObjectIsNotMovedAway(t *testing.T) {
 	tc := newTestCluster(t, 3, nil, nil)
 	ctx := context.Background()
@@ -525,10 +550,11 @@ func TestReturningObjectIsNotMovedAway(t *testing.T) {
 	letGo := sync.OnceFunc(func() { close(release) })
 	defer letGo() // a failed test must not leave the commit held
 	var hold sync.Once
+	var lc lockCalls
 	tc.net.SetInterceptor(func(m *transport.Message) bool {
-		// Node 1's reply, held on node 1's goroutine serving node 0; a reply
-		// of node 2's held there would hold node 0's answers to node 2 too.
-		if m.Kind == KindCommitObjectBatch && m.IsReply && m.From == 1 && m.To == 0 {
+		// Node 1's reply to the lock, held on node 1's goroutine serving node
+		// 0.
+		if lc.isReply(m) && m.From == 1 {
 			hold.Do(func() {
 				close(held)
 				<-release
@@ -587,11 +613,11 @@ func TestRolledBackCreateLeavesNoDepartureRecord(t *testing.T) {
 	}
 }
 
-// TestCommitMigrationOfAGoneObjectFails: once a commit has taken an object
-// away from its owner, a commit message claiming it again — from another
-// transaction or from a new call of the same one — is refused. A copy of the
-// first message is never served again (the endpoint's floor), so no
-// migration has to be replayable.
+// TestCommitMigrationOfAGoneObjectFails: once a lock has taken an object
+// away from its owner, a lock claiming it again — from another transaction
+// or from a new call of the same one — takes nothing: the owner answers
+// where the object went. A copy of the first request is never served again
+// (the endpoint's floor), so no migration has to be replayable.
 func TestCommitMigrationOfAGoneObjectFails(t *testing.T) {
 	tc := newTestCluster(t, 2, nil, nil)
 	rt0, rt1 := tc.rts[0], tc.rts[1]
@@ -600,41 +626,28 @@ func TestCommitMigrationOfAGoneObjectFails(t *testing.T) {
 	if err := rt0.CreateRoot(ctx, "mig", &box{N: 1}); err != nil {
 		t.Fatal(err)
 	}
-	const txid = 77
-	ver := rt0.Store().State("mig").Ver
-	if got := lockOne(rt0.Store(), "mig", txid, ver); got != object.LockOK {
-		t.Fatalf("lock: %v", got)
-	}
-
-	req := commitObjBatchReq{TxID: txid, NewOwner: 1, Oids: []object.ID{"mig"}, Moved: []object.ID{"mig"}}
-	// migrate sends the one-entry batch and returns that entry's error text.
-	migrate := func(req commitObjBatchReq) string {
+	// lock sends node 1's one-entry locking retrieve under lockID to node 0.
+	lock := func(lockID uint64) retrieveResp {
 		t.Helper()
-		body, err := rt1.ep.Call(ctx, 0, KindCommitObjectBatch, req)
+		body, err := rt1.ep.Call(ctx, 0, KindRetrieve, retrieveReq{TxID: 77, Mode: sched.Write, Prefetch: true,
+			LockID: lockID, Oids: []object.ID{"mig"}})
 		if err != nil {
-			t.Fatalf("migration call: %v", err)
+			t.Fatalf("lock call: %v", err)
 		}
-		results := body.(commitObjBatchResp).Results
-		if len(results) != 1 {
-			t.Fatalf("results = %+v, want one entry", results)
-		}
-		return results[0].Err
+		return body.(retrieveResp)
 	}
-	// First migration removes the object from node 0.
-	if e := migrate(req); e != "" {
-		t.Fatalf("migration: %s", e)
+	// The first lock takes the object from node 0.
+	if r := lock(77); !r.Locked || r.Results[0].Status != statusOK {
+		t.Fatalf("lock: %+v", r)
 	}
 	if rt0.Store().Owns("mig") {
-		t.Fatal("object still owned by old owner after migration")
+		t.Fatal("object still owned by old owner after the lock took it")
 	}
 	// A new call of the same transaction finds the object gone, and so does
 	// a different transaction claiming it.
-	if e := migrate(req); e == "" {
-		t.Fatal("a second migration call of a gone object succeeded")
-	}
-	bad := req
-	bad.TxID = 78
-	if e := migrate(bad); e == "" {
-		t.Fatal("foreign-tx migration of a gone object succeeded")
+	for _, lockID := range []uint64{77, 78} {
+		if r := lock(lockID); r.Locked || r.Results[0].Status != statusMoved || r.Results[0].MovedTo != 1 {
+			t.Fatalf("a second lock (identity %d) of a gone object: %+v, want moved to node 1", lockID, r)
+		}
 	}
 }

@@ -3,7 +3,6 @@ package stm
 import (
 	"context"
 	"fmt"
-	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -88,7 +87,6 @@ func NewRuntime(ep *cluster.Endpoint, size int, policy sched.Policy, st *stats.T
 		waiters: make(map[waitKey]chan pushMsg),
 	}
 	ep.Handle(KindRetrieve, rt.handleRetrieve)
-	ep.Handle(KindRelease, rt.handleRelease)
 	ep.Handle(KindCheckVersionBatch, rt.handleValidate)
 	ep.Handle(KindCommitObjectBatch, rt.handleCommitObjectBatch)
 	ep.HandleNotify(KindPush, rt.handlePush)
@@ -127,13 +125,9 @@ func (rt *Runtime) SetTracer(tr *trace.Recorder) {
 		case "lock-ok":
 			tr.Emit(trace.Event{Type: trace.EvLockAcquire, Tx: tx, Oid: id})
 		case "install-locked":
-			tr.Emit(trace.Event{Type: trace.EvLockAcquire, Tx: tx, Oid: id, Detail: "create"})
-		case "unlock":
-			tr.Emit(trace.Event{Type: trace.EvLockRelease, Tx: tx, Oid: id, Detail: "unlock"})
-		case "commit":
-			tr.Emit(trace.Event{Type: trace.EvLockRelease, Tx: tx, Oid: id, Detail: "commit", A: a})
-		case "remove":
-			tr.Emit(trace.Event{Type: trace.EvLockRelease, Tx: tx, Oid: id, Detail: "migrate"})
+			tr.Emit(trace.Event{Type: trace.EvLockAcquire, Tx: tx, Oid: id, Detail: "install"})
+		case "unlock", "commit", "remove", "migrate":
+			tr.Emit(trace.Event{Type: trace.EvLockRelease, Tx: tx, Oid: id, Detail: op, A: a})
 		case "install":
 			tr.Emit(trace.Event{Type: trace.EvInstall, Oid: id, A: a})
 		}
@@ -204,15 +198,31 @@ func (rt *Runtime) CreateRoots(ctx context.Context, ids []object.ID, vals []obje
 // Owner-side protocol handlers.
 
 func (rt *Runtime) handleRetrieve(from transport.NodeID, payload any) (any, error) {
+	return rt.serveRetrieve(from, payload, false)
+}
+
+// handleValidate serves a validation (Txn.checkVersions) as a prefetch
+// retrieve, whatever the request says: the version of each entry held here,
+// with no value, a denial of each entry another transaction holds
+// commit-locked, with no scheduler decision and nothing queued or locked.
+func (rt *Runtime) handleValidate(from transport.NodeID, payload any) (any, error) {
+	return rt.serveRetrieve(from, payload, true)
+}
+
+// serveRetrieve answers a retrieve, or with validate a validation. The reply
+// is a cut as of OwnerClock: every entry is copied, the clock read and every
+// conflict decided in one critical section (Store.Read). A commit that
+// touches one of them later locks it after that read, hence ticks past
+// OwnerClock, and a lock that takes an entry enqueued here away finds the
+// requester queued.
+func (rt *Runtime) serveRetrieve(from transport.NodeID, payload any, validate bool) (any, error) {
 	req, ok := payload.(retrieveReq)
 	if !ok {
 		return nil, fmt.Errorf("stm: bad retrieve payload %T", payload)
 	}
-	// The reply is a cut as of OwnerClock: every entry is copied, the clock
-	// read and every conflict decided in one critical section (Store.Read).
-	// A commit that touches one of them later locks it after that read, hence
-	// ticks past OwnerClock, and a release or migration of an entry enqueued
-	// here finds the requester queued.
+	if validate {
+		req.Prefetch, req.LockID = true, 0
+	}
 	resp := retrieveResp{Results: make([]retrieveResult, len(req.Oids))}
 	var buf [8]object.Copy // a batch of up to 8 is read without allocating
 	copies, clock := rt.store.Read(buf[:0], req.Oids, rt.clock.Now, func(i int, c object.Copy) {
@@ -220,56 +230,72 @@ func (rt *Runtime) handleRetrieve(from transport.NodeID, payload any) (any, erro
 	})
 	resp.OwnerClock = clock
 	if req.LockID != 0 {
-		rt.lockAnnounced(&req, copies, &resp)
+		rt.lockAnnounced(from, &req, copies, &resp)
+	}
+	for i := range resp.Results {
+		// The receiver's copy of each value still held here; a validation
+		// compares versions only.
+		if r := &resp.Results[i]; r.Status == statusOK && r.Value == nil && !validate {
+			r.Value = copies[i].Val.Copy()
+		}
 	}
 	return resp, nil
-}
-
-// handleValidate serves a validation (Txn.checkVersions) as a prefetch
-// retrieve, whatever the request says: a copy of each entry held here, a
-// denial of each entry another transaction holds commit-locked, with no
-// scheduler decision and nothing queued or locked.
-func (rt *Runtime) handleValidate(from transport.NodeID, payload any) (any, error) {
-	if req, ok := payload.(retrieveReq); ok {
-		req.Prefetch, req.LockID = true, 0
-		payload = req
-	}
-	return rt.handleRetrieve(from, payload)
 }
 
 // lockAnnounced serves a locking retrieve (Txn.lockWave), the one owner-side
 // commit-lock step: it commit-locks, for req.LockID, every entry this node
 // held when the request's copies were read, at the version read, all or
-// nothing (Store.LockBatch), and answers those copies with Locked set (the
-// read answered the unlocked ones; the rest, req.LockID's already, get a
-// copy of the value here). When
-// any entry cannot be locked — another transaction holds it, a commit got to
-// it after the read, or the store fenced it for req.LockID because a release
-// overtook this request — nothing is locked, and the answers stay those of
+// nothing (Store.LockBatch), and answers those copies with Locked set. When
+// any entry cannot be locked — another transaction holds it, or a commit got
+// to it after the read — nothing is locked, and the answers stay those of
 // the plain prefetch the read decided.
-func (rt *Runtime) lockAnnounced(req *retrieveReq, copies []object.Copy, resp *retrieveResp) {
+//
+// A lock for another node is a migration: each locked entry leaves the store
+// for the requester, which installs it locked (Store.Migrate records where
+// it went), its requester queue goes with it in the reply (a retrieve
+// enqueues only under the store's mutex while the object is here, so that
+// queue is complete), and this node's directory shard or hint names the
+// requester (cc.Service.Moved). The value left the store, so the reply
+// carries it uncopied.
+func (rt *Runtime) lockAnnounced(from transport.NodeID, req *retrieveReq, copies []object.Copy, resp *retrieveResp) {
 	entries := make([]object.LockEntry, 0, len(req.Oids))
 	for i, c := range copies {
 		if c.Owned {
 			entries = append(entries, object.LockEntry{ID: req.Oids[i], Expect: c.Ver})
 		}
 	}
-	if _, applied := rt.store.LockBatch(req.LockID, entries); !applied {
+	if _, applied := rt.store.LockBatch(req.LockID, entries); !applied || len(entries) == 0 {
 		return
 	}
-	for i, c := range copies {
-		if r := &resp.Results[i]; c.Owned && r.Status != statusOK {
-			*r = retrieveResult{Status: statusOK, Value: c.Val.Copy(), Version: c.Ver}
-		}
-	}
 	resp.Locked = true
+	var handed []object.ID
+	for i, c := range copies {
+		if !c.Owned {
+			continue
+		}
+		r, oid := &resp.Results[i], req.Oids[i]
+		r.Status, r.Version = statusOK, c.Ver
+		if from == rt.Self() {
+			continue
+		}
+		// Locked for req.LockID a moment ago, so the migration cannot be
+		// refused: only a lock's holder frees it.
+		_ = rt.store.Migrate(oid, req.LockID, from)
+		r.Value, r.Queue = c.Val, rt.policy.ExtractQueue(oid)
+		handed = append(handed, oid)
+	}
+	if len(handed) > 0 {
+		// Each was held here, so registered: no shard entry is missing.
+		_ = rt.moved(handed, from, req.LockID)
+	}
 }
 
 // retrieveOne answers one object of a retrieve into out (zero on entry)
-// from c, with the store locked (handleRetrieve's read): a copy of its value,
-// or — when the object is being validated by a committing transaction — the
-// transactional scheduler's decision for this requester. Both go by
-// pointer: this runs once per entry inside the store's critical section.
+// from c, with the store locked (serveRetrieve's read): its version (the
+// value is copied after the read), or — when the object is being validated
+// by a committing transaction — the transactional scheduler's decision for
+// this requester. Both go by pointer: this runs once per entry inside the
+// store's critical section.
 func (rt *Runtime) retrieveOne(from transport.NodeID, req *retrieveReq, oid object.ID, c *object.Copy, out *retrieveResult) {
 	if !c.Owned {
 		// Moved to the node a migration last took it to, else NotOwner.
@@ -289,7 +315,7 @@ func (rt *Runtime) retrieveOne(from transport.NodeID, req *retrieveReq, oid obje
 	// towards the contention level of an object this node does not own.
 	out.RemoteCL = rt.policy.ObserveRequest(oid, req.TxID)
 	if !locked {
-		out.Status, out.Value, out.Version = statusOK, c.Val.Copy(), c.Ver
+		out.Status, out.Version = statusOK, c.Ver
 		return
 	}
 
@@ -310,50 +336,32 @@ func (rt *Runtime) retrieveOne(from transport.NodeID, req *retrieveReq, oid obje
 	}
 }
 
-func (rt *Runtime) handleRelease(_ transport.NodeID, payload any) (any, error) {
-	req, ok := payload.(releaseReq)
-	if !ok {
-		return nil, fmt.Errorf("stm: bad release payload %T", payload)
-	}
-	for _, oid := range req.Oids {
-		rt.store.Unlock(oid, req.TxID)
-		// The commit failed, so the object stays here unchanged; hand it to
-		// any queued requesters (handOff leaves it to whoever holds it now).
-		rt.handOff(oid)
-	}
-	return releaseReq{}, nil
-}
-
-// ---------------------------------------------------------------------------
-// Owner-grouped batch handlers: one message covers every object of a commit
-// that this node owns (O(owners) commit rounds instead of O(objects)).
-
-// handleCommitObjectBatch serves one message of a publish wave. Each entry
-// of this node's leaves the store for the committer, which holds its commit
-// lock (Store.Migrate records where it went), and its requester queue goes
-// back in the reply: a retrieve enqueues only under the store's mutex while
-// the object is here, so that queue is complete. The endpoint serves each
-// request at most once, so an entry already gone is refused. Then the node
-// remembers where everything the commit moved went — except an entry
-// refused just now, which is still here.
+// handleCommitObjectBatch serves one message of a homes wave
+// (Txn.tellHomes): everything the message names moved to NewOwner, under
+// the lock of identity TxID.
 func (rt *Runtime) handleCommitObjectBatch(_ transport.NodeID, payload any) (any, error) {
 	req, ok := payload.(commitObjBatchReq)
 	if !ok {
 		return nil, fmt.Errorf("stm: bad commit batch payload %T", payload)
 	}
-	resp := commitObjBatchResp{Results: make([]commitObjBatchResult, len(req.Oids))}
-	for i, oid := range req.Oids {
-		if err := rt.store.Migrate(oid, req.TxID, req.NewOwner); err != nil {
-			resp.Results[i].Err = err.Error()
-			continue
-		}
-		resp.Results[i].Queue = rt.policy.ExtractQueue(oid)
-	}
-	moved := slices.DeleteFunc(slices.Clone(req.Moved), rt.store.Owns)
-	if err := rt.locator.Moved(moved, req.NewOwner); err != nil {
+	var resp commitObjBatchResp
+	if err := rt.moved(req.Moved, req.NewOwner, req.TxID); err != nil {
 		resp.DirErr = err.Error()
 	}
 	return resp, nil
+}
+
+// moved records at this node that the lock of identity lockID brought ids
+// to owner (cc.Service.Moved), and traces each directory entry of this
+// node's shard it rewrote, so the oracle can tell when a home knew.
+func (rt *Runtime) moved(ids []object.ID, owner transport.NodeID, lockID uint64) error {
+	err := rt.locator.Moved(ids, owner)
+	for _, id := range ids {
+		if rt.tracer.Enabled() && rt.locator.Home(id) == rt.Self() {
+			rt.tracer.Emit(trace.Event{Type: trace.EvDirUpdate, Tx: lockID, Oid: id, A: uint64(owner)})
+		}
+	}
+	return err
 }
 
 // handOff pushes the object's current state to the requesters its

@@ -2,7 +2,6 @@ package stm
 
 import (
 	"context"
-	"fmt"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -11,6 +10,7 @@ import (
 	"dstm/internal/core"
 	"dstm/internal/object"
 	"dstm/internal/sched"
+	"dstm/internal/transport"
 )
 
 // These tests drive the owner-side scheduling path deterministically by
@@ -400,10 +400,10 @@ func TestQueueMigratesWithOwnership(t *testing.T) {
 	}()
 	waitFor(t, func() bool { return rts0.QueueLen("x") == 1 })
 
-	if queue, err := publishX(ctx, tc, committerTx, 50); err != nil {
+	if queued, err := publishX(ctx, tc, committerTx, 50); err != nil {
 		t.Fatal(err)
-	} else if len(queue) != 1 {
-		t.Fatalf("migration carried %d requests, want C's", len(queue))
+	} else if queued != 1 {
+		t.Fatalf("migration carried %d requests, want C's", queued)
 	}
 
 	if err := <-doneC; err != nil {
@@ -426,34 +426,21 @@ func TestQueueMigratesWithOwnership(t *testing.T) {
 }
 
 // publishX plays node 1's commit of x, locked at node 0 by committerTx, as
-// Txn.publishAll does: x migrates with its queue to node 1, x's home learns
-// of it, and node 1 installs x with value n, adopts the queue and hands x
-// off. It returns the queue the migration carried.
-func publishX(ctx context.Context, tc *testCluster, committerTx uint64, n int64) ([]sched.Request, error) {
+// Txn.commit does: node 1's locking retrieve under committerTx takes x from
+// node 0 with its queue (Txn.lockWave), installs it locked and adopts the
+// queue, and Txn.releaseLocks tells x's home, publishes x with value n in
+// place and hands it off. It returns how many requesters the lock brought.
+func publishX(ctx context.Context, tc *testCluster, committerTx uint64, n int64) (int, error) {
+	tx := &Txn{rt: tc.rts[1], id: committerTx, lockID: committerTx, entries: map[object.ID]*objEntry{}}
+	tx.root = tx
+	locked := map[object.ID]transport.NodeID{}
+	if _, err := tx.lockWave(ctx, []object.ID{"x"}, locked, nil); err != nil {
+		return 0, err
+	}
+	queued := tc.rts[1].Policy().(*core.RTS).QueueLen("x")
+	tx.entries["x"] = &objEntry{val: &box{N: n}}
 	newVer := object.Version{Clock: tc.rts[1].ep.Clock().Tick(), Node: 1}
-	moved := []object.ID{"x"}
-	body, err := tc.rts[1].ep.Call(ctx, 0, KindCommitObjectBatch, commitObjBatchReq{
-		TxID: committerTx, NewOwner: 1, Oids: moved, Moved: moved,
-	})
-	if err != nil {
-		return nil, err
-	}
-	results := body.(commitObjBatchResp).Results
-	if len(results) != 1 || results[0].Err != "" {
-		return nil, fmt.Errorf("migration results = %+v, want one entry", results)
-	}
-	queue := results[0].Queue
-	if home := tc.rts[1].Locator().Home("x"); home != 0 {
-		if _, err := tc.rts[1].ep.Call(ctx, home, KindCommitObjectBatch, commitObjBatchReq{
-			TxID: committerTx, NewOwner: 1, Moved: moved,
-		}); err != nil {
-			return nil, err
-		}
-	}
-	tc.rts[1].Store().Install("x", &box{N: n}, newVer)
-	tc.rts[1].Policy().AdoptQueue("x", queue)
-	tc.rts[1].handOff("x")
-	return queue, nil
+	return queued, tx.releaseLocks(ctx, locked, []object.ID{"x"}, newVer, nil)
 }
 
 // TestMigrationBeforeTheEnqueueKeepsTheRequester: node 2's write finds x

@@ -112,9 +112,9 @@ func (rt *Runtime) Atomic(ctx context.Context, name string, fn func(tx *Txn) err
 			err = tx.commit(ctx)
 		}
 		// Whatever the ending, what the attempt still holds locked is released
-		// before the outcome is told (past the commit point the publish wave
-		// took the set over).
-		tx.releaseLocks(ctx, tx.held.locked)
+		// before the outcome is told (past the commit point the commit took
+		// the set over).
+		_ = tx.releaseLocks(ctx, tx.held.locked, nil, object.Version{}, nil)
 		if err == nil {
 			rt.metrics.commits.Add(1)
 			rt.metrics.observeOutcome(true, 0, time.Since(tx.attemptBegan))
@@ -375,14 +375,15 @@ type park struct {
 	until   time.Time
 }
 
-// holdings is what a root attempt holds at the owners (Txn.holdings): the
-// copies its Prefetch calls fetched, and its commit locks.
+// holdings is what a root attempt holds (Txn.holdings): the copies its
+// Prefetch calls fetched, and its commit locks.
 type holdings struct {
 	copies map[object.ID]fetched // made by the first Prefetch that stores one
-	// locked is every object the attempt holds commit-locked, by owner: the
-	// announced write set, then the writes its commit locks. They cannot
-	// change until the publish wave takes them over or Runtime.Atomic
-	// releases them.
+	// locked is every object the attempt holds commit-locked, each on this
+	// node, by the node its lock was taken at (its old owner, or this node):
+	// the announced write set, then the writes its commit locks. They cannot
+	// change until the commit publishes them or Runtime.Atomic releases
+	// them (releaseLocks).
 	locked map[object.ID]transport.NodeID
 }
 
@@ -397,11 +398,11 @@ type holdings struct {
 //
 // With sched.Write the objects are the root's write set, announced once,
 // before any access, with the locking retrieve (lockWave): each owner
-// commit-locks the ones it holds for the attempt, all or nothing, so the
-// commit neither locks nor validates them and a held copy is never dropped,
-// revalidated or used up. When any owner could not lock its batch, the
-// batches that did lock are released before Prefetch returns, and the copies
-// are plain held copies.
+// commit-locks the ones it holds for the attempt, all or nothing, and hands
+// them here, so the commit neither locks nor validates them and a held copy
+// is never dropped, revalidated or used up. When any owner could not lock
+// its batch, the batches that did lock are released here, unchanged, before
+// Prefetch returns, and the copies are plain held copies.
 func (tx *Txn) Prefetch(ctx context.Context, oids []object.ID, mode sched.Mode) {
 	want := tx.unopened(oids)
 	if len(want) == 0 {
@@ -417,8 +418,7 @@ func (tx *Txn) Prefetch(ctx context.Context, oids []object.ID, mode sched.Mode) 
 		if got, err = tx.lockWave(ctx, want, locked, nil); err != nil {
 			// No transaction holds a lock while it waits: an announcement
 			// that did not lock everywhere gives back what it did lock.
-			root.releaseLocks(ctx, locked)
-			clear(locked)
+			_ = root.releaseLocks(ctx, locked, nil, object.Version{}, nil)
 		}
 		maps.Copy(p.locked, locked)
 	} else {
@@ -437,14 +437,23 @@ func (tx *Txn) Prefetch(ctx context.Context, oids []object.ID, mode sched.Mode) 
 // locks: Prefetch announces its write set with it, and the commit locks the
 // writes not announced. It is a prefetch wave whose requests carry the
 // attempt's lock identity, so each owner commit-locks the batch it holds, all
-// or nothing, at the versions it copies (Runtime.lockAnnounced). It returns
-// the copies and adds to locked, by owner, the entries that came back locked
-// (and those whose replies were lost). An entry of oids left unlocked makes
-// it return a lock-failed abort, which the caller reads its own way:
-// Prefetch gives back what did lock and carries on lazily, the commit aborts.
+// or nothing, at the versions it copies, and hands it here with its queues
+// (Runtime.lockAnnounced), where it is installed locked. It returns the
+// copies and adds to locked, by owner, the entries that came back locked. An
+// entry of oids left unlocked makes it return a lock-failed abort, which the
+// caller reads its own way: Prefetch gives back what did lock and carries on
+// lazily, the commit aborts. The wave is detached from ctx: an owner that
+// served a lock has handed its objects over, so the reply must not be
+// abandoned; only the retry budget ends it (a reply lost for good loses the
+// objects it carried, as a lost publish reply did). A ctx that ended
+// meanwhile is the error, once the locks are in.
 func (tx *Txn) lockWave(ctx context.Context, oids []object.ID, locked map[object.ID]transport.NodeID, meter *commitMeter) ([]fetched, error) {
-	got, _, err := tx.retrieveWaves(ctx, oids, sched.Write, true, locked, meter)
-	if err == nil && slices.ContainsFunc(oids, func(oid object.ID) bool { _, ok := locked[oid]; return !ok }) {
+	got, _, err := tx.retrieveWaves(detach(ctx), oids, sched.Write, true, locked, meter)
+	switch {
+	case err != nil:
+	case ctx.Err() != nil:
+		err = ctx.Err() // the attempt ended while its locks came in
+	case slices.ContainsFunc(oids, func(oid object.ID) bool { _, ok := locked[oid]; return !ok }):
 		err = &abortError{target: tx.root, cause: AbortLockFailed}
 	}
 	return got, err
@@ -626,10 +635,10 @@ func ownerWave(ctx context.Context, tx *Txn, kind transport.Kind, oids []object.
 // copy is kept; a denial aborts the root. A prefetch wave registers no waiter
 // (no owner queues it) and reads a denial as "left alone". With locked
 // non-nil it is the locking retrieve (lockWave): it asks the owners to lock
-// their batches for the attempt (Runtime.lockAnnounced) and keeps in locked
-// the copies that came back locked, by owner — and, conservatively, the
-// batches whose replies were lost; a lost wave then aborts on the lock.
-// meter, when non-nil, accounts the wave into the commit pipeline's tally.
+// their batches for the attempt (Runtime.lockAnnounced), installs what
+// another node handed over locked here (install), and keeps in locked the
+// copies that came back locked, by owner. meter, when non-nil, accounts the
+// wave into the commit pipeline's tally.
 func (tx *Txn) retrieveWaves(ctx context.Context, oids []object.ID, mode sched.Mode, prefetch bool,
 	locked map[object.ID]transport.NodeID, meter *commitMeter) (got []fetched, parked []park, err error) {
 	rt, root, myCL := tx.rt, tx.root, tx.myCL()
@@ -652,12 +661,14 @@ func (tx *Txn) retrieveWaves(ctx context.Context, oids []object.ID, mode sched.M
 			// Register the waiters before the request so a hand-off push can
 			// never race past us.
 			for _, oid := range g.oids {
-				switch {
-				case locked != nil:
-					locked[oid] = g.owner // until the reply says otherwise
-				case !prefetch:
+				if !prefetch {
 					rt.registerWaiter(tx.id, oid)
 				}
+			}
+			if locked != nil && g.owner != rt.Self() {
+				// Coming here, maybe: a request served in the wave's window is
+				// told NotOwner, not Moved to the node that may be sending them.
+				rt.store.Arriving(g.oids)
 			}
 			elapsed := time.Since(root.began)
 			remain := root.expected - elapsed
@@ -680,16 +691,23 @@ func (tx *Txn) retrieveWaves(ctx context.Context, oids []object.ID, mode sched.M
 			if g.owner != rt.Self() {
 				far = 1
 			}
+			var took []object.ID
+			defer func() { tx.took(took) }()
 			for i := range r.Results {
 				res, oid := &r.Results[i], g.oids[i]
-				if locked != nil && !(r.Locked && res.Status == statusOK) {
-					delete(locked, oid)
-				}
 				switch {
 				case res.Status == statusOK:
 					rt.metrics.remoteCopies.Add(far)
 					rt.deregisterWaiter(tx.id, oid)
-					got = append(got, fetched{oid, res.Value, res.Version, res.RemoteCL, r.OwnerClock})
+					val := res.Value
+					if locked != nil && r.Locked {
+						locked[oid] = g.owner
+						if far == 1 {
+							val = tx.install(oid, res)
+							took = append(took, oid)
+						}
+					}
+					got = append(got, fetched{oid, val, res.Version, res.RemoteCL, r.OwnerClock})
 				case res.Status.notHere():
 					rt.metrics.staleHops.Add(far)
 					rt.deregisterWaiter(tx.id, oid)
@@ -714,17 +732,41 @@ func (tx *Txn) retrieveWaves(ctx context.Context, oids []object.ID, mode sched.M
 	return got, parked, nil
 }
 
+// install installs one object a locking retrieve brought here, locked for
+// the attempt, with the queue that came with it, and returns the
+// transaction's own copy of its value (the store keeps the one it got).
+func (tx *Txn) install(oid object.ID, res *retrieveResult) object.Value {
+	rt := tx.rt
+	rt.policy.AdoptQueue(oid, res.Queue) // nothing reads it before the install
+	rt.store.InstallLocked(oid, res.Value, res.Version, tx.root.lockID)
+	return res.Value.Copy()
+}
+
+// took records that the locks of one reply brought ids here, installed: this
+// node's own shard or hint names it, and every other node hears of them on
+// its next message from here (cc.Service.Took).
+func (tx *Txn) took(ids []object.ID) {
+	if len(ids) > 0 {
+		_ = tx.rt.moved(ids, tx.rt.Self(), tx.root.lockID)
+		tx.rt.locator.Took(ids)
+	}
+}
+
 // adoptFetched records the copies one fetchMany received at this nesting
-// level, under a single transactional-forwarding step to the largest owner
-// clock among them. A copy whose owner reported that clock is current as of
-// it (handleRetrieve's cut) and joins after the step; a copy from an owner that reported less
-// joins before, so the step revalidates it together with the chain — which
-// also carries this node's (merged) clock to that owner, keeping every
-// owner the transaction has read from at or above its start clock.
+// level, under a single transactional-forwarding step to the newest version
+// among them. Each copy is current as of its owner's clock (serveRetrieve's
+// cut), which is at or above the start it was requested at (the request
+// carried this node's clock), so a batch of versions no newer than the start
+// joins as it is. A copy whose owner reported at least the newest version is
+// current as of it and joins after the step; a copy from an owner that
+// reported less joins before, so the step revalidates it together with the
+// chain — which also carries this node's (merged) clock to that owner,
+// keeping every owner the transaction has read from at or above its start
+// clock.
 func (tx *Txn) adoptFetched(ctx context.Context, got []fetched) error {
-	var maxClock uint64
+	var newest uint64
 	for i := range got {
-		maxClock = max(maxClock, got[i].ownerClock)
+		newest = max(newest, got[i].ver.Clock)
 	}
 	record := func(f *fetched) {
 		tx.rt.tracer.Emit(trace.Event{Type: trace.EvRetrieveOK, Tx: tx.id, Oid: f.oid, A: f.ver.Clock})
@@ -733,13 +775,13 @@ func (tx *Txn) adoptFetched(ctx context.Context, got []fetched) error {
 	}
 	current := got[:0]
 	for i := range got {
-		if got[i].ownerClock < maxClock {
+		if got[i].ownerClock < newest {
 			record(&got[i])
 		} else {
 			current = append(current, got[i])
 		}
 	}
-	if err := tx.forward(ctx, maxClock); err != nil {
+	if err := tx.forward(ctx, newest); err != nil {
 		return err
 	}
 	for i := range current {
@@ -749,10 +791,10 @@ func (tx *Txn) adoptFetched(ctx context.Context, got []fetched) error {
 }
 
 // forward implements TFA's transactional forwarding: when the transaction
-// observes a clock ahead of its start time — an owner's with a fetched copy,
-// this node's own at an inner commit — it revalidates its read set and, if
-// intact, advances its start time; a stale entry aborts the innermost level
-// holding it.
+// observes a clock ahead of its start time — the version of a fetched copy
+// (adoptFetched), this node's own clock at an inner commit — it revalidates
+// its read set and, if intact, advances its start time; a stale entry aborts
+// the innermost level holding it.
 func (tx *Txn) forward(ctx context.Context, clock uint64) error {
 	root := tx.root
 	if clock <= root.start {

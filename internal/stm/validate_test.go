@@ -81,6 +81,28 @@ func TestValidationNeverConsultsTheScheduler(t *testing.T) {
 	}
 }
 
+// TestValidationRepliesCarryNoValue: an owner answers a validation with the
+// version of each entry it holds and no value — the requester compares
+// versions only — while a retrieve of the same entries carries the values.
+func TestValidationRepliesCarryNoValue(t *testing.T) {
+	tc := newTestCluster(t, 2, nil, nil)
+	ctx := context.Background()
+	oids := []object.ID{"a", "b", "c"}
+	seed(t, tc, map[object.ID]int{"a": 1, "b": 1, "c": 1})
+	for kind, wantValue := range map[transport.Kind]bool{KindCheckVersionBatch: false, KindRetrieve: true} {
+		body, err := tc.rts[0].ep.Call(ctx, 1, kind, retrieveReq{TxID: 7, Mode: sched.Read, Prefetch: true, Oids: oids})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, r := range body.(retrieveResp).Results {
+			if r.Status != statusOK || r.Version != tc.rts[1].Store().State(oids[i]).Ver || (r.Value != nil) != wantValue {
+				t.Errorf("kind %d, %s: status %d, version %v, value %v; want a current version, with a value: %v",
+					kind, oids[i], r.Status, r.Version, r.Value, wantValue)
+			}
+		}
+	}
+}
+
 // TestCommitNeverValidatesItsOwnLocks: a commit validates only the entries
 // its attempt does not hold locked. The owner denies every commit-locked
 // entry to a validation, its own holder's included, so an announced write

@@ -13,29 +13,30 @@ import (
 	"dstm/internal/wire"
 )
 
-// Wire type IDs 10–39 are reserved for STM payloads. They are a static
-// protocol: never renumber, only append. IDs 10–15, 17 and 18 (payloads of
-// the retired per-object retrieve/check/acquire/commit RPCs), 22 and 24 (the
-// acquire and check replies without the not-here answer), 23 and 35 (the
-// check request and the acquire reply, from before acquire and validation
-// shared one request and one reply type), 25 and 26 (the publish pair that
-// carried values and no move list), 27–30 (the retired MVCC snapshot-read
-// payloads), 31 and 32 (the retrieve pair without the lock identity and
-// the locked flag) and 21 and 36 (the validation pair from before a
-// validation was a prefetch retrieve) are reserved: never reuse them, or a
-// frame from an old peer would mis-decode into a live type.
+// Wire type IDs 10–39, and 60–69 past them, are reserved for STM payloads.
+// They are a static protocol: never renumber, only append. IDs 10–15, 17
+// and 18 (payloads of the retired per-object retrieve/check/acquire/commit
+// RPCs), 16 (the retired remote release), 22 and 24 (the acquire and check
+// replies without the not-here answer), 23 and 35 (the check request and the
+// acquire reply, from before acquire and validation shared one request and
+// one reply type), 25 and 26 (the publish pair that carried values and no
+// move list), 27–30 (the retired MVCC snapshot-read payloads), 31 and 32
+// (the retrieve pair without the lock identity and the locked flag), 21 and
+// 36 (the validation pair from before a validation was a prefetch
+// retrieve), 33 and 34 (the publish pair that surrendered objects, before a
+// lock took them) and 38 (the retrieve reply without the surrendered
+// queues) are reserved: never reuse them, or a frame from an old peer would
+// mis-decode into a live type.
 const (
-	wireIDReleaseReq         wire.ID = 16
 	wireIDPushMsg            wire.ID = 19
 	wireIDDeclineMsg         wire.ID = 20
-	wireIDCommitObjBatchReq  wire.ID = 33
-	wireIDCommitObjBatchResp wire.ID = 34
 	wireIDRetrieveReq        wire.ID = 37
-	wireIDRetrieveResp       wire.ID = 38
+	wireIDRetrieveResp       wire.ID = 39
+	wireIDCommitObjBatchReq  wire.ID = 60
+	wireIDCommitObjBatchResp wire.ID = 61
 )
 
 func init() {
-	wire.Register(wireIDReleaseReq, releaseReq{})
 	wire.Register(wireIDPushMsg, pushMsg{})
 	wire.Register(wireIDDeclineMsg, declineMsg{})
 	wire.Register(wireIDCommitObjBatchReq, commitObjBatchReq{})
@@ -138,13 +139,14 @@ func (q retrieveResp) AppendWire(b []byte) ([]byte, error) {
 		b = wire.AppendVarint(b, int64(res.RemoteCL))
 		b = wire.AppendVarint(b, int64(res.Backoff))
 		b = wire.AppendVarint(b, int64(res.MovedTo))
+		b = appendSchedQueue(b, res.Queue)
 	}
 	b = wire.AppendUvarint(b, q.OwnerClock)
 	return wire.AppendBool(b, q.Locked), nil
 }
 
 func (retrieveResp) ReadWire(r *wire.Reader) any {
-	q := retrieveResp{Results: wire.MakeSlice[retrieveResult](r.SliceLen(7))}
+	q := retrieveResp{Results: wire.MakeSlice[retrieveResult](r.SliceLen(8))}
 	for i := range q.Results {
 		res := &q.Results[i]
 		res.Status = status(r.Uvarint())
@@ -153,19 +155,11 @@ func (retrieveResp) ReadWire(r *wire.Reader) any {
 		res.RemoteCL = int(r.Varint())
 		res.Backoff = time.Duration(r.Varint())
 		res.MovedTo = transport.NodeID(r.Varint())
+		res.Queue = readSchedQueue(r)
 	}
 	q.OwnerClock = r.Uvarint()
 	q.Locked = r.Bool()
 	return q
-}
-
-func (q releaseReq) AppendWire(b []byte) ([]byte, error) {
-	b = wire.AppendStrings(b, q.Oids)
-	return wire.AppendUvarint(b, q.TxID), nil
-}
-
-func (releaseReq) ReadWire(r *wire.Reader) any {
-	return releaseReq{Oids: wire.ReadStrings[object.ID](r), TxID: r.Uvarint()}
 }
 
 func (q pushMsg) AppendWire(b []byte) ([]byte, error) {
@@ -196,32 +190,19 @@ func (declineMsg) ReadWire(r *wire.Reader) any { return declineMsg{Oid: object.I
 func (q commitObjBatchReq) AppendWire(b []byte) ([]byte, error) {
 	b = wire.AppendUvarint(b, q.TxID)
 	b = wire.AppendVarint(b, int64(q.NewOwner))
-	b = wire.AppendStrings(b, q.Oids)
 	return wire.AppendStrings(b, q.Moved), nil
 }
 
 func (commitObjBatchReq) ReadWire(r *wire.Reader) any {
 	return commitObjBatchReq{TxID: r.Uvarint(), NewOwner: transport.NodeID(r.Varint()),
-		Oids: wire.ReadStrings[object.ID](r), Moved: wire.ReadStrings[object.ID](r)}
+		Moved: wire.ReadStrings[object.ID](r)}
 }
 
 func (q commitObjBatchResp) AppendWire(b []byte) ([]byte, error) {
-	b = wire.AppendUvarint(b, uint64(len(q.Results)))
-	for i := range q.Results {
-		b = appendSchedQueue(b, q.Results[i].Queue)
-		b = wire.AppendString(b, q.Results[i].Err)
-	}
 	return wire.AppendString(b, q.DirErr), nil
 }
 
-func (commitObjBatchResp) ReadWire(r *wire.Reader) any {
-	q := commitObjBatchResp{Results: wire.MakeSlice[commitObjBatchResult](r.SliceLen(2))}
-	for i := range q.Results {
-		q.Results[i] = commitObjBatchResult{Queue: readSchedQueue(r), Err: r.String()}
-	}
-	q.DirErr = r.String()
-	return q
-}
+func (commitObjBatchResp) ReadWire(r *wire.Reader) any { return commitObjBatchResp{DirErr: r.String()} }
 
 // benchOids returns n recurring object IDs shaped like real ones.
 func benchOids(n int) []object.ID {

@@ -60,42 +60,45 @@ func wireBenchCases() []wireCase {
 		{Status: statusMoved, MovedTo: 2},
 		{Status: statusOK, Value: benchVal(107), Version: ver},
 	}}
-	// A bank batch's announced write set at one owner, locked there: two
-	// copies under the attempt's lock and one object that has moved on.
+	// A bank batch's announced write set at one owner, locked there and handed
+	// over: two copies under the attempt's lock, one with the requester queue
+	// that left with it, and one object that has moved on.
 	annReq := retrieveReq{TxID: 77, Mode: sched.Write, MyCL: 0,
 		Elapsed: 80 * time.Microsecond, Remain: 900 * time.Microsecond, Prefetch: true, LockID: 1<<40 | 78, Oids: oids[:3]}
 	annResp := retrieveResp{OwnerClock: 42, Locked: true, Results: []retrieveResult{
-		{Status: statusOK, Value: benchVal(100), Version: ver, RemoteCL: 1},
+		{Status: statusOK, Value: benchVal(100), Version: ver, RemoteCL: 1,
+			Queue: []sched.Request{{Oid: oids[0], TxID: 78, Node: 5, Mode: sched.Write,
+				MyCL: 1, Elapsed: time.Millisecond, ExpectedRemaining: 2 * time.Millisecond}}},
 		{Status: statusMoved, MovedTo: 2},
 		{Status: statusOK, Value: benchVal(93), Version: ver, RemoteCL: 1},
 	}}
 	// One owner's eight entries validated — the pump frame (WirePumpPayload)
-	// — and the reply: five copies, one entry another transaction holds
-	// locked, and two entries gone from the owner — one to a known node, one
-	// with no record.
+	// — and the reply: five current versions, one entry another transaction
+	// holds locked, and two entries gone from the owner — one to a known
+	// node, one with no record.
 	chk := WirePumpPayload().(retrieveReq)
 	chkResp := retrieveResp{OwnerClock: 42, Results: make([]retrieveResult, 8)}
 	for i := range chkResp.Results {
-		chkResp.Results[i] = retrieveResult{Status: statusOK, Value: benchVal(100 + i), Version: ver, RemoteCL: 1}
+		chkResp.Results[i] = retrieveResult{Status: statusOK, Version: ver, RemoteCL: 1}
 	}
 	chkResp.Results[2] = retrieveResult{Status: statusMoved, MovedTo: 2}
 	chkResp.Results[4] = retrieveResult{Status: statusDenied}
 	chkResp.Results[5] = retrieveResult{Status: statusNotOwner}
-	// A publish message to the old owner of four of the eight objects moved.
-	com := commitObjBatchReq{TxID: 77, NewOwner: 3, Oids: oids[:4], Moved: oids}
-	comResp := commitObjBatchResp{Results: make([]commitObjBatchResult, 4)}
-	comResp.Results[1].Queue = []sched.Request{{Oid: oids[1], TxID: 78, Node: 5, Mode: sched.Write,
-		MyCL: 1, Elapsed: time.Millisecond, ExpectedRemaining: 2 * time.Millisecond}}
+	// A homes-wave message naming eight objects a commit's locks brought to
+	// node 3, and the home's answer, which boxes without allocating when it
+	// carries no error.
+	com := commitObjBatchReq{TxID: 77, NewOwner: 3, Moved: oids}
+	comResp := commitObjBatchResp{}
 
 	return []wireCase{
 		{"retrieveReq", retReq, 2},
 		{"retrieveResp", retResp, 2},
 		{"retrieveReqAnnounce", annReq, 2},
-		{"retrieveRespLocked", annResp, 2},
+		{"retrieveRespLocked", annResp, 3},
 		{"checkBatchReq8", chk, 2},
 		{"checkBatchResp8", chkResp, 2},
-		{"commitObjBatchReq4", com, 3},
-		{"commitObjBatchResp4", comResp, 3},
+		{"commitObjBatchReq4", com, 2},
+		{"commitObjBatchResp4", comResp, 0},
 	}
 }
 

@@ -88,8 +88,8 @@ func (r Report) NestedAbortRate() float64 { return r.Metrics.NestedAbortRate() }
 // only a lock's holder frees it and every holder has ended by then (a lock
 // left behind also wedges the invariant check); the application's
 // invariant; the directory; the protocol oracle, when tracing. A crash is
-// no excuse: a crashed node keeps its state, and every release and
-// publish outlasts its crash window.
+// no excuse: a crashed node keeps its state, and every lock reply and
+// homes message outlasts its crash window.
 func (r Report) Err() error {
 	if r.LeftLocks > 0 {
 		return fmt.Errorf("testbed: %d commit locks left: %w", r.LeftLocks, r.leftLock)

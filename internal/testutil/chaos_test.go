@@ -62,7 +62,7 @@ func TestChaosBankConservation(t *testing.T) {
 }
 
 // TestChaosDirectoryConverges runs the bank under loss, duplication and
-// reordering but no crashes, where every committer finishes its publish wave:
+// reordering but no crashes, where every committer finishes its homes wave:
 // migrations chase one another across the lossy links, and once the cluster
 // is quiet every home entry must name the store holding the object (Run
 // fails otherwise).

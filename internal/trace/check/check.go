@@ -5,7 +5,11 @@
 //
 //   - I1 commit-lock mutual exclusion: at any owner, an object's commit
 //     lock is granted to at most one transaction at a time, and is only
-//     released for its current holder;
+//     released for its current holder; and a lock travels with its object:
+//     the old owner's migrating release hands it to the locker, which
+//     installs the object locked under the same identity and frees it only
+//     once the object's home names it (a directory update at a clock at or
+//     below the release's);
 //   - I2 forwarding monotonicity: TFA forwarding never moves a
 //     transaction's start clock backwards, within one forwarding step or
 //     across steps;
@@ -39,6 +43,7 @@ package check
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -145,6 +150,20 @@ type checker struct {
 	curLock     map[uint64]uint64       // root tx → current attempt's lock identity
 	abortedLock map[uint64]bool         // lock identities whose attempt aborted
 	lastAcquire map[lockKey]trace.Event // latest grant per lock, for reporting
+
+	// Travelling locks, checked at the end of the trace: an old owner and
+	// its locker can stamp their events with the same clock, so the merged
+	// order does not say which came first.
+	departed  map[travelKey][]trace.Event // migrating releases at old owners
+	installed map[travelKey][]trace.Event // grants of objects installed locked
+	freed     map[travelKey][]trace.Event // every other release
+	homed     map[travelKey][]trace.Event // home directory updates it made
+}
+
+// travelKey is one object's commit lock under one lock identity.
+type travelKey struct {
+	oid object.ID
+	tx  uint64
 }
 
 // Run replays a merged trace (see trace.Merge) and reports violations.
@@ -167,6 +186,10 @@ func Run(events []trace.Event, opts Options) *Report {
 		curLock:     make(map[uint64]uint64),
 		abortedLock: make(map[uint64]bool),
 		lastAcquire: make(map[lockKey]trace.Event),
+		departed:    make(map[travelKey][]trace.Event),
+		installed:   make(map[travelKey][]trace.Event),
+		freed:       make(map[travelKey][]trace.Event),
+		homed:       make(map[travelKey][]trace.Event),
 	}
 	c.rep.Events = len(events)
 	if opts.Truncated {
@@ -218,8 +241,11 @@ func (c *checker) step(e trace.Event) {
 	case trace.EvLockRelease:
 		c.lockRelease(e)
 	case trace.EvInstall:
-		// Unlocked (re-)install: creation seeding or migration in.
+		// Unlocked install: creation seeding.
 		c.locks[lockKey{node: e.Node, oid: e.Oid}] = 0
+	case trace.EvDirUpdate:
+		k := travelKey{e.Oid, e.Tx}
+		c.homed[k] = append(c.homed[k], e)
 
 	case trace.EvEnqueue:
 		c.enqueue(e)
@@ -297,6 +323,7 @@ func (c *checker) finish() {
 	if c.opts.Truncated {
 		return
 	}
+	c.checkTravel()
 	var leaked []lockKey
 	for k, holder := range c.locks {
 		if holder != 0 && c.abortedLock[holder] {
@@ -345,6 +372,10 @@ func (c *checker) lockAcquire(e trace.Event) {
 	}
 	c.locks[k] = e.Tx
 	c.lastAcquire[k] = e
+	if e.Detail == "install" {
+		tk := travelKey{e.Oid, e.Tx}
+		c.installed[tk] = append(c.installed[tk], e)
+	}
 }
 
 func (c *checker) lockRelease(e trace.Event) {
@@ -354,6 +385,51 @@ func (c *checker) lockRelease(e trace.Event) {
 			"%s at node %d released by tx %x but held by tx %x", e.Oid, e.Node, e.Tx, cur)
 	}
 	c.locks[k] = 0
+	tk := travelKey{e.Oid, e.Tx}
+	if e.Detail == "migrate" {
+		c.departed[tk] = append(c.departed[tk], e)
+	} else {
+		c.freed[tk] = append(c.freed[tk], e)
+	}
+}
+
+// checkTravel checks, for every lock a migration took from its old owner,
+// that another node installed the object locked under the same identity,
+// and that the locker freed it only once the object's home named the
+// locker: a directory update by that identity naming it, at a clock at or
+// below the release's (the locker merges the home's reply clock before it
+// frees the lock, so a home told later carries a clock above it).
+func (c *checker) checkTravel() {
+	keys := make([]travelKey, 0, len(c.departed))
+	for k := range c.departed {
+		keys = append(keys, k)
+	}
+	sort.Slice(keys, func(i, j int) bool {
+		if keys[i].oid != keys[j].oid {
+			return keys[i].oid < keys[j].oid
+		}
+		return keys[i].tx < keys[j].tx
+	})
+	for _, k := range keys {
+		for _, dep := range c.departed[k] {
+			if !slices.ContainsFunc(c.installed[k], func(g trace.Event) bool { return g.Node != dep.Node }) {
+				c.violate("lock-exclusion", dep,
+					"%s left node %d with tx %x's commit lock, and no node installed it locked", k.oid, dep.Node, k.tx)
+			}
+		}
+		for _, g := range c.installed[k] {
+			// The first release at the locker after the install frees it.
+			i := slices.IndexFunc(c.freed[k], func(r trace.Event) bool { return r.Node == g.Node && r.Seq > g.Seq })
+			if i < 0 {
+				continue // still held when the trace ends
+			}
+			r := c.freed[k][i]
+			if !slices.ContainsFunc(c.homed[k], func(d trace.Event) bool { return d.A == uint64(g.Node) && d.Clock <= r.Clock }) {
+				c.violate("lock-exclusion", r,
+					"%s freed at node %d by tx %x before its home named node %d", k.oid, r.Node, k.tx, r.Node)
+			}
+		}
+	}
 }
 
 // ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 package check
 
 import (
+	"strings"
 	"testing"
 
 	"dstm/internal/trace"
@@ -65,6 +66,18 @@ func golden() []trace.Event {
 		ev(0, 10, trace.EvLockRelease, func(e *trace.Event) { e.Tx = 0x2A1; e.Oid = "obj/p"; e.Detail = "unlock" }),
 		ev(0, 10, trace.EvLockRelease, func(e *trace.Event) { e.Tx = 0x2A1; e.Oid = "obj/q"; e.Detail = "unlock" }),
 		ev(2, 10, trace.EvTxAbort, func(e *trace.Event) { e.Tx = 0x2A; e.Detail = "lock-failed" }),
+
+		// A lock that travels: node 1's attempt 0x3A1 locks obj/m at node 0,
+		// which hands it over; node 1 installs it locked, tells its home,
+		// node 2, and publishes it once the home has answered. The old
+		// owner and the locker stamp the hand-over with one clock.
+		ev(1, 11, trace.EvTxBegin, func(e *trace.Event) { e.Tx = 0x3A; e.A = 1; e.B = 0x3A1 }),
+		ev(0, 11, trace.EvLockAcquire, func(e *trace.Event) { e.Tx = 0x3A1; e.Oid = "obj/m" }),
+		ev(1, 11, trace.EvLockAcquire, func(e *trace.Event) { e.Tx = 0x3A1; e.Oid = "obj/m"; e.Detail = "install" }),
+		ev(0, 11, trace.EvLockRelease, func(e *trace.Event) { e.Tx = 0x3A1; e.Oid = "obj/m"; e.Detail = "migrate" }),
+		ev(2, 12, trace.EvDirUpdate, func(e *trace.Event) { e.Tx = 0x3A1; e.Oid = "obj/m"; e.A = 1 }),
+		ev(1, 12, trace.EvLockRelease, func(e *trace.Event) { e.Tx = 0x3A1; e.Oid = "obj/m"; e.Detail = "commit" }),
+		ev(1, 12, trace.EvTxCommit, func(e *trace.Event) { e.Tx = 0x3A }),
 	}
 }
 
@@ -291,6 +304,59 @@ func TestOracleSkipsStatefulChecksWhenTruncated(t *testing.T) {
 	if rep2.Err() == nil {
 		t.Fatal("backwards forward passed under truncation")
 	}
+}
+
+// expectTravelViolation asserts the checker flags evs with a lock-exclusion
+// violation whose message contains want.
+func expectTravelViolation(t *testing.T, evs []trace.Event, want string) {
+	t.Helper()
+	for _, v := range Run(evs, Options{}).Violations {
+		if v.Invariant == "lock-exclusion" && strings.Contains(v.Msg, want) {
+			return
+		}
+	}
+	t.Fatalf("no lock-exclusion violation saying %q", want)
+}
+
+// TestOracleFlagsUnlockBeforeTheHomeKnows: the locker frees obj/m before its
+// home's directory names it — the home's update carries a clock above the
+// release's, which a release after the home's reply cannot have.
+func TestOracleFlagsUnlockBeforeTheHomeKnows(t *testing.T) {
+	evs := mutate(t, func(evs []trace.Event) []trace.Event {
+		for i, e := range evs {
+			if e.Type == trace.EvDirUpdate {
+				evs[i].Clock = 13
+			}
+		}
+		return evs
+	})
+	expectTravelViolation(t, evs, "before its home named node 1")
+	// A homes wave that never happened is the same violation.
+	evs = mutate(t, func(evs []trace.Event) []trace.Event {
+		out := evs[:0]
+		for _, e := range evs {
+			if e.Type != trace.EvDirUpdate {
+				out = append(out, e)
+			}
+		}
+		return out
+	})
+	expectTravelViolation(t, evs, "before its home named node 1")
+}
+
+// TestOracleFlagsUnlockedInstallOfAMigratedObject: the locker installs the
+// object its lock brought unlocked, so the lock that left the old owner
+// arrives nowhere.
+func TestOracleFlagsUnlockedInstallOfAMigratedObject(t *testing.T) {
+	evs := mutate(t, func(evs []trace.Event) []trace.Event {
+		for i, e := range evs {
+			if e.Type == trace.EvLockAcquire && e.Detail == "install" {
+				evs[i] = trace.Event{Node: e.Node, Seq: e.Seq, Clock: e.Clock, Type: trace.EvInstall, Oid: e.Oid}
+			}
+		}
+		return evs
+	})
+	expectTravelViolation(t, evs, "no node installed it locked")
 }
 
 func TestViolationCap(t *testing.T) {

@@ -79,16 +79,20 @@ const (
 
 // Commit-lock state machine (owner node, store-serialised).
 const (
-	// EvLockAcquire grants oid's commit lock to Tx. Detail = "create" when
-	// the object is installed pre-locked by its creating transaction.
+	// EvLockAcquire grants oid's commit lock to Tx. Detail = "install" when
+	// the object is installed pre-locked: by its creating transaction, or by
+	// the locker a migrating lock brought it to.
 	EvLockAcquire EventType = "lock-acquire"
 	// EvLockRelease releases the commit lock held by Tx. Detail = "unlock"
-	// (failed commit), "commit" (in-place publish), or "migrate" (ownership
-	// moved to the committer).
+	// (freed unchanged), "commit" (in-place publish), "remove" (a creation
+	// rolled back), or "migrate" (the lock took the object to its locker,
+	// which holds the lock from its install on).
 	EvLockRelease EventType = "lock-release"
-	// EvInstall installs an unlocked authoritative copy (creation seeding or
-	// ownership migration in).
+	// EvInstall installs an unlocked authoritative copy (creation seeding).
 	EvInstall EventType = "install"
+	// EvDirUpdate rewrites oid's entry in the directory shard of its home
+	// (the emitting node): the lock of identity Tx took it to node A.
+	EvDirUpdate EventType = "dir-update"
 )
 
 // Scheduler queue (owner node, policy-serialised).

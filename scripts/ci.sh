@@ -21,11 +21,11 @@
 #          included, is built from one Store.Read;
 #          and one scheduler conflict decision, inside the retrieve's
 #          store read, and no per-object map field or migrMu in
-#          runtime.go: the store is the one owner record; and no
-#          release called from commit.go and no validateMany or
-#          abortUnlock: Runtime.Atomic releases an attempt's lock set; in
-#          internal/object, one read of the stale-lock fence map:
-#          LockBatch's; in internal/apps, one sorted-set seeding loop and one
+#          runtime.go: the store is the one owner record; and one
+#          store Unlock and one UpdateCommitted call, no validateMany or
+#          abortUnlock, and no KindRelease: Txn.releaseLocks frees every
+#          lock on its own node; in internal/object, no stale-lock fence;
+#          in internal/apps, one sorted-set seeding loop and one
 #          strictly-increasing check: apps.Set's, no CreateRoot call and
 #          one CreateRoots call: apps.Seed's; in internal/cluster,
 #          exactly one deletion from the dedup map: the floor prune, and
@@ -83,10 +83,8 @@ stage_vet() {
     # internal/stm: a second directory lookup or a second hop-bounded loop is
     # a second locate–send–chase loop.
     # One owner-side commit-lock step: every commit lock is taken by a
-    # locking retrieve, served by Runtime.lockAnnounced, and the store reads
-    # its one stale-lock fence map in one place, its one lock entry (any read
-    # of the map other than an assignment counts, so a second fence check or
-    # a second lock entry that checks the fence fails).
+    # locking retrieve, served by Runtime.lockAnnounced, which hands what it
+    # locked to the locker.
     nontest_go | one_site 'stm\.NewRuntime\(' 'assemble and drive through internal/testbed'
     nontest_go | one_site 'workload\.Drive\(' 'assemble and drive through internal/testbed'
     nontest_go | one_site 'testbed\.Run\(' "run a paper cell through rtsbench's grid.cell"
@@ -121,13 +119,18 @@ stage_vet() {
     echo ./internal/stm/runtime.go | one_site '^\s+[[:alnum:]_, ]+\s+map\[object\.ID\]|migrMu' 'keep per-object owner state in object.Store' none
     nontest_go | grep '^\./internal/stm/' | one_site 'OnConflict\(' "decide a conflict inside the retrieve's Store.Read" exactly
     # One lock set and one release site per attempt: the commit locks into
-    # the attempt's holdings and validates through validateChain, and
-    # Runtime.Atomic releases whatever an ending leaves held, so a release
-    # called from the commit, a second read-set validation or a per-commit
-    # unlock helper fails here.
-    echo ./internal/stm/commit.go | one_site '\.releaseLocks\(' 'leave the release of an ending to Runtime.Atomic' none
-    nontest_go | grep '^\./internal/stm/' | one_site 'validateMany|abortUnlock' 'validate through validateChain and release through Runtime.Atomic' none
-    nontest_go | grep '^\./internal/object/' | one_site '\.fenced\[[^]]*\]([^ ]|$| [^=])' 'check the stale-lock fence in Store.LockBatch only'
+    # the attempt's holdings and validates through validateChain, and every
+    # lock is freed on the locker's own node by Txn.releaseLocks — after the
+    # homes wave, the commit's writes published in place, the rest unlocked —
+    # so a second unlock or in-place publish, a second read-set validation
+    # or a per-commit unlock helper fails here. Every lock is local, so
+    # nothing sends the retired remote release, and no release can overtake
+    # its lock request, so the store keeps no stale-lock fence.
+    nontest_go | grep '^\./internal/stm/' | one_site 'store\.Unlock\(' 'free a lock through Txn.releaseLocks' exactly
+    nontest_go | grep '^\./internal/stm/' | one_site 'store\.UpdateCommitted\(' 'publish a write through Txn.releaseLocks' exactly
+    nontest_go | grep '^\./internal/stm/' | one_site 'validateMany|abortUnlock' 'validate through validateChain and release through Txn.releaseLocks' none
+    nontest_go | grep '^\./internal/stm/' | one_site 'KindRelease' 'free a lock on its own node (Txn.releaseLocks); kind 13 is retired' none
+    nontest_go | grep '^\./internal/object/' | one_site 'fence' 'keep no stale-lock fence: no release can overtake its lock request' none
     # One sorted-set benchmark: Linked-List, BST and RB-Tree supply only
     # their layout to apps.Set, so a second seeding loop or a second order
     # check in internal/apps is a second copy of the skeleton.
@@ -214,16 +217,19 @@ stage_perf() {
     # owners must finish its commit phases within the owner-grouped batch
     # bound (per-owner rounds, not per-object messages); and a bank-shaped
     # nested write whose write set was announced blocks on one locking
-    # retrieve wave and one publish wave, with no acquire and no validation.
+    # retrieve wave and one homes wave, with no acquire and no validation,
+    # and its old owners hear nothing but their locks.
     echo "== commit-pipeline msgs/commit bound, announced write in two waves"
     go test ./internal/stm/ -run 'TestCommitMsgsBoundEightObjectsTwoOwners|TestAnnouncedNestedWriteIsTwoWaves' -count=1
 
-    # Retrieve-wave count gate: after a commit's publish wave every node it
-    # reached (old owners and homes) finds the moved objects with ONE
-    # retrieve, no stale hop and no directory message; the wave itself is one
-    # message per node; and a node the wave did not reach does the same once
-    # the committer has sent it any message (the gossip of what it took).
-    echo "== one retrieve wave after a publish"
+    # Retrieve-wave count gate: after a commit every node it reached (the
+    # old owner by the lock, the homes by the homes wave) finds the moved
+    # objects with ONE retrieve, no stale hop and no directory message; the
+    # homes wave is one message per home outside {committer, old owner}, and
+    # none when there is no such home; and a node the commit did not reach
+    # does the same once the committer has sent it any message (the gossip
+    # of what it took).
+    echo "== one retrieve wave after a commit"
     go test ./internal/stm/ -run 'TestOneRetrieveWaveAfterPublish|TestPublishWaveIsOneMessagePerNode|TestGossipedMoveNeedsNoChase' -count=1
 
     # Seeding count gate: k objects on each of n nodes register in one wave,
