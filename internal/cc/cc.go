@@ -169,20 +169,24 @@ func (s *Service) gossip(to transport.NodeID) any {
 }
 
 // heard keeps what a message from node from carried as owner hints: from
-// holds each object. An object homed here is left to the directory shard,
+// holds each object (Hint).
+func (s *Service) heard(from transport.NodeID, p any) {
+	if h, ok := p.(ownerHints); ok {
+		s.Hint(h.Oids, from)
+	}
+}
+
+// Hint points this node's owner hints for ids at owner, which holds or is
+// taking each of them. An object homed here is left to the directory shard,
 // which is authoritative, and one this node names itself the owner of is
 // left too: it hears of its own departures from the commit that takes it.
-func (s *Service) heard(from transport.NodeID, p any) {
-	h, ok := p.(ownerHints)
-	if !ok {
-		return
-	}
+func (s *Service) Hint(ids []object.ID, owner transport.NodeID) {
 	self := s.ep.Self()
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	for _, id := range h.Oids {
-		if owner, ok := s.hints[id]; s.Home(id) != self && (!ok || owner != self) {
-			s.hints[id] = from
+	for _, id := range ids {
+		if held, ok := s.hints[id]; s.Home(id) != self && (!ok || held != self) {
+			s.hints[id] = owner
 		}
 	}
 }

@@ -558,3 +558,49 @@ func TestReleaseRacesItsAnnouncement(t *testing.T) {
 		t.Fatalf("x is not at node 0 alone, or its home does not say so")
 	}
 }
+
+// TestLostLockReplyLosesTheObjectVisibly: an owner that served a lock has
+// handed its objects over, so a lock reply lost for good — here the caller
+// gives up while every reply is dropped — loses them: no store holds x any
+// more (DESIGN §10). The run's verdict must not miss it: the protocol oracle
+// finds the migrating release with no locked install anywhere.
+func TestLostLockReplyLosesTheObjectVisibly(t *testing.T) {
+	tc := newTestCluster(t, 3, nil, nil)
+	var recorders []*trace.Recorder
+	for i, rt := range tc.rts {
+		rec := trace.NewRecorder(transport.NodeID(i), 0, rt.clock.Now)
+		rt.SetTracer(rec)
+		recorders = append(recorders, rec)
+	}
+	seed(t, tc, map[object.ID]int{"x": 1})
+	served := make(chan struct{})
+	var once sync.Once
+	tc.net.SetInterceptor(func(m *transport.Message) bool {
+		if m.IsReply && m.Kind == KindRetrieve && m.From == 1 {
+			once.Do(func() { close(served) })
+			return false
+		}
+		return true
+	})
+	ctx, cancel := context.WithTimeout(context.Background(), 200*time.Millisecond)
+	defer cancel()
+	const lockID = 1<<40 | 9
+	if _, err := tc.rts[0].ep.Call(ctx, 1, KindRetrieve, retrieveReq{TxID: lockID, Mode: sched.Write,
+		Prefetch: true, LockID: lockID, Oids: []object.ID{"x"}}); err == nil {
+		t.Fatal("the lock call returned with every reply dropped")
+	}
+	<-served
+	for _, rt := range tc.rts {
+		if rt.Store().Owns("x") {
+			t.Fatalf("node %d holds x after its lock reply was lost", rt.Self())
+		}
+	}
+	var recs [][]trace.Event
+	for _, rec := range recorders {
+		recs = append(recs, rec.Events())
+	}
+	err := check.Run(trace.Merge(recs...), check.Options{}).Err()
+	if err == nil || !strings.Contains(err.Error(), "no node installed it locked") {
+		t.Fatalf("oracle verdict %v, want the lost lock named", err)
+	}
+}

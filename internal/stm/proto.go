@@ -46,7 +46,9 @@ const (
 // nonzero LockID makes it the locking retrieve, the one way to take a commit
 // lock (Txn.lockWave): the owner tries to commit-lock every entry it holds
 // for LockID, all or nothing, and hands what it locked to the requester
-// (Runtime.lockAnnounced).
+// (Runtime.lockAnnounced). Taking names the objects the same locking wave
+// asks other nodes to hand over: an owner that hands its batch over points
+// its hints for them at the requester too.
 type retrieveReq struct {
 	TxID     uint64
 	Mode     sched.Mode
@@ -56,6 +58,7 @@ type retrieveReq struct {
 	Prefetch bool
 	LockID   uint64
 	Oids     []object.ID
+	Taking   []object.ID
 }
 
 // retrieveResult is one object's disposition, parallel to the request Oids.

@@ -93,6 +93,9 @@ func FuzzRetrieveRoundTrip(f *testing.F) {
 			Elapsed: time.Duration(elapsed), Remain: time.Duration(remain), Prefetch: prefetch, LockID: lockID,
 			Oids: []object.ID{object.ID(oidA), object.ID(oidB)},
 		}
+		if lockID != 0 {
+			req.Taking = []object.ID{object.ID(oidB)}
+		}
 		if got := roundTrip(t, req).(retrieveReq); !reflect.DeepEqual(got, req) {
 			t.Fatalf("retrieveReq changed: %+v -> %+v", req, got)
 		}

@@ -222,18 +222,19 @@ func readBoth(t *testing.T, rt *Runtime, x, y object.ID) (nx, ny int64) {
 }
 
 // TestOneRetrieveWaveAfterPublish: node 0 commits a write that brings home x
-// and y, both from node 1, homed at nodes 2 and 3. Every node had read both,
-// so each held a pointer to node 1. The commit reaches nodes 1 (the lock),
-// 2 and 3 (the homes wave, which names both objects): each then locates both
+// (from node 1) and y (from node 2), homed at nodes 2 and 3. Every node had
+// read both, so each held pointers to the old owners. The commit reaches
+// nodes 1 and 2 (the locks, each naming what the wave takes from the other)
+// and 3 (the homes wave, which names both objects): each then locates both
 // objects at node 0 without a message, and its next ReadMany{x, y} is ONE
 // retrieve, to node 0, with no stale hop. Node 4, which the commit did not
-// reach, still gets there through node 1's moved-to pointers: one extra
-// wave, no directory lookup.
+// reach, still gets there through the old owners' moved-to pointers: one
+// extra wave, no directory lookup.
 func TestOneRetrieveWaveAfterPublish(t *testing.T) {
 	tc := newTestCluster(t, 5, nil, nil)
 	ctx := context.Background()
 	x, y := homedAt(t, 5, 2), homedAt(t, 5, 3)
-	seed(t, tc, map[object.ID]int{x: 1, y: 1})
+	seed(t, tc, map[object.ID]int{x: 1, y: 2})
 	for _, rt := range tc.rts[1:] {
 		readBoth(t, rt, x, y)
 	}
@@ -250,8 +251,8 @@ func TestOneRetrieveWaveAfterPublish(t *testing.T) {
 		if err != nil || msgs != 0 || owners[x] != 0 || owners[y] != 0 || len(log.take()) != 0 {
 			t.Fatalf("node %d locates %v with %d messages (%v); want both at node 0, no message", n, owners, msgs, err)
 		}
-		if nx, ny := readBoth(t, rt, x, y); nx != 9 || ny != 11 {
-			t.Fatalf("node %d read x=%d y=%d, want 9 and 11", n, nx, ny)
+		if nx, ny := readBoth(t, rt, x, y); nx != 9 || ny != 21 {
+			t.Fatalf("node %d read x=%d y=%d, want 9 and 21", n, nx, ny)
 		}
 		want := route{KindRetrieve, transport.NodeID(n), 0}
 		if seen := log.take(); len(seen) != 1 || seen[0] != want {
@@ -264,9 +265,9 @@ func TestOneRetrieveWaveAfterPublish(t *testing.T) {
 		}
 	}
 
-	// Not reached: the pointers node 4 holds name the old owner.
-	if nx, ny := readBoth(t, tc.rts[4], x, y); nx != 9 || ny != 11 {
-		t.Fatalf("node 4 read x=%d y=%d, want 9 and 11", nx, ny)
+	// Not reached: the pointers node 4 holds are the old owners'.
+	if nx, ny := readBoth(t, tc.rts[4], x, y); nx != 9 || ny != 21 {
+		t.Fatalf("node 4 read x=%d y=%d, want 9 and 21", nx, ny)
 	}
 	var retrieves int
 	for _, r := range log.take() {
@@ -276,8 +277,47 @@ func TestOneRetrieveWaveAfterPublish(t *testing.T) {
 		retrieves++
 	}
 	m := tc.rts[4].Metrics().Snapshot()
-	if retrieves != 2 || m.StaleHops != 2 {
-		t.Fatalf("node 4: %d retrieves, %d stale hops; want 2 (the old owner, then node 0) and 2", retrieves, m.StaleHops)
+	if retrieves != 3 || m.StaleHops != 2 || retrieves > maxOwnerHops {
+		t.Fatalf("node 4: %d retrieves, %d stale hops; want 3 (both old owners, then node 0) and 2", retrieves, m.StaleHops)
+	}
+}
+
+// TestRefusedLockElsewhereLeavesAHintToChase: node 0's locking wave takes x
+// from node 1 and asks node 2 for y, which another transaction holds there.
+// Node 1 handed x over to a request naming y too, so it points at node 0
+// for y, wrongly: its next read of y chases the hint — NotOwner at node 0,
+// then y's home — and finds y at node 2 with one stale hop.
+func TestRefusedLockElsewhereLeavesAHintToChase(t *testing.T) {
+	tc := newTestCluster(t, 3, nil, nil)
+	ctx := context.Background()
+	ids := homedAtEach(t, 3, 2, 0)
+	x, y := ids[0], ids[1]
+	seed(t, tc, map[object.ID]int{x: 1, y: 2})
+	lockObject(t, tc.rts[2], y)
+	if err := tc.rts[0].Atomic(ctx, "root", func(tx *Txn) error {
+		tx.Prefetch(ctx, []object.ID{x, y}, sched.Write)
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	unlockAndServe(tc.rts[2], y)
+
+	rt := tc.rts[1]
+	if owners, msgs, err := rt.Locator().LocateBatch(ctx, []object.ID{y}); err != nil || msgs != 0 || owners[y] != 0 {
+		t.Fatalf("node 1 locates y at %v with %d messages (%v); want node 0, from its hint", owners, msgs, err)
+	}
+	var n int64
+	if err := rt.Atomic(ctx, "read", func(tx *Txn) error {
+		v, err := tx.Read(ctx, y)
+		if err == nil {
+			n = v.(*box).N
+		}
+		return err
+	}); err != nil || n != 20 {
+		t.Fatalf("node 1 read y = %d (%v), want 20", n, err)
+	}
+	if m := rt.Metrics().Snapshot(); m.StaleHops != 1 || m.RemoteCopies != 1 {
+		t.Fatalf("node 1's read of y: %d stale hops, %d copies; want 1 and 1", m.StaleHops, m.RemoteCopies)
 	}
 }
 

@@ -255,8 +255,11 @@ func (rt *Runtime) serveRetrieve(from transport.NodeID, payload any, validate bo
 // it went), its requester queue goes with it in the reply (a retrieve
 // enqueues only under the store's mutex while the object is here, so that
 // queue is complete), and this node's directory shard or hint names the
-// requester (cc.Service.Moved). The value left the store, so the reply
-// carries it uncopied.
+// requester (cc.Service.Moved), and so do its hints for the objects the
+// same wave takes from other nodes (req.Taking): once the commit publishes,
+// no message tells this node where those went. A lock refused elsewhere
+// leaves those hints wrong, to be chased as any stale hint is. The value
+// left the store, so the reply carries it uncopied.
 func (rt *Runtime) lockAnnounced(from transport.NodeID, req *retrieveReq, copies []object.Copy, resp *retrieveResp) {
 	entries := make([]object.LockEntry, 0, len(req.Oids))
 	for i, c := range copies {
@@ -287,6 +290,7 @@ func (rt *Runtime) lockAnnounced(from transport.NodeID, req *retrieveReq, copies
 	if len(handed) > 0 {
 		// Each was held here, so registered: no shard entry is missing.
 		_ = rt.moved(handed, from, req.LockID)
+		rt.locator.Hint(req.Taking, from)
 	}
 }
 

@@ -563,8 +563,9 @@ func (tx *Txn) fetchMany(ctx context.Context, oids []object.ID, mode sched.Mode)
 // ownerWave is the one locate–send–chase loop of the steps that ask the
 // owners of objects about them: retrieve (locking or not) and validate, both
 // a retrieve request and reply. Each wave locates the owners of the pending
-// entries and sends every owner ONE request of kind — request(wave, g) for
-// the entries g it holds — all owners in parallel, then hands each reply to
+// entries and sends every owner ONE request of kind — request(wave, g,
+// groups) for the entries g it holds, among the wave's groups — all owners
+// in parallel, then hands each reply to
 // take for the step's per-entry verdicts. An entry the node no longer holds
 // is chased: after Moved the next wave asks where the object went, with no
 // directory round trip; after NotOwner the hint is dropped and the next wave
@@ -574,7 +575,7 @@ func (tx *Txn) fetchMany(ctx context.Context, oids []object.ID, mode sched.Mode)
 // the step aborts (Txn.convertErr). meter, when non-nil, accounts the lookups
 // and requests.
 func ownerWave(ctx context.Context, tx *Txn, kind transport.Kind, oids []object.ID, meter *commitMeter,
-	request func(wave int, g ownerGroup) any, take func(g ownerGroup, r retrieveResp) error) error {
+	request func(wave int, g ownerGroup, groups []ownerGroup) any, take func(g ownerGroup, r retrieveResp) error) error {
 	rt := tx.rt
 	pending := oids
 	for wave := 0; wave < maxOwnerHops && len(pending) > 0; wave++ {
@@ -586,7 +587,7 @@ func ownerWave(ctx context.Context, tx *Txn, kind transport.Kind, oids []object.
 		groups := groupByOwner(pending, owners)
 		calls := make([]cluster.Outcall, len(groups))
 		for i, g := range groups {
-			calls[i] = cluster.Outcall{To: g.owner, Kind: kind, Payload: request(wave, g)}
+			calls[i] = cluster.Outcall{To: g.owner, Kind: kind, Payload: request(wave, g, groups)}
 		}
 		results := rt.ep.Broadcast(ctx, calls)
 		meter.wave(len(calls))
@@ -649,7 +650,7 @@ func (tx *Txn) retrieveWaves(ctx context.Context, oids []object.ID, mode sched.M
 	}
 	counted := -1 // the last wave counted in Metrics.RetrieveWaves
 	err = ownerWave(ctx, tx, KindRetrieve, oids, meter,
-		func(wave int, g ownerGroup) any {
+		func(wave int, g ownerGroup, groups []ownerGroup) any {
 			rt.metrics.retrieves.Add(1)
 			if g.owner != rt.Self() && wave != counted {
 				counted = wave
@@ -665,10 +666,12 @@ func (tx *Txn) retrieveWaves(ctx context.Context, oids []object.ID, mode sched.M
 					rt.registerWaiter(tx.id, oid)
 				}
 			}
+			var taking []object.ID
 			if locked != nil && g.owner != rt.Self() {
 				// Coming here, maybe: a request served in the wave's window is
 				// told NotOwner, not Moved to the node that may be sending them.
 				rt.store.Arriving(g.oids)
+				taking = takenElsewhere(groups, g.owner, rt.Self())
 			}
 			elapsed := time.Since(root.began)
 			remain := root.expected - elapsed
@@ -683,7 +686,7 @@ func (tx *Txn) retrieveWaves(ctx context.Context, oids []object.ID, mode sched.M
 				}
 			}
 			return retrieveReq{TxID: tx.id, Mode: mode, MyCL: myCL, Elapsed: elapsed, Remain: remain,
-				Prefetch: prefetch, LockID: lockID, Oids: g.oids}
+				Prefetch: prefetch, LockID: lockID, Oids: g.oids, Taking: taking}
 		},
 		func(g ownerGroup, r retrieveResp) error {
 			// What a remote node's answers cost or brought: a copy, or a hop.
@@ -730,6 +733,19 @@ func (tx *Txn) retrieveWaves(ctx context.Context, oids []object.ID, mode sched.M
 		return nil, nil, tx.convertErr(ctx, err, cause)
 	}
 	return got, parked, nil
+}
+
+// takenElsewhere lists what a locking wave's groups ask remote owners other
+// than owner to hand over: the request to owner names them
+// (retrieveReq.Taking).
+func takenElsewhere(groups []ownerGroup, owner, self transport.NodeID) []object.ID {
+	var ids []object.ID
+	for _, g := range groups {
+		if g.owner != owner && g.owner != self {
+			ids = append(ids, g.oids...)
+		}
+	}
+	return ids
 }
 
 // install installs one object a locking retrieve brought here, locked for
@@ -874,7 +890,7 @@ func (tx *Txn) validateChain(ctx context.Context, meter *commitMeter) error {
 // commit pipeline's tally.
 func (tx *Txn) checkVersions(ctx context.Context, oids []object.ID, meter *commitMeter) (stale []object.ID, err error) {
 	err = ownerWave(ctx, tx, KindCheckVersionBatch, oids, meter,
-		func(_ int, g ownerGroup) any {
+		func(_ int, g ownerGroup, _ []ownerGroup) any {
 			return retrieveReq{TxID: tx.id, Mode: sched.Read, Prefetch: true, Oids: g.oids}
 		},
 		func(g ownerGroup, r retrieveResp) error {

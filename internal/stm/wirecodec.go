@@ -116,13 +116,14 @@ func (q retrieveReq) AppendWire(b []byte) ([]byte, error) {
 	b = wire.AppendVarint(b, int64(q.Remain))
 	b = wire.AppendBool(b, q.Prefetch)
 	b = wire.AppendUvarint(b, q.LockID)
-	return wire.AppendStrings(b, q.Oids), nil
+	b = wire.AppendStrings(b, q.Oids)
+	return wire.AppendStrings(b, q.Taking), nil
 }
 
 func (retrieveReq) ReadWire(r *wire.Reader) any {
 	return retrieveReq{TxID: r.Uvarint(), Mode: sched.Mode(r.Uvarint()), MyCL: int(r.Varint()),
 		Elapsed: time.Duration(r.Varint()), Remain: time.Duration(r.Varint()), Prefetch: r.Bool(),
-		LockID: r.Uvarint(), Oids: wire.ReadStrings[object.ID](r)}
+		LockID: r.Uvarint(), Oids: wire.ReadStrings[object.ID](r), Taking: wire.ReadStrings[object.ID](r)}
 }
 
 func (q retrieveResp) AppendWire(b []byte) ([]byte, error) {

@@ -60,11 +60,13 @@ func wireBenchCases() []wireCase {
 		{Status: statusMoved, MovedTo: 2},
 		{Status: statusOK, Value: benchVal(107), Version: ver},
 	}}
-	// A bank batch's announced write set at one owner, locked there and handed
-	// over: two copies under the attempt's lock, one with the requester queue
-	// that left with it, and one object that has moved on.
+	// A bank batch's announced write set at one owner, naming the two objects
+	// the wave takes from other owners, locked there and handed over: two
+	// copies under the attempt's lock, one with the requester queue that left
+	// with it, and one object that has moved on.
 	annReq := retrieveReq{TxID: 77, Mode: sched.Write, MyCL: 0,
-		Elapsed: 80 * time.Microsecond, Remain: 900 * time.Microsecond, Prefetch: true, LockID: 1<<40 | 78, Oids: oids[:3]}
+		Elapsed: 80 * time.Microsecond, Remain: 900 * time.Microsecond, Prefetch: true, LockID: 1<<40 | 78,
+		Oids: oids[:3], Taking: oids[3:5]}
 	annResp := retrieveResp{OwnerClock: 42, Locked: true, Results: []retrieveResult{
 		{Status: statusOK, Value: benchVal(100), Version: ver, RemoteCL: 1,
 			Queue: []sched.Request{{Oid: oids[0], TxID: 78, Node: 5, Mode: sched.Write,
@@ -93,7 +95,7 @@ func wireBenchCases() []wireCase {
 	return []wireCase{
 		{"retrieveReq", retReq, 2},
 		{"retrieveResp", retResp, 2},
-		{"retrieveReqAnnounce", annReq, 2},
+		{"retrieveReqAnnounce", annReq, 3},
 		{"retrieveRespLocked", annResp, 3},
 		{"checkBatchReq8", chk, 2},
 		{"checkBatchResp8", chkResp, 2},
