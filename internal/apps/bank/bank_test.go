@@ -38,8 +38,8 @@ func TestSetupSeedsAccounts(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i, id := range ids {
-		if want := transport.NodeID(i % len(rts)); owners[id] != want || !rts[want].Store().Owns(id) {
-			t.Fatalf("%s: home names node %d (held there: %v), want node %d", id, owners[id], rts[owners[id]].Store().Owns(id), want)
+		if want := transport.NodeID(i % len(rts)); owners[id] != want || !rts[want].Store().State(id).Owned {
+			t.Fatalf("%s: home names node %d (held there: %v), want node %d", id, owners[id], rts[owners[id]].Store().State(id).Owned, want)
 		}
 	}
 }

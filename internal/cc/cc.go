@@ -15,13 +15,13 @@
 // itself, and the committer's homes wave tells every other home, naming
 // everything its locks moved (Moved). Requesters keep a local owner
 // hint cache; a stale hint is detected by the node it names, which answers
-// where the object went (followed without the home) or that it does not know
-// (refreshed from the home).
+// from this record where the object went (followed without the home) or
+// that it does not know (refreshed from the home).
 //
 // Every message a node sends another also carries the objects the sender
-// took (Took) since it last wrote there and still holds, and the receiver
-// keeps them as owner hints: a node the commit did not reach learns of a
-// move from the committer's next message to it instead of from a chase.
+// took (Moved naming it) since it last wrote there and still holds, and the
+// receiver keeps them as owner hints: a node the commit did not reach learns
+// of a move from the committer's next message to it instead of from a chase.
 // Hints stay advisory — a wrong one costs one hop — so a check of the
 // directory asks the homes (AskHomes).
 package cc
@@ -106,7 +106,7 @@ type Service struct {
 	mu     sync.Mutex
 	owners map[object.ID]transport.NodeID // directory shard: objects homed here
 	hints  map[object.ID]transport.NodeID // locator cache: last known owners
-	// The objects this node took (Took), the last maxTook of ntook in a
+	// The objects this node took (logTook), the last maxTook of ntook in a
 	// ring, and per peer the ntook of this node's last message to it: peer
 	// p's list is the entries logged since sent[p].
 	took  [maxTook]object.ID
@@ -131,17 +131,14 @@ func NewService(ep *cluster.Endpoint, size int) *Service {
 	return s
 }
 
-// Took records that this node took ids — registered them, or a commit
+// logTook logs that this node took ids — registered them, or a commit
 // installed them here — so each other node hears of them on the next message
-// this node sends it. Call it only once ids can be served here: a peer sent
-// here earlier would be answered NotOwner.
-func (s *Service) Took(ids []object.ID) {
-	s.mu.Lock()
+// this node sends it. s.mu is held.
+func (s *Service) logTook(ids []object.ID) {
 	for _, id := range ids {
 		s.took[s.ntook%maxTook] = id
 		s.ntook++
 	}
-	s.mu.Unlock()
 }
 
 // gossip is the piggyback of a message to peer to: its list drained, keeping
@@ -244,10 +241,32 @@ func (s *Service) known(id object.ID) (transport.NodeID, bool) {
 	return owner, ok
 }
 
-// InvalidateHint drops the cached owner for id (after a "not owner" reply).
-func (s *Service) InvalidateHint(id object.ID) {
+// Known is what this node can say about id's owner without a message (see
+// known).
+func (s *Service) Known(id object.ID) (transport.NodeID, bool) {
 	s.mu.Lock()
-	delete(s.hints, id)
+	defer s.mu.Unlock()
+	return s.known(id)
+}
+
+// Homed returns the ids this node's directory shard has an entry for.
+func (s *Service) Homed() []object.ID {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	ids := make([]object.ID, 0, len(s.owners))
+	for id := range s.owners {
+		ids = append(ids, id)
+	}
+	return ids
+}
+
+// InvalidateHint drops the cached owners for ids (after a "not owner"
+// reply, or before a lock request that may bring them here).
+func (s *Service) InvalidateHint(ids ...object.ID) {
+	s.mu.Lock()
+	for _, id := range ids {
+		delete(s.hints, id)
+	}
 	s.mu.Unlock()
 }
 
@@ -264,13 +283,6 @@ func (s *Service) NoteOwner(id object.ID, owner transport.NodeID) {
 	s.mu.Lock()
 	s.hints[id] = owner
 	s.mu.Unlock()
-}
-
-// Register announces a newly created object owned by owner to its home:
-// RegisterBatch of one.
-func (s *Service) Register(ctx context.Context, id object.ID, owner transport.NodeID) error {
-	_, _, err := s.RegisterBatch(ctx, []object.ID{id}, owner)
-	return err
 }
 
 // ---------------------------------------------------------------------------
@@ -372,7 +384,7 @@ func (s *Service) AskHomes(ctx context.Context, ids []object.ID) (map[object.ID]
 // refused (registered already), the number of messages sent — even on
 // error, so callers can account partial fan-outs — and the first error: the
 // first refusal, or a failed call, whose ids may or may not be registered.
-// Each id a home accepted is noted as owned by owner, and as taken (Took)
+// Each id a home accepted is noted as owned by owner, and logged as taken
 // when owner is this node, whatever its siblings' outcome.
 func (s *Service) RegisterBatch(ctx context.Context, ids []object.ID, owner transport.NodeID) (refused []object.ID, n int, err error) {
 	if len(ids) == 0 {
@@ -403,20 +415,28 @@ func (s *Service) RegisterBatch(ctx context.Context, ids []object.ID, owner tran
 		s.NoteOwner(id, owner)
 	}
 	if owner == s.ep.Self() {
-		s.Took(registered)
+		s.mu.Lock()
+		s.logTook(registered)
+		s.mu.Unlock()
 	}
 	return refused, n, err
 }
 
 // Moved records, at this node, that a commit lock brought ids to owner —
 // what the old owner records when its lock hands them over, the committer
-// when it installs them, and each home its homes wave reaches. The directory entry of an id homed here is rewritten (an
-// unregistered one is the error returned, its siblings still applied); any
-// other id gets an owner hint.
+// when it installs them, and each home its homes wave reaches. The
+// directory entry of an id homed here is rewritten (an unregistered one is
+// the error returned, its siblings still applied); any other id gets an
+// owner hint. When owner is this node the ids are also logged for gossip, so
+// call it only once they can be served here: a peer sent here earlier would
+// be answered NotOwner.
 func (s *Service) Moved(ids []object.ID, owner transport.NodeID) error {
 	var firstErr error
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	if owner == s.ep.Self() {
+		s.logTook(ids)
+	}
 	for _, id := range ids {
 		_, registered := s.owners[id]
 		switch {

@@ -49,7 +49,7 @@ func TestRegisterAndLocate(t *testing.T) {
 	svcs := newCluster(t, 4)
 	ctx := context.Background()
 
-	if err := svcs[1].Register(ctx, "obj/a", 1); err != nil {
+	if _, _, err := svcs[1].RegisterBatch(ctx, []object.ID{"obj/a"}, 1); err != nil {
 		t.Fatal(err)
 	}
 	// Every node must resolve the same owner.
@@ -75,16 +75,16 @@ func TestLocateUnknown(t *testing.T) {
 func TestRegisterConflict(t *testing.T) {
 	svcs := newCluster(t, 3)
 	ctx := context.Background()
-	if err := svcs[0].Register(ctx, "obj/x", 0); err != nil {
+	if _, _, err := svcs[0].RegisterBatch(ctx, []object.ID{"obj/x"}, 0); err != nil {
 		t.Fatal(err)
 	}
 	// Registration is strict: even the same owner cannot re-register (a
 	// duplicate create must fail).
-	if err := svcs[0].Register(ctx, "obj/x", 0); err == nil {
+	if _, _, err := svcs[0].RegisterBatch(ctx, []object.ID{"obj/x"}, 0); err == nil {
 		t.Fatal("same-owner re-register succeeded; creates must be strict")
 	}
 	// Different owner: rejected.
-	if err := svcs[1].Register(ctx, "obj/x", 1); err == nil {
+	if _, _, err := svcs[1].RegisterBatch(ctx, []object.ID{"obj/x"}, 1); err == nil {
 		t.Fatal("conflicting register succeeded")
 	}
 }
@@ -92,7 +92,7 @@ func TestRegisterConflict(t *testing.T) {
 func TestUpdateOwnerAndHints(t *testing.T) {
 	svcs := newCluster(t, 4)
 	ctx := context.Background()
-	if err := svcs[2].Register(ctx, "obj/m", 2); err != nil {
+	if _, _, err := svcs[2].RegisterBatch(ctx, []object.ID{"obj/m"}, 2); err != nil {
 		t.Fatal(err)
 	}
 	// Node 0 caches the owner hint.
@@ -144,7 +144,7 @@ func TestHomeAnswersFromItsShard(t *testing.T) {
 	svcs := newCluster(t, 3)
 	ctx := context.Background()
 	id := idHomedAt(t, "obj/h", 3, 0)
-	if err := svcs[1].Register(ctx, id, 1); err != nil {
+	if _, _, err := svcs[1].RegisterBatch(ctx, []object.ID{id}, 1); err != nil {
 		t.Fatal(err)
 	}
 	svcs[0].NoteOwner(id, 2) // the hint and the shard disagree
@@ -165,7 +165,7 @@ func TestMovedUpdatesShardAndHints(t *testing.T) {
 	ctx := context.Background()
 	here, there, ghost := idHomedAt(t, "obj/h", 3, 0), idHomedAt(t, "obj/h", 3, 1), idHomedAt(t, "ghost", 3, 0)
 	for _, id := range []object.ID{here, there} {
-		if err := svcs[1].Register(ctx, id, 1); err != nil {
+		if _, _, err := svcs[1].RegisterBatch(ctx, []object.ID{id}, 1); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -214,7 +214,7 @@ func TestConcurrentRegistersDistinctObjects(t *testing.T) {
 			defer wg.Done()
 			owner := transport.NodeID(i % n)
 			oid := object.ID(fmt.Sprintf("obj/%d", i))
-			if err := svcs[owner].Register(ctx, oid, owner); err != nil {
+			if _, _, err := svcs[owner].RegisterBatch(ctx, []object.ID{oid}, owner); err != nil {
 				errs <- err
 			}
 		}(i)
@@ -277,8 +277,8 @@ func TestLocateBatchFailedCallOutranksUnknown(t *testing.T) {
 func TestGossipDrainsHeldObjects(t *testing.T) {
 	s := newCluster(t, 3)[0]
 	s.NoteOwner("kept", 0)
-	s.NoteOwner("gone", 2) // taken, then taken away
-	s.Took([]object.ID{"kept", "gone", "kept"})
+	_ = s.Moved([]object.ID{"kept", "gone", "kept"}, 0) // taken here
+	s.NoteOwner("gone", 2)                              // then taken away
 
 	if got, ok := s.gossip(1).(ownerHints); !ok || fmt.Sprint(got.Oids) != "[kept]" {
 		t.Fatalf("gossip to node 1 = %v, want [kept]", got)
@@ -292,13 +292,17 @@ func TestGossipDrainsHeldObjects(t *testing.T) {
 	if allocs := testing.AllocsPerRun(100, func() { s.gossip(1) }); allocs != 0 {
 		t.Fatalf("an empty list allocates %.0f/op, want 0", allocs)
 	}
+	if _ = s.Moved([]object.ID{"kept"}, 2); s.gossip(1) != nil {
+		t.Fatal("a move to another node was logged as taken here")
+	}
+	s.NoteOwner("kept", 0)
 
 	ids := make([]object.ID, maxTook+10)
 	for i := range ids {
 		ids[i] = object.ID(fmt.Sprintf("obj/%d", i))
 		s.NoteOwner(ids[i], 0)
 	}
-	s.Took(ids)
+	_ = s.Moved(ids, 0)
 	got, _ := s.gossip(1).(ownerHints)
 	if fmt.Sprint(got.Oids) != fmt.Sprint(ids[10:]) {
 		t.Fatalf("after %d took, gossip carries %d objects from %v, want the last %d", len(ids), len(got.Oids), got.Oids[:1], maxTook)
@@ -331,7 +335,7 @@ func TestRegisteredObjectIsGossiped(t *testing.T) {
 	ctx := context.Background()
 	id, other := idHomedAt(t, "obj/g", 3, 0), idHomedAt(t, "obj/o", 3, 1)
 	for _, oid := range []object.ID{id, other} {
-		if err := svcs[1].Register(ctx, oid, 1); err != nil {
+		if _, _, err := svcs[1].RegisterBatch(ctx, []object.ID{oid}, 1); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -350,7 +354,7 @@ func TestAskHomesReadsNoHint(t *testing.T) {
 	svcs := newCluster(t, 4)
 	ctx := context.Background()
 	id := idHomedAt(t, "obj/a", 4, 0)
-	if err := svcs[1].Register(ctx, id, 1); err != nil {
+	if _, _, err := svcs[1].RegisterBatch(ctx, []object.ID{id}, 1); err != nil {
 		t.Fatal(err)
 	}
 	svcs[3].NoteOwner(id, 2)

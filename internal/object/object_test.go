@@ -2,8 +2,6 @@ package object
 
 import (
 	"testing"
-
-	"dstm/internal/transport"
 )
 
 // intBox is a minimal Value for tests.
@@ -184,67 +182,15 @@ func TestRemoveRequiresLock(t *testing.T) {
 	if err := s.Remove("x", 10); err != nil {
 		t.Fatalf("Remove by holder: %v", err)
 	}
-	if s.Owns("x") {
+	if s.State("x").Owned {
 		t.Fatal("object still owned after Remove")
 	}
 	if err := s.Remove("x", 10); err == nil {
 		t.Fatal("double Remove succeeded")
 	}
-}
-
-// TestDepartureRecord: only a migration leaves a departure record, and any
-// install, or a lock request that may bring the object back (Arriving),
-// clears it.
-func TestDepartureRecord(t *testing.T) {
-	moved := func(s *Store, id ID) (transport.NodeID, bool) {
-		c := s.State(id)
-		return c.MovedTo, c.Moved && !c.Owned
+	if err := s.Migrate("x", 10); err == nil {
+		t.Fatal("Migrate of an object not here succeeded")
 	}
-	installs := map[string]func(s *Store){
-		"Install":       func(s *Store) { s.Install("x", &intBox{1}, Version{}) },
-		"InstallNew":    func(s *Store) { s.InstallNew("x", &intBox{1}) },
-		"InstallLocked": func(s *Store) { s.InstallLocked("x", &intBox{1}, Version{}, 9) },
-		"Arriving":      func(s *Store) { s.Arriving([]ID{"x"}) },
-	}
-	for name, clear := range installs {
-		t.Run(name, func(t *testing.T) {
-			s := NewStore()
-			s.Install("x", &intBox{1}, Version{})
-			if err := s.Migrate("x", 0, 3); err != nil {
-				t.Fatal(err)
-			}
-			if to, ok := moved(s, "x"); !ok || to != 3 {
-				t.Fatalf("after Migrate: moved to %d = %v, want node 3", to, ok)
-			}
-			var buf [1]Copy
-			if c, _ := s.Read(buf[:0], []ID{"x"}, nil, nil); !c[0].Moved || c[0].MovedTo != 3 {
-				t.Fatalf("Read after Migrate = %+v, want moved to node 3", c[0])
-			}
-			clear(s)
-			if _, ok := moved(s, "x"); ok {
-				t.Fatalf("a departure record outlived %s", name)
-			}
-		})
-	}
-	t.Run("Remove", func(t *testing.T) {
-		s := NewStore()
-		s.InstallLocked("x", &intBox{1}, Version{}, 9)
-		if err := s.Remove("x", 9); err != nil {
-			t.Fatal(err)
-		}
-		if c := s.State("x"); c != (Copy{}) {
-			t.Fatalf("after a rollback Remove: %+v, want the zero Copy", c)
-		}
-	})
-	t.Run("Migrate refused", func(t *testing.T) {
-		s := NewStore()
-		if err := s.Migrate("x", 0, 3); err == nil {
-			t.Fatal("Migrate of an object not here succeeded")
-		}
-		if _, ok := moved(s, "x"); ok {
-			t.Fatal("a refused Migrate left a departure record")
-		}
-	})
 }
 
 func TestStoreLenIDs(t *testing.T) {

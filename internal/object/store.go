@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
-
-	"dstm/internal/transport"
 )
 
 // TraceFn is the store's debug callback type; see Store.SetTrace. a carries
@@ -13,8 +11,9 @@ import (
 type TraceFn func(op string, id ID, tx, a uint64)
 
 // Store is one node's owner record: the authoritative copies of the objects
-// it owns with their commit-lock state, and where a migration last took
-// each one it gave away. All methods are safe for concurrent use.
+// it owns with their commit-lock state, and nothing else (where an object
+// went once it left is the locator's record, cc.Service). All methods are
+// safe for concurrent use.
 //
 // A value handed to the store is the store's, and nobody changes it (an
 // install or an update replaces it): Read hands out the held value, and
@@ -31,16 +30,12 @@ type TraceFn func(op string, id ID, tx, a uint64)
 // copies — the cut every owner reply (a retrieve, a locking retrieve, a
 // hand-off push) is built from, and the moment the scheduler decides it.
 //
-// The departure records sit beside the records, under the same mutex: only
-// Migrate writes one, and every install, or Arriving, clears it.
-//
 // Only a lock's holder frees it, on its own node: its release (Unlock), its
 // in-place update (UpdateCommitted) or its rollback (Remove); a migration
 // (Migrate) hands the lock, with the object, to the node it leaves for.
 type Store struct {
 	mu    sync.Mutex
 	objs  map[ID]*record
-	moved map[ID]transport.NodeID // departure records, none for an object in objs
 	trace atomic.Pointer[TraceFn]
 }
 
@@ -70,7 +65,7 @@ type record struct {
 
 // NewStore returns an empty store.
 func NewStore() *Store {
-	return &Store{objs: make(map[ID]*record), moved: make(map[ID]transport.NodeID)}
+	return &Store{objs: make(map[ID]*record)}
 }
 
 // Install inserts or replaces the authoritative copy of an object,
@@ -80,7 +75,6 @@ func (s *Store) Install(id ID, val Value, ver Version) {
 	defer s.mu.Unlock()
 	s.emit("install", id, 0, ver.Clock)
 	s.objs[id] = &record{val: val, ver: ver}
-	delete(s.moved, id)
 }
 
 // InstallNew installs val as id at the zero version, unlocked, unless the
@@ -94,21 +88,17 @@ func (s *Store) InstallNew(id ID, val Value) bool {
 	}
 	s.emit("install", id, 0, 0)
 	s.objs[id] = &record{val: val}
-	delete(s.moved, id)
 	return true
 }
 
 // Copy is one object as Store.Read found it: the store's own value (see
 // Store), its version and its commit lock's holder (0 when unlocked).
-// Owned is false, and those zero, when this node does not own it; then
-// Moved says whether a migration took it away, to node MovedTo.
+// Owned is false, and those zero, when this node does not own it.
 type Copy struct {
 	Val      Value
 	Ver      Version
 	LockedBy uint64
-	MovedTo  transport.NodeID
 	Owned    bool
-	Moved    bool
 }
 
 // Read appends a Copy of every object of ids to dst, then calls now and
@@ -130,8 +120,6 @@ func (s *Store) Read(dst []Copy, ids []ID, now func() uint64, decide func(i int,
 		var c Copy
 		if r, ok := s.objs[id]; ok {
 			c = Copy{Val: r.val, Ver: r.ver, LockedBy: r.lockTx, Owned: true}
-		} else {
-			c.MovedTo, c.Moved = s.moved[id]
 		}
 		dst = append(dst, c)
 	}
@@ -164,8 +152,7 @@ func (s *Store) State(id ID) Copy {
 	if r, ok := s.objs[id]; ok {
 		return Copy{Ver: r.ver, LockedBy: r.lockTx, Owned: true}
 	}
-	to, moved := s.moved[id]
-	return Copy{MovedTo: to, Moved: moved}
+	return Copy{}
 }
 
 // LockEntry is one object of a LockBatch request.
@@ -241,7 +228,6 @@ func (s *Store) InstallLocked(id ID, val Value, ver Version, tx uint64) {
 	defer s.mu.Unlock()
 	s.emit("install-locked", id, tx, 0)
 	s.objs[id] = &record{val: val, ver: ver, lockTx: tx}
-	delete(s.moved, id)
 }
 
 // UpdateCommitted installs a new committed value and version for an object
@@ -268,16 +254,16 @@ func (s *Store) UpdateCommitted(id ID, val Value, ver Version, tx uint64) error 
 func (s *Store) SnapshotAt(id ID, _, _ uint64) (Value, Version, bool, bool) { return s.Snapshot(id) }
 
 // Remove deletes the object if the caller transaction holds its commit lock:
-// a rollback (a creation undone), which leaves no departure record. It
-// returns an error if the object is absent or locked by someone else.
-func (s *Store) Remove(id ID, tx uint64) error { return s.remove(id, tx, nil) }
+// a rollback (a creation undone). It returns an error if the object is
+// absent or locked by someone else.
+func (s *Store) Remove(id ID, tx uint64) error { return s.remove("remove", id, tx) }
 
 // Migrate is Remove for a migration: tx's commit lock takes the object to
-// node to, where tx installs it locked, so it also records that the object
-// went there.
-func (s *Store) Migrate(id ID, tx uint64, to transport.NodeID) error { return s.remove(id, tx, &to) }
+// the node where tx installs it locked. It differs from Remove only in the
+// trace op it narrates ("migrate"), which the trace oracle reads.
+func (s *Store) Migrate(id ID, tx uint64) error { return s.remove("migrate", id, tx) }
 
-func (s *Store) remove(id ID, tx uint64, to *transport.NodeID) error {
+func (s *Store) remove(op string, id ID, tx uint64) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	r, ok := s.objs[id]
@@ -288,32 +274,8 @@ func (s *Store) remove(id ID, tx uint64, to *transport.NodeID) error {
 		return fmt.Errorf("store: remove %q: lock held by tx %d, not %d", id, r.lockTx, tx)
 	}
 	delete(s.objs, id)
-	if to == nil {
-		s.emit("remove", id, tx, 0)
-		return nil
-	}
-	s.emit("migrate", id, tx, 0)
-	s.moved[id] = *to
+	s.emit(op, id, tx, 0)
 	return nil
-}
-
-// Arriving clears the departure records of ids: a lock request of this
-// node may bring them back, so until they are installed a request for one
-// reads not owned, not moved to the node that may be sending it here.
-func (s *Store) Arriving(ids []ID) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for _, id := range ids {
-		delete(s.moved, id)
-	}
-}
-
-// Owns reports whether this node currently owns id.
-func (s *Store) Owns(id ID) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	_, ok := s.objs[id]
-	return ok
 }
 
 // IDs returns the IDs of all objects owned here (unordered snapshot).

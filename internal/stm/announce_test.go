@@ -419,7 +419,7 @@ func TestEveryEndingReleasesTheAnnouncement(t *testing.T) {
 			}
 			noLocksLeft(t, tc, "x", "y", "z", "w", "dup")
 			if owners, _, err := tc.rts[1].Locator().AskHomes(context.Background(), []object.ID{"x", "y"}); err != nil ||
-				owners["x"] != 0 || owners["y"] != 0 || !tc.rts[0].Store().Owns("x") || !tc.rts[0].Store().Owns("y") {
+				owners["x"] != 0 || owners["y"] != 0 || !tc.rts[0].Store().State("x").Owned || !tc.rts[0].Store().State("y").Owned {
 				t.Fatalf("homes say %v (%v); want x and y at node 0, which holds them", owners, err)
 			}
 			for _, rec := range recorders {
@@ -545,7 +545,7 @@ func TestReleaseRacesItsAnnouncement(t *testing.T) {
 	})
 	err := tc.rts[0].Atomic(ctx, "root", func(tx *Txn) error {
 		tx.Prefetch(ctx, []object.ID{x}, sched.Write)
-		if !tc.rts[0].Store().Owns(x) || isLocked(tc.rts[0].Store(), x) || len(tx.root.held.locked) != 0 {
+		if !tc.rts[0].Store().State(x).Owned || isLocked(tc.rts[0].Store(), x) || len(tx.root.held.locked) != 0 {
 			t.Errorf("Prefetch returned before x was here and given back")
 		}
 		return ctx.Err()
@@ -554,7 +554,7 @@ func TestReleaseRacesItsAnnouncement(t *testing.T) {
 		t.Fatalf("Atomic = %v, want context.Canceled", err)
 	}
 	noLocksLeft(t, tc, x)
-	if !tc.rts[0].Store().Owns(x) || tc.rts[1].Store().Owns(x) || homeSays(t, tc.rts[1], x) != 0 {
+	if !tc.rts[0].Store().State(x).Owned || tc.rts[1].Store().State(x).Owned || homeSays(t, tc.rts[1], x) != 0 {
 		t.Fatalf("x is not at node 0 alone, or its home does not say so")
 	}
 }
@@ -591,7 +591,7 @@ func TestLostLockReplyLosesTheObjectVisibly(t *testing.T) {
 	}
 	<-served
 	for _, rt := range tc.rts {
-		if rt.Store().Owns("x") {
+		if rt.Store().State("x").Owned {
 			t.Fatalf("node %d holds x after its lock reply was lost", rt.Self())
 		}
 	}

@@ -3,7 +3,6 @@ package stm
 import (
 	"cmp"
 	"context"
-	"errors"
 	"fmt"
 	"slices"
 	"time"
@@ -214,7 +213,8 @@ func (tx *Txn) releaseLocks(ctx context.Context, locked map[object.ID]transport.
 // node and the object's old owner (which know already), of an object that
 // the locks in locked brought here, naming every object they brought
 // (commitObjBatchReq), and none when no such home exists. It returns once
-// every home has answered, with the first failed call or directory error.
+// every home has answered, with the first failed call (a directory error is
+// the call's).
 func (tx *Txn) tellHomes(ctx context.Context, locked map[object.ID]transport.NodeID, meter *commitMeter) error {
 	rt := tx.rt
 	var moved []object.ID
@@ -241,14 +241,6 @@ func (tx *Txn) tellHomes(ctx context.Context, locked map[object.ID]transport.Nod
 	results := rt.ep.Broadcast(ctx, calls)
 	meter.wave(len(calls))
 	for i, res := range results {
-		resp, ok := res.Body.(commitObjBatchResp)
-		switch {
-		case res.Err != nil:
-		case !ok:
-			res.Err = fmt.Errorf("bad commit batch reply %T", res.Body)
-		case resp.DirErr != "":
-			res.Err = errors.New(resp.DirErr)
-		}
 		if res.Err != nil {
 			return fmt.Errorf("stm: ownership update at node %d: %w", homes[i], res.Err)
 		}

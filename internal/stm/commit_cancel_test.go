@@ -57,7 +57,7 @@ func TestCancelledCommitReleasesLocks(t *testing.T) {
 
 	// "a" and "b" are at node 1, released despite the dead context.
 	for _, oid := range []object.ID{"a", "b"} {
-		if !tc.rts[1].Store().Owns(oid) || isLocked(tc.rts[1].Store(), oid) || readBox(t, tc.rts[1], oid) > 2 {
+		if !tc.rts[1].Store().State(oid).Owned || isLocked(tc.rts[1].Store(), oid) || readBox(t, tc.rts[1], oid) > 2 {
 			t.Fatalf("%s is not at node 1, unlocked and unchanged, after the cancelled commit", oid)
 		}
 	}

@@ -300,30 +300,27 @@ func homedAtEach(t *testing.T, n int, homes ...int) []object.ID {
 
 // TestStaleHintFollowsMovedTo: node 2 holds a hint that x is on node 0, but
 // node 1 has since committed a write and taken x. Node 0's reply names node
-// 1, and the next wave goes there directly — no directory message — whether
-// node 2 retrieves x, validates its read of x at commit, or acquires x's
-// commit lock to commit a write of it. When node 0's record is wrong or gone, the home
-// directory settles it one hop later. x is homed at node 3, which never
-// holds it, so every lookup and retrieve node 2 makes is a message the
-// interceptor sees.
+// 1, from its locator, and the next wave goes there directly — no directory
+// message — whether node 2 retrieves x, validates its read of x at commit,
+// or acquires x's commit lock to commit a write of it. When node 0's
+// locator is wrong or has no entry, the home directory settles it one hop
+// later. x is homed at node 3, which never holds it, so every lookup and
+// retrieve node 2 makes is a message the interceptor sees; node 4 never
+// hears of x, so a pointer to it leads nowhere.
 func TestStaleHintFollowsMovedTo(t *testing.T) {
 	moved := func(*Runtime, object.ID) {}
 	cases := []struct {
 		name          string
 		step          string                             // retrieve, validate or acquire
-		record        func(owner0 *Runtime, x object.ID) // tamper with node 0's departure record
+		record        func(owner0 *Runtime, x object.ID) // tamper with node 0's locator
 		wantLookups   int
 		wantRetrieves int
 		wantLocks     int // locking retrieves
 	}{
 		{name: "moved-to followed", step: "retrieve", record: moved, wantLookups: 0, wantRetrieves: 2},
-		{name: "lying", step: "retrieve", record: func(rt *Runtime, x object.ID) {
-			rt.store.Install(x, &box{}, object.Version{}) // held a moment, then sent to node 3
-			if err := rt.store.Migrate(x, 0, 3); err != nil {
-				panic(err)
-			}
-		}, wantLookups: 1, wantRetrieves: 3},
-		{name: "absent", step: "retrieve", record: func(rt *Runtime, x object.ID) { rt.store.Arriving([]object.ID{x}) }, wantLookups: 1, wantRetrieves: 2},
+		{name: "lying", step: "retrieve", record: func(rt *Runtime, x object.ID) { rt.locator.NoteOwner(x, 4) },
+			wantLookups: 1, wantRetrieves: 3},
+		{name: "absent", step: "retrieve", record: func(rt *Runtime, x object.ID) { rt.locator.InvalidateHint(x) }, wantLookups: 1, wantRetrieves: 2},
 		// The commit meets node 0's Moved and finds x changed at node 1: one
 		// validation abort, and the retry retrieves x from node 1. A commit
 		// that writes x locks it at node 0, then at node 1, which hands it
@@ -333,9 +330,9 @@ func TestStaleHintFollowsMovedTo(t *testing.T) {
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			tc := newTestCluster(t, 4, nil, nil)
+			tc := newTestCluster(t, 5, nil, nil)
 			ctx := context.Background()
-			x := homedAt(t, 4, 3)
+			x := homedAt(t, 5, 3)
 			seed(t, tc, map[object.ID]int{x: 0, "y": 2})
 			var msgs kindCounter
 			move := func() {

@@ -74,8 +74,8 @@ type retrieveResult struct {
 	RemoteCL int
 	// Backoff is the enqueue wait budget when Status == statusEnqueued.
 	Backoff time.Duration
-	// MovedTo is the node this one surrendered the object to, set when
-	// Status == statusMoved.
+	// MovedTo is the owner this node's locator names, set when Status ==
+	// statusMoved.
 	MovedTo transport.NodeID
 	// Queue is the requester queue that left the owner with the object, on
 	// an entry a locking retrieve took (retrieveResp.Locked).
@@ -108,10 +108,11 @@ const (
 	statusDenied
 	// statusEnqueued: queued; a hand-off push will follow.
 	statusEnqueued
-	// statusNotOwner: this node does not hold the object and has no record
-	// of where it went; the requester asks the home directory.
+	// statusNotOwner: this node does not hold the object and its locator
+	// names no other owner; the requester asks the home directory.
 	statusNotOwner
-	// statusMoved: this node gave the object away, to MovedTo.
+	// statusMoved: this node does not hold the object, and its locator
+	// names MovedTo as the owner.
 	statusMoved
 )
 
@@ -126,12 +127,6 @@ type commitObjBatchReq struct {
 	TxID     uint64
 	NewOwner transport.NodeID
 	Moved    []object.ID
-}
-
-// commitObjBatchResp answers a homes-wave message with the receiver's
-// directory error for Moved (empty = ok).
-type commitObjBatchResp struct {
-	DirErr string
 }
 
 // pushMsg hands a committed object to an enqueued requester. Owner is the

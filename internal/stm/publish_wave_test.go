@@ -15,7 +15,7 @@ import (
 
 // These tests pin lock by migration and the homes wave: the locking
 // retrieve hands each object it locks to the locker, which installs it
-// locked, and the old owner remembers where it went; then, past the commit
+// locked, and the old owner's locator names the locker; then, past the commit
 // point (or at any other ending), the locker sends ONE message to every home
 // of a moved object other than itself and that object's old owner — naming
 // everything that moved — and frees the locks, so serves, locks and lets the
@@ -68,7 +68,7 @@ func TestMigratingCommitIsTwoWaves(t *testing.T) {
 	if a, p, u := msgs.count(kindLockingRetrieve), msgs.count(KindCommitObjectBatch), msgs.count(kindUpdateBatch); a != 1 || p != 1 || u != 0 {
 		t.Fatalf("lock/homes/kind-6 messages = %d/%d/%d, want 1/1 (the home)/0", a, p, u)
 	}
-	if !tc.rts[0].Store().Owns(x) || homeSays(t, tc.rts[1], x) != 0 {
+	if !tc.rts[0].Store().State(x).Owned || homeSays(t, tc.rts[1], x) != 0 {
 		t.Fatalf("x not at node 0, or its home does not say so")
 	}
 }
@@ -104,7 +104,7 @@ func TestInstallWaitsForTheDirectoryUpdate(t *testing.T) {
 
 	first := write(tc.rts[1], 7)
 	<-held
-	if tc.rts[0].Store().Owns(x) || !isLocked(tc.rts[1].Store(), x) {
+	if tc.rts[0].Store().State(x).Owned || !isLocked(tc.rts[1].Store(), x) {
 		t.Fatal("x is not at the committer, locked, while its home has not acknowledged the move")
 	}
 	second := write(tc.rts[2], 9)
@@ -120,7 +120,7 @@ func TestInstallWaitsForTheDirectoryUpdate(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if !tc.rts[2].Store().Owns(x) || readBox(t, tc.rts[0], x) != 9 {
+	if !tc.rts[2].Store().State(x).Owned || readBox(t, tc.rts[0], x) != 9 {
 		t.Fatal("x = 9 is not at node 2")
 	}
 	if got := homeSays(t, tc.rts[0], x); got != 2 {
@@ -321,6 +321,29 @@ func TestRefusedLockElsewhereLeavesAHintToChase(t *testing.T) {
 	}
 }
 
+// TestRefusedLockKeepsTheLockersHint: node 0 read y, homed at node 1, from
+// its owner, node 2, and its lock of y is refused there, since another
+// transaction holds y. The locker dropped its hint for y when the request
+// left, and the refusal puts it back: y stays at node 2, and node 0 locates
+// it there with no message.
+func TestRefusedLockKeepsTheLockersHint(t *testing.T) {
+	tc := newTestCluster(t, 3, nil, nil)
+	ctx := context.Background()
+	y := homedAt(t, 3, 1)
+	seed(t, tc, map[object.ID]int{y: 2})
+	readBox(t, tc.rts[0], y)
+	lockObject(t, tc.rts[2], y)
+	if err := tc.rts[0].Atomic(ctx, "root", func(tx *Txn) error {
+		tx.Prefetch(ctx, []object.ID{y}, sched.Write)
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if owners, msgs, err := tc.rts[0].Locator().LocateBatch(ctx, []object.ID{y}); err != nil || msgs != 0 || owners[y] != 2 {
+		t.Fatalf("node 0 locates y at %v with %d messages (%v); want node 2, from its hint", owners, msgs, err)
+	}
+}
+
 // TestGossipedMoveNeedsNoChase: as in TestOneRetrieveWaveAfterPublish, node
 // 0 takes x (from node 1) and y (from node 2), and node 4, which had read
 // both, is not reached by the commit. But once node 0 has sent node 4
@@ -384,17 +407,28 @@ func TestHintAheadOfTheInstallRecovers(t *testing.T) {
 				<-release
 			})
 		case m.Kind == KindRetrieve && m.From == 0 && m.IsReply:
-			// The answer to the early request: let the commit finish before
-			// the reader hears it, so what the reader does next is decided.
-			early.Do(func() {
-				if tc.rts[0].Store().Owns(x) {
-					t.Error("node 0 holds x before the lock's reply arrived")
-				}
-				letGo()
-				for end := time.Now().Add(2 * time.Second); !(tc.rts[0].Store().Owns(x) && !isLocked(tc.rts[0].Store(), x)) && time.Now().Before(end); {
+			// The answer to the early request: the reader hears it once the
+			// commit has finished, so what the reader does next is decided.
+			// It is sent again from a goroutine of its own, since this one
+			// delivers node 1's messages to node 0, the lock's reply among
+			// them.
+			first := false
+			early.Do(func() { first = true })
+			if !first {
+				break
+			}
+			if tc.rts[0].Store().State(x).Owned {
+				t.Error("node 0 holds x before the lock's reply arrived")
+			}
+			answer := *m
+			letGo()
+			go func() {
+				for end := time.Now().Add(2 * time.Second); !(tc.rts[0].Store().State(x).Owned && !isLocked(tc.rts[0].Store(), x)) && time.Now().Before(end); {
 					time.Sleep(100 * time.Microsecond)
 				}
-			})
+				_ = tc.net.Endpoint(0).Send(&answer)
+			}()
+			return false
 		}
 		return log.intercept(m)
 	})
@@ -435,11 +469,11 @@ func TestHintAheadOfTheInstallRecovers(t *testing.T) {
 // node 1 (x's home), and node 1's reply, which carries x, is held. Node 2
 // reads x in that window — through a hint that already names node 0, which
 // answers "not owner" until x is installed, or through node 1, whose
-// departure record names node 0 — and its second request reaches node 0
-// once x is there: the read is chased, not lost, and ends inside the hop
-// bound with the value node 0 published and no abort.
+// locator (its directory shard) names node 0 — and its second request
+// reaches node 0 once x is there: the read is chased, not lost, and ends
+// inside the hop bound with the value node 0 published and no abort.
 func TestRequestBetweenSurrenderAndInstallIsChased(t *testing.T) {
-	for via, hint := range map[string]transport.NodeID{"hint": 0, "departure record": 1} {
+	for via, hint := range map[string]transport.NodeID{"hint": 0, "old owner locator": 1} {
 		t.Run(via, func(t *testing.T) {
 			tc := newTestCluster(t, 3, nil, nil)
 			ctx := context.Background()
@@ -462,7 +496,7 @@ func TestRequestBetweenSurrenderAndInstallIsChased(t *testing.T) {
 					// The window has been met; this request goes out once x
 					// is at node 0 and published.
 					letGo()
-					for end := time.Now().Add(2 * time.Second); !(tc.rts[0].Store().Owns(x) && !isLocked(tc.rts[0].Store(), x)) && time.Now().Before(end); {
+					for end := time.Now().Add(2 * time.Second); !(tc.rts[0].Store().State(x).Owned && !isLocked(tc.rts[0].Store(), x)) && time.Now().Before(end); {
 						time.Sleep(100 * time.Microsecond)
 					}
 				}
@@ -531,7 +565,7 @@ func TestPublishWaveIsOneMessagePerNode(t *testing.T) {
 		t.Fatalf("homes messages per node = %v, want one each to nodes 2 and 3", homes)
 	}
 	for _, oid := range []object.ID{p, q, r, s, u} {
-		if !tc.rts[0].Store().Owns(oid) || homeSays(t, tc.rts[4], oid) != 0 {
+		if !tc.rts[0].Store().State(oid).Owned || homeSays(t, tc.rts[4], oid) != 0 {
 			t.Fatalf("%s is not at node 0, or its home does not say so", oid)
 		}
 	}
@@ -615,16 +649,17 @@ func TestReturningObjectIsNotMovedAway(t *testing.T) {
 	if r.Status != statusNotOwner {
 		t.Fatalf("during the wave node 0 answers %v to node %d, want not-owner", r.Status, r.MovedTo)
 	}
-	if got := readBox(t, tc.rts[2], "x"); got != 7 || !tc.rts[0].Store().Owns("x") {
-		t.Fatalf("read %d, node 0 holds x = %v; want 7 and true", got, tc.rts[0].Store().Owns("x"))
+	if got := readBox(t, tc.rts[2], "x"); got != 7 || !tc.rts[0].Store().State("x").Owned {
+		t.Fatalf("read %d, node 0 holds x = %v; want 7 and true", got, tc.rts[0].Store().State("x").Owned)
 	}
 }
 
 // TestRolledBackCreateLeavesNoDepartureRecord: node 1 held x and node 0 took
 // it, so node 1 answers Moved to node 0. Then node 1 creates x again, and the
 // home refuses it: by CreateRoots, or by a transaction's creation, which
-// rolls back. The install cleared the departure record and the rollback's
-// removal writes none, so node 1 answers NotOwner.
+// rolls back. The refused registration leaves node 1's locator as it was,
+// so after the rollback node 1 still names node 0, where x is, or answers
+// NotOwner; it never names itself.
 func TestRolledBackCreateLeavesNoDepartureRecord(t *testing.T) {
 	cases := map[string]func(ctx context.Context, rt *Runtime) error{
 		"CreateRoots": func(ctx context.Context, rt *Runtime) error {
@@ -646,10 +681,25 @@ func TestRolledBackCreateLeavesNoDepartureRecord(t *testing.T) {
 			if err := create(ctx, tc.rts[1]); err == nil || !strings.Contains(err.Error(), "already registered") {
 				t.Fatalf("create: err = %v, want already registered", err)
 			}
-			if r := askAbout(t, tc, 2, 1, "x"); r.Status != statusNotOwner {
-				t.Fatalf("after the rollback node 1 answers %v to node %d, want not-owner", r.Status, r.MovedTo)
+			if r := askAbout(t, tc, 2, 1, "x"); r.Status != statusNotOwner && (r.Status != statusMoved || r.MovedTo != 0) {
+				t.Fatalf("after the rollback node 1 answers %v to node %d, want moved to node 0 or not-owner", r.Status, r.MovedTo)
 			}
 		})
+	}
+}
+
+// TestFormerOwnerNamesTheLatestOwner: x is homed at its first owner, node 0,
+// and moves 0 → 1, then 1 → 2. Node 0 answers a request for x from its
+// locator, which the second move's homes wave rewrote: Moved to node 2, the
+// owner, not to node 1, where node 0 itself sent x.
+func TestFormerOwnerNamesTheLatestOwner(t *testing.T) {
+	tc := newTestCluster(t, 3, nil, nil)
+	x := homedAt(t, 3, 0)
+	seed(t, tc, map[object.ID]int{x: 0})
+	takeAway(t, tc, 1, x)
+	takeAway(t, tc, 2, x)
+	if r := askAbout(t, tc, 1, 0, x); r.Status != statusMoved || r.MovedTo != 2 {
+		t.Fatalf("node 0 answers %v to node %d, want moved to node 2", r.Status, r.MovedTo)
 	}
 }
 
@@ -680,7 +730,7 @@ func TestCommitMigrationOfAGoneObjectFails(t *testing.T) {
 	if r := lock(77); !r.Locked || r.Results[0].Status != statusOK {
 		t.Fatalf("lock: %+v", r)
 	}
-	if rt0.Store().Owns("mig") {
+	if rt0.Store().State("mig").Owned {
 		t.Fatal("object still owned by old owner after the lock took it")
 	}
 	// A new call of the same transaction finds the object gone, and so does

@@ -46,10 +46,11 @@ func TestRetiredKindsAreRefused(t *testing.T) {
 // 31 and 32 the retrieve pair without the lock identity and the locked flag,
 // 40–42 the single-object directory lookup and register, 43 and 47 the
 // directory updates, 46 the register batch that named its creating
-// transaction) decode as unknown, so a frame from an old peer is
+// transaction, 61 the homes wave's reply from before a directory error was
+// the call's error) decode as unknown, so a frame from an old peer is
 // rejected instead of being read as whatever type took the number over.
 func TestRetiredWireIDsAreUnregistered(t *testing.T) {
-	for _, id := range []wire.ID{10, 11, 12, 13, 14, 15, 16, 17, 18, 21, 22, 23, 24, 25, 26, 27, 28, 29, 30, 31, 32, 33, 34, 35, 36, 38, 40, 41, 42, 43, 46, 47} {
+	for _, id := range []wire.ID{10, 11, 12, 13, 14, 15, 16, 17, 18, 21, 22, 23, 24, 25, 26, 27, 28, 29, 30, 31, 32, 33, 34, 35, 36, 38, 40, 41, 42, 43, 46, 47, 61} {
 		t.Run(fmt.Sprintf("id%d", id), func(t *testing.T) {
 			r := wire.NewReader(wire.AppendUvarint(nil, uint64(id)))
 			v := r.Any()

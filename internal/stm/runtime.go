@@ -214,7 +214,9 @@ func (rt *Runtime) handleValidate(from transport.NodeID, payload any) (any, erro
 // conflict decided in one critical section (Store.Read). A commit that
 // touches one of them later locks it after that read, hence ticks past
 // OwnerClock, and a lock that takes an entry enqueued here away finds the
-// requester queued.
+// requester queued. An entry the store does not hold is answered after the
+// read and outside the store's mutex, from the locator (a pointer to chase,
+// not part of the cut): Moved to the other node it names, else NotOwner.
 func (rt *Runtime) serveRetrieve(from transport.NodeID, payload any, validate bool) (any, error) {
 	req, ok := payload.(retrieveReq)
 	if !ok {
@@ -233,9 +235,15 @@ func (rt *Runtime) serveRetrieve(from transport.NodeID, payload any, validate bo
 		rt.lockAnnounced(from, &req, copies, &resp)
 	}
 	for i := range resp.Results {
-		// The receiver's copy of each value still held here; a validation
-		// compares versions only.
-		if r := &resp.Results[i]; r.Status == statusOK && r.Value == nil && !validate {
+		switch r := &resp.Results[i]; {
+		case !copies[i].Owned:
+			r.Status = statusNotOwner
+			if owner, ok := rt.locator.Known(req.Oids[i]); ok && owner != rt.Self() {
+				r.Status, r.MovedTo = statusMoved, owner
+			}
+		case r.Status == statusOK && r.Value == nil && !validate:
+			// The receiver's copy of a value still held here; a validation
+			// compares versions only.
 			r.Value = copies[i].Val.Copy()
 		}
 	}
@@ -251,8 +259,8 @@ func (rt *Runtime) serveRetrieve(from transport.NodeID, payload any, validate bo
 // the plain prefetch the read decided.
 //
 // A lock for another node is a migration: each locked entry leaves the store
-// for the requester, which installs it locked (Store.Migrate records where
-// it went), its requester queue goes with it in the reply (a retrieve
+// for the requester, which installs it locked (Store.Migrate), its
+// requester queue goes with it in the reply (a retrieve
 // enqueues only under the store's mutex while the object is here, so that
 // queue is complete), and this node's directory shard or hint names the
 // requester (cc.Service.Moved), and so do its hints for the objects the
@@ -283,7 +291,7 @@ func (rt *Runtime) lockAnnounced(from transport.NodeID, req *retrieveReq, copies
 		}
 		// Locked for req.LockID a moment ago, so the migration cannot be
 		// refused: only a lock's holder frees it.
-		_ = rt.store.Migrate(oid, req.LockID, from)
+		_ = rt.store.Migrate(oid, req.LockID)
 		r.Value, r.Queue = c.Val, rt.policy.ExtractQueue(oid)
 		handed = append(handed, oid)
 	}
@@ -299,14 +307,10 @@ func (rt *Runtime) lockAnnounced(from transport.NodeID, req *retrieveReq, copies
 // value is copied after the read), or — when the object is being validated
 // by a committing transaction — the transactional scheduler's decision for
 // this requester. Both go by pointer: this runs once per entry inside the
-// store's critical section.
+// store's critical section. An object not held here is left to
+// serveRetrieve, which answers it from the locator after the read.
 func (rt *Runtime) retrieveOne(from transport.NodeID, req *retrieveReq, oid object.ID, c *object.Copy, out *retrieveResult) {
 	if !c.Owned {
-		// Moved to the node a migration last took it to, else NotOwner.
-		out.Status = statusNotOwner
-		if c.Moved {
-			out.Status, out.MovedTo = statusMoved, c.MovedTo
-		}
 		return
 	}
 	locked := c.LockedBy != 0
@@ -342,17 +346,14 @@ func (rt *Runtime) retrieveOne(from transport.NodeID, req *retrieveReq, oid obje
 
 // handleCommitObjectBatch serves one message of a homes wave
 // (Txn.tellHomes): everything the message names moved to NewOwner, under
-// the lock of identity TxID.
+// the lock of identity TxID. The reply has no body; a directory error is
+// the call's error.
 func (rt *Runtime) handleCommitObjectBatch(_ transport.NodeID, payload any) (any, error) {
 	req, ok := payload.(commitObjBatchReq)
 	if !ok {
 		return nil, fmt.Errorf("stm: bad commit batch payload %T", payload)
 	}
-	var resp commitObjBatchResp
-	if err := rt.moved(req.Moved, req.NewOwner, req.TxID); err != nil {
-		resp.DirErr = err.Error()
-	}
-	return resp, nil
+	return nil, rt.moved(req.Moved, req.NewOwner, req.TxID)
 }
 
 // moved records at this node that the lock of identity lockID brought ids

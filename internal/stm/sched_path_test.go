@@ -292,6 +292,42 @@ func TestRTSReadersReleasedTogether(t *testing.T) {
 	}
 }
 
+// TestRTSUpdaterIsHandedOffAlone: an Update opens x for writing, so when it
+// parks behind x's commit lock and a read parks behind it, the release hands
+// x to the updater alone (Algorithm 4's head writer), and the reader stays
+// queued.
+func TestRTSUpdaterIsHandedOffAlone(t *testing.T) {
+	tc := newRTSCluster(t, 3, core.Options{CLThreshold: 10})
+	ctx := context.Background()
+	if err := tc.rts[0].CreateRoot(ctx, "x", &box{N: 7}); err != nil {
+		t.Fatal(err)
+	}
+	lockObject(t, tc.rts[0], "x")
+	rts := tc.rts[0].Policy().(*core.RTS)
+
+	updater := manualTxn(tc.rts[1], time.Hour, 2*time.Hour)
+	updated := make(chan error, 1)
+	go func() { updated <- updater.Update(ctx, "x", bump) }()
+	waitFor(t, func() bool { return rts.QueueLen("x") == 1 })
+	reader := manualTxn(tc.rts[2], 3*time.Hour, 4*time.Hour)
+	readCtx, stopReading := context.WithCancel(ctx)
+	read := make(chan error, 1)
+	go func() { read <- reader.fetchMany(readCtx, []object.ID{"x"}, sched.Read) }()
+	waitFor(t, func() bool { return rts.QueueLen("x") == 2 })
+
+	unlockAndServe(tc.rts[0], "x")
+	if err := <-updated; err != nil {
+		t.Fatal(err)
+	}
+	if p1, p2, q := tc.rts[1].Metrics().Snapshot().Pushes, tc.rts[2].Metrics().Snapshot().Pushes, rts.QueueLen("x"); p1 != 1 || p2 != 0 || q != 1 {
+		t.Fatalf("pushes to the updater and the reader = %d, %d, %d left queued; want 1, 0, 1", p1, p2, q)
+	}
+	stopReading()
+	if err := <-read; err == nil {
+		t.Fatal("the queued reader was served by the updater's hand-off")
+	}
+}
+
 // actInConflict is RTS with one action started inside its first
 // OnConflict, after the retrieve read the object locked and before the
 // decision. The action runs on a goroutine of its own, and OnConflict waits

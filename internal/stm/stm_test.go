@@ -115,10 +115,10 @@ func TestCrossNodeFetchAndMigration(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tc.rts[0].Store().Owns("m") {
+	if tc.rts[0].Store().State("m").Owned {
 		t.Fatal("node 0 still owns the object after remote commit")
 	}
-	if !tc.rts[2].Store().Owns("m") {
+	if !tc.rts[2].Store().State("m").Owned {
 		t.Fatal("node 2 does not own the object after its commit")
 	}
 

@@ -315,13 +315,14 @@ func (tx *Txn) Write(ctx context.Context, oid object.ID, val object.Value) error
 }
 
 // Update applies fn to a private copy of the object's current value and
-// writes the result back. fn must return the value to store.
+// writes the result back. fn must return the value to store. An object the
+// chain has not accessed yet is fetched for writing, as Write fetches it.
 func (tx *Txn) Update(ctx context.Context, oid object.ID, fn func(object.Value) object.Value) error {
-	cur, err := tx.Read(ctx, oid)
-	if err != nil {
+	if err := tx.fetchMany(ctx, tx.unopened([]object.ID{oid}), sched.Write); err != nil {
 		return err
 	}
-	return tx.Write(ctx, oid, fn(cur.Copy()))
+	e, _ := tx.lookup(oid)
+	return tx.Write(ctx, oid, fn(e.val.Copy()))
 }
 
 // Create buffers a brand-new object. It becomes visible to other
@@ -668,9 +669,10 @@ func (tx *Txn) retrieveWaves(ctx context.Context, oids []object.ID, mode sched.M
 			}
 			var taking []object.ID
 			if locked != nil && g.owner != rt.Self() {
-				// Coming here, maybe: a request served in the wave's window is
-				// told NotOwner, not Moved to the node that may be sending them.
-				rt.store.Arriving(g.oids)
+				// Coming here, maybe: this node's hints for them go, so a request
+				// served in the wave's window is told NotOwner, not Moved to the
+				// node that may be sending them. A refusal puts them back.
+				rt.locator.InvalidateHint(g.oids...)
 				taking = takenElsewhere(groups, g.owner, rt.Self())
 			}
 			elapsed := time.Since(root.began)
@@ -694,10 +696,16 @@ func (tx *Txn) retrieveWaves(ctx context.Context, oids []object.ID, mode sched.M
 			if g.owner != rt.Self() {
 				far = 1
 			}
+			// What this reply's locks brought here, installed: this node's
+			// shard or hint names it, and every other node hears of it on
+			// its next message from here (cc.Service.Moved).
 			var took []object.ID
-			defer func() { tx.took(took) }()
+			defer func() { _ = rt.moved(took, rt.Self(), root.lockID) }()
 			for i := range r.Results {
 				res, oid := &r.Results[i], g.oids[i]
+				if locked != nil && !r.Locked && far == 1 && !res.Status.notHere() {
+					rt.locator.NoteOwner(oid, g.owner) // refused: the owner keeps it
+				}
 				switch {
 				case res.Status == statusOK:
 					rt.metrics.remoteCopies.Add(far)
@@ -756,16 +764,6 @@ func (tx *Txn) install(oid object.ID, res *retrieveResult) object.Value {
 	rt.policy.AdoptQueue(oid, res.Queue) // nothing reads it before the install
 	rt.store.InstallLocked(oid, res.Value, res.Version, tx.root.lockID)
 	return res.Value.Copy()
-}
-
-// took records that the locks of one reply brought ids here, installed: this
-// node's own shard or hint names it, and every other node hears of them on
-// its next message from here (cc.Service.Took).
-func (tx *Txn) took(ids []object.ID) {
-	if len(ids) > 0 {
-		_ = tx.rt.moved(ids, tx.rt.Self(), tx.root.lockID)
-		tx.rt.locator.Took(ids)
-	}
 }
 
 // adoptFetched records the copies one fetchMany received at this nesting

@@ -24,23 +24,22 @@ import (
 // (the retrieve pair without the lock identity and the locked flag), 21 and
 // 36 (the validation pair from before a validation was a prefetch
 // retrieve), 33 and 34 (the publish pair that surrendered objects, before a
-// lock took them) and 38 (the retrieve reply without the surrendered
-// queues) are reserved: never reuse them, or a frame from an old peer would
-// mis-decode into a live type.
+// lock took them), 38 (the retrieve reply without the surrendered
+// queues) and 61 (the homes wave's reply, before a directory error was the
+// call's error) are reserved: never reuse them, or a frame from an old peer
+// would mis-decode into a live type.
 const (
-	wireIDPushMsg            wire.ID = 19
-	wireIDDeclineMsg         wire.ID = 20
-	wireIDRetrieveReq        wire.ID = 37
-	wireIDRetrieveResp       wire.ID = 39
-	wireIDCommitObjBatchReq  wire.ID = 60
-	wireIDCommitObjBatchResp wire.ID = 61
+	wireIDPushMsg           wire.ID = 19
+	wireIDDeclineMsg        wire.ID = 20
+	wireIDRetrieveReq       wire.ID = 37
+	wireIDRetrieveResp      wire.ID = 39
+	wireIDCommitObjBatchReq wire.ID = 60
 )
 
 func init() {
 	wire.Register(wireIDPushMsg, pushMsg{})
 	wire.Register(wireIDDeclineMsg, declineMsg{})
 	wire.Register(wireIDCommitObjBatchReq, commitObjBatchReq{})
-	wire.Register(wireIDCommitObjBatchResp, commitObjBatchResp{})
 	wire.Register(wireIDRetrieveReq, retrieveReq{})
 	wire.Register(wireIDRetrieveResp, retrieveResp{})
 }
@@ -198,12 +197,6 @@ func (commitObjBatchReq) ReadWire(r *wire.Reader) any {
 	return commitObjBatchReq{TxID: r.Uvarint(), NewOwner: transport.NodeID(r.Varint()),
 		Moved: wire.ReadStrings[object.ID](r)}
 }
-
-func (q commitObjBatchResp) AppendWire(b []byte) ([]byte, error) {
-	return wire.AppendString(b, q.DirErr), nil
-}
-
-func (commitObjBatchResp) ReadWire(r *wire.Reader) any { return commitObjBatchResp{DirErr: r.String()} }
 
 // benchOids returns n recurring object IDs shaped like real ones.
 func benchOids(n int) []object.ID {

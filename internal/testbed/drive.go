@@ -60,7 +60,8 @@ type Report struct {
 	// Set by Run from one walk of the healed cluster's stores: LeftLocks
 	// counts the objects still commit-locked once Drive returned, leftLock
 	// describing the first; StaleEntries counts the objects whose home does
-	// not name the store holding them, stale describing one.
+	// not name the store holding them, or names a node of this process that
+	// holds none, stale describing one.
 	LeftLocks, StaleEntries int
 	leftLock, stale         error
 
@@ -353,24 +354,33 @@ func (c *Cluster) crashLoop(ctx context.Context) (crashes int) {
 
 // checkStores checks the stores of a quiet cluster into rep: the commit
 // locks left (leftLock) and the directory. Node 0 asks the homes of every
-// stored object (cc.Service.AskHomes, which never answers from a hint), one
-// lookup per home and all at once, so the check costs one round trip
-// whatever the object count. It counts the objects whose home names
-// another node or has no entry. err is a lookup that failed: the check was
-// not made and rep is unchanged.
+// stored object and of every entry in a shard of this process's nodes
+// (cc.Service.AskHomes, which never answers from a hint), one lookup per
+// home and all at once, so the check costs one round trip whatever the
+// object count. It counts the objects whose home names another node or has
+// no entry, and those no store holds whose home names a node of this
+// process: an object a lock reply lost for good took off its owner. err is a
+// lookup that failed: the check was not made and rep is unchanged.
 func (c *Cluster) checkStores(ctx context.Context, rep *Report) error {
 	var ids []object.ID
+	nodes := make(map[transport.NodeID]*stm.Runtime, len(c.Rts))
 	for _, rt := range c.Rts {
+		nodes[rt.Self()] = rt
 		ids = append(ids, rt.Store().IDs()...)
+		ids = append(ids, rt.Locator().Homed()...)
 	}
+	slices.Sort(ids)
+	ids = slices.Compact(ids)
 	// An unknown object is an answer, not a failed lookup: the home has no
 	// entry for it, and AskHomes reports it only if every call went through.
 	homeSays, _, err := c.Rts[0].Locator().AskHomes(ctx, ids)
 	if err != nil && !errors.Is(err, cc.ErrUnknownObject) {
 		return err
 	}
+	held := make(map[object.ID]bool, len(ids))
 	for _, rt := range c.Rts {
 		for _, id := range rt.Store().IDs() {
+			held[id] = true
 			if err := leftLock(rt, id); err != nil {
 				rep.LeftLocks++
 				if rep.leftLock == nil {
@@ -385,6 +395,12 @@ func (c *Cluster) checkStores(ctx context.Context, rep *Report) error {
 				rep.StaleEntries++
 				rep.stale = fmt.Errorf("%s is in node %d's store, its home says node %d", id, rt.Self(), got)
 			}
+		}
+	}
+	for _, id := range ids {
+		if owner, ok := homeSays[id]; ok && !held[id] && nodes[owner] != nil {
+			rep.StaleEntries++
+			rep.stale = fmt.Errorf("%s is in no store, its home says node %d", id, owner)
 		}
 	}
 	return nil

@@ -146,7 +146,7 @@ func TestShutdownLeavesCleanState(t *testing.T) {
 			oid := bank.AccountID(i)
 			owners := 0
 			for _, rt := range rts {
-				if !rt.Store().Owns(oid) {
+				if !rt.Store().State(oid).Owned {
 					continue
 				}
 				owners++

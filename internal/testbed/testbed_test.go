@@ -269,6 +269,33 @@ func TestLeftLockFailsVerdict(t *testing.T) {
 	}
 }
 
+// TestLostHandoverFailsVerdict locks one object at its holder after a drive
+// and removes it, as a handover whose lock reply was lost for good leaves
+// it: no store holds it, the directory walk counts its home's entry, and the
+// verdict names it.
+func TestLostHandoverFailsVerdict(t *testing.T) {
+	c, holder := drivenCluster(t)
+	id := holder.Store().IDs()[0]
+	const tx = 0xdead
+	entry := []object.LockEntry{{ID: id, Expect: holder.Store().State(id).Ver}}
+	if _, ok := holder.Store().LockBatch(tx, entry); !ok {
+		t.Fatalf("could not lock %s", id)
+	}
+	if err := holder.Store().Migrate(id, tx); err != nil {
+		t.Fatal(err)
+	}
+	var rep Report
+	if err := c.checkStores(context.Background(), &rep); err != nil {
+		t.Fatal(err)
+	}
+	if rep.StaleEntries != 1 || rep.LeftLocks != 0 {
+		t.Fatalf("%d stale entries, %d locks left after losing %s, want 1 and 0", rep.StaleEntries, rep.LeftLocks, id)
+	}
+	if err := rep.Err(); err == nil || !strings.Contains(err.Error(), string(id)) {
+		t.Fatalf("verdict %v, want the lost object %s", err, id)
+	}
+}
+
 // TestDirectoryCheckAsksEachHomeOnce: the directory check costs one round
 // trip whatever the object count, so 400 objects on 10 ms links fit a
 // 250 ms budget that one lookup per object would overrun about twentyfold;

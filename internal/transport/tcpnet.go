@@ -96,7 +96,6 @@ type tcpConn struct {
 
 	pending []byte // frames encoded, awaiting the writer
 	spare   []byte // recycled buffer for the next batch
-	queued  int    // frames in pending
 	werr    error  // first write error; conn is dead once set
 	closed  bool
 }
@@ -323,7 +322,6 @@ func (n *TCPNode) sendBinary(m *Message, tc *tcpConn) error {
 		return fmt.Errorf("tcpnet: send to node %d: frame of %d bytes exceeds limit", m.To, body)
 	}
 	binary.BigEndian.PutUint32(tc.pending[start:start+4], uint32(body))
-	tc.queued++
 	tc.cond.Broadcast()
 	tc.mu.Unlock()
 	n.msgsSent.Add(1)
@@ -345,7 +343,6 @@ func (n *TCPNode) writeLoop(to NodeID, tc *tcpConn) {
 		buf := tc.pending
 		tc.pending = tc.spare[:0]
 		tc.spare = nil
-		tc.queued = 0
 		tc.mu.Unlock()
 
 		// Count before the write: the receiver can deliver (and a caller can

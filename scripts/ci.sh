@@ -21,10 +21,14 @@
 #          included, is built from one Store.Read;
 #          and one scheduler conflict decision, inside the retrieve's
 #          store read, and no per-object map field or migrMu in
-#          runtime.go: the store is the one owner record; and one
+#          runtime.go: the store is the one owner record, of the held
+#          objects and their locks; and one line answering a not-held
+#          entry from the locator, which alone records where an object
+#          went; and one
 #          store Unlock and one UpdateCommitted call, no validateMany or
 #          abortUnlock, and no KindRelease: Txn.releaseLocks frees every
-#          lock on its own node; in internal/object, no stale-lock fence;
+#          lock on its own node; in internal/object, no stale-lock fence
+#          and no transport., Arriving or MovedTo: no departure record;
 #          in internal/apps, one sorted-set seeding loop and one
 #          strictly-increasing check: apps.Set's, no CreateRoot call and
 #          one CreateRoots call: apps.Seed's; in internal/cluster,
@@ -111,13 +115,18 @@ stage_vet() {
     # one cut.
     nontest_go | grep '^\./internal/stm/' | one_site '\.State\(' 'build an owner reply from one Store.Read' none
     nontest_go | grep '^\./internal/stm/' | one_site 'OnRelease\(' 'serve a freed object through Runtime.handOff' exactly
-    # One owner record: the store holds every piece of an owner's per-object
-    # state (copy, lock, departure record) under its one mutex, and the
-    # scheduler decides a conflict inside the retrieve's Store.Read, so a
-    # per-object map or a mutex of the runtime's own beside the store, or a
-    # second conflict decision outside that read, fails here.
+    # One owner record: the store holds the objects an owner has and their
+    # commit locks under its one mutex, and the scheduler decides a conflict
+    # inside the retrieve's Store.Read, so a per-object map or a mutex of the
+    # runtime's own beside the store, or a second conflict decision outside
+    # that read, fails here.
     echo ./internal/stm/runtime.go | one_site '^\s+[[:alnum:]_, ]+\s+map\[object\.ID\]|migrMu' 'keep per-object owner state in object.Store' none
     nontest_go | grep '^\./internal/stm/' | one_site 'OnConflict\(' "decide a conflict inside the retrieve's Store.Read" exactly
+    # One record of where an object went: the locator (cc.Service). The
+    # store knows no node, so it keeps no departure record, and an owner
+    # answers an entry it does not hold from its locator, on one line.
+    nontest_go | grep '^\./internal/object/' | one_site 'transport\.|Arriving|MovedTo' 'record where an object went in the locator, not the store' none
+    nontest_go | grep '^\./internal/stm/' | one_site 'locator\.Known\(' "answer a not-held entry from the locator in serveRetrieve" exactly
     # One lock set and one release site per attempt: the commit locks into
     # the attempt's holdings and validates through validateChain, and every
     # lock is freed on the locker's own node by Txn.releaseLocks — after the
